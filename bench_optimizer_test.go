@@ -1,15 +1,19 @@
-// Estimate-quality trajectory for the optimizer's statistics layer:
-// TestEmitBenchOptimizerJSON measures estimate-vs-actual cardinality error
-// (q-error) over a workload sample with and without the ANALYZE histograms,
-// and records the result in BENCH_optimizer.json so future PRs can track how
-// statistics changes move plan quality.
+// Trajectory of the optimizer in BENCH_optimizer.json, so future PRs can
+// track both halves of it: TestEmitBenchOptimizerJSON measures
+// estimate-vs-actual cardinality error (q-error) over a workload sample with
+// and without the ANALYZE histograms (how statistics changes move plan
+// quality), and the cost of planning itself per join count (ns, bytes,
+// allocations and plans considered per Optimize).
 package galo_test
 
 import (
 	"encoding/json"
 	"math"
 	"os"
+	"os/exec"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"galo/internal/executor"
@@ -55,6 +59,69 @@ func quantile(sorted []float64, q float64) float64 {
 
 func round3(f float64) float64 { return math.Round(f*1000) / 1000 }
 
+// planningRow is the cost of one Optimize call for one query.
+type planningRow struct {
+	NsPerOp         int64 `json:"ns_per_op"`
+	BytesPerOp      int64 `json:"bytes_per_op"`
+	AllocsPerOp     int64 `json:"allocs_per_op"`
+	PlansConsidered int   `json:"plans_considered"`
+}
+
+// planningCases names one tpcds.Queries() entry per join count: the shapes of
+// the bench/ routinized pool (web_sales x item, Figure 3, star, snowflake,
+// 5-join snowflake) and the widest query still planned by DP.
+var planningCases = []struct {
+	name  string
+	index int
+}{{"j1", 4}, {"j2", 8}, {"j3", 34}, {"j4", 40}, {"j5", 55}, {"j8", 90}}
+
+// planningBefore is the same measurement on the commit before the
+// enumerator was rewritten around the planning context (aefdf06, PR 11), on
+// the machine the committed BENCH_optimizer.json was emitted on.
+var planningBefore = map[string]planningRow{
+	"j1": {107687, 40878, 455, 24},
+	"j2": {888124, 492500, 4016, 246},
+	"j3": {6582169, 4089870, 22560, 1272},
+	"j4": {34491835, 20187580, 114518, 5958},
+	"j5": {145575278, 111361744, 416435, 19236},
+	"j8": {11649433010, 6938358112, 28516878, 1129188},
+}
+
+func measurePlanning(t *testing.T, opt *optimizer.Optimizer) map[string]planningRow {
+	t.Helper()
+	all := tpcds.Queries()
+	out := map[string]planningRow{}
+	for _, c := range planningCases {
+		q := all[c.index]
+		_, report, err := opt.Optimize(q)
+		if err != nil {
+			t.Fatalf("optimize %s: %v", q.Name, err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := opt.Optimize(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		out[c.name] = planningRow{res.NsPerOp(), res.AllocedBytesPerOp(), res.AllocsPerOp(), report.PlansConsidered}
+	}
+	return out
+}
+
+// benchEnv records where a trajectory file was emitted.
+func benchEnv() map[string]any {
+	commit := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+		if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+			commit += "+uncommitted"
+		}
+	}
+	return map[string]any{"cpus": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0), "go": runtime.Version(), "commit": commit}
+}
+
 // TestEmitBenchOptimizerJSON writes BENCH_optimizer.json. Only runs when
 // GALO_BENCH_JSON=1 (CI's bench-emit step sets it).
 func TestEmitBenchOptimizerJSON(t *testing.T) {
@@ -71,6 +138,7 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 	ex := executor.New(db)
 
 	withHist := qErrors(t, optimizer.New(db.Catalog, optimizer.DefaultOptions()), ex, queries)
+	planning := measurePlanning(t, optimizer.New(db.Catalog, optimizer.DefaultOptions()))
 
 	// The same database with the histograms stripped: the pre-ANALYZE
 	// estimator (min/max interpolation + NDV + System-R constants).
@@ -99,6 +167,13 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 		"note":               "q-error = max(est/act, act/est) per base-table scan; 1.0 is a perfect estimate. with_histograms uses the ANALYZE equi-depth histograms, without_histograms the pre-ANALYZE min/max interpolation and System-R constants.",
 		"with_histograms":    row(withHist),
 		"without_histograms": row(withoutHist),
+		"planning": map[string]any{
+			"benchmark": "one Optimizer.Optimize call per join count (tpcds.Queries() entries 5, 9, 35, 41, 56 and 91; j8 is the widest query under JoinEnumDPLimit)",
+			"note":      "before = the map-set enumerator of PR 11 (commit aefdf06) on the same machine; plans_considered must not move: the planning context changes the data layout, not the search",
+			"env":       benchEnv(),
+			"before":    planningBefore,
+			"after":     planning,
+		},
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

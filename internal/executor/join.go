@@ -454,7 +454,10 @@ func (c *execContext) joinKeys(node *qgm.Node, outerCols, innerCols []string) (j
 	innerInst := instanceSet(node.Inner)
 	var key joinKey
 	var used []sqlparser.Predicate
-	for _, p := range c.query.JoinPredicates() {
+	for _, p := range c.query.Where {
+		if !p.IsJoin() {
+			continue
+		}
 		li := c.refToInst[strings.ToUpper(p.Left.Table)]
 		ri := c.refToInst[strings.ToUpper(p.Right.Table)]
 		var op, ip int

@@ -39,7 +39,10 @@ func SubQueries(q *sqlparser.Query, maxJoins, maxSubQueries int) []*sqlparser.Qu
 	for i, tr := range q.From {
 		nameToIdx[strings.ToUpper(tr.Name())] = i
 	}
-	for _, p := range q.JoinPredicates() {
+	for _, p := range q.Where {
+		if !p.IsJoin() {
+			continue
+		}
 		li, lok := nameToIdx[strings.ToUpper(p.Left.Table)]
 		ri, rok := nameToIdx[strings.ToUpper(p.Right.Table)]
 		if !lok || !rok || li == ri {

@@ -5,7 +5,6 @@ import (
 
 	"galo/internal/guideline"
 	"galo/internal/qgm"
-	"galo/internal/sqlparser"
 )
 
 // accessConstraint forces the access method (and optionally the index) used
@@ -14,16 +13,15 @@ type accessConstraint struct {
 	instance string
 	method   qgm.OpType // OpTBSCAN, or OpIXSCAN meaning "index access"
 	index    string
-	gIndex   int
 }
 
-// joinConstraint forces one join: the instances of all must be joined with
-// method, with outer as the first input and inner as the second.
+// joinConstraint forces one join: the quantifiers of all (bitmasks over
+// planCtx.quants) must be joined with method, with outer as the first input
+// and inner as the second.
 type joinConstraint struct {
 	method       qgm.OpType
-	outer, inner map[string]bool
-	all          map[string]bool
-	gIndex       int
+	outer, inner uint64
+	all          uint64
 }
 
 // constraintSet is the combination of constraints from the active guidelines.
@@ -34,12 +32,9 @@ type constraintSet struct {
 
 // allowsJoin reports whether joining left (outer) and right (inner) with the
 // given method is compatible with the constraints for the combined set.
-func (c constraintSet) allowsJoin(set, left, right map[string]bool, method qgm.OpType) bool {
+func (c constraintSet) allowsJoin(set, left, right uint64, method qgm.OpType) bool {
 	for _, jc := range c.joins {
-		if !sameSet(jc.all, set) {
-			continue
-		}
-		if jc.method != method || !sameSet(jc.outer, left) || !sameSet(jc.inner, right) {
+		if jc.all == set && (jc.method != method || jc.outer != left || jc.inner != right) {
 			return false
 		}
 	}
@@ -49,12 +44,9 @@ func (c constraintSet) allowsJoin(set, left, right map[string]bool, method qgm.O
 // allowsPartition reports whether splitting set into (left, right) keeps every
 // constrained sub-join intact: a guideline join over a subset of set must not
 // be split across the two inputs, otherwise it could never be built.
-func (c constraintSet) allowsPartition(set, left, right map[string]bool) bool {
+func (c constraintSet) allowsPartition(set, left, right uint64) bool {
 	for _, jc := range c.joins {
-		if !subsetOf(jc.all, set) || sameSet(jc.all, set) {
-			continue
-		}
-		if !subsetOf(jc.all, left) && !subsetOf(jc.all, right) {
+		if jc.all&^set == 0 && jc.all != set && jc.all&^left != 0 && jc.all&^right != 0 {
 			return false
 		}
 	}
@@ -70,7 +62,7 @@ type guidelineConstraints struct {
 
 // satisfiedBy checks whether the final plan honours every constraint of the
 // guideline.
-func (g guidelineConstraints) satisfiedBy(root *qgm.Node) bool {
+func (g guidelineConstraints) satisfiedBy(root *qgm.Node, pc *planCtx) bool {
 	if g.invalid || root == nil {
 		return false
 	}
@@ -80,7 +72,7 @@ func (g guidelineConstraints) satisfiedBy(root *qgm.Node) bool {
 		}
 	}
 	for _, jc := range g.joins {
-		if !joinSatisfied(root, jc) {
+		if !pc.joinSatisfied(root, jc) {
 			return false
 		}
 	}
@@ -106,17 +98,28 @@ func accessSatisfied(root *qgm.Node, ac accessConstraint) bool {
 	return ok
 }
 
-func nodeInstanceSet(n *qgm.Node) map[string]bool {
-	set := map[string]bool{}
-	n.Walk(func(x *qgm.Node) {
-		if x.TableInstance != "" {
-			set[x.TableInstance] = true
+// instance returns the quantifier with the given instance name (Q1..Qn).
+func (pc *planCtx) instance(name string) *Quantifier {
+	for _, qt := range pc.quants {
+		if qt.Instance == name {
+			return qt
 		}
-	})
-	return set
+	}
+	return nil
 }
 
-func joinSatisfied(root *qgm.Node, jc joinConstraint) bool {
+// nodeMask returns the quantifiers the subtree reads.
+func (pc *planCtx) nodeMask(n *qgm.Node) uint64 {
+	var mask uint64
+	n.Walk(func(x *qgm.Node) {
+		if qt := pc.instance(x.TableInstance); qt != nil {
+			mask |= qt.bit
+		}
+	})
+	return mask
+}
+
+func (pc *planCtx) joinSatisfied(root *qgm.Node, jc joinConstraint) bool {
 	ok := false
 	root.Walk(func(n *qgm.Node) {
 		if ok || !n.Op.IsJoin() || n.Op != jc.method {
@@ -125,74 +128,65 @@ func joinSatisfied(root *qgm.Node, jc joinConstraint) bool {
 		if n.Outer == nil || n.Inner == nil {
 			return
 		}
-		if sameSet(nodeInstanceSet(n), jc.all) &&
-			sameSet(nodeInstanceSet(n.Outer), jc.outer) &&
-			sameSet(nodeInstanceSet(n.Inner), jc.inner) {
-			ok = true
-		}
+		ok = pc.nodeMask(n.Outer) == jc.outer && pc.nodeMask(n.Inner) == jc.inner
 	})
 	return ok
 }
 
 // buildConstraints decomposes the guideline document (if any) against the
-// query's quantifiers. It returns the combined constraint set over all valid
-// guidelines plus the per-guideline decomposition used for retry/reporting.
-func (o *Optimizer) buildConstraints(q *sqlparser.Query, quants []*Quantifier, report *Report) (constraintSet, []guidelineConstraints) {
-	doc := o.Opts.Guidelines
+// query's quantifiers, one entry per top-level guideline; filterConstraints
+// combines the still-active ones for a planning attempt.
+func (pc *planCtx) buildConstraints() []guidelineConstraints {
+	doc := pc.o.Opts.Guidelines
 	if doc.Empty() {
-		return constraintSet{access: map[string]accessConstraint{}}, nil
+		return nil
 	}
-	instanceExists := map[string]bool{}
-	tableToInstances := map[string][]string{}
-	for _, qt := range quants {
-		instanceExists[qt.Instance] = true
+	tableToInstances := map[string][]*Quantifier{}
+	for _, qt := range pc.quants {
 		tbl := strings.ToUpper(qt.Ref.Table)
-		tableToInstances[tbl] = append(tableToInstances[tbl], qt.Instance)
+		tableToInstances[tbl] = append(tableToInstances[tbl], qt)
 	}
-	resolveInstance := func(e *guideline.Element) (string, bool) {
+	resolveInstance := func(e *guideline.Element) *Quantifier {
 		if e.TabID != "" {
-			id := strings.ToUpper(e.TabID)
-			return id, instanceExists[id]
+			return pc.instance(strings.ToUpper(e.TabID))
 		}
-		if e.Table != "" {
-			insts := tableToInstances[strings.ToUpper(e.Table)]
-			if len(insts) == 1 {
-				return insts[0], true
-			}
+		if insts := tableToInstances[strings.ToUpper(e.Table)]; e.Table != "" && len(insts) == 1 {
+			return insts[0]
 		}
-		return "", false
+		return nil
 	}
 
 	perGuideline := make([]guidelineConstraints, len(doc.Guidelines))
 	for gi, g := range doc.Guidelines {
 		gc := &perGuideline[gi]
-		var collect func(e *guideline.Element) map[string]bool
-		collect = func(e *guideline.Element) map[string]bool {
+		// collect returns the quantifiers under e, 0 once the guideline is invalid.
+		var collect func(e *guideline.Element) uint64
+		collect = func(e *guideline.Element) uint64 {
 			if gc.invalid || e == nil {
-				return map[string]bool{}
+				return 0
 			}
 			if e.IsAccess() {
-				inst, ok := resolveInstance(e)
-				if !ok {
+				qt := resolveInstance(e)
+				if qt == nil {
 					gc.invalid = true
-					return map[string]bool{}
+					return 0
 				}
 				method := qgm.OpTBSCAN
 				if e.Op == guideline.ElemIXSCAN {
 					method = qgm.OpIXSCAN
 				}
-				gc.access = append(gc.access, accessConstraint{instance: inst, method: method, index: e.Index, gIndex: gi})
-				return map[string]bool{inst: true}
+				gc.access = append(gc.access, accessConstraint{instance: qt.Instance, method: method, index: e.Index})
+				return qt.bit
 			}
 			// Join element.
 			if len(e.Children) != 2 {
 				gc.invalid = true
-				return map[string]bool{}
+				return 0
 			}
 			outer := collect(e.Children[0])
 			inner := collect(e.Children[1])
 			if gc.invalid {
-				return map[string]bool{}
+				return 0
 			}
 			method := qgm.OpHSJOIN
 			switch e.Op {
@@ -201,29 +195,26 @@ func (o *Optimizer) buildConstraints(q *sqlparser.Query, quants []*Quantifier, r
 			case guideline.ElemMSJOIN:
 				method = qgm.OpMSJOIN
 			}
-			all := unionSets(outer, inner)
-			gc.joins = append(gc.joins, joinConstraint{method: method, outer: outer, inner: inner, all: all, gIndex: gi})
-			return all
+			gc.joins = append(gc.joins, joinConstraint{method: method, outer: outer, inner: inner, all: outer | inner})
+			return outer | inner
 		}
 		collect(g)
-		_ = report
 	}
-	active := make([]bool, len(perGuideline))
-	for i := range active {
-		active[i] = true
-	}
-	return filterConstraints(constraintSet{}, perGuideline, active), perGuideline
+	return perGuideline
 }
 
 // filterConstraints combines the constraints of the guidelines that are still
 // active and valid.
-func filterConstraints(_ constraintSet, perGuideline []guidelineConstraints, active []bool) constraintSet {
-	out := constraintSet{access: map[string]accessConstraint{}}
+func filterConstraints(perGuideline []guidelineConstraints, active []bool) constraintSet {
+	var out constraintSet
 	for i, gc := range perGuideline {
-		if gc.invalid || i >= len(active) || !active[i] {
+		if gc.invalid || !active[i] {
 			continue
 		}
 		for _, ac := range gc.access {
+			if out.access == nil {
+				out.access = map[string]accessConstraint{}
+			}
 			out.access[ac.instance] = ac
 		}
 		out.joins = append(out.joins, gc.joins...)

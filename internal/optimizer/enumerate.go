@@ -3,9 +3,11 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
+	"galo/internal/catalog"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 )
@@ -37,7 +39,22 @@ type planCand struct {
 	cost    float64
 	card    float64
 	rowSize int
-	set     map[string]bool // instance names covered
+	mask    uint64 // quantifiers covered: bit i is quants[i]
+	ord     int    // planCtx.orderID of node.OrderedOn; 0 when it is not an interesting order
+	// leaf and probe are set on base-table accesses only: the quantifier read
+	// and the access a nested-loop join re-evaluates once per outer row.
+	leaf  *Quantifier
+	probe accessPath
+	sort  float64 // sortCost of the output, memoised by sortCost
+}
+
+// sortCost returns the cost of an explicit SORT over the candidate's output;
+// every merge join that considers the candidate as an unsorted input asks.
+func (c *planCand) sortCost(cfg catalog.SystemConfig) float64 {
+	if c.sort == 0 {
+		c.sort = sortCost(cfg, c.card, c.rowSize)
+	}
+	return c.sort
 }
 
 // orderedOn returns the candidate's order property.
@@ -48,54 +65,124 @@ func (c *planCand) orderedOn() string {
 	return c.node.OrderedOn
 }
 
-func setKey(set map[string]bool) string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
+// maxQuantifiers bounds the table references of one query: quantifier sets
+// are uint64 bitmasks.
+const maxQuantifiers = 64
+
+// planCtx is the planning context of one Optimize (or BuildPlan) call:
+// everything the enumerators need from the query, derived once after
+// Quantifiers instead of once per candidate. Quantifier sets are bitmasks
+// over quants, join predicates are pre-resolved edges, interesting orders are
+// small integers, and cons holds the active guideline constraints as masks.
+// It lives and dies with the call; nothing is pooled across requests.
+type planCtx struct {
+	o      *Optimizer
+	q      *sqlparser.Query
+	quants []*Quantifier
+	byName map[string]*Quantifier // FROM reference name and instance name -> quantifier
+	edges  []joinEdge
+	// orderID numbers the interesting orders — the instance-qualified columns
+	// an order property could pay for: equality join columns (merge joins) and
+	// ORDER BY columns (final sort elimination). Keys are upper-cased "Qi.COL";
+	// ids start at 1 and ascend in key order, so walking ids walks keys sorted.
+	orderID map[string]int
+	cons    constraintSet
+}
+
+// joinEdge is one join predicate of the query resolved against the
+// quantifiers.
+type joinEdge struct {
+	l, r       uint64  // bits of the quantifiers owning the left / right column
+	sel        float64 // 1/max(NDV left, NDV right); defaultJoinSel without statistics
+	text       string  // the rendered predicate: one qgm.Node.JoinCols entry
+	lCol, rCol string  // instance-qualified columns: the sort columns a merge join needs
+	lOrd, rOrd int     // their interesting-order ids
+}
+
+func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier) (*planCtx, error) {
+	if len(quants) == 0 {
+		return nil, fmt.Errorf("optimizer: query references no tables")
+	}
+	if len(quants) > maxQuantifiers {
+		return nil, fmt.Errorf("optimizer: query references %d tables, the enumerator plans at most %d", len(quants), maxQuantifiers)
+	}
+	pc := &planCtx{o: o, q: q, quants: quants, byName: make(map[string]*Quantifier, 2*len(quants)), orderID: map[string]int{}}
+	for _, qt := range quants {
+		pc.byName[strings.ToUpper(qt.Ref.Name())] = qt
+		pc.byName[qt.Instance] = qt
+	}
+	// qualify resolves a column to its quantifier and instance-qualified name,
+	// and registers the name as an interesting order.
+	var keys []string
+	qualify := func(c sqlparser.ColumnRef) (*Quantifier, string) {
+		qt := pc.byName[strings.ToUpper(c.Table)]
+		if qt == nil {
+			return nil, ""
+		}
+		col := qt.Instance + "." + c.Column
+		key := strings.ToUpper(col)
+		if _, seen := pc.orderID[key]; !seen {
+			pc.orderID[key] = 0
+			keys = append(keys, key)
+		}
+		return qt, col
+	}
+	for _, p := range q.Where {
+		if !p.IsJoin() {
+			continue
+		}
+		lq, lCol := qualify(p.Left)
+		rq, rCol := qualify(p.Right)
+		if lq == nil || rq == nil {
+			continue
+		}
+		e := joinEdge{l: lq.bit, r: rq.bit, sel: defaultJoinSel, text: p.String(), lCol: lCol, rCol: rCol}
+		if ndv := max(columnNDV(o.Cat, lq.Ref.Table, p.Left.Column), columnNDV(o.Cat, rq.Ref.Table, p.Right.Column)); ndv > 0 {
+			e.sel = 1.0 / float64(ndv)
+		}
+		pc.edges = append(pc.edges, e)
+	}
+	for _, c := range q.OrderBy {
+		qualify(c)
 	}
 	sort.Strings(keys)
-	return strings.Join(keys, ",")
+	for i, key := range keys {
+		pc.orderID[key] = i + 1
+	}
+	for i := range pc.edges {
+		e := &pc.edges[i]
+		e.lOrd, e.rOrd = pc.ordOf(e.lCol), pc.ordOf(e.rCol)
+	}
+	return pc, nil
 }
 
-func unionSets(a, b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
+// ordOf returns the interesting-order id of an order property, 0 for none.
+func (pc *planCtx) ordOf(orderedOn string) int {
+	if orderedOn == "" {
+		return 0
 	}
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
-func subsetOf(a, b map[string]bool) bool {
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameSet(a, b map[string]bool) bool {
-	return len(a) == len(b) && subsetOf(a, b)
+	return pc.orderID[strings.ToUpper(orderedOn)]
 }
 
 // enumerate drives cost-based plan construction, retrying with progressively
 // fewer guidelines when the constrained search cannot produce a plan. This is
 // the paper's "not all guidelines may be honored" behaviour.
 func (o *Optimizer) enumerate(q *sqlparser.Query, quants []*Quantifier, report *Report) (*qgm.Node, error) {
-	cons, perGuideline := o.buildConstraints(q, quants, report)
+	pc, err := o.newPlanCtx(q, quants)
+	if err != nil {
+		return nil, err
+	}
+	perGuideline := pc.buildConstraints()
 	active := make([]bool, len(perGuideline))
 	for i := range active {
 		active[i] = true
 	}
 	for {
-		cands := filterConstraints(cons, perGuideline, active)
-		root, considered, err := o.enumerateWith(q, quants, cands)
+		root, considered, usedDP, err := pc.enumerateWith(filterConstraints(perGuideline, active))
 		report.PlansConsidered += considered
 		if err == nil {
-			o.reportGuidelineOutcome(root, perGuideline, active, report)
+			report.UsedDP = usedDP
+			pc.reportGuidelineOutcome(root, perGuideline, active, report)
 			return root, nil
 		}
 		// Drop the last still-active guideline and retry.
@@ -113,68 +200,46 @@ func (o *Optimizer) enumerate(q *sqlparser.Query, quants []*Quantifier, report *
 	}
 }
 
-func (o *Optimizer) reportGuidelineOutcome(root *qgm.Node, perGuideline []guidelineConstraints, active []bool, report *Report) {
+func (pc *planCtx) reportGuidelineOutcome(root *qgm.Node, perGuideline []guidelineConstraints, active []bool, report *Report) {
 	for i, gc := range perGuideline {
-		switch {
-		case !active[i] || gc.invalid:
-			report.GuidelinesIgnored = append(report.GuidelinesIgnored, i)
-		case gc.satisfiedBy(root):
+		if active[i] && gc.satisfiedBy(root, pc) {
 			report.GuidelinesApplied = append(report.GuidelinesApplied, i)
-		default:
+		} else {
 			report.GuidelinesIgnored = append(report.GuidelinesIgnored, i)
 		}
 	}
 }
 
-// enumerateWith builds the join tree honouring the given constraints. It
-// returns an error when no complete plan satisfies them.
-func (o *Optimizer) enumerateWith(q *sqlparser.Query, quants []*Quantifier, cons constraintSet) (*qgm.Node, int, error) {
-	if len(quants) == 0 {
-		return nil, 0, fmt.Errorf("optimizer: query references no tables")
+// enumerateWith builds the join tree honouring the given constraints and
+// reports whether exhaustive enumeration was used. It returns an error when
+// no complete plan satisfies the constraints.
+func (pc *planCtx) enumerateWith(cons constraintSet) (root *qgm.Node, considered int, usedDP bool, err error) {
+	pc.cons = cons
+	switch n := len(pc.quants); {
+	case n == 1: // single-table query: best access path only
+		return pc.bestAccess(pc.quants[0]).node, 1, false, nil
+	case n <= pc.o.Opts.JoinEnumDPLimit:
+		root, considered, err = pc.dpEnumerate()
+		return root, considered, true, err
+	default:
+		root, considered, err = pc.greedyEnumerate()
+		return root, considered, false, err
 	}
-	considered := 0
-	// Single-table query: best access path only.
-	if len(quants) == 1 {
-		cand, err := o.bestAccess(q, quants[0], cons)
-		if err != nil {
-			return nil, 0, err
-		}
-		return cand.node, 1, nil
-	}
-	byName := refNameMap(quants)
-	if len(quants) <= o.Opts.JoinEnumDPLimit {
-		o.lastUsedDP = true
-		root, n, err := o.dpEnumerate(q, quants, byName, cons)
-		considered += n
-		return root, considered, err
-	}
-	o.lastUsedDP = false
-	root, n, err := o.greedyEnumerate(q, quants, byName, cons)
-	considered += n
-	return root, considered, err
-}
-
-func refNameMap(quants []*Quantifier) map[string]*Quantifier {
-	m := make(map[string]*Quantifier, len(quants))
-	for _, qt := range quants {
-		m[strings.ToUpper(qt.Ref.Name())] = qt
-		m[qt.Instance] = qt
-	}
-	return m
 }
 
 // --- access path selection --------------------------------------------------
 
 // accessPaths lists the valid ways to read one quantifier, honouring access
 // constraints when present.
-func (o *Optimizer) accessPaths(q *sqlparser.Query, qt *Quantifier, cons constraintSet) []accessPath {
+func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
+	o := pc.o
 	cfg := o.Cat.Config
 	sel := o.localSelectivity(qt.Ref.Table, qt.LocalPreds)
 	outCard := clampCard(qt.RawCard * sel)
 	rowsPerPage := math.Max(qt.RawCard/math.Max(qt.Pages, 1), 1)
 	var paths []accessPath
 
-	ac, hasAC := cons.access[qt.Instance]
+	ac, hasAC := pc.cons.access[qt.Instance]
 
 	if !hasAC || ac.method == qgm.OpTBSCAN {
 		paths = append(paths, accessPath{
@@ -184,7 +249,7 @@ func (o *Optimizer) accessPaths(q *sqlparser.Query, qt *Quantifier, cons constra
 		})
 	}
 	if qt.Table != nil && (!hasAC || ac.method != qgm.OpTBSCAN) {
-		needed := referencedColumns(q, qt)
+		needed := referencedColumns(pc.q, qt)
 		for i := range qt.Table.Indexes {
 			idx := &qt.Table.Indexes[i]
 			if hasAC && ac.index != "" && !strings.EqualFold(ac.index, idx.Name) {
@@ -282,18 +347,18 @@ func coversAll(indexCols, needed []string) bool {
 }
 
 // bestAccess returns the cheapest access path wrapped as a plan candidate.
-func (o *Optimizer) bestAccess(q *sqlparser.Query, qt *Quantifier, cons constraintSet) (*planCand, error) {
-	paths := o.accessPaths(q, qt, cons)
+func (pc *planCtx) bestAccess(qt *Quantifier) *planCand {
+	paths := pc.accessPaths(qt)
 	best := paths[0]
 	for _, p := range paths[1:] {
 		if p.cost < best.cost {
 			best = p
 		}
 	}
-	return o.accessCand(qt, best), nil
+	return pc.accessCand(qt, best)
 }
 
-func (o *Optimizer) accessCand(qt *Quantifier, path accessPath) *planCand {
+func (pc *planCtx) accessCand(qt *Quantifier, path accessPath) *planCand {
 	node := &qgm.Node{
 		Op:             path.op,
 		Table:          strings.ToUpper(qt.Ref.Table),
@@ -308,12 +373,23 @@ func (o *Optimizer) accessCand(qt *Quantifier, path accessPath) *planCand {
 	for _, p := range qt.LocalPreds {
 		node.Predicates = append(node.Predicates, p.String())
 	}
+	// A nested-loop join re-reads this access per outer row; its probe cost
+	// wants the index's cluster ratio as the catalog names it.
+	probe := accessPath{op: path.op, indexName: path.indexName, indexCluster: 0.5}
+	if path.indexName != "" && qt.Table != nil {
+		if idx := qt.Table.IndexByName(path.indexName); idx != nil {
+			probe.indexCluster = idx.ClusterRatio
+		}
+	}
 	return &planCand{
 		node:    node,
 		cost:    path.cost,
 		card:    path.card,
 		rowSize: qt.RowWidth,
-		set:     map[string]bool{qt.Instance: true},
+		mask:    qt.bit,
+		ord:     pc.ordOf(path.sortedOn),
+		leaf:    qt,
+		probe:   probe,
 	}
 }
 
@@ -322,202 +398,159 @@ func (o *Optimizer) accessCand(qt *Quantifier, path accessPath) *planCand {
 // cheapest path producing that order. These are the System-R "interesting
 // orders": a sorted access that loses on raw cost may still win globally by
 // letting a merge join skip a sort.
-func (o *Optimizer) accessCands(q *sqlparser.Query, qt *Quantifier, cons constraintSet, interesting map[string]bool) []*planCand {
-	paths := o.accessPaths(q, qt, cons)
+func (pc *planCtx) accessCands(qt *Quantifier) []*planCand {
+	paths := pc.accessPaths(qt)
 	best := paths[0]
-	bestByOrder := map[string]accessPath{}
-	for _, p := range paths {
+	bestByOrder := make([]*accessPath, len(pc.orderID)+1) // indexed by interesting-order id
+	for i := range paths {
+		p := &paths[i]
 		if p.cost < best.cost {
-			best = p
+			best = *p
 		}
-		if p.sortedOn != "" && interesting[strings.ToUpper(p.sortedOn)] {
-			if prev, ok := bestByOrder[strings.ToUpper(p.sortedOn)]; !ok || p.cost < prev.cost {
-				bestByOrder[strings.ToUpper(p.sortedOn)] = p
-			}
+		if ord := pc.ordOf(p.sortedOn); ord != 0 && (bestByOrder[ord] == nil || p.cost < bestByOrder[ord].cost) {
+			bestByOrder[ord] = p
 		}
 	}
-	out := []*planCand{o.accessCand(qt, best)}
-	orders := make([]string, 0, len(bestByOrder))
-	for k := range bestByOrder {
-		orders = append(orders, k)
-	}
-	sort.Strings(orders)
-	for _, k := range orders {
-		p := bestByOrder[k]
-		if p == best {
-			continue // the cheapest path already carries this order
+	out := []*planCand{pc.accessCand(qt, best)}
+	for _, p := range bestByOrder {
+		if p != nil && *p != best { // else the cheapest path already carries this order
+			out = append(out, pc.accessCand(qt, *p))
 		}
-		out = append(out, o.accessCand(qt, p))
-	}
-	return out
-}
-
-// interestingOrders collects the instance-qualified columns an order property
-// could pay for: equality join columns (merge joins) and ORDER BY columns
-// (final sort elimination).
-func interestingOrders(q *sqlparser.Query, byName map[string]*Quantifier) map[string]bool {
-	out := map[string]bool{}
-	add := func(c sqlparser.ColumnRef) {
-		if qt := byName[strings.ToUpper(c.Table)]; qt != nil {
-			out[strings.ToUpper(qt.Instance+"."+c.Column)] = true
-		}
-	}
-	for _, p := range q.JoinPredicates() {
-		add(p.Left)
-		add(p.Right)
-	}
-	for _, c := range q.OrderBy {
-		add(c)
 	}
 	return out
 }
 
 // --- join construction -------------------------------------------------------
 
-// joinPredsBetween returns the join predicates connecting the quantifier sets.
-func joinPredsBetween(q *sqlparser.Query, byName map[string]*Quantifier, left, right map[string]bool) []sqlparser.Predicate {
-	var out []sqlparser.Predicate
-	for _, p := range q.JoinPredicates() {
-		lq := byName[strings.ToUpper(p.Left.Table)]
-		rq := byName[strings.ToUpper(p.Right.Table)]
-		if lq == nil || rq == nil {
-			continue
-		}
-		if (left[lq.Instance] && right[rq.Instance]) || (left[rq.Instance] && right[lq.Instance]) {
-			out = append(out, p)
-		}
-	}
-	return out
+// joinSplit is what an (outer set, inner set) pair fixes for every candidate
+// joining them, whichever retained sub-plans and join method are combined:
+// the connecting predicates, their selectivity, and the merge columns.
+type joinSplit struct {
+	connected  bool
+	sel        float64  // product of the connecting edges' selectivities, clamped
+	joinCols   []string // the connecting predicates, rendered
+	lCol, rCol string   // outer / inner sort columns of a merge join (first connecting predicate)
+	lOrd, rOrd int
 }
 
-// joinSelAcross multiplies the per-predicate join selectivities between two
-// sets.
-func (o *Optimizer) joinSelAcross(q *sqlparser.Query, byName map[string]*Quantifier, preds []sqlparser.Predicate) float64 {
-	sel := 1.0
-	for _, p := range preds {
-		lq := byName[strings.ToUpper(p.Left.Table)]
-		rq := byName[strings.ToUpper(p.Right.Table)]
-		if lq == nil || rq == nil {
-			continue
-		}
-		ndvL := columnNDV(o.Cat, lq.Ref.Table, p.Left.Column)
-		ndvR := columnNDV(o.Cat, rq.Ref.Table, p.Right.Column)
-		maxNDV := ndvL
-		if ndvR > maxNDV {
-			maxNDV = ndvR
-		}
-		if maxNDV > 0 {
-			sel *= 1.0 / float64(maxNDV)
-		} else {
-			sel *= defaultJoinSel
+// connects reports whether a join predicate links the two quantifier sets.
+func (pc *planCtx) connects(left, right uint64) bool {
+	for i := range pc.edges {
+		if e := &pc.edges[i]; (e.l&left != 0 && e.r&right != 0) || (e.r&left != 0 && e.l&right != 0) {
+			return true
 		}
 	}
-	return clampSel(sel)
+	return false
 }
 
-// buildJoinCand constructs a join candidate from two inputs, returning nil
-// when the method is not applicable (NLJOIN over a multi-table inner).
-func (o *Optimizer) buildJoinCand(method qgm.OpType, q *sqlparser.Query, byName map[string]*Quantifier,
-	left, right *planCand, quantsByInstance map[string]*Quantifier) *planCand {
-	cfg := o.Cat.Config
-	preds := joinPredsBetween(q, byName, left.set, right.set)
-	sel := 1.0
-	if len(preds) > 0 {
-		sel = o.joinSelAcross(q, byName, preds)
-	}
-	outCard := clampCard(left.card * right.card * sel)
-	joinCols := make([]string, 0, len(preds))
-	for _, p := range preds {
-		joinCols = append(joinCols, p.String())
-	}
-	node := &qgm.Node{
-		Op:             method,
-		EstCardinality: outCard,
-		RowSize:        left.rowSize + right.rowSize,
-		JoinCols:       joinCols,
-	}
-	cand := &planCand{
-		node:    node,
-		card:    outCard,
-		rowSize: left.rowSize + right.rowSize,
-		set:     unionSets(left.set, right.set),
-	}
-
-	switch method {
-	case qgm.OpHSJOIN:
-		bloom := o.Opts.EnableBloomFilters && right.card <= left.card
-		node.BloomFilter = bloom
-		inc := hsjoinCost(cfg, left.card, right.card, outCard, left.rowSize, right.rowSize, bloom)
-		cand.cost = left.cost + right.cost + inc
-		node.Outer, node.Inner = left.node, right.node
-		node.OrderedOn = left.orderedOn() // probe order is preserved
-	case qgm.OpNLJOIN:
-		// Nested loops only when the inner is a single base-table access.
-		if len(right.set) != 1 || !right.node.Op.IsScan() {
-			return nil
+// split resolves the join predicates between two disjoint quantifier sets.
+func (pc *planCtx) split(left, right uint64) joinSplit {
+	sp := joinSplit{sel: 1.0, joinCols: []string{}}
+	for i := range pc.edges {
+		e := &pc.edges[i]
+		forward := e.l&left != 0 && e.r&right != 0
+		if !forward && (e.r&left == 0 || e.l&right == 0) {
+			continue
 		}
-		var innerQ *Quantifier
-		for inst := range right.set {
-			innerQ = quantsByInstance[inst]
-		}
-		if innerQ == nil {
-			return nil
-		}
-		matchPerProbe := right.card * sel
-		ap := accessPath{op: right.node.Op, indexName: right.node.Index, indexCluster: 0.5}
-		if right.node.Index != "" && innerQ.Table != nil {
-			if idx := innerQ.Table.IndexByName(right.node.Index); idx != nil {
-				ap.indexCluster = idx.ClusterRatio
+		if !sp.connected {
+			sp.connected = true
+			sp.lCol, sp.rCol, sp.lOrd, sp.rOrd = e.lCol, e.rCol, e.lOrd, e.rOrd
+			if !forward {
+				sp.lCol, sp.rCol, sp.lOrd, sp.rOrd = e.rCol, e.lCol, e.rOrd, e.lOrd
 			}
 		}
-		probe := nljoinProbeCost(cfg, ap, innerQ, matchPerProbe)
-		inc := left.card*probe + outCard*cfg.CPUSpeed
-		cand.cost = left.cost + inc
-		// The inner's own scan cost is not paid up-front; probes pay it.
-		node.Outer, node.Inner = left.node, right.node
-		node.OrderedOn = left.orderedOn() // outer order is preserved
-	case qgm.OpMSJOIN:
-		if len(preds) == 0 {
-			return nil // merge join needs an equality join predicate
-		}
-		// Determine the sort columns required on each side. An input whose
-		// order property already matches claims sort-avoidance; the others get
-		// an explicit SORT whose order property records the merge column.
-		lCol, rCol := o.mergeColumns(preds[0], byName, left.set)
-		leftNode, leftCost := left.node, left.cost
-		if !strings.EqualFold(left.orderedOn(), lCol) {
-			leftCost += sortCost(cfg, left.card, left.rowSize)
-			leftNode = &qgm.Node{Op: qgm.OpSORT, Outer: leftNode, EstCardinality: left.card, EstCost: leftCost, RowSize: left.rowSize, OrderedOn: lCol}
-		}
-		rightNode, rightCost := right.node, right.cost
-		if !strings.EqualFold(right.orderedOn(), rCol) {
-			rightCost += sortCost(cfg, right.card, right.rowSize)
-			rightNode = &qgm.Node{Op: qgm.OpSORT, Outer: rightNode, EstCardinality: right.card, EstCost: rightCost, RowSize: right.rowSize, OrderedOn: rCol}
-		}
-		inc := msjoinCost(cfg, left.card, right.card, outCard)
-		cand.cost = leftCost + rightCost + inc
-		node.Outer, node.Inner = leftNode, rightNode
-		node.EarlyOut = true
-		node.OrderedOn = lCol
-	default:
-		return nil
+		sp.sel *= e.sel
+		sp.joinCols = append(sp.joinCols, e.text)
 	}
-	node.EstCost = cand.cost
-	return cand
+	sp.sel = clampSel(sp.sel)
+	return sp
 }
 
-// mergeColumns returns the instance-qualified sort columns required by a
-// merge join for the left and right inputs.
-func (o *Optimizer) mergeColumns(p sqlparser.Predicate, byName map[string]*Quantifier, leftSet map[string]bool) (string, string) {
-	lq := byName[strings.ToUpper(p.Left.Table)]
-	rq := byName[strings.ToUpper(p.Right.Table)]
-	if lq == nil || rq == nil {
-		return "", ""
+// joinCand is a costed join that has no plan nodes yet. The enumerators cost
+// every (outer, inner, method) combination but call plan only on a candidate
+// that displaces an incumbent, so losers allocate nothing.
+type joinCand struct {
+	method      qgm.OpType
+	left, right *planCand
+	cost, card  float64
+	ord         int // order property of the output, as id and as column
+	ordered     string
+	bloom       bool
+	// MSJOIN only: whether each input needs an explicit SORT, and the
+	// cumulative input costs with it.
+	sortLeft, sortRight bool
+	leftCost, rightCost float64
+}
+
+// buildJoinCand costs joining two inputs with the given method; ok is false
+// when the method is not applicable (NLJOIN over a multi-table inner, MSJOIN
+// without an equality join predicate). Every cost expression keeps the
+// operand order it always had: estimates are compared bit for bit.
+func (pc *planCtx) buildJoinCand(method qgm.OpType, left, right *planCand, sp *joinSplit) (jc joinCand, ok bool) {
+	cfg := pc.o.Cat.Config
+	jc = joinCand{method: method, left: left, right: right,
+		card: clampCard(left.card * right.card * sp.sel),
+		ord:  left.ord, ordered: left.orderedOn()} // hash probe and nested-loop outer order is preserved
+	switch method {
+	case qgm.OpHSJOIN:
+		jc.bloom = pc.o.Opts.EnableBloomFilters && right.card <= left.card
+		inc := hsjoinCost(cfg, left.card, right.card, jc.card, left.rowSize, right.rowSize, jc.bloom)
+		jc.cost = left.cost + right.cost + inc
+	case qgm.OpNLJOIN:
+		// Nested loops only when the inner is a single base-table access.
+		if right.leaf == nil {
+			return jc, false
+		}
+		matchPerProbe := right.card * sp.sel
+		probe := nljoinProbeCost(cfg, right.probe, right.leaf, matchPerProbe)
+		inc := left.card*probe + jc.card*cfg.CPUSpeed
+		// The inner's own scan cost is not paid up-front; probes pay it.
+		jc.cost = left.cost + inc
+	case qgm.OpMSJOIN:
+		if !sp.connected {
+			return jc, false // merge join needs an equality join predicate
+		}
+		// An input whose order property already matches its merge column
+		// claims sort-avoidance; the others get an explicit SORT.
+		jc.leftCost, jc.rightCost = left.cost, right.cost
+		if jc.sortLeft = left.ord != sp.lOrd; jc.sortLeft {
+			jc.leftCost += left.sortCost(cfg)
+		}
+		if jc.sortRight = right.ord != sp.rOrd; jc.sortRight {
+			jc.rightCost += right.sortCost(cfg)
+		}
+		inc := msjoinCost(cfg, left.card, right.card, jc.card)
+		jc.cost = jc.leftCost + jc.rightCost + inc
+		jc.ord, jc.ordered = sp.lOrd, sp.lCol
+	default:
+		return jc, false
 	}
-	if leftSet[lq.Instance] {
-		return lq.Instance + "." + p.Left.Column, rq.Instance + "." + p.Right.Column
+	return jc, true
+}
+
+// plan materializes the candidate's plan nodes; sp is the split it was built
+// over.
+func (jc *joinCand) plan(sp *joinSplit) *planCand {
+	left, right := jc.left, jc.right
+	node := &qgm.Node{
+		Op:             jc.method,
+		EstCardinality: jc.card,
+		EstCost:        jc.cost,
+		RowSize:        left.rowSize + right.rowSize,
+		JoinCols:       sp.joinCols,
+		BloomFilter:    jc.bloom,
+		EarlyOut:       jc.method == qgm.OpMSJOIN,
+		OrderedOn:      jc.ordered,
+		Outer:          left.node,
+		Inner:          right.node,
 	}
-	return rq.Instance + "." + p.Right.Column, lq.Instance + "." + p.Left.Column
+	if jc.sortLeft {
+		node.Outer = &qgm.Node{Op: qgm.OpSORT, Outer: left.node, EstCardinality: left.card, EstCost: jc.leftCost, RowSize: left.rowSize, OrderedOn: sp.lCol}
+	}
+	if jc.sortRight {
+		node.Inner = &qgm.Node{Op: qgm.OpSORT, Outer: right.node, EstCardinality: right.card, EstCost: jc.rightCost, RowSize: right.rowSize, OrderedOn: sp.rCol}
+	}
+	return &planCand{node: node, cost: jc.cost, card: jc.card, rowSize: node.RowSize, mask: left.mask | right.mask, ord: jc.ord}
 }
 
 // --- dynamic programming -----------------------------------------------------
@@ -529,26 +562,35 @@ func (o *Optimizer) mergeColumns(p sqlparser.Predicate, byName map[string]*Quant
 // plan that was not locally cheapest.
 type candSet struct {
 	best    *planCand
-	byOrder map[string]*planCand
+	byOrder []*planCand // indexed by interesting-order id; nil until an ordered candidate arrives
+	list    []*planCand // cands(), frozen once the subset is fully enumerated
+}
+
+// admits reports whether a candidate of this cost and order would displace an
+// incumbent, i.e. whether add would keep it.
+func (cs *candSet) admits(cost float64, ord int) bool {
+	if cs.best == nil || cost < cs.best.cost {
+		return true
+	}
+	if ord == 0 {
+		return false
+	}
+	return cs.byOrder == nil || cs.byOrder[ord] == nil || cost < cs.byOrder[ord].cost
 }
 
 // add folds a candidate into the set, keeping per-order winners.
-func (cs *candSet) add(cand *planCand, interesting map[string]bool) {
-	if cand == nil {
-		return
-	}
+func (cs *candSet) add(cand *planCand, orders int) {
 	if cs.best == nil || cand.cost < cs.best.cost {
 		cs.best = cand
 	}
-	ord := strings.ToUpper(cand.orderedOn())
-	if ord == "" || !interesting[ord] {
+	if cand.ord == 0 {
 		return
 	}
 	if cs.byOrder == nil {
-		cs.byOrder = map[string]*planCand{}
+		cs.byOrder = make([]*planCand, orders+1)
 	}
-	if prev, ok := cs.byOrder[ord]; !ok || cand.cost < prev.cost {
-		cs.byOrder[ord] = cand
+	if prev := cs.byOrder[cand.ord]; prev == nil || cand.cost < prev.cost {
+		cs.byOrder[cand.ord] = cand
 	}
 }
 
@@ -556,240 +598,187 @@ func (cs *candSet) add(cand *planCand, interesting map[string]bool) {
 // alternatives (in sorted order for determinism), skipping ones that carry no
 // information beyond the cheapest.
 func (cs *candSet) cands() []*planCand {
-	if cs == nil || cs.best == nil {
-		return nil
-	}
 	out := []*planCand{cs.best}
-	if len(cs.byOrder) == 0 {
-		return out
-	}
-	orders := make([]string, 0, len(cs.byOrder))
-	for k := range cs.byOrder {
-		orders = append(orders, k)
-	}
-	sort.Strings(orders)
-	bestOrd := strings.ToUpper(cs.best.orderedOn())
-	for _, k := range orders {
-		if k == bestOrd {
-			continue
+	for ord, cand := range cs.byOrder {
+		if cand != nil && ord != cs.best.ord {
+			out = append(out, cand)
 		}
-		out = append(out, cs.byOrder[k])
 	}
 	return out
 }
 
-func (o *Optimizer) dpEnumerate(q *sqlparser.Query, quants []*Quantifier, byName map[string]*Quantifier, cons constraintSet) (*qgm.Node, int, error) {
-	n := len(quants)
+func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
+	n := len(pc.quants)
 	considered := 0
-	quantsByInstance := map[string]*Quantifier{}
-	for _, qt := range quants {
-		quantsByInstance[qt.Instance] = qt
-	}
-	interesting := interestingOrders(q, byName)
-	table := make(map[uint64]*candSet)
-	for i, qt := range quants {
-		set := &candSet{}
-		for _, cand := range o.accessCands(q, qt, cons, interesting) {
-			set.add(cand, interesting)
+	orders := len(pc.orderID)
+	table := make([]candSet, uint64(1)<<uint(n)) // indexed by quantifier mask; best == nil means no plan
+	for _, qt := range pc.quants {
+		set := &table[qt.bit]
+		for _, cand := range pc.accessCands(qt) {
+			set.add(cand, orders)
 		}
-		if set.best == nil {
-			return nil, considered, fmt.Errorf("optimizer: no access path for %s", qt.Ref.Name())
-		}
-		table[1<<uint(i)] = set
-	}
-	maskSet := func(mask uint64) map[string]bool {
-		set := map[string]bool{}
-		for i, qt := range quants {
-			if mask&(1<<uint(i)) != 0 {
-				set[qt.Instance] = true
-			}
-		}
-		return set
+		set.list = set.cands()
 	}
 
 	full := uint64(1)<<uint(n) - 1
 	for size := 2; size <= n; size++ {
 		for mask := uint64(1); mask <= full; mask++ {
-			if popcount(mask) != size {
+			if bits.OnesCount64(mask) != size {
 				continue
 			}
-			set := maskSet(mask)
-			acc := &candSet{}
+			acc := &table[mask]
+			// Whether mask has any connected split is asked by every
+			// disconnected one; answer it once (0 unknown, 1 yes, -1 no).
+			connectedSplit := 0
 			// Enumerate proper splits; (sub, rest) visits both orders.
 			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 				rest := mask ^ sub
-				ls, rs := table[sub], table[rest]
-				if ls == nil || rs == nil || ls.best == nil || rs.best == nil {
+				ls, rs := &table[sub], &table[rest]
+				if ls.best == nil || rs.best == nil {
 					continue
 				}
-				if len(joinPredsBetween(q, byName, ls.best.set, rs.best.set)) == 0 && hasConnectedSplit(q, byName, mask, table, maskSet) {
-					continue // avoid cartesian products when a connected split exists
+				sp := pc.split(sub, rest)
+				if !sp.connected {
+					if connectedSplit == 0 {
+						connectedSplit = -1
+						if pc.hasConnectedSplit(mask, table) {
+							connectedSplit = 1
+						}
+					}
+					if connectedSplit > 0 {
+						continue // avoid cartesian products when a connected split exists
+					}
 				}
-				if !cons.allowsPartition(set, ls.best.set, rs.best.set) {
+				if !pc.cons.allowsPartition(mask, sub, rest) {
 					continue
 				}
-				for _, left := range ls.cands() {
-					for _, right := range rs.cands() {
+				for _, left := range ls.list {
+					for _, right := range rs.list {
 						for _, method := range qgm.JoinMethods() {
-							if !cons.allowsJoin(set, left.set, right.set, method) {
+							if !pc.cons.allowsJoin(mask, sub, rest, method) {
 								continue
 							}
-							cand := o.buildJoinCand(method, q, byName, left, right, quantsByInstance)
+							jc, ok := pc.buildJoinCand(method, left, right, &sp)
 							considered++
-							if cand == nil {
-								continue
+							if ok && acc.admits(jc.cost, jc.ord) {
+								acc.add(jc.plan(&sp), orders)
 							}
-							acc.add(cand, interesting)
 						}
 					}
 				}
 			}
 			if acc.best != nil {
-				table[mask] = acc
+				acc.list = acc.cands()
 			}
 		}
 	}
-	if table[full] == nil || table[full].best == nil {
+	if table[full].best == nil {
 		return nil, considered, fmt.Errorf("optimizer: no plan satisfies the active guideline constraints")
 	}
 	return table[full].best.node, considered, nil
 }
 
-func hasConnectedSplit(q *sqlparser.Query, byName map[string]*Quantifier, mask uint64, table map[uint64]*candSet, maskSet func(uint64) map[string]bool) bool {
+func (pc *planCtx) hasConnectedSplit(mask uint64, table []candSet) bool {
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-		rest := mask ^ sub
-		if table[sub] == nil || table[rest] == nil {
-			continue
-		}
-		if len(joinPredsBetween(q, byName, maskSet(sub), maskSet(rest))) > 0 {
+		if rest := mask ^ sub; table[sub].best != nil && table[rest].best != nil && pc.connects(sub, rest) {
 			return true
 		}
 	}
 	return false
 }
 
-func popcount(x uint64) int {
-	count := 0
-	for x != 0 {
-		x &= x - 1
-		count++
-	}
-	return count
-}
-
 // --- greedy enumeration ------------------------------------------------------
 
 // greedyEnumerate plans very large queries by repeatedly merging the pair of
 // components with the cheapest join, honouring guideline constraints first.
-func (o *Optimizer) greedyEnumerate(q *sqlparser.Query, quants []*Quantifier, byName map[string]*Quantifier, cons constraintSet) (*qgm.Node, int, error) {
+func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 	considered := 0
-	quantsByInstance := map[string]*Quantifier{}
-	for _, qt := range quants {
-		quantsByInstance[qt.Instance] = qt
+	comps := make([]*planCand, 0, len(pc.quants))
+	for _, qt := range pc.quants {
+		comps = append(comps, pc.bestAccess(qt))
 	}
-	var comps []*planCand
-	for _, qt := range quants {
-		cand, err := o.bestAccess(q, qt, cons)
-		if err != nil {
-			return nil, considered, err
+	// merge replaces components i and j by their join, which goes last.
+	merge := func(i, j int, cand *planCand) {
+		next := make([]*planCand, 0, len(comps)-1)
+		for k, c := range comps {
+			if k != i && k != j {
+				next = append(next, c)
+			}
 		}
-		comps = append(comps, cand)
+		comps = append(next, cand)
 	}
 	for len(comps) > 1 {
-		type merge struct {
-			i, j int
-			cand *planCand
-		}
-		var best *merge
 		// Honour guideline join constraints first: when two components match a
 		// constrained join's outer and inner sets exactly, perform that merge
 		// now so the constrained subtree exists in the final plan (DP gets
 		// this for free; greedy must construct it eagerly).
 		constrained := false
-		for _, jc := range cons.joins {
+		for _, con := range pc.cons.joins {
 			oi, ii := -1, -1
 			for k, c := range comps {
-				if sameSet(c.set, jc.outer) {
+				if c.mask == con.outer {
 					oi = k
 				}
-				if sameSet(c.set, jc.inner) {
+				if c.mask == con.inner {
 					ii = k
 				}
 			}
 			if oi < 0 || ii < 0 || oi == ii {
 				continue
 			}
-			cand := o.buildJoinCand(jc.method, q, byName, comps[oi], comps[ii], quantsByInstance)
+			sp := pc.split(comps[oi].mask, comps[ii].mask)
+			jc, ok := pc.buildJoinCand(con.method, comps[oi], comps[ii], &sp)
 			considered++
-			if cand == nil {
+			if !ok {
 				continue
 			}
-			var next []*planCand
-			for k, c := range comps {
-				if k != oi && k != ii {
-					next = append(next, c)
-				}
-			}
-			comps = append(next, cand)
+			merge(oi, ii, jc.plan(&sp))
 			constrained = true
 			break
 		}
 		if constrained {
 			continue
 		}
+		var best *planCand
+		bi, bj := -1, -1
 		tryPair := func(i, j int, requireConn bool) {
 			left, right := comps[i], comps[j]
-			connected := len(joinPredsBetween(q, byName, left.set, right.set)) > 0
-			if requireConn && !connected {
+			sp := pc.split(left.mask, right.mask)
+			if requireConn && !sp.connected {
 				return
 			}
-			set := unionSets(left.set, right.set)
-			if !cons.allowsPartition(set, left.set, right.set) {
+			set := left.mask | right.mask
+			if !pc.cons.allowsPartition(set, left.mask, right.mask) {
 				return
 			}
 			for _, method := range qgm.JoinMethods() {
-				if !cons.allowsJoin(set, left.set, right.set, method) {
+				if !pc.cons.allowsJoin(set, left.mask, right.mask, method) {
 					continue
 				}
-				cand := o.buildJoinCand(method, q, byName, left, right, quantsByInstance)
+				jc, ok := pc.buildJoinCand(method, left, right, &sp)
 				considered++
-				if cand == nil {
-					continue
-				}
-				if best == nil || cand.cost < best.cand.cost {
-					best = &merge{i: i, j: j, cand: cand}
+				if ok && (best == nil || jc.cost < best.cost) {
+					best, bi, bj = jc.plan(&sp), i, j
 				}
 			}
 		}
-		for i := 0; i < len(comps); i++ {
-			for j := 0; j < len(comps); j++ {
-				if i == j {
-					continue
-				}
-				tryPair(i, j, true)
-			}
-		}
-		if best == nil {
-			// No connected pair: allow a cartesian product.
-			for i := 0; i < len(comps); i++ {
-				for j := 0; j < len(comps); j++ {
+		allPairs := func(requireConn bool) {
+			for i := range comps {
+				for j := range comps {
 					if i != j {
-						tryPair(i, j, false)
+						tryPair(i, j, requireConn)
 					}
 				}
 			}
 		}
+		allPairs(true)
+		if best == nil {
+			allPairs(false) // no connected pair: allow a cartesian product
+		}
 		if best == nil {
 			return nil, considered, fmt.Errorf("optimizer: greedy enumeration found no joinable pair under the active constraints")
 		}
-		var next []*planCand
-		for k, c := range comps {
-			if k != best.i && k != best.j {
-				next = append(next, c)
-			}
-		}
-		next = append(next, best.cand)
-		comps = next
+		merge(bi, bj, best)
 	}
 	return comps[0].node, considered, nil
 }

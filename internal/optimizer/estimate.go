@@ -251,35 +251,6 @@ func rangeFraction(cs *catalog.ColumnStats, lo, hi *catalog.Value) float64 {
 	return (hiV - loV) / (maxV - minV)
 }
 
-// joinSelectivity estimates the selectivity of the equality join predicates
-// between two quantifiers using 1/max(NDV_left, NDV_right) per predicate.
-func (o *Optimizer) joinSelectivity(q *sqlparser.Query, left, right *Quantifier) float64 {
-	preds := sqlparser.JoinsBetween(q, left.Ref.Name(), right.Ref.Name())
-	if len(preds) == 0 {
-		return 1.0 // cartesian product
-	}
-	sel := 1.0
-	for _, p := range preds {
-		lq, rq := left, right
-		lcol, rcol := p.Left, p.Right
-		if !strings.EqualFold(p.Left.Table, left.Ref.Name()) {
-			lcol, rcol = p.Right, p.Left
-		}
-		ndvL := columnNDV(o.Cat, lq.Ref.Table, lcol.Column)
-		ndvR := columnNDV(o.Cat, rq.Ref.Table, rcol.Column)
-		maxNDV := ndvL
-		if ndvR > maxNDV {
-			maxNDV = ndvR
-		}
-		if maxNDV > 0 {
-			sel *= 1.0 / float64(maxNDV)
-		} else {
-			sel *= defaultJoinSel
-		}
-	}
-	return clampSel(sel)
-}
-
 func columnNDV(cat *catalog.Catalog, table, column string) int64 {
 	ts := cat.Stats(table)
 	if ts == nil {

@@ -59,14 +59,11 @@ type Report struct {
 	RewriteNotes []string
 }
 
-// Optimizer plans SQL queries against a catalog.
+// Optimizer plans SQL queries against a catalog. It holds no per-query state:
+// any number of goroutines may call Optimize and BuildPlan on one Optimizer.
 type Optimizer struct {
 	Cat  *catalog.Catalog
 	Opts Options
-
-	// lastUsedDP records whether the most recent enumeration was exhaustive;
-	// it feeds the Report.
-	lastUsedDP bool
 }
 
 // New returns an optimizer over the catalog with the given options.
@@ -91,6 +88,9 @@ type Quantifier struct {
 	Card     float64
 	RowWidth int
 	Pages    float64
+	// bit is 1 << the position in FROM: the quantifier's bit in the
+	// enumerator's set masks.
+	bit uint64
 }
 
 // Optimize plans the query: it resolves column references, applies the
@@ -111,7 +111,6 @@ func (o *Optimizer) Optimize(q *sqlparser.Query) (*qgm.Plan, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	report.UsedDP = o.lastUsedDP
 	root = o.addFinalOperators(work, root)
 	plan := qgm.NewPlan(root)
 	plan.SQL = work.SQL()
@@ -143,6 +142,7 @@ func (o *Optimizer) Quantifiers(q *sqlparser.Query) []*Quantifier {
 			Table:    tbl,
 			RawCard:  o.Cat.EstimatedCardinality(ref.Table),
 			Pages:    o.Cat.EstimatedPages(ref.Table),
+			bit:      1 << uint(i),
 		}
 		if ts := o.Cat.Stats(ref.Table); ts != nil && ts.RowWidth > 0 {
 			quant.RowWidth = ts.RowWidth

@@ -38,8 +38,11 @@ func (o *Optimizer) rewrite(q *sqlparser.Query, report *Report) {
 	// cost-based tier a sargable fact-side predicate (and, with stale fact
 	// statistics, the Figure 8 misestimation surface).
 	var inferred []sqlparser.Predicate
-	for _, jp := range q.JoinPredicates() {
-		for _, lp := range q.LocalPredicates() {
+	for _, jp := range q.Where {
+		if !jp.IsJoin() {
+			continue
+		}
+		for _, lp := range q.Where {
 			transitive := false
 			switch {
 			case lp.Kind == sqlparser.PredCompare:

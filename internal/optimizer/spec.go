@@ -93,13 +93,11 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 	if err := spec.Validate(work); err != nil {
 		return nil, err
 	}
-	quants := o.Quantifiers(work)
-	byName := refNameMap(quants)
-	quantsByInstance := map[string]*Quantifier{}
-	for _, qt := range quants {
-		quantsByInstance[qt.Instance] = qt
+	pc, err := o.newPlanCtx(work, o.Quantifiers(work))
+	if err != nil {
+		return nil, err
 	}
-	cand, err := o.buildSpecCand(work, spec, byName, quantsByInstance)
+	cand, err := pc.buildSpecCand(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -112,13 +110,13 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 	return plan, nil
 }
 
-func (o *Optimizer) buildSpecCand(q *sqlparser.Query, spec *Spec, byName map[string]*Quantifier, quantsByInstance map[string]*Quantifier) (*planCand, error) {
+func (pc *planCtx) buildSpecCand(spec *Spec) (*planCand, error) {
 	if spec.Access != nil {
-		qt := byName[strings.ToUpper(spec.Access.Ref)]
+		qt := pc.byName[strings.ToUpper(spec.Access.Ref)]
 		if qt == nil {
 			return nil, fmt.Errorf("optimizer: spec references unknown table %s", spec.Access.Ref)
 		}
-		paths := o.accessPaths(q, qt, constraintSet{access: map[string]accessConstraint{}})
+		paths := pc.accessPaths(qt)
 		var chosen *accessPath
 		for i := range paths {
 			p := &paths[i]
@@ -143,22 +141,23 @@ func (o *Optimizer) buildSpecCand(q *sqlparser.Query, spec *Spec, byName map[str
 		if chosen == nil {
 			return nil, fmt.Errorf("optimizer: no access path matches spec %+v for %s", spec.Access, qt.Ref.Name())
 		}
-		return o.accessCand(qt, *chosen), nil
+		return pc.accessCand(qt, *chosen), nil
 	}
 	if spec.Outer == nil || spec.Inner == nil || !spec.Method.IsJoin() {
 		return nil, fmt.Errorf("optimizer: malformed spec node (method=%q)", spec.Method)
 	}
-	left, err := o.buildSpecCand(q, spec.Outer, byName, quantsByInstance)
+	left, err := pc.buildSpecCand(spec.Outer)
 	if err != nil {
 		return nil, err
 	}
-	right, err := o.buildSpecCand(q, spec.Inner, byName, quantsByInstance)
+	right, err := pc.buildSpecCand(spec.Inner)
 	if err != nil {
 		return nil, err
 	}
-	cand := o.buildJoinCand(spec.Method, q, byName, left, right, quantsByInstance)
-	if cand == nil {
+	sp := pc.split(left.mask, right.mask)
+	jc, ok := pc.buildJoinCand(spec.Method, left, right, &sp)
+	if !ok {
 		return nil, fmt.Errorf("optimizer: %s is not applicable to this input combination", spec.Method)
 	}
-	return cand, nil
+	return jc.plan(&sp), nil
 }

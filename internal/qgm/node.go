@@ -42,8 +42,12 @@ func (o OpType) IsScan() bool {
 	return o == OpTBSCAN || o == OpIXSCAN || o == OpFETCH
 }
 
-// JoinMethods lists the join operators in a stable order.
-func JoinMethods() []OpType { return []OpType{OpNLJOIN, OpHSJOIN, OpMSJOIN} }
+var joinMethods = [...]OpType{OpNLJOIN, OpHSJOIN, OpMSJOIN}
+
+// JoinMethods lists the join operators in a stable order. The slice is
+// shared (the enumerator asks once per candidate pair): read it, do not
+// modify it.
+func JoinMethods() []OpType { return joinMethods[:len(joinMethods):len(joinMethods)] }
 
 // Node is one LOLEPOP in a plan tree.
 type Node struct {

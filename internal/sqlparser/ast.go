@@ -168,7 +168,15 @@ func (q *Query) LocalPredicates() []Predicate {
 }
 
 // NumJoins returns the number of join predicates (the paper's "join number").
-func (q *Query) NumJoins() int { return len(q.JoinPredicates()) }
+func (q *Query) NumJoins() int {
+	n := 0
+	for i := range q.Where {
+		if q.Where[i].IsJoin() {
+			n++
+		}
+	}
+	return n
+}
 
 // TableNames returns the referenced table names (not aliases), sorted and
 // de-duplicated.

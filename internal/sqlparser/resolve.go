@@ -111,9 +111,9 @@ func PredicatesFor(q *Query, refName string) []Predicate {
 // names, in either direction.
 func JoinsBetween(q *Query, a, b string) []Predicate {
 	var out []Predicate
-	for _, p := range q.JoinPredicates() {
-		if (strings.EqualFold(p.Left.Table, a) && strings.EqualFold(p.Right.Table, b)) ||
-			(strings.EqualFold(p.Left.Table, b) && strings.EqualFold(p.Right.Table, a)) {
+	for _, p := range q.Where {
+		if p.IsJoin() && ((strings.EqualFold(p.Left.Table, a) && strings.EqualFold(p.Right.Table, b)) ||
+			(strings.EqualFold(p.Left.Table, b) && strings.EqualFold(p.Right.Table, a))) {
 			out = append(out, p)
 		}
 	}
