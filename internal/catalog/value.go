@@ -11,6 +11,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -228,8 +229,15 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// Key returns a string usable as a hash key that is consistent with Equal
-// (two Equal values have the same Key).
+// Key returns a string usable as a hash key: the one definition of "same
+// key" that joins, GROUP BY and distinct counts share. Strings key as
+// themselves; every numeric kind (INTEGER, DOUBLE, DATE, BOOLEAN) keys by its
+// float value, so Int(3), Float(3) and DateFromDays(3) share a key, -0 shares
+// +0's, and every NaN shares one key (unlike Compare, under which NaN ties
+// with everything). A string never shares a key with a number: String("3")
+// and Int(3) key apart although the mixed-kind fallback of Compare — and so
+// Equal — compares their string forms. Apart from that fallback and NaN, two
+// Equal values have the same Key.
 func (v Value) Key() string {
 	switch v.K {
 	case KindNull:
@@ -237,6 +245,49 @@ func (v Value) Key() string {
 	case KindString:
 		return "s:" + v.S
 	default:
-		return "n:" + strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
+		return "n:" + strconv.FormatFloat(keyFloat(v), 'g', -1, 64)
 	}
+}
+
+// keyFloat is a numeric value's key: its float value with -0 folded into +0.
+func keyFloat(v Value) float64 {
+	if f := v.AsFloat(); f != 0 {
+		return f
+	}
+	return 0
+}
+
+// KeyEqual reports whether two values are the same join key: both non-NULL
+// (a NULL key joins nothing, NULL included) and a.Key() == b.Key(), decided
+// without building either string.
+func KeyEqual(a, b Value) bool {
+	if a.K == KindNull || b.K == KindNull || (a.K == KindString) != (b.K == KindString) {
+		return false
+	}
+	if a.K == KindString {
+		return a.S == b.S
+	}
+	af, bf := keyFloat(a), keyFloat(b)
+	return af == bf || (af != af && bf != bf)
+}
+
+// KeyHash folds the value into the running hash h (FNV-1a) such that
+// KeyEqual values hash alike.
+func (v Value) KeyHash(h uint64) uint64 {
+	const prime = 1099511628211
+	if v.K == KindString {
+		for i := 0; i < len(v.S); i++ {
+			h = (h ^ uint64(v.S[i])) * prime
+		}
+		return (h ^ 0xff) * prime
+	}
+	bits := uint64(0x7ff8000000000001) // every NaN
+	if f := keyFloat(v); f == f {
+		bits = math.Float64bits(f)
+	}
+	// One multiply per 32-bit half keeps small integers from clustering in
+	// the low buckets of a power-of-two table.
+	h = (h ^ (bits >> 32)) * prime
+	h = (h ^ (bits & 0xffffffff)) * prime
+	return h ^ (h >> 29)
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,5 +131,58 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
+	}
+}
+
+// TestKeyEqualityDefinedOnce pins the one definition of "same key" that the
+// hash-join index (KeyEqual + KeyHash), the materializing baseline and GROUP
+// BY (Key strings) share: numeric kinds key by float value with -0 folded
+// into +0 and NaN equal to itself, strings key apart from numbers, and NULL
+// joins nothing.
+func TestKeyEqualityDefinedOnce(t *testing.T) {
+	nan := Float(math.NaN())
+	negZero := Float(math.Copysign(0, -1))
+	cases := []struct {
+		name string
+		a, b Value
+		want bool
+	}{
+		{"+0 = -0", Float(0), negZero, true},
+		{"int 0 = -0", Int(0), negZero, true},
+		{"NaN = NaN", nan, Float(math.Float64frombits(0x7ff8000000000abc)), true},
+		{"NaN ≠ 0", nan, Float(0), false},
+		{"NULL ≠ NULL", Null(), Null(), false},
+		{"NULL ≠ 0", Null(), Int(0), false},
+		{"int = float", Int(3), Float(3), true},
+		{"int = date", Int(3), DateFromDays(3), true},
+		{"bool = int", Bool(true), Int(1), true},
+		{"string ≠ number", String("3"), Int(3), false},
+		{"string = string", String("3"), String("3"), true},
+		{"string ≠ string", String("3"), String("3.0"), false},
+		{"3 ≠ 4", Int(3), Float(4), false},
+	}
+	for _, tc := range cases {
+		for _, pair := range [][2]Value{{tc.a, tc.b}, {tc.b, tc.a}} {
+			a, b := pair[0], pair[1]
+			if got := KeyEqual(a, b); got != tc.want {
+				t.Errorf("%s: KeyEqual(%v, %v) = %v, want %v", tc.name, a, b, got, tc.want)
+			}
+			sameKey := !a.IsNull() && !b.IsNull() && a.Key() == b.Key()
+			if sameKey != tc.want {
+				t.Errorf("%s: Key() %q vs %q disagrees with KeyEqual", tc.name, a.Key(), b.Key())
+			}
+			if tc.want && a.KeyHash(7) != b.KeyHash(7) {
+				t.Errorf("%s: KeyEqual values hash apart", tc.name)
+			}
+		}
+	}
+	// The documented exceptions to "Equal values share a Key": the mixed
+	// string/number fallback of Compare, and NaN (which Compare ties with
+	// every number).
+	if !Equal(String("3"), Int(3)) || !Equal(nan, Int(5)) {
+		t.Errorf("Compare's mixed-kind and NaN behaviour changed; revisit Key's doc comment")
+	}
+	if !Equal(Float(0), negZero) || Float(0).Key() != negZero.Key() {
+		t.Errorf("-0 and +0 are Equal and must share a Key")
 	}
 }

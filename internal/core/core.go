@@ -378,12 +378,26 @@ func (s *System) Reoptimize(q *sqlparser.Query) (*matching.Result, error) {
 // learning is enabled, the executed plan's actual-vs-estimated cardinality
 // gap is offered to the incremental learner.
 func (s *System) Execute(plan *qgm.Plan, q *sqlparser.Query) (*executor.Result, error) {
+	var res *executor.Result
+	_, err := s.admit(plan, q, func(ex *executor.Executor) (stats executor.RunStats, err error) {
+		if res, err = ex.Execute(plan, q); err == nil {
+			stats = res.Stats
+		}
+		return stats, err
+	})
+	return res, err
+}
+
+// admit runs one plan execution under the memory governor, folds its peak
+// residency into the system high-water marks and offers the executed plan to
+// the online learner — the bookkeeping every execution path shares.
+func (s *System) admit(plan *qgm.Plan, q *sqlparser.Query, run func(*executor.Executor) (executor.RunStats, error)) (executor.RunStats, error) {
 	grant := s.gov.acquire(plan.EstPeakResidencyBytes(), s.exec.Workers)
-	res, err := s.exec.WithWorkers(grant.workers).Execute(plan, q)
+	stats, err := run(s.exec.WithWorkers(grant.workers))
 	grant.release()
 	if err == nil {
-		raiseMax(&s.peakIntermediateRows, res.Stats.PeakIntermediateRows)
-		raiseMax(&s.peakIntermediateBytes, res.Stats.PeakIntermediateBytes)
+		raiseMax(&s.peakIntermediateRows, stats.PeakIntermediateRows)
+		raiseMax(&s.peakIntermediateBytes, stats.PeakIntermediateBytes)
 		// The drain gate must win the race with the learner: once Shutdown
 		// has flipped draining, Observe would enqueue work behind the final
 		// flush and the observation could publish templates after the WAL's
@@ -392,7 +406,42 @@ func (s *System) Execute(plan *qgm.Plan, q *sqlparser.Query) (*executor.Result, 
 			online.Observe(q, plan)
 		}
 	}
-	return res, err
+	return stats, err
+}
+
+// validation is the runtime verdict on one re-optimization: both plans'
+// statistics, and whether the rewrite ran no slower and is therefore kept.
+type validation struct {
+	orig, galo executor.RunStats
+	// ran reports that a rewrite existed and was executed; applied that it
+	// was kept. When not applied, galo equals orig.
+	ran, applied bool
+}
+
+// validate runs the original plan and, when the match rewrote it, the
+// re-optimized plan, for their statistics only — no result row is projected
+// or collected — and keeps the rewrite only if it is not slower.
+func (s *System) validate(res *matching.Result, q *sqlparser.Query) (validation, error) {
+	stats := func(plan *qgm.Plan) (executor.RunStats, error) {
+		return s.admit(plan, q, func(ex *executor.Executor) (executor.RunStats, error) { return ex.Run(plan, q) })
+	}
+	var v validation
+	var err error
+	if v.orig, err = stats(res.OriginalPlan); err != nil {
+		return v, fmt.Errorf("execute: %w", err)
+	}
+	v.galo = v.orig
+	if res.ReoptimizedPlan != nil && res.Rewritten() {
+		galo, err := stats(res.ReoptimizedPlan)
+		if err != nil {
+			return v, fmt.Errorf("execute rewritten: %w", err)
+		}
+		v.ran = true
+		if galo.ElapsedMillis <= v.orig.ElapsedMillis {
+			v.applied, v.galo = true, galo
+		}
+	}
+	return v, nil
 }
 
 // raiseMax lifts an atomic high-water mark to at least v.
@@ -559,27 +608,20 @@ func (s *System) reoptimizeOne(q *sqlparser.Query) (QueryOutcome, error) {
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("reoptimize %s: %w", q.Name, err)
 	}
-	origRun, err := s.Execute(res.OriginalPlan, q)
+	v, err := s.validate(res, q)
 	if err != nil {
-		return QueryOutcome{}, fmt.Errorf("execute %s: %w", q.Name, err)
+		return QueryOutcome{}, fmt.Errorf("%s: %w", q.Name, err)
 	}
 	outcome := QueryOutcome{
 		Query:          q.Name,
-		OriginalMillis: origRun.Stats.ElapsedMillis,
-		GaloMillis:     origRun.Stats.ElapsedMillis,
+		Matched:        v.ran,
+		Applied:        v.applied,
+		OriginalMillis: v.orig.ElapsedMillis,
+		GaloMillis:     v.galo.ElapsedMillis,
 		MatchMillis:    res.MatchMillis,
 	}
-	if res.ReoptimizedPlan != nil && res.Rewritten() {
-		galoRun, err := s.Execute(res.ReoptimizedPlan, q)
-		if err != nil {
-			return QueryOutcome{}, fmt.Errorf("execute rewritten %s: %w", q.Name, err)
-		}
-		outcome.Matched = true
+	if v.ran {
 		outcome.Rewrites = len(res.Matches)
-		if galoRun.Stats.ElapsedMillis <= origRun.Stats.ElapsedMillis {
-			outcome.Applied = true
-			outcome.GaloMillis = galoRun.Stats.ElapsedMillis
-		}
 	}
 	return outcome, nil
 }

@@ -508,29 +508,18 @@ func (s *System) reoptResponse(slot *tenantSlot, q *sqlparser.Query, execute boo
 	if !execute {
 		return resp, nil
 	}
-	origRun, err := s.Execute(res.OriginalPlan, q)
+	v, err := s.validate(res, q)
 	if err != nil {
-		return nil, fmt.Errorf("execute: %w", err)
+		return nil, err
 	}
 	resp.Executed = true
-	resp.OriginalMillis = origRun.Stats.ElapsedMillis
-	resp.GaloMillis = origRun.Stats.ElapsedMillis
-	resp.OriginalPeakRows = origRun.Stats.PeakIntermediateRows
-	resp.OriginalPeakBytes = origRun.Stats.PeakIntermediateBytes
-	resp.GaloPeakRows = origRun.Stats.PeakIntermediateRows
-	resp.GaloPeakBytes = origRun.Stats.PeakIntermediateBytes
-	if res.ReoptimizedPlan != nil && res.Rewritten() {
-		galoRun, err := s.Execute(res.ReoptimizedPlan, q)
-		if err != nil {
-			return nil, fmt.Errorf("execute rewritten: %w", err)
-		}
-		if galoRun.Stats.ElapsedMillis <= origRun.Stats.ElapsedMillis {
-			resp.Applied = true
-			resp.GaloMillis = galoRun.Stats.ElapsedMillis
-			resp.GaloPeakRows = galoRun.Stats.PeakIntermediateRows
-			resp.GaloPeakBytes = galoRun.Stats.PeakIntermediateBytes
-		}
-	}
+	resp.Applied = v.applied
+	resp.OriginalMillis = v.orig.ElapsedMillis
+	resp.GaloMillis = v.galo.ElapsedMillis
+	resp.OriginalPeakRows = v.orig.PeakIntermediateRows
+	resp.OriginalPeakBytes = v.orig.PeakIntermediateBytes
+	resp.GaloPeakRows = v.galo.PeakIntermediateRows
+	resp.GaloPeakBytes = v.galo.PeakIntermediateBytes
 	return resp, nil
 }
 

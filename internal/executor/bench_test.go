@@ -1,0 +1,108 @@
+package executor
+
+import (
+	"testing"
+
+	"galo/internal/optimizer"
+	"galo/internal/qgm"
+	"galo/internal/sqlparser"
+	"galo/internal/workload/tpcds"
+)
+
+// execCase is one plan of the executor's benchmark set.
+type execCase struct {
+	name string
+	q    *sqlparser.Query
+	plan *qgm.Plan
+}
+
+// execCases builds the benchmark set over the package's shared test database
+// (TPC-DS-like, scale 0.1, hazards on): the wide-range Figure 8 query under
+// the plan the stale statistics pick (NLJOIN over an early-out MSJOIN over
+// index accesses) and under the plan GALO rewrites it to (hash joins over a
+// table scan) — the two executions of one validated /reopt request — plus a
+// two-table hash join and a sort-terminated three-way join.
+func execCases(tb testing.TB) []execCase {
+	tb.Helper()
+	db, opt, _ := setup(tb)
+	hash := func(outer, inner *optimizer.Spec) *optimizer.Spec { return optimizer.Join(qgm.OpHSJOIN, outer, inner) }
+	fig8 := tpcds.Fig8WideQuery(db)
+	cases := []struct {
+		name string
+		q    *sqlparser.Query
+		spec *optimizer.Spec // nil: the optimizer's own choice
+	}{
+		{"fig8wide_orig", fig8, nil},
+		{"fig8wide_rewritten", fig8, hash(
+			hash(optimizer.LeafAccess("ITEM", qgm.OpFETCH, "I_CATEGORY_IDX"), optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, "")),
+			optimizer.LeafAccess("DATE_DIM", qgm.OpIXSCAN, "D_DATE_SK"))},
+		{"web_item", sqlparser.MustParse(`SELECT i_item_desc, ws_quantity FROM web_sales, item
+			WHERE ws_item_sk = i_item_sk`), hash(optimizer.Leaf("WEB_SALES"), optimizer.Leaf("ITEM"))},
+		{"three_way_sort", sqlparser.MustParse(`SELECT i_item_desc, ss_quantity, d_year FROM store_sales, item, date_dim
+			WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk ORDER BY i_item_desc`),
+			hash(hash(optimizer.Leaf("STORE_SALES"), optimizer.Leaf("ITEM")), optimizer.Leaf("DATE_DIM"))},
+	}
+	out := make([]execCase, len(cases))
+	for i, c := range cases {
+		plan := opt.MustOptimize(c.q)
+		if c.spec != nil {
+			var err error
+			if plan, err = opt.BuildPlan(c.q, c.spec); err != nil {
+				tb.Fatalf("%s: BuildPlan: %v", c.name, err)
+			}
+		}
+		out[i] = execCase{c.name, c.q, plan}
+	}
+	return out
+}
+
+// BenchmarkExecute measures one serial Execute (rows collected) per plan of
+// the benchmark set. Run with -benchmem; allocs/op is what
+// TestExecuteAllocCeiling pins.
+func BenchmarkExecute(b *testing.B) {
+	_, _, ex := setup(b)
+	for _, c := range execCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Execute(c.plan, c.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestExecuteAllocCeiling is the executor's clock-free performance gate: the
+// allocation count of one Execute of each Figure 8 wide plan. The parent
+// commit (b857bc1, flat rows re-copied by every join, one map entry and one
+// slice per build key) measured 3 368 allocations for fig8wide_orig and 1 706
+// for fig8wide_rewritten with this very test, each returning 183 rows; the
+// ceilings are a fifth of that (this commit: 332 and 330, of which 183 are
+// the projected result rows). A regression here means something started
+// allocating per intermediate row or per key again.
+func TestExecuteAllocCeiling(t *testing.T) {
+	ceilings := map[string]float64{"fig8wide_orig": 3368 / 5, "fig8wide_rewritten": 1706 / 5}
+	_, _, ex := setup(t)
+	for _, c := range execCases(t) {
+		ceiling, pinned := ceilings[c.name]
+		if !pinned {
+			continue
+		}
+		var rows int
+		allocs := testing.AllocsPerRun(5, func() {
+			res, err := ex.Execute(c.plan, c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = len(res.Rows)
+		})
+		t.Logf("%s: %.0f allocs per Execute (%d rows), ceiling %.0f", c.name, allocs, rows, ceiling)
+		if rows == 0 {
+			t.Errorf("%s returned no rows: not a meaningful measurement", c.name)
+		}
+		if allocs > ceiling {
+			t.Errorf("%s: %.0f allocations per Execute exceeds the ceiling of %.0f", c.name, allocs, ceiling)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"galo/internal/catalog"
 	"galo/internal/qgm"
-	"galo/internal/storage"
 )
 
 // This file centralizes the actual-cost charge formulas. Each operator's
@@ -66,11 +65,11 @@ func (c *execContext) chargeIXScan(node *qgm.Node, idxDef *catalog.Index, nCand,
 type joinActuals struct {
 	outerRows, outRows int
 	innerRows          int
-	// outerSample / innerSample are the first rows that entered each side
+	// outerSample / innerSample are the first tuples that entered each side
 	// (nil when none did); they size the spill-branch page estimates. The
 	// exchange picks the sample from the lowest-indexed partition that
 	// produced one, which is exactly the serial first row.
-	outerSample, innerSample storage.Row
+	outerSample, innerSample tuple
 	nOuterCols, nInnerCols   int
 	// MSJOIN early-out: how many outer rows a merge join would have read
 	// before passing the largest inner key.

@@ -1,0 +1,273 @@
+package executor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"galo/internal/catalog"
+	"galo/internal/optimizer"
+	"galo/internal/qgm"
+	"galo/internal/randplan"
+	"galo/internal/sqlparser"
+	"galo/internal/storage"
+	"galo/internal/workload/tpcds"
+)
+
+// maxDifferentialWork bounds the rows a differential case may push through
+// its operators (summed ActCardinality of the serial run): a random join order
+// over two fact tables can fan out to 10^5 intermediate rows, and a handful
+// of those would take longer than the other two thousand plans together.
+const maxDifferentialWork = 20000
+
+// differentialPlans is how many random plans TestDifferentialRandomPlans
+// runs (race_test.go shortens it under the race detector; -short to 200).
+var differentialPlans = 2000
+
+// run is one execution's observable outcome: the rows, every operator's
+// actuals in plan pre-order, and the aggregate stats.
+type run struct {
+	rows  []storage.Row
+	ops   [][2]float64 // ActMillis, ActCardinality
+	stats RunStats
+}
+
+func execute(t *testing.T, ex *Executor, plan *qgm.Plan, q *sqlparser.Query) run {
+	t.Helper()
+	res, err := ex.Execute(plan, q)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	r := run{rows: res.Rows, stats: res.Stats}
+	for _, op := range plan.Operators() {
+		r.ops = append(r.ops, [2]float64{op.ActMillis, op.ActCardinality})
+	}
+	return r
+}
+
+// sameCell reports whether two result cells are the same stored value (every
+// engine reads the same base rows, so representation equality is the test;
+// NaN is itself).
+func sameCell(a, b catalog.Value) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && (a.F == b.F || (a.F != a.F && b.F != b.F))
+}
+
+// rowHash folds a row into one number, for order-free multiset comparison.
+func rowHash(row storage.Row) uint64 {
+	h := uint64(len(row))
+	for _, v := range row {
+		h = v.KeyHash(h + uint64(v.K))
+	}
+	return h
+}
+
+// TestDifferentialRandomPlans is the generated defence of the executor's
+// invariants: seeded random plans (random join order, join methods and access
+// paths from internal/randplan) over the 1–4-join shapes of tpcds.Queries(),
+// a third of them with ORDER BY and a third with GROUP BY added, each
+// executed serially, on the exchange at 4 workers, and on the materializing
+// baseline. All three must agree on the rows (cell for cell and in order,
+// serial vs baseline; as a multiset plus the ORDER BY key sequence, serial vs
+// parallel, whose unordered fan-in may interleave ties), on every operator's
+// ActMillis and ActCardinality bit for bit, and on the aggregate counters —
+// serial and parallel on all of RunStats, peak residency included; an early
+// Close after a random row must leave no exchange worker running.
+func TestDifferentialRandomPlans(t *testing.T) {
+	db, opt, serial := setup(t)
+	parallel, baseline := New(db), New(db)
+	parallel.Workers, baseline.Materialize = 4, true
+
+	var shapes []*sqlparser.Query
+	for _, q := range tpcds.Queries() {
+		if joins := len(q.From) - 1; joins >= 1 && joins <= 4 && !q.Star && len(q.Select) > 0 {
+			shapes = append(shapes, q)
+		}
+	}
+	plans := differentialPlans
+	if testing.Short() {
+		plans = 200
+	}
+	const seed = 20190122
+	rng := rand.New(rand.NewSource(seed))
+	gen := randplan.New(opt, seed)
+
+	engaged, ordered, grouped := 0, 0, 0
+	for n := 0; n < plans; {
+		q := shapes[rng.Intn(len(shapes))].Clone()
+		orderKeys := 0
+		switch rng.Intn(3) {
+		case 1: // ORDER BY one or two of the projected columns
+			orderKeys = 1 + rng.Intn(min(2, len(q.Select)))
+			rng.Shuffle(len(q.Select), func(i, j int) { q.Select[i], q.Select[j] = q.Select[j], q.Select[i] })
+			q.OrderBy = append([]sqlparser.ColumnRef{}, q.Select[:orderKeys]...)
+		case 2: // GROUP BY a projected column, projecting only the group key
+			q.Select = []sqlparser.ColumnRef{q.Select[rng.Intn(len(q.Select))]}
+			q.GroupBy = append([]sqlparser.ColumnRef{}, q.Select...)
+		}
+		spec, err := gen.RandomSpec(q)
+		if err != nil {
+			t.Fatalf("RandomSpec: %v", err)
+		}
+		plan, err := opt.BuildPlan(q, spec)
+		if err != nil {
+			continue // an invalid random combination; resample
+		}
+		ser := execute(t, serial, plan, q)
+		work := 0.0
+		for _, op := range ser.ops {
+			work += op[1]
+		}
+		if work > maxDifferentialWork {
+			continue
+		}
+		n++
+		if len(q.OrderBy) > 0 {
+			ordered++
+		}
+		if len(q.GroupBy) > 0 {
+			grouped++
+		}
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("plan #%d, %s\n%s\n%s", n, q.SQL(), qgm.Format(plan), fmt.Sprintf(format, args...))
+		}
+
+		mat := execute(t, baseline, plan, q)
+		segments := ExchangeSegmentCount()
+		par := execute(t, parallel, plan, q)
+		if ExchangeSegmentCount() > segments {
+			engaged++
+		}
+		for _, other := range []struct {
+			name string
+			run
+		}{{"materializing", mat}, {"4 workers", par}} {
+			if len(other.rows) != len(ser.rows) {
+				fail("%s: %d rows, serial streaming %d", other.name, len(other.rows), len(ser.rows))
+			}
+			for i, op := range other.ops {
+				if op != ser.ops[i] {
+					fail("%s: operator %d (ActMillis, ActCardinality) = %v, serial streaming %v", other.name, i, op, ser.ops[i])
+				}
+			}
+		}
+		// Serial vs baseline: the rows themselves, in order; the aggregate
+		// counters exactly, the summed millis up to addition order.
+		for i, row := range ser.rows {
+			for j := range row {
+				if !sameCell(row[j], mat.rows[i][j]) {
+					fail("row %d col %d: streaming %v, materializing %v", i, j, row[j], mat.rows[i][j])
+				}
+			}
+		}
+		s, m := ser.stats, mat.stats
+		m.PeakIntermediateRows, m.PeakIntermediateBytes, m.ElapsedMillis = s.PeakIntermediateRows, s.PeakIntermediateBytes, s.ElapsedMillis
+		if s != m || !withinULPs(ser.stats.ElapsedMillis, mat.stats.ElapsedMillis) {
+			fail("aggregate stats: streaming %+v, materializing %+v", ser.stats, mat.stats)
+		}
+		// Serial vs parallel: the row multiset, the ORDER BY key sequence, and
+		// all of RunStats.
+		var sSum, pSum uint64
+		for i, row := range ser.rows {
+			sSum += rowHash(row)
+			pSum += rowHash(par.rows[i])
+			for k := 0; k < orderKeys; k++ {
+				if !sameCell(row[k], par.rows[i][k]) {
+					fail("row %d: ORDER BY key %d is %v serially, %v at 4 workers", i, k, row[k], par.rows[i][k])
+				}
+			}
+		}
+		if sSum != pSum {
+			fail("4 workers returned a different row multiset")
+		}
+		if ser.stats != par.stats {
+			fail("aggregate stats: serial %+v, 4 workers %+v", ser.stats, par.stats)
+		}
+
+		cur, err := parallel.Open(plan, q)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		for stop := rng.Intn(len(ser.rows) + 1); stop > 0; stop-- {
+			if _, ok := cur.Next(); !ok {
+				fail("cursor exhausted %d rows early", stop)
+			}
+		}
+		cur.Close()
+		if live := ExchangeWorkerCount(); live != 0 {
+			fail("%d exchange workers still running after an early Close", live)
+		}
+	}
+	t.Logf("%d plans: %d engaged the exchange, %d ordered, %d grouped", plans, engaged, ordered, grouped)
+	if engaged < plans/20 || ordered < plans/5 || grouped < plans/5 {
+		t.Errorf("the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped",
+			engaged, plans, ordered, grouped)
+	}
+}
+
+// TestJoinKeyEqualityMatchesMaterialize joins two tables whose key columns
+// hold every awkward value — ±0, NaN, NULL, and 3 as an integer, a float, a
+// date and a string — on one and on two key columns, with every join method,
+// and requires the streaming engine's chained index to pair exactly the rows
+// the materializing baseline's Key()-string map pairs (and brute force over
+// catalog.KeyEqual counts).
+func TestJoinKeyEqualityMatchesMaterialize(t *testing.T) {
+	keys := []catalog.Value{
+		catalog.Float(0), catalog.Float(math.Copysign(0, -1)), catalog.Float(math.NaN()), catalog.Null(),
+		catalog.Int(3), catalog.Float(3), catalog.DateFromDays(3), catalog.String("3"),
+	}
+	schema := catalog.NewSchema("K")
+	for _, side := range []string{"L", "R"} {
+		schema.AddTable(catalog.NewTable(side+"T",
+			catalog.Column{Name: side + "_k1", Type: catalog.KindFloat},
+			catalog.Column{Name: side + "_k2", Type: catalog.KindFloat},
+			catalog.Column{Name: side + "_id", Type: catalog.KindInt},
+		))
+	}
+	db := storage.NewDatabase(catalog.New(schema))
+	id := int64(0)
+	for _, side := range []string{"LT", "RT"} {
+		for _, k1 := range keys {
+			for _, k2 := range keys {
+				id++
+				if err := db.Insert(side, storage.Row{k1, k2, catalog.Int(id)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(db.Catalog, optimizer.DefaultOptions())
+
+	cases := []struct {
+		name string
+		sql  string
+		cols int
+	}{
+		{"one-column", `SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1`, 1},
+		{"two-column", `SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1 AND l_k2 = r_k2`, 2},
+	}
+	for _, tc := range cases {
+		want := 0
+		for _, l := range db.Table("LT").Rows {
+			for _, r := range db.Table("RT").Rows {
+				if catalog.KeyEqual(l[0], r[0]) && (tc.cols == 1 || catalog.KeyEqual(l[1], r[1])) {
+					want++
+				}
+			}
+		}
+		for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
+			t.Run(tc.name+"/"+string(method), func(t *testing.T) {
+				q := sqlparser.MustParse(tc.sql)
+				spec := optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT"))
+				stream, _ := assertParity(t, db, opt, q, spec)
+				if stream.Rows != want {
+					t.Errorf("join produced %d rows, brute force over KeyEqual says %d", stream.Rows, want)
+				}
+			})
+		}
+	}
+}

@@ -1,15 +1,13 @@
 package executor
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"galo/internal/catalog"
 	"galo/internal/qgm"
-	"galo/internal/sqlparser"
 	"galo/internal/storage"
 )
 
@@ -89,40 +87,26 @@ type segLevel struct {
 	node *qgm.Node
 
 	// join levels only:
-	key        joinKey
-	innerIter  rowIter // opened at plan time, drained in start()
-	build      *hashBuild
-	nOuterCols int // width of this level's input layout
-	nInnerCols int
-}
-
-// segScan is the partitioned leaf access.
-type segScan struct {
-	node  *qgm.Node
-	table *storage.Table
-	preds []sqlparser.Predicate
-
-	rows    []storage.Row       // TBSCAN source
-	entries []storage.IndexEntry // IXSCAN/FETCH source
-	idxDef  *catalog.Index
-	lo, hi  int // candidate range (row or entry positions)
-
-	tablePages, tableRows, rowsPerPage float64
+	probeKey, buildKey []colRef
+	innerIter          rowIter // opened at plan time, drained in start()
+	build              *hashBuild
+	nOuterCols         int // width of this level's input layout
+	nInnerCols         int
 }
 
 type segment struct {
-	scan     *segScan
+	scan     *scanSource // the partitioned leaf access
 	levels   []*segLevel // bottom-up
 	term     termKind
 	termNode *qgm.Node
-	sortKey  []int
-	grpKey   []int
-	cols     []string
+	sortKey  []colRef
+	grpKey   []colRef
+	ncols    int
 }
 
 // openParallel tries to open node as an exchange segment. ok=false means the
 // shape does not qualify and the caller should build serial operators.
-func (c *execContext) openParallel(node *qgm.Node) (rowIter, []string, bool, error) {
+func (c *execContext) openParallel(node *qgm.Node) (rowIter, layout, bool, error) {
 	term, termNode, cur := termNone, (*qgm.Node)(nil), node
 	switch node.Op {
 	case qgm.OpSORT:
@@ -135,7 +119,7 @@ func (c *execContext) openParallel(node *qgm.Node) (rowIter, []string, bool, err
 walk:
 	for {
 		if cur == nil {
-			return nil, nil, false, nil
+			return nil, layout{}, false, nil
 		}
 		switch cur.Op {
 		case qgm.OpFILTER:
@@ -150,21 +134,21 @@ walk:
 		default:
 			// NLJOIN/MSJOIN (and anything else) break the segment; their
 			// subtrees get their own qualification attempts.
-			return nil, nil, false, nil
+			return nil, layout{}, false, nil
 		}
 	}
 	// A bare unordered scan gains nothing from fan-in (and would make plain
 	// result order nondeterministic for free): require a join, a terminal
 	// breaker, or an ordered scan worth preserving in parallel.
 	if nJoins == 0 && term == termNone && cur.OrderedOn == "" {
-		return nil, nil, false, nil
+		return nil, layout{}, false, nil
 	}
-	sc, cols, err := c.resolveSegScan(cur)
+	sc, lay, err := c.resolveScan(cur)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, layout{}, false, err
 	}
 	if sc.hi-sc.lo < exchangeMinRows {
-		return nil, nil, false, nil
+		return nil, layout{}, false, nil
 	}
 
 	seg := &segment{scan: sc, term: term, termNode: termNode}
@@ -185,87 +169,50 @@ walk:
 		// topmost first — the serial nested-build order), so exchange never
 		// nests into a build subtree and build insertion order stays
 		// deterministic.
-		innerIter, innerCols, err := c.openSerial(n.Inner)
+		innerIter, innerLay, err := c.openSerial(n.Inner)
 		if err != nil {
 			closeOpened()
-			return nil, nil, false, err
+			return nil, layout{}, false, err
 		}
-		key, _ := c.joinKeys(n, cols, innerCols)
+		key, _ := c.joinKeys(n, lay.cols, innerLay.cols)
 		seg.levels = append(seg.levels, &segLevel{
-			kind: levelJoin, node: n, key: key, innerIter: innerIter,
-			nOuterCols: len(cols), nInnerCols: len(innerCols),
+			kind: levelJoin, node: n, innerIter: innerIter,
+			probeKey: lay.refs(key.outerPos), buildKey: innerLay.refs(key.innerPos),
+			nOuterCols: len(lay.cols), nInnerCols: len(innerLay.cols),
 		})
-		cols = append(append([]string{}, cols...), innerCols...)
+		lay = lay.concat(innerLay)
 	}
-	seg.cols = cols
+	seg.ncols = len(lay.cols)
 	switch term {
 	case termSort:
-		seg.sortKey = c.sortKey(termNode, cols)
+		seg.sortKey = lay.refs(c.sortKey(termNode, lay.cols))
 	case termGrpBy:
-		for _, k := range c.query.GroupBy {
-			inst := c.refToInst[strings.ToUpper(k.Table)]
-			if p := colPos(cols, inst+"."+k.Column); p >= 0 {
-				seg.grpKey = append(seg.grpKey, p)
-			}
-		}
+		seg.grpKey = lay.refs(c.groupKey(lay.cols))
 	}
 	ex := &exchangeIter{
 		ctx: c, seg: seg,
 		// Partition-order delivery when the serial row order is observable:
-		// an ordered scan, or a terminal breaker whose exact output we
-		// reproduce. Everything else is unordered fan-in.
-		ordered: sc.node.OrderedOn != "" || term != termNone,
+		// an ordered scan, a terminal breaker whose exact output we
+		// reproduce, or an operator above that samples or buffers what
+		// arrives (openOrdered). Everything else is unordered fan-in.
+		ordered: sc.node.OrderedOn != "" || term != termNone || c.orderObserved > 0,
 	}
-	return ex, cols, true, nil
+	return ex, lay, true, nil
 }
 
 // openSerial opens a subtree with the exchange disabled (build sides must
 // drain deterministically).
-func (c *execContext) openSerial(n *qgm.Node) (rowIter, []string, error) {
+func (c *execContext) openSerial(n *qgm.Node) (rowIter, layout, error) {
 	saved := c.workers
 	c.workers = 1
 	defer func() { c.workers = saved }()
 	return c.open(n)
 }
 
-func (c *execContext) resolveSegScan(node *qgm.Node) (*segScan, []string, error) {
-	refName := c.instToRef[node.TableInstance]
-	if refName == "" {
-		return nil, nil, fmt.Errorf("executor: plan instance %s not present in query", node.TableInstance)
-	}
-	table := c.exec.DB.Table(node.Table)
-	if table == nil {
-		return nil, nil, fmt.Errorf("executor: unknown table %s", node.Table)
-	}
-	preds := sqlparser.PredicatesFor(c.query, refName)
-	cols := scanColumns(node.TableInstance, table.Def)
-	sc := &segScan{
-		node: node, table: table, preds: preds,
-		tablePages: float64(c.exec.DB.Pages(node.Table)),
-		tableRows:  float64(len(table.Rows)),
-	}
-	if node.Op == qgm.OpTBSCAN {
-		sc.rows = table.Rows
-		sc.hi = len(table.Rows)
-		return sc, cols, nil
-	}
-	idxDef := table.Def.IndexByName(node.Index)
-	if idxDef == nil {
-		return nil, nil, fmt.Errorf("executor: table %s has no index %s", node.Table, node.Index)
-	}
-	sc.idxDef = idxDef
-	sc.rowsPerPage = float64(c.exec.DB.RowsPerPage(node.Table))
-	if idx := c.exec.DB.Index(node.Table, idxDef.Name); idx != nil {
-		sc.entries = idx.Entries
-		sc.lo, sc.hi = indexBounds(idx, idxDef.Columns[0], preds)
-	}
-	return sc, cols, nil
-}
-
 // levelTotals is one spine level's counters summed across workers.
 type levelTotals struct {
 	nIn, nOut int
-	sample    storage.Row
+	sample    tuple
 }
 
 // exchangeIter is the consumer side of the exchange.
@@ -279,15 +226,15 @@ type exchangeIter struct {
 	done      chan struct{}
 	wg        sync.WaitGroup
 	workers   []*segWorker
-	fanin     chan []storage.Row // unordered mode
+	fanin     chan []tuple // unordered mode
 
-	batch []storage.Row
+	batch []tuple
 	bi    int
 	part  int // next partition stream to drain (ordered mode)
 
 	// terminal SORT merge state
 	merged        bool
-	bufs          [][]storage.Row
+	bufs          [][]tuple
 	heads         []int
 	sortHeldRows  int
 	sortHeldBytes int64
@@ -314,11 +261,12 @@ type segWorker struct {
 	ex     *exchangeIter
 	id     int
 	lo, hi int
-	ch     chan []storage.Row
+	ch     chan []tuple
 
-	batch     []storage.Row
+	batch     []tuple
+	slab      tupleSlab
 	kb        strings.Builder
-	sortBuf   []storage.Row
+	sortBuf   []tuple
 	localSeen map[string]struct{}
 
 	// Counters; read by the consumer only after wg.Wait (happens-before).
@@ -330,7 +278,7 @@ type segWorker struct {
 // workerLevelCounters is one worker's per-level bookkeeping.
 type workerLevelCounters struct {
 	nIn, nOut int
-	sample    storage.Row
+	sample    tuple
 }
 
 func (e *exchangeIter) start() {
@@ -345,12 +293,12 @@ func (e *exchangeIter) start() {
 		if lv.kind != levelJoin {
 			continue
 		}
-		lv.build = e.ctx.drainBuild(lv.innerIter, lv.node.Inner, lv.key, lv.nInnerCols)
+		lv.build = e.ctx.drainBuild(lv.innerIter, lv.node.Inner, lv.probeKey, lv.buildKey, lv.nInnerCols, false)
 	}
 	parts := storage.SplitRange(e.seg.scan.lo, e.seg.scan.hi, e.ctx.workers)
 	e.workers = make([]*segWorker, len(parts))
 	if !e.ordered {
-		e.fanin = make(chan []storage.Row, exchangeChanDepth*len(parts))
+		e.fanin = make(chan []tuple, exchangeChanDepth*len(parts))
 	}
 	if e.seg.term == termGrpBy {
 		e.seen = make(map[string]struct{})
@@ -359,7 +307,7 @@ func (e *exchangeIter) start() {
 		w := &segWorker{ex: e, id: i, lo: p[0], hi: p[1]}
 		w.lv = make([]workerLevelCounters, len(e.seg.levels))
 		if e.ordered {
-			w.ch = make(chan []storage.Row, exchangeChanDepth)
+			w.ch = make(chan []tuple, exchangeChanDepth)
 		}
 		if e.seg.term == termGrpBy {
 			w.localSeen = make(map[string]struct{})
@@ -378,7 +326,7 @@ func (e *exchangeIter) start() {
 	}
 }
 
-func (e *exchangeIter) Next() (storage.Row, bool) {
+func (e *exchangeIter) Next() (tuple, bool) {
 	if e.finished {
 		return nil, false
 	}
@@ -425,7 +373,7 @@ func (e *exchangeIter) Next() (storage.Row, bool) {
 
 // nextRaw serves the next merged spine-output row: partition streams drained
 // in order (ordered mode) or the shared fan-in channel (unordered).
-func (e *exchangeIter) nextRaw() (storage.Row, bool) {
+func (e *exchangeIter) nextRaw() (tuple, bool) {
 	for {
 		if e.bi < len(e.batch) {
 			row := e.batch[e.bi]
@@ -457,7 +405,7 @@ func (e *exchangeIter) nextRaw() (storage.Row, bool) {
 // streams out), and arms the merge.
 func (e *exchangeIter) collectSorted() {
 	e.merged = true
-	e.bufs = make([][]storage.Row, len(e.workers))
+	e.bufs = make([][]tuple, len(e.workers))
 	for i, w := range e.workers {
 		if buf, ok := <-w.ch; ok {
 			e.bufs[i] = buf
@@ -482,11 +430,11 @@ func (e *exchangeIter) collectSorted() {
 	}
 	// The serial sort samples its first post-sort row for the width — the
 	// global minimum, which the merge's first pick reproduces exactly.
-	var sample storage.Row
+	var sample tuple
 	if row, ok := e.peekMin(); ok {
 		sample = row
 	}
-	width := rowWidthOf(sample, len(e.seg.cols))
+	width := rowWidthOf(sample, e.seg.ncols)
 	e.sortHeldRows = total
 	e.sortHeldBytes = int64(width) * int64(total)
 	e.ctx.hold(total, e.sortHeldBytes)
@@ -495,13 +443,13 @@ func (e *exchangeIter) collectSorted() {
 
 // peekMin returns the smallest head row across partitions without consuming
 // it (ties resolve to the lowest partition — the stable-merge rule).
-func (e *exchangeIter) peekMin() (storage.Row, bool) {
+func (e *exchangeIter) peekMin() (tuple, bool) {
 	best := -1
 	for i, b := range e.bufs {
 		if e.heads[i] >= len(b) {
 			continue
 		}
-		if best < 0 || lessRows(b[e.heads[i]], e.bufs[best][e.heads[best]], e.seg.sortKey) {
+		if best < 0 || compareRows(b[e.heads[i]], e.bufs[best][e.heads[best]], e.seg.sortKey) < 0 {
 			best = i
 		}
 	}
@@ -511,13 +459,13 @@ func (e *exchangeIter) peekMin() (storage.Row, bool) {
 	return e.bufs[best][e.heads[best]], true
 }
 
-func (e *exchangeIter) mergeNext() (storage.Row, bool) {
+func (e *exchangeIter) mergeNext() (tuple, bool) {
 	best := -1
 	for i, b := range e.bufs {
 		if e.heads[i] >= len(b) {
 			continue
 		}
-		if best < 0 || lessRows(b[e.heads[i]], e.bufs[best][e.heads[best]], e.seg.sortKey) {
+		if best < 0 || compareRows(b[e.heads[i]], e.bufs[best][e.heads[best]], e.seg.sortKey) < 0 {
 			best = i
 		}
 	}
@@ -529,16 +477,17 @@ func (e *exchangeIter) mergeNext() (storage.Row, bool) {
 	return row, true
 }
 
-// lessRows compares two rows on the sort key columns; false on equal keys,
-// so an ascending partition sweep keeps the stable (lowest-partition-first)
-// order — exactly sort.SliceStable over the concatenated partitions.
-func lessRows(a, b storage.Row, keyIdx []int) bool {
-	for _, p := range keyIdx {
-		if cmp := catalog.Compare(a[p], b[p]); cmp != 0 {
-			return cmp < 0
+// compareRows orders two rows on the sort key columns. The merge takes a
+// later partition's row only when it is strictly smaller, so an ascending
+// partition sweep keeps the stable (lowest-partition-first) order — exactly a
+// stable sort over the concatenated partitions.
+func compareRows(a, b tuple, key []colRef) int {
+	for _, r := range key {
+		if cmp := catalog.Compare(a[r.slot][r.off], b[r.slot][r.off]); cmp != 0 {
+			return cmp
 		}
 	}
-	return false
+	return 0
 }
 
 // harvest sums worker counters (workers have exited; partition order makes
@@ -585,9 +534,10 @@ func (e *exchangeIter) chargeUpstream() {
 			c.charge(lv.node, float64(t.nIn)*c.cfg.CPUSpeed*0.2, t.nIn)
 			continue
 		}
+		innerRows, innerSample := lv.build.actuals()
 		c.chargeJoin(lv.node, joinActuals{
-			outerRows: t.nIn, innerRows: len(lv.build.rows), outRows: t.nOut,
-			outerSample: t.sample, innerSample: lv.build.sample(),
+			outerRows: t.nIn, innerRows: innerRows, outRows: t.nOut,
+			outerSample: t.sample, innerSample: innerSample,
 			nOuterCols: lv.nOuterCols, nInnerCols: lv.nInnerCols,
 		})
 	}
@@ -675,35 +625,20 @@ func (w *segWorker) main() {
 // cancelled.
 func (w *segWorker) scanPartition() bool {
 	sc := w.ex.seg.scan
-	ctx := w.ex.ctx
-	if sc.node.Op == qgm.OpTBSCAN {
-		for i := w.lo; i < w.hi; i++ {
-			if i&1023 == 0 && w.ex.cancelled.Load() {
-				return false
-			}
-			row := sc.rows[i]
-			w.scanNScan++
-			if !ctx.rowMatches(sc.table.Def, row, sc.preds) {
-				continue
-			}
-			w.scanNOut++
-			if !w.feed(0, row) {
-				return false
-			}
-		}
-		return true
-	}
 	for i := w.lo; i < w.hi; i++ {
 		if i&1023 == 0 && w.ex.cancelled.Load() {
 			return false
 		}
-		row := sc.table.Rows[sc.entries[i].RowID]
+		id := i
+		if sc.entries != nil { // IXSCAN/FETCH: positions index the entry range
+			id = sc.entries[i].RowID
+		}
 		w.scanNScan++
-		if !ctx.rowMatches(sc.table.Def, row, sc.preds) {
+		if !matchRow(sc.table.Rows[id], sc.preds) {
 			continue
 		}
 		w.scanNOut++
-		if !w.feed(0, row) {
+		if !w.feed(0, sc.table.Rows[id:id+1:id+1]) {
 			return false
 		}
 	}
@@ -711,7 +646,7 @@ func (w *segWorker) scanPartition() bool {
 }
 
 // feed pushes one row through spine level li and everything above it.
-func (w *segWorker) feed(li int, row storage.Row) bool {
+func (w *segWorker) feed(li int, row tuple) bool {
 	levels := w.ex.seg.levels
 	if li == len(levels) {
 		return w.emit(row)
@@ -726,9 +661,9 @@ func (w *segWorker) feed(li int, row storage.Row) bool {
 		cnt.nOut++
 		return w.feed(li+1, row)
 	}
-	for _, irow := range lv.build.matches(row, &w.kb) {
+	for i, h := lv.build.first(row); i >= 0; i = lv.build.after(i, h, row) {
 		cnt.nOut++
-		if !w.feed(li+1, concatRows(row, irow)) {
+		if !w.feed(li+1, w.slab.concat(row, lv.build.rows.at(int(i)))) {
 			return false
 		}
 	}
@@ -738,7 +673,7 @@ func (w *segWorker) feed(li int, row storage.Row) bool {
 // emit hands a spine-output row to the terminal: buffered for the local
 // sort, locally deduplicated for GRPBY (the consumer dedupes globally), or
 // batched straight out.
-func (w *segWorker) emit(row storage.Row) bool {
+func (w *segWorker) emit(row tuple) bool {
 	switch w.ex.seg.term {
 	case termSort:
 		w.sortBuf = append(w.sortBuf, row)
@@ -763,7 +698,7 @@ func (w *segWorker) flush() bool {
 		return true
 	}
 	batch := w.batch
-	w.batch = make([]storage.Row, 0, exchangeBatchRows)
+	w.batch = make([]tuple, 0, exchangeBatchRows)
 	out := w.ch
 	if !w.ex.ordered {
 		out = w.ex.fanin
@@ -789,24 +724,17 @@ func (w *segWorker) sortLocal() {
 // sortStableBy stable-sorts rows on the key columns — the one comparison the
 // serial sortIter, the materializing matSort and the exchange workers all
 // share, so their orders agree row for row.
-func sortStableBy(rows []storage.Row, keyIdx []int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, p := range keyIdx {
-			if cmp := catalog.Compare(rows[i][p], rows[j][p]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
+func sortStableBy(rows []tuple, key []colRef) {
+	slices.SortStableFunc(rows, func(a, b tuple) int { return compareRows(a, b, key) })
 }
 
 // groupKeyOf serializes the group-by key columns (shared between workers'
 // local dedupe and the consumer's global dedupe — the key strings must be
 // identical).
-func groupKeyOf(row storage.Row, keyIdx []int, kb *strings.Builder) string {
+func groupKeyOf(row tuple, key []colRef, kb *strings.Builder) string {
 	kb.Reset()
-	for _, p := range keyIdx {
-		kb.WriteString(row[p].Key())
+	for _, r := range key {
+		kb.WriteString(row[r.slot][r.off].Key())
 		kb.WriteByte('|')
 	}
 	return kb.String()

@@ -143,6 +143,24 @@ func (e *Executor) Execute(plan *qgm.Plan, q *sqlparser.Query) (*Result, error) 
 	return out, nil
 }
 
+// Run executes the plan for its runtime statistics (and the plan's actuals)
+// alone: the pipeline is drained without projecting or collecting a single
+// result row — what plan validation and ranking need.
+func (e *Executor) Run(plan *qgm.Plan, q *sqlparser.Query) (RunStats, error) {
+	cur, err := e.Open(plan, q)
+	if err != nil {
+		return RunStats{}, err
+	}
+	for {
+		if _, ok := cur.root.Next(); !ok {
+			break
+		}
+		cur.rows++
+	}
+	cur.finish()
+	return cur.Stats(), nil
+}
+
 // Cursor streams a plan's projected output row by row. Closing the cursor
 // before exhaustion stops every upstream operator — scans included — and
 // charges each operator only for the rows it actually processed; a bounded
@@ -155,7 +173,8 @@ type Cursor struct {
 	ctx      *execContext
 	plan     *qgm.Plan
 	root     rowIter
-	projIdx  []int // nil means project everything in root order
+	proj     []colRef // nil means project everything in root order
+	ncols    int      // width of the root layout (SELECT * flattening)
 	rows     int
 	finished bool
 }
@@ -189,57 +208,68 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 	// survive into this one's estimation-gap reading.
 	plan.ResetActuals()
 	var root rowIter
-	var cols []string
+	var lay layout
 	if e.Materialize {
 		rs, err := ctx.matRun(plan.Root)
 		if err != nil {
 			return nil, err
 		}
-		root, cols = &rowsetIter{ctx: ctx, rs: rs}, rs.cols
+		// The baseline's flat rows travel as one-slot tuples.
+		root, lay = &rowsetIter{ctx: ctx, rs: rs}, layout{cols: rs.cols, slots: []int{len(rs.cols)}}
 	} else {
 		var err error
-		root, cols, err = ctx.open(plan.Root)
+		root, lay, err = ctx.open(plan.Root)
 		if err != nil {
 			return nil, err
 		}
 	}
-	cur := &Cursor{ctx: ctx, plan: plan, root: root}
+	cur := &Cursor{ctx: ctx, plan: plan, root: root, ncols: len(lay.cols)}
 	if work.Star || len(work.Select) == 0 {
-		cur.Columns = cols
+		cur.Columns = lay.cols
 	} else {
-		cur.projIdx = make([]int, 0, len(work.Select))
+		pos := make([]int, 0, len(work.Select))
 		for _, c := range work.Select {
 			inst := ctx.refToInst[strings.ToUpper(c.Table)]
-			pos := colPos(cols, inst+"."+c.Column)
-			if pos < 0 {
+			p := colPos(lay.cols, inst+"."+c.Column)
+			if p < 0 {
 				root.Close()
 				return nil, fmt.Errorf("executor: projected column %s not in plan output", c)
 			}
-			cur.projIdx = append(cur.projIdx, pos)
+			pos = append(pos, p)
 			cur.Columns = append(cur.Columns, c.String())
 		}
+		cur.proj = lay.refs(pos)
 	}
 	return cur, nil
 }
 
 // Next returns the next projected row, or false when the plan is exhausted
-// (which finalizes stats and closes the pipeline).
+// (which finalizes stats and closes the pipeline). This is the one place
+// column values are copied out of the base rows the pipeline's tuples
+// reference; a single-table SELECT * hands out the base row itself.
 func (c *Cursor) Next() (storage.Row, bool) {
 	if c.finished {
 		return nil, false
 	}
-	row, ok := c.root.Next()
+	t, ok := c.root.Next()
 	if !ok {
 		c.finish()
 		return nil, false
 	}
 	c.rows++
-	if c.projIdx == nil {
-		return row, true
+	if c.proj == nil {
+		if len(t) == 1 {
+			return t[0], true
+		}
+		out := make(storage.Row, 0, c.ncols)
+		for _, row := range t {
+			out = append(out, row...)
+		}
+		return out, true
 	}
-	out := make(storage.Row, len(c.projIdx))
-	for j, p := range c.projIdx {
-		out[j] = row[p]
+	out := make(storage.Row, len(c.proj))
+	for j, r := range c.proj {
+		out[j] = t[r.slot][r.off]
 	}
 	return out, true
 }
@@ -273,6 +303,9 @@ type execContext struct {
 	instToRef map[string]string
 	refToInst map[string]string
 	workers   int
+	// orderObserved counts the operators above the subtree being opened that
+	// observe row arrival order (see openOrdered).
+	orderObserved int
 
 	// res is the live intermediate-row accounting (see
 	// RunStats.PeakIntermediateRows), shared by the streaming and
@@ -339,9 +372,49 @@ func scanColumns(inst string, def *catalog.Table) []string {
 	return cols
 }
 
-// rowMatches applies the local predicates to a base-table row. LIKE patterns
-// go through the process-wide compiled-pattern cache. Safe for concurrent use
-// by exchange workers: it only reads execution state.
+// scanPred is one local predicate compiled against its table at scan open:
+// the column position is resolved — and a LIKE pattern fetched from the
+// process-wide compiled-pattern cache — once per scan, not once per row.
+type scanPred struct {
+	sqlparser.Predicate
+	pos int
+	re  *regexp.Regexp
+}
+
+func compilePreds(def *catalog.Table, preds []sqlparser.Predicate) []scanPred {
+	out := make([]scanPred, len(preds))
+	for i, p := range preds {
+		out[i] = scanPred{Predicate: p, pos: def.ColumnIndex(p.Left.Column)}
+		if p.Kind == sqlparser.PredLike {
+			out[i].re = likeCache.get(p.Value.AsString())
+		}
+	}
+	return out
+}
+
+// matchRow applies compiled predicates to a base-table row, deciding exactly
+// as rowMatches does. It only reads, so the serial scans and the exchange
+// workers share one compiled slice.
+func matchRow(row storage.Row, preds []scanPred) bool {
+	for i := range preds {
+		p := &preds[i]
+		var v catalog.Value
+		if p.pos >= 0 && p.pos < len(row) {
+			v = row[p.pos]
+		}
+		if p.Kind == sqlparser.PredLike {
+			if v.IsNull() || (p.re != nil && p.re.MatchString(v.AsString())) == p.Not {
+				return false
+			}
+		} else if !evalPredicate(&p.Predicate, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowMatches applies the local predicates to a base-table row, resolving
+// columns by name per call (the materializing baseline's path).
 func (c *execContext) rowMatches(def *catalog.Table, row storage.Row, preds []sqlparser.Predicate) bool {
 	for _, p := range preds {
 		v := storage.Value(def, row, p.Left.Column)
@@ -351,7 +424,7 @@ func (c *execContext) rowMatches(def *catalog.Table, row storage.Row, preds []sq
 			}
 			continue
 		}
-		if !evalPredicate(p, v) {
+		if !evalPredicate(&p, v) {
 			return false
 		}
 	}
@@ -373,7 +446,7 @@ func (c *execContext) evalLike(p sqlparser.Predicate, v catalog.Value) bool {
 }
 
 // evalPredicate evaluates a local predicate against a value.
-func evalPredicate(p sqlparser.Predicate, v catalog.Value) bool {
+func evalPredicate(p *sqlparser.Predicate, v catalog.Value) bool {
 	switch p.Kind {
 	case sqlparser.PredCompare:
 		if v.IsNull() || p.Value.IsNull() {
@@ -468,29 +541,39 @@ func likeMatch(pattern, s string) bool {
 	return re != nil && re.MatchString(s)
 }
 
-// rowWidthOf estimates a row's width in bytes from a sample row, falling back
-// to 8 bytes per column when no row has been seen — the same estimate the
-// plan-time cost model uses, which keeps spill decisions formula-identical.
-func rowWidthOf(sample storage.Row, ncols int) int {
+// rowWidthOf estimates a row's width in bytes from a sample tuple, falling
+// back to 8 bytes per column when no row has been seen — the same estimate
+// the plan-time cost model uses, which keeps spill decisions
+// formula-identical. It is the logical width of the row the tuple stands for
+// (one integer sum over every slot's values), not the size of its references.
+func rowWidthOf(sample tuple, ncols int) int {
 	if sample == nil {
 		return 8 * ncols
 	}
 	w := 0
-	for _, v := range sample {
-		if v.K == catalog.KindString {
-			w += len(v.S) + 4
-		} else {
-			w += 8
+	for _, row := range sample {
+		for _, v := range row {
+			if v.K == catalog.KindString {
+				w += len(v.S) + 4
+			} else {
+				w += 8
+			}
 		}
 	}
 	return w
 }
 
 func rowWidth(rs *rowset) int {
-	if len(rs.rows) == 0 {
-		return rowWidthOf(nil, len(rs.cols))
+	return rowWidthOf(firstOf(rs.rows), len(rs.cols))
+}
+
+// firstOf views the first of a slice of flat rows as a one-slot sample tuple
+// (nil when there is none).
+func firstOf(rows []storage.Row) tuple {
+	if len(rows) == 0 {
+		return nil
 	}
-	return rowWidthOf(rs.rows[0], len(rs.cols))
+	return tuple(rows[:1])
 }
 
 func pagesOf(cfg catalog.SystemConfig, rows float64, width int) float64 {

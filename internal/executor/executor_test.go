@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ var (
 	testOpt *optimizer.Optimizer
 )
 
-func setup(t *testing.T) (*storage.Database, *optimizer.Optimizer, *Executor) {
+func setup(t testing.TB) (*storage.Database, *optimizer.Optimizer, *Executor) {
 	t.Helper()
 	if testDB == nil {
 		var err error
@@ -50,7 +51,7 @@ func referenceRows(t *testing.T, db *storage.Database, q *sqlparser.Query) int {
 		for _, row := range tbl.Rows {
 			match := true
 			for _, p := range preds {
-				if !evalPredicate(p, storage.Value(tbl.Def, row, p.Left.Column)) {
+				if !evalPredicate(&p, storage.Value(tbl.Def, row, p.Left.Column)) {
 					match = false
 					break
 				}
@@ -311,7 +312,7 @@ func TestPredicateEvaluation(t *testing.T) {
 		{mk("i_x = 5"), catalog.Null(), false},
 	}
 	for i, c := range cases {
-		if got := evalPredicate(c.pred, c.val); got != c.want {
+		if got := evalPredicate(&c.pred, c.val); got != c.want {
 			t.Errorf("case %d (%s over %v): got %v, want %v", i, c.pred.String(), c.val, got, c.want)
 		}
 	}
@@ -355,4 +356,20 @@ func TestSpilledHashJoinSlowerThanBloomFiltered(t *testing.T) {
 	if fast > slow {
 		t.Errorf("bloom-filtered join slower: %v > %v", fast, slow)
 	}
+}
+
+// sortRowsBy is a helper used in tests to check result equivalence
+// independent of row order.
+func sortRowsBy(rows []storage.Row) {
+	sort.Slice(rows, func(i, j int) bool {
+		for k := range rows[i] {
+			if k >= len(rows[j]) {
+				return false
+			}
+			if cmp := catalog.Compare(rows[i][k], rows[j][k]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return len(rows[i]) < len(rows[j])
+	})
 }

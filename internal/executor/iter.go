@@ -17,68 +17,83 @@ import (
 // (from the row counts it actually processed, through the same formulas the
 // optimizer used at plan time) and released any buffered state. Close stops
 // the operator early: it closes the children, charges the partial work done
-// so far, and is idempotent. Rows handed out must not be mutated by callers;
-// they may alias base-table storage.
+// so far, and is idempotent. Tuples handed out — and the base rows they
+// reference, which alias table storage — must not be mutated by callers, and
+// stay valid for as long as the caller keeps them.
 type rowIter interface {
-	Next() (storage.Row, bool)
+	Next() (tuple, bool)
 	Close()
 }
 
 // open builds the iterator pipeline for the subtree rooted at node and
-// returns it with its output column layout. All plan validation (unknown
-// tables, missing indexes) happens here, before the first row flows.
-func (c *execContext) open(node *qgm.Node) (rowIter, []string, error) {
+// returns it with its output layout. All plan validation (unknown tables,
+// missing indexes) and all column resolution — names to tuple references —
+// happens here, before the first row flows.
+func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
 	if c.workers > 1 {
 		// Try to run this subtree as a parallel exchange segment; shapes
 		// that don't qualify fall through to the serial operators (whose
 		// children get their own chance to qualify).
-		it, cols, ok, err := c.openParallel(node)
+		it, lay, ok, err := c.openParallel(node)
 		if err != nil {
-			return nil, nil, err
+			return nil, layout{}, err
 		}
 		if ok {
-			return it, cols, nil
+			return it, lay, nil
 		}
 	}
 	switch {
-	case node.Op == qgm.OpRETURN:
-		child, cols, err := c.open(node.Outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &passIter{ctx: c, node: node, child: child, cpuFactor: 0.1}, cols, nil
-	case node.Op == qgm.OpFILTER:
-		child, cols, err := c.open(node.Outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &passIter{ctx: c, node: node, child: child, cpuFactor: 0.2}, cols, nil
 	case node.Op.IsScan():
 		return c.openScan(node)
 	case node.Op.IsJoin():
 		return c.openJoin(node)
-	case node.Op == qgm.OpSORT:
-		child, cols, err := c.open(node.Outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &sortIter{ctx: c, node: node, child: child, cols: cols, keyIdx: c.sortKey(node, cols)}, cols, nil
-	case node.Op == qgm.OpGRPBY:
-		child, cols, err := c.open(node.Outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyIdx := make([]int, 0, len(c.query.GroupBy))
-		for _, k := range c.query.GroupBy {
-			inst := c.refToInst[strings.ToUpper(k.Table)]
-			if p := colPos(cols, inst+"."+k.Column); p >= 0 {
-				keyIdx = append(keyIdx, p)
-			}
-		}
-		return &groupByIter{ctx: c, node: node, child: child, keyIdx: keyIdx, seen: map[string]struct{}{}}, cols, nil
-	default:
-		return nil, nil, fmt.Errorf("executor: unsupported operator %s", node.Op)
 	}
+	openChild := c.open
+	switch node.Op {
+	case qgm.OpRETURN, qgm.OpFILTER:
+	case qgm.OpSORT, qgm.OpGRPBY:
+		openChild = c.openOrdered
+	default:
+		return nil, layout{}, fmt.Errorf("executor: unsupported operator %s", node.Op)
+	}
+	child, lay, err := openChild(node.Outer)
+	if err != nil {
+		return nil, layout{}, err
+	}
+	switch node.Op {
+	case qgm.OpRETURN:
+		return &passIter{ctx: c, node: node, child: child, cpuFactor: 0.1}, lay, nil
+	case qgm.OpFILTER:
+		return &passIter{ctx: c, node: node, child: child, cpuFactor: 0.2}, lay, nil
+	case qgm.OpSORT:
+		return &sortIter{ctx: c, node: node, child: child, ncols: len(lay.cols), key: lay.refs(c.sortKey(node, lay.cols))}, lay, nil
+	default:
+		return &groupByIter{ctx: c, node: node, child: child, key: lay.refs(c.groupKey(lay.cols)), seen: map[string]struct{}{}}, lay, nil
+	}
+}
+
+// openOrdered opens a subtree whose consumer observes the order rows arrive
+// in — a join's build side (insertion order, spill sample), a hash join's
+// outer (spill sample), a SORT (ties) or a GRPBY (first-seen rows). Any
+// exchange below it must then deliver in partition order, or rows and
+// per-operator charges would depend on goroutine scheduling.
+func (c *execContext) openOrdered(n *qgm.Node) (rowIter, layout, error) {
+	c.orderObserved++
+	defer func() { c.orderObserved-- }()
+	return c.open(n)
+}
+
+// groupKey resolves the positions of the query's GROUP BY columns present in
+// the input.
+func (c *execContext) groupKey(cols []string) []int {
+	idx := make([]int, 0, len(c.query.GroupBy))
+	for _, k := range c.query.GroupBy {
+		inst := c.refToInst[strings.ToUpper(k.Table)]
+		if p := colPos(cols, inst+"."+k.Column); p >= 0 {
+			idx = append(idx, p)
+		}
+	}
+	return idx
 }
 
 // sortKey resolves the column positions a SORT orders by: the query's ORDER
@@ -116,14 +131,14 @@ type passIter struct {
 	closed    bool
 }
 
-func (p *passIter) Next() (storage.Row, bool) {
-	row, ok := p.child.Next()
+func (p *passIter) Next() (tuple, bool) {
+	t, ok := p.child.Next()
 	if !ok {
 		p.finalize()
 		return nil, false
 	}
 	p.n++
-	return row, true
+	return t, true
 }
 
 func (p *passIter) finalize() {
@@ -145,58 +160,77 @@ func (p *passIter) Close() {
 
 // --- scans -------------------------------------------------------------------
 
-func (c *execContext) openScan(node *qgm.Node) (rowIter, []string, error) {
+// scanSource is a base-table access resolved against the database: what the
+// serial scan iterators and the exchange's partitioned leaf both start from.
+type scanSource struct {
+	node   *qgm.Node
+	table  *storage.Table
+	preds  []scanPred
+	idxDef *catalog.Index // IXSCAN/FETCH only
+
+	entries []storage.IndexEntry
+	lo, hi  int // candidate range: row positions (TBSCAN) or entry positions
+
+	tablePages, tableRows, rowsPerPage float64
+}
+
+func (c *execContext) resolveScan(node *qgm.Node) (*scanSource, layout, error) {
 	refName := c.instToRef[node.TableInstance]
 	if refName == "" {
-		return nil, nil, fmt.Errorf("executor: plan instance %s not present in query", node.TableInstance)
+		return nil, layout{}, fmt.Errorf("executor: plan instance %s not present in query", node.TableInstance)
 	}
 	table := c.exec.DB.Table(node.Table)
 	if table == nil {
-		return nil, nil, fmt.Errorf("executor: unknown table %s", node.Table)
+		return nil, layout{}, fmt.Errorf("executor: unknown table %s", node.Table)
 	}
 	preds := sqlparser.PredicatesFor(c.query, refName)
-	cols := scanColumns(node.TableInstance, table.Def)
-	tablePages := float64(c.exec.DB.Pages(node.Table))
-	tableRows := float64(len(table.Rows))
-
+	sc := &scanSource{
+		node: node, table: table, preds: compilePreds(table.Def, preds),
+		tablePages: float64(c.exec.DB.Pages(node.Table)),
+		tableRows:  float64(len(table.Rows)),
+	}
+	lay := scanLayout(node.TableInstance, table.Def)
 	switch node.Op {
 	case qgm.OpTBSCAN:
-		it := &tbscanIter{
-			ctx: c, node: node, table: table, preds: preds,
-			snap: table.Rows, limit: len(table.Rows),
-			tablePages: tablePages, tableRows: tableRows,
-		}
-		if reg := c.exec.shared; reg != nil && c.exec.ShareScans && len(table.Rows) >= sharedScanMinRows {
-			it.reg = reg
-			snap, feed := reg.attach(table)
-			if feed != nil {
-				// Joined a shared pass: serve the feed first, then wrap
-				// around to cover [0, attachPos) privately.
-				it.snap, it.feed = snap, feed
-				it.pos, it.limit = 0, 0
-			} else {
-				it.regPrivate = true
-			}
-		}
-		return it, cols, nil
+		sc.hi = len(table.Rows)
 	case qgm.OpIXSCAN, qgm.OpFETCH:
-		idxDef := table.Def.IndexByName(node.Index)
-		if idxDef == nil {
-			return nil, nil, fmt.Errorf("executor: table %s has no index %s", node.Table, node.Index)
+		if sc.idxDef = table.Def.IndexByName(node.Index); sc.idxDef == nil {
+			return nil, layout{}, fmt.Errorf("executor: table %s has no index %s", node.Table, node.Index)
 		}
-		idx := c.exec.DB.Index(node.Table, idxDef.Name)
-		it := &ixscanIter{
-			ctx: c, node: node, table: table, preds: preds, idxDef: idxDef,
-			tablePages: tablePages, tableRows: tableRows,
-			rowsPerPage: float64(c.exec.DB.RowsPerPage(node.Table)),
+		sc.rowsPerPage = float64(c.exec.DB.RowsPerPage(node.Table))
+		if idx := c.exec.DB.Index(node.Table, sc.idxDef.Name); idx != nil {
+			sc.entries = idx.Entries
+			sc.lo, sc.hi = indexBounds(idx, sc.idxDef.Columns[0], preds)
 		}
-		if idx != nil {
-			it.entries = idx.Entries
-			it.pos, it.end = indexBounds(idx, idxDef.Columns[0], preds)
-		}
-		return it, cols, nil
+	default:
+		return nil, layout{}, fmt.Errorf("executor: unsupported scan %s", node.Op)
 	}
-	return nil, nil, fmt.Errorf("executor: unsupported scan %s", node.Op)
+	return sc, lay, nil
+}
+
+func (c *execContext) openScan(node *qgm.Node) (rowIter, layout, error) {
+	sc, lay, err := c.resolveScan(node)
+	if err != nil {
+		return nil, layout{}, err
+	}
+	if node.Op != qgm.OpTBSCAN {
+		return &ixscanIter{ctx: c, scanSource: sc, pos: sc.lo}, lay, nil
+	}
+	table := sc.table
+	it := &tbscanIter{ctx: c, scanSource: sc, snap: table.Rows, limit: len(table.Rows)}
+	if reg := c.exec.shared; reg != nil && c.exec.ShareScans && len(table.Rows) >= sharedScanMinRows {
+		it.reg = reg
+		snap, feed := reg.attach(table)
+		if feed != nil {
+			// Joined a shared pass: serve the feed first, then wrap
+			// around to cover [0, attachPos) privately.
+			it.snap, it.feed = snap, feed
+			it.pos, it.limit = 0, 0
+		} else {
+			it.regPrivate = true
+		}
+	}
+	return it, lay, nil
 }
 
 // indexBounds resolves the entry range an index access touches, pushing the
@@ -233,10 +267,8 @@ func indexBounds(idx *storage.IndexData, lead string, preds []sqlparser.Predicat
 // privately — every snapshot row exactly once, so counts and charges are
 // identical to a private scan; only the row order rotates.
 type tbscanIter struct {
-	ctx   *execContext
-	node  *qgm.Node
-	table *storage.Table
-	preds []sqlparser.Predicate
+	ctx *execContext
+	*scanSource
 
 	snap       []storage.Row // pinned snapshot (shared passes read the same one)
 	pos, limit int           // current private range [pos, limit)
@@ -249,37 +281,36 @@ type tbscanIter struct {
 	feedBatch  []storage.Row
 	fi         int
 
-	nScan, nOut           int
-	tablePages, tableRows float64
-	charged, closed       bool
+	nScan, nOut     int
+	charged, closed bool
 }
 
-func (s *tbscanIter) Next() (storage.Row, bool) {
+func (s *tbscanIter) Next() (tuple, bool) {
 	for {
-		row, ok := s.nextRaw()
+		t, ok := s.nextRaw()
 		if !ok {
 			s.finalize()
 			return nil, false
 		}
 		s.nScan++
-		if s.ctx.rowMatches(s.table.Def, row, s.preds) {
+		if matchRow(t[0], s.preds) {
 			s.nOut++
-			return row, true
+			return t, true
 		}
 	}
 }
 
-// nextRaw produces the next unfiltered snapshot row: feed batches while the
-// shared producer is ahead of us, then the private ranges. A blocking feed
+// nextRaw produces the next unfiltered snapshot row as a one-slot tuple
+// aliasing the snapshot (or the feed batch) it came from: feed batches while
+// the shared producer is ahead of us, then the private ranges. A blocking feed
 // receive is safe — the producer goroutine always runs to completion and
 // closes every attached channel (detaching consumers it cannot keep fed).
-func (s *tbscanIter) nextRaw() (storage.Row, bool) {
+func (s *tbscanIter) nextRaw() (tuple, bool) {
 	if f := s.feed; f != nil {
 		for {
-			if s.fi < len(s.feedBatch) {
-				row := s.feedBatch[s.fi]
+			if i := s.fi; i < len(s.feedBatch) {
 				s.fi++
-				return row, true
+				return s.feedBatch[i : i+1 : i+1], true
 			}
 			batch, ok := <-f.ch
 			if !ok {
@@ -293,10 +324,9 @@ func (s *tbscanIter) nextRaw() (storage.Row, bool) {
 		}
 	}
 	for {
-		if s.pos < s.limit {
-			row := s.snap[s.pos]
+		if i := s.pos; i < s.limit {
 			s.pos++
-			return row, true
+			return s.snap[i : i+1 : i+1], true
 		}
 		if s.wrapped || s.wrapEnd == 0 {
 			return nil, false
@@ -330,31 +360,25 @@ func (s *tbscanIter) Close() {
 }
 
 // ixscanIter streams an index (or fetch-through-index) access: candidates
-// come straight from the index's entry range — no row-ID list is ever
+// come straight from the index's entry range [lo, hi) — no row-ID list is ever
 // materialized — and residual predicates filter each row before it leaves.
 type ixscanIter struct {
-	ctx    *execContext
-	node   *qgm.Node
-	table  *storage.Table
-	preds  []sqlparser.Predicate
-	idxDef *catalog.Index
+	ctx *execContext
+	*scanSource
 
-	entries                            []storage.IndexEntry
-	pos, end                           int
-	nCand, nOut                        int
-	tablePages, tableRows, rowsPerPage float64
-	charged, closed                    bool
+	pos             int
+	nCand, nOut     int
+	charged, closed bool
 }
 
-func (s *ixscanIter) Next() (storage.Row, bool) {
-	for s.pos < s.end {
-		e := s.entries[s.pos]
+func (s *ixscanIter) Next() (tuple, bool) {
+	for s.pos < s.hi {
+		id := s.entries[s.pos].RowID
 		s.pos++
 		s.nCand++
-		row := s.table.Rows[e.RowID]
-		if s.ctx.rowMatches(s.table.Def, row, s.preds) {
+		if matchRow(s.table.Rows[id], s.preds) {
 			s.nOut++
-			return row, true
+			return s.table.Rows[id : id+1 : id+1], true
 		}
 	}
 	s.finalize()
@@ -384,50 +408,50 @@ func (s *ixscanIter) Close() {
 // buffer (held in the intermediate accounting), sorts it, and charges the
 // sort; rows then stream out of the buffer.
 type sortIter struct {
-	ctx    *execContext
-	node   *qgm.Node
-	child  rowIter
-	cols   []string
-	keyIdx []int
+	ctx   *execContext
+	node  *qgm.Node
+	child rowIter
+	ncols int
+	key   []colRef
 
-	rows      []storage.Row
+	rows      []tuple
 	pos       int
 	heldBytes int64
 	sorted    bool
 	closed    bool
 }
 
-func (s *sortIter) Next() (storage.Row, bool) {
+func (s *sortIter) Next() (tuple, bool) {
 	if !s.sorted {
 		s.buffer()
 	}
 	if s.pos < len(s.rows) {
-		row := s.rows[s.pos]
+		t := s.rows[s.pos]
 		s.pos++
-		return row, true
+		return t, true
 	}
 	return nil, false
 }
 
 func (s *sortIter) buffer() {
 	s.sorted = true
-	s.rows = make([]storage.Row, 0, presizeHint(s.node.Outer.EstCardinality))
+	s.rows = make([]tuple, 0, presizeHint(s.node.Outer.EstCardinality))
 	for {
-		row, ok := s.child.Next()
+		t, ok := s.child.Next()
 		if !ok {
 			break
 		}
-		s.rows = append(s.rows, row)
+		s.rows = append(s.rows, t)
 	}
 	s.child.Close()
-	if len(s.keyIdx) > 0 {
-		sortStableBy(s.rows, s.keyIdx)
+	if len(s.key) > 0 {
+		sortStableBy(s.rows, s.key)
 	}
-	var sample storage.Row
+	var sample tuple
 	if len(s.rows) > 0 {
 		sample = s.rows[0]
 	}
-	width := rowWidthOf(sample, len(s.cols))
+	width := rowWidthOf(sample, s.ncols)
 	s.heldBytes = int64(width) * int64(len(s.rows))
 	s.ctx.hold(len(s.rows), s.heldBytes)
 	rows := float64(len(s.rows))
@@ -452,32 +476,27 @@ func (s *sortIter) Close() {
 // set is retained (held in the intermediate accounting) — group rows
 // themselves flow straight through.
 type groupByIter struct {
-	ctx    *execContext
-	node   *qgm.Node
-	child  rowIter
-	keyIdx []int
-	seen   map[string]struct{}
+	ctx   *execContext
+	node  *qgm.Node
+	child rowIter
+	key   []colRef
+	seen  map[string]struct{}
 
 	nIn, nOut       int
 	heldBytes       int64
-	key             strings.Builder
+	kb              strings.Builder
 	charged, closed bool
 }
 
-func (g *groupByIter) Next() (storage.Row, bool) {
+func (g *groupByIter) Next() (tuple, bool) {
 	for {
-		row, ok := g.child.Next()
+		t, ok := g.child.Next()
 		if !ok {
 			g.finalize()
 			return nil, false
 		}
 		g.nIn++
-		g.key.Reset()
-		for _, p := range g.keyIdx {
-			g.key.WriteString(row[p].Key())
-			g.key.WriteByte('|')
-		}
-		k := g.key.String()
+		k := groupKeyOf(t, g.key, &g.kb)
 		if _, dup := g.seen[k]; dup {
 			continue
 		}
@@ -485,7 +504,7 @@ func (g *groupByIter) Next() (storage.Row, bool) {
 		g.ctx.hold(1, int64(len(k)))
 		g.heldBytes += int64(len(k))
 		g.nOut++
-		return row, true
+		return t, true
 	}
 }
 
@@ -511,7 +530,7 @@ func (g *groupByIter) Close() {
 // --- materialized-rowset adapter ---------------------------------------------
 
 // rowsetIter serves an already-materialized rowset (the Materialize baseline
-// path behind the Cursor API).
+// path behind the Cursor API): each flat row travels as a one-slot tuple.
 type rowsetIter struct {
 	ctx    *execContext
 	rs     *rowset
@@ -519,11 +538,10 @@ type rowsetIter struct {
 	closed bool
 }
 
-func (r *rowsetIter) Next() (storage.Row, bool) {
-	if r.pos < len(r.rs.rows) {
-		row := r.rs.rows[r.pos]
+func (r *rowsetIter) Next() (tuple, bool) {
+	if i := r.pos; i < len(r.rs.rows) {
 		r.pos++
-		return row, true
+		return r.rs.rows[i : i+1 : i+1], true
 	}
 	return nil, false
 }

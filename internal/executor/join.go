@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -14,7 +13,7 @@ import (
 )
 
 // joinKey describes the equi-join columns between the outer and inner inputs
-// of a join, as positions into the respective row layouts.
+// of a join, as positions into the respective flat column layouts.
 type joinKey struct {
 	outerPos []int
 	innerPos []int
@@ -25,73 +24,76 @@ type joinKey struct {
 // charged according to the operator's own execution characteristics over the
 // row counts actually processed. The inner (build) side is the only buffered
 // input — the outer streams through.
-func (c *execContext) openJoin(node *qgm.Node) (rowIter, []string, error) {
+func (c *execContext) openJoin(node *qgm.Node) (rowIter, layout, error) {
 	switch node.Op {
 	case qgm.OpHSJOIN, qgm.OpNLJOIN, qgm.OpMSJOIN:
 	default:
-		return nil, nil, fmt.Errorf("executor: unsupported join %s", node.Op)
+		return nil, layout{}, fmt.Errorf("executor: unsupported join %s", node.Op)
 	}
-	outer, outerCols, err := c.open(node.Outer)
+	openOuter := c.open
+	if node.Op == qgm.OpHSJOIN {
+		openOuter = c.openOrdered
+	}
+	outer, outerLay, err := openOuter(node.Outer)
 	if err != nil {
-		return nil, nil, err
+		return nil, layout{}, err
 	}
-	inner, innerCols, err := c.open(node.Inner)
+	inner, innerLay, err := c.openOrdered(node.Inner)
 	if err != nil {
 		outer.Close()
-		return nil, nil, err
+		return nil, layout{}, err
 	}
-	key, _ := c.joinKeys(node, outerCols, innerCols)
-	cols := append(append([]string{}, outerCols...), innerCols...)
+	key, _ := c.joinKeys(node, outerLay.cols, innerLay.cols)
 	return &joinIter{
-		ctx: c, node: node, outer: outer, inner: inner, key: key,
-		nOuterCols: len(outerCols), nInnerCols: len(innerCols),
-	}, cols, nil
+		ctx: c, node: node, outer: outer, inner: inner,
+		probe: outerLay.refs(key.outerPos), build: innerLay.refs(key.innerPos),
+		nOuterCols: len(outerLay.cols), nInnerCols: len(innerLay.cols),
+	}, outerLay.concat(innerLay), nil
 }
 
 // joinIter is a half pipeline breaker: the first Next drains the inner child
 // into the build side (held in the intermediate accounting), then streams the
 // outer, emitting matches in build-insertion order — the same emission order
-// the materializing hashJoinRows produced.
+// the materializing hashJoinRows produced. An output tuple is the outer's
+// slot headers followed by the inner's; no column value is copied.
 type joinIter struct {
-	ctx   *execContext
-	node  *qgm.Node
-	outer rowIter
-	inner rowIter
-	key   joinKey
+	ctx          *execContext
+	node         *qgm.Node
+	outer        rowIter
+	inner        rowIter
+	probe, build []colRef // the equi-join key columns on either side
 
 	nOuterCols, nInnerCols int
 
 	built bool
 	hb    *hashBuild
+	slab  tupleSlab
 
 	// MSJOIN early-out bookkeeping (the Figure 8 rescue): count how many
 	// outer rows a merge join would have read before passing the largest
 	// inner key.
 	trackEarlyOut bool
-	maxInner      catalog.Value
 	nProcessed    int
 
-	kb      strings.Builder
-	cur     storage.Row
-	matches []storage.Row
-	mi      int
+	cur  tuple  // the outer tuple being probed
+	hash uint64 // its key hash
+	mi   int32  // next matching build ordinal, -1 when cur is spent
 
-	outerSample     storage.Row
+	outerSample     tuple
 	nOuterRows      int
 	nOut            int
 	charged, closed bool
 }
 
-func (j *joinIter) Next() (storage.Row, bool) {
+func (j *joinIter) Next() (tuple, bool) {
 	if !j.built {
 		j.buildInner()
 	}
 	for {
-		if j.mi < len(j.matches) {
-			irow := j.matches[j.mi]
-			j.mi++
+		if i := j.mi; i >= 0 {
+			j.mi = j.hb.after(i, j.hash, j.cur)
 			j.nOut++
-			return concatRows(j.cur, irow), true
+			return j.slab.concat(j.cur, j.hb.rows.at(int(i))), true
 		}
 		orow, ok := j.outer.Next()
 		if !ok {
@@ -102,12 +104,11 @@ func (j *joinIter) Next() (storage.Row, bool) {
 		if j.outerSample == nil {
 			j.outerSample = orow
 		}
-		if j.trackEarlyOut && catalog.Compare(orow[j.key.outerPos[0]], j.maxInner) <= 0 {
+		if j.trackEarlyOut && catalog.Compare(orow[j.probe[0].slot][j.probe[0].off], j.hb.maxKey) <= 0 {
 			j.nProcessed++
 		}
 		j.cur = orow
-		j.matches = j.hb.matches(orow, &j.kb)
-		j.mi = 0
+		j.mi, j.hash = j.hb.first(orow)
 	}
 }
 
@@ -115,265 +116,198 @@ func (j *joinIter) Next() (storage.Row, bool) {
 // join key. The buffer is charged to the intermediate accounting until Close.
 func (j *joinIter) buildInner() {
 	j.built = true
-	j.hb = j.ctx.drainBuild(j.inner, j.node.Inner, j.key, j.nInnerCols)
-	if j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.key.outerPos) > 0 && len(j.hb.rows) > 0 {
-		j.trackEarlyOut = true
-		j.maxInner = maxKey(j.hb.rows, j.key.innerPos[0])
-	}
+	j.mi = -1
+	wantMax := j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.probe) > 0
+	j.hb = j.ctx.drainBuild(j.inner, j.node.Inner, j.probe, j.build, j.nInnerCols, wantMax)
+	j.trackEarlyOut = wantMax && j.hb.rows.n > 0
 }
 
 // drainBuild drains a join's inner child into a hashBuild (holding the
 // buffered rows in the intermediate accounting until the owner releases
-// them). Shared by the serial joinIter and the exchange's build phase.
-func (c *execContext) drainBuild(inner rowIter, innerNode *qgm.Node, key joinKey, nInnerCols int) *hashBuild {
-	rows := make([]storage.Row, 0, presizeHint(innerNode.EstCardinality))
+// them). Shared by the serial joinIter and the exchange's build phase. With
+// wantMax the same pass records the largest value of the first key column
+// (the MSJOIN early-out bound).
+func (c *execContext) drainBuild(inner rowIter, innerNode *qgm.Node, probe, build []colRef, nInnerCols int, wantMax bool) *hashBuild {
+	b := &hashBuild{probe: probe, build: build, rows: newTupleBuf(presizeHint(innerNode.EstCardinality))}
 	for {
-		row, ok := inner.Next()
+		t, ok := inner.Next()
 		if !ok {
 			break
 		}
-		rows = append(rows, row)
+		if wantMax {
+			if v := t[build[0].slot][build[0].off]; b.maxKey.IsNull() || catalog.Compare(v, b.maxKey) > 0 {
+				b.maxKey = v
+			}
+		}
+		b.rows.add(t)
 	}
 	inner.Close()
-	b := newHashBuild(rows, key, nInnerCols, c.workers, innerNode.EstCardinality)
-	c.hold(len(rows), b.heldBytes)
+	_, sample := b.actuals()
+	b.heldBytes = int64(rowWidthOf(sample, nInnerCols)) * int64(b.rows.n)
+	b.index(c.workers)
+	c.hold(b.rows.n, b.heldBytes)
 	return b
 }
 
 // parallelBuildMinRows is the smallest build side worth hash-partitioning
-// across workers; below it the partitioning pass costs more than it saves.
+// across workers; below it the fan-out costs more than it saves.
 const parallelBuildMinRows = 4096
 
-// hashBuild is a hash-join build side: the buffered inner rows plus the
-// key → rows index. With workers > 1 and a large input the index is
-// hash-partitioned — a serial pass splits rows by key hash (preserving drain
-// order within each partition), then per-worker goroutines build the
-// partition maps concurrently. Within-bucket insertion order equals the
-// global drain order either way, so match chains — and therefore emission
-// order and every charge — are identical to the serial build.
+// hashBuild is a hash-join build side: the buffered inner tuples plus one
+// chained index over their ordinals. heads maps a key-hash bucket to the
+// first ordinal in it and next links each ordinal to the following one of its
+// bucket, always ascending — so a probe walks its matches in drain order, the
+// emission order every charge and golden result depends on. Keys are hashed
+// and compared through the rows themselves (catalog.Value.KeyHash /
+// catalog.KeyEqual): nothing is copied, serialized or allocated per key, for
+// any number of key columns. With no key columns there is no index and every
+// build row matches (a cartesian product).
 type hashBuild struct {
-	key        joinKey
-	rows       []storage.Row
-	nInnerCols int
-	heldBytes  int64
+	probe, build []colRef
+	rows         tupleBuf
+	heldBytes    int64
+	maxKey       catalog.Value
 
-	// single indexes single-column keys (the common case) by comparable
-	// fastKey — no per-row key-string allocation; multi indexes multi-column
-	// keys by their serialized string. len > 1 means hash-partitioned.
-	single []map[fastKey][]storage.Row
-	multi  []map[string][]storage.Row
+	hashes []uint64 // per ordinal; nullKeyHash marks a NULL key (never linked)
+	heads  []int32  // per bucket (len is a power of two); -1 when empty
+	next   []int32  // per ordinal; -1 ends the chain
 }
 
-func newHashBuild(rows []storage.Row, key joinKey, nInnerCols, workers int, estCard float64) *hashBuild {
-	b := &hashBuild{key: key, rows: rows, nInnerCols: nInnerCols}
-	b.heldBytes = rowsFootprint(rows, nInnerCols)
-	if workers < 2 || len(rows) < parallelBuildMinRows {
+// nullKeyHash is the hash reserved for keys holding a NULL, which join
+// nothing.
+const nullKeyHash = 0
+
+func keyHash(t tuple, refs []colRef) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, r := range refs {
+		v := &t[r.slot][r.off]
+		if v.K == catalog.KindNull {
+			return nullKeyHash
+		}
+		h = v.KeyHash(h)
+	}
+	if h == nullKeyHash {
+		h = 1
+	}
+	return h
+}
+
+// index builds the chained index and reports how many partitions filled it.
+// With workers > 1 and a large input both passes fan out: ordinal ranges are
+// hashed concurrently, then bucket ranges are linked concurrently — each
+// worker sweeps the hashes and links only the buckets it owns, so no two
+// goroutines write the same element. The sweep runs from the last ordinal to
+// the first, pushing onto the bucket head, which leaves every chain ascending:
+// the index is identical at any worker count.
+func (b *hashBuild) index(workers int) int {
+	n := b.rows.n
+	if len(b.build) == 0 || n == 0 {
+		return 0
+	}
+	if workers < 2 || n < parallelBuildMinRows {
 		workers = 1
 	}
-	switch {
-	case len(key.outerPos) == 0:
-		// No equi-join key: the join degrades to a cartesian product over
-		// b.rows; no index needed.
-	case len(key.innerPos) == 1:
-		p := key.innerPos[0]
-		if workers == 1 {
-			m := make(map[fastKey][]storage.Row, len(rows))
-			for _, irow := range rows {
-				if irow[p].IsNull() {
-					continue
-				}
-				k := fastKeyOf(irow[p])
-				m[k] = append(m[k], irow)
-			}
-			b.single = []map[fastKey][]storage.Row{m}
-			break
-		}
-		parts := partitionRows(rows, workers, estCard, func(irow storage.Row) (uint64, bool) {
-			if irow[p].IsNull() {
-				return 0, false
-			}
-			return fastKeyHash(fastKeyOf(irow[p])), true
-		})
-		b.single = make([]map[fastKey][]storage.Row, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m := make(map[fastKey][]storage.Row, len(parts[w]))
-				for _, irow := range parts[w] {
-					k := fastKeyOf(irow[p])
-					m[k] = append(m[k], irow)
-				}
-				b.single[w] = m
-			}(w)
-		}
-		wg.Wait()
-	default:
-		if workers == 1 {
-			m := make(map[string][]storage.Row, len(rows))
-			var kb strings.Builder
-			for _, irow := range rows {
-				k, ok := multiKeyOf(irow, key.innerPos, &kb)
-				if !ok {
-					continue
-				}
-				m[k] = append(m[k], irow)
-			}
-			b.multi = []map[string][]storage.Row{m}
-			break
-		}
-		var kb strings.Builder
-		parts := partitionRows(rows, workers, estCard, func(irow storage.Row) (uint64, bool) {
-			k, ok := multiKeyOf(irow, key.innerPos, &kb)
-			if !ok {
-				return 0, false
-			}
-			return hashString(k), true
-		})
-		b.multi = make([]map[string][]storage.Row, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m := make(map[string][]storage.Row, len(parts[w]))
-				var wkb strings.Builder
-				for _, irow := range parts[w] {
-					k, _ := multiKeyOf(irow, key.innerPos, &wkb)
-					m[k] = append(m[k], irow)
-				}
-				b.multi[w] = m
-			}(w)
-		}
-		wg.Wait()
+	buckets := 1
+	for buckets < 2*n {
+		buckets <<= 1
 	}
-	return b
+	b.hashes, b.next, b.heads = make([]uint64, n), make([]int32, n), make([]int32, buckets)
+	fanOut(storage.SplitRange(0, n, workers), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			b.hashes[i] = keyHash(b.rows.at(i), b.build)
+		}
+	})
+	mask := uint64(buckets - 1)
+	return fanOut(storage.SplitRange(0, buckets, workers), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			b.heads[i] = -1
+		}
+		for i := n - 1; i >= 0; i-- {
+			h := b.hashes[i]
+			if bkt := int(h & mask); h != nullKeyHash && bkt >= lo && bkt < hi {
+				b.next[i], b.heads[bkt] = b.heads[bkt], int32(i)
+			}
+		}
+	})
 }
 
-// partitionRows splits build rows into hash partitions in one serial pass —
-// drain order is preserved within each partition. Partition slices are
-// pre-sized from the plan's estimated build cardinality.
-func partitionRows(rows []storage.Row, workers int, estCard float64, hash func(storage.Row) (uint64, bool)) [][]storage.Row {
-	est := presizeHint(estCard)/workers + 1
-	parts := make([][]storage.Row, workers)
-	for i := range parts {
-		parts[i] = make([]storage.Row, 0, est)
+// fanOut runs fn over each range — inline for a single range, one goroutine
+// per range otherwise — and returns the number of ranges once all are done.
+func fanOut(parts [][2]int, fn func(lo, hi int)) int {
+	if len(parts) == 1 {
+		fn(parts[0][0], parts[0][1])
+		return 1
 	}
-	for _, irow := range rows {
-		h, ok := hash(irow)
-		if !ok {
+	var wg sync.WaitGroup
+	for _, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(p[0], p[1])
+		}()
+	}
+	wg.Wait()
+	return len(parts)
+}
+
+// first returns the ordinal of the first build row (in drain order) joining
+// the probe tuple, or -1, together with the probe's key hash; after continues
+// from a returned ordinal. Both only read the build, so every exchange worker
+// probes the same one.
+func (b *hashBuild) first(t tuple) (int32, uint64) {
+	if len(b.probe) == 0 {
+		return b.after(-1, 0, t), 0
+	}
+	h := keyHash(t, b.probe)
+	if h == nullKeyHash || b.heads == nil {
+		return -1, h
+	}
+	return b.match(b.heads[h&uint64(len(b.heads)-1)], h, t), h
+}
+
+func (b *hashBuild) after(i int32, h uint64, t tuple) int32 {
+	if len(b.probe) == 0 {
+		if i++; int(i) == b.rows.n {
+			return -1
+		}
+		return i
+	}
+	return b.match(b.next[i], h, t)
+}
+
+// match walks a chain from ordinal i to the first row whose key equals the
+// probe's.
+func (b *hashBuild) match(i int32, h uint64, t tuple) int32 {
+next:
+	for ; i >= 0; i = b.next[i] {
+		if b.hashes[i] != h {
 			continue
 		}
-		parts[h%uint64(workers)] = append(parts[h%uint64(workers)], irow)
+		row := b.rows.at(int(i))
+		for k, p := range b.probe {
+			if !catalog.KeyEqual(t[p.slot][p.off], row[b.build[k].slot][b.build[k].off]) {
+				continue next
+			}
+		}
+		return i
 	}
-	return parts
+	return -1
 }
 
-// matches returns the build rows joining with one probe-side row, in build
-// insertion order. kb is the caller's scratch builder (each exchange worker
-// probes with its own). With no equi-join key the join degrades to a
-// cartesian product.
-func (b *hashBuild) matches(orow storage.Row, kb *strings.Builder) []storage.Row {
-	switch {
-	case len(b.key.outerPos) == 0:
-		return b.rows
-	case len(b.key.outerPos) == 1:
-		v := orow[b.key.outerPos[0]]
-		if v.IsNull() {
-			return nil
-		}
-		k := fastKeyOf(v)
-		if len(b.single) == 1 {
-			return b.single[0][k]
-		}
-		return b.single[fastKeyHash(k)%uint64(len(b.single))][k]
-	default:
-		k, ok := multiKeyOf(orow, b.key.outerPos, kb)
-		if !ok {
-			return nil
-		}
-		if len(b.multi) == 1 {
-			return b.multi[0][k]
-		}
-		return b.multi[hashString(k)%uint64(len(b.multi))][k]
+// actuals returns the build's row count and its first row (the serial
+// spill-formula sample). A nil build — its join was closed before it ever
+// ran — held nothing.
+func (b *hashBuild) actuals() (int, tuple) {
+	if b == nil || b.rows.n == 0 {
+		return 0, nil
 	}
-}
-
-// sample returns the first build row (the serial spill-formula sample).
-func (b *hashBuild) sample() storage.Row {
-	if len(b.rows) == 0 {
-		return nil
-	}
-	return b.rows[0]
+	return b.rows.n, b.rows.at(0)
 }
 
 // release returns the build's buffered rows to the residency accounting.
 func (b *hashBuild) release(c *execContext) {
-	c.release(len(b.rows), b.heldBytes)
-	b.rows, b.single, b.multi = nil, nil, nil
-}
-
-// FNV-1a hashing for build partitioning: deterministic across runs (Go's
-// map hash is seeded per process, so it cannot pick partitions).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func fastKeyHash(k fastKey) uint64 {
-	h := uint64(fnvOffset64)
-	if k.isStr {
-		h ^= 1
-		h *= fnvPrime64
-		return h ^ hashString(k.s)
-	}
-	bits := math.Float64bits(k.f)
-	for i := 0; i < 8; i++ {
-		h ^= (bits >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// fastKey is a comparable, allocation-free stand-in for a single join-key
-// value's Key() string: two non-null values produce equal fastKeys exactly
-// when their Key() strings are equal (strings compare as strings, every
-// numeric kind through its float value — the same normalization Key uses).
-type fastKey struct {
-	s     string
-	f     float64
-	isStr bool
-}
-
-func fastKeyOf(v catalog.Value) fastKey {
-	if v.K == catalog.KindString {
-		return fastKey{s: v.S, isStr: true}
-	}
-	return fastKey{f: v.AsFloat()}
-}
-
-// multiKeyOf serializes the (multi-column) join-key columns of a row; ok is
-// false when any key column is null (null keys never match).
-func multiKeyOf(row storage.Row, pos []int, kb *strings.Builder) (string, bool) {
-	kb.Reset()
-	for _, p := range pos {
-		if row[p].IsNull() {
-			return "", false
-		}
-		kb.WriteString(row[p].Key())
-		kb.WriteByte('|')
-	}
-	return kb.String(), true
+	c.release(b.rows.n, b.heldBytes)
+	*b = hashBuild{}
 }
 
 // finalize charges the join's simulated cost from the row counts actually
@@ -383,12 +317,7 @@ func (j *joinIter) finalize() {
 		return
 	}
 	j.charged = true
-	innerRows := 0
-	var innerSample storage.Row
-	if j.hb != nil {
-		innerRows = len(j.hb.rows)
-		innerSample = j.hb.sample()
-	}
+	innerRows, innerSample := j.hb.actuals()
 	j.ctx.chargeJoin(j.node, joinActuals{
 		outerRows: j.nOuterRows, innerRows: innerRows, outRows: j.nOut,
 		outerSample: j.outerSample, innerSample: innerSample,
@@ -488,89 +417,4 @@ func instanceSet(n *qgm.Node) map[string]bool {
 		}
 	})
 	return set
-}
-
-// hashJoinRows computes the equi-join of two rowsets (the materializing
-// baseline path). With no key it degrades to a cartesian product. The build
-// map is pre-sized from the inner's actual row count and the output slice
-// from the plan's estimated output cardinality.
-func hashJoinRows(outer, inner *rowset, key joinKey, estOut int) []storage.Row {
-	out := make([]storage.Row, 0, estOut)
-	if len(key.outerPos) == 0 {
-		for _, orow := range outer.rows {
-			for _, irow := range inner.rows {
-				out = append(out, concatRows(orow, irow))
-			}
-		}
-		return out
-	}
-	build := make(map[string][]storage.Row, len(inner.rows))
-	var kb strings.Builder
-	for _, irow := range inner.rows {
-		kb.Reset()
-		null := false
-		for _, p := range key.innerPos {
-			if irow[p].IsNull() {
-				null = true
-				break
-			}
-			kb.WriteString(irow[p].Key())
-			kb.WriteByte('|')
-		}
-		if null {
-			continue
-		}
-		build[kb.String()] = append(build[kb.String()], irow)
-	}
-	for _, orow := range outer.rows {
-		kb.Reset()
-		null := false
-		for _, p := range key.outerPos {
-			if orow[p].IsNull() {
-				null = true
-				break
-			}
-			kb.WriteString(orow[p].Key())
-			kb.WriteByte('|')
-		}
-		if null {
-			continue
-		}
-		for _, irow := range build[kb.String()] {
-			out = append(out, concatRows(orow, irow))
-		}
-	}
-	return out
-}
-
-func concatRows(a, b storage.Row) storage.Row {
-	out := make(storage.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func maxKey(rows []storage.Row, pos int) catalog.Value {
-	var max catalog.Value
-	for _, r := range rows {
-		if max.IsNull() || catalog.Compare(r[pos], max) > 0 {
-			max = r[pos]
-		}
-	}
-	return max
-}
-
-// sortRowsBy is a helper used in tests to check result equivalence
-// independent of row order.
-func sortRowsBy(rows []storage.Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		for k := range rows[i] {
-			if k >= len(rows[j]) {
-				return false
-			}
-			if cmp := catalog.Compare(rows[i][k], rows[j][k]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return len(rows[i]) < len(rows[j])
-	})
 }

@@ -326,3 +326,72 @@ func (c *execContext) matGroupBy(node *qgm.Node) (*rowset, error) {
 	c.releaseRowset(rs)
 	return res, nil
 }
+
+// hashJoinRows computes the equi-join of two rowsets (the materializing
+// baseline path). With no key it degrades to a cartesian product. The build
+// map is pre-sized from the inner's actual row count and the output slice
+// from the plan's estimated output cardinality.
+func hashJoinRows(outer, inner *rowset, key joinKey, estOut int) []storage.Row {
+	out := make([]storage.Row, 0, estOut)
+	if len(key.outerPos) == 0 {
+		for _, orow := range outer.rows {
+			for _, irow := range inner.rows {
+				out = append(out, concatRows(orow, irow))
+			}
+		}
+		return out
+	}
+	build := make(map[string][]storage.Row, len(inner.rows))
+	var kb strings.Builder
+	for _, irow := range inner.rows {
+		kb.Reset()
+		null := false
+		for _, p := range key.innerPos {
+			if irow[p].IsNull() {
+				null = true
+				break
+			}
+			kb.WriteString(irow[p].Key())
+			kb.WriteByte('|')
+		}
+		if null {
+			continue
+		}
+		build[kb.String()] = append(build[kb.String()], irow)
+	}
+	for _, orow := range outer.rows {
+		kb.Reset()
+		null := false
+		for _, p := range key.outerPos {
+			if orow[p].IsNull() {
+				null = true
+				break
+			}
+			kb.WriteString(orow[p].Key())
+			kb.WriteByte('|')
+		}
+		if null {
+			continue
+		}
+		for _, irow := range build[kb.String()] {
+			out = append(out, concatRows(orow, irow))
+		}
+	}
+	return out
+}
+
+func concatRows(a, b storage.Row) storage.Row {
+	out := make(storage.Row, 0, len(a)+len(b))
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+func maxKey(rows []storage.Row, pos int) catalog.Value {
+	var max catalog.Value
+	for _, r := range rows {
+		if max.IsNull() || catalog.Compare(r[pos], max) > 0 {
+			max = r[pos]
+		}
+	}
+	return max
+}

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -258,8 +257,8 @@ func TestConcurrentCursorsShareOneExecutor(t *testing.T) {
 }
 
 // TestParallelHashBuildMatchesSerial pins the partitioned build: identical
-// match chains (content and insertion order) to the single-map build, on both
-// the single-column fastKey index and the multi-column string index.
+// match chains (content and insertion order) to the serially filled index, on
+// single-column and multi-column keys.
 func TestParallelHashBuildMatchesSerial(t *testing.T) {
 	const n = 8192 // ≥ parallelBuildMinRows
 	rows := make([]storage.Row, n)
@@ -270,9 +269,10 @@ func TestParallelHashBuildMatchesSerial(t *testing.T) {
 			catalog.Int(int64(i)),
 		}
 	}
-	probeRow := func(k int64, g string) storage.Row {
-		return storage.Row{catalog.Int(k), catalog.String(g)}
+	probeRow := func(k int64, g string) tuple {
+		return tuple{storage.Row{catalog.Int(k), catalog.String(g)}}
 	}
+	lay := layout{slots: []int{3}}
 	cases := []struct {
 		name string
 		key  joinKey
@@ -282,20 +282,30 @@ func TestParallelHashBuildMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := newHashBuild(rows, tc.key, 3, 1, float64(n))
-			parallel := newHashBuild(rows, tc.key, 3, 4, float64(n))
-			if tc.name == "single-column" && len(parallel.single) != 4 {
-				t.Fatalf("parallel build not partitioned: %d partitions", len(parallel.single))
+			build := func(workers int) (*hashBuild, int) {
+				b := &hashBuild{probe: lay.refs(tc.key.outerPos), build: lay.refs(tc.key.innerPos), rows: newTupleBuf(n)}
+				for i := range rows {
+					b.rows.add(rows[i : i+1 : i+1])
+				}
+				return b, b.index(workers)
 			}
-			if tc.name == "multi-column" && len(parallel.multi) != 4 {
-				t.Fatalf("parallel build not partitioned: %d partitions", len(parallel.multi))
+			matches := func(b *hashBuild, probe tuple) []tuple {
+				var out []tuple
+				for i, h := b.first(probe); i >= 0; i = b.after(i, h, probe) {
+					out = append(out, b.rows.at(int(i)))
+				}
+				return out
 			}
-			var kb1, kb2 strings.Builder
+			serial, _ := build(1)
+			parallel, parts := build(4)
+			if parts != 4 {
+				t.Fatalf("parallel build not partitioned: %d partitions", parts)
+			}
 			for k := int64(-1); k < 100; k++ {
 				for _, g := range []string{"g0", "g5", "nope"} {
 					probe := probeRow(k, g)
-					sm := serial.matches(probe, &kb1)
-					pm := parallel.matches(probe, &kb2)
+					sm := matches(serial, probe)
+					pm := matches(parallel, probe)
 					if len(sm) != len(pm) {
 						t.Fatalf("probe (%d,%s): serial %d matches, parallel %d", k, g, len(sm), len(pm))
 					}

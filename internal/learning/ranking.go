@@ -61,12 +61,12 @@ func (r *Ranker) Measure(plan *qgm.Plan, q *sqlparser.Query) Measurement {
 	}
 	m := Measurement{Plan: plan}
 	for i := 0; i < runs; i++ {
-		res, err := r.Exec.Execute(plan, q)
+		stats, err := r.Exec.Run(plan, q)
 		if err != nil {
 			m.Err = err
 			return m
 		}
-		elapsed := res.Stats.ElapsedMillis
+		elapsed := stats.ElapsedMillis
 		m.SimulatedWorkMillis += elapsed
 		if r.NoiseRNG != nil && r.Noise > 0 {
 			noise := 1 + r.NoiseRNG.Float64()*0.04*r.Noise
@@ -77,10 +77,10 @@ func (r *Ranker) Measure(plan *qgm.Plan, q *sqlparser.Query) Measurement {
 		}
 		m.Runs = append(m.Runs, elapsed)
 		if i == 0 {
-			m.PhysicalReads = res.Stats.PhysicalReads
-			m.LogicalReads = res.Stats.LogicalReads
-			m.CPURows = res.Stats.CPURows
-			m.SortHeapPages = res.Stats.SortHeapPages
+			m.PhysicalReads = stats.PhysicalReads
+			m.LogicalReads = stats.LogicalReads
+			m.CPURows = stats.CPURows
+			m.SortHeapPages = stats.SortHeapPages
 		}
 	}
 	m.Prospective = kmeans.Prospective(m.Runs)
