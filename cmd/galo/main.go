@@ -147,7 +147,7 @@ the serve API (default address :3030):
   byte-identical simulated costs and results; -exec-mem-budget SIZE (e.g.
   256MB) admission-controls concurrent executions against their estimated
   peak intermediate residency: executions past the budget queue, and a plan
-  bigger than the whole budget runs alone and serially. Worker, shared-scan
+  bigger than the whole budget runs alone and serially. Worker, exchange
   and governor counters appear under "executor" in /stats.
 
   # serve with 4 exchange workers under a 256MB residency budget
@@ -263,20 +263,20 @@ func (ef *execFlags) options() (galo.ExecOptions, error) {
 	return opts, nil
 }
 
-// parseByteSize parses a human-readable byte size: a plain integer is bytes,
-// and KB/MB/GB (or K/M/G) suffixes scale by 1024.
+// parseByteSize parses a human-readable byte size: a plain integer (or a B
+// suffix) is bytes, and KB/MB/GB (or K/M/G) suffixes scale by 1024.
 func parseByteSize(s string) (int64, error) {
 	t := strings.ToUpper(strings.TrimSpace(s))
 	shift := 0
-	switch {
-	case strings.HasSuffix(t, "GB"), strings.HasSuffix(t, "G"):
-		shift = 30
-	case strings.HasSuffix(t, "MB"), strings.HasSuffix(t, "M"):
-		shift = 20
-	case strings.HasSuffix(t, "KB"), strings.HasSuffix(t, "K"):
-		shift = 10
+	for _, unit := range []struct {
+		suffix string
+		shift  int
+	}{{"GB", 30}, {"G", 30}, {"MB", 20}, {"M", 20}, {"KB", 10}, {"K", 10}, {"B", 0}} {
+		if rest, ok := strings.CutSuffix(t, unit.suffix); ok {
+			t, shift = rest, unit.shift
+			break
+		}
 	}
-	t = strings.TrimRight(t, "KMGB")
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("invalid size %q (want e.g. 512, 64KB, 256MB, 1GB)", s)

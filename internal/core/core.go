@@ -30,20 +30,13 @@ type Config struct {
 	Learning learning.Options
 	// Matching configures the online matching engine.
 	Matching matching.Options
-	// RemoteKB optionally points at a Fuseki-style SPARQL endpoint to use for
-	// matching instead of the in-process knowledge base.
-	RemoteKB string
-	// ReoptWorkers bounds the worker pool ReoptimizeWorkload fans queries
-	// across; 0 means GOMAXPROCS, 1 restores the sequential behaviour.
-	ReoptWorkers int
 	// Online configures the online incremental learning loop (disabled by
 	// default; `galo serve -online` and tests enable it).
 	Online learning.OnlineOptions
 	// Shards is the number of knowledge base shards (kb.NewSharded). Each
 	// template lives in exactly one shard and publishes epochs only there;
 	// a plan's probes fan out to the shards its fragment signatures route
-	// to. 0 means a single shard. Ignored when RemoteKB is set (a remote
-	// endpoint presents as one shard).
+	// to. 0 means a single shard.
 	Shards int
 	// Admission configures serving-time admission control for the HTTP API
 	// (per-client probe budgets and load shedding on /reopt); the zero
@@ -53,8 +46,7 @@ type Config struct {
 	// is appended to a per-shard write-ahead log under this directory before
 	// it becomes visible, and snapshots compact the log in the background.
 	// OpenDataDir recovers the previous generation on boot. Empty disables
-	// persistence (the knowledge base is in-memory only). Requires the
-	// in-process KB (incompatible with RemoteKB).
+	// persistence (the knowledge base is in-memory only).
 	DataDir string
 	// Sync is the WAL fsync policy (wal.SyncInterval by default: a
 	// background fsync every wal.Options.SyncEvery).
@@ -79,8 +71,9 @@ type Config struct {
 	// through fleet.ShardEndpoints with retries, failover, hedging and
 	// circuit breakers, and a rebalancer can migrate hot shapes between
 	// shards (fleet.Options.Rebalance). The zero value disables the fleet.
-	// Takes precedence over RemoteKB; matching degrades per shard
-	// (TolerateProbeErrors is forced on) instead of failing requests.
+	// Matching degrades per shard (TolerateProbeErrors is forced on) instead
+	// of failing requests. A single remote Fuseki-style endpoint is a fleet of
+	// one shard with one replica.
 	// Tenant-isolated namespaces (Tenancy) keep their local per-tenant KBs —
 	// the fleet serves the shared namespace.
 	Fleet fleet.Options
@@ -92,7 +85,7 @@ func DefaultConfig() Config {
 }
 
 // fillConfig fills only the unset fields of a partially-customized Config —
-// a caller who set Matching.ProbeWorkers must not lose it because
+// a caller who set Matching.ProbeCacheSize must not lose it because
 // Matching.MaxJoins was left zero.
 func fillConfig(cfg Config) Config {
 	md := matching.DefaultOptions()
@@ -170,8 +163,8 @@ type System struct {
 	// (except /healthz) while in-flight requests finish.
 	draining atomic.Bool
 
-	// srvMu guards the http.Servers Serve/ServeKB started, so Shutdown can
-	// drain them.
+	// srvMu guards the http.Servers Serve/ServeListener started, so Shutdown
+	// can drain them.
 	srvMu   sync.Mutex
 	servers []*http.Server
 
@@ -187,11 +180,9 @@ type System struct {
 	fleetG *fleet.Fleet
 	rebal  *fleet.Rebalancer
 
-	// exec is the persistent system executor: one shared-scan registry for
-	// the whole system, so concurrent executions of large scans can share a
-	// snapshot pass; gov admits executions against Config.Exec.MemBudgetBytes
-	// (nil budget semantics handled inside — acquire is passthrough when the
-	// budget is zero).
+	// exec is the system executor; gov admits executions against
+	// Config.Exec.MemBudgetBytes (nil budget semantics handled inside —
+	// acquire is passthrough when the budget is zero).
 	exec *executor.Executor
 	gov  *execGovernor
 
@@ -211,7 +202,6 @@ func NewSystem(db *storage.Database, cfg Config) *System {
 	cfg = fillConfig(cfg)
 	exec := executor.New(db)
 	exec.Workers = cfg.Exec.Workers
-	exec.ShareScans = true
 	s := &System{
 		DB:     db,
 		kb:     kb.NewSharded(cfg.Shards),
@@ -238,11 +228,9 @@ func (s *System) KB() *kb.KB {
 // endpoints returns the per-shard knowledge base endpoints and the router
 // used for matching. With a fleet configured, the SHARED namespace routes
 // through the gateway's fault-tolerant remote shard endpoints (shared=false —
-// a tenant's isolated namespace — keeps its local per-tenant KB). A remote
-// knowledge base presents as a single shard (remote endpoints cannot be
-// partitioned from here); the in-process KB gets one pinned-snapshot
-// endpoint per shard, routed by the same shape-prefix function the KB used
-// to place templates.
+// a tenant's isolated namespace — keeps its local per-tenant KB). The
+// in-process KB gets one pinned-snapshot endpoint per shard, routed by the
+// same shape-prefix function the KB used to place templates.
 func (s *System) endpoints(knowledge *kb.KB, shared bool) ([]matching.Endpoint, matching.Router) {
 	if shared && s.fleetG != nil {
 		eps := make([]matching.Endpoint, s.fleetG.Shards())
@@ -250,9 +238,6 @@ func (s *System) endpoints(knowledge *kb.KB, shared bool) ([]matching.Endpoint, 
 			eps[i] = s.fleetG.Endpoint(i)
 		}
 		return eps, s.fleetG.Route
-	}
-	if s.Config.RemoteKB != "" {
-		return []matching.Endpoint{fuseki.NewClient(s.Config.RemoteKB)}, nil
 	}
 	stores := knowledge.Stores()
 	eps := make([]matching.Endpoint, len(stores))
@@ -461,16 +446,10 @@ func (s *System) PeakIntermediate() (rows, bytes int64) {
 }
 
 // ExecStats is the /stats snapshot of the parallel executor: configured
-// parallelism, shared-scan counters and the memory governor's admission state.
+// parallelism, exchange counters and the memory governor's admission state.
 type ExecStats struct {
 	// Workers is the configured exchange worker count (Config.Exec.Workers).
 	Workers int `json:"workers"`
-	// SharedScanPasses / SharedScanAttached / SharedScanOverflows count
-	// shared base-table passes spawned, consumers that joined one, and
-	// consumers detached because they fell too far behind.
-	SharedScanPasses    int64 `json:"shared_scan_passes"`
-	SharedScanAttached  int64 `json:"shared_scan_attached"`
-	SharedScanOverflows int64 `json:"shared_scan_overflows"`
 	// ExchangeSegments counts parallel segments started over the system's
 	// lifetime; ExchangeWorkers is the number of worker goroutines live now.
 	ExchangeSegments int64 `json:"exchange_segments"`
@@ -481,15 +460,11 @@ type ExecStats struct {
 
 // ExecutorStats snapshots the system executor's parallelism counters.
 func (s *System) ExecutorStats() ExecStats {
-	passes, attached, overflows := s.exec.SharedScanStats()
 	return ExecStats{
-		Workers:             s.exec.Workers,
-		SharedScanPasses:    passes,
-		SharedScanAttached:  attached,
-		SharedScanOverflows: overflows,
-		ExchangeSegments:    executor.ExchangeSegmentCount(),
-		ExchangeWorkers:     executor.ExchangeWorkerCount(),
-		Governor:            s.gov.stats(),
+		Workers:          s.exec.Workers,
+		ExchangeSegments: executor.ExchangeSegmentCount(),
+		ExchangeWorkers:  executor.ExchangeWorkerCount(),
+		Governor:         s.gov.stats(),
 	}
 }
 
@@ -527,7 +502,7 @@ type WorkloadSummary struct {
 }
 
 // ReoptimizeWorkload re-optimizes and executes every query of a workload
-// across a bounded worker pool (Config.ReoptWorkers), returning per-query
+// across a bounded worker pool (GOMAXPROCS workers), returning per-query
 // outcomes in workload order and a summary. Query runtimes are simulated
 // (executor time model); the real wall-clock matching overhead — marginal in
 // the paper, since real queries run for minutes — is reported separately in
@@ -539,10 +514,7 @@ type WorkloadSummary struct {
 // does not transfer to this query's context never regresses the workload.
 func (s *System) ReoptimizeWorkload(queries []*sqlparser.Query) ([]QueryOutcome, WorkloadSummary, error) {
 	var summary WorkloadSummary
-	workers := s.Config.ReoptWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(queries) {
 		workers = len(queries)
 	}
@@ -670,13 +642,6 @@ func (s *System) LoadKB(path string) error {
 // ImportKB merges another system's knowledge base into this one (the
 // cross-workload knowledge sharing of Exp-2).
 func (s *System) ImportKB(other *kb.KB) error { return s.KB().Merge(other) }
-
-// ServeKB exposes the knowledge base as a Fuseki-style SPARQL endpoint on the
-// given address; it blocks until the server stops (nil after a graceful
-// Shutdown). The server carries the same read/write timeouts as Serve.
-func (s *System) ServeKB(addr string) error {
-	return s.serveHTTP(addr, s.drainGate(s.KBHandler()))
-}
 
 // KBHandler returns the HTTP handler serving the knowledge base, for callers
 // that want to manage the listener themselves. The handler resolves the

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"galo/internal/fleet"
 	"galo/internal/learning"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
@@ -144,7 +145,7 @@ func TestRemoteKBEndpoint(t *testing.T) {
 	srv := httptest.NewServer(sys.KBHandler())
 	defer srv.Close()
 	remoteCfg := sys.Config
-	remoteCfg.RemoteKB = srv.URL
+	remoteCfg.Fleet = fleet.Options{Shards: [][]string{{srv.URL}}}
 	remote := NewSystem(coreDB, remoteCfg)
 	res, err := remote.Reoptimize(coreMatchedQuery)
 	if err != nil {

@@ -62,9 +62,6 @@ func (s *System) OpenDataDir() (*RecoveryInfo, error) {
 	if s.Config.DataDir == "" {
 		return nil, nil
 	}
-	if s.Config.RemoteKB != "" {
-		return nil, fmt.Errorf("core: DataDir persists the in-process knowledge base; it cannot be combined with RemoteKB")
-	}
 	opts := s.walOptions()
 	rec, err := wal.Recover(opts)
 	if err != nil {
@@ -157,16 +154,4 @@ func (s *System) PersistenceDegraded() bool {
 	persist := s.persist
 	s.mu.Unlock()
 	return persist != nil && persist.Degraded()
-}
-
-// FlushWAL forces an fsync of all shards' buffered WAL appends — the
-// durability point tests and SIGTERM handling rely on under SyncInterval.
-func (s *System) FlushWAL() error {
-	s.mu.Lock()
-	persist := s.persist
-	s.mu.Unlock()
-	if persist == nil {
-		return nil
-	}
-	return persist.Flush()
 }

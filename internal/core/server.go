@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"galo/internal/fleet"
+	"galo/internal/fuseki"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 	"galo/internal/wal"
@@ -196,6 +197,10 @@ func (s *System) chargeProbes(client string, probes int) {
 	}
 }
 
+// maxReoptBodyBytes bounds a POST /reopt body (one SQL statement in a small
+// JSON envelope); a longer one is answered 413 without being decoded.
+const maxReoptBodyBytes = 1 << 20
+
 // ReoptRequest is the body of POST /reopt.
 type ReoptRequest struct {
 	// SQL is the query text to re-optimize (required).
@@ -330,9 +335,9 @@ func (s *System) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// newServer builds the http.Server Serve/ServeKB run: explicit header, read,
-// write and idle timeouts, so a stalled client cannot hold a connection (and
-// a graceful drain) open forever.
+// newServer builds the http.Server Serve/ServeListener run: explicit header,
+// read, write and idle timeouts, so a stalled client cannot hold a connection
+// (and a graceful drain) open forever.
 func (s *System) newServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
@@ -343,18 +348,22 @@ func (s *System) newServer(h http.Handler) *http.Server {
 	}
 }
 
-// serveHTTP listens on addr and serves h until the server stops; a graceful
-// Shutdown returns nil.
-func (s *System) serveHTTP(addr string, h http.Handler) error {
+// Serve exposes the re-optimization API (and the knowledge base endpoint) on
+// the given address; it blocks until the server stops (nil after a graceful
+// Shutdown).
+func (s *System) Serve(addr string) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return s.serveOn(l, h)
+	return s.ServeListener(l)
 }
 
-func (s *System) serveOn(l net.Listener, h http.Handler) error {
-	srv := s.newServer(h)
+// ServeListener is Serve over an already-bound listener — callers that bind
+// ":0" learn the real address before serving starts. It blocks; a graceful
+// Shutdown returns nil.
+func (s *System) ServeListener(l net.Listener) error {
+	srv := s.newServer(s.APIHandler())
 	s.srvMu.Lock()
 	s.servers = append(s.servers, srv)
 	s.srvMu.Unlock()
@@ -365,24 +374,11 @@ func (s *System) serveOn(l net.Listener, h http.Handler) error {
 	return err
 }
 
-// Serve exposes the re-optimization API (and the knowledge base endpoint) on
-// the given address; it blocks until the server stops (nil after a graceful
-// Shutdown).
-func (s *System) Serve(addr string) error {
-	return s.serveHTTP(addr, s.APIHandler())
-}
-
-// ServeListener is Serve over an already-bound listener — callers that bind
-// ":0" learn the real address before serving starts. It blocks; a graceful
-// Shutdown returns nil.
-func (s *System) ServeListener(l net.Listener) error {
-	return s.serveOn(l, s.APIHandler())
-}
-
 // Shutdown drains the system gracefully: new requests get 503 (the drain
 // gate), in-flight requests finish within ctx's deadline, the online
 // learner's backlog is flushed and published, and the write-ahead log gets
-// its final fsync. Serve/ServeKB return nil once their server is drained.
+// its final fsync. Serve/ServeListener return nil once their server is
+// drained.
 func (s *System) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.srvMu.Lock()
@@ -434,8 +430,8 @@ func (s *System) handleReopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReoptRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReoptBodyBytes)).Decode(&req); err != nil {
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), fuseki.BodyErrorStatus(err))
 		return
 	}
 	if req.SQL == "" {

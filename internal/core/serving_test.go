@@ -27,15 +27,15 @@ import (
 func TestNewSystemPreservesCustomConfig(t *testing.T) {
 	db := coreDBForConfig(t)
 	cfg := Config{}
-	cfg.Matching.ProbeWorkers = 3
+	cfg.Matching.TolerateProbeErrors = true
 	cfg.Matching.ProbeCacheSize = 128
 	cfg.Learning.Runs = 7
 	cfg.Learning.Workload = "custom"
 	sys := NewSystem(db, cfg)
 	defer sys.Close()
 
-	if got := sys.Config.Matching.ProbeWorkers; got != 3 {
-		t.Errorf("ProbeWorkers = %d, want the customized 3", got)
+	if !sys.Config.Matching.TolerateProbeErrors {
+		t.Errorf("TolerateProbeErrors = false, want the customized true")
 	}
 	if got := sys.Config.Matching.ProbeCacheSize; got != 128 {
 		t.Errorf("ProbeCacheSize = %d, want the customized 128", got)
@@ -196,6 +196,13 @@ func TestReoptHTTPAPI(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+	// A body past the limit is refused unread, however well-formed.
+	huge, _ := json.Marshal(ReoptRequest{SQL: coreMatchedQuery.SQL(), Name: strings.Repeat("n", maxReoptBodyBytes)})
+	rec := httptest.NewRecorder()
+	sys.APIHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reopt", bytes.NewReader(huge)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", len(huge), rec.Code)
 	}
 	// GET is not allowed.
 	resp, err = http.Get(srv.URL + "/reopt")

@@ -24,7 +24,7 @@ import (
 // with Enabled false — and reported as per-tenant rows in /stats.
 type TenancyOptions struct {
 	// Enabled gives each client identity its own knowledge base namespace
-	// for matching. Requires the in-process KB (ignored with RemoteKB).
+	// for matching.
 	Enabled bool
 	// ShareTemplates lets a tenant request that found no match in its own
 	// namespace fall back to the shared knowledge base — opt-in
@@ -95,7 +95,7 @@ func (s *System) tenantSlot(client string) *tenantSlot {
 		return t.overflow
 	}
 	slot := &tenantSlot{name: client}
-	if s.Config.Tenancy.Enabled && s.Config.RemoteKB == "" {
+	if s.Config.Tenancy.Enabled {
 		slot.kb = kb.NewSharded(s.Config.Shards)
 		// Tenant namespaces are isolation domains: they always probe their
 		// own local KB, never the shared fleet (shared=false).

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"testing"
 
 	"galo/internal/optimizer"
@@ -104,5 +105,40 @@ func TestExecuteAllocCeiling(t *testing.T) {
 		if allocs > ceiling {
 			t.Errorf("%s: %.0f allocations per Execute exceeds the ceiling of %.0f", c.name, allocs, ceiling)
 		}
+	}
+}
+
+// BenchmarkExecuteRootSegment measures the one shape whose wall time depends
+// on how an exchange merges: a partitioned table scan under a hash join
+// feeding RETURN (no terminal SORT or GRPBY to buffer behind), drained with
+// Run at data scale 1.0, serially and on 4 workers. It is why such a segment
+// keeps unordered fan-in: merged in partition order, a later partition's
+// worker runs only exchangeChanDepth batches ahead of the consumer and the
+// segment is slower than serial.
+func BenchmarkExecuteRootSegment(b *testing.B) {
+	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 1.0, Hazards: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := sqlparser.MustParse(`SELECT ss_quantity, i_current_price FROM store_sales, item
+		WHERE ss_item_sk = i_item_sk`)
+	plan, err := optimizer.New(db.Catalog, optimizer.DefaultOptions()).BuildPlan(q, optimizer.Join(qgm.OpHSJOIN,
+		optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""), optimizer.Leaf("ITEM")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{0, 4} {
+		ex := New(db)
+		ex.Workers = workers
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var st RunStats
+			for i := 0; i < b.N; i++ {
+				if st, err = ex.Run(plan, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.Rows), "rows")
+		})
 	}
 }

@@ -194,7 +194,10 @@ walk:
 		// Partition-order delivery when the serial row order is observable:
 		// an ordered scan, a terminal breaker whose exact output we
 		// reproduce, or an operator above that samples or buffers what
-		// arrives (openOrdered). Everything else is unordered fan-in.
+		// arrives (openOrdered). Everything else is unordered fan-in: in
+		// partition order the workers of later partitions stall on a full
+		// channel while the consumer drains the first
+		// (BenchmarkExecuteRootSegment: slower than serial).
 		ordered: sc.node.OrderedOn != "" || term != termNone || c.orderObserved > 0,
 	}
 	return ex, lay, true, nil

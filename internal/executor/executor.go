@@ -85,40 +85,21 @@ type Executor struct {
 	// otherwise. 0 or 1 means serial. Per-operator actuals are aggregated
 	// deterministically, so charges are bit-identical at any worker count.
 	Workers int
-	// ShareScans lets concurrent executions of large table scans pin one
-	// snapshot and read it once: the first overlapping scan triggers a
-	// single shared producer pass that fans rows to every attached cursor
-	// (late attachers wrap around to cover the prefix they missed). Row
-	// counts and charges are unchanged; result row order rotates by attach
-	// position.
-	ShareScans bool
-
-	shared *scanRegistry
 }
 
 // New returns an executor over the database.
 func New(db *storage.Database) *Executor {
-	return &Executor{DB: db, shared: newScanRegistry()}
+	return &Executor{DB: db}
 }
 
 // WithWorkers returns a view of the executor with a different worker count —
-// a cheap copy sharing the database and the shared-scan registry, so a
-// per-execution admission decision (the core memory governor degrading a
-// too-big plan to serial) does not need a second executor.
+// a cheap copy sharing the database, so a per-execution admission decision
+// (the core memory governor degrading a too-big plan to serial) does not
+// need a second executor.
 func (e *Executor) WithWorkers(n int) *Executor {
 	cp := *e
 	cp.Workers = n
 	return &cp
-}
-
-// SharedScanStats reports the shared-scan registry counters: shared producer
-// passes started, consumers that attached to one, and consumers detached for
-// falling behind the producer.
-func (e *Executor) SharedScanStats() (passes, attached, overflows int64) {
-	if e.shared == nil {
-		return 0, 0, 0
-	}
-	return e.shared.passes.Load(), e.shared.attached.Load(), e.shared.overflows.Load()
 }
 
 // Execute runs the plan for the query. The plan's nodes are annotated with

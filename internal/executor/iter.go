@@ -216,21 +216,7 @@ func (c *execContext) openScan(node *qgm.Node) (rowIter, layout, error) {
 	if node.Op != qgm.OpTBSCAN {
 		return &ixscanIter{ctx: c, scanSource: sc, pos: sc.lo}, lay, nil
 	}
-	table := sc.table
-	it := &tbscanIter{ctx: c, scanSource: sc, snap: table.Rows, limit: len(table.Rows)}
-	if reg := c.exec.shared; reg != nil && c.exec.ShareScans && len(table.Rows) >= sharedScanMinRows {
-		it.reg = reg
-		snap, feed := reg.attach(table)
-		if feed != nil {
-			// Joined a shared pass: serve the feed first, then wrap
-			// around to cover [0, attachPos) privately.
-			it.snap, it.feed = snap, feed
-			it.pos, it.limit = 0, 0
-		} else {
-			it.regPrivate = true
-		}
-	}
-	return it, lay, nil
+	return &tbscanIter{ctx: c, scanSource: sc, snap: sc.table.Rows}, lay, nil
 }
 
 // indexBounds resolves the entry range an index access touches, pushing the
@@ -259,81 +245,33 @@ func indexBounds(idx *storage.IndexData, lead string, preds []sqlparser.Predicat
 	return 0, idx.Len()
 }
 
-// tbscanIter streams a full table scan, filtering each row before it leaves
-// the operator (predicate pushdown: non-matching rows never enter the
-// pipeline). Under Executor.ShareScans it may source rows from a shared
-// producer pass instead of reading the snapshot itself: the feed delivers
-// [attachPos, end), then the iterator wraps to cover [0, attachPos)
-// privately — every snapshot row exactly once, so counts and charges are
-// identical to a private scan; only the row order rotates.
+// tbscanIter streams a full table scan over the snapshot pinned at Open,
+// filtering each row before it leaves the operator (predicate pushdown:
+// non-matching rows never enter the pipeline). Rows travel as one-slot tuples
+// aliasing the snapshot.
 type tbscanIter struct {
 	ctx *execContext
 	*scanSource
 
-	snap       []storage.Row // pinned snapshot (shared passes read the same one)
-	pos, limit int           // current private range [pos, limit)
-	wrapEnd    int           // after the private range, continue over [0, wrapEnd)
-	wrapped    bool
-
-	reg        *scanRegistry
-	regPrivate bool
-	feed       *scanFeed
-	feedBatch  []storage.Row
-	fi         int
+	snap []storage.Row
+	pos  int
 
 	nScan, nOut     int
 	charged, closed bool
 }
 
 func (s *tbscanIter) Next() (tuple, bool) {
-	for {
-		t, ok := s.nextRaw()
-		if !ok {
-			s.finalize()
-			return nil, false
-		}
+	for s.pos < len(s.snap) {
+		i := s.pos
+		s.pos++
 		s.nScan++
-		if matchRow(t[0], s.preds) {
+		if matchRow(s.snap[i], s.preds) {
 			s.nOut++
-			return t, true
-		}
-	}
-}
-
-// nextRaw produces the next unfiltered snapshot row as a one-slot tuple
-// aliasing the snapshot (or the feed batch) it came from: feed batches while
-// the shared producer is ahead of us, then the private ranges. A blocking feed
-// receive is safe — the producer goroutine always runs to completion and
-// closes every attached channel (detaching consumers it cannot keep fed).
-func (s *tbscanIter) nextRaw() (tuple, bool) {
-	if f := s.feed; f != nil {
-		for {
-			if i := s.fi; i < len(s.feedBatch) {
-				s.fi++
-				return s.feedBatch[i : i+1 : i+1], true
-			}
-			batch, ok := <-f.ch
-			if !ok {
-				// Producer finished (or detached us): read the undelivered
-				// tail privately, then wrap to the prefix we attached after.
-				s.pos, s.limit, s.wrapEnd = f.resume, len(s.snap), f.start
-				s.feed, s.feedBatch = nil, nil
-				break
-			}
-			s.feedBatch, s.fi = batch, 0
-		}
-	}
-	for {
-		if i := s.pos; i < s.limit {
-			s.pos++
 			return s.snap[i : i+1 : i+1], true
 		}
-		if s.wrapped || s.wrapEnd == 0 {
-			return nil, false
-		}
-		s.wrapped = true
-		s.pos, s.limit = 0, s.wrapEnd
 	}
+	s.finalize()
+	return nil, false
 }
 
 // finalize charges the scan for the fraction of the table actually read —
@@ -345,10 +283,6 @@ func (s *tbscanIter) finalize() {
 	}
 	s.charged = true
 	s.ctx.chargeTBScan(s.node, s.nScan, s.nOut, s.tablePages, s.tableRows)
-	if s.reg != nil {
-		s.reg.detach(s.table, s.feed, s.regPrivate)
-		s.reg, s.feed, s.regPrivate = nil, nil, false
-	}
 }
 
 func (s *tbscanIter) Close() {

@@ -256,6 +256,51 @@ func TestConcurrentCursorsShareOneExecutor(t *testing.T) {
 	_ = refPlan
 }
 
+// TestConcurrentExecutionsKeepSerialOrder pins that a plan's result and
+// charges are a function of the plan and the data, never of what else is
+// executing: eight concurrent executions on one Executor of a table scan big
+// enough to be partitioned, under a hash join feeding RETURN — no SORT, no
+// GRPBY, nothing above that could restore an order — must each be
+// indistinguishable from the lone serial run. Serially that means the same
+// rows in the same order; at 4 workers the segment's unordered fan-in promises
+// the same rows as a multiset, and still every actual and all of RunStats.
+func TestConcurrentExecutionsKeepSerialOrder(t *testing.T) {
+	_, opt, _ := setup(t)
+	q := sqlparser.MustParse(`SELECT ss_quantity, i_current_price FROM store_sales, item
+		WHERE ss_item_sk = i_item_sk`)
+	spec := optimizer.Join(qgm.OpHSJOIN, optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""), optimizer.Leaf("ITEM"))
+	if n := len(testDB.Table("STORE_SALES").Rows); n < exchangeMinRows {
+		t.Fatalf("STORE_SALES has %d rows: too few to partition", n)
+	}
+	ref, refPlan := runWorkers(t, opt, q, spec, 0)
+	for _, workers := range []int{0, 4} {
+		ex := New(testDB)
+		ex.Workers = workers
+		const goroutines = 8
+		results, plans, errs := make([]*Result, goroutines), make([]*qgm.Plan, goroutines), make([]error, goroutines)
+		segments := ExchangeSegmentCount()
+		var wg sync.WaitGroup
+		for g := range results {
+			plans[g] = refPlan.Clone()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[g], errs[g] = ex.Execute(plans[g], q)
+			}()
+		}
+		wg.Wait()
+		if engaged := ExchangeSegmentCount() > segments; engaged != (workers > 1) {
+			t.Errorf("workers=%d: exchange engaged=%v", workers, engaged)
+		}
+		for g, res := range results {
+			if errs[g] != nil {
+				t.Fatalf("workers=%d: Execute: %v", workers, errs[g])
+			}
+			assertSameExecution(t, ref, res, refPlan, plans[g], workers <= 1, fmt.Sprintf("workers=%d, goroutine %d", workers, g))
+		}
+	}
+}
+
 // TestParallelHashBuildMatchesSerial pins the partitioned build: identical
 // match chains (content and insertion order) to the serially filled index, on
 // single-column and multi-column keys.

@@ -68,19 +68,15 @@ func (h *FleetHarness) Replica(shard, replica int) *chaos.Replica {
 }
 
 // Kill SIGKILL-equivalently tears one replica down (listener closed,
-// connections cut). KillRecovery or Restart can bring it back.
+// connections cut); Replica(shard, replica).Start() brings it back on its
+// original address.
 func (h *FleetHarness) Kill(shard, replica int) { h.replicas[shard][replica].Kill() }
-
-// Restart brings a killed replica back on its original address.
-func (h *FleetHarness) Restart(shard, replica int) error {
-	return h.replicas[shard][replica].Start()
-}
 
 // KillRecovery measures the gateway-visible recovery from a replica kill: it
 // kills the replica and repeatedly calls probe (a closure issuing one real
 // request through the gateway under test) until it succeeds, returning the
 // elapsed time from SIGKILL to the first successful failover probe. The
-// replica stays down; restart it explicitly if the experiment continues.
+// replica stays down; Start it explicitly if the experiment continues.
 func (h *FleetHarness) KillRecovery(shard, replica int, probe func() error) (time.Duration, error) {
 	h.Kill(shard, replica)
 	start := time.Now()

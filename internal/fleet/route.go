@@ -109,14 +109,6 @@ func (t *RouteTable) Owner(key string, joins int) int {
 	return kb.RouteShapeN(key, joins, t.n)
 }
 
-// Migrating reports whether the shape is inside a dual-route window.
-func (t *RouteTable) Migrating(key string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ov, ok := t.overrides[kb.NormalizeShape(key)]
-	return ok && ov.dual
-}
-
 // HotShape returns the most-probed tracked shape currently owned by the
 // shard, skipping shapes mid-migration; ok is false when the shard owns no
 // tracked shape.

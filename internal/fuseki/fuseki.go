@@ -17,6 +17,7 @@ package fuseki
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -122,18 +123,39 @@ type jsonTerm struct {
 	Value string `json:"value"`
 }
 
+// Request bodies come from outside the process, so each is read through an
+// http.MaxBytesReader: a SPARQL query is text a person or a matcher wrote, a
+// /data load is at most a whole knowledge base dump.
+const (
+	maxQueryBytes = 1 << 20
+	maxDataBytes  = 64 << 20
+)
+
+// BodyErrorStatus is the status a failed request-body read is answered with:
+// 413 when the body ran past its http.MaxBytesReader limit, 400 otherwise.
+func BodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var queryText string
 	switch r.Method {
 	case http.MethodGet:
 		queryText = r.URL.Query().Get("query")
 	case http.MethodPost:
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 		if err := r.ParseForm(); err == nil && r.PostForm.Get("query") != "" {
 			queryText = r.PostForm.Get("query")
 		} else {
+			// A body ParseForm could not read fails again here, the limit
+			// error included.
 			body, err := io.ReadAll(r.Body)
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+				http.Error(w, err.Error(), BodyErrorStatus(err))
 				return
 			}
 			queryText = string(body)
@@ -198,9 +220,9 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "loading not supported", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDataBytes))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), BodyErrorStatus(err))
 			return
 		}
 		if err := s.load(string(body)); err != nil {

@@ -1,6 +1,7 @@
 package fuseki
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,6 +98,31 @@ func TestServerQueryErrors(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET query status = %d", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsOversizedBodies pins the request-body limits: one byte
+// past the limit is a 413, whatever the bytes are (blanks are a valid,
+// empty N-Triples document and an empty query).
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	srv := NewServer(rdf.NewStore())
+	for _, c := range []struct {
+		path, contentType string
+		limit             int
+	}{
+		{"/query", "application/sparql-query", maxQueryBytes},
+		{"/query", "application/x-www-form-urlencoded", maxQueryBytes},
+		{"/data", "application/n-triples", maxDataBytes},
+	} {
+		for _, over := range []int{0, 1} {
+			req := httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(bytes.Repeat([]byte(" "), c.limit+over)))
+			req.Header.Set("Content-Type", c.contentType)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if tooLarge := rec.Code == http.StatusRequestEntityTooLarge; tooLarge != (over == 1) {
+				t.Errorf("POST %s (%s), limit%+d bytes: status %d", c.path, c.contentType, over, rec.Code)
+			}
+		}
 	}
 }
 

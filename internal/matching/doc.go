@@ -11,9 +11,9 @@
 //
 // An Engine is safe for concurrent use and is built for the serving path:
 //
-//   - Probes for one plan fan out across a bounded worker pool
-//     (Options.ProbeWorkers); selection over the results is deterministic
-//     (largest fragment first, overlap-claimed fragments skipped).
+//   - Probes for one plan fan out across a bounded worker pool (GOMAXPROCS
+//     workers); selection over the results is deterministic (largest
+//     fragment first, overlap-claimed fragments skipped).
 //   - The knowledge base may be sharded (NewSharded): each fragment routes
 //     to the single shard whose templates could match it (Router over the
 //     fragment's shape signature), so a plan's probes touch only the shards

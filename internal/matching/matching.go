@@ -59,10 +59,6 @@ type Options struct {
 	// OptimizerOptions configures the optimizer used for the initial plan and
 	// the re-optimization pass.
 	OptimizerOptions optimizer.Options
-	// ProbeWorkers bounds the worker pool that probes the knowledge base for
-	// a plan's fragments in parallel; 0 means GOMAXPROCS, 1 disables
-	// parallelism.
-	ProbeWorkers int
 	// ProbeCacheSize is the capacity of the fragment-fingerprint → probe
 	// result LRU cache (the paper's routinization fast path, Figure 12).
 	// 0 means the default of 4096 entries; a negative value disables the
@@ -310,7 +306,7 @@ func (e *Engine) MatchPlan(plan *qgm.Plan) ([]Match, error) {
 }
 
 // MatchPlanStats is MatchPlan plus probe statistics. Probes fan out across a
-// bounded worker pool (Options.ProbeWorkers), each fragment routed to the
+// bounded worker pool (GOMAXPROCS workers), each fragment routed to the
 // knowledge base shard its shape signature can hit — the plan pins a vector
 // of shard epochs up front, so every probe reads a consistent snapshot of
 // its shard no matter what publishes elsewhere mid-plan. Selection then runs
@@ -335,10 +331,7 @@ func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 	}
 	outcomes := make([]outcome, len(fragments))
 	conns := e.planShards()
-	workers := e.Opts.ProbeWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(fragments) {
 		workers = len(fragments)
 	}

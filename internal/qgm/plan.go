@@ -3,7 +3,6 @@ package qgm
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Plan is a complete query execution plan: a tree of LOLEPOPs rooted at a
@@ -324,14 +323,4 @@ func (p *Plan) ReplaceSubtree(targetID int, replacement *Node) bool {
 		p.AssignIDs()
 	}
 	return replaced
-}
-
-// Summary returns a one-line description of the plan, useful in logs:
-// "cost=1234.5 joins=3 ops=9 HSJOIN(HSJOIN(TBSCAN:Q1,TBSCAN:Q2),IXSCAN:Q3)".
-func (p *Plan) Summary() string {
-	if p.Root == nil {
-		return "<empty plan>"
-	}
-	return fmt.Sprintf("cost=%.1f joins=%d ops=%d %s",
-		p.TotalCost, p.NumJoins(), p.NumOps(), strings.TrimPrefix(p.Signature(), "RETURN("))
 }
