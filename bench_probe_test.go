@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +17,7 @@ import (
 	"galo/internal/kb"
 	"galo/internal/matching"
 	"galo/internal/qgm"
+	"galo/internal/sparql"
 	"galo/internal/transform"
 )
 
@@ -71,13 +71,25 @@ func BenchmarkStoreMatch(b *testing.B) {
 	}
 }
 
-// unboundedProbe strips the LIMIT clause the transformation engine now emits
-// on probe queries, reconstructing the unbounded enumeration for comparison.
-func unboundedProbe(queryText string) string {
-	if i := strings.LastIndex(queryText, "\nLIMIT "); i >= 0 {
-		return queryText[:i] + "\n"
+// unbounded drops the LIMIT the transformation engine puts on probe queries,
+// reconstructing the unbounded enumeration for comparison.
+func unbounded(q *sparql.Query) *sparql.Query {
+	all := *q
+	all.Limit = 0
+	return &all
+}
+
+// coldProbe is what a cache miss costs the matching engine against an
+// in-process knowledge base: describe the fragment, build its query, evaluate
+// it on the pinned epoch. Nothing is printed or parsed.
+func coldProbe(tb testing.TB, frag *qgm.Node, sel func(*sparql.Query) ([]sparql.Solution, error)) {
+	p, err := transform.NewProbe(frag)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return queryText
+	if _, err := sel(p.Query()); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // saturatedKB builds a knowledge base of n distinct templates that ALL match
@@ -120,9 +132,12 @@ func saturatedProbe() *qgm.Node {
 	return qgm.NewPlan(join).Root.Outer
 }
 
-// BenchmarkKBProbeCold measures one full SPARQL probe (parse + selectivity-
-// ordered evaluation) of a plan fragment against knowledge bases of growing
-// size, bypassing the routinization cache. Probes carry the matcher's LIMIT
+// BenchmarkKBProbeCold measures one full cold probe of a plan fragment
+// against knowledge bases of growing size, bypassing the routinization cache:
+// through the prepared path the matching engine takes (probe description,
+// built query, selectivity-ordered evaluation), and through the text path a
+// remote endpoint's server takes (parse of a text rendered beforehand, then
+// the same evaluation). Probes carry the matcher's LIMIT
 // (transform.ProbeSolutionLimit), which bounds solution enumeration when many
 // templates match.
 func BenchmarkKBProbeCold(b *testing.B) {
@@ -132,8 +147,17 @@ func BenchmarkKBProbeCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, size := range benchKBSizes {
-		b.Run(fmt.Sprintf("templates=%d", size), func(b *testing.B) {
-			endpoint := fuseki.LocalEndpoint{Store: inflatedKB(b, size).Store()}
+		endpoint := fuseki.LocalEndpoint{Store: inflatedKB(b, size).Store()}
+		b.Run(fmt.Sprintf("prepared/templates=%d", size), func(b *testing.B) {
+			sel, _ := endpoint.PinEpoch()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				coldProbe(b, frag, sel)
+			}
+		})
+		b.Run(fmt.Sprintf("text/templates=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := endpoint.Select(queryText); err != nil {
@@ -151,23 +175,23 @@ func BenchmarkKBProbeCold(b *testing.B) {
 // and must stay ~flat as the matching-template count grows; the unbounded
 // variant enumerates every match and grows linearly.
 func BenchmarkKBProbeColdManyMatches(b *testing.B) {
-	queryText, _, err := transform.FragmentMatchQuery(saturatedProbe())
+	p, err := transform.NewProbe(saturatedProbe())
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bounded := range []bool{true, false} {
-		text := queryText
+		q := p.Query()
 		name := "bounded"
 		if !bounded {
-			text = unboundedProbe(queryText)
+			q = unbounded(q)
 			name = "unbounded"
 		}
 		for _, size := range benchKBSizes {
 			b.Run(fmt.Sprintf("%s/templates=%d", name, size), func(b *testing.B) {
-				endpoint := fuseki.LocalEndpoint{Store: saturatedKB(b, size).Store()}
+				sel, _ := fuseki.LocalEndpoint{Store: saturatedKB(b, size).Store()}.PinEpoch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := endpoint.Select(text); err != nil {
+					if _, err := sel(q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -200,9 +224,13 @@ func BenchmarkKBProbeRoutinized(b *testing.B) {
 
 // benchRow is one BENCH_matching.json entry.
 type benchRow struct {
-	KBTemplates              int     `json:"kb_templates"`
-	KBTriples                int     `json:"kb_triples"`
+	KBTemplates int `json:"kb_templates"`
+	KBTriples   int `json:"kb_triples"`
+	// ColdNsPerProbe is a cache miss as the matching engine pays it since
+	// PR 15 (coldProbe: prepared path); ColdTextNsPerProbe is the text path it
+	// took before and remote endpoints still take (parse + evaluate).
 	ColdNsPerProbe           float64 `json:"cold_ns_per_probe"`
+	ColdTextNsPerProbe       float64 `json:"cold_text_ns_per_probe"`
 	RoutinizedNsPerMatchPlan float64 `json:"routinized_ns_per_matchplan"`
 	// The many-matches pair probes a KB where every template matches the
 	// fragment: bounded carries the matcher's LIMIT, unbounded enumerates
@@ -221,47 +249,53 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		t.Skip("set GALO_BENCH_JSON=1 to (re)write BENCH_matching.json")
 	}
 	plan := probePlan()
-	queryText, _, err := transform.FragmentMatchQuery(plan.Root.Outer)
+	frag := plan.Root.Outer
+	queryText, _, err := transform.FragmentMatchQuery(frag)
 	if err != nil {
 		t.Fatal(err)
+	}
+	const coldRounds = 200
+	perRound := func(round func()) float64 {
+		start := time.Now()
+		for i := 0; i < coldRounds; i++ {
+			round()
+		}
+		return float64(time.Since(start).Nanoseconds()) / coldRounds
 	}
 	var rows []benchRow
 	for _, size := range benchKBSizes {
 		store := inflatedKB(t, size).Store()
 		endpoint := fuseki.LocalEndpoint{Store: store}
-		const coldRounds = 200
-		start := time.Now()
-		for i := 0; i < coldRounds; i++ {
+		sel, _ := endpoint.PinEpoch()
+		cold := perRound(func() { coldProbe(t, frag, sel) })
+		coldText := perRound(func() {
 			if _, err := endpoint.Select(queryText); err != nil {
 				t.Fatal(err)
 			}
-		}
-		cold := float64(time.Since(start).Nanoseconds()) / coldRounds
+		})
 
 		// Worst-case enumeration: every template matches the probe.
-		satText, _, err := transform.FragmentMatchQuery(saturatedProbe())
+		sat, err := transform.NewProbe(saturatedProbe())
 		if err != nil {
 			t.Fatal(err)
 		}
-		satEndpoint := fuseki.LocalEndpoint{Store: saturatedKB(t, size).Store()}
-		measure := func(text string) float64 {
-			start := time.Now()
-			for i := 0; i < coldRounds; i++ {
-				if _, err := satEndpoint.Select(text); err != nil {
+		satSel, _ := fuseki.LocalEndpoint{Store: saturatedKB(t, size).Store()}.PinEpoch()
+		measure := func(q *sparql.Query) float64 {
+			return perRound(func() {
+				if _, err := satSel(q); err != nil {
 					t.Fatal(err)
 				}
-			}
-			return float64(time.Since(start).Nanoseconds()) / coldRounds
+			})
 		}
-		satBounded := measure(satText)
-		satUnbounded := measure(unboundedProbe(satText))
+		satBounded := measure(sat.Query())
+		satUnbounded := measure(unbounded(sat.Query()))
 
 		eng := matching.New(nil, endpoint, matching.DefaultOptions())
 		if _, err := eng.MatchPlan(plan); err != nil {
 			t.Fatal(err)
 		}
 		const warmRounds = 500
-		start = time.Now()
+		start := time.Now()
 		for i := 0; i < warmRounds; i++ {
 			if _, err := eng.MatchPlan(plan); err != nil {
 				t.Fatal(err)
@@ -272,15 +306,18 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 			KBTemplates:              size,
 			KBTriples:                store.Len(),
 			ColdNsPerProbe:           cold,
+			ColdTextNsPerProbe:       coldText,
 			RoutinizedNsPerMatchPlan: warm,
 			ManyMatchesBoundedNs:     satBounded,
 			ManyMatchesUnboundedNs:   satUnbounded,
 		})
 	}
 	doc := map[string]any{
-		"benchmark": "knowledge base probe latency vs KB size (ns)",
-		"note":      "cold = one SPARQL fragment probe without cache; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12).",
-		"rows":      rows,
+		"benchmark":   "knowledge base probe latency vs KB size (ns)",
+		"note":        "cold = one fragment probe without cache through the prepared path (probe description + built query + evaluation); cold_text = the same probe as text through LocalEndpoint.Select (parse + evaluation), the only cold path before PR 15; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). before_pr15 = the same test on the commit before probes were prepared (49b635a), same machine, the middle of three emissions; its cold column is the text path.",
+		"env":         benchEnv(),
+		"rows":        rows,
+		"before_pr15": matchingBefore,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -290,4 +327,12 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_matching.json:\n%s", data)
+}
+
+// matchingBefore is TestEmitBenchMatchingJSON on the parent of PR 15 (see the
+// note it is emitted with).
+var matchingBefore = []benchRow{
+	{KBTemplates: 60, KBTriples: 2345, ColdNsPerProbe: 76253.265, ColdTextNsPerProbe: 76253.265, RoutinizedNsPerMatchPlan: 47938.506, ManyMatchesBoundedNs: 476415.325, ManyMatchesUnboundedNs: 3319994.62},
+	{KBTemplates: 240, KBTriples: 10251, ColdNsPerProbe: 90311.785, ColdTextNsPerProbe: 90311.785, RoutinizedNsPerMatchPlan: 50286.21, ManyMatchesBoundedNs: 540686.38, ManyMatchesUnboundedNs: 12178503.645},
+	{KBTemplates: 960, KBTriples: 45190, ColdNsPerProbe: 307708.03, ColdTextNsPerProbe: 307708.03, RoutinizedNsPerMatchPlan: 62824.806, ManyMatchesBoundedNs: 2311805.87, ManyMatchesUnboundedNs: 63998177.415},
 }

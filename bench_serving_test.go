@@ -160,6 +160,16 @@ type servingRow struct {
 	ProbeP99Millis float64 `json:"match_p99_ms"`
 }
 
+// servingBefore is TestEmitBenchServingJSON's rows on the parent of PR 15.
+var servingBefore = []servingRow{
+	{Clients: 1, Phase: "cold", Requests: 12, ThroughputRPS: 1817.755, WallP50Millis: 0.23, WallP99Millis: 1.258, ProbeP50Millis: 0.077, ProbeP99Millis: 0.447},
+	{Clients: 1, Phase: "routinized", Requests: 36, ThroughputRPS: 2462.160, WallP50Millis: 0.236, WallP99Millis: 1.086, ProbeP50Millis: 0.02, ProbeP99Millis: 0.162},
+	{Clients: 4, Phase: "cold", Requests: 48, ThroughputRPS: 4746.098, WallP50Millis: 0.313, WallP99Millis: 4.187, ProbeP50Millis: 0.02, ProbeP99Millis: 0.356},
+	{Clients: 4, Phase: "routinized", Requests: 144, ThroughputRPS: 5498.252, WallP50Millis: 0.483, WallP99Millis: 3.817, ProbeP50Millis: 0.017, ProbeP99Millis: 0.33},
+	{Clients: 16, Phase: "cold", Requests: 192, ThroughputRPS: 4623.367, WallP50Millis: 2.742, WallP99Millis: 8.759, ProbeP50Millis: 0.017, ProbeP99Millis: 3.785},
+	{Clients: 16, Phase: "routinized", Requests: 576, ThroughputRPS: 5158.607, WallP50Millis: 2.441, WallP99Millis: 7.999, ProbeP50Millis: 0.02, ProbeP99Millis: 0.382},
+}
+
 func measureServing(tb testing.TB, clients int) (cold, routinized servingRow) {
 	sys, queries := servingSystem(tb) // fresh system: empty probe cache
 	defer sys.Close()
@@ -379,7 +389,12 @@ func TestEmitBenchServingJSON(t *testing.T) {
 	doc := map[string]any{
 		"benchmark": "re-optimization serving: POST /reopt throughput and latency vs concurrent clients",
 		"note":      "cold = first pass over the query pool (fragment fingerprints unseen; singleflight collapses concurrent duplicates); routinized = repeat passes through the sharded probe cache. match_* is server-side knowledge base probe time per request (the Figure 12 quantity); wall_* is client-observed request latency. The Figure 12 amortization must survive concurrency: routinized match p50 at 16 clients stays within 2x of 1 client.",
+		"env":       benchEnv(),
 		"rows":      rows,
+		// The same emission on the commit before probes were prepared
+		// (49b635a), same machine: there a local probe was rendered to
+		// SPARQL text, and lexed and parsed on every cache miss.
+		"before_pr15": servingBefore,
 		"fleet": map[string]any{
 			"note":             "16 clients through a remote shard fleet (2 shards x 2 replicas, probe cache disabled so every request probes over the network). intact = all replicas up; one_replica_killed = after SIGKILLing one replica of shard 0. kill_recovery_ms is SIGKILL to the first successful failover probe. Gates: zero failed requests in both phases, killed p50 within 2x of intact.",
 			"rows":             []fleetServingRow{intact, killed},

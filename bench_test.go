@@ -229,9 +229,11 @@ func BenchmarkExp3MatchingScalability(b *testing.B) {
 	for _, r := range rows {
 		if r.Tables == 15 {
 			b.ReportMetric(r.MatchMillisPerCall, "ms/probe@15tables")
+			b.ReportMetric(r.TextMillisPerCall, "ms/text-probe@15tables")
 		}
 		if r.Tables == 32 {
 			b.ReportMetric(r.MatchMillisPerCall, "ms/probe@32tables")
+			b.ReportMetric(r.TextMillisPerCall, "ms/text-probe@32tables")
 		}
 	}
 }

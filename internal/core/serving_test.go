@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,8 +16,10 @@ import (
 	"galo/internal/learning"
 	"galo/internal/matching"
 	"galo/internal/qgm"
+	"galo/internal/sparql"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
+	"galo/internal/transform"
 	"galo/internal/workload/tpcds"
 )
 
@@ -281,7 +284,10 @@ func TestOnlineLearningThroughWorkload(t *testing.T) {
 // half in-process, half over the HTTP API — while the knowledge base is
 // concurrently replaced wholesale (LoadKB) and extended incrementally
 // (template publications into new epochs). No request may fail, and after
-// the dust settles the matcher must answer from the final epoch only.
+// the dust settles the matcher must answer from the final epoch only. The
+// in-process knowledge base is probed with prepared queries, so beside the
+// clients two auditors keep pinning an epoch and checking that the prepared
+// query finds on it exactly what its text, parsed, finds.
 func TestConcurrentReoptimizeDuringKBPublication(t *testing.T) {
 	sys := trainedSystem(t)
 	path := filepath.Join(t.TempDir(), "kb.nt")
@@ -327,6 +333,19 @@ func TestConcurrentReoptimizeDuringKBPublication(t *testing.T) {
 			}
 		}(c)
 	}
+	plan, err := serve.Optimize(coreMatchedQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < 2; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				auditPreparedProbes(t, serve.KB(), plan)
+			}
+		}()
+	}
 	// Publisher 1: wholesale KB replacement.
 	wg.Add(1)
 	go func() {
@@ -368,6 +387,38 @@ func TestConcurrentReoptimizeDuringKBPublication(t *testing.T) {
 	for _, m := range res.Matches {
 		if !byIRI[m.TemplateIRI] {
 			t.Errorf("match references template %s absent from the current epoch", m.TemplateIRI)
+		}
+	}
+}
+
+// auditPreparedProbes probes every fragment of the plan against one pinned
+// epoch of its shard twice — the prepared query, and the probe's text parsed —
+// and reports any difference in the solutions or their order.
+func auditPreparedProbes(t *testing.T, knowledge *kb.KB, plan *qgm.Plan) {
+	for _, frag := range plan.EnumerateSubPlans(4) {
+		p, err := transform.NewProbe(frag.Root)
+		if err != nil {
+			t.Errorf("NewProbe: %v", err)
+			return
+		}
+		parsed, err := sparql.Parse(p.Text())
+		if err != nil {
+			t.Errorf("probe text does not parse: %v", err)
+			return
+		}
+		snap := knowledge.ShardStore(knowledge.RouteShape(frag.Root.ShapeSignature(), frag.Joins)).Snapshot()
+		prepared, err := sparql.Execute(p.Query(), snap)
+		if err != nil {
+			t.Errorf("prepared probe: %v", err)
+			return
+		}
+		fromText, err := sparql.Execute(parsed, snap)
+		if err != nil {
+			t.Errorf("text probe: %v", err)
+			return
+		}
+		if !reflect.DeepEqual(prepared, fromText) {
+			t.Errorf("epoch %d: prepared probe found %v, its text %v", snap.Version(), prepared, fromText)
 		}
 	}
 }

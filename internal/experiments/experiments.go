@@ -24,6 +24,7 @@ import (
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
+	"galo/internal/transform"
 	"galo/internal/workload/client"
 	"galo/internal/workload/tpcds"
 )
@@ -276,9 +277,14 @@ func countCrossWorkloadMatches(sys *core.System, queries []*sqlparser.Query) int
 // Exp3Row is one bucket of Figure 11: matching time per rewrite for queries of
 // a given join width.
 type Exp3Row struct {
-	Tables             int
+	Tables int
+	// MatchMillisPerCall is what the matching engine spent per probe: the
+	// prepared path, through its (cold) cache.
 	MatchMillisPerCall float64
-	Fragments          int
+	// TextMillisPerCall is the same fragments probed as SPARQL text — render,
+	// parse, evaluate — the way a remote endpoint is asked.
+	TextMillisPerCall float64
+	Fragments         int
 }
 
 // RunExp3 measures the time to probe the knowledge base as the number of
@@ -311,12 +317,28 @@ func RunExp3(cfg Config, widths []int) ([]Exp3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		fragments := len(plan.EnumerateSubPlans(4))
+		fragments := plan.EnumerateSubPlans(4)
 		per := 0.0
 		if res.ProbeStats.Probes > 0 {
 			per = res.ProbeStats.TotalMillis / float64(res.ProbeStats.Probes)
 		}
-		rows = append(rows, Exp3Row{Tables: w, MatchMillisPerCall: per, Fragments: fragments})
+		knowledge := sys.KB()
+		textStart := time.Now()
+		for _, frag := range fragments {
+			text, _, err := transform.FragmentMatchQuery(frag.Root)
+			if err != nil {
+				return nil, err
+			}
+			store := knowledge.ShardStore(knowledge.RouteShape(frag.Root.ShapeSignature(), frag.Joins))
+			if _, err := (fuseki.LocalEndpoint{Store: store}).Select(text); err != nil {
+				return nil, err
+			}
+		}
+		perText := 0.0
+		if len(fragments) > 0 {
+			perText = float64(time.Since(textStart).Microseconds()) / 1000 / float64(len(fragments))
+		}
+		rows = append(rows, Exp3Row{Tables: w, MatchMillisPerCall: per, TextMillisPerCall: perText, Fragments: len(fragments)})
 	}
 	return rows, nil
 }

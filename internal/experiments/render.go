@@ -55,9 +55,9 @@ func renderOutcomes(outcomes []core.QueryOutcome) string {
 func RenderExp3(rows []Exp3Row) string {
 	var b strings.Builder
 	b.WriteString("Exp-3 / Figure 11 — matching time vs number of joined tables\n")
-	b.WriteString("tables | fragments | ms per KB probe\n")
+	b.WriteString("tables | fragments | ms per KB probe | as SPARQL text\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d | %9d | %14.3f\n", r.Tables, r.Fragments, r.MatchMillisPerCall)
+		fmt.Fprintf(&b, "%6d | %9d | %15.3f | %14.3f\n", r.Tables, r.Fragments, r.MatchMillisPerCall, r.TextMillisPerCall)
 	}
 	return b.String()
 }

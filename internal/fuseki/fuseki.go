@@ -409,18 +409,15 @@ func (l LocalEndpoint) Select(queryText string) ([]sparql.Solution, error) {
 	return sparql.Execute(q, l.Store.Snapshot())
 }
 
-// PinEpoch pins the store's current epoch and returns a Select function
-// frozen on it plus that epoch's version (matching the matching engine's
-// EpochPinner interface). Every probe issued through the returned function
-// sees exactly the pinned epoch, so cache entries tagged with the returned
-// version can never carry another epoch's solutions.
-func (l LocalEndpoint) PinEpoch() (func(string) ([]sparql.Solution, error), uint64) {
+// PinEpoch pins the store's current epoch and returns a select over prepared
+// queries frozen on it, plus that epoch's version (matching the matching
+// engine's EpochPinner interface). Every probe issued through the returned
+// function sees exactly the pinned epoch, so cache entries tagged with the
+// returned version can never carry another epoch's solutions — and, being in
+// process, it takes the query as built: nothing is printed or parsed.
+func (l LocalEndpoint) PinEpoch() (func(*sparql.Query) ([]sparql.Solution, error), uint64) {
 	snap := l.Store.Snapshot()
-	return func(queryText string) ([]sparql.Solution, error) {
-		q, err := sparql.Parse(queryText)
-		if err != nil {
-			return nil, err
-		}
+	return func(q *sparql.Query) ([]sparql.Solution, error) {
 		return sparql.Execute(q, snap)
 	}, snap.Version()
 }

@@ -92,10 +92,10 @@ func TestParsePaperLiteralXML(t *testing.T) {
 
 func TestValidateRejectsMalformedGuidelines(t *testing.T) {
 	cases := []*Element{
-		{Op: ElemHSJOIN, Children: []*Element{{Op: ElemTBSCAN, TabID: "Q1"}}},                       // join with 1 child
-		{Op: ElemTBSCAN},                                                                             // access without TABID/TABLE
-		{Op: ElemTBSCAN, TabID: "Q1", Children: []*Element{{Op: ElemTBSCAN, TabID: "Q2"}}},           // access with child
-		{Op: "MYSTERY", TabID: "Q1"},                                                                 // unknown op
+		{Op: ElemHSJOIN, Children: []*Element{{Op: ElemTBSCAN, TabID: "Q1"}}}, // join with 1 child
+		{Op: ElemTBSCAN}, // access without TABID/TABLE
+		{Op: ElemTBSCAN, TabID: "Q1", Children: []*Element{{Op: ElemTBSCAN, TabID: "Q2"}}}, // access with child
+		{Op: "MYSTERY", TabID: "Q1"}, // unknown op
 		{Op: ElemNLJOIN, Children: []*Element{{Op: ElemTBSCAN, TabID: "Q1"}, {Op: "BAD"}, {Op: "X"}}}, // 3 children
 	}
 	for i, g := range cases {

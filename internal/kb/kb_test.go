@@ -19,11 +19,11 @@ func sampleProblem() *qgm.Node {
 func sampleTemplate() *Template {
 	p := sampleProblem()
 	return &Template{
-		Problem:      p,
-		Bounds:       map[int]Range{p.ID: {Lo: 100, Hi: 5000}},
-		GuidelineXML: "<OPTGUIDELINES><HSJOIN><TBSCAN TABID='TABLE_2'/><TBSCAN TABID='TABLE_1'/></HSJOIN></OPTGUIDELINES>",
-		Improvement:  0.4,
-		SourceQuery:  "TPCDS.FIG8",
+		Problem:        p,
+		Bounds:         map[int]Range{p.ID: {Lo: 100, Hi: 5000}},
+		GuidelineXML:   "<OPTGUIDELINES><HSJOIN><TBSCAN TABID='TABLE_2'/><TBSCAN TABID='TABLE_1'/></HSJOIN></OPTGUIDELINES>",
+		Improvement:    0.4,
+		SourceQuery:    "TPCDS.FIG8",
 		SourceWorkload: "tpcds",
 	}
 }

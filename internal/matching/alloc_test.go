@@ -1,0 +1,81 @@
+package matching
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"galo/internal/fuseki"
+	"galo/internal/kb"
+	"galo/internal/qgm"
+	"galo/internal/transform"
+)
+
+// threeJoinPlan is a left-deep 3-join plan — three fragments to probe — whose
+// cardinalities lie below every matchingTemplate's bounds: like most probes,
+// its three find no template.
+func threeJoinPlan() *qgm.Plan {
+	cur := &qgm.Node{Op: qgm.OpTBSCAN, Table: "T0", TableInstance: "Q0", EstCardinality: 7}
+	for j, op := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpNLJOIN, qgm.OpMSJOIN} {
+		inst := fmt.Sprintf("Q%d", j+1)
+		inner := &qgm.Node{Op: qgm.OpIXSCAN, Table: "T" + inst, TableInstance: inst, Index: "IX", EstCardinality: 7}
+		cur = &qgm.Node{Op: op, Outer: cur, Inner: inner, EstCardinality: 9}
+	}
+	return qgm.NewPlan(cur)
+}
+
+// TestProbeAllocCeiling is the clock-free gate on the probe path: allocation
+// counts repeat where microseconds do not. On the commit before probes were
+// prepared (49b635a), where every fragment was rendered to SPARQL text to be
+// looked up and that text lexed and parsed on a miss, a warm MatchPlanStats of
+// this 3-join plan (three cache hits) took 559 allocations and a cold local
+// probe of the one-join fragment (8 solutions) 1681; prepared they take 50
+// (most of them enumerating the plan's fragments) and 234.
+func TestProbeAllocCeiling(t *testing.T) {
+	knowledge := kb.New()
+	for i := 0; i < 32; i++ {
+		mustAdd(t, knowledge, matchingTemplate(i))
+	}
+	endpoint := fuseki.LocalEndpoint{Store: knowledge.Store()}
+	// One worker: a second would add its goroutine to the cold pass only.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	eng := New(nil, endpoint, DefaultOptions())
+	plan := threeJoinPlan()
+	_, stats, err := eng.MatchPlanStats(plan)
+	if err != nil || stats.Probes != 3 || stats.CacheHits != 0 {
+		t.Fatalf("cold pass: %+v, %v", stats, err)
+	}
+	warm := testing.AllocsPerRun(50, func() {
+		_, stats, err := eng.MatchPlanStats(plan)
+		if err != nil || stats.CacheHits != 3 {
+			t.Fatalf("warm pass: %+v, %v", stats, err)
+		}
+	})
+
+	frag := oneJoinFragment()
+	sel, _ := endpoint.PinEpoch()
+	cold := testing.AllocsPerRun(50, func() {
+		p, err := transform.NewProbe(frag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols, err := sel(p.Query())
+		if err != nil || len(sols) != transform.ProbeSolutionLimit {
+			t.Fatalf("cold probe: %d solutions, %v", len(sols), err)
+		}
+	})
+
+	for _, c := range []struct {
+		name            string
+		allocs, ceiling float64
+	}{
+		{"warm MatchPlanStats, 3 joins", warm, 64},
+		{"cold local probe, 1 join", cold, 280},
+	} {
+		t.Logf("%s: %.0f allocations (ceiling %.0f)", c.name, c.allocs, c.ceiling)
+		if c.allocs > c.ceiling {
+			t.Errorf("%s: %.0f allocations, ceiling is %.0f", c.name, c.allocs, c.ceiling)
+		}
+	}
+}

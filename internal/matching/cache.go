@@ -2,7 +2,6 @@ package matching
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 
 	"galo/internal/sparql"
@@ -16,21 +15,24 @@ import (
 const probeCacheShards = 16
 
 // probeCache is a sharded, fixed-capacity LRU cache of knowledge base probe
-// results, keyed by the generated SPARQL query text. The query text is a
-// complete fingerprint of the probed fragment — its operator types,
-// input-stream structure and estimated cardinalities all feed the generated
-// query — so two fragments with equal query text are guaranteed to receive
-// equal solutions from an unchanged knowledge base. This is the paper's
-// "routinization" fast path (Figure 12): workloads re-submit the same plan
-// fragments over and over, and a repeated fragment should not pay full
-// SPARQL evaluation again.
+// results, keyed by shard and probe fingerprint (transform.Probe.Key). The
+// fingerprint is complete — the operator types, variable names, input-stream
+// structure and estimated cardinalities it records are everything the probe's
+// query is built from — so two fragments with equal fingerprints are
+// guaranteed to receive equal solutions from an unchanged knowledge base.
+// This is the paper's "routinization" fast path (Figure 12): workloads
+// re-submit the same plan fragments over and over, and a repeated fragment
+// should not pay full SPARQL evaluation again.
 //
 // Entries are tagged with the knowledge base epoch they were computed
-// against; a lookup with a different epoch drops the stale entry, so
-// knowledge base publications invalidate the cache without coordination —
-// the cache can never serve a solution across epochs. Negative results (no
-// matching template) are cached too — most probes miss, and the miss is
-// exactly what routinization must make cheap.
+// against and are served to that epoch only, so knowledge base publications
+// invalidate the cache without coordination — the cache can never serve a
+// solution across epochs. Shard epochs only grow: a lookup from a newer epoch
+// drops the entry it supersedes, while a plan still pinned on an older epoch
+// neither finds nor disturbs what a newer plan cached (while a publication
+// is in flight both kinds of plan are running). Negative results (no matching
+// template) are cached too — most probes miss, and the miss is exactly what
+// routinization must make cheap.
 type probeCache struct {
 	shards []*cacheShard
 }
@@ -39,11 +41,11 @@ type cacheShard struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List
-	items map[string]*list.Element
+	items map[probeKey]*list.Element
 }
 
 type probeEntry struct {
-	key     string
+	key     probeKey
 	version uint64
 	sols    []sparql.Solution
 }
@@ -66,20 +68,26 @@ func newProbeCache(capacity int) *probeCache {
 	}
 	c := &probeCache{shards: make([]*cacheShard, shards)}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{cap: perShard, order: list.New(), items: map[string]*list.Element{}}
+		c.shards[i] = &cacheShard{cap: perShard, order: list.New(), items: map[probeKey]*list.Element{}}
 	}
 	return c
 }
 
-func (c *probeCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
+// shard picks the key's cache shard by FNV-1a over its bytes, hashed in
+// place.
+func (c *probeCache) shard(key probeKey) *cacheShard {
+	h := uint32(2166136261)
+	for i := 0; i < len(key.probe); i++ {
+		h = (h ^ uint32(key.probe[i])) * 16777619
+	}
+	h = (h ^ uint32(key.shard)) * 16777619
+	return c.shards[h%uint32(len(c.shards))]
 }
 
 // get returns the cached solutions for key at the given knowledge base
-// epoch. An epoch mismatch evicts the entry and reports a miss.
-func (c *probeCache) get(key string, version uint64) ([]sparql.Solution, bool) {
+// epoch. An entry from an older epoch is evicted; one from a newer epoch is
+// left for the plans that can use it. Both report a miss.
+func (c *probeCache) get(key probeKey, version uint64) ([]sparql.Solution, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,8 +97,10 @@ func (c *probeCache) get(key string, version uint64) ([]sparql.Solution, bool) {
 	}
 	ent := el.Value.(*probeEntry)
 	if ent.version != version {
-		s.order.Remove(el)
-		delete(s.items, key)
+		if ent.version < version {
+			s.order.Remove(el)
+			delete(s.items, key)
+		}
 		return nil, false
 	}
 	s.order.MoveToFront(el)
@@ -98,13 +108,17 @@ func (c *probeCache) get(key string, version uint64) ([]sparql.Solution, bool) {
 }
 
 // put stores the solutions for key at the given knowledge base epoch,
-// evicting the shard's least recently used entry when it is full.
-func (c *probeCache) put(key string, version uint64, sols []sparql.Solution) {
+// evicting the shard's least recently used entry when it is full. An entry
+// already cached at a newer epoch stays.
+func (c *probeCache) put(key probeKey, version uint64, sols []sparql.Solution) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
 		ent := el.Value.(*probeEntry)
+		if ent.version > version {
+			return
+		}
 		ent.version = version
 		ent.sols = sols
 		s.order.MoveToFront(el)

@@ -16,7 +16,7 @@ import (
 // in between).
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[flightKey]*flightCall
 }
 
 type flightCall struct {
@@ -27,10 +27,10 @@ type flightCall struct {
 
 // do runs fn once per key among concurrent callers; shared reports whether
 // this caller joined another caller's evaluation instead of running its own.
-func (g *flightGroup) do(key string, fn func() ([]sparql.Solution, error)) (sols []sparql.Solution, shared bool, err error) {
+func (g *flightGroup) do(key flightKey, fn func() ([]sparql.Solution, error)) (sols []sparql.Solution, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = map[string]*flightCall{}
+		g.calls = map[flightKey]*flightCall{}
 	}
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()

@@ -3,7 +3,6 @@ package matching
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,16 +38,19 @@ type VersionedEndpoint interface {
 }
 
 // EpochPinner is an Endpoint that can pin one knowledge base epoch: PinEpoch
-// returns a Select function frozen on the current epoch plus that epoch's
-// version. The engine pins once per plan, so every probe of the plan — and
-// every cache entry and singleflight key those probes produce — belongs to
-// exactly that epoch; the version tag can never disagree with the data
-// actually read, even while learning publishes new epochs mid-plan.
+// returns a select frozen on the current epoch plus that epoch's version. The
+// engine pins once per plan, so every probe of the plan — and every cache
+// entry and singleflight key those probes produce — belongs to exactly that
+// epoch; the version tag can never disagree with the data actually read, even
+// while learning publishes new epochs mid-plan. The select takes the probe as
+// a built query (transform.Probe.Query): an endpoint that can pin an epoch is
+// in this process, so nothing has to be printed, lexed or parsed on the way.
 // In-process endpoints (fuseki.LocalEndpoint) implement this; remote
-// endpoints cannot, and fall back to the conservative KBVersion tagging
-// (entries tagged with a superseded version are evicted on next lookup).
+// endpoints cannot, are sent the probe's text through Endpoint.Select, and
+// fall back to the conservative KBVersion tagging (an entry tagged with a
+// superseded version is replaced by the next evaluation).
 type EpochPinner interface {
-	PinEpoch() (func(string) ([]sparql.Solution, error), uint64)
+	PinEpoch() (func(*sparql.Query) ([]sparql.Solution, error), uint64)
 }
 
 // Options configures the matching engine.
@@ -182,29 +184,32 @@ func (e *Engine) CachedProbes() int {
 }
 
 // shardConn is one shard's resolved probe path for the duration of a plan:
-// the Select function every probe routed to the shard goes through, plus the
-// shard's pinned (or conservatively fetched) epoch.
+// how a probe routed to the shard is answered, plus the shard's pinned (or
+// conservatively fetched) epoch.
 type shardConn struct {
-	sel       func(string) ([]sparql.Solution, error)
+	// prepared answers a built query against the pinned epoch; nil for an
+	// endpoint that cannot pin one, which is sent text instead.
+	prepared  func(*sparql.Query) ([]sparql.Solution, error)
+	text      func(string) ([]sparql.Solution, error)
 	version   uint64
 	versionOK bool
 }
 
-// planShards resolves the Select function and version tag per shard, once
-// per plan: a pinned epoch snapshot when the endpoint supports it
-// (EpochPinner), the plain endpoint with conservative version tagging
-// otherwise. The result is the plan's *epoch vector* — every probe of the
-// plan reads from, and tags its cache/singleflight keys with, exactly the
-// epoch its shard had at plan start, independent of the other shards.
+// planShards resolves the probe path and version tag per shard, once per
+// plan: a pinned epoch snapshot when the endpoint supports it (EpochPinner),
+// the plain endpoint with conservative version tagging otherwise. The result
+// is the plan's *epoch vector* — every probe of the plan reads from, and tags
+// its cache/singleflight keys with, exactly the epoch its shard had at plan
+// start, independent of the other shards.
 func (e *Engine) planShards() []shardConn {
 	conns := make([]shardConn, len(e.endpoints))
 	for i, ep := range e.endpoints {
 		if p, ok := ep.(EpochPinner); ok {
 			sel, version := p.PinEpoch()
-			conns[i] = shardConn{sel: sel, version: version, versionOK: true}
+			conns[i] = shardConn{prepared: sel, version: version, versionOK: true}
 			continue
 		}
-		conn := shardConn{sel: ep.Select}
+		conn := shardConn{text: ep.Select}
 		if e.cache != nil {
 			conn.version, conn.versionOK = ep.(VersionedEndpoint).KBVersion()
 		}
@@ -213,34 +218,49 @@ func (e *Engine) planShards() []shardConn {
 	return conns
 }
 
-// probe answers one knowledge base query against one shard, through the
-// routinization cache when it is active and a version was resolved. Tagging
-// a whole plan's probes with the version fetched at plan start is
-// conservative: if the shard changes mid-plan, the entries are tagged with
-// the older version and evicted on their next lookup.
-//
-// Cache and singleflight keys carry the shard index as well as the epoch, so
-// a publication on one shard can never invalidate — or serve — entries that
-// belong to another: identical probes issued by concurrent re-optimizations
-// collapse into one SPARQL evaluation only when they target the same shard
-// at the same epoch.
-func (e *Engine) probe(shard int, conn shardConn, queryText string) (sols []sparql.Solution, cached bool, err error) {
-	e.shardProbes[shard].Add(1)
-	key := "s" + strconv.Itoa(shard) + "|" + queryText
-	if e.cache != nil && conn.versionOK {
-		if sols, hit := e.cache.get(key, conn.version); hit {
-			return sols, true, nil
+// probeKey names one probe of one shard in the routinization cache: the
+// shard index beside the probe's fingerprint, so a publication on one shard
+// can never invalidate — or serve — entries that belong to another.
+type probeKey struct {
+	shard int
+	probe string // transform.Probe.Key
+}
+
+// flightKey names one in-flight evaluation: identical probes issued by
+// concurrent re-optimizations collapse into one only when they target the
+// same shard at the same epoch.
+type flightKey struct {
+	probeKey
+	version   uint64
+	versionOK bool
+}
+
+// cached looks a probe up in the routinization cache, which is active when
+// every endpoint is versioned and this plan resolved the shard's version.
+// Tagging a whole plan's probes with the version fetched at plan start is
+// conservative: if the shard changes mid-plan, the entries carry the older
+// version and lose to the next evaluation at the newer one.
+func (e *Engine) cached(shard int, conn shardConn, p *transform.Probe) ([]sparql.Solution, bool) {
+	if e.cache == nil || !conn.versionOK {
+		return nil, false
+	}
+	return e.cache.get(probeKey{shard, p.Key()}, conn.version)
+}
+
+// evaluate answers a probe the cache could not: one evaluation per
+// (shard, epoch, fingerprint) among concurrent callers, as a built query
+// where the shard's epoch is pinned in process and as text anywhere else;
+// the answer is cached for the plans that follow.
+func (e *Engine) evaluate(shard int, conn shardConn, p *transform.Probe) ([]sparql.Solution, error) {
+	key := probeKey{shard, p.Key()}
+	sols, shared, err := e.flight.do(flightKey{key, conn.version, conn.versionOK}, func() ([]sparql.Solution, error) {
+		if conn.prepared != nil {
+			return conn.prepared(p.Query())
 		}
-	}
-	flightKey := key
-	if conn.versionOK {
-		flightKey = "s" + strconv.Itoa(shard) + "|" + strconv.FormatUint(conn.version, 16) + "|" + queryText
-	}
-	sols, shared, err := e.flight.do(flightKey, func() ([]sparql.Solution, error) {
-		return conn.sel(queryText)
+		return conn.text(p.Text())
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if shared {
 		e.deduped.Add(1)
@@ -248,7 +268,7 @@ func (e *Engine) probe(shard int, conn shardConn, queryText string) (sols []spar
 	if e.cache != nil && conn.versionOK {
 		e.cache.put(key, conn.version, sols)
 	}
-	return sols, false, nil
+	return sols, nil
 }
 
 // DedupedProbes returns how many probes were answered by joining another
@@ -305,13 +325,26 @@ func (e *Engine) MatchPlan(plan *qgm.Plan) ([]Match, error) {
 	return matches, err
 }
 
-// MatchPlanStats is MatchPlan plus probe statistics. Probes fan out across a
-// bounded worker pool (GOMAXPROCS workers), each fragment routed to the
-// knowledge base shard its shape signature can hit — the plan pins a vector
-// of shard epochs up front, so every probe reads a consistent snapshot of
-// its shard no matter what publishes elsewhere mid-plan. Selection then runs
-// over the results in deterministic order: fragments are tried from the
-// largest (most context) down to single joins, and fragments overlapping an
+// outcome is what probing one fragment came to. Until a cache miss has been
+// evaluated, probe is set and the outcome is pending.
+type outcome struct {
+	m   Match
+	ok  bool
+	err error
+
+	probe *transform.Probe
+	shard int
+}
+
+// MatchPlanStats is MatchPlan plus probe statistics. Each fragment is routed
+// to the knowledge base shard its shape signature can hit — the plan pins a
+// vector of shard epochs up front, so every probe reads a consistent
+// snapshot of its shard no matter what publishes elsewhere mid-plan — and
+// looked up in the routinization cache right here: a hit costs less than
+// handing it to another goroutine would. Only the misses fan out across a
+// bounded worker pool (GOMAXPROCS workers). Selection then runs over the
+// results in deterministic order: fragments are tried from the largest (most
+// context) down to single joins, and fragments overlapping an
 // already-matched fragment are skipped, so each part of the plan is
 // rewritten by at most one template.
 func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
@@ -324,21 +357,23 @@ func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 	for i, j := 0, len(fragments)-1; i < j; i, j = i+1, j-1 {
 		fragments[i], fragments[j] = fragments[j], fragments[i]
 	}
-	type outcome struct {
-		m   Match
-		ok  bool
-		err error
-	}
 	outcomes := make([]outcome, len(fragments))
 	conns := e.planShards()
+	var misses []int
+	for i, frag := range fragments {
+		outcomes[i] = e.lookupFragment(frag.Root, conns)
+		if outcomes[i].probe != nil {
+			misses = append(misses, i)
+		}
+	}
+	evaluate := func(i int) { outcomes[i] = e.evaluateFragment(fragments[i].Root, conns, outcomes[i]) }
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(fragments) {
-		workers = len(fragments)
+	if workers > len(misses) {
+		workers = len(misses)
 	}
 	if workers <= 1 {
-		for i, frag := range fragments {
-			m, ok, err := e.matchFragment(frag.Root, conns)
-			outcomes[i] = outcome{m, ok, err}
+		for _, i := range misses {
+			evaluate(i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -348,12 +383,11 @@ func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 			go func() {
 				defer wg.Done()
 				for i := range jobs {
-					m, ok, err := e.matchFragment(fragments[i].Root, conns)
-					outcomes[i] = outcome{m, ok, err}
+					evaluate(i)
 				}
 			}()
 		}
-		for i := range fragments {
+		for _, i := range misses {
 			jobs <- i
 		}
 		close(jobs)
@@ -400,29 +434,51 @@ func overlapsClaimed(frag *qgm.Node, claimed map[string]bool) bool {
 	return false
 }
 
-// matchFragment matches one sub-plan against the shard of the knowledge
-// base its shape signature routes to and, when a template matches, maps its
-// guideline back to the incoming plan's table instances.
-func (e *Engine) matchFragment(frag *qgm.Node, conns []shardConn) (Match, bool, error) {
+// lookupFragment describes the probe of one sub-plan, routes it to the shard
+// of the knowledge base its shape signature can hit, and answers it from the
+// routinization cache when it can; otherwise the outcome is left pending for
+// evaluateFragment, carrying the probe and the time spent so far.
+func (e *Engine) lookupFragment(frag *qgm.Node, conns []shardConn) outcome {
 	start := time.Now()
-	queryText, info, err := transform.FragmentMatchQuery(frag)
+	p, err := transform.NewProbe(frag)
 	if err != nil {
-		return Match{}, false, err
+		return outcome{err: err}
 	}
 	shard := e.shardFor(frag)
-	sols, cached, err := e.probe(shard, conns[shard], queryText)
+	e.shardProbes[shard].Add(1)
+	sols, hit := e.cached(shard, conns[shard], p)
+	if !hit {
+		return outcome{m: Match{MatchMillis: millisSince(start)}, probe: p, shard: shard}
+	}
+	return e.pickTemplate(frag, p, sols, Match{MatchMillis: millisSince(start), CacheHit: true})
+}
+
+// evaluateFragment finishes a pending outcome: it evaluates the probe against
+// its shard.
+func (e *Engine) evaluateFragment(frag *qgm.Node, conns []shardConn, pending outcome) outcome {
+	start := time.Now()
+	sols, err := e.evaluate(pending.shard, conns[pending.shard], pending.probe)
 	if err != nil {
-		return Match{}, false, fmt.Errorf("matching: knowledge base query failed: %w", err)
+		return outcome{err: fmt.Errorf("matching: knowledge base query failed: %w", err)}
 	}
-	elapsed := float64(time.Since(start).Microseconds()) / 1000
+	return e.pickTemplate(frag, pending.probe, sols, Match{MatchMillis: pending.m.MatchMillis + millisSince(start)})
+}
+
+func millisSince(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1000 }
+
+// pickTemplate turns a probe's solutions into the fragment's match: the best
+// template among them, its guideline mapped back to the incoming plan's
+// table instances. m carries the probe's timing and cache-hit flag.
+func (e *Engine) pickTemplate(frag *qgm.Node, p *transform.Probe, sols []sparql.Solution, m Match) outcome {
 	if len(sols) == 0 {
-		return Match{MatchMillis: elapsed, CacheHit: cached}, false, nil
+		return outcome{m: m}
 	}
+	info := p.Info()
 	best, improvement := pickBestSolution(sols, info)
 	guidelineXML := best[info.GuidelineVar].Value
 	doc, err := guideline.Parse(guidelineXML)
 	if err != nil || len(doc.Guidelines) == 0 {
-		return Match{}, false, fmt.Errorf("matching: template carries an invalid guideline: %v", err)
+		return outcome{err: fmt.Errorf("matching: template carries an invalid guideline: %v", err)}
 	}
 	// Canonical label -> incoming instance.
 	canonicalToInstance := map[string]string{}
@@ -433,17 +489,13 @@ func (e *Engine) matchFragment(frag *qgm.Node, conns []shardConn) (Match, bool, 
 	}
 	g := doc.Guidelines[0]
 	if !rebindGuideline(g, canonicalToInstance) {
-		return Match{MatchMillis: elapsed, CacheHit: cached}, false, nil
+		return outcome{m: m}
 	}
-	m := Match{
-		FragmentRootID: frag.ID,
-		TemplateIRI:    best[info.TemplateVar].Value,
-		Improvement:    improvement,
-		Guideline:      g,
-		MatchMillis:    elapsed,
-		CacheHit:       cached,
-	}
-	return m, true, nil
+	m.FragmentRootID = frag.ID
+	m.TemplateIRI = best[info.TemplateVar].Value
+	m.Improvement = improvement
+	m.Guideline = g
+	return outcome{m: m, ok: true}
 }
 
 // pickBestSolution chooses the matching template with the highest recorded

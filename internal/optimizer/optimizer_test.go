@@ -376,5 +376,5 @@ func TestSelectivityEstimates(t *testing.T) {
 	}
 }
 
-func mustVal(s string) catalog.Value  { return catalog.String(s) }
+func mustVal(s string) catalog.Value    { return catalog.String(s) }
 func mustFloat(f float64) catalog.Value { return catalog.Float(f) }

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-func popIRI(id string) Term  { return NewIRI("http://galo/qep/pop/" + id) }
-func propIRI(p string) Term  { return NewIRI("http://galo/qep/property/" + p) }
+func popIRI(id string) Term { return NewIRI("http://galo/qep/pop/" + id) }
+func propIRI(p string) Term { return NewIRI("http://galo/qep/property/" + p) }
 
 func paperStore() *Store {
 	// The triples from Section 3.1 of the paper.

@@ -9,14 +9,14 @@ import (
 type tokKind uint8
 
 const (
-	tEOF tokKind = iota
-	tIdent   // keyword or prefixed name (predURI:hasPopType)
-	tVar     // ?name
-	tIRI     // <http://...>
-	tString  // "..." or '...'
-	tNumber  // 123 or 1.5
-	tPunct   // { } ( ) . / + , *
-	tOp      // <= >= < > = != && ||
+	tEOF    tokKind = iota
+	tIdent          // keyword or prefixed name (predURI:hasPopType)
+	tVar            // ?name
+	tIRI            // <http://...>
+	tString         // "..." or '...'
+	tNumber         // 123 or 1.5
+	tPunct          // { } ( ) . / + , *
+	tOp             // <= >= < > = != && ||
 )
 
 type tok struct {

@@ -56,14 +56,14 @@ func TestParseFigure6StyleQuery(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"SELECT ?x",                               // no WHERE
-		"SELECT WHERE { ?x <p> ?y }",               // no vars
-		"SELECT ?x WHERE { ?x <p> ?y",              // unterminated block
-		"SELECT ?x WHERE { }",                      // no patterns
-		"SELECT ?x WHERE { ?x ?p ?y }",             // variable predicate
+		"SELECT ?x",                    // no WHERE
+		"SELECT WHERE { ?x <p> ?y }",   // no vars
+		"SELECT ?x WHERE { ?x <p> ?y",  // unterminated block
+		"SELECT ?x WHERE { }",          // no patterns
+		"SELECT ?x WHERE { ?x ?p ?y }", // variable predicate
 		"PREFIX p <http://x> SELECT ?x WHERE { ?x p:a ?y }", // prefix without colon
-		"SELECT ?x WHERE { ?x q:a ?y }",            // unknown prefix
-		"SELECT ?x WHERE { ?x <p> ?y } LIMIT z",    // bad limit
+		"SELECT ?x WHERE { ?x q:a ?y }",                     // unknown prefix
+		"SELECT ?x WHERE { ?x <p> ?y } LIMIT z",             // bad limit
 		"SELECT ?x WHERE { ?x <p> ?y . FILTER (?y !! 3) }",
 	}
 	for _, text := range bad {

@@ -124,10 +124,10 @@ func (p Predicate) String() string {
 // Query is the AST of one parsed SELECT statement.
 type Query struct {
 	// Select lists the projected columns; Star is true for SELECT *.
-	Select []ColumnRef
-	Star   bool
-	From   []TableRef
-	Where  []Predicate
+	Select  []ColumnRef
+	Star    bool
+	From    []TableRef
+	Where   []Predicate
 	GroupBy []ColumnRef
 	OrderBy []ColumnRef
 	// Name optionally labels the query (workload query id such as "Q08").

@@ -13,7 +13,7 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokSymbol  // , ( ) . *
+	tokSymbol   // , ( ) . *
 	tokOperator // = <> < <= > >=
 )
 
@@ -52,7 +52,7 @@ func lex(input string) ([]token, error) {
 		case ch == ',' || ch == '(' || ch == ')' || ch == '.' || ch == '*':
 			l.toks = append(l.toks, token{kind: tokSymbol, text: string(ch), pos: l.pos})
 			l.pos++
-		case ch == '=' :
+		case ch == '=':
 			l.toks = append(l.toks, token{kind: tokOperator, text: "=", pos: l.pos})
 			l.pos++
 		case ch == '<':

@@ -43,9 +43,9 @@ type parser struct {
 	sql  string
 }
 
-func (p *parser) peek() token  { return p.toks[p.i] }
-func (p *parser) next() token  { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) atEOF() bool  { return p.peek().kind == tokEOF }
+func (p *parser) peek() token { return p.toks[p.i] }
+func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) matchKeyword(kw string) bool {
 	if p.peek().kind == tokIdent && strings.EqualFold(p.peek().text, kw) {

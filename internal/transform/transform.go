@@ -114,125 +114,6 @@ func PlanToRDF(p *qgm.Plan) *rdf.Store {
 
 func round2(f float64) float64 { return float64(int64(f*100)) / 100 }
 
-// VarFor returns the SPARQL variable name used for a plan node: result
-// handlers are named after the table instance for base-table accesses and
-// after the operator ID otherwise, as in the paper's Figure 6.
-func VarFor(n *qgm.Node) string {
-	if n.Op.IsScan() && n.TableInstance != "" {
-		return "pop_" + n.TableInstance
-	}
-	return "pop_" + strconv.Itoa(n.ID)
-}
-
-// MatchQueryInfo describes how to interpret the solutions of a generated
-// matching query.
-type MatchQueryInfo struct {
-	// TemplateVar, GuidelineVar and ImprovementVar are the variables bound to
-	// the matching template's resource, its guideline XML and its recorded
-	// improvement.
-	TemplateVar    string
-	GuidelineVar   string
-	ImprovementVar string
-	// CanonicalVarByInstance maps each scan's table instance in the incoming
-	// fragment to the variable that binds the template's canonical table
-	// label for it (used to rewrite guideline TABIDs).
-	CanonicalVarByInstance map[string]string
-	// NodeVars maps fragment operator IDs to their variable names.
-	NodeVars map[int]string
-}
-
-// ProbeSolutionLimit bounds how many matching templates one knowledge base
-// probe may return: the generated SPARQL carries a LIMIT and the evaluator
-// stops enumerating solutions at the bound, keeping cold probes flat even
-// when a large knowledge base holds many templates matching the same
-// fragment shape. The cut is by enumeration order, not by improvement — the
-// matcher picks the best-improvement template *among the first k matches*,
-// trading the global optimum (every match already cleared the learning
-// improvement threshold, so any of them helps) for bounded probe time.
-const ProbeSolutionLimit = 8
-
-// FragmentMatchQuery generates the SPARQL query that probes the knowledge
-// base for problem-pattern templates matching the given plan fragment. The
-// query constrains operator types, the outer/inner input-stream structure,
-// and — through FILTERs — that the fragment's estimated cardinalities fall
-// within each template operator's lower/upper bounds. Table and column names
-// are deliberately not constrained: that is the canonical-symbol abstraction
-// that lets patterns learned on one workload match another. Results are
-// capped at ProbeSolutionLimit (see above).
-func FragmentMatchQuery(fragment *qgm.Node) (string, *MatchQueryInfo, error) {
-	if fragment == nil {
-		return "", nil, fmt.Errorf("transform: nil fragment")
-	}
-	info := &MatchQueryInfo{
-		TemplateVar:            "template",
-		GuidelineVar:           "guideline",
-		ImprovementVar:         "improvement",
-		CanonicalVarByInstance: map[string]string{},
-		NodeVars:               map[int]string{},
-	}
-	var nodes []*qgm.Node
-	fragment.Walk(func(n *qgm.Node) { nodes = append(nodes, n) })
-	for _, n := range nodes {
-		info.NodeVars[n.ID] = VarFor(n)
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "PREFIX predURI: <%s>\n", PropBase)
-	selectVars := []string{"?" + info.TemplateVar, "?" + info.GuidelineVar, "?" + info.ImprovementVar}
-	ih := 0
-	var where strings.Builder
-
-	for _, n := range nodes {
-		v := "?" + info.NodeVars[n.ID]
-		fmt.Fprintf(&where, " %s predURI:%s %q .\n", v, PropPopType, string(n.Op))
-		// Cardinality bounds.
-		ih++
-		loVar := fmt.Sprintf("?ih%d", ih)
-		fmt.Fprintf(&where, " %s predURI:%s %s .\n", v, PropLowerCardinality, loVar)
-		fmt.Fprintf(&where, " FILTER ( %s <= %s ) .\n", loVar, formatNum(n.EstCardinality))
-		ih++
-		hiVar := fmt.Sprintf("?ih%d", ih)
-		fmt.Fprintf(&where, " %s predURI:%s %s .\n", v, PropHigherCardinality, hiVar)
-		fmt.Fprintf(&where, " FILTER ( %s >= %s ) .\n", hiVar, formatNum(n.EstCardinality))
-		if n.Op.IsScan() && n.TableInstance != "" {
-			canonVar := "ct_" + n.TableInstance
-			info.CanonicalVarByInstance[n.TableInstance] = canonVar
-			selectVars = append(selectVars, "?"+canonVar)
-			fmt.Fprintf(&where, " %s predURI:%s ?%s .\n", v, PropCanonicalTable, canonVar)
-		}
-		// Structure: outer / inner input streams.
-		if n.Outer != nil {
-			fmt.Fprintf(&where, " %s predURI:%s ?%s .\n", v, PropOuterInput, info.NodeVars[n.Outer.ID])
-		}
-		if n.Inner != nil {
-			fmt.Fprintf(&where, " %s predURI:%s ?%s .\n", v, PropInnerInput, info.NodeVars[n.Inner.ID])
-		}
-	}
-	// Template linkage from the fragment root.
-	rootVar := "?" + info.NodeVars[fragment.ID]
-	fmt.Fprintf(&where, " %s predURI:%s ?%s .\n", rootVar, PropInTemplate, info.TemplateVar)
-	fmt.Fprintf(&where, " ?%s predURI:%s ?%s .\n", info.TemplateVar, PropGuideline, info.GuidelineVar)
-	fmt.Fprintf(&where, " ?%s predURI:%s ?%s .\n", info.TemplateVar, PropImprovement, info.ImprovementVar)
-	// Distinctness of matched resources.
-	varNames := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		varNames = append(varNames, info.NodeVars[n.ID])
-	}
-	sort.Strings(varNames)
-	for i := 0; i < len(varNames); i++ {
-		for j := i + 1; j < len(varNames); j++ {
-			fmt.Fprintf(&where, " FILTER (STR(?%s) != STR(?%s)) .\n", varNames[i], varNames[j])
-		}
-	}
-
-	fmt.Fprintf(&b, "SELECT %s\nWHERE {\n%s}\nLIMIT %d\n", strings.Join(selectVars, " "), where.String(), ProbeSolutionLimit)
-	return b.String(), info, nil
-}
-
-func formatNum(f float64) string {
-	return strconv.FormatFloat(f, 'f', 2, 64)
-}
-
 // CanonicalLabels assigns canonical table labels (TABLE_1, TABLE_2, ...) to
 // the table instances of a plan fragment, in sorted instance order. This is
 // the abstraction step of Section 3.2: templates never store concrete table
