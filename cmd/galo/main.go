@@ -365,6 +365,8 @@ func runReopt(args []string) error {
 	for _, o := range outcomes {
 		status := "no match"
 		switch {
+		case o.RowsDiffer:
+			status = fmt.Sprintf("REWRITE REFUSED: it returned %d rows, the original plan %d", o.GaloRows, o.OriginalRows)
 		case o.Applied:
 			status = fmt.Sprintf("rewritten (%d rewrites), %.1f ms -> %.1f ms (%.0f%% faster)",
 				o.Rewrites, o.OriginalMillis, o.GaloMillis, o.Improvement()*100)

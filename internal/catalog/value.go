@@ -250,11 +250,28 @@ func (v Value) Key() string {
 }
 
 // keyFloat is a numeric value's key: its float value with -0 folded into +0.
+// Callers have already set NULLs and strings aside.
 func keyFloat(v Value) float64 {
-	if f := v.AsFloat(); f != 0 {
+	var f float64
+	switch v.K {
+	case KindInt, KindBool, KindDate:
+		f = float64(v.I)
+	case KindFloat:
+		f = v.F
+	}
+	if f != 0 {
 		return f
 	}
 	return 0
+}
+
+// keyBits is keyFloat as one word: every NaN folded into one bit pattern, so
+// two numeric values are KeyEqual exactly when their keyBits are equal.
+func keyBits(v Value) uint64 {
+	if f := keyFloat(v); f == f {
+		return math.Float64bits(f)
+	}
+	return 0x7ff8000000000001
 }
 
 // KeyEqual reports whether two values are the same join key: both non-NULL
@@ -267,8 +284,25 @@ func KeyEqual(a, b Value) bool {
 	if a.K == KindString {
 		return a.S == b.S
 	}
-	af, bf := keyFloat(a), keyFloat(b)
-	return af == bf || (af != af && bf != bf)
+	return keyBits(a) == keyBits(b)
+}
+
+// KeyWordNull is the word KeyWord reserves for NULL: a NaN bit pattern no
+// numeric key maps to (every NaN folds into another one).
+const KeyWordNull uint64 = 0x7ff8000000000002
+
+// KeyWord returns the value's join key as a single word, for an index that
+// decides matches by comparing words: two words other than KeyWordNull are
+// equal exactly when the values are KeyEqual. ok is false for a string, whose
+// key no word holds (and which is KeyEqual to no value that has one).
+func (v Value) KeyWord() (w uint64, ok bool) {
+	switch v.K {
+	case KindNull:
+		return KeyWordNull, true
+	case KindString:
+		return 0, false
+	}
+	return keyBits(v), true
 }
 
 // KeyHash folds the value into the running hash h (FNV-1a) such that
@@ -281,10 +315,7 @@ func (v Value) KeyHash(h uint64) uint64 {
 		}
 		return (h ^ 0xff) * prime
 	}
-	bits := uint64(0x7ff8000000000001) // every NaN
-	if f := keyFloat(v); f == f {
-		bits = math.Float64bits(f)
-	}
+	bits := keyBits(v)
 	// One multiply per 32-bit half keeps small integers from clustering in
 	// the low buckets of a power-of-two table.
 	h = (h ^ (bits >> 32)) * prime

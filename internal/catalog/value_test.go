@@ -186,3 +186,68 @@ func TestKeyEqualityDefinedOnce(t *testing.T) {
 		t.Errorf("-0 and +0 are Equal and must share a Key")
 	}
 }
+
+// TestKeyWordAgreesWithKeyEqual is the property the exact hash-join index
+// rests on: over every pair of awkward values, two key words are equal exactly
+// when the values are KeyEqual (or both NULL, whose reserved word the index
+// never links and never probes), a value's word is the NULL word exactly when
+// the value is NULL, and a string — alone — reports that no word holds it.
+func TestKeyWordAgreesWithKeyEqual(t *testing.T) {
+	const two53 = int64(1) << 53
+	values := []Value{
+		Null(), String(""), String("3"), String("3.0"), String("NaN"), String("NULL"),
+		Bool(false), Bool(true),
+		Float(0), Float(math.Copysign(0, -1)), Float(3), Float(-3), Float(0.1), Float(math.SmallestNonzeroFloat64),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000abc)), Float(math.Float64frombits(0xfff0000000000001)),
+		// The NULL word itself is a NaN bit pattern: stored as a float it
+		// must key as NaN, not as NULL.
+		Float(math.Float64frombits(KeyWordNull)),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxFloat64),
+		Float(float64(two53)), Float(float64(two53) + 2),
+		Int(math.MinInt64), Int(math.MaxInt64),
+	}
+	for _, i := range []int64{-1, 0, 1, 3, two53 - 1, two53, two53 + 1, -two53 - 1} {
+		values = append(values, Int(i), DateFromDays(i))
+	}
+	for _, a := range values {
+		aw, aok := a.KeyWord()
+		if aok == (a.K == KindString) {
+			t.Errorf("%v (%s): KeyWord ok = %v", a, a.K, aok)
+		}
+		if aok && (aw == KeyWordNull) != a.IsNull() {
+			t.Errorf("%v (%s): key word %#x, NULL word is %#x", a, a.K, aw, KeyWordNull)
+		}
+		for _, b := range values {
+			bw, bok := b.KeyWord()
+			if !aok || !bok {
+				continue
+			}
+			same := aw == bw && aw != KeyWordNull
+			if same != KeyEqual(a, b) {
+				t.Errorf("%v (%s) and %v (%s): words %#x / %#x, KeyEqual = %v", a, a.K, b, b.K, aw, bw, KeyEqual(a, b))
+			}
+		}
+	}
+	// And over random bit patterns, as floats and as integers of every kind.
+	f := func(x, y uint64, kx, ky uint8) bool {
+		mk := func(bits uint64, k uint8) Value {
+			switch k % 4 {
+			case 0:
+				return Float(math.Float64frombits(bits))
+			case 1:
+				return Int(int64(bits))
+			case 2:
+				return DateFromDays(int64(bits))
+			}
+			return Float(float64(int64(bits))) // the float an Int of these bits keys as
+		}
+		a, b := mk(x, kx), mk(y, ky)
+		aw, _ := a.KeyWord()
+		bw, _ := b.KeyWord()
+		sw, _ := mk(x, ky).KeyWord()
+		return (aw == bw) == KeyEqual(a, b) && aw != KeyWordNull && (aw == sw) == KeyEqual(a, mk(x, ky))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -193,6 +193,10 @@ type System struct {
 	// execution needs under the streaming executor.
 	peakIntermediateRows  atomic.Int64
 	peakIntermediateBytes atomic.Int64
+
+	// rowMismatches counts validated rewrites whose row count differed from
+	// the original plan's: soundness violations, never applied.
+	rowMismatches atomic.Int64
 }
 
 // NewSystem creates a GALO system over the database with an empty knowledge
@@ -395,17 +399,32 @@ func (s *System) admit(plan *qgm.Plan, q *sqlparser.Query, run func(*executor.Ex
 }
 
 // validation is the runtime verdict on one re-optimization: both plans'
-// statistics, and whether the rewrite ran no slower and is therefore kept.
+// statistics, and whether the rewrite is kept.
 type validation struct {
 	orig, galo executor.RunStats
 	// ran reports that a rewrite existed and was executed; applied that it
 	// was kept. When not applied, galo equals orig.
 	ran, applied bool
+	// galoRows is the row count the rewritten plan returned (the original's
+	// when none ran); rowsDiffer that it is not the original's.
+	galoRows   int
+	rowsDiffer bool
+}
+
+// verdict decides what to make of a rewrite from the two runs' statistics
+// alone. A rewrite that returns a different number of rows computed a
+// different query — whatever its speed it is never applied — and one that
+// returns the same number is kept only if it did not run slower.
+func verdict(orig, galo executor.RunStats) (applied, rowsDiffer bool) {
+	if galo.Rows != orig.Rows {
+		return false, true
+	}
+	return galo.ElapsedMillis <= orig.ElapsedMillis, false
 }
 
 // validate runs the original plan and, when the match rewrote it, the
 // re-optimized plan, for their statistics only — no result row is projected
-// or collected — and keeps the rewrite only if it is not slower.
+// or collected — and keeps the rewrite only on verdict's say-so.
 func (s *System) validate(res *matching.Result, q *sqlparser.Query) (validation, error) {
 	stats := func(plan *qgm.Plan) (executor.RunStats, error) {
 		return s.admit(plan, q, func(ex *executor.Executor) (executor.RunStats, error) { return ex.Run(plan, q) })
@@ -415,15 +434,18 @@ func (s *System) validate(res *matching.Result, q *sqlparser.Query) (validation,
 	if v.orig, err = stats(res.OriginalPlan); err != nil {
 		return v, fmt.Errorf("execute: %w", err)
 	}
-	v.galo = v.orig
+	v.galo, v.galoRows = v.orig, v.orig.Rows
 	if res.ReoptimizedPlan != nil && res.Rewritten() {
 		galo, err := stats(res.ReoptimizedPlan)
 		if err != nil {
 			return v, fmt.Errorf("execute rewritten: %w", err)
 		}
-		v.ran = true
-		if galo.ElapsedMillis <= v.orig.ElapsedMillis {
-			v.applied, v.galo = true, galo
+		v.ran, v.galoRows = true, galo.Rows
+		if v.applied, v.rowsDiffer = verdict(v.orig, galo); v.applied {
+			v.galo = galo
+		}
+		if v.rowsDiffer {
+			s.rowMismatches.Add(1)
 		}
 	}
 	return v, nil
@@ -456,6 +478,9 @@ type ExecStats struct {
 	ExchangeWorkers  int64 `json:"exchange_workers"`
 	// Governor is the admission state of the residency budget.
 	Governor GovernorStats `json:"governor"`
+	// RewriteRowMismatches counts validated rewrites refused because they
+	// returned a different number of rows than the original plan.
+	RewriteRowMismatches int64 `json:"rewrite_row_mismatches"`
 }
 
 // ExecutorStats snapshots the system executor's parallelism counters.
@@ -465,6 +490,8 @@ func (s *System) ExecutorStats() ExecStats {
 		ExchangeSegments: executor.ExchangeSegmentCount(),
 		ExchangeWorkers:  executor.ExchangeWorkerCount(),
 		Governor:         s.gov.stats(),
+
+		RewriteRowMismatches: s.rowMismatches.Load(),
 	}
 }
 
@@ -480,6 +507,11 @@ type QueryOutcome struct {
 	OriginalMillis float64
 	GaloMillis     float64
 	MatchMillis    float64
+	// OriginalRows and GaloRows are the row counts the two plans returned;
+	// RowsDiffer flags a rewrite refused because they are not the same.
+	OriginalRows int
+	GaloRows     int
+	RowsDiffer   bool
 }
 
 // Improvement returns the relative improvement of the GALO plan (0 when no
@@ -591,6 +623,9 @@ func (s *System) reoptimizeOne(q *sqlparser.Query) (QueryOutcome, error) {
 		OriginalMillis: v.orig.ElapsedMillis,
 		GaloMillis:     v.galo.ElapsedMillis,
 		MatchMillis:    res.MatchMillis,
+		OriginalRows:   v.orig.Rows,
+		GaloRows:       v.galoRows,
+		RowsDiffer:     v.rowsDiffer,
 	}
 	if v.ran {
 		outcome.Rewrites = len(res.Matches)

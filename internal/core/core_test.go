@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"galo/internal/executor"
 	"galo/internal/fleet"
 	"galo/internal/learning"
 	"galo/internal/sqlparser"
@@ -112,6 +113,37 @@ func TestReoptimizeWorkloadSummary(t *testing.T) {
 	}
 	if summary.TotalGalo > summary.TotalOriginal*1.001 {
 		t.Errorf("validated re-optimization must never regress the workload: %+v", summary)
+	}
+}
+
+// TestVerdictRefusesRowCountMismatch table-tests the validation decision. A
+// rewrite that returns another number of rows cannot be provoked through the
+// API — the executor's differential suite exists so that it cannot — which is
+// why the decision is a pure function of the two runs' statistics.
+func TestVerdictRefusesRowCountMismatch(t *testing.T) {
+	run := func(rows int, millis float64) executor.RunStats {
+		return executor.RunStats{Rows: rows, ElapsedMillis: millis}
+	}
+	cases := []struct {
+		name                string
+		orig, galo          executor.RunStats
+		applied, rowsDiffer bool
+	}{
+		{"faster, same rows", run(183, 900), run(183, 40), true, false},
+		{"as fast, same rows", run(183, 900), run(183, 900), true, false},
+		{"slower, same rows", run(183, 40), run(183, 900), false, false},
+		{"faster, one row short", run(183, 900), run(182, 40), false, true},
+		{"faster, one row over", run(183, 900), run(184, 40), false, true},
+		{"faster, no rows at all", run(183, 900), run(0, 1), false, true},
+		{"slower and different", run(183, 40), run(7, 900), false, true},
+		{"both empty", run(0, 5), run(0, 4), true, false},
+	}
+	for _, tc := range cases {
+		applied, rowsDiffer := verdict(tc.orig, tc.galo)
+		if applied != tc.applied || rowsDiffer != tc.rowsDiffer {
+			t.Errorf("%s: verdict = (applied %v, rowsDiffer %v), want (%v, %v)",
+				tc.name, applied, rowsDiffer, tc.applied, tc.rowsDiffer)
+		}
 	}
 }
 

@@ -355,6 +355,13 @@ func fleetShardHelper(t *testing.T, kbFile string, shard, shards int) (url strin
 // once) serves 16 concurrent /reopt clients while one replica of shard 0 is
 // SIGKILLed mid-load. Retries and failover must mask the kill completely —
 // zero failed requests.
+//
+// How long a probe may take before it counts as lost is not a constant: a
+// loaded machine (a full `go test ./...` beside this test) starves the shard
+// processes, attempts time out, breakers trip and requests fail that no kill
+// caused. The test first kills a spare replica under a gateway that never
+// gives up and times how long this machine, right now, takes to answer the
+// next request; the gateway under test gets a multiple of that.
 func TestFleetSurvivesReplicaKillEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e skipped in -short mode")
@@ -364,38 +371,75 @@ func TestFleetSurvivesReplicaKillEndToEnd(t *testing.T) {
 	if err := os.WriteFile(kbFile, []byte(trained.KB().NTriples()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	spareURL, killSpare := fleetShardHelper(t, kbFile, 0, 2)
 	victimURL, killVictim := fleetShardHelper(t, kbFile, 0, 2)
 	survivorURL, _ := fleetShardHelper(t, kbFile, 0, 2)
 	soloURL, _ := fleetShardHelper(t, kbFile, 1, 2)
 
-	cfg := DefaultConfig()
-	cfg.Shards = 2
-	// Disable the routinization cache so every request drives real probes
-	// over the network — cached probes would mask the kill instead of the
-	// gateway's retries doing it.
-	cfg.Matching.ProbeCacheSize = -1
-	cfg.Fleet = fleet.Options{
-		Shards: [][]string{{victimURL, survivorURL}, {soloURL}},
-		Policy: fleet.Policy{
-			ProbeTimeout:    5 * time.Second,
-			MaxAttempts:     4,
-			BackoffBase:     2 * time.Millisecond,
-			BackoffCap:      50 * time.Millisecond,
-			BreakerCooldown: 200 * time.Millisecond,
-			Seed:            3,
-		},
+	queries := tpcds.Queries()[:8]
+	post := func(srv *httptest.Server, i int) bool {
+		body, _ := json.Marshal(ReoptRequest{SQL: queries[i%len(queries)].SQL()})
+		resp, err := http.Post(srv.URL+"/reopt", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return false
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
 	}
-	sys := NewSystem(coreDB, cfg)
-	defer sys.Close()
-	srv := httptest.NewServer(sys.APIHandler())
-	defer srv.Close()
+	gateway := func(probeTimeout time.Duration, shard0 ...string) (*System, *httptest.Server) {
+		cfg := DefaultConfig()
+		cfg.Shards = 2
+		// Disable the routinization cache so every request drives real probes
+		// over the network — cached probes would mask the kill instead of the
+		// gateway's retries doing it.
+		cfg.Matching.ProbeCacheSize = -1
+		cfg.Fleet = fleet.Options{
+			Shards: [][]string{shard0, {soloURL}},
+			Policy: fleet.Policy{
+				ProbeTimeout:    probeTimeout,
+				MaxAttempts:     4,
+				BackoffBase:     2 * time.Millisecond,
+				BackoffCap:      50 * time.Millisecond,
+				BreakerCooldown: 200 * time.Millisecond,
+				Seed:            3,
+			},
+		}
+		sys := NewSystem(coreDB, cfg)
+		t.Cleanup(sys.Close)
+		srv := httptest.NewServer(sys.APIHandler())
+		t.Cleanup(srv.Close)
+		return sys, srv
+	}
+
+	// Observe this machine's failover time: SIGKILL to the first answer.
+	_, calib := gateway(time.Hour, spareURL, survivorURL)
+	for i := range queries { // every connection open, every query planned once
+		if !post(calib, i) {
+			t.Fatalf("calibration request %d failed before any kill", i)
+		}
+	}
+	killSpare()
+	killed := time.Now()
+	for i := 0; !post(calib, i); i++ {
+		if time.Since(killed) > 2*time.Minute {
+			t.Fatal("no request succeeded within two minutes of killing the spare replica")
+		}
+	}
+	failover := time.Since(killed)
+	// The floor is the constant this test used to run with: an idle machine
+	// fails over in a few milliseconds, and a multiple of that would turn one
+	// scheduling hiccup into a lost probe.
+	probeTimeout := max(5*time.Second, 100*failover)
+	t.Logf("observed failover %v; probe timeout %v", failover, probeTimeout)
+
+	sys, srv := gateway(probeTimeout, victimURL, survivorURL)
 
 	const clients = 16
 	const perClient = 6
 	var failed atomic.Int64
 	var wg sync.WaitGroup
 	var killOnce sync.Once
-	queries := tpcds.Queries()[:8]
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -405,16 +449,7 @@ func TestFleetSurvivesReplicaKillEndToEnd(t *testing.T) {
 					// SIGKILL one replica of shard 0 mid-load, exactly once.
 					killOnce.Do(killVictim)
 				}
-				sql := queries[(c+i)%len(queries)].SQL()
-				body, _ := json.Marshal(ReoptRequest{SQL: sql})
-				resp, err := http.Post(srv.URL+"/reopt", "application/json", bytes.NewReader(body))
-				if err != nil {
-					failed.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
+				if !post(srv, c+i) {
 					failed.Add(1)
 				}
 			}

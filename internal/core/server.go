@@ -243,11 +243,17 @@ type ReoptResponse struct {
 	CacheHits   int     `json:"cache_hits"`
 	// Execution results (only when the request asked to execute). The peak
 	// fields report each validated run's high-water intermediate-row residency
-	// (executor.RunStats.PeakIntermediateRows / Bytes).
+	// (executor.RunStats.PeakIntermediateRows / Bytes). OriginalRows and
+	// GaloRows are the row counts the two plans returned (equal when no
+	// rewrite ran); RowsDiffer flags a rewrite that was refused because they
+	// differ — it computed another query.
 	Executed          bool    `json:"executed,omitempty"`
 	Applied           bool    `json:"applied,omitempty"`
 	OriginalMillis    float64 `json:"original_millis,omitempty"`
 	GaloMillis        float64 `json:"galo_millis,omitempty"`
+	OriginalRows      int     `json:"original_rows,omitempty"`
+	GaloRows          int     `json:"galo_rows,omitempty"`
+	RowsDiffer        bool    `json:"rows_differ,omitempty"`
 	OriginalPeakRows  int64   `json:"original_peak_rows,omitempty"`
 	OriginalPeakBytes int64   `json:"original_peak_bytes,omitempty"`
 	GaloPeakRows      int64   `json:"galo_peak_rows,omitempty"`
@@ -512,6 +518,9 @@ func (s *System) reoptResponse(slot *tenantSlot, q *sqlparser.Query, execute boo
 	resp.Applied = v.applied
 	resp.OriginalMillis = v.orig.ElapsedMillis
 	resp.GaloMillis = v.galo.ElapsedMillis
+	resp.OriginalRows = v.orig.Rows
+	resp.GaloRows = v.galoRows
+	resp.RowsDiffer = v.rowsDiffer
 	resp.OriginalPeakRows = v.orig.PeakIntermediateRows
 	resp.OriginalPeakBytes = v.orig.PeakIntermediateBytes
 	resp.GaloPeakRows = v.galo.PeakIntermediateRows

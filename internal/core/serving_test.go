@@ -167,6 +167,13 @@ func TestReoptHTTPAPI(t *testing.T) {
 	if out.Applied && out.GaloMillis > out.OriginalMillis {
 		t.Errorf("applied rewrite regressed: %f -> %f", out.OriginalMillis, out.GaloMillis)
 	}
+	if out.RowsDiffer || out.OriginalRows <= 0 || out.GaloRows != out.OriginalRows {
+		t.Errorf("validated execution reports %d rows from the original plan, %d from the rewrite (rows_differ %v)",
+			out.OriginalRows, out.GaloRows, out.RowsDiffer)
+	}
+	if n := sys.ExecutorStats().RewriteRowMismatches; n != 0 {
+		t.Errorf("%d rewrites returned a different row count than their original plan", n)
+	}
 	if out.OriginalPeakRows <= 0 || out.GaloPeakRows <= 0 {
 		t.Errorf("validated execution did not report peak intermediate rows: %+v", out)
 	}

@@ -2,11 +2,13 @@ package executor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"galo/internal/optimizer"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
+	"galo/internal/storage"
 	"galo/internal/workload/tpcds"
 )
 
@@ -74,6 +76,35 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
+// checkBytesPerRun holds the bytes one warmed Run of the plan allocates, as
+// the runtime counts them (TotalAlloc is exact and cumulative: no sampling,
+// and a collection in the middle takes nothing away), under the ceiling. A
+// pool miss — a collection dropped the entry, or the goroutine moved to a P
+// whose pool has none yet — can only push a reading up, so the lowest of a few
+// windows is the steady state.
+func checkBytesPerRun(t *testing.T, name string, ex *Executor, plan *qgm.Plan, q *sqlparser.Query, ceiling uint64) {
+	t.Helper()
+	const windows, runs = 5, 4
+	lowest := ^uint64(0)
+	for w := 0; w <= windows; w++ { // window 0 warms the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := ex.Run(plan, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if w > 0 {
+			lowest = min(lowest, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+	}
+	t.Logf("%s: %d bytes per warmed Run, ceiling %d", name, lowest, ceiling)
+	if lowest > ceiling {
+		t.Errorf("%s: %d bytes per warmed Run exceeds the ceiling of %d", name, lowest, ceiling)
+	}
+}
+
 // TestExecuteAllocCeiling is the executor's clock-free performance gate: the
 // allocation count of one Execute of each Figure 8 wide plan. The parent
 // commit (b857bc1, flat rows re-copied by every join, one map entry and one
@@ -82,6 +113,13 @@ func BenchmarkExecute(b *testing.B) {
 // ceilings are a fifth of that (this commit: 332 and 330, of which 183 are
 // the projected result rows). A regression here means something started
 // allocating per intermediate row or per key again.
+//
+// The bytes ceilings pin the arena: with join outputs, build buffers and
+// index arrays recycled, a warmed Run allocates its operators and nothing
+// that grows with the rows — under 32 KB for either Figure 8 wide plan (466 KB
+// and 293 KB per Execute before the arena), and under 256 KB for the
+// root-feeding segment of BenchmarkExecuteRootSegment at 4 workers, 28 800
+// rows through the exchange (2.5 MB before).
 func TestExecuteAllocCeiling(t *testing.T) {
 	ceilings := map[string]float64{"fig8wide_orig": 3368 / 5, "fig8wide_rewritten": 1706 / 5}
 	_, _, ex := setup(t)
@@ -105,7 +143,39 @@ func TestExecuteAllocCeiling(t *testing.T) {
 		if allocs > ceiling {
 			t.Errorf("%s: %.0f allocations per Execute exceeds the ceiling of %.0f", c.name, allocs, ceiling)
 		}
+		if !raceDetector {
+			checkBytesPerRun(t, c.name, ex, c.plan, c.q, 32<<10)
+		}
 	}
+	if !raceDetector {
+		db, q, plan := rootSegmentCase(t)
+		ex = New(db)
+		ex.Workers = 4
+		checkBytesPerRun(t, "root segment, 4 workers", ex, plan, q, 256<<10)
+	}
+}
+
+// raceDetector is set by race_test.go. Under the race detector sync.Pool drops
+// a quarter of what is Put, on purpose, so bytes per Run measure the detector.
+var raceDetector bool
+
+// rootSegmentCase is the plan of BenchmarkExecuteRootSegment: a table scan
+// big enough to be partitioned under a hash join feeding RETURN, at data scale
+// 1.0.
+func rootSegmentCase(tb testing.TB) (*storage.Database, *sqlparser.Query, *qgm.Plan) {
+	tb.Helper()
+	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 1.0, Hazards: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q := sqlparser.MustParse(`SELECT ss_quantity, i_current_price FROM store_sales, item
+		WHERE ss_item_sk = i_item_sk`)
+	plan, err := optimizer.New(db.Catalog, optimizer.DefaultOptions()).BuildPlan(q, optimizer.Join(qgm.OpHSJOIN,
+		optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""), optimizer.Leaf("ITEM")))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, q, plan
 }
 
 // BenchmarkExecuteRootSegment measures the one shape whose wall time depends
@@ -116,23 +186,14 @@ func TestExecuteAllocCeiling(t *testing.T) {
 // worker runs only exchangeChanDepth batches ahead of the consumer and the
 // segment is slower than serial.
 func BenchmarkExecuteRootSegment(b *testing.B) {
-	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 1.0, Hazards: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := sqlparser.MustParse(`SELECT ss_quantity, i_current_price FROM store_sales, item
-		WHERE ss_item_sk = i_item_sk`)
-	plan, err := optimizer.New(db.Catalog, optimizer.DefaultOptions()).BuildPlan(q, optimizer.Join(qgm.OpHSJOIN,
-		optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""), optimizer.Leaf("ITEM")))
-	if err != nil {
-		b.Fatal(err)
-	}
+	db, q, plan := rootSegmentCase(b)
 	for _, workers := range []int{0, 4} {
 		ex := New(db)
 		ex.Workers = workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var st RunStats
+			var err error
 			for i := 0; i < b.N; i++ {
 				if st, err = ex.Run(plan, q); err != nil {
 					b.Fatal(err)

@@ -39,11 +39,60 @@ func execute(t *testing.T, ex *Executor, plan *qgm.Plan, q *sqlparser.Query) run
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	r := run{rows: res.Rows, stats: res.Stats}
+	return run{rows: res.Rows, ops: actuals(plan), stats: res.Stats}
+}
+
+// actuals reads every operator's (ActMillis, ActCardinality) in plan pre-order.
+func actuals(plan *qgm.Plan) (ops [][2]float64) {
 	for _, op := range plan.Operators() {
-		r.ops = append(r.ops, [2]float64{op.ActMillis, op.ActCardinality})
+		ops = append(ops, [2]float64{op.ActMillis, op.ActCardinality})
 	}
-	return r
+	return ops
+}
+
+// drain collects what is left of an open cursor the way execute does.
+func drain(cur *Cursor, plan *qgm.Plan, rows []storage.Row) run {
+	for {
+		row, ok := cur.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, row)
+	}
+	cur.Close()
+	return run{rows: rows, ops: actuals(plan), stats: cur.Stats()}
+}
+
+// diff describes the first difference between two executions of one plan on
+// one engine configuration ("" when there is none): every operator's actuals
+// and all of RunStats bit for bit, and the rows — cell for cell and in order,
+// or as a multiset when the configuration promises no more than that.
+func diff(want, got run, inOrder bool) string {
+	if len(got.rows) != len(want.rows) {
+		return fmt.Sprintf("%d rows, want %d", len(got.rows), len(want.rows))
+	}
+	for i, op := range got.ops {
+		if op != want.ops[i] {
+			return fmt.Sprintf("operator %d (ActMillis, ActCardinality) = %v, want %v", i, op, want.ops[i])
+		}
+	}
+	if got.stats != want.stats {
+		return fmt.Sprintf("aggregate stats %+v, want %+v", got.stats, want.stats)
+	}
+	var wSum, gSum uint64
+	for i, row := range want.rows {
+		wSum += rowHash(row)
+		gSum += rowHash(got.rows[i])
+		for j := 0; inOrder && j < len(row); j++ {
+			if !sameCell(row[j], got.rows[i][j]) {
+				return fmt.Sprintf("row %d col %d is %v, want %v", i, j, got.rows[i][j], row[j])
+			}
+		}
+	}
+	if wSum != gSum {
+		return "a different row multiset"
+	}
+	return ""
 }
 
 // sameCell reports whether two result cells are the same stored value (every
@@ -73,6 +122,16 @@ func rowHash(row storage.Row) uint64 {
 // ActMillis and ActCardinality bit for bit, and on the aggregate counters —
 // serial and parallel on all of RunStats, peak residency included; an early
 // Close after a random row must leave no exchange worker running.
+//
+// Every plan then runs again on the executor that just ran it — on the chunks
+// the first run handed back to the arena pools — and a third time while a
+// second cursor over the same plan sits half-drained, holding chunks of its
+// own; the second cursor is drained afterwards. Each must be indistinguishable
+// from the first run: a tuple read after its arena was released, or a chunk
+// two executions both think they own, shows up as a wrong row or charge. The
+// early Close is followed at once by a full run of the previous plan for the
+// same reason. (CI repeats a prefix of the suite under GOGC=1, where a
+// collection between almost every allocation keeps emptying the pools.)
 func TestDifferentialRandomPlans(t *testing.T) {
 	db, opt, serial := setup(t)
 	parallel, baseline := New(db), New(db)
@@ -93,6 +152,11 @@ func TestDifferentialRandomPlans(t *testing.T) {
 	gen := randplan.New(opt, seed)
 
 	engaged, ordered, grouped := 0, 0, 0
+	var prev struct {
+		q    *sqlparser.Query
+		plan *qgm.Plan
+		par  run
+	}
 	for n := 0; n < plans; {
 		q := shapes[rng.Intn(len(shapes))].Clone()
 		orderKeys := 0
@@ -185,6 +249,38 @@ func TestDifferentialRandomPlans(t *testing.T) {
 			fail("aggregate stats: serial %+v, 4 workers %+v", ser.stats, par.stats)
 		}
 
+		// Recycled chunks: the same executor again, then once more beside a
+		// half-drained second cursor that is finished last.
+		for _, side := range []struct {
+			name    string
+			ex      *Executor
+			first   run
+			inOrder bool
+		}{{"serial", serial, ser, true}, {"4 workers", parallel, par, false}} {
+			if d := diff(side.first, execute(t, side.ex, plan, q), side.inOrder); d != "" {
+				fail("%s, second run on recycled chunks: %s", side.name, d)
+			}
+			otherPlan := plan.Clone()
+			other, err := side.ex.Open(otherPlan, q)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			var head []storage.Row
+			for i := 0; i < len(ser.rows)/2; i++ {
+				row, ok := other.Next()
+				if !ok {
+					fail("%s: second cursor exhausted after %d of %d rows", side.name, i, len(ser.rows))
+				}
+				head = append(head, row)
+			}
+			if d := diff(side.first, execute(t, side.ex, plan, q), side.inOrder); d != "" {
+				fail("%s, run beside a half-drained cursor: %s", side.name, d)
+			}
+			if d := diff(side.first, drain(other, otherPlan, head), side.inOrder); d != "" {
+				fail("%s, cursor drained after another execution finished: %s", side.name, d)
+			}
+		}
+
 		cur, err := parallel.Open(plan, q)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -198,6 +294,14 @@ func TestDifferentialRandomPlans(t *testing.T) {
 		if live := ExchangeWorkerCount(); live != 0 {
 			fail("%d exchange workers still running after an early Close", live)
 		}
+		// What the cut-short execution released is reused at once, by a
+		// different plan.
+		if prev.plan != nil {
+			if d := diff(prev.par, execute(t, parallel, prev.plan, prev.q), false); d != "" {
+				fail("the previous plan, run right after this one's early Close: %s", d)
+			}
+		}
+		prev.q, prev.plan, prev.par = q, plan, par
 	}
 	t.Logf("%d plans: %d engaged the exchange, %d ordered, %d grouped", plans, engaged, ordered, grouped)
 	if engaged < plans/20 || ordered < plans/5 || grouped < plans/5 {
@@ -213,34 +317,7 @@ func TestDifferentialRandomPlans(t *testing.T) {
 // the materializing baseline's Key()-string map pairs (and brute force over
 // catalog.KeyEqual counts).
 func TestJoinKeyEqualityMatchesMaterialize(t *testing.T) {
-	keys := []catalog.Value{
-		catalog.Float(0), catalog.Float(math.Copysign(0, -1)), catalog.Float(math.NaN()), catalog.Null(),
-		catalog.Int(3), catalog.Float(3), catalog.DateFromDays(3), catalog.String("3"),
-	}
-	schema := catalog.NewSchema("K")
-	for _, side := range []string{"L", "R"} {
-		schema.AddTable(catalog.NewTable(side+"T",
-			catalog.Column{Name: side + "_k1", Type: catalog.KindFloat},
-			catalog.Column{Name: side + "_k2", Type: catalog.KindFloat},
-			catalog.Column{Name: side + "_id", Type: catalog.KindInt},
-		))
-	}
-	db := storage.NewDatabase(catalog.New(schema))
-	id := int64(0)
-	for _, side := range []string{"LT", "RT"} {
-		for _, k1 := range keys {
-			for _, k2 := range keys {
-				id++
-				if err := db.Insert(side, storage.Row{k1, k2, catalog.Int(id)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	opt := optimizer.New(db.Catalog, optimizer.DefaultOptions())
+	db, opt := keyTables(t, awkwardKeys, awkwardKeys)
 
 	cases := []struct {
 		name string
@@ -269,5 +346,99 @@ func TestJoinKeyEqualityMatchesMaterialize(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// awkwardKeys holds every value join-key equality has a special rule for.
+var awkwardKeys = []catalog.Value{
+	catalog.Float(0), catalog.Float(math.Copysign(0, -1)), catalog.Float(math.NaN()), catalog.Null(),
+	catalog.Int(3), catalog.Float(3), catalog.DateFromDays(3), catalog.String("3"),
+}
+
+// keyTables builds tables LT(l_k1, l_k2, l_id) and RT(r_k1, r_k2, r_id), each
+// holding every pair of its side's keys.
+func keyTables(t *testing.T, left, right []catalog.Value) (*storage.Database, *optimizer.Optimizer) {
+	t.Helper()
+	schema := catalog.NewSchema("K")
+	for _, side := range []string{"L", "R"} {
+		schema.AddTable(catalog.NewTable(side+"T",
+			catalog.Column{Name: side + "_k1", Type: catalog.KindFloat},
+			catalog.Column{Name: side + "_k2", Type: catalog.KindFloat},
+			catalog.Column{Name: side + "_id", Type: catalog.KindInt},
+		))
+	}
+	db := storage.NewDatabase(catalog.New(schema))
+	id := int64(0)
+	for i, keys := range [][]catalog.Value{left, right} {
+		side := []string{"LT", "RT"}[i]
+		for _, k1 := range keys {
+			for _, k2 := range keys {
+				id++
+				if err := db.Insert(side, storage.Row{k1, k2, catalog.Int(id)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return db, optimizer.New(db.Catalog, optimizer.DefaultOptions())
+}
+
+// TestExactIndexAndItsFallback pins when the build index is exact — a single
+// key column holding no string — and that it pairs the same rows either way:
+// a numeric build probed by numbers, the same build probed by a column that
+// also holds a string (which equals nothing in it), and a build column with
+// one string among its numbers, which must fall back to hash + KeyEqual. Each
+// against the materializing baseline and brute force over catalog.KeyEqual.
+func TestExactIndexAndItsFallback(t *testing.T) {
+	const two53 = int64(1) << 53
+	numeric := append([]catalog.Value{
+		catalog.Int(two53), catalog.Int(two53 + 1), catalog.Float(float64(two53)),
+		catalog.Float(math.Inf(1)), catalog.Float(math.Inf(-1)), catalog.Bool(true), catalog.Int(1),
+	}, awkwardKeys[:len(awkwardKeys)-1]...)
+	cases := []struct {
+		name        string
+		left, right []catalog.Value
+		exact       bool
+	}{
+		{"numeric build, numeric probes", numeric, numeric, true},
+		{"numeric build, a string among the probes", awkwardKeys, numeric, true},
+		{"one string in the build column", numeric, awkwardKeys, false},
+	}
+	for _, tc := range cases {
+		db, opt := keyTables(t, tc.left, tc.right)
+		want := 0
+		for _, l := range db.Table("LT").Rows {
+			for _, r := range db.Table("RT").Rows {
+				if catalog.KeyEqual(l[0], r[0]) {
+					want++
+				}
+			}
+		}
+		for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
+			t.Run(tc.name+"/"+string(method), func(t *testing.T) {
+				q := sqlparser.MustParse(`SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1`)
+				stream, _ := assertParity(t, db, opt, q, optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT")))
+				if stream.Rows != want {
+					t.Errorf("join produced %d rows, brute force over KeyEqual says %d", stream.Rows, want)
+				}
+			})
+		}
+		// The same build side, indexed directly: which index did it get?
+		mem := new(arena)
+		key := []colRef{{off: 0}, {off: 1}}
+		for ncols, exact := range map[int]bool{1: tc.exact, 2: false} {
+			b := newHashBuild(mem, key[:ncols], key[:ncols])
+			rows := db.Table("RT").Rows
+			for i := range rows {
+				b.add(rows[i : i+1 : i+1])
+			}
+			if b.exact != exact {
+				t.Errorf("%s, %d key column(s): exact index = %v, want %v", tc.name, ncols, b.exact, exact)
+			}
+		}
+		mem.release()
 	}
 }

@@ -266,8 +266,9 @@ type segWorker struct {
 	lo, hi int
 	ch     chan []tuple
 
-	batch     []tuple
-	slab      tupleSlab
+	mem       *arena  // drawn from by this worker alone; released by the consumer
+	batch     []tuple // the fan-in batch being filled
+	spare     []tuple // what is left of the chunk batches are cut from
 	kb        strings.Builder
 	sortBuf   []tuple
 	localSeen map[string]struct{}
@@ -296,7 +297,7 @@ func (e *exchangeIter) start() {
 		if lv.kind != levelJoin {
 			continue
 		}
-		lv.build = e.ctx.drainBuild(lv.innerIter, lv.node.Inner, lv.probeKey, lv.buildKey, lv.nInnerCols, false)
+		lv.build = e.ctx.drainBuild(lv.innerIter, lv.probeKey, lv.buildKey, lv.nInnerCols, false)
 	}
 	parts := storage.SplitRange(e.seg.scan.lo, e.seg.scan.hi, e.ctx.workers)
 	e.workers = make([]*segWorker, len(parts))
@@ -307,7 +308,7 @@ func (e *exchangeIter) start() {
 		e.seen = make(map[string]struct{})
 	}
 	for i, p := range parts {
-		w := &segWorker{ex: e, id: i, lo: p[0], hi: p[1]}
+		w := &segWorker{ex: e, id: i, lo: p[0], hi: p[1], mem: e.ctx.newArena()}
 		w.lv = make([]workerLevelCounters, len(e.seg.levels))
 		if e.ordered {
 			w.ch = make(chan []tuple, exchangeChanDepth)
@@ -666,7 +667,7 @@ func (w *segWorker) feed(li int, row tuple) bool {
 	}
 	for i, h := lv.build.first(row); i >= 0; i = lv.build.after(i, h, row) {
 		cnt.nOut++
-		if !w.feed(li+1, w.slab.concat(row, lv.build.rows.at(int(i)))) {
+		if !w.feed(li+1, w.mem.concat(row, lv.build.rows.at(int(i)))) {
 			return false
 		}
 	}
@@ -689,8 +690,14 @@ func (w *segWorker) emit(row tuple) bool {
 		}
 		w.localSeen[k] = struct{}{}
 	}
+	if w.batch == nil {
+		if len(w.spare) == 0 {
+			w.spare = w.mem.chunk()[:]
+		}
+		w.batch, w.spare = w.spare[:0:exchangeBatchRows], w.spare[exchangeBatchRows:]
+	}
 	w.batch = append(w.batch, row)
-	if len(w.batch) >= exchangeBatchRows {
+	if len(w.batch) == exchangeBatchRows {
 		return w.flush()
 	}
 	return true
@@ -701,7 +708,7 @@ func (w *segWorker) flush() bool {
 		return true
 	}
 	batch := w.batch
-	w.batch = make([]tuple, 0, exchangeBatchRows)
+	w.batch = nil
 	out := w.ch
 	if !w.ex.ordered {
 		out = w.ex.fanin

@@ -179,6 +179,7 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 		refToInst: map[string]string{},
 		workers:   e.Workers,
 	}
+	ctx.mem = ctx.newArena()
 	for i, ref := range work.From {
 		inst := fmt.Sprintf("Q%d", i+1)
 		ctx.instToRef[inst] = strings.ToUpper(ref.Name())
@@ -201,6 +202,7 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 		var err error
 		root, lay, err = ctx.open(plan.Root)
 		if err != nil {
+			ctx.releaseArenas()
 			return nil, err
 		}
 	}
@@ -214,6 +216,7 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 			p := colPos(lay.cols, inst+"."+c.Column)
 			if p < 0 {
 				root.Close()
+				ctx.releaseArenas()
 				return nil, fmt.Errorf("executor: projected column %s not in plan output", c)
 			}
 			pos = append(pos, p)
@@ -269,6 +272,7 @@ func (c *Cursor) finish() {
 	}
 	c.finished = true
 	c.root.Close()
+	c.ctx.releaseArenas()
 	c.ctx.stats.Rows = c.rows
 	c.ctx.stats.PeakIntermediateRows = c.ctx.res.peakRows
 	c.ctx.stats.PeakIntermediateBytes = c.ctx.res.peakBytes
@@ -288,10 +292,30 @@ type execContext struct {
 	// observe row arrival order (see openOrdered).
 	orderObserved int
 
+	// mem is the arena of the goroutine driving the cursor; arenas lists it
+	// and one per exchange worker, for Cursor.finish to release.
+	mem    *arena
+	arenas []*arena
+
 	// res is the live intermediate-row accounting (see
 	// RunStats.PeakIntermediateRows), shared by the streaming and
 	// materializing engines through hold/release.
 	res residency
+}
+
+func (c *execContext) newArena() *arena {
+	m := new(arena)
+	c.arenas = append(c.arenas, m)
+	return m
+}
+
+// releaseArenas recycles every intermediate of the execution. The pipeline
+// must be closed: no worker is running and every charge has been computed.
+func (c *execContext) releaseArenas() {
+	for _, m := range c.arenas {
+		m.release()
+	}
+	c.arenas = nil
 }
 
 func (c *execContext) hold(rows int, bytes int64)    { c.res.hold(rows, bytes) }

@@ -18,8 +18,13 @@ import (
 // optimizer used at plan time) and released any buffered state. Close stops
 // the operator early: it closes the children, charges the partial work done
 // so far, and is idempotent. Tuples handed out — and the base rows they
-// reference, which alias table storage — must not be mutated by callers, and
-// stay valid for as long as the caller keeps them.
+// reference, which alias table storage — must not be mutated by callers. A
+// tuple stays valid until the cursor is finished, and no longer: a join's
+// output is carved from the execution's arena, which Cursor.finish recycles
+// once the whole pipeline is closed. Whoever keeps a tuple — a sort buffer, a
+// build side, a spill-formula sample — reads it before then (operators charge
+// inside Next or Close, both of which finish precedes); what must outlive the
+// cursor is copied out, as Cursor.Next does with the values it projects.
 type rowIter interface {
 	Next() (tuple, bool)
 	Close()

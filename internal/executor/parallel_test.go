@@ -328,9 +328,9 @@ func TestParallelHashBuildMatchesSerial(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(workers int) (*hashBuild, int) {
-				b := &hashBuild{probe: lay.refs(tc.key.outerPos), build: lay.refs(tc.key.innerPos), rows: newTupleBuf(n)}
+				b := newHashBuild(new(arena), lay.refs(tc.key.outerPos), lay.refs(tc.key.innerPos))
 				for i := range rows {
-					b.rows.add(rows[i : i+1 : i+1])
+					b.add(rows[i : i+1 : i+1])
 				}
 				return b, b.index(workers)
 			}

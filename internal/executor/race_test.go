@@ -6,4 +6,4 @@ package executor
 // runs this package under it at several -cpu values; a seeded prefix of the
 // plan sequence keeps every gate under a minute. The full sequence runs in
 // the plain `go test ./...` tier.
-func init() { differentialPlans = 300 }
+func init() { differentialPlans, raceDetector = 300, true }

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"sync"
+
 	"galo/internal/catalog"
 	"galo/internal/storage"
 )
@@ -49,54 +51,121 @@ func (l layout) refs(pos []int) []colRef {
 	return out
 }
 
-// tupleSlab carves join-output tuples out of chunked slabs: k row headers per
-// output row instead of a copy of every column value, and one allocation per
-// chunk instead of one per row. A full chunk is left to the tuples carved
-// from it; nothing is recycled or pooled.
-type tupleSlab struct{ buf []storage.Row }
+// arena is where one goroutine's share of an execution keeps its
+// intermediates: the slabs join-output tuples are carved from, the chunks of
+// build buffers and exchange batches, and the build indexes. It draws
+// fixed-size chunks from process-wide pools and hands every one of them back
+// in release, so a steady stream of executions allocates next to nothing and
+// the collector is not woken to re-mark table storage on their account.
+//
+// An arena is not safe for concurrent use: the serial pipeline draws from the
+// execContext's own, each exchange worker from one of its own, and only the
+// consumer — in Cursor.finish, once the pipeline is closed and the workers
+// have exited — releases them. Nothing carved from an arena may be read after
+// that.
+type arena struct {
+	slab    []storage.Row // the unused tail of the newest slab chunk
+	slabs   []*slabChunk
+	chunks  []*tupleChunk
+	indexes []*buildIndex
+}
 
 const (
-	slabMinHeaders = 64
-	slabMaxHeaders = 4096
+	slabHeaders    = 4096
+	tupleChunkBits = 10
+	tupleChunkLen  = 1 << tupleChunkBits
 )
 
-func (s *tupleSlab) concat(a, b tuple) tuple {
+type (
+	slabChunk  [slabHeaders]storage.Row
+	tupleChunk [tupleChunkLen]tuple
+)
+
+// buildIndex is the storage of one hashBuild index (see hashBuild). Its
+// arrays are reused by capacity; until the build fills them they hold — and
+// are as long as — whatever the last user left.
+type buildIndex struct {
+	words []uint64 // per ordinal; nullKeyWord marks a NULL key (never linked)
+	heads []int32  // per bucket (len is a power of two); -1 when empty
+	next  []int32  // per ordinal; -1 ends the chain
+}
+
+// The pools. Entries of the first two are fixed-size, so any execution can
+// reuse what any other released. Recycled chunks are not cleared — the make
+// they replace paid for that memclr on every execution — so until it is
+// overwritten or dropped by the pool (two collections at most), a pooled
+// chunk can keep the rows it last pointed to reachable.
+var (
+	slabPool  = sync.Pool{New: func() any { return new(slabChunk) }}
+	chunkPool = sync.Pool{New: func() any { return new(tupleChunk) }}
+	indexPool = sync.Pool{New: func() any { return new(buildIndex) }}
+)
+
+// concat carves the join-output tuple a‖b out of the current slab: one row
+// header per slot instead of a copy of every column value, and no allocation.
+func (m *arena) concat(a, b tuple) tuple {
 	n := len(a) + len(b)
-	if cap(s.buf)-len(s.buf) < n {
-		size := max(min(2*cap(s.buf), slabMaxHeaders), slabMinHeaders, n)
-		s.buf = make([]storage.Row, 0, size)
+	if len(m.slab) < n {
+		c := slabPool.Get().(*slabChunk)
+		m.slabs = append(m.slabs, c)
+		m.slab = c[:]
 	}
-	start := len(s.buf)
-	s.buf = append(append(s.buf, a...), b...)
-	return tuple(s.buf[start:len(s.buf):len(s.buf)])
+	t := m.slab[:n:n]
+	m.slab = m.slab[n:]
+	// A tuple is a handful of headers: two loops beat two typedslicecopy calls.
+	for i, row := range a {
+		t[i] = row
+	}
+	for i, row := range b {
+		t[len(a)+i] = row
+	}
+	return tuple(t)
+}
+
+// chunk draws a tuple chunk.
+func (m *arena) chunk() *tupleChunk {
+	c := chunkPool.Get().(*tupleChunk)
+	m.chunks = append(m.chunks, c)
+	return c
+}
+
+// index draws the storage of a build index.
+func (m *arena) index() *buildIndex {
+	ix := indexPool.Get().(*buildIndex)
+	m.indexes = append(m.indexes, ix)
+	return ix
+}
+
+// release hands everything drawn back to the pools.
+func (m *arena) release() {
+	for _, c := range m.slabs {
+		slabPool.Put(c)
+	}
+	for _, c := range m.chunks {
+		chunkPool.Put(c)
+	}
+	for _, ix := range m.indexes {
+		indexPool.Put(ix)
+	}
+	*m = arena{}
 }
 
 // tupleBuf is an append-only tuple buffer addressed by ordinal. It grows a
-// chunk at a time, so a build side that outruns its estimate never re-copies
-// what it already holds.
+// chunk at a time out of its arena, so a build side that outruns its estimate
+// never re-copies what it already holds.
 type tupleBuf struct {
-	chunks [][]tuple
+	mem    *arena
+	chunks []*tupleChunk
 	n      int
 }
 
-const (
-	tupleChunkBits = 10
-	tupleChunk     = 1 << tupleChunkBits
-)
-
-// newTupleBuf sizes the first chunk from the estimate; later chunks are full.
-func newTupleBuf(est int) tupleBuf {
-	return tupleBuf{chunks: [][]tuple{make([]tuple, 0, min(max(est, 16), tupleChunk))}}
-}
-
 func (b *tupleBuf) add(t tuple) {
-	last := len(b.chunks) - 1
-	if len(b.chunks[last]) == tupleChunk {
-		b.chunks = append(b.chunks, make([]tuple, 0, tupleChunk))
-		last++
+	i := b.n & (tupleChunkLen - 1)
+	if i == 0 {
+		b.chunks = append(b.chunks, b.mem.chunk())
 	}
-	b.chunks[last] = append(b.chunks[last], t)
+	b.chunks[len(b.chunks)-1][i] = t
 	b.n++
 }
 
-func (b *tupleBuf) at(i int) tuple { return b.chunks[i>>tupleChunkBits][i&(tupleChunk-1)] }
+func (b *tupleBuf) at(i int) tuple { return b.chunks[i>>tupleChunkBits][i&(tupleChunkLen-1)] }
