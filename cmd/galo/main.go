@@ -422,7 +422,7 @@ func runServe(args []string) error {
 	fleetRebalanceEvery := fs.Duration("fleet-rebalance-interval", 0, "fleet: rebalancer window length (0 = default 5s)")
 	dataDir := fs.String("data-dir", "", "directory for the knowledge base WAL + snapshots; restart recovers the pre-crash epochs (empty = in-memory only)")
 	syncMode := fs.String("sync", "interval", "WAL durability: always (fsync per publication), interval (batched fsync), never")
-	snapshotEvery := fs.Uint64("snapshot-every", 0, "compact a shard's WAL into a snapshot every N epochs (0 = default 4096)")
+	snapshotEvery := fs.Uint64("snapshot-every", 0, "compact a shard's WAL into a snapshot every N triple changes (a publication changes dozens; 0 = default 4096)")
 	ef := addExecFlags(fs)
 	wf := addWorkloadFlags(fs)
 	if err := fs.Parse(args); err != nil {

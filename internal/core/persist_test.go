@@ -355,3 +355,64 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Error("healthz does not report draining")
 	}
 }
+
+// TestSnapshotEveryCountsTripleChanges pins the unit of Config.SnapshotEvery
+// (and of `serve -snapshot-every`): effective triple changes, not
+// publications. A store's version advances by the number of triples a
+// publication changed — dozens per template — so k publications under
+// SnapshotEvery n snapshot about triples/n times, far more often than k/n.
+func TestSnapshotEveryCountsTripleChanges(t *testing.T) {
+	const every, k = 100, 24
+	cfg := durableConfig(t.TempDir(), 1)
+	cfg.SnapshotEvery = every
+	sys := NewSystem(coreDBForConfig(t), cfg)
+	if _, err := sys.OpenDataDir(); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	base := sys.PersistStats().Snapshots
+	start := sys.KB().Epochs()[0]
+	// The trigger: a shard compacts once `every` triple changes have
+	// accumulated since its last snapshot. Waiting out each compaction before
+	// the next publication makes the count a function of the versions alone.
+	lastSnap, want, largest := start, uint64(0), uint64(0)
+	for i := 0; i < k; i++ {
+		before := sys.KB().Epochs()[0]
+		if _, err := sys.KB().Add(syntheticTemplate(i)); err != nil {
+			t.Fatal(err)
+		}
+		version := sys.KB().Epochs()[0]
+		if version-before > largest {
+			largest = version - before
+		}
+		if version-lastSnap < every {
+			continue
+		}
+		want++
+		lastSnap = version
+		deadline := time.Now().Add(5 * time.Second)
+		for sys.PersistStats().Snapshots < base+want {
+			if time.Now().After(deadline) {
+				t.Fatalf("publication %d took the shard to version %d, %d triple changes past its last snapshot at %d, and no snapshot followed: %+v",
+					i, version, version-lastSnap, lastSnap, sys.PersistStats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	changed := sys.KB().Epochs()[0] - start
+	got := sys.PersistStats().Snapshots - base
+	t.Logf("%d publications changed %d triples: %d snapshots at SnapshotEvery %d", k, changed, got, every)
+	if got != want {
+		t.Errorf("%d snapshots, want %d", got, want)
+	}
+	// floor(changed / every), less what each snapshot overshoots its threshold
+	// by (under one publication's worth) — and nowhere near floor(k / every).
+	if hi, lo := changed/every, changed/(every+largest); got > hi || got < lo {
+		t.Errorf("%d snapshots over %d triple changes at SnapshotEvery %d (largest publication %d): want between %d and %d",
+			got, changed, every, largest, lo, hi)
+	}
+	if got <= k/every {
+		t.Errorf("%d snapshots over %d publications: SnapshotEvery %d is being counted in publications", got, k, every)
+	}
+}

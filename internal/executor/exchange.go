@@ -535,7 +535,7 @@ func (e *exchangeIter) chargeUpstream() {
 		t := e.lvTotals[li]
 		if lv.kind == levelFilter {
 			// Same charge the serial passIter(FILTER) computes.
-			c.charge(lv.node, float64(t.nIn)*c.cfg.CPUSpeed*0.2, t.nIn)
+			c.charge(lv.node, c.cost.PerRow(float64(t.nIn), catalog.FilterRowCPU), t.nIn)
 			continue
 		}
 		innerRows, innerSample := lv.build.actuals()
@@ -556,7 +556,7 @@ func (e *exchangeIter) finalizeCharges() {
 	e.chargeUpstream()
 	if e.seg.term == termGrpBy && !e.grpCharged {
 		e.grpCharged = true
-		e.ctx.charge(e.seg.termNode, float64(e.grpNIn)*e.ctx.cfg.CPUSpeed, e.grpOut)
+		e.ctx.charge(e.seg.termNode, e.ctx.cost.PerRow(float64(e.grpNIn), catalog.GroupByRowCPU), e.grpOut)
 	}
 }
 

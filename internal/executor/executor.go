@@ -26,7 +26,6 @@ package executor
 
 import (
 	"fmt"
-	"math"
 	"regexp"
 	"strings"
 
@@ -175,6 +174,7 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 		exec:      e,
 		query:     work,
 		cfg:       e.DB.Catalog.Config,
+		cost:      e.DB.Catalog.Config.RunCost(),
 		instToRef: map[string]string{},
 		refToInst: map[string]string{},
 		workers:   e.Workers,
@@ -283,7 +283,8 @@ func (c *Cursor) finish() {
 type execContext struct {
 	exec      *Executor
 	query     *sqlparser.Query
-	cfg       catalog.SystemConfig
+	cfg       catalog.SystemConfig // read by the materializing reference only
+	cost      catalog.CostModel    // the run-time view every charge goes through
 	stats     RunStats
 	instToRef map[string]string
 	refToInst map[string]string
@@ -327,6 +328,8 @@ func (c *execContext) charge(node *qgm.Node, millis float64, rows int) {
 	node.ActCardinality = float64(rows)
 }
 
+// rt is the runtime transfer rate, for the materializing reference's own
+// transcription of the formulas; the streaming engine charges through c.cost.
 func (c *execContext) rt() float64 { return c.cfg.EffectiveRuntimeTransferRate() }
 
 // rowset is the intermediate result flowing between operators on the
@@ -581,19 +584,11 @@ func firstOf(rows []storage.Row) tuple {
 	return tuple(rows[:1])
 }
 
+// pagesOf is the model's rows-to-pages conversion in the shape the
+// materializing reference calls it.
 func pagesOf(cfg catalog.SystemConfig, rows float64, width int) float64 {
-	if width <= 0 {
-		width = 64
-	}
-	ps := float64(cfg.PageSizeBytes)
-	if ps <= 0 {
-		ps = 4096
-	}
-	p := rows * float64(width) / ps
-	if p < 1 {
-		p = 1
-	}
-	return p
+	m := cfg.RunCost()
+	return m.Pages(rows, width)
 }
 
 // presizeHint converts an estimated cardinality into a slice/map capacity,
@@ -611,19 +606,12 @@ func presizeHint(est float64) int {
 }
 
 // sortMillis charges a sort of the given size, tracking spill pages and the
-// sort-heap high-water mark exactly like the plan-time sortCost formula.
+// sort-heap high-water mark.
 func (c *execContext) sortMillis(rows float64, width int) float64 {
-	if rows < 2 {
-		return c.cfg.CPUSpeed
+	s := c.cost.Sort(rows, width)
+	c.stats.SortSpillPages += int64(s.SpillPages)
+	if int64(s.Pages) > c.stats.SortHeapPages {
+		c.stats.SortHeapPages = int64(s.Pages)
 	}
-	millis := rows * math.Log2(rows) * c.cfg.CPUSpeed
-	pages := pagesOf(c.cfg, rows, width)
-	if pages > float64(c.cfg.SortHeapPages) {
-		millis += 2 * pages * c.rt() * 1.5
-		c.stats.SortSpillPages += int64(pages)
-	}
-	if int64(pages) > c.stats.SortHeapPages {
-		c.stats.SortHeapPages = int64(pages)
-	}
-	return millis
+	return s.Millis
 }

@@ -67,9 +67,9 @@ func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
 	}
 	switch node.Op {
 	case qgm.OpRETURN:
-		return &passIter{ctx: c, node: node, child: child, cpuFactor: 0.1}, lay, nil
+		return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.ReturnRowCPU}, lay, nil
 	case qgm.OpFILTER:
-		return &passIter{ctx: c, node: node, child: child, cpuFactor: 0.2}, lay, nil
+		return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.FilterRowCPU}, lay, nil
 	case qgm.OpSORT:
 		return &sortIter{ctx: c, node: node, child: child, ncols: len(lay.cols), key: lay.refs(c.sortKey(node, lay.cols))}, lay, nil
 	default:
@@ -124,8 +124,8 @@ func (c *execContext) sortKey(node *qgm.Node, cols []string) []int {
 
 // --- pass-through operators (RETURN, FILTER) ---------------------------------
 
-// passIter counts rows through and charges rows*CPUSpeed*cpuFactor at the
-// end, matching the materializing path's RETURN/FILTER charges.
+// passIter counts rows through and charges them at cpuFactor per row at the
+// end.
 type passIter struct {
 	ctx       *execContext
 	node      *qgm.Node
@@ -151,7 +151,7 @@ func (p *passIter) finalize() {
 		return
 	}
 	p.charged = true
-	p.ctx.charge(p.node, float64(p.n)*p.ctx.cfg.CPUSpeed*p.cpuFactor, p.n)
+	p.ctx.charge(p.node, p.ctx.cost.PerRow(float64(p.n), p.cpuFactor), p.n)
 }
 
 func (p *passIter) Close() {
@@ -324,7 +324,7 @@ func (s *ixscanIter) Next() (tuple, bool) {
 	return nil, false
 }
 
-// finalize mirrors ixscanCost over the candidate entries actually touched.
+// finalize charges the candidate entries actually touched.
 func (s *ixscanIter) finalize() {
 	if s.charged {
 		return
@@ -452,7 +452,7 @@ func (g *groupByIter) finalize() {
 		return
 	}
 	g.charged = true
-	g.ctx.charge(g.node, float64(g.nIn)*g.ctx.cfg.CPUSpeed, g.nOut)
+	g.ctx.charge(g.node, g.ctx.cost.PerRow(float64(g.nIn), catalog.GroupByRowCPU), g.nOut)
 }
 
 func (g *groupByIter) Close() {

@@ -2,7 +2,6 @@ package executor
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -408,37 +407,19 @@ func (j *joinIter) Close() {
 // nlProbeMillis is the per-outer-row cost of probing the inner input of a
 // nested-loop join.
 func (c *execContext) nlProbeMillis(innerNode *qgm.Node, matchedPerProbe, innerRows float64) float64 {
-	cfg := c.cfg
 	tablePages := float64(c.exec.DB.Pages(innerNode.Table))
-	fitsBP := tablePages <= float64(cfg.BufferPoolPages)
-	if innerNode.Op == qgm.OpIXSCAN || innerNode.Op == qgm.OpFETCH {
-		cr := 0.5
-		if innerNode.Table != "" && innerNode.Index != "" {
-			if def := c.exec.DB.Catalog.Table(innerNode.Table); def != nil {
-				if idx := def.IndexByName(innerNode.Index); idx != nil {
-					cr = idx.ClusterRatio
-				}
+	index := innerNode.Op == qgm.OpIXSCAN || innerNode.Op == qgm.OpFETCH
+	cr := 0.5
+	if index && innerNode.Table != "" && innerNode.Index != "" {
+		if def := c.exec.DB.Catalog.Table(innerNode.Table); def != nil {
+			if idx := def.IndexByName(innerNode.Index); idx != nil {
+				cr = idx.ClusterRatio
 			}
 		}
-		perProbe := cfg.Overhead * 0.5
-		if fitsBP {
-			perProbe = c.rt()
-		}
-		fetchRows := math.Max(matchedPerProbe, 1)
-		randomIO := cfg.Overhead
-		if fitsBP {
-			randomIO = c.rt() * 0.25
-		}
-		if randomIO > 0 {
-			c.stats.PhysicalReads += int64(fetchRows * (1 - cr))
-		}
-		return perProbe + fetchRows*(1-cr)*randomIO + fetchRows*cr*c.rt()/8 + fetchRows*cfg.CPUSpeed
 	}
-	// Scan probe.
-	if fitsBP {
-		return tablePages*c.rt()*0.05 + innerRows*cfg.CPUSpeed
-	}
-	return tablePages*c.rt() + innerRows*cfg.CPUSpeed
+	millis, randomRows := c.cost.NLProbe(index, cr, tablePages, innerRows, matchedPerProbe)
+	c.stats.PhysicalReads += int64(randomRows)
+	return millis
 }
 
 // joinKeys finds the equi-join column positions between the two inputs.

@@ -131,7 +131,7 @@ func (c *execContext) matScan(node *qgm.Node) (*rowset, error) {
 			if tablePages <= float64(c.cfg.BufferPoolPages) {
 				randomIO = c.rt() * 0.25
 			}
-			millis += (clustered/math.Max(rowsPerPage, 1))*c.rt() + unclustered*randomIO + matchRows*c.cfg.CPUSpeed
+			millis = millis + (clustered/math.Max(rowsPerPage, 1))*c.rt() + unclustered*randomIO + matchRows*c.cfg.CPUSpeed
 			c.stats.PhysicalReads += int64(unclustered) + int64(clustered/math.Max(rowsPerPage, 1))
 			c.stats.LogicalReads += int64(matchRows)
 		}

@@ -12,15 +12,18 @@ const (
 	breakerHalfOpen = "half-open" // cooldown elapsed, one trial in flight
 )
 
-// breaker is a per-replica circuit breaker: BreakerThreshold consecutive
+// breakerThreshold is how many consecutive replica faults trip that replica's
+// circuit breaker.
+const breakerThreshold = 3
+
+// breaker is a per-replica circuit breaker: breakerThreshold consecutive
 // faults trip it open; after BreakerCooldown it admits exactly one trial
 // probe (half-open) whose outcome either closes it again or re-opens it for
 // another cooldown. It keeps a replica that is down from soaking up probe
 // deadlines on every request while still rediscovering recovery quickly.
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time // test seam
+	cooldown time.Duration
+	now      func() time.Time // test seam
 
 	mu       sync.Mutex
 	failures int       // consecutive faults while closed
@@ -30,8 +33,8 @@ type breaker struct {
 	trips    int64
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+func newBreaker(cooldown time.Duration) *breaker {
+	return &breaker{cooldown: cooldown, now: time.Now}
 }
 
 // allow reports whether a probe may be sent to the replica right now. In the
@@ -70,7 +73,7 @@ func (b *breaker) failure() bool {
 		return false
 	}
 	b.failures++
-	if b.failures < b.threshold {
+	if b.failures < breakerThreshold {
 		return false
 	}
 	b.open = true

@@ -7,7 +7,7 @@ import (
 
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(3, time.Second)
+	b := newBreaker(time.Second)
 	b.now = func() time.Time { return now }
 
 	if !b.allow() || b.state() != breakerClosed {

@@ -83,7 +83,7 @@ func New(opts Options) *Fleet {
 			ep.replicas = append(ep.replicas, &replica{
 				url:    c.BaseURL,
 				client: c,
-				brk:    newBreaker(policy.BreakerThreshold, policy.BreakerCooldown),
+				brk:    newBreaker(policy.BreakerCooldown),
 			})
 		}
 		f.endpoints = append(f.endpoints, ep)

@@ -24,12 +24,9 @@ type Policy struct {
 	// replica if the first has not answered within this duration; the first
 	// success wins. 0 disables hedging.
 	HedgeAfter time.Duration
-	// BreakerThreshold is how many consecutive replica faults trip that
-	// replica's circuit breaker (default 3). BreakerCooldown is how long a
-	// tripped breaker stays open before admitting one half-open trial probe
-	// (default 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long a replica's tripped circuit breaker stays
+	// open before admitting one half-open trial probe (default 1s).
+	BreakerCooldown time.Duration
 	// MigrationGrace separates the phases of a two-epoch shape migration
 	// (dual-route window, post-cutover drain). 0 means ProbeTimeout: a probe
 	// routed under the previous table must complete or time out before the
@@ -53,9 +50,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BackoffCap <= 0 {
 		p.BackoffCap = 250 * time.Millisecond
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = 3
 	}
 	if p.BreakerCooldown <= 0 {
 		p.BreakerCooldown = time.Second

@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// rebalanceMaxMinRatio is the skew trigger: when the busiest shard received
+// more than this many times the probes of the idlest shard within the last
+// window, one hot shape migrates.
+const rebalanceMaxMinRatio = 2
+
 // RebalanceOptions configures the probe-skew rebalancer.
 type RebalanceOptions struct {
 	// Enabled turns the rebalancer on (core starts it with the gateway).
@@ -14,10 +19,6 @@ type RebalanceOptions struct {
 	// Interval is how often the rebalancer samples the probe counters and
 	// considers one migration (default 5s).
 	Interval time.Duration
-	// MaxMinRatio is the skew trigger: when the busiest shard received more
-	// than MaxMinRatio times the probes of the idlest shard within the last
-	// window, one hot shape migrates (default 2).
-	MaxMinRatio float64
 	// MinWindowProbes is the minimum probe volume a window needs before its
 	// skew is acted on; quiet windows are never rebalanced (default 64).
 	MinWindowProbes int64
@@ -26,9 +27,6 @@ type RebalanceOptions struct {
 func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	if o.Interval <= 0 {
 		o.Interval = 5 * time.Second
-	}
-	if o.MaxMinRatio <= 1 {
-		o.MaxMinRatio = 2
 	}
 	if o.MinWindowProbes <= 0 {
 		o.MinWindowProbes = 64
@@ -138,7 +136,7 @@ func (r *Rebalancer) Step() (bool, error) {
 	}
 	ratio := float64(delta[maxI]) / float64(den)
 	r.lastRatio.Store(math.Float64bits(ratio))
-	if ratio < r.opts.MaxMinRatio || maxI == minI {
+	if ratio < rebalanceMaxMinRatio || maxI == minI {
 		return false, nil
 	}
 	shape, ok := r.f.table.HotShape(maxI)

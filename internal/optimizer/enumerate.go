@@ -50,9 +50,9 @@ type planCand struct {
 
 // sortCost returns the cost of an explicit SORT over the candidate's output;
 // every merge join that considers the candidate as an unsorted input asks.
-func (c *planCand) sortCost(cfg catalog.SystemConfig) float64 {
+func (c *planCand) sortCost(m *catalog.CostModel) float64 {
 	if c.sort == 0 {
-		c.sort = sortCost(cfg, c.card, c.rowSize)
+		c.sort = m.Sort(c.card, c.rowSize).Millis
 	}
 	return c.sort
 }
@@ -87,6 +87,10 @@ type planCtx struct {
 	// ids start at 1 and ascend in key order, so walking ids walks keys sorted.
 	orderID map[string]int
 	cons    constraintSet
+	// cost is the plan-time view of the cost model (internal/catalog/cost.go)
+	// every estimate of the call goes through; what stays in this package is
+	// what only the optimizer knows — quantifiers, access paths, clamps.
+	cost catalog.CostModel
 }
 
 // joinEdge is one join predicate of the query resolved against the
@@ -106,7 +110,8 @@ func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier) (*planC
 	if len(quants) > maxQuantifiers {
 		return nil, fmt.Errorf("optimizer: query references %d tables, the enumerator plans at most %d", len(quants), maxQuantifiers)
 	}
-	pc := &planCtx{o: o, q: q, quants: quants, byName: make(map[string]*Quantifier, 2*len(quants)), orderID: map[string]int{}}
+	pc := &planCtx{o: o, q: q, quants: quants, byName: make(map[string]*Quantifier, 2*len(quants)), orderID: map[string]int{},
+		cost: o.Cat.Config.PlanCost()}
 	for _, qt := range quants {
 		pc.byName[strings.ToUpper(qt.Ref.Name())] = qt
 		pc.byName[qt.Instance] = qt
@@ -233,7 +238,6 @@ func (pc *planCtx) enumerateWith(cons constraintSet) (root *qgm.Node, considered
 // constraints when present.
 func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
 	o := pc.o
-	cfg := o.Cat.Config
 	sel := o.localSelectivity(qt.Ref.Table, qt.LocalPreds)
 	outCard := clampCard(qt.RawCard * sel)
 	rowsPerPage := math.Max(qt.RawCard/math.Max(qt.Pages, 1), 1)
@@ -244,7 +248,7 @@ func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
 	if !hasAC || ac.method == qgm.OpTBSCAN {
 		paths = append(paths, accessPath{
 			op:   qgm.OpTBSCAN,
-			cost: tbscanCost(cfg, qt.Pages, qt.RawCard),
+			cost: pc.cost.TableScan(qt.Pages, qt.RawCard),
 			card: outCard,
 		})
 	}
@@ -263,7 +267,7 @@ func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
 			if indexOnly {
 				op = qgm.OpIXSCAN
 			}
-			cost := ixscanCost(cfg, qt.Pages, qt.RawCard, matchRows, idx.ClusterRatio, !indexOnly, rowsPerPage)
+			cost := pc.cost.IndexScan(qt.Pages, qt.RawCard, matchRows, idx.ClusterRatio, !indexOnly, rowsPerPage).Millis
 			paths = append(paths, accessPath{
 				op:           op,
 				indexName:    idx.Name,
@@ -280,7 +284,7 @@ func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
 		// query can still be planned; the guideline will be reported ignored.
 		paths = append(paths, accessPath{
 			op:   qgm.OpTBSCAN,
-			cost: tbscanCost(cfg, qt.Pages, qt.RawCard),
+			cost: pc.cost.TableScan(qt.Pages, qt.RawCard),
 			card: outCard,
 		})
 	}
@@ -487,14 +491,14 @@ type joinCand struct {
 // without an equality join predicate). Every cost expression keeps the
 // operand order it always had: estimates are compared bit for bit.
 func (pc *planCtx) buildJoinCand(method qgm.OpType, left, right *planCand, sp *joinSplit) (jc joinCand, ok bool) {
-	cfg := pc.o.Cat.Config
+	m := &pc.cost
 	jc = joinCand{method: method, left: left, right: right,
 		card: clampCard(left.card * right.card * sp.sel),
 		ord:  left.ord, ordered: left.orderedOn()} // hash probe and nested-loop outer order is preserved
 	switch method {
 	case qgm.OpHSJOIN:
 		jc.bloom = pc.o.Opts.EnableBloomFilters && right.card <= left.card
-		inc := hsjoinCost(cfg, left.card, right.card, jc.card, left.rowSize, right.rowSize, jc.bloom)
+		inc, _ := m.HashJoin(left.card, right.card, jc.card, left.rowSize, right.rowSize, jc.bloom)
 		jc.cost = left.cost + right.cost + inc
 	case qgm.OpNLJOIN:
 		// Nested loops only when the inner is a single base-table access.
@@ -502,8 +506,8 @@ func (pc *planCtx) buildJoinCand(method qgm.OpType, left, right *planCand, sp *j
 			return jc, false
 		}
 		matchPerProbe := right.card * sp.sel
-		probe := nljoinProbeCost(cfg, right.probe, right.leaf, matchPerProbe)
-		inc := left.card*probe + jc.card*cfg.CPUSpeed
+		probe, _ := m.NLProbe(right.probe.usesIndex(), right.probe.clusterRatio(), right.leaf.Pages, right.leaf.RawCard, matchPerProbe)
+		inc := left.card*probe + m.PerRow(jc.card, catalog.NLJoinOutRowCPU)
 		// The inner's own scan cost is not paid up-front; probes pay it.
 		jc.cost = left.cost + inc
 	case qgm.OpMSJOIN:
@@ -514,12 +518,12 @@ func (pc *planCtx) buildJoinCand(method qgm.OpType, left, right *planCand, sp *j
 		// claims sort-avoidance; the others get an explicit SORT.
 		jc.leftCost, jc.rightCost = left.cost, right.cost
 		if jc.sortLeft = left.ord != sp.lOrd; jc.sortLeft {
-			jc.leftCost += left.sortCost(cfg)
+			jc.leftCost += left.sortCost(m)
 		}
 		if jc.sortRight = right.ord != sp.rOrd; jc.sortRight {
-			jc.rightCost += right.sortCost(cfg)
+			jc.rightCost += right.sortCost(m)
 		}
-		inc := msjoinCost(cfg, left.card, right.card, jc.card)
+		inc := m.MergeJoin(left.card, right.card, jc.card)
 		jc.cost = jc.leftCost + jc.rightCost + inc
 		jc.ord, jc.ordered = sp.lOrd, sp.lCol
 	default:

@@ -160,6 +160,7 @@ func (o *Optimizer) Quantifiers(q *sqlparser.Query) []*Quantifier {
 // addFinalOperators adds SORT (for ORDER BY) and GRPBY (for GROUP BY)
 // operators on top of the join tree.
 func (o *Optimizer) addFinalOperators(q *sqlparser.Query, root *qgm.Node) *qgm.Node {
+	m := o.Cat.Config.PlanCost()
 	if len(q.GroupBy) > 0 {
 		card := root.EstCardinality
 		groups := card / 10
@@ -170,7 +171,7 @@ func (o *Optimizer) addFinalOperators(q *sqlparser.Query, root *qgm.Node) *qgm.N
 			Op:             qgm.OpGRPBY,
 			Outer:          root,
 			EstCardinality: groups,
-			EstCost:        root.EstCost + card*o.Cat.Config.CPUSpeed,
+			EstCost:        root.EstCost + m.PerRow(card, catalog.GroupByRowCPU),
 			RowSize:        root.RowSize,
 			OrderedOn:      root.OrderedOn, // dedup keeps encounter order
 		}
@@ -189,7 +190,7 @@ func (o *Optimizer) addFinalOperators(q *sqlparser.Query, root *qgm.Node) *qgm.N
 			Op:             qgm.OpSORT,
 			Outer:          root,
 			EstCardinality: card,
-			EstCost:        root.EstCost + sortCost(o.Cat.Config, card, root.RowSize),
+			EstCost:        root.EstCost + m.Sort(card, root.RowSize).Millis,
 			RowSize:        root.RowSize,
 			OrderedOn:      orderByProperty(q),
 		}

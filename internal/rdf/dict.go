@@ -50,29 +50,6 @@ func (d *dictionary) clone() *dictionary {
 // size returns the number of interned terms.
 func (d *dictionary) size() int { return len(d.terms) }
 
-// insertSorted inserts v into the ascending list, reporting false when v was
-// already present.
-func insertSorted(list []uint32, v uint32) ([]uint32, bool) {
-	i := searchID(list, v)
-	if i < len(list) && list[i] == v {
-		return list, false
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = v
-	return list, true
-}
-
-// removeSorted removes v from the ascending list, reporting whether it was
-// present.
-func removeSorted(list []uint32, v uint32) ([]uint32, bool) {
-	i := searchID(list, v)
-	if i < len(list) && list[i] == v {
-		return append(list[:i], list[i+1:]...), true
-	}
-	return list, false
-}
-
 // searchID returns the insertion point of v in the ascending list.
 func searchID(list []uint32, v uint32) int {
 	lo, hi := 0, len(list)

@@ -26,19 +26,15 @@ type Options struct {
 	// distinct counts should be collected, e.g. {"ITEM": {{"I_CATEGORY",
 	// "I_CLASS"}}}. Without a group stat the optimizer assumes independence.
 	ColumnGroups map[string][][]string
-	// NumFrequentGroupValues is the size of the most-frequent-combination
-	// list collected per column group. Zero means DefaultGroupFrequentValues;
-	// negative disables combination lists (NDV-only groups).
-	NumFrequentGroupValues int
 	// SampleEvery collects statistics from every k-th row only (1 = full
 	// scan). Sampling introduces estimation error on skewed data.
 	SampleEvery int
 }
 
-// DefaultGroupFrequentValues is the frequent-combination list size used when
-// Options.NumFrequentGroupValues is zero. It is sized so that every
-// (tenant, dominant type) combination of the trace workload fits.
-const DefaultGroupFrequentValues = 256
+// groupFrequentValues is the size of the most-frequent-combination list
+// collected per column group, sized so that every (tenant, dominant type)
+// combination of the trace workload fits.
+const groupFrequentValues = 256
 
 // DefaultOptions returns full-scan collection with a 10-entry frequent value
 // list and no column groups.
@@ -129,19 +125,12 @@ func Collect(db *storage.Database, table string, opts Options) (*catalog.TableSt
 	}
 
 	// Column-group statistics, if requested for this table.
-	groupK := opts.NumFrequentGroupValues
-	if groupK == 0 {
-		groupK = DefaultGroupFrequentValues
-	}
-	if groupK < 0 {
-		groupK = 0
-	}
 	for tbl, groups := range opts.ColumnGroups {
 		if !strings.EqualFold(tbl, def.Name) {
 			continue
 		}
 		for _, group := range groups {
-			ndv, freq := groupStats(t, group, opts.SampleEvery, groupK)
+			ndv, freq := groupStats(t, group, opts.SampleEvery)
 			cols := make([]string, len(group))
 			for i, c := range group {
 				cols[i] = strings.ToUpper(c)
@@ -189,10 +178,11 @@ func topK(counts map[string]int64, sample map[string]catalog.Value, k int, scale
 	return out
 }
 
-// groupStats computes the combined NDV of a column group and its top-k most
-// frequent value combinations. Only columns present in the table definition
-// participate; combination values follow the group's column order.
-func groupStats(t *storage.Table, group []string, sampleEvery, k int) (int64, []catalog.GroupFrequentValue) {
+// groupStats computes the combined NDV of a column group and its most
+// frequent value combinations (groupFrequentValues of them). Only columns
+// present in the table definition participate; combination values follow the
+// group's column order.
+func groupStats(t *storage.Table, group []string, sampleEvery int) (int64, []catalog.GroupFrequentValue) {
 	pos := make([]int, 0, len(group))
 	for _, c := range group {
 		if i := t.Def.ColumnIndex(c); i >= 0 {
@@ -216,7 +206,7 @@ func groupStats(t *storage.Table, group []string, sampleEvery, k int) (int64, []
 		}
 		key := sb.String()
 		counts[key]++
-		if _, ok := samples[key]; !ok && k > 0 {
+		if _, ok := samples[key]; !ok {
 			vals := make([]catalog.Value, len(pos))
 			for vi, p := range pos {
 				vals[vi] = row[p]
@@ -225,9 +215,6 @@ func groupStats(t *storage.Table, group []string, sampleEvery, k int) (int64, []
 		}
 	}
 	ndv := int64(len(counts))
-	if k == 0 {
-		return ndv, nil
-	}
 	type kv struct {
 		key   string
 		count int64
@@ -242,8 +229,8 @@ func groupStats(t *storage.Table, group []string, sampleEvery, k int) (int64, []
 		}
 		return all[i].key < all[j].key
 	})
-	if len(all) > k {
-		all = all[:k]
+	if len(all) > groupFrequentValues {
+		all = all[:groupFrequentValues]
 	}
 	scale := int64(sampleEvery)
 	freq := make([]catalog.GroupFrequentValue, len(all))
