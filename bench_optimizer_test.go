@@ -87,6 +87,19 @@ var planningBefore = map[string]planningRow{
 	"j8": {11649433010, 6938358112, 28516878, 1129188},
 }
 
+// planningBeforePR18 is the same measurement on the parent of PR 18 (commit
+// e85df13, a clean checkout, the same machine and minute as the committed
+// "after"): the planning context with a qgm.Node and a planCand allocated per
+// admitted candidate, before candidates became slab values.
+var planningBeforePR18 = map[string]planningRow{
+	"j1": {24229, 12769, 145, 24},
+	"j2": {70014, 35422, 325, 246},
+	"j3": {188956, 89566, 690, 1272},
+	"j4": {479493, 226821, 1660, 5958},
+	"j5": {1375616, 505749, 3803, 19236},
+	"j8": {56818166, 8634152, 76702, 1129188},
+}
+
 func measurePlanning(t *testing.T, opt *optimizer.Optimizer) map[string]planningRow {
 	t.Helper()
 	all := tpcds.Queries()
@@ -139,6 +152,13 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 
 	withHist := qErrors(t, optimizer.New(db.Catalog, optimizer.DefaultOptions()), ex, queries)
 	planning := measurePlanning(t, optimizer.New(db.Catalog, optimizer.DefaultOptions()))
+	// Every planner PR so far changed the data layout, not the search: a row
+	// whose plans_considered moved is not a faster planner but a different one.
+	for name, row := range planning {
+		if was, pr18 := planningBefore[name].PlansConsidered, planningBeforePR18[name].PlansConsidered; row.PlansConsidered != was || row.PlansConsidered != pr18 {
+			t.Fatalf("%s: %d plans considered; %d before the planning context, %d before PR 18", name, row.PlansConsidered, was, pr18)
+		}
+	}
 
 	// The same database with the histograms stripped: the pre-ANALYZE
 	// estimator (min/max interpolation + NDV + System-R constants).
@@ -168,11 +188,12 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 		"with_histograms":    row(withHist),
 		"without_histograms": row(withoutHist),
 		"planning": map[string]any{
-			"benchmark": "one Optimizer.Optimize call per join count (tpcds.Queries() entries 5, 9, 35, 41, 56 and 91; j8 is the widest query under JoinEnumDPLimit)",
-			"note":      "before = the map-set enumerator of PR 11 (commit aefdf06) on the same machine; plans_considered must not move: the planning context changes the data layout, not the search",
-			"env":       benchEnv(),
-			"before":    planningBefore,
-			"after":     planning,
+			"benchmark":   "one Optimizer.Optimize call per join count (tpcds.Queries() entries 5, 9, 35, 41, 56 and 91; j8 is the widest query under JoinEnumDPLimit)",
+			"note":        "before = the map-set enumerator of PR 11 (commit aefdf06); before_pr18 = the planning context allocating a qgm.Node and a planCand per admitted candidate (commit e85df13, clean checkout, same machine); after = candidates as slab values, nodes built once for the winner. plans_considered must not move (the emitter fails if it does): each step changed the data layout, not the search",
+			"env":         benchEnv(),
+			"before":      planningBefore,
+			"before_pr18": planningBeforePR18,
+			"after":       planning,
 		},
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -456,7 +457,15 @@ func (s *System) handleReopt(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := s.reoptResponse(slot, q, req.Execute)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		// A query that parses but names a table or column the schema does not
+		// have is the caller's mistake, like the parse error above; the first
+		// Optimize finds it, so the request path resolves once.
+		status := http.StatusInternalServerError
+		var bad *sqlparser.ResolveError
+		if errors.As(err, &bad) {
+			status = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	s.admission.observeService(time.Since(start))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -186,15 +187,23 @@ func TestReoptHTTPAPI(t *testing.T) {
 		}
 	}
 
-	// Unknown table: a clean 500, not a hang or panic.
-	payload, _ := json.Marshal(ReoptRequest{SQL: "SELECT x FROM not_a_table"})
-	resp, err := http.Post(srv.URL+"/reopt", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Error("re-optimizing an unknown table should fail")
+	// A query that parses but does not fit the schema is the caller's
+	// mistake: 400 like a parse error, never 500.
+	for _, sql := range []string{
+		"SELECT x FROM not_a_table",
+		"SELECT no_such_column FROM item",
+		"SELECT ws_quantity FROM web_sales w1, web_sales w2 WHERE w1.ws_item_sk = w2.ws_item_sk", // ambiguous column
+	} {
+		payload, _ := json.Marshal(ReoptRequest{SQL: sql})
+		resp, err := http.Post(srv.URL+"/reopt", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q: status %d (%s), want 400", sql, resp.StatusCode, bytes.TrimSpace(body))
+		}
 	}
 	// Malformed requests.
 	for _, body := range []string{"", "{", `{"sql": ""}`} {
@@ -215,7 +224,7 @@ func TestReoptHTTPAPI(t *testing.T) {
 		t.Errorf("%d-byte body: status %d, want 413", len(huge), rec.Code)
 	}
 	// GET is not allowed.
-	resp, err = http.Get(srv.URL + "/reopt")
+	resp, err := http.Get(srv.URL + "/reopt")
 	if err != nil {
 		t.Fatal(err)
 	}

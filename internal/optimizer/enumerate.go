@@ -31,38 +31,51 @@ func (a accessPath) clusterRatio() float64 {
 	return a.indexCluster
 }
 
-// planCand is a partial plan over a set of quantifier instances. Its order
-// property lives on the plan node itself (qgm.Node.OrderedOn), so the
-// property survives into the emitted plan and the executor can honour it.
+// planCand is a costed partial plan over a set of quantifier instances: what
+// the search compares and what its parents' cost expressions read, and no plan
+// nodes. Candidates live in the planning context's slab and name their inputs
+// by slab index, so a candidate holds no pointers — the collector never scans
+// the slab — and one that is displaced a few splits later has cost 72 bytes of
+// an already-allocated chunk. qgm.Nodes are built once, for the winner, by
+// planCtx.node.
 type planCand struct {
-	node    *qgm.Node
-	cost    float64
-	card    float64
-	rowSize int
-	mask    uint64 // quantifiers covered: bit i is quants[i]
-	ord     int    // planCtx.orderID of node.OrderedOn; 0 when it is not an interesting order
-	// leaf and probe are set on base-table accesses only: the quantifier read
-	// and the access a nested-loop join re-evaluates once per outer row.
-	leaf  *Quantifier
-	probe accessPath
-	sort  float64 // sortCost of the output, memoised by sortCost
+	cost float64
+	card float64
+	sort float64 // sortCost of the output, memoised by sortCost
+	// MSJOIN only: the cumulative input costs, each with its explicit SORT
+	// when sortLeft / sortRight says the input needs one.
+	leftCost, rightCost float64
+	mask                uint64 // quantifiers covered: bit i is quants[i]
+	// left and right are the slab indices of a join's outer and inner inputs
+	// (pushJoin sets them). A base-table access (method == candAccess) reads
+	// the one quantifier of mask, and right indexes planCtx.paths: the access
+	// chosen, which is also what a nested-loop join re-evaluates once per
+	// outer row.
+	left, right         int32
+	rowSize             int32
+	ord                 int32 // interesting-order id of the output's order property; 0 for none
+	method              uint8 // candAccess, or the join method
+	bloom               bool
+	sortLeft, sortRight bool
 }
+
+// The values of planCand.method; candOps maps the join methods back.
+const (
+	candAccess uint8 = iota
+	candNLJOIN
+	candHSJOIN
+	candMSJOIN
+)
+
+var candOps = [...]qgm.OpType{candNLJOIN: qgm.OpNLJOIN, candHSJOIN: qgm.OpHSJOIN, candMSJOIN: qgm.OpMSJOIN}
 
 // sortCost returns the cost of an explicit SORT over the candidate's output;
 // every merge join that considers the candidate as an unsorted input asks.
 func (c *planCand) sortCost(m *catalog.CostModel) float64 {
 	if c.sort == 0 {
-		c.sort = m.Sort(c.card, c.rowSize).Millis
+		c.sort = m.Sort(c.card, int(c.rowSize)).Millis
 	}
 	return c.sort
-}
-
-// orderedOn returns the candidate's order property.
-func (c *planCand) orderedOn() string {
-	if c == nil || c.node == nil {
-		return ""
-	}
-	return c.node.OrderedOn
 }
 
 // maxQuantifiers bounds the table references of one query: quantifier sets
@@ -74,7 +87,8 @@ const maxQuantifiers = 64
 // Quantifiers instead of once per candidate. Quantifier sets are bitmasks
 // over quants, join predicates are pre-resolved edges, interesting orders are
 // small integers, and cons holds the active guideline constraints as masks.
-// It lives and dies with the call; nothing is pooled across requests.
+// It also owns the call's candidates (slab, paths). It lives and dies with the
+// call; nothing is pooled across requests.
 type planCtx struct {
 	o      *Optimizer
 	q      *sqlparser.Query
@@ -85,12 +99,21 @@ type planCtx struct {
 	// an order property could pay for: equality join columns (merge joins) and
 	// ORDER BY columns (final sort elimination). Keys are upper-cased "Qi.COL";
 	// ids start at 1 and ascend in key order, so walking ids walks keys sorted.
-	orderID map[string]int
+	orderID map[string]int32
 	cons    constraintSet
 	// cost is the plan-time view of the cost model (internal/catalog/cost.go)
 	// every estimate of the call goes through; what stays in this package is
 	// what only the optimizer knows — quantifiers, access paths, clamps.
 	cost catalog.CostModel
+	// slab holds every candidate of the call, abandoned drop-and-retry
+	// attempts included, in pointer-free chunks of 1<<slabShift that are never
+	// moved: a *planCand stays valid (and keeps its memoised sort cost) while
+	// later candidates are pushed. Index 0 is reserved to mean "no candidate",
+	// so zeroed tables start empty.
+	slab      [][]planCand
+	slabShift uint
+	pushed    int32        // the last slab index handed out
+	paths     []accessPath // the access paths of the call's base-table candidates
 }
 
 // joinEdge is one join predicate of the query resolved against the
@@ -100,18 +123,26 @@ type joinEdge struct {
 	sel        float64 // 1/max(NDV left, NDV right); defaultJoinSel without statistics
 	text       string  // the rendered predicate: one qgm.Node.JoinCols entry
 	lCol, rCol string  // instance-qualified columns: the sort columns a merge join needs
-	lOrd, rOrd int     // their interesting-order ids
+	lOrd, rOrd int32   // their interesting-order ids
 }
 
-func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier) (*planCtx, error) {
+// links reports whether the edge connects the two quantifier sets.
+func (e *joinEdge) links(left, right uint64) bool {
+	return (e.l&left != 0 && e.r&right != 0) || (e.r&left != 0 && e.l&right != 0)
+}
+
+// newPlanCtx derives the context; slots is how many slab entries the caller
+// expects to fill (the reserved one included), which sizes the slab's chunks:
+// a two-table query must not pay for a nine-table query's scratch.
+func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier, slots int) (*planCtx, error) {
 	if len(quants) == 0 {
 		return nil, fmt.Errorf("optimizer: query references no tables")
 	}
 	if len(quants) > maxQuantifiers {
 		return nil, fmt.Errorf("optimizer: query references %d tables, the enumerator plans at most %d", len(quants), maxQuantifiers)
 	}
-	pc := &planCtx{o: o, q: q, quants: quants, byName: make(map[string]*Quantifier, 2*len(quants)), orderID: map[string]int{},
-		cost: o.Cat.Config.PlanCost()}
+	pc := &planCtx{o: o, q: q, quants: quants, byName: make(map[string]*Quantifier, 2*len(quants)), orderID: map[string]int32{},
+		cost: o.Cat.Config.PlanCost(), slabShift: uint(bits.Len(uint(min(slots, maxSlabChunk) - 1)))}
 	for _, qt := range quants {
 		pc.byName[strings.ToUpper(qt.Ref.Name())] = qt
 		pc.byName[qt.Instance] = qt
@@ -152,7 +183,7 @@ func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier) (*planC
 	}
 	sort.Strings(keys)
 	for i, key := range keys {
-		pc.orderID[key] = i + 1
+		pc.orderID[key] = int32(i + 1)
 	}
 	for i := range pc.edges {
 		e := &pc.edges[i]
@@ -162,18 +193,50 @@ func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier) (*planC
 }
 
 // ordOf returns the interesting-order id of an order property, 0 for none.
-func (pc *planCtx) ordOf(orderedOn string) int {
+func (pc *planCtx) ordOf(orderedOn string) int32 {
 	if orderedOn == "" {
 		return 0
 	}
 	return pc.orderID[strings.ToUpper(orderedOn)]
 }
 
+// maxSlabChunk caps a slab chunk (18 KB of candidates): past it a wider
+// query takes more chunks, not bigger ones.
+const maxSlabChunk = 256
+
+// cand returns the candidate at a slab index.
+func (pc *planCtx) cand(i int32) *planCand {
+	return &pc.slab[i>>pc.slabShift][i&(1<<pc.slabShift-1)]
+}
+
+// push copies a candidate into the slab and returns its index.
+func (pc *planCtx) push(c *planCand) int32 {
+	pc.pushed++
+	if int(pc.pushed>>pc.slabShift) == len(pc.slab) {
+		pc.slab = append(pc.slab, make([]planCand, 1<<pc.slabShift))
+	}
+	*pc.cand(pc.pushed) = *c
+	return pc.pushed
+}
+
+// pushJoin keeps a join costed by buildJoinCand: it records the slab indices
+// of the inputs it was costed over and pushes it.
+func (pc *planCtx) pushJoin(jc *planCand, left, right int32) int32 {
+	jc.left, jc.right = left, right
+	return pc.push(jc)
+}
+
 // enumerate drives cost-based plan construction, retrying with progressively
 // fewer guidelines when the constrained search cannot produce a plan. This is
 // the paper's "not all guidelines may be honored" behaviour.
 func (o *Optimizer) enumerate(q *sqlparser.Query, quants []*Quantifier, report *Report) (*qgm.Node, error) {
-	pc, err := o.newPlanCtx(q, quants)
+	// Dynamic programming keeps a few candidates per quantifier subset; the
+	// greedy search and a single table keep one per plan operator.
+	slots := 2 * len(quants)
+	if n := len(quants); n > 1 && n <= o.Opts.JoinEnumDPLimit {
+		slots = 4 << min(n, 6)
+	}
+	pc, err := o.newPlanCtx(q, quants, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +285,7 @@ func (pc *planCtx) enumerateWith(cons constraintSet) (root *qgm.Node, considered
 	pc.cons = cons
 	switch n := len(pc.quants); {
 	case n == 1: // single-table query: best access path only
-		return pc.bestAccess(pc.quants[0]).node, 1, false, nil
+		return pc.node(pc.bestAccess(pc.quants[0])), 1, false, nil
 	case n <= pc.o.Opts.JoinEnumDPLimit:
 		root, considered, err = pc.dpEnumerate()
 		return root, considered, true, err
@@ -351,7 +414,7 @@ func coversAll(indexCols, needed []string) bool {
 }
 
 // bestAccess returns the cheapest access path wrapped as a plan candidate.
-func (pc *planCtx) bestAccess(qt *Quantifier) *planCand {
+func (pc *planCtx) bestAccess(qt *Quantifier) int32 {
 	paths := pc.accessPaths(qt)
 	best := paths[0]
 	for _, p := range paths[1:] {
@@ -362,47 +425,24 @@ func (pc *planCtx) bestAccess(qt *Quantifier) *planCand {
 	return pc.accessCand(qt, best)
 }
 
-func (pc *planCtx) accessCand(qt *Quantifier, path accessPath) *planCand {
-	node := &qgm.Node{
-		Op:             path.op,
-		Table:          strings.ToUpper(qt.Ref.Table),
-		TableInstance:  qt.Instance,
-		Index:          path.indexName,
-		EstCardinality: path.card,
-		EstCost:        path.cost,
-		RowSize:        qt.RowWidth,
-		Pages:          qt.Pages,
-		OrderedOn:      path.sortedOn,
-	}
-	for _, p := range qt.LocalPreds {
-		node.Predicates = append(node.Predicates, p.String())
-	}
-	// A nested-loop join re-reads this access per outer row; its probe cost
-	// wants the index's cluster ratio as the catalog names it.
-	probe := accessPath{op: path.op, indexName: path.indexName, indexCluster: 0.5}
-	if path.indexName != "" && qt.Table != nil {
-		if idx := qt.Table.IndexByName(path.indexName); idx != nil {
-			probe.indexCluster = idx.ClusterRatio
-		}
-	}
-	return &planCand{
-		node:    node,
+func (pc *planCtx) accessCand(qt *Quantifier, path accessPath) int32 {
+	pc.paths = append(pc.paths, path)
+	return pc.push(&planCand{
 		cost:    path.cost,
 		card:    path.card,
-		rowSize: qt.RowWidth,
+		rowSize: int32(qt.RowWidth),
 		mask:    qt.bit,
 		ord:     pc.ordOf(path.sortedOn),
-		leaf:    qt,
-		probe:   probe,
-	}
+		right:   int32(len(pc.paths) - 1),
+	})
 }
 
-// accessCands returns the candidate access paths worth remembering for one
-// quantifier: the overall cheapest, plus — per interesting order — the
+// addAccessCands adds to a quantifier's table entry the access paths worth
+// remembering: the overall cheapest, plus — per interesting order — the
 // cheapest path producing that order. These are the System-R "interesting
 // orders": a sorted access that loses on raw cost may still win globally by
 // letting a merge join skip a sort.
-func (pc *planCtx) accessCands(qt *Quantifier) []*planCand {
+func (pc *planCtx) addAccessCands(qt *Quantifier, set candSet) {
 	paths := pc.accessPaths(qt)
 	best := paths[0]
 	bestByOrder := make([]*accessPath, len(pc.orderID)+1) // indexed by interesting-order id
@@ -415,32 +455,30 @@ func (pc *planCtx) accessCands(qt *Quantifier) []*planCand {
 			bestByOrder[ord] = p
 		}
 	}
-	out := []*planCand{pc.accessCand(qt, best)}
+	set.add(pc, pc.accessCand(qt, best))
 	for _, p := range bestByOrder {
 		if p != nil && *p != best { // else the cheapest path already carries this order
-			out = append(out, pc.accessCand(qt, *p))
+			set.add(pc, pc.accessCand(qt, *p))
 		}
 	}
-	return out
 }
 
 // --- join construction -------------------------------------------------------
 
 // joinSplit is what an (outer set, inner set) pair fixes for every candidate
 // joining them, whichever retained sub-plans and join method are combined:
-// the connecting predicates, their selectivity, and the merge columns.
+// whether a predicate connects them, the selectivity, and the merge columns.
 type joinSplit struct {
 	connected  bool
-	sel        float64  // product of the connecting edges' selectivities, clamped
-	joinCols   []string // the connecting predicates, rendered
-	lCol, rCol string   // outer / inner sort columns of a merge join (first connecting predicate)
-	lOrd, rOrd int
+	sel        float64 // product of the connecting edges' selectivities, clamped
+	lCol, rCol string  // outer / inner sort columns of a merge join (first connecting predicate)
+	lOrd, rOrd int32
 }
 
 // connects reports whether a join predicate links the two quantifier sets.
 func (pc *planCtx) connects(left, right uint64) bool {
 	for i := range pc.edges {
-		if e := &pc.edges[i]; (e.l&left != 0 && e.r&right != 0) || (e.r&left != 0 && e.l&right != 0) {
+		if pc.edges[i].links(left, right) {
 			return true
 		}
 	}
@@ -449,7 +487,7 @@ func (pc *planCtx) connects(left, right uint64) bool {
 
 // split resolves the join predicates between two disjoint quantifier sets.
 func (pc *planCtx) split(left, right uint64) joinSplit {
-	sp := joinSplit{sel: 1.0, joinCols: []string{}}
+	sp := joinSplit{sel: 1.0}
 	for i := range pc.edges {
 		e := &pc.edges[i]
 		forward := e.l&left != 0 && e.r&right != 0
@@ -464,56 +502,58 @@ func (pc *planCtx) split(left, right uint64) joinSplit {
 			}
 		}
 		sp.sel *= e.sel
-		sp.joinCols = append(sp.joinCols, e.text)
 	}
 	sp.sel = clampSel(sp.sel)
 	return sp
 }
 
-// joinCand is a costed join that has no plan nodes yet. The enumerators cost
-// every (outer, inner, method) combination but call plan only on a candidate
-// that displaces an incumbent, so losers allocate nothing.
-type joinCand struct {
-	method      qgm.OpType
-	left, right *planCand
-	cost, card  float64
-	ord         int // order property of the output, as id and as column
-	ordered     string
-	bloom       bool
-	// MSJOIN only: whether each input needs an explicit SORT, and the
-	// cumulative input costs with it.
-	sortLeft, sortRight bool
-	leftCost, rightCost float64
+// joinCols renders the predicates connecting two quantifier sets, in WHERE
+// order: a materialized join's qgm.Node.JoinCols (empty, not nil, for a
+// cartesian product).
+func (pc *planCtx) joinCols(left, right uint64) []string {
+	cols := []string{}
+	for i := range pc.edges {
+		if e := &pc.edges[i]; e.links(left, right) {
+			cols = append(cols, e.text)
+		}
+	}
+	return cols
 }
 
-// buildJoinCand costs joining two inputs with the given method; ok is false
-// when the method is not applicable (NLJOIN over a multi-table inner, MSJOIN
-// without an equality join predicate). Every cost expression keeps the
-// operand order it always had: estimates are compared bit for bit.
-func (pc *planCtx) buildJoinCand(method qgm.OpType, left, right *planCand, sp *joinSplit) (jc joinCand, ok bool) {
+// buildJoinCand costs joining left (outer) and right (inner) with the given
+// method into the caller's jc, which allocates nothing: a candidate enters the
+// slab only if the caller keeps it, through pushJoin. It returns false when
+// the method is not applicable (NLJOIN over a multi-table inner, MSJOIN
+// without an equality join predicate). Every cost expression keeps the operand
+// order it always had: estimates are compared bit for bit.
+func (pc *planCtx) buildJoinCand(jc *planCand, method qgm.OpType, left, right *planCand, sp *joinSplit) bool {
 	m := &pc.cost
-	jc = joinCand{method: method, left: left, right: right,
+	*jc = planCand{mask: left.mask | right.mask, rowSize: left.rowSize + right.rowSize,
 		card: clampCard(left.card * right.card * sp.sel),
-		ord:  left.ord, ordered: left.orderedOn()} // hash probe and nested-loop outer order is preserved
+		ord:  left.ord} // hash probe and nested-loop outer order is preserved
 	switch method {
 	case qgm.OpHSJOIN:
+		jc.method = candHSJOIN
 		jc.bloom = pc.o.Opts.EnableBloomFilters && right.card <= left.card
-		inc, _ := m.HashJoin(left.card, right.card, jc.card, left.rowSize, right.rowSize, jc.bloom)
+		inc, _ := m.HashJoin(left.card, right.card, jc.card, int(left.rowSize), int(right.rowSize), jc.bloom)
 		jc.cost = left.cost + right.cost + inc
 	case qgm.OpNLJOIN:
 		// Nested loops only when the inner is a single base-table access.
-		if right.leaf == nil {
-			return jc, false
+		if right.method != candAccess {
+			return false
 		}
+		jc.method = candNLJOIN
+		inner, path := pc.quants[bits.TrailingZeros64(right.mask)], &pc.paths[right.right]
 		matchPerProbe := right.card * sp.sel
-		probe, _ := m.NLProbe(right.probe.usesIndex(), right.probe.clusterRatio(), right.leaf.Pages, right.leaf.RawCard, matchPerProbe)
+		probe, _ := m.NLProbe(path.usesIndex(), path.clusterRatio(), inner.Pages, inner.RawCard, matchPerProbe)
 		inc := left.card*probe + m.PerRow(jc.card, catalog.NLJoinOutRowCPU)
 		// The inner's own scan cost is not paid up-front; probes pay it.
 		jc.cost = left.cost + inc
 	case qgm.OpMSJOIN:
 		if !sp.connected {
-			return jc, false // merge join needs an equality join predicate
+			return false // merge join needs an equality join predicate
 		}
+		jc.method = candMSJOIN
 		// An input whose order property already matches its merge column
 		// claims sort-avoidance; the others get an explicit SORT.
 		jc.leftCost, jc.rightCost = left.cost, right.cost
@@ -525,127 +565,166 @@ func (pc *planCtx) buildJoinCand(method qgm.OpType, left, right *planCand, sp *j
 		}
 		inc := m.MergeJoin(left.card, right.card, jc.card)
 		jc.cost = jc.leftCost + jc.rightCost + inc
-		jc.ord, jc.ordered = sp.lOrd, sp.lCol
+		jc.ord = sp.lOrd
 	default:
-		return jc, false
+		return false
 	}
-	return jc, true
+	return true
 }
 
-// plan materializes the candidate's plan nodes; sp is the split it was built
-// over.
-func (jc *joinCand) plan(sp *joinSplit) *planCand {
-	left, right := jc.left, jc.right
+// node materializes the plan of the candidate at slab index i: one fresh
+// qgm.Node per operator (MSJOIN's explicit SORTs included), with the
+// predicates and join columns rendered here and nowhere earlier. The tree
+// shares nothing with the slab but immutable strings, so it outlives the call.
+func (pc *planCtx) node(i int32) *qgm.Node {
+	c := pc.cand(i)
+	if c.method == candAccess {
+		qt, path := pc.quants[bits.TrailingZeros64(c.mask)], &pc.paths[c.right]
+		node := &qgm.Node{
+			Op:             path.op,
+			Table:          strings.ToUpper(qt.Ref.Table),
+			TableInstance:  qt.Instance,
+			Index:          path.indexName,
+			EstCardinality: path.card,
+			EstCost:        path.cost,
+			RowSize:        qt.RowWidth,
+			Pages:          qt.Pages,
+			OrderedOn:      path.sortedOn,
+		}
+		for _, p := range qt.LocalPreds {
+			node.Predicates = append(node.Predicates, p.String())
+		}
+		return node
+	}
+	left, right := pc.cand(c.left), pc.cand(c.right)
 	node := &qgm.Node{
-		Op:             jc.method,
-		EstCardinality: jc.card,
-		EstCost:        jc.cost,
-		RowSize:        left.rowSize + right.rowSize,
-		JoinCols:       sp.joinCols,
-		BloomFilter:    jc.bloom,
-		EarlyOut:       jc.method == qgm.OpMSJOIN,
-		OrderedOn:      jc.ordered,
-		Outer:          left.node,
-		Inner:          right.node,
+		Op:             candOps[c.method],
+		EstCardinality: c.card,
+		EstCost:        c.cost,
+		RowSize:        int(c.rowSize),
+		JoinCols:       pc.joinCols(left.mask, right.mask),
+		BloomFilter:    c.bloom,
+		EarlyOut:       c.method == candMSJOIN,
+		Outer:          pc.node(c.left),
+		Inner:          pc.node(c.right),
 	}
-	if jc.sortLeft {
-		node.Outer = &qgm.Node{Op: qgm.OpSORT, Outer: left.node, EstCardinality: left.card, EstCost: jc.leftCost, RowSize: left.rowSize, OrderedOn: sp.lCol}
+	node.OrderedOn = node.Outer.OrderedOn // hash probe and nested-loop outer order is preserved
+	if c.method == candMSJOIN {
+		sp := pc.split(left.mask, right.mask)
+		node.OrderedOn = sp.lCol
+		if c.sortLeft {
+			node.Outer = &qgm.Node{Op: qgm.OpSORT, Outer: node.Outer, EstCardinality: left.card, EstCost: c.leftCost, RowSize: int(left.rowSize), OrderedOn: sp.lCol}
+		}
+		if c.sortRight {
+			node.Inner = &qgm.Node{Op: qgm.OpSORT, Outer: node.Inner, EstCardinality: right.card, EstCost: c.rightCost, RowSize: int(right.rowSize), OrderedOn: sp.rCol}
+		}
 	}
-	if jc.sortRight {
-		node.Inner = &qgm.Node{Op: qgm.OpSORT, Outer: right.node, EstCardinality: right.card, EstCost: jc.rightCost, RowSize: right.rowSize, OrderedOn: sp.rCol}
-	}
-	return &planCand{node: node, cost: jc.cost, card: jc.card, rowSize: node.RowSize, mask: left.mask | right.mask, ord: jc.ord}
+	return node
 }
 
 // --- dynamic programming -----------------------------------------------------
 
-// candSet is the dynamic-programming table entry for one quantifier subset:
-// the overall-cheapest candidate plus, per interesting order, the cheapest
-// candidate whose output carries that order. Keeping the ordered runners-up
-// is what lets a merge join higher in the tree claim sort-avoidance from a
-// plan that was not locally cheapest.
-type candSet struct {
-	best    *planCand
-	byOrder []*planCand // indexed by interesting-order id; nil until an ordered candidate arrives
-	list    []*planCand // cands(), frozen once the subset is fully enumerated
-}
+// candSet is the dynamic-programming table entry for one quantifier subset,
+// as slab indices: slot 0 is the overall-cheapest candidate and slot k > 0
+// the cheapest candidate whose output carries interesting order k (0 where
+// there is none). Keeping the ordered runners-up is what lets a merge join
+// higher in the tree claim sort-avoidance from a plan that was not locally
+// cheapest.
+type candSet []int32
 
 // admits reports whether a candidate of this cost and order would displace an
 // incumbent, i.e. whether add would keep it.
-func (cs *candSet) admits(cost float64, ord int) bool {
-	if cs.best == nil || cost < cs.best.cost {
+func (cs candSet) admits(pc *planCtx, cost float64, ord int32) bool {
+	if cs[0] == 0 || cost < pc.cand(cs[0]).cost {
 		return true
 	}
 	if ord == 0 {
 		return false
 	}
-	return cs.byOrder == nil || cs.byOrder[ord] == nil || cost < cs.byOrder[ord].cost
+	return cs[ord] == 0 || cost < pc.cand(cs[ord]).cost
 }
 
-// add folds a candidate into the set, keeping per-order winners.
-func (cs *candSet) add(cand *planCand, orders int) {
-	if cs.best == nil || cand.cost < cs.best.cost {
-		cs.best = cand
+// add folds the candidate at slab index i into the set, keeping per-order
+// winners.
+func (cs candSet) add(pc *planCtx, i int32) {
+	cand := pc.cand(i)
+	if cs[0] == 0 || cand.cost < pc.cand(cs[0]).cost {
+		cs[0] = i
 	}
-	if cand.ord == 0 {
-		return
-	}
-	if cs.byOrder == nil {
-		cs.byOrder = make([]*planCand, orders+1)
-	}
-	if prev := cs.byOrder[cand.ord]; prev == nil || cand.cost < prev.cost {
-		cs.byOrder[cand.ord] = cand
+	if cand.ord != 0 && (cs[cand.ord] == 0 || cand.cost < pc.cand(cs[cand.ord]).cost) {
+		cs[cand.ord] = i
 	}
 }
 
-// cands lists the retained candidates: the cheapest first, then the ordered
-// alternatives (in sorted order for determinism), skipping ones that carry no
-// information beyond the cheapest.
-func (cs *candSet) cands() []*planCand {
-	out := []*planCand{cs.best}
-	for ord, cand := range cs.byOrder {
-		if cand != nil && ord != cs.best.ord {
-			out = append(out, cand)
+// freeze compacts a fully enumerated set, in place, into the list of its
+// retained candidates and returns the list's length: the cheapest first, then
+// the ordered alternatives (in sorted order for determinism), skipping ones
+// that carry no information beyond the cheapest. 0 means the subset has no
+// plan.
+func (cs candSet) freeze(pc *planCtx) int32 {
+	if cs[0] == 0 {
+		return 0
+	}
+	n, bestOrd := int32(1), pc.cand(cs[0]).ord
+	for ord := int32(1); int(ord) < len(cs); ord++ {
+		if cs[ord] != 0 && ord != bestOrd {
+			cs[n] = cs[ord]
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// dpTable is the dynamic-programming table: one candSet per quantifier mask,
+// carved from one pointer-free array sized by the query, and the length of
+// each subset's frozen list (0: not enumerated yet, or no plan).
+type dpTable struct {
+	stride uint64 // 1 + the number of interesting orders
+	slots  []int32
+	frozen []int32
+}
+
+func (t *dpTable) set(mask uint64) candSet { return t.slots[mask*t.stride : (mask+1)*t.stride] }
+
+// list returns a finished subset's retained candidates.
+func (t *dpTable) list(mask uint64) []int32 {
+	return t.slots[mask*t.stride:][:t.frozen[mask]]
 }
 
 func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 	n := len(pc.quants)
 	considered := 0
-	orders := len(pc.orderID)
-	table := make([]candSet, uint64(1)<<uint(n)) // indexed by quantifier mask; best == nil means no plan
+	subsets := uint64(1) << uint(n)
+	table := dpTable{stride: uint64(len(pc.orderID) + 1), frozen: make([]int32, subsets)}
+	table.slots = make([]int32, subsets*table.stride)
 	for _, qt := range pc.quants {
-		set := &table[qt.bit]
-		for _, cand := range pc.accessCands(qt) {
-			set.add(cand, orders)
-		}
-		set.list = set.cands()
+		set := table.set(qt.bit)
+		pc.addAccessCands(qt, set)
+		table.frozen[qt.bit] = set.freeze(pc)
 	}
 
-	full := uint64(1)<<uint(n) - 1
+	var jc planCand
+	full := subsets - 1
 	for size := 2; size <= n; size++ {
 		for mask := uint64(1); mask <= full; mask++ {
 			if bits.OnesCount64(mask) != size {
 				continue
 			}
-			acc := &table[mask]
+			acc := table.set(mask)
 			// Whether mask has any connected split is asked by every
 			// disconnected one; answer it once (0 unknown, 1 yes, -1 no).
 			connectedSplit := 0
 			// Enumerate proper splits; (sub, rest) visits both orders.
 			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 				rest := mask ^ sub
-				ls, rs := &table[sub], &table[rest]
-				if ls.best == nil || rs.best == nil {
+				if table.frozen[sub] == 0 || table.frozen[rest] == 0 {
 					continue
 				}
 				sp := pc.split(sub, rest)
 				if !sp.connected {
 					if connectedSplit == 0 {
 						connectedSplit = -1
-						if pc.hasConnectedSplit(mask, table) {
+						if pc.hasConnectedSplit(mask, &table) {
 							connectedSplit = 1
 						}
 					}
@@ -656,35 +735,35 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 				if !pc.cons.allowsPartition(mask, sub, rest) {
 					continue
 				}
-				for _, left := range ls.list {
-					for _, right := range rs.list {
+				for _, li := range table.list(sub) {
+					left := pc.cand(li)
+					for _, ri := range table.list(rest) {
+						right := pc.cand(ri)
 						for _, method := range qgm.JoinMethods() {
 							if !pc.cons.allowsJoin(mask, sub, rest, method) {
 								continue
 							}
-							jc, ok := pc.buildJoinCand(method, left, right, &sp)
+							ok := pc.buildJoinCand(&jc, method, left, right, &sp)
 							considered++
-							if ok && acc.admits(jc.cost, jc.ord) {
-								acc.add(jc.plan(&sp), orders)
+							if ok && acc.admits(pc, jc.cost, jc.ord) {
+								acc.add(pc, pc.pushJoin(&jc, li, ri))
 							}
 						}
 					}
 				}
 			}
-			if acc.best != nil {
-				acc.list = acc.cands()
-			}
+			table.frozen[mask] = acc.freeze(pc)
 		}
 	}
-	if table[full].best == nil {
+	if table.frozen[full] == 0 {
 		return nil, considered, fmt.Errorf("optimizer: no plan satisfies the active guideline constraints")
 	}
-	return table[full].best.node, considered, nil
+	return pc.node(table.list(full)[0]), considered, nil
 }
 
-func (pc *planCtx) hasConnectedSplit(mask uint64, table []candSet) bool {
+func (pc *planCtx) hasConnectedSplit(mask uint64, table *dpTable) bool {
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-		if rest := mask ^ sub; table[sub].best != nil && table[rest].best != nil && pc.connects(sub, rest) {
+		if rest := mask ^ sub; table.frozen[sub] != 0 && table.frozen[rest] != 0 && pc.connects(sub, rest) {
 			return true
 		}
 	}
@@ -697,20 +776,21 @@ func (pc *planCtx) hasConnectedSplit(mask uint64, table []candSet) bool {
 // components with the cheapest join, honouring guideline constraints first.
 func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 	considered := 0
-	comps := make([]*planCand, 0, len(pc.quants))
+	comps := make([]int32, 0, len(pc.quants)) // slab indices
 	for _, qt := range pc.quants {
 		comps = append(comps, pc.bestAccess(qt))
 	}
 	// merge replaces components i and j by their join, which goes last.
-	merge := func(i, j int, cand *planCand) {
-		next := make([]*planCand, 0, len(comps)-1)
+	merge := func(i, j int, jc *planCand) {
+		next := make([]int32, 0, len(comps)-1)
 		for k, c := range comps {
 			if k != i && k != j {
 				next = append(next, c)
 			}
 		}
-		comps = append(next, cand)
+		comps = append(next, pc.pushJoin(jc, comps[i], comps[j]))
 	}
+	var jc, best planCand
 	for len(comps) > 1 {
 		// Honour guideline join constraints first: when two components match a
 		// constrained join's outer and inner sets exactly, perform that merge
@@ -720,33 +800,32 @@ func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 		for _, con := range pc.cons.joins {
 			oi, ii := -1, -1
 			for k, c := range comps {
-				if c.mask == con.outer {
+				switch pc.cand(c).mask {
+				case con.outer:
 					oi = k
-				}
-				if c.mask == con.inner {
+				case con.inner:
 					ii = k
 				}
 			}
 			if oi < 0 || ii < 0 || oi == ii {
 				continue
 			}
-			sp := pc.split(comps[oi].mask, comps[ii].mask)
-			jc, ok := pc.buildJoinCand(con.method, comps[oi], comps[ii], &sp)
+			sp := pc.split(con.outer, con.inner)
+			ok := pc.buildJoinCand(&jc, con.method, pc.cand(comps[oi]), pc.cand(comps[ii]), &sp)
 			considered++
 			if !ok {
 				continue
 			}
-			merge(oi, ii, jc.plan(&sp))
+			merge(oi, ii, &jc)
 			constrained = true
 			break
 		}
 		if constrained {
 			continue
 		}
-		var best *planCand
 		bi, bj := -1, -1
 		tryPair := func(i, j int, requireConn bool) {
-			left, right := comps[i], comps[j]
+			left, right := pc.cand(comps[i]), pc.cand(comps[j])
 			sp := pc.split(left.mask, right.mask)
 			if requireConn && !sp.connected {
 				return
@@ -759,10 +838,10 @@ func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 				if !pc.cons.allowsJoin(set, left.mask, right.mask, method) {
 					continue
 				}
-				jc, ok := pc.buildJoinCand(method, left, right, &sp)
+				ok := pc.buildJoinCand(&jc, method, left, right, &sp)
 				considered++
-				if ok && (best == nil || jc.cost < best.cost) {
-					best, bi, bj = jc.plan(&sp), i, j
+				if ok && (bi < 0 || jc.cost < best.cost) {
+					best, bi, bj = jc, i, j
 				}
 			}
 		}
@@ -776,13 +855,13 @@ func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 			}
 		}
 		allPairs(true)
-		if best == nil {
+		if bi < 0 {
 			allPairs(false) // no connected pair: allow a cartesian product
 		}
-		if best == nil {
+		if bi < 0 {
 			return nil, considered, fmt.Errorf("optimizer: greedy enumeration found no joinable pair under the active constraints")
 		}
-		merge(bi, bj, best)
+		merge(bi, bj, &best)
 	}
-	return comps[0].node, considered, nil
+	return pc.node(comps[0]), considered, nil
 }

@@ -518,38 +518,83 @@ func TestGoldenSpecPlans(t *testing.T) {
 	checkGolden(t, "golden_specs.json", got, dumps)
 }
 
-// TestOptimizeIsReentrant shares one Optimizer between 8 goroutines planning
-// a mix of single-table, DP, greedy and guideline-constrained queries, and
-// requires every plan and report to equal the serial run's. Run under -race
-// it also proves Optimize keeps no per-call state on the Optimizer (UsedDP
-// used to travel through a field).
+// TestOptimizeIsReentrant shares one Optimizer between 8 goroutines mixing
+// Optimize and BuildPlan over single-table, DP (1 to 4 joins), greedy (up to 8
+// joins) and guideline-constrained queries, and requires every plan and report
+// to equal the serial run's. The last three guidelines contradict each other
+// on any query that has a Q4 and a Q5, so the 4-join DP queries go through
+// the drop-and-retry loop twice and finish over a slab that still holds two
+// abandoned attempts. Run under -race it also proves a call keeps no state on
+// the Optimizer (UsedDP used to travel through a field).
 func TestOptimizeIsReentrant(t *testing.T) {
 	db := goldenTPCDS(t)
-	doc, err := guideline.Parse(`<OPTGUIDELINES>
-		<HSJOIN><TBSCAN TABID='Q1'/><IXSCAN TABID='Q2'/></HSJOIN>
+	const settled = `<HSJOIN><TBSCAN TABID='Q1'/><IXSCAN TABID='Q2'/></HSJOIN>
 		<MSJOIN><TBSCAN TABID='Q9'/><TBSCAN TABID='Q3'/></MSJOIN>
-	</OPTGUIDELINES>`)
+		<HSJOIN><TBSCAN TABID='Q4'/><TBSCAN TABID='Q5'/></HSJOIN>`
+	newOpt := func(guidelines string) *optimizer.Optimizer {
+		doc, err := guideline.Parse("<OPTGUIDELINES>" + guidelines + "</OPTGUIDELINES>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := optimizer.DefaultOptions()
+		opts.Guidelines = doc
+		opts.JoinEnumDPLimit = 5
+		return optimizer.New(db.Catalog, opts)
+	}
+	opt := newOpt(settled + `<MSJOIN><TBSCAN TABID='Q4'/><TBSCAN TABID='Q5'/></MSJOIN>
+		<NLJOIN><TBSCAN TABID='Q5'/><TBSCAN TABID='Q4'/></NLJOIN>`)
+	all := tpcds.Queries()
+	queries := []*sqlparser.Query{all[0], all[3], all[5], all[9], all[21], all[35], all[45], all[60], all[75], all[92]}
+	for _, c := range planningCases {
+		queries = append(queries, all[c.index])
+	}
+	queries = append(queries, benchShapeQueries()...)
+
+	// The retried query: two of its three attempts are thrown away, which
+	// shows as more candidates considered than under the guidelines it ends
+	// up with.
+	retried := all[planningCases[3].index]
+	_, r, err := opt.Optimize(retried)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := optimizer.DefaultOptions()
-	opts.Guidelines = doc
-	opts.JoinEnumDPLimit = 5
-	opt := optimizer.New(db.Catalog, opts)
-	all := tpcds.Queries()
-	queries := []*sqlparser.Query{all[0], all[3], all[5], all[9], all[21], all[35], all[45], all[60], all[75], all[92]}
-	queries = append(queries, benchShapeQueries()...)
-	plan := func(q *sqlparser.Query) string {
-		p, r, err := opt.Optimize(q)
+	_, once, err := newOpt(settled).Optimize(retried)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(r.GuidelinesIgnored) != "[1 3 4]" || !r.UsedDP || r.PlansConsidered <= once.PlansConsidered {
+		t.Fatalf("%s should drop guidelines 4 and 3 in two DP retries: report %+v, without them %+v", retried.Name, r, once)
+	}
+
+	// Every query is planned twice: by enumeration, and from a seeded spec.
+	gen := randplan.New(opt, 20190522)
+	specs := make([]*optimizer.Spec, len(queries))
+	for i, q := range queries {
+		if specs[i], err = gen.RandomSpec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := func(k int) string {
+		q := queries[k%len(queries)]
+		var p *qgm.Plan
+		var r *optimizer.Report
+		var err error
+		if k < len(queries) {
+			p, r, err = opt.Optimize(q)
+		} else {
+			p, err = opt.BuildPlan(q, specs[k%len(queries)])
+		}
 		e, dump := entryFor(q.Name, p, r, err)
 		js, _ := json.Marshal(e)
 		return string(js) + "\n" + dump
 	}
-	want := make([]string, len(queries))
+	want := make([]string, 2*len(queries))
 	usedDP := map[bool]int{}
-	for i, q := range queries {
-		want[i] = plan(q)
-		usedDP[strings.Contains(want[i], `"used_dp":true`)]++
+	for k := range want {
+		want[k] = plan(k)
+		if k < len(queries) {
+			usedDP[strings.Contains(want[k], `"used_dp":true`)]++
+		}
 	}
 	if usedDP[true] == 0 || usedDP[false] < 2 {
 		t.Fatalf("query mix does not cover DP and non-DP planning: %v", usedDP)
@@ -559,13 +604,94 @@ func TestOptimizeIsReentrant(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for k := range queries {
-				i := (k*7 + g*3) % len(queries) // every goroutine walks its own order
-				if got := plan(queries[i]); got != want[i] {
-					t.Errorf("goroutine %d: %s differs from the serial run\n got: %s\nwant: %s", g, queries[i].Name, got, want[i])
+			for k := range want {
+				i := (k*7 + g*3) % len(want) // every goroutine walks its own order
+				if got := plan(i); got != want[i] {
+					t.Errorf("goroutine %d: %s differs from the serial run\n got: %s\nwant: %s", g, queries[i%len(queries)].Name, got, want[i])
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPlanOutlivesPlanning renders a plan, runs two hundred other plannings
+// on the same Optimizer, and renders it again: nothing reachable from a
+// returned plan may belong to scratch that a later call reuses.
+func TestPlanOutlivesPlanning(t *testing.T) {
+	opt := optimizer.New(goldenTPCDS(t).Catalog, optimizer.DefaultOptions())
+	all := tpcds.Queries()
+	gen := randplan.New(opt, 7)
+	q := all[planningCases[3].index]
+	enumerated, _, err := opt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A random spec may ask for a join method its inputs do not admit; take
+	// the first that builds.
+	var built *qgm.Plan
+	for try := 0; built == nil; try++ {
+		spec, err := gen.RandomSpec(q)
+		if err == nil {
+			built, err = opt.BuildPlan(q, spec)
+		}
+		if err != nil && try == 20 {
+			t.Fatal(err)
+		}
+	}
+	render := func() string {
+		return dumpPlan(enumerated) + enumerated.Signature() + "\n" + dumpPlan(built) + built.Signature()
+	}
+	before := render()
+	for i := 0; i < 200; i++ {
+		other := all[i%len(all)]
+		if i%2 == 0 {
+			if _, _, err := opt.Optimize(other); err != nil {
+				t.Fatalf("%s: %v", other.Name, err)
+			}
+		} else if spec, err := gen.RandomSpec(other); err == nil {
+			_, _ = opt.BuildPlan(other, spec) // an inapplicable spec has still used the scratch
+		}
+	}
+	if after := render(); after != before {
+		t.Errorf("plans changed after later plannings\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
+// TestMaterializeWithoutJoinPredicates covers what the corpora barely touch:
+// a single-table plan (no join to materialize) and a cartesian product, whose
+// JoinCols guideline and transform print and which must stay the empty,
+// non-nil slice — by DP, by the greedy search and from a spec.
+func TestMaterializeWithoutJoinPredicates(t *testing.T) {
+	cat := goldenTPCDS(t).Catalog
+	single, _, err := optimizer.New(cat, optimizer.DefaultOptions()).Optimize(
+		sqlparser.MustParse(`SELECT i_item_desc FROM item WHERE i_category = 'Music'`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := single.Root.Scans()
+	if len(scans) != 1 || single.NumJoins() != 0 || fmt.Sprintf("%q", scans[0].Predicates) != `["ITEM.I_CATEGORY = 'Music'"]` || scans[0].JoinCols != nil {
+		t.Errorf("single-table plan:\n%s", dumpPlan(single))
+	}
+
+	cartesian := sqlparser.MustParse(`SELECT i_item_desc, s_store_name FROM item, store WHERE i_category = 'Music'`)
+	greedy := optimizer.DefaultOptions()
+	greedy.JoinEnumDPLimit = 1
+	plans := map[string]*qgm.Plan{}
+	if plans["dp"], _, err = optimizer.New(cat, optimizer.DefaultOptions()).Optimize(cartesian); err != nil {
+		t.Fatal(err)
+	}
+	if plans["greedy"], _, err = optimizer.New(cat, greedy).Optimize(cartesian); err != nil {
+		t.Fatal(err)
+	}
+	if plans["spec"], err = optimizer.New(cat, greedy).BuildPlan(cartesian,
+		optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("STORE"), optimizer.Leaf("ITEM"))); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range plans {
+		joins := p.Root.Joins()
+		if len(joins) != 1 || joins[0].JoinCols == nil || len(joins[0].JoinCols) != 0 || joins[0].Op == qgm.OpMSJOIN {
+			t.Errorf("%s: cartesian product should be one non-merge join with empty, non-nil JoinCols:\n%s", name, dumpPlan(p))
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -378,3 +379,20 @@ func TestSelectivityEstimates(t *testing.T) {
 
 func mustVal(s string) catalog.Value    { return catalog.String(s) }
 func mustFloat(f float64) catalog.Value { return catalog.Float(f) }
+
+// TestPlanCandHoldsNoPointers keeps the candidate slab invisible to the
+// collector: a string, slice or pointer field in planCand would make every
+// chunk a scanned allocation and every push a write barrier.
+func TestPlanCandHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(planCand{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Int32, reflect.Uint64, reflect.Float64:
+		default:
+			t.Errorf("planCand.%s is a %s", f.Name, f.Type)
+		}
+	}
+	if typ.Size() != 72 {
+		t.Errorf("planCand is %d bytes; the slab sizing and DESIGN.md say 72", typ.Size())
+	}
+}

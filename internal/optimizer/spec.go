@@ -93,7 +93,8 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 	if err := spec.Validate(work); err != nil {
 		return nil, err
 	}
-	pc, err := o.newPlanCtx(work, o.Quantifiers(work))
+	quants := o.Quantifiers(work)
+	pc, err := o.newPlanCtx(work, quants, 2*len(quants)) // one candidate per operator of the spec
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +102,7 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 	if err != nil {
 		return nil, err
 	}
-	root := o.addFinalOperators(work, cand.node)
+	root := o.addFinalOperators(work, pc.node(cand))
 	plan := qgm.NewPlan(root)
 	plan.SQL = work.SQL()
 	plan.QueryName = work.Name
@@ -110,11 +111,13 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 	return plan, nil
 }
 
-func (pc *planCtx) buildSpecCand(spec *Spec) (*planCand, error) {
+// buildSpecCand costs the spec bottom-up and returns the slab index of its
+// root candidate.
+func (pc *planCtx) buildSpecCand(spec *Spec) (int32, error) {
 	if spec.Access != nil {
 		qt := pc.byName[strings.ToUpper(spec.Access.Ref)]
 		if qt == nil {
-			return nil, fmt.Errorf("optimizer: spec references unknown table %s", spec.Access.Ref)
+			return 0, fmt.Errorf("optimizer: spec references unknown table %s", spec.Access.Ref)
 		}
 		paths := pc.accessPaths(qt)
 		var chosen *accessPath
@@ -139,25 +142,26 @@ func (pc *planCtx) buildSpecCand(spec *Spec) (*planCand, error) {
 			}
 		}
 		if chosen == nil {
-			return nil, fmt.Errorf("optimizer: no access path matches spec %+v for %s", spec.Access, qt.Ref.Name())
+			return 0, fmt.Errorf("optimizer: no access path matches spec %+v for %s", spec.Access, qt.Ref.Name())
 		}
 		return pc.accessCand(qt, *chosen), nil
 	}
 	if spec.Outer == nil || spec.Inner == nil || !spec.Method.IsJoin() {
-		return nil, fmt.Errorf("optimizer: malformed spec node (method=%q)", spec.Method)
+		return 0, fmt.Errorf("optimizer: malformed spec node (method=%q)", spec.Method)
 	}
-	left, err := pc.buildSpecCand(spec.Outer)
+	li, err := pc.buildSpecCand(spec.Outer)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	right, err := pc.buildSpecCand(spec.Inner)
+	ri, err := pc.buildSpecCand(spec.Inner)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
+	left, right := pc.cand(li), pc.cand(ri)
 	sp := pc.split(left.mask, right.mask)
-	jc, ok := pc.buildJoinCand(spec.Method, left, right, &sp)
-	if !ok {
-		return nil, fmt.Errorf("optimizer: %s is not applicable to this input combination", spec.Method)
+	var jc planCand
+	if !pc.buildJoinCand(&jc, spec.Method, left, right, &sp) {
+		return 0, fmt.Errorf("optimizer: %s is not applicable to this input combination", spec.Method)
 	}
-	return jc.plan(&sp), nil
+	return pc.pushJoin(&jc, li, ri), nil
 }

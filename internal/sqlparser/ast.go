@@ -8,7 +8,6 @@
 package sqlparser
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -86,36 +85,35 @@ type Predicate struct {
 // IsJoin reports whether the predicate joins two different table references.
 func (p Predicate) IsJoin() bool { return p.Kind == PredJoin }
 
-// String renders the predicate as SQL.
+// String renders the predicate as SQL. It is built by concatenation, not
+// fmt: the optimizer renders every predicate of every query it plans.
 func (p Predicate) String() string {
+	left, not := p.Left.String(), ""
+	if p.Not {
+		not = "NOT "
+	}
 	switch p.Kind {
 	case PredJoin:
-		return fmt.Sprintf("%s = %s", p.Left, p.Right)
+		return left + " = " + p.Right.String()
 	case PredCompare:
-		return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Value.SQLLiteral())
+		return left + " " + p.Op + " " + p.Value.SQLLiteral()
 	case PredBetween:
-		return fmt.Sprintf("%s BETWEEN %s AND %s", p.Left, p.Lo.SQLLiteral(), p.Hi.SQLLiteral())
+		return left + " BETWEEN " + p.Lo.SQLLiteral() + " AND " + p.Hi.SQLLiteral()
 	case PredIn:
-		vals := make([]string, len(p.Values))
+		var b strings.Builder
+		b.WriteString(left + " " + not + "IN (")
 		for i, v := range p.Values {
-			vals[i] = v.SQLLiteral()
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(v.SQLLiteral())
 		}
-		not := ""
-		if p.Not {
-			not = "NOT "
-		}
-		return fmt.Sprintf("%s %sIN (%s)", p.Left, not, strings.Join(vals, ", "))
+		b.WriteByte(')')
+		return b.String()
 	case PredLike:
-		not := ""
-		if p.Not {
-			not = "NOT "
-		}
-		return fmt.Sprintf("%s %sLIKE %s", p.Left, not, p.Value.SQLLiteral())
+		return left + " " + not + "LIKE " + p.Value.SQLLiteral()
 	case PredIsNull:
-		if p.Not {
-			return fmt.Sprintf("%s IS NOT NULL", p.Left)
-		}
-		return fmt.Sprintf("%s IS NULL", p.Left)
+		return left + " IS " + not + "NULL"
 	default:
 		return "<?>"
 	}

@@ -1,0 +1,75 @@
+package sqlparser
+
+import (
+	"testing"
+	"time"
+
+	"galo/internal/catalog"
+)
+
+// TestPredicateStringTable pins Predicate.String byte for byte over every
+// PredKind x Not x literal kind (int, float, string with a quote, date, NULL).
+// The text is inside every golden plan and every probe, and the optimizer's
+// rewrite tier deduplicates on it; the expected renderings were produced by the
+// fmt.Sprintf implementation this one replaced.
+func TestPredicateStringTable(t *testing.T) {
+	left, right := ColumnRef{Table: "I", Column: "I_BRAND"}, ColumnRef{Table: "WS", Column: "WS_ITEM_SK"}
+	for _, c := range []struct {
+		p    Predicate
+		want string
+	}{
+		{Predicate{Kind: PredJoin, Left: left, Right: right}, "I.I_BRAND = WS.WS_ITEM_SK"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "=", Value: catalog.Int(-42)}, "I.I_BRAND = -42"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "<>", Value: catalog.Float(2.5)}, "I.I_BRAND <> 2.5"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "<", Value: catalog.String("O'Neil")}, "I.I_BRAND < 'O''Neil'"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "<=", Value: catalog.Date(1998, time.March, 7)}, "I.I_BRAND <= '1998-03-07'"},
+		{Predicate{Kind: PredCompare, Left: left, Op: ">", Value: catalog.Null()}, "I.I_BRAND > NULL"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Int(-42), Hi: catalog.Float(2.5)}, "I.I_BRAND BETWEEN -42 AND 2.5"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Float(2.5), Hi: catalog.String("O'Neil")}, "I.I_BRAND BETWEEN 2.5 AND 'O''Neil'"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.String("O'Neil"), Hi: catalog.Date(1998, time.March, 7)}, "I.I_BRAND BETWEEN 'O''Neil' AND '1998-03-07'"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Date(1998, time.March, 7), Hi: catalog.Null()}, "I.I_BRAND BETWEEN '1998-03-07' AND NULL"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Null(), Hi: catalog.Int(-42)}, "I.I_BRAND BETWEEN NULL AND -42"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Int(-42)}}, "I.I_BRAND IN (-42)"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Float(2.5), catalog.String("O'Neil")}}, "I.I_BRAND IN (2.5, 'O''Neil')"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.String("O'Neil"), catalog.Date(1998, time.March, 7), catalog.Null()}}, "I.I_BRAND IN ('O''Neil', '1998-03-07', NULL)"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Date(1998, time.March, 7)}}, "I.I_BRAND IN ('1998-03-07')"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Null(), catalog.Int(-42)}}, "I.I_BRAND IN (NULL, -42)"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Int(-42)}, "I.I_BRAND LIKE -42"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Float(2.5)}, "I.I_BRAND LIKE 2.5"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.String("O'Neil")}, "I.I_BRAND LIKE 'O''Neil'"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Date(1998, time.March, 7)}, "I.I_BRAND LIKE '1998-03-07'"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Null()}, "I.I_BRAND LIKE NULL"},
+		{Predicate{Kind: PredIsNull, Left: left}, "I.I_BRAND IS NULL"},
+		{Predicate{Kind: PredIsNull + 1, Left: left}, "<?>"},
+		{Predicate{Kind: PredJoin, Left: left, Right: right, Not: true}, "I.I_BRAND = WS.WS_ITEM_SK"},
+		{Predicate{Kind: PredCompare, Left: left, Op: ">=", Value: catalog.Int(-42), Not: true}, "I.I_BRAND >= -42"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "=", Value: catalog.Float(2.5), Not: true}, "I.I_BRAND = 2.5"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "<>", Value: catalog.String("O'Neil"), Not: true}, "I.I_BRAND <> 'O''Neil'"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "<", Value: catalog.Date(1998, time.March, 7), Not: true}, "I.I_BRAND < '1998-03-07'"},
+		{Predicate{Kind: PredCompare, Left: left, Op: "<=", Value: catalog.Null(), Not: true}, "I.I_BRAND <= NULL"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Int(-42), Hi: catalog.Float(2.5), Not: true}, "I.I_BRAND BETWEEN -42 AND 2.5"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Float(2.5), Hi: catalog.String("O'Neil"), Not: true}, "I.I_BRAND BETWEEN 2.5 AND 'O''Neil'"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.String("O'Neil"), Hi: catalog.Date(1998, time.March, 7), Not: true}, "I.I_BRAND BETWEEN 'O''Neil' AND '1998-03-07'"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Date(1998, time.March, 7), Hi: catalog.Null(), Not: true}, "I.I_BRAND BETWEEN '1998-03-07' AND NULL"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Null(), Hi: catalog.Int(-42), Not: true}, "I.I_BRAND BETWEEN NULL AND -42"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Int(-42)}, Not: true}, "I.I_BRAND NOT IN (-42)"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Float(2.5), catalog.String("O'Neil")}, Not: true}, "I.I_BRAND NOT IN (2.5, 'O''Neil')"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.String("O'Neil"), catalog.Date(1998, time.March, 7), catalog.Null()}, Not: true}, "I.I_BRAND NOT IN ('O''Neil', '1998-03-07', NULL)"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Date(1998, time.March, 7)}, Not: true}, "I.I_BRAND NOT IN ('1998-03-07')"},
+		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Null(), catalog.Int(-42)}, Not: true}, "I.I_BRAND NOT IN (NULL, -42)"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Int(-42), Not: true}, "I.I_BRAND NOT LIKE -42"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Float(2.5), Not: true}, "I.I_BRAND NOT LIKE 2.5"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.String("O'Neil"), Not: true}, "I.I_BRAND NOT LIKE 'O''Neil'"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Date(1998, time.March, 7), Not: true}, "I.I_BRAND NOT LIKE '1998-03-07'"},
+		{Predicate{Kind: PredLike, Left: left, Value: catalog.Null(), Not: true}, "I.I_BRAND NOT LIKE NULL"},
+		{Predicate{Kind: PredIsNull, Left: left, Not: true}, "I.I_BRAND IS NOT NULL"},
+		{Predicate{Kind: PredIsNull + 1, Left: left, Not: true}, "<?>"},
+		{Predicate{Kind: PredIn, Left: left}, "I.I_BRAND IN ()"},
+		{Predicate{Kind: PredJoin, Left: ColumnRef{Column: "A"}, Right: ColumnRef{Column: "B"}}, "A = B"},
+		{Predicate{Kind: PredCompare, Left: ColumnRef{Column: "A"}, Op: ">=", Value: catalog.Int(7)}, "A >= 7"},
+	} {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("%+v renders %q, want %q", c.p, got, c.want)
+		}
+	}
+}

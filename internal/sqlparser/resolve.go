@@ -7,19 +7,33 @@ import (
 	"galo/internal/catalog"
 )
 
+// ResolveError reports a query that parses but does not fit the schema: an
+// unknown table or alias, an unknown or ambiguous column, a self-comparison.
+// Like a parse error it is the mistake of whoever wrote the query, which is
+// what callers that answer for one (errors.As) need to tell from a failure of
+// their own.
+type ResolveError struct{ msg string }
+
+func (e *ResolveError) Error() string { return e.msg }
+
+func resolveErrorf(format string, args ...any) error {
+	return &ResolveError{msg: fmt.Sprintf("sqlparser: "+format, args...)}
+}
+
 // Resolve binds every column reference in the query to the table reference
 // (alias) that defines it, using the schema. After Resolve, every ColumnRef
 // has a non-empty Table field naming the FROM-clause reference (alias when
-// present). Resolve also validates that every referenced table exists.
+// present). Resolve also validates that every referenced table exists. Every
+// error it returns is a *ResolveError.
 func Resolve(q *Query, schema *catalog.Schema) error {
 	if len(q.From) == 0 {
-		return fmt.Errorf("sqlparser: query has no FROM clause")
+		return resolveErrorf("query has no FROM clause")
 	}
 	// Validate tables and build alias -> table map.
 	aliasToTable := make(map[string]string, len(q.From))
 	for _, tr := range q.From {
 		if schema.Table(tr.Table) == nil {
-			return fmt.Errorf("sqlparser: unknown table %s", tr.Table)
+			return resolveErrorf("unknown table %s", tr.Table)
 		}
 		aliasToTable[strings.ToUpper(tr.Name())] = strings.ToUpper(tr.Table)
 	}
@@ -29,10 +43,10 @@ func Resolve(q *Query, schema *catalog.Schema) error {
 			c.Table = strings.ToUpper(c.Table)
 			tbl, ok := aliasToTable[c.Table]
 			if !ok {
-				return fmt.Errorf("sqlparser: column %s references unknown table/alias %s", c, c.Table)
+				return resolveErrorf("column %s references unknown table/alias %s", c, c.Table)
 			}
 			if !schema.Table(tbl).HasColumn(c.Column) {
-				return fmt.Errorf("sqlparser: table %s has no column %s", tbl, c.Column)
+				return resolveErrorf("table %s has no column %s", tbl, c.Column)
 			}
 			return nil
 		}
@@ -41,13 +55,13 @@ func Resolve(q *Query, schema *catalog.Schema) error {
 		for _, tr := range q.From {
 			if schema.Table(tr.Table).HasColumn(c.Column) {
 				if owner != "" && owner != strings.ToUpper(tr.Name()) {
-					return fmt.Errorf("sqlparser: column %s is ambiguous", c.Column)
+					return resolveErrorf("column %s is ambiguous", c.Column)
 				}
 				owner = strings.ToUpper(tr.Name())
 			}
 		}
 		if owner == "" {
-			return fmt.Errorf("sqlparser: column %s not found in any FROM table", c.Column)
+			return resolveErrorf("column %s not found in any FROM table", c.Column)
 		}
 		c.Table = owner
 		return nil
@@ -68,7 +82,7 @@ func Resolve(q *Query, schema *catalog.Schema) error {
 			// A column=column predicate within the same table reference is a
 			// local predicate, not a join.
 			if q.Where[i].Left.Table == q.Where[i].Right.Table {
-				return fmt.Errorf("sqlparser: self-comparison %s is not supported", q.Where[i])
+				return resolveErrorf("self-comparison %s is not supported", q.Where[i])
 			}
 		}
 	}
