@@ -203,13 +203,20 @@ func TestEmitBenchExecutorJSON(t *testing.T) {
 		}
 	}
 
+	// Where the replaced file was emitted: its env block, or just the CPU
+	// count from a file older than the block.
+	beforeEnv, _ := committed["env"].(map[string]any)
+	if beforeEnv == nil {
+		beforeEnv = map[string]any{"cpus": committedNumber(committed, "cpus")}
+	}
 	doc := map[string]any{
 		"benchmark": "streaming executor vs materializing Volcano baseline on deep pipelines (3-way join + sort / group-by), TPC-DS-like data at scale 1.0 with hazards",
 		"cpus":      runtime.NumCPU(),
 		// Explicit, so a trajectory whose gate never armed says so itself.
 		"speedup_gate_armed": gateArmed,
-		"before_env":         map[string]any{"cpus": committedNumber(committed, "cpus")},
-		"note":               "wall_ms is the best of 5 runs; sim_millis is the deterministic simulated cost (identical across modes by the cost-parity invariant); peak_rows/peak_bytes is the high-water mark of rows resident in operator state (sort buffers, hash build sides, group sets — plus every intermediate rowset on the materializing path). The emit test fails if streaming peak_rows exceeds 50% of the materializing baseline. The parallel section runs the same plans on the exchange operator at 1/2/4 workers: sim_millis must stay bit-identical to serial streaming at every worker count, and the emit fails if 4 workers don't at least halve the serial wall time. That speedup gate only arms when the emitting machine has >= 4 CPUs (speedup_gate_armed; false means the committed speedups were never gated): exchange workers are real goroutines, so on fewer cores the parallel rows measure scheduling overhead, not speedup. before is the wall_ms of the same row in the BENCH_executor.json this emission replaced, measured on a machine with before_env.cpus CPUs.",
+		"env":                benchEnv(),
+		"before_env":         beforeEnv,
+		"note":               "wall_ms is the best of 5 runs; sim_millis is the deterministic simulated cost (identical across modes by the cost-parity invariant); peak_rows/peak_bytes is the high-water mark of rows resident in operator state (sort buffers, hash build sides, group sets — plus every intermediate rowset on the materializing path). The emit test fails if streaming peak_rows exceeds 50% of the materializing baseline. The parallel section runs the same plans on the exchange operator at 1/2/4 workers: sim_millis must stay bit-identical to serial streaming at every worker count, and the emit fails if 4 workers don't at least halve the serial wall time. That speedup gate only arms when the emitting machine has >= 4 CPUs (speedup_gate_armed; false means the committed speedups were never gated): exchange workers are real goroutines, so on fewer cores the parallel rows measure scheduling overhead, not speedup. before is the wall_ms of the same row in the BENCH_executor.json this emission replaced, emitted where before_env says. The committed file: before = commit 29acd78 (tuples of 24-byte row headers, join keys read through the rows) emitted on the same machine minutes earlier, both at -cpu 1; after = tuples of 32-bit row IDs and join keys from per-column key-word vectors. Both pipelines end in a SORT or a GRPBY, whose every key comparison now takes one more load (row ID to row): their streaming rows must read within 10% of before, and do.",
 		"pipelines":          results,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

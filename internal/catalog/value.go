@@ -305,6 +305,16 @@ func (v Value) KeyWord() (w uint64, ok bool) {
 	return keyBits(v), true
 }
 
+// KeyWordAbove reports Compare(x, y) > 0 for values x and y — neither a string
+// — from their key words alone. Words are float bits, so two integers beyond
+// 2^53 can share one; Compare reads both as the same float and ties them too.
+func KeyWordAbove(x, y uint64) bool {
+	if x == KeyWordNull || y == KeyWordNull {
+		return x != KeyWordNull
+	}
+	return math.Float64frombits(x) > math.Float64frombits(y)
+}
+
 // KeyHash folds the value into the running hash h (FNV-1a) such that
 // KeyEqual values hash alike.
 func (v Value) KeyHash(h uint64) uint64 {

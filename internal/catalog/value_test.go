@@ -192,6 +192,8 @@ func TestKeyEqualityDefinedOnce(t *testing.T) {
 // when the values are KeyEqual (or both NULL, whose reserved word the index
 // never links and never probes), a value's word is the NULL word exactly when
 // the value is NULL, and a string — alone — reports that no word holds it.
+// KeyWordAbove orders two words as Compare orders their values (what lets the
+// merge join's early-out bound be kept by word).
 func TestKeyWordAgreesWithKeyEqual(t *testing.T) {
 	const two53 = int64(1) << 53
 	values := []Value{
@@ -226,6 +228,9 @@ func TestKeyWordAgreesWithKeyEqual(t *testing.T) {
 			if same != KeyEqual(a, b) {
 				t.Errorf("%v (%s) and %v (%s): words %#x / %#x, KeyEqual = %v", a, a.K, b, b.K, aw, bw, KeyEqual(a, b))
 			}
+			if KeyWordAbove(aw, bw) != (Compare(a, b) > 0) {
+				t.Errorf("%v (%s) and %v (%s): KeyWordAbove = %v, Compare = %d", a, a.K, b, b.K, KeyWordAbove(aw, bw), Compare(a, b))
+			}
 		}
 	}
 	// And over random bit patterns, as floats and as integers of every kind.
@@ -245,7 +250,8 @@ func TestKeyWordAgreesWithKeyEqual(t *testing.T) {
 		aw, _ := a.KeyWord()
 		bw, _ := b.KeyWord()
 		sw, _ := mk(x, ky).KeyWord()
-		return (aw == bw) == KeyEqual(a, b) && aw != KeyWordNull && (aw == sw) == KeyEqual(a, mk(x, ky))
+		return (aw == bw) == KeyEqual(a, b) && aw != KeyWordNull && (aw == sw) == KeyEqual(a, mk(x, ky)) &&
+			KeyWordAbove(aw, bw) == (Compare(a, b) > 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)

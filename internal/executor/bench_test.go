@@ -76,6 +76,64 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
+// drainBuildCases are the plans of BenchmarkDrainBuild, at data scale 0.5 (the
+// scale the end-to-end benchmark's execute_validate workload serves): every
+// one of the 14 400 STORE_SALES rows drained into a join's build side, probed
+// by about a hundred rows — so the time is the drain's. The build is fed by a
+// table scan, by an index-order scan under an early-out MSJOIN (the Figure 8
+// original: the bound rises on every row), and by a join.
+func drainBuildCases(tb testing.TB) (*storage.Database, []execCase) {
+	tb.Helper()
+	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 0.5, Hazards: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opt := optimizer.New(db.Catalog, optimizer.DefaultOptions())
+	dates := sqlparser.MustParse(`SELECT d_year, ss_quantity FROM date_dim, store_sales
+		WHERE ss_sold_date_sk = d_date_sk AND d_date_sk BETWEEN 1 AND 100`)
+	dateProbe := optimizer.LeafAccess("DATE_DIM", qgm.OpIXSCAN, "D_DATE_SK")
+	items := sqlparser.MustParse(`SELECT i_item_desc, ss_quantity, d_year FROM item, store_sales, date_dim
+		WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk AND i_category = 'Jewelry'`)
+	cases := []struct {
+		name string
+		q    *sqlparser.Query
+		spec *optimizer.Spec
+	}{
+		{"scan", dates, optimizer.Join(qgm.OpHSJOIN, dateProbe, optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""))},
+		{"index_order", dates, optimizer.Join(qgm.OpMSJOIN, dateProbe, optimizer.LeafAccess("STORE_SALES", qgm.OpFETCH, "SS_SOLD_DATE_IDX"))},
+		{"join", items, optimizer.Join(qgm.OpHSJOIN, optimizer.LeafAccess("ITEM", qgm.OpFETCH, "I_CATEGORY_IDX"),
+			optimizer.Join(qgm.OpHSJOIN, optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""), optimizer.Leaf("DATE_DIM")))},
+	}
+	out := make([]execCase, len(cases))
+	for i, c := range cases {
+		plan, err := opt.BuildPlan(c.q, c.spec)
+		if err != nil {
+			tb.Fatalf("%s: BuildPlan: %v", c.name, err)
+		}
+		out[i] = execCase{c.name, c.q, plan}
+	}
+	return db, out
+}
+
+// BenchmarkDrainBuild measures one serial Run of each drainBuildCases plan.
+func BenchmarkDrainBuild(b *testing.B) {
+	db, cases := drainBuildCases(b)
+	ex := New(db)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var st RunStats
+			var err error
+			for i := 0; i < b.N; i++ {
+				if st, err = ex.Run(c.plan, c.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.PeakIntermediateRows), "held-rows")
+		})
+	}
+}
+
 // checkBytesPerRun holds the bytes one warmed Run of the plan allocates, as
 // the runtime counts them (TotalAlloc is exact and cumulative: no sampling,
 // and a collection in the middle takes nothing away), under the ceiling. A
@@ -119,7 +177,11 @@ func checkBytesPerRun(t *testing.T, name string, ex *Executor, plan *qgm.Plan, q
 // that grows with the rows — under 32 KB for either Figure 8 wide plan (466 KB
 // and 293 KB per Execute before the arena), and under 256 KB for the
 // root-feeding segment of BenchmarkExecuteRootSegment at 4 workers, 28 800
-// rows through the exchange (2.5 MB before).
+// rows through the exchange (2.5 MB before). The BenchmarkDrainBuild plans
+// hold the same 32 KB with 14 400 rows in a build side (6–11 KB measured): the
+// buffered row IDs, the index arrays and a join-fed build's slabs all come
+// from pooled 16 KB chunks, so one chunk that is not recycled — or one byte
+// allocated per build row — breaks the ceiling.
 func TestExecuteAllocCeiling(t *testing.T) {
 	ceilings := map[string]float64{"fig8wide_orig": 3368 / 5, "fig8wide_rewritten": 1706 / 5}
 	_, _, ex := setup(t)
@@ -152,6 +214,10 @@ func TestExecuteAllocCeiling(t *testing.T) {
 		ex = New(db)
 		ex.Workers = 4
 		checkBytesPerRun(t, "root segment, 4 workers", ex, plan, q, 256<<10)
+		db, cases := drainBuildCases(t)
+		for _, c := range cases {
+			checkBytesPerRun(t, "drain build, "+c.name, New(db), c.plan, c.q, 32<<10)
+		}
 	}
 }
 

@@ -48,12 +48,12 @@ func (c *execContext) chargeIXScan(node *qgm.Node, idxDef *catalog.Index, nCand,
 type joinActuals struct {
 	outerRows, outRows int
 	innerRows          int
-	// outerSample / innerSample are the first tuples that entered each side
-	// (nil when none did); they size the spill-branch page estimates. The
-	// exchange picks the sample from the lowest-indexed partition that
-	// produced one, which is exactly the serial first row.
-	outerSample, innerSample tuple
-	nOuterCols, nInnerCols   int
+	// outerWidth / innerWidth are the row widths sampled from the first tuple
+	// that entered each side (slotList.rowWidth; 8 bytes per column when none
+	// did); they size the spill-branch page estimates. The exchange picks the
+	// sample from the lowest-indexed partition that produced one, which is
+	// exactly the serial first row.
+	outerWidth, innerWidth int
 	// MSJOIN early-out: how many outer rows a merge join would have read
 	// before passing the largest inner key.
 	trackEarlyOut bool
@@ -70,7 +70,7 @@ func (c *execContext) chargeJoin(node *qgm.Node, a joinActuals) {
 	switch node.Op {
 	case qgm.OpHSJOIN:
 		millis, spill := c.cost.HashJoin(outerRows, innerRows, outRows,
-			rowWidthOf(a.outerSample, a.nOuterCols), rowWidthOf(a.innerSample, a.nInnerCols), node.BloomFilter)
+			a.outerWidth, a.innerWidth, node.BloomFilter)
 		c.stats.SortSpillPages += int64(spill)
 		c.stats.PhysicalReads += int64(spill)
 		c.stats.CPURows += int64(innerRows + outerRows)

@@ -132,11 +132,13 @@ func rowHash(row storage.Row) uint64 {
 // early Close is followed at once by a full run of the previous plan for the
 // same reason. (CI repeats a prefix of the suite under GOGC=1, where a
 // collection between almost every allocation keeps emptying the pools.)
+//
+// A tenth as many plans again run over keyFamilies: joins whose keys are not
+// read from a key-word vector — string keys, two-column keys, and numeric
+// columns with one string in the middle of the table — so the paths that
+// still go through the rows are generated too, not hand-picked.
 func TestDifferentialRandomPlans(t *testing.T) {
-	db, opt, serial := setup(t)
-	parallel, baseline := New(db), New(db)
-	parallel.Workers, baseline.Materialize = 4, true
-
+	db, opt, _ := setup(t)
 	var shapes []*sqlparser.Query
 	for _, q := range tpcds.Queries() {
 		if joins := len(q.From) - 1; joins >= 1 && joins <= 4 && !q.Star && len(q.Select) > 0 {
@@ -147,6 +149,16 @@ func TestDifferentialRandomPlans(t *testing.T) {
 	if testing.Short() {
 		plans = 200
 	}
+	differentialSuite(t, "tpcds", db, opt, shapes, plans)
+	db, opt, shapes = keyFamilies(t)
+	differentialSuite(t, "key families", db, opt, shapes, plans/10)
+}
+
+// differentialSuite runs the given number of random plans over the query
+// shapes through TestDifferentialRandomPlans's comparisons.
+func differentialSuite(t *testing.T, name string, db *storage.Database, opt *optimizer.Optimizer, shapes []*sqlparser.Query, plans int) {
+	serial, parallel, baseline := New(db), New(db), New(db)
+	parallel.Workers, baseline.Materialize = 4, true
 	const seed = 20190122
 	rng := rand.New(rand.NewSource(seed))
 	gen := randplan.New(opt, seed)
@@ -194,7 +206,7 @@ func TestDifferentialRandomPlans(t *testing.T) {
 		}
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("plan #%d, %s\n%s\n%s", n, q.SQL(), qgm.Format(plan), fmt.Sprintf(format, args...))
+			t.Fatalf("%s plan #%d, %s\n%s\n%s", name, n, q.SQL(), qgm.Format(plan), fmt.Sprintf(format, args...))
 		}
 
 		mat := execute(t, baseline, plan, q)
@@ -303,11 +315,85 @@ func TestDifferentialRandomPlans(t *testing.T) {
 		}
 		prev.q, prev.plan, prev.par = q, plan, par
 	}
-	t.Logf("%d plans: %d engaged the exchange, %d ordered, %d grouped", plans, engaged, ordered, grouped)
+	t.Logf("%s, %d plans: %d engaged the exchange, %d ordered, %d grouped", name, plans, engaged, ordered, grouped)
 	if engaged < plans/20 || ordered < plans/5 || grouped < plans/5 {
-		t.Errorf("the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped",
-			engaged, plans, ordered, grouped)
+		t.Errorf("%s: the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped",
+			name, engaged, plans, ordered, grouped)
 	}
+}
+
+// keyFamilies is a database, and join shapes over it, whose join keys the
+// executor cannot read from a key-word vector alone: a fact table FT (big
+// enough for the exchange to partition) and dimensions DT and ET, sharing a
+// string code (x_code), a two-column key (x_a, x_b), a numeric key (x_num) and
+// a numeric column holding one string in the middle of the table (x_mix: no
+// vector, and a build over it stops being exact mid-drain). Every key column
+// holds NULLs, keys that match several rows and keys that match none.
+func keyFamilies(t *testing.T) (*storage.Database, *optimizer.Optimizer, []*sqlparser.Query) {
+	t.Helper()
+	schema := catalog.NewSchema("KEYS")
+	sizes := map[string]int{"F": 2400, "D": 64, "E": 32}
+	for _, p := range []string{"F", "D", "E"} {
+		table := catalog.NewTable(p+"T",
+			catalog.Column{Name: p + "_id", Type: catalog.KindInt},
+			catalog.Column{Name: p + "_code", Type: catalog.KindString},
+			catalog.Column{Name: p + "_a", Type: catalog.KindInt},
+			catalog.Column{Name: p + "_b", Type: catalog.KindInt},
+			catalog.Column{Name: p + "_num", Type: catalog.KindInt},
+			catalog.Column{Name: p + "_mix", Type: catalog.KindInt},
+			catalog.Column{Name: p + "_val", Type: catalog.KindInt},
+		)
+		for _, col := range []string{"_code", "_num"} {
+			if err := table.AddIndex(catalog.Index{Name: p + col + "_IDX", Columns: []string{p + col}, ClusterRatio: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		schema.AddTable(table)
+	}
+	db := storage.NewDatabase(catalog.New(schema))
+	rng := rand.New(rand.NewSource(53))
+	for _, p := range []string{"F", "D", "E"} {
+		n := sizes[p]
+		for i := 0; i < n; i++ {
+			// A dimension cycles through seven eighths as many keys as it has rows
+			// (so a few match twice); the fact table draws from 70, more than either.
+			k := int64(i % (n - n/8))
+			if p == "F" {
+				k = int64(rng.Intn(70))
+			}
+			row := storage.Row{
+				catalog.Int(int64(i)), catalog.String(fmt.Sprintf("c%02d", k)),
+				catalog.Int(k % 8), catalog.Int(k / 8), catalog.Int(k), catalog.Int(k), catalog.Int(int64(rng.Intn(1000))),
+			}
+			if i == n/2 {
+				row[5] = catalog.String(fmt.Sprint(k))
+			}
+			if c := 1 + rng.Intn(40); c <= 5 {
+				row[c] = catalog.Null()
+			}
+			if err := db.Insert(p+"T", row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var shapes []*sqlparser.Query
+	for _, sql := range []string{
+		`SELECT f_id, d_val, f_code FROM ft, dt WHERE f_code = d_code`,
+		`SELECT f_val, d_id, e_id FROM ft, dt, et WHERE f_code = d_code AND d_code = e_code AND f_val < 600`,
+		`SELECT f_id, d_val FROM ft, dt WHERE f_a = d_a AND f_b = d_b`,
+		`SELECT f_id, d_id, f_val FROM ft, dt WHERE f_code = d_code AND f_a = d_a AND f_val > 300`,
+		`SELECT d_id, e_val, e_a FROM dt, et, ft WHERE d_a = e_a AND d_b = e_b AND f_a = d_a AND f_b = d_b AND f_val < 400`,
+		`SELECT f_id, d_val FROM ft, dt WHERE f_mix = d_num`,
+		`SELECT f_val, d_id FROM ft, dt WHERE f_num = d_mix`,
+		`SELECT f_id, d_id, f_val FROM ft, dt WHERE f_mix = d_mix AND f_val < 800`,
+		`SELECT f_id, d_val, e_id FROM ft, dt, et WHERE f_mix = d_mix AND d_num = e_mix`,
+	} {
+		shapes = append(shapes, sqlparser.MustParse(sql))
+	}
+	return db, optimizer.New(db.Catalog, optimizer.DefaultOptions()), shapes
 }
 
 // TestJoinKeyEqualityMatchesMaterialize joins two tables whose key columns
@@ -428,17 +514,80 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 		}
 		// The same build side, indexed directly: which index did it get?
 		mem := new(arena)
-		key := []colRef{{off: 0}, {off: 1}}
+		lay := layout{slots: slotList{{ncols: 3, rows: db.Table("RT").Rows, table: db.Table("RT")}}}
+		ids := rowIDs(len(db.Table("RT").Rows))
 		for ncols, exact := range map[int]bool{1: tc.exact, 2: false} {
-			b := newHashBuild(mem, key[:ncols], key[:ncols])
-			rows := db.Table("RT").Rows
-			for i := range rows {
-				b.add(rows[i : i+1 : i+1])
+			key := lay.refs([]int{0, 1}[:ncols])
+			b := newHashBuild(mem, key, key, 1)
+			if vector := b.buildWords != nil; vector != (ncols == 1 && tc.exact) {
+				t.Errorf("%s, %d key column(s): key-word vector present = %v", tc.name, ncols, vector)
+			}
+			for i := range db.Table("RT").Rows {
+				b.add(ids[i : i+1])
 			}
 			if b.exact != exact {
 				t.Errorf("%s, %d key column(s): exact index = %v, want %v", tc.name, ncols, b.exact, exact)
 			}
 		}
 		mem.release()
+	}
+}
+
+// TestEarlyOutBoundBeyondTwo53 holds the MSJOIN early-out bound to
+// catalog.Compare where key words stop telling values apart: 2^53 and 2^53+1
+// share a word (and tie under Compare, so whichever is drained first stays the
+// bound), yet a string probe is compared with the bound's string form and
+// tells them apart. With the build column in either insertion order — the
+// bound kept by word and ordinal, its value read once — the count of outer
+// rows within the bound, read back from the MSJOIN's charge, must be brute
+// force's over the bound Compare keeps, and everything must agree with the
+// materializing baseline. Numeric-only probes are counted by their words.
+func TestEarlyOutBoundBeyondTwo53(t *testing.T) {
+	const two53 = int64(1) << 53
+	lo, hi := catalog.Int(two53), catalog.Int(two53+1)
+	probes := map[string][]catalog.Value{
+		"string probes": {catalog.Int(1), lo, catalog.String("9007199254740993"), catalog.String("9007199254740992"),
+			catalog.Float(float64(two53) + 2), catalog.Null()},
+		"numeric probes": {catalog.Int(1), lo, hi, catalog.Float(float64(two53) + 2), catalog.Float(math.NaN()), catalog.Null()},
+	}
+	counts := map[string][]int{}
+	for name, left := range probes {
+		for _, right := range [][]catalog.Value{{catalog.Int(5), lo, hi}, {catalog.Int(5), hi, lo}} {
+			bound := right[1] // the first drained of the two that tie
+			db, opt := keyTables(t, left, right)
+			if vector := db.Table("LT").KeyWords(0) != nil; vector != (name == "numeric probes") {
+				t.Fatalf("%s: probe column has a key-word vector = %v", name, vector)
+			}
+			q := sqlparser.MustParse(`SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1`)
+			spec := optimizer.Join(qgm.OpMSJOIN, optimizer.Leaf("LT"), optimizer.Leaf("RT"))
+			assertParity(t, db, opt, q, spec)
+
+			plan, err := opt.BuildPlan(q, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := New(db).Execute(plan, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			within := 0
+			for _, l := range db.Table("LT").Rows {
+				if catalog.Compare(l[0], bound) <= 0 {
+					within++
+				}
+			}
+			counts[name] = append(counts[name], within)
+			outer, inner := float64(len(db.Table("LT").Rows)), float64(len(db.Table("RT").Rows))
+			cost := db.Catalog.Config.RunCost()
+			want := cost.MergeJoin(math.Min(float64(within)+1, outer), inner, float64(len(res.Rows)))
+			for _, op := range plan.Operators() {
+				if op.Op == qgm.OpMSJOIN && op.ActMillis != want {
+					t.Errorf("%s, bound %v: MSJOIN charged %v, %d outer rows within the bound charge %v", name, bound, op.ActMillis, within, want)
+				}
+			}
+		}
+	}
+	if c := counts["string probes"]; c[0] == c[1] {
+		t.Errorf("string probes count %d rows within either bound: the case does not tell 2^53 from 2^53+1", c[0])
 	}
 }

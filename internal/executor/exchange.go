@@ -43,7 +43,9 @@ const (
 	// exchangeMinRows is the smallest partition source worth parallelizing.
 	exchangeMinRows = 2048
 	// exchangeBatchRows is the fan-in granularity; row-at-a-time channel
-	// sends would drown the speedup in synchronization.
+	// sends would drown the speedup in synchronization. A batch is cut from
+	// one arena chunk, so tuples of more than idChunkLen/256 slots travel in
+	// smaller ones.
 	exchangeBatchRows = 256
 	// exchangeChanDepth bounds the batches buffered per partition stream, so
 	// a fast worker cannot run unboundedly ahead of the consumer.
@@ -90,8 +92,7 @@ type segLevel struct {
 	probeKey, buildKey []colRef
 	innerIter          rowIter // opened at plan time, drained in start()
 	build              *hashBuild
-	nOuterCols         int // width of this level's input layout
-	nInnerCols         int
+	outer, inner       slotList // of this level's input and of its build side
 }
 
 type segment struct {
@@ -101,7 +102,7 @@ type segment struct {
 	termNode *qgm.Node
 	sortKey  []colRef
 	grpKey   []colRef
-	ncols    int
+	slots    slotList // of the spine's output
 }
 
 // openParallel tries to open node as an exchange segment. ok=false means the
@@ -178,11 +179,11 @@ walk:
 		seg.levels = append(seg.levels, &segLevel{
 			kind: levelJoin, node: n, innerIter: innerIter,
 			probeKey: lay.refs(key.outerPos), buildKey: innerLay.refs(key.innerPos),
-			nOuterCols: len(lay.cols), nInnerCols: len(innerLay.cols),
+			outer: lay.slots, inner: innerLay.slots,
 		})
 		lay = lay.concat(innerLay)
 	}
-	seg.ncols = len(lay.cols)
+	seg.slots = lay.slots
 	switch term {
 	case termSort:
 		seg.sortKey = lay.refs(c.sortKey(termNode, lay.cols))
@@ -229,11 +230,14 @@ type exchangeIter struct {
 	done      chan struct{}
 	wg        sync.WaitGroup
 	workers   []*segWorker
-	fanin     chan []tuple // unordered mode
+	fanin     chan []uint32 // unordered mode
 
-	batch []tuple
-	bi    int
-	part  int // next partition stream to drain (ordered mode)
+	// A batch is the IDs of up to exchangeBatchRows spine-output tuples, side
+	// by side.
+	batchIDs int      // the capacity batches are cut to
+	batch    []uint32 // the batch being served, from bi on
+	bi       int
+	part     int // next partition stream to drain (ordered mode)
 
 	// terminal SORT merge state
 	merged        bool
@@ -264,11 +268,11 @@ type segWorker struct {
 	ex     *exchangeIter
 	id     int
 	lo, hi int
-	ch     chan []tuple
+	ch     chan []uint32 // ordered mode, except under a terminal SORT
 
-	mem       *arena  // drawn from by this worker alone; released by the consumer
-	batch     []tuple // the fan-in batch being filled
-	spare     []tuple // what is left of the chunk batches are cut from
+	mem       *arena   // drawn from by this worker alone; released by the consumer
+	batch     []uint32 // the fan-in batch being filled
+	spare     []uint32 // what is left of the chunk batches are cut from
 	kb        strings.Builder
 	sortBuf   []tuple
 	localSeen map[string]struct{}
@@ -297,12 +301,14 @@ func (e *exchangeIter) start() {
 		if lv.kind != levelJoin {
 			continue
 		}
-		lv.build = e.ctx.drainBuild(lv.innerIter, lv.probeKey, lv.buildKey, lv.nInnerCols, false)
+		lv.build = e.ctx.drainBuild(lv.innerIter, lv.probeKey, lv.buildKey, lv.inner, false)
 	}
 	parts := storage.SplitRange(e.seg.scan.lo, e.seg.scan.hi, e.ctx.workers)
 	e.workers = make([]*segWorker, len(parts))
+	width := len(e.seg.slots)
+	e.batchIDs = min(exchangeBatchRows, idChunkLen/width) * width
 	if !e.ordered {
-		e.fanin = make(chan []tuple, exchangeChanDepth*len(parts))
+		e.fanin = make(chan []uint32, exchangeChanDepth*len(parts))
 	}
 	if e.seg.term == termGrpBy {
 		e.seen = make(map[string]struct{})
@@ -310,8 +316,8 @@ func (e *exchangeIter) start() {
 	for i, p := range parts {
 		w := &segWorker{ex: e, id: i, lo: p[0], hi: p[1], mem: e.ctx.newArena()}
 		w.lv = make([]workerLevelCounters, len(e.seg.levels))
-		if e.ordered {
-			w.ch = make(chan []tuple, exchangeChanDepth)
+		if e.ordered && e.seg.term != termSort {
+			w.ch = make(chan []uint32, exchangeChanDepth)
 		}
 		if e.seg.term == termGrpBy {
 			w.localSeen = make(map[string]struct{})
@@ -380,8 +386,9 @@ func (e *exchangeIter) Next() (tuple, bool) {
 func (e *exchangeIter) nextRaw() (tuple, bool) {
 	for {
 		if e.bi < len(e.batch) {
-			row := e.batch[e.bi]
-			e.bi++
+			end := e.bi + len(e.seg.slots)
+			row := e.batch[e.bi:end:end]
+			e.bi = end
 			return row, true
 		}
 		if e.ordered {
@@ -409,13 +416,11 @@ func (e *exchangeIter) nextRaw() (tuple, bool) {
 // streams out), and arms the merge.
 func (e *exchangeIter) collectSorted() {
 	e.merged = true
+	e.wg.Wait()
 	e.bufs = make([][]tuple, len(e.workers))
 	for i, w := range e.workers {
-		if buf, ok := <-w.ch; ok {
-			e.bufs[i] = buf
-		}
+		e.bufs[i] = w.sortBuf
 	}
-	e.wg.Wait()
 	e.harvest()
 	e.chargeUpstream()
 	// The serial pipeline releases its build sides when the sort closes its
@@ -438,7 +443,7 @@ func (e *exchangeIter) collectSorted() {
 	if row, ok := e.peekMin(); ok {
 		sample = row
 	}
-	width := rowWidthOf(sample, e.seg.ncols)
+	width := e.seg.slots.rowWidth(sample)
 	e.sortHeldRows = total
 	e.sortHeldBytes = int64(width) * int64(total)
 	e.ctx.hold(total, e.sortHeldBytes)
@@ -486,8 +491,8 @@ func (e *exchangeIter) mergeNext() (tuple, bool) {
 // partition sweep keeps the stable (lowest-partition-first) order — exactly a
 // stable sort over the concatenated partitions.
 func compareRows(a, b tuple, key []colRef) int {
-	for _, r := range key {
-		if cmp := catalog.Compare(a[r.slot][r.off], b[r.slot][r.off]); cmp != 0 {
+	for i := range key {
+		if cmp := catalog.Compare(*key[i].of(a), *key[i].of(b)); cmp != 0 {
 			return cmp
 		}
 	}
@@ -538,11 +543,10 @@ func (e *exchangeIter) chargeUpstream() {
 			c.charge(lv.node, c.cost.PerRow(float64(t.nIn), catalog.FilterRowCPU), t.nIn)
 			continue
 		}
-		innerRows, innerSample := lv.build.actuals()
+		innerRows, innerWidth := lv.build.actuals(lv.inner)
 		c.chargeJoin(lv.node, joinActuals{
 			outerRows: t.nIn, innerRows: innerRows, outRows: t.nOut,
-			outerSample: t.sample, innerSample: innerSample,
-			nOuterCols: lv.nOuterCols, nInnerCols: lv.nInnerCols,
+			outerWidth: lv.outer.rowWidth(t.sample), innerWidth: innerWidth,
 		})
 	}
 }
@@ -607,14 +611,10 @@ func (w *segWorker) main() {
 	defer exchangeWorkers.Add(-1)
 	ok := w.scanPartition()
 	if w.ex.seg.term == termSort {
+		// The consumer reads sortBuf once every worker has exited.
 		if ok {
 			w.sortLocal()
-			select {
-			case w.ch <- w.sortBuf:
-			case <-w.ex.done:
-			}
 		}
-		close(w.ch)
 		return
 	}
 	if ok {
@@ -638,11 +638,11 @@ func (w *segWorker) scanPartition() bool {
 			id = sc.entries[i].RowID
 		}
 		w.scanNScan++
-		if !matchRow(sc.table.Rows[id], sc.preds) {
+		if !sc.match(id) {
 			continue
 		}
 		w.scanNOut++
-		if !w.feed(0, sc.table.Rows[id:id+1:id+1]) {
+		if !w.feed(0, sc.ids[id:id+1:id+1]) {
 			return false
 		}
 	}
@@ -691,13 +691,14 @@ func (w *segWorker) emit(row tuple) bool {
 		w.localSeen[k] = struct{}{}
 	}
 	if w.batch == nil {
-		if len(w.spare) == 0 {
+		n := w.ex.batchIDs
+		if len(w.spare) < n {
 			w.spare = w.mem.chunk()[:]
 		}
-		w.batch, w.spare = w.spare[:0:exchangeBatchRows], w.spare[exchangeBatchRows:]
+		w.batch, w.spare = w.spare[:0:n], w.spare[n:]
 	}
-	w.batch = append(w.batch, row)
-	if len(w.batch) == exchangeBatchRows {
+	w.batch = append(w.batch, row...)
+	if len(w.batch) == cap(w.batch) {
 		return w.flush()
 	}
 	return true
@@ -743,8 +744,8 @@ func sortStableBy(rows []tuple, key []colRef) {
 // identical).
 func groupKeyOf(row tuple, key []colRef, kb *strings.Builder) string {
 	kb.Reset()
-	for _, r := range key {
-		kb.WriteString(row[r.slot][r.off].Key())
+	for i := range key {
+		kb.WriteString(key[i].of(row).Key())
 		kb.WriteByte('|')
 	}
 	return kb.String()

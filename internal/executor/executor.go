@@ -154,7 +154,7 @@ type Cursor struct {
 	plan     *qgm.Plan
 	root     rowIter
 	proj     []colRef // nil means project everything in root order
-	ncols    int      // width of the root layout (SELECT * flattening)
+	slots    slotList // of the root layout (SELECT * flattening)
 	rows     int
 	finished bool
 }
@@ -197,7 +197,8 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 			return nil, err
 		}
 		// The baseline's flat rows travel as one-slot tuples.
-		root, lay = &rowsetIter{ctx: ctx, rs: rs}, layout{cols: rs.cols, slots: []int{len(rs.cols)}}
+		root = &rowsetIter{ctx: ctx, rs: rs, ids: rowIDs(len(rs.rows))}
+		lay = layout{cols: rs.cols, slots: slotList{{ncols: len(rs.cols), rows: rs.rows}}}
 	} else {
 		var err error
 		root, lay, err = ctx.open(plan.Root)
@@ -206,7 +207,7 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 			return nil, err
 		}
 	}
-	cur := &Cursor{ctx: ctx, plan: plan, root: root, ncols: len(lay.cols)}
+	cur := &Cursor{ctx: ctx, plan: plan, root: root, slots: lay.slots}
 	if work.Star || len(work.Select) == 0 {
 		cur.Columns = lay.cols
 	} else {
@@ -229,8 +230,8 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 
 // Next returns the next projected row, or false when the plan is exhausted
 // (which finalizes stats and closes the pipeline). This is the one place
-// column values are copied out of the base rows the pipeline's tuples
-// reference; a single-table SELECT * hands out the base row itself.
+// column values are copied out of the base rows the pipeline's tuples stand
+// for; a single-table SELECT * hands out the base row itself.
 func (c *Cursor) Next() (storage.Row, bool) {
 	if c.finished {
 		return nil, false
@@ -243,17 +244,17 @@ func (c *Cursor) Next() (storage.Row, bool) {
 	c.rows++
 	if c.proj == nil {
 		if len(t) == 1 {
-			return t[0], true
+			return c.slots[0].rows[t[0]], true
 		}
-		out := make(storage.Row, 0, c.ncols)
-		for _, row := range t {
-			out = append(out, row...)
+		out := make(storage.Row, 0, len(c.Columns))
+		for s, id := range t {
+			out = append(out, c.slots[s].rows[id]...)
 		}
 		return out, true
 	}
 	out := make(storage.Row, len(c.proj))
-	for j, r := range c.proj {
-		out[j] = t[r.slot][r.off]
+	for j := range c.proj {
+		out[j] = *c.proj[j].of(t)
 	}
 	return out, true
 }
@@ -549,40 +550,29 @@ func likeMatch(pattern, s string) bool {
 	return re != nil && re.MatchString(s)
 }
 
-// rowWidthOf estimates a row's width in bytes from a sample tuple, falling
-// back to 8 bytes per column when no row has been seen — the same estimate
-// the plan-time cost model uses, which keeps spill decisions
-// formula-identical. It is the logical width of the row the tuple stands for
-// (one integer sum over every slot's values), not the size of its references.
-func rowWidthOf(sample tuple, ncols int) int {
-	if sample == nil {
-		return 8 * ncols
-	}
+// valuesWidth is the width in bytes the cost model gives a row of values.
+func valuesWidth(row storage.Row) int {
 	w := 0
-	for _, row := range sample {
-		for _, v := range row {
-			if v.K == catalog.KindString {
-				w += len(v.S) + 4
-			} else {
-				w += 8
-			}
+	for _, v := range row {
+		if v.K == catalog.KindString {
+			w += len(v.S) + 4
+		} else {
+			w += 8
 		}
 	}
 	return w
 }
 
-func rowWidth(rs *rowset) int {
-	return rowWidthOf(firstOf(rs.rows), len(rs.cols))
+// sampleWidth is slotList.rowWidth for the flat rows of the materializing
+// reference: sampled from the first row, 8 bytes per column when there is none.
+func sampleWidth(rows []storage.Row, ncols int) int {
+	if len(rows) == 0 {
+		return 8 * ncols
+	}
+	return valuesWidth(rows[0])
 }
 
-// firstOf views the first of a slice of flat rows as a one-slot sample tuple
-// (nil when there is none).
-func firstOf(rows []storage.Row) tuple {
-	if len(rows) == 0 {
-		return nil
-	}
-	return tuple(rows[:1])
-}
+func rowWidth(rs *rowset) int { return sampleWidth(rs.rows, len(rs.cols)) }
 
 // pagesOf is the model's rows-to-pages conversion in the shape the
 // materializing reference calls it.

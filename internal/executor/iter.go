@@ -17,8 +17,8 @@ import (
 // (from the row counts it actually processed, through the same formulas the
 // optimizer used at plan time) and released any buffered state. Close stops
 // the operator early: it closes the children, charges the partial work done
-// so far, and is idempotent. Tuples handed out — and the base rows they
-// reference, which alias table storage — must not be mutated by callers. A
+// so far, and is idempotent. Tuples handed out — and the base rows their IDs
+// stand for, which are table storage — must not be mutated by callers. A
 // tuple stays valid until the cursor is finished, and no longer: a join's
 // output is carved from the execution's arena, which Cursor.finish recycles
 // once the whole pipeline is closed. Whoever keeps a tuple — a sort buffer, a
@@ -71,7 +71,7 @@ func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
 	case qgm.OpFILTER:
 		return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.FilterRowCPU}, lay, nil
 	case qgm.OpSORT:
-		return &sortIter{ctx: c, node: node, child: child, ncols: len(lay.cols), key: lay.refs(c.sortKey(node, lay.cols))}, lay, nil
+		return &sortIter{ctx: c, node: node, child: child, slots: lay.slots, key: lay.refs(c.sortKey(node, lay.cols))}, lay, nil
 	default:
 		return &groupByIter{ctx: c, node: node, child: child, key: lay.refs(c.groupKey(lay.cols)), seen: map[string]struct{}{}}, lay, nil
 	}
@@ -169,7 +169,8 @@ func (p *passIter) Close() {
 // serial scan iterators and the exchange's partitioned leaf both start from.
 type scanSource struct {
 	node   *qgm.Node
-	table  *storage.Table
+	slot            // the table and its rows, pinned at open
+	ids    []uint32 // the identity vector: ids[i:i+1] is the tuple of row i
 	preds  []scanPred
 	idxDef *catalog.Index // IXSCAN/FETCH only
 
@@ -177,6 +178,13 @@ type scanSource struct {
 	lo, hi  int // candidate range: row positions (TBSCAN) or entry positions
 
 	tablePages, tableRows, rowsPerPage float64
+}
+
+// match applies the scan's local predicates to a row. A scan without any
+// leaves the row untouched: whatever joins above it reads its key from a
+// key-word vector.
+func (s *scanSource) match(id int) bool {
+	return len(s.preds) == 0 || matchRow(s.rows[id], s.preds)
 }
 
 func (c *execContext) resolveScan(node *qgm.Node) (*scanSource, layout, error) {
@@ -189,15 +197,17 @@ func (c *execContext) resolveScan(node *qgm.Node) (*scanSource, layout, error) {
 		return nil, layout{}, fmt.Errorf("executor: unknown table %s", node.Table)
 	}
 	preds := sqlparser.PredicatesFor(c.query, refName)
+	rows := table.Rows
 	sc := &scanSource{
-		node: node, table: table, preds: compilePreds(table.Def, preds),
+		node: node, slot: slot{ncols: len(table.Def.Columns), rows: rows, table: table},
+		ids: rowIDs(len(rows)), preds: compilePreds(table.Def, preds),
 		tablePages: float64(c.exec.DB.Pages(node.Table)),
-		tableRows:  float64(len(table.Rows)),
+		tableRows:  float64(len(rows)),
 	}
-	lay := scanLayout(node.TableInstance, table.Def)
+	lay := layout{cols: scanColumns(node.TableInstance, table.Def), slots: slotList{&sc.slot}}
 	switch node.Op {
 	case qgm.OpTBSCAN:
-		sc.hi = len(table.Rows)
+		sc.hi = len(rows)
 	case qgm.OpIXSCAN, qgm.OpFETCH:
 		if sc.idxDef = table.Def.IndexByName(node.Index); sc.idxDef == nil {
 			return nil, layout{}, fmt.Errorf("executor: table %s has no index %s", node.Table, node.Index)
@@ -221,7 +231,7 @@ func (c *execContext) openScan(node *qgm.Node) (rowIter, layout, error) {
 	if node.Op != qgm.OpTBSCAN {
 		return &ixscanIter{ctx: c, scanSource: sc, pos: sc.lo}, lay, nil
 	}
-	return &tbscanIter{ctx: c, scanSource: sc, snap: sc.table.Rows}, lay, nil
+	return &tbscanIter{ctx: c, scanSource: sc}, lay, nil
 }
 
 // indexBounds resolves the entry range an index access touches, pushing the
@@ -250,29 +260,28 @@ func indexBounds(idx *storage.IndexData, lead string, preds []sqlparser.Predicat
 	return 0, idx.Len()
 }
 
-// tbscanIter streams a full table scan over the snapshot pinned at Open,
+// tbscanIter streams a full table scan over the rows pinned at Open,
 // filtering each row before it leaves the operator (predicate pushdown:
 // non-matching rows never enter the pipeline). Rows travel as one-slot tuples
-// aliasing the snapshot.
+// aliasing the identity vector.
 type tbscanIter struct {
 	ctx *execContext
 	*scanSource
 
-	snap []storage.Row
-	pos  int
+	pos int
 
 	nScan, nOut     int
 	charged, closed bool
 }
 
 func (s *tbscanIter) Next() (tuple, bool) {
-	for s.pos < len(s.snap) {
+	for s.pos < s.hi {
 		i := s.pos
 		s.pos++
 		s.nScan++
-		if matchRow(s.snap[i], s.preds) {
+		if s.match(i) {
 			s.nOut++
-			return s.snap[i : i+1 : i+1], true
+			return s.ids[i : i+1 : i+1], true
 		}
 	}
 	s.finalize()
@@ -315,9 +324,9 @@ func (s *ixscanIter) Next() (tuple, bool) {
 		id := s.entries[s.pos].RowID
 		s.pos++
 		s.nCand++
-		if matchRow(s.table.Rows[id], s.preds) {
+		if s.match(id) {
 			s.nOut++
-			return s.table.Rows[id : id+1 : id+1], true
+			return s.ids[id : id+1 : id+1], true
 		}
 	}
 	s.finalize()
@@ -350,7 +359,7 @@ type sortIter struct {
 	ctx   *execContext
 	node  *qgm.Node
 	child rowIter
-	ncols int
+	slots slotList
 	key   []colRef
 
 	rows      []tuple
@@ -390,7 +399,7 @@ func (s *sortIter) buffer() {
 	if len(s.rows) > 0 {
 		sample = s.rows[0]
 	}
-	width := rowWidthOf(sample, s.ncols)
+	width := s.slots.rowWidth(sample)
 	s.heldBytes = int64(width) * int64(len(s.rows))
 	s.ctx.hold(len(s.rows), s.heldBytes)
 	rows := float64(len(s.rows))
@@ -469,10 +478,12 @@ func (g *groupByIter) Close() {
 // --- materialized-rowset adapter ---------------------------------------------
 
 // rowsetIter serves an already-materialized rowset (the Materialize baseline
-// path behind the Cursor API): each flat row travels as a one-slot tuple.
+// path behind the Cursor API): each flat row travels as a one-slot tuple, its
+// position in the rowset the row ID.
 type rowsetIter struct {
 	ctx    *execContext
 	rs     *rowset
+	ids    []uint32
 	pos    int
 	closed bool
 }
@@ -480,7 +491,7 @@ type rowsetIter struct {
 func (r *rowsetIter) Next() (tuple, bool) {
 	if i := r.pos; i < len(r.rs.rows) {
 		r.pos++
-		return r.rs.rows[i : i+1 : i+1], true
+		return r.ids[i : i+1 : i+1], true
 	}
 	return nil, false
 }

@@ -46,7 +46,7 @@ func (c *execContext) openJoin(node *qgm.Node) (rowIter, layout, error) {
 	return &joinIter{
 		ctx: c, node: node, outer: outer, inner: inner,
 		probe: outerLay.refs(key.outerPos), build: innerLay.refs(key.innerPos),
-		nOuterCols: len(outerLay.cols), nInnerCols: len(innerLay.cols),
+		outerSlots: outerLay.slots, innerSlots: innerLay.slots,
 	}, outerLay.concat(innerLay), nil
 }
 
@@ -54,7 +54,7 @@ func (c *execContext) openJoin(node *qgm.Node) (rowIter, layout, error) {
 // into the build side (held in the intermediate accounting), then streams the
 // outer, emitting matches in build-insertion order — the same emission order
 // the materializing hashJoinRows produced. An output tuple is the outer's
-// slot headers followed by the inner's; no column value is copied.
+// row IDs followed by the inner's; no column value is copied.
 type joinIter struct {
 	ctx          *execContext
 	node         *qgm.Node
@@ -62,7 +62,7 @@ type joinIter struct {
 	inner        rowIter
 	probe, build []colRef // the equi-join key columns on either side
 
-	nOuterCols, nInnerCols int
+	outerSlots, innerSlots slotList
 
 	built bool
 	hb    *hashBuild
@@ -102,7 +102,7 @@ func (j *joinIter) Next() (tuple, bool) {
 		if j.outerSample == nil {
 			j.outerSample = orow
 		}
-		if j.trackEarlyOut && catalog.Compare(orow[j.probe[0].slot][j.probe[0].off], j.hb.maxKey) <= 0 {
+		if j.trackEarlyOut && j.hb.withinMax(orow) {
 			j.nProcessed++
 		}
 		j.cur = orow
@@ -116,7 +116,7 @@ func (j *joinIter) buildInner() {
 	j.built = true
 	j.mi = -1
 	wantMax := j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.probe) > 0
-	j.hb = j.ctx.drainBuild(j.inner, j.probe, j.build, j.nInnerCols, wantMax)
+	j.hb = j.ctx.drainBuild(j.inner, j.probe, j.build, j.innerSlots, wantMax)
 	j.trackEarlyOut = wantMax && j.hb.rows.n > 0
 }
 
@@ -126,23 +126,28 @@ func (j *joinIter) buildInner() {
 // the consumer goroutine, whose arena the build lives in. With wantMax the
 // same pass records the largest value of the first key column (the MSJOIN
 // early-out bound).
-func (c *execContext) drainBuild(inner rowIter, probe, build []colRef, nInnerCols int, wantMax bool) *hashBuild {
-	b := newHashBuild(c.mem, probe, build)
+func (c *execContext) drainBuild(inner rowIter, probe, build []colRef, innerSlots slotList, wantMax bool) *hashBuild {
+	b := newHashBuild(c.mem, probe, build, len(innerSlots))
 	for {
 		t, ok := inner.Next()
 		if !ok {
 			break
 		}
 		if wantMax {
-			if v := t[build[0].slot][build[0].off]; b.maxKey.IsNull() || catalog.Compare(v, b.maxKey) > 0 {
-				b.maxKey = v
-			}
+			b.raiseMax(t)
 		}
 		b.add(t)
 	}
 	inner.Close()
-	_, sample := b.actuals()
-	b.heldBytes = int64(rowWidthOf(sample, nInnerCols)) * int64(b.rows.n)
+	var sample tuple // the first row: the serial spill-formula sample
+	if b.rows.n > 0 {
+		sample = b.rows.at(0)
+		if wantMax {
+			b.settleMax()
+		}
+	}
+	b.width = innerSlots.rowWidth(sample)
+	b.heldBytes = int64(b.width) * int64(b.rows.n)
 	b.index(c.workers)
 	c.hold(b.rows.n, b.heldBytes)
 	return b
@@ -158,33 +163,53 @@ const parallelBuildMinRows = 4096
 // and next links each ordinal to the following one of its bucket, always
 // ascending — so a probe walks its matches in drain order, the emission order
 // every charge and golden result depends on. words holds one word per ordinal,
-// computed as the row is drained (the one moment its key is in cache anyway),
-// and buckets come from a mix of it.
+// filed as the row is drained, and buckets come from a mix of it.
 //
-// When the key is a single column holding no string, the index is exact: the
-// word is the key itself (catalog.Value.KeyWord — the float reading KeyEqual
-// compares, as bits) and equal words are a match, decided without touching
-// the build row. Otherwise — several key columns, or a string anywhere in the
-// build column — the word is a hash of the key (catalog.Value.KeyHash) and a
-// match is confirmed through the rows with catalog.KeyEqual. Either way
-// nothing is copied, serialized or allocated per key. With no key columns
-// there is no index and every build row matches (a cartesian product).
+// When the key is a single column and no string has been drained in it, the
+// index is exact: the word is the key itself (catalog.Value.KeyWord — the
+// float reading KeyEqual compares, as bits) and equal words are a match,
+// decided without touching the build row. The word comes from the column's
+// key-word vector (probeWords, buildWords), by row ID — neither side's row is
+// touched for its key — and from the value only where there is no vector (a
+// string elsewhere in the column, or in the probe's). Otherwise — several key columns, or a string
+// drained in the build column — the word is a hash of the key
+// (catalog.Value.KeyHash) and a match is confirmed through the rows with
+// catalog.KeyEqual. Either way nothing is copied, serialized or allocated per
+// key. With no key columns there is no index and every build row matches (a
+// cartesian product).
 type hashBuild struct {
 	probe, build []colRef
-	rows         tupleBuf
-	heldBytes    int64
-	maxKey       catalog.Value
+	// The key-word vectors of a single-column key's two columns; nil for a
+	// wider key, which is hashed through the rows and has no use for them.
+	probeWords, buildWords []uint64
+
+	rows      tupleBuf
+	width     int // the logical row width sampled from the first build row
+	heldBytes int64
+
+	// The MSJOIN early-out bound: the largest value of the first build key
+	// column, as catalog.Compare orders them, first met winning ties. Over a
+	// key-word vector it is kept as a word and the ordinal it came from — an
+	// index-ordered inner raises it on every row, and none of them is touched
+	// for it; maxKey is then read once, when the drain ends. Either way
+	// maxWord ends up the word of maxKey, if it has one.
+	maxKey  catalog.Value
+	maxWord uint64
+	maxOrd  int
 
 	exact       bool
 	*buildIndex      // words, heads, next; nil without key columns
 	shift       uint // 64 - log2(len(heads))
 }
 
-func newHashBuild(mem *arena, probe, build []colRef) *hashBuild {
-	b := &hashBuild{probe: probe, build: build, rows: tupleBuf{mem: mem}}
+func newHashBuild(mem *arena, probe, build []colRef, slots int) *hashBuild {
+	b := &hashBuild{probe: probe, build: build, rows: newTupleBuf(mem, slots), maxWord: catalog.KeyWordNull}
 	if len(build) > 0 {
 		b.buildIndex, b.exact = mem.index(), len(build) == 1
 		b.words = b.words[:0]
+	}
+	if len(build) == 1 {
+		b.probeWords, b.buildWords = probe[0].keyWords(), build[0].keyWords()
 	}
 	return b
 }
@@ -198,8 +223,10 @@ func (b *hashBuild) add(t tuple) {
 		return
 	}
 	var w uint64
-	if b.exact {
-		if w, b.exact = t[b.build[0].slot][b.build[0].off].KeyWord(); !b.exact {
+	if k := &b.build[0]; b.exact && b.buildWords != nil {
+		w = b.buildWords[t[k.slot]]
+	} else if b.exact {
+		if w, b.exact = k.of(t).KeyWord(); !b.exact {
 			for i := range b.words {
 				b.words[i] = keyHash(b.rows.at(i), b.build)
 			}
@@ -211,14 +238,45 @@ func (b *hashBuild) add(t tuple) {
 	b.words = append(b.words, w)
 }
 
+// raiseMax raises the early-out bound to the tuple's key if that is larger.
+func (b *hashBuild) raiseMax(t tuple) {
+	k := &b.build[0]
+	if b.buildWords == nil {
+		if v := k.of(t); b.maxKey.IsNull() || catalog.Compare(*v, b.maxKey) > 0 {
+			b.maxKey = *v
+		}
+	} else if w := b.buildWords[t[k.slot]]; catalog.KeyWordAbove(w, b.maxWord) {
+		b.maxWord, b.maxOrd = w, b.rows.n
+	}
+}
+
+// settleMax completes the bound once the drain has ended: the value behind
+// the word, or the word of the value.
+func (b *hashBuild) settleMax() {
+	if b.buildWords != nil {
+		b.maxKey = *b.build[0].of(b.rows.at(b.maxOrd))
+	}
+	b.maxWord, _ = b.maxKey.KeyWord()
+}
+
+// withinMax reports whether the probe tuple's key is no larger than the bound
+// (catalog.Compare <= 0), by words when both sides have one.
+func (b *hashBuild) withinMax(t tuple) bool {
+	p := &b.probe[0]
+	if b.probeWords != nil && b.maxKey.K != catalog.KindString {
+		return !catalog.KeyWordAbove(b.probeWords[t[p.slot]], b.maxWord)
+	}
+	return catalog.Compare(*p.of(t), b.maxKey) <= 0
+}
+
 // nullKeyWord is the word of a key holding a NULL, which joins nothing.
 const nullKeyWord = catalog.KeyWordNull
 
 // keyHash is the word of a key in an index that is not exact.
 func keyHash(t tuple, refs []colRef) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, r := range refs {
-		v := &t[r.slot][r.off]
+	for i := range refs {
+		v := refs[i].of(t)
 		if v.K == catalog.KindNull {
 			return nullKeyWord
 		}
@@ -309,14 +367,15 @@ func (b *hashBuild) first(t tuple) (int32, uint64) {
 		return b.after(-1, 0, t), 0
 	}
 	var w uint64
-	if b.exact {
-		// A string probing a build that holds none equals nothing in it.
-		var ok bool
-		if w, ok = t[b.probe[0].slot][b.probe[0].off].KeyWord(); !ok {
-			w = nullKeyWord
-		}
-	} else {
+	if p := &b.probe[0]; !b.exact {
 		w = keyHash(t, b.probe)
+	} else if b.probeWords != nil {
+		w = b.probeWords[t[p.slot]]
+	} else if kw, ok := p.of(t).KeyWord(); ok {
+		w = kw
+	} else {
+		// A string probing a build that holds none equals nothing in it.
+		w = nullKeyWord
 	}
 	if w == nullKeyWord || b.rows.n == 0 {
 		return -1, w
@@ -347,8 +406,8 @@ next:
 			return i
 		}
 		row := b.rows.at(int(i))
-		for k, p := range b.probe {
-			if !catalog.KeyEqual(t[p.slot][p.off], row[b.build[k].slot][b.build[k].off]) {
+		for k := range b.probe {
+			if !catalog.KeyEqual(*b.probe[k].of(t), *b.build[k].of(row)) {
 				continue next
 			}
 		}
@@ -357,14 +416,13 @@ next:
 	return -1
 }
 
-// actuals returns the build's row count and its first row (the serial
-// spill-formula sample). A nil build — its join was closed before it ever
-// ran — held nothing.
-func (b *hashBuild) actuals() (int, tuple) {
-	if b == nil || b.rows.n == 0 {
-		return 0, nil
+// actuals returns the build's row count and sampled row width. A nil build —
+// its join was closed before it ever ran — held nothing.
+func (b *hashBuild) actuals(innerSlots slotList) (rows, width int) {
+	if b == nil {
+		return 0, innerSlots.rowWidth(nil)
 	}
-	return b.rows.n, b.rows.at(0)
+	return b.rows.n, b.width
 }
 
 // release returns the build's buffered rows to the residency accounting.
@@ -380,11 +438,10 @@ func (j *joinIter) finalize() {
 		return
 	}
 	j.charged = true
-	innerRows, innerSample := j.hb.actuals()
+	innerRows, innerWidth := j.hb.actuals(j.innerSlots)
 	j.ctx.chargeJoin(j.node, joinActuals{
 		outerRows: j.nOuterRows, innerRows: innerRows, outRows: j.nOut,
-		outerSample: j.outerSample, innerSample: innerSample,
-		nOuterCols: j.nOuterCols, nInnerCols: j.nInnerCols,
+		outerWidth: j.outerSlots.rowWidth(j.outerSample), innerWidth: innerWidth,
 		trackEarlyOut: j.trackEarlyOut, nProcessed: j.nProcessed,
 	})
 }

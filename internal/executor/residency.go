@@ -42,7 +42,7 @@ func (r *residency) release(rows int, bytes int64) {
 // sampled row width times the row count (the same estimate the cost formulas
 // use, so accounting and spill decisions agree).
 func rowsFootprint(rows []storage.Row, ncols int) int64 {
-	return int64(rowWidthOf(firstOf(rows), ncols)) * int64(len(rows))
+	return int64(sampleWidth(rows, ncols)) * int64(len(rows))
 }
 
 // likeCacheCap bounds the process-wide compiled-LIKE-pattern cache. Real

@@ -2,38 +2,67 @@ package executor
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"galo/internal/catalog"
 	"galo/internal/storage"
 )
 
-// tuple is the row flowing between streaming operators: one base-row
-// reference per table instance below the operator, in layout order. Scans
-// hand out one-slot tuples that alias table storage, joins concatenate the
-// slot headers of their inputs, and column values are copied exactly once, in
-// Cursor.Next's projection. Tuples and the rows they point to are read-only.
-type tuple []storage.Row
+// tuple is the row flowing between streaming operators: one 32-bit row ID per
+// table instance below the operator, in layout order. Which rows a slot's IDs
+// index is the layout's knowledge, resolved into every colRef when the operator
+// opens. Scans hand out one-slot tuples that alias the identity vector, joins
+// concatenate the IDs of their inputs, and column values are copied exactly
+// once, in Cursor.Next's projection. A tuple holds no pointer: slabs, build
+// buffers and exchange batches are plain words the collector never walks.
+// Tuples and the rows they stand for are read-only.
+type tuple []uint32
 
 // colRef addresses one column of a tuple: resolved from a flat layout
 // position once, when the operator opens.
-type colRef struct{ slot, off int }
-
-// layout is an operator's output shape: the flattened instance-qualified
-// column names, and how many of them each tuple slot carries.
-type layout struct {
-	cols  []string
-	slots []int
+type colRef struct {
+	src       *slot
+	slot, off int32
 }
 
-func scanLayout(inst string, def *catalog.Table) layout {
-	return layout{cols: scanColumns(inst, def), slots: []int{len(def.Columns)}}
+// of returns the column's value in the row the tuple stands for.
+func (r *colRef) of(t tuple) *catalog.Value { return &r.src.rows[t[r.slot]][r.off] }
+
+// keyWords returns the column's key-word vector (storage.Table.KeyWords): the
+// key of tuple t is keyWords()[t[slot]], read without touching the row. It is
+// nil when the column holds a string, or when no table stands behind the slot.
+func (r *colRef) keyWords() []uint64 {
+	if r.src.table == nil {
+		return nil
+	}
+	return r.src.table.KeyWords(int(r.off))
+}
+
+// slot describes one tuple slot: how many of the layout's columns it carries,
+// and the rows its IDs index — a table's, or the flat rows of the
+// materializing reference, which belong to no table. A scan holds one (in its
+// scanSource); the layouts above it share it.
+type slot struct {
+	ncols int
+	rows  []storage.Row
+	table *storage.Table
+}
+
+// slotList is the slots of a layout, in tuple order.
+type slotList []*slot
+
+// layout is an operator's output shape: the flattened instance-qualified
+// column names, and the tuple slots that carry them.
+type layout struct {
+	cols  []string
+	slots slotList
 }
 
 // concat is the layout of a join's output: outer slots, then inner slots.
 func (l layout) concat(r layout) layout {
 	return layout{
 		cols:  append(append([]string{}, l.cols...), r.cols...),
-		slots: append(append([]int{}, l.slots...), r.slots...),
+		slots: append(append(slotList{}, l.slots...), r.slots...),
 	}
 }
 
@@ -42,21 +71,65 @@ func (l layout) refs(pos []int) []colRef {
 	out := make([]colRef, len(pos))
 	for i, p := range pos {
 		s := 0
-		for p >= l.slots[s] {
-			p -= l.slots[s]
+		for p >= l.slots[s].ncols {
+			p -= l.slots[s].ncols
 			s++
 		}
-		out[i] = colRef{slot: s, off: p}
+		out[i] = colRef{src: l.slots[s], slot: int32(s), off: int32(p)}
 	}
 	return out
 }
 
+// rowWidth estimates a row's width in bytes from a sample tuple, falling back
+// to 8 bytes per column when no row has been seen — the same estimate the
+// plan-time cost model uses, which keeps spill decisions formula-identical. It
+// is the logical width of the row the tuple stands for (one integer sum over
+// every slot's values), not the size of its IDs.
+func (l slotList) rowWidth(sample tuple) int {
+	w := 0
+	for s, src := range l {
+		if sample == nil {
+			w += 8 * src.ncols
+		} else {
+			w += valuesWidth(src.rows[sample[s]])
+		}
+	}
+	return w
+}
+
+// identity is the vector every one-slot tuple of a scan aliases:
+// identity[i] == i, so identity[id:id+1] is the tuple of row id and a scan
+// allocates and writes nothing per row. It grows by replacement — a published
+// vector is never written again — to the largest table any execution has
+// scanned.
+var identity struct {
+	mu  sync.Mutex
+	ids atomic.Pointer[[]uint32]
+}
+
+// rowIDs returns the identity vector, at least n long.
+func rowIDs(n int) []uint32 {
+	if p := identity.ids.Load(); p != nil && len(*p) >= n {
+		return *p
+	}
+	identity.mu.Lock()
+	defer identity.mu.Unlock()
+	if p := identity.ids.Load(); p != nil && len(*p) >= n {
+		return *p
+	}
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	identity.ids.Store(&ids)
+	return ids
+}
+
 // arena is where one goroutine's share of an execution keeps its
-// intermediates: the slabs join-output tuples are carved from, the chunks of
-// build buffers and exchange batches, and the build indexes. It draws
+// intermediates: the chunks join-output tuples are carved from and build
+// buffers and exchange batches are cut from, and the build indexes. It draws
 // fixed-size chunks from process-wide pools and hands every one of them back
-// in release, so a steady stream of executions allocates next to nothing and
-// the collector is not woken to re-mark table storage on their account.
+// in release, so a steady stream of executions allocates next to nothing.
 //
 // An arena is not safe for concurrent use: the serial pipeline draws from the
 // execContext's own, each exchange worker from one of its own, and only the
@@ -64,22 +137,18 @@ func (l layout) refs(pos []int) []colRef {
 // have exited — releases them. Nothing carved from an arena may be read after
 // that.
 type arena struct {
-	slab    []storage.Row // the unused tail of the newest slab chunk
-	slabs   []*slabChunk
-	chunks  []*tupleChunk
+	slab    []uint32 // the unused tail of the chunk concat carves from
+	chunks  []*idChunk
 	indexes []*buildIndex
 }
 
 const (
-	slabHeaders    = 4096
-	tupleChunkBits = 10
-	tupleChunkLen  = 1 << tupleChunkBits
+	idChunkBits = 12
+	idChunkLen  = 1 << idChunkBits
 )
 
-type (
-	slabChunk  [slabHeaders]storage.Row
-	tupleChunk [tupleChunkLen]tuple
-)
+// idChunk is 16 KB of row IDs.
+type idChunk [idChunkLen]uint32
 
 // buildIndex is the storage of one hashBuild index (see hashBuild). Its
 // arrays are reused by capacity; until the build fills them they hold — and
@@ -90,41 +159,36 @@ type buildIndex struct {
 	next  []int32  // per ordinal; -1 ends the chain
 }
 
-// The pools. Entries of the first two are fixed-size, so any execution can
-// reuse what any other released. Recycled chunks are not cleared — the make
-// they replace paid for that memclr on every execution — so until it is
-// overwritten or dropped by the pool (two collections at most), a pooled
-// chunk can keep the rows it last pointed to reachable.
+// The pools. Chunks are fixed-size, so any execution can reuse what any other
+// released. Recycled chunks are not cleared — the make they replace paid for
+// that memclr on every execution.
 var (
-	slabPool  = sync.Pool{New: func() any { return new(slabChunk) }}
-	chunkPool = sync.Pool{New: func() any { return new(tupleChunk) }}
+	chunkPool = sync.Pool{New: func() any { return new(idChunk) }}
 	indexPool = sync.Pool{New: func() any { return new(buildIndex) }}
 )
 
-// concat carves the join-output tuple a‖b out of the current slab: one row
-// header per slot instead of a copy of every column value, and no allocation.
+// concat carves the join-output tuple a‖b out of the current slab: one row ID
+// per slot instead of a copy of every column value, and no allocation.
 func (m *arena) concat(a, b tuple) tuple {
 	n := len(a) + len(b)
 	if len(m.slab) < n {
-		c := slabPool.Get().(*slabChunk)
-		m.slabs = append(m.slabs, c)
-		m.slab = c[:]
+		m.slab = m.chunk()[:]
 	}
 	t := m.slab[:n:n]
 	m.slab = m.slab[n:]
-	// A tuple is a handful of headers: two loops beat two typedslicecopy calls.
-	for i, row := range a {
-		t[i] = row
+	// A tuple is a handful of IDs: two loops beat two memmove calls.
+	for i, id := range a {
+		t[i] = id
 	}
-	for i, row := range b {
-		t[len(a)+i] = row
+	for i, id := range b {
+		t[len(a)+i] = id
 	}
-	return tuple(t)
+	return t
 }
 
-// chunk draws a tuple chunk.
-func (m *arena) chunk() *tupleChunk {
-	c := chunkPool.Get().(*tupleChunk)
+// chunk draws a chunk.
+func (m *arena) chunk() *idChunk {
+	c := chunkPool.Get().(*idChunk)
 	m.chunks = append(m.chunks, c)
 	return c
 }
@@ -138,9 +202,6 @@ func (m *arena) index() *buildIndex {
 
 // release hands everything drawn back to the pools.
 func (m *arena) release() {
-	for _, c := range m.slabs {
-		slabPool.Put(c)
-	}
 	for _, c := range m.chunks {
 		chunkPool.Put(c)
 	}
@@ -150,22 +211,39 @@ func (m *arena) release() {
 	*m = arena{}
 }
 
-// tupleBuf is an append-only tuple buffer addressed by ordinal. It grows a
-// chunk at a time out of its arena, so a build side that outruns its estimate
-// never re-copies what it already holds.
+// tupleBuf is an append-only buffer of tuples of one width, addressed by
+// ordinal: the IDs lie side by side in chunks of its arena, a power of two of
+// tuples to a chunk, so a build side that outruns its estimate never re-copies
+// what it already holds and a tuple is found by a shift and a mask.
 type tupleBuf struct {
 	mem    *arena
-	chunks []*tupleChunk
+	width  int  // IDs per tuple
+	shift  uint // log2 of the tuples per chunk
+	chunks []*idChunk
 	n      int
 }
 
+func newTupleBuf(mem *arena, width int) tupleBuf {
+	shift := uint(idChunkBits)
+	for width<<shift > idChunkLen {
+		shift--
+	}
+	return tupleBuf{mem: mem, width: width, shift: shift}
+}
+
 func (b *tupleBuf) add(t tuple) {
-	i := b.n & (tupleChunkLen - 1)
+	i := b.n & (1<<b.shift - 1)
 	if i == 0 {
 		b.chunks = append(b.chunks, b.mem.chunk())
 	}
-	b.chunks[len(b.chunks)-1][i] = t
+	dst := b.chunks[len(b.chunks)-1][i*b.width:]
+	for k, id := range t { // a handful of IDs: a loop beats a memmove call
+		dst[k] = id
+	}
 	b.n++
 }
 
-func (b *tupleBuf) at(i int) tuple { return b.chunks[i>>tupleChunkBits][i&(tupleChunkLen-1)] }
+func (b *tupleBuf) at(i int) tuple {
+	o := (i & (1<<b.shift - 1)) * b.width
+	return b.chunks[i>>b.shift][o : o+b.width : o+b.width]
+}

@@ -36,12 +36,15 @@ type IndexData struct {
 type Table struct {
 	Def  *catalog.Table
 	Rows []Row
-	// idxMu guards the lazily built index cache: plans execute concurrently
-	// (the learning engine's worker pool) and may build the same index at
-	// the same time. Row data itself is only mutated at generation time,
-	// before any concurrent execution starts.
-	idxMu   sync.RWMutex
-	indexes map[string]*IndexData
+	// idxMu guards what is derived from the rows on first use and cached until
+	// the next Insert — the secondary indexes and the per-column key-word
+	// vectors: plans execute concurrently (the learning engine's worker pool)
+	// and may ask for the same one at the same time. Row data itself is only
+	// mutated at generation time, before any concurrent execution starts.
+	idxMu    sync.RWMutex
+	indexes  map[string]*IndexData
+	keyWords map[int][]uint64
+	builds   int // indexes and vectors built since the table was created (tests)
 }
 
 // Database holds all table data for one catalog.
@@ -113,9 +116,10 @@ func (db *Database) Insert(table string, rows ...Row) error {
 		}
 		t.Rows = append(t.Rows, r)
 	}
-	// Any existing indexes are now stale; rebuild lazily.
+	// Any existing indexes and key-word vectors are now stale; rebuild lazily.
 	t.idxMu.Lock()
 	t.indexes = make(map[string]*IndexData)
+	t.keyWords = nil
 	t.idxMu.Unlock()
 	return nil
 }
@@ -196,22 +200,55 @@ func (db *Database) Index(table, indexName string) *IndexData {
 	if t == nil {
 		return nil
 	}
-	key := strings.ToUpper(indexName)
-	t.idxMu.RLock()
-	idx, ok := t.indexes[key]
-	t.idxMu.RUnlock()
-	if ok {
-		return idx
-	}
-	def := t.Def.IndexByName(key)
+	def := t.Def.IndexByName(indexName)
 	if def == nil {
 		return nil
 	}
-	idx = buildIndex(t, def)
+	return buildOnce(t, &t.indexes, def.Name, func() *IndexData { return buildIndex(t, def) })
+}
+
+// buildOnce returns what the table caches under key in *cache, building it on
+// first use. The build runs under the write lock, after a second look: of the
+// executions that miss together (learning runs two workers; so do the first
+// two /reopt execute:true requests) one builds and the rest wait for it,
+// instead of each sorting all of a fact table.
+func buildOnce[K comparable, V any](t *Table, cache *map[K]V, key K, build func() V) V {
+	t.idxMu.RLock()
+	v, ok := (*cache)[key]
+	t.idxMu.RUnlock()
+	if ok {
+		return v
+	}
 	t.idxMu.Lock()
-	t.indexes[key] = idx
-	t.idxMu.Unlock()
-	return idx
+	defer t.idxMu.Unlock()
+	if v, ok := (*cache)[key]; ok {
+		return v
+	}
+	if *cache == nil {
+		*cache = make(map[K]V)
+	}
+	v = build()
+	(*cache)[key] = v
+	t.builds++
+	return v
+}
+
+// KeyWords returns the column's key-word vector: catalog.Value.KeyWord of
+// every row, by row position, so a join reads a numeric key without touching
+// the row it belongs to. It is nil when the column holds a string anywhere,
+// whose key no word holds. The vector is built on first use, cached beside the
+// indexes until the next Insert, and read-only.
+func (t *Table) KeyWords(col int) []uint64 {
+	return buildOnce(t, &t.keyWords, col, func() []uint64 {
+		words := make([]uint64, len(t.Rows))
+		for i, row := range t.Rows {
+			var ok bool
+			if words[i], ok = row[col].KeyWord(); !ok {
+				return nil
+			}
+		}
+		return words
+	})
 }
 
 // IndexOnColumn returns a built index whose leading column matches, or nil.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -276,5 +277,63 @@ func TestGeneratorChoices(t *testing.T) {
 	}
 	if nulls < 300 || nulls > 700 {
 		t.Errorf("NullOr(0.5) produced %d nulls out of 1000", nulls)
+	}
+}
+
+// TestIndexAndKeyWordsBuiltOnce is the contention case of the once-only path:
+// eight goroutines ask for the same cold index and the same cold key-word
+// vector together. Each is built exactly once and every caller gets the one
+// instance; an Insert afterwards drops both, and the next request rebuilds
+// them over the new rows.
+func TestIndexAndKeyWordsBuiltOnce(t *testing.T) {
+	db := testDB(t)
+	table := db.Table("item")
+	const goroutines = 8
+	indexes, vectors := make([]*IndexData, goroutines), make([][]uint64, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			indexes[g] = db.IndexOnColumn("item", "i_item_sk")
+			vectors[g] = table.KeyWords(0)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if table.builds != 2 {
+		t.Errorf("%d builds for one index and one vector asked for by %d goroutines, want 2", table.builds, goroutines)
+	}
+	for g := range goroutines {
+		if indexes[g] == nil || indexes[g] != indexes[0] {
+			t.Errorf("goroutine %d got index %p, goroutine 0 got %p", g, indexes[g], indexes[0])
+		}
+		if len(vectors[g]) != 100 || &vectors[g][0] != &vectors[0][0] {
+			t.Errorf("goroutine %d got a vector of its own (len %d)", g, len(vectors[g]))
+		}
+	}
+
+	if err := db.Insert("item", Row{catalog.Null(), catalog.String("Music")}); err != nil {
+		t.Fatal(err)
+	}
+	if idx := db.IndexOnColumn("item", "i_item_sk"); idx == indexes[0] || idx.Len() != 101 {
+		t.Errorf("index not rebuilt after Insert: len %d", idx.Len())
+	}
+	words := table.KeyWords(0)
+	if len(words) != 101 || words[100] != catalog.KeyWordNull {
+		t.Fatalf("vector not rebuilt after Insert: len %d", len(words))
+	}
+	if table.builds != 4 {
+		t.Errorf("%d builds after the Insert invalidated both, want 4", table.builds)
+	}
+	for i, row := range table.Rows {
+		if w, _ := row[0].KeyWord(); words[i] != w {
+			t.Errorf("row %d: word %#x, KeyWord of %v is %#x", i, words[i], row[0], w)
+		}
+	}
+	if table.KeyWords(1) != nil {
+		t.Errorf("a string column has a key-word vector")
 	}
 }
