@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +151,54 @@ func measureRecovery(tb testing.TB, templates int) recoveryRow {
 	}
 }
 
+// publicationSizeRow is one entry of BENCH_durability.json's
+// publication_vs_kb_size section: what one more template costs a knowledge
+// base that already holds Templates.
+type publicationSizeRow struct {
+	Templates   int     `json:"templates"`
+	AddMicros   float64 `json:"add_us_p50"`
+	BytesPerAdd uint64  `json:"bytes_per_add"`
+}
+
+// measurePublicationAtSizes grows one in-memory knowledge base through the
+// given sizes and, at each, times 64 further Adds (their median) and counts
+// the bytes they allocate (TotalAlloc, exact).
+func measurePublicationAtSizes(tb testing.TB, cfg galo.Config, sizes []int) []publicationSizeRow {
+	tb.Helper()
+	const adds = 64
+	sys := galo.NewSystem(durabilityDB(tb), cfg)
+	defer sys.Close()
+	next := 0
+	add := func() {
+		if _, err := sys.KB().Add(durTemplate(next)); err != nil {
+			tb.Fatal(err)
+		}
+		next++
+	}
+	var rows []publicationSizeRow
+	for _, size := range sizes {
+		for sys.KB().Size() < size {
+			add()
+		}
+		lat := make([]float64, 0, adds)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < adds; i++ {
+			t0 := time.Now()
+			add()
+			lat = append(lat, float64(time.Since(t0).Nanoseconds())/1000)
+		}
+		runtime.ReadMemStats(&after)
+		sort.Float64s(lat)
+		rows = append(rows, publicationSizeRow{
+			Templates:   size,
+			AddMicros:   lat[adds/2],
+			BytesPerAdd: (after.TotalAlloc - before.TotalAlloc) / adds,
+		})
+	}
+	return rows
+}
+
 // BenchmarkPublicationWALInterval reports ns/publication with the WAL on the
 // default sync=interval policy (go test -bench).
 func BenchmarkPublicationWALInterval(b *testing.B) {
@@ -208,18 +258,30 @@ func TestEmitBenchDurabilityJSON(t *testing.T) {
 			interval.P50Millis, mem.P50Millis)
 	}
 
+	sizeRows := measurePublicationAtSizes(t, memCfg, []int{64, 256, 1024, 4096})
+	for _, r := range sizeRows {
+		t.Logf("Add into %4d templates: p50 %.0f us, %d bytes", r.Templates, r.AddMicros, r.BytesPerAdd)
+	}
+
 	var recRows []recoveryRow
-	for _, size := range []int{64, 256, 1024} {
+	for _, size := range []int{64, 256, 1024, 4096} {
 		r := measureRecovery(t, size)
 		recRows = append(recRows, r)
 		t.Logf("recovery of %4d templates: %.1f ms (%d WAL records replayed)", r.Templates, r.RecoveryMillis, r.RecordsReplayed)
 	}
 
 	doc := map[string]any{
-		"benchmark":   "knowledge base durability: WAL publication overhead and boot recovery time",
-		"note":        "publish_* is the latency of one epoch publication (template Add) at the knowledge base API: mode memory has no data dir; wal-interval appends to the WAL with batched fsync (the default serve policy); wal-always fsyncs every record before the publication returns. The gate: wal-interval p50 stays within 10% of memory. recovery rows time a cold OpenDataDir; records_replayed shows how background snapshot compaction bounds the replay tail as the knowledge base grows.",
-		"publication": pubRows,
-		"recovery":    recRows,
+		"benchmark":              "knowledge base durability: WAL publication overhead and boot recovery time",
+		"note":                   "publish_* is the latency of one epoch publication (template Add) at the knowledge base API: mode memory has no data dir; wal-interval appends to the WAL with batched fsync (the default serve policy); wal-always fsyncs every record before the publication returns. The gate: wal-interval p50 stays within 10% of memory. publication_vs_kb_size grows one in-memory 2-shard knowledge base and, at each size, reports the median time of 64 further Adds and the bytes they allocate (TotalAlloc; exact, clock-free). recovery rows time a cold OpenDataDir; records_replayed shows how background snapshot compaction bounds the replay tail as the knowledge base grows. before = this test on commit fbd3d8a (every publication copied its shard's index maps and term dictionary whole), the two test binaries run alternately on the same machine, the middle of three emissions by the 4096-template recovery row (2418 / 2626 / 2810 ms before, 320 / 332 / 342 ms after; the rows of this file are a later emission of the same code, the middle of three again). records_replayed differs between the two because the snapshotter runs in the background: a writer that publishes 15x faster leaves a longer tail behind it. The publications are the same durTemplate every time (equal cardinalities, so a few posting lists hold every template), which is the store's worst case for one list and its best for the dictionary.",
+		"env":                    benchEnv(),
+		"publication":            pubRows,
+		"publication_vs_kb_size": sizeRows,
+		"recovery":               recRows,
+		"before": map[string]any{
+			"publication":            durabilityBefore.publication,
+			"publication_vs_kb_size": durabilityBefore.sizes,
+			"recovery":               durabilityBefore.recovery,
+		},
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -229,4 +291,30 @@ func TestEmitBenchDurabilityJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_durability.json:\n%s", data)
+}
+
+// durabilityBefore is TestEmitBenchDurabilityJSON on the parent of PR 21 (see
+// the note it is emitted with).
+var durabilityBefore = struct {
+	publication []publicationRow
+	sizes       []publicationSizeRow
+	recovery    []recoveryRow
+}{
+	publication: []publicationRow{
+		{Mode: "memory", Publications: 512, P50Millis: 0.558, P99Millis: 4.778, Fsyncs: 0},
+		{Mode: "wal-interval", Publications: 512, P50Millis: 0.59, P99Millis: 4.725, Fsyncs: 4},
+		{Mode: "wal-always", Publications: 512, P50Millis: 0.819, P99Millis: 7.878, Fsyncs: 512},
+	},
+	sizes: []publicationSizeRow{
+		{Templates: 64, AddMicros: 221.651, BytesPerAdd: 263228},
+		{Templates: 256, AddMicros: 506.119, BytesPerAdd: 811335},
+		{Templates: 1024, AddMicros: 2257.048, BytesPerAdd: 3279971},
+		{Templates: 4096, AddMicros: 13186.51, BytesPerAdd: 12961915},
+	},
+	recovery: []recoveryRow{
+		{Templates: 64, RecordsReplayed: 64, RecoveryMillis: 13.669},
+		{Templates: 256, RecordsReplayed: 77, RecoveryMillis: 70.622},
+		{Templates: 1024, RecordsReplayed: 129, RecoveryMillis: 452.054},
+		{Templates: 4096, RecordsReplayed: 157, RecoveryMillis: 2625.873},
+	},
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -254,25 +255,28 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const coldRounds = 200
-	perRound := func(round func()) float64 {
+	// Every column is the median of `passes` timings of `coldRounds` (or
+	// warmRounds) rounds each, the columns taken in turn within a pass: this
+	// machine's clock drifts by tens of percent between one second and the
+	// next, and a single timing of 200 rounds read anything from 0.7x to 1.5x
+	// of the same binary's next one.
+	const passes, coldRounds, warmRounds = 7, 200, 500
+	perRound := func(rounds int, round func()) float64 {
 		start := time.Now()
-		for i := 0; i < coldRounds; i++ {
+		for i := 0; i < rounds; i++ {
 			round()
 		}
-		return float64(time.Since(start).Nanoseconds()) / coldRounds
+		return float64(time.Since(start).Nanoseconds()) / float64(rounds)
+	}
+	median := func(v []float64) float64 {
+		sort.Float64s(v)
+		return v[len(v)/2]
 	}
 	var rows []benchRow
 	for _, size := range benchKBSizes {
 		store := inflatedKB(t, size).Store()
 		endpoint := fuseki.LocalEndpoint{Store: store}
 		sel, _ := endpoint.PinEpoch()
-		cold := perRound(func() { coldProbe(t, frag, sel) })
-		coldText := perRound(func() {
-			if _, err := endpoint.Select(queryText); err != nil {
-				t.Fatal(err)
-			}
-		})
 
 		// Worst-case enumeration: every template matches the probe.
 		sat, err := transform.NewProbe(saturatedProbe())
@@ -280,43 +284,51 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		satSel, _ := fuseki.LocalEndpoint{Store: saturatedKB(t, size).Store()}.PinEpoch()
-		measure := func(q *sparql.Query) float64 {
-			return perRound(func() {
+		saturated := func(q *sparql.Query) func() {
+			return func() {
 				if _, err := satSel(q); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
 		}
-		satBounded := measure(sat.Query())
-		satUnbounded := measure(unbounded(sat.Query()))
+		satBounded, satUnbounded := saturated(sat.Query()), saturated(unbounded(sat.Query()))
 
 		eng := matching.New(nil, endpoint, matching.DefaultOptions())
-		if _, err := eng.MatchPlan(plan); err != nil {
-			t.Fatal(err)
-		}
-		const warmRounds = 500
-		start := time.Now()
-		for i := 0; i < warmRounds; i++ {
+		matchPlan := func() {
 			if _, err := eng.MatchPlan(plan); err != nil {
 				t.Fatal(err)
 			}
 		}
-		warm := float64(time.Since(start).Nanoseconds()) / warmRounds
+		matchPlan() // fills the fingerprint cache
+
+		var cold, coldText, warm, bounded, unboundedNs []float64
+		for p := 0; p < passes; p++ {
+			cold = append(cold, perRound(coldRounds, func() { coldProbe(t, frag, sel) }))
+			coldText = append(coldText, perRound(coldRounds, func() {
+				if _, err := endpoint.Select(queryText); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			bounded = append(bounded, perRound(coldRounds, satBounded))
+			unboundedNs = append(unboundedNs, perRound(coldRounds/4, satUnbounded))
+			warm = append(warm, perRound(warmRounds, matchPlan))
+		}
 		rows = append(rows, benchRow{
 			KBTemplates:              size,
 			KBTriples:                store.Len(),
-			ColdNsPerProbe:           cold,
-			ColdTextNsPerProbe:       coldText,
-			RoutinizedNsPerMatchPlan: warm,
-			ManyMatchesBoundedNs:     satBounded,
-			ManyMatchesUnboundedNs:   satUnbounded,
+			ColdNsPerProbe:           median(cold),
+			ColdTextNsPerProbe:       median(coldText),
+			RoutinizedNsPerMatchPlan: median(warm),
+			ManyMatchesBoundedNs:     median(bounded),
+			ManyMatchesUnboundedNs:   median(unboundedNs),
 		})
 	}
 	doc := map[string]any{
 		"benchmark":   "knowledge base probe latency vs KB size (ns)",
-		"note":        "cold = one fragment probe without cache through the prepared path (probe description + built query + evaluation); cold_text = the same probe as text through LocalEndpoint.Select (parse + evaluation), the only cold path before PR 15; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). before_pr15 = the same test on the commit before probes were prepared (49b635a), same machine, the middle of three emissions; its cold column is the text path.",
+		"note":        "cold = one fragment probe without cache through the prepared path (probe description + built query + evaluation); cold_text = the same probe as text through LocalEndpoint.Select (parse + evaluation), the only cold path before PR 15; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn. before = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write): per-column medians of six emissions, the two test binaries run alternately on the same machine. The rows of the committed file are the per-column medians of the six emissions of this code that alternated with them (a regenerated file holds one emission, and one emission of either binary spreads by a quarter around its median: the 960-template cold column read 49.4 / 52.7 / 59.5 / 61.2 / 67.7 / 81.3 us before and 56.6 / 57.8 / 58.8 / 61.3 / 69.4 / 74.2 us after). Ten alternations of BenchmarkKBProbeCold/prepared/templates=960 at 20000 iterations read 63.7 us before and 63.1 us after by the median, five wins each: the read side did not pay for O(delta) publication. The routinized column never reaches the store (3.0 to 6.1 us in both). before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a); its cold column is the text path.",
 		"env":         benchEnv(),
 		"rows":        rows,
+		"before":      matchingBeforePR21,
 		"before_pr15": matchingBefore,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -327,6 +339,14 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_matching.json:\n%s", data)
+}
+
+// matchingBeforePR21 is TestEmitBenchMatchingJSON on the parent of PR 21 (see
+// the note it is emitted with).
+var matchingBeforePR21 = []benchRow{
+	{KBTemplates: 60, KBTriples: 2345, ColdNsPerProbe: 21750.37, ColdTextNsPerProbe: 58189.503, RoutinizedNsPerMatchPlan: 4520.646, ManyMatchesBoundedNs: 64484.675, ManyMatchesUnboundedNs: 354470.29},
+	{KBTemplates: 240, KBTriples: 10251, ColdNsPerProbe: 25654.255, ColdTextNsPerProbe: 62959.83, RoutinizedNsPerMatchPlan: 4622.646, ManyMatchesBoundedNs: 99561.148, ManyMatchesUnboundedNs: 1528939.62},
+	{KBTemplates: 960, KBTriples: 45190, ColdNsPerProbe: 60342.243, ColdTextNsPerProbe: 109058.315, RoutinizedNsPerMatchPlan: 3375.5, ManyMatchesBoundedNs: 264861.453, ManyMatchesUnboundedNs: 6833594.76},
 }
 
 // matchingBefore is TestEmitBenchMatchingJSON on the parent of PR 15 (see the

@@ -363,14 +363,10 @@ func (kb *KB) LoadNTriples(text string) error {
 	// Every triple belonging to a reconstructed template is accounted for
 	// by re-rendering it (reconstruct → render is a faithful round trip);
 	// whatever remains in the text is a non-template triple to preserve.
-	covered := map[string]bool{}
-	tripleKey := func(tr rdf.Triple) string {
-		return fmt.Sprintf("%d\x00%s\x00%d\x00%s\x00%d\x00%s",
-			tr.S.Kind, tr.S.Value, tr.P.Kind, tr.P.Value, tr.O.Kind, tr.O.Value)
-	}
+	covered := make(map[rdf.Triple]struct{}, scratch.Len())
 	for _, t := range templates {
 		for _, tr := range kb.templateTriples(t) {
-			covered[tripleKey(tr)] = true
+			covered[tr] = struct{}{}
 		}
 	}
 	batches := make([][]rdf.Triple, len(kb.stores))
@@ -391,7 +387,7 @@ func (kb *KB) LoadNTriples(text string) error {
 		batches[shard] = append(batches[shard], kb.templateTriples(t)...)
 	}
 	for _, tr := range scratch.Match(nil, nil, nil) {
-		if !covered[tripleKey(tr)] {
+		if _, ok := covered[tr]; !ok {
 			batches[0] = append(batches[0], tr)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"galo/internal/qgm"
+	"galo/internal/rdf"
 	"galo/internal/transform"
 )
 
@@ -239,5 +240,65 @@ func TestShardedMergePreservesPerShardPublication(t *testing.T) {
 	}
 	if k.Size() != 1 {
 		t.Errorf("Size after merge = %d, want 1", k.Size())
+	}
+}
+
+// TestLoadNTriplesSeparatesTemplatesFromStrays loads a dump that mixes the
+// triples of several templates with triples no template accounts for: the
+// templates are routed to their shards exactly as a dump without strays
+// would be, and every stray — one of them hanging off a template's own IRI,
+// one given twice — lands in shard 0, once.
+func TestLoadNTriplesSeparatesTemplatesFromStrays(t *testing.T) {
+	source := NewSharded(4)
+	for variant := 0; variant < 12; variant++ {
+		if _, err := source.Add(chainTemplate(1+variant%3, variant)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean := source.NTriples()
+	tmplIRI := transform.TemplateIRI(source.Templates()[0].ID)
+	strays := []rdf.Triple{
+		{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://x/b"), O: rdf.NewLiteral("c")},
+		{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://x/b"), O: rdf.NewLiteral("1.0")},
+		{S: tmplIRI, P: rdf.NewIRI("http://x/note"), O: rdf.NewLiteral("kept beside the template")},
+	}
+	dump := clean
+	for _, tr := range strays {
+		dump += tr.String() + "\n"
+	}
+	dump += strays[0].String() + "\n"
+
+	want, loaded := NewSharded(4), NewSharded(4)
+	if err := want.LoadNTriples(clean); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadNTriples(dump); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Size() != 12 {
+		t.Fatalf("Size = %d, want 12", loaded.Size())
+	}
+	for shard := 1; shard < 4; shard++ {
+		if got, ref := loaded.ShardStore(shard).NTriples(), want.ShardStore(shard).NTriples(); got != ref {
+			t.Errorf("shard %d differs from the same load without strays", shard)
+		}
+	}
+	if got, ref := loaded.ShardStore(0).Len(), want.ShardStore(0).Len()+len(strays); got != ref {
+		t.Errorf("shard 0 holds %d triples, want its templates' %d plus %d strays", got, ref-len(strays), len(strays))
+	}
+	for _, tr := range strays {
+		tr := tr
+		if n := len(loaded.ShardStore(0).Match(&tr.S, &tr.P, &tr.O)); n != 1 {
+			t.Errorf("stray %v: %d copies in shard 0, want 1", tr, n)
+		}
+	}
+	// The dump of the load is the input's triple set, and loading it again
+	// changes nothing.
+	again := NewSharded(2)
+	if err := again.LoadNTriples(loaded.NTriples()); err != nil {
+		t.Fatal(err)
+	}
+	if again.Triples() != loaded.Triples() || again.Size() != 12 {
+		t.Errorf("reload: %d triples / %d templates, want %d / 12", again.Triples(), again.Size(), loaded.Triples())
 	}
 }

@@ -1,99 +1,71 @@
 package rdf
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // mutation builds the next epoch Snapshot from a base snapshot by
-// copying-on-write exactly what the batch touches: outer index maps are
-// shallow-copied up front (sharing every untouched inner map and posting
-// list with the base), inner maps and posting lists are cloned the first
-// time the batch writes to them, and the dictionary is cloned only when the
-// batch interns a new term. Readers holding the base snapshot therefore
-// never observe a batch in progress, and an AddAll/Apply batch becomes
-// visible with one atomic pointer swap.
+// copying-on-write exactly what the batch touches. The index tables start as
+// the base's own (a table is a root slice header) and copy a page the first
+// time the batch writes through it; a posting list or band-index run copies
+// its spine and the chunk written, once, and takes the batch's later writes
+// in place; the dictionary gains one level holding the batch's new terms.
+// Readers holding the base snapshot therefore never observe a batch in
+// progress, and an AddAll/Apply batch becomes visible with one atomic pointer
+// swap.
 type mutation struct {
-	dict       *dictionary
-	dictCloned bool
-	spo        map[uint32]map[uint32][]uint32
-	pos        map[uint32]map[uint32][]uint32
-	osp        map[uint32]map[uint32][]uint32
-	// copied marks, per index (0=spo 1=pos 2=osp), the outer keys whose
-	// inner map this batch already owns; cloned marks owned posting lists.
-	copied    [3]map[uint32]bool
-	cloned    map[listKey]bool
-	num       map[uint32][]numEntry
-	numCloned map[uint32]bool
-	predN     map[uint32]int
-	objN      map[uint32]int
-	n         int
-	changes   uint64
+	// edit stamps what this batch owns (see table.go).
+	edit uint64
+	dict *dictionary
+	// terms is the base's term list extended by fresh, the batch's new terms.
+	terms   []Term
+	fresh   map[Term]uint32
+	spo     table[[]predObjs]
+	pos     table[table[run[uint32]]]
+	num     table[run[numEntry]]
+	predN   table[int]
+	objN    table[int]
+	n       int
+	changes uint64
 }
 
-type listKey struct {
-	idx  uint8
-	a, b uint32
-}
-
-func newMutation(base *Snapshot) *mutation {
+func newMutation(base *Snapshot, edit uint64) *mutation {
 	return &mutation{
-		dict:      base.dict,
-		spo:       copyOuter(base.spo),
-		pos:       copyOuter(base.pos),
-		osp:       copyOuter(base.osp),
-		copied:    [3]map[uint32]bool{{}, {}, {}},
-		cloned:    map[listKey]bool{},
-		num:       copyNum(base.num),
-		numCloned: map[uint32]bool{},
-		predN:     copyCounts(base.predN),
-		objN:      copyCounts(base.objN),
-		n:         base.n,
+		edit:  edit,
+		dict:  base.dict,
+		terms: base.dict.terms,
+		spo:   base.spo,
+		pos:   base.pos,
+		num:   base.num,
+		predN: base.predN,
+		objN:  base.objN,
+		n:     base.n,
 	}
 }
 
-func copyOuter(m map[uint32]map[uint32][]uint32) map[uint32]map[uint32][]uint32 {
-	out := make(map[uint32]map[uint32][]uint32, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyInnerMap(m map[uint32][]uint32) map[uint32][]uint32 {
-	out := make(map[uint32][]uint32, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyNum(m map[uint32][]numEntry) map[uint32][]numEntry {
-	out := make(map[uint32][]numEntry, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyCounts(m map[uint32]int) map[uint32]int {
-	out := make(map[uint32]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// intern returns the term's dictionary ID, cloning the dictionary's ID map
-// on the batch's first new term. The terms slice is shared with the base by
-// slice header: appends write beyond the base's length, which no reader of
-// an already-published snapshot ever accesses.
-func (m *mutation) intern(t Term) uint32 {
+// lookup returns the term's ID when the base or this batch has interned it.
+func (m *mutation) lookup(t Term) (uint32, bool) {
 	if id, ok := m.dict.lookup(t); ok {
+		return id, true
+	}
+	id, ok := m.fresh[t]
+	return id, ok
+}
+
+// intern returns the term's dictionary ID, assigning the next dense one on
+// first sight.
+func (m *mutation) intern(t Term) uint32 {
+	if id, ok := m.lookup(t); ok {
 		return id
 	}
-	if !m.dictCloned {
-		m.dict = m.dict.clone()
-		m.dictCloned = true
+	if m.fresh == nil {
+		m.fresh = map[Term]uint32{}
 	}
-	return m.dict.intern(t)
+	id := uint32(len(m.terms))
+	m.terms = append(m.terms, t)
+	m.fresh[t] = id
+	return id
 }
 
 // add inserts a triple; it reports false when the triple was already present
@@ -102,178 +74,118 @@ func (m *mutation) add(t Triple) bool {
 	sid := m.intern(t.S)
 	pid := m.intern(t.P)
 	oid := m.intern(t.O)
-	if !m.insert(0, m.spo, sid, pid, oid) {
+	// The subject's entry is small (one element per predicate it carries,
+	// nearly always one object each), so it is rebuilt rather than owned.
+	entry := m.spo.get(sid)
+	if i, found := searchPred(entry, pid); !found {
+		entry = insertAt(entry, i, predObjs{pid, []uint32{oid}})
+	} else if j, dup := slices.BinarySearch(entry[i].objs, oid); !dup {
+		entry = slices.Clone(entry)
+		entry[i].objs = insertAt(entry[i].objs, j, oid)
+	} else {
 		return false
 	}
-	m.insert(1, m.pos, pid, oid, sid)
-	m.insert(2, m.osp, oid, sid, pid)
-	if val, ok := numericLiteral(t.O); ok {
-		m.numInsert(pid, val, sid)
+	m.setEntry(sid, entry)
+
+	byObj, _ := m.pos.slot(m.edit, pid)
+	subs, owned := byObj.slot(m.edit, oid)
+	*subs = subs.insert(sid, cmp.Compare[uint32], owned)
+	if val, ok := bandValue(t.O); ok {
+		band, owned := m.num.slot(m.edit, pid)
+		*band = band.insert(numEntry{val, sid}, compareNum, owned)
 	}
-	m.predN[pid]++
-	m.objN[oid]++
-	m.n++
-	m.changes++
+	m.count(pid, oid, +1)
 	return true
 }
 
 // remove deletes one triple; it reports false when the triple is absent.
 func (m *mutation) remove(t Triple) bool {
-	sid, ok1 := m.dict.lookup(t.S)
-	pid, ok2 := m.dict.lookup(t.P)
-	oid, ok3 := m.dict.lookup(t.O)
+	sid, ok1 := m.lookup(t.S)
+	pid, ok2 := m.lookup(t.P)
+	oid, ok3 := m.lookup(t.O)
 	if !ok1 || !ok2 || !ok3 {
 		return false
 	}
-	if !m.removeFrom(0, m.spo, sid, pid, oid) {
+	entry := m.spo.get(sid)
+	i, found := searchPred(entry, pid)
+	if !found {
 		return false
 	}
-	m.removeFrom(1, m.pos, pid, oid, sid)
-	m.removeFrom(2, m.osp, oid, sid, pid)
-	if val, ok := numericLiteral(t.O); ok {
-		m.numRemove(pid, val, sid)
+	objs := entry[i].objs
+	j, found := slices.BinarySearch(objs, oid)
+	if !found {
+		return false
 	}
-	if m.predN[pid]--; m.predN[pid] == 0 {
-		delete(m.predN, pid)
+	if len(objs) == 1 {
+		entry = removeAt(entry, i)
+	} else {
+		entry = slices.Clone(entry)
+		entry[i].objs = removeAt(objs, j)
 	}
-	if m.objN[oid]--; m.objN[oid] == 0 {
-		delete(m.objN, oid)
+	m.setEntry(sid, entry)
+
+	byObj, _ := m.pos.slot(m.edit, pid)
+	subs, owned := byObj.slot(m.edit, oid)
+	*subs, _ = subs.remove(sid, cmp.Compare[uint32], owned)
+	if val, ok := bandValue(t.O); ok {
+		band, owned := m.num.slot(m.edit, pid)
+		*band, _ = band.remove(numEntry{val, sid}, compareNum, owned)
 	}
-	m.n--
+	m.count(pid, oid, -1)
+	return true
+}
+
+func (m *mutation) setEntry(sid uint32, entry []predObjs) {
+	v, _ := m.spo.slot(m.edit, sid)
+	*v = entry
+}
+
+// count records one triple more (by = +1) or less (-1) under the predicate
+// and the object.
+func (m *mutation) count(pid, oid uint32, by int) {
+	p, _ := m.predN.slot(m.edit, pid)
+	*p += by
+	o, _ := m.objN.slot(m.edit, oid)
+	*o += by
+	m.n += by
 	m.changes++
-	return true
 }
 
-// insert adds c to the sorted posting list idx[a][b], cloning the inner map
-// and the list the first time this batch writes to them. It reports false
-// when c was already present.
-func (m *mutation) insert(tag uint8, idx map[uint32]map[uint32][]uint32, a, b, c uint32) bool {
-	inner, ok := idx[a]
-	switch {
-	case !ok:
-		inner = map[uint32][]uint32{}
-		idx[a] = inner
-		m.copied[tag][a] = true
-	case !m.copied[tag][a]:
-		inner = copyInnerMap(inner)
-		idx[a] = inner
-		m.copied[tag][a] = true
+// searchPred returns the place of pred in the subject's predicate-sorted
+// entry, and whether it is there.
+func searchPred(entry []predObjs, pred uint32) (int, bool) {
+	i := 0
+	for i < len(entry) && entry[i].pred < pred {
+		i++
 	}
-	list := inner[b]
-	i := searchID(list, c)
-	if i < len(list) && list[i] == c {
-		return false
-	}
-	key := listKey{tag, a, b}
-	if !m.cloned[key] {
-		nl := make([]uint32, len(list)+1, len(list)+4)
-		copy(nl, list[:i])
-		nl[i] = c
-		copy(nl[i+1:], list[i:])
-		inner[b] = nl
-		m.cloned[key] = true
-		return true
-	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = c
-	inner[b] = list
-	return true
+	return i, i < len(entry) && entry[i].pred == pred
 }
 
-// removeFrom deletes c from the sorted posting list idx[a][b] under the same
-// copy-on-write discipline as insert, dropping emptied lists and maps.
-func (m *mutation) removeFrom(tag uint8, idx map[uint32]map[uint32][]uint32, a, b, c uint32) bool {
-	inner, ok := idx[a]
-	if !ok {
-		return false
-	}
-	list := inner[b]
-	i := searchID(list, c)
-	if i >= len(list) || list[i] != c {
-		return false
-	}
-	if !m.copied[tag][a] {
-		inner = copyInnerMap(inner)
-		idx[a] = inner
-		m.copied[tag][a] = true
-	}
-	key := listKey{tag, a, b}
-	var nl []uint32
-	if !m.cloned[key] {
-		nl = make([]uint32, len(list)-1)
-		copy(nl, list[:i])
-		copy(nl[i:], list[i+1:])
-		m.cloned[key] = true
-	} else {
-		nl = append(list[:i], list[i+1:]...)
-	}
-	if len(nl) == 0 {
-		delete(inner, b)
-	} else {
-		inner[b] = nl
-	}
-	if len(inner) == 0 {
-		delete(idx, a)
-	}
-	return true
+// insertAt returns a copy of list with v at index i.
+func insertAt[T any](list []T, i int, v T) []T {
+	out := make([]T, len(list)+1)
+	copy(out, list[:i])
+	out[i] = v
+	copy(out[i+1:], list[i:])
+	return out
 }
 
-// numInsert records (val, sid) in the predicate's numeric index, keeping the
-// list sorted by (value, subject). Distinct triples whose objects parse to
-// the same value (e.g. "1" and "1.0") produce one entry each; numRemove
-// removes one occurrence per removed triple.
-func (m *mutation) numInsert(pid uint32, val float64, sid uint32) {
-	list := m.num[pid]
-	i := numSearch(list, val, sid)
-	if !m.numCloned[pid] {
-		nl := make([]numEntry, len(list)+1, len(list)+4)
-		copy(nl, list[:i])
-		nl[i] = numEntry{val, sid}
-		copy(nl[i+1:], list[i:])
-		m.num[pid] = nl
-		m.numCloned[pid] = true
-		return
-	}
-	list = append(list, numEntry{})
-	copy(list[i+1:], list[i:])
-	list[i] = numEntry{val, sid}
-	m.num[pid] = list
+// removeAt returns a copy of list without the element at index i.
+func removeAt[T any](list []T, i int) []T {
+	out := make([]T, len(list)-1)
+	copy(out, list[:i])
+	copy(out[i:], list[i+1:])
+	return out
 }
 
-// numRemove deletes one (val, sid) occurrence from the predicate's numeric
-// index.
-func (m *mutation) numRemove(pid uint32, val float64, sid uint32) {
-	list := m.num[pid]
-	i := numSearch(list, val, sid)
-	if i >= len(list) || list[i].val != val || list[i].subj != sid {
-		return
+// compareNum orders band-index entries by (value, subject). Distinct triples
+// whose objects parse to the same value (e.g. "1" and "1.0") produce one
+// entry each; remove takes out one occurrence per removed triple.
+func compareNum(a, b numEntry) int {
+	if c := cmp.Compare(a.val, b.val); c != 0 {
+		return c
 	}
-	if !m.numCloned[pid] {
-		nl := make([]numEntry, len(list)-1)
-		copy(nl, list[:i])
-		copy(nl[i:], list[i+1:])
-		list = nl
-		m.numCloned[pid] = true
-	} else {
-		list = append(list[:i], list[i+1:]...)
-	}
-	if len(list) == 0 {
-		delete(m.num, pid)
-	} else {
-		m.num[pid] = list
-	}
-}
-
-// numSearch returns the insertion point of (val, sid) in the
-// (value, subject)-sorted list.
-func numSearch(list []numEntry, val float64, sid uint32) int {
-	return sort.Search(len(list), func(k int) bool {
-		if list[k].val != val {
-			return list[k].val > val
-		}
-		return list[k].subj >= sid
-	})
+	return cmp.Compare(a.subj, b.subj)
 }
 
 // publishable returns the next epoch's snapshot, or nil when the batch
@@ -283,11 +195,14 @@ func (m *mutation) publishable(base *Snapshot) *Snapshot {
 	if m.changes == 0 {
 		return nil
 	}
+	dict := m.dict
+	if m.fresh != nil {
+		dict = dict.push(m.terms, m.fresh)
+	}
 	return &Snapshot{
-		dict:    m.dict,
+		dict:    dict,
 		spo:     m.spo,
 		pos:     m.pos,
-		osp:     m.osp,
 		num:     m.num,
 		predN:   m.predN,
 		objN:    m.objN,

@@ -84,6 +84,8 @@ type Store struct {
 	mu   sync.Mutex // serializes writers; readers never take it
 	snap atomic.Pointer[Snapshot]
 	hook CommitHook
+	// edits numbers the store's mutation batches (see table.go); under mu.
+	edits uint64
 }
 
 // CommitHook observes every publishable mutation batch. It is invoked with
@@ -141,7 +143,8 @@ func (s *Store) Apply(removals []Pattern, additions []Triple) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	base := s.snap.Load()
-	m := newMutation(base)
+	s.edits++
+	m := newMutation(base, s.edits)
 	var removed []Triple
 	for _, p := range removals {
 		for _, victim := range base.Match(p.S, p.P, p.O) {
@@ -150,9 +153,9 @@ func (s *Store) Apply(removals []Pattern, additions []Triple) int {
 			}
 		}
 	}
-	var added []Triple
+	var added []Triple // the hook's to read; nobody else asks
 	for _, t := range additions {
-		if m.add(t) {
+		if m.add(t) && s.hook != nil {
 			added = append(added, t)
 		}
 	}
@@ -173,7 +176,8 @@ func (s *Store) Apply(removals []Pattern, additions []Triple) int {
 func RestoreStore(ts []Triple, version uint64) *Store {
 	s := NewStore()
 	base := s.snap.Load()
-	m := newMutation(base)
+	s.edits++
+	m := newMutation(base, s.edits)
 	for _, t := range ts {
 		m.add(t)
 	}

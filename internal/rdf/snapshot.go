@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,45 +58,70 @@ type numEntry struct {
 	subj uint32
 }
 
+// predObjs is one element of a subject's SPO entry: a predicate the subject
+// carries and the sorted IDs of its objects under it.
+type predObjs struct {
+	pred uint32
+	objs []uint32
+}
+
 // Snapshot is one immutable epoch of a Store. Readers share snapshots
-// without locks: a snapshot's maps and posting lists are never mutated after
-// publication (writers copy-on-write whatever a batch touches and publish a
-// fresh Snapshot atomically).
+// without locks: nothing reachable from a snapshot is written after
+// publication (a writer copies the pages and chunks its batch touches, shares
+// the rest, and publishes a fresh Snapshot atomically).
 type Snapshot struct {
 	dict *dictionary
-	// spo: subject -> predicate -> sorted object IDs, and the two rotations.
-	spo map[uint32]map[uint32][]uint32
-	pos map[uint32]map[uint32][]uint32
-	osp map[uint32]map[uint32][]uint32
+	// spo: subject -> the predicates it carries, ascending, each with its
+	// sorted object IDs.
+	spo table[[]predObjs]
+	// pos: predicate -> object -> sorted subject IDs. There is no third
+	// rotation: the only pattern OSP would answer, the object-only Match, has
+	// no caller outside tests and gathers from pos.
+	pos table[table[run[uint32]]]
 	// num: predicate -> (value, subject) entries sorted by (value, subject),
 	// for triples whose object is a numeric literal.
-	num map[uint32][]numEntry
+	num table[run[numEntry]]
 	// predN / objN count the triples carrying each predicate / object.
-	predN map[uint32]int
-	objN  map[uint32]int
+	predN table[int]
+	objN  table[int]
 	n     int
 	// version counts mutations since the store was created; every published
 	// epoch has a distinct, increasing version.
 	version uint64
 }
 
-func emptySnapshot() *Snapshot {
-	return &Snapshot{
-		dict:  newDictionary(),
-		spo:   map[uint32]map[uint32][]uint32{},
-		pos:   map[uint32]map[uint32][]uint32{},
-		osp:   map[uint32]map[uint32][]uint32{},
-		num:   map[uint32][]numEntry{},
-		predN: map[uint32]int{},
-		objN:  map[uint32]int{},
-	}
-}
+func emptySnapshot() *Snapshot { return &Snapshot{dict: &dictionary{}} }
 
 // Len returns the number of distinct triples in the snapshot.
 func (g *Snapshot) Len() int { return g.n }
 
 // Version identifies the snapshot's epoch.
 func (g *Snapshot) Version() uint64 { return g.version }
+
+// lookup resolves terms to dictionary IDs; ok is false as soon as one of
+// them was never interned.
+func (g *Snapshot) lookup(a, b Term) (aid, bid uint32, ok bool) {
+	if aid, ok = g.dict.lookup(a); !ok {
+		return 0, 0, false
+	}
+	bid, ok = g.dict.lookup(b)
+	return aid, bid, ok
+}
+
+// objects returns the sorted object IDs of (subject, predicate).
+func (g *Snapshot) objects(sid, pid uint32) []uint32 {
+	entry := g.spo.get(sid)
+	if i, found := searchPred(entry, pid); found {
+		return entry[i].objs
+	}
+	return nil
+}
+
+// subjects returns the sorted subject IDs of (predicate, object).
+func (g *Snapshot) subjects(pid, oid uint32) run[uint32] {
+	byObj := g.pos.get(pid)
+	return byObj.get(oid)
+}
 
 // Match returns the triples matching the pattern; nil components are
 // wildcards. Results are in a deterministic order (ascending dictionary IDs,
@@ -120,51 +147,57 @@ func (g *Snapshot) Match(subj, pred, obj *Term) []Triple {
 	}
 	var out []Triple
 	switch {
-	case subj != nil && pred != nil:
-		for _, o := range g.spo[sid][pid] {
-			if obj != nil && o != oid {
+	case subj != nil:
+		for _, po := range g.spo.get(sid) {
+			if pred != nil && po.pred != pid {
 				continue
 			}
-			out = append(out, Triple{*subj, *pred, g.dict.term(o)})
-		}
-	case subj != nil:
-		pm := g.spo[sid]
-		for _, p := range sortedIDs(pm) {
-			pt := g.dict.term(p)
-			for _, o := range pm[p] {
-				if obj != nil && o != oid {
-					continue
+			pt := g.dict.term(po.pred)
+			for _, o := range po.objs {
+				if obj == nil || o == oid {
+					out = append(out, Triple{*subj, pt, g.dict.term(o)})
 				}
-				out = append(out, Triple{*subj, pt, g.dict.term(o)})
 			}
 		}
 	case pred != nil && obj != nil:
-		for _, su := range g.pos[pid][oid] {
-			out = append(out, Triple{g.dict.term(su), *pred, *obj})
+		for _, chunk := range g.subjects(pid, oid) {
+			for _, su := range chunk {
+				out = append(out, Triple{g.dict.term(su), *pred, *obj})
+			}
 		}
 	case pred != nil:
-		om := g.pos[pid]
-		for _, o := range sortedIDs(om) {
-			ot := g.dict.term(o)
-			for _, su := range om[o] {
-				out = append(out, Triple{g.dict.term(su), *pred, ot})
+		byObj := g.pos.get(pid)
+		for o, subs := range byObj.all() {
+			for _, chunk := range *subs {
+				for _, su := range chunk {
+					out = append(out, Triple{g.dict.term(su), *pred, g.dict.term(o)})
+				}
 			}
 		}
 	case obj != nil:
-		sm := g.osp[oid]
-		for _, su := range sortedIDs(sm) {
-			st := g.dict.term(su)
-			for _, p := range sm[su] {
-				out = append(out, Triple{st, g.dict.term(p), *obj})
+		// Gathered predicate by predicate, then put into the
+		// subject-then-predicate order an OSP rotation would have kept.
+		type sp struct{ s, p uint32 }
+		var hits []sp
+		for p, byObj := range g.pos.all() {
+			for _, chunk := range byObj.get(oid) {
+				for _, su := range chunk {
+					hits = append(hits, sp{su, p})
+				}
 			}
 		}
+		slices.SortFunc(hits, func(a, b sp) int {
+			return cmp.Or(cmp.Compare(a.s, b.s), cmp.Compare(a.p, b.p))
+		})
+		for _, h := range hits {
+			out = append(out, Triple{g.dict.term(h.s), g.dict.term(h.p), *obj})
+		}
 	default:
-		for _, su := range sortedIDs(g.spo) {
-			st := g.dict.term(su)
-			pm := g.spo[su]
-			for _, p := range sortedIDs(pm) {
-				pt := g.dict.term(p)
-				for _, o := range pm[p] {
+		out = make([]Triple, 0, g.n)
+		for su, entry := range g.spo.all() {
+			for _, po := range *entry {
+				st, pt := g.dict.term(su), g.dict.term(po.pred)
+				for _, o := range po.objs {
 					out = append(out, Triple{st, pt, g.dict.term(o)})
 				}
 			}
@@ -173,18 +206,17 @@ func (g *Snapshot) Match(subj, pred, obj *Term) []Triple {
 	return out
 }
 
-func sortedIDs[V any](m map[uint32]V) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Subjects returns every distinct subject in the snapshot, in deterministic
 // (dictionary ID) order.
-func (g *Snapshot) Subjects() []Term { return g.termsOf(sortedIDs(g.spo)) }
+func (g *Snapshot) Subjects() []Term {
+	var out []Term
+	for su, entry := range g.spo.all() {
+		if len(*entry) > 0 {
+			out = append(out, g.dict.term(su))
+		}
+	}
+	return out
+}
 
 func (g *Snapshot) termsOf(ids []uint32) []Term {
 	out := make([]Term, len(ids))
@@ -194,34 +226,39 @@ func (g *Snapshot) termsOf(ids []uint32) []Term {
 	return out
 }
 
+// sortedDistinctTerms renders the IDs, which it sorts in place, as terms in
+// ID order without repeats.
+func (g *Snapshot) sortedDistinctTerms(ids []uint32) []Term {
+	slices.Sort(ids)
+	return g.termsOf(slices.Compact(ids))
+}
+
 // ObjectsOf returns the objects of (subject, predicate) in deterministic
-// (dictionary ID) order. The result is shared with the snapshot's internal
-// posting list rendering; callers must not mutate it.
+// (dictionary ID) order.
 func (g *Snapshot) ObjectsOf(subject, predicate Term) []Term {
-	sid, ok := g.dict.lookup(subject)
+	sid, pid, ok := g.lookup(subject, predicate)
 	if !ok {
 		return nil
 	}
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return nil
-	}
-	return g.termsOf(g.spo[sid][pid])
+	return g.termsOf(g.objects(sid, pid))
 }
 
 // SubjectsOf returns the subjects carrying (predicate, object) in
 // deterministic (dictionary ID) order — the reverse of ObjectsOf, answered
 // from the POS index without scanning.
 func (g *Snapshot) SubjectsOf(predicate, object Term) []Term {
-	pid, ok := g.dict.lookup(predicate)
+	pid, oid, ok := g.lookup(predicate, object)
 	if !ok {
 		return nil
 	}
-	oid, ok := g.dict.lookup(object)
-	if !ok {
-		return nil
+	subs := g.subjects(pid, oid)
+	out := make([]Term, 0, subs.size())
+	for _, chunk := range subs {
+		for _, su := range chunk {
+			out = append(out, g.dict.term(su))
+		}
 	}
-	return g.termsOf(g.pos[pid][oid])
+	return out
 }
 
 // SubjectsWithPred returns the distinct subjects that carry at least one
@@ -231,35 +268,30 @@ func (g *Snapshot) SubjectsWithPred(predicate Term) []Term {
 	if !ok {
 		return nil
 	}
-	seen := map[uint32]struct{}{}
-	ids := make([]uint32, 0, len(g.pos[pid]))
-	for _, subs := range g.pos[pid] {
-		for _, su := range subs {
-			if _, dup := seen[su]; !dup {
-				seen[su] = struct{}{}
-				ids = append(ids, su)
-			}
+	byObj := g.pos.get(pid)
+	ids := make([]uint32, 0, g.predN.get(pid))
+	for _, subs := range byObj.all() {
+		for _, chunk := range *subs {
+			ids = append(ids, chunk...)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return g.termsOf(ids)
+	return g.sortedDistinctTerms(ids)
 }
 
-// numRange returns the half-open slice [i, j) of the predicate's numeric
-// index entries whose values lie in [lo, hi]; nil bounds are open.
-func numRange(entries []numEntry, lo, hi *float64) []numEntry {
-	i := 0
+// numRange returns the positions in the band index that delimit the entries
+// whose values lie in [lo, hi]; nil bounds are open.
+func numRange(band run[numEntry], lo, hi *float64) (c0, i0, c1, i1 int) {
 	if lo != nil {
-		i = sort.Search(len(entries), func(k int) bool { return entries[k].val >= *lo })
+		c0, i0 = band.search(func(e numEntry) bool { return e.val >= *lo })
 	}
-	j := len(entries)
+	c1 = len(band)
 	if hi != nil {
-		j = sort.Search(len(entries), func(k int) bool { return entries[k].val > *hi })
+		c1, i1 = band.search(func(e numEntry) bool { return e.val > *hi })
 	}
-	if i >= j {
-		return nil
+	if c1 < c0 || c1 == c0 && i1 < i0 { // lo > hi: an empty band
+		c1, i1 = c0, i0
 	}
-	return entries[i:j]
+	return c0, i0, c1, i1
 }
 
 // SubjectsWithPredInRange returns the distinct subjects carrying the
@@ -272,20 +304,26 @@ func (g *Snapshot) SubjectsWithPredInRange(predicate Term, lo, hi *float64) []Te
 	if !ok {
 		return nil
 	}
-	band := numRange(g.num[pid], lo, hi)
-	if len(band) == 0 {
+	band := g.num.get(pid)
+	c0, i0, c1, i1 := numRange(band, lo, hi)
+	n := band.between(c0, i0, c1, i1)
+	if n == 0 {
 		return nil
 	}
-	seen := make(map[uint32]struct{}, len(band))
-	ids := make([]uint32, 0, len(band))
-	for _, e := range band {
-		if _, dup := seen[e.subj]; !dup {
-			seen[e.subj] = struct{}{}
+	ids := make([]uint32, 0, n)
+	for c := c0; c <= c1 && c < len(band); c++ {
+		chunk := band[c]
+		if c == c1 {
+			chunk = chunk[:i1]
+		}
+		if c == c0 {
+			chunk = chunk[i0:]
+		}
+		for _, e := range chunk {
 			ids = append(ids, e.subj)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return g.termsOf(ids)
+	return g.sortedDistinctTerms(ids)
 }
 
 // CountPInRange counts the predicate's triples whose numeric literal object
@@ -295,33 +333,26 @@ func (g *Snapshot) CountPInRange(predicate Term, lo, hi *float64) int {
 	if !ok {
 		return 0
 	}
-	return len(numRange(g.num[pid], lo, hi))
+	band := g.num.get(pid)
+	return band.between(numRange(band, lo, hi))
 }
 
 // CountSP returns the number of triples with the given subject and predicate.
 func (g *Snapshot) CountSP(subject, predicate Term) int {
-	sid, ok := g.dict.lookup(subject)
+	sid, pid, ok := g.lookup(subject, predicate)
 	if !ok {
 		return 0
 	}
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return 0
-	}
-	return len(g.spo[sid][pid])
+	return len(g.objects(sid, pid))
 }
 
 // CountPO returns the number of triples with the given predicate and object.
 func (g *Snapshot) CountPO(predicate, object Term) int {
-	pid, ok := g.dict.lookup(predicate)
+	pid, oid, ok := g.lookup(predicate, object)
 	if !ok {
 		return 0
 	}
-	oid, ok := g.dict.lookup(object)
-	if !ok {
-		return 0
-	}
-	return len(g.pos[pid][oid])
+	return g.subjects(pid, oid).size()
 }
 
 // CountP returns the number of triples carrying the given predicate.
@@ -330,7 +361,7 @@ func (g *Snapshot) CountP(predicate Term) int {
 	if !ok {
 		return 0
 	}
-	return g.predN[pid]
+	return g.predN.get(pid)
 }
 
 // CountO returns the number of triples carrying the given object.
@@ -339,21 +370,17 @@ func (g *Snapshot) CountO(object Term) int {
 	if !ok {
 		return 0
 	}
-	return g.objN[oid]
+	return g.objN.get(oid)
 }
 
 // FirstObject returns the first object of (subject, predicate) — in
 // deterministic dictionary-ID order — and whether it exists.
 func (g *Snapshot) FirstObject(subject, predicate Term) (Term, bool) {
-	sid, ok := g.dict.lookup(subject)
+	sid, pid, ok := g.lookup(subject, predicate)
 	if !ok {
 		return Term{}, false
 	}
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return Term{}, false
-	}
-	objs := g.spo[sid][pid]
+	objs := g.objects(sid, pid)
 	if len(objs) == 0 {
 		return Term{}, false
 	}
@@ -375,6 +402,13 @@ func (g *Snapshot) NTriples() string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// bandValue is numericLiteral without NaN, which no [lo, hi] band holds and
+// no (value, subject) order places.
+func bandValue(t Term) (float64, bool) {
+	f, ok := numericLiteral(t)
+	return f, ok && f == f
 }
 
 // numericLiteral parses a literal term's numeric value for the secondary
