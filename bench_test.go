@@ -8,8 +8,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// The harness uses laptop-scale data; EXPERIMENTS.md records how the measured
-// shapes compare with the numbers reported in the paper.
+// The harness uses laptop-scale data; README.md's "Experiments" section says
+// what each experiment prints and records the measured numbers.
 package galo_test
 
 import (

@@ -1,6 +1,7 @@
 // Command galo-experiments regenerates the paper's tables and figures
 // (Exp-1 .. Exp-6, Figures 9-14) using the experiment harness and prints each
-// as a text table. See EXPERIMENTS.md for the paper-vs-measured comparison.
+// as a text table. README.md's "Experiments" section says what each prints and
+// records the measured numbers.
 //
 // Usage:
 //

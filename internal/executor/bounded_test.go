@@ -1,0 +1,126 @@
+package executor
+
+import (
+	"math/rand"
+	"testing"
+
+	"galo/internal/optimizer"
+	"galo/internal/qgm"
+	"galo/internal/randplan"
+	"galo/internal/sqlparser"
+	"galo/internal/storage"
+)
+
+// TestBoundedRunProperties is the generated defence of RunBounded, over the
+// seeded random plans of the differential suite (a fifth as many), serially
+// and at 4 workers, with budgets at 0.1 / 0.5 / 0.9 / 1.0 / 1.5 times the
+// plan's unbounded ElapsedMillis:
+//
+//   - budget 0 is Run, which is what Execute books;
+//   - a run is aborted exactly when the unbounded run costs more than the
+//     budget, and then has itself booked more than the budget;
+//   - a run that is not aborted is the unbounded run: all of RunStats and every
+//     operator's ActMillis and ActCardinality, bit for bit;
+//   - an aborted cursor leaves no exchange worker behind and hands its chunks
+//     back: the previous plan, run right after on the same executor, is
+//     indistinguishable from its first run (CI repeats this under GOGC=1).
+//
+// It also requires that aborting saves something: a fair share of the runs at
+// half the budget must have stopped before booking the full cost.
+func TestBoundedRunProperties(t *testing.T) {
+	db, opt, _ := setup(t)
+	plans := differentialPlans / 5
+	if testing.Short() {
+		plans = 40
+	}
+	boundedSuite(t, "tpcds", db, opt, tpcdsShapes(), plans)
+	db, opt, shapes := keyFamilies(t)
+	boundedSuite(t, "key families", db, opt, shapes, plans/4)
+}
+
+func boundedSuite(t *testing.T, name string, db *storage.Database, opt *optimizer.Optimizer, shapes []*sqlparser.Query, plans int) {
+	const seed = 20190122
+	rng := rand.New(rand.NewSource(seed))
+	gen := randplan.New(opt, seed)
+	serial, parallel := New(db), New(db)
+	parallel.Workers = 4
+
+	type sideState struct {
+		name string
+		ex   *Executor
+		// the previous case, for the run right after an abort
+		q    *sqlparser.Query
+		plan *qgm.Plan
+		full run
+	}
+	sides := []*sideState{{name: "serial", ex: serial}, {name: "4 workers", ex: parallel}}
+	aborted, cutShort := 0, 0
+	for n := 0; n < plans; {
+		q, plan, _ := randomCase(t, rng, gen, opt, shapes)
+		if plan == nil {
+			continue
+		}
+		ser := execute(t, serial, plan, q)
+		if tooMuchWork(ser) {
+			continue
+		}
+		n++
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s plan #%d, %s\n%s\n"+format, append([]any{name, n, q.SQL(), qgm.Format(plan)}, args...)...)
+		}
+		for _, side := range sides {
+			bounded := func(budget float64) run {
+				stats, err := side.ex.RunBounded(plan, q, budget)
+				if err != nil {
+					t.Fatalf("RunBounded: %v", err)
+				}
+				if live := ExchangeWorkerCount(); live != 0 {
+					fail("%s, budget %v: %d exchange workers outlive the run", side.name, budget, live)
+				}
+				return run{ops: actuals(plan), stats: stats}
+			}
+			full := bounded(0)
+			if want := (run{ops: ser.ops, stats: ser.stats}); diff(want, full, false) != "" {
+				fail("%s, budget 0 differs from Execute: %s", side.name, diff(want, full, false))
+			}
+			elapsed := full.stats.ElapsedMillis
+			for _, f := range []float64{0.1, 0.5, 0.9, 1.0, 1.5} {
+				budget := f * elapsed
+				got := bounded(budget)
+				if got.stats.Aborted != (elapsed > budget) {
+					fail("%s, budget %v of %v: Aborted = %v", side.name, budget, elapsed, got.stats.Aborted)
+				}
+				if !got.stats.Aborted {
+					if d := diff(full, got, false); d != "" {
+						fail("%s, budget %v of %v, not aborted: %s", side.name, budget, elapsed, d)
+					}
+					continue
+				}
+				if got.stats.ElapsedMillis <= budget {
+					fail("%s, budget %v: aborted having booked %v of %v", side.name, budget, got.stats.ElapsedMillis, elapsed)
+				}
+				if f == 0.5 {
+					aborted++
+					if got.stats.ElapsedMillis < elapsed {
+						cutShort++
+					}
+				}
+				if side.plan != nil {
+					stats, err := side.ex.Run(side.plan, side.q)
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					if d := diff(side.full, run{ops: actuals(side.plan), stats: stats}, false); d != "" {
+						fail("%s: the previous plan, run right after an abort at %v: %s", side.name, budget, d)
+					}
+				}
+			}
+			side.q, side.plan, side.full = q, plan, full
+		}
+	}
+	t.Logf("%s, %d plans: %d of %d runs at half the budget stopped before booking the full cost", name, plans, cutShort, aborted)
+	if cutShort < aborted/4 {
+		t.Errorf("%s: aborting saves nothing: %d of %d runs at half the budget were cut short", name, cutShort, aborted)
+	}
+}

@@ -139,12 +139,7 @@ func rowHash(row storage.Row) uint64 {
 // still go through the rows are generated too, not hand-picked.
 func TestDifferentialRandomPlans(t *testing.T) {
 	db, opt, _ := setup(t)
-	var shapes []*sqlparser.Query
-	for _, q := range tpcds.Queries() {
-		if joins := len(q.From) - 1; joins >= 1 && joins <= 4 && !q.Star && len(q.Select) > 0 {
-			shapes = append(shapes, q)
-		}
-	}
+	shapes := tpcdsShapes()
 	plans := differentialPlans
 	if testing.Short() {
 		plans = 200
@@ -170,31 +165,12 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 		par  run
 	}
 	for n := 0; n < plans; {
-		q := shapes[rng.Intn(len(shapes))].Clone()
-		orderKeys := 0
-		switch rng.Intn(3) {
-		case 1: // ORDER BY one or two of the projected columns
-			orderKeys = 1 + rng.Intn(min(2, len(q.Select)))
-			rng.Shuffle(len(q.Select), func(i, j int) { q.Select[i], q.Select[j] = q.Select[j], q.Select[i] })
-			q.OrderBy = append([]sqlparser.ColumnRef{}, q.Select[:orderKeys]...)
-		case 2: // GROUP BY a projected column, projecting only the group key
-			q.Select = []sqlparser.ColumnRef{q.Select[rng.Intn(len(q.Select))]}
-			q.GroupBy = append([]sqlparser.ColumnRef{}, q.Select...)
-		}
-		spec, err := gen.RandomSpec(q)
-		if err != nil {
-			t.Fatalf("RandomSpec: %v", err)
-		}
-		plan, err := opt.BuildPlan(q, spec)
-		if err != nil {
-			continue // an invalid random combination; resample
+		q, plan, orderKeys := randomCase(t, rng, gen, opt, shapes)
+		if plan == nil {
+			continue
 		}
 		ser := execute(t, serial, plan, q)
-		work := 0.0
-		for _, op := range ser.ops {
-			work += op[1]
-		}
-		if work > maxDifferentialWork {
+		if tooMuchWork(ser) {
 			continue
 		}
 		n++
@@ -320,6 +296,52 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 		t.Errorf("%s: the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped",
 			name, engaged, plans, ordered, grouped)
 	}
+}
+
+// tpcdsShapes is the 1–4-join queries of tpcds.Queries() with a projection.
+func tpcdsShapes() (shapes []*sqlparser.Query) {
+	for _, q := range tpcds.Queries() {
+		if joins := len(q.From) - 1; joins >= 1 && joins <= 4 && !q.Star && len(q.Select) > 0 {
+			shapes = append(shapes, q)
+		}
+	}
+	return shapes
+}
+
+// randomCase draws the suite's next case: one of the shapes, a third of the
+// time with an ORDER BY (orderKeys of the projected columns) and a third with
+// a GROUP BY added, and a random plan for it — nil when the random combination
+// is invalid and the caller should draw again.
+func randomCase(t *testing.T, rng *rand.Rand, gen *randplan.Generator, opt *optimizer.Optimizer, shapes []*sqlparser.Query) (q *sqlparser.Query, plan *qgm.Plan, orderKeys int) {
+	t.Helper()
+	q = shapes[rng.Intn(len(shapes))].Clone()
+	switch rng.Intn(3) {
+	case 1: // ORDER BY one or two of the projected columns
+		orderKeys = 1 + rng.Intn(min(2, len(q.Select)))
+		rng.Shuffle(len(q.Select), func(i, j int) { q.Select[i], q.Select[j] = q.Select[j], q.Select[i] })
+		q.OrderBy = append([]sqlparser.ColumnRef{}, q.Select[:orderKeys]...)
+	case 2: // GROUP BY a projected column, projecting only the group key
+		q.Select = []sqlparser.ColumnRef{q.Select[rng.Intn(len(q.Select))]}
+		q.GroupBy = append([]sqlparser.ColumnRef{}, q.Select...)
+	}
+	spec, err := gen.RandomSpec(q)
+	if err != nil {
+		t.Fatalf("RandomSpec: %v", err)
+	}
+	plan, err = opt.BuildPlan(q, spec)
+	if err != nil {
+		return q, nil, 0
+	}
+	return q, plan, orderKeys
+}
+
+// tooMuchWork applies maxDifferentialWork to a serial run.
+func tooMuchWork(ser run) bool {
+	work := 0.0
+	for _, op := range ser.ops {
+		work += op[1]
+	}
+	return work > maxDifferentialWork
 }
 
 // keyFamilies is a database, and join shapes over it, whose join keys the

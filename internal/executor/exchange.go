@@ -302,6 +302,12 @@ func (e *exchangeIter) start() {
 			continue
 		}
 		lv.build = e.ctx.drainBuild(lv.innerIter, lv.probeKey, lv.buildKey, lv.inner, false)
+		if e.ctx.overBudget() {
+			// A build side put the run over its budget: no worker starts, and
+			// Close charges what ran and closes the build subtrees not reached.
+			e.finished = true
+			return
+		}
 	}
 	parts := storage.SplitRange(e.seg.scan.lo, e.seg.scan.hi, e.ctx.workers)
 	e.workers = make([]*segWorker, len(parts))
@@ -341,7 +347,9 @@ func (e *exchangeIter) Next() (tuple, bool) {
 		return nil, false
 	}
 	if !e.started {
-		e.start()
+		if e.start(); e.finished {
+			return nil, false
+		}
 	}
 	switch e.seg.term {
 	case termSort:
@@ -431,6 +439,11 @@ func (e *exchangeIter) collectSorted() {
 			lv.build.release(e.ctx)
 			lv.build = nil
 		}
+	}
+	if e.ctx.overBudget() {
+		// The segment alone cost more than the run may: no merge.
+		e.bufs = nil
+		return
 	}
 	e.heads = make([]int, len(e.bufs))
 	total := 0
@@ -574,13 +587,13 @@ func (e *exchangeIter) Close() {
 		e.cancelled.Store(true)
 		close(e.done)
 		e.wg.Wait()
-	} else {
-		// Never ran: close the un-drained build subtrees (charging their
-		// zero work, as a closed serial pipeline would).
-		for _, lv := range e.seg.levels {
-			if lv.kind == levelJoin && lv.build == nil {
-				lv.innerIter.Close()
-			}
+	}
+	// Close the build subtrees never drained — all of them when the exchange
+	// never ran, those below an over-budget build otherwise — charging their
+	// zero work, as a closed serial pipeline would.
+	for _, lv := range e.seg.levels {
+		if lv.kind == levelJoin && lv.build == nil {
+			lv.innerIter.Close()
 		}
 	}
 	e.finalizeCharges()

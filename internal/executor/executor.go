@@ -55,6 +55,11 @@ type RunStats struct {
 	// the memory the plan's shape itself demands.
 	PeakIntermediateRows  int64
 	PeakIntermediateBytes int64
+	// Aborted reports that a bounded run (RunBounded) booked more simulated
+	// time than its budget. Charges only ever add, so the full run costs more
+	// than the budget too; the other counters are then those of the part that
+	// ran and say nothing about the plan.
+	Aborted bool
 }
 
 // Result is the outcome of executing a plan.
@@ -127,7 +132,19 @@ func (e *Executor) Execute(plan *qgm.Plan, q *sqlparser.Query) (*Result, error) 
 // alone: the pipeline is drained without projecting or collecting a single
 // result row — what plan validation and ranking need.
 func (e *Executor) Run(plan *qgm.Plan, q *sqlparser.Query) (RunStats, error) {
-	cur, err := e.Open(plan, q)
+	return e.RunBounded(plan, q, 0)
+}
+
+// RunBounded is Run under a budget of simulated milliseconds (0 = none): a
+// plan that cannot finish within it is stopped at the first pipeline breaker
+// that finds the charges booked so far past the budget — after its scan, build
+// side or sort input is exhausted, before its own build or probe; a SORT books
+// its own charge first and does not sort either — and the run ends with
+// RunStats.Aborted set. A run that is not aborted is the unbounded run, bit
+// for bit. What learning needs of a candidate that can no longer beat its
+// baseline is only that fact.
+func (e *Executor) RunBounded(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64) (RunStats, error) {
+	cur, err := e.open(plan, q, budgetMillis)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -163,6 +180,10 @@ type Cursor struct {
 // over its projected output. The caller must Close the cursor (Next returning
 // false closes it implicitly).
 func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
+	return e.open(plan, q, 0)
+}
+
+func (e *Executor) open(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64) (*Cursor, error) {
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("executor: empty plan")
 	}
@@ -178,6 +199,7 @@ func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
 		instToRef: map[string]string{},
 		refToInst: map[string]string{},
 		workers:   e.Workers,
+		budget:    budgetMillis,
 	}
 	ctx.mem = ctx.newArena()
 	for i, ref := range work.From {
@@ -277,6 +299,7 @@ func (c *Cursor) finish() {
 	c.ctx.stats.Rows = c.rows
 	c.ctx.stats.PeakIntermediateRows = c.ctx.res.peakRows
 	c.ctx.stats.PeakIntermediateBytes = c.ctx.res.peakBytes
+	c.ctx.stats.Aborted = c.ctx.overBudget()
 	c.plan.ActualMillis = c.ctx.stats.ElapsedMillis
 }
 
@@ -290,6 +313,9 @@ type execContext struct {
 	instToRef map[string]string
 	refToInst map[string]string
 	workers   int
+	// budget bounds the simulated milliseconds the run may book (RunBounded);
+	// 0, what every serving path passes, is no bound.
+	budget float64
 	// orderObserved counts the operators above the subtree being opened that
 	// observe row arrival order (see openOrdered).
 	orderObserved int
@@ -318,6 +344,13 @@ func (c *execContext) releaseArenas() {
 		m.release()
 	}
 	c.arenas = nil
+}
+
+// overBudget reports whether the charges booked so far already exceed the
+// run's budget. Pipeline breakers ask once their input is exhausted — where
+// charges are booked, never per row — and skip their own work when it does.
+func (c *execContext) overBudget() bool {
+	return c.budget > 0 && c.stats.ElapsedMillis > c.budget
 }
 
 func (c *execContext) hold(rows int, bytes int64)    { c.res.hold(rows, bytes) }

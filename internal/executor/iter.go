@@ -392,18 +392,49 @@ func (s *sortIter) buffer() {
 		s.rows = append(s.rows, t)
 	}
 	s.child.Close()
-	if len(s.key) > 0 {
+	if s.ctx.overBudget() {
+		// The input alone cost more than the run may: nothing is sorted,
+		// held or served.
+		s.rows = nil
+		return
+	}
+	// A bounded run books the sort's charge before sorting — the charge needs
+	// only the row count and the row the sort would put first — so a sort that
+	// takes the run over its budget is never performed. An unbounded run
+	// (every serving path) sorts and reads that row off the front.
+	sortFirst := s.ctx.budget == 0 || len(s.key) == 0
+	if sortFirst && len(s.key) > 0 {
 		sortStableBy(s.rows, s.key)
 	}
 	var sample tuple
 	if len(s.rows) > 0 {
-		sample = s.rows[0]
+		if sample = s.rows[0]; !sortFirst {
+			sample = firstMin(s.rows, s.key)
+		}
 	}
 	width := s.slots.rowWidth(sample)
+	s.ctx.charge(s.node, s.ctx.sortMillis(float64(len(s.rows)), width), len(s.rows))
+	if !sortFirst {
+		if s.ctx.overBudget() {
+			s.rows = nil
+			return
+		}
+		sortStableBy(s.rows, s.key)
+	}
 	s.heldBytes = int64(width) * int64(len(s.rows))
 	s.ctx.hold(len(s.rows), s.heldBytes)
-	rows := float64(len(s.rows))
-	s.ctx.charge(s.node, s.ctx.sortMillis(rows, width), len(s.rows))
+}
+
+// firstMin returns the row a stable sort on key would put first: the first of
+// the smallest.
+func firstMin(rows []tuple, key []colRef) tuple {
+	first := rows[0]
+	for _, t := range rows[1:] {
+		if compareRows(t, first, key) < 0 {
+			first = t
+		}
+	}
+	return first
 }
 
 func (s *sortIter) Close() {

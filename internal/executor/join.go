@@ -86,6 +86,11 @@ type joinIter struct {
 func (j *joinIter) Next() (tuple, bool) {
 	if !j.built {
 		j.buildInner()
+		if j.ctx.overBudget() {
+			// The build side alone cost more than the run may: no probe.
+			j.finalize()
+			return nil, false
+		}
 	}
 	for {
 		if i := j.mi; i >= 0 {
@@ -148,7 +153,9 @@ func (c *execContext) drainBuild(inner rowIter, probe, build []colRef, innerSlot
 	}
 	b.width = innerSlots.rowWidth(sample)
 	b.heldBytes = int64(b.width) * int64(b.rows.n)
-	b.index(c.workers)
+	if !c.overBudget() { // an over-budget build is never probed
+		b.index(c.workers)
+	}
 	c.hold(b.rows.n, b.heldBytes)
 	return b
 }

@@ -4,8 +4,8 @@
 // root and the galo-experiments command can regenerate them.
 //
 // Absolute numbers differ from the paper (the substrate is a simulator and
-// the data is scaled down); EXPERIMENTS.md records, per experiment, the shape
-// that is expected to hold and what was measured.
+// the data is scaled down); the experiments section of README.md records, per
+// experiment, the shape that is expected to hold and what was measured.
 package experiments
 
 import (
@@ -144,6 +144,9 @@ type Exp1Row struct {
 	SubQueries       int
 	TemplatesLearned int
 	AvgImprovement   float64
+	// Report is the run's full learning report: the funnel and phase times
+	// behind the row.
+	Report *learning.Report
 }
 
 // RunExp1 measures learning time per query and per sub-query as the
@@ -173,6 +176,7 @@ func RunExp1(cfg Config, thresholds []int) ([]Exp1Row, error) {
 			SubQueries:       report.SubQueriesAnalyzed,
 			TemplatesLearned: report.TemplatesAdded,
 			AvgImprovement:   report.AvgImprovement,
+			Report:           report,
 		})
 	}
 	return rows, nil
@@ -191,6 +195,10 @@ type Exp2Result struct {
 	// learning each workload.
 	TPCDSTemplates  int
 	ClientTemplates int
+	// TPCDSFunnel and ClientFunnel are the learning funnels of the two runs:
+	// when a workload learns nothing, the first stage at zero says why.
+	TPCDSFunnel  learning.Funnel
+	ClientFunnel learning.Funnel
 	// CrossWorkloadMatches counts client-workload queries improved by a
 	// rewrite learned on TPC-DS (the 6-out-of-23 result of Exp-2).
 	CrossWorkloadMatches int
@@ -212,9 +220,11 @@ func RunExp2(cfg Config) (*Exp2Result, error) {
 		Exec:     core.ExecOptions{Workers: cfg.ExecWorkers},
 	})
 	tpcdsQueries := cfg.tpcdsQueries()
-	if _, err := tpcdsSys.Learn(tpcdsQueries); err != nil {
+	tpcdsReport, err := tpcdsSys.Learn(tpcdsQueries)
+	if err != nil {
 		return nil, err
 	}
+	out.TPCDSFunnel = tpcdsReport.Funnel
 	out.TPCDSTemplates = tpcdsSys.KB().Size()
 	out.TPCDS, out.TPCDSSummary, err = tpcdsSys.ReoptimizeWorkload(tpcdsQueries)
 	if err != nil {
@@ -233,9 +243,11 @@ func RunExp2(cfg Config) (*Exp2Result, error) {
 		Exec:     core.ExecOptions{Workers: cfg.ExecWorkers},
 	})
 	clientQueries := cfg.clientQueries()
-	if _, err := clientSys.Learn(clientQueries); err != nil {
+	clientReport, err := clientSys.Learn(clientQueries)
+	if err != nil {
 		return nil, err
 	}
+	out.ClientFunnel = clientReport.Funnel
 	out.ClientTemplates = clientSys.KB().Size()
 	if err := clientSys.ImportKB(tpcdsSys.KB()); err != nil {
 		return nil, err

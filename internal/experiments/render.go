@@ -16,6 +16,11 @@ func RenderExp1(rows []Exp1Row) string {
 		fmt.Fprintf(&b, "%14d | %12.1f | %16.2f | %11d | %9d | %14.0f%%\n",
 			r.JoinThreshold, r.AvgMsPerQuery, r.AvgMsPerSubQuery, r.SubQueries, r.TemplatesLearned, r.AvgImprovement*100)
 	}
+	for _, r := range rows {
+		if r.Report != nil {
+			fmt.Fprintf(&b, "learning funnel, threshold %d: %s\n", r.JoinThreshold, r.Report.Funnel)
+		}
+	}
 	return b.String()
 }
 
@@ -24,12 +29,14 @@ func RenderExp2(res *Exp2Result) string {
 	var b strings.Builder
 	b.WriteString("Exp-2 / Figure 10a — TPC-DS workload, optimizer with GALO versus without\n")
 	b.WriteString(renderOutcomes(res.TPCDS))
-	fmt.Fprintf(&b, "summary: %d/%d queries matched (%d rewrites kept), avg improvement %.0f%%, templates learned %d\n\n",
+	fmt.Fprintf(&b, "summary: %d/%d queries matched (%d rewrites kept), avg improvement %.0f%%, templates learned %d\n",
 		res.TPCDSSummary.Matched, res.TPCDSSummary.Queries, res.TPCDSSummary.Applied, res.TPCDSSummary.AvgImprovement*100, res.TPCDSTemplates)
+	fmt.Fprintf(&b, "learning funnel: %s\n\n", res.TPCDSFunnel)
 	b.WriteString("Exp-2 / Figure 10b — client workload, optimizer with GALO versus without\n")
 	b.WriteString(renderOutcomes(res.Client))
 	fmt.Fprintf(&b, "summary: %d/%d queries matched (%d rewrites kept), avg improvement %.0f%%, templates learned %d\n",
 		res.ClientSummary.Matched, res.ClientSummary.Queries, res.ClientSummary.Applied, res.ClientSummary.AvgImprovement*100, res.ClientTemplates)
+	fmt.Fprintf(&b, "learning funnel: %s\n", res.ClientFunnel)
 	fmt.Fprintf(&b, "cross-workload reuse: %d client queries improved by a pattern learned on TPC-DS\n",
 		res.CrossWorkloadMatches)
 	return b.String()

@@ -14,12 +14,21 @@
 //
 // # Concurrency contract
 //
-// Offline learning fans out across Options.Workers goroutines; per-query
-// random seeds are derived from query text alone, so a workload learns the
-// same knowledge base at any worker count. Template publication goes
-// through kb.KB.Add, which routes each template to its owning shard and
-// publishes exactly one epoch there — concurrent matchers on other shards
-// are unaffected.
+// Offline learning runs in three phases over one unit of work, the execution
+// of one plan of one predicate variant. Plans are generated sequentially, in
+// workload, sub-query and variant order, so each query's value sampler and
+// random plan generator (seeded from the query text alone) consume their
+// streams in one fixed order. Every plan is then executed exactly once on one
+// pool of Options.Workers goroutines — the optimizer's plans first, then the
+// alternatives, each bounded by what its baseline leaves it — and that pool is
+// the only concurrency: the executor is stateless and every execution owns
+// its plan. Ranking and publication are sequential again, in workload order:
+// Options.Runs is the number of noise draws over a plan's stored execution,
+// observation groups become templates in sorted key order, and kb.KB.Add —
+// which routes each template to its owning shard and publishes exactly one
+// epoch there, leaving concurrent matchers on other shards unaffected — is
+// called by one goroutine. A workload therefore learns the same knowledge
+// base, byte for byte, at any worker count.
 //
 // Online.Observe never blocks the serving path: the analysis queue is
 // bounded (OnlineOptions.QueueSize, the first stage of the serving stack's

@@ -2,10 +2,13 @@ package learning
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"galo/internal/executor"
@@ -122,6 +125,59 @@ func (e *Engine) unclaim(keys []string) {
 	}
 }
 
+// Funnel counts what survived each stage of learning — per sub-query in
+// QueryReport.SubQueryFunnels, summed in QueryReport.Funnel and Report.Funnel —
+// so a run that learned nothing shows the stage where its candidates ran out.
+type Funnel struct {
+	// Variants is the predicate variants planned; PlansGenerated the plans
+	// generated for them (one optimizer plan per variant plus its random
+	// alternatives).
+	Variants       int
+	PlansGenerated int
+	// ExecutionsAsked is how many plan executions the measurements stand for
+	// (Runs per measured plan, confirmation rounds included);
+	// ExecutionsDistinct how many the executor actually ran (each plan once);
+	// ExecutionsAborted how many of those were stopped at their budget.
+	ExecutionsAsked    int
+	ExecutionsDistinct int
+	ExecutionsAborted  int
+	// BeatBaseline counts alternatives faster than their baseline by
+	// MinImprovement; StructuralWinners the variants whose chosen winner
+	// differs structurally from the optimizer's plan; ConfirmedWinners those
+	// that kept their win in the confirmation round.
+	BeatBaseline      int
+	StructuralWinners int
+	ConfirmedWinners  int
+	// TemplatesAdded / TemplatesMerged split the published templates into new
+	// ones and those merged into a template with the same problem signature.
+	TemplatesAdded  int
+	TemplatesMerged int
+}
+
+// Alternatives is the number of random alternative plans generated.
+func (f Funnel) Alternatives() int { return f.PlansGenerated - f.Variants }
+
+func (f *Funnel) add(g Funnel) {
+	f.Variants += g.Variants
+	f.PlansGenerated += g.PlansGenerated
+	f.ExecutionsAsked += g.ExecutionsAsked
+	f.ExecutionsDistinct += g.ExecutionsDistinct
+	f.ExecutionsAborted += g.ExecutionsAborted
+	f.BeatBaseline += g.BeatBaseline
+	f.StructuralWinners += g.StructuralWinners
+	f.ConfirmedWinners += g.ConfirmedWinners
+	f.TemplatesAdded += g.TemplatesAdded
+	f.TemplatesMerged += g.TemplatesMerged
+}
+
+// String renders the funnel on one line, widest stage first.
+func (f Funnel) String() string {
+	return fmt.Sprintf("variants %d, plans %d, executions asked %d / distinct %d / aborted at budget %d, "+
+		"beat baseline %d, structural winners %d, confirmed %d, templates added %d / merged %d",
+		f.Variants, f.PlansGenerated, f.ExecutionsAsked, f.ExecutionsDistinct, f.ExecutionsAborted,
+		f.BeatBaseline, f.StructuralWinners, f.ConfirmedWinners, f.TemplatesAdded, f.TemplatesMerged)
+}
+
 // QueryReport records the learning work done for one workload query.
 type QueryReport struct {
 	Query             string
@@ -130,12 +186,19 @@ type QueryReport struct {
 	TemplatesAdded    int
 	// BestImprovements holds the relative improvement of each rewrite found.
 	BestImprovements []float64
-	// WallMillis is the wall-clock analysis time; SimulatedWorkMillis is the
-	// total simulated execution time of all plans run (the dominant cost on a
-	// real system and the quantity compared against experts in Exp-5).
+	// WallMillis is the time spent on the query's sub-queries — planning,
+	// executing (summed over the pool's workers) and ranking — and
+	// SubQueryWallMillis the same per analyzed sub-query.
+	// SimulatedWorkMillis is the total simulated execution time of all plans
+	// measured (the dominant cost on a real system and the quantity compared
+	// against experts in Exp-5): Runs times a plan's elapsed time, or Runs
+	// times its budget when it was aborted there.
 	WallMillis          float64
 	SimulatedWorkMillis float64
 	SubQueryWallMillis  []float64
+	// Funnel sums SubQueryFunnels, which has one entry per sub-query.
+	Funnel          Funnel
+	SubQueryFunnels []Funnel
 }
 
 // Report summarizes learning over a workload.
@@ -147,7 +210,11 @@ type Report struct {
 	AvgImprovement      float64
 	WallMillis          float64
 	SimulatedWorkMillis float64
-	PerQuery            []QueryReport
+	// PlanMillis, ExecuteMillis and RankMillis split WallMillis over the
+	// three phases (decomposition and claiming count as planning).
+	PlanMillis, ExecuteMillis, RankMillis float64
+	Funnel                                Funnel
+	PerQuery                              []QueryReport
 }
 
 // AvgWallPerQuery returns the average wall-clock analysis time per query.
@@ -178,86 +245,25 @@ func (r *Report) AvgWallPerSubQuery() float64 {
 	return total / float64(count)
 }
 
-// LearnWorkload analyzes every query of the workload in parallel and
-// populates the knowledge base. Sub-queries with the same structure across
-// queries are analyzed once, claimed in workload order before the parallel
-// phase so the analyzed set — and with it the learned knowledge base — does
-// not depend on worker scheduling.
+// LearnWorkload analyzes every query of the workload and populates the
+// knowledge base. Sub-queries with the same structure across queries are
+// analyzed once, claimed in workload order; plans are generated and templates
+// published in workload order too, and only plan execution fans out — so the
+// learned knowledge base is the same bytes at any worker count.
 func (e *Engine) LearnWorkload(queries []*sqlparser.Query) (*Report, error) {
 	start := time.Now()
 	report := &Report{Workload: e.Opts.Workload}
-	var mu sync.Mutex
-
-	// Sequential claim phase: decomposition is cheap (parse/resolve only),
-	// so structures are claimed deterministically in workload order here and
-	// only the expensive plan analysis fans out to the workers. Claims are
-	// remembered across calls, so re-learning an overlapping workload skips
-	// everything already analyzed.
-	subsByQuery := make([][]*sqlparser.Query, len(queries))
-	var claimed []string
-	for i, q := range queries {
-		subs, err := e.decompose(q)
-		if err != nil {
-			e.unclaim(claimed)
-			return nil, fmt.Errorf("learning %s: %w", q.Name, err)
-		}
-		for _, sub := range subs {
-			if key := StructureKey(sub); e.claim(key) {
-				claimed = append(claimed, key)
-				subsByQuery[i] = append(subsByQuery[i], sub)
-			}
-		}
+	results, err := e.learn(queries, report)
+	if err != nil {
+		return nil, err
 	}
-
-	type job struct {
-		idx int
-		q   *sqlparser.Query
-	}
-	jobs := make(chan job)
-	results := make([]*QueryReport, len(queries))
-	var wg sync.WaitGroup
-	var firstErr error
-
-	for w := 0; w < e.Opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				qr, err := e.learnSubQueries(j.q, subsByQuery[j.idx])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("learning %s: %w", j.q.Name, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				results[j.idx] = qr
-			}
-		}()
-	}
-	for i, q := range queries {
-		jobs <- job{i, q}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		// Release this run's claims so a retry re-analyzes everything the
-		// failed run may have skipped (the KB merge de-duplicates whatever
-		// did complete).
-		e.unclaim(claimed)
-		return nil, firstErr
-	}
-
 	improvements := []float64{}
 	for _, qr := range results {
-		if qr == nil {
-			continue
-		}
 		report.QueriesAnalyzed++
 		report.SubQueriesAnalyzed += qr.SubQueries
 		report.TemplatesAdded += qr.TemplatesAdded
 		report.SimulatedWorkMillis += qr.SimulatedWorkMillis
+		report.Funnel.add(qr.Funnel)
 		improvements = append(improvements, qr.BestImprovements...)
 		report.PerQuery = append(report.PerQuery, *qr)
 	}
@@ -268,30 +274,17 @@ func (e *Engine) LearnWorkload(queries []*sqlparser.Query) (*Report, error) {
 		}
 		report.AvgImprovement = sum / float64(len(improvements))
 	}
-	report.WallMillis = float64(time.Since(start).Microseconds()) / 1000
+	report.WallMillis = millisSince(start)
 	return report, nil
 }
 
 // LearnQuery analyzes a single query.
 func (e *Engine) LearnQuery(q *sqlparser.Query) (*QueryReport, error) {
-	subs, err := e.decompose(q)
+	results, err := e.learn([]*sqlparser.Query{q}, &Report{})
 	if err != nil {
 		return nil, err
 	}
-	var kept []*sqlparser.Query
-	var claimed []string
-	for _, sub := range subs {
-		if key := StructureKey(sub); e.claim(key) {
-			claimed = append(claimed, key)
-			kept = append(kept, sub)
-		}
-	}
-	qr, err := e.learnSubQueries(q, kept)
-	if err != nil {
-		e.unclaim(claimed)
-		return nil, err
-	}
-	return qr, nil
+	return results[0], nil
 }
 
 // decompose resolves the query against the schema and splits it into
@@ -306,47 +299,222 @@ func (e *Engine) decompose(q *sqlparser.Query) ([]*sqlparser.Query, error) {
 	return SubQueries(work, e.Opts.JoinThreshold, e.Opts.MaxSubQueriesPerQuery), nil
 }
 
-func (e *Engine) learnSubQueries(q *sqlparser.Query, subs []*sqlparser.Query) (*QueryReport, error) {
-	start := time.Now()
-	qr := &QueryReport{Query: q.Name}
-	opt := optimizer.New(e.DB.Catalog, optimizer.DefaultOptions())
-	exec := executor.New(e.DB)
-	// The per-query seed is a function of the query text alone: which worker
-	// analyzes the query must never change what is learned.
-	seed := e.Opts.Seed + int64(querySeed(q.SQL()))
-	gen := storage.NewGenerator(seed)
-	planGen := randplan.New(opt, seed)
-	ranker := &Ranker{Exec: exec, Runs: e.Opts.Runs, Noise: e.Opts.NoiseScale}
-	if e.Opts.NoiseScale > 0 {
-		ranker.NoiseRNG = rand.New(rand.NewSource(seed))
-	}
+func millisSince(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1000 }
 
-	for _, sub := range subs {
-		subStart := time.Now()
-		qr.SubQueries++
-		candidates, work, err := e.analyzeSubQuery(sub, opt, planGen, ranker, gen)
-		qr.SimulatedWorkMillis += work
+// variantWork is one predicate variant of a sub-query: the optimizer's plan
+// for it and the random alternatives competing with that plan.
+type variantWork struct {
+	base execution
+	alts []execution
+}
+
+// subQueryWork is one claimed sub-query on its way through the three phases.
+type subQueryWork struct {
+	sub      *sqlparser.Query
+	variants []*variantWork
+	// err is a planning failure: the sub-query yields nothing, but what was
+	// planned before it is still measured (and draws its noise).
+	err        error
+	wallMillis float64
+	funnel     Funnel
+}
+
+// learn claims the sub-queries of each query and takes them through the three
+// phases of learning over one unit of work, the (variant, plan) execution:
+//
+//	plan    — sequentially, in workload → sub-query → variant order, so every
+//	          query's value sampler and random plan generator consume their
+//	          streams in one fixed order;
+//	execute — every plan exactly once, on one pool of Options.Workers, in two
+//	          waves: the optimizer's plans, then the alternatives, each bounded
+//	          by what its baseline leaves it (see budget);
+//	rank    — sequentially in workload order: noise draws over the stored
+//	          executions, ranking, confirmation, and publication.
+//
+// It returns one report per query and books the phase times on report. Claims
+// are remembered across calls, so re-learning an overlapping workload skips
+// everything already analyzed; a failed run releases its own, so a retry
+// re-analyzes what it may have skipped (the KB merge de-duplicates whatever
+// did complete).
+func (e *Engine) learn(queries []*sqlparser.Query, report *Report) (results []*QueryReport, err error) {
+	phase := time.Now()
+	var claimed []string
+	defer func() {
 		if err != nil {
-			// A sub-query that cannot be analyzed (e.g. unresolvable after
-			// projection) is skipped, not fatal: the paper's engine simply
-			// moves on to the next sub-query.
-			continue
+			e.unclaim(claimed)
 		}
+	}()
+	opt := optimizer.New(e.DB.Catalog, optimizer.DefaultOptions())
+	work := make([][]*subQueryWork, len(queries))
+	seeds := make([]int64, len(queries))
+	var baselines, alternatives []*execution
+	for i, q := range queries {
+		subs, err := e.decompose(q)
+		if err != nil {
+			return nil, fmt.Errorf("learning %s: %w", q.Name, err)
+		}
+		// The per-query seed is a function of the query text alone.
+		seeds[i] = e.Opts.Seed + int64(querySeed(q.SQL()))
+		gen := storage.NewGenerator(seeds[i])
+		planGen := randplan.New(opt, seeds[i])
+		for _, sub := range subs {
+			key := StructureKey(sub)
+			if !e.claim(key) {
+				continue
+			}
+			claimed = append(claimed, key)
+			sw := e.planSubQuery(sub, opt, planGen, gen)
+			work[i] = append(work[i], sw)
+			for _, v := range sw.variants {
+				baselines = append(baselines, &v.base)
+			}
+		}
+	}
+	report.PlanMillis = millisSince(phase)
+
+	phase = time.Now()
+	e.execute(baselines)
+	for _, sws := range work {
+		for _, sw := range sws {
+			for _, v := range sw.variants {
+				if v.base.Err != nil {
+					continue // the sub-query fails at this baseline
+				}
+				budget := e.budget(v.base.Stats.ElapsedMillis)
+				for a := range v.alts {
+					v.alts[a].Budget = budget
+					alternatives = append(alternatives, &v.alts[a])
+				}
+			}
+		}
+	}
+	e.execute(alternatives)
+	report.ExecuteMillis = millisSince(phase)
+
+	phase = time.Now()
+	results = make([]*QueryReport, len(queries))
+	for i, q := range queries {
+		results[i] = &QueryReport{Query: q.Name}
+		ranker := &Ranker{Runs: e.Opts.Runs, Noise: e.Opts.NoiseScale}
+		if e.Opts.NoiseScale > 0 {
+			ranker.NoiseRNG = rand.New(rand.NewSource(seeds[i]))
+		}
+		for _, sw := range work[i] {
+			if err := e.rankAndPublish(sw, ranker, results[i]); err != nil {
+				return nil, fmt.Errorf("learning %s: %w", q.Name, err)
+			}
+		}
+	}
+	report.RankMillis = millisSince(phase)
+	return results, nil
+}
+
+// planSubQuery is the plan phase of one sub-query: vary its predicates, and
+// for every variant take the optimizer's plan and request random alternatives.
+func (e *Engine) planSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
+	planGen *randplan.Generator, gen *storage.Generator) *subQueryWork {
+
+	start := time.Now()
+	sw := &subQueryWork{sub: sub}
+	for _, variant := range PredicateVariants(e.DB, sub, e.Opts.PredicateVariants, gen) {
+		basePlan, _, err := opt.Optimize(variant)
+		if err != nil {
+			sw.err = err
+			break
+		}
+		v := &variantWork{base: execution{Plan: basePlan, Query: variant}}
+		sw.variants = append(sw.variants, v)
+		sw.funnel.Variants++
+		alts, err := planGen.RandomPlans(variant, e.Opts.RandomPlans)
+		sw.funnel.PlansGenerated += 1 + len(alts)
+		if err != nil {
+			sw.err = err
+			break
+		}
+		for _, p := range alts {
+			v.alts = append(v.alts, execution{Plan: p, Query: variant})
+		}
+	}
+	sw.wallMillis = millisSince(start)
+	return sw
+}
+
+// budget is the simulated time an alternative may book before it can no
+// longer enter the knowledge base: it would have to beat its baseline's
+// measured mean by MinImprovement, and that mean is at most the baseline's
+// elapsed time times the noise ceiling (exactly the elapsed time with the
+// noise model off). Widening by the ranker's tie band puts every aborted plan
+// behind every qualifying one on elapsed time alone, so its partial counters
+// never reach a tie-break. Noise only multiplies by >= 1, so a plan over its
+// budget stays over it in every draw. A result <= 0 means no bound.
+func (e *Engine) budget(baselineMillis float64) float64 {
+	return baselineMillis * noiseCeiling(e.Opts.NoiseScale) * (1 - e.Opts.MinImprovement) / (1 - tieBand)
+}
+
+// execute runs every execution once, on one pool of Options.Workers. The
+// executor is stateless, so one serves all workers; every execution owns its
+// plan, whose actuals the run annotates.
+func (e *Engine) execute(units []*execution) {
+	exec := executor.New(e.DB)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(e.Opts.Workers, len(units)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; int(i) < len(units); i = next.Add(1) - 1 {
+				x := units[i]
+				start := time.Now()
+				x.Stats, x.Err = exec.RunBounded(x.Plan, x.Query, x.Budget)
+				x.wallMillis = millisSince(start)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// rankAndPublish is the third phase of one sub-query: rank its stored
+// executions into candidate templates, publish them, and book the work on
+// the query's report.
+func (e *Engine) rankAndPublish(sw *subQueryWork, ranker *Ranker, qr *QueryReport) error {
+	start := time.Now()
+	f := &sw.funnel
+	qr.SubQueries++
+	candidates, work, err := e.rankSubQuery(sw, ranker)
+	qr.SimulatedWorkMillis += work
+	// A sub-query that cannot be analyzed (e.g. unresolvable after
+	// projection) is skipped, not fatal: the paper's engine simply moves on
+	// to the next sub-query.
+	if err == nil {
 		for _, cand := range candidates {
 			qr.CandidateRewrites++
 			added, err := e.KB.Add(cand.template)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if added {
-				qr.TemplatesAdded++
+				f.TemplatesAdded++
+			} else {
+				f.TemplatesMerged++
 			}
 			qr.BestImprovements = append(qr.BestImprovements, cand.improvement)
 		}
-		qr.SubQueryWallMillis = append(qr.SubQueryWallMillis, float64(time.Since(subStart).Microseconds())/1000)
+		qr.TemplatesAdded += f.TemplatesAdded
 	}
-	qr.WallMillis = float64(time.Since(start).Microseconds()) / 1000
-	return qr, nil
+	wall := sw.wallMillis + millisSince(start)
+	for _, v := range sw.variants {
+		wall += v.base.wallMillis
+		for a := range v.alts {
+			wall += v.alts[a].wallMillis
+		}
+	}
+	if err == nil {
+		qr.SubQueryWallMillis = append(qr.SubQueryWallMillis, wall)
+	}
+	qr.WallMillis += wall
+	qr.Funnel.add(*f)
+	qr.SubQueryFunnels = append(qr.SubQueryFunnels, *f)
+	return nil
 }
 
 // querySeed hashes a query's text into a stable seed component (FNV-1a).
@@ -365,13 +533,13 @@ type candidate struct {
 	improvement float64
 }
 
-// analyzeSubQuery runs the Figure-3 / Section-3.2 loop for one sub-query:
-// vary predicates, generate random plans, rank against the optimizer's plan,
-// and abstract winning rewrites into templates.
-func (e *Engine) analyzeSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
-	planGen *randplan.Generator, ranker *Ranker, gen *storage.Generator) ([]candidate, float64, error) {
-
-	variants := PredicateVariants(e.DB, sub, e.Opts.PredicateVariants, gen)
+// rankSubQuery runs the Figure-3 / Section-3.2 loop for one sub-query over
+// its stored executions: measure every variant's plans (Runs noise draws
+// each), rank the alternatives against the optimizer's plan, and abstract
+// winning rewrites into templates. It returns the simulated work measured
+// even when the sub-query fails.
+func (e *Engine) rankSubQuery(sw *subQueryWork, ranker *Ranker) ([]candidate, float64, error) {
+	f := &sw.funnel
 	type observation struct {
 		problem     *qgm.Node
 		solution    *qgm.Plan
@@ -379,32 +547,35 @@ func (e *Engine) analyzeSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
 	}
 	groups := map[string][]observation{}
 	totalWork := 0.0
+	measure := func(x *execution) Measurement {
+		m := ranker.draw(x)
+		totalWork += m.SimulatedWorkMillis
+		f.ExecutionsAsked += max(len(m.Runs), 1)
+		return m
+	}
 
-	for _, variant := range variants {
-		basePlan, _, err := opt.Optimize(variant)
-		if err != nil {
-			return nil, totalWork, err
-		}
-		baseline := ranker.Measure(basePlan, variant)
-		totalWork += baseline.SimulatedWorkMillis
+	for _, v := range sw.variants {
+		baseline := measure(&v.base)
+		f.ExecutionsDistinct++
 		if baseline.Err != nil {
 			return nil, totalWork, baseline.Err
 		}
-		alts, err := planGen.RandomPlans(variant, e.Opts.RandomPlans)
-		if err != nil {
-			return nil, totalWork, err
-		}
-		if len(alts) == 0 {
+		if len(v.alts) == 0 {
 			continue
 		}
-		ranked := ranker.Rank(alts, variant)
-		for _, m := range ranked {
-			totalWork += m.SimulatedWorkMillis
+		ranked := make([]Measurement, len(v.alts))
+		for a := range v.alts {
+			ranked[a] = measure(&v.alts[a])
+			f.ExecutionsDistinct++
+			if ranked[a].Aborted {
+				f.ExecutionsAborted++
+			}
 		}
+		sortMeasurements(ranked)
 		if baseline.MeanMillis <= 0 {
 			continue
 		}
-		problemFrag := problemFragment(basePlan)
+		problemFrag := problemFragment(v.base.Plan)
 		if problemFrag == nil || problemFrag.CountJoins() == 0 {
 			continue
 		}
@@ -418,9 +589,10 @@ func (e *Engine) analyzeSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
 		// fragment even though its guideline recommends no structural
 		// change).
 		var best *Measurement
+		structural := false
 		for i := range ranked {
 			m := &ranked[i]
-			if m.Err != nil || m.MeanMillis <= 0 {
+			if m.Err != nil || m.Aborted || m.MeanMillis <= 0 {
 				continue
 			}
 			imp := (baseline.MeanMillis - m.MeanMillis) / baseline.MeanMillis
@@ -430,50 +602,55 @@ func (e *Engine) analyzeSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
 				// keep scanning rather than stopping at the first miss.
 				continue
 			}
+			f.BeatBaseline++
 			frag := problemFragment(m.Plan)
 			if frag == nil {
 				continue
 			}
-			if frag.Signature() != problemFrag.Signature() {
-				best = m
-				break
-			}
-			if best == nil {
-				best = m
+			differs := frag.Signature() != problemFrag.Signature()
+			if best == nil || (differs && !structural) {
+				best, structural = m, differs
 			}
 		}
 		if best == nil {
 			continue
 		}
 		improvement := (baseline.MeanMillis - best.MeanMillis) / baseline.MeanMillis
-		solutionFrag := problemFragment(best.Plan)
 		// A structural rewrite will actually change plans during online
 		// re-optimization, so a false positive regresses real queries; it
-		// must confirm its win in an independent second measurement round.
+		// must confirm its win in an independent second measurement round:
+		// fresh noise draws over the stored executions of both plans.
 		// (Non-structural templates recommend no change — a false positive
 		// merely routinizes a fragment — so they are recorded as observed.)
-		if solutionFrag.Signature() != problemFrag.Signature() {
-			base2 := ranker.Measure(basePlan, variant)
-			win2 := ranker.Measure(best.Plan, variant)
-			totalWork += base2.SimulatedWorkMillis + win2.SimulatedWorkMillis
-			if base2.Err != nil || win2.Err != nil || base2.MeanMillis <= 0 || win2.MeanMillis <= 0 {
+		if structural {
+			f.StructuralWinners++
+			base2, win2 := measure(&v.base), measure(best.of)
+			if base2.MeanMillis <= 0 || win2.MeanMillis <= 0 {
 				continue
 			}
 			confirm := (base2.MeanMillis - win2.MeanMillis) / base2.MeanMillis
 			if confirm < e.Opts.MinImprovement {
 				continue
 			}
+			f.ConfirmedWinners++
 			if confirm < improvement {
 				improvement = confirm
 			}
 		}
-		key := problemFrag.Signature() + "=>" + solutionFrag.Signature()
+		key := problemFrag.Signature() + "=>" + problemFragment(best.Plan).Signature()
 		groups[key] = append(groups[key], observation{problem: problemFrag, solution: best.Plan, improvement: improvement})
 	}
+	if sw.err != nil {
+		return nil, totalWork, sw.err
+	}
 
+	// Groups become templates in sorted key order: two groups can share a
+	// problem signature, and which of them kb.Add sees first decides the
+	// merged template.
 	var out []candidate
-	for _, obs := range groups {
-		tmpl, err := e.buildTemplate(sub, obs[0].problem, obs[0].solution)
+	for _, key := range slices.Sorted(maps.Keys(groups)) {
+		obs := groups[key]
+		tmpl, err := e.buildTemplate(sw.sub, obs[0].problem, obs[0].solution)
 		if err != nil {
 			continue
 		}
@@ -484,15 +661,13 @@ func (e *Engine) analyzeSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
 		// problem/solution pair, then widen by the slack factor.
 		bounds := map[int]kb.Range{}
 		for _, o := range obs {
-			ids := map[int]float64{}
-			o.problem.Walk(func(n *qgm.Node) { ids[n.ID] = n.EstCardinality })
-			for id, card := range ids {
-				if r, ok := bounds[id]; ok {
-					bounds[id] = r.Widen(card)
+			o.problem.Walk(func(n *qgm.Node) {
+				if r, ok := bounds[n.ID]; ok {
+					bounds[n.ID] = r.Widen(n.EstCardinality)
 				} else {
-					bounds[id] = kb.Range{Lo: card, Hi: card}
+					bounds[n.ID] = kb.Range{Lo: n.EstCardinality, Hi: n.EstCardinality}
 				}
-			}
+			})
 		}
 		for id, r := range bounds {
 			bounds[id] = kb.Range{Lo: r.Lo / e.Opts.BoundsSlack, Hi: r.Hi * e.Opts.BoundsSlack}

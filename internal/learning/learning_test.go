@@ -310,37 +310,37 @@ func TestFig8WideMisestimationDrivesLearning(t *testing.T) {
 	}
 }
 
-// TestLearnWorkloadDeterministicAcrossWorkerCounts pins the satellite
-// requirement that learning outcomes do not depend on goroutine scheduling:
-// the same workload learns byte-identical knowledge bases at 1 and 8 workers.
+// TestLearnWorkloadDeterministicAcrossWorkerCounts pins that learning
+// outcomes do not depend on goroutine scheduling: the same workload learns the
+// same knowledge base — the same N-Triples bytes, sequence-salted template
+// IDs and term order included — at 1, 2 and 8 workers and on two consecutive
+// runs, with the noise model off and on. (Plans are generated and templates
+// published sequentially in workload order, and observation groups become
+// templates in sorted key order; only plan execution fans out.)
 func TestLearnWorkloadDeterministicAcrossWorkerCounts(t *testing.T) {
 	db := learnDB(t)
-	learn := func(workers int) *kb.KB {
+	learn := func(workers int, noise float64) string {
 		knowledge := kb.New()
 		opts := fastOptions()
 		opts.Workers = workers
+		opts.NoiseScale = noise
 		eng := New(db, knowledge, opts)
 		queries := []*sqlparser.Query{tpcds.Fig3Query(), tpcds.Fig8WideQuery(db), tpcds.Fig7Query()}
 		if _, err := eng.LearnWorkload(queries); err != nil {
 			t.Fatal(err)
 		}
-		return knowledge
-	}
-	a, b := learn(1), learn(8)
-	if a.Size() != b.Size() {
-		t.Fatalf("KB size depends on worker count: %d vs %d", a.Size(), b.Size())
-	}
-	key := func(k *kb.KB) map[string]bool {
-		set := map[string]bool{}
-		for _, tmpl := range k.Templates() {
-			set[tmpl.Problem.ShapeSignature()+"|"+tmpl.GuidelineXML] = true
+		if knowledge.Size() == 0 {
+			t.Fatalf("nothing learned at %d workers, noise %v", workers, noise)
 		}
-		return set
+		return knowledge.NTriples()
 	}
-	ka, kbs := key(a), key(b)
-	for sig := range ka {
-		if !kbs[sig] {
-			t.Errorf("template learned at 1 worker missing at 8 workers: %s", sig)
+	for _, noise := range []float64{0, 1} {
+		want := learn(1, noise)
+		for _, workers := range []int{1, 2, 8} {
+			if got := learn(workers, noise); got != want {
+				t.Errorf("noise %v: knowledge base at %d workers differs from the first run at 1 worker (%d vs %d bytes)",
+					noise, workers, len(got), len(want))
+			}
 		}
 	}
 }
@@ -375,5 +375,72 @@ func TestLearnWorkloadParallelAndDeduplicates(t *testing.T) {
 	}
 	if knowledge.Size() != sizeBefore {
 		t.Errorf("re-learning the same workload grew the KB from %d to %d", sizeBefore, knowledge.Size())
+	}
+}
+
+// TestAbortedMeasurementIsBilledItsBudget pins what a measurement of an
+// aborted execution is: billed exactly budget × Runs (a completed one elapsed ×
+// Runs), drawing the same noise a completed one would — so budgets never move
+// the noise stream — and ranked behind every plan that finished.
+func TestAbortedMeasurementIsBilledItsBudget(t *testing.T) {
+	done := &execution{Stats: executor.RunStats{ElapsedMillis: 40}}
+	cut := &execution{Budget: 10, Stats: executor.RunStats{ElapsedMillis: 12, Aborted: true}}
+	quiet := &Ranker{Runs: 3}
+	if m := quiet.draw(done); m.SimulatedWorkMillis != 120 || m.MeanMillis != 40 || m.Aborted {
+		t.Errorf("completed measurement = %+v", m)
+	}
+	m := quiet.draw(cut)
+	if m.SimulatedWorkMillis != 30 || !m.Aborted || len(m.Runs) != 3 {
+		t.Errorf("aborted measurement = %+v, want 30 ms billed over 3 runs", m)
+	}
+	ranked := []Measurement{m, quiet.draw(done)}
+	if sortMeasurements(ranked); ranked[0].Aborted {
+		t.Errorf("an aborted plan (booked 12 ms) ranked before a completed one (40 ms)")
+	}
+	a := &Ranker{Runs: 3, Noise: 1, NoiseRNG: rand.New(rand.NewSource(7))}
+	b := &Ranker{Runs: 3, Noise: 1, NoiseRNG: rand.New(rand.NewSource(7))}
+	a.draw(done)
+	b.draw(cut)
+	if x, y := a.NoiseRNG.Int63(), b.NoiseRNG.Int63(); x != y {
+		t.Errorf("an aborted measurement left the noise stream elsewhere than a completed one")
+	}
+}
+
+// TestFunnelAddsUp checks the funnel counters against each other and against
+// the report's own totals on a workload that learns templates.
+func TestFunnelAddsUp(t *testing.T) {
+	db := learnDB(t)
+	opts := fastOptions()
+	report, err := New(db, kb.New(), opts).LearnWorkload([]*sqlparser.Query{tpcds.Fig3Query(), tpcds.Fig8WideQuery(db), tpcds.Fig7Query()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum Funnel
+	subs := 0
+	for _, qr := range report.PerQuery {
+		for _, f := range qr.SubQueryFunnels {
+			sum.add(f)
+			subs++
+		}
+	}
+	f := report.Funnel
+	if sum != f || subs != report.SubQueriesAnalyzed {
+		t.Errorf("per-sub-query funnels sum to %+v over %d sub-queries, report says %+v over %d", sum, subs, f, report.SubQueriesAnalyzed)
+	}
+	if f.TemplatesAdded != report.TemplatesAdded || f.TemplatesAdded == 0 {
+		t.Errorf("funnel templates added %d, report %d", f.TemplatesAdded, report.TemplatesAdded)
+	}
+	if f.ExecutionsDistinct != f.PlansGenerated || f.ExecutionsAsked < opts.Runs*f.PlansGenerated {
+		t.Errorf("every plan runs once and is measured Runs times: %s", f)
+	}
+	if f.ExecutionsAborted == 0 || f.ExecutionsAborted > f.Alternatives() {
+		t.Errorf("aborted %d of %d alternatives", f.ExecutionsAborted, f.Alternatives())
+	}
+	if f.ConfirmedWinners > f.StructuralWinners || f.StructuralWinners > f.BeatBaseline || f.BeatBaseline > f.Alternatives() {
+		t.Errorf("the funnel widens downstream: %s", f)
+	}
+	if report.PlanMillis <= 0 || report.ExecuteMillis <= 0 || report.RankMillis <= 0 ||
+		report.PlanMillis+report.ExecuteMillis+report.RankMillis > report.WallMillis {
+		t.Errorf("phase times %v + %v + %v ms of %v ms", report.PlanMillis, report.ExecuteMillis, report.RankMillis, report.WallMillis)
 	}
 }

@@ -1,6 +1,7 @@
 package learning
 
 import (
+	"math"
 	"math/rand"
 
 	"galo/internal/executor"
@@ -26,12 +27,38 @@ type Measurement struct {
 	// SimulatedWorkMillis is the total simulated execution time spent
 	// obtaining this measurement (all runs), used for the Exp-5 cost study.
 	SimulatedWorkMillis float64
+	// Aborted records that the plan was stopped at its budget (see
+	// execution.Budget): it costs more than the budget and is ranked after
+	// every plan that finished. Its counters are partial and never compared.
+	Aborted bool
 	// Err records an execution failure (the plan is then unrankable).
 	Err error
+
+	of *execution // what was measured, for the confirmation round's re-draw
 }
 
-// Ranker executes candidate plans repeatedly, removes anomalous runs with
-// k-means clustering and ranks plans by mean elapsed time, breaking ties with
+// execution is one plan's one run: the executor is a pure function of (plan,
+// query, database), so a plan is executed once and every repetition of its
+// measurement re-draws only the noise.
+type execution struct {
+	Plan  *qgm.Plan
+	Query *sqlparser.Query
+	// Budget is the simulated time the run was bounded to (0 = unbounded): a
+	// plan booking more is aborted and billed Budget per repetition — what
+	// db2batch under that timeout would have spent.
+	Budget float64
+	Stats  executor.RunStats
+	Err    error
+
+	wallMillis float64 // the wall time of the run
+}
+
+// tieBand is the relative elapsed-time difference below which Rank breaks a
+// tie on resource usage instead.
+const tieBand = 0.02
+
+// Ranker measures candidate plans, removes anomalous runs with k-means
+// clustering and ranks plans by mean elapsed time, breaking ties with
 // resource-usage features — the paper's ranking module, with db2batch
 // replaced by the executor's simulated runtime.
 //
@@ -43,7 +70,8 @@ type Measurement struct {
 // learned patterns.
 type Ranker struct {
 	Exec *executor.Executor
-	// Runs is the number of repetitions per plan.
+	// Runs is the number of repetitions per plan: noise draws over the plan's
+	// one execution.
 	Runs int
 	// Noise scales the optional measurement jitter; 0 (the default) keeps
 	// measurements deterministic, 1.0 reproduces a noisy shared host.
@@ -53,21 +81,38 @@ type Ranker struct {
 	NoiseRNG *rand.Rand
 }
 
+// noiseCeiling is the largest factor one noise draw can multiply an elapsed
+// time by (the smallest is 1: noise only ever slows a run down).
+func noiseCeiling(noise float64) float64 {
+	if noise <= 0 {
+		return 1
+	}
+	return (1 + 0.04*noise) * (1 + 2.5*noise)
+}
+
 // Measure runs one plan and returns its measurement.
 func (r *Ranker) Measure(plan *qgm.Plan, q *sqlparser.Query) Measurement {
-	runs := r.Runs
-	if runs < 1 {
-		runs = 1
+	x := execution{Plan: plan, Query: q}
+	x.Stats, x.Err = r.Exec.Run(plan, q)
+	return r.draw(&x)
+}
+
+// draw turns a stored execution into a measurement: Runs noise draws over its
+// elapsed time. An aborted execution draws too (its repetitions would have
+// run, up to the timeout), so the noise stream does not depend on budgets.
+func (r *Ranker) draw(x *execution) Measurement {
+	m := Measurement{Plan: x.Plan, Aborted: x.Stats.Aborted, Err: x.Err, of: x}
+	if x.Err != nil {
+		return m
 	}
-	m := Measurement{Plan: plan}
+	runs := max(r.Runs, 1)
+	billed := x.Stats.ElapsedMillis
+	if m.Aborted {
+		billed = x.Budget
+	}
+	m.SimulatedWorkMillis = billed * float64(runs)
 	for i := 0; i < runs; i++ {
-		stats, err := r.Exec.Run(plan, q)
-		if err != nil {
-			m.Err = err
-			return m
-		}
-		elapsed := stats.ElapsedMillis
-		m.SimulatedWorkMillis += elapsed
+		elapsed := x.Stats.ElapsedMillis
 		if r.NoiseRNG != nil && r.Noise > 0 {
 			noise := 1 + r.NoiseRNG.Float64()*0.04*r.Noise
 			if r.NoiseRNG.Float64() < 0.12 {
@@ -76,13 +121,11 @@ func (r *Ranker) Measure(plan *qgm.Plan, q *sqlparser.Query) Measurement {
 			elapsed *= noise
 		}
 		m.Runs = append(m.Runs, elapsed)
-		if i == 0 {
-			m.PhysicalReads = stats.PhysicalReads
-			m.LogicalReads = stats.LogicalReads
-			m.CPURows = stats.CPURows
-			m.SortHeapPages = stats.SortHeapPages
-		}
 	}
+	m.PhysicalReads = x.Stats.PhysicalReads
+	m.LogicalReads = x.Stats.LogicalReads
+	m.CPURows = x.Stats.CPURows
+	m.SortHeapPages = x.Stats.SortHeapPages
 	m.Prospective = kmeans.Prospective(m.Runs)
 	m.MeanMillis = kmeans.Mean(m.Prospective)
 	return m
@@ -101,15 +144,13 @@ func (r *Ranker) Rank(plans []*qgm.Plan, q *sqlparser.Query) []Measurement {
 }
 
 func sortMeasurements(ms []Measurement) {
-	less := func(a, b Measurement) bool {
-		if a.Err != nil || b.Err != nil {
-			return a.Err == nil
+	unranked := func(m *Measurement) bool { return m.Err != nil || m.Aborted }
+	less := func(a, b *Measurement) bool {
+		if unranked(a) || unranked(b) {
+			return !unranked(a)
 		}
-		hi := a.MeanMillis
-		if b.MeanMillis > hi {
-			hi = b.MeanMillis
-		}
-		if hi > 0 && absF(a.MeanMillis-b.MeanMillis)/hi > 0.02 {
+		hi := max(a.MeanMillis, b.MeanMillis)
+		if hi > 0 && math.Abs(a.MeanMillis-b.MeanMillis)/hi > tieBand {
 			return a.MeanMillis < b.MeanMillis
 		}
 		if a.PhysicalReads != b.PhysicalReads {
@@ -125,15 +166,8 @@ func sortMeasurements(ms []Measurement) {
 	}
 	// Insertion sort keeps this dependency-free and stable for small slices.
 	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && less(ms[j], ms[j-1]); j-- {
+		for j := i; j > 0 && less(&ms[j], &ms[j-1]); j-- {
 			ms[j], ms[j-1] = ms[j-1], ms[j]
 		}
 	}
-}
-
-func absF(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }

@@ -73,9 +73,8 @@ func formatCard(card float64) string {
 }
 
 // DiffPlans renders a compact textual diff of the operator structure of two
-// plans, used by the learning engine's reports and by EXPERIMENTS.md
-// generation. It lists the signature of each plan and the operators that
-// changed type or position.
+// plans: the signature of each plan and the operators that changed type or
+// position.
 func DiffPlans(before, after *Plan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "before: %s\n", before.Signature())

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"galo/internal/catalog"
 )
@@ -104,7 +104,7 @@ func BuildEquiDepthHistogram(values []catalog.Value, buckets int) *catalog.Histo
 		buckets = DefaultAnalyzeBuckets
 	}
 	sorted := append([]catalog.Value(nil), values...)
-	sort.SliceStable(sorted, func(i, j int) bool { return catalog.Compare(sorted[i], sorted[j]) < 0 })
+	slices.SortStableFunc(sorted, catalog.Compare)
 
 	h := &catalog.Histogram{Min: sorted[0], Rows: int64(len(sorted))}
 	depth := (len(sorted) + buckets - 1) / buckets

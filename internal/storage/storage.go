@@ -9,6 +9,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -280,9 +281,7 @@ func buildIndex(t *Table, def *catalog.Index) *IndexData {
 		}
 		idx.Entries = append(idx.Entries, IndexEntry{Key: key, RowID: rid})
 	}
-	sort.SliceStable(idx.Entries, func(i, j int) bool {
-		return compareKeys(idx.Entries[i].Key, idx.Entries[j].Key) < 0
-	})
+	slices.SortStableFunc(idx.Entries, func(a, b IndexEntry) int { return compareKeys(a.Key, b.Key) })
 	return idx
 }
 
