@@ -100,6 +100,19 @@ var planningBeforePR18 = map[string]planningRow{
 	"j8": {56818166, 8634152, 76702, 1129188},
 }
 
+// planningBeforePR23 is the same measurement on the parent of PR 23 (commit
+// f8e29e6, a clean checkout, the same machine and minute as the committed
+// "after"): a fresh slab, DP table and path list per Optimize, chunks sized by
+// the query, the front half run by every call.
+var planningBeforePR23 = map[string]planningRow{
+	"j1": {12828, 8625, 78, 24},
+	"j2": {26305, 18426, 116, 246},
+	"j3": {51736, 34981, 139, 1272},
+	"j4": {142519, 68515, 182, 5958},
+	"j5": {477995, 130160, 211, 19236},
+	"j8": {17571380, 1391436, 346, 1129188},
+}
+
 func measurePlanning(t *testing.T, opt *optimizer.Optimizer) map[string]planningRow {
 	t.Helper()
 	all := tpcds.Queries()
@@ -155,8 +168,10 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 	// Every planner PR so far changed the data layout, not the search: a row
 	// whose plans_considered moved is not a faster planner but a different one.
 	for name, row := range planning {
-		if was, pr18 := planningBefore[name].PlansConsidered, planningBeforePR18[name].PlansConsidered; row.PlansConsidered != was || row.PlansConsidered != pr18 {
-			t.Fatalf("%s: %d plans considered; %d before the planning context, %d before PR 18", name, row.PlansConsidered, was, pr18)
+		for _, before := range []map[string]planningRow{planningBefore, planningBeforePR18, planningBeforePR23} {
+			if was := before[name].PlansConsidered; row.PlansConsidered != was {
+				t.Fatalf("%s: %d plans considered, %d on an earlier planner", name, row.PlansConsidered, was)
+			}
 		}
 	}
 
@@ -189,10 +204,11 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 		"without_histograms": row(withoutHist),
 		"planning": map[string]any{
 			"benchmark":   "one Optimizer.Optimize call per join count (tpcds.Queries() entries 5, 9, 35, 41, 56 and 91; j8 is the widest query under JoinEnumDPLimit)",
-			"note":        "before = the map-set enumerator of PR 11 (commit aefdf06); before_pr18 = the planning context allocating a qgm.Node and a planCand per admitted candidate (commit e85df13, clean checkout, same machine); after = candidates as slab values, nodes built once for the winner. plans_considered must not move (the emitter fails if it does): each step changed the data layout, not the search",
+			"note":        "before = the map-set enumerator of PR 11 (commit aefdf06); before_pr18 = the planning context allocating a qgm.Node and a planCand per admitted candidate (commit e85df13, clean checkout, same machine); before_pr23 = candidates as slab values in a fresh slab per call, nodes built once for the winner (commit f8e29e6, clean checkout, same machine); after = slab, DP table and access paths from a recycled arena, a finished subset's displaced candidates cut from the slab, the front half (Prepare) copying each predicate once. plans_considered must not move (the emitter fails if it does): each step changed the data layout, not the search",
 			"env":         benchEnv(),
 			"before":      planningBefore,
 			"before_pr18": planningBeforePR18,
+			"before_pr23": planningBeforePR23,
 			"after":       planning,
 		},
 	}

@@ -8,7 +8,9 @@ import (
 	"galo/internal/fuseki"
 	"galo/internal/kb"
 	"galo/internal/qgm"
+	"galo/internal/sqlparser"
 	"galo/internal/transform"
+	"galo/internal/workload/tpcds"
 )
 
 // threeJoinPlan is a left-deep 3-join plan — three fragments to probe — whose
@@ -77,5 +79,57 @@ func TestProbeAllocCeiling(t *testing.T) {
 		if c.allocs > c.ceiling {
 			t.Errorf("%s: %.0f allocations, ceiling is %.0f", c.name, c.allocs, c.ceiling)
 		}
+	}
+}
+
+// raceDetector is set by racedetector_test.go.
+var raceDetector bool
+
+// TestReoptimizeAllocCeiling pins the bytes one warm Reoptimize allocates,
+// averaged over a pool of one- to four-join workload queries plus the two
+// queries the fixture's templates came from, which match and so are planned a
+// second time under guidelines. TotalAlloc is exact; the lowest of a few
+// windows drops what other goroutines allocated meanwhile. Before the query was
+// prepared once for both searches and planning scratch was recycled, the same
+// pool took 46 956 bytes per Reoptimize; the ceiling is 1.3x today's 16 032.
+func TestReoptimizeAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops planning arenas at random under the race detector")
+	}
+	db, knowledge := fixture(t)
+	eng := newEngine(db, knowledge)
+	all := tpcds.Queries()
+	pool := []*sqlparser.Query{all[4], all[8], all[34], all[40], tpcds.Fig8WideQuery(db), tpcds.Fig7Query()}
+	rewritten := 0
+	pass := func() {
+		rewritten = 0
+		for _, q := range pool {
+			res, err := eng.Reoptimize(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			if res.ReoptimizedPlan != nil {
+				rewritten++
+			}
+		}
+	}
+	pass() // fills the probe cache
+	if rewritten == 0 {
+		t.Fatal("no query of the pool matched a template: the second search is not measured")
+	}
+	const windows, passes, ceiling = 4, 4, 20_800
+	bytes := ^uint64(0)
+	for w := 0; w < windows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			pass()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(passes*len(pool)))
+	}
+	t.Logf("%d bytes per Reoptimize (%d of %d queries planned twice; ceiling %d)", bytes, rewritten, len(pool), ceiling)
+	if bytes > ceiling {
+		t.Errorf("%d bytes per Reoptimize, ceiling is %d", bytes, ceiling)
 	}
 }

@@ -571,11 +571,16 @@ func (r *Result) Rewritten() bool {
 // Reoptimize runs the full online workflow for one query: plan it, match the
 // plan against the knowledge base, and — when rewrites match — pass the query
 // with the collected guideline document through the optimizer again. The
+// query is prepared once: the guidelines only change the second search. The
 // original plan is always returned; the re-optimized plan is nil when nothing
 // matched.
 func (e *Engine) Reoptimize(q *sqlparser.Query) (*Result, error) {
 	opt := optimizer.New(e.Cat, e.Opts.OptimizerOptions)
-	original, _, err := opt.Optimize(q)
+	prepared, err := opt.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	original, _, err := opt.OptimizePrepared(prepared)
 	if err != nil {
 		return nil, err
 	}
@@ -599,7 +604,7 @@ func (e *Engine) Reoptimize(q *sqlparser.Query) (*Result, error) {
 	reoptOptions := e.Opts.OptimizerOptions
 	reoptOptions.Guidelines = res.Guidelines
 	reopt := optimizer.New(e.Cat, reoptOptions)
-	replanned, report, err := reopt.Optimize(q)
+	replanned, report, err := reopt.OptimizePrepared(prepared)
 	if err != nil {
 		return nil, err
 	}

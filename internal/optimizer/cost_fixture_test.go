@@ -23,7 +23,6 @@ import (
 	"testing"
 
 	"galo/internal/catalog"
-	"galo/internal/qgm"
 )
 
 var updateCostFixture = flag.Bool("update-cost-fixture", false, "regenerate testdata/cost_fixture.json from the current cost model")
@@ -141,9 +140,9 @@ func evalCostFormula(m *catalog.CostModel, name string, a []float64) float64 {
 	case "msjoin":
 		return m.MergeJoin(a[0], a[1], a[2])
 	case "nlprobe":
-		inner := accessPath{op: qgm.OpTBSCAN, indexCluster: a[1]}
+		inner := accessPath{index: -1, indexCluster: a[1]}
 		if a[0] != 0 {
-			inner.op = qgm.OpFETCH
+			inner.index, inner.fetch = 0, true
 		}
 		// buildJoinCand reads the probe's arguments off the inner's access path.
 		millis, _ := m.NLProbe(inner.usesIndex(), inner.clusterRatio(), a[2], a[3], a[4])

@@ -4,25 +4,38 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"galo/internal/catalog"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 )
 
-// accessPath is one way to read a quantifier's base table.
+// accessPath is one way to read a quantifier's base table. Like a candidate
+// it holds no pointers: the index is named by position and the order the
+// access produces by its interesting-order id.
 type accessPath struct {
-	op           qgm.OpType
-	indexName    string
+	cost, card   float64
 	indexCluster float64
-	cost         float64
-	card         float64
-	sortedOn     string // "Qi.COL" when the access produces that order
+	index        int32 // position in the quantifier's Table.Indexes; -1 for a table scan
+	ord          int32 // interesting-order id of the order the access produces; 0 for none
+	fetch        bool  // the index does not cover the query: FETCH, not IXSCAN
 }
 
-func (a accessPath) usesIndex() bool { return a.op == qgm.OpIXSCAN || a.op == qgm.OpFETCH }
+func (a accessPath) usesIndex() bool { return a.index >= 0 }
+
+func (a accessPath) op() qgm.OpType {
+	switch {
+	case a.index < 0:
+		return qgm.OpTBSCAN
+	case a.fetch:
+		return qgm.OpFETCH
+	}
+	return qgm.OpIXSCAN
+}
 
 func (a accessPath) clusterRatio() float64 {
 	if a.indexCluster == 0 {
@@ -82,38 +95,66 @@ func (c *planCand) sortCost(m *catalog.CostModel) float64 {
 // are uint64 bitmasks.
 const maxQuantifiers = 64
 
-// planCtx is the planning context of one Optimize (or BuildPlan) call:
-// everything the enumerators need from the query, derived once after
-// Quantifiers instead of once per candidate. Quantifier sets are bitmasks
-// over quants, join predicates are pre-resolved edges, interesting orders are
-// small integers, and cons holds the active guideline constraints as masks.
-// It also owns the call's candidates (slab, paths). It lives and dies with the
-// call; nothing is pooled across requests.
+// planCtx is the planning context of one OptimizePrepared (or BuildPlan)
+// call: the prepared query — quantifier sets are bitmasks over quants, join
+// predicates pre-resolved edges, interesting orders small integers — plus cons,
+// the active guideline constraints as masks, and the call's scratch. The
+// scratch is borrowed from arenaPool for the length of the call.
 type planCtx struct {
-	o      *Optimizer
-	q      *sqlparser.Query
-	quants []*Quantifier
-	byName map[string]*Quantifier // FROM reference name and instance name -> quantifier
-	edges  []joinEdge
-	// orderID numbers the interesting orders — the instance-qualified columns
-	// an order property could pay for: equality join columns (merge joins) and
-	// ORDER BY columns (final sort elimination). Keys are upper-cased "Qi.COL";
-	// ids start at 1 and ascend in key order, so walking ids walks keys sorted.
-	orderID map[string]int32
-	cons    constraintSet
+	*Prepared
+	o    *Optimizer
+	cons constraintSet
 	// cost is the plan-time view of the cost model (internal/catalog/cost.go)
 	// every estimate of the call goes through; what stays in this package is
 	// what only the optimizer knows — quantifiers, access paths, clamps.
 	cost catalog.CostModel
-	// slab holds every candidate of the call, abandoned drop-and-retry
-	// attempts included, in pointer-free chunks of 1<<slabShift that are never
-	// moved: a *planCand stays valid (and keeps its memoised sort cost) while
-	// later candidates are pushed. Index 0 is reserved to mean "no candidate",
-	// so zeroed tables start empty.
-	slab      [][]planCand
-	slabShift uint
-	pushed    int32        // the last slab index handed out
-	paths     []accessPath // the access paths of the call's base-table candidates
+	*planArena
+	pushed int32 // the last slab index handed out
+}
+
+// planArena is the scratch of one planning call; every array in it is
+// pointer-free, so neither a call nor the pool gives the collector anything to
+// scan.
+type planArena struct {
+	// slab holds the candidates of the current attempt in chunks of
+	// maxSlabChunk that are never moved: a *planCand stays valid (and keeps
+	// its memoised sort cost) while later candidates are pushed. Index 0 is
+	// reserved to mean "no candidate", so zeroed tables start empty. Chunks
+	// are not cleared between calls: push fills a slot before anything reads it.
+	slab  [][]planCand
+	table dpTable
+	paths []accessPath // the access paths of the call's base-table candidates
+	tried []accessPath // accessPaths' latest answer
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(planArena) }}
+
+const (
+	// maxSlabChunk is the size of a slab chunk (18 KB of candidates): a wider
+	// query takes more chunks, not bigger ones.
+	maxSlabChunk = 256
+	// maxKeptChunks and maxKeptTable bound what an arena takes back to the
+	// pool (288 KB of candidates, 128 KB of table): what planning TPCDS.Q91
+	// (8 joins, the widest workload query; 15 chunks and 8 192 table entries)
+	// holds at its peak, so that nothing wider can pin the heap.
+	maxKeptChunks = 16
+	maxKeptTable  = 1 << 15
+)
+
+func (o *Optimizer) newPlanCtx(p *Prepared) *planCtx {
+	return &planCtx{Prepared: p, o: o, cost: o.Cat.Config.PlanCost(), planArena: arenaPool.Get().(*planArena)}
+}
+
+// release hands the scratch back; nothing a call returns points into it.
+func (pc *planCtx) release() {
+	a := pc.planArena
+	a.slab = slices.Delete(a.slab, min(len(a.slab), maxKeptChunks), len(a.slab)) // which also lets the spine go of them
+	if cap(a.table.slots) > maxKeptTable {
+		a.table = dpTable{}
+	}
+	a.paths = a.paths[:0]
+	pc.planArena = nil
+	arenaPool.Put(a)
 }
 
 // joinEdge is one join predicate of the query resolved against the
@@ -131,34 +172,27 @@ func (e *joinEdge) links(left, right uint64) bool {
 	return (e.l&left != 0 && e.r&right != 0) || (e.r&left != 0 && e.l&right != 0)
 }
 
-// newPlanCtx derives the context; slots is how many slab entries the caller
-// expects to fill (the reserved one included), which sizes the slab's chunks:
-// a two-table query must not pay for a nine-table query's scratch.
-func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier, slots int) (*planCtx, error) {
-	if len(quants) == 0 {
-		return nil, fmt.Errorf("optimizer: query references no tables")
-	}
-	if len(quants) > maxQuantifiers {
-		return nil, fmt.Errorf("optimizer: query references %d tables, the enumerator plans at most %d", len(quants), maxQuantifiers)
-	}
-	pc := &planCtx{o: o, q: q, quants: quants, byName: make(map[string]*Quantifier, 2*len(quants)), orderID: map[string]int32{},
-		cost: o.Cat.Config.PlanCost(), slabShift: uint(bits.Len(uint(min(slots, maxSlabChunk) - 1)))}
-	for _, qt := range quants {
-		pc.byName[strings.ToUpper(qt.Ref.Name())] = qt
-		pc.byName[qt.Instance] = qt
+// resolveJoins resolves the prepared query's join predicates and ORDER BY
+// columns against its quantifiers: byName, edges and orderID.
+func (o *Optimizer) resolveJoins(pr *Prepared) {
+	q := pr.q
+	pr.byName, pr.orderID = make(map[string]*Quantifier, 2*len(pr.quants)), map[string]int32{}
+	for _, qt := range pr.quants {
+		pr.byName[strings.ToUpper(qt.Ref.Name())] = qt
+		pr.byName[qt.Instance] = qt
 	}
 	// qualify resolves a column to its quantifier and instance-qualified name,
 	// and registers the name as an interesting order.
 	var keys []string
 	qualify := func(c sqlparser.ColumnRef) (*Quantifier, string) {
-		qt := pc.byName[strings.ToUpper(c.Table)]
+		qt := pr.byName[strings.ToUpper(c.Table)]
 		if qt == nil {
 			return nil, ""
 		}
 		col := qt.Instance + "." + c.Column
 		key := strings.ToUpper(col)
-		if _, seen := pc.orderID[key]; !seen {
-			pc.orderID[key] = 0
+		if _, seen := pr.orderID[key]; !seen {
+			pr.orderID[key] = 0
 			keys = append(keys, key)
 		}
 		return qt, col
@@ -176,47 +210,60 @@ func (o *Optimizer) newPlanCtx(q *sqlparser.Query, quants []*Quantifier, slots i
 		if ndv := max(columnNDV(o.Cat, lq.Ref.Table, p.Left.Column), columnNDV(o.Cat, rq.Ref.Table, p.Right.Column)); ndv > 0 {
 			e.sel = 1.0 / float64(ndv)
 		}
-		pc.edges = append(pc.edges, e)
+		pr.edges = append(pr.edges, e)
 	}
 	for _, c := range q.OrderBy {
 		qualify(c)
 	}
 	sort.Strings(keys)
 	for i, key := range keys {
-		pc.orderID[key] = int32(i + 1)
+		pr.orderID[key] = int32(i + 1)
 	}
-	for i := range pc.edges {
-		e := &pc.edges[i]
-		e.lOrd, e.rOrd = pc.ordOf(e.lCol), pc.ordOf(e.rCol)
+	for i := range pr.edges {
+		e := &pr.edges[i]
+		e.lOrd, e.rOrd = pr.ordOf(e.lCol), pr.ordOf(e.rCol)
 	}
-	return pc, nil
 }
 
 // ordOf returns the interesting-order id of an order property, 0 for none.
-func (pc *planCtx) ordOf(orderedOn string) int32 {
+func (pr *Prepared) ordOf(orderedOn string) int32 {
 	if orderedOn == "" {
 		return 0
 	}
-	return pc.orderID[strings.ToUpper(orderedOn)]
+	return pr.orderID[strings.ToUpper(orderedOn)]
 }
-
-// maxSlabChunk caps a slab chunk (18 KB of candidates): past it a wider
-// query takes more chunks, not bigger ones.
-const maxSlabChunk = 256
 
 // cand returns the candidate at a slab index.
 func (pc *planCtx) cand(i int32) *planCand {
-	return &pc.slab[i>>pc.slabShift][i&(1<<pc.slabShift-1)]
+	u := uint32(i)
+	return &pc.slab[u/maxSlabChunk][u%maxSlabChunk]
 }
 
 // push copies a candidate into the slab and returns its index.
 func (pc *planCtx) push(c *planCand) int32 {
 	pc.pushed++
-	if int(pc.pushed>>pc.slabShift) == len(pc.slab) {
-		pc.slab = append(pc.slab, make([]planCand, 1<<pc.slabShift))
+	if int(pc.pushed)/maxSlabChunk == len(pc.slab) {
+		pc.slab = append(pc.slab, make([]planCand, maxSlabChunk))
 	}
 	*pc.cand(pc.pushed) = *c
 	return pc.pushed
+}
+
+// compact ends a subset's enumeration: of the candidates pushed since mark
+// only the subset's retained list is still referenced (every one of them
+// reads inputs from below mark), so the list moves down to mark+1.. and the
+// slab is cut there. The copy goes through the top of the slab, which the
+// destination cannot reach: the list's entries were all pushed since mark.
+func (pc *planCtx) compact(mark int32, list []int32) {
+	top := pc.pushed
+	for _, i := range list {
+		pc.push(pc.cand(i))
+	}
+	for k := range list {
+		list[k] = mark + 1 + int32(k)
+		*pc.cand(list[k]) = *pc.cand(top + 1 + int32(k))
+	}
+	pc.pushed = mark + int32(len(list))
 }
 
 // pushJoin keeps a join costed by buildJoinCand: it records the slab indices
@@ -229,17 +276,9 @@ func (pc *planCtx) pushJoin(jc *planCand, left, right int32) int32 {
 // enumerate drives cost-based plan construction, retrying with progressively
 // fewer guidelines when the constrained search cannot produce a plan. This is
 // the paper's "not all guidelines may be honored" behaviour.
-func (o *Optimizer) enumerate(q *sqlparser.Query, quants []*Quantifier, report *Report) (*qgm.Node, error) {
-	// Dynamic programming keeps a few candidates per quantifier subset; the
-	// greedy search and a single table keep one per plan operator.
-	slots := 2 * len(quants)
-	if n := len(quants); n > 1 && n <= o.Opts.JoinEnumDPLimit {
-		slots = 4 << min(n, 6)
-	}
-	pc, err := o.newPlanCtx(q, quants, slots)
-	if err != nil {
-		return nil, err
-	}
+func (o *Optimizer) enumerate(p *Prepared, report *Report) (*qgm.Node, error) {
+	pc := o.newPlanCtx(p)
+	defer pc.release()
 	perGuideline := pc.buildConstraints()
 	active := make([]bool, len(perGuideline))
 	for i := range active {
@@ -282,7 +321,7 @@ func (pc *planCtx) reportGuidelineOutcome(root *qgm.Node, perGuideline []guideli
 // reports whether exhaustive enumeration was used. It returns an error when
 // no complete plan satisfies the constraints.
 func (pc *planCtx) enumerateWith(cons constraintSet) (root *qgm.Node, considered int, usedDP bool, err error) {
-	pc.cons = cons
+	pc.cons, pc.pushed, pc.paths = cons, 0, pc.paths[:0] // an abandoned attempt's candidates go
 	switch n := len(pc.quants); {
 	case n == 1: // single-table query: best access path only
 		return pc.node(pc.bestAccess(pc.quants[0])), 1, false, nil
@@ -298,46 +337,33 @@ func (pc *planCtx) enumerateWith(cons constraintSet) (root *qgm.Node, considered
 // --- access path selection --------------------------------------------------
 
 // accessPaths lists the valid ways to read one quantifier, honouring access
-// constraints when present.
+// constraints when present. The list is scratch: the next call overwrites it.
 func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
-	o := pc.o
-	sel := o.localSelectivity(qt.Ref.Table, qt.LocalPreds)
-	outCard := clampCard(qt.RawCard * sel)
 	rowsPerPage := math.Max(qt.RawCard/math.Max(qt.Pages, 1), 1)
-	var paths []accessPath
+	paths := pc.tried[:0]
+	tbscan := accessPath{cost: pc.cost.TableScan(qt.Pages, qt.RawCard), card: qt.Card, index: -1}
 
 	ac, hasAC := pc.cons.access[qt.Instance]
 
 	if !hasAC || ac.method == qgm.OpTBSCAN {
-		paths = append(paths, accessPath{
-			op:   qgm.OpTBSCAN,
-			cost: pc.cost.TableScan(qt.Pages, qt.RawCard),
-			card: outCard,
-		})
+		paths = append(paths, tbscan)
 	}
 	if qt.Table != nil && (!hasAC || ac.method != qgm.OpTBSCAN) {
-		needed := referencedColumns(pc.q, qt)
 		for i := range qt.Table.Indexes {
 			idx := &qt.Table.Indexes[i]
 			if hasAC && ac.index != "" && !strings.EqualFold(ac.index, idx.Name) {
 				continue
 			}
 			lead := idx.Columns[0]
-			idxSel := o.leadingColumnSelectivity(qt, lead)
-			matchRows := clampCard(qt.RawCard * idxSel)
-			indexOnly := coversAll(idx.Columns, needed)
-			op := qgm.OpFETCH
-			if indexOnly {
-				op = qgm.OpIXSCAN
-			}
-			cost := pc.cost.IndexScan(qt.Pages, qt.RawCard, matchRows, idx.ClusterRatio, !indexOnly, rowsPerPage).Millis
+			matchRows := clampCard(qt.RawCard * pc.o.leadingColumnSelectivity(qt, lead))
+			fetch := !coversAll(idx.Columns, qt.refCols)
 			paths = append(paths, accessPath{
-				op:           op,
-				indexName:    idx.Name,
+				cost:         pc.cost.IndexScan(qt.Pages, qt.RawCard, matchRows, idx.ClusterRatio, fetch, rowsPerPage).Millis,
+				card:         qt.Card,
 				indexCluster: idx.ClusterRatio,
-				cost:         cost,
-				card:         outCard,
-				sortedOn:     qt.Instance + "." + lead,
+				index:        int32(i),
+				ord:          pc.ordOf(qt.Instance + "." + lead),
+				fetch:        fetch,
 			})
 		}
 	}
@@ -345,12 +371,9 @@ func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
 		// The access constraint could not be satisfied (e.g. IXSCAN requested
 		// but the table has no index): fall back to a table scan so that the
 		// query can still be planned; the guideline will be reported ignored.
-		paths = append(paths, accessPath{
-			op:   qgm.OpTBSCAN,
-			cost: pc.cost.TableScan(qt.Pages, qt.RawCard),
-			card: outCard,
-		})
+		paths = append(paths, tbscan)
 	}
+	pc.tried = paths
 	return paths
 }
 
@@ -367,14 +390,14 @@ func (o *Optimizer) leadingColumnSelectivity(qt *Quantifier, column string) floa
 	return clampSel(sel)
 }
 
-// referencedColumns returns the columns of the quantifier's table referenced
-// anywhere in the query.
-func referencedColumns(q *sqlparser.Query, qt *Quantifier) []string {
-	name := strings.ToUpper(qt.Ref.Name())
-	seen := map[string]struct{}{}
+// referencedColumns returns the columns of a FROM reference that the query
+// mentions anywhere, repeats included: what an index must hold to answer for
+// the table without fetching rows.
+func referencedColumns(q *sqlparser.Query, refName string) []string {
+	var out []string
 	add := func(c sqlparser.ColumnRef) {
-		if strings.EqualFold(c.Table, name) {
-			seen[strings.ToUpper(c.Column)] = struct{}{}
+		if strings.EqualFold(c.Table, refName) {
+			out = append(out, c.Column)
 		}
 	}
 	for _, c := range q.Select {
@@ -392,21 +415,12 @@ func referencedColumns(q *sqlparser.Query, qt *Quantifier) []string {
 	for _, c := range q.OrderBy {
 		add(c)
 	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }
 
 func coversAll(indexCols, needed []string) bool {
-	have := map[string]bool{}
-	for _, c := range indexCols {
-		have[strings.ToUpper(c)] = true
-	}
 	for _, c := range needed {
-		if !have[strings.ToUpper(c)] {
+		if !slices.ContainsFunc(indexCols, func(ic string) bool { return strings.EqualFold(ic, c) }) {
 			return false
 		}
 	}
@@ -432,7 +446,7 @@ func (pc *planCtx) accessCand(qt *Quantifier, path accessPath) int32 {
 		card:    path.card,
 		rowSize: int32(qt.RowWidth),
 		mask:    qt.bit,
-		ord:     pc.ordOf(path.sortedOn),
+		ord:     path.ord,
 		right:   int32(len(pc.paths) - 1),
 	})
 }
@@ -451,8 +465,8 @@ func (pc *planCtx) addAccessCands(qt *Quantifier, set candSet) {
 		if p.cost < best.cost {
 			best = *p
 		}
-		if ord := pc.ordOf(p.sortedOn); ord != 0 && (bestByOrder[ord] == nil || p.cost < bestByOrder[ord].cost) {
-			bestByOrder[ord] = p
+		if p.ord != 0 && (bestByOrder[p.ord] == nil || p.cost < bestByOrder[p.ord].cost) {
+			bestByOrder[p.ord] = p
 		}
 	}
 	set.add(pc, pc.accessCand(qt, best))
@@ -581,15 +595,17 @@ func (pc *planCtx) node(i int32) *qgm.Node {
 	if c.method == candAccess {
 		qt, path := pc.quants[bits.TrailingZeros64(c.mask)], &pc.paths[c.right]
 		node := &qgm.Node{
-			Op:             path.op,
+			Op:             path.op(),
 			Table:          strings.ToUpper(qt.Ref.Table),
 			TableInstance:  qt.Instance,
-			Index:          path.indexName,
 			EstCardinality: path.card,
 			EstCost:        path.cost,
 			RowSize:        qt.RowWidth,
 			Pages:          qt.Pages,
-			OrderedOn:      path.sortedOn,
+		}
+		if path.usesIndex() {
+			idx := &qt.Table.Indexes[path.index]
+			node.Index, node.OrderedOn = idx.Name, qt.Instance+"."+idx.Columns[0]
 		}
 		for _, p := range qt.LocalPreds {
 			node.Predicates = append(node.Predicates, p.String())
@@ -684,6 +700,18 @@ type dpTable struct {
 	frozen []int32
 }
 
+// reset sizes the table for a query and empties it, reusing an earlier call's
+// array when it is large enough; frozen is its tail.
+func (t *dpTable) reset(subsets, stride uint64) {
+	n := subsets * (stride + 1)
+	if uint64(cap(t.slots)) < n {
+		t.slots = make([]int32, n)
+	}
+	t.slots = t.slots[:n]
+	clear(t.slots)
+	t.stride, t.frozen = stride, t.slots[subsets*stride:]
+}
+
 func (t *dpTable) set(mask uint64) candSet { return t.slots[mask*t.stride : (mask+1)*t.stride] }
 
 // list returns a finished subset's retained candidates.
@@ -695,8 +723,8 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 	n := len(pc.quants)
 	considered := 0
 	subsets := uint64(1) << uint(n)
-	table := dpTable{stride: uint64(len(pc.orderID) + 1), frozen: make([]int32, subsets)}
-	table.slots = make([]int32, subsets*table.stride)
+	table := &pc.table
+	table.reset(subsets, uint64(len(pc.orderID)+1))
 	for _, qt := range pc.quants {
 		set := table.set(qt.bit)
 		pc.addAccessCands(qt, set)
@@ -710,7 +738,7 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 			if bits.OnesCount64(mask) != size {
 				continue
 			}
-			acc := table.set(mask)
+			acc, mark := table.set(mask), pc.pushed
 			// Whether mask has any connected split is asked by every
 			// disconnected one; answer it once (0 unknown, 1 yes, -1 no).
 			connectedSplit := 0
@@ -724,7 +752,7 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 				if !sp.connected {
 					if connectedSplit == 0 {
 						connectedSplit = -1
-						if pc.hasConnectedSplit(mask, &table) {
+						if pc.hasConnectedSplit(mask, table) {
 							connectedSplit = 1
 						}
 					}
@@ -753,6 +781,7 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 				}
 			}
 			table.frozen[mask] = acc.freeze(pc)
+			pc.compact(mark, table.list(mask))
 		}
 	}
 	if table.frozen[full] == 0 {

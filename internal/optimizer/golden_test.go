@@ -95,6 +95,14 @@ var (
 
 // goldenTPCDS is the TPC-DS-like database the tpcds, bench and rand corpora
 // (and the planning benchmarks) are planned against.
+// renderEntry is everything the suites compare of one planning: the golden
+// entry as JSON, then the plan dump.
+func renderEntry(name string, p *qgm.Plan, r *optimizer.Report, err error) string {
+	e, dump := entryFor(name, p, r, err)
+	js, _ := json.Marshal(e)
+	return string(js) + "\n" + dump
+}
+
 func goldenTPCDS(t testing.TB) *storage.Database { return goldenCorpora(t)[0].db }
 
 // benchShapes are the nine bench/gen.go query shapes with fixed literals
@@ -523,9 +531,10 @@ func TestGoldenSpecPlans(t *testing.T) {
 // joins) and guideline-constrained queries, and requires every plan and report
 // to equal the serial run's. The last three guidelines contradict each other
 // on any query that has a Q4 and a Q5, so the 4-join DP queries go through
-// the drop-and-retry loop twice and finish over a slab that still holds two
-// abandoned attempts. Run under -race it also proves a call keeps no state on
-// the Optimizer (UsedDP used to travel through a field).
+// the drop-and-retry loop twice and finish in an arena two abandoned attempts
+// have written over. Run under -race it also proves a call keeps no state on
+// the Optimizer (UsedDP used to travel through a field) and that two calls
+// never hold one arena.
 func TestOptimizeIsReentrant(t *testing.T) {
 	db := goldenTPCDS(t)
 	const settled = `<HSJOIN><TBSCAN TABID='Q1'/><IXSCAN TABID='Q2'/></HSJOIN>
@@ -584,9 +593,7 @@ func TestOptimizeIsReentrant(t *testing.T) {
 		} else {
 			p, err = opt.BuildPlan(q, specs[k%len(queries)])
 		}
-		e, dump := entryFor(q.Name, p, r, err)
-		js, _ := json.Marshal(e)
-		return string(js) + "\n" + dump
+		return renderEntry(q.Name, p, r, err)
 	}
 	want := make([]string, 2*len(queries))
 	usedDP := map[bool]int{}

@@ -14,6 +14,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"galo/internal/catalog"
@@ -91,33 +92,86 @@ type Quantifier struct {
 	// bit is 1 << the position in FROM: the quantifier's bit in the
 	// enumerator's set masks.
 	bit uint64
+	// refCols are the columns of the reference the query mentions anywhere.
+	refCols []string
+}
+
+// Prepared is the half of planning that no guideline can change: the resolved
+// and rewritten clone of the query, its quantifiers, join edges and
+// interesting orders, the rewrite notes and the rendered SQL. Nothing writes
+// to it after Prepare returns, so one Prepared serves any number of
+// OptimizePrepared calls, concurrent ones included, on any Optimizer over the
+// same catalog whose options differ from the preparing one's in Guidelines
+// only. It is plain garbage-collected data.
+type Prepared struct {
+	q      *sqlparser.Query
+	quants []*Quantifier
+	byName map[string]*Quantifier // FROM reference name and instance name -> quantifier
+	edges  []joinEdge
+	// orderID numbers the interesting orders — the instance-qualified columns
+	// an order property could pay for: equality join columns (merge joins) and
+	// ORDER BY columns (final sort elimination). Keys are upper-cased "Qi.COL";
+	// ids start at 1 and ascend in key order, so walking ids walks keys sorted.
+	orderID map[string]int32
+	notes   []string // Report.RewriteNotes
+	sql     string   // qgm.Plan.SQL
 }
 
 // Optimize plans the query: it resolves column references, applies the
 // query-rewrite tier, then runs cost-based enumeration. The returned plan has
 // estimated cardinalities and costs on every operator.
 func (o *Optimizer) Optimize(q *sqlparser.Query) (*qgm.Plan, *Report, error) {
-	if q == nil {
-		return nil, nil, fmt.Errorf("optimizer: nil query")
-	}
-	work := q.Clone()
-	if err := sqlparser.Resolve(work, o.Cat.Schema); err != nil {
-		return nil, nil, err
-	}
-	report := &Report{}
-	o.rewrite(work, report)
-	quants := o.Quantifiers(work)
-	root, err := o.enumerate(work, quants, report)
+	p, err := o.Prepare(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	root = o.addFinalOperators(work, root)
+	return o.OptimizePrepared(p)
+}
+
+// Prepare runs the front half of Optimize: resolution, the query-rewrite tier
+// and everything the search derives from the query alone.
+func (o *Optimizer) Prepare(q *sqlparser.Query) (*Prepared, error) {
+	if q == nil {
+		return nil, fmt.Errorf("optimizer: nil query")
+	}
+	work := q.Clone()
+	if err := sqlparser.Resolve(work, o.Cat.Schema); err != nil {
+		return nil, err
+	}
+	if len(work.From) == 0 {
+		return nil, fmt.Errorf("optimizer: query references no tables")
+	}
+	if len(work.From) > maxQuantifiers {
+		return nil, fmt.Errorf("optimizer: query references %d tables, the enumerator plans at most %d", len(work.From), maxQuantifiers)
+	}
+	p := &Prepared{q: work, notes: o.rewrite(work)}
+	p.quants = o.Quantifiers(work)
+	p.sql = work.SQL()
+	o.resolveJoins(p)
+	return p, nil
+}
+
+// OptimizePrepared runs cost-based enumeration over a prepared query under
+// this optimizer's guidelines: Optimize's second half.
+func (o *Optimizer) OptimizePrepared(p *Prepared) (*qgm.Plan, *Report, error) {
+	// Clipped: appending to one report's notes must not write into another's.
+	report := &Report{RewriteNotes: slices.Clip(p.notes)}
+	root, err := o.enumerate(p, report)
+	if err != nil {
+		return nil, nil, err
+	}
+	return o.finishPlan(p, root), report, nil
+}
+
+// finishPlan wraps a join tree into the plan Optimize and BuildPlan return.
+func (o *Optimizer) finishPlan(p *Prepared, root *qgm.Node) *qgm.Plan {
+	root = o.addFinalOperators(p.q, root)
 	plan := qgm.NewPlan(root)
-	plan.SQL = work.SQL()
-	plan.QueryName = work.Name
+	plan.SQL = p.sql
+	plan.QueryName = p.q.Name
 	plan.TotalCost = root.EstCost
 	plan.EstimatedMillis = root.EstCost
-	return plan, report, nil
+	return plan
 }
 
 // MustOptimize is Optimize but panics on error; for tests and examples.
@@ -150,6 +204,7 @@ func (o *Optimizer) Quantifiers(q *sqlparser.Query) []*Quantifier {
 			quant.RowWidth = 64
 		}
 		quant.LocalPreds = sqlparser.PredicatesFor(q, ref.Name())
+		quant.refCols = referencedColumns(q, ref.Name())
 		sel := o.localSelectivity(ref.Table, quant.LocalPreds)
 		quant.Card = clampCard(quant.RawCard * sel)
 		out = append(out, quant)

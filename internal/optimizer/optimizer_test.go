@@ -308,8 +308,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if err := sqlparser.Resolve(work, o.Cat.Schema); err != nil {
 		t.Fatal(err)
 	}
-	report := &Report{}
-	o.rewrite(work, report)
+	report := &Report{RewriteNotes: o.rewrite(work)}
 	found := false
 	for _, p := range work.LocalPredicates() {
 		if p.Left.Column == "SS_SOLD_DATE_SK" && p.Kind == sqlparser.PredCompare {
@@ -328,7 +327,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if err := sqlparser.Resolve(work2, o.Cat.Schema); err != nil {
 		t.Fatal(err)
 	}
-	o.rewrite(work2, &Report{})
+	o.rewrite(work2)
 	if len(work2.Where) != 1 {
 		t.Errorf("duplicate predicate not removed: %v", work2.Where)
 	}

@@ -16,14 +16,14 @@ import (
 //     gives the cost-based tier more local filtering opportunities;
 //   - contradiction detection for BETWEEN with an empty range (noted, the
 //     predicate is kept so the executor still returns zero rows).
-func (o *Optimizer) rewrite(q *sqlparser.Query, report *Report) {
-	// Duplicate elimination.
-	seen := map[string]bool{}
-	var dedup []sqlparser.Predicate
+func (o *Optimizer) rewrite(q *sqlparser.Query) (notes []string) {
+	// Duplicate elimination, in place: q is the caller's own clone.
+	seen := make(map[string]bool, len(q.Where))
+	dedup := q.Where[:0]
 	for _, p := range q.Where {
 		key := p.String()
 		if seen[key] {
-			report.RewriteNotes = append(report.RewriteNotes, fmt.Sprintf("removed duplicate predicate %s", key))
+			notes = append(notes, fmt.Sprintf("removed duplicate predicate %s", key))
 			continue
 		}
 		seen[key] = true
@@ -66,11 +66,11 @@ func (o *Optimizer) rewrite(q *sqlparser.Query, report *Report) {
 			}
 			cand := lp
 			cand.Left = target
-			if !seen[cand.String()] {
-				seen[cand.String()] = true
+			if key := cand.String(); !seen[key] {
+				seen[key] = true
 				inferred = append(inferred, cand)
-				report.RewriteNotes = append(report.RewriteNotes,
-					fmt.Sprintf("inferred %s from %s and %s", cand.String(), jp.String(), lp.String()))
+				notes = append(notes,
+					fmt.Sprintf("inferred %s from %s and %s", key, jp.String(), lp.String()))
 			}
 		}
 	}
@@ -79,8 +79,9 @@ func (o *Optimizer) rewrite(q *sqlparser.Query, report *Report) {
 	// Contradiction detection.
 	for _, p := range q.Where {
 		if p.Kind == sqlparser.PredBetween && !p.Not && catalog.Compare(p.Lo, p.Hi) > 0 {
-			report.RewriteNotes = append(report.RewriteNotes,
+			notes = append(notes,
 				fmt.Sprintf("predicate %s can never be satisfied", p.String()))
 		}
 	}
+	return notes
 }

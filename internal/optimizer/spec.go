@@ -84,31 +84,20 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 	if spec == nil {
 		return nil, fmt.Errorf("optimizer: nil plan spec")
 	}
-	work := q.Clone()
-	if err := sqlparser.Resolve(work, o.Cat.Schema); err != nil {
-		return nil, err
-	}
-	report := &Report{}
-	o.rewrite(work, report)
-	if err := spec.Validate(work); err != nil {
-		return nil, err
-	}
-	quants := o.Quantifiers(work)
-	pc, err := o.newPlanCtx(work, quants, 2*len(quants)) // one candidate per operator of the spec
+	p, err := o.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
+	if err := spec.Validate(p.q); err != nil {
+		return nil, err
+	}
+	pc := o.newPlanCtx(p)
+	defer pc.release()
 	cand, err := pc.buildSpecCand(spec)
 	if err != nil {
 		return nil, err
 	}
-	root := o.addFinalOperators(work, pc.node(cand))
-	plan := qgm.NewPlan(root)
-	plan.SQL = work.SQL()
-	plan.QueryName = work.Name
-	plan.TotalCost = root.EstCost
-	plan.EstimatedMillis = root.EstCost
-	return plan, nil
+	return o.finishPlan(p, pc.node(cand)), nil
 }
 
 // buildSpecCand costs the spec bottom-up and returns the slab index of its
@@ -124,7 +113,7 @@ func (pc *planCtx) buildSpecCand(spec *Spec) (int32, error) {
 		for i := range paths {
 			p := &paths[i]
 			if spec.Access.Method != "" {
-				if p.op != spec.Access.Method {
+				if p.op() != spec.Access.Method {
 					// Treat IXSCAN/FETCH as interchangeable requests for
 					// "index access" as guidelines do.
 					wantIdx := spec.Access.Method == qgm.OpIXSCAN || spec.Access.Method == qgm.OpFETCH
@@ -133,7 +122,7 @@ func (pc *planCtx) buildSpecCand(spec *Spec) (int32, error) {
 						continue
 					}
 				}
-				if spec.Access.Index != "" && !strings.EqualFold(spec.Access.Index, p.indexName) {
+				if spec.Access.Index != "" && (!p.usesIndex() || !strings.EqualFold(spec.Access.Index, qt.Table.Indexes[p.index].Name)) {
 					continue
 				}
 			}

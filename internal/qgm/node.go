@@ -109,9 +109,8 @@ func (n *Node) Walk(fn func(*Node)) {
 		return
 	}
 	fn(n)
-	for _, c := range n.Children() {
-		c.Walk(fn)
-	}
+	n.Outer.Walk(fn)
+	n.Inner.Walk(fn)
 }
 
 // CountJoins returns the number of join operators in the subtree.
@@ -127,9 +126,10 @@ func (n *Node) CountJoins() int {
 
 // CountOps returns the number of LOLEPOPs in the subtree.
 func (n *Node) CountOps() int {
-	count := 0
-	n.Walk(func(*Node) { count++ })
-	return count
+	if n == nil {
+		return 0
+	}
+	return 1 + n.Outer.CountOps() + n.Inner.CountOps()
 }
 
 // Tables returns the distinct base table names referenced in the subtree,

@@ -113,8 +113,8 @@ func BaseTable(q *Query, ref ColumnRef) string {
 // reference name.
 func PredicatesFor(q *Query, refName string) []Predicate {
 	var out []Predicate
-	for _, p := range q.LocalPredicates() {
-		if strings.EqualFold(p.Left.Table, refName) {
+	for _, p := range q.Where {
+		if !p.IsJoin() && strings.EqualFold(p.Left.Table, refName) {
 			out = append(out, p)
 		}
 	}

@@ -82,7 +82,7 @@ func NewProbe(fragment *qgm.Node) (*Probe, error) {
 	if fragment == nil {
 		return nil, fmt.Errorf("transform: nil fragment")
 	}
-	p := &Probe{nodes: make([]probeNode, 0, 16)}
+	p := &Probe{nodes: make([]probeNode, 0, fragment.CountOps())}
 	var stack [256]byte
 	key, err := p.add(fragment, stack[:0])
 	if err != nil {
