@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"galo/internal/executor"
+	"galo/internal/experiments"
 	"galo/internal/optimizer"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
@@ -49,13 +50,7 @@ func qErrors(t *testing.T, opt *optimizer.Optimizer, ex *executor.Executor, quer
 	return errs
 }
 
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
+func quantile(sorted []float64, q float64) float64 { return experiments.QErrorQuantile(sorted, q) }
 
 func round3(f float64) float64 { return math.Round(f*1000) / 1000 }
 

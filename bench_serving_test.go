@@ -139,13 +139,9 @@ func drive(tb testing.TB, url string, queries []*galo.Query, clients, passes int
 }
 
 func percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	return experiments.QErrorQuantile(sorted, p)
 }
 
 // servingRow is one BENCH_serving.json entry.

@@ -263,6 +263,43 @@ func (ef *execFlags) options() (galo.ExecOptions, error) {
 	return opts, nil
 }
 
+// addAdmissionFlags declares the load-shedding and tenancy flags serve and
+// trace share; the function it returns writes their values into a Config.
+func addAdmissionFlags(fs *flag.FlagSet, defaultProbeBudget int) func(*galo.Config) {
+	probeBudget := fs.Int("probe-budget", defaultProbeBudget, "per-client KB-probe budget per second on /reopt; 0 disables admission control")
+	maxInflight := fs.Int("max-inflight", 0, "max concurrent /reopt requests before load shedding; 0 = unlimited")
+	tenantNS := fs.Bool("tenant-namespaces", false, "give each X-Galo-Client identity its own knowledge base namespace")
+	return func(cfg *galo.Config) {
+		cfg.Admission.ProbeBudget = *probeBudget
+		cfg.Admission.MaxConcurrent = *maxInflight
+		cfg.Tenancy.Enabled = *tenantNS
+	}
+}
+
+// serveUntilSignal runs serve until it fails or SIGINT/SIGTERM arrives; then
+// it gives shutdown the timeout and waits for serve to return.
+func serveUntilSignal(serve func() error, shutdown func(context.Context) error, timeout time.Duration) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- serve() }()
+	select {
+	case err := <-serveErr:
+		return err
+	case <-ctx.Done():
+	}
+	stop()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := shutdown(ctx); err != nil {
+		return fmt.Errorf("graceful shutdown: %w", err)
+	}
+	if err := <-serveErr; err != http.ErrServerClosed {
+		return err
+	}
+	return nil
+}
+
 // parseByteSize parses a human-readable byte size: a plain integer (or a B
 // suffix) is bytes, and KB/MB/GB (or K/M/G) suffixes scale by 1024.
 func parseByteSize(s string) (int64, error) {
@@ -409,9 +446,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":3030", "listen address")
 	online := fs.Bool("online", false, "learn incrementally from executed queries that misestimate")
 	shards := fs.Int("shards", 1, "number of knowledge base shards (templates partition by problem-signature prefix)")
-	probeBudget := fs.Int("probe-budget", 0, "per-client KB-probe budget per second on /reopt; 0 disables admission control")
-	maxInflight := fs.Int("max-inflight", 0, "max concurrent /reopt requests before load shedding; 0 = unlimited")
-	tenantNS := fs.Bool("tenant-namespaces", false, "give each X-Galo-Client identity its own knowledge base namespace")
+	admission := addAdmissionFlags(fs, 0)
 	tenantShare := fs.Bool("tenant-share", false, "with -tenant-namespaces, fall back to the shared knowledge base when a tenant's namespace has no match")
 	maxTenants := fs.Int("max-tenants", 0, "bound on tracked tenant identities; extra identities share one overflow row (0 = default 256)")
 	fleetSpec := fs.String("fleet", "", "remote shard fleet: ';'-separated shard groups of ','-separated replica URLs (e.g. \"http://h1:3031,http://h2:3031;http://h3:3032\"); empty = in-process KB")
@@ -434,9 +469,8 @@ func runServe(args []string) error {
 	}
 	cfg := galo.DefaultConfig()
 	cfg.Shards = *shards
-	cfg.Admission.ProbeBudget = *probeBudget
-	cfg.Admission.MaxConcurrent = *maxInflight
-	cfg.Tenancy = galo.TenancyOptions{Enabled: *tenantNS, ShareTemplates: *tenantShare, MaxTenants: *maxTenants}
+	admission(&cfg)
+	cfg.Tenancy.ShareTemplates, cfg.Tenancy.MaxTenants = *tenantShare, *maxTenants
 	cfg.DataDir = *dataDir
 	cfg.SnapshotEvery = *snapshotEvery
 	if cfg.Exec, err = ef.options(); err != nil {
@@ -507,23 +541,10 @@ func runServe(args []string) error {
 	// SIGINT/SIGTERM drain gracefully: in-flight requests finish, new ones
 	// get 503 + Retry-After, the online learner flushes, and the WAL takes a
 	// final fsync before exit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- sys.Serve(*addr) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-		stop()
+	return serveUntilSignal(func() error { return sys.Serve(*addr) }, func(ctx context.Context) error {
 		fmt.Println("shutting down: draining connections and flushing the knowledge base...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := sys.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("graceful shutdown: %w", err)
-		}
-		return <-serveErr
-	}
+		return sys.Shutdown(ctx)
+	}, 15*time.Second)
 }
 
 // parseFleetSpec parses the -fleet value: shard endpoint groups separated by
@@ -590,25 +611,7 @@ func runShard(args []string) error {
 	fmt.Printf("shard %d/%d serving %d templates on http://%s\n",
 		*shard, *shards, knowledge.Size(), ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-		stop()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		if err := <-serveErr; err != http.ErrServerClosed {
-			return err
-		}
-		return nil
-	}
+	return serveUntilSignal(func() error { return srv.Serve(ln) }, srv.Shutdown, 10*time.Second)
 }
 
 func runExplain(args []string) error {
@@ -653,9 +656,7 @@ func runTrace(args []string) error {
 	seed := fs.Int64("seed", 20190803, "trace schedule seed")
 	target := fs.String("target", "", "base URL of a running galo serve (empty = serve the trace workload in-process)")
 	scale := fs.Float64("scale", 0.25, "data scale for the in-process server")
-	probeBudget := fs.Int("probe-budget", 8, "in-process server: per-client probe budget (0 disables admission control)")
-	maxInflight := fs.Int("max-inflight", 0, "in-process server: max concurrent /reopt requests (0 = unlimited)")
-	tenantNS := fs.Bool("tenant-namespaces", false, "in-process server: per-tenant knowledge base namespaces")
+	admission := addAdmissionFlags(fs, 8) // of the in-process server
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -673,9 +674,7 @@ func runTrace(args []string) error {
 			return err
 		}
 		cfg := galo.DefaultConfig()
-		cfg.Admission.ProbeBudget = *probeBudget
-		cfg.Admission.MaxConcurrent = *maxInflight
-		cfg.Tenancy = galo.TenancyOptions{Enabled: *tenantNS}
+		admission(&cfg)
 		sys := galo.NewSystem(db, cfg)
 		defer sys.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -686,7 +685,7 @@ func runTrace(args []string) error {
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		url = "http://" + ln.Addr().String()
-		fmt.Printf("serving the trace workload in-process on %s (probe budget %d)\n", url, *probeBudget)
+		fmt.Printf("serving the trace workload in-process on %s (probe budget %d)\n", url, cfg.Admission.ProbeBudget)
 	}
 
 	schedule := galo.TraceArrivals(galo.TraceOptions{

@@ -8,11 +8,11 @@ import (
 // This file books the actual-cost charges. Each operator's simulated charge
 // is the cost model's run-time view (catalog.CostModel) evaluated over the
 // row counts the operator actually processed; the counters beside it come out
-// of the same evaluation. The serial iterators call these at exhaustion; the
-// exchange operator calls the very same functions over counts summed across
-// its workers — integer totals fed through one formula evaluation, in the
-// serial pipeline's charge order, which is what makes per-operator ActMillis
-// bit-identical at any worker count.
+// of the same evaluation. Each function has one caller, the operator's own
+// finalize. Under an exchange that is the lead's (see spineIter), over counts
+// folded in from the workers' replicas: integer totals fed through one formula
+// evaluation, in the serial pipeline's charge order, which is what makes
+// per-operator ActMillis bit-identical at any worker count.
 
 // chargeTBScan charges a table scan for the fraction of the table actually
 // read: the whole table when drained, a proportional slice when a bounded
@@ -43,15 +43,14 @@ func (c *execContext) chargeIXScan(node *qgm.Node, idxDef *catalog.Index, nCand,
 	c.charge(node, ix.Millis, nOut)
 }
 
-// joinActuals carries the processed-row truth one join operator observed —
-// whether from a serial joinIter or summed over exchange workers.
+// joinActuals carries the processed-row truth one join operator observed.
 type joinActuals struct {
 	outerRows, outRows int
 	innerRows          int
 	// outerWidth / innerWidth are the row widths sampled from the first tuple
 	// that entered each side (slotList.rowWidth; 8 bytes per column when none
-	// did); they size the spill-branch page estimates. The exchange picks the
-	// sample from the lowest-indexed partition that produced one, which is
+	// did); they size the spill-branch page estimates. An exchange's lead keeps
+	// the sample of the lowest-indexed partition that produced one, which is
 	// exactly the serial first row.
 	outerWidth, innerWidth int
 	// MSJOIN early-out: how many outer rows a merge join would have read

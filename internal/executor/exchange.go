@@ -27,17 +27,19 @@ import (
 // terminal breaker use unordered fan-in: the row multiset is deterministic,
 // the interleaving is not.
 //
-// The cost-parity invariant survives at any worker count because workers only
-// accumulate integer row counters; at exhaustion the consumer sums them and
-// feeds the totals through the shared charge formulas (charges.go) in the
-// exact order the serial pipeline fires them — build subtrees topmost-first,
-// then the scan, then the spine bottom-up, then the terminal. One float
-// evaluation per operator over identical integers ⇒ bit-identical ActMillis.
+// The exchange is a partitioner and a merger, nothing else: the operators a
+// worker runs are replicas (spineIter) of the serial iterators, which count
+// rows and charge nothing. The segment keeps one more copy of the spine, the
+// lead, which never runs: its joins own the build sides, and once the workers
+// have exited their counts are folded into it in partition order and it is
+// finalized and closed as a serial pipeline is — the scan, then the spine
+// bottom-up. One float evaluation per operator over identical integers, in
+// the serial order ⇒ bit-identical ActMillis at any worker count.
 //
 // Early Close propagates cancellation: workers observe a done channel on
-// every send and a cancel flag every 1024 scan rows, the consumer waits for
-// them to exit, then charges the partial counts — the same proportional
-// charging a serial pipeline does when cut short.
+// every send and their scan a cancel flag every 1024 positions, the consumer
+// waits for them to exit, then folds and charges the partial counts — the
+// same proportional charging a serial pipeline does when cut short.
 
 const (
 	// exchangeMinRows is the smallest partition source worth parallelizing.
@@ -76,28 +78,56 @@ const (
 	termGrpBy
 )
 
-type segLevelKind int
+// partition is what tells one replica of a spine from another: the scan's
+// candidate positions, the flag that stops it, and the arena its joins carve
+// their output from.
+type partition struct {
+	lo, hi int
+	cancel *atomic.Bool
+	mem    *arena
+}
 
-const (
-	levelFilter segLevelKind = iota
-	levelJoin
-)
+// spine is one copy of a segment's streaming operators, bottom-up: the leaf
+// scan, then the FILTERs and HSJOINs above it.
+type spine []spineIter
 
-// segLevel is one spine operator every worker replicates.
-type segLevel struct {
-	kind segLevelKind
-	node *qgm.Node
+func (s spine) root() spineIter { return s[len(s)-1] }
 
-	// join levels only:
-	probeKey, buildKey []colRef
-	innerIter          rowIter // opened at plan time, drained in start()
-	build              *hashBuild
-	outer, inner       slotList // of this level's input and of its build side
+func (s spine) replica(p *partition) spine {
+	r := make(spine, len(s))
+	var child rowIter
+	for i, op := range s {
+		r[i] = op.replica(child, p)
+		child = r[i]
+	}
+	return r
+}
+
+// drainBuilds drains the lead's build sides on the calling goroutine, the
+// consumer's, topmost first — the exact order serial nested buildInner calls
+// fire — so build-subtree charges, insertion order and samples are identical
+// to serial. It stops, and reports false, at a build that puts the run over
+// its budget.
+func (s spine) drainBuilds(c *execContext) bool {
+	for i := len(s) - 1; i > 0; i-- {
+		if j, ok := s[i].(*joinIter); ok {
+			if j.buildInner(); c.overBudget() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (s spine) fold(r spine) {
+	for i, op := range s {
+		op.fold(r[i])
+	}
 }
 
 type segment struct {
 	scan     *scanSource // the partitioned leaf access
-	levels   []*segLevel // bottom-up
+	lead     spine       // over none of it: owns the builds, takes the folded counts
 	term     termKind
 	termNode *qgm.Node
 	sortKey  []colRef
@@ -152,38 +182,11 @@ walk:
 		return nil, layout{}, false, nil
 	}
 
-	seg := &segment{scan: sc, term: term, termNode: termNode}
-	closeOpened := func() {
-		for _, lv := range seg.levels {
-			if lv.kind == levelJoin {
-				lv.innerIter.Close()
-			}
-		}
+	lead, lay, err := c.openLead(sc, lay, chain)
+	if err != nil {
+		return nil, layout{}, false, err
 	}
-	for i := len(chain) - 1; i >= 0; i-- { // bottom-up
-		n := chain[i]
-		if n.Op == qgm.OpFILTER {
-			seg.levels = append(seg.levels, &segLevel{kind: levelFilter, node: n})
-			continue
-		}
-		// Build sides are drained serially on the consumer thread (start(),
-		// topmost first — the serial nested-build order), so exchange never
-		// nests into a build subtree and build insertion order stays
-		// deterministic.
-		innerIter, innerLay, err := c.openSerial(n.Inner)
-		if err != nil {
-			closeOpened()
-			return nil, layout{}, false, err
-		}
-		key, _ := c.joinKeys(n, lay.cols, innerLay.cols)
-		seg.levels = append(seg.levels, &segLevel{
-			kind: levelJoin, node: n, innerIter: innerIter,
-			probeKey: lay.refs(key.outerPos), buildKey: innerLay.refs(key.innerPos),
-			outer: lay.slots, inner: innerLay.slots,
-		})
-		lay = lay.concat(innerLay)
-	}
-	seg.slots = lay.slots
+	seg := &segment{scan: sc, lead: lead, term: term, termNode: termNode, slots: lay.slots}
 	switch term {
 	case termSort:
 		seg.sortKey = lay.refs(c.sortKey(termNode, lay.cols))
@@ -204,6 +207,26 @@ walk:
 	return ex, lay, true, nil
 }
 
+// openLead builds a segment's lead over a resolved scan: the spine (top-down
+// in chain) over none of the scan's range. Build sides open, and are drained,
+// serially on the consumer goroutine: an exchange never nests into a build
+// subtree and build insertion order stays deterministic.
+func (c *execContext) openLead(sc *scanSource, lay layout, chain []*qgm.Node) (spine, layout, error) {
+	lead := spine{c.scanOver(sc, sc.hi, sc.hi)}
+	for i := len(chain) - 1; i >= 0; i-- {
+		n, child := chain[i], lead.root()
+		var op spineIter
+		var err error
+		if n.Op == qgm.OpFILTER {
+			op = c.filterOver(n, child)
+		} else if op, lay, err = c.joinOver(n, child, lay, c.openSerial); err != nil {
+			return nil, layout{}, err
+		}
+		lead = append(lead, op)
+	}
+	return lead, lay, nil
+}
+
 // openSerial opens a subtree with the exchange disabled (build sides must
 // drain deterministically).
 func (c *execContext) openSerial(n *qgm.Node) (rowIter, layout, error) {
@@ -211,12 +234,6 @@ func (c *execContext) openSerial(n *qgm.Node) (rowIter, layout, error) {
 	c.workers = 1
 	defer func() { c.workers = saved }()
 	return c.open(n)
-}
-
-// levelTotals is one spine level's counters summed across workers.
-type levelTotals struct {
-	nIn, nOut int
-	sample    tuple
 }
 
 // exchangeIter is the consumer side of the exchange.
@@ -252,62 +269,40 @@ type exchangeIter struct {
 	grpOut       int
 	grpHeldBytes int64
 
-	harvested  bool
-	scanNScan  int
-	scanNOut   int
+	folded     bool
 	grpNIn     int
-	lvTotals   []levelTotals
-	upCharged  bool
 	grpCharged bool
 
 	finished, closed bool
 }
 
-// segWorker drives one contiguous partition through the spine.
+// segWorker pulls a replica of the spine over one contiguous partition.
 type segWorker struct {
-	ex     *exchangeIter
-	id     int
-	lo, hi int
-	ch     chan []uint32 // ordered mode, except under a terminal SORT
+	partition // mem is drawn from by this worker alone; released by the consumer
+	ex        *exchangeIter
+	ops       spine
+	ch        chan []uint32 // ordered mode, except under a terminal SORT
 
-	mem       *arena   // drawn from by this worker alone; released by the consumer
 	batch     []uint32 // the fan-in batch being filled
 	spare     []uint32 // what is left of the chunk batches are cut from
 	kb        strings.Builder
 	sortBuf   []tuple
 	localSeen map[string]struct{}
 
-	// Counters; read by the consumer only after wg.Wait (happens-before).
-	scanNScan, scanNOut int
-	grpNIn              int
-	lv                  []workerLevelCounters
-}
-
-// workerLevelCounters is one worker's per-level bookkeeping.
-type workerLevelCounters struct {
-	nIn, nOut int
-	sample    tuple
+	// Read by the consumer only after wg.Wait (happens-before), as are the
+	// counts inside ops.
+	grpNIn int
 }
 
 func (e *exchangeIter) start() {
 	e.started = true
 	exchangeSegments.Add(1)
 	e.done = make(chan struct{})
-	// Drain build sides on the consumer thread, topmost level first — the
-	// exact order serial nested buildInner calls fire — so build-subtree
-	// charges, insertion order and samples are identical to serial.
-	for i := len(e.seg.levels) - 1; i >= 0; i-- {
-		lv := e.seg.levels[i]
-		if lv.kind != levelJoin {
-			continue
-		}
-		lv.build = e.ctx.drainBuild(lv.innerIter, lv.probeKey, lv.buildKey, lv.inner, false)
-		if e.ctx.overBudget() {
-			// A build side put the run over its budget: no worker starts, and
-			// Close charges what ran and closes the build subtrees not reached.
-			e.finished = true
-			return
-		}
+	if !e.seg.lead.drainBuilds(e.ctx) {
+		// A build side put the run over its budget: no worker starts, and
+		// Close charges what ran and closes the build subtrees not reached.
+		e.finished = true
+		return
 	}
 	parts := storage.SplitRange(e.seg.scan.lo, e.seg.scan.hi, e.ctx.workers)
 	e.workers = make([]*segWorker, len(parts))
@@ -320,8 +315,8 @@ func (e *exchangeIter) start() {
 		e.seen = make(map[string]struct{})
 	}
 	for i, p := range parts {
-		w := &segWorker{ex: e, id: i, lo: p[0], hi: p[1], mem: e.ctx.newArena()}
-		w.lv = make([]workerLevelCounters, len(e.seg.levels))
+		w := &segWorker{ex: e, partition: partition{lo: p[0], hi: p[1], cancel: &e.cancelled, mem: e.ctx.newArena()}}
+		w.ops = e.seg.lead.replica(&w.partition)
 		if e.ordered && e.seg.term != termSort {
 			w.ch = make(chan []uint32, exchangeChanDepth)
 		}
@@ -429,17 +424,11 @@ func (e *exchangeIter) collectSorted() {
 	for i, w := range e.workers {
 		e.bufs[i] = w.sortBuf
 	}
-	e.harvest()
-	e.chargeUpstream()
-	// The serial pipeline releases its build sides when the sort closes its
-	// drained child — before the sort buffer is held. Matching that chronology
+	// The serial sort closes its drained child — charging it and releasing its
+	// build sides — before the sort buffer is held. Matching that chronology
 	// keeps the peak-residency accounting identical to serial.
-	for _, lv := range e.seg.levels {
-		if lv.kind == levelJoin && lv.build != nil {
-			lv.build.release(e.ctx)
-			lv.build = nil
-		}
-	}
+	e.fold()
+	e.seg.lead.root().Close()
 	if e.ctx.overBudget() {
 		// The segment alone cost more than the run may: no merge.
 		e.bufs = nil
@@ -512,65 +501,29 @@ func compareRows(a, b tuple, key []colRef) int {
 	return 0
 }
 
-// harvest sums worker counters (workers have exited; partition order makes
-// the sample picks deterministic).
-func (e *exchangeIter) harvest() {
-	if e.harvested {
+// fold adds the workers' counts to the lead, in partition order: the sample a
+// join keeps is then the serial first row. The workers have exited.
+func (e *exchangeIter) fold() {
+	if e.folded {
 		return
 	}
-	e.harvested = true
-	e.lvTotals = make([]levelTotals, len(e.seg.levels))
+	e.folded = true
 	for _, w := range e.workers {
-		e.scanNScan += w.scanNScan
-		e.scanNOut += w.scanNOut
+		e.seg.lead.fold(w.ops)
 		e.grpNIn += w.grpNIn
-		for li := range e.lvTotals {
-			e.lvTotals[li].nIn += w.lv[li].nIn
-			e.lvTotals[li].nOut += w.lv[li].nOut
-			if e.lvTotals[li].sample == nil && w.lv[li].sample != nil {
-				e.lvTotals[li].sample = w.lv[li].sample
-			}
-		}
-	}
-}
-
-// chargeUpstream charges the scan and every spine level from the summed
-// counters, in the serial pipeline's order: scan first (it exhausts first),
-// then the spine bottom-up.
-func (e *exchangeIter) chargeUpstream() {
-	if e.upCharged {
-		return
-	}
-	e.upCharged = true
-	c := e.ctx
-	sc := e.seg.scan
-	if sc.node.Op == qgm.OpTBSCAN {
-		c.chargeTBScan(sc.node, e.scanNScan, e.scanNOut, sc.tablePages, sc.tableRows)
-	} else {
-		c.chargeIXScan(sc.node, sc.idxDef, e.scanNScan, e.scanNOut, sc.tablePages, sc.tableRows, sc.rowsPerPage)
-	}
-	for li, lv := range e.seg.levels {
-		t := e.lvTotals[li]
-		if lv.kind == levelFilter {
-			// Same charge the serial passIter(FILTER) computes.
-			c.charge(lv.node, c.cost.PerRow(float64(t.nIn), catalog.FilterRowCPU), t.nIn)
-			continue
-		}
-		innerRows, innerWidth := lv.build.actuals(lv.inner)
-		c.chargeJoin(lv.node, joinActuals{
-			outerRows: t.nIn, innerRows: innerRows, outRows: t.nOut,
-			outerWidth: lv.outer.rowWidth(t.sample), innerWidth: innerWidth,
-		})
 	}
 }
 
 // finalizeCharges fires at exhaustion of the non-sort paths (the sort path
-// charges in collectSorted): upstream first, then the terminal GRPBY —
+// charges in collectSorted): the lead bottom-up — the order a serial pipeline
+// finalizes in as exhaustion travels up it — then the terminal GRPBY,
 // mirroring the serial order where the child pipeline finalizes inside the
 // last groupByIter.Next.
 func (e *exchangeIter) finalizeCharges() {
-	e.harvest()
-	e.chargeUpstream()
+	e.fold()
+	for _, op := range e.seg.lead {
+		op.finalize()
+	}
 	if e.seg.term == termGrpBy && !e.grpCharged {
 		e.grpCharged = true
 		e.ctx.charge(e.seg.termNode, e.ctx.cost.PerRow(float64(e.grpNIn), catalog.GroupByRowCPU), e.grpOut)
@@ -588,21 +541,13 @@ func (e *exchangeIter) Close() {
 		close(e.done)
 		e.wg.Wait()
 	}
-	// Close the build subtrees never drained — all of them when the exchange
-	// never ran, those below an over-budget build otherwise — charging their
-	// zero work, as a closed serial pipeline would.
-	for _, lv := range e.seg.levels {
-		if lv.kind == levelJoin && lv.build == nil {
-			lv.innerIter.Close()
-		}
-	}
+	// Closing the lead charges what is not yet charged and closes the build
+	// subtrees never drained — all of them when the exchange never ran, those
+	// below an over-budget build otherwise — in the order a serial pipeline's
+	// Close does, and releases the builds that were.
+	e.fold()
+	e.seg.lead.root().Close()
 	e.finalizeCharges()
-	for _, lv := range e.seg.levels {
-		if lv.kind == levelJoin && lv.build != nil {
-			lv.build.release(e.ctx)
-			lv.build = nil
-		}
-	}
 	if e.merged {
 		e.ctx.release(e.sortHeldRows, e.sortHeldBytes)
 		e.bufs = nil
@@ -622,7 +567,16 @@ func (w *segWorker) main() {
 	// ExchangeWorkerCount()==0 after Close are exact, not eventual.
 	defer w.ex.wg.Done()
 	defer exchangeWorkers.Add(-1)
-	ok := w.scanPartition()
+	// A cancelled scan reads as exhausted: what tells is the flag.
+	root, ok := w.ops.root(), true
+	for ok {
+		row, more := root.Next()
+		if !more {
+			break
+		}
+		ok = w.emit(row)
+	}
+	ok = ok && !w.cancel.Load()
 	if w.ex.seg.term == termSort {
 		// The consumer reads sortBuf once every worker has exited.
 		if ok {
@@ -636,55 +590,6 @@ func (w *segWorker) main() {
 	if w.ex.ordered {
 		close(w.ch)
 	}
-}
-
-// scanPartition drives the partition's rows through the spine; false when
-// cancelled.
-func (w *segWorker) scanPartition() bool {
-	sc := w.ex.seg.scan
-	for i := w.lo; i < w.hi; i++ {
-		if i&1023 == 0 && w.ex.cancelled.Load() {
-			return false
-		}
-		id := i
-		if sc.entries != nil { // IXSCAN/FETCH: positions index the entry range
-			id = sc.entries[i].RowID
-		}
-		w.scanNScan++
-		if !sc.match(id) {
-			continue
-		}
-		w.scanNOut++
-		if !w.feed(0, sc.ids[id:id+1:id+1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// feed pushes one row through spine level li and everything above it.
-func (w *segWorker) feed(li int, row tuple) bool {
-	levels := w.ex.seg.levels
-	if li == len(levels) {
-		return w.emit(row)
-	}
-	lv := levels[li]
-	cnt := &w.lv[li]
-	cnt.nIn++
-	if cnt.sample == nil {
-		cnt.sample = row
-	}
-	if lv.kind == levelFilter {
-		cnt.nOut++
-		return w.feed(li+1, row)
-	}
-	for i, h := lv.build.first(row); i >= 0; i = lv.build.after(i, h, row) {
-		cnt.nOut++
-		if !w.feed(li+1, w.mem.concat(row, lv.build.rows.at(int(i)))) {
-			return false
-		}
-	}
-	return true
 }
 
 // emit hands a spine-output row to the terminal: buffered for the local

@@ -187,26 +187,11 @@ func (e *Executor) open(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("executor: empty plan")
 	}
-	work := q.Clone()
-	if err := sqlparser.Resolve(work, e.DB.Catalog.Schema); err != nil {
+	ctx, err := e.newContext(q, budgetMillis)
+	if err != nil {
 		return nil, err
 	}
-	ctx := &execContext{
-		exec:      e,
-		query:     work,
-		cfg:       e.DB.Catalog.Config,
-		cost:      e.DB.Catalog.Config.RunCost(),
-		instToRef: map[string]string{},
-		refToInst: map[string]string{},
-		workers:   e.Workers,
-		budget:    budgetMillis,
-	}
-	ctx.mem = ctx.newArena()
-	for i, ref := range work.From {
-		inst := fmt.Sprintf("Q%d", i+1)
-		ctx.instToRef[inst] = strings.ToUpper(ref.Name())
-		ctx.refToInst[strings.ToUpper(ref.Name())] = inst
-	}
+	work := ctx.query
 	// A plan can be executed many times (and a cursor may stop early, leaving
 	// deep operators unvisited); stale actuals from a previous run must never
 	// survive into this one's estimation-gap reading.
@@ -221,13 +206,9 @@ func (e *Executor) open(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64
 		// The baseline's flat rows travel as one-slot tuples.
 		root = &rowsetIter{ctx: ctx, rs: rs, ids: rowIDs(len(rs.rows))}
 		lay = layout{cols: rs.cols, slots: slotList{{ncols: len(rs.cols), rows: rs.rows}}}
-	} else {
-		var err error
-		root, lay, err = ctx.open(plan.Root)
-		if err != nil {
-			ctx.releaseArenas()
-			return nil, err
-		}
+	} else if root, lay, err = ctx.open(plan.Root); err != nil {
+		ctx.releaseArenas()
+		return nil, err
 	}
 	cur := &Cursor{ctx: ctx, plan: plan, root: root, slots: lay.slots}
 	if work.Star || len(work.Select) == 0 {
@@ -248,6 +229,32 @@ func (e *Executor) open(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64
 		cur.proj = lay.refs(pos)
 	}
 	return cur, nil
+}
+
+// newContext resolves the query against the schema and returns the state of
+// one execution of it.
+func (e *Executor) newContext(q *sqlparser.Query, budgetMillis float64) (*execContext, error) {
+	work := q.Clone()
+	if err := sqlparser.Resolve(work, e.DB.Catalog.Schema); err != nil {
+		return nil, err
+	}
+	ctx := &execContext{
+		exec:      e,
+		query:     work,
+		cfg:       e.DB.Catalog.Config,
+		cost:      e.DB.Catalog.Config.RunCost(),
+		instToRef: map[string]string{},
+		refToInst: map[string]string{},
+		workers:   e.Workers,
+		budget:    budgetMillis,
+	}
+	ctx.mem = ctx.newArena()
+	for i, ref := range work.From {
+		inst := fmt.Sprintf("Q%d", i+1)
+		ctx.instToRef[inst] = strings.ToUpper(ref.Name())
+		ctx.refToInst[strings.ToUpper(ref.Name())] = inst
+	}
+	return ctx, nil
 }
 
 // Next returns the next projected row, or false when the plan is exhausted

@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"galo/internal/catalog"
 	"galo/internal/qgm"
@@ -28,6 +29,25 @@ import (
 type rowIter interface {
 	Next() (tuple, bool)
 	Close()
+}
+
+// spineIter is a streaming operator an exchange segment can run in parallel —
+// a scan, a FILTER, a join. The segment keeps one copy, the lead, which never
+// runs; every worker pulls a replica of it over its partition of the scan. A
+// replica counts rows as the serial operator does and is born charged and
+// closed: it books no charge and never touches the residency accounting, which
+// is unsynchronized and belongs to the goroutine driving the cursor. Once the
+// workers have exited, their counts are folded into the lead, and the lead is
+// finalized and closed as a serial pipeline is.
+type spineIter interface {
+	rowIter
+	// replica copies the operator for one partition, pulling from child (nil
+	// for a scan).
+	replica(child rowIter, p *partition) spineIter
+	// fold adds the counts of one of the operator's replicas.
+	fold(replica spineIter)
+	// finalize charges the operator from its counts, once.
+	finalize()
 }
 
 // open builds the iterator pipeline for the subtree rooted at node and
@@ -69,7 +89,7 @@ func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
 	case qgm.OpRETURN:
 		return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.ReturnRowCPU}, lay, nil
 	case qgm.OpFILTER:
-		return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.FilterRowCPU}, lay, nil
+		return c.filterOver(node, child), lay, nil
 	case qgm.OpSORT:
 		return &sortIter{ctx: c, node: node, child: child, slots: lay.slots, key: lay.refs(c.sortKey(node, lay.cols))}, lay, nil
 	default:
@@ -136,6 +156,11 @@ type passIter struct {
 	closed    bool
 }
 
+// filterOver returns the FILTER operator over a child already open.
+func (c *execContext) filterOver(node *qgm.Node, child rowIter) *passIter {
+	return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.FilterRowCPU}
+}
+
 func (p *passIter) Next() (tuple, bool) {
 	t, ok := p.child.Next()
 	if !ok {
@@ -163,10 +188,18 @@ func (p *passIter) Close() {
 	p.finalize()
 }
 
+func (p *passIter) replica(child rowIter, _ *partition) spineIter {
+	r := *p
+	r.child, r.charged, r.closed = child, true, true
+	return &r
+}
+
+func (p *passIter) fold(r spineIter) { p.n += r.(*passIter).n }
+
 // --- scans -------------------------------------------------------------------
 
-// scanSource is a base-table access resolved against the database: what the
-// serial scan iterators and the exchange's partitioned leaf both start from.
+// scanSource is a base-table access resolved against the database: what a
+// scan iterator and every replica of it read, none of them writing.
 type scanSource struct {
 	node   *qgm.Node
 	slot            // the table and its rows, pinned at open
@@ -228,10 +261,17 @@ func (c *execContext) openScan(node *qgm.Node) (rowIter, layout, error) {
 	if err != nil {
 		return nil, layout{}, err
 	}
-	if node.Op != qgm.OpTBSCAN {
-		return &ixscanIter{ctx: c, scanSource: sc, pos: sc.lo}, lay, nil
+	return c.scanOver(sc, sc.lo, sc.hi), lay, nil
+}
+
+// scanOver returns the scan iterator over candidate positions [lo, hi) of a
+// resolved access.
+func (c *execContext) scanOver(sc *scanSource, lo, hi int) spineIter {
+	s := scanIter{ctx: c, scanSource: sc, pos: lo, stop: hi, end: hi}
+	if sc.node.Op == qgm.OpTBSCAN {
+		return &tbscanIter{s}
 	}
-	return &tbscanIter{ctx: c, scanSource: sc}, lay, nil
+	return &ixscanIter{s}
 }
 
 // indexBounds resolves the entry range an index access touches, pushing the
@@ -260,22 +300,78 @@ func indexBounds(idx *storage.IndexData, lead string, preds []sqlparser.Predicat
 	return 0, idx.Len()
 }
 
-// tbscanIter streams a full table scan over the rows pinned at Open,
-// filtering each row before it leaves the operator (predicate pushdown:
-// non-matching rows never enter the pipeline). Rows travel as one-slot tuples
-// aliasing the identity vector.
-type tbscanIter struct {
+// scanIter is what the two scan iterators share: the candidate positions
+// [pos, end) of the access they stream — the source's whole range on the serial
+// path, one partition of it in an exchange worker — and the counts it is
+// charged from.
+type scanIter struct {
 	ctx *execContext
 	*scanSource
 
-	pos int
+	// The scan loops run to stop, which on the serial path is end. A replica
+	// gets there in strides of 1024 positions, looking between two of them at
+	// cancel, the flag of the exchange whose worker pulls it.
+	pos, stop, end int
+	cancel         *atomic.Bool
 
-	nScan, nOut     int
+	nScan, nOut     int // candidates read, rows passed on
 	charged, closed bool
 }
 
+// stride moves stop on; false once the range is scanned or the exchange
+// cancelled.
+func (s *scanIter) stride() bool {
+	if s.stop == s.end || s.cancel != nil && s.cancel.Load() {
+		return false
+	}
+	s.stop = min(s.end, s.stop+1024)
+	return true
+}
+
+// finalize charges the scan for the candidates actually read — the whole
+// range when it was drained, a proportional slice when a bounded consumer
+// stopped it early.
+func (s *scanIter) finalize() {
+	if s.charged {
+		return
+	}
+	s.charged = true
+	if s.node.Op == qgm.OpTBSCAN {
+		s.ctx.chargeTBScan(s.node, s.nScan, s.nOut, s.tablePages, s.tableRows)
+	} else {
+		s.ctx.chargeIXScan(s.node, s.idxDef, s.nScan, s.nOut, s.tablePages, s.tableRows, s.rowsPerPage)
+	}
+}
+
+func (s *scanIter) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	s.finalize()
+}
+
+// over is the scan's replica for one partition (see spineIter).
+func (s *scanIter) over(p *partition) scanIter {
+	r := *s
+	r.pos, r.stop, r.end, r.cancel = p.lo, p.lo, p.hi, p.cancel
+	r.charged, r.closed = true, true
+	return r
+}
+
+func (s *scanIter) add(r *scanIter) {
+	s.nScan += r.nScan
+	s.nOut += r.nOut
+}
+
+// tbscanIter streams a table scan over the rows pinned at Open, filtering each
+// row before it leaves the operator (predicate pushdown: non-matching rows
+// never enter the pipeline). Rows travel as one-slot tuples aliasing the
+// identity vector.
+type tbscanIter struct{ scanIter }
+
 func (s *tbscanIter) Next() (tuple, bool) {
-	for s.pos < s.hi {
+	for s.pos < s.stop || s.stride() {
 		i := s.pos
 		s.pos++
 		s.nScan++
@@ -288,42 +384,19 @@ func (s *tbscanIter) Next() (tuple, bool) {
 	return nil, false
 }
 
-// finalize charges the scan for the fraction of the table actually read —
-// the full tbscanCost formula when the scan was drained, a proportional
-// slice when a bounded consumer stopped it early.
-func (s *tbscanIter) finalize() {
-	if s.charged {
-		return
-	}
-	s.charged = true
-	s.ctx.chargeTBScan(s.node, s.nScan, s.nOut, s.tablePages, s.tableRows)
-}
-
-func (s *tbscanIter) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.finalize()
-}
+func (s *tbscanIter) replica(_ rowIter, p *partition) spineIter { return &tbscanIter{s.over(p)} }
+func (s *tbscanIter) fold(r spineIter)                          { s.add(&r.(*tbscanIter).scanIter) }
 
 // ixscanIter streams an index (or fetch-through-index) access: candidates
-// come straight from the index's entry range [lo, hi) — no row-ID list is ever
+// come straight from the index's entry range — no row-ID list is ever
 // materialized — and residual predicates filter each row before it leaves.
-type ixscanIter struct {
-	ctx *execContext
-	*scanSource
-
-	pos             int
-	nCand, nOut     int
-	charged, closed bool
-}
+type ixscanIter struct{ scanIter }
 
 func (s *ixscanIter) Next() (tuple, bool) {
-	for s.pos < s.hi {
+	for s.pos < s.stop || s.stride() {
 		id := s.entries[s.pos].RowID
 		s.pos++
-		s.nCand++
+		s.nScan++
 		if s.match(id) {
 			s.nOut++
 			return s.ids[id : id+1 : id+1], true
@@ -333,22 +406,8 @@ func (s *ixscanIter) Next() (tuple, bool) {
 	return nil, false
 }
 
-// finalize charges the candidate entries actually touched.
-func (s *ixscanIter) finalize() {
-	if s.charged {
-		return
-	}
-	s.charged = true
-	s.ctx.chargeIXScan(s.node, s.idxDef, s.nCand, s.nOut, s.tablePages, s.tableRows, s.rowsPerPage)
-}
-
-func (s *ixscanIter) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.finalize()
-}
+func (s *ixscanIter) replica(_ rowIter, p *partition) spineIter { return &ixscanIter{s.over(p)} }
+func (s *ixscanIter) fold(r spineIter)                          { s.add(&r.(*ixscanIter).scanIter) }
 
 // --- sort --------------------------------------------------------------------
 

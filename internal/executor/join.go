@@ -37,14 +37,20 @@ func (c *execContext) openJoin(node *qgm.Node) (rowIter, layout, error) {
 	if err != nil {
 		return nil, layout{}, err
 	}
-	inner, innerLay, err := c.openOrdered(node.Inner)
+	return c.joinOver(node, outer, outerLay, c.openOrdered)
+}
+
+// joinOver opens the join's inner side and returns the join iterator over an
+// outer already open, which it closes when the inner fails to.
+func (c *execContext) joinOver(node *qgm.Node, outer rowIter, outerLay layout, openInner func(*qgm.Node) (rowIter, layout, error)) (spineIter, layout, error) {
+	inner, innerLay, err := openInner(node.Inner)
 	if err != nil {
 		outer.Close()
 		return nil, layout{}, err
 	}
 	key, _ := c.joinKeys(node, outerLay.cols, innerLay.cols)
 	return &joinIter{
-		ctx: c, node: node, outer: outer, inner: inner,
+		ctx: c, node: node, outer: outer, inner: inner, mem: c.mem,
 		probe: outerLay.refs(key.outerPos), build: innerLay.refs(key.innerPos),
 		outerSlots: outerLay.slots, innerSlots: innerLay.slots,
 	}, outerLay.concat(innerLay), nil
@@ -60,6 +66,7 @@ type joinIter struct {
 	node         *qgm.Node
 	outer        rowIter
 	inner        rowIter
+	mem          *arena   // where output tuples are carved: that of the goroutine pulling
 	probe, build []colRef // the equi-join key columns on either side
 
 	outerSlots, innerSlots slotList
@@ -96,7 +103,7 @@ func (j *joinIter) Next() (tuple, bool) {
 		if i := j.mi; i >= 0 {
 			j.mi = j.hb.after(i, j.word, j.cur)
 			j.nOut++
-			return j.ctx.mem.concat(j.cur, j.hb.rows.at(int(i))), true
+			return j.mem.concat(j.cur, j.hb.rows.at(int(i))), true
 		}
 		orow, ok := j.outer.Next()
 		if !ok {
@@ -116,23 +123,15 @@ func (j *joinIter) Next() (tuple, bool) {
 }
 
 // buildInner drains the inner child into the build side and indexes it by
-// join key. The buffer is charged to the intermediate accounting until Close.
+// join key; the buffered rows are held in the intermediate accounting until
+// Close. It runs on the goroutine driving the cursor, in whose arena the build
+// lives (an exchange's lead is built there too). For an early-out MSJOIN the
+// same pass records the largest value of the first key column.
 func (j *joinIter) buildInner() {
 	j.built = true
 	j.mi = -1
 	wantMax := j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.probe) > 0
-	j.hb = j.ctx.drainBuild(j.inner, j.probe, j.build, j.innerSlots, wantMax)
-	j.trackEarlyOut = wantMax && j.hb.rows.n > 0
-}
-
-// drainBuild drains a join's inner child into a hashBuild (holding the
-// buffered rows in the intermediate accounting until the owner releases
-// them). Shared by the serial joinIter and the exchange's build phase, both on
-// the consumer goroutine, whose arena the build lives in. With wantMax the
-// same pass records the largest value of the first key column (the MSJOIN
-// early-out bound).
-func (c *execContext) drainBuild(inner rowIter, probe, build []colRef, innerSlots slotList, wantMax bool) *hashBuild {
-	b := newHashBuild(c.mem, probe, build, len(innerSlots))
+	b, inner := newHashBuild(j.mem, j.probe, j.build, len(j.innerSlots)), j.inner
 	for {
 		t, ok := inner.Next()
 		if !ok {
@@ -151,13 +150,13 @@ func (c *execContext) drainBuild(inner rowIter, probe, build []colRef, innerSlot
 			b.settleMax()
 		}
 	}
-	b.width = innerSlots.rowWidth(sample)
+	b.width = j.innerSlots.rowWidth(sample)
 	b.heldBytes = int64(b.width) * int64(b.rows.n)
-	if !c.overBudget() { // an over-budget build is never probed
-		b.index(c.workers)
+	if !j.ctx.overBudget() { // an over-budget build is never probed
+		b.index(j.ctx.workers)
 	}
-	c.hold(b.rows.n, b.heldBytes)
-	return b
+	j.ctx.hold(b.rows.n, b.heldBytes)
+	j.hb, j.trackEarlyOut = b, wantMax && b.rows.n > 0
 }
 
 // parallelBuildMinRows is the smallest build side worth hash-partitioning
@@ -367,8 +366,8 @@ func fanOut(parts [][2]int, fn func(lo, hi int)) int {
 
 // first returns the ordinal of the first build row (in drain order) joining
 // the probe tuple, or -1, together with the probe's key word; after continues
-// from a returned ordinal. Both only read the build, so every exchange worker
-// probes the same one.
+// from a returned ordinal. Both only read the build, so every replica of its
+// join probes the same one.
 func (b *hashBuild) first(t tuple) (int32, uint64) {
 	if len(b.probe) == 0 {
 		return b.after(-1, 0, t), 0
@@ -465,6 +464,26 @@ func (j *joinIter) Close() {
 	j.finalize()
 	if j.built {
 		j.hb.release(j.ctx)
+	}
+}
+
+// replica probes the build j owns — drained before any replica is made — and
+// carves its output from the partition's arena.
+func (j *joinIter) replica(child rowIter, p *partition) spineIter {
+	r := *j
+	r.outer, r.inner, r.mem = child, nil, p.mem
+	r.charged, r.closed = true, true
+	return &r
+}
+
+// fold keeps the first sample met: folded in partition order, the serial
+// first outer row.
+func (j *joinIter) fold(r spineIter) {
+	o := r.(*joinIter)
+	j.nOuterRows += o.nOuterRows
+	j.nOut += o.nOut
+	if j.outerSample == nil {
+		j.outerSample = o.outerSample
 	}
 }
 

@@ -50,20 +50,10 @@ type Server struct {
 	mux    *http.ServeMux
 }
 
-// NewServer returns a server over a fixed single store.
+// NewServer returns a server over a fixed single store; POST /data loads
+// triples into it additively.
 func NewServer(store *rdf.Store) *Server {
-	return NewDynamicServer(func() *rdf.Store { return store })
-}
-
-// NewDynamicServer returns a single-store server that re-resolves its store
-// on every request. POST /data loads triples additively into the resolved
-// store, preserving the raw-store semantics callers of this constructor
-// expect.
-func NewDynamicServer(resolve func() *rdf.Store) *Server {
-	return NewShardedServer(
-		func() []*rdf.Store { return []*rdf.Store{resolve()} },
-		func(nt string) error { return resolve().LoadNTriples(nt) },
-	)
+	return NewShardedServer(func() []*rdf.Store { return []*rdf.Store{store} }, store.LoadNTriples)
 }
 
 // NewShardedServer returns a server over a dynamic set of shard stores.

@@ -144,10 +144,6 @@ func NewSharded(cat *catalog.Catalog, endpoints []Endpoint, route Router, opts O
 	return e
 }
 
-// Endpoint returns the single knowledge base endpoint of an unsharded
-// engine (shard 0 of a sharded one).
-func (e *Engine) Endpoint() Endpoint { return e.endpoints[0] }
-
 // Shards returns the number of knowledge base shards the engine probes.
 func (e *Engine) Shards() int { return len(e.endpoints) }
 
