@@ -47,26 +47,29 @@ func probePlan() *qgm.Plan {
 }
 
 // BenchmarkStoreMatch measures raw index probes against the dictionary-
-// encoded store across 1x/4x/16x knowledge base sizes. The probed subjects
-// are fixed, so a KB-size-independent store must report ~constant ns/op
-// across the three sub-benchmarks.
+// encoded store across 1x/4x/16x knowledge base sizes, through the ID-level
+// reads the SPARQL evaluator uses. The probed subjects are fixed, so a
+// KB-size-independent store must report ~constant ns/op across the three
+// sub-benchmarks.
 func BenchmarkStoreMatch(b *testing.B) {
-	inTemplate := transform.Prop(transform.PropInTemplate)
-	popType := transform.Prop(transform.PropPopType)
 	for _, size := range benchKBSizes {
 		b.Run(fmt.Sprintf("templates=%d", size), func(b *testing.B) {
-			store := inflatedKB(b, size).Store()
+			snap := inflatedKB(b, size).Store().Snapshot()
+			inTemplate, _ := snap.ID(transform.Prop(transform.PropInTemplate))
+			popType, _ := snap.ID(transform.Prop(transform.PropPopType))
+			popTypeTerm := snap.Term(popType)
 			// The same operator resources exist at every size (InflateKB is
 			// deterministic and prefix-stable), so the probed working set is
 			// identical across sub-benchmarks.
-			pops := store.SubjectsWithPred(popType)[:32]
-			b.ReportMetric(float64(store.Len()), "triples")
+			pops := snap.PredSubjectIDs(popType, nil)[:32]
+			b.ReportMetric(float64(snap.Len()), "triples")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pop := pops[i%len(pops)]
-				store.Match(&pop, &popType, nil)
-				store.ObjectsOf(pop, inTemplate)
-				store.CountSP(pop, popType)
+				term := snap.Term(pop)
+				snap.Match(&term, &popTypeTerm, nil)
+				snap.ObjectIDs(pop, inTemplate)
+				snap.ObjectIDs(pop, popType)
 			}
 		})
 	}
@@ -80,15 +83,27 @@ func unbounded(q *sparql.Query) *sparql.Query {
 	return &all
 }
 
+// pinnedSelect is the select fuseki.LocalEndpoint.PinEpoch returns.
+type pinnedSelect = func(*sparql.Prepared, []float64) ([]sparql.Solution, error)
+
 // coldProbe is what a cache miss costs the matching engine against an
-// in-process knowledge base: describe the fragment, build its query, evaluate
-// it on the pinned epoch. Nothing is printed or parsed.
-func coldProbe(tb testing.TB, frag *qgm.Node, sel func(*sparql.Query) ([]sparql.Solution, error)) {
+// in-process knowledge base: describe the fragment, find its compiled form
+// (forms stands in for the engine's form cache, compiling on first sight),
+// run it with the probe's parameters on the pinned epoch. Nothing is printed
+// or parsed.
+func coldProbe(tb testing.TB, frag *qgm.Node, forms map[string]*sparql.Prepared, sel pinnedSelect) {
 	p, err := transform.NewProbe(frag)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := sel(p.Query()); err != nil {
+	pr := forms[p.FormKey()]
+	if pr == nil {
+		if pr, err = sparql.Prepare(p.Query()); err != nil {
+			tb.Fatal(err)
+		}
+		forms[p.FormKey()] = pr
+	}
+	if _, err := sel(pr, p.Params()); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -135,10 +150,10 @@ func saturatedProbe() *qgm.Node {
 
 // BenchmarkKBProbeCold measures one full cold probe of a plan fragment
 // against knowledge bases of growing size, bypassing the routinization cache:
-// through the prepared path the matching engine takes (probe description,
-// built query, selectivity-ordered evaluation), and through the text path a
-// remote endpoint's server takes (parse of a text rendered beforehand, then
-// the same evaluation). Probes carry the matcher's LIMIT
+// through the prepared path the matching engine takes (probe description, its
+// form compiled once, selectivity-ordered evaluation over dictionary IDs), and
+// through the text path a remote endpoint's server takes (parse and compile of
+// a text rendered beforehand, then the same evaluation). Probes carry the matcher's LIMIT
 // (transform.ProbeSolutionLimit), which bounds solution enumeration when many
 // templates match.
 func BenchmarkKBProbeCold(b *testing.B) {
@@ -151,10 +166,11 @@ func BenchmarkKBProbeCold(b *testing.B) {
 		endpoint := fuseki.LocalEndpoint{Store: inflatedKB(b, size).Store()}
 		b.Run(fmt.Sprintf("prepared/templates=%d", size), func(b *testing.B) {
 			sel, _ := endpoint.PinEpoch()
+			forms := map[string]*sparql.Prepared{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				coldProbe(b, frag, sel)
+				coldProbe(b, frag, forms, sel)
 			}
 		})
 		b.Run(fmt.Sprintf("text/templates=%d", size), func(b *testing.B) {
@@ -187,12 +203,16 @@ func BenchmarkKBProbeColdManyMatches(b *testing.B) {
 			q = unbounded(q)
 			name = "unbounded"
 		}
+		pr, err := sparql.Prepare(q)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, size := range benchKBSizes {
 			b.Run(fmt.Sprintf("%s/templates=%d", name, size), func(b *testing.B) {
 				sel, _ := fuseki.LocalEndpoint{Store: saturatedKB(b, size).Store()}.PinEpoch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sel(q); err != nil {
+					if _, err := sel(pr, p.Params()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -228,9 +248,13 @@ type benchRow struct {
 	KBTemplates int `json:"kb_templates"`
 	KBTriples   int `json:"kb_triples"`
 	// ColdNsPerProbe is a cache miss as the matching engine pays it since
-	// PR 15 (coldProbe: prepared path); ColdTextNsPerProbe is the text path it
-	// took before and remote endpoints still take (parse + evaluate).
+	// PR 15 (coldProbe: prepared path), of a form compiled before since PR 25;
+	// ColdFirstNsPerProbe is the first probe of its form, which builds and
+	// compiles the query (since PR 25; absent from older rows);
+	// ColdTextNsPerProbe is the text path remote endpoints take (parse +
+	// compile + evaluate).
 	ColdNsPerProbe           float64 `json:"cold_ns_per_probe"`
+	ColdFirstNsPerProbe      float64 `json:"cold_first_ns_per_probe,omitempty"`
 	ColdTextNsPerProbe       float64 `json:"cold_text_ns_per_probe"`
 	RoutinizedNsPerMatchPlan float64 `json:"routinized_ns_per_matchplan"`
 	// The many-matches pair probes a KB where every template matches the
@@ -285,8 +309,12 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		}
 		satSel, _ := fuseki.LocalEndpoint{Store: saturatedKB(t, size).Store()}.PinEpoch()
 		saturated := func(q *sparql.Query) func() {
+			pr, err := sparql.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return func() {
-				if _, err := satSel(q); err != nil {
+				if _, err := satSel(pr, sat.Params()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -301,9 +329,11 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		}
 		matchPlan() // fills the fingerprint cache
 
-		var cold, coldText, warm, bounded, unboundedNs []float64
+		forms := map[string]*sparql.Prepared{}
+		var cold, coldFirst, coldText, warm, bounded, unboundedNs []float64
 		for p := 0; p < passes; p++ {
-			cold = append(cold, perRound(coldRounds, func() { coldProbe(t, frag, sel) }))
+			cold = append(cold, perRound(coldRounds, func() { coldProbe(t, frag, forms, sel) }))
+			coldFirst = append(coldFirst, perRound(coldRounds, func() { coldProbe(t, frag, map[string]*sparql.Prepared{}, sel) }))
 			coldText = append(coldText, perRound(coldRounds, func() {
 				if _, err := endpoint.Select(queryText); err != nil {
 					t.Fatal(err)
@@ -317,6 +347,7 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 			KBTemplates:              size,
 			KBTriples:                store.Len(),
 			ColdNsPerProbe:           median(cold),
+			ColdFirstNsPerProbe:      median(coldFirst),
 			ColdTextNsPerProbe:       median(coldText),
 			RoutinizedNsPerMatchPlan: median(warm),
 			ManyMatchesBoundedNs:     median(bounded),
@@ -325,10 +356,11 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 	}
 	doc := map[string]any{
 		"benchmark":   "knowledge base probe latency vs KB size (ns)",
-		"note":        "cold = one fragment probe without cache through the prepared path (probe description + built query + evaluation); cold_text = the same probe as text through LocalEndpoint.Select (parse + evaluation), the only cold path before PR 15; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn. before = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write): per-column medians of six emissions, the two test binaries run alternately on the same machine. The rows of the committed file are the per-column medians of the six emissions of this code that alternated with them (a regenerated file holds one emission, and one emission of either binary spreads by a quarter around its median: the 960-template cold column read 49.4 / 52.7 / 59.5 / 61.2 / 67.7 / 81.3 us before and 56.6 / 57.8 / 58.8 / 61.3 / 69.4 / 74.2 us after). Ten alternations of BenchmarkKBProbeCold/prepared/templates=960 at 20000 iterations read 63.7 us before and 63.1 us after by the median, five wins each: the read side did not pay for O(delta) publication. The routinized column never reaches the store (3.0 to 6.1 us in both). before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a); its cold column is the text path.",
+		"note":        "cold = one fragment probe without cache through the prepared path as the matching engine pays it: probe description, its form's compiled query looked up (compiled once, by the first probe of the form), evaluation over dictionary IDs; cold_first = the first probe of its form, which also builds the query and compiles it (the column added by PR 25, so that the cached compile is not mistaken for the whole cost); cold_text = the same probe as text through LocalEndpoint.Select (parse + compile + evaluation), the path remote endpoints' servers take; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, compiled once, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn; one emission of either side spreads by about a quarter around its median on this machine. before = the rows committed before PR 25 (measured on PR 21's tree; nothing on the probe's read path changed until PR 25); before_pr21 = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write); before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a), whose cold column is the text path.",
 		"env":         benchEnv(),
 		"rows":        rows,
-		"before":      matchingBeforePR21,
+		"before":      matchingBeforePR25,
+		"before_pr21": matchingBeforePR21,
 		"before_pr15": matchingBefore,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -339,6 +371,14 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_matching.json:\n%s", data)
+}
+
+// matchingBeforePR25 are the rows BENCH_matching.json held before PR 25 (see
+// the note it is emitted with).
+var matchingBeforePR25 = []benchRow{
+	{KBTemplates: 60, KBTriples: 2345, ColdNsPerProbe: 19372.26, ColdTextNsPerProbe: 56959.497, RoutinizedNsPerMatchPlan: 4268.193, ManyMatchesBoundedNs: 62647.717, ManyMatchesUnboundedNs: 350049.9},
+	{KBTemplates: 240, KBTriples: 10251, ColdNsPerProbe: 25590.887, ColdTextNsPerProbe: 64333.71, RoutinizedNsPerMatchPlan: 4372.885, ManyMatchesBoundedNs: 96209.997, ManyMatchesUnboundedNs: 1520443.45},
+	{KBTemplates: 960, KBTriples: 45190, ColdNsPerProbe: 60031.3, ColdTextNsPerProbe: 100646.577, RoutinizedNsPerMatchPlan: 3980.426, ManyMatchesBoundedNs: 223738.807, ManyMatchesUnboundedNs: 6551219.47},
 }
 
 // matchingBeforePR21 is TestEmitBenchMatchingJSON on the parent of PR 21 (see

@@ -163,13 +163,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Pin one epoch per shard for the whole evaluation: a concurrent
+	pr, err := sparql.Prepare(q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// Compiled once, run on one pinned epoch per shard: a concurrent
 	// knowledge base publication must not be half-visible to a
 	// multi-pattern query. Each shard holds disjoint templates, so the
 	// merged solution set is the union.
+	params := pr.Params()
 	var sols []sparql.Solution
 	for _, st := range s.stores() {
-		part, err := sparql.Execute(q, st.Snapshot())
+		part, err := pr.Run(st.Snapshot(), params)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -388,9 +394,10 @@ type LocalEndpoint struct {
 	Store *rdf.Store
 }
 
-// Select parses and runs the query against a pinned snapshot of the local
-// store, so one probe sees one consistent knowledge base epoch even while
-// learning publishes new templates concurrently.
+// Select parses the query and runs it (sparql.Execute: Prepare, then Run)
+// against a pinned snapshot of the local store, so one probe sees one
+// consistent knowledge base epoch even while learning publishes new templates
+// concurrently.
 func (l LocalEndpoint) Select(queryText string) ([]sparql.Solution, error) {
 	q, err := sparql.Parse(queryText)
 	if err != nil {
@@ -399,16 +406,17 @@ func (l LocalEndpoint) Select(queryText string) ([]sparql.Solution, error) {
 	return sparql.Execute(q, l.Store.Snapshot())
 }
 
-// PinEpoch pins the store's current epoch and returns a select over prepared
-// queries frozen on it, plus that epoch's version (matching the matching
-// engine's EpochPinner interface). Every probe issued through the returned
-// function sees exactly the pinned epoch, so cache entries tagged with the
-// returned version can never carry another epoch's solutions — and, being in
-// process, it takes the query as built: nothing is printed or parsed.
-func (l LocalEndpoint) PinEpoch() (func(*sparql.Query) ([]sparql.Solution, error), uint64) {
+// PinEpoch pins the store's current epoch and returns a select that runs
+// prepared queries on it with the parameters given, plus that epoch's version
+// (matching the matching engine's EpochPinner interface). Every probe issued
+// through the returned function sees exactly the pinned epoch, so cache
+// entries tagged with the returned version can never carry another epoch's
+// solutions — and, being in process, it takes the query compiled: nothing is
+// printed, parsed or compiled per probe.
+func (l LocalEndpoint) PinEpoch() (func(*sparql.Prepared, []float64) ([]sparql.Solution, error), uint64) {
 	snap := l.Store.Snapshot()
-	return func(q *sparql.Query) ([]sparql.Solution, error) {
-		return sparql.Execute(q, snap)
+	return func(pr *sparql.Prepared, params []float64) ([]sparql.Solution, error) {
+		return pr.Run(snap, params)
 	}, snap.Version()
 }
 

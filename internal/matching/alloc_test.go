@@ -31,8 +31,11 @@ func threeJoinPlan() *qgm.Plan {
 // prepared (49b635a), where every fragment was rendered to SPARQL text to be
 // looked up and that text lexed and parsed on a miss, a warm MatchPlanStats of
 // this 3-join plan (three cache hits) took 559 allocations and a cold local
-// probe of the one-join fragment (8 solutions) 1681; prepared they take 50
-// (most of them enumerating the plan's fragments) and 234.
+// probe of the one-join fragment (8 solutions) 1681; prepared they took 50
+// (most of them enumerating the plan's fragments) and 234; with planning
+// scratch recycled (PR 23) 19 and 228; with each probe form compiled once and
+// evaluated over dictionary IDs (PR 25) a cold probe of a known form takes 30
+// and the first probe of its form, which builds and compiles the query, 86.
 func TestProbeAllocCeiling(t *testing.T) {
 	knowledge := kb.New()
 	for i := 0; i < 32; i++ {
@@ -57,23 +60,32 @@ func TestProbeAllocCeiling(t *testing.T) {
 
 	frag := oneJoinFragment()
 	sel, _ := endpoint.PinEpoch()
-	cold := testing.AllocsPerRun(50, func() {
+	// probe is a cache miss as evaluate pays it, through the given forms.
+	probe := func(forms *formCache) {
 		p, err := transform.NewProbe(frag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sols, err := sel(p.Query())
+		pr, err := forms.prepare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols, err := sel(pr, p.Params())
 		if err != nil || len(sols) != transform.ProbeSolutionLimit {
 			t.Fatalf("cold probe: %d solutions, %v", len(sols), err)
 		}
-	})
+	}
+	var forms formCache
+	cold := testing.AllocsPerRun(50, func() { probe(&forms) })
+	first := testing.AllocsPerRun(50, func() { probe(&formCache{}) })
 
 	for _, c := range []struct {
 		name            string
 		allocs, ceiling float64
 	}{
-		{"warm MatchPlanStats, 3 joins", warm, 64},
-		{"cold local probe, 1 join", cold, 280},
+		{"warm MatchPlanStats, 3 joins", warm, 19},
+		{"cold local probe of a compiled form, 1 join", cold, 48},
+		{"cold local probe, first of its form, 1 join", first, 120},
 	} {
 		t.Logf("%s: %.0f allocations (ceiling %.0f)", c.name, c.allocs, c.ceiling)
 		if c.allocs > c.ceiling {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"galo/internal/sparql"
+	"galo/internal/transform"
 )
 
 // probeCacheShards is the number of independently locked shards the
@@ -141,4 +142,47 @@ func (c *probeCache) size() int {
 		s.mu.Unlock()
 	}
 	return total
+}
+
+// formCacheSize bounds the probe forms an engine keeps compiled (a few KB
+// each). A workload's fragments come in few forms — the form leaves out every
+// cardinality; each benchmark workload uses at most 44 — so the bound only
+// keeps a stream of never-repeating shapes from growing the cache without end.
+const formCacheSize = 256
+
+// formCache maps a probe form (transform.Probe.FormKey) to its compiled
+// query, so a cold probe of a known form builds no query and compiles
+// nothing. A sparql.Prepared holds no knowledge base IDs, so no publication
+// makes an entry stale; when the cache is full an arbitrary entry makes room.
+type formCache struct {
+	mu    sync.Mutex
+	forms map[string]*sparql.Prepared
+}
+
+// prepare returns the probe's compiled form, compiling it on first sight.
+func (c *formCache) prepare(p *transform.Probe) (*sparql.Prepared, error) {
+	form := p.FormKey()
+	c.mu.Lock()
+	pr := c.forms[form]
+	c.mu.Unlock()
+	if pr != nil {
+		return pr, nil
+	}
+	pr, err := sparql.Prepare(p.Query())
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.forms == nil {
+		c.forms = map[string]*sparql.Prepared{}
+	}
+	if len(c.forms) >= formCacheSize {
+		for k := range c.forms {
+			delete(c.forms, k)
+			break
+		}
+	}
+	c.forms[form] = pr
+	return pr, nil
 }

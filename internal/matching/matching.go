@@ -43,14 +43,15 @@ type VersionedEndpoint interface {
 // entry and singleflight key those probes produce — belongs to exactly that
 // epoch; the version tag can never disagree with the data actually read, even
 // while learning publishes new epochs mid-plan. The select takes the probe as
-// a built query (transform.Probe.Query): an endpoint that can pin an epoch is
-// in this process, so nothing has to be printed, lexed or parsed on the way.
-// In-process endpoints (fuseki.LocalEndpoint) implement this; remote
+// its compiled form and its parameters (transform.Probe.FormKey's
+// sparql.Prepared, transform.Probe.Params): an endpoint that can pin an epoch
+// is in this process, so nothing has to be printed, parsed or compiled on the
+// way. In-process endpoints (fuseki.LocalEndpoint) implement this; remote
 // endpoints cannot, are sent the probe's text through Endpoint.Select, and
 // fall back to the conservative KBVersion tagging (an entry tagged with a
 // superseded version is replaced by the next evaluation).
 type EpochPinner interface {
-	PinEpoch() (func(*sparql.Query) ([]sparql.Solution, error), uint64)
+	PinEpoch() (func(*sparql.Prepared, []float64) ([]sparql.Solution, error), uint64)
 }
 
 // Options configures the matching engine.
@@ -97,6 +98,7 @@ type Engine struct {
 	route     Router
 
 	cache       *probeCache
+	forms       formCache
 	flight      flightGroup
 	deduped     atomic.Int64
 	probeErrors atomic.Int64
@@ -183,9 +185,9 @@ func (e *Engine) CachedProbes() int {
 // how a probe routed to the shard is answered, plus the shard's pinned (or
 // conservatively fetched) epoch.
 type shardConn struct {
-	// prepared answers a built query against the pinned epoch; nil for an
+	// prepared runs a compiled probe against the pinned epoch; nil for an
 	// endpoint that cannot pin one, which is sent text instead.
-	prepared  func(*sparql.Query) ([]sparql.Solution, error)
+	prepared  func(*sparql.Prepared, []float64) ([]sparql.Solution, error)
 	text      func(string) ([]sparql.Solution, error)
 	version   uint64
 	versionOK bool
@@ -244,16 +246,20 @@ func (e *Engine) cached(shard int, conn shardConn, p *transform.Probe) ([]sparql
 }
 
 // evaluate answers a probe the cache could not: one evaluation per
-// (shard, epoch, fingerprint) among concurrent callers, as a built query
-// where the shard's epoch is pinned in process and as text anywhere else;
-// the answer is cached for the plans that follow.
+// (shard, epoch, fingerprint) among concurrent callers, as its compiled form
+// run with its parameters where the shard's epoch is pinned in process and as
+// text anywhere else; the answer is cached for the plans that follow.
 func (e *Engine) evaluate(shard int, conn shardConn, p *transform.Probe) ([]sparql.Solution, error) {
 	key := probeKey{shard, p.Key()}
 	sols, shared, err := e.flight.do(flightKey{key, conn.version, conn.versionOK}, func() ([]sparql.Solution, error) {
-		if conn.prepared != nil {
-			return conn.prepared(p.Query())
+		if conn.prepared == nil {
+			return conn.text(p.Text())
 		}
-		return conn.text(p.Text())
+		pr, err := e.forms.prepare(p)
+		if err != nil {
+			return nil, err
+		}
+		return conn.prepared(pr, p.Params())
 	})
 	if err != nil {
 		return nil, err

@@ -154,7 +154,7 @@ func (v versionedStore) Select(queryText string) ([]sparql.Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sparql.Execute(q, v.store)
+	return sparql.Execute(q, v.store.Snapshot())
 }
 
 func (v versionedStore) KBVersion() (uint64, bool) { return v.store.Version(), true }
@@ -303,10 +303,10 @@ type slowPinner struct {
 	release chan struct{}
 }
 
-func (s slowPinner) PinEpoch() (func(*sparql.Query) ([]sparql.Solution, error), uint64) {
+func (s slowPinner) PinEpoch() (func(*sparql.Prepared, []float64) ([]sparql.Solution, error), uint64) {
 	sel, version := s.LocalEndpoint.PinEpoch()
-	return func(q *sparql.Query) ([]sparql.Solution, error) {
+	return func(pr *sparql.Prepared, params []float64) ([]sparql.Solution, error) {
 		<-s.release
-		return sel(q)
+		return sel(pr, params)
 	}, version
 }

@@ -12,9 +12,8 @@
 // size of the touched posting lists rather than on the total store size — the
 // property GALO's online matching engine relies on (Figures 11-12 of the
 // paper). A per-predicate numeric (value, subject) band index answers
-// range-constrained subject lookups (SubjectsWithPredInRange) by binary
-// search, which the SPARQL evaluator uses to resolve FILTER-bounded candidate
-// starts.
+// range-constrained subject lookups (BandSubjectIDs) by binary search. The
+// SPARQL evaluator reads through Snapshot's ID-level accessors.
 //
 // # Concurrency contract
 //

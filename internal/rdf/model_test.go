@@ -14,7 +14,7 @@ import (
 
 // model is the store the way a reader of its documentation would write it: a
 // set of triples, the order in which terms were first seen, and a version
-// that counts effective changes. Every accessor of Graph is recomputed from
+// that counts effective changes. Every read of a snapshot is recomputed from
 // it by filtering and sorting, and compared with the store's answer element
 // by element — order included, since LIMIT cuts by it.
 type model struct {
@@ -159,11 +159,10 @@ type probe struct {
 	bands                    [][2]*float64
 }
 
-// check compares every accessor of Graph (and NTriples) with the model.
-func check(g interface {
-	Graph
-	NTriples() string
-}, mod *model, pr probe) error {
+// check compares every read of the snapshot (and NTriples) with the model.
+// The ID-level accessors are held to it with their IDs rendered through the
+// snapshot's own terms, order included: ascending IDs are first-seen order.
+func check(g *Snapshot, mod *model, pr probe) error {
 	m := mod.view()
 	if g.Len() != len(m.triples) {
 		return fmt.Errorf("Len = %d, model %d", g.Len(), len(m.triples))
@@ -176,19 +175,44 @@ func check(g interface {
 		return fmt.Errorf("Match(nil, nil, nil): %d triples, model %d (or another order)", len(got), len(all))
 	}
 	lines := make([]string, len(all))
-	var subjects []Term
 	for i, t := range all {
 		lines[i] = t.String() + "\n"
-		subjects = append(subjects, t.S)
 	}
 	sort.Strings(lines)
 	if got := g.NTriples(); got != strings.Join(lines, "") {
 		return fmt.Errorf("NTriples differs from the model's sorted lines")
 	}
-	if got, want := g.Subjects(), m.distinct(subjects); !slices.Equal(got, want) {
-		return fmt.Errorf("Subjects: %d, model %d (or another order)", len(got), len(want))
+	// id resolves a probed term; a term the model never interned must have no
+	// ID either, and an ID must render back to its term.
+	id := func(t Term) (uint32, bool, error) {
+		got, ok := g.ID(t)
+		if _, want := m.ids[t]; ok != want {
+			return 0, false, fmt.Errorf("ID(%v) ok=%v, model interned=%v", t, ok, want)
+		}
+		if ok && g.Term(got) != t {
+			return 0, false, fmt.Errorf("Term(ID(%v)) = %v", t, g.Term(got))
+		}
+		return got, ok, nil
+	}
+	render := func(ids []uint32) []Term {
+		var out []Term
+		for _, x := range ids {
+			out = append(out, g.Term(x))
+		}
+		return out
+	}
+	flat := func(chunks [][]uint32) []uint32 {
+		var out []uint32
+		for _, c := range chunks {
+			out = append(out, c...)
+		}
+		return out
 	}
 	for _, s := range pr.subjects {
+		sid, sok, err := id(s)
+		if err != nil {
+			return err
+		}
 		if got, want := g.Match(&s, nil, nil), m.sorted(Pattern{S: &s}, "po"); !slices.Equal(got, want) {
 			return fmt.Errorf("Match(%v, nil, nil) = %v, model %v", s, got, want)
 		}
@@ -198,19 +222,22 @@ func check(g interface {
 			}
 		}
 		for _, p := range pr.preds {
+			pid, pok, err := id(p)
+			if err != nil {
+				return err
+			}
 			want := m.sorted(Pattern{S: &s, P: &p}, "o")
 			if got := g.Match(&s, &p, nil); !slices.Equal(got, want) {
 				return fmt.Errorf("Match(%v, %v, nil) = %v, model %v", s, p, got, want)
 			}
-			objs := make([]Term, len(want))
-			for i, t := range want {
-				objs[i] = t.O
+			var objs []Term
+			for _, t := range want {
+				objs = append(objs, t.O)
 			}
-			if got := g.ObjectsOf(s, p); !slices.Equal(got, objs) {
-				return fmt.Errorf("ObjectsOf(%v, %v) = %v, model %v", s, p, got, objs)
-			}
-			if got := g.CountSP(s, p); got != len(objs) {
-				return fmt.Errorf("CountSP(%v, %v) = %d, model %d", s, p, got, len(objs))
+			if sok && pok {
+				if got := render(g.ObjectIDs(sid, pid)); !slices.Equal(got, objs) {
+					return fmt.Errorf("ObjectIDs(%v, %v) = %v, model %v", s, p, got, objs)
+				}
 			}
 			first, ok := g.FirstObject(s, p)
 			if ok != (len(objs) > 0) || (ok && first != objs[0]) {
@@ -225,35 +252,47 @@ func check(g interface {
 		}
 	}
 	for _, p := range pr.preds {
+		pid, pok, err := id(p)
+		if err != nil {
+			return err
+		}
 		want := m.sorted(Pattern{P: &p}, "os")
 		if got := g.Match(nil, &p, nil); !slices.Equal(got, want) {
 			return fmt.Errorf("Match(nil, %v, nil): %d triples, model %d (or another order)", p, len(got), len(want))
-		}
-		if got := g.CountP(p); got != len(want) {
-			return fmt.Errorf("CountP(%v) = %d, model %d", p, got, len(want))
 		}
 		var subs []Term
 		for _, t := range want {
 			subs = append(subs, t.S)
 		}
-		if got, want := g.SubjectsWithPred(p), m.distinct(subs); !slices.Equal(got, want) {
-			return fmt.Errorf("SubjectsWithPred(%v) = %v, model %v", p, got, want)
+		if pok {
+			if got := g.PredCount(pid); got != len(want) {
+				return fmt.Errorf("PredCount(%v) = %d, model %d", p, got, len(want))
+			}
+			if got, want := render(g.PredSubjectIDs(pid, nil)), m.distinct(subs); !slices.Equal(got, want) {
+				return fmt.Errorf("PredSubjectIDs(%v) = %v, model %v", p, got, want)
+			}
 		}
 		for _, o := range pr.objects {
+			oid, ook, err := id(o)
+			if err != nil {
+				return err
+			}
 			want := m.sorted(Pattern{P: &p, O: &o}, "s")
 			if got := g.Match(nil, &p, &o); !slices.Equal(got, want) {
 				return fmt.Errorf("Match(nil, %v, %v) = %v, model %v", p, o, got, want)
 			}
-			subs := make([]Term, len(want))
-			for i, t := range want {
-				subs[i] = t.S
+			var subs []Term
+			for _, t := range want {
+				subs = append(subs, t.S)
 			}
-			if got := g.SubjectsOf(p, o); !slices.Equal(got, subs) {
-				return fmt.Errorf("SubjectsOf(%v, %v) = %v, model %v", p, o, got, subs)
+			if pok && ook {
+				if got := render(flat(g.SubjectIDs(pid, oid))); !slices.Equal(got, subs) {
+					return fmt.Errorf("SubjectIDs(%v, %v) = %v, model %v", p, o, got, subs)
+				}
 			}
-			if got := g.CountPO(p, o); got != len(subs) {
-				return fmt.Errorf("CountPO(%v, %v) = %d, model %d", p, o, got, len(subs))
-			}
+		}
+		if !pok {
+			continue
 		}
 		for _, b := range pr.bands {
 			n := 0
@@ -264,11 +303,13 @@ func check(g interface {
 					subs = append(subs, t.S)
 				}
 			}
-			if got := g.CountPInRange(p, b[0], b[1]); got != n {
-				return fmt.Errorf("CountPInRange(%v, %s) = %d, model %d", p, bandString(b), got, n)
+			if got := g.BandCount(pid, b[0], b[1]); got != n {
+				return fmt.Errorf("BandCount(%v, %s) = %d, model %d", p, bandString(b), got, n)
 			}
-			if got, want := g.SubjectsWithPredInRange(p, b[0], b[1]), m.distinct(subs); !slices.Equal(got, want) {
-				return fmt.Errorf("SubjectsWithPredInRange(%v, %s) = %v, model %v", p, bandString(b), got, want)
+			// A used buffer must not leak into the answer.
+			buf := []uint32{7, 7, 7}
+			if got, want := render(g.BandSubjectIDs(pid, b[0], b[1], buf)), m.distinct(subs); !slices.Equal(got, want) {
+				return fmt.Errorf("BandSubjectIDs(%v, %s) = %v, model %v", p, bandString(b), got, want)
 			}
 		}
 	}
@@ -276,9 +317,6 @@ func check(g interface {
 		want := m.sorted(Pattern{O: &o}, "sp")
 		if got := g.Match(nil, nil, &o); !slices.Equal(got, want) {
 			return fmt.Errorf("Match(nil, nil, %v) = %v, model %v", o, got, want)
-		}
-		if got := g.CountO(o); got != len(want) {
-			return fmt.Errorf("CountO(%v) = %d, model %d", o, got, len(want))
 		}
 	}
 	return nil
@@ -473,7 +511,7 @@ func TestStoreAgainstModel(t *testing.T) {
 						t.Fatalf("step %d: %v", i, err)
 					}
 					pr := h.probe()
-					if err := check(s, m, pr); err != nil {
+					if err := check(s.Snapshot(), m, pr); err != nil {
 						t.Fatalf("step %d: %v", i, err)
 					}
 					if i%10 == 0 {

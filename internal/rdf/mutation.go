@@ -25,7 +25,6 @@ type mutation struct {
 	pos     table[table[run[uint32]]]
 	num     table[run[numEntry]]
 	predN   table[int]
-	objN    table[int]
 	n       int
 	changes uint64
 }
@@ -39,7 +38,6 @@ func newMutation(base *Snapshot, edit uint64) *mutation {
 		pos:   base.pos,
 		num:   base.num,
 		predN: base.predN,
-		objN:  base.objN,
 		n:     base.n,
 	}
 }
@@ -94,7 +92,7 @@ func (m *mutation) add(t Triple) bool {
 		band, owned := m.num.slot(m.edit, pid)
 		*band = band.insert(numEntry{val, sid}, compareNum, owned)
 	}
-	m.count(pid, oid, +1)
+	m.count(pid, +1)
 	return true
 }
 
@@ -131,7 +129,7 @@ func (m *mutation) remove(t Triple) bool {
 		band, owned := m.num.slot(m.edit, pid)
 		*band, _ = band.remove(numEntry{val, sid}, compareNum, owned)
 	}
-	m.count(pid, oid, -1)
+	m.count(pid, -1)
 	return true
 }
 
@@ -140,13 +138,10 @@ func (m *mutation) setEntry(sid uint32, entry []predObjs) {
 	*v = entry
 }
 
-// count records one triple more (by = +1) or less (-1) under the predicate
-// and the object.
-func (m *mutation) count(pid, oid uint32, by int) {
+// count records one triple more (by = +1) or less (-1) under the predicate.
+func (m *mutation) count(pid uint32, by int) {
 	p, _ := m.predN.slot(m.edit, pid)
 	*p += by
-	o, _ := m.objN.slot(m.edit, oid)
-	*o += by
 	m.n += by
 	m.changes++
 }
@@ -205,7 +200,6 @@ func (m *mutation) publishable(base *Snapshot) *Snapshot {
 		pos:     m.pos,
 		num:     m.num,
 		predN:   m.predN,
-		objN:    m.objN,
 		n:       m.n,
 		version: base.version + m.changes,
 	}

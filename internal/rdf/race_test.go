@@ -7,8 +7,8 @@ import (
 )
 
 // TestConcurrentAddMatchLoad hammers the store from concurrent writers
-// (Add, LoadNTriples) and readers (Match, ObjectsOf, Subjects, the count
-// accessors, NTriples) at once. Run with -race; the final state is also
+// (Add, LoadNTriples) and readers (Match, the ID-level reads, NTriples) at
+// once. Run with -race; the final state is also
 // verified for consistency.
 func TestConcurrentAddMatchLoad(t *testing.T) {
 	s := NewStore()
@@ -49,11 +49,20 @@ func TestConcurrentAddMatchLoad(t *testing.T) {
 			obj := NewLiteral("OP3")
 			for i := 0; i < 100; i++ {
 				s.Match(nil, &pred, &obj)
-				s.ObjectsOf(NewIRI("http://galo/qep/pop/0-1"), pred)
-				s.SubjectsOf(pred, obj)
-				s.Subjects()
-				s.CountP(pred)
-				s.CountPO(pred, obj)
+				snap := s.Snapshot()
+				pid, pok := snap.ID(pred)
+				sid, sok := snap.ID(NewIRI("http://galo/qep/pop/0-1"))
+				oid, ook := snap.ID(obj)
+				if pok && sok {
+					snap.ObjectIDs(sid, pid)
+				}
+				if pok && ook {
+					snap.SubjectIDs(pid, oid)
+				}
+				if pok {
+					snap.PredSubjectIDs(pid, nil)
+					snap.PredCount(pid)
+				}
 				s.Len()
 				s.Version()
 			}
@@ -66,8 +75,9 @@ func TestConcurrentAddMatchLoad(t *testing.T) {
 	if s.Len() != want {
 		t.Errorf("Len = %d, want %d", s.Len(), want)
 	}
-	if got := s.CountP(pred); got != writers*perWriter {
-		t.Errorf("CountP = %d, want %d", got, writers*perWriter)
+	snap := s.Snapshot()
+	if pid, _ := snap.ID(pred); snap.PredCount(pid) != writers*perWriter {
+		t.Errorf("PredCount = %d, want %d", snap.PredCount(pid), writers*perWriter)
 	}
 	// Every writer's triples are findable.
 	for w := 0; w < writers; w++ {

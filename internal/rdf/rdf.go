@@ -205,50 +205,6 @@ func (s *Store) Version() uint64 { return s.Snapshot().Version() }
 // components are wildcards.
 func (s *Store) Match(subj, pred, obj *Term) []Triple { return s.Snapshot().Match(subj, pred, obj) }
 
-// Subjects returns every distinct subject in the current epoch.
-func (s *Store) Subjects() []Term { return s.Snapshot().Subjects() }
-
-// ObjectsOf returns the objects of (subject, predicate) in the current epoch.
-func (s *Store) ObjectsOf(subject, predicate Term) []Term {
-	return s.Snapshot().ObjectsOf(subject, predicate)
-}
-
-// SubjectsOf returns the subjects carrying (predicate, object) in the
-// current epoch.
-func (s *Store) SubjectsOf(predicate, object Term) []Term {
-	return s.Snapshot().SubjectsOf(predicate, object)
-}
-
-// SubjectsWithPred returns the distinct subjects carrying the predicate in
-// the current epoch.
-func (s *Store) SubjectsWithPred(predicate Term) []Term {
-	return s.Snapshot().SubjectsWithPred(predicate)
-}
-
-// SubjectsWithPredInRange returns the distinct subjects carrying the
-// predicate with a numeric object in [lo, hi] in the current epoch.
-func (s *Store) SubjectsWithPredInRange(predicate Term, lo, hi *float64) []Term {
-	return s.Snapshot().SubjectsWithPredInRange(predicate, lo, hi)
-}
-
-// CountSP returns the number of triples with the given subject and predicate.
-func (s *Store) CountSP(subject, predicate Term) int { return s.Snapshot().CountSP(subject, predicate) }
-
-// CountPO returns the number of triples with the given predicate and object.
-func (s *Store) CountPO(predicate, object Term) int { return s.Snapshot().CountPO(predicate, object) }
-
-// CountP returns the number of triples carrying the given predicate.
-func (s *Store) CountP(predicate Term) int { return s.Snapshot().CountP(predicate) }
-
-// CountPInRange counts the predicate's triples with a numeric object in
-// [lo, hi].
-func (s *Store) CountPInRange(predicate Term, lo, hi *float64) int {
-	return s.Snapshot().CountPInRange(predicate, lo, hi)
-}
-
-// CountO returns the number of triples carrying the given object.
-func (s *Store) CountO(object Term) int { return s.Snapshot().CountO(object) }
-
 // FirstObject returns the first object of (subject, predicate) and whether
 // it exists.
 func (s *Store) FirstObject(subject, predicate Term) (Term, bool) {

@@ -51,9 +51,12 @@ func TestAddMatchAndLen(t *testing.T) {
 
 func TestObjectsOfAndSubjects(t *testing.T) {
 	s := paperStore()
-	objs := s.ObjectsOf(popIRI("2"), propIRI("hasOuterInputStream"))
-	if len(objs) != 1 || objs[0] != popIRI("3") {
-		t.Errorf("ObjectsOf = %v", objs)
+	snap := s.Snapshot()
+	sid, _ := snap.ID(popIRI("2"))
+	pid, _ := snap.ID(propIRI("hasOuterInputStream"))
+	objs := snap.ObjectIDs(sid, pid)
+	if len(objs) != 1 || snap.Term(objs[0]) != popIRI("3") {
+		t.Errorf("ObjectIDs = %v", objs)
 	}
 	if _, ok := s.FirstObject(popIRI("2"), propIRI("hasPopType")); !ok {
 		t.Errorf("FirstObject missing")
@@ -61,8 +64,9 @@ func TestObjectsOfAndSubjects(t *testing.T) {
 	if _, ok := s.FirstObject(popIRI("99"), propIRI("hasPopType")); ok {
 		t.Errorf("FirstObject on missing subject should report false")
 	}
-	if got := len(s.Subjects()); got != 2 {
-		t.Errorf("Subjects = %d", got)
+	typ, _ := snap.ID(propIRI("hasPopType"))
+	if got := len(snap.PredSubjectIDs(typ, nil)); got != 2 {
+		t.Errorf("PredSubjectIDs = %d", got)
 	}
 }
 

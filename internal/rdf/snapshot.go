@@ -8,44 +8,6 @@ import (
 	"strings"
 )
 
-// Graph is the read-only view of a triple store. Both *Store (always the
-// latest published epoch) and *Snapshot (one pinned epoch) implement it, so
-// code that only reads — the SPARQL evaluator above all — can run against
-// either: against the live store for convenience, or against a pinned
-// snapshot when a multi-step evaluation must see one consistent epoch.
-type Graph interface {
-	// Match returns the triples matching the pattern; nil components are
-	// wildcards.
-	Match(subj, pred, obj *Term) []Triple
-	// Subjects returns every distinct subject.
-	Subjects() []Term
-	// ObjectsOf returns the objects of (subject, predicate).
-	ObjectsOf(subject, predicate Term) []Term
-	// SubjectsOf returns the subjects carrying (predicate, object).
-	SubjectsOf(predicate, object Term) []Term
-	// SubjectsWithPred returns the distinct subjects carrying the predicate.
-	SubjectsWithPred(predicate Term) []Term
-	// SubjectsWithPredInRange returns the distinct subjects carrying the
-	// predicate with a numeric literal object in [lo, hi] (nil bounds are
-	// open), answered from the numeric secondary index.
-	SubjectsWithPredInRange(predicate Term, lo, hi *float64) []Term
-	// CountSP / CountPO / CountP / CountO are the cardinality accessors the
-	// selectivity-ordered SPARQL evaluator estimates with.
-	CountSP(subject, predicate Term) int
-	CountPO(predicate, object Term) int
-	CountP(predicate Term) int
-	CountO(object Term) int
-	// CountPInRange counts the predicate's triples whose numeric literal
-	// object lies in [lo, hi] (nil bounds are open).
-	CountPInRange(predicate Term, lo, hi *float64) int
-	// FirstObject returns the first object of (subject, predicate).
-	FirstObject(subject, predicate Term) (Term, bool)
-	// Len returns the number of distinct triples.
-	Len() int
-	// Version identifies the epoch of the contents.
-	Version() uint64
-}
-
 // numEntry is one entry of the numeric secondary index: a triple
 // (subject, predicate, numeric literal) recorded as (value, subject) in a
 // per-predicate list sorted by (value, subject). It is the cardinality-band
@@ -81,9 +43,8 @@ type Snapshot struct {
 	// num: predicate -> (value, subject) entries sorted by (value, subject),
 	// for triples whose object is a numeric literal.
 	num table[run[numEntry]]
-	// predN / objN count the triples carrying each predicate / object.
+	// predN counts the triples carrying each predicate.
 	predN table[int]
-	objN  table[int]
 	n     int
 	// version counts mutations since the store was created; every published
 	// epoch has a distinct, increasing version.
@@ -98,29 +59,98 @@ func (g *Snapshot) Len() int { return g.n }
 // Version identifies the snapshot's epoch.
 func (g *Snapshot) Version() uint64 { return g.version }
 
-// lookup resolves terms to dictionary IDs; ok is false as soon as one of
-// them was never interned.
-func (g *Snapshot) lookup(a, b Term) (aid, bid uint32, ok bool) {
-	if aid, ok = g.dict.lookup(a); !ok {
-		return 0, 0, false
-	}
-	bid, ok = g.dict.lookup(b)
-	return aid, bid, ok
-}
+// The ID-level reads below are what the SPARQL evaluator binds: it resolves a
+// query's constants once (ID), follows IDs through the indexes, and renders a
+// term (Term) only for what a solution carries. Every slice they return
+// without taking a buffer is the snapshot's own — immutable and shared by
+// every reader — and must never be written; a caller wanting another order
+// sorts a copy.
 
-// objects returns the sorted object IDs of (subject, predicate).
-func (g *Snapshot) objects(sid, pid uint32) []uint32 {
-	entry := g.spo.get(sid)
-	if i, found := searchPred(entry, pid); found {
+// ID returns the dictionary ID of t and whether t has been interned; a term
+// never interned is in no triple.
+func (g *Snapshot) ID(t Term) (uint32, bool) { return g.dict.lookup(t) }
+
+// Term renders an ID the snapshot handed out.
+func (g *Snapshot) Term(id uint32) Term { return g.dict.term(id) }
+
+// ObjectIDs returns the objects of (subject, predicate), ascending.
+func (g *Snapshot) ObjectIDs(subject, predicate uint32) []uint32 {
+	entry := g.spo.get(subject)
+	if i, found := searchPred(entry, predicate); found {
 		return entry[i].objs
 	}
 	return nil
 }
 
-// subjects returns the sorted subject IDs of (predicate, object).
-func (g *Snapshot) subjects(pid, oid uint32) run[uint32] {
-	byObj := g.pos.get(pid)
-	return byObj.get(oid)
+// SubjectIDs returns the subjects carrying (predicate, object), ascending, as
+// the chunks of the posting list.
+func (g *Snapshot) SubjectIDs(predicate, object uint32) [][]uint32 {
+	byObj := g.pos.get(predicate)
+	return byObj.get(object)
+}
+
+// PredCount returns the number of triples carrying the predicate.
+func (g *Snapshot) PredCount(predicate uint32) int { return g.predN.get(predicate) }
+
+// PredSubjectIDs returns the distinct subjects carrying the predicate,
+// ascending, in buf's storage.
+func (g *Snapshot) PredSubjectIDs(predicate uint32, buf []uint32) []uint32 {
+	byObj := g.pos.get(predicate)
+	ids := buf[:0]
+	for _, subs := range byObj.all() {
+		for _, chunk := range *subs {
+			ids = append(ids, chunk...)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// numRange returns the positions in the band index that delimit the entries
+// whose values lie in [lo, hi]; nil bounds are open.
+func numRange(band run[numEntry], lo, hi *float64) (c0, i0, c1, i1 int) {
+	if lo != nil {
+		c0, i0 = band.search(func(e numEntry) bool { return e.val >= *lo })
+	}
+	c1 = len(band)
+	if hi != nil {
+		c1, i1 = band.search(func(e numEntry) bool { return e.val > *hi })
+	}
+	if c1 < c0 || c1 == c0 && i1 < i0 { // lo > hi: an empty band
+		c1, i1 = c0, i0
+	}
+	return c0, i0, c1, i1
+}
+
+// BandCount counts the predicate's triples whose object is a numeric literal
+// in [lo, hi] (nil bounds are open; a NaN is in no band).
+func (g *Snapshot) BandCount(predicate uint32, lo, hi *float64) int {
+	band := g.num.get(predicate)
+	return band.between(numRange(band, lo, hi))
+}
+
+// BandSubjectIDs returns the distinct subjects carrying the predicate with a
+// numeric literal object in [lo, hi], ascending, in buf's storage. This is
+// the cardinality-band secondary index lookup: its cost follows the band, not
+// the number of subjects carrying the predicate.
+func (g *Snapshot) BandSubjectIDs(predicate uint32, lo, hi *float64, buf []uint32) []uint32 {
+	band := g.num.get(predicate)
+	c0, i0, c1, i1 := numRange(band, lo, hi)
+	ids := buf[:0]
+	for c := c0; c <= c1 && c < len(band); c++ {
+		chunk := band[c]
+		if c == c1 {
+			chunk = chunk[:i1]
+		}
+		if c == c0 {
+			chunk = chunk[i0:]
+		}
+		for _, e := range chunk {
+			ids = append(ids, e.subj)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Match returns the triples matching the pattern; nil components are
@@ -160,7 +190,7 @@ func (g *Snapshot) Match(subj, pred, obj *Term) []Triple {
 			}
 		}
 	case pred != nil && obj != nil:
-		for _, chunk := range g.subjects(pid, oid) {
+		for _, chunk := range g.SubjectIDs(pid, oid) {
 			for _, su := range chunk {
 				out = append(out, Triple{g.dict.term(su), *pred, *obj})
 			}
@@ -206,181 +236,18 @@ func (g *Snapshot) Match(subj, pred, obj *Term) []Triple {
 	return out
 }
 
-// Subjects returns every distinct subject in the snapshot, in deterministic
-// (dictionary ID) order.
-func (g *Snapshot) Subjects() []Term {
-	var out []Term
-	for su, entry := range g.spo.all() {
-		if len(*entry) > 0 {
-			out = append(out, g.dict.term(su))
-		}
-	}
-	return out
-}
-
-func (g *Snapshot) termsOf(ids []uint32) []Term {
-	out := make([]Term, len(ids))
-	for i, id := range ids {
-		out[i] = g.dict.term(id)
-	}
-	return out
-}
-
-// sortedDistinctTerms renders the IDs, which it sorts in place, as terms in
-// ID order without repeats.
-func (g *Snapshot) sortedDistinctTerms(ids []uint32) []Term {
-	slices.Sort(ids)
-	return g.termsOf(slices.Compact(ids))
-}
-
-// ObjectsOf returns the objects of (subject, predicate) in deterministic
-// (dictionary ID) order.
-func (g *Snapshot) ObjectsOf(subject, predicate Term) []Term {
-	sid, pid, ok := g.lookup(subject, predicate)
-	if !ok {
-		return nil
-	}
-	return g.termsOf(g.objects(sid, pid))
-}
-
-// SubjectsOf returns the subjects carrying (predicate, object) in
-// deterministic (dictionary ID) order — the reverse of ObjectsOf, answered
-// from the POS index without scanning.
-func (g *Snapshot) SubjectsOf(predicate, object Term) []Term {
-	pid, oid, ok := g.lookup(predicate, object)
-	if !ok {
-		return nil
-	}
-	subs := g.subjects(pid, oid)
-	out := make([]Term, 0, subs.size())
-	for _, chunk := range subs {
-		for _, su := range chunk {
-			out = append(out, g.dict.term(su))
-		}
-	}
-	return out
-}
-
-// SubjectsWithPred returns the distinct subjects that carry at least one
-// triple with the given predicate, in deterministic (dictionary ID) order.
-func (g *Snapshot) SubjectsWithPred(predicate Term) []Term {
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return nil
-	}
-	byObj := g.pos.get(pid)
-	ids := make([]uint32, 0, g.predN.get(pid))
-	for _, subs := range byObj.all() {
-		for _, chunk := range *subs {
-			ids = append(ids, chunk...)
-		}
-	}
-	return g.sortedDistinctTerms(ids)
-}
-
-// numRange returns the positions in the band index that delimit the entries
-// whose values lie in [lo, hi]; nil bounds are open.
-func numRange(band run[numEntry], lo, hi *float64) (c0, i0, c1, i1 int) {
-	if lo != nil {
-		c0, i0 = band.search(func(e numEntry) bool { return e.val >= *lo })
-	}
-	c1 = len(band)
-	if hi != nil {
-		c1, i1 = band.search(func(e numEntry) bool { return e.val > *hi })
-	}
-	if c1 < c0 || c1 == c0 && i1 < i0 { // lo > hi: an empty band
-		c1, i1 = c0, i0
-	}
-	return c0, i0, c1, i1
-}
-
-// SubjectsWithPredInRange returns the distinct subjects carrying the
-// predicate with a numeric literal object in [lo, hi] (nil bounds are open),
-// in deterministic (dictionary ID) order. This is the cardinality-band
-// secondary index lookup: cost is proportional to the band, not to the
-// number of subjects carrying the predicate.
-func (g *Snapshot) SubjectsWithPredInRange(predicate Term, lo, hi *float64) []Term {
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return nil
-	}
-	band := g.num.get(pid)
-	c0, i0, c1, i1 := numRange(band, lo, hi)
-	n := band.between(c0, i0, c1, i1)
-	if n == 0 {
-		return nil
-	}
-	ids := make([]uint32, 0, n)
-	for c := c0; c <= c1 && c < len(band); c++ {
-		chunk := band[c]
-		if c == c1 {
-			chunk = chunk[:i1]
-		}
-		if c == c0 {
-			chunk = chunk[i0:]
-		}
-		for _, e := range chunk {
-			ids = append(ids, e.subj)
-		}
-	}
-	return g.sortedDistinctTerms(ids)
-}
-
-// CountPInRange counts the predicate's triples whose numeric literal object
-// lies in [lo, hi] (nil bounds are open).
-func (g *Snapshot) CountPInRange(predicate Term, lo, hi *float64) int {
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return 0
-	}
-	band := g.num.get(pid)
-	return band.between(numRange(band, lo, hi))
-}
-
-// CountSP returns the number of triples with the given subject and predicate.
-func (g *Snapshot) CountSP(subject, predicate Term) int {
-	sid, pid, ok := g.lookup(subject, predicate)
-	if !ok {
-		return 0
-	}
-	return len(g.objects(sid, pid))
-}
-
-// CountPO returns the number of triples with the given predicate and object.
-func (g *Snapshot) CountPO(predicate, object Term) int {
-	pid, oid, ok := g.lookup(predicate, object)
-	if !ok {
-		return 0
-	}
-	return g.subjects(pid, oid).size()
-}
-
-// CountP returns the number of triples carrying the given predicate.
-func (g *Snapshot) CountP(predicate Term) int {
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return 0
-	}
-	return g.predN.get(pid)
-}
-
-// CountO returns the number of triples carrying the given object.
-func (g *Snapshot) CountO(object Term) int {
-	oid, ok := g.dict.lookup(object)
-	if !ok {
-		return 0
-	}
-	return g.objN.get(oid)
-}
-
 // FirstObject returns the first object of (subject, predicate) — in
 // deterministic dictionary-ID order — and whether it exists.
 func (g *Snapshot) FirstObject(subject, predicate Term) (Term, bool) {
-	sid, pid, ok := g.lookup(subject, predicate)
+	sid, ok := g.dict.lookup(subject)
 	if !ok {
 		return Term{}, false
 	}
-	objs := g.objects(sid, pid)
+	pid, ok := g.dict.lookup(predicate)
+	if !ok {
+		return Term{}, false
+	}
+	objs := g.ObjectIDs(sid, pid)
 	if len(objs) == 0 {
 		return Term{}, false
 	}

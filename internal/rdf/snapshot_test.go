@@ -32,12 +32,12 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got := snap.NTriples(); got != before {
 		t.Errorf("pinned snapshot contents changed:\n%s\nwant:\n%s", got, before)
 	}
-	pred := NewIRI("p")
-	if n := snap.CountP(pred); n != 2 {
-		t.Errorf("pinned CountP = %d, want 2", n)
+	pred, _ := snap.ID(NewIRI("p"))
+	if n := snap.PredCount(pred); n != 2 {
+		t.Errorf("pinned PredCount = %d, want 2", n)
 	}
-	if n := s.CountP(pred); n != 2 { // a removed, c added
-		t.Errorf("live CountP = %d, want 2", n)
+	if n := s.Snapshot().PredCount(pred); n != 2 { // a removed, c added
+		t.Errorf("live PredCount = %d, want 2", n)
 	}
 	if s.Len() != 3 {
 		t.Errorf("live Len = %d, want 3", s.Len())
@@ -70,8 +70,9 @@ func TestApplyIsOneAtomicEpoch(t *testing.T) {
 	if s.Version() != v+3 {
 		t.Errorf("version = %d, want %d", s.Version(), v+3)
 	}
-	if got := s.ObjectsOf(subj, NewIRI("p")); len(got) != 1 || got[0].Value != "new" {
-		t.Errorf("ObjectsOf after Apply = %v", got)
+	p := NewIRI("p")
+	if got := s.Match(&subj, &p, nil); len(got) != 1 || got[0].O.Value != "new" {
+		t.Errorf("objects after Apply = %v", got)
 	}
 }
 
@@ -97,7 +98,22 @@ func TestNumericBandIndex(t *testing.T) {
 	// Non-numeric objects never enter the band index.
 	s.Add(Triple{NewIRI("popX"), lower, NewLiteral("not-a-number")})
 
-	subs := s.SubjectsWithPredInRange(lower, f64(100), f64(140))
+	// band renders the subjects in [lo, hi] of the live epoch.
+	band := func(lo, hi *float64) []Term {
+		snap := s.Snapshot()
+		pid, _ := snap.ID(lower)
+		var out []Term
+		for _, id := range snap.BandSubjectIDs(pid, lo, hi, nil) {
+			out = append(out, snap.Term(id))
+		}
+		return out
+	}
+	count := func(lo, hi *float64) int {
+		snap := s.Snapshot()
+		pid, _ := snap.ID(lower)
+		return snap.BandCount(pid, lo, hi)
+	}
+	subs := band(f64(100), f64(140))
 	if len(subs) != 5 {
 		t.Fatalf("band [100,140] = %d subjects, want 5 (%v)", len(subs), subs)
 	}
@@ -112,29 +128,29 @@ func TestNumericBandIndex(t *testing.T) {
 			t.Errorf("band missing %s", want)
 		}
 	}
-	if n := s.CountPInRange(lower, f64(100), f64(140)); n != 5 {
-		t.Errorf("CountPInRange = %d, want 5", n)
+	if n := count(f64(100), f64(140)); n != 5 {
+		t.Errorf("BandCount = %d, want 5", n)
 	}
 	// Open bounds.
-	if got := s.SubjectsWithPredInRange(lower, nil, f64(25)); len(got) != 3 {
+	if got := band(nil, f64(25)); len(got) != 3 {
 		t.Errorf("band (-inf,25] = %d, want 3", len(got))
 	}
-	if got := s.SubjectsWithPredInRange(lower, f64(970), nil); len(got) != 3 {
+	if got := band(f64(970), nil); len(got) != 3 {
 		t.Errorf("band [970,inf) = %d, want 3", len(got))
 	}
 	// Removal maintains the index.
 	p12 := NewIRI("pop12")
 	s.Remove(&p12, nil, nil)
-	if got := s.SubjectsWithPredInRange(lower, f64(100), f64(140)); len(got) != 4 {
+	if got := band(f64(100), f64(140)); len(got) != 4 {
 		t.Errorf("band after removal = %d, want 4", len(got))
 	}
 	// A subject with several values appears once per distinct-subject query.
 	s.Add(Triple{NewIRI("pop13"), lower, NewNumericLiteral(135)})
-	if got := s.SubjectsWithPredInRange(lower, f64(100), f64(140)); len(got) != 4 {
+	if got := band(f64(100), f64(140)); len(got) != 4 {
 		t.Errorf("multi-valued subject duplicated in band: %d, want 4", len(got))
 	}
-	if n := s.CountPInRange(lower, f64(100), f64(140)); n != 5 {
-		t.Errorf("CountPInRange counts entries: %d, want 5", n)
+	if n := count(f64(100), f64(140)); n != 5 {
+		t.Errorf("BandCount counts entries: %d, want 5", n)
 	}
 }
 
@@ -174,8 +190,9 @@ func TestConcurrentSnapshotReadersDuringWrites(t *testing.T) {
 					errs <- fmt.Sprintf("snapshot inconsistent: enumerated %d, Len %d", got, snap.Len())
 					return
 				}
-				p := NewIRI("p")
-				snap.SubjectsWithPredInRange(p, f64(0), f64(50))
+				if p, ok := snap.ID(NewIRI("p")); ok {
+					snap.BandSubjectIDs(p, f64(0), f64(50), nil)
+				}
 			}
 		}()
 	}

@@ -1,7 +1,8 @@
 // Package sparql implements the SPARQL subset GALO generates and evaluates
 // against the RDF knowledge base: PREFIX declarations, SELECT over basic
 // graph patterns, FILTER expressions with comparisons and the STR() function,
-// and property paths (p+ and p1/p2), evaluated over an rdf.Store.
+// and property paths (p+ and p1/p2), compiled once (Prepare) and evaluated
+// over the dictionary IDs of a pinned rdf.Snapshot (Prepared.Run).
 //
 // It replaces Apache Jena's ARQ engine in the paper's architecture. The
 // matching engine's auto-generated queries (Figure 6 of the paper) fall
@@ -98,7 +99,7 @@ type Query struct {
 	SelectAll bool
 	Patterns  []Pattern
 	Filters   []Expr
-	Limit     int // 0 means no limit
+	Limit     int // 0 means no limit; never negative from Parse
 }
 
 // Vars returns the variables mentioned in the query's patterns.

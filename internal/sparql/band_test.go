@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"galo/internal/rdf"
@@ -36,7 +37,7 @@ WHERE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := Execute(q, store)
+	sols, err := Execute(q, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ WHERE {
 	if len(pinned) != 3 {
 		t.Errorf("pinned snapshot sees %d solutions, want 3", len(pinned))
 	}
-	live, err := Execute(q, store)
+	live, err := Execute(q, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,14 @@ WHERE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := numericBounds(q.Filters)
+	pr, err := Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := map[string]varBounds{}
+	for slot, b := range pr.bounds(pr.Params()) {
+		bounds[pr.vars[slot]] = b
+	}
 	a := bounds["a"]
 	if a.lo == nil || *a.lo != 5 || a.hi == nil || *a.hi != 100 {
 		t.Errorf("bounds[a] = %+v, want [5,100]", a)
@@ -89,5 +97,14 @@ WHERE {
 	}
 	if c, ok := bounds["c"]; ok && (c.lo != nil || c.hi != nil) {
 		t.Errorf("bounds[c] = %+v, want unconstrained", c)
+	}
+	// The bounds are the parameters' values, not the query's: one Prepared
+	// serves every set of constants.
+	other := pr.bounds([]float64{1, 2, 3})
+	if a := other[slices.Index(pr.vars, "a")]; *a.lo != 2 || *a.hi != 1 {
+		t.Errorf("bounds[a] under parameters (1, 2, 3) = [%v, %v], want [2, 1]", *a.lo, *a.hi)
+	}
+	if b := other[slices.Index(pr.vars, "b")]; b.lo != nil || *b.hi != 3 {
+		t.Errorf("bounds[b] under parameters (1, 2, 3) = %+v, want (-inf, 3]", b)
 	}
 }

@@ -2,88 +2,78 @@ package sparql
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"galo/internal/rdf"
 )
 
-// Execute evaluates the query against a graph — the live store, or a pinned
-// rdf.Snapshot when the caller needs the whole evaluation to see one
-// consistent epoch — and returns its solutions. Basic graph patterns are
-// evaluated by backtracking joins in greedy selectivity order: at every step
-// the evaluator picks the cheapest remaining pattern under the current
-// bindings (using the graph's cardinality accessors as estimates), so
-// bindings produced by selective patterns propagate into the rest of the
-// plan instead of being discovered by exhaustive enumeration. Filters are
-// applied as soon as all of their variables are bound; numeric FILTER bounds
-// on a pattern's object variable additionally route candidate-start
-// resolution through the graph's numeric band index, so patterns like
-// "?pop :hasLowerCardinality ?lo . FILTER(?lo <= C)" touch only the
-// subjects inside the value band instead of every subject carrying the
-// predicate.
-//
-// The query is compiled once per evaluation (compile): variables become
-// slots of one binding array, filters become comparisons over slots with
-// their numeric constants kept as numbers. Backtracking then binds and
-// unbinds slots in place; nothing is copied per extension.
-func Execute(q *Query, graph rdf.Graph) ([]Solution, error) {
-	if q == nil || len(q.Patterns) == 0 {
-		return nil, fmt.Errorf("sparql: empty query")
+// Execute evaluates the query against a pinned snapshot — one consistent
+// epoch for the whole evaluation — and returns its solutions: Prepare, then
+// Run with the query's own constants.
+func Execute(q *Query, snap *rdf.Snapshot) ([]Solution, error) {
+	pr, err := Prepare(q)
+	if err != nil {
+		return nil, err
 	}
-	ev := compile(q, graph)
-	ev.match(len(q.Patterns))
-	return ev.results, nil
+	return pr.Run(snap, pr.params)
 }
 
-// evaluator is one evaluation of one query: the compiled query and the
-// backtracking state.
-type evaluator struct {
-	q     *Query
-	graph rdf.Graph
-
-	vars    []string // slot -> variable name
-	pats    []compiledPattern
+// Prepared is a query compiled once for any number of evaluations: variables
+// are slots of one binding array, filters are comparisons over slots, and
+// every numeric FILTER constant is a parameter, supplied per Run. It holds no
+// dictionary IDs and nothing of the Query it was built from, so it serves
+// every snapshot of every store, and it is never written after Prepare: one
+// Prepared may Run on many goroutines at once.
+//
+// Basic graph patterns are evaluated by backtracking joins in greedy
+// selectivity order: at every step the evaluator picks the cheapest remaining
+// pattern under the current bindings (estimated from the snapshot's
+// cardinalities), so bindings produced by selective patterns propagate into
+// the rest of the plan instead of being discovered by exhaustive enumeration.
+// Filters are applied as soon as all of their variables are bound; numeric
+// FILTER bounds on a pattern's object variable additionally route
+// candidate-start resolution through the numeric band index, so patterns like
+// "?pop :hasLowerCardinality ?lo . FILTER(?lo <= C)" touch only the subjects
+// inside the value band instead of every subject carrying the predicate.
+type Prepared struct {
+	// vars names the variable slots; the constants' slots follow them.
+	vars   []string
+	consts []rdf.Term
+	pats   []compiledPattern
+	// filters and their expression nodes.
 	filters []compiledFilter
-	exprs   []compiledExpr // the filters' expression nodes
-	// bounds holds, per slot, the numeric interval the variable is
-	// constrained to by the query's top-level FILTER comparisons, for
-	// band-index lookups.
-	bounds []varBounds
+	exprs   []compiledExpr
+	// narrows derive, per Run, the numeric interval each variable is
+	// constrained to by the query's top-level FILTER comparisons.
+	narrows []narrowing
 	// project lists the slots a solution carries; nil means every bound one.
 	project []int
-
-	vals  []rdf.Term // slot -> bound term
-	bound []bool
-	// done marks the patterns already evaluated on the current backtracking
-	// branch; the evaluator picks the cheapest not-done pattern next.
-	done []bool
-	// applied marks the filters that have held on the current branch; trail
-	// lists them in application order, so a level leaving the branch un-applies
-	// exactly its own.
-	applied []bool
-	trail   []int
-	results []Solution
+	limit   int
+	// params are the numeric FILTER constants of the query prepared.
+	params []float64
 }
 
-// compiledPattern is a triple pattern with its variables resolved to slots.
+// compiledPattern is a triple pattern over slots: a constant position is a
+// slot bound before evaluation starts and never unbound.
 type compiledPattern struct {
-	pat  *Pattern
-	s, o int // slot of a variable position; -1 for a concrete term
-	// plain marks a single predicate step without '+': the shape every
-	// index lookup except the subject one needs.
+	s, o int
+	path []compiledStep
+	// plain marks a single predicate step without '+': the shape every index
+	// lookup except the subject one needs.
 	plain bool
-	// cost remembers estimate's answer while costed is set: the estimate
-	// reads nothing but the graph and whether — and to what — s and o are
-	// bound, so it stands until one of the two is bound or unbound.
-	costed bool
-	cost   int
+}
+
+// compiledStep is one property-path step: the slot of its predicate.
+type compiledStep struct {
+	pred      int
+	oneOrMore bool
 }
 
 // compiledFilter is one FILTER: its expression and the slots it reads.
 type compiledFilter struct {
-	root  int // index into evaluator.exprs
+	root  int // index into Prepared.exprs
 	slots []int
 }
 
@@ -96,11 +86,11 @@ const (
 )
 
 // compiledExpr is one node of a FILTER expression; l and r index
-// evaluator.exprs for And/Or.
+// Prepared.exprs for And/Or.
 type compiledExpr struct {
 	kind exprKind
-	l, r int
 	op   compareOp
+	l, r int
 	a, b compiledOperand
 }
 
@@ -138,19 +128,26 @@ type operandKind uint8
 
 const (
 	operandNone operandKind = iota // nothing set: the comparison is false
-	operandNum
+	operandParam
 	operandStr
 	operandSlot // ?var and STR(?var) alike: the bound term's value
 )
 
-// compiledOperand is one side of a comparison. A numeric constant stays a
-// number; a string constant carries its numeric reading, taken once.
+// compiledOperand is one side of a comparison: a numeric parameter, a
+// string constant carrying its numeric reading (taken once), or a slot.
 type compiledOperand struct {
 	kind  operandKind
-	slot  int
-	num   float64
 	isNum bool
+	slot  int // of operandSlot; the parameter's index for operandParam
+	num   float64
 	str   string
+}
+
+// narrowing says that parameter param bounds variable slot from below (lo),
+// from above (hi) or both.
+type narrowing struct {
+	slot, param int
+	lo, hi      bool
 }
 
 // varBounds is the closed numeric interval a FILTER constrains a variable
@@ -161,33 +158,63 @@ type varBounds struct {
 	lo, hi *float64
 }
 
-// compile resolves the query's variables to slots and its filters to
-// comparisons over them.
-func compile(q *Query, graph rdf.Graph) *evaluator {
-	// A pattern introduces fewer than one variable on average (subjects
-	// repeat), so the pattern count bounds the slot count well.
-	ev := &evaluator{q: q, graph: graph, vars: make([]string, 0, len(q.Patterns))}
+// Prepare compiles the query: its variables to slots, its constants to slots
+// resolved per Run, its filters to comparisons and its numeric FILTER
+// constants to parameters, numbered in the order they appear.
+func Prepare(q *Query) (*Prepared, error) {
+	if q == nil || len(q.Patterns) == 0 {
+		return nil, fmt.Errorf("sparql: empty query")
+	}
+	// A pattern introduces fewer than one variable and one constant on
+	// average (subjects repeat, predicates too), and a filter about one
+	// numeric constant, so the counts size the slot lists well.
+	pr := &Prepared{
+		vars: make([]string, 0, len(q.Patterns)), consts: make([]rdf.Term, 0, len(q.Patterns)),
+		params: make([]float64, 0, len(q.Filters)), narrows: make([]narrowing, 0, len(q.Filters)),
+		limit: q.Limit,
+	}
 	slots := make(map[string]int, len(q.Patterns))
 	slotOf := func(name string) int {
 		if s, ok := slots[name]; ok {
 			return s
 		}
-		s := len(ev.vars)
+		s := len(pr.vars)
 		slots[name] = s
-		ev.vars = append(ev.vars, name)
+		pr.vars = append(pr.vars, name)
 		return s
+	}
+	// Constants are numbered as met, negative until the variable count is
+	// known: -1-c is constant c.
+	consts := make(map[rdf.Term]int, len(q.Patterns))
+	constOf := func(t rdf.Term) int {
+		c, ok := consts[t]
+		if !ok {
+			c = len(pr.consts)
+			consts[t] = c
+			pr.consts = append(pr.consts, t)
+		}
+		return -1 - c
 	}
 	ref := func(n NodeRef) int {
 		if n.IsVar {
 			return slotOf(n.Var)
 		}
-		return -1
+		return constOf(n.Term)
 	}
-	ev.pats = make([]compiledPattern, len(q.Patterns))
+	steps := 0
+	for i := range q.Patterns {
+		steps += len(q.Patterns[i].Path)
+	}
+	stepBuf := make([]compiledStep, 0, steps)
+	pr.pats = make([]compiledPattern, len(q.Patterns))
 	for i := range q.Patterns {
 		pat := &q.Patterns[i]
-		ev.pats[i] = compiledPattern{
-			pat: pat, s: ref(pat.S), o: ref(pat.O),
+		from := len(stepBuf)
+		for _, st := range pat.Path {
+			stepBuf = append(stepBuf, compiledStep{pred: constOf(st.Pred), oneOrMore: st.OneOrMore})
+		}
+		pr.pats[i] = compiledPattern{
+			s: ref(pat.S), o: ref(pat.O), path: stepBuf[from:len(stepBuf):len(stepBuf)],
 			plain: len(pat.Path) == 1 && !pat.Path[0].OneOrMore,
 		}
 	}
@@ -197,7 +224,8 @@ func compile(q *Query, graph rdf.Graph) *evaluator {
 		// resolved an over-specified operand in.
 		switch {
 		case o.Num != nil:
-			return compiledOperand{kind: operandNum, num: *o.Num, isNum: true}
+			pr.params = append(pr.params, *o.Num)
+			return compiledOperand{kind: operandParam, slot: len(pr.params) - 1}
 		case o.Str != nil:
 			c := compiledOperand{kind: operandStr, str: *o.Str}
 			c.num, c.isNum = numericValue(c.str)
@@ -213,130 +241,178 @@ func compile(q *Query, graph rdf.Graph) *evaluator {
 		}
 		return compiledOperand{}
 	}
-	var expr func(e Expr, reads *[]int) int
-	expr = func(e Expr, reads *[]int) int {
-		at := len(ev.exprs)
-		ev.exprs = append(ev.exprs, compiledExpr{})
+	// expr compiles one expression node; conj says whether it is reached
+	// from the top of its filter through AND alone, where a comparison of a
+	// variable with a numeric constant narrows the variable (an OR branch
+	// cannot, since the other branch may admit anything).
+	var expr func(e Expr, reads *[]int, conj bool) int
+	expr = func(e Expr, reads *[]int, conj bool) int {
+		at := len(pr.exprs)
+		pr.exprs = append(pr.exprs, compiledExpr{})
 		var node compiledExpr
 		switch x := e.(type) {
 		case Comparison:
 			node = compiledExpr{kind: exprCompare, op: compareOpOf(x.Op), a: operand(x.L, reads), b: operand(x.R, reads)}
+			if conj {
+				pr.narrow(x, node, slotOf)
+			}
 		case And:
-			node = compiledExpr{kind: exprAnd, l: expr(x.L, reads), r: expr(x.R, reads)}
+			node = compiledExpr{kind: exprAnd, l: expr(x.L, reads, conj), r: expr(x.R, reads, conj)}
 		case Or:
-			node = compiledExpr{kind: exprOr, l: expr(x.L, reads), r: expr(x.R, reads)}
+			node = compiledExpr{kind: exprOr, l: expr(x.L, reads, false), r: expr(x.R, reads, false)}
 		default:
 			// An expression of no known kind never holds.
 			node = compiledExpr{kind: exprCompare, op: opInvalid}
 		}
-		ev.exprs[at] = node
+		pr.exprs[at] = node
 		return at
 	}
-	ev.filters = make([]compiledFilter, len(q.Filters))
-	ev.exprs = make([]compiledExpr, 0, len(q.Filters))
+	pr.filters = make([]compiledFilter, len(q.Filters))
+	pr.exprs = make([]compiledExpr, 0, len(q.Filters))
 	// One backing array for the filters' slot lists: most read two slots.
 	reads := make([]int, 0, 2*len(q.Filters))
 	for i, f := range q.Filters {
 		from := len(reads)
-		root := expr(f, &reads)
-		ev.filters[i] = compiledFilter{root: root, slots: reads[from:len(reads):len(reads)]}
+		root := expr(f, &reads, true)
+		pr.filters[i] = compiledFilter{root: root, slots: reads[from:len(reads):len(reads)]}
 	}
-
 	if !q.SelectAll && len(q.Select) > 0 {
-		ev.project = make([]int, len(q.Select))
+		pr.project = make([]int, len(q.Select))
 		for i, v := range q.Select {
-			ev.project[i] = slotOf(v)
+			pr.project[i] = slotOf(v)
 		}
-		ev.results = []Solution{}
 	}
 
-	n := len(ev.vars)
-	ev.bounds = make([]varBounds, n)
-	for name, b := range numericBounds(q.Filters) {
-		ev.bounds[slots[name]] = b
+	// The constants' slots follow the variables'.
+	n := len(pr.vars)
+	fix := func(s *int) {
+		if *s < 0 {
+			*s = n - 1 - *s
+		}
 	}
-	ev.vals = make([]rdf.Term, n)
-	flags := make([]bool, n+len(q.Patterns)+len(q.Filters))
-	ev.bound, flags = flags[:n:n], flags[n:]
-	ev.done, ev.applied = flags[:len(q.Patterns):len(q.Patterns)], flags[len(q.Patterns):]
-	ev.trail = make([]int, 0, len(q.Filters))
-	return ev
+	for i := range pr.pats {
+		fix(&pr.pats[i].s)
+		fix(&pr.pats[i].o)
+	}
+	for i := range stepBuf {
+		fix(&stepBuf[i].pred)
+	}
+	return pr, nil
 }
 
-// numericBounds derives per-variable numeric intervals from the top-level
-// conjunction of filters: only comparisons between one variable and one
-// numeric constant, reached through AND alone, constrain a variable (an OR
-// branch cannot, since the other branch may admit anything).
-func numericBounds(filters []Expr) map[string]varBounds {
-	out := map[string]varBounds{}
-	narrow := func(v string, lo, hi *float64) {
-		b := out[v]
-		if lo != nil && (b.lo == nil || *lo > *b.lo) {
-			b.lo = lo
-		}
-		if hi != nil && (b.hi == nil || *hi < *b.hi) {
-			b.hi = hi
-		}
-		out[v] = b
+// narrow records the bound a comparison between one variable and one numeric
+// constant puts on the variable.
+func (pr *Prepared) narrow(x Comparison, node compiledExpr, slotOf func(string) int) {
+	// ?v > C bounds ?v from below, C > ?v from above.
+	greater, less := node.op == opGT || node.op == opGE, node.op == opLT || node.op == opLE
+	var n narrowing
+	switch {
+	case x.L.Var != "" && x.R.Num != nil:
+		n = narrowing{slot: slotOf(x.L.Var), param: node.b.slot, lo: greater, hi: less}
+	case x.R.Var != "" && x.L.Num != nil:
+		n = narrowing{slot: slotOf(x.R.Var), param: node.a.slot, lo: less, hi: greater}
+	default:
+		return
 	}
-	var collect func(Expr)
-	collect = func(e Expr) {
-		switch x := e.(type) {
-		case And:
-			collect(x.L)
-			collect(x.R)
-		case Comparison:
-			var v string
-			var c *float64
-			op := x.Op
-			switch {
-			case x.L.Var != "" && x.R.Num != nil:
-				v, c = x.L.Var, x.R.Num
-			case x.R.Var != "" && x.L.Num != nil:
-				// Mirror the comparison so the variable is on the left.
-				v, c = x.R.Var, x.L.Num
-				switch op {
-				case "<":
-					op = ">"
-				case "<=":
-					op = ">="
-				case ">":
-					op = "<"
-				case ">=":
-					op = "<="
-				}
-			default:
-				return
-			}
-			switch op {
-			case "<", "<=":
-				narrow(v, nil, c)
-			case ">", ">=":
-				narrow(v, c, nil)
-			case "=":
-				narrow(v, c, c)
-			}
-		}
+	if node.op == opEQ {
+		n.lo, n.hi = true, true
 	}
-	for _, f := range filters {
-		collect(f)
+	if n.lo || n.hi {
+		pr.narrows = append(pr.narrows, n)
+	}
+}
+
+// Params returns the numeric FILTER constants of the query prepared, in
+// parameter order: Run(snap, Params()) evaluates that query.
+func (pr *Prepared) Params() []float64 { return slices.Clone(pr.params) }
+
+// bounds derives each variable's numeric interval from the parameters.
+func (pr *Prepared) bounds(params []float64) []varBounds {
+	out := make([]varBounds, len(pr.vars))
+	for _, n := range pr.narrows {
+		c, b := &params[n.param], &out[n.slot]
+		if n.lo && (b.lo == nil || *c > *b.lo) {
+			b.lo = c
+		}
+		if n.hi && (b.hi == nil || *c < *b.hi) {
+			b.hi = c
+		}
 	}
 	return out
 }
 
-// objectBand returns the numeric interval constraining the pattern's object
-// variable, when the pattern is a single plain step whose object is an
-// as-yet-unbound variable under FILTER bounds — the case the band index
-// accelerates.
-func (ev *evaluator) objectBand(cp *compiledPattern) (lo, hi *float64, ok bool) {
-	if cp.o < 0 || !cp.plain || ev.bound[cp.o] {
-		return nil, nil, false
+// Run evaluates the prepared query against a snapshot with the given
+// parameters. Constants are resolved to dictionary IDs once — one the
+// snapshot never interned means no solution — and bindings are IDs, so index
+// reads hash nothing; a term is rendered only for a projected slot of an
+// emitted solution. Candidates are tried in the order the solutions' LIMIT cut
+// depends on: start subjects in ID order, the objects a step reaches in term
+// order.
+func (pr *Prepared) Run(snap *rdf.Snapshot, params []float64) ([]Solution, error) {
+	if len(params) != len(pr.params) {
+		return nil, fmt.Errorf("sparql: %d parameters for a query that takes %d", len(params), len(pr.params))
 	}
-	b := ev.bounds[cp.o]
-	if b.lo == nil && b.hi == nil {
-		return nil, nil, false
+	var results []Solution
+	if pr.project != nil {
+		results = []Solution{}
 	}
-	return b.lo, b.hi, true
+	nv, np, nf := len(pr.vars), len(pr.pats), len(pr.filters)
+	n := nv + len(pr.consts)
+	ev := &evaluator{Prepared: pr, snap: snap, params: params, results: results}
+	ev.vals = make([]uint32, n)
+	flags := make([]bool, n+2*np+nf)
+	ev.bound, flags = flags[:n:n], flags[n:]
+	ev.done, flags = flags[:np:np], flags[np:]
+	ev.costed, ev.applied = flags[:np:np], flags[np:]
+	for c, t := range pr.consts {
+		id, ok := snap.ID(t)
+		if !ok {
+			return results, nil
+		}
+		ev.vals[nv+c], ev.bound[nv+c] = id, true
+	}
+	ints := make([]int, np+nf)
+	ev.cost, ev.trail = ints[:np:np], ints[np:np]
+	ev.bounds = pr.bounds(params)
+	ev.levels = make([]level, np)
+	ev.match(0)
+	return ev.results, nil
+}
+
+// evaluator is one Run: the prepared query, the snapshot, and the
+// backtracking state.
+type evaluator struct {
+	*Prepared
+	snap   *rdf.Snapshot
+	params []float64
+	bounds []varBounds // per variable slot
+
+	vals  []uint32 // slot -> bound ID
+	bound []bool
+	// done marks the patterns already evaluated on the current backtracking
+	// branch; the evaluator picks the cheapest not-done pattern next.
+	done []bool
+	// cost remembers estimate's answer while costed is set: the estimate
+	// reads nothing but the snapshot and whether — and to what — the
+	// pattern's s and o are bound, so it stands until one of the two is bound
+	// or unbound.
+	costed []bool
+	cost   []int
+	// applied marks the filters that have held on the current branch; trail
+	// lists them in application order, so a level leaving the branch
+	// un-applies exactly its own.
+	applied []bool
+	trail   []int
+	// levels holds, per backtracking depth, the scratch its candidate lists
+	// live in.
+	levels  []level
+	results []Solution
+}
+
+// level is the scratch of one backtracking depth: candidate lists that are
+// not the snapshot's own slices are built here.
+type level struct {
+	starts, ends []uint32
 }
 
 // ready reports whether every slot the filter reads is bound.
@@ -357,8 +433,9 @@ func (ev *evaluator) leave(mark int) {
 	ev.trail = ev.trail[:mark]
 }
 
-func (ev *evaluator) match(remaining int) {
-	if ev.q.Limit > 0 && len(ev.results) >= ev.q.Limit {
+// match extends the binding by the patterns left after depth of them.
+func (ev *evaluator) match(depth int) {
+	if ev.limit > 0 && len(ev.results) >= ev.limit {
 		return
 	}
 	// Apply any filter whose variables are all bound and which has not been
@@ -375,7 +452,7 @@ func (ev *evaluator) match(remaining int) {
 		ev.applied[fi] = true
 		ev.trail = append(ev.trail, fi)
 	}
-	if remaining == 0 {
+	if depth == len(ev.pats) {
 		// All patterns matched; any remaining filters have unbound variables
 		// and evaluate to an error → treat as failure per SPARQL semantics.
 		if len(ev.trail) == len(ev.filters) {
@@ -390,28 +467,52 @@ func (ev *evaluator) match(remaining int) {
 		if ev.done[i] {
 			continue
 		}
-		cp := &ev.pats[i]
-		if !cp.costed {
-			cp.cost, cp.costed = ev.estimate(cp), true
+		if !ev.costed[i] {
+			ev.cost[i], ev.costed[i] = ev.estimate(&ev.pats[i]), true
 		}
-		if cp.cost < bestCost {
-			best, bestCost = i, cp.cost
+		if ev.cost[i] < bestCost {
+			best, bestCost = i, ev.cost[i]
 		}
 	}
 	cp := &ev.pats[best]
 	ev.done[best] = true
-	var one [1]rdf.Term
-	for _, start := range ev.resolveStarts(cp, &one) {
-		for _, end := range ev.walkPath(start, cp) {
-			sNew, oNew, ok := ev.extend(cp, start, end)
-			if ok {
-				ev.match(remaining - 1)
-			}
-			if sNew {
-				ev.setBound(cp.s, false)
-			}
-			if oNew {
-				ev.setBound(cp.o, false)
+	// Candidate subjects come as chunks in ascending ID order: the bound
+	// subject, the POS posting list when the object is bound and the path is
+	// a single plain step, the numeric band index when FILTER bounds confine
+	// the object variable, and otherwise every subject carrying the path's
+	// first predicate (never the whole store). Subjects outside a band carry
+	// no in-range value, so every one of their bindings would fail the
+	// FILTER; subjects inside may also carry out-of-range values, which the
+	// FILTER still rejects individually.
+	var one [1]uint32
+	spine := [1][]uint32{one[:]}
+	chunks := spine[:]
+	pid := ev.vals[cp.path[0].pred]
+	lv := &ev.levels[depth]
+	if ev.bound[cp.s] {
+		one[0] = ev.vals[cp.s]
+	} else if cp.plain && ev.bound[cp.o] {
+		chunks = ev.snap.SubjectIDs(pid, ev.vals[cp.o])
+	} else if lo, hi, ok := ev.objectBand(cp, pid); ok {
+		lv.starts = ev.snap.BandSubjectIDs(pid, lo, hi, lv.starts)
+		spine[0] = lv.starts
+	} else {
+		lv.starts = ev.snap.PredSubjectIDs(pid, lv.starts)
+		spine[0] = lv.starts
+	}
+	for _, chunk := range chunks {
+		for _, start := range chunk {
+			for _, end := range ev.walk(start, cp, lv) {
+				sNew, oNew, ok := ev.extend(cp, start, end)
+				if ok {
+					ev.match(depth + 1)
+				}
+				if sNew {
+					ev.setBound(cp.s, false)
+				}
+				if oNew {
+					ev.setBound(cp.o, false)
+				}
 			}
 		}
 	}
@@ -424,19 +525,19 @@ func (ev *evaluator) setBound(slot int, bound bool) {
 	ev.bound[slot] = bound
 	for i := range ev.pats {
 		if cp := &ev.pats[i]; cp.s == slot || cp.o == slot {
-			cp.costed = false
+			ev.costed[i] = false
 		}
 	}
 }
 
-// solution copies the current binding out: the projected variables, or every
+// solution renders the current binding: the projected variables, or every
 // bound one under SELECT *.
 func (ev *evaluator) solution() Solution {
 	if ev.project != nil {
 		row := make(Solution, len(ev.project))
 		for _, s := range ev.project {
 			if ev.bound[s] {
-				row[ev.vars[s]] = ev.vals[s]
+				row[ev.vars[s]] = ev.snap.Term(ev.vals[s])
 			}
 		}
 		return row
@@ -444,90 +545,80 @@ func (ev *evaluator) solution() Solution {
 	row := make(Solution, len(ev.vars))
 	for s, name := range ev.vars {
 		if ev.bound[s] {
-			row[name] = ev.vals[s]
+			row[name] = ev.snap.Term(ev.vals[s])
 		}
 	}
 	return row
 }
 
-// resolve resolves a pattern position to a concrete term: directly for
-// concrete terms, through the binding for bound variables.
-func (ev *evaluator) resolve(slot int, n *NodeRef) (rdf.Term, bool) {
-	if slot < 0 {
-		return n.Term, true
+// objectBand returns the numeric interval constraining the pattern's object
+// variable, when the pattern is a single plain step whose object is an
+// as-yet-unbound variable under FILTER bounds — the case the band index
+// accelerates. The band holds numeric literals only, and a FILTER compares
+// anything else as text, which a value outside the band may pass; so the band
+// stands in for the predicate only when every object of the predicate is in
+// it.
+func (ev *evaluator) objectBand(cp *compiledPattern, pid uint32) (lo, hi *float64, ok bool) {
+	if !cp.plain || ev.bound[cp.o] {
+		return nil, nil, false
 	}
-	return ev.vals[slot], ev.bound[slot]
+	b := ev.bounds[cp.o]
+	if b.lo == nil && b.hi == nil || ev.snap.BandCount(pid, nil, nil) != ev.snap.PredCount(pid) {
+		return nil, nil, false
+	}
+	return b.lo, b.hi, true
 }
 
 // estimate returns the estimated number of bindings the pattern produces
-// under the current binding, from the graph's cardinality accessors:
-// CountSP for a resolved subject, CountPO for a resolved object reachable
-// through the POS index, CountPInRange when FILTER bounds confine the
-// object variable to a numeric band, and the predicate's total triple count
-// otherwise.
+// under the current binding: the subject's objects under the first predicate
+// for a bound subject, the posting list for a bound object reachable through
+// the POS index, the band's entries when FILTER bounds confine the object
+// variable to one, and the predicate's total triple count otherwise.
 func (ev *evaluator) estimate(cp *compiledPattern) int {
-	first := cp.pat.Path[0]
-	if s, ok := ev.resolve(cp.s, &cp.pat.S); ok {
-		return ev.graph.CountSP(s, first.Pred)
+	pid := ev.vals[cp.path[0].pred]
+	if ev.bound[cp.s] {
+		return len(ev.snap.ObjectIDs(ev.vals[cp.s], pid))
 	}
-	if o, ok := ev.resolve(cp.o, &cp.pat.O); ok && cp.plain {
-		return ev.graph.CountPO(first.Pred, o)
+	if cp.plain && ev.bound[cp.o] {
+		n := 0
+		for _, chunk := range ev.snap.SubjectIDs(pid, ev.vals[cp.o]) {
+			n += len(chunk)
+		}
+		return n
 	}
-	if lo, hi, ok := ev.objectBand(cp); ok {
-		return ev.graph.CountPInRange(first.Pred, lo, hi)
+	if lo, hi, ok := ev.objectBand(cp, pid); ok {
+		return ev.snap.BandCount(pid, lo, hi)
 	}
-	return ev.graph.CountP(first.Pred)
+	return ev.snap.PredCount(pid)
 }
 
-// resolveStarts returns the candidate subjects for a pattern given the
-// current binding: the resolved subject when it is bound or concrete (in
-// one, the caller's one-element buffer), the POS-index reverse lookup when
-// the object is resolved and the path is a single plain step, the numeric
-// band index when FILTER bounds confine the object variable, and otherwise
-// every subject carrying the path's first predicate (never the whole store).
-func (ev *evaluator) resolveStarts(cp *compiledPattern, one *[1]rdf.Term) []rdf.Term {
-	if s, ok := ev.resolve(cp.s, &cp.pat.S); ok {
-		one[0] = s
-		return one[:]
-	}
-	first := cp.pat.Path[0]
-	if o, ok := ev.resolve(cp.o, &cp.pat.O); ok && cp.plain {
-		return ev.graph.SubjectsOf(first.Pred, o)
-	}
-	if lo, hi, ok := ev.objectBand(cp); ok {
-		// Subjects outside the band carry no in-range value, so every one of
-		// their bindings would fail the FILTER; subjects inside may also
-		// carry out-of-range values, which the FILTER still rejects
-		// individually. The band is therefore a safe restriction.
-		return ev.graph.SubjectsWithPredInRange(first.Pred, lo, hi)
-	}
-	return ev.graph.SubjectsWithPred(first.Pred)
-}
-
-// walkPath follows the pattern's property path from the start term and
-// returns every reachable object, in term order.
-func (ev *evaluator) walkPath(start rdf.Term, cp *compiledPattern) []rdf.Term {
+// walk follows the pattern's property path from the start and returns every
+// object it reaches, once each, in term order.
+func (ev *evaluator) walk(start uint32, cp *compiledPattern, lv *level) []uint32 {
 	if cp.plain {
 		// One step reaches the subject's objects: already distinct, and
 		// nearly always a single one.
-		objs := ev.graph.ObjectsOf(start, cp.pat.Path[0].Pred)
+		objs := ev.snap.ObjectIDs(start, ev.vals[cp.path[0].pred])
 		if len(objs) < 2 {
 			return objs
 		}
-		return sortedDistinct(append([]rdf.Term(nil), objs...))
+		lv.ends = append(lv.ends[:0], objs...)
+		ev.byTerm(lv.ends)
+		return lv.ends
 	}
-	current := []rdf.Term{start}
-	for _, step := range cp.pat.Path {
-		var next []rdf.Term
-		if step.OneOrMore {
+	current := []uint32{start}
+	for _, step := range cp.path {
+		pid := ev.vals[step.pred]
+		var next []uint32
+		if step.oneOrMore {
 			// Transitive closure of the predicate from each current node.
 			for _, c := range current {
-				frontier := []rdf.Term{c}
-				visited := map[rdf.Term]bool{}
+				frontier := []uint32{c}
+				visited := map[uint32]bool{}
 				for len(frontier) > 0 {
 					n := frontier[0]
 					frontier = frontier[1:]
-					for _, o := range ev.graph.ObjectsOf(n, step.Pred) {
+					for _, o := range ev.snap.ObjectIDs(n, pid) {
 						if !visited[o] {
 							visited[o] = true
 							next = append(next, o)
@@ -538,53 +629,35 @@ func (ev *evaluator) walkPath(start rdf.Term, cp *compiledPattern) []rdf.Term {
 			}
 		} else {
 			for _, c := range current {
-				next = append(next, ev.graph.ObjectsOf(c, step.Pred)...)
+				next = append(next, ev.snap.ObjectIDs(c, pid)...)
 			}
 		}
-		current = sortedDistinct(next)
+		ev.byTerm(next)
+		current = slices.Compact(next)
 	}
 	return current
 }
 
-// sortedDistinct sorts terms in place into term order and drops repeats.
-func sortedDistinct(terms []rdf.Term) []rdf.Term {
-	sort.Slice(terms, func(i, j int) bool { return rdf.CompareTerms(terms[i], terms[j]) < 0 })
-	out := terms[:0]
-	for i, t := range terms {
-		if i == 0 || t != terms[i-1] {
-			out = append(out, t)
-		}
-	}
-	return out
+// byTerm sorts IDs into the order of their terms.
+func (ev *evaluator) byTerm(ids []uint32) {
+	slices.SortFunc(ids, func(a, b uint32) int { return rdf.CompareTerms(ev.snap.Term(a), ev.snap.Term(b)) })
 }
 
 // extend binds the pattern's variable positions to (start, end), reporting
 // which slots it newly bound — the caller unbinds exactly those — and whether
-// the pair agrees with the pattern's concrete terms and earlier bindings.
-func (ev *evaluator) extend(cp *compiledPattern, start, end rdf.Term) (sNew, oNew, ok bool) {
-	if cp.s < 0 {
-		if cp.pat.S.Term != start {
-			return false, false, false
-		}
-	} else if ev.bound[cp.s] {
-		if ev.vals[cp.s] != start {
-			return false, false, false
-		}
-	} else {
+// the pair agrees with the pattern's constants and earlier bindings.
+func (ev *evaluator) extend(cp *compiledPattern, start, end uint32) (sNew, oNew, ok bool) {
+	if !ev.bound[cp.s] {
 		ev.vals[cp.s], sNew = start, true
 		ev.setBound(cp.s, true)
+	} else if ev.vals[cp.s] != start {
+		return false, false, false
 	}
-	if cp.o < 0 {
-		if cp.pat.O.Term != end {
-			return sNew, false, false
-		}
-	} else if ev.bound[cp.o] {
-		if ev.vals[cp.o] != end {
-			return sNew, false, false
-		}
-	} else {
+	if !ev.bound[cp.o] {
 		ev.vals[cp.o], oNew = end, true
 		ev.setBound(cp.o, true)
+	} else if ev.vals[cp.o] != end {
+		return sNew, false, false
 	}
 	return sNew, oNew, true
 }
@@ -614,7 +687,7 @@ func (ev *evaluator) holds(at int) bool {
 			cmp = 1
 		}
 	} else {
-		cmp = strings.Compare(operandText(&x.a, l), operandText(&x.b, r))
+		cmp = strings.Compare(operandText(&x.a, l, lnum), operandText(&x.b, r, rnum))
 	}
 	switch x.op {
 	case opLT:
@@ -634,17 +707,19 @@ func (ev *evaluator) holds(at int) bool {
 }
 
 // operand resolves one side of a comparison: its text (empty for a numeric
-// constant, whose text operandText renders on demand), its numeric reading,
+// parameter, whose text operandText renders on demand), its numeric reading,
 // and whether it has a value at all.
 func (ev *evaluator) operand(o *compiledOperand) (text string, num float64, isNum, ok bool) {
 	switch o.kind {
-	case operandNum, operandStr:
+	case operandParam:
+		return "", ev.params[o.slot], true, true
+	case operandStr:
 		return o.str, o.num, o.isNum, true
 	case operandSlot:
 		if !ev.bound[o.slot] {
 			return "", 0, false, false
 		}
-		text = ev.vals[o.slot].Value
+		text = ev.snap.Term(ev.vals[o.slot]).Value
 		num, isNum = numericValue(text)
 		return text, num, isNum, true
 	}
@@ -652,10 +727,10 @@ func (ev *evaluator) operand(o *compiledOperand) (text string, num float64, isNu
 }
 
 // operandText is the text a side compares as when the other side is not a
-// number: a numeric constant in its shortest decimal form.
-func operandText(o *compiledOperand, text string) string {
-	if o.kind == operandNum {
-		return strconv.FormatFloat(o.num, 'f', -1, 64)
+// number: a numeric parameter in its shortest decimal form.
+func operandText(o *compiledOperand, text string, num float64) string {
+	if o.kind == operandParam {
+		return strconv.FormatFloat(num, 'f', -1, 64)
 	}
 	return text
 }

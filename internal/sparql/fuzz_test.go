@@ -53,11 +53,14 @@ var fuzzSeeds = []string{
 	"SELECT ?x WHERE { ?x ?p ?y }",
 	"PREFIX p <http://x> SELECT ?x WHERE { ?x p:a ?y }",
 	"SELECT ?x WHERE { ?x <p> ?y } LIMIT z",
+	"SELECT ?x WHERE { ?x <p> ?y } LIMIT -1",
+	"SELECT ?x WHERE { ?x <p> ?y } LIMIT 0",
 	"SELECT ?x WHERE { ?x <p> ?y . FILTER (?y !! 3) }",
 }
 
-// FuzzParse: Parse never panics, and whatever it accepts Execute evaluates
-// without panicking — against an empty store and against a small one.
+// FuzzParse: Parse never panics, a query it accepts has a LIMIT of 0 (none)
+// or more, and Execute evaluates it without panicking — against an empty
+// store and against a small one.
 func FuzzParse(f *testing.F) {
 	for _, text := range fuzzSeeds {
 		f.Add(text)
@@ -82,11 +85,14 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	}
-	empty, small := rdf.NewStore(), planStore()
+	empty, small := rdf.NewStore().Snapshot(), planStore().Snapshot()
 	f.Fuzz(func(t *testing.T, text string) {
 		q, err := Parse(text)
 		if err != nil {
 			return
+		}
+		if q.Limit < 0 {
+			t.Fatalf("parsed to Limit %d", q.Limit)
 		}
 		if _, err := Execute(q, empty); err != nil {
 			t.Fatalf("parsed but did not execute: %v", err)

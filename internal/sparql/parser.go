@@ -124,8 +124,15 @@ func (p *qparser) parse() (*Query, error) {
 			return nil, fmt.Errorf("sparql: LIMIT needs a number")
 		}
 		limit, err := strconv.Atoi(n.text)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
+		case limit < 0:
+			return nil, fmt.Errorf("sparql: LIMIT %d is negative", limit)
+		case limit == 0:
+			// Query.Limit 0 means "no LIMIT clause", so a LIMIT that selects
+			// nothing has no representation.
+			return nil, fmt.Errorf("sparql: LIMIT 0 selects nothing and is not supported")
 		}
 		p.q.Limit = limit
 	}

@@ -73,6 +73,46 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseLimit: a LIMIT is a positive count. A negative one is an error,
+// and so is LIMIT 0 — SPARQL's "no solutions" — because Query.Limit 0 means
+// the query has no LIMIT clause; before both were accepted and returned every
+// solution.
+func TestParseLimit(t *testing.T) {
+	for _, c := range []struct {
+		limit string
+		want  int // -1: a parse error
+	}{
+		{"", 0},
+		{"LIMIT 1", 1},
+		{"LIMIT 8", 8},
+		{"limit 3", 3},
+		{"LIMIT 0", -1},
+		{"LIMIT -0", -1},
+		{"LIMIT -1", -1},
+		{"LIMIT -8", -1},
+		{"LIMIT 1.5", -1},
+		{"LIMIT", -1},
+	} {
+		q, err := Parse("SELECT ?s WHERE { ?s <p> ?o } " + c.limit)
+		switch {
+		case c.want < 0 && err == nil:
+			t.Errorf("%q: parsed to Limit %d, want an error", c.limit, q.Limit)
+		case c.want >= 0 && err != nil:
+			t.Errorf("%q: %v", c.limit, err)
+		case c.want >= 0 && q.Limit != c.want:
+			t.Errorf("%q: Limit %d, want %d", c.limit, q.Limit, c.want)
+		}
+	}
+	store := rdf.NewStore()
+	for i := 0; i < 5; i++ {
+		store.Add(rdf.Triple{S: pop(fmt.Sprint(i)), P: rdf.NewIRI("p"), O: rdf.NewLiteral("o")})
+	}
+	sols, err := Execute(MustParse("SELECT ?s WHERE { ?s <p> ?o } LIMIT 2"), store.Snapshot())
+	if err != nil || len(sols) != 2 {
+		t.Errorf("LIMIT 2 over 5 triples: %d solutions, %v", len(sols), err)
+	}
+}
+
 func TestExecuteSimpleChain(t *testing.T) {
 	store := planStore()
 	q := MustParse(`PREFIX pr: <http://galo/qep/property/>
@@ -81,7 +121,7 @@ func TestExecuteSimpleChain(t *testing.T) {
 			?a pr:hasOutputStream ?b .
 			?b pr:hasPopType "NLJOIN" .
 		}`)
-	sols, err := Execute(q, store)
+	sols, err := Execute(q, store.Snapshot())
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -100,14 +140,14 @@ func TestExecuteFiltersNumericBounds(t *testing.T) {
 			?x pr:hasEstimateCardinality ?c .
 			FILTER (?c >= %d && ?c <= %d) .
 		}`
-	sols, err := Execute(MustParse(fmt.Sprintf(template, 1000, 100000)), store)
+	sols, err := Execute(MustParse(fmt.Sprintf(template, 1000, 100000)), store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sols) != 2 {
 		t.Errorf("range filter matched %d, want 2", len(sols))
 	}
-	sols, err = Execute(MustParse(fmt.Sprintf(template, 1, 20)), store)
+	sols, err = Execute(MustParse(fmt.Sprintf(template, 1, 20)), store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +166,7 @@ func TestExecuteStrFunctionAndDistinctness(t *testing.T) {
 			?b pr:hasEstimateCardinality ?cb .
 			FILTER (STR(?a) > STR(?b)) .
 		}`)
-	sols, err := Execute(q, store)
+	sols, err := Execute(q, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +188,7 @@ func TestExecutePropertyPathTransitive(t *testing.T) {
 			<http://galo/qep/pop/4> pr:hasOutputStream+ ?top .
 			?top pr:hasPopType "HSJOIN" .
 		}`)
-	sols, err := Execute(q, store)
+	sols, err := Execute(q, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +201,7 @@ func TestExecutePropertyPathTransitive(t *testing.T) {
 			<http://galo/qep/pop/4> pr:hasOutputStream/pr:hasOutputStream ?mid .
 			?mid pr:hasPopType ?t .
 		}`)
-	sols2, err := Execute(q2, store)
+	sols2, err := Execute(q2, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +217,7 @@ func TestExecuteOrAndLimit(t *testing.T) {
 			?x pr:hasPopType ?t .
 			FILTER (?t = "HSJOIN" || ?t = "NLJOIN") .
 		}`)
-	sols, err := Execute(q, store)
+	sols, err := Execute(q, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +225,7 @@ func TestExecuteOrAndLimit(t *testing.T) {
 		t.Errorf("OR filter matched %d", len(sols))
 	}
 	q.Limit = 1
-	sols, _ = Execute(q, store)
+	sols, _ = Execute(q, store.Snapshot())
 	if len(sols) != 1 {
 		t.Errorf("LIMIT not applied: %d", len(sols))
 	}
@@ -195,7 +235,7 @@ func TestExecuteSelectAllProjection(t *testing.T) {
 	store := planStore()
 	q := MustParse(`PREFIX pr: <http://galo/qep/property/>
 		SELECT * WHERE { ?x pr:hasPopType "HSJOIN" . }`)
-	sols, err := Execute(q, store)
+	sols, err := Execute(q, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +245,13 @@ func TestExecuteSelectAllProjection(t *testing.T) {
 	// Projection drops unselected variables.
 	q2 := MustParse(`PREFIX pr: <http://galo/qep/property/>
 		SELECT ?x WHERE { ?x pr:hasOutputStream ?y . }`)
-	sols2, _ := Execute(q2, store)
+	sols2, _ := Execute(q2, store.Snapshot())
 	for _, s := range sols2 {
 		if _, ok := s["y"]; ok {
 			t.Errorf("unprojected variable leaked: %v", s)
 		}
 	}
-	if _, err := Execute(nil, store); err == nil {
+	if _, err := Execute(nil, store.Snapshot()); err == nil {
 		t.Errorf("nil query should fail")
 	}
 }
@@ -229,13 +269,13 @@ func TestNoMatchWhenBoundsExcludeValue(t *testing.T) {
 				?x pr:hasHigherCardinality ?hi . FILTER (?hi >= %d) .
 			}`, v, v))
 	}
-	if sols, _ := Execute(mk(50000), store); len(sols) != 1 {
+	if sols, _ := Execute(mk(50000), store.Snapshot()); len(sols) != 1 {
 		t.Errorf("value inside bounds should match")
 	}
-	if sols, _ := Execute(mk(500), store); len(sols) != 0 {
+	if sols, _ := Execute(mk(500), store.Snapshot()); len(sols) != 0 {
 		t.Errorf("value below bounds should not match")
 	}
-	if sols, _ := Execute(mk(500000), store); len(sols) != 0 {
+	if sols, _ := Execute(mk(500000), store.Snapshot()); len(sols) != 0 {
 		t.Errorf("value above bounds should not match")
 	}
 }

@@ -39,7 +39,13 @@ func TestGoldenProbes(t *testing.T) {
 		remote := fleet.New(fleet.Options{Shards: [][]string{{srv.URL}}}).Endpoint(0)
 		return []path{
 			{"local text", func(p *transform.Probe) ([]sparql.Solution, error) { return local.Select(p.Text()) }},
-			{"prepared", func(p *transform.Probe) ([]sparql.Solution, error) { return pinned(p.Query()) }},
+			{"prepared", func(p *transform.Probe) ([]sparql.Solution, error) {
+				pr, err := sparql.Prepare(p.Query())
+				if err != nil {
+					return nil, err
+				}
+				return pinned(pr, p.Params())
+			}},
 			{"1x1 fleet", func(p *transform.Probe) ([]sparql.Solution, error) { return remote.Select(p.Text()) }},
 		}
 	}

@@ -56,9 +56,9 @@ const (
 // match another. Results are capped at ProbeSolutionLimit.
 //
 // One walk of the fragment (NewProbe) records what the probe depends on;
-// Key, Query, Info and Text are four renderings of that record, each built
-// only when asked for. The record is a copy: a Probe stays valid when the
-// plan it came from is renumbered or rewritten.
+// Key, FormKey, Params, Query, Info and Text are renderings of that record,
+// each built only when asked for. The record is a copy: a Probe stays valid
+// when the plan it came from is renumbered or rewritten.
 type Probe struct {
 	nodes []probeNode // pre-order, as qgm.Node.Walk visits them
 	key   string
@@ -83,65 +83,70 @@ func NewProbe(fragment *qgm.Node) (*Probe, error) {
 		return nil, fmt.Errorf("transform: nil fragment")
 	}
 	p := &Probe{nodes: make([]probeNode, 0, fragment.CountOps())}
-	var stack [256]byte
-	key, err := p.add(fragment, stack[:0])
-	if err != nil {
+	if err := p.add(fragment); err != nil {
 		return nil, err
 	}
-	p.key = string(key)
+	var stack [256]byte
+	p.key = string(p.appendKey(stack[:0], true))
 	return p, nil
 }
 
-// add appends n's subtree to the record and its fingerprint to key. Per
-// operator the fingerprint holds, length-prefixed or terminated so that no
-// two records share one: the operator type, the variable's name (instance or
-// operator ID, told apart by a tag), the cardinality in the two-decimal
-// rendering the query text carries, and which inputs exist — which, in
-// pre-order, fixes every outer/inner link.
-func (p *Probe) add(n *qgm.Node, key []byte) ([]byte, error) {
+// add appends n's subtree to the record, in pre-order.
+func (p *Probe) add(n *qgm.Node) error {
 	if math.IsNaN(n.EstCardinality) || math.IsInf(n.EstCardinality, 0) {
 		// The text rendering of such a bound does not parse; refuse it on
 		// every path alike.
-		return nil, fmt.Errorf("transform: operator %d has no finite cardinality estimate", n.ID)
+		return fmt.Errorf("transform: operator %d has no finite cardinality estimate", n.ID)
 	}
 	i := len(p.nodes)
-	pn := probeNode{op: n.Op, inst: instanceOf(n), id: n.ID, card: n.EstCardinality, outer: -1, inner: -1}
-	p.nodes = append(p.nodes, pn)
-
-	key = binary.AppendUvarint(key, uint64(len(pn.op)))
-	key = append(key, pn.op...)
-	if pn.inst != "" {
-		key = append(key, 's')
-		key = binary.AppendUvarint(key, uint64(len(pn.inst)))
-		key = append(key, pn.inst...)
-	} else {
-		key = append(key, 'o')
-		key = binary.AppendVarint(key, int64(pn.id))
-	}
-	key = appendNum(key, pn.card)
-	inputs := byte('0')
-	if n.Outer != nil {
-		inputs |= 1
-	}
-	if n.Inner != nil {
-		inputs |= 2
-	}
-	key = append(key, inputs)
-
-	var err error
+	p.nodes = append(p.nodes, probeNode{op: n.Op, inst: instanceOf(n), id: n.ID, card: n.EstCardinality, outer: -1, inner: -1})
 	if n.Outer != nil {
 		p.nodes[i].outer = len(p.nodes)
-		if key, err = p.add(n.Outer, key); err != nil {
-			return nil, err
+		if err := p.add(n.Outer); err != nil {
+			return err
 		}
 	}
 	if n.Inner != nil {
 		p.nodes[i].inner = len(p.nodes)
-		if key, err = p.add(n.Inner, key); err != nil {
-			return nil, err
+		if err := p.add(n.Inner); err != nil {
+			return err
 		}
 	}
-	return key, nil
+	return nil
+}
+
+// appendKey appends the record's fingerprint. Per operator, in pre-order, it
+// holds — length-prefixed or terminated so that no two records share one —
+// the operator type, the variable's name (instance or operator ID, told apart
+// by a tag), with cards the cardinality in the two-decimal rendering the query
+// text carries, and which inputs exist, which in pre-order fixes every
+// outer/inner link.
+func (p *Probe) appendKey(key []byte, cards bool) []byte {
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		key = binary.AppendUvarint(key, uint64(len(n.op)))
+		key = append(key, n.op...)
+		if n.inst != "" {
+			key = append(key, 's')
+			key = binary.AppendUvarint(key, uint64(len(n.inst)))
+			key = append(key, n.inst...)
+		} else {
+			key = append(key, 'o')
+			key = binary.AppendVarint(key, int64(n.id))
+		}
+		if cards {
+			key = appendNum(key, n.card)
+		}
+		inputs := byte('0')
+		if n.outer >= 0 {
+			inputs |= 1
+		}
+		if n.inner >= 0 {
+			inputs |= 2
+		}
+		key = append(key, inputs)
+	}
+	return key
 }
 
 // Key returns a compact fingerprint of the probe: two probes have equal keys
@@ -149,6 +154,36 @@ func (p *Probe) add(n *qgm.Node, key []byte) ([]byte, error) {
 // base — equal keys mean equal solutions. It is what probe results are
 // cached and in-flight probes deduplicated under.
 func (p *Probe) Key() string { return p.key }
+
+// FormKey returns the probe's form: Key without the cardinalities. Two probes
+// of one form build queries that differ only in their numeric FILTER
+// constants — Params — so one compiled query (sparql.Prepare of either's
+// Query) answers both.
+func (p *Probe) FormKey() string {
+	var stack [256]byte
+	return string(p.appendKey(stack[:0], false))
+}
+
+// Params returns the numeric FILTER constants of the probe's query, in the
+// order sparql.Prepare numbers them: each operator's cardinality as the text
+// carries it, once against the template's lower bound and once against its
+// upper.
+func (p *Probe) Params() []float64 {
+	params := make([]float64, 0, 2*len(p.nodes))
+	for i := range p.nodes {
+		b := p.nodes[i].bound()
+		params = append(params, b, b)
+	}
+	return params
+}
+
+// bound is the operator's cardinality as the query carries it: the value its
+// two-decimal text parses back to.
+func (n *probeNode) bound() float64 {
+	var text [32]byte
+	b, _ := strconv.ParseFloat(string(appendNum(text[:0], n.card)), 64)
+	return b
+}
 
 // appendNum renders a cardinality bound the way the query text carries it.
 func appendNum(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'f', 2, 64) }
@@ -332,9 +367,7 @@ func (p *Probe) Query() *sparql.Query {
 		node := &p.nodes[i]
 		v := vars[i]
 		pattern(v, predPopType, sparql.TermRef(rdf.NewLiteral(string(node.op))))
-		// The bound is the value the text's two decimals parse back to.
-		var text [32]byte
-		bound, _ := strconv.ParseFloat(string(appendNum(text[:0], node.card)), 64)
+		bound := node.bound()
 		for k, side := range [2]struct {
 			pred rdf.Term
 			cmp  string

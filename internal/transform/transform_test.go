@@ -170,7 +170,7 @@ func TestMatchQueryAgainstHandBuiltTemplateGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := sparql.Execute(sparql.MustParse(text), store)
+	sols, err := sparql.Execute(sparql.MustParse(text), store.Snapshot())
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestMatchQueryAgainstHandBuiltTemplateGraph(t *testing.T) {
 	// A hash-join fragment must not match the merge-join template.
 	frag.Op = qgm.OpHSJOIN
 	text2, _, _ := FragmentMatchQuery(frag)
-	sols2, err := sparql.Execute(sparql.MustParse(text2), store)
+	sols2, err := sparql.Execute(sparql.MustParse(text2), store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestMatchQueryAgainstHandBuiltTemplateGraph(t *testing.T) {
 	frag.Op = qgm.OpMSJOIN
 	frag.EstCardinality = 1e12
 	text3, _, _ := FragmentMatchQuery(frag)
-	sols3, _ := sparql.Execute(sparql.MustParse(text3), store)
+	sols3, _ := sparql.Execute(sparql.MustParse(text3), store.Snapshot())
 	if len(sols3) != 0 {
 		t.Errorf("out-of-bounds cardinality should not match")
 	}
