@@ -176,13 +176,20 @@ func (v Value) AsString() string {
 	}
 }
 
-// SQLLiteral renders the value as a SQL literal (strings and dates quoted).
+// SQLLiteral renders the value as a SQL literal (strings and dates quoted, a
+// float with a decimal point or an exponent, so that it reads back as one).
 func (v Value) SQLLiteral() string {
 	switch v.K {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case KindDate:
 		return "'" + v.AsString() + "'"
+	case KindFloat:
+		s := v.AsString()
+		if strings.Trim(s, "0123456789") == "" {
+			s += ".0"
+		}
+		return s
 	default:
 		return v.AsString()
 	}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -201,6 +202,27 @@ func (s *System) chargeProbes(client string, probes int) {
 // maxReoptBodyBytes bounds a POST /reopt body (one SQL statement in a small
 // JSON envelope); a longer one is answered 413 without being decoded.
 const maxReoptBodyBytes = 1 << 20
+
+// bodyBufs recycles the buffers /reopt bodies are read into: json.Unmarshal
+// copies every string it decodes, so nothing outlives the request.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readReoptRequest reads the body, at most maxReoptBodyBytes of it, into a
+// pooled buffer and decodes it.
+func readReoptRequest(w http.ResponseWriter, r *http.Request) (ReoptRequest, error) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 64<<10 {
+			buf.Reset()
+			bodyBufs.Put(buf)
+		}
+	}()
+	var req ReoptRequest
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxReoptBodyBytes)); err != nil {
+		return req, err
+	}
+	return req, json.Unmarshal(buf.Bytes(), &req)
+}
 
 // ReoptRequest is the body of POST /reopt.
 type ReoptRequest struct {
@@ -436,8 +458,8 @@ func (s *System) handleReopt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "probe budget exhausted, retry later", http.StatusTooManyRequests)
 		return
 	}
-	var req ReoptRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReoptBodyBytes)).Decode(&req); err != nil {
+	req, err := readReoptRequest(w, r)
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), fuseki.BodyErrorStatus(err))
 		return
 	}

@@ -10,11 +10,14 @@
 package guideline
 
 import (
+	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Element kinds. Join elements have exactly two children (outer, inner);
@@ -149,113 +152,77 @@ func (d *Document) TabIDs() []string {
 	return out
 }
 
-// --- XML encoding -----------------------------------------------------------
+// --- XML ----------------------------------------------------------------------
 
-// MarshalXML encodes the element using its operator as the XML element name,
-// matching the DB2 dialect.
-func (e *Element) MarshalXML(enc *xml.Encoder, _ xml.StartElement) error {
-	start := xml.StartElement{Name: xml.Name{Local: e.Op}}
-	if e.TabID != "" {
-		start.Attr = append(start.Attr, xml.Attr{Name: xml.Name{Local: "TABID"}, Value: e.TabID})
-	}
-	if e.Table != "" {
-		start.Attr = append(start.Attr, xml.Attr{Name: xml.Name{Local: "TABLE"}, Value: e.Table})
-	}
-	if e.Index != "" {
-		start.Attr = append(start.Attr, xml.Attr{Name: xml.Name{Local: "INDEX"}, Value: `"` + e.Index + `"`})
-	}
-	if err := enc.EncodeToken(start); err != nil {
-		return err
-	}
-	for _, c := range e.Children {
-		if err := c.MarshalXML(enc, xml.StartElement{}); err != nil {
-			return err
-		}
-	}
-	return enc.EncodeToken(start.End())
-}
-
-// UnmarshalXML decodes an element whose XML name is the operator.
-func (e *Element) UnmarshalXML(dec *xml.Decoder, start xml.StartElement) error {
-	e.Op = strings.ToUpper(start.Name.Local)
-	for _, a := range start.Attr {
-		v := strings.Trim(a.Value, `"`)
-		switch strings.ToUpper(a.Name.Local) {
-		case "TABID":
-			e.TabID = v
-		case "TABLE":
-			e.Table = v
-		case "INDEX":
-			e.Index = v
-		}
-	}
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			child := &Element{}
-			if err := child.UnmarshalXML(dec, t); err != nil {
-				return err
-			}
-			e.Children = append(e.Children, child)
-		case xml.EndElement:
-			return nil
-		}
-	}
-}
-
-// MarshalXML encodes the document as <OPTGUIDELINES>...</OPTGUIDELINES>.
-func (d *Document) MarshalXML(enc *xml.Encoder, _ xml.StartElement) error {
-	start := xml.StartElement{Name: xml.Name{Local: "OPTGUIDELINES"}}
-	if err := enc.EncodeToken(start); err != nil {
-		return err
-	}
-	for _, g := range d.Guidelines {
-		if err := g.MarshalXML(enc, xml.StartElement{}); err != nil {
-			return err
-		}
-	}
-	return enc.EncodeToken(start.End())
-}
-
-// UnmarshalXML decodes an OPTGUIDELINES document.
-func (d *Document) UnmarshalXML(dec *xml.Decoder, start xml.StartElement) error {
-	if !strings.EqualFold(start.Name.Local, "OPTGUIDELINES") {
-		return fmt.Errorf("guideline: expected OPTGUIDELINES root, got %s", start.Name.Local)
-	}
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			g := &Element{}
-			if err := g.UnmarshalXML(dec, t); err != nil {
-				return err
-			}
-			d.Guidelines = append(d.Guidelines, g)
-		case xml.EndElement:
-			return nil
-		}
-	}
-}
-
-// XML renders the document as an indented XML string.
+// XML renders the document as indented XML, byte for byte what an
+// encoding/xml Encoder indenting by two spaces writes for it: a leaf closes on
+// its own line, attribute values are escaped by xml.EscapeText, and an empty
+// document is <OPTGUIDELINES></OPTGUIDELINES>.
 func (d *Document) XML() (string, error) {
-	var b strings.Builder
-	enc := xml.NewEncoder(&b)
-	enc.Indent("", "  ")
-	if err := enc.Encode(d); err != nil {
-		return "", err
+	if d == nil {
+		return "", nil
 	}
-	if err := enc.Flush(); err != nil {
-		return "", err
+	b := append(make([]byte, 0, 256), "<OPTGUIDELINES>"...)
+	for _, g := range d.Guidelines {
+		var err error
+		if b, err = appendElement(b, g, 1); err != nil {
+			return "", err
+		}
 	}
-	return b.String(), nil
+	if len(d.Guidelines) > 0 {
+		b = append(b, '\n')
+	}
+	return string(append(b, "</OPTGUIDELINES>"...)), nil
+}
+
+// appendElement appends the element, named by its operator, on a new line
+// indented by depth.
+func appendElement(b []byte, e *Element, depth int) ([]byte, error) {
+	if e.Op == "" {
+		return nil, errors.New("xml: start tag with no name")
+	}
+	newline := func(b []byte) []byte {
+		b = append(b, '\n')
+		for range depth {
+			b = append(b, "  "...)
+		}
+		return b
+	}
+	b = append(append(newline(b), '<'), e.Op...)
+	b = appendAttr(appendAttr(appendAttr(b, "TABID", "", e.TabID), "TABLE", "", e.Table), "INDEX", "&#34;", e.Index)
+	b = append(b, '>')
+	for _, c := range e.Children {
+		var err error
+		if b, err = appendElement(b, c, depth+1); err != nil {
+			return nil, err
+		}
+	}
+	if len(e.Children) > 0 {
+		b = newline(b)
+	}
+	return append(append(append(b, "</"...), e.Op...), '>'), nil
+}
+
+// appendAttr appends name="value" unless value is empty, the value escaped and
+// wrapped in quote (itself already escaped).
+func appendAttr(b []byte, name, quote, value string) []byte {
+	if value == "" {
+		return b
+	}
+	b = append(append(append(append(b, ' '), name...), `="`...), quote...)
+	plain := true
+	for i := 0; plain && i < len(value); i++ {
+		c := value[i]
+		plain = c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\'' && c != '&' && c != '<' && c != '>'
+	}
+	if plain {
+		b = append(b, value...)
+	} else {
+		w := bytes.NewBuffer(b)
+		_ = xml.EscapeText(w, []byte(value)) // a bytes.Buffer never fails a write
+		b = w.Bytes()
+	}
+	return append(append(b, quote...), '"')
 }
 
 // Parse decodes an OPTGUIDELINES document from XML text.
@@ -270,8 +237,11 @@ func Parse(s string) (*Document, error) {
 			return nil, err
 		}
 		if start, ok := tok.(xml.StartElement); ok {
+			if !strings.EqualFold(start.Name.Local, "OPTGUIDELINES") {
+				return nil, fmt.Errorf("guideline: expected OPTGUIDELINES root, got %s", start.Name.Local)
+			}
 			d := &Document{}
-			if err := d.UnmarshalXML(dec, start); err != nil {
+			if d.Guidelines, err = readElements(dec); err != nil {
 				return nil, err
 			}
 			if err := d.Validate(); err != nil {
@@ -282,8 +252,54 @@ func Parse(s string) (*Document, error) {
 	}
 }
 
+// readElements decodes the elements up to the end tag of their parent: each
+// named by its operator, with its TABID, TABLE and INDEX attributes (quotes
+// around a value dropped) and its children.
+func readElements(dec *xml.Decoder) ([]*Element, error) {
+	var out []*Element
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			e := &Element{Op: strings.ToUpper(t.Name.Local)}
+			for _, a := range t.Attr {
+				v := strings.Trim(a.Value, `"`)
+				switch strings.ToUpper(a.Name.Local) {
+				case "TABID":
+					e.TabID = v
+				case "TABLE":
+					e.Table = v
+				case "INDEX":
+					e.Index = v
+				}
+			}
+			if e.Children, err = readElements(dec); err != nil {
+				return nil, err
+			}
+			out = append(out, e)
+		case xml.EndElement:
+			return out, nil
+		}
+	}
+}
+
+// Clone returns a deep copy of the element tree.
+func (e *Element) Clone() *Element {
+	cp := *e
+	if e.Children != nil {
+		cp.Children = make([]*Element, len(e.Children))
+		for i, c := range e.Children {
+			cp.Children[i] = c.Clone()
+		}
+	}
+	return &cp
+}
+
 // Merge combines several documents into one, de-duplicating guidelines whose
-// rendered XML is identical.
+// rendered XML is identical (one that cannot render is always kept).
 func Merge(docs ...*Document) *Document {
 	out := &Document{}
 	seen := map[string]bool{}
@@ -292,35 +308,13 @@ func Merge(docs ...*Document) *Document {
 			continue
 		}
 		for _, g := range d.Guidelines {
-			key := fingerprint(g)
-			if seen[key] {
+			key, err := appendElement(nil, g, 0)
+			if err == nil && seen[string(key)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			out.Add(g)
 		}
 	}
 	return out
-}
-
-func fingerprint(e *Element) string {
-	var b strings.Builder
-	var rec func(*Element)
-	rec = func(x *Element) {
-		b.WriteString(x.Op)
-		b.WriteString("|")
-		b.WriteString(x.TabID)
-		b.WriteString("|")
-		b.WriteString(x.Table)
-		b.WriteString("|")
-		b.WriteString(x.Index)
-		b.WriteString("(")
-		for _, c := range x.Children {
-			rec(c)
-			b.WriteString(",")
-		}
-		b.WriteString(")")
-	}
-	rec(e)
-	return b.String()
 }

@@ -2,8 +2,10 @@ package matching
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
+	"galo/internal/guideline"
 	"galo/internal/sparql"
 	"galo/internal/transform"
 )
@@ -144,6 +146,36 @@ func (c *probeCache) size() int {
 	return total
 }
 
+// boundedCache is a mutex-guarded map for values that never go stale: when it
+// is full an arbitrary entry makes room, so it only keeps a stream of
+// never-repeating keys from growing it without end. The zero value is empty.
+type boundedCache[V any] struct {
+	mu sync.Mutex
+	m  map[string]V
+}
+
+func (c *boundedCache[V]) get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[key]
+	return v, ok
+}
+
+func (c *boundedCache[V]) put(key string, v V, capacity int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = map[string]V{}
+	}
+	if len(c.m) >= capacity {
+		for k := range c.m {
+			delete(c.m, k)
+			break
+		}
+	}
+	c.m[key] = v
+}
+
 // formCacheSize bounds the probe forms an engine keeps compiled (a few KB
 // each). A workload's fragments come in few forms — the form leaves out every
 // cardinality; each benchmark workload uses at most 44 — so the bound only
@@ -153,36 +185,46 @@ const formCacheSize = 256
 // formCache maps a probe form (transform.Probe.FormKey) to its compiled
 // query, so a cold probe of a known form builds no query and compiles
 // nothing. A sparql.Prepared holds no knowledge base IDs, so no publication
-// makes an entry stale; when the cache is full an arbitrary entry makes room.
-type formCache struct {
-	mu    sync.Mutex
-	forms map[string]*sparql.Prepared
-}
+// makes an entry stale.
+type formCache struct{ boundedCache[*sparql.Prepared] }
 
 // prepare returns the probe's compiled form, compiling it on first sight.
 func (c *formCache) prepare(p *transform.Probe) (*sparql.Prepared, error) {
 	form := p.FormKey()
-	c.mu.Lock()
-	pr := c.forms[form]
-	c.mu.Unlock()
-	if pr != nil {
+	if pr, ok := c.get(form); ok {
 		return pr, nil
 	}
 	pr, err := sparql.Prepare(p.Query())
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.forms == nil {
-		c.forms = map[string]*sparql.Prepared{}
-	}
-	if len(c.forms) >= formCacheSize {
-		for k := range c.forms {
-			delete(c.forms, k)
-			break
-		}
-	}
-	c.forms[form] = pr
+	c.put(form, pr, formCacheSize)
 	return pr, nil
+}
+
+// guidelineCacheSize bounds the parsed guidelines an engine keeps (well under
+// a KB each): one per template whose probe answers are picked.
+const guidelineCacheSize = 1024
+
+// guidelineCache maps a template's guideline literal to the first guideline
+// tree it parses to, so a probe answer — a cache hit above all — is not
+// parsed again per request. A template's guideline text never changes, so the
+// text alone is the key: no publication makes an entry stale. The cached trees
+// are shared by every request matching the template: they are read and
+// cloned, never written (pickTemplate rebinds a clone).
+type guidelineCache struct {
+	boundedCache[*guideline.Element]
+}
+
+// parse returns the literal's first guideline tree, parsing it on first sight.
+func (c *guidelineCache) parse(text string) (*guideline.Element, error) {
+	if g, ok := c.get(text); ok {
+		return g, nil
+	}
+	doc, err := guideline.Parse(text)
+	if err != nil || len(doc.Guidelines) == 0 {
+		return nil, fmt.Errorf("matching: template carries an invalid guideline: %v", err)
+	}
+	c.put(text, doc.Guidelines[0], guidelineCacheSize)
+	return doc.Guidelines[0], nil
 }

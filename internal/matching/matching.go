@@ -99,6 +99,7 @@ type Engine struct {
 
 	cache       *probeCache
 	forms       formCache
+	guidelines  guidelineCache
 	flight      flightGroup
 	deduped     atomic.Int64
 	probeErrors atomic.Int64
@@ -477,10 +478,9 @@ func (e *Engine) pickTemplate(frag *qgm.Node, p *transform.Probe, sols []sparql.
 	}
 	info := p.Info()
 	best, improvement := pickBestSolution(sols, info)
-	guidelineXML := best[info.GuidelineVar].Value
-	doc, err := guideline.Parse(guidelineXML)
-	if err != nil || len(doc.Guidelines) == 0 {
-		return outcome{err: fmt.Errorf("matching: template carries an invalid guideline: %v", err)}
+	cached, err := e.guidelines.parse(best[info.GuidelineVar].Value)
+	if err != nil {
+		return outcome{err: err}
 	}
 	// Canonical label -> incoming instance.
 	canonicalToInstance := map[string]string{}
@@ -489,7 +489,7 @@ func (e *Engine) pickTemplate(frag *qgm.Node, p *transform.Probe, sols []sparql.
 			canonicalToInstance[strings.ToUpper(term.Value)] = instance
 		}
 	}
-	g := doc.Guidelines[0]
+	g := cached.Clone() // the cached tree is shared: rebinding writes TABIDs
 	if !rebindGuideline(g, canonicalToInstance) {
 		return outcome{m: m}
 	}

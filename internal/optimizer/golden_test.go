@@ -53,11 +53,11 @@ type goldenEntry struct {
 
 // dumpPlan renders everything the optimizer decides about a plan: the
 // db2exfmt-style text plus, per operator, the fields Format leaves out, with
-// floats as raw bits.
-func dumpPlan(p *qgm.Plan) string {
+// floats as raw bits. sql is the query as planned (preparedSQL).
+func dumpPlan(p *qgm.Plan, sql string) string {
 	var b strings.Builder
 	b.WriteString(qgm.Format(p))
-	fmt.Fprintf(&b, "total=%016x millis=%016x sql=%s\n", math.Float64bits(p.TotalCost), math.Float64bits(p.EstimatedMillis), p.SQL)
+	fmt.Fprintf(&b, "total=%016x millis=%016x sql=%s\n", math.Float64bits(p.TotalCost), math.Float64bits(p.EstimatedMillis), sql)
 	p.Root.Walk(func(n *qgm.Node) {
 		fmt.Fprintf(&b, "%d %s %s %s %q card=%016x cost=%016x row=%d pages=%016x ord=%q bloom=%v early=%v join=%q preds=%q\n",
 			n.ID, n.Op, n.Table, n.TableInstance, n.Index,
@@ -67,11 +67,21 @@ func dumpPlan(p *qgm.Plan) string {
 	return b.String()
 }
 
-func entryFor(name string, p *qgm.Plan, r *optimizer.Report, err error) (goldenEntry, string) {
+// preparedSQL is the text a digest records beside the plan: the query as the
+// optimizer resolved and rewrote it, "" when it does not prepare.
+func preparedSQL(o *optimizer.Optimizer, q *sqlparser.Query) string {
+	p, err := o.Prepare(q)
+	if err != nil {
+		return ""
+	}
+	return p.SQL()
+}
+
+func entryFor(name, sql string, p *qgm.Plan, r *optimizer.Report, err error) (goldenEntry, string) {
 	if err != nil {
 		return goldenEntry{Name: name, Err: err.Error()}, err.Error()
 	}
-	dump := dumpPlan(p)
+	dump := dumpPlan(p, sql)
 	sum := sha256.Sum256([]byte(dump))
 	e := goldenEntry{Name: name, Sig: p.Signature(), CostBits: math.Float64bits(p.TotalCost), Digest: hex.EncodeToString(sum[:])}
 	if r != nil {
@@ -97,8 +107,8 @@ var (
 // (and the planning benchmarks) are planned against.
 // renderEntry is everything the suites compare of one planning: the golden
 // entry as JSON, then the plan dump.
-func renderEntry(name string, p *qgm.Plan, r *optimizer.Report, err error) string {
-	e, dump := entryFor(name, p, r, err)
+func renderEntry(name, sql string, p *qgm.Plan, r *optimizer.Report, err error) string {
+	e, dump := entryFor(name, sql, p, r, err)
 	js, _ := json.Marshal(e)
 	return string(js) + "\n" + dump
 }
@@ -487,9 +497,10 @@ func TestGoldenPlans(t *testing.T) {
 					opts.JoinEnumDPLimit = mode.dpLimit
 				}
 				opts.Guidelines = mode.doc
-				plan, report, err := optimizer.New(c.db.Catalog, opts).Optimize(q)
+				opt := optimizer.New(c.db.Catalog, opts)
+				plan, report, err := opt.Optimize(q)
 				name := c.name + "/" + q.Name + "/" + mode.name
-				e, dump := entryFor(name, plan, report, err)
+				e, dump := entryFor(name, preparedSQL(opt, q), plan, report, err)
 				got = append(got, e)
 				dumps[name] = dump
 			}
@@ -517,7 +528,7 @@ func TestGoldenSpecPlans(t *testing.T) {
 				if err == nil {
 					plan, err = opt.BuildPlan(q, spec)
 				}
-				e, dump := entryFor(name, plan, nil, err)
+				e, dump := entryFor(name, preparedSQL(opt, q), plan, nil, err)
 				got = append(got, e)
 				dumps[name] = dump
 			}
@@ -593,7 +604,7 @@ func TestOptimizeIsReentrant(t *testing.T) {
 		} else {
 			p, err = opt.BuildPlan(q, specs[k%len(queries)])
 		}
-		return renderEntry(q.Name, p, r, err)
+		return renderEntry(q.Name, preparedSQL(opt, q), p, r, err)
 	}
 	want := make([]string, 2*len(queries))
 	usedDP := map[bool]int{}
@@ -647,7 +658,8 @@ func TestPlanOutlivesPlanning(t *testing.T) {
 		}
 	}
 	render := func() string {
-		return dumpPlan(enumerated) + enumerated.Signature() + "\n" + dumpPlan(built) + built.Signature()
+		sql := preparedSQL(opt, q)
+		return dumpPlan(enumerated, sql) + enumerated.Signature() + "\n" + dumpPlan(built, sql) + built.Signature()
 	}
 	before := render()
 	for i := 0; i < 200; i++ {
@@ -678,7 +690,7 @@ func TestMaterializeWithoutJoinPredicates(t *testing.T) {
 	}
 	scans := single.Root.Scans()
 	if len(scans) != 1 || single.NumJoins() != 0 || fmt.Sprintf("%q", scans[0].Predicates) != `["ITEM.I_CATEGORY = 'Music'"]` || scans[0].JoinCols != nil {
-		t.Errorf("single-table plan:\n%s", dumpPlan(single))
+		t.Errorf("single-table plan:\n%s", dumpPlan(single, ""))
 	}
 
 	cartesian := sqlparser.MustParse(`SELECT i_item_desc, s_store_name FROM item, store WHERE i_category = 'Music'`)
@@ -698,7 +710,7 @@ func TestMaterializeWithoutJoinPredicates(t *testing.T) {
 	for name, p := range plans {
 		joins := p.Root.Joins()
 		if len(joins) != 1 || joins[0].JoinCols == nil || len(joins[0].JoinCols) != 0 || joins[0].Op == qgm.OpMSJOIN {
-			t.Errorf("%s: cartesian product should be one non-merge join with empty, non-nil JoinCols:\n%s", name, dumpPlan(p))
+			t.Errorf("%s: cartesian product should be one non-merge join with empty, non-nil JoinCols:\n%s", name, dumpPlan(p, ""))
 		}
 	}
 }

@@ -98,8 +98,8 @@ type Quantifier struct {
 
 // Prepared is the half of planning that no guideline can change: the resolved
 // and rewritten clone of the query, its quantifiers, join edges and
-// interesting orders, the rewrite notes and the rendered SQL. Nothing writes
-// to it after Prepare returns, so one Prepared serves any number of
+// interesting orders, and the rewrite notes. Nothing writes to it after
+// Prepare returns, so one Prepared serves any number of
 // OptimizePrepared calls, concurrent ones included, on any Optimizer over the
 // same catalog whose options differ from the preparing one's in Guidelines
 // only. It is plain garbage-collected data.
@@ -114,8 +114,10 @@ type Prepared struct {
 	// ids start at 1 and ascend in key order, so walking ids walks keys sorted.
 	orderID map[string]int32
 	notes   []string // Report.RewriteNotes
-	sql     string   // qgm.Plan.SQL
 }
+
+// SQL renders the query as planned: resolved, and rewritten by the first tier.
+func (p *Prepared) SQL() string { return p.q.SQL() }
 
 // Optimize plans the query: it resolves column references, applies the
 // query-rewrite tier, then runs cost-based enumeration. The returned plan has
@@ -146,7 +148,6 @@ func (o *Optimizer) Prepare(q *sqlparser.Query) (*Prepared, error) {
 	}
 	p := &Prepared{q: work, notes: o.rewrite(work)}
 	p.quants = o.Quantifiers(work)
-	p.sql = work.SQL()
 	o.resolveJoins(p)
 	return p, nil
 }
@@ -167,7 +168,6 @@ func (o *Optimizer) OptimizePrepared(p *Prepared) (*qgm.Plan, *Report, error) {
 func (o *Optimizer) finishPlan(p *Prepared, root *qgm.Node) *qgm.Plan {
 	root = o.addFinalOperators(p.q, root)
 	plan := qgm.NewPlan(root)
-	plan.SQL = p.sql
 	plan.QueryName = p.q.Name
 	plan.TotalCost = root.EstCost
 	plan.EstimatedMillis = root.EstCost

@@ -35,13 +35,13 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 				}
 				opts[i] = optimizer.New(c.db.Catalog, o)
 				p, r, err := opts[i].Optimize(q)
-				want[i] = renderEntry(q.Name, p, r, err)
+				want[i] = renderEntry(q.Name, preparedSQL(opts[i], q), p, r, err)
 			}
 			name := c.name + "/" + q.Name
 			prepare := func() *optimizer.Prepared {
 				prepared, err := opts[0].Prepare(q)
 				if err != nil {
-					if got := renderEntry(q.Name, nil, nil, err); got != want[0] {
+					if got := renderEntry(q.Name, "", nil, nil, err); got != want[0] {
 						t.Errorf("%s: Prepare fails differently from Optimize\n got: %s\nwant: %s", name, got, want[0])
 					}
 					return nil
@@ -51,7 +51,7 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 			// plan checks mode i over the shared Prepared; how names the caller.
 			plan := func(prepared *optimizer.Prepared, i int, how string) *optimizer.Report {
 				p, r, err := opts[i].OptimizePrepared(prepared)
-				if got := renderEntry(q.Name, p, r, err); got != want[i] {
+				if got := renderEntry(q.Name, prepared.SQL(), p, r, err); got != want[i] {
 					t.Errorf("%s, mode %d, %s: differs from an independent Optimize\n got: %s\nwant: %s", name, i, how, got, want[i])
 				}
 				if r != nil {

@@ -2,74 +2,93 @@ package qgm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Format renders the plan as an indented operator tree in the style of the
 // paper's figures (and of db2exfmt): estimated cardinality on top, operator
-// label and ID, and — for base table accesses — the table cardinality, name
-// and instance below.
+// label and ID, and — for base table accesses — the table name, instance and
+// index below; a join labels its two inputs.
 //
 //	2.94925e+06
 //	MSJOIN
 //	(   2)
-//	 |-- 1.1832e+07
-//	 |   IXSCAN
-//	 |   (   3)
-//	 |     6.72337e+07 OPEN_IN [Q1]
+//	  outer:
+//	    1.18320e+07
+//	    IXSCAN
+//	    (   3)
+//	      OPEN_IN [Q1] via OPEN_IN_IDX
+//	  inner:
 //	 ...
+//
+// The text is appended into one pooled buffer: every /reopt answer carries
+// one or two plans.
 func Format(p *Plan) string {
 	if p == nil || p.Root == nil {
 		return "<empty plan>\n"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Access Plan:\n")
+	buf := formatBufs.Get().(*[]byte)
+	b := append((*buf)[:0], "Access Plan:\n"...)
 	if p.QueryName != "" {
-		fmt.Fprintf(&b, "Query: %s\n", p.QueryName)
+		b = append(append(append(b, "Query: "...), p.QueryName...), '\n')
 	}
-	fmt.Fprintf(&b, "Total Cost: %.4f timerons\n\n", p.TotalCost)
-	formatNode(&b, p.Root, "")
-	return b.String()
+	b = strconv.AppendFloat(append(b, "Total Cost: "...), p.TotalCost, 'f', 4, 64)
+	b = appendNode(append(b, " timerons\n\n"...), p.Root, 0)
+	s := string(b)
+	if cap(b) <= 64<<10 {
+		*buf = b
+		formatBufs.Put(buf)
+	}
+	return s
 }
 
-func formatNode(b *strings.Builder, n *Node, indent string) {
-	fmt.Fprintf(b, "%s%s\n", indent, formatCard(n.EstCardinality))
-	fmt.Fprintf(b, "%s%s\n", indent, n.OpLabel())
-	fmt.Fprintf(b, "%s(%4d)\n", indent, n.ID)
+var formatBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendNode appends the subtree, indented four spaces per depth.
+func appendNode(b []byte, n *Node, depth int) []byte {
+	indent := func(b []byte) []byte {
+		for range depth {
+			b = append(b, "    "...)
+		}
+		return b
+	}
+	format, prec := byte('g'), -1
+	if n.EstCardinality >= 1e6 {
+		format, prec = 'e', 5
+	}
+	b = strconv.AppendFloat(indent(b), n.EstCardinality, format, prec, 64)
+	b = append(append(indent(append(b, '\n')), n.OpLabel()...), '\n')
+	var num [20]byte
+	id := strconv.AppendInt(num[:0], int64(n.ID), 10) // right-aligned in four columns, as %4d
+	b = append(append(append(indent(b), "(    "[:1+max(0, 4-len(id))]...), id...), ")\n"...)
 	if n.BloomFilter {
-		fmt.Fprintf(b, "%s[bloom filter]\n", indent)
+		b = append(indent(b), "[bloom filter]\n"...)
 	}
 	for _, pred := range n.Predicates {
-		fmt.Fprintf(b, "%spredicate: %s\n", indent, pred)
+		b = append(append(append(indent(b), "predicate: "...), pred...), '\n')
 	}
 	if n.Table != "" {
-		detail := n.Table
+		b = append(append(indent(b), "  "...), n.Table...)
 		if n.TableInstance != "" {
-			detail += " [" + n.TableInstance + "]"
+			b = append(append(append(b, " ["...), n.TableInstance...), ']')
 		}
 		if n.Index != "" {
-			detail += " via " + n.Index
+			b = append(append(b, " via "...), n.Index...)
 		}
-		fmt.Fprintf(b, "%s  %s\n", indent, detail)
+		b = append(b, '\n')
 	}
-	children := n.Children()
-	for i, c := range children {
-		role := "outer"
-		if i == 1 {
-			role = "inner"
+	for i, c := range [2]*Node{n.Outer, n.Inner} {
+		if c == nil {
+			continue
 		}
-		if len(children) > 1 {
-			fmt.Fprintf(b, "%s%s:\n", indent+"  ", role)
+		if n.Outer != nil && n.Inner != nil {
+			b = append(indent(b), [2]string{"  outer:\n", "  inner:\n"}[i]...)
 		}
-		formatNode(b, c, indent+"    ")
+		b = appendNode(b, c, depth+1)
 	}
-}
-
-func formatCard(card float64) string {
-	if card >= 1e6 {
-		return fmt.Sprintf("%.5e", card)
-	}
-	return fmt.Sprintf("%g", card)
+	return b
 }
 
 // DiffPlans renders a compact textual diff of the operator structure of two

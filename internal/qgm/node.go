@@ -91,18 +91,6 @@ type Node struct {
 	Inner *Node
 }
 
-// Children returns the non-nil children, outer first.
-func (n *Node) Children() []*Node {
-	var out []*Node
-	if n.Outer != nil {
-		out = append(out, n.Outer)
-	}
-	if n.Inner != nil {
-		out = append(out, n.Inner)
-	}
-	return out
-}
-
 // Walk visits the subtree rooted at n in pre-order.
 func (n *Node) Walk(fn func(*Node)) {
 	if n == nil {
@@ -220,18 +208,25 @@ func (n *Node) OpLabel() string {
 // operator IDs and cardinalities but keeps operator types, shape and the
 // order of inputs. Two plans with the same join methods, join order and
 // access methods have the same signature.
-func (n *Node) Signature() string {
+func (n *Node) Signature() string { return n.signature(true) }
+
+// ShapeSignature is like Signature but abstracts away table instances, so
+// that the same plan shape over different tables compares equal. This is the
+// canonical-symbol abstraction the knowledge base relies on.
+func (n *Node) ShapeSignature() string { return n.signature(false) }
+
+func (n *Node) signature(instances bool) string {
 	if n == nil {
 		return "_"
 	}
 	var b strings.Builder
-	n.signature(&b)
+	n.writeSignature(&b, instances)
 	return b.String()
 }
 
-func (n *Node) signature(b *strings.Builder) {
+func (n *Node) writeSignature(b *strings.Builder, instances bool) {
 	b.WriteString(string(n.Op))
-	if n.Table != "" {
+	if instances && n.Table != "" {
 		b.WriteString(":")
 		b.WriteString(n.TableInstance)
 	}
@@ -241,41 +236,11 @@ func (n *Node) signature(b *strings.Builder) {
 	if n.Outer != nil || n.Inner != nil {
 		b.WriteString("(")
 		if n.Outer != nil {
-			n.Outer.signature(b)
+			n.Outer.writeSignature(b, instances)
 		}
 		if n.Inner != nil {
 			b.WriteString(",")
-			n.Inner.signature(b)
-		}
-		b.WriteString(")")
-	}
-}
-
-// ShapeSignature is like Signature but abstracts away table instances, so
-// that the same plan shape over different tables compares equal. This is the
-// canonical-symbol abstraction the knowledge base relies on.
-func (n *Node) ShapeSignature() string {
-	if n == nil {
-		return "_"
-	}
-	var b strings.Builder
-	n.shapeSignature(&b)
-	return b.String()
-}
-
-func (n *Node) shapeSignature(b *strings.Builder) {
-	b.WriteString(string(n.Op))
-	if n.BloomFilter {
-		b.WriteString("+BF")
-	}
-	if n.Outer != nil || n.Inner != nil {
-		b.WriteString("(")
-		if n.Outer != nil {
-			n.Outer.shapeSignature(b)
-		}
-		if n.Inner != nil {
-			b.WriteString(",")
-			n.Inner.shapeSignature(b)
+			n.Inner.writeSignature(b, instances)
 		}
 		b.WriteString(")")
 	}

@@ -11,8 +11,6 @@ type Plan struct {
 	Root *Node
 	// QueryName labels the originating workload query (e.g. "TPCDS.Q08").
 	QueryName string
-	// SQL is the originating SQL text, when known.
-	SQL string
 	// TotalCost is the optimizer's cumulative cost estimate in timerons.
 	TotalCost float64
 	// EstimatedMillis is the optimizer's runtime estimate.

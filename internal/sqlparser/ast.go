@@ -8,6 +8,7 @@
 package sqlparser
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -23,9 +24,22 @@ type ColumnRef struct {
 // String renders the reference as it appears in SQL.
 func (c ColumnRef) String() string {
 	if c.Table == "" {
-		return c.Column
+		return quoteIdent(c.Column)
 	}
-	return c.Table + "." + c.Column
+	return quoteIdent(c.Table) + "." + quoteIdent(c.Column)
+}
+
+// quoteIdent renders an identifier so that it lexes back to itself: bare when
+// it is a plain identifier other than a keyword, delimited otherwise.
+func quoteIdent(s string) string {
+	plain := s != "" && (s[0] < '0' || s[0] > '9')
+	for i := 0; plain && i < len(s); i++ {
+		plain = isIdentPart(rune(s[i]))
+	}
+	if plain && !isKeyword(s) {
+		return s
+	}
+	return `"` + s + `"`
 }
 
 // TableRef names a table in the FROM clause with an optional alias.
@@ -46,9 +60,9 @@ func (t TableRef) Name() string {
 // String renders the table reference as SQL.
 func (t TableRef) String() string {
 	if t.Alias != "" && !strings.EqualFold(t.Alias, t.Table) {
-		return t.Table + " " + t.Alias
+		return quoteIdent(t.Table) + " " + quoteIdent(t.Alias)
 	}
-	return t.Table
+	return quoteIdent(t.Table)
 }
 
 // PredKind enumerates the predicate forms the parser accepts.
@@ -98,7 +112,7 @@ func (p Predicate) String() string {
 	case PredCompare:
 		return left + " " + p.Op + " " + p.Value.SQLLiteral()
 	case PredBetween:
-		return left + " BETWEEN " + p.Lo.SQLLiteral() + " AND " + p.Hi.SQLLiteral()
+		return left + " " + not + "BETWEEN " + p.Lo.SQLLiteral() + " AND " + p.Hi.SQLLiteral()
 	case PredIn:
 		var b strings.Builder
 		b.WriteString(left + " " + not + "IN (")
@@ -144,21 +158,15 @@ func (q *Query) TableByName(name string) *TableRef {
 }
 
 // JoinPredicates returns the column-to-column equality predicates.
-func (q *Query) JoinPredicates() []Predicate {
-	var out []Predicate
-	for _, p := range q.Where {
-		if p.IsJoin() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (q *Query) JoinPredicates() []Predicate { return q.predicates(true) }
 
 // LocalPredicates returns the non-join predicates.
-func (q *Query) LocalPredicates() []Predicate {
+func (q *Query) LocalPredicates() []Predicate { return q.predicates(false) }
+
+func (q *Query) predicates(join bool) []Predicate {
 	var out []Predicate
 	for _, p := range q.Where {
-		if !p.IsJoin() {
+		if p.IsJoin() == join {
 			out = append(out, p)
 		}
 	}
@@ -200,41 +208,32 @@ func (q *Query) SQL() string {
 	if q.Star || len(q.Select) == 0 {
 		b.WriteString("*")
 	} else {
-		parts := make([]string, len(q.Select))
-		for i, c := range q.Select {
-			parts[i] = c.String()
-		}
-		b.WriteString(strings.Join(parts, ", "))
+		writeList(&b, q.Select, ", ")
 	}
 	b.WriteString(" FROM ")
-	tables := make([]string, len(q.From))
-	for i, t := range q.From {
-		tables[i] = t.String()
-	}
-	b.WriteString(strings.Join(tables, ", "))
+	writeList(&b, q.From, ", ")
 	if len(q.Where) > 0 {
 		b.WriteString(" WHERE ")
-		preds := make([]string, len(q.Where))
-		for i, p := range q.Where {
-			preds[i] = p.String()
-		}
-		b.WriteString(strings.Join(preds, " AND "))
+		writeList(&b, q.Where, " AND ")
 	}
 	if len(q.GroupBy) > 0 {
-		parts := make([]string, len(q.GroupBy))
-		for i, c := range q.GroupBy {
-			parts[i] = c.String()
-		}
-		b.WriteString(" GROUP BY " + strings.Join(parts, ", "))
+		b.WriteString(" GROUP BY ")
+		writeList(&b, q.GroupBy, ", ")
 	}
 	if len(q.OrderBy) > 0 {
-		parts := make([]string, len(q.OrderBy))
-		for i, c := range q.OrderBy {
-			parts[i] = c.String()
-		}
-		b.WriteString(" ORDER BY " + strings.Join(parts, ", "))
+		b.WriteString(" ORDER BY ")
+		writeList(&b, q.OrderBy, ", ")
 	}
 	return b.String()
+}
+
+func writeList[T fmt.Stringer](b *strings.Builder, items []T, sep string) {
+	for i, it := range items {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.WriteString(it.String())
+	}
 }
 
 // Clone returns a deep copy of the query.

@@ -19,8 +19,11 @@ const (
 
 type token struct {
 	kind tokenKind
+	// quoted marks a delimited identifier ("name"), which is never a keyword.
+	quoted bool
+	// text is a substring of the input, except for a string literal with a
+	// doubled quote in it.
 	text string
-	pos  int
 }
 
 type lexer struct {
@@ -29,14 +32,15 @@ type lexer struct {
 	toks  []token
 }
 
-func lex(input string) ([]token, error) {
-	l := &lexer{input: input}
+// lex appends the input's tokens, ending with tokEOF, to toks.
+func lex(input string, toks []token) ([]token, error) {
+	l := &lexer{input: input, toks: toks}
 	for l.pos < len(l.input) {
 		ch := l.input[l.pos]
 		switch {
 		case ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r':
 			l.pos++
-		case ch == '-' && l.pos+1 < len(l.input) && l.input[l.pos+1] == '-':
+		case ch == '-' && l.peekAt(1) == '-':
 			// line comment
 			for l.pos < len(l.input) && l.input[l.pos] != '\n' {
 				l.pos++
@@ -47,45 +51,46 @@ func lex(input string) ([]token, error) {
 			l.lexNumber()
 		case ch == '\'':
 			if err := l.lexString(); err != nil {
-				return nil, err
+				return l.toks, err
 			}
 		case ch == ',' || ch == '(' || ch == ')' || ch == '.' || ch == '*':
-			l.toks = append(l.toks, token{kind: tokSymbol, text: string(ch), pos: l.pos})
-			l.pos++
-		case ch == '=':
-			l.toks = append(l.toks, token{kind: tokOperator, text: "=", pos: l.pos})
-			l.pos++
-		case ch == '<':
-			if l.pos+1 < len(l.input) && (l.input[l.pos+1] == '=' || l.input[l.pos+1] == '>') {
-				l.toks = append(l.toks, token{kind: tokOperator, text: l.input[l.pos : l.pos+2], pos: l.pos})
-				l.pos += 2
-			} else {
-				l.toks = append(l.toks, token{kind: tokOperator, text: "<", pos: l.pos})
-				l.pos++
+			l.emit(tokSymbol, 1)
+		case ch == '=' || ch == '<' || ch == '>' || ch == '!':
+			n := 1
+			if next := l.peekAt(1); next == '=' && ch != '=' || ch == '<' && next == '>' {
+				n = 2
 			}
-		case ch == '>':
-			if l.pos+1 < len(l.input) && l.input[l.pos+1] == '=' {
-				l.toks = append(l.toks, token{kind: tokOperator, text: ">=", pos: l.pos})
+			switch {
+			case ch != '!':
+				l.emit(tokOperator, n)
+			case n == 2:
+				l.toks = append(l.toks, token{kind: tokOperator, text: "<>"}) // != is <>
 				l.pos += 2
-			} else {
-				l.toks = append(l.toks, token{kind: tokOperator, text: ">", pos: l.pos})
-				l.pos++
-			}
-		case ch == '!':
-			if l.pos+1 < len(l.input) && l.input[l.pos+1] == '=' {
-				l.toks = append(l.toks, token{kind: tokOperator, text: "<>", pos: l.pos})
-				l.pos += 2
-			} else {
-				return nil, fmt.Errorf("sqlparser: unexpected character %q at %d", ch, l.pos)
+			default:
+				return l.toks, fmt.Errorf("sqlparser: unexpected character %q at %d", ch, l.pos)
 			}
 		case ch == ';':
 			l.pos++ // trailing semicolons are ignored
 		default:
-			return nil, fmt.Errorf("sqlparser: unexpected character %q at %d", ch, l.pos)
+			return l.toks, fmt.Errorf("sqlparser: unexpected character %q at %d", ch, l.pos)
 		}
 	}
-	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
+	l.toks = append(l.toks, token{kind: tokEOF})
 	return l.toks, nil
+}
+
+// peekAt returns the input byte k past the current one, or 0 past the end.
+func (l *lexer) peekAt(k int) byte {
+	if l.pos+k < len(l.input) {
+		return l.input[l.pos+k]
+	}
+	return 0
+}
+
+// emit appends the next n input bytes as one token.
+func (l *lexer) emit(kind tokenKind, n int) {
+	l.toks = append(l.toks, token{kind: kind, text: l.input[l.pos : l.pos+n]})
+	l.pos += n
 }
 
 func isIdentStart(r rune) bool {
@@ -104,17 +109,16 @@ func (l *lexer) lexIdent() {
 		for l.pos < len(l.input) && l.input[l.pos] != '"' {
 			l.pos++
 		}
-		text := l.input[start+1 : l.pos]
+		l.toks = append(l.toks, token{kind: tokIdent, quoted: true, text: l.input[start+1 : l.pos]})
 		if l.pos < len(l.input) {
 			l.pos++ // closing quote
 		}
-		l.toks = append(l.toks, token{kind: tokIdent, text: text, pos: start})
 		return
 	}
 	for l.pos < len(l.input) && isIdentPart(rune(l.input[l.pos])) {
 		l.pos++
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.input[start:l.pos], pos: start})
+	l.toks = append(l.toks, token{kind: tokIdent, text: l.input[start:l.pos]})
 }
 
 func (l *lexer) lexNumber() {
@@ -131,9 +135,8 @@ func (l *lexer) lexNumber() {
 			l.pos++
 			continue
 		}
-		if (ch == 'e' || ch == 'E') && !seenExp && l.pos+1 < len(l.input) {
-			next := l.input[l.pos+1]
-			if next == '+' || next == '-' || (next >= '0' && next <= '9') {
+		if (ch == 'e' || ch == 'E') && !seenExp {
+			if next := l.peekAt(1); next == '+' || next == '-' || (next >= '0' && next <= '9') {
 				seenExp = true
 				l.pos += 2
 				continue
@@ -141,27 +144,25 @@ func (l *lexer) lexNumber() {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.input[start:l.pos], pos: start})
+	l.toks = append(l.toks, token{kind: tokNumber, text: l.input[start:l.pos]})
 }
 
+// lexString reads a quoted literal. Its text is cut from the input, and
+// copied only where a doubled quote has to become one.
 func (l *lexer) lexString() error {
 	start := l.pos
-	l.pos++ // skip opening quote
-	var sb strings.Builder
-	for l.pos < len(l.input) {
-		ch := l.input[l.pos]
-		if ch == '\'' {
-			if l.pos+1 < len(l.input) && l.input[l.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: sb.String(), pos: start})
-			return nil
+	for l.pos++; l.pos < len(l.input); l.pos++ {
+		if l.input[l.pos] != '\'' {
+			continue
 		}
-		sb.WriteByte(ch)
+		if l.peekAt(1) == '\'' {
+			l.pos++
+			continue
+		}
+		text := strings.ReplaceAll(l.input[start+1:l.pos], "''", "'")
 		l.pos++
+		l.toks = append(l.toks, token{kind: tokString, text: text})
+		return nil
 	}
 	return fmt.Errorf("sqlparser: unterminated string literal at %d", start)
 }

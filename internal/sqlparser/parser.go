@@ -2,21 +2,31 @@ package sqlparser
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 
 	"galo/internal/catalog"
 )
 
+// tokenBufs recycles the token slices Parse lexes into: a token only points
+// into the input, so nothing the AST keeps refers to the slice.
+var tokenBufs = sync.Pool{New: func() any { return new([]token) }}
+
 // Parse parses a single SELECT statement in the supported subset and returns
 // its AST.
 func Parse(sql string) (*Query, error) {
-	toks, err := lex(sql)
+	buf := tokenBufs.Get().(*[]token)
+	toks, err := lex(sql, (*buf)[:0])
+	defer func() {
+		clear(toks) // drop the references into sql
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, sql: sql}
+	p := parser{toks: toks}
 	q, err := p.parseSelect()
 	if err != nil {
 		return nil, err
@@ -40,7 +50,6 @@ func MustParse(sql string) *Query {
 type parser struct {
 	toks []token
 	i    int
-	sql  string
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -48,7 +57,7 @@ func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) matchKeyword(kw string) bool {
-	if p.peek().kind == tokIdent && strings.EqualFold(p.peek().text, kw) {
+	if t := p.peek(); t.kind == tokIdent && !t.quoted && strings.EqualFold(t.text, kw) {
 		p.i++
 		return true
 	}
@@ -77,150 +86,147 @@ func (p *parser) expectSymbol(sym string) error {
 	return nil
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"GROUP": true, "ORDER": true, "BY": true, "AS": true, "JOIN": true,
-	"INNER": true, "ON": true, "BETWEEN": true, "IN": true, "LIKE": true,
-	"IS": true, "NOT": true, "NULL": true, "HAVING": true, "LIMIT": true,
+var keywords = [...]string{
+	"SELECT", "FROM", "WHERE", "AND", "OR", "GROUP", "ORDER", "BY", "AS", "JOIN",
+	"INNER", "ON", "BETWEEN", "IN", "LIKE", "IS", "NOT", "NULL", "HAVING", "LIMIT",
 }
 
-func isKeyword(s string) bool { return keywords[strings.ToUpper(s)] }
+// isKeyword reports whether s is a keyword, in any case.
+func isKeyword(s string) bool {
+	for _, kw := range keywords {
+		if len(kw) == len(s) && strings.EqualFold(kw, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// isName reports whether t is an identifier that is not a keyword.
+func isName(t token) bool { return t.kind == tokIdent && (t.quoted || !isKeyword(t.text)) }
 
 func (p *parser) parseSelect() (*Query, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	q := &Query{}
-	// select list
-	if p.matchSymbol("*") {
-		q.Star = true
-	} else {
-		for {
-			col, err := p.parseColumnRef()
-			if err != nil {
-				return nil, err
-			}
-			q.Select = append(q.Select, col)
-			if !p.matchSymbol(",") {
-				break
-			}
+	q := &Query{Star: p.matchSymbol("*")}
+	var err error
+	if !q.Star {
+		if q.Select, err = p.parseColumnList(); err != nil {
+			return nil, err
 		}
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	// FROM list, with optional explicit INNER JOIN ... ON syntax.
-	tr, err := p.parseTableRef()
-	if err != nil {
-		return nil, err
-	}
-	q.From = append(q.From, tr)
-	for {
-		if p.matchSymbol(",") {
-			tr, err := p.parseTableRef()
-			if err != nil {
+	// FROM list, with optional explicit [INNER] JOIN table ON pred syntax.
+	for join := false; ; {
+		tr, err := p.parseTableRef()
+		if err != nil {
+			return nil, err
+		}
+		q.From = append(q.From, tr)
+		if join {
+			if err := p.expectKeyword("ON"); err != nil {
 				return nil, err
 			}
-			q.From = append(q.From, tr)
-			continue
+			if err := p.parseConjunct(q); err != nil {
+				return nil, err
+			}
 		}
-		// [INNER] JOIN table ON pred
-		save := p.i
-		if p.matchKeyword("INNER") {
+		if join = p.matchKeyword("INNER"); join {
 			if err := p.expectKeyword("JOIN"); err != nil {
 				return nil, err
 			}
-		} else if !p.matchKeyword("JOIN") {
-			p.i = save
+		} else if join = p.matchKeyword("JOIN"); !join && !p.matchSymbol(",") {
 			break
 		}
-		jt, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		q.From = append(q.From, jt)
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		pred, err := p.parsePredicate()
-		if err != nil {
-			return nil, err
-		}
-		q.Where = append(q.Where, pred)
 	}
 	if p.matchKeyword("WHERE") {
 		for {
-			pred, err := p.parsePredicate()
-			if err != nil {
+			if err := p.parseConjunct(q); err != nil {
 				return nil, err
 			}
-			q.Where = append(q.Where, pred)
 			if !p.matchKeyword("AND") {
 				break
 			}
 		}
 	}
-	if p.matchKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			col, err := p.parseColumnRef()
-			if err != nil {
+	for _, by := range [...]struct {
+		keyword string
+		cols    *[]ColumnRef
+	}{{"GROUP", &q.GroupBy}, {"ORDER", &q.OrderBy}} {
+		if p.matchKeyword(by.keyword) {
+			if err := p.expectKeyword("BY"); err != nil {
 				return nil, err
 			}
-			q.GroupBy = append(q.GroupBy, col)
-			if !p.matchSymbol(",") {
-				break
-			}
-		}
-	}
-	if p.matchKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			col, err := p.parseColumnRef()
-			if err != nil {
+			if *by.cols, err = p.parseColumnList(); err != nil {
 				return nil, err
-			}
-			q.OrderBy = append(q.OrderBy, col)
-			if !p.matchSymbol(",") {
-				break
 			}
 		}
 	}
 	return q, nil
 }
 
+// parseConjunct appends the next predicate to q.Where, sizing it on first use
+// for one predicate after every ON, WHERE or AND that is left.
+func (p *parser) parseConjunct(q *Query) error {
+	if q.Where == nil {
+		n := 1
+		for _, t := range p.toks[p.i:] {
+			if t.kind == tokIdent && !t.quoted && len(t.text) <= 5 &&
+				(strings.EqualFold(t.text, "AND") || strings.EqualFold(t.text, "ON") || strings.EqualFold(t.text, "WHERE")) {
+				n++
+			}
+		}
+		q.Where = make([]Predicate, 0, n)
+	}
+	pred, err := p.parsePredicate()
+	q.Where = append(q.Where, pred)
+	return err
+}
+
+// parseColumnList reads column references separated by commas.
+func (p *parser) parseColumnList() ([]ColumnRef, error) {
+	var cols []ColumnRef
+	for {
+		col, err := p.parseColumnRef()
+		if err != nil {
+			return nil, err
+		}
+		if cols = append(cols, col); !p.matchSymbol(",") {
+			return cols, nil
+		}
+	}
+}
+
+// parseTableRef reads a table name and its optional alias. An alias equal to
+// the table name is dropped: it names nothing the table name does not.
 func (p *parser) parseTableRef() (TableRef, error) {
 	t := p.peek()
-	if t.kind != tokIdent || isKeyword(t.text) {
+	if !isName(t) {
 		return TableRef{}, fmt.Errorf("sqlparser: expected table name near %q", t.text)
 	}
 	p.next()
 	tr := TableRef{Table: strings.ToUpper(t.text)}
 	// optional alias (with or without AS)
+	a := p.peek()
 	if p.matchKeyword("AS") {
-		a := p.peek()
-		if a.kind != tokIdent {
+		if a = p.peek(); a.kind != tokIdent {
 			return TableRef{}, fmt.Errorf("sqlparser: expected alias near %q", a.text)
 		}
-		p.next()
-		tr.Alias = strings.ToUpper(a.text)
+	} else if !isName(a) {
 		return tr, nil
 	}
-	a := p.peek()
-	if a.kind == tokIdent && !isKeyword(a.text) {
-		p.next()
-		tr.Alias = strings.ToUpper(a.text)
+	p.next()
+	if alias := strings.ToUpper(a.text); !strings.EqualFold(alias, tr.Table) {
+		tr.Alias = alias
 	}
 	return tr, nil
 }
 
 func (p *parser) parseColumnRef() (ColumnRef, error) {
 	t := p.peek()
-	if t.kind != tokIdent || isKeyword(t.text) {
+	if !isName(t) {
 		return ColumnRef{}, fmt.Errorf("sqlparser: expected column near %q", t.text)
 	}
 	p.next()
@@ -263,17 +269,21 @@ func (p *parser) parseLiteral() (catalog.Value, error) {
 		}
 		return catalog.String(t.text), nil
 	case tokIdent:
-		if strings.EqualFold(t.text, "NULL") {
-			p.next()
+		if p.matchKeyword("NULL") {
 			return catalog.Null(), nil
 		}
 	}
 	return catalog.Null(), fmt.Errorf("sqlparser: expected literal near %q", t.text)
 }
 
-var dateLiteralRE = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)
-
-func isDateLiteral(s string) bool { return dateLiteralRE.MatchString(s) }
+// isDateLiteral reports whether s has the shape YYYY-MM-DD.
+func isDateLiteral(s string) bool {
+	ok := len(s) == 10
+	for i := 0; ok && i < len(s); i++ {
+		ok = (s[i] == '-') == (i == 4 || i == 7) && (s[i] == '-' || '0' <= s[i] && s[i] <= '9')
+	}
+	return ok
+}
 
 func (p *parser) parsePredicate() (Predicate, error) {
 	left, err := p.parseColumnRef()
@@ -340,8 +350,7 @@ func (p *parser) parsePredicate() (Predicate, error) {
 	}
 	p.next()
 	// right side: column or literal?
-	r := p.peek()
-	if r.kind == tokIdent && !isKeyword(r.text) && !strings.EqualFold(r.text, "NULL") {
+	if isName(p.peek()) {
 		right, err := p.parseColumnRef()
 		if err != nil {
 			return Predicate{}, err

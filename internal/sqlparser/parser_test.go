@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -194,7 +195,7 @@ func TestResolveQualifiesEveryColumn(t *testing.T) {
 	}
 	// ws_item_sk should resolve to WEB_SALES, i_item_sk to ITEM.
 	jp := q.JoinPredicates()[0]
-	tables := map[string]bool{BaseTable(q, jp.Left): true, BaseTable(q, jp.Right): true}
+	tables := map[string]bool{q.TableByName(jp.Left.Table).Table: true, q.TableByName(jp.Right.Table).Table: true}
 	if !tables["WEB_SALES"] || !tables["ITEM"] {
 		t.Errorf("join resolution = %v", tables)
 	}
@@ -258,5 +259,18 @@ func TestDelimitedIdentifiersAndComments(t *testing.T) {
 	}
 	if q.Select[0].Column != "I_CATEGORY" {
 		t.Errorf("delimited identifier = %v", q.Select[0])
+	}
+}
+
+// TestDateLiteralShape holds the byte check to the regular expression it
+// replaced.
+func TestDateLiteralShape(t *testing.T) {
+	re := regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)
+	for _, s := range []string{"2016-01-02", "0000-00-00", "2016-1-02", "2016-01-2", "20160-1-02", "2016/01/02",
+		"2016-01-02 ", " 2016-01-02", "2016-01-0x", "-016-01-02", "2016--1-02", "201601-02-", "", "2016-01-02\n",
+		"٢٠١٦-٠١-٠٢", "2016-01-\xff2"} {
+		if got, want := isDateLiteral(s), re.MatchString(s); got != want {
+			t.Errorf("isDateLiteral(%q) = %v, the expression says %v", s, got, want)
+		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 // PredKind x Not x literal kind (int, float, string with a quote, date, NULL).
 // The text is inside every golden plan and every probe, and the optimizer's
 // rewrite tier deduplicates on it; the expected renderings were produced by the
-// fmt.Sprintf implementation this one replaced.
+// fmt.Sprintf implementation this one replaced, except that NOT BETWEEN now
+// keeps its NOT: the old rendering turned x NOT BETWEEN 1 AND 2 into its
+// opposite (FuzzSQLParse holds the fix).
 func TestPredicateStringTable(t *testing.T) {
 	left, right := ColumnRef{Table: "I", Column: "I_BRAND"}, ColumnRef{Table: "WS", Column: "WS_ITEM_SK"}
 	for _, c := range []struct {
@@ -47,11 +49,11 @@ func TestPredicateStringTable(t *testing.T) {
 		{Predicate{Kind: PredCompare, Left: left, Op: "<>", Value: catalog.String("O'Neil"), Not: true}, "I.I_BRAND <> 'O''Neil'"},
 		{Predicate{Kind: PredCompare, Left: left, Op: "<", Value: catalog.Date(1998, time.March, 7), Not: true}, "I.I_BRAND < '1998-03-07'"},
 		{Predicate{Kind: PredCompare, Left: left, Op: "<=", Value: catalog.Null(), Not: true}, "I.I_BRAND <= NULL"},
-		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Int(-42), Hi: catalog.Float(2.5), Not: true}, "I.I_BRAND BETWEEN -42 AND 2.5"},
-		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Float(2.5), Hi: catalog.String("O'Neil"), Not: true}, "I.I_BRAND BETWEEN 2.5 AND 'O''Neil'"},
-		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.String("O'Neil"), Hi: catalog.Date(1998, time.March, 7), Not: true}, "I.I_BRAND BETWEEN 'O''Neil' AND '1998-03-07'"},
-		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Date(1998, time.March, 7), Hi: catalog.Null(), Not: true}, "I.I_BRAND BETWEEN '1998-03-07' AND NULL"},
-		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Null(), Hi: catalog.Int(-42), Not: true}, "I.I_BRAND BETWEEN NULL AND -42"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Int(-42), Hi: catalog.Float(2.5), Not: true}, "I.I_BRAND NOT BETWEEN -42 AND 2.5"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Float(2.5), Hi: catalog.String("O'Neil"), Not: true}, "I.I_BRAND NOT BETWEEN 2.5 AND 'O''Neil'"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.String("O'Neil"), Hi: catalog.Date(1998, time.March, 7), Not: true}, "I.I_BRAND NOT BETWEEN 'O''Neil' AND '1998-03-07'"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Date(1998, time.March, 7), Hi: catalog.Null(), Not: true}, "I.I_BRAND NOT BETWEEN '1998-03-07' AND NULL"},
+		{Predicate{Kind: PredBetween, Left: left, Lo: catalog.Null(), Hi: catalog.Int(-42), Not: true}, "I.I_BRAND NOT BETWEEN NULL AND -42"},
 		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Int(-42)}, Not: true}, "I.I_BRAND NOT IN (-42)"},
 		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.Float(2.5), catalog.String("O'Neil")}, Not: true}, "I.I_BRAND NOT IN (2.5, 'O''Neil')"},
 		{Predicate{Kind: PredIn, Left: left, Values: []catalog.Value{catalog.String("O'Neil"), catalog.Date(1998, time.March, 7), catalog.Null()}, Not: true}, "I.I_BRAND NOT IN ('O''Neil', '1998-03-07', NULL)"},

@@ -99,16 +99,6 @@ func Resolve(q *Query, schema *catalog.Schema) error {
 	return nil
 }
 
-// BaseTable returns the underlying table name for a resolved column reference
-// (mapping alias back to table).
-func BaseTable(q *Query, ref ColumnRef) string {
-	tr := q.TableByName(ref.Table)
-	if tr == nil {
-		return strings.ToUpper(ref.Table)
-	}
-	return strings.ToUpper(tr.Table)
-}
-
 // PredicatesFor returns the local predicates that apply to the given FROM
 // reference name.
 func PredicatesFor(q *Query, refName string) []Predicate {
