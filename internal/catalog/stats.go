@@ -26,9 +26,9 @@ type ColumnStats struct {
 	RowCount  int64
 	AvgWidth  int // bytes, used for row-size estimates
 
-	// Histogram is the column's equi-depth histogram when an ANALYZE pass has
-	// collected one (storage.Analyze); nil otherwise. Histograms are immutable
-	// and shared between catalog clones.
+	// Histogram is the column's equi-depth histogram when the statistics pass
+	// collected one (storage.Analyze with Histograms); nil otherwise.
+	// Histograms are immutable and shared between catalog clones.
 	Histogram *Histogram
 }
 

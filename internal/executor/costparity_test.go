@@ -64,7 +64,7 @@ func parityTables(t *testing.T) *storage.Database {
 			t.Fatal(err)
 		}
 	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Pages("BIG") != 64 || db.Pages("SMALL") != 2 {

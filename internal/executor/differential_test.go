@@ -398,7 +398,7 @@ func keyFamilies(t *testing.T) (*storage.Database, *optimizer.Optimizer, []*sqlp
 			}
 		}
 	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true}); err != nil {
 		t.Fatal(err)
 	}
 	var shapes []*sqlparser.Query
@@ -488,7 +488,7 @@ func keyTables(t *testing.T, left, right []catalog.Value) (*storage.Database, *o
 			}
 		}
 	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true}); err != nil {
 		t.Fatal(err)
 	}
 	return db, optimizer.New(db.Catalog, optimizer.DefaultOptions())

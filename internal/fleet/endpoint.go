@@ -299,12 +299,3 @@ func (e *ShardEndpoint) dropShape(shape string) error {
 	}
 	return firstErr
 }
-
-// Replicas returns the replica base URLs (diagnostics).
-func (e *ShardEndpoint) Replicas() []string {
-	out := make([]string, len(e.replicas))
-	for i, rep := range e.replicas {
-		out[i] = rep.url
-	}
-	return out
-}

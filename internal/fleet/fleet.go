@@ -102,9 +102,6 @@ func (f *Fleet) Endpoint(i int) *ShardEndpoint { return f.endpoints[i] }
 // the migration table's ownership overrides.
 func (f *Fleet) Route(shape string, joins int) int { return f.table.Route(shape, joins) }
 
-// Policy returns the normalized fault-handling policy in effect.
-func (f *Fleet) Policy() Policy { return f.policy }
-
 // --- /stats view -------------------------------------------------------------
 
 // ReplicaStats is one replica's row in the /stats fleet section.

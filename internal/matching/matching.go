@@ -147,9 +147,6 @@ func NewSharded(cat *catalog.Catalog, endpoints []Endpoint, route Router, opts O
 	return e
 }
 
-// Shards returns the number of knowledge base shards the engine probes.
-func (e *Engine) Shards() int { return len(e.endpoints) }
-
 // ProbesByShard returns how many fragment probes each shard has answered
 // (cache hits included) since the engine was built — the fan-out profile a
 // deployment watches to spot routing skew.

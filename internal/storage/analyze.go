@@ -3,78 +3,111 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"sort"
+	"strings"
 
 	"galo/internal/catalog"
 )
 
-// AnalyzeOptions controls the ANALYZE pass.
+// AnalyzeOptions chooses what the statistics pass collects beyond the
+// table counts and, per column, the distinct count, null count, min/max,
+// average width and most-frequent-value list it always collects.
 type AnalyzeOptions struct {
-	// Buckets is the number of equi-depth histogram buckets per column
-	// (DB2's NUM_QUANTILES). Values below 1 use DefaultAnalyzeBuckets.
-	Buckets int
+	// Histograms adds an equi-depth histogram of histogramBuckets buckets to
+	// every column (DB2's quantile statistics). Without one the optimizer
+	// estimates ranges from min/max and equalities from the frequent values.
+	Histograms bool
+	// ColumnGroups lists sets of columns per table whose combined distinct
+	// count and most frequent combinations are collected, e.g. {"ITEM":
+	// {{"I_CATEGORY", "I_CLASS"}}}. Without a group statistic the optimizer
+	// assumes independence.
+	ColumnGroups map[string][][]string
 }
 
-// DefaultAnalyzeBuckets is the histogram resolution used when none is given.
-const DefaultAnalyzeBuckets = 32
+const (
+	// histogramBuckets is the histogram resolution (DB2's NUM_QUANTILES).
+	histogramBuckets = 32
+	// frequentValues is the size of a column's most-frequent-value list
+	// (DB2's NUM_FREQVALUES).
+	frequentValues = 10
+	// groupFrequentValues is the size of the most-frequent-combination list
+	// collected per column group, sized so that every (tenant, dominant type)
+	// combination of the trace workload fits.
+	groupFrequentValues = 256
+)
 
-// Analyze runs the ANALYZE-style statistics pass over one table: it builds an
-// equi-depth histogram and refreshed distinct count for every column and
-// installs them on the table's catalog statistics snapshot. When the table
-// has no snapshot yet (RUNSTATS never ran), a minimal one is created first so
-// that ANALYZE alone is enough to give the optimizer statistics.
+// Analyze runs the statistics pass over one table (DB2's RUNSTATS) and
+// installs a fresh snapshot in the catalog, replacing any earlier one. Each
+// column's non-null values are sorted once; the distinct count, min/max, the
+// frequent values and the histogram are all read from the runs of equal
+// values in that order.
 //
-// Like its real-world counterpart, ANALYZE describes the data as of the time
-// it runs: rows inserted afterwards are invisible to the histogram until the
+// Like its real-world counterpart, the pass describes the data as of the time
+// it runs: rows inserted afterwards are invisible to the snapshot until the
 // next pass. That window is where the paper's Figure 8 misestimation lives.
 func Analyze(db *Database, table string, opts AnalyzeOptions) error {
-	t := db.lookup(table)
+	t := db.Table(table)
 	if t == nil {
 		return fmt.Errorf("storage: analyze of unknown table %s", table)
 	}
-	buckets := opts.Buckets
-	if buckets < 1 {
-		buckets = DefaultAnalyzeBuckets
+	def := t.Def
+	ts := &catalog.TableStats{
+		Table:       def.Name,
+		Cardinality: int64(len(t.Rows)),
+		Pages:       db.Pages(def.Name),
+		RowWidth:    t.RowWidth(),
+		Columns:     make(map[string]*catalog.ColumnStats, len(def.Columns)),
+		StaleFactor: 1.0,
 	}
-	ts := db.Catalog.Stats(table)
-	if ts == nil {
-		ts = &catalog.TableStats{
-			Table:       t.Def.Name,
-			Columns:     make(map[string]*catalog.ColumnStats, len(t.Def.Columns)),
-			StaleFactor: 1.0,
-		}
-	}
-	// The pass snapshots the table as of now: an existing (possibly stale)
-	// snapshot is refreshed wholesale, table-level counters included.
-	ts.Cardinality = int64(len(t.Rows))
-	ts.Pages = db.Pages(t.Def.Name)
-	ts.RowWidth = t.RowWidth()
-	for ci, col := range t.Def.Columns {
-		values := make([]catalog.Value, 0, len(t.Rows))
-		nulls := int64(0)
+	values := make([]catalog.Value, 0, len(t.Rows))
+	for ci, col := range def.Columns {
+		cs := &catalog.ColumnStats{Column: col.Name, RowCount: ts.Cardinality}
+		values = values[:0]
+		var width int64
 		for _, row := range t.Rows {
-			if row[ci].IsNull() {
-				nulls++
+			v := row[ci]
+			if v.IsNull() {
+				cs.NullCount++
 				continue
 			}
-			values = append(values, row[ci])
-		}
-		hist := BuildEquiDepthHistogram(values, buckets)
-		cs := ts.Columns[col.Name]
-		if cs == nil {
-			cs = &catalog.ColumnStats{Column: col.Name}
-			ts.Columns[col.Name] = cs
-		}
-		cs.RowCount = ts.Cardinality
-		cs.Histogram = hist
-		cs.NullCount = nulls
-		if hist != nil {
-			cs.Min = hist.Min
-			cs.Max = hist.Max()
-			ndv := int64(0)
-			for _, b := range hist.Buckets {
-				ndv += b.NDV
+			values = append(values, v)
+			if v.K == catalog.KindString {
+				width += int64(len(v.S)) + 4
+			} else {
+				width += 8
 			}
-			cs.NDV = ndv
+		}
+		if len(t.Rows) > 0 {
+			cs.AvgWidth = int(width / int64(len(t.Rows)))
+		}
+		slices.SortStableFunc(values, catalog.Compare)
+		var top frequentList
+		for i := 0; i < len(values); {
+			end := runEnd(values, i)
+			cs.NDV++
+			top.offer(values[i], int64(end-i))
+			i = end
+		}
+		cs.Frequent = top.values
+		if len(values) > 0 {
+			cs.Min, cs.Max = values[0], values[len(values)-1]
+			if opts.Histograms {
+				cs.Histogram = equiDepth(values, histogramBuckets)
+			}
+		}
+		ts.Columns[col.Name] = cs
+	}
+	for tbl, groups := range opts.ColumnGroups {
+		if !strings.EqualFold(tbl, def.Name) {
+			continue
+		}
+		for _, group := range groups {
+			ndv, freq := groupStats(t, group)
+			cols := make([]string, len(group))
+			for i, c := range group {
+				cols[i] = strings.ToUpper(c)
+			}
+			ts.Groups = append(ts.Groups, catalog.ColumnGroup{Columns: cols, NDV: ndv, Frequent: freq})
 		}
 	}
 	db.Catalog.SetStats(ts)
@@ -91,45 +124,121 @@ func AnalyzeAll(db *Database, opts AnalyzeOptions) error {
 	return nil
 }
 
-// BuildEquiDepthHistogram builds an equi-depth histogram over the given
-// non-null values. Bucket boundaries never split a run of equal values, so a
+// runEnd returns the end of the run of equal values that starts at i.
+func runEnd(sorted []catalog.Value, i int) int {
+	end := i + 1
+	for end < len(sorted) && catalog.Equal(sorted[end], sorted[end-1]) {
+		end++
+	}
+	return end
+}
+
+// frequentList keeps the frequentValues most frequent values offered, most
+// frequent first and ties in ascending Value.Key order. A value's key is built
+// only when its count reaches the list.
+type frequentList struct {
+	values []catalog.FrequentValue
+	keys   []string
+}
+
+func (f *frequentList) offer(v catalog.Value, count int64) {
+	full := len(f.values) == frequentValues
+	if full && count < f.values[frequentValues-1].Count {
+		return
+	}
+	key := v.Key()
+	i := len(f.values)
+	for i > 0 && (f.values[i-1].Count < count || f.values[i-1].Count == count && f.keys[i-1] > key) {
+		i--
+	}
+	if full {
+		if i == frequentValues {
+			return
+		}
+		f.values, f.keys = f.values[:frequentValues-1], f.keys[:frequentValues-1]
+	}
+	f.values = slices.Insert(f.values, i, catalog.FrequentValue{Value: v, Count: count})
+	f.keys = slices.Insert(f.keys, i, key)
+}
+
+// equiDepth builds an equi-depth histogram over non-null values sorted by
+// catalog.Compare. Bucket boundaries never split a run of equal values, so a
 // heavily repeated value ends up alone in (possibly) an oversized bucket —
-// which is what makes equi-depth histograms robust to skew. Returns nil for
-// an empty input.
-func BuildEquiDepthHistogram(values []catalog.Value, buckets int) *catalog.Histogram {
-	if len(values) == 0 {
+// which is what makes equi-depth histograms robust to skew. Returns nil for an
+// empty input.
+func equiDepth(sorted []catalog.Value, buckets int) *catalog.Histogram {
+	if len(sorted) == 0 {
 		return nil
 	}
-	if buckets < 1 {
-		buckets = DefaultAnalyzeBuckets
-	}
-	sorted := append([]catalog.Value(nil), values...)
-	slices.SortStableFunc(sorted, catalog.Compare)
-
 	h := &catalog.Histogram{Min: sorted[0], Rows: int64(len(sorted))}
-	depth := (len(sorted) + buckets - 1) / buckets
-	if depth < 1 {
-		depth = 1
-	}
-	i := 0
-	for i < len(sorted) {
-		end := i + depth
-		if end > len(sorted) {
-			end = len(sorted)
-		}
+	depth := max((len(sorted)+buckets-1)/buckets, 1)
+	for i := 0; i < len(sorted); {
 		// Extend the bucket so it closes on a value boundary.
-		for end < len(sorted) && catalog.Equal(sorted[end], sorted[end-1]) {
-			end++
+		end := runEnd(sorted, min(i+depth, len(sorted))-1)
+		ndv := int64(0)
+		for k := i; k < end; k = runEnd(sorted, k) {
+			ndv++
 		}
-		count := int64(end - i)
-		ndv := int64(1)
-		for k := i + 1; k < end; k++ {
-			if !catalog.Equal(sorted[k], sorted[k-1]) {
-				ndv++
-			}
-		}
-		h.Buckets = append(h.Buckets, catalog.Bucket{Hi: sorted[end-1], Count: count, NDV: ndv})
+		h.Buckets = append(h.Buckets, catalog.Bucket{Hi: sorted[end-1], Count: int64(end - i), NDV: ndv})
 		i = end
 	}
 	return h
+}
+
+// groupStats computes the combined NDV of a column group and its most
+// frequent value combinations (groupFrequentValues of them). Only columns
+// present in the table definition participate; combination values follow the
+// group's column order.
+func groupStats(t *Table, group []string) (int64, []catalog.GroupFrequentValue) {
+	pos := make([]int, 0, len(group))
+	for _, c := range group {
+		if i := t.Def.ColumnIndex(c); i >= 0 {
+			pos = append(pos, i)
+		}
+	}
+	if len(pos) != len(group) {
+		return 0, nil
+	}
+	counts := make(map[string]int64)
+	samples := make(map[string][]catalog.Value)
+	var sb strings.Builder
+	for _, row := range t.Rows {
+		sb.Reset()
+		for _, p := range pos {
+			sb.WriteString(row[p].Key())
+			sb.WriteByte('|')
+		}
+		key := sb.String()
+		counts[key]++
+		if _, ok := samples[key]; !ok {
+			vals := make([]catalog.Value, len(pos))
+			for vi, p := range pos {
+				vals[vi] = row[p]
+			}
+			samples[key] = vals
+		}
+	}
+	ndv := int64(len(counts))
+	type kv struct {
+		key   string
+		count int64
+	}
+	all := make([]kv, 0, len(counts))
+	for key, c := range counts {
+		all = append(all, kv{key, c})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].count != all[j].count {
+			return all[i].count > all[j].count
+		}
+		return all[i].key < all[j].key
+	})
+	if len(all) > groupFrequentValues {
+		all = all[:groupFrequentValues]
+	}
+	freq := make([]catalog.GroupFrequentValue, len(all))
+	for i, e := range all {
+		freq[i] = catalog.GroupFrequentValue{Values: samples[e.key], Count: e.count}
+	}
+	return ndv, freq
 }

@@ -21,7 +21,7 @@ func TestBuildEquiDepthHistogramUniform(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		values = append(values, catalog.Int(int64(i)))
 	}
-	h := BuildEquiDepthHistogram(values, 10)
+	h := equiDepth(values, 10)
 	if h.NumBuckets() != 10 {
 		t.Fatalf("buckets = %d, want 10", h.NumBuckets())
 	}
@@ -49,7 +49,7 @@ func TestBuildEquiDepthHistogramSkewed(t *testing.T) {
 	for i := 2; i <= 501; i++ {
 		values = append(values, catalog.Int(int64(i)))
 	}
-	h := BuildEquiDepthHistogram(values, 10)
+	h := equiDepth(values, 10)
 	// Bucket boundaries never split the heavy hitter's run.
 	first := h.Buckets[0]
 	if first.Hi.AsInt() != 1 || first.Count != 500 || first.NDV != 1 {
@@ -70,7 +70,7 @@ func TestBuildEquiDepthHistogramConstantAndEmpty(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		values = append(values, catalog.Int(7))
 	}
-	h := BuildEquiDepthHistogram(values, 8)
+	h := equiDepth(values, 8)
 	if h.NumBuckets() != 1 {
 		t.Fatalf("constant column should collapse to one bucket, got %d", h.NumBuckets())
 	}
@@ -84,7 +84,7 @@ func TestBuildEquiDepthHistogramConstantAndEmpty(t *testing.T) {
 	if f := h.RangeFraction(&lo, &hi); f != 1 {
 		t.Errorf("constant point-range fraction = %v, want 1", f)
 	}
-	if BuildEquiDepthHistogram(nil, 8) != nil {
+	if equiDepth(nil, 8) != nil {
 		t.Errorf("empty input should produce a nil histogram")
 	}
 }
@@ -101,7 +101,7 @@ func TestAnalyzeInstallsHistogramsAndNDV(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := Analyze(db, "NUMS", AnalyzeOptions{Buckets: 8}); err != nil {
+	if err := Analyze(db, "NUMS", AnalyzeOptions{Histograms: true}); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	ts := cat.Stats("NUMS")
@@ -136,7 +136,7 @@ func TestAnalyzeInstallsHistogramsAndNDV(t *testing.T) {
 	if f := stale.Histogram.EqFraction(catalog.Int(999)); f != 0 {
 		t.Errorf("stale histogram sees the new load: %v", f)
 	}
-	if err := Analyze(db, "NUMS", AnalyzeOptions{}); err != nil {
+	if err := Analyze(db, "NUMS", AnalyzeOptions{Histograms: true}); err != nil {
 		t.Fatal(err)
 	}
 	fresh := cat.Stats("NUMS").ColumnStats("V")
@@ -148,5 +148,177 @@ func TestAnalyzeInstallsHistogramsAndNDV(t *testing.T) {
 	}
 	if err := Analyze(db, "NO_SUCH", AnalyzeOptions{}); err == nil {
 		t.Errorf("analyzing an unknown table should fail")
+	}
+}
+
+// buildItemDB holds 1000 items whose category and class are perfectly
+// correlated (class = category + "-cls") and whose price is NULL on every
+// hundredth row.
+func buildItemDB(t *testing.T) *Database {
+	t.Helper()
+	s := catalog.NewSchema("T")
+	s.AddTable(catalog.NewTable("item",
+		catalog.Column{Name: "i_item_sk", Type: catalog.KindInt},
+		catalog.Column{Name: "i_category", Type: catalog.KindString},
+		catalog.Column{Name: "i_class", Type: catalog.KindString},
+		catalog.Column{Name: "i_current_price", Type: catalog.KindFloat},
+	))
+	db := NewDatabase(catalog.New(s))
+	cats := []string{"Music", "Jewelry", "Books", "Sports", "Home"}
+	for i := 0; i < 1000; i++ {
+		cat := cats[i%5]
+		price := catalog.Float(float64(i%50) + 0.5)
+		if i%100 == 0 {
+			price = catalog.Null()
+		}
+		if err := db.Insert("item", Row{catalog.Int(int64(i + 1)), catalog.String(cat), catalog.String(cat + "-cls"), price}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+func TestAnalyzeBasicStats(t *testing.T) {
+	db := buildItemDB(t)
+	if err := Analyze(db, "item", AnalyzeOptions{}); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	ts := db.Catalog.Stats("ITEM")
+	if ts == nil {
+		t.Fatal("stats not installed in catalog")
+	}
+	if ts.Cardinality != 1000 || ts.Pages < 1 {
+		t.Errorf("cardinality = %d, pages = %d", ts.Cardinality, ts.Pages)
+	}
+	sk := ts.ColumnStats("i_item_sk")
+	if sk == nil || sk.NDV != 1000 {
+		t.Fatalf("i_item_sk stats = %+v", sk)
+	}
+	if sk.Min.AsInt() != 1 || sk.Max.AsInt() != 1000 {
+		t.Errorf("min/max = %v/%v", sk.Min, sk.Max)
+	}
+	if sk.Histogram != nil {
+		t.Errorf("histogram collected without AnalyzeOptions.Histograms")
+	}
+	cat := ts.ColumnStats("i_category")
+	if cat.NDV != 5 {
+		t.Errorf("category NDV = %d", cat.NDV)
+	}
+	if n, ok := cat.FrequencyOf(catalog.String("Music")); !ok || n != 200 {
+		t.Errorf("FrequencyOf(Music) = %d, %v", n, ok)
+	}
+	price := ts.ColumnStats("i_current_price")
+	if price.NullCount != 10 || price.NDV != 50 {
+		t.Errorf("price NullCount = %d, NDV = %d", price.NullCount, price.NDV)
+	}
+	if price.Min.AsFloat() != 0.5 || price.Max.AsFloat() != 49.5 {
+		t.Errorf("price min/max = %v/%v", price.Min, price.Max)
+	}
+	// Eight bytes for each of the 990 non-null prices, averaged over all rows.
+	if price.AvgWidth != 7 {
+		t.Errorf("price AvgWidth = %d, want 7", price.AvgWidth)
+	}
+}
+
+// TestAnalyzeFrequentValueCap pins the frequent-value list: at most ten
+// entries, most frequent first, ties in Value.Key order — "n:10" sorts before
+// "n:2", so the tied tail is not in numeric order.
+func TestAnalyzeFrequentValueCap(t *testing.T) {
+	db := NewDatabase(catalog.New(analyzeSchema()))
+	insert := func(v int64, times int) {
+		for i := 0; i < times; i++ {
+			if err := db.Insert("NUMS", Row{catalog.Int(v), catalog.String("x")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for v := int64(12); v >= 1; v-- {
+		insert(v, 2)
+	}
+	insert(100, 5)
+	if err := Analyze(db, "NUMS", AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	freq := db.Catalog.Stats("NUMS").ColumnStats("V").Frequent
+	want := []int64{100, 1, 10, 11, 12, 2, 3, 4, 5, 6}
+	if len(freq) != len(want) {
+		t.Fatalf("frequent list has %d entries, want %d: %+v", len(freq), len(want), freq)
+	}
+	for i, w := range want {
+		wantCount := int64(2)
+		if w == 100 {
+			wantCount = 5
+		}
+		if freq[i].Value.AsInt() != w || freq[i].Count != wantCount {
+			t.Errorf("frequent[%d] = %v x%d, want %d x%d", i, freq[i].Value, freq[i].Count, w, wantCount)
+		}
+	}
+}
+
+func TestAnalyzeColumnGroups(t *testing.T) {
+	db := buildItemDB(t)
+	opts := AnalyzeOptions{ColumnGroups: map[string][][]string{"ITEM": {{"i_category", "i_class"}}}}
+	if err := Analyze(db, "item", opts); err != nil {
+		t.Fatal(err)
+	}
+	ts := db.Catalog.Stats("ITEM")
+	// Correlated columns: combined NDV is 5, not 5*5.
+	if got := ts.GroupNDV([]string{"I_CATEGORY", "I_CLASS"}); got != 5 {
+		t.Errorf("group NDV = %d, want 5", got)
+	}
+	g := ts.Group([]string{"i_class", "i_category"})
+	if g == nil || len(g.Frequent) != 5 {
+		t.Fatalf("group = %+v, want five frequent combinations", g)
+	}
+	if n, ok := g.FrequencyOf([]catalog.Value{catalog.String("Music"), catalog.String("Music-cls")}); !ok || n != 200 {
+		t.Errorf("FrequencyOf(Music, Music-cls) = %d, %v", n, ok)
+	}
+	if _, ok := g.FrequencyOf([]catalog.Value{catalog.String("Music"), catalog.String("Books-cls")}); ok {
+		t.Errorf("a combination that never occurs is frequent")
+	}
+	if err := Analyze(db, "item", AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if db.Catalog.Stats("ITEM").Groups != nil {
+		t.Errorf("a pass without column groups kept the previous snapshot's groups")
+	}
+}
+
+func TestAnalyzeAll(t *testing.T) {
+	db := buildItemDB(t)
+	if err := AnalyzeAll(db, AnalyzeOptions{}); err != nil {
+		t.Fatalf("AnalyzeAll: %v", err)
+	}
+	if got := db.Catalog.TablesWithStats(); len(got) != 1 {
+		t.Errorf("TablesWithStats = %v", got)
+	}
+}
+
+func TestAnalyzeEmptyTableAndAllNullColumn(t *testing.T) {
+	db := NewDatabase(catalog.New(analyzeSchema()))
+	if err := Analyze(db, "NUMS", AnalyzeOptions{Histograms: true}); err != nil {
+		t.Fatal(err)
+	}
+	ts := db.Catalog.Stats("NUMS")
+	if ts.Cardinality != 0 || ts.Pages != 1 {
+		t.Errorf("empty table: cardinality = %d, pages = %d", ts.Cardinality, ts.Pages)
+	}
+	if v := ts.ColumnStats("V"); v.NDV != 0 || v.NullCount != 0 || len(v.Frequent) != 0 || v.Histogram != nil || !v.Min.IsNull() {
+		t.Errorf("empty column stats = %+v", v)
+	}
+	for i := 0; i < 20; i++ {
+		if err := db.Insert("NUMS", Row{catalog.Null(), catalog.String("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Analyze(db, "NUMS", AnalyzeOptions{Histograms: true}); err != nil {
+		t.Fatal(err)
+	}
+	v := db.Catalog.Stats("NUMS").ColumnStats("V")
+	if v.NDV != 0 || v.NullCount != 20 || v.RowCount != 20 || len(v.Frequent) != 0 || v.Histogram != nil {
+		t.Errorf("all-NULL column stats = %+v", v)
+	}
+	if !v.Min.IsNull() || !v.Max.IsNull() {
+		t.Errorf("all-NULL column min/max = %v/%v, want NULL", v.Min, v.Max)
 	}
 }

@@ -25,8 +25,6 @@ type MatchQueryInfo struct {
 	// fragment to the variable that binds the template's canonical table
 	// label for it (used to rewrite guideline TABIDs).
 	CanonicalVarByInstance map[string]string
-	// NodeVars maps fragment operator IDs to their variable names.
-	NodeVars map[int]string
 }
 
 // ProbeSolutionLimit bounds how many matching templates one knowledge base
@@ -412,11 +410,9 @@ func (p *Probe) Info() *MatchQueryInfo {
 		GuidelineVar:           guidelineVar,
 		ImprovementVar:         improvementVar,
 		CanonicalVarByInstance: map[string]string{},
-		NodeVars:               make(map[int]string, len(p.nodes)),
 	}
 	for i := range p.nodes {
 		n := &p.nodes[i]
-		info.NodeVars[n.id] = n.varName()
 		if n.inst != "" {
 			info.CanonicalVarByInstance[n.inst] = n.canonVar()
 		}

@@ -12,7 +12,6 @@ import (
 
 	"galo/internal/catalog"
 	"galo/internal/sqlparser"
-	"galo/internal/stats"
 	"galo/internal/storage"
 )
 
@@ -220,7 +219,7 @@ func Generate(opts GenOptions) (*storage.Database, error) {
 		}
 	}
 
-	if err := stats.CollectAll(db, stats.DefaultOptions()); err != nil {
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
 		return nil, err
 	}
 	// As with the TPC-DS workload, size memory relative to the data so that
@@ -228,16 +227,8 @@ func Generate(opts GenOptions) (*storage.Database, error) {
 	// sorts and hash builds spill.
 	cfg := db.Catalog.Config
 	bigPages := db.Pages(OpenIn) + db.Pages(EntryIdx) + db.Pages(TxLog)
-	if v := bigPages / 8; v > 32 {
-		cfg.BufferPoolPages = v
-	} else {
-		cfg.BufferPoolPages = 32
-	}
-	if v := bigPages / 40; v > 4 {
-		cfg.SortHeapPages = v
-	} else {
-		cfg.SortHeapPages = 4
-	}
+	cfg.BufferPoolPages = max(32, bigPages/8)
+	cfg.SortHeapPages = max(4, bigPages/40)
 	db.Catalog.Config = cfg
 
 	if opts.Hazards {

@@ -5,8 +5,9 @@
 // independence assumption multiplies the two selectivities and underestimates
 // every such scan by the genre fan-out (16x), which cascades through the join
 // tree — the reproducible target for the ROADMAP learned-estimation item.
-// The remedy is DB2-style column-group statistics (stats.Options.ColumnGroups
-// + optimizer.Options.UseColumnGroups), which this scenario's Learn applies.
+// The remedy is DB2-style column-group statistics (storage.AnalyzeOptions.
+// ColumnGroups + optimizer.Options.UseColumnGroups), which this scenario's
+// Learn applies.
 package joblike
 
 import (
@@ -15,7 +16,6 @@ import (
 	"galo/internal/catalog"
 	"galo/internal/optimizer"
 	"galo/internal/sqlparser"
-	"galo/internal/stats"
 	"galo/internal/storage"
 	"galo/internal/workload/scenario"
 )
@@ -230,21 +230,18 @@ func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
 		}
 	}
 
-	statOpts := stats.DefaultOptions()
+	analyze := storage.AnalyzeOptions{Histograms: true}
 	if !opts.Hazards {
-		statOpts.ColumnGroups = ColumnGroups()
+		analyze.ColumnGroups = ColumnGroups()
 	}
-	if err := stats.CollectAll(db, statOpts); err != nil {
-		return nil, err
-	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, analyze); err != nil {
 		return nil, err
 	}
 
 	cfg := db.Catalog.Config
 	factPages := db.Pages(MovieCompany) + db.Pages(CastInfo)
-	cfg.BufferPoolPages = maxPages(32, factPages/5)
-	cfg.SortHeapPages = maxPages(4, factPages/40)
+	cfg.BufferPoolPages = max(32, factPages/5)
+	cfg.SortHeapPages = max(4, factPages/40)
 	db.Catalog.Config = cfg
 	return db, nil
 }
@@ -298,22 +295,10 @@ func (workload) HazardQueries(db *storage.Database, n int) []*sqlparser.Query {
 // Learn is the JOB-like remedy: collect column-group statistics over the
 // functionally dependent pairs and turn on the estimator's group lookup.
 func (workload) Learn(db *storage.Database) (optimizer.Options, error) {
-	statOpts := stats.DefaultOptions()
-	statOpts.ColumnGroups = ColumnGroups()
-	if err := stats.CollectAll(db, statOpts); err != nil {
-		return optimizer.Options{}, err
-	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true, ColumnGroups: ColumnGroups()}); err != nil {
 		return optimizer.Options{}, err
 	}
 	o := optimizer.DefaultOptions()
 	o.UseColumnGroups = true
 	return o, nil
-}
-
-func maxPages(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

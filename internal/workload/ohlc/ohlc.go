@@ -14,7 +14,6 @@ import (
 	"galo/internal/catalog"
 	"galo/internal/optimizer"
 	"galo/internal/sqlparser"
-	"galo/internal/stats"
 	"galo/internal/storage"
 	"galo/internal/workload/scenario"
 )
@@ -179,19 +178,14 @@ func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
 	floodDay := func() int64 { return g.UniformInt(histSpan+1, CalendarDays) }
 
 	nHist := int(float64(nBars) * HistoricalFraction)
-	collect := func() error {
-		if err := stats.CollectAll(db, stats.DefaultOptions()); err != nil {
-			return err
-		}
-		return storage.AnalyzeAll(db, storage.AnalyzeOptions{})
-	}
+	analyze := storage.AnalyzeOptions{Histograms: true}
 	if err := insertBars(nHist, histDay); err != nil {
 		return nil, err
 	}
 	if opts.Hazards {
-		// RUNSTATS + ANALYZE before the flood: a genuinely stale snapshot
-		// that believes the recent window holds almost no bars.
-		if err := collect(); err != nil {
+		// Statistics before the flood: a genuinely stale snapshot that
+		// believes the recent window holds almost no bars.
+		if err := storage.AnalyzeAll(db, analyze); err != nil {
 			return nil, err
 		}
 	}
@@ -199,7 +193,7 @@ func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
 		return nil, err
 	}
 	if !opts.Hazards {
-		if err := collect(); err != nil {
+		if err := storage.AnalyzeAll(db, analyze); err != nil {
 			return nil, err
 		}
 	}
@@ -208,8 +202,8 @@ func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
 	// not, large sorts spill.
 	cfg := db.Catalog.Config
 	barPages := db.Pages(Bars)
-	cfg.BufferPoolPages = maxPages(32, barPages/5)
-	cfg.SortHeapPages = maxPages(4, barPages/40)
+	cfg.BufferPoolPages = max(32, barPages/5)
+	cfg.SortHeapPages = max(4, barPages/40)
 	db.Catalog.Config = cfg
 	return db, nil
 }
@@ -259,22 +253,12 @@ func (workload) HazardQueries(db *storage.Database, n int) []*sqlparser.Query {
 	return out
 }
 
-// Learn is the OHLC remedy: refresh RUNSTATS and the ANALYZE histograms over
-// the full data. No correlation statistics are needed — staleness is the
+// Learn is the OHLC remedy: rerun the statistics pass, histograms included,
+// over the full data. No correlation statistics are needed — staleness is the
 // whole hazard.
 func (workload) Learn(db *storage.Database) (optimizer.Options, error) {
-	if err := stats.CollectAll(db, stats.DefaultOptions()); err != nil {
-		return optimizer.Options{}, err
-	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true}); err != nil {
 		return optimizer.Options{}, err
 	}
 	return optimizer.DefaultOptions(), nil
-}
-
-func maxPages(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"galo/internal/catalog"
-	"galo/internal/stats"
 	"galo/internal/storage"
 )
 
@@ -30,11 +29,6 @@ type GenOptions struct {
 // rows are the recent-window flood loaded after statistics collection when
 // hazards are on.
 const HistoricalFraction = 0.3
-
-// DefaultGenOptions generates a small but realistic instance with hazards on.
-func DefaultGenOptions() GenOptions {
-	return GenOptions{Seed: 20190122, Scale: 1.0, Hazards: true}
-}
 
 // rowCounts returns per-table row counts at the given scale.
 func rowCounts(scale float64) map[string]int {
@@ -272,15 +266,10 @@ func Generate(opts GenOptions) (*storage.Database, error) {
 	if err := insertFacts(histDate, histCounts); err != nil {
 		return nil, err
 	}
-	collect := func() error {
-		if err := stats.CollectAll(db, stats.DefaultOptions()); err != nil {
-			return err
-		}
-		return storage.AnalyzeAll(db, storage.AnalyzeOptions{})
-	}
+	analyze := storage.AnalyzeOptions{Histograms: true}
 	if opts.Hazards {
-		// RUNSTATS + ANALYZE before the flood: genuinely stale statistics.
-		if err := collect(); err != nil {
+		// Statistics before the flood: a genuinely stale snapshot.
+		if err := storage.AnalyzeAll(db, analyze); err != nil {
 			return nil, err
 		}
 	}
@@ -288,7 +277,7 @@ func Generate(opts GenOptions) (*storage.Database, error) {
 		return nil, err
 	}
 	if !opts.Hazards {
-		if err := collect(); err != nil {
+		if err := storage.AnalyzeAll(db, analyze); err != nil {
 			return nil, err
 		}
 	}
@@ -299,21 +288,14 @@ func Generate(opts GenOptions) (*storage.Database, error) {
 	// "main memory adjusted accordingly to simulate real-world environment".
 	cfg := db.Catalog.Config
 	factPages := db.Pages(StoreSales) + db.Pages(CatalogSales) + db.Pages(WebSales)
-	cfg.BufferPoolPages = maxPages(32, factPages/5)
-	cfg.SortHeapPages = maxPages(4, factPages/40)
+	cfg.BufferPoolPages = max(32, factPages/5)
+	cfg.SortHeapPages = max(4, factPages/40)
 	db.Catalog.Config = cfg
 
 	if opts.Hazards {
 		InstallHazards(db)
 	}
 	return db, nil
-}
-
-func maxPages(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // InstallHazards distorts what the optimizer believes without changing the

@@ -19,7 +19,6 @@ import (
 	"galo/internal/catalog"
 	"galo/internal/optimizer"
 	"galo/internal/sqlparser"
-	"galo/internal/stats"
 	"galo/internal/storage"
 	"galo/internal/workload/scenario"
 )
@@ -177,21 +176,18 @@ func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
 		}
 	}
 
-	statOpts := stats.DefaultOptions()
+	analyze := storage.AnalyzeOptions{Histograms: true}
 	if !opts.Hazards {
-		statOpts.ColumnGroups = ColumnGroups()
+		analyze.ColumnGroups = ColumnGroups()
 	}
-	if err := stats.CollectAll(db, statOpts); err != nil {
-		return nil, err
-	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, analyze); err != nil {
 		return nil, err
 	}
 
 	cfg := db.Catalog.Config
 	evPages := db.Pages(Events)
-	cfg.BufferPoolPages = maxPages(32, evPages/5)
-	cfg.SortHeapPages = maxPages(4, evPages/40)
+	cfg.BufferPoolPages = max(32, evPages/5)
+	cfg.SortHeapPages = max(4, evPages/40)
 	db.Catalog.Config = cfg
 	return db, nil
 }
@@ -248,22 +244,10 @@ func (workload) HazardQueries(db *storage.Database, n int) []*sqlparser.Query {
 // so every tenant's skewed mix is recorded exactly — and turn on the
 // estimator's group lookup.
 func (workload) Learn(db *storage.Database) (optimizer.Options, error) {
-	statOpts := stats.DefaultOptions()
-	statOpts.ColumnGroups = ColumnGroups()
-	if err := stats.CollectAll(db, statOpts); err != nil {
-		return optimizer.Options{}, err
-	}
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{}); err != nil {
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true, ColumnGroups: ColumnGroups()}); err != nil {
 		return optimizer.Options{}, err
 	}
 	o := optimizer.DefaultOptions()
 	o.UseColumnGroups = true
 	return o, nil
-}
-
-func maxPages(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
