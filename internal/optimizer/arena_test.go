@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"testing"
 
 	"galo/internal/sqlparser"
@@ -13,10 +14,11 @@ import (
 var RaceDetector bool
 
 // TestArenaRetentionIsBounded plans TPCDS.Q91 (8 joins) and the same query
-// with a tenth table — which holds more candidates at once than an arena may
-// keep — and then takes arenas out of the pool until it hands out a fresh one:
-// none may come back with more than maxKeptChunks chunks or maxKeptTable table
-// entries, and (the pool permitting) one does come back with chunks to reuse.
+// with a tenth table — which, searched without the greedy bound, holds more
+// candidates at once than an arena may keep — and then takes arenas out of the
+// pool until it hands out a fresh one: none may come back with more than
+// maxKeptChunks chunks or maxKeptTable table entries, and (the pool permitting)
+// one does come back with chunks to reuse.
 func TestArenaRetentionIsBounded(t *testing.T) {
 	o := New(db(t).Catalog, DefaultOptions())
 	q91 := tpcds.Queries()[90]
@@ -28,8 +30,8 @@ func TestArenaRetentionIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := o.newPlanCtx(p)
-	if _, _, usedDP, err := pc.enumerateWith(constraintSet{}); err != nil || !usedDP {
-		t.Fatalf("10-table query: usedDP %v, %v", usedDP, err)
+	if _, _, err := pc.dpEnumerate(math.Inf(1)); err != nil {
+		t.Fatalf("10-table query: %v", err)
 	}
 	if peak := len(pc.slab); peak <= maxKeptChunks {
 		t.Fatalf("10-table query peaks at %d chunks, no more than the %d an arena keeps: the test needs a wider one", peak, maxKeptChunks)

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -135,8 +136,8 @@ const (
 	maxSlabChunk = 256
 	// maxKeptChunks and maxKeptTable bound what an arena takes back to the
 	// pool (288 KB of candidates, 128 KB of table): what planning TPCDS.Q91
-	// (8 joins, the widest workload query; 15 chunks and 8 192 table entries)
-	// holds at its peak, so that nothing wider can pin the heap.
+	// (8 joins, the widest workload query; 8 192 table entries, 15 chunks
+	// unbounded, 3 bounded) holds at its peak, so nothing wider pins the heap.
 	maxKeptChunks = 16
 	maxKeptTable  = 1 << 15
 )
@@ -319,18 +320,27 @@ func (pc *planCtx) reportGuidelineOutcome(root *qgm.Node, perGuideline []guideli
 
 // enumerateWith builds the join tree honouring the given constraints and
 // reports whether exhaustive enumeration was used. It returns an error when
-// no complete plan satisfies the constraints.
+// no complete plan satisfies the constraints. The dynamic program is bounded
+// by greedyBound, and runs again unbounded if the bound pruned every plan.
 func (pc *planCtx) enumerateWith(cons constraintSet) (root *qgm.Node, considered int, usedDP bool, err error) {
 	pc.cons, pc.pushed, pc.paths = cons, 0, pc.paths[:0] // an abandoned attempt's candidates go
 	switch n := len(pc.quants); {
 	case n == 1: // single-table query: best access path only
 		return pc.node(pc.bestAccess(pc.quants[0])), 1, false, nil
 	case n <= pc.o.Opts.JoinEnumDPLimit:
-		root, considered, err = pc.dpEnumerate()
+		root, considered, err = pc.dpEnumerate(pc.greedyBound())
+		if errors.Is(err, errPruned) {
+			pruned := considered
+			root, considered, err = pc.dpEnumerate(math.Inf(1))
+			considered += pruned
+		}
 		return root, considered, true, err
 	default:
-		root, considered, err = pc.greedyEnumerate()
-		return root, considered, false, err
+		var i int32
+		if i, considered, _, err = pc.greedyCand(); err != nil {
+			return nil, considered, false, err
+		}
+		return pc.node(i), considered, false, nil
 	}
 }
 
@@ -691,24 +701,29 @@ func (cs candSet) freeze(pc *planCtx) int32 {
 	return n
 }
 
-// dpTable is the dynamic-programming table: one candSet per quantifier mask,
-// carved from one pointer-free array sized by the query, and the length of
-// each subset's frozen list (0: not enumerated yet, or no plan).
+// dpTable is the dynamic-programming table: one candSet per quantifier mask in
+// one pointer-free array sized by the query, the length of each subset's frozen
+// list (0: none under the bound), and reach: whether it has a plan at all.
 type dpTable struct {
 	stride uint64 // 1 + the number of interesting orders
 	slots  []int32
 	frozen []int32
+	reach  []bool
 }
 
 // reset sizes the table for a query and empties it, reusing an earlier call's
-// array when it is large enough; frozen is its tail.
+// arrays when they are large enough; frozen is the tail of slots.
 func (t *dpTable) reset(subsets, stride uint64) {
 	n := subsets * (stride + 1)
 	if uint64(cap(t.slots)) < n {
 		t.slots = make([]int32, n)
 	}
-	t.slots = t.slots[:n]
+	if uint64(cap(t.reach)) < subsets {
+		t.reach = make([]bool, subsets)
+	}
+	t.slots, t.reach = t.slots[:n], t.reach[:subsets]
 	clear(t.slots)
+	clear(t.reach)
 	t.stride, t.frozen = stride, t.slots[subsets*stride:]
 }
 
@@ -719,7 +734,18 @@ func (t *dpTable) list(mask uint64) []int32 {
 	return t.slots[mask*t.stride:][:t.frozen[mask]]
 }
 
-func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
+// errPruned is dpEnumerate's answer when the bound pruned every plan of a
+// query that has one; enumerateWith then searches again, unbounded.
+var errPruned = errors.New("optimizer: the bound pruned every plan")
+
+// dpEnumerate runs the dynamic program, pruning every join candidate above
+// bound (+Inf: none). A join costs its inputs plus non-negative increments, so
+// nothing above the bound is an input of a plan under it — but a base-table
+// access, which a nested-loop join pays for per probe: those are never pruned.
+// Comparisons are strict, so the lists are the unbounded ones minus entries
+// above the bound, ties included; plannability reads table.reach.
+func (pc *planCtx) dpEnumerate(bound float64) (*qgm.Node, int, error) {
+	pc.pushed, pc.paths = 0, pc.paths[:0] // the bound's greedy candidates go
 	n := len(pc.quants)
 	considered := 0
 	subsets := uint64(1) << uint(n)
@@ -728,7 +754,7 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 	for _, qt := range pc.quants {
 		set := table.set(qt.bit)
 		pc.addAccessCands(qt, set)
-		table.frozen[qt.bit] = set.freeze(pc)
+		table.frozen[qt.bit], table.reach[qt.bit] = set.freeze(pc), true
 	}
 
 	var jc planCand
@@ -745,14 +771,14 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 			// Enumerate proper splits; (sub, rest) visits both orders.
 			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 				rest := mask ^ sub
-				if table.frozen[sub] == 0 || table.frozen[rest] == 0 {
+				if !table.reach[sub] || !table.reach[rest] {
 					continue
 				}
 				sp := pc.split(sub, rest)
 				if !sp.connected {
 					if connectedSplit == 0 {
 						connectedSplit = -1
-						if pc.hasConnectedSplit(mask, table) {
+						if pc.hasConnectedSplit(mask, table.reach) {
 							connectedSplit = 1
 						}
 					}
@@ -763,17 +789,25 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 				if !pc.cons.allowsPartition(mask, sub, rest) {
 					continue
 				}
+				if !table.reach[mask] {
+					table.reach[mask] = pc.joinable(mask, sub, rest, sp.connected)
+				}
 				for _, li := range table.list(sub) {
 					left := pc.cand(li)
+					if left.cost > bound {
+						continue
+					}
 					for _, ri := range table.list(rest) {
 						right := pc.cand(ri)
+						// A hash or merge join costs at least its two inputs.
+						inputs := left.cost + right.cost
 						for _, method := range qgm.JoinMethods() {
-							if !pc.cons.allowsJoin(mask, sub, rest, method) {
+							if (method != qgm.OpNLJOIN && inputs > bound) || !pc.cons.allowsJoin(mask, sub, rest, method) {
 								continue
 							}
 							ok := pc.buildJoinCand(&jc, method, left, right, &sp)
 							considered++
-							if ok && acc.admits(pc, jc.cost, jc.ord) {
+							if ok && !(jc.cost > bound) && acc.admits(pc, jc.cost, jc.ord) {
 								acc.add(pc, pc.pushJoin(&jc, li, ri))
 							}
 						}
@@ -784,15 +818,30 @@ func (pc *planCtx) dpEnumerate() (*qgm.Node, int, error) {
 			pc.compact(mark, table.list(mask))
 		}
 	}
-	if table.frozen[full] == 0 {
-		return nil, considered, fmt.Errorf("optimizer: no plan satisfies the active guideline constraints")
+	switch {
+	case table.frozen[full] != 0:
+		return pc.node(table.list(full)[0]), considered, nil
+	case table.reach[full]:
+		return nil, considered, errPruned
 	}
-	return pc.node(table.list(full)[0]), considered, nil
+	return nil, considered, fmt.Errorf("optimizer: no plan satisfies the active guideline constraints")
 }
 
-func (pc *planCtx) hasConnectedSplit(mask uint64, table *dpTable) bool {
+func (pc *planCtx) hasConnectedSplit(mask uint64, reach []bool) bool {
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-		if rest := mask ^ sub; table.frozen[sub] != 0 && table.frozen[rest] != 0 && pc.connects(sub, rest) {
+		if rest := mask ^ sub; reach[sub] && reach[rest] && pc.connects(sub, rest) {
+			return true
+		}
+	}
+	return false
+}
+
+// joinable reports whether the constraints allow a method that applies to the
+// split by buildJoinCand's rules: HSJOIN, MSJOIN if connected, NLJOIN to one table.
+func (pc *planCtx) joinable(mask, sub, rest uint64, connected bool) bool {
+	for _, method := range qgm.JoinMethods() {
+		applies := method == qgm.OpHSJOIN || (method == qgm.OpMSJOIN && connected) || (method == qgm.OpNLJOIN && rest&(rest-1) == 0)
+		if applies && pc.cons.allowsJoin(mask, sub, rest, method) {
 			return true
 		}
 	}
@@ -801,23 +850,33 @@ func (pc *planCtx) hasConnectedSplit(mask uint64, table *dpTable) bool {
 
 // --- greedy enumeration ------------------------------------------------------
 
-// greedyEnumerate plans very large queries by repeatedly merging the pair of
-// components with the cheapest join, honouring guideline constraints first.
-func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
-	considered := 0
-	comps := make([]int32, 0, len(pc.quants)) // slab indices
+// greedyBound returns the greedy plan's cost, the bound dpEnumerate prunes
+// against; +Inf when greedy fails or joins unconnected components, a plan the
+// dynamic program (no cartesian split where a connected one exists) may lack.
+// Greedy's combinations are not counted as considered.
+func (pc *planCtx) greedyBound() float64 {
+	root, _, connected, err := pc.greedyCand()
+	if err != nil || !connected {
+		return math.Inf(1)
+	}
+	return pc.cand(root).cost
+}
+
+// greedyCand plans by repeatedly merging the pair of components with the
+// cheapest join, honouring guideline constraints first. It returns the plan's
+// slab index and whether every merge joined connected components.
+func (pc *planCtx) greedyCand() (root int32, considered int, connected bool, err error) {
+	var buf [maxQuantifiers]int32
+	comps, connected := buf[:0], true // slab indices
 	for _, qt := range pc.quants {
 		comps = append(comps, pc.bestAccess(qt))
 	}
 	// merge replaces components i and j by their join, which goes last.
-	merge := func(i, j int, jc *planCand) {
-		next := make([]int32, 0, len(comps)-1)
-		for k, c := range comps {
-			if k != i && k != j {
-				next = append(next, c)
-			}
-		}
-		comps = append(next, pc.pushJoin(jc, comps[i], comps[j]))
+	merge := func(i, j int, jc *planCand, linked bool) {
+		joined := pc.pushJoin(jc, comps[i], comps[j])
+		comps = slices.Delete(comps, max(i, j), max(i, j)+1)
+		comps = append(slices.Delete(comps, min(i, j), min(i, j)+1), joined)
+		connected = connected && linked
 	}
 	var jc, best planCand
 	for len(comps) > 1 {
@@ -845,14 +904,14 @@ func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 			if !ok {
 				continue
 			}
-			merge(oi, ii, &jc)
+			merge(oi, ii, &jc, sp.connected)
 			constrained = true
 			break
 		}
 		if constrained {
 			continue
 		}
-		bi, bj := -1, -1
+		bi, bj, bestLinked := -1, -1, false
 		tryPair := func(i, j int, requireConn bool) {
 			left, right := pc.cand(comps[i]), pc.cand(comps[j])
 			sp := pc.split(left.mask, right.mask)
@@ -870,7 +929,7 @@ func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 				ok := pc.buildJoinCand(&jc, method, left, right, &sp)
 				considered++
 				if ok && (bi < 0 || jc.cost < best.cost) {
-					best, bi, bj = jc, i, j
+					best, bi, bj, bestLinked = jc, i, j, sp.connected
 				}
 			}
 		}
@@ -888,9 +947,9 @@ func (pc *planCtx) greedyEnumerate() (*qgm.Node, int, error) {
 			allPairs(false) // no connected pair: allow a cartesian product
 		}
 		if bi < 0 {
-			return nil, considered, fmt.Errorf("optimizer: greedy enumeration found no joinable pair under the active constraints")
+			return 0, considered, false, fmt.Errorf("optimizer: greedy enumeration found no joinable pair under the active constraints")
 		}
-		merge(bi, bj, &best)
+		merge(bi, bj, &best, bestLinked)
 	}
-	return pc.node(comps[0]), considered, nil
+	return comps[0], considered, connected, nil
 }

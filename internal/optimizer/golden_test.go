@@ -252,12 +252,16 @@ var localPreds = map[string][]func(r *rand.Rand, a string) string{
 var allTables = []string{tpcds.StoreSales, tpcds.CatalogSales, tpcds.WebSales, tpcds.Item, tpcds.DateDim,
 	tpcds.Customer, tpcds.CustomerAddress, tpcds.CustomerDemographics, tpcds.Store, tpcds.Promotion}
 
-// randomQuery grows a 1–6-table query over fkEdges: mostly a connected tree
+// randomQuery grows a 1–6-table query over fkEdges (see growQuery).
+func randomQuery(r *rand.Rand, schema *catalog.Schema, i int) *sqlparser.Query {
+	return growQuery(r, schema, fmt.Sprintf("RAND.Q%03d", i), 1+r.Intn(6))
+}
+
+// growQuery grows an n-table query over fkEdges: mostly a connected tree
 // (aliases T1..Tn, so self-joins work), sometimes with an extra cycle edge, a
 // second predicate between one pair, or a disconnected table (cartesian
 // product); random local predicates, sometimes GROUP BY / ORDER BY.
-func randomQuery(r *rand.Rand, schema *catalog.Schema, i int) *sqlparser.Query {
-	n := 1 + r.Intn(6)
+func growQuery(r *rand.Rand, schema *catalog.Schema, name string, n int) *sqlparser.Query {
 	tables := []string{allTables[r.Intn(len(allTables))]}
 	alias := func(k int) string { return fmt.Sprintf("T%d", k+1) }
 	var preds, joinSides []string
@@ -346,7 +350,7 @@ func randomQuery(r *rand.Rand, schema *catalog.Schema, i int) *sqlparser.Query {
 		sql += " ORDER BY " + ob
 	}
 	q := sqlparser.MustParse(sql)
-	q.Name = fmt.Sprintf("RAND.Q%03d", i)
+	q.Name = name
 	return q
 }
 

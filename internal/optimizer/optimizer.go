@@ -50,7 +50,8 @@ func DefaultOptions() Options {
 type Report struct {
 	// UsedDP is true when exhaustive enumeration was used.
 	UsedDP bool
-	// PlansConsidered counts join combinations examined.
+	// PlansConsidered counts the buildJoinCand calls of the search that plans
+	// the query, over every attempt; not those of the greedy bound's run.
 	PlansConsidered int
 	// GuidelinesApplied and GuidelinesIgnored index into the guideline
 	// document passed in Options.

@@ -1,8 +1,9 @@
 package qgm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Plan is a complete query execution plan: a tree of LOLEPOPs rooted at a
@@ -264,23 +265,36 @@ func (p *Plan) EnumerateSubPlans(maxJoins int) []SubPlan {
 	if p.Root == nil {
 		return nil
 	}
+	// One walk counts every subtree's joins and operators: a join node takes
+	// its slot in pre-order on the way down and its counts on the way up.
 	var out []SubPlan
-	p.Root.Walk(func(n *Node) {
-		if !n.Op.IsJoin() {
-			return
+	var count func(n *Node) (joins, ops int)
+	count = func(n *Node) (joins, ops int) {
+		if n == nil {
+			return 0, 0
 		}
-		j := n.CountJoins()
-		if j >= 1 && j <= maxJoins {
-			out = append(out, SubPlan{Root: n, Joins: j, Ops: n.CountOps()})
+		slot := -1
+		if n.Op.IsJoin() {
+			slot, joins = len(out), 1
+			out = append(out, SubPlan{Root: n})
 		}
-	})
+		oj, oo := count(n.Outer)
+		ij, io := count(n.Inner)
+		joins, ops = joins+oj+ij, 1+oo+io
+		if slot >= 0 {
+			out[slot].Joins, out[slot].Ops = joins, ops
+		}
+		return joins, ops
+	}
+	count(p.Root)
+	out = slices.DeleteFunc(out, func(s SubPlan) bool { return s.Joins > maxJoins })
 	// Bottom-up order: smaller fragments first, then by operator ID for
 	// determinism.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Joins != out[j].Joins {
-			return out[i].Joins < out[j].Joins
+	slices.SortStableFunc(out, func(a, b SubPlan) int {
+		if a.Joins != b.Joins {
+			return cmp.Compare(a.Joins, b.Joins)
 		}
-		return out[i].Root.ID > out[j].Root.ID
+		return cmp.Compare(b.Root.ID, a.Root.ID)
 	})
 	return out
 }
