@@ -112,12 +112,12 @@ var planningBeforePR23 = map[string]planningRow{
 // 5e80e25, a clean checkout, the same machine and minute as the committed
 // "after"): the dynamic program unbounded.
 var planningBeforePR29 = map[string]planningRow{
-	"j1": {18416, 3799, 50, 24},
-	"j2": {33528, 6022, 75, 246},
-	"j3": {82363, 7719, 93, 1272},
-	"j4": {257854, 10580, 124, 5958},
-	"j5": {741838, 13267, 145, 19236},
-	"j8": {32392371, 27803, 191, 1129188},
+	"j1": {16765, 3800, 50, 24},
+	"j2": {35576, 6020, 75, 246},
+	"j3": {69490, 7722, 93, 1272},
+	"j4": {198311, 10578, 124, 5958},
+	"j5": {611429, 13314, 145, 19236},
+	"j8": {28708589, 27283, 191, 1129188},
 }
 
 // planningConsidered pins plans_considered under the greedy bound, which PR 29
