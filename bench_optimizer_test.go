@@ -108,10 +108,10 @@ var planningBeforePR23 = map[string]planningRow{
 	"j8": {17571380, 1391436, 346, 1129188},
 }
 
-// planningBeforePR29 is the same measurement on the parent of PR 29 (commit
-// 5e80e25, a clean checkout, the same machine and minute as the committed
-// "after"): the dynamic program unbounded.
-var planningBeforePR29 = map[string]planningRow{
+// planningUnbounded is the same measurement on the parent of the greedy bound
+// (commit 5e80e25, a clean checkout, the same machine and minute as the
+// committed "after"): the dynamic program unbounded.
+var planningUnbounded = map[string]planningRow{
 	"j1": {16765, 3800, 50, 24},
 	"j2": {35576, 6020, 75, 246},
 	"j3": {69490, 7722, 93, 1272},
@@ -120,9 +120,9 @@ var planningBeforePR29 = map[string]planningRow{
 	"j8": {28708589, 27283, 191, 1129188},
 }
 
-// planningConsidered pins plans_considered under the greedy bound, which PR 29
-// lowered: a planner change that moves it is a different search, not a faster
-// one.
+// planningConsidered pins plans_considered under the greedy bound, which
+// lowered it: a planner change that moves it is a different search, not a
+// faster one.
 var planningConsidered = map[string]int{"j1": 10, "j2": 88, "j3": 494, "j4": 1142, "j5": 2898, "j8": 111773}
 
 func measurePlanning(t *testing.T, opt *optimizer.Optimizer) map[string]planningRow {
@@ -177,15 +177,15 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 
 	withHist := qErrors(t, optimizer.New(db.Catalog, optimizer.DefaultOptions()), ex, queries)
 	planning := measurePlanning(t, optimizer.New(db.Catalog, optimizer.DefaultOptions()))
-	// Every planner PR but PR 29 changed the data layout, not the search, and
-	// PR 29's bound only skips combinations: a row whose plans_considered moved
-	// off the pinned count, or above an earlier planner's, is not a faster
-	// planner but a different one.
+	// Every earlier planner change was to the data layout, not the search, and
+	// the bound only skips combinations: a row whose plans_considered moved off
+	// the pinned count, or above an earlier planner's, is not a faster planner
+	// but a different one.
 	for name, row := range planning {
 		if want := planningConsidered[name]; row.PlansConsidered != want {
 			t.Fatalf("%s: %d plans considered, %d pinned", name, row.PlansConsidered, want)
 		}
-		for _, before := range []map[string]planningRow{planningBefore, planningBeforePR18, planningBeforePR23, planningBeforePR29} {
+		for _, before := range []map[string]planningRow{planningBefore, planningBeforePR18, planningBeforePR23, planningUnbounded} {
 			if was := before[name].PlansConsidered; row.PlansConsidered > was {
 				t.Fatalf("%s: %d plans considered, %d on an earlier planner", name, row.PlansConsidered, was)
 			}
@@ -221,12 +221,12 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 		"without_histograms": row(withoutHist),
 		"planning": map[string]any{
 			"benchmark":   "one Optimizer.Optimize call per join count (tpcds.Queries() entries 5, 9, 35, 41, 56 and 91; j8 is the widest query under JoinEnumDPLimit)",
-			"note":        "before = the map-set enumerator of PR 11 (commit aefdf06); before_pr18 = the planning context allocating a qgm.Node and a planCand per admitted candidate (commit e85df13, clean checkout, same machine); before_pr23 = candidates as slab values in a fresh slab per call, nodes built once for the winner (commit f8e29e6, clean checkout, same machine); before_pr29 = slab, DP table and access paths from a recycled arena, a finished subset's displaced candidates cut from the slab, the front half (Prepare) copying each predicate once, the dynamic program unbounded (commit 5e80e25, clean checkout, same machine and minute); after = the same, with the greedy plan's cost bounding the dynamic program. plans_considered is pinned (the emitter fails if it moves, or rises above an earlier row): the earlier steps changed the data layout, not the search, and the bound only skips combinations that cannot beat the greedy plan",
+			"note":        "before = the map-set enumerator (commit aefdf06); before_pr18 = the planning context allocating a qgm.Node and a planCand per admitted candidate (commit e85df13, clean checkout, same machine); before_pr23 = candidates as slab values in a fresh slab per call, nodes built once for the winner (commit f8e29e6, clean checkout, same machine); before_bound = slab, DP table and access paths from a recycled arena, a finished subset's displaced candidates cut from the slab, the front half (Prepare) copying each predicate once, the dynamic program unbounded (commit 5e80e25, clean checkout, same machine and minute); after = the same, with the greedy plan's cost bounding the dynamic program. plans_considered is pinned (the emitter fails if it moves, or rises above an earlier row): the earlier steps changed the data layout, not the search, and the bound only skips combinations that cannot beat the greedy plan",
 			"env":         benchEnv(),
 			"before":      planningBefore,
 			"before_pr18": planningBeforePR18,
 			"before_pr23": planningBeforePR23,
-			"before_pr29": planningBeforePR29,
+			"before_bound": planningUnbounded,
 			"after":       planning,
 		},
 	}
