@@ -101,6 +101,11 @@ func assertParity(t *testing.T, db *storage.Database, opt *optimizer.Optimizer, 
 		t.Errorf("streaming peak rows %d exceeds materializing %d",
 			sSt.PeakIntermediateRows, mSt.PeakIntermediateRows)
 	}
+	got := freeze(run{rows: sRes.Rows, ops: actuals(sPlan), stats: sSt})
+	got.MatPeakRows = mSt.PeakIntermediateRows
+	if d := frozenCheck(t, t.Name(), got); d != "" {
+		t.Errorf("streaming: %s", d)
+	}
 	return sSt, mSt
 }
 
