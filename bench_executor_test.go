@@ -1,10 +1,11 @@
-// Memory and wall-time profile of the streaming executor versus the
-// materializing Volcano baseline it replaced: TestEmitBenchExecutorJSON runs
-// deep pipelines (multi-join plus sort / group-by) both ways and records
-// wall time and peak-resident intermediate rows in BENCH_executor.json, so
-// future PRs can track the executor's memory behavior. The emit FAILS if the
-// streaming path's peak residency regresses past half the materializing
-// baseline — that 2x bound is the refactor's reason to exist.
+// Memory and wall-time profile of the streaming executor on deep pipelines
+// (multi-join plus sort / group-by): TestEmitBenchExecutorJSON records wall
+// time and peak-resident intermediate rows in BENCH_executor.json, serially
+// and on the exchange, so future changes can track the executor's memory
+// behavior. The emit FAILS if the streaming peak residency regresses past half
+// of what the materializing Volcano engine it replaced held on the same plan —
+// that 2x bound is the streaming engine's reason to exist. The materializing
+// engine is gone; its peaks are recorded below, as it last measured them.
 package galo_test
 
 import (
@@ -23,8 +24,7 @@ import (
 	"galo/internal/workload/tpcds"
 )
 
-// benchPipeline is one deep-pipeline measurement: the same plan executed on
-// the streaming and on the materializing path.
+// benchPipeline is one deep-pipeline measurement.
 type benchPipeline struct {
 	name string
 	sql  string
@@ -43,6 +43,16 @@ type execModeRow struct {
 	PeakRows  int64   `json:"peak_rows"`
 	PeakBytes int64   `json:"peak_bytes"`
 	Rows      int     `json:"rows"`
+}
+
+// materializingAtParent is what the materializing engine returned and held on
+// each pipeline in its last emission, at the parent of the commit that
+// deleted it: counts of the simulated database, deterministic, so they stand
+// in for a run. Its wall times measured a machine, not the plans, and are not
+// carried over.
+var materializingAtParent = map[string]execModeRow{
+	"three_way_join_sort":    {SimMillis: 402.664, PeakRows: 19840, PeakBytes: 2689840, Rows: 8720},
+	"three_way_join_groupby": {SimMillis: 402.548, PeakRows: 54282, PeakBytes: 9525960, Rows: 10},
 }
 
 func runExecMode(t *testing.T, ex *executor.Executor, plan *qgm.Plan, q *sqlparser.Query, before float64) execModeRow {
@@ -146,21 +156,17 @@ func TestEmitBenchExecutorJSON(t *testing.T) {
 			return plan
 		}
 		stream := runExecMode(t, executor.New(db), buildPlan(), q, committedNumber(committed, "pipelines", p.name, "streaming", "wall_ms"))
-		matEx := executor.New(db)
-		matEx.Materialize = true
-		mat := runExecMode(t, matEx, buildPlan(), q, committedNumber(committed, "pipelines", p.name, "materializing", "wall_ms"))
+		mat := materializingAtParent[p.name]
 
 		if stream.Rows == 0 {
 			t.Fatalf("%s: pipeline produced no rows — not a meaningful benchmark", p.name)
 		}
-		if stream.Rows != mat.Rows {
-			t.Fatalf("%s: row counts diverge: streaming=%d materializing=%d", p.name, stream.Rows, mat.Rows)
+		if stream.Rows != mat.Rows || stream.SimMillis != mat.SimMillis {
+			t.Fatalf("%s: %d rows at %v simulated ms, the materializing engine returned %d at %v",
+				p.name, stream.Rows, stream.SimMillis, mat.Rows, mat.SimMillis)
 		}
-		if stream.SimMillis <= 0 || mat.SimMillis <= 0 {
-			t.Fatalf("%s: simulated cost missing", p.name)
-		}
-		// The refactor's gate: streaming peak residency must stay at or below
-		// half the materializing baseline, or the emit fails the build.
+		// The streaming engine's gate: its peak residency must stay at or
+		// below half the materializing engine's, or the emit fails the build.
 		if stream.PeakRows*2 > mat.PeakRows {
 			t.Errorf("%s: streaming peak %d rows exceeds 50%% of materializing peak %d rows",
 				p.name, stream.PeakRows, mat.PeakRows)
@@ -196,10 +202,10 @@ func TestEmitBenchExecutorJSON(t *testing.T) {
 		parallel["speedup_at_4_workers"] = fmt.Sprintf("%.1fx", speedup4)
 
 		results[p.name] = map[string]any{
-			"streaming":          stream,
-			"materializing":      mat,
-			"peak_row_reduction": fmt.Sprintf("%.1fx", reduction),
-			"parallel":           parallel,
+			"streaming":               stream,
+			"materializing_at_parent": mat,
+			"peak_row_reduction":      fmt.Sprintf("%.1fx", reduction),
+			"parallel":                parallel,
 		}
 	}
 
@@ -210,13 +216,13 @@ func TestEmitBenchExecutorJSON(t *testing.T) {
 		beforeEnv = map[string]any{"cpus": committedNumber(committed, "cpus")}
 	}
 	doc := map[string]any{
-		"benchmark": "streaming executor vs materializing Volcano baseline on deep pipelines (3-way join + sort / group-by), TPC-DS-like data at scale 1.0 with hazards",
+		"benchmark": "streaming executor on deep pipelines (3-way join + sort / group-by), serially and on the exchange, against the peak residency of the materializing Volcano engine it replaced; TPC-DS-like data at scale 1.0 with hazards",
 		"cpus":      runtime.NumCPU(),
 		// Explicit, so a trajectory whose gate never armed says so itself.
 		"speedup_gate_armed": gateArmed,
 		"env":                benchEnv(),
 		"before_env":         beforeEnv,
-		"note":               "wall_ms is the best of 5 runs; sim_millis is the deterministic simulated cost (identical across modes by the cost-parity invariant); peak_rows/peak_bytes is the high-water mark of rows resident in operator state (sort buffers, hash build sides, group sets — plus every intermediate rowset on the materializing path). The emit test fails if streaming peak_rows exceeds 50% of the materializing baseline. The parallel section runs the same plans on the exchange operator at 1/2/4 workers: sim_millis must stay bit-identical to serial streaming at every worker count, and the emit fails if 4 workers don't at least halve the serial wall time. That speedup gate only arms when the emitting machine has >= 4 CPUs (speedup_gate_armed; false means the committed speedups were never gated): exchange workers are real goroutines, so on fewer cores the parallel rows measure scheduling overhead, not speedup. before is the wall_ms of the same row in the BENCH_executor.json this emission replaced, emitted where before_env says. The committed file: before = the rows of the file this emission replaced (emitted at commit 29acd78+, PR 19, where the exchange still ran a push engine of its own: scan, FILTER and hash probe written a second time in exchange.go), after = exchange workers pull replicas of the serial iterators and their counts are folded into one lead spine that charges; both on a 2-CPU machine at -cpu 1. Every sim_millis, peak_rows, peak_bytes and rows is identical to the replaced file's. speedup_gate_armed is false: the speedups in this file were never gated, and the >= 4-CPU emission is still owed (ROADMAP item 2). No speed is claimed for this change, and the before column cannot show one either way: the replaced file is weeks old, and the materializing rows, whose code did not change, moved against it as far as any row did — that is the machine. The alternating parent / change pairs are in CHANGES.md (PR 24).",
+		"note":               "wall_ms is the best of 5 runs; sim_millis is the deterministic simulated cost (identical at every worker count by the cost-parity invariant); peak_rows/peak_bytes is the high-water mark of rows resident in operator state (sort buffers, hash build sides, group sets). materializing_at_parent is not a measurement of this emission: it is what the materializing engine returned and held on the same plans in its last emission, at the parent of the commit that deleted it — counts of the simulated database, deterministic, kept as Go literals beside the emitter (its wall times measured a machine and are not carried over). The emit test fails if the streaming rows or sim_millis differ from those, or if streaming peak_rows exceeds 50% of materializing_at_parent.peak_rows. The parallel section runs the same plans on the exchange operator at 1/2/4 workers: sim_millis must stay bit-identical to serial streaming at every worker count, and the emit fails if 4 workers don't at least halve the serial wall time. That speedup gate only arms when the emitting machine has >= 4 CPUs (speedup_gate_armed; false means the committed speedups were never gated): exchange workers are real goroutines, so on fewer cores the parallel rows measure scheduling overhead, not speedup. before is the wall_ms of the same row in the BENCH_executor.json this emission replaced, emitted where before_env says. The committed file was emitted by the change that deleted the materializing engine, on a 2-CPU machine at -cpu 1; every sim_millis, peak_rows, peak_bytes and rows of the streaming and parallel rows is identical to the replaced file's. No speed is claimed for that change: the serving path lost one branch, and the before column measures the machine as much as the code.",
 		"pipelines":          results,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

@@ -220,14 +220,14 @@ func TestEmitBenchOptimizerJSON(t *testing.T) {
 		"with_histograms":    row(withHist),
 		"without_histograms": row(withoutHist),
 		"planning": map[string]any{
-			"benchmark":   "one Optimizer.Optimize call per join count (tpcds.Queries() entries 5, 9, 35, 41, 56 and 91; j8 is the widest query under JoinEnumDPLimit)",
-			"note":        "before = the map-set enumerator (commit aefdf06); before_pr18 = the planning context allocating a qgm.Node and a planCand per admitted candidate (commit e85df13, clean checkout, same machine); before_pr23 = candidates as slab values in a fresh slab per call, nodes built once for the winner (commit f8e29e6, clean checkout, same machine); before_bound = slab, DP table and access paths from a recycled arena, a finished subset's displaced candidates cut from the slab, the front half (Prepare) copying each predicate once, the dynamic program unbounded (commit 5e80e25, clean checkout, same machine and minute); after = the same, with the greedy plan's cost bounding the dynamic program. plans_considered is pinned (the emitter fails if it moves, or rises above an earlier row): the earlier steps changed the data layout, not the search, and the bound only skips combinations that cannot beat the greedy plan",
-			"env":         benchEnv(),
-			"before":      planningBefore,
-			"before_pr18": planningBeforePR18,
-			"before_pr23": planningBeforePR23,
+			"benchmark":    "one Optimizer.Optimize call per join count (tpcds.Queries() entries 5, 9, 35, 41, 56 and 91; j8 is the widest query under JoinEnumDPLimit)",
+			"note":         "before = the map-set enumerator (commit aefdf06); before_pr18 = the planning context allocating a qgm.Node and a planCand per admitted candidate (commit e85df13, clean checkout, same machine); before_pr23 = candidates as slab values in a fresh slab per call, nodes built once for the winner (commit f8e29e6, clean checkout, same machine); before_bound = slab, DP table and access paths from a recycled arena, a finished subset's displaced candidates cut from the slab, the front half (Prepare) copying each predicate once, the dynamic program unbounded (commit 5e80e25, clean checkout, same machine and minute); after = the same, with the greedy plan's cost bounding the dynamic program. plans_considered is pinned (the emitter fails if it moves, or rises above an earlier row): the earlier steps changed the data layout, not the search, and the bound only skips combinations that cannot beat the greedy plan",
+			"env":          benchEnv(),
+			"before":       planningBefore,
+			"before_pr18":  planningBeforePR18,
+			"before_pr23":  planningBeforePR23,
 			"before_bound": planningUnbounded,
-			"after":       planning,
+			"after":        planning,
 		},
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

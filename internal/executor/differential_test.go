@@ -115,13 +115,18 @@ func rowHash(row storage.Row) uint64 {
 // invariants: seeded random plans (random join order, join methods and access
 // paths from internal/randplan) over the 1–4-join shapes of tpcds.Queries(),
 // a third of them with ORDER BY and a third with GROUP BY added, each
-// executed serially, on the exchange at 4 workers, and on the materializing
-// baseline. All three must agree on the rows (cell for cell and in order,
-// serial vs baseline; as a multiset plus the ORDER BY key sequence, serial vs
-// parallel, whose unordered fan-in may interleave ties), on every operator's
-// ActMillis and ActCardinality bit for bit, and on the aggregate counters —
-// serial and parallel on all of RunStats, peak residency included; an early
-// Close after a random row must leave no exchange worker running.
+// executed serially and on the exchange at 4 workers. The serial run must
+// return exactly what testdata/differential.json froze for the plan — the
+// rows in order, every operator's ActMillis and ActCardinality bit for bit,
+// all of RunStats — and a plan the file does not know fails the suite (a
+// changed generator needs -update). The parallel run must agree with the
+// serial one on every operator's actuals and all of RunStats, peak residency
+// included, on the row multiset and on the ORDER BY key sequence (its
+// unordered fan-in may interleave ties). The reference that needs no second
+// engine: every plan of one query text must return the same row multiset and
+// ORDER BY key sequence as the first plan of it the suite met; most query
+// texts recur under several plans. An early Close after a random row must
+// leave no exchange worker running.
 //
 // Every plan then runs again on the executor that just ran it — on the chunks
 // the first run handed back to the arena pools — and a third time while a
@@ -152,13 +157,16 @@ func TestDifferentialRandomPlans(t *testing.T) {
 // differentialSuite runs the given number of random plans over the query
 // shapes through TestDifferentialRandomPlans's comparisons.
 func differentialSuite(t *testing.T, name string, db *storage.Database, opt *optimizer.Optimizer, shapes []*sqlparser.Query, plans int) {
-	serial, parallel, baseline := New(db), New(db), New(db)
-	parallel.Workers, baseline.Materialize = 4, true
+	serial, parallel := New(db), New(db)
+	parallel.Workers = 4
 	const seed = 20190122
 	rng := rand.New(rand.NewSource(seed))
 	gen := randplan.New(opt, seed)
 
 	engaged, ordered, grouped := 0, 0, 0
+	// The first answer met for each query text, and how many plans were
+	// checked against an earlier, different plan of their query.
+	answers, crossPlan := map[string]answer{}, 0
 	var prev struct {
 		q    *sqlparser.Query
 		plan *qgm.Plan
@@ -184,60 +192,45 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 			t.Helper()
 			t.Fatalf("%s plan #%d, %s\n%s\n%s", name, n, q.SQL(), qgm.Format(plan), fmt.Sprintf(format, args...))
 		}
-		if d := frozenCheck(t, planKey(name, q, plan), freeze(ser)); d != "" {
+		key := planKey(name, q, plan)
+		if _, d := frozenCheck(t, key, freeze(ser)); d != "" {
 			fail("serial: %s", d)
 		}
+		// Every plan of one query text answers alike.
+		a := answer{plan: key, rows: len(ser.rows), multiset: multiset(ser.rows), order: orderSequence(ser.rows, orderKeys)}
+		if first, seen := answers[q.SQL()]; !seen {
+			answers[q.SQL()] = a
+		} else if first.plan != key {
+			crossPlan++
+			if a.rows != first.rows || a.multiset != first.multiset || a.order != first.order {
+				fail("%d rows (multiset %016x, ORDER BY keys %016x); the earlier plan %s returned %d rows (%016x, %016x)",
+					a.rows, a.multiset, a.order, first.plan, first.rows, first.multiset, first.order)
+			}
+		}
 
-		mat := execute(t, baseline, plan, q)
 		segments := ExchangeSegmentCount()
 		par := execute(t, parallel, plan, q)
 		if ExchangeSegmentCount() > segments {
 			engaged++
 		}
-		for _, other := range []struct {
-			name string
-			run
-		}{{"materializing", mat}, {"4 workers", par}} {
-			if len(other.rows) != len(ser.rows) {
-				fail("%s: %d rows, serial streaming %d", other.name, len(other.rows), len(ser.rows))
-			}
-			for i, op := range other.ops {
-				if op != ser.ops[i] {
-					fail("%s: operator %d (ActMillis, ActCardinality) = %v, serial streaming %v", other.name, i, op, ser.ops[i])
-				}
-			}
+		// Serial vs parallel: every operator's actuals and all of RunStats
+		// bit for bit, the row multiset and the ORDER BY key sequence.
+		if len(par.rows) != len(ser.rows) {
+			fail("4 workers: %d rows, serial %d", len(par.rows), len(ser.rows))
 		}
-		// Serial vs baseline: the rows themselves, in order; the aggregate
-		// counters exactly, the summed millis up to addition order.
-		for i, row := range ser.rows {
-			for j := range row {
-				if !sameCell(row[j], mat.rows[i][j]) {
-					fail("row %d col %d: streaming %v, materializing %v", i, j, row[j], mat.rows[i][j])
-				}
+		for i, op := range par.ops {
+			if op != ser.ops[i] {
+				fail("4 workers: operator %d (ActMillis, ActCardinality) = %v, serial %v", i, op, ser.ops[i])
 			}
-		}
-		s, m := ser.stats, mat.stats
-		m.PeakIntermediateRows, m.PeakIntermediateBytes, m.ElapsedMillis = s.PeakIntermediateRows, s.PeakIntermediateBytes, s.ElapsedMillis
-		if s != m || !withinULPs(ser.stats.ElapsedMillis, mat.stats.ElapsedMillis) {
-			fail("aggregate stats: streaming %+v, materializing %+v", ser.stats, mat.stats)
-		}
-		// Serial vs parallel: the row multiset, the ORDER BY key sequence, and
-		// all of RunStats.
-		var sSum, pSum uint64
-		for i, row := range ser.rows {
-			sSum += rowHash(row)
-			pSum += rowHash(par.rows[i])
-			for k := 0; k < orderKeys; k++ {
-				if !sameCell(row[k], par.rows[i][k]) {
-					fail("row %d: ORDER BY key %d is %v serially, %v at 4 workers", i, k, row[k], par.rows[i][k])
-				}
-			}
-		}
-		if sSum != pSum {
-			fail("4 workers returned a different row multiset")
 		}
 		if ser.stats != par.stats {
 			fail("aggregate stats: serial %+v, 4 workers %+v", ser.stats, par.stats)
+		}
+		if multiset(par.rows) != a.multiset {
+			fail("4 workers returned a different row multiset")
+		}
+		if orderSequence(par.rows, orderKeys) != a.order {
+			fail("4 workers returned another ORDER BY key sequence")
 		}
 
 		// Recycled chunks: the same executor again, then once more beside a
@@ -294,11 +287,37 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 		}
 		prev.q, prev.plan, prev.par = q, plan, par
 	}
-	t.Logf("%s, %d plans: %d engaged the exchange, %d ordered, %d grouped", name, plans, engaged, ordered, grouped)
-	if engaged < plans/20 || ordered < plans/5 || grouped < plans/5 {
-		t.Errorf("%s: the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped",
-			name, engaged, plans, ordered, grouped)
+	t.Logf("%s, %d plans: %d engaged the exchange, %d ordered, %d grouped, %d checked against another plan of their query",
+		name, plans, engaged, ordered, grouped, crossPlan)
+	if engaged < plans/20 || ordered < plans/5 || grouped < plans/5 || crossPlan < plans/10 {
+		t.Errorf("%s: the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped, %d checked against another plan",
+			name, engaged, plans, ordered, grouped, crossPlan)
 	}
+}
+
+// answer is what every plan of one query text must return alike.
+type answer struct {
+	plan            string // planKey of the plan that answered first
+	rows            int
+	multiset, order uint64
+}
+
+// multiset folds the rows into one number regardless of their order.
+func multiset(rows []storage.Row) (sum uint64) {
+	for _, row := range rows {
+		sum += rowHash(row)
+	}
+	return sum
+}
+
+// orderSequence hashes the first k cells of every row, in order: the ORDER BY
+// key sequence when the query orders by its first k projected columns.
+func orderSequence(rows []storage.Row, k int) uint64 {
+	keys := make([]storage.Row, len(rows))
+	for i, row := range rows {
+		keys[i] = row[:k]
+	}
+	return rowsHash(keys)
 }
 
 // tpcdsShapes is the 1–4-join queries of tpcds.Queries() with a projection.
@@ -424,9 +443,9 @@ func keyFamilies(t *testing.T) (*storage.Database, *optimizer.Optimizer, []*sqlp
 // TestJoinKeyEqualityMatchesMaterialize joins two tables whose key columns
 // hold every awkward value — ±0, NaN, NULL, and 3 as an integer, a float, a
 // date and a string — on one and on two key columns, with every join method,
-// and requires the streaming engine's chained index to pair exactly the rows
-// the materializing baseline's Key()-string map pairs (and brute force over
-// catalog.KeyEqual counts).
+// and requires the chained index to pair exactly as many rows as brute force
+// over catalog.KeyEqual counts, and exactly the rows frozen while the
+// materializing engine's Key()-string map paired the same.
 func TestJoinKeyEqualityMatchesMaterialize(t *testing.T) {
 	db, opt := keyTables(t, awkwardKeys, awkwardKeys)
 
@@ -451,7 +470,7 @@ func TestJoinKeyEqualityMatchesMaterialize(t *testing.T) {
 			t.Run(tc.name+"/"+string(method), func(t *testing.T) {
 				q := sqlparser.MustParse(tc.sql)
 				spec := optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT"))
-				stream, _ := assertParity(t, db, opt, q, spec)
+				stream, _ := assertFrozen(t, db, opt, q, spec)
 				if stream.Rows != want {
 					t.Errorf("join produced %d rows, brute force over KeyEqual says %d", stream.Rows, want)
 				}
@@ -502,7 +521,7 @@ func keyTables(t *testing.T, left, right []catalog.Value) (*storage.Database, *o
 // a numeric build probed by numbers, the same build probed by a column that
 // also holds a string (which equals nothing in it), and a build column with
 // one string among its numbers, which must fall back to hash + KeyEqual. Each
-// against the materializing baseline and brute force over catalog.KeyEqual.
+// against brute force over catalog.KeyEqual and its frozen answer.
 func TestExactIndexAndItsFallback(t *testing.T) {
 	const two53 = int64(1) << 53
 	numeric := append([]catalog.Value{
@@ -531,7 +550,7 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 		for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
 			t.Run(tc.name+"/"+string(method), func(t *testing.T) {
 				q := sqlparser.MustParse(`SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1`)
-				stream, _ := assertParity(t, db, opt, q, optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT")))
+				stream, _ := assertFrozen(t, db, opt, q, optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT")))
 				if stream.Rows != want {
 					t.Errorf("join produced %d rows, brute force over KeyEqual says %d", stream.Rows, want)
 				}
@@ -565,8 +584,8 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 // tells them apart. With the build column in either insertion order — the
 // bound kept by word and ordinal, its value read once — the count of outer
 // rows within the bound, read back from the MSJOIN's charge, must be brute
-// force's over the bound Compare keeps, and everything must agree with the
-// materializing baseline. Numeric-only probes are counted by their words.
+// force's over the bound Compare keeps, and everything must be the frozen
+// answer. Numeric-only probes are counted by their words.
 func TestEarlyOutBoundBeyondTwo53(t *testing.T) {
 	const two53 = int64(1) << 53
 	lo, hi := catalog.Int(two53), catalog.Int(two53+1)
@@ -586,7 +605,7 @@ func TestEarlyOutBoundBeyondTwo53(t *testing.T) {
 				}
 				q := sqlparser.MustParse(`SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1`)
 				spec := optimizer.Join(qgm.OpMSJOIN, optimizer.Leaf("LT"), optimizer.Leaf("RT"))
-				assertParity(t, db, opt, q, spec)
+				assertFrozen(t, db, opt, q, spec)
 
 				plan, err := opt.BuildPlan(q, spec)
 				if err != nil {

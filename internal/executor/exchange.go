@@ -651,8 +651,8 @@ func (w *segWorker) sortLocal() {
 }
 
 // sortStableBy stable-sorts rows on the key columns — the one comparison the
-// serial sortIter, the materializing matSort and the exchange workers all
-// share, so their orders agree row for row.
+// serial sortIter and the exchange workers share, so their orders agree row
+// for row.
 func sortStableBy(rows []tuple, key []colRef) {
 	slices.SortStableFunc(rows, func(a, b tuple) int { return compareRows(a, b, key) })
 }

@@ -16,12 +16,13 @@
 // GRPBY's group set — ever hold rows. Single-table predicates are pushed
 // into the scans (applied per row, before any candidate-list or output
 // materialization), so deep pipelines keep a bounded intermediate footprint.
-// The pre-streaming materializing path is retained behind
-// Executor.Materialize as the golden baseline: both paths must return
-// byte-identical rows and charge identical per-operator actuals, because the
-// cost formulas are evaluated over the same processed-row counts (the
-// plan/actual cost-formula parity invariant the estimation-gap learner
-// depends on).
+// Every charge is the cost model's run-time view evaluated over the row counts
+// an operator actually processed, so an estimate equals its charge wherever
+// the estimate's row counts were right (the plan/actual cost-formula parity
+// invariant the estimation-gap learner depends on). The engine's exact
+// answers — rows, per-operator actuals and RunStats — are frozen in
+// testdata/differential.json, generated while the pre-streaming materializing
+// engine still agreed with every entry.
 package executor
 
 import (
@@ -50,9 +51,8 @@ type RunStats struct {
 	// PeakIntermediateRows / PeakIntermediateBytes record the high-water mark
 	// of rows (and their approximate bytes) held in operator state at any one
 	// moment during execution: sort buffers, hash-join build sides, group-by
-	// group sets — and, on the materializing baseline, every intermediate
-	// rowset. Base-table storage and the final result do not count; this is
-	// the memory the plan's shape itself demands.
+	// group sets. Base-table storage and the final result do not count; this
+	// is the memory the plan's shape itself demands.
 	PeakIntermediateRows  int64
 	PeakIntermediateBytes int64
 	// Aborted reports that a bounded run (RunBounded) booked more simulated
@@ -75,12 +75,6 @@ type Result struct {
 // Executor runs plans against one database.
 type Executor struct {
 	DB *storage.Database
-	// Materialize selects the pre-streaming Volcano behavior: every operator
-	// drains its input into a full rowset before producing output. It exists
-	// as the golden baseline for the streaming path (identical results and
-	// per-operator actuals, much larger PeakIntermediateRows) and for the
-	// BENCH_executor comparison; serving paths leave it false.
-	Materialize bool
 	// Workers enables intra-query parallelism: qualifying pipeline segments
 	// (a scan plus the FILTER/HSJOIN spine above it, with an optional
 	// terminal SORT or GRPBY) run as an exchange — the scan partitioned
@@ -196,17 +190,8 @@ func (e *Executor) open(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64
 	// deep operators unvisited); stale actuals from a previous run must never
 	// survive into this one's estimation-gap reading.
 	plan.ResetActuals()
-	var root rowIter
-	var lay layout
-	if e.Materialize {
-		rs, err := ctx.matRun(plan.Root)
-		if err != nil {
-			return nil, err
-		}
-		// The baseline's flat rows travel as one-slot tuples.
-		root = &rowsetIter{ctx: ctx, rs: rs, ids: rowIDs(len(rs.rows))}
-		lay = layout{cols: rs.cols, slots: slotList{{ncols: len(rs.cols), rows: rs.rows}}}
-	} else if root, lay, err = ctx.open(plan.Root); err != nil {
+	root, lay, err := ctx.open(plan.Root)
+	if err != nil {
 		ctx.releaseArenas()
 		return nil, err
 	}
@@ -241,7 +226,6 @@ func (e *Executor) newContext(q *sqlparser.Query, budgetMillis float64) (*execCo
 	ctx := &execContext{
 		exec:      e,
 		query:     work,
-		cfg:       e.DB.Catalog.Config,
 		cost:      e.DB.Catalog.Config.RunCost(),
 		instToRef: map[string]string{},
 		refToInst: map[string]string{},
@@ -314,8 +298,7 @@ func (c *Cursor) finish() {
 type execContext struct {
 	exec      *Executor
 	query     *sqlparser.Query
-	cfg       catalog.SystemConfig // read by the materializing reference only
-	cost      catalog.CostModel    // the run-time view every charge goes through
+	cost      catalog.CostModel // the run-time view every charge goes through
 	stats     RunStats
 	instToRef map[string]string
 	refToInst map[string]string
@@ -333,8 +316,7 @@ type execContext struct {
 	arenas []*arena
 
 	// res is the live intermediate-row accounting (see
-	// RunStats.PeakIntermediateRows), shared by the streaming and
-	// materializing engines through hold/release.
+	// RunStats.PeakIntermediateRows), fed through hold/release.
 	res residency
 }
 
@@ -367,36 +349,6 @@ func (c *execContext) charge(node *qgm.Node, millis float64, rows int) {
 	c.stats.ElapsedMillis += millis
 	node.ActMillis = millis
 	node.ActCardinality = float64(rows)
-}
-
-// rt is the runtime transfer rate, for the materializing reference's own
-// transcription of the formulas; the streaming engine charges through c.cost.
-func (c *execContext) rt() float64 { return c.cfg.EffectiveRuntimeTransferRate() }
-
-// rowset is the intermediate result flowing between operators on the
-// materializing baseline.
-type rowset struct {
-	cols  []string // "Qi.COLUMN"
-	rows  []storage.Row
-	index map[string]int
-
-	// Residency held for this rowset (set by holdRowset, cleared by
-	// releaseRowset) so the release matches the hold even if rows change.
-	heldRows  int
-	heldBytes int64
-}
-
-func (r *rowset) colIndex(name string) int {
-	if r.index == nil {
-		r.index = make(map[string]int, len(r.cols))
-		for i, c := range r.cols {
-			r.index[c] = i
-		}
-	}
-	if i, ok := r.index[strings.ToUpper(name)]; ok {
-		return i
-	}
-	return -1
 }
 
 // colPos finds an instance-qualified column in an operator's output layout.
@@ -441,9 +393,8 @@ func compilePreds(def *catalog.Table, preds []sqlparser.Predicate) []scanPred {
 	return out
 }
 
-// matchRow applies compiled predicates to a base-table row, deciding exactly
-// as rowMatches does. It only reads, so the serial scans and the exchange
-// workers share one compiled slice.
+// matchRow applies compiled predicates to a base-table row. It only reads, so
+// the serial scans and the exchange workers share one compiled slice.
 func matchRow(row storage.Row, preds []scanPred) bool {
 	for i := range preds {
 		p := &preds[i]
@@ -460,38 +411,6 @@ func matchRow(row storage.Row, preds []scanPred) bool {
 		}
 	}
 	return true
-}
-
-// rowMatches applies the local predicates to a base-table row, resolving
-// columns by name per call (the materializing baseline's path).
-func (c *execContext) rowMatches(def *catalog.Table, row storage.Row, preds []sqlparser.Predicate) bool {
-	for _, p := range preds {
-		v := storage.Value(def, row, p.Left.Column)
-		if p.Kind == sqlparser.PredLike {
-			if !c.evalLike(p, v) {
-				return false
-			}
-			continue
-		}
-		if !evalPredicate(&p, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// evalLike evaluates a LIKE predicate through the process-wide
-// compiled-pattern cache (routinized repeats of a query stop recompiling).
-func (c *execContext) evalLike(p sqlparser.Predicate, v catalog.Value) bool {
-	if v.IsNull() {
-		return false
-	}
-	re := likeCache.get(p.Value.AsString())
-	ok := re != nil && re.MatchString(v.AsString())
-	if p.Not {
-		return !ok
-	}
-	return ok
 }
 
 // evalPredicate evaluates a local predicate against a value.
@@ -583,8 +502,8 @@ func compileLike(pattern string) *regexp.Regexp {
 	return re
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards (uncached; execution
-// paths use execContext.evalLike).
+// likeMatch implements SQL LIKE with % and _ wildcards (uncached; scans match
+// through the compiled-pattern cache, see compilePreds).
 func likeMatch(pattern, s string) bool {
 	re := compileLike(pattern)
 	return re != nil && re.MatchString(s)
@@ -601,24 +520,6 @@ func valuesWidth(row storage.Row) int {
 		}
 	}
 	return w
-}
-
-// sampleWidth is slotList.rowWidth for the flat rows of the materializing
-// reference: sampled from the first row, 8 bytes per column when there is none.
-func sampleWidth(rows []storage.Row, ncols int) int {
-	if len(rows) == 0 {
-		return 8 * ncols
-	}
-	return valuesWidth(rows[0])
-}
-
-func rowWidth(rs *rowset) int { return sampleWidth(rs.rows, len(rs.cols)) }
-
-// pagesOf is the model's rows-to-pages conversion in the shape the
-// materializing reference calls it.
-func pagesOf(cfg catalog.SystemConfig, rows float64, width int) float64 {
-	m := cfg.RunCost()
-	return m.Pages(rows, width)
 }
 
 // presizeHint converts an estimated cardinality into a slice/map capacity,

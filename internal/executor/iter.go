@@ -564,32 +564,3 @@ func (g *groupByIter) Close() {
 	g.ctx.release(g.nOut, g.heldBytes)
 	g.seen = nil
 }
-
-// --- materialized-rowset adapter ---------------------------------------------
-
-// rowsetIter serves an already-materialized rowset (the Materialize baseline
-// path behind the Cursor API): each flat row travels as a one-slot tuple, its
-// position in the rowset the row ID.
-type rowsetIter struct {
-	ctx    *execContext
-	rs     *rowset
-	ids    []uint32
-	pos    int
-	closed bool
-}
-
-func (r *rowsetIter) Next() (tuple, bool) {
-	if i := r.pos; i < len(r.rs.rows) {
-		r.pos++
-		return r.ids[i : i+1 : i+1], true
-	}
-	return nil, false
-}
-
-func (r *rowsetIter) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	r.ctx.releaseRowset(r.rs)
-}

@@ -7,7 +7,6 @@ import (
 
 	"galo/internal/catalog"
 	"galo/internal/qgm"
-	"galo/internal/sqlparser"
 	"galo/internal/storage"
 )
 
@@ -48,7 +47,7 @@ func (c *execContext) joinOver(node *qgm.Node, outer rowIter, outerLay layout, o
 		outer.Close()
 		return nil, layout{}, err
 	}
-	key, _ := c.joinKeys(node, outerLay.cols, innerLay.cols)
+	key := c.joinKeys(node, outerLay.cols, innerLay.cols)
 	return &joinIter{
 		ctx: c, node: node, outer: outer, inner: inner, mem: c.mem,
 		probe: outerLay.refs(key.outerPos), build: innerLay.refs(key.innerPos),
@@ -58,9 +57,8 @@ func (c *execContext) joinOver(node *qgm.Node, outer rowIter, outerLay layout, o
 
 // joinIter is a half pipeline breaker: the first Next drains the inner child
 // into the build side (held in the intermediate accounting), then streams the
-// outer, emitting matches in build-insertion order — the same emission order
-// the materializing hashJoinRows produced. An output tuple is the outer's
-// row IDs followed by the inner's; no column value is copied.
+// outer, emitting matches in build-insertion order. An output tuple is the
+// outer's row IDs followed by the inner's; no column value is copied.
 type joinIter struct {
 	ctx          *execContext
 	node         *qgm.Node
@@ -506,11 +504,10 @@ func (c *execContext) nlProbeMillis(innerNode *qgm.Node, matchedPerProbe, innerR
 }
 
 // joinKeys finds the equi-join column positions between the two inputs.
-func (c *execContext) joinKeys(node *qgm.Node, outerCols, innerCols []string) (joinKey, []sqlparser.Predicate) {
+func (c *execContext) joinKeys(node *qgm.Node, outerCols, innerCols []string) joinKey {
 	outerInst := instanceSet(node.Outer)
 	innerInst := instanceSet(node.Inner)
 	var key joinKey
-	var used []sqlparser.Predicate
 	for _, p := range c.query.Where {
 		if !p.IsJoin() {
 			continue
@@ -531,10 +528,9 @@ func (c *execContext) joinKeys(node *qgm.Node, outerCols, innerCols []string) (j
 		if op >= 0 && ip >= 0 {
 			key.outerPos = append(key.outerPos, op)
 			key.innerPos = append(key.innerPos, ip)
-			used = append(used, p)
 		}
 	}
-	return key, used
+	return key
 }
 
 func instanceSet(n *qgm.Node) map[string]bool {

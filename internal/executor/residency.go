@@ -3,15 +3,13 @@ package executor
 import (
 	"regexp"
 	"sync"
-
-	"galo/internal/storage"
 )
 
 // residency is the single high-water implementation of intermediate-row
-// accounting, shared by the streaming engine, the materializing baseline and
-// the exchange operator (RunStats.PeakIntermediateRows/Bytes). An operator
-// holds the rows it buffers (sort buffers, hash build sides, group-by key
-// sets, materialized rowsets) and releases them when its state is dropped;
+// accounting, shared by the serial operators and the exchange operator
+// (RunStats.PeakIntermediateRows/Bytes). An operator holds the rows it
+// buffers (sort buffers, hash build sides, group-by key sets) and releases
+// them when its state is dropped;
 // the peak is the worst simultaneous footprint.
 //
 // All holds and releases of one execution happen on the thread currently
@@ -36,13 +34,6 @@ func (r *residency) hold(rows int, bytes int64) {
 func (r *residency) release(rows int, bytes int64) {
 	r.curRows -= int64(rows)
 	r.curBytes -= bytes
-}
-
-// rowsFootprint sizes a buffered row slice for the residency accounting: the
-// sampled row width times the row count (the same estimate the cost formulas
-// use, so accounting and spill decisions agree).
-func rowsFootprint(rows []storage.Row, ncols int) int64 {
-	return int64(sampleWidth(rows, ncols)) * int64(len(rows))
 }
 
 // likeCacheCap bounds the process-wide compiled-LIKE-pattern cache. Real

@@ -39,9 +39,8 @@ func (r *colRef) keyWords() []uint64 {
 }
 
 // slot describes one tuple slot: how many of the layout's columns it carries,
-// and the rows its IDs index — a table's, or the flat rows of the
-// materializing reference, which belong to no table. A scan holds one (in its
-// scanSource); the layouts above it share it.
+// the rows its IDs index and the table they are the rows of. A scan holds one
+// (in its scanSource); the layouts above it share it.
 type slot struct {
 	ncols int
 	rows  []storage.Row

@@ -335,27 +335,6 @@ func (idx *IndexData) PositionsRange(lo, hi *catalog.Value) (start, end int) {
 	return start, end
 }
 
-// LookupEqual returns the row IDs whose leading index key equals v.
-func (idx *IndexData) LookupEqual(v catalog.Value) []int {
-	start, end := idx.PositionsEqual(v)
-	var out []int
-	for i := start; i < end; i++ {
-		out = append(out, idx.Entries[i].RowID)
-	}
-	return out
-}
-
-// LookupRange returns row IDs whose leading key lies in [lo, hi]; a nil bound
-// is unbounded on that side.
-func (idx *IndexData) LookupRange(lo, hi *catalog.Value) []int {
-	start, end := idx.PositionsRange(lo, hi)
-	var out []int
-	for i := start; i < end; i++ {
-		out = append(out, idx.Entries[i].RowID)
-	}
-	return out
-}
-
 // Len returns the number of entries in the index.
 func (idx *IndexData) Len() int { return len(idx.Entries) }
 

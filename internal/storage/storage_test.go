@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -49,7 +50,30 @@ func TestInsertAndRowCount(t *testing.T) {
 	}
 }
 
-func TestIndexLookupEqual(t *testing.T) {
+// scanEntries is the linear reference for an index position range: the row
+// IDs of the entries whose leading key lies in [lo, hi] (a nil bound is open),
+// in index order.
+func scanEntries(idx *IndexData, lo, hi *catalog.Value) []int {
+	var ids []int
+	for _, e := range idx.Entries {
+		k := e.Key[0]
+		if (lo == nil || catalog.Compare(k, *lo) >= 0) && (hi == nil || catalog.Compare(k, *hi) <= 0) {
+			ids = append(ids, e.RowID)
+		}
+	}
+	return ids
+}
+
+// rowIDsOf lists the row IDs of index entries.
+func rowIDsOf(entries []IndexEntry) []int {
+	var ids []int
+	for _, e := range entries {
+		ids = append(ids, e.RowID)
+	}
+	return ids
+}
+
+func TestIndexPositionsEqualMatchesScan(t *testing.T) {
 	db := testDB(t)
 	idx := db.IndexOnColumn("item", "i_item_sk")
 	if idx == nil {
@@ -58,34 +82,39 @@ func TestIndexLookupEqual(t *testing.T) {
 	if idx.Len() != 100 {
 		t.Errorf("index Len = %d", idx.Len())
 	}
-	ids := idx.LookupEqual(catalog.Int(42))
-	if len(ids) != 1 {
-		t.Fatalf("LookupEqual(42) = %v", ids)
+	v := catalog.Int(42)
+	s, e := idx.PositionsEqual(v)
+	ids := rowIDsOf(idx.Entries[s:e])
+	if len(ids) != 1 || !slices.Equal(ids, scanEntries(idx, &v, &v)) {
+		t.Fatalf("PositionsEqual(42) covers rows %v, a scan of the entries finds %v", ids, scanEntries(idx, &v, &v))
 	}
 	row := db.Table("item").Rows[ids[0]]
 	if row[0].AsInt() != 42 {
 		t.Errorf("looked up wrong row: %v", row)
 	}
-	if got := idx.LookupEqual(catalog.Int(9999)); len(got) != 0 {
-		t.Errorf("LookupEqual(miss) = %v", got)
+	if s, e := idx.PositionsEqual(catalog.Int(9999)); e != s {
+		t.Errorf("PositionsEqual(miss) = [%d,%d)", s, e)
 	}
 }
 
-func TestIndexLookupRange(t *testing.T) {
+func TestIndexPositionsRangeMatchesScan(t *testing.T) {
 	db := testDB(t)
 	idx := db.IndexOnColumn("item", "i_item_sk")
 	lo, hi := catalog.Int(10), catalog.Int(20)
-	ids := idx.LookupRange(&lo, &hi)
-	if len(ids) != 11 {
-		t.Errorf("LookupRange(10,20) returned %d ids", len(ids))
-	}
-	ids = idx.LookupRange(nil, &hi)
-	if len(ids) != 20 {
-		t.Errorf("LookupRange(nil,20) returned %d ids", len(ids))
-	}
-	ids = idx.LookupRange(&lo, nil)
-	if len(ids) != 91 {
-		t.Errorf("LookupRange(10,nil) returned %d ids", len(ids))
+	for _, tc := range []struct {
+		name   string
+		lo, hi *catalog.Value
+		want   int
+	}{
+		{"10..20", &lo, &hi, 11},
+		{"..20", nil, &hi, 20},
+		{"10..", &lo, nil, 91},
+	} {
+		s, e := idx.PositionsRange(tc.lo, tc.hi)
+		ids := rowIDsOf(idx.Entries[s:e])
+		if len(ids) != tc.want || !slices.Equal(ids, scanEntries(idx, tc.lo, tc.hi)) {
+			t.Errorf("PositionsRange(%s) covers rows %v, want %d: a scan of the entries finds %v", tc.name, ids, tc.want, scanEntries(idx, tc.lo, tc.hi))
+		}
 	}
 }
 
@@ -93,8 +122,8 @@ func TestIndexPositions(t *testing.T) {
 	db := testDB(t)
 	idx := db.IndexOnColumn("item", "i_item_sk")
 
-	// PositionsEqual covers exactly the entries LookupEqual returns, as a
-	// contiguous range — the contract the streaming executor iterates on.
+	// PositionsEqual covers exactly the entries holding the key, as a
+	// contiguous range — the contract the executor's index scans iterate on.
 	start, end := idx.PositionsEqual(catalog.Int(42))
 	if end-start != 1 || idx.Entries[start].Key[0].AsInt() != 42 {
 		t.Errorf("PositionsEqual(42) = [%d,%d)", start, end)
@@ -121,15 +150,8 @@ func TestIndexPositions(t *testing.T) {
 		if e-s != tc.want {
 			t.Errorf("PositionsRange(%s) covers %d entries, want %d", tc.name, e-s, tc.want)
 		}
-		ids := idx.LookupRange(tc.lo, tc.hi)
-		if len(ids) != e-s {
-			t.Errorf("PositionsRange(%s) and LookupRange disagree: %d vs %d", tc.name, e-s, len(ids))
-		}
-		for i := s; i < e; i++ {
-			if ids[i-s] != idx.Entries[i].RowID {
-				t.Fatalf("PositionsRange(%s) entry %d: RowID %d, LookupRange has %d",
-					tc.name, i, idx.Entries[i].RowID, ids[i-s])
-			}
+		if got, want := rowIDsOf(idx.Entries[s:e]), scanEntries(idx, tc.lo, tc.hi); !slices.Equal(got, want) {
+			t.Errorf("PositionsRange(%s) covers rows %v, a scan of the entries finds %v", tc.name, got, want)
 		}
 	}
 
