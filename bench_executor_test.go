@@ -34,7 +34,7 @@ type benchPipeline struct {
 // execModeRow measures one executor mode over a pipeline: best wall time of
 // several runs plus the (deterministic) simulated cost and peak residency.
 type execModeRow struct {
-	WallMS float64 `json:"wall_ms"`
+	WallMS float64 `json:"wall_ms,omitempty"`
 	// Before is the wall_ms the same row carried in the BENCH_executor.json
 	// this emission replaced: the trajectory's previous point (see before_env
 	// for the machine it was measured on).

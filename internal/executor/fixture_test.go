@@ -161,7 +161,6 @@ func (want frozenRun) diff(got frozenRun) string {
 
 // TestMain writes the fixture after an -update run of the whole package.
 func TestMain(m *testing.M) {
-	flag.Parse()
 	code := m.Run()
 	if *update && code == 0 {
 		if err := writeFixture(); err != nil {
