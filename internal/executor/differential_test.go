@@ -486,16 +486,23 @@ var awkwardKeys = []catalog.Value{
 }
 
 // keyTables builds tables LT(l_k1, l_k2, l_id) and RT(r_k1, r_k2, r_id), each
-// holding every pair of its side's keys.
-func keyTables(t *testing.T, left, right []catalog.Value) (*storage.Database, *optimizer.Optimizer) {
+// holding every pair of its side's keys. Each column named in indexed ("k1",
+// "k2") gets a single-column index on both sides, L_K1_IDX and R_K1_IDX.
+func keyTables(t *testing.T, left, right []catalog.Value, indexed ...string) (*storage.Database, *optimizer.Optimizer) {
 	t.Helper()
 	schema := catalog.NewSchema("K")
 	for _, side := range []string{"L", "R"} {
-		schema.AddTable(catalog.NewTable(side+"T",
+		table := catalog.NewTable(side+"T",
 			catalog.Column{Name: side + "_k1", Type: catalog.KindFloat},
 			catalog.Column{Name: side + "_k2", Type: catalog.KindFloat},
 			catalog.Column{Name: side + "_id", Type: catalog.KindInt},
-		))
+		)
+		for _, col := range indexed {
+			if err := table.AddIndex(catalog.Index{Name: side + "_" + col + "_IDX", Columns: []string{side + "_" + col}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		schema.AddTable(table)
 	}
 	db := storage.NewDatabase(catalog.New(schema))
 	id := int64(0)

@@ -16,7 +16,8 @@ import (
 // every operator's actuals and all of RunStats, bit for bit. It returns the
 // run's stats and the peak intermediate rows the materializing engine held on
 // the same plan when the file was frozen, which the streaming engine must not
-// exceed.
+// exceed. A case frozen after that engine was deleted records none; its peak
+// is pinned by the frozen RunStats alone.
 func assertFrozen(t *testing.T, db *storage.Database, opt *optimizer.Optimizer, q *sqlparser.Query, spec *optimizer.Spec) (stream RunStats, matPeakRows int64) {
 	t.Helper()
 	var plan *qgm.Plan
@@ -34,7 +35,7 @@ func assertFrozen(t *testing.T, db *storage.Database, opt *optimizer.Optimizer, 
 	if d != "" {
 		t.Errorf("%s\n%s", qgm.Format(plan), d)
 	}
-	if res.Stats.PeakIntermediateRows > want.MatPeakRows {
+	if want.MatPeakRows > 0 && res.Stats.PeakIntermediateRows > want.MatPeakRows {
 		t.Errorf("streaming peak rows %d exceeds the materializing engine's %d", res.Stats.PeakIntermediateRows, want.MatPeakRows)
 	}
 	return res.Stats, want.MatPeakRows
