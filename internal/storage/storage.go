@@ -9,6 +9,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -38,14 +39,16 @@ type Table struct {
 	Def  *catalog.Table
 	Rows []Row
 	// idxMu guards what is derived from the rows on first use and cached until
-	// the next Insert — the secondary indexes and the per-column key-word
-	// vectors: plans execute concurrently (the learning engine's worker pool)
-	// and may ask for the same one at the same time. Row data itself is only
-	// mutated at generation time, before any concurrent execution starts.
-	idxMu    sync.RWMutex
-	indexes  map[string]*IndexData
-	keyWords map[int][]uint64
-	builds   int // indexes and vectors built since the table was created (tests)
+	// the next Insert — the secondary indexes, the per-column key-word vectors
+	// and whether each index is in key-word order: plans execute concurrently
+	// (the learning engine's worker pool) and may ask for the same one at the
+	// same time. Row data itself is only mutated at generation time, before any
+	// concurrent execution starts.
+	idxMu      sync.RWMutex
+	indexes    map[string]*IndexData
+	keyWords   map[int][]uint64
+	keyOrdered map[string]bool
+	builds     int // indexes, vectors and orders derived since the table was created (tests)
 }
 
 // Database holds all table data for one catalog.
@@ -117,10 +120,12 @@ func (db *Database) Insert(table string, rows ...Row) error {
 		}
 		t.Rows = append(t.Rows, r)
 	}
-	// Any existing indexes and key-word vectors are now stale; rebuild lazily.
+	// Any existing indexes, key-word vectors and orders are now stale; rebuild
+	// lazily.
 	t.idxMu.Lock()
 	t.indexes = make(map[string]*IndexData)
 	t.keyWords = nil
+	t.keyOrdered = nil
 	t.idxMu.Unlock()
 	return nil
 }
@@ -249,6 +254,32 @@ func (t *Table) KeyWords(col int) []uint64 {
 			}
 		}
 		return words
+	})
+}
+
+// KeyWordOrdered reports whether the index lists its entries in key-word order:
+// the key words of its leading column (KeyWords) never decrease over Entries
+// under catalog.KeyWordAbove, so the entries of one word are one run a binary
+// search finds. It is false for a column holding a string, which has no
+// vector, and for one holding a NaN: catalog.Compare ties a NaN with
+// everything, so the stable sort may leave it anywhere. idx is the table's
+// current index (Database.Index); the answer is computed on first use and
+// cached beside it until the next Insert.
+func (t *Table) KeyWordOrdered(idx *IndexData) bool {
+	words := t.KeyWords(idx.colPos[0])
+	return buildOnce(t, &t.keyOrdered, idx.Def.Name, func() bool {
+		if words == nil {
+			return false
+		}
+		prev := catalog.KeyWordNull // below every word
+		for _, e := range idx.Entries {
+			w := words[e.RowID]
+			if (w != catalog.KeyWordNull && math.IsNaN(math.Float64frombits(w))) || catalog.KeyWordAbove(prev, w) {
+				return false
+			}
+			prev = w
+		}
+		return true
 	})
 }
 
