@@ -79,9 +79,15 @@ func BenchmarkExecute(b *testing.B) {
 // drainBuildCases are the plans of BenchmarkDrainBuild, at data scale 0.5 (the
 // scale the end-to-end benchmark's execute_validate workload serves): every
 // one of the 14 400 STORE_SALES rows drained into a join's build side, probed
-// by about a hundred rows — so the time is the drain's. The build is fed by a
-// table scan, by an index-order scan under an early-out MSJOIN (the Figure 8
-// original: the bound rises on every row), and by a join.
+// by about a hundred rows or fewer — so the time is the drain's. The build
+// side is fed by a table scan, by an index-order scan under an early-out
+// MSJOIN (the Figure 8 original: the bound rises on every row), and by a join.
+// The first two are keyed on SS_SOLD_DATE_IDX's column, so their probes are
+// answered from that index and nothing is buffered (held-rows still reads
+// 14 400: the peaks count the plan's build side); unindexed_key joins a table
+// scan on ss_cdemo_sk, which no index leads with, and join feeds the build
+// from a join — those two still build a hash table, and are what a faster
+// build (ROADMAP item 8's ≥ 1.3×) is measured on.
 func drainBuildCases(tb testing.TB) (*storage.Database, []execCase) {
 	tb.Helper()
 	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 0.5, Hazards: true})
@@ -92,6 +98,8 @@ func drainBuildCases(tb testing.TB) (*storage.Database, []execCase) {
 	dates := sqlparser.MustParse(`SELECT d_year, ss_quantity FROM date_dim, store_sales
 		WHERE ss_sold_date_sk = d_date_sk AND d_date_sk BETWEEN 1 AND 100`)
 	dateProbe := optimizer.LeafAccess("DATE_DIM", qgm.OpIXSCAN, "D_DATE_SK")
+	demos := sqlparser.MustParse(`SELECT cd_gender, ss_quantity FROM customer_demographics, store_sales
+		WHERE ss_cdemo_sk = cd_demo_sk AND cd_demo_sk BETWEEN 1 AND 100`)
 	items := sqlparser.MustParse(`SELECT i_item_desc, ss_quantity, d_year FROM item, store_sales, date_dim
 		WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk AND i_category = 'Jewelry'`)
 	cases := []struct {
@@ -101,6 +109,8 @@ func drainBuildCases(tb testing.TB) (*storage.Database, []execCase) {
 	}{
 		{"scan", dates, optimizer.Join(qgm.OpHSJOIN, dateProbe, optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""))},
 		{"index_order", dates, optimizer.Join(qgm.OpMSJOIN, dateProbe, optimizer.LeafAccess("STORE_SALES", qgm.OpFETCH, "SS_SOLD_DATE_IDX"))},
+		{"unindexed_key", demos, optimizer.Join(qgm.OpHSJOIN, optimizer.LeafAccess("CUSTOMER_DEMOGRAPHICS", qgm.OpIXSCAN, "CD_DEMO_SK_IDX"),
+			optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""))},
 		{"join", items, optimizer.Join(qgm.OpHSJOIN, optimizer.LeafAccess("ITEM", qgm.OpFETCH, "I_CATEGORY_IDX"),
 			optimizer.Join(qgm.OpHSJOIN, optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""), optimizer.Leaf("DATE_DIM")))},
 	}

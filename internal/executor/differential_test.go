@@ -164,6 +164,7 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 	gen := randplan.New(opt, seed)
 
 	engaged, ordered, grouped := 0, 0, 0
+	answered, switched := indexAnswered.Load(), indexSwitched.Load()
 	// The first answer met for each query text, and how many plans were
 	// checked against an earlier, different plan of their query.
 	answers, crossPlan := map[string]answer{}, 0
@@ -287,13 +288,25 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 		}
 		prev.q, prev.plan, prev.par = q, plan, par
 	}
-	t.Logf("%s, %d plans: %d engaged the exchange, %d ordered, %d grouped, %d checked against another plan of their query",
-		name, plans, engaged, ordered, grouped, crossPlan)
+	answered, switched = indexAnswered.Load()-answered, indexSwitched.Load()-switched
+	t.Logf("%s, %d plans: %d engaged the exchange, %d ordered, %d grouped, %d checked against another plan of their query; "+
+		"%d join executions answered from an index, %d of them switched to a build",
+		name, plans, engaged, ordered, grouped, crossPlan, answered, switched)
 	if engaged < plans/20 || ordered < plans/5 || grouped < plans/5 || crossPlan < plans/10 {
 		t.Errorf("%s: the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped, %d checked against another plan",
 			name, engaged, plans, ordered, grouped, crossPlan)
 	}
+	if f := indexFloor[name]; float64(answered) < f[0]*float64(plans) || float64(switched) < f[1]*float64(plans) {
+		t.Errorf("%s: the suite lost coverage: %d join executions over %d plans answered from an index, %d switched to a build; the floors are %v and %v per plan",
+			name, answered, plans, switched, f[0], f[1])
+	}
 }
+
+// indexFloor is, per suite, how many join executions per plan must have been
+// answered from an index, and how many of them switched to a build: a tenth
+// of what the whole suite counts (tpcds 6.03 and 3.39, key families 0.82 and
+// 0.56, every execution of a plan counted).
+var indexFloor = map[string][2]float64{"tpcds": {0.6, 0.33}, "key families": {0.08, 0.05}}
 
 // answer is what every plan of one query text must return alike.
 type answer struct {

@@ -23,6 +23,18 @@
 // answers — rows, per-operator actuals and RunStats — are frozen in
 // testdata/differential.json, generated while the pre-streaming materializing
 // engine still agreed with every entry.
+//
+// A serial join whose inner is a bare table or index scan, keyed on one column
+// of an index that lists one key's entries in the order the scan drains them,
+// answers its probes from that index instead of building a hash table: the
+// inner is drained through its own iterator all the same, and each outer row
+// binary-searches the run of its key. Once the outer has produced more rows
+// than the drained rows over twice the search depth, the join builds from the
+// scan's candidates after all and probes the build. The run of a key is the
+// build's chain for it, in the same order, and every charge is booked from
+// counts both paths keep alike, so rows, actuals and RunStats are unchanged —
+// the peaks too: the drained rows are held in the accounting as the plan's
+// build side either way (indexprobe.go).
 package executor
 
 import (

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -71,6 +72,7 @@ type joinIter struct {
 
 	built bool
 	hb    *hashBuild
+	ix    *indexProbe // answers the probes instead of hb until the switch (indexprobe.go)
 
 	// MSJOIN early-out bookkeeping (the Figure 8 rescue): count how many
 	// outer rows a merge join would have read before passing the largest
@@ -90,7 +92,7 @@ type joinIter struct {
 
 func (j *joinIter) Next() (tuple, bool) {
 	if !j.built {
-		j.buildInner()
+		j.buildInner(j.indexProbe())
 		if j.ctx.overBudget() {
 			// The build side alone cost more than the run may: no probe.
 			j.finalize()
@@ -102,6 +104,12 @@ func (j *joinIter) Next() (tuple, bool) {
 			j.mi = j.hb.after(i, j.word, j.cur)
 			j.nOut++
 			return j.mem.concat(j.cur, j.hb.rows.at(int(i))), true
+		}
+		if j.ix != nil {
+			if id := j.ix.next(); id >= 0 {
+				j.nOut++
+				return j.mem.concat(j.cur, j.ix.src.ids[id:id+1:id+1]), true
+			}
 		}
 		orow, ok := j.outer.Next()
 		if !ok {
@@ -116,45 +124,64 @@ func (j *joinIter) Next() (tuple, bool) {
 			j.nProcessed++
 		}
 		j.cur = orow
+		if j.ix != nil {
+			if j.nOuterRows <= j.ix.limit {
+				j.ix.seek(j.hb.probeWord(orow))
+				continue
+			}
+			j.ix.fill(j.hb, j.ctx.workers)
+			j.ix = nil
+		}
 		j.mi, j.word = j.hb.first(orow)
 	}
 }
 
-// buildInner drains the inner child into the build side and indexes it by
-// join key; the buffered rows are held in the intermediate accounting until
-// Close. It runs on the goroutine driving the cursor, in whose arena the build
-// lives (an exchange's lead is built there too). For an early-out MSJOIN the
-// same pass records the largest value of the first key column.
-func (j *joinIter) buildInner() {
+// buildInner drains the inner child and, unless ix answers the probes from the
+// stored index, buffers the rows as the build side and indexes them by join
+// key. Either way the drained rows are held in the intermediate accounting
+// until Close: the peaks count the plan's build side. It runs on the goroutine
+// driving the cursor, in whose arena the build lives (an exchange's lead is
+// built there too, never with ix). For an early-out MSJOIN the same pass
+// records the largest value of the first key column.
+func (j *joinIter) buildInner(ix *indexProbe) {
 	j.built = true
 	j.mi = -1
 	wantMax := j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.probe) > 0
 	b, inner := newHashBuild(j.mem, j.probe, j.build, len(j.innerSlots)), j.inner
+	var sample tuple // the first row: the serial spill-formula sample
 	for {
 		t, ok := inner.Next()
 		if !ok {
 			break
 		}
+		if b.n == 0 {
+			sample = t
+		}
+		b.n++
 		if wantMax {
 			b.raiseMax(t)
 		}
-		b.add(t)
-	}
-	inner.Close()
-	var sample tuple // the first row: the serial spill-formula sample
-	if b.rows.n > 0 {
-		sample = b.rows.at(0)
-		if wantMax {
-			b.settleMax()
+		if ix == nil {
+			b.add(t)
 		}
 	}
+	inner.Close()
+	if wantMax && b.n > 0 {
+		b.settleMax()
+	}
 	b.width = j.innerSlots.rowWidth(sample)
-	b.heldBytes = int64(b.width) * int64(b.rows.n)
-	if !j.ctx.overBudget() { // an over-budget build is never probed
+	b.heldBytes = int64(b.width) * int64(b.n)
+	switch {
+	case j.ctx.overBudget(): // an over-budget build is never probed
+	case ix != nil && b.n > 0:
+		ix.limit = b.n / (2 * bits.Len(uint(ix.hi-ix.lo+1)))
+		j.ix = ix
+		indexAnswered.Add(1)
+	default:
 		b.index(j.ctx.workers)
 	}
-	j.ctx.hold(b.rows.n, b.heldBytes)
-	j.hb, j.trackEarlyOut = b, wantMax && b.rows.n > 0
+	j.ctx.hold(b.n, b.heldBytes)
+	j.hb, j.trackEarlyOut = b, wantMax && b.n > 0
 }
 
 // parallelBuildMinRows is the smallest build side worth hash-partitioning
@@ -188,18 +215,20 @@ type hashBuild struct {
 	probeWords, buildWords []uint64
 
 	rows      tupleBuf
-	width     int // the logical row width sampled from the first build row
+	n         int // the inner rows drained: rows.n, unless an index answers the probes
+	width     int // the logical row width sampled from the first drained row
 	heldBytes int64
 
 	// The MSJOIN early-out bound: the largest value of the first build key
 	// column, as catalog.Compare orders them, first met winning ties. Over a
-	// key-word vector it is kept as a word and the ordinal it came from — an
+	// key-word vector it is kept as a word and the tuple it came from — an
 	// index-ordered inner raises it on every row, and none of them is touched
-	// for it; maxKey is then read once, when the drain ends. Either way
-	// maxWord ends up the word of maxKey, if it has one.
-	maxKey  catalog.Value
-	maxWord uint64
-	maxOrd  int
+	// for it; maxKey is then read once, when the drain ends. The tuple, not a
+	// build ordinal: with an index answering the probes nothing is buffered.
+	// Either way maxWord ends up the word of maxKey, if it has one.
+	maxKey   catalog.Value
+	maxWord  uint64
+	maxTuple tuple
 
 	exact       bool
 	*buildIndex      // words, heads, next; nil without key columns
@@ -250,15 +279,15 @@ func (b *hashBuild) raiseMax(t tuple) {
 			b.maxKey = *v
 		}
 	} else if w := b.buildWords[t[k.slot]]; catalog.KeyWordAbove(w, b.maxWord) {
-		b.maxWord, b.maxOrd = w, b.rows.n
+		b.maxWord, b.maxTuple = w, t
 	}
 }
 
 // settleMax completes the bound once the drain has ended: the value behind
-// the word, or the word of the value.
+// the word, or the word of the value. No tuple stands behind a NULL bound.
 func (b *hashBuild) settleMax() {
-	if b.buildWords != nil {
-		b.maxKey = *b.build[0].of(b.rows.at(b.maxOrd))
+	if b.maxTuple != nil {
+		b.maxKey = *b.build[0].of(b.maxTuple)
 	}
 	b.maxWord, _ = b.maxKey.KeyWord()
 }
@@ -371,20 +400,29 @@ func (b *hashBuild) first(t tuple) (int32, uint64) {
 		return b.after(-1, 0, t), 0
 	}
 	var w uint64
-	if p := &b.probe[0]; !b.exact {
-		w = keyHash(t, b.probe)
-	} else if b.probeWords != nil {
-		w = b.probeWords[t[p.slot]]
-	} else if kw, ok := p.of(t).KeyWord(); ok {
-		w = kw
+	if b.exact {
+		w = b.probeWord(t)
 	} else {
-		// A string probing a build that holds none equals nothing in it.
-		w = nullKeyWord
+		w = keyHash(t, b.probe)
 	}
 	if w == nullKeyWord || b.rows.n == 0 {
 		return -1, w
 	}
 	return b.match(b.heads[b.bucket(w)], w, t), w
+}
+
+// probeWord is the probe tuple's key word in an exact index: read from the
+// probe column's key-word vector, else from its value.
+func (b *hashBuild) probeWord(t tuple) uint64 {
+	p := &b.probe[0]
+	if b.probeWords != nil {
+		return b.probeWords[t[p.slot]]
+	}
+	if kw, ok := p.of(t).KeyWord(); ok {
+		return kw
+	}
+	// A string probing a build that holds none equals nothing in it.
+	return nullKeyWord
 }
 
 func (b *hashBuild) after(i int32, w uint64, t tuple) int32 {
@@ -426,12 +464,12 @@ func (b *hashBuild) actuals(innerSlots slotList) (rows, width int) {
 	if b == nil {
 		return 0, innerSlots.rowWidth(nil)
 	}
-	return b.rows.n, b.width
+	return b.n, b.width
 }
 
-// release returns the build's buffered rows to the residency accounting.
+// release returns the build's drained rows to the residency accounting.
 func (b *hashBuild) release(c *execContext) {
-	c.release(b.rows.n, b.heldBytes)
+	c.release(b.n, b.heldBytes)
 	*b = hashBuild{}
 }
 
