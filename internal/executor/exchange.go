@@ -106,8 +106,8 @@ func (s spine) replica(p *partition) spine {
 // drainBuilds drains the lead's build sides on the calling goroutine, the
 // consumer's, topmost first — the exact order serial nested buildInner calls
 // fire — so build-subtree charges, insertion order and samples are identical
-// to serial. A lead always builds: its replicas probe the build concurrently. It stops, and reports false, at a build that puts the run over
-// its budget.
+// to serial. A lead always builds: its replicas probe the build concurrently.
+// It stops, and reports false, at a build that puts the run over its budget.
 func (s spine) drainBuilds(c *execContext) bool {
 	for i := len(s) - 1; i > 0; i-- {
 		if j, ok := s[i].(*joinIter); ok {

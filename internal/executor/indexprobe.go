@@ -17,10 +17,10 @@ import (
 // in the residency accounting exactly as a build side is — but copies and
 // indexes nothing.
 //
-// A probe costs about two binary searches, a build about one step per drained
-// row, so once the outer has produced more than limit rows — the drained rows
-// over twice the search depth — the join builds after all (fill) and goes on
-// probing the build. Row order, charges and RunStats are those of the build
+// A probe costs up to a binary search for each end of its run, a build about
+// one step per drained row, so once the outer has produced more than limit
+// rows — the drained rows over twice the search depth — the join builds after
+// all (fill) and goes on probing the build. Row order, charges and RunStats are those of the build
 // either way: the build it would have made holds the same rows in the same
 // order, and every charge is booked from counts both paths keep alike.
 type indexProbe struct {
@@ -65,27 +65,26 @@ func (j *joinIter) indexProbe() *indexProbe {
 	if words == nil || s.pos != s.lo || s.end != s.hi {
 		return nil
 	}
-	table, db := s.table, s.ctx.exec.DB
-	col := table.Def.Columns[k.off].Name
-	x := &indexProbe{scan: j.inner.(spineIter), src: s.scanSource, words: words}
-	var def *catalog.Index
-	if s.idxDef == nil {
+	table, col := s.table, s.table.Def.Columns[k.off].Name
+	def := s.idxDef
+	if def == nil {
 		def = singleColumnIndex(table.Def, col)
-	} else if s.idxDef.Columns[0] == col {
-		def, x.lo, x.hi = s.idxDef, s.lo, s.hi
+	} else if def.Columns[0] != col {
+		return nil
 	}
 	if def == nil {
 		return nil
 	}
-	idx := db.Index(table.Def.Name, def.Name)
+	idx := s.ctx.exec.DB.Index(table.Def.Name, def.Name)
 	if idx == nil || !table.KeyWordOrdered(idx) {
 		return nil
 	}
+	lo, hi := s.lo, s.hi // an index scan's entry range
 	if s.idxDef == nil {
-		x.hi = idx.Len()
+		lo, hi = 0, idx.Len() // a table scan reads every row
 	}
-	x.entries, x.pos = idx.Entries, x.hi // no run until the first seek
-	return x
+	// pos = hi: no run until the first seek.
+	return &indexProbe{scan: j.inner.(spineIter), src: s.scanSource, entries: idx.Entries, words: words, lo: lo, hi: hi, pos: hi}
 }
 
 // singleColumnIndex returns an index of the table on the column alone, or nil.
