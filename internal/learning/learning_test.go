@@ -1,6 +1,7 @@
 package learning
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -403,6 +404,79 @@ func TestAbortedMeasurementIsBilledItsBudget(t *testing.T) {
 	b.draw(cut)
 	if x, y := a.NoiseRNG.Int63(), b.NoiseRNG.Int63(); x != y {
 		t.Errorf("an aborted measurement left the noise stream elsewhere than a completed one")
+	}
+}
+
+// TestRankingComparator pins the ranking module's order: elapsed time first;
+// within the 2 % tie band fewer physical reads, then CPU rows, then sort-heap
+// pages, then lower time; failed and aborted runs after every completed one;
+// and input order wherever the keys are equal.
+func TestRankingComparator(t *testing.T) {
+	type run struct {
+		name                 string
+		millis               float64
+		phys, cpu, sortPages int64
+		aborted, failed      bool
+	}
+	cases := []struct {
+		name string
+		in   []run
+		want string
+	}{
+		{"apart beyond the band sort by time alone", []run{
+			{name: "c", millis: 103, phys: 0, cpu: 0, sortPages: 0},
+			{name: "b", millis: 100, phys: 9, cpu: 9, sortPages: 9},
+			{name: "a", millis: 50, phys: 99, cpu: 99, sortPages: 99},
+		}, "a b c"},
+		{"within the band fewer physical reads win", []run{
+			{name: "b", millis: 100, phys: 5, cpu: 1},
+			{name: "a", millis: 101, phys: 4, cpu: 9},
+		}, "a b"},
+		{"then fewer CPU rows", []run{
+			{name: "b", millis: 100, phys: 4, cpu: 9, sortPages: 1},
+			{name: "a", millis: 101.5, phys: 4, cpu: 8, sortPages: 9},
+		}, "a b"},
+		{"then fewer sort-heap pages", []run{
+			{name: "b", millis: 100, phys: 4, cpu: 8, sortPages: 3},
+			{name: "a", millis: 101.9, phys: 4, cpu: 8, sortPages: 2},
+		}, "a b"},
+		{"then lower time", []run{
+			{name: "b", millis: 101, phys: 4, cpu: 8, sortPages: 2},
+			{name: "a", millis: 100, phys: 4, cpu: 8, sortPages: 2},
+		}, "a b"},
+		{"failed and aborted runs go last in input order", []run{
+			{name: "x", millis: 1, failed: true},
+			{name: "b", millis: 90},
+			{name: "y", millis: 2, aborted: true},
+			{name: "a", millis: 10},
+			{name: "z", millis: 3, failed: true},
+		}, "a b x y z"},
+		{"equal keys keep input order", []run{
+			{name: "b", millis: 100, phys: 1, cpu: 2, sortPages: 3},
+			{name: "a", millis: 100, phys: 1, cpu: 2, sortPages: 3},
+			{name: "c", millis: 100, phys: 1, cpu: 2, sortPages: 3},
+		}, "b a c"},
+	}
+	for _, c := range cases {
+		ms := make([]Measurement, len(c.in))
+		names := map[*qgm.Plan]string{}
+		for i, r := range c.in {
+			p := &qgm.Plan{}
+			names[p] = r.name
+			ms[i] = Measurement{Plan: p, MeanMillis: r.millis, PhysicalReads: r.phys, CPURows: r.cpu,
+				SortHeapPages: r.sortPages, Aborted: r.aborted}
+			if r.failed {
+				ms[i].Err = errors.New("failed")
+			}
+		}
+		sortMeasurements(ms)
+		got := make([]string, len(ms))
+		for i := range ms {
+			got[i] = names[ms[i].Plan]
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("%s: ranked %s, want %s", c.name, strings.Join(got, " "), c.want)
+		}
 	}
 }
 
