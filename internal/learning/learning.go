@@ -3,7 +3,6 @@ package learning
 import (
 	"fmt"
 	"maps"
-	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -34,7 +33,10 @@ type Options struct {
 	// PredicateVariants is how many alternative predicate values to sample
 	// per equality predicate when establishing property ranges.
 	PredicateVariants int
-	// Runs is the number of measurement repetitions per plan.
+	// Runs is the number of measurement repetitions billed per plan: each
+	// would time the same deterministic run, so a plan is executed once and
+	// ranked on that run, and Runs scales only the simulated work and the
+	// executions asked.
 	Runs int
 	// MinImprovement is the relative improvement a rewrite must show over the
 	// optimizer's plan to enter the knowledge base.
@@ -45,16 +47,11 @@ type Options struct {
 	// Workers is the parallelism of offline learning (the paper parallelizes
 	// over several machines during off-peak hours; here, over goroutines).
 	Workers int
-	// Seed drives random plan generation, predicate-variant sampling and —
-	// when NoiseScale is set — the measurement jitter. Per-query derived
-	// seeds depend only on the query text, never on worker scheduling, so a
-	// workload learns the same knowledge base at any worker count.
+	// Seed drives random plan generation and predicate-variant sampling.
+	// Per-query derived seeds depend only on the query text, never on worker
+	// scheduling, so a workload learns the same knowledge base at any worker
+	// count.
 	Seed int64
-	// NoiseScale is the optional measurement-jitter knob (see Ranker.Noise).
-	// Zero — the default — ranks plans on the executor's deterministic
-	// simulated cost, so learned templates come from the estimate/actual gap
-	// alone.
-	NoiseScale float64
 	// Workload labels the provenance of learned templates.
 	Workload string
 }
@@ -134,20 +131,18 @@ type Funnel struct {
 	// alternatives).
 	Variants       int
 	PlansGenerated int
-	// ExecutionsAsked is how many plan executions the measurements stand for
-	// (Runs per measured plan, confirmation rounds included);
-	// ExecutionsDistinct how many the executor actually ran (each plan once);
-	// ExecutionsAborted how many of those were stopped at their budget.
+	// ExecutionsAsked is how many plan executions the ranking stands for
+	// (Runs per plan); ExecutionsDistinct how many the executor actually ran
+	// (each plan once); ExecutionsAborted how many of those were stopped at
+	// their budget.
 	ExecutionsAsked    int
 	ExecutionsDistinct int
 	ExecutionsAborted  int
 	// BeatBaseline counts alternatives faster than their baseline by
 	// MinImprovement; StructuralWinners the variants whose chosen winner
-	// differs structurally from the optimizer's plan; ConfirmedWinners those
-	// that kept their win in the confirmation round.
+	// differs structurally from the optimizer's plan.
 	BeatBaseline      int
 	StructuralWinners int
-	ConfirmedWinners  int
 	// TemplatesAdded / TemplatesMerged split the published templates into new
 	// ones and those merged into a template with the same problem signature.
 	TemplatesAdded  int
@@ -165,7 +160,6 @@ func (f *Funnel) add(g Funnel) {
 	f.ExecutionsAborted += g.ExecutionsAborted
 	f.BeatBaseline += g.BeatBaseline
 	f.StructuralWinners += g.StructuralWinners
-	f.ConfirmedWinners += g.ConfirmedWinners
 	f.TemplatesAdded += g.TemplatesAdded
 	f.TemplatesMerged += g.TemplatesMerged
 }
@@ -173,9 +167,9 @@ func (f *Funnel) add(g Funnel) {
 // String renders the funnel on one line, widest stage first.
 func (f Funnel) String() string {
 	return fmt.Sprintf("variants %d, plans %d, executions asked %d / distinct %d / aborted at budget %d, "+
-		"beat baseline %d, structural winners %d, confirmed %d, templates added %d / merged %d",
+		"beat baseline %d, structural winners %d, templates added %d / merged %d",
 		f.Variants, f.PlansGenerated, f.ExecutionsAsked, f.ExecutionsDistinct, f.ExecutionsAborted,
-		f.BeatBaseline, f.StructuralWinners, f.ConfirmedWinners, f.TemplatesAdded, f.TemplatesMerged)
+		f.BeatBaseline, f.StructuralWinners, f.TemplatesAdded, f.TemplatesMerged)
 }
 
 // QueryReport records the learning work done for one workload query.
@@ -313,7 +307,7 @@ type subQueryWork struct {
 	sub      *sqlparser.Query
 	variants []*variantWork
 	// err is a planning failure: the sub-query yields nothing, but what was
-	// planned before it is still measured (and draws its noise).
+	// planned before it is still executed and billed.
 	err        error
 	wallMillis float64
 	funnel     Funnel
@@ -328,8 +322,8 @@ type subQueryWork struct {
 //	execute — every plan exactly once, on one pool of Options.Workers, in two
 //	          waves: the optimizer's plans, then the alternatives, each bounded
 //	          by what its baseline leaves it (see budget);
-//	rank    — sequentially in workload order: noise draws over the stored
-//	          executions, ranking, confirmation, and publication.
+//	rank    — sequentially in workload order: ranking the stored executions,
+//	          and publication.
 //
 // It returns one report per query and books the phase times on report. Claims
 // are remembered across calls, so re-learning an overlapping workload skips
@@ -346,7 +340,6 @@ func (e *Engine) learn(queries []*sqlparser.Query, report *Report) (results []*Q
 	}()
 	opt := optimizer.New(e.DB.Catalog, optimizer.DefaultOptions())
 	work := make([][]*subQueryWork, len(queries))
-	seeds := make([]int64, len(queries))
 	var baselines, alternatives []*execution
 	for i, q := range queries {
 		subs, err := e.decompose(q)
@@ -354,9 +347,9 @@ func (e *Engine) learn(queries []*sqlparser.Query, report *Report) (results []*Q
 			return nil, fmt.Errorf("learning %s: %w", q.Name, err)
 		}
 		// The per-query seed is a function of the query text alone.
-		seeds[i] = e.Opts.Seed + int64(querySeed(q.SQL()))
-		gen := storage.NewGenerator(seeds[i])
-		planGen := randplan.New(opt, seeds[i])
+		seed := e.Opts.Seed + int64(querySeed(q.SQL()))
+		gen := storage.NewGenerator(seed)
+		planGen := randplan.New(opt, seed)
 		for _, sub := range subs {
 			key := StructureKey(sub)
 			if !e.claim(key) {
@@ -395,12 +388,8 @@ func (e *Engine) learn(queries []*sqlparser.Query, report *Report) (results []*Q
 	results = make([]*QueryReport, len(queries))
 	for i, q := range queries {
 		results[i] = &QueryReport{Query: q.Name}
-		ranker := &Ranker{Runs: e.Opts.Runs, Noise: e.Opts.NoiseScale}
-		if e.Opts.NoiseScale > 0 {
-			ranker.NoiseRNG = rand.New(rand.NewSource(seeds[i]))
-		}
 		for _, sw := range work[i] {
-			if err := e.rankAndPublish(sw, ranker, results[i]); err != nil {
+			if err := e.rankAndPublish(sw, results[i]); err != nil {
 				return nil, fmt.Errorf("learning %s: %w", q.Name, err)
 			}
 		}
@@ -441,14 +430,11 @@ func (e *Engine) planSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
 
 // budget is the simulated time an alternative may book before it can no
 // longer enter the knowledge base: it would have to beat its baseline's
-// measured mean by MinImprovement, and that mean is at most the baseline's
-// elapsed time times the noise ceiling (exactly the elapsed time with the
-// noise model off). Widening by the ranker's tie band puts every aborted plan
-// behind every qualifying one on elapsed time alone, so its partial counters
-// never reach a tie-break. Noise only multiplies by >= 1, so a plan over its
-// budget stays over it in every draw. A result <= 0 means no bound.
+// elapsed time by MinImprovement. Widening by the ranker's tie band puts every
+// aborted plan behind every qualifying one on elapsed time alone, so its
+// partial counters never reach a tie-break. A result <= 0 means no bound.
 func (e *Engine) budget(baselineMillis float64) float64 {
-	return baselineMillis * noiseCeiling(e.Opts.NoiseScale) * (1 - e.Opts.MinImprovement) / (1 - tieBand)
+	return baselineMillis * (1 - e.Opts.MinImprovement) / (1 - tieBand)
 }
 
 // execute runs every execution once, on one pool of Options.Workers. The
@@ -476,11 +462,11 @@ func (e *Engine) execute(units []*execution) {
 // rankAndPublish is the third phase of one sub-query: rank its stored
 // executions into candidate templates, publish them, and book the work on
 // the query's report.
-func (e *Engine) rankAndPublish(sw *subQueryWork, ranker *Ranker, qr *QueryReport) error {
+func (e *Engine) rankAndPublish(sw *subQueryWork, qr *QueryReport) error {
 	start := time.Now()
 	f := &sw.funnel
 	qr.SubQueries++
-	candidates, work, err := e.rankSubQuery(sw, ranker)
+	candidates, work, err := e.rankSubQuery(sw)
 	qr.SimulatedWorkMillis += work
 	// A sub-query that cannot be analyzed (e.g. unresolvable after
 	// projection) is skipped, not fatal: the paper's engine simply moves on
@@ -534,11 +520,10 @@ type candidate struct {
 }
 
 // rankSubQuery runs the Figure-3 / Section-3.2 loop for one sub-query over
-// its stored executions: measure every variant's plans (Runs noise draws
-// each), rank the alternatives against the optimizer's plan, and abstract
-// winning rewrites into templates. It returns the simulated work measured
-// even when the sub-query fails.
-func (e *Engine) rankSubQuery(sw *subQueryWork, ranker *Ranker) ([]candidate, float64, error) {
+// its stored executions: rank every variant's alternatives against the
+// optimizer's plan, and abstract winning rewrites into templates. It returns
+// the simulated work billed even when the sub-query fails.
+func (e *Engine) rankSubQuery(sw *subQueryWork) ([]candidate, float64, error) {
 	f := &sw.funnel
 	type observation struct {
 		problem     *qgm.Node
@@ -546,33 +531,33 @@ func (e *Engine) rankSubQuery(sw *subQueryWork, ranker *Ranker) ([]candidate, fl
 		improvement float64
 	}
 	groups := map[string][]observation{}
+	runs := max(e.Opts.Runs, 1)
 	totalWork := 0.0
-	measure := func(x *execution) Measurement {
-		m := ranker.draw(x)
-		totalWork += m.SimulatedWorkMillis
-		f.ExecutionsAsked += max(len(m.Runs), 1)
-		return m
+	bill := func(x *execution) {
+		totalWork += x.billed(runs)
+		f.ExecutionsAsked += runs
+		f.ExecutionsDistinct++
 	}
 
 	for _, v := range sw.variants {
-		baseline := measure(&v.base)
-		f.ExecutionsDistinct++
-		if baseline.Err != nil {
-			return nil, totalWork, baseline.Err
+		bill(&v.base)
+		if v.base.Err != nil {
+			return nil, totalWork, v.base.Err
 		}
 		if len(v.alts) == 0 {
 			continue
 		}
-		ranked := make([]Measurement, len(v.alts))
+		ranked := make([]*execution, len(v.alts))
 		for a := range v.alts {
-			ranked[a] = measure(&v.alts[a])
-			f.ExecutionsDistinct++
-			if ranked[a].Aborted {
+			ranked[a] = &v.alts[a]
+			bill(ranked[a])
+			if ranked[a].Stats.Aborted {
 				f.ExecutionsAborted++
 			}
 		}
-		sortMeasurements(ranked)
-		if baseline.MeanMillis <= 0 {
+		sortExecutions(ranked)
+		baseMillis := v.base.Stats.ElapsedMillis
+		if baseMillis <= 0 {
 			continue
 		}
 		problemFrag := problemFragment(v.base.Plan)
@@ -581,21 +566,19 @@ func (e *Engine) rankSubQuery(sw *subQueryWork, ranker *Ranker) ([]candidate, fl
 		}
 		// Prefer the fastest alternative whose structure actually differs
 		// from the optimizer's plan: a structurally identical "winner" owes
-		// its advantage to details (index choice, measurement noise) the
-		// guideline language does not express, so a structurally different
-		// plan clearing the improvement threshold is always the more useful
+		// its advantage to details (index choice) the guideline language does
+		// not express, so a structurally different plan clearing the improvement threshold is always the more useful
 		// rewrite to store. Only when no such plan exists does the top-ranked
 		// identical-structure winner survive (its match still routinizes the
 		// fragment even though its guideline recommends no structural
 		// change).
-		var best *Measurement
+		var best *execution
 		structural := false
-		for i := range ranked {
-			m := &ranked[i]
-			if m.Err != nil || m.Aborted || m.MeanMillis <= 0 {
+		for _, m := range ranked {
+			if m.unranked() || m.Stats.ElapsedMillis <= 0 {
 				continue
 			}
-			imp := (baseline.MeanMillis - m.MeanMillis) / baseline.MeanMillis
+			imp := (baseMillis - m.Stats.ElapsedMillis) / baseMillis
 			if imp < e.Opts.MinImprovement {
 				// Ranking breaks near-ties (within 2%) by resource usage, so
 				// a qualifying plan can sort after a non-qualifying one —
@@ -615,28 +598,10 @@ func (e *Engine) rankSubQuery(sw *subQueryWork, ranker *Ranker) ([]candidate, fl
 		if best == nil {
 			continue
 		}
-		improvement := (baseline.MeanMillis - best.MeanMillis) / baseline.MeanMillis
-		// A structural rewrite will actually change plans during online
-		// re-optimization, so a false positive regresses real queries; it
-		// must confirm its win in an independent second measurement round:
-		// fresh noise draws over the stored executions of both plans.
-		// (Non-structural templates recommend no change — a false positive
-		// merely routinizes a fragment — so they are recorded as observed.)
 		if structural {
 			f.StructuralWinners++
-			base2, win2 := measure(&v.base), measure(best.of)
-			if base2.MeanMillis <= 0 || win2.MeanMillis <= 0 {
-				continue
-			}
-			confirm := (base2.MeanMillis - win2.MeanMillis) / base2.MeanMillis
-			if confirm < e.Opts.MinImprovement {
-				continue
-			}
-			f.ConfirmedWinners++
-			if confirm < improvement {
-				improvement = confirm
-			}
 		}
+		improvement := (baseMillis - best.Stats.ElapsedMillis) / baseMillis
 		key := problemFrag.Signature() + "=>" + problemFragment(best.Plan).Signature()
 		groups[key] = append(groups[key], observation{problem: problemFrag, solution: best.Plan, improvement: improvement})
 	}

@@ -2,7 +2,6 @@ package learning
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -144,46 +143,6 @@ func TestPredicateVariantsSampleDatabase(t *testing.T) {
 	}
 }
 
-func TestRankerPrefersFasterPlanAndRemovesNoise(t *testing.T) {
-	db := learnDB(t)
-	opt := optimizer.New(db.Catalog, optimizer.DefaultOptions())
-	exec := executor.New(db)
-	q := sqlparser.MustParse(`SELECT i_item_desc, ss_quantity FROM store_sales, item
-		WHERE ss_item_sk = i_item_sk AND i_category = 'Jewelry'`)
-	good, err := opt.BuildPlan(q, optimizer.Join(qgm.OpHSJOIN,
-		optimizer.Leaf("STORE_SALES"), optimizer.Leaf("ITEM")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A deliberately bad plan: nested loops probing the fact table with full
-	// scans of the inner for every outer row.
-	bad, err := opt.BuildPlan(q, optimizer.Join(qgm.OpNLJOIN,
-		optimizer.LeafAccess("ITEM", qgm.OpTBSCAN, ""),
-		optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, "")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranker := &Ranker{Exec: exec, Runs: 4, Noise: 1, NoiseRNG: rand.New(rand.NewSource(1))}
-	m := ranker.Measure(good, q)
-	if m.Err != nil {
-		t.Fatalf("Measure: %v", m.Err)
-	}
-	if len(m.Runs) != 4 || m.MeanMillis <= 0 {
-		t.Errorf("measurement = %+v", m)
-	}
-	if len(m.Prospective) == 0 || len(m.Prospective) > len(m.Runs) {
-		t.Errorf("prospective runs = %d of %d", len(m.Prospective), len(m.Runs))
-	}
-	ranked := ranker.Rank([]*qgm.Plan{bad, good}, q)
-	if len(ranked) != 2 || ranked[0].Err != nil {
-		t.Fatalf("Rank failed: %+v", ranked)
-	}
-	if ranked[0].Plan.Signature() != good.Signature() {
-		t.Errorf("ranker preferred the slower plan: best mean %.2f vs %.2f",
-			ranked[0].MeanMillis, ranked[1].MeanMillis)
-	}
-}
-
 func TestLearnQueryFindsRewritesOnHazardousWorkload(t *testing.T) {
 	db := learnDB(t)
 	knowledge := kb.New()
@@ -223,9 +182,8 @@ func TestLearnQueryFindsRewritesOnHazardousWorkload(t *testing.T) {
 // honest Figure 8 hazard: with histogram statistics collected before the
 // recent-window flood, the optimizer deterministically picks a merge join
 // whose sorted index access looks nearly free, the executor's actuals prove
-// a hash join over scans at least 2x faster, and the learning engine — with
-// the noise model disabled — abstracts exactly that MSJOIN→HSJOIN rewrite
-// into the knowledge base.
+// a hash join over scans at least 2x faster, and the learning engine
+// abstracts exactly that MSJOIN→HSJOIN rewrite into the knowledge base.
 func TestFig8WideMisestimationDrivesLearning(t *testing.T) {
 	db := learnDB(t)
 	q := tpcds.Fig8WideQuery(db)
@@ -281,15 +239,12 @@ func TestFig8WideMisestimationDrivesLearning(t *testing.T) {
 	}
 
 	// The learning engine discovers the MSJOIN -> HSJOIN template from the
-	// estimate/actual gap alone (NoiseScale is zero by default). A slightly
-	// larger random-plan budget makes sure the 2-table plan space — which
-	// contains the winning hash join over scans — is covered.
+	// estimate/actual gap alone. A slightly larger random-plan budget makes
+	// sure the 2-table plan space — which contains the winning hash join over
+	// scans — is covered.
 	knowledge := kb.New()
 	opts := fastOptions()
 	opts.RandomPlans = 12
-	if opts.NoiseScale != 0 {
-		t.Fatalf("noise model should be off by default, got %v", opts.NoiseScale)
-	}
 	eng := New(db, knowledge, opts)
 	if _, err := eng.LearnWorkload([]*sqlparser.Query{q}); err != nil {
 		t.Fatal(err)
@@ -315,33 +270,30 @@ func TestFig8WideMisestimationDrivesLearning(t *testing.T) {
 // outcomes do not depend on goroutine scheduling: the same workload learns the
 // same knowledge base — the same N-Triples bytes, sequence-salted template
 // IDs and term order included — at 1, 2 and 8 workers and on two consecutive
-// runs, with the noise model off and on. (Plans are generated and templates
-// published sequentially in workload order, and observation groups become
-// templates in sorted key order; only plan execution fans out.)
+// runs. (Plans are generated and templates published sequentially in workload
+// order, and observation groups become templates in sorted key order; only
+// plan execution fans out.)
 func TestLearnWorkloadDeterministicAcrossWorkerCounts(t *testing.T) {
 	db := learnDB(t)
-	learn := func(workers int, noise float64) string {
+	learn := func(workers int) string {
 		knowledge := kb.New()
 		opts := fastOptions()
 		opts.Workers = workers
-		opts.NoiseScale = noise
 		eng := New(db, knowledge, opts)
 		queries := []*sqlparser.Query{tpcds.Fig3Query(), tpcds.Fig8WideQuery(db), tpcds.Fig7Query()}
 		if _, err := eng.LearnWorkload(queries); err != nil {
 			t.Fatal(err)
 		}
 		if knowledge.Size() == 0 {
-			t.Fatalf("nothing learned at %d workers, noise %v", workers, noise)
+			t.Fatalf("nothing learned at %d workers", workers)
 		}
 		return knowledge.NTriples()
 	}
-	for _, noise := range []float64{0, 1} {
-		want := learn(1, noise)
-		for _, workers := range []int{1, 2, 8} {
-			if got := learn(workers, noise); got != want {
-				t.Errorf("noise %v: knowledge base at %d workers differs from the first run at 1 worker (%d vs %d bytes)",
-					noise, workers, len(got), len(want))
-			}
+	want := learn(1)
+	for _, workers := range []int{1, 2, 8} {
+		if got := learn(workers); got != want {
+			t.Errorf("knowledge base at %d workers differs from the first run at 1 worker (%d vs %d bytes)",
+				workers, len(got), len(want))
 		}
 	}
 }
@@ -379,31 +331,21 @@ func TestLearnWorkloadParallelAndDeduplicates(t *testing.T) {
 	}
 }
 
-// TestAbortedMeasurementIsBilledItsBudget pins what a measurement of an
-// aborted execution is: billed exactly budget × Runs (a completed one elapsed ×
-// Runs), drawing the same noise a completed one would — so budgets never move
-// the noise stream — and ranked behind every plan that finished.
+// TestAbortedMeasurementIsBilledItsBudget pins what an aborted execution
+// costs: exactly budget × Runs (a completed one elapsed × Runs), and it is
+// ranked behind every plan that finished.
 func TestAbortedMeasurementIsBilledItsBudget(t *testing.T) {
 	done := &execution{Stats: executor.RunStats{ElapsedMillis: 40}}
 	cut := &execution{Budget: 10, Stats: executor.RunStats{ElapsedMillis: 12, Aborted: true}}
-	quiet := &Ranker{Runs: 3}
-	if m := quiet.draw(done); m.SimulatedWorkMillis != 120 || m.MeanMillis != 40 || m.Aborted {
-		t.Errorf("completed measurement = %+v", m)
+	if got := done.billed(3); got != 120 {
+		t.Errorf("completed execution billed %v ms over 3 runs, want 120", got)
 	}
-	m := quiet.draw(cut)
-	if m.SimulatedWorkMillis != 30 || !m.Aborted || len(m.Runs) != 3 {
-		t.Errorf("aborted measurement = %+v, want 30 ms billed over 3 runs", m)
+	if got := cut.billed(3); got != 30 {
+		t.Errorf("aborted execution billed %v ms over 3 runs, want 30", got)
 	}
-	ranked := []Measurement{m, quiet.draw(done)}
-	if sortMeasurements(ranked); ranked[0].Aborted {
+	ranked := []*execution{cut, done}
+	if sortExecutions(ranked); ranked[0] != done {
 		t.Errorf("an aborted plan (booked 12 ms) ranked before a completed one (40 ms)")
-	}
-	a := &Ranker{Runs: 3, Noise: 1, NoiseRNG: rand.New(rand.NewSource(7))}
-	b := &Ranker{Runs: 3, Noise: 1, NoiseRNG: rand.New(rand.NewSource(7))}
-	a.draw(done)
-	b.draw(cut)
-	if x, y := a.NoiseRNG.Int63(), b.NoiseRNG.Int63(); x != y {
-		t.Errorf("an aborted measurement left the noise stream elsewhere than a completed one")
 	}
 }
 
@@ -458,21 +400,20 @@ func TestRankingComparator(t *testing.T) {
 		}, "b a c"},
 	}
 	for _, c := range cases {
-		ms := make([]Measurement, len(c.in))
-		names := map[*qgm.Plan]string{}
+		xs := make([]*execution, len(c.in))
+		names := map[*execution]string{}
 		for i, r := range c.in {
-			p := &qgm.Plan{}
-			names[p] = r.name
-			ms[i] = Measurement{Plan: p, MeanMillis: r.millis, PhysicalReads: r.phys, CPURows: r.cpu,
-				SortHeapPages: r.sortPages, Aborted: r.aborted}
+			xs[i] = &execution{Stats: executor.RunStats{ElapsedMillis: r.millis, PhysicalReads: r.phys,
+				CPURows: r.cpu, SortHeapPages: r.sortPages, Aborted: r.aborted}}
 			if r.failed {
-				ms[i].Err = errors.New("failed")
+				xs[i].Err = errors.New("failed")
 			}
+			names[xs[i]] = r.name
 		}
-		sortMeasurements(ms)
-		got := make([]string, len(ms))
-		for i := range ms {
-			got[i] = names[ms[i].Plan]
+		sortExecutions(xs)
+		got := make([]string, len(xs))
+		for i, x := range xs {
+			got[i] = names[x]
 		}
 		if strings.Join(got, " ") != c.want {
 			t.Errorf("%s: ranked %s, want %s", c.name, strings.Join(got, " "), c.want)
@@ -504,13 +445,13 @@ func TestFunnelAddsUp(t *testing.T) {
 	if f.TemplatesAdded != report.TemplatesAdded || f.TemplatesAdded == 0 {
 		t.Errorf("funnel templates added %d, report %d", f.TemplatesAdded, report.TemplatesAdded)
 	}
-	if f.ExecutionsDistinct != f.PlansGenerated || f.ExecutionsAsked < opts.Runs*f.PlansGenerated {
-		t.Errorf("every plan runs once and is measured Runs times: %s", f)
+	if f.ExecutionsDistinct != f.PlansGenerated || f.ExecutionsAsked != opts.Runs*f.ExecutionsDistinct {
+		t.Errorf("every plan runs once and is billed Runs times: %s", f)
 	}
 	if f.ExecutionsAborted == 0 || f.ExecutionsAborted > f.Alternatives() {
 		t.Errorf("aborted %d of %d alternatives", f.ExecutionsAborted, f.Alternatives())
 	}
-	if f.ConfirmedWinners > f.StructuralWinners || f.StructuralWinners > f.BeatBaseline || f.BeatBaseline > f.Alternatives() {
+	if f.StructuralWinners > f.BeatBaseline || f.BeatBaseline > f.Alternatives() {
 		t.Errorf("the funnel widens downstream: %s", f)
 	}
 	if report.PlanMillis <= 0 || report.ExecuteMillis <= 0 || report.RankMillis <= 0 ||
