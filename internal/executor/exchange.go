@@ -351,11 +351,14 @@ func (e *exchangeIter) Next() (tuple, bool) {
 		if !e.merged {
 			e.collectSorted()
 		}
-		row, ok := e.mergeNext()
-		if !ok {
+		i := e.minHead()
+		if i < 0 {
 			e.finished = true
+			return nil, false
 		}
-		return row, ok
+		row := e.bufs[i][e.heads[i]]
+		e.heads[i]++
+		return row, true
 	case termGrpBy:
 		for {
 			row, ok := e.nextRaw()
@@ -442,8 +445,8 @@ func (e *exchangeIter) collectSorted() {
 	// The serial sort samples its first post-sort row for the width — the
 	// global minimum, which the merge's first pick reproduces exactly.
 	var sample tuple
-	if row, ok := e.peekMin(); ok {
-		sample = row
+	if i := e.minHead(); i >= 0 {
+		sample = e.bufs[i][e.heads[i]]
 	}
 	width := e.seg.slots.rowWidth(sample)
 	e.sortHeldRows = total
@@ -452,9 +455,10 @@ func (e *exchangeIter) collectSorted() {
 	e.ctx.charge(e.seg.termNode, e.ctx.sortMillis(float64(total), width), total)
 }
 
-// peekMin returns the smallest head row across partitions without consuming
-// it (ties resolve to the lowest partition — the stable-merge rule).
-func (e *exchangeIter) peekMin() (tuple, bool) {
+// minHead returns the partition whose head row is the smallest, or -1 once
+// every partition is drained (ties resolve to the lowest partition — the
+// stable-merge rule).
+func (e *exchangeIter) minHead() int {
 	best := -1
 	for i, b := range e.bufs {
 		if e.heads[i] >= len(b) {
@@ -464,28 +468,7 @@ func (e *exchangeIter) peekMin() (tuple, bool) {
 			best = i
 		}
 	}
-	if best < 0 {
-		return nil, false
-	}
-	return e.bufs[best][e.heads[best]], true
-}
-
-func (e *exchangeIter) mergeNext() (tuple, bool) {
-	best := -1
-	for i, b := range e.bufs {
-		if e.heads[i] >= len(b) {
-			continue
-		}
-		if best < 0 || compareRows(b[e.heads[i]], e.bufs[best][e.heads[best]], e.seg.sortKey) < 0 {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil, false
-	}
-	row := e.bufs[best][e.heads[best]]
-	e.heads[best]++
-	return row, true
+	return best
 }
 
 // compareRows orders two rows on the sort key columns. The merge takes a
