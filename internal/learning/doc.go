@@ -23,8 +23,9 @@
 // alternatives, each bounded by what its baseline leaves it — and that pool is
 // the only concurrency: the executor is stateless and every execution owns
 // its plan. Ranking and publication are sequential again, in workload order:
-// Options.Runs is the number of noise draws over a plan's stored execution,
-// observation groups become templates in sorted key order, and kb.KB.Add —
+// each plan is ranked on its one stored execution (Options.Runs only scales
+// what it is billed), observation groups become templates in sorted key
+// order, and kb.KB.Add —
 // which routes each template to its owning shard and publishes exactly one
 // epoch there, leaving concurrent matchers on other shards unaffected — is
 // called by one goroutine. A workload therefore learns the same knowledge

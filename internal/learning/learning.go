@@ -567,11 +567,11 @@ func (e *Engine) rankSubQuery(sw *subQueryWork) ([]candidate, float64, error) {
 		// Prefer the fastest alternative whose structure actually differs
 		// from the optimizer's plan: a structurally identical "winner" owes
 		// its advantage to details (index choice) the guideline language does
-		// not express, so a structurally different plan clearing the improvement threshold is always the more useful
-		// rewrite to store. Only when no such plan exists does the top-ranked
-		// identical-structure winner survive (its match still routinizes the
-		// fragment even though its guideline recommends no structural
-		// change).
+		// not express, so a structurally different plan clearing the
+		// improvement threshold is always the more useful rewrite to store.
+		// Only when no such plan exists does the top-ranked identical-structure
+		// winner survive (its match still routinizes the fragment even though
+		// its guideline recommends no structural change).
 		var best *execution
 		structural := false
 		for _, m := range ranked {

@@ -3,9 +3,8 @@
 // online learner instead watches executor runs as they happen, picks out the
 // queries whose plans showed a large actual-vs-estimated cardinality gap —
 // the signal every problem pattern in the paper stems from — and feeds them
-// through the same per-query analysis (including the second-measurement
-// confirmation rule for structural rewrites), promoting the resulting
-// templates into the next knowledge base epoch without any batch relearn.
+// through the same per-query analysis, promoting the resulting templates into
+// the next knowledge base epoch without any batch relearn.
 package learning
 
 import (
@@ -133,9 +132,7 @@ func (o *Online) Observe(q *sqlparser.Query, plan *qgm.Plan) bool {
 
 // worker drains the queue: one query at a time is decomposed and analyzed
 // exactly like a batch learning run would (structure claims dedupe repeat
-// offenders; structural rewrites must confirm their win in a second
-// measurement round), and any winning templates publish a new knowledge
-// base epoch.
+// offenders), and any winning templates publish a new knowledge base epoch.
 func (o *Online) worker() {
 	defer o.wg.Done()
 	var engine *Engine

@@ -20,8 +20,8 @@ import (
 // every test: this exercises the full offline workflow (learning engine,
 // transformation engine, knowledge base) before the online matching tests.
 // Learning is deterministic — plans are ranked on the executor's simulated
-// cost, with the noise model off — so the fixture's knowledge base is
-// identical at any worker count or -cpu setting.
+// cost — so the fixture's knowledge base is identical at any worker count or
+// -cpu setting.
 var (
 	fixtureDB *storage.Database
 	fixtureKB *kb.KB
