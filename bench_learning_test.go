@@ -1,7 +1,7 @@
 // Learning benchmark: what the offline phase costs. Learning is plan
 // execution — the optimizer's plan and a handful of random alternatives per
 // sub-query variant — so the numbers here are sub-queries analyzed per second,
-// how many executions the measurements stand for against how many the executor
+// how many executions the ranking stands for against how many the executor
 // ran (and how many of those it stopped at their budget), and where the wall
 // time went: planning, executing, ranking. TestEmitBenchLearningJSON writes
 // BENCH_learning.json over the two bench/setup.go fixtures and Exp-1's default
@@ -110,8 +110,8 @@ func BenchmarkLearnExecuteValidateFixture(b *testing.B) {
 
 // TestEmitBenchLearningJSON writes BENCH_learning.json. It only runs when
 // GALO_BENCH_JSON=1. Its gates are clock-free: on the execute_validate fixture
-// the executor must run at most half the executions the measurements stand
-// for, and must stop at least 60 % of the alternatives at their budget.
+// the executor must run at most half the executions the ranking stands for,
+// and must stop at least 60 % of the alternatives at their budget.
 func TestEmitBenchLearningJSON(t *testing.T) {
 	if os.Getenv("GALO_BENCH_JSON") == "" {
 		t.Skip("set GALO_BENCH_JSON=1 to (re)write BENCH_learning.json")
@@ -141,7 +141,7 @@ func TestEmitBenchLearningJSON(t *testing.T) {
 
 	doc := map[string]any{
 		"benchmark": "offline learning: sub-queries per second, executions asked / distinct / aborted, share of wall per phase",
-		"note":      "One row per fixture: the two learning set-ups of bench/setup.go (median by wall time of seven runs into a fresh knowledge base; the database is generated once) and Exp-1 at the harness default (RunExp1, one run, its four join thresholds summed). executions_asked is what the measurements stand for — Runs per measured plan, confirmation rounds included — and is what the parent commit's learner executed; executions_distinct is what the executor ran (every plan once), executions_aborted how many of those a budget stopped, alternatives how many random plans competed. *_share split wall_ms over the three phases (decomposition and claiming count as planning). simulated_work_ms bills an aborted run at its budget times Runs. before = the same fixtures on commit 0e17fdd (per-query goroutine fan-out, every plan executed Runs times, confirmation rounds re-executed, nothing aborted), the two test binaries alternated on the same 2-CPU machine; that learner had no phases or funnel, so its rows carry wall, rate and simulated work only (not recorded for Exp-1), and executions_distinct = executions_asked; each before row is the middle of three alternated runs (97 / 92 / 99 ms, 414 / 406 / 394 ms, 13.3 / 13.9 / 13.8 s; after: 23 / 20 / 17 ms, 38 / 35 / 40 ms, 1.56 / 1.71 / 1.80 s).",
+		"note":      "One row per fixture: the two learning set-ups of bench/setup.go (median by wall time of seven runs into a fresh knowledge base; the database is generated once) and Exp-1 at the harness default (RunExp1, one run, its four join thresholds summed). executions_asked is what the ranking stands for — Runs per plan, each plan ranked on its one deterministic run and billed Runs times; the before learner executed that many plus a confirmation round per structural winner (402 / 138 / 1776 there, 378 / 126 / 1764 with the round deleted); executions_distinct is what the executor ran (every plan once), executions_aborted how many of those a budget stopped, alternatives how many random plans competed. *_share split wall_ms over the three phases (decomposition and claiming count as planning). simulated_work_ms bills an aborted run at its budget times Runs. before = the same fixtures on commit 0e17fdd (per-query goroutine fan-out, every plan executed Runs times, confirmation rounds re-executed, nothing aborted), the two test binaries alternated on the same 2-CPU machine; that learner had no phases or funnel, so its rows carry wall, rate and simulated work only (not recorded for Exp-1), and executions_distinct = executions_asked; each before row is the middle of three alternated runs (97 / 92 / 99 ms, 414 / 406 / 394 ms, 13.3 / 13.9 / 13.8 s; after, on the learner that still ran the confirmation round: 23 / 20 / 17 ms, 38 / 35 / 40 ms, 1.56 / 1.71 / 1.80 s). No wall-time change is claimed for deleting the round: the rank phase is 1-3 % of wall, and nine alternated emitter runs on a shared 2-CPU machine read 19-38 ms for the scale 0.08 fixture with the round and 26-41 ms without it.",
 		"env":       benchEnv(),
 		"learning":  rows,
 		"before":    learningBefore,
