@@ -3,12 +3,15 @@ package executor
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"galo/internal/catalog"
 	"galo/internal/optimizer"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
+	"galo/internal/storage"
 	"galo/internal/workload/tpcds"
 )
 
@@ -20,8 +23,13 @@ import (
 // the Figure 8 early-out MSJOIN over SS_SOLD_DATE_IDX, a table-scan inner with
 // a residual predicate, an outer that crosses the switch to a build part-way,
 // an empty outer, an empty inner, keys that are −0 and +0, and a NaN in the
-// key column (whose index is not in key-word order). Each case also pins how
-// many of its joins the index answered and how many of those switched.
+// key column (whose index is not in key-word order). Further key families
+// join an inner without a predicate of its own at the edges of its key range:
+// every key NULL, a largest key repeated in several kinds, −0 and +0 tied at
+// the largest, and an empty table; and an inner whose first index entry is
+// its widest row, which the build side's width is sampled from. Each case also
+// pins how many of its joins the index answered and how many of those
+// switched.
 func TestIndexProbeFrozen(t *testing.T) {
 	db, opt, _ := setup(t)
 	lo, hi := tpcds.WideDateRange(db)
@@ -61,15 +69,28 @@ func TestIndexProbeFrozen(t *testing.T) {
 	// index sort leaves them in row order, one run. A NaN ties with everything
 	// under Compare: the sort may leave it anywhere, and the index is not in
 	// key-word order.
+	//
+	// In repeated-max and signed-zero-max the probe column holds a string, so
+	// an early-out MSJOIN compares its bound as a value, in string form when
+	// the probe is the string: of the largest inner keys only the first met —
+	// the date 3, the −0 — leaves that probe above the bound.
 	negZero := catalog.Float(math.Copysign(0, -1))
+	nulls := slices.Repeat([]catalog.Value{catalog.Null()}, 7)
 	families := []struct {
 		name        string
 		left, right []catalog.Value
+		answered    bool // the index is in key-word order and the inner holds a row
 	}{
 		{"signed-zero", []catalog.Value{negZero, catalog.Float(0), catalog.Float(math.NaN()), catalog.Null()},
-			[]catalog.Value{catalog.Float(0), negZero, catalog.Int(0), catalog.Null(), catalog.Int(3), catalog.Float(3), catalog.DateFromDays(3)}},
+			[]catalog.Value{catalog.Float(0), negZero, catalog.Int(0), catalog.Null(), catalog.Int(3), catalog.Float(3), catalog.DateFromDays(3)}, true},
 		{"nan-in-key", []catalog.Value{catalog.Float(0), catalog.Float(math.NaN()), catalog.Null(), negZero},
-			[]catalog.Value{catalog.Float(0), negZero, catalog.Float(math.NaN()), catalog.Int(3)}},
+			[]catalog.Value{catalog.Float(0), negZero, catalog.Float(math.NaN()), catalog.Int(3)}, false},
+		{"all-null-key", []catalog.Value{catalog.Float(0), catalog.Null(), catalog.Int(3), negZero}, nulls, true},
+		{"repeated-max", []catalog.Value{catalog.String("3"), catalog.Int(3), catalog.Null(), catalog.Float(1)},
+			[]catalog.Value{catalog.Float(1), catalog.DateFromDays(3), catalog.Int(3), catalog.Null(), catalog.Float(3), catalog.Int(-2), catalog.Float(0.5)}, true},
+		{"signed-zero-max", []catalog.Value{catalog.String("0"), catalog.Float(0), catalog.Null(), negZero},
+			[]catalog.Value{negZero, catalog.Int(-1), catalog.Float(0), catalog.Null(), negZero, catalog.Float(-3), catalog.Int(0)}, true},
+		{"empty-inner", []catalog.Value{catalog.Float(0), catalog.Null(), catalog.Int(3), negZero}, nil, false},
 	}
 	for _, fam := range families {
 		db, opt := keyTables(t, fam.left, fam.right, "k1")
@@ -79,7 +100,7 @@ func TestIndexProbeFrozen(t *testing.T) {
 		for _, outer := range []struct{ name, where string }{{"whole-outer", ""}, {"short-outer", " AND l_k2 IS NULL"}} {
 			q := sqlparser.MustParse(`SELECT l_id, r_id, r_k1 FROM lt, rt WHERE l_k1 = r_k1` + outer.where)
 			var answered, switched int64
-			if fam.name == "signed-zero" {
+			if fam.answered {
 				answered = 1
 				if outer.name == "whole-outer" {
 					switched = 1
@@ -100,6 +121,55 @@ func TestIndexProbeFrozen(t *testing.T) {
 			}
 		}
 	}
+
+	// RT's keys fall as its names grow: R_K_IDX lists the last, widest row
+	// first. Three outer rows stay under the 64 inner rows' switch (4 rows).
+	db, opt = namedTables(t, 64)
+	q := sqlparser.MustParse(`SELECT l_id, r_name FROM lt, rt WHERE l_k = r_k`)
+	for _, inner := range []*optimizer.Spec{optimizer.LeafAccess("RT", qgm.OpTBSCAN, ""), optimizer.LeafAccess("RT", qgm.OpIXSCAN, "R_K_IDX")} {
+		for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
+			t.Run(fmt.Sprintf("wide-first-entry/%s/%s", inner.Access.Method, method), func(t *testing.T) {
+				answered := int64(1)
+				if method == qgm.OpMSJOIN && inner.Access.Method == qgm.OpTBSCAN {
+					answered = 0
+				}
+				assertIndexPaths(t, answered, 0, func() {
+					assertFrozen(t, db, opt, q, optimizer.Join(method, optimizer.LeafAccess("LT", qgm.OpTBSCAN, ""), inner))
+				})
+			})
+		}
+	}
+}
+
+// namedTables builds LT(l_k, l_id), three rows keyed 0, n/2 and n-1, and
+// RT(r_k, r_name) with an index R_K_IDX on r_k, n rows whose key falls from
+// n-1 to 0 as the name grows from one byte to n.
+func namedTables(t *testing.T, n int) (*storage.Database, *optimizer.Optimizer) {
+	t.Helper()
+	lt := catalog.NewTable("LT", catalog.Column{Name: "l_k", Type: catalog.KindInt}, catalog.Column{Name: "l_id", Type: catalog.KindInt})
+	rt := catalog.NewTable("RT", catalog.Column{Name: "r_k", Type: catalog.KindInt}, catalog.Column{Name: "r_name", Type: catalog.KindString})
+	if err := rt.AddIndex(catalog.Index{Name: "R_K_IDX", Columns: []string{"r_k"}}); err != nil {
+		t.Fatal(err)
+	}
+	schema := catalog.NewSchema("N")
+	schema.AddTable(lt)
+	schema.AddTable(rt)
+	db := storage.NewDatabase(catalog.New(schema))
+	insert := func(table string, row storage.Row) {
+		if err := db.Insert(table, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, k := range []int{0, n / 2, n - 1} {
+		insert("LT", storage.Row{catalog.Int(int64(k)), catalog.Int(int64(i))})
+	}
+	for i := range n {
+		insert("RT", storage.Row{catalog.Int(int64(n - 1 - i)), catalog.String(strings.Repeat("x", i+1))})
+	}
+	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true}); err != nil {
+		t.Fatal(err)
+	}
+	return db, optimizer.New(db.Catalog, optimizer.DefaultOptions())
 }
 
 // assertIndexPaths requires that run, one serial execution, had answered of
