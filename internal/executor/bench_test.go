@@ -78,16 +78,18 @@ func BenchmarkExecute(b *testing.B) {
 
 // drainBuildCases are the plans of BenchmarkDrainBuild, at data scale 0.5 (the
 // scale the end-to-end benchmark's execute_validate workload serves): every
-// one of the 14 400 STORE_SALES rows drained into a join's build side, probed
-// by about a hundred rows or fewer — so the time is the drain's. The build
-// side is fed by a table scan, by an index-order scan under an early-out
-// MSJOIN (the Figure 8 original: the bound rises on every row), and by a join.
-// The first two are keyed on SS_SOLD_DATE_IDX's column, so their probes are
-// answered from that index and nothing is buffered (held-rows still reads
-// 14 400: the peaks count the plan's build side); unindexed_key joins a table
-// scan on ss_cdemo_sk, which no index leads with, and join feeds the build
-// from a join — those two still build a hash table, and are what a faster
-// build (ROADMAP item 8's ≥ 1.3×) is measured on.
+// one of the 14 400 STORE_SALES rows in a join's build side, probed by about a
+// hundred rows or fewer — so the time is the build side's. The build side is
+// fed by a table scan, by an index-order scan under an early-out MSJOIN (the
+// Figure 8 original), and by a join. The first two are keyed on
+// SS_SOLD_DATE_IDX's column and have no predicate of their own, so their
+// probes are answered from that index and their inner is counted from it, not
+// drained — scan and index_order time a count, the early-out bound included,
+// and nothing is buffered (held-rows still reads 14 400: the peaks count the
+// plan's build side). unindexed_key joins a table scan on ss_cdemo_sk, which
+// no index leads with, and join feeds the build from a join — those two still
+// drain into a hash table, and are what a faster build (ROADMAP item 8's
+// ≥ 1.3×) is measured on.
 func drainBuildCases(tb testing.TB) (*storage.Database, []execCase) {
 	tb.Helper()
 	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 0.5, Hazards: true})

@@ -12,10 +12,11 @@ import (
 // index that lists one key's entries in the order the scan drains them, so the
 // matches of an outer row are one run of entries, found by a binary search on
 // the row's key word, filtered by the scan's own predicates and emitted in
-// entry order: the order a hash build emits them in. The join still drains
-// the inner through its own iterator — the scan is charged, sampled and held
-// in the residency accounting exactly as a build side is — but copies and
-// indexes nothing.
+// entry order: the order a hash build emits them in. The join copies and
+// indexes nothing. It drains an inner with predicates of its own through the
+// inner's iterator; one without any passes every candidate, so the join
+// counts it instead (count). Either way the scan is charged, sampled and held
+// in the residency accounting exactly as a build side is.
 //
 // A probe costs up to a binary search for each end of its run, a build about
 // one step per drained row, so once the outer has produced more than limit
@@ -25,7 +26,7 @@ import (
 // order, and every charge is booked from counts both paths keep alike.
 type indexProbe struct {
 	scan    spineIter // the drained inner: a replica of it re-reads the source
-	src     *scanSource
+	src     *scanIter // the same scan
 	entries []storage.IndexEntry
 	words   []uint64 // the key column's key-word vector, by row ID
 	lo, hi  int      // the entries a probe searches
@@ -36,9 +37,9 @@ type indexProbe struct {
 }
 
 // indexAnswered counts, process-wide, the join executions whose probes an
-// index answered, and indexSwitched those of them that switched to a build
-// (tests).
-var indexAnswered, indexSwitched atomic.Int64
+// index answered, indexSwitched those of them that switched to a build, and
+// indexCounted the executions whose inner was counted, not drained (tests).
+var indexAnswered, indexSwitched, indexCounted atomic.Int64
 
 // indexProbe returns the probe of a stored index that can answer the join's
 // probes, or nil when none can: the key is one column with a key-word vector,
@@ -84,7 +85,7 @@ func (j *joinIter) indexProbe() *indexProbe {
 		lo, hi = 0, idx.Len() // a table scan reads every row
 	}
 	// pos = hi: no run until the first seek.
-	return &indexProbe{scan: j.inner.(spineIter), src: s.scanSource, entries: idx.Entries, words: words, lo: lo, hi: hi, pos: hi}
+	return &indexProbe{scan: j.inner.(spineIter), src: s, entries: idx.Entries, words: words, lo: lo, hi: hi, pos: hi}
 }
 
 // singleColumnIndex returns an index of the table on the column alone, or nil.
@@ -97,14 +98,16 @@ func singleColumnIndex(def *catalog.Table, col string) *catalog.Index {
 	return nil
 }
 
-// seek starts the run of entries with key word w: the first entry whose word
-// is not below it. NULL joins nothing.
+// seek starts the run of entries with key word w. NULL joins nothing.
 func (x *indexProbe) seek(w uint64) {
-	x.w = w
-	if w == nullKeyWord {
-		x.pos = x.hi
-		return
+	x.w, x.pos = w, x.hi
+	if w != nullKeyWord {
+		x.pos = x.search(w)
 	}
+}
+
+// search returns the first entry whose word is not below w.
+func (x *indexProbe) search(w uint64) int {
 	lo, hi := x.lo, x.hi
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -114,7 +117,34 @@ func (x *indexProbe) seek(w uint64) {
 			hi = m
 		}
 	}
-	x.pos = lo
+	return lo
+}
+
+// count stands in for the drain of an inner that compiled no predicate: every
+// candidate passes, so the scan is booked as having read and passed all of
+// them (its finalize charges that at Close) and b.n is their number. It
+// returns what the drain would have met first, the width sample: row lo of a
+// table scan, the row of entry lo of an index scan. With wantMax it sets the
+// early-out bound as raiseMax would have: the last entry holds the largest
+// word (NULLs sort first, and an all-NULL key leaves no bound), and the first
+// entry of its run is the first row met with it — for a table scan too, as
+// the stable index sort lists one word's entries in row order.
+func (x *indexProbe) count(b *hashBuild, wantMax bool) (sample tuple) {
+	indexCounted.Add(1)
+	s := x.src
+	if b.n = s.end - s.pos; b.n == 0 {
+		return nil
+	}
+	first := s.pos
+	if s.idxDef != nil {
+		first = s.entries[first].RowID
+	}
+	s.pos, s.nScan, s.nOut = s.end, b.n, b.n
+	if w := x.words[x.entries[x.hi-1].RowID]; wantMax && w != nullKeyWord {
+		id := x.entries[x.search(w)].RowID
+		b.maxWord, b.maxTuple = w, s.ids[id:id+1:id+1]
+	}
+	return s.ids[first : first+1 : first+1]
 }
 
 // next returns the row ID of the run's next entry the scan passes, or -1 once

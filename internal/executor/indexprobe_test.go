@@ -29,7 +29,7 @@ import (
 // the largest, and an empty table; and an inner whose first index entry is
 // its widest row, which the build side's width is sampled from. Each case also
 // pins how many of its joins the index answered and how many of those
-// switched.
+// switched, and how many of its inners were counted rather than drained.
 func TestIndexProbeFrozen(t *testing.T) {
 	db, opt, _ := setup(t)
 	lo, hi := tpcds.WideDateRange(db)
@@ -41,27 +41,28 @@ func TestIndexProbeFrozen(t *testing.T) {
 	salesScan := optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, "")
 	salesByDate := optimizer.LeafAccess("STORE_SALES", qgm.OpFETCH, "SS_SOLD_DATE_IDX")
 	cases := []struct {
-		name               string
-		q                  *sqlparser.Query
-		spec               *optimizer.Spec
-		answered, switched int64
+		name  string
+		q     *sqlparser.Query
+		spec  *optimizer.Spec
+		paths indexPaths
 	}{
-		// The NLJOIN above the MSJOIN probes I_ITEM_SK_IDX with 2 042 rows.
-		{"fig8-optimizer-choice", tpcds.Fig8WideQuery(db), nil, 2, 1},
-		{"early-out-msjoin-ss-sold-date-idx", dates(""), optimizer.Join(qgm.OpMSJOIN, dateIx, salesByDate), 1, 0},
-		{"tbscan-residual", dates(" AND ss_quantity > 50"), optimizer.Join(qgm.OpHSJOIN, dateIx, salesScan), 1, 0},
-		{"tbscan-residual-nljoin", dates(" AND ss_quantity > 50"), optimizer.Join(qgm.OpNLJOIN, dateIx, salesScan), 1, 0},
-		{"switch-part-way", dates(""), optimizer.Join(qgm.OpHSJOIN, salesScan, dateIx), 1, 1},
+		// The NLJOIN above the MSJOIN probes I_ITEM_SK_IDX with 2 042 rows;
+		// i_category = 'Jewelry' leaves its inner drained.
+		{"fig8-optimizer-choice", tpcds.Fig8WideQuery(db), nil, indexPaths{2, 1, 1}},
+		{"early-out-msjoin-ss-sold-date-idx", dates(""), optimizer.Join(qgm.OpMSJOIN, dateIx, salesByDate), indexPaths{1, 0, 1}},
+		{"tbscan-residual", dates(" AND ss_quantity > 50"), optimizer.Join(qgm.OpHSJOIN, dateIx, salesScan), indexPaths{1, 0, 0}},
+		{"tbscan-residual-nljoin", dates(" AND ss_quantity > 50"), optimizer.Join(qgm.OpNLJOIN, dateIx, salesScan), indexPaths{1, 0, 0}},
+		{"switch-part-way", dates(""), optimizer.Join(qgm.OpHSJOIN, salesScan, dateIx), indexPaths{1, 1, 0}},
 		{"switch-part-way-item", sqlparser.MustParse(`SELECT i_item_desc, ss_quantity FROM store_sales, item
 			WHERE ss_item_sk = i_item_sk AND ss_quantity > 90`),
-			optimizer.Join(qgm.OpHSJOIN, salesScan, optimizer.LeafAccess("ITEM", qgm.OpFETCH, "I_ITEM_SK_IDX")), 1, 1},
-		{"empty-outer", dates(" AND d_year < 0"), optimizer.Join(qgm.OpHSJOIN, dateIx, salesScan), 1, 0},
+			optimizer.Join(qgm.OpHSJOIN, salesScan, optimizer.LeafAccess("ITEM", qgm.OpFETCH, "I_ITEM_SK_IDX")), indexPaths{1, 1, 1}},
+		{"empty-outer", dates(" AND d_year < 0"), optimizer.Join(qgm.OpHSJOIN, dateIx, salesScan), indexPaths{1, 0, 1}},
 		// Nothing drained, nothing to answer: the empty build answers.
-		{"empty-inner", dates(" AND ss_quantity < 0"), optimizer.Join(qgm.OpMSJOIN, dateIx, salesByDate), 0, 0},
+		{"empty-inner", dates(" AND ss_quantity < 0"), optimizer.Join(qgm.OpMSJOIN, dateIx, salesByDate), indexPaths{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertIndexPaths(t, tc.answered, tc.switched, func() { assertFrozen(t, db, opt, tc.q, tc.spec) })
+			assertIndexPaths(t, tc.paths, func() { assertFrozen(t, db, opt, tc.q, tc.spec) })
 		})
 	}
 
@@ -80,17 +81,18 @@ func TestIndexProbeFrozen(t *testing.T) {
 		name        string
 		left, right []catalog.Value
 		answered    bool // the index is in key-word order and the inner holds a row
+		counted     bool // the index is in key-word order
 	}{
 		{"signed-zero", []catalog.Value{negZero, catalog.Float(0), catalog.Float(math.NaN()), catalog.Null()},
-			[]catalog.Value{catalog.Float(0), negZero, catalog.Int(0), catalog.Null(), catalog.Int(3), catalog.Float(3), catalog.DateFromDays(3)}, true},
+			[]catalog.Value{catalog.Float(0), negZero, catalog.Int(0), catalog.Null(), catalog.Int(3), catalog.Float(3), catalog.DateFromDays(3)}, true, true},
 		{"nan-in-key", []catalog.Value{catalog.Float(0), catalog.Float(math.NaN()), catalog.Null(), negZero},
-			[]catalog.Value{catalog.Float(0), negZero, catalog.Float(math.NaN()), catalog.Int(3)}, false},
-		{"all-null-key", []catalog.Value{catalog.Float(0), catalog.Null(), catalog.Int(3), negZero}, nulls, true},
+			[]catalog.Value{catalog.Float(0), negZero, catalog.Float(math.NaN()), catalog.Int(3)}, false, false},
+		{"all-null-key", []catalog.Value{catalog.Float(0), catalog.Null(), catalog.Int(3), negZero}, nulls, true, true},
 		{"repeated-max", []catalog.Value{catalog.String("3"), catalog.Int(3), catalog.Null(), catalog.Float(1)},
-			[]catalog.Value{catalog.Float(1), catalog.DateFromDays(3), catalog.Int(3), catalog.Null(), catalog.Float(3), catalog.Int(-2), catalog.Float(0.5)}, true},
+			[]catalog.Value{catalog.Float(1), catalog.DateFromDays(3), catalog.Int(3), catalog.Null(), catalog.Float(3), catalog.Int(-2), catalog.Float(0.5)}, true, true},
 		{"signed-zero-max", []catalog.Value{catalog.String("0"), catalog.Float(0), catalog.Null(), negZero},
-			[]catalog.Value{negZero, catalog.Int(-1), catalog.Float(0), catalog.Null(), negZero, catalog.Float(-3), catalog.Int(0)}, true},
-		{"empty-inner", []catalog.Value{catalog.Float(0), catalog.Null(), catalog.Int(3), negZero}, nil, false},
+			[]catalog.Value{negZero, catalog.Int(-1), catalog.Float(0), catalog.Null(), negZero, catalog.Float(-3), catalog.Int(0)}, true, true},
+		{"empty-inner", []catalog.Value{catalog.Float(0), catalog.Null(), catalog.Int(3), negZero}, nil, false, true},
 	}
 	for _, fam := range families {
 		db, opt := keyTables(t, fam.left, fam.right, "k1")
@@ -99,21 +101,24 @@ func TestIndexProbeFrozen(t *testing.T) {
 		// join sorts a table-scan inner, which is then no bare scan.
 		for _, outer := range []struct{ name, where string }{{"whole-outer", ""}, {"short-outer", " AND l_k2 IS NULL"}} {
 			q := sqlparser.MustParse(`SELECT l_id, r_id, r_k1 FROM lt, rt WHERE l_k1 = r_k1` + outer.where)
-			var answered, switched int64
+			var paths indexPaths
 			if fam.answered {
-				answered = 1
+				paths.answered = 1
 				if outer.name == "whole-outer" {
-					switched = 1
+					paths.switched = 1
 				}
+			}
+			if fam.counted {
+				paths.counted = 1
 			}
 			for _, inner := range []*optimizer.Spec{optimizer.LeafAccess("RT", qgm.OpTBSCAN, ""), optimizer.LeafAccess("RT", qgm.OpIXSCAN, "R_K1_IDX")} {
 				for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", fam.name, outer.name, inner.Access.Method, method), func(t *testing.T) {
-						answered, switched := answered, switched
+						paths := paths
 						if method == qgm.OpMSJOIN && inner.Access.Method == qgm.OpTBSCAN {
-							answered, switched = 0, 0
+							paths = indexPaths{}
 						}
-						assertIndexPaths(t, answered, switched, func() {
+						assertIndexPaths(t, paths, func() {
 							assertFrozen(t, db, opt, q, optimizer.Join(method, optimizer.LeafAccess("LT", qgm.OpTBSCAN, ""), inner))
 						})
 					})
@@ -129,11 +134,11 @@ func TestIndexProbeFrozen(t *testing.T) {
 	for _, inner := range []*optimizer.Spec{optimizer.LeafAccess("RT", qgm.OpTBSCAN, ""), optimizer.LeafAccess("RT", qgm.OpIXSCAN, "R_K_IDX")} {
 		for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
 			t.Run(fmt.Sprintf("wide-first-entry/%s/%s", inner.Access.Method, method), func(t *testing.T) {
-				answered := int64(1)
+				paths := indexPaths{answered: 1, counted: 1}
 				if method == qgm.OpMSJOIN && inner.Access.Method == qgm.OpTBSCAN {
-					answered = 0
+					paths = indexPaths{}
 				}
-				assertIndexPaths(t, answered, 0, func() {
+				assertIndexPaths(t, paths, func() {
 					assertFrozen(t, db, opt, q, optimizer.Join(method, optimizer.LeafAccess("LT", qgm.OpTBSCAN, ""), inner))
 				})
 			})
@@ -172,13 +177,29 @@ func namedTables(t *testing.T, n int) (*storage.Database, *optimizer.Optimizer) 
 	return db, optimizer.New(db.Catalog, optimizer.DefaultOptions())
 }
 
-// assertIndexPaths requires that run, one serial execution, had answered of
-// its joins answered from an index and switched of those switch to a build.
-func assertIndexPaths(t *testing.T, answered, switched int64, run func()) {
+// indexPaths counts the joins of an execution whose probes an index
+// answered, those of them that switched to a build, and the joins whose inner
+// was counted from the index instead of drained.
+type indexPaths struct{ answered, switched, counted int64 }
+
+// loadIndexPaths reads the process-wide counters.
+func loadIndexPaths() indexPaths {
+	return indexPaths{indexAnswered.Load(), indexSwitched.Load(), indexCounted.Load()}
+}
+
+// sub is the count of each path between two readings.
+func (p indexPaths) sub(q indexPaths) indexPaths {
+	return indexPaths{p.answered - q.answered, p.switched - q.switched, p.counted - q.counted}
+}
+
+// assertIndexPaths requires that run, one serial execution, took each path
+// the number of times want says.
+func assertIndexPaths(t *testing.T, want indexPaths, run func()) {
 	t.Helper()
-	a, s := indexAnswered.Load(), indexSwitched.Load()
+	before := loadIndexPaths()
 	run()
-	if a, s = indexAnswered.Load()-a, indexSwitched.Load()-s; a != answered || s != switched {
-		t.Errorf("%d joins answered from an index, %d switched to a build; want %d and %d", a, s, answered, switched)
+	if got := loadIndexPaths().sub(before); got != want {
+		t.Errorf("%d joins answered from an index, %d switched to a build, %d inners counted; want %d, %d and %d",
+			got.answered, got.switched, got.counted, want.answered, want.switched, want.counted)
 	}
 }

@@ -138,7 +138,9 @@ func (j *joinIter) Next() (tuple, bool) {
 
 // buildInner drains the inner child and, unless ix answers the probes from the
 // stored index, buffers the rows as the build side and indexes them by join
-// key. Either way the drained rows are held in the intermediate accounting
+// key. An inner ix answers whose scan has no predicate is not drained but
+// counted from the index (indexProbe.count), to the same counts, sample and
+// bound. Either way the inner's rows are held in the intermediate accounting
 // until Close: the peaks count the plan's build side. It runs on the goroutine
 // driving the cursor, in whose arena the build lives (an exchange's lead is
 // built there too, never with ix). For an early-out MSJOIN the same pass
@@ -149,11 +151,10 @@ func (j *joinIter) buildInner(ix *indexProbe) {
 	wantMax := j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.probe) > 0
 	b, inner := newHashBuild(j.mem, j.probe, j.build, len(j.innerSlots)), j.inner
 	var sample tuple // the first row: the serial spill-formula sample
-	for {
-		t, ok := inner.Next()
-		if !ok {
-			break
-		}
+	if ix != nil && len(ix.src.preds) == 0 {
+		sample = ix.count(b, wantMax) // leaves the scan spent: the loop reads nothing
+	}
+	for t, ok := inner.Next(); ok; t, ok = inner.Next() {
 		if b.n == 0 {
 			sample = t
 		}
@@ -223,8 +224,9 @@ type hashBuild struct {
 	// column, as catalog.Compare orders them, first met winning ties. Over a
 	// key-word vector it is kept as a word and the tuple it came from — an
 	// index-ordered inner raises it on every row, and none of them is touched
-	// for it; maxKey is then read once, when the drain ends. The tuple, not a
-	// build ordinal: with an index answering the probes nothing is buffered.
+	// for it (a counted one sets it once, indexProbe.count); maxKey is then
+	// read once, when the drain ends. The tuple, not a build ordinal: with an
+	// index answering the probes nothing is buffered.
 	// Either way maxWord ends up the word of maxKey, if it has one.
 	maxKey   catalog.Value
 	maxWord  uint64
