@@ -20,9 +20,10 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	sols []sparql.Solution
-	err  error
+	done    chan struct{}
+	sols    []sparql.Solution
+	err     error
+	joiners int // callers that joined it, under the group's mu (tests)
 }
 
 // do runs fn once per key among concurrent callers; shared reports whether
@@ -33,6 +34,7 @@ func (g *flightGroup) do(key flightKey, fn func() ([]sparql.Solution, error)) (s
 		g.calls = map[flightKey]*flightCall{}
 	}
 	if c, ok := g.calls[key]; ok {
+		c.joiners++
 		g.mu.Unlock()
 		<-c.done
 		return c.sols, true, c.err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"galo/internal/fuseki"
 	"galo/internal/kb"
@@ -237,7 +238,9 @@ func TestProbeCacheOlderEpochLeavesNewerEntry(t *testing.T) {
 // TestSingleflightDedupesIdenticalProbes issues the same probe from many
 // goroutines against a slow endpoint and checks that concurrent callers
 // joined one evaluation instead of each paying their own — on the text path
-// and on the prepared one.
+// and on the prepared one. The endpoint is released only once every caller
+// but the leader has joined its flight: one released earlier would let a late
+// caller find the cache filled instead.
 func TestSingleflightDedupesIdenticalProbes(t *testing.T) {
 	knowledge := kb.New()
 	mustAdd(t, knowledge, matchingTemplate(0))
@@ -258,20 +261,17 @@ func TestSingleflightDedupesIdenticalProbes(t *testing.T) {
 
 			const clients = 8
 			var wg sync.WaitGroup
-			var started sync.WaitGroup
-			started.Add(clients)
 			for i := 0; i < clients; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					started.Done()
 					sols, _, err := probeOnce(eng)
 					if err != nil || len(sols) != 1 {
 						t.Errorf("probe: sols=%d err=%v", len(sols), err)
 					}
 				}()
 			}
-			started.Wait()
+			awaitJoiners(&eng.flight, clients-1)
 			close(release) // let the (deduplicated) evaluations proceed
 			wg.Wait()
 			if eng.DedupedProbes() == 0 {
@@ -281,6 +281,22 @@ func TestSingleflightDedupesIdenticalProbes(t *testing.T) {
 				t.Errorf("deduped %d probes from %d calls", eng.DedupedProbes(), clients)
 			}
 		})
+	}
+}
+
+// awaitJoiners waits until n callers have joined the evaluations in flight.
+func awaitJoiners(g *flightGroup, n int) {
+	for {
+		g.mu.Lock()
+		joined := 0
+		for _, c := range g.calls {
+			joined += c.joiners
+		}
+		g.mu.Unlock()
+		if joined >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
