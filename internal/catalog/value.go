@@ -178,20 +178,60 @@ func (v Value) AsString() string {
 
 // SQLLiteral renders the value as a SQL literal (strings and dates quoted, a
 // float with a decimal point or an exponent, so that it reads back as one).
-func (v Value) SQLLiteral() string {
+func (v Value) SQLLiteral() string { return string(v.AppendSQLLiteral(nil)) }
+
+// AppendSQLLiteral appends the value as SQLLiteral renders it.
+func (v Value) AppendSQLLiteral(b []byte) []byte {
 	switch v.K {
 	case KindString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
-	case KindDate:
-		return "'" + v.AsString() + "'"
-	case KindFloat:
-		s := v.AsString()
-		if strings.Trim(s, "0123456789") == "" {
-			s += ".0"
+		b = append(b, '\'')
+		for i := 0; i < len(v.S); i++ {
+			if v.S[i] == '\'' {
+				b = append(b, '\'')
+			}
+			b = append(b, v.S[i])
 		}
-		return s
+		return append(b, '\'')
+	case KindDate:
+		b = time.Unix(v.I*86400, 0).UTC().AppendFormat(append(b, '\''), "2006-01-02")
+		return append(b, '\'')
+	case KindFloat:
+		start := len(b)
+		b = strconv.AppendFloat(b, v.F, 'g', -1, 64)
+		for _, c := range b[start:] {
+			if c < '0' || c > '9' {
+				return b // a sign, a point, an exponent, NaN or Inf
+			}
+		}
+		return append(b, ".0"...)
+	case KindInt:
+		return strconv.AppendInt(b, v.I, 10)
 	default:
-		return v.AsString()
+		return append(b, v.AsString()...)
+	}
+}
+
+// SameLiteral reports whether v and w render the same SQLLiteral, without
+// rendering either. Only the field a kind prints is compared: −0 and +0
+// differ ("-0" and "0.0"), every NaN prints "NaN", a boolean is any non-zero
+// I. Kinds print apart but for two cases, which are rare enough to render: a
+// negative integral float prints no decimal point ("-1", as the integer
+// does), and a string can read as a date.
+func (v Value) SameLiteral(w Value) bool {
+	if v.K != w.K {
+		return v.SQLLiteral() == w.SQLLiteral()
+	}
+	switch v.K {
+	case KindInt, KindDate:
+		return v.I == w.I
+	case KindFloat:
+		return math.Float64bits(v.F) == math.Float64bits(w.F) || v.F != v.F && w.F != w.F
+	case KindString:
+		return v.S == w.S
+	case KindBool:
+		return (v.I != 0) == (w.I != 0)
+	default: // NULL, or a kind that prints its number
+		return true
 	}
 }
 

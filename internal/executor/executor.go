@@ -246,7 +246,7 @@ func (e *Executor) newContext(q *sqlparser.Query, budgetMillis float64) (*execCo
 	}
 	ctx.mem = ctx.newArena()
 	for i, ref := range work.From {
-		inst := fmt.Sprintf("Q%d", i+1)
+		inst := qgm.InstanceName(i)
 		ctx.instToRef[inst] = strings.ToUpper(ref.Name())
 		ctx.refToInst[strings.ToUpper(ref.Name())] = inst
 	}

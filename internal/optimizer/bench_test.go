@@ -5,26 +5,43 @@ import (
 	"testing"
 
 	"galo/internal/optimizer"
+	"galo/internal/sqlparser"
 	"galo/internal/workload/tpcds"
 )
 
 // planningCases names one tpcds.Queries() entry per join count — the shapes
 // of the bench/ routinized pool (web_sales x item, Figure 3, star, snowflake,
-// 5-join snowflake) and TPCDS.Q91, the widest query under JoinEnumDPLimit.
-// BENCH_optimizer.json's planning section measures the same entries.
+// 5-join snowflake) and TPCDS.Q91, the widest query under JoinEnumDPLimit —
+// and, as sql, the shape of the bench/ cold_large_kb stream: one join whose
+// BETWEEN on the join key the rewrite tier carries across to the fact table.
+// BENCH_optimizer.json's planning section measures the tpcds entries.
 var planningCases = []struct {
 	name  string
 	index int
-}{{"j1", 4}, {"j2", 8}, {"j3", 34}, {"j4", 40}, {"j5", 55}, {"j8", 90}}
+	sql   string
+}{{"j1", 4, ""}, {"j2", 8, ""}, {"j3", 34, ""}, {"j4", 40, ""}, {"j5", 55, ""}, {"j8", 90, ""},
+	{"transitive", -1, `SELECT ss_quantity, ss_sales_price FROM store_sales, date_dim
+		WHERE ss_sold_date_sk = d_date_sk AND d_date_sk BETWEEN 17 AND 41 AND ss_sales_price < 123.450000042`}}
+
+// planningQuery returns the query of a planning case.
+func planningQuery(all []*sqlparser.Query, index int, sql string) *sqlparser.Query {
+	if sql != "" {
+		q := sqlparser.MustParse(sql)
+		q.Name = "cold_large_kb"
+		return q
+	}
+	return all[index]
+}
 
 func BenchmarkOptimize(b *testing.B) {
 	opt := optimizer.New(goldenTPCDS(b).Catalog, optimizer.DefaultOptions())
 	all := tpcds.Queries()
 	for _, c := range planningCases {
+		q := planningQuery(all, c.index, c.sql)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := opt.Optimize(all[c.index]); err != nil {
+				if _, _, err := opt.Optimize(q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -35,17 +52,20 @@ func BenchmarkOptimize(b *testing.B) {
 // TestOptimizeAllocCeiling is the clock-free half of the planning regression
 // gate: allocation counts and bytes repeat exactly, so CI can pin them where it
 // cannot pin milliseconds. Ceilings are 1.3x what one Optimize measures now
-// that the slab, the DP table and the access paths come out of a recycled
-// arena, a finished subset's displaced candidates leave the slab, and the
-// front half copies each predicate once. Before (a fresh slab per call, sized
-// by the query) the same calls took, in allocations / bytes: j1 78 / 8 628,
-// j2 116 / 18 424, j3 139 / 34 976, j4 182 / 68 504, j5 211 / 130 140,
-// j8 348 / 1 468 912 — every ceiling is below its own "before", so going back
-// fails all twelve; and before candidates were slab values at all, j1 137 /
-// 11 363 up to j8 79 181 / 9 082 147. j1 and j2 matter most: one- and two-join
-// planning is most of what a cold serving workload allocates. Not under the
-// race detector: there sync.Pool drops a quarter of what is Put, and a dropped
-// arena is a chunk, a table and two path lists allocated again.
+// that the front half prepares a query without rendering or regrowing it (one
+// clone sized for what the rewrite tier infers, predicates compared as values,
+// notes rendered when read, quantifiers, their predicates and columns each
+// from one array, no string-keyed maps) and a plan's nodes and texts each
+// come from one array. Before that, the same calls took, in allocations /
+// bytes: j1 50 / 3 796, j2 76 / 6 032, j3 93 / 7 696, j4 125 / 10 568,
+// j5 145 / 13 264, j8 190 / 18 336, transitive 77 / 7 552 — every ceiling is
+// below its own "before", so going back fails all fourteen. Earlier still (a
+// fresh slab per call, sized by the query): j1 78 / 8 628 up to j8 348 /
+// 1 468 912; and before candidates were slab values at all, j1 137 / 11 363 up
+// to j8 79 181 / 9 082 147. j1, j2 and transitive matter most: one- and
+// two-join planning is most of what a cold serving workload allocates. Not
+// under the race detector: there sync.Pool drops a quarter of what is Put, and
+// a dropped arena is a chunk, a table and two path lists allocated again.
 func TestOptimizeAllocCeiling(t *testing.T) {
 	if optimizer.RaceDetector {
 		t.Skip("sync.Pool drops arenas at random under the race detector")
@@ -56,15 +76,16 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 		allocs float64
 		bytes  uint64
 	}{ // measured:
-		"j1": {78, 6_150},   // 60 allocations, 4 728 bytes
-		"j2": {110, 9_200},  // 84, 7 056
-		"j3": {127, 11_600}, // 97, 8 896
-		"j4": {166, 15_700}, // 127, 12 040
-		"j5": {192, 19_800}, // 147, 15 176
-		"j8": {246, 26_800}, // 189, 20 596
+		"j1":         {28, 3_700},  // 21 allocations, 2 808 bytes
+		"j2":         {32, 5_900},  // 24, 4 496
+		"j3":         {34, 7_500},  // 26, 5 736
+		"j4":         {38, 9_650},  // 29, 7 392
+		"j5":         {45, 11_700}, // 34, 8 992
+		"j8":         {55, 17_400}, // 42, 13 368
+		"transitive": {33, 4_600},  // 25, 3 536
 	}
 	for _, c := range planningCases {
-		ceiling, q := ceilings[c.name], all[c.index]
+		ceiling, q := ceilings[c.name], planningQuery(all, c.index, c.sql)
 		run := func() {
 			if _, _, err := opt.Optimize(q); err != nil {
 				t.Fatal(err)

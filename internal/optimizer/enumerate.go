@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -161,11 +160,11 @@ func (pc *planCtx) release() {
 // joinEdge is one join predicate of the query resolved against the
 // quantifiers.
 type joinEdge struct {
-	l, r       uint64  // bits of the quantifiers owning the left / right column
-	sel        float64 // 1/max(NDV left, NDV right); defaultJoinSel without statistics
-	text       string  // the rendered predicate: one qgm.Node.JoinCols entry
-	lCol, rCol string  // instance-qualified columns: the sort columns a merge join needs
-	lOrd, rOrd int32   // their interesting-order ids
+	l, r       uint64   // bits of the quantifiers owning the left / right column
+	sel        float64  // 1/max(NDV left, NDV right); defaultJoinSel without statistics
+	pred       int32    // the predicate's position in the query's WHERE: one qgm.Node.JoinCols entry
+	lOrd, rOrd int32    // the interesting-order ids of its columns
+	lCol, rCol orderKey // its columns: the sort columns a merge join needs
 }
 
 // links reports whether the edge connects the two quantifier sets.
@@ -173,32 +172,48 @@ func (e *joinEdge) links(left, right uint64) bool {
 	return (e.l&left != 0 && e.r&right != 0) || (e.r&left != 0 && e.l&right != 0)
 }
 
+// orderKey is an instance-qualified column: quantifier quant's column col
+// (upper-cased), named "Qi.COL".
+type orderKey struct {
+	quant int32
+	col   string
+}
+
+// String renders the key as a qgm.Node.OrderedOn.
+func (k orderKey) String() string { return qgm.InstanceName(int(k.quant)) + "." + k.col }
+
+// compare orders keys as their names sort. Instance names are "Q" and digits,
+// and '.' sorts before every digit, so comparing the instance names first and
+// then the columns is comparing the names.
+func (k orderKey) compare(o orderKey) int {
+	if c := strings.Compare(qgm.InstanceName(int(k.quant)), qgm.InstanceName(int(o.quant))); c != 0 {
+		return c
+	}
+	return strings.Compare(k.col, o.col)
+}
+
 // resolveJoins resolves the prepared query's join predicates and ORDER BY
-// columns against its quantifiers: byName, edges and orderID.
+// columns against its quantifiers — through the reference Resolve wrote into
+// each column — into edges and orders.
 func (o *Optimizer) resolveJoins(pr *Prepared) {
-	q := pr.q
-	pr.byName, pr.orderID = make(map[string]*Quantifier, 2*len(pr.quants)), map[string]int32{}
-	for _, qt := range pr.quants {
-		pr.byName[strings.ToUpper(qt.Ref.Name())] = qt
-		pr.byName[qt.Instance] = qt
-	}
-	// qualify resolves a column to its quantifier and instance-qualified name,
-	// and registers the name as an interesting order.
-	var keys []string
-	qualify := func(c sqlparser.ColumnRef) (*Quantifier, string) {
-		qt := pr.byName[strings.ToUpper(c.Table)]
-		if qt == nil {
-			return nil, ""
+	q := &pr.q
+	joins := q.NumJoins()
+	pr.edges = make([]joinEdge, 0, joins)
+	pr.orders = make([]orderKey, 0, 2*joins+len(q.OrderBy))
+	// qualify resolves a column to its quantifier and registers it as an
+	// interesting order.
+	qualify := func(c sqlparser.ColumnRef) (*Quantifier, orderKey) {
+		i := pr.quant(c.Table)
+		if i < 0 {
+			return nil, orderKey{}
 		}
-		col := qt.Instance + "." + c.Column
-		key := strings.ToUpper(col)
-		if _, seen := pr.orderID[key]; !seen {
-			pr.orderID[key] = 0
-			keys = append(keys, key)
+		k := orderKey{quant: int32(i), col: strings.ToUpper(c.Column)}
+		if !slices.Contains(pr.orders, k) {
+			pr.orders = append(pr.orders, k)
 		}
-		return qt, col
+		return pr.quants[i], k
 	}
-	for _, p := range q.Where {
+	for i, p := range q.Where {
 		if !p.IsJoin() {
 			continue
 		}
@@ -207,7 +222,7 @@ func (o *Optimizer) resolveJoins(pr *Prepared) {
 		if lq == nil || rq == nil {
 			continue
 		}
-		e := joinEdge{l: lq.bit, r: rq.bit, sel: defaultJoinSel, text: p.String(), lCol: lCol, rCol: rCol}
+		e := joinEdge{l: lq.bit, r: rq.bit, sel: defaultJoinSel, pred: int32(i), lCol: lCol, rCol: rCol}
 		if ndv := max(columnNDV(o.Cat, lq.Ref.Table, p.Left.Column), columnNDV(o.Cat, rq.Ref.Table, p.Right.Column)); ndv > 0 {
 			e.sel = 1.0 / float64(ndv)
 		}
@@ -216,22 +231,33 @@ func (o *Optimizer) resolveJoins(pr *Prepared) {
 	for _, c := range q.OrderBy {
 		qualify(c)
 	}
-	sort.Strings(keys)
-	for i, key := range keys {
-		pr.orderID[key] = int32(i + 1)
-	}
+	slices.SortFunc(pr.orders, orderKey.compare)
 	for i := range pr.edges {
 		e := &pr.edges[i]
 		e.lOrd, e.rOrd = pr.ordOf(e.lCol), pr.ordOf(e.rCol)
 	}
 }
 
-// ordOf returns the interesting-order id of an order property, 0 for none.
-func (pr *Prepared) ordOf(orderedOn string) int32 {
-	if orderedOn == "" {
-		return 0
+// quant returns the position of the quantifier a name refers to — the
+// reference name Resolve writes into a column, or an instance name — or -1.
+// Where several would answer, the last in FROM order does.
+func (pr *Prepared) quant(name string) int {
+	for i := len(pr.quants) - 1; i >= 0; i-- {
+		if qt := pr.quants[i]; qt.Instance == name || qt.Ref.ResolvedAs(name) {
+			return i
+		}
 	}
-	return pr.orderID[strings.ToUpper(orderedOn)]
+	return -1
+}
+
+// ordOf returns the interesting-order id of an instance-qualified column, 0
+// for none.
+func (pr *Prepared) ordOf(k orderKey) int32 {
+	k.col = strings.ToUpper(k.col)
+	if i, ok := slices.BinarySearchFunc(pr.orders, k, orderKey.compare); ok {
+		return int32(i + 1)
+	}
+	return 0
 }
 
 // cand returns the candidate at a slab index.
@@ -372,7 +398,7 @@ func (pc *planCtx) accessPaths(qt *Quantifier) []accessPath {
 				card:         qt.Card,
 				indexCluster: idx.ClusterRatio,
 				index:        int32(i),
-				ord:          pc.ordOf(qt.Instance + "." + lead),
+				ord:          pc.ordOf(orderKey{quant: int32(bits.TrailingZeros64(qt.bit)), col: lead}),
 				fetch:        fetch,
 			})
 		}
@@ -394,29 +420,33 @@ func (o *Optimizer) leadingColumnSelectivity(qt *Quantifier, column string) floa
 	sel := 1.0
 	for _, p := range qt.LocalPreds {
 		if strings.EqualFold(p.Left.Column, column) {
-			sel *= o.predicateSelectivity(ts, p)
+			sel *= o.predicateSelectivity(ts, *p)
 		}
 	}
 	return clampSel(sel)
 }
 
-// referencedColumns returns the columns of a FROM reference that the query
-// mentions anywhere, repeats included: what an index must hold to answer for
-// the table without fetching rows.
-func referencedColumns(q *sqlparser.Query, refName string) []string {
-	var out []string
+// referencedColumns writes the columns of a FROM reference that the query
+// mentions anywhere, repeats included — what an index must hold to answer for
+// the table without fetching rows — to the front of dst and returns how many
+// there are; a nil dst only counts them.
+func referencedColumns(dst []string, q *sqlparser.Query, refName string) int {
+	n := 0
 	add := func(c sqlparser.ColumnRef) {
 		if strings.EqualFold(c.Table, refName) {
-			out = append(out, c.Column)
+			if dst != nil {
+				dst[n] = c.Column
+			}
+			n++
 		}
 	}
 	for _, c := range q.Select {
 		add(c)
 	}
-	for _, p := range q.Where {
-		add(p.Left)
-		if p.Kind == sqlparser.PredJoin {
-			add(p.Right)
+	for i := range q.Where {
+		add(q.Where[i].Left)
+		if q.Where[i].Kind == sqlparser.PredJoin {
+			add(q.Where[i].Right)
 		}
 	}
 	for _, c := range q.GroupBy {
@@ -425,7 +455,7 @@ func referencedColumns(q *sqlparser.Query, refName string) []string {
 	for _, c := range q.OrderBy {
 		add(c)
 	}
-	return out
+	return n
 }
 
 func coversAll(indexCols, needed []string) bool {
@@ -469,7 +499,7 @@ func (pc *planCtx) accessCand(qt *Quantifier, path accessPath) int32 {
 func (pc *planCtx) addAccessCands(qt *Quantifier, set candSet) {
 	paths := pc.accessPaths(qt)
 	best := paths[0]
-	bestByOrder := make([]*accessPath, len(pc.orderID)+1) // indexed by interesting-order id
+	bestByOrder := make([]*accessPath, len(pc.orders)+1) // indexed by interesting-order id
 	for i := range paths {
 		p := &paths[i]
 		if p.cost < best.cost {
@@ -494,8 +524,8 @@ func (pc *planCtx) addAccessCands(qt *Quantifier, set candSet) {
 // whether a predicate connects them, the selectivity, and the merge columns.
 type joinSplit struct {
 	connected  bool
-	sel        float64 // product of the connecting edges' selectivities, clamped
-	lCol, rCol string  // outer / inner sort columns of a merge join (first connecting predicate)
+	sel        float64  // product of the connecting edges' selectivities, clamped
+	lCol, rCol orderKey // outer / inner sort columns of a merge join (first connecting predicate)
 	lOrd, rOrd int32
 }
 
@@ -529,19 +559,6 @@ func (pc *planCtx) split(left, right uint64) joinSplit {
 	}
 	sp.sel = clampSel(sp.sel)
 	return sp
-}
-
-// joinCols renders the predicates connecting two quantifier sets, in WHERE
-// order: a materialized join's qgm.Node.JoinCols (empty, not nil, for a
-// cartesian product).
-func (pc *planCtx) joinCols(left, right uint64) []string {
-	cols := []string{}
-	for i := range pc.edges {
-		if e := &pc.edges[i]; e.links(left, right) {
-			cols = append(cols, e.text)
-		}
-	}
-	return cols
 }
 
 // buildJoinCand costs joining left (outer) and right (inner) with the given
@@ -596,15 +613,70 @@ func (pc *planCtx) buildJoinCand(jc *planCand, method qgm.OpType, left, right *p
 	return true
 }
 
-// node materializes the plan of the candidate at slab index i: one fresh
-// qgm.Node per operator (MSJOIN's explicit SORTs included), with the
-// predicates and join columns rendered here and nowhere earlier. The tree
-// shares nothing with the slab but immutable strings, so it outlives the call.
+// node materializes the plan of the candidate at slab index i: one qgm.Node
+// per operator (MSJOIN's explicit SORTs included), with the predicates and
+// join columns rendered here and nowhere earlier. The nodes are carved from one
+// array, and the Predicates and JoinCols lists from another, both sized by a
+// walk of the candidates first. The tree shares nothing with the slab but
+// immutable strings, so it outlives the call.
 func (pc *planCtx) node(i int32) *qgm.Node {
+	nodes, texts := pc.planSize(i)
+	b := &planBuilder{pc: pc, nodes: make([]qgm.Node, nodes), texts: make([]string, texts)}
+	return b.node(i)
+}
+
+// planSize counts the operators node builds for the candidate at slab index
+// i, and the strings of their Predicates and JoinCols lists.
+func (pc *planCtx) planSize(i int32) (nodes, texts int) {
+	c := pc.cand(i)
+	if c.method == candAccess {
+		return 1, len(pc.quants[bits.TrailingZeros64(c.mask)].LocalPreds)
+	}
+	ln, lt := pc.planSize(c.left)
+	rn, rt := pc.planSize(c.right)
+	nodes, texts = 1+ln+rn, lt+rt
+	if c.sortLeft {
+		nodes++
+	}
+	if c.sortRight {
+		nodes++
+	}
+	left, right := pc.cand(c.left).mask, pc.cand(c.right).mask
+	for j := range pc.edges {
+		if pc.edges[j].links(left, right) {
+			texts++
+		}
+	}
+	return nodes, texts
+}
+
+// planBuilder hands out the nodes and strings of one node call.
+type planBuilder struct {
+	pc    *planCtx
+	nodes []qgm.Node
+	texts []string
+}
+
+// alloc returns the next node, set to n.
+func (b *planBuilder) alloc(n qgm.Node) *qgm.Node {
+	p := &b.nodes[0]
+	*p, b.nodes = n, b.nodes[1:]
+	return p
+}
+
+// strs returns the next n strings, clipped: empty, not nil, for none.
+func (b *planBuilder) strs(n int) []string {
+	s := b.texts[:n:n]
+	b.texts = b.texts[n:]
+	return s
+}
+
+func (b *planBuilder) node(i int32) *qgm.Node {
+	pc := b.pc
 	c := pc.cand(i)
 	if c.method == candAccess {
 		qt, path := pc.quants[bits.TrailingZeros64(c.mask)], &pc.paths[c.right]
-		node := &qgm.Node{
+		node := b.alloc(qgm.Node{
 			Op:             path.op(),
 			Table:          strings.ToUpper(qt.Ref.Table),
 			TableInstance:  qt.Instance,
@@ -612,40 +684,55 @@ func (pc *planCtx) node(i int32) *qgm.Node {
 			EstCost:        path.cost,
 			RowSize:        qt.RowWidth,
 			Pages:          qt.Pages,
-		}
+		})
 		if path.usesIndex() {
 			idx := &qt.Table.Indexes[path.index]
 			node.Index, node.OrderedOn = idx.Name, qt.Instance+"."+idx.Columns[0]
 		}
-		for _, p := range qt.LocalPreds {
-			node.Predicates = append(node.Predicates, p.String())
+		if len(qt.LocalPreds) > 0 {
+			node.Predicates = b.strs(len(qt.LocalPreds))
+			for i, p := range qt.LocalPreds {
+				node.Predicates[i] = p.String()
+			}
 		}
 		return node
 	}
 	left, right := pc.cand(c.left), pc.cand(c.right)
-	node := &qgm.Node{
+	node := b.alloc(qgm.Node{
 		Op:             candOps[c.method],
 		EstCardinality: c.card,
 		EstCost:        c.cost,
 		RowSize:        int(c.rowSize),
-		JoinCols:       pc.joinCols(left.mask, right.mask),
+		JoinCols:       b.joinCols(left.mask, right.mask),
 		BloomFilter:    c.bloom,
 		EarlyOut:       c.method == candMSJOIN,
-		Outer:          pc.node(c.left),
-		Inner:          pc.node(c.right),
-	}
+	})
+	node.Outer, node.Inner = b.node(c.left), b.node(c.right)
 	node.OrderedOn = node.Outer.OrderedOn // hash probe and nested-loop outer order is preserved
 	if c.method == candMSJOIN {
 		sp := pc.split(left.mask, right.mask)
-		node.OrderedOn = sp.lCol
+		node.OrderedOn = sp.lCol.String()
 		if c.sortLeft {
-			node.Outer = &qgm.Node{Op: qgm.OpSORT, Outer: node.Outer, EstCardinality: left.card, EstCost: c.leftCost, RowSize: int(left.rowSize), OrderedOn: sp.lCol}
+			node.Outer = b.alloc(qgm.Node{Op: qgm.OpSORT, Outer: node.Outer, EstCardinality: left.card, EstCost: c.leftCost, RowSize: int(left.rowSize), OrderedOn: node.OrderedOn})
 		}
 		if c.sortRight {
-			node.Inner = &qgm.Node{Op: qgm.OpSORT, Outer: node.Inner, EstCardinality: right.card, EstCost: c.rightCost, RowSize: int(right.rowSize), OrderedOn: sp.rCol}
+			node.Inner = b.alloc(qgm.Node{Op: qgm.OpSORT, Outer: node.Inner, EstCardinality: right.card, EstCost: c.rightCost, RowSize: int(right.rowSize), OrderedOn: sp.rCol.String()})
 		}
 	}
 	return node
+}
+
+// joinCols renders the predicates connecting two quantifier sets, in WHERE
+// order: a materialized join's qgm.Node.JoinCols (empty, not nil, for a
+// cartesian product).
+func (b *planBuilder) joinCols(left, right uint64) []string {
+	cols := b.texts[:0] // planSize left room for every one
+	for i := range b.pc.edges {
+		if e := &b.pc.edges[i]; e.links(left, right) {
+			cols = append(cols, b.pc.q.Where[e.pred].String())
+		}
+	}
+	return b.strs(len(cols))
 }
 
 // --- dynamic programming -----------------------------------------------------
@@ -750,7 +837,7 @@ func (pc *planCtx) dpEnumerate(bound float64) (*qgm.Node, int, error) {
 	considered := 0
 	subsets := uint64(1) << uint(n)
 	table := &pc.table
-	table.reset(subsets, uint64(len(pc.orderID)+1))
+	table.reset(subsets, uint64(len(pc.orders)+1))
 	for _, qt := range pc.quants {
 		set := table.set(qt.bit)
 		pc.addAccessCands(qt, set)

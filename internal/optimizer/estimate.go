@@ -23,14 +23,14 @@ const (
 // one table. Under the default configuration predicates are assumed
 // independent (their selectivities multiply); with UseColumnGroups the
 // estimator consults column-group statistics to correct for correlation.
-func (o *Optimizer) localSelectivity(table string, preds []sqlparser.Predicate) float64 {
+func (o *Optimizer) localSelectivity(table string, preds []*sqlparser.Predicate) float64 {
 	if len(preds) == 0 {
 		return 1.0
 	}
 	ts := o.Cat.Stats(table)
 	sel := 1.0
 	for _, p := range preds {
-		sel *= o.predicateSelectivity(ts, p)
+		sel *= o.predicateSelectivity(ts, *p)
 	}
 	if o.Opts.UseColumnGroups && ts != nil && len(preds) >= 2 {
 		sel = o.applyGroupStats(ts, preds, sel)
@@ -53,7 +53,7 @@ func (o *Optimizer) localSelectivity(table string, preds []sqlparser.Predicate) 
 // (guarded against being smaller than the independence product, since an
 // NDV-only group cannot see skew across combinations). Predicates not
 // covered by any group keep their independent estimates.
-func (o *Optimizer) applyGroupStats(ts *catalog.TableStats, preds []sqlparser.Predicate, sel float64) float64 {
+func (o *Optimizer) applyGroupStats(ts *catalog.TableStats, preds []*sqlparser.Predicate, sel float64) float64 {
 	type eqPred struct {
 		val catalog.Value
 		sel float64
@@ -61,7 +61,7 @@ func (o *Optimizer) applyGroupStats(ts *catalog.TableStats, preds []sqlparser.Pr
 	eq := make(map[string]eqPred, len(preds))
 	for _, p := range preds {
 		if p.Kind == sqlparser.PredCompare && p.Op == "=" {
-			eq[strings.ToUpper(p.Left.Column)] = eqPred{p.Value, o.predicateSelectivity(ts, p)}
+			eq[strings.ToUpper(p.Left.Column)] = eqPred{p.Value, o.predicateSelectivity(ts, *p)}
 		}
 	}
 	if len(eq) < 2 {

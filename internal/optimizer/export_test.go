@@ -8,7 +8,14 @@ import (
 	"testing"
 
 	"galo/internal/qgm"
+	"galo/internal/sqlparser"
 )
+
+// Rewrite runs the rewrite tier over a resolved query, in place, and returns
+// its notes as a report reads them.
+func Rewrite(o *Optimizer, q *sqlparser.Query) []string {
+	return (&Report{notes: o.rewrite(q, nil), where: q.Where}).RewriteNotes()
+}
 
 // Unbounded is a query planned by UnboundedSearch.
 type Unbounded struct {
@@ -42,7 +49,7 @@ func UnboundedSearch(t testing.TB, o *Optimizer, p *Prepared) Unbounded {
 	for i := range active {
 		active[i] = true
 	}
-	out := Unbounded{Report: &Report{UsedDP: true, RewriteNotes: p.notes}, DP: true}
+	out := Unbounded{Report: &Report{UsedDP: true, notes: p.notes, where: p.q.Where}, DP: true}
 	for attempt := 0; ; attempt++ {
 		pc.cons = filterConstraints(perGuideline, active)
 		bound := pc.greedyBound()

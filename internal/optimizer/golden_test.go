@@ -570,7 +570,7 @@ func TestOptimizeIsReentrant(t *testing.T) {
 	all := tpcds.Queries()
 	queries := []*sqlparser.Query{all[0], all[3], all[5], all[9], all[21], all[35], all[45], all[60], all[75], all[92]}
 	for _, c := range planningCases {
-		queries = append(queries, all[c.index])
+		queries = append(queries, planningQuery(all, c.index, c.sql))
 	}
 	queries = append(queries, benchShapeQueries()...)
 

@@ -14,7 +14,6 @@ package optimizer
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"galo/internal/catalog"
@@ -57,8 +56,23 @@ type Report struct {
 	// document passed in Options.
 	GuidelinesApplied []int
 	GuidelinesIgnored []int
-	// RewriteNotes describes tier-1 rewrites that fired.
-	RewriteNotes []string
+	// notes are the tier-1 rewrites that fired, as positions in where: the
+	// prepared query's rewritten WHERE clause, which nothing writes to.
+	notes []rewriteNote
+	where []sqlparser.Predicate
+}
+
+// RewriteNotes describes the tier-1 rewrites that fired, nil for none. The
+// notes are rendered on every call, into a slice the caller owns.
+func (r *Report) RewriteNotes() []string {
+	if len(r.notes) == 0 {
+		return nil
+	}
+	out := make([]string, len(r.notes))
+	for i, n := range r.notes {
+		out[i] = n.render(r.where)
+	}
+	return out
 }
 
 // Optimizer plans SQL queries against a catalog. It holds no per-query state:
@@ -83,7 +97,7 @@ type Quantifier struct {
 	Ref        sqlparser.TableRef
 	Instance   string
 	Table      *catalog.Table
-	LocalPreds []sqlparser.Predicate
+	LocalPreds []*sqlparser.Predicate // into the prepared query's WHERE clause
 	// RawCard is the optimizer's belief of the table cardinality.
 	RawCard float64
 	// Card is the estimated cardinality after local predicates.
@@ -105,16 +119,18 @@ type Quantifier struct {
 // same catalog whose options differ from the preparing one's in Guidelines
 // only. It is plain garbage-collected data.
 type Prepared struct {
-	q      *sqlparser.Query
+	q      sqlparser.Query
 	quants []*Quantifier
-	byName map[string]*Quantifier // FROM reference name and instance name -> quantifier
 	edges  []joinEdge
-	// orderID numbers the interesting orders — the instance-qualified columns
-	// an order property could pay for: equality join columns (merge joins) and
-	// ORDER BY columns (final sort elimination). Keys are upper-cased "Qi.COL";
-	// ids start at 1 and ascend in key order, so walking ids walks keys sorted.
-	orderID map[string]int32
-	notes   []string // Report.RewriteNotes
+	// orders are the interesting orders — the instance-qualified columns an
+	// order property could pay for: equality join columns (merge joins) and
+	// ORDER BY columns (final sort elimination) — sorted as their "Qi.COL"
+	// names sort. An order's id is its position plus 1, so walking ids walks
+	// the names sorted.
+	orders []orderKey
+	notes  []rewriteNote // Report.RewriteNotes, as positions in q.Where
+	// noteBuf holds the notes of a query with few.
+	noteBuf [4]rewriteNote
 }
 
 // SQL renders the query as planned: resolved, and rewritten by the first tier.
@@ -137,7 +153,10 @@ func (o *Optimizer) Prepare(q *sqlparser.Query) (*Prepared, error) {
 	if q == nil {
 		return nil, fmt.Errorf("optimizer: nil query")
 	}
-	work := q.Clone()
+	// One clone, with room for what the rewrite tier infers.
+	p := new(Prepared)
+	work := &p.q
+	q.CloneInto(work, inferenceRoom(q))
 	if err := sqlparser.Resolve(work, o.Cat.Schema); err != nil {
 		return nil, err
 	}
@@ -147,7 +166,7 @@ func (o *Optimizer) Prepare(q *sqlparser.Query) (*Prepared, error) {
 	if len(work.From) > maxQuantifiers {
 		return nil, fmt.Errorf("optimizer: query references %d tables, the enumerator plans at most %d", len(work.From), maxQuantifiers)
 	}
-	p := &Prepared{q: work, notes: o.rewrite(work)}
+	p.notes = o.rewrite(work, p.noteBuf[:0])
 	p.quants = o.Quantifiers(work)
 	o.resolveJoins(p)
 	return p, nil
@@ -156,8 +175,7 @@ func (o *Optimizer) Prepare(q *sqlparser.Query) (*Prepared, error) {
 // OptimizePrepared runs cost-based enumeration over a prepared query under
 // this optimizer's guidelines: Optimize's second half.
 func (o *Optimizer) OptimizePrepared(p *Prepared) (*qgm.Plan, *Report, error) {
-	// Clipped: appending to one report's notes must not write into another's.
-	report := &Report{RewriteNotes: slices.Clip(p.notes)}
+	report := &Report{notes: p.notes, where: p.q.Where}
 	root, err := o.enumerate(p, report)
 	if err != nil {
 		return nil, nil, err
@@ -167,7 +185,7 @@ func (o *Optimizer) OptimizePrepared(p *Prepared) (*qgm.Plan, *Report, error) {
 
 // finishPlan wraps a join tree into the plan Optimize and BuildPlan return.
 func (o *Optimizer) finishPlan(p *Prepared, root *qgm.Node) *qgm.Plan {
-	root = o.addFinalOperators(p.q, root)
+	root = o.addFinalOperators(&p.q, root)
 	plan := qgm.NewPlan(root)
 	plan.QueryName = p.q.Name
 	plan.TotalCost = root.EstCost
@@ -185,16 +203,24 @@ func (o *Optimizer) MustOptimize(q *sqlparser.Query) *qgm.Plan {
 }
 
 // Quantifiers assigns table instances (Q1..Qn, in FROM order) and derives the
-// per-reference estimates.
+// per-reference estimates. The quantifiers come from one slab; their local
+// predicates (PredicatesFor's, as pointers into q.Where) and referenced
+// columns are windows of one backing array each, in the order the query lists
+// them.
 func (o *Optimizer) Quantifiers(q *sqlparser.Query) []*Quantifier {
-	out := make([]*Quantifier, 0, len(q.From))
+	npreds, ncols := 0, 0
+	for _, ref := range q.From {
+		npreds += localPredicates(nil, q, ref.Name())
+		ncols += referencedColumns(nil, q, ref.Name())
+	}
+	preds, cols := make([]*sqlparser.Predicate, npreds), make([]string, ncols)
+	slab, out := make([]Quantifier, len(q.From)), make([]*Quantifier, len(q.From))
 	for i, ref := range q.From {
-		inst := fmt.Sprintf("Q%d", i+1)
-		tbl := o.Cat.Table(ref.Table)
-		quant := &Quantifier{
+		quant := &slab[i]
+		*quant = Quantifier{
 			Ref:      ref,
-			Instance: inst,
-			Table:    tbl,
+			Instance: qgm.InstanceName(i),
+			Table:    o.Cat.Table(ref.Table),
 			RawCard:  o.Cat.EstimatedCardinality(ref.Table),
 			Pages:    o.Cat.EstimatedPages(ref.Table),
 			bit:      1 << uint(i),
@@ -204,13 +230,31 @@ func (o *Optimizer) Quantifiers(q *sqlparser.Query) []*Quantifier {
 		} else {
 			quant.RowWidth = 64
 		}
-		quant.LocalPreds = sqlparser.PredicatesFor(q, ref.Name())
-		quant.refCols = referencedColumns(q, ref.Name())
+		n := localPredicates(preds, q, ref.Name())
+		quant.LocalPreds, preds = preds[:n:n], preds[n:]
+		n = referencedColumns(cols, q, ref.Name())
+		quant.refCols, cols = cols[:n:n], cols[n:]
 		sel := o.localSelectivity(ref.Table, quant.LocalPreds)
 		quant.Card = clampCard(quant.RawCard * sel)
-		out = append(out, quant)
+		out[i] = quant
 	}
 	return out
+}
+
+// localPredicates points the front of dst at the local predicates of a FROM
+// reference — those PredicatesFor returns, in WHERE order — and returns how
+// many there are; a nil dst only counts them.
+func localPredicates(dst []*sqlparser.Predicate, q *sqlparser.Query, refName string) int {
+	n := 0
+	for i := range q.Where {
+		if p := &q.Where[i]; p.LocalTo(refName) {
+			if dst != nil {
+				dst[n] = p
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // addFinalOperators adds SORT (for ORDER BY) and GRPBY (for GROUP BY)
@@ -271,7 +315,7 @@ func orderByProperty(q *sqlparser.Query) string {
 func InstanceFor(q *sqlparser.Query, refName string) string {
 	for i, ref := range q.From {
 		if strings.EqualFold(ref.Name(), refName) {
-			return fmt.Sprintf("Q%d", i+1)
+			return qgm.InstanceName(i)
 		}
 	}
 	return ""

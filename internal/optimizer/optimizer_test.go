@@ -1,7 +1,9 @@
 package optimizer
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -308,7 +310,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if err := sqlparser.Resolve(work, o.Cat.Schema); err != nil {
 		t.Fatal(err)
 	}
-	report := &Report{RewriteNotes: o.rewrite(work)}
+	report := &Report{notes: o.rewrite(work, nil), where: work.Where}
 	found := false
 	for _, p := range work.LocalPredicates() {
 		if p.Left.Column == "SS_SOLD_DATE_SK" && p.Kind == sqlparser.PredCompare {
@@ -318,7 +320,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if !found {
 		t.Errorf("transitive predicate not inferred; predicates = %v", work.Where)
 	}
-	if len(report.RewriteNotes) == 0 {
+	if len(report.RewriteNotes()) == 0 {
 		t.Errorf("rewrite notes empty")
 	}
 	// Duplicate elimination.
@@ -327,9 +329,36 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if err := sqlparser.Resolve(work2, o.Cat.Schema); err != nil {
 		t.Fatal(err)
 	}
-	o.rewrite(work2)
+	o.rewrite(work2, nil)
 	if len(work2.Where) != 1 {
 		t.Errorf("duplicate predicate not removed: %v", work2.Where)
+	}
+}
+
+// TestInterestingOrdersSortByName: interesting-order ids ascend as the
+// "Qi.COL" names sort, which from Q10 on is not the FROM order (Q10 sorts
+// before Q2), and ordOf finds every one of them.
+func TestInterestingOrdersSortByName(t *testing.T) {
+	o := newOpt(t)
+	from, where := []string{"store_sales s1"}, []string{}
+	for i := 2; i <= 12; i++ {
+		from = append(from, fmt.Sprintf("store_sales s%d", i))
+		where = append(where, fmt.Sprintf("s%d.ss_item_sk = s%d.ss_customer_sk", i-1, i))
+	}
+	p, err := o.Prepare(sqlparser.MustParse("SELECT s1.ss_quantity FROM " + strings.Join(from, ", ") +
+		" WHERE " + strings.Join(where, " AND ") + " ORDER BY s12.ss_quantity"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for i, k := range p.orders {
+		names = append(names, k.String())
+		if id := p.ordOf(k); id != int32(i+1) {
+			t.Errorf("%s has id %d, want %d", k, id, i+1)
+		}
+	}
+	if len(names) != 2*11+1 || !sort.StringsAreSorted(names) {
+		t.Errorf("interesting orders %q: want 23, sorted by name", names)
 	}
 }
 
@@ -367,7 +396,7 @@ func TestSelectivityEstimates(t *testing.T) {
 		t.Errorf("default selectivity = %v", def)
 	}
 	// Combined local selectivity multiplies and clamps.
-	sel := o.localSelectivity(tpcds.Item, []sqlparser.Predicate{
+	sel := o.localSelectivity(tpcds.Item, []*sqlparser.Predicate{
 		{Kind: sqlparser.PredCompare, Op: "=", Left: sqlparser.ColumnRef{Table: "ITEM", Column: "I_CATEGORY"}, Value: mustVal("Music")},
 		{Kind: sqlparser.PredCompare, Op: "=", Left: sqlparser.ColumnRef{Table: "ITEM", Column: "I_CLASS"}, Value: mustVal("Music-class-1")},
 	})

@@ -14,9 +14,11 @@ import (
 // four independent Optimize calls, then by OptimizePrepared on a Prepared the
 // four optimizers share: in that order, in the reverse order on a second
 // Prepared, and from 8 goroutines at once on a third. Every plan and report
-// must equal the independent call's byte for byte. Each caller also appends to
-// the notes of the report it was given, which under -race (and in the serial
-// check) is what finds two reports sharing one backing array.
+// must equal the independent call's byte for byte, its rewrite notes included.
+// Each caller also appends to the notes it read from the report it was given,
+// which under -race (and in the serial check) is what finds two reports, or
+// two reads of one, sharing one backing array: every report must still read
+// the independent call's notes afterwards.
 func TestPreparedMatchesOptimize(t *testing.T) {
 	queries, withNotes := 0, 0
 	for _, c := range goldenCorpora(t) {
@@ -24,7 +26,7 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 		for _, q := range c.queries {
 			doc := randomGuidelines(gr, c.db.Catalog, q)
 			var opts [4]*optimizer.Optimizer
-			var want [4]string
+			var want, wantNotes [4]string
 			for i := range opts {
 				o := optimizer.DefaultOptions()
 				if i&1 != 0 {
@@ -36,6 +38,9 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 				opts[i] = optimizer.New(c.db.Catalog, o)
 				p, r, err := opts[i].Optimize(q)
 				want[i] = renderEntry(q.Name, preparedSQL(opts[i], q), p, r, err)
+				if r != nil {
+					wantNotes[i] = fmt.Sprintf("%q", r.RewriteNotes())
+				}
 			}
 			name := c.name + "/" + q.Name
 			prepare := func() *optimizer.Prepared {
@@ -48,16 +53,21 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 				}
 				return prepared
 			}
-			// plan checks mode i over the shared Prepared; how names the caller.
-			plan := func(prepared *optimizer.Prepared, i int, how string) *optimizer.Report {
+			// plan checks mode i over the shared Prepared; how names the caller,
+			// and is appended to the notes it read.
+			plan := func(prepared *optimizer.Prepared, i int, how string) (*optimizer.Report, []string) {
 				p, r, err := opts[i].OptimizePrepared(prepared)
 				if got := renderEntry(q.Name, prepared.SQL(), p, r, err); got != want[i] {
 					t.Errorf("%s, mode %d, %s: differs from an independent Optimize\n got: %s\nwant: %s", name, i, how, got, want[i])
 				}
-				if r != nil {
-					r.RewriteNotes = append(r.RewriteNotes, how)
+				if r == nil {
+					return nil, nil
 				}
-				return r
+				notes := r.RewriteNotes()
+				if got := fmt.Sprintf("%q", notes); got != wantNotes[i] {
+					t.Errorf("%s, mode %d, %s: rewrite notes differ from an independent Optimize's\n got: %s\nwant: %s", name, i, how, got, wantNotes[i])
+				}
+				return r, append(notes, how)
 			}
 			forwards, backwards, shared := prepare(), prepare(), prepare()
 			if forwards == nil {
@@ -65,19 +75,24 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 			}
 			queries++
 			var reports []*optimizer.Report
+			var appended [][]string
 			for i := range opts {
-				reports = append(reports, plan(forwards, i, fmt.Sprint("forwards ", i)))
+				r, notes := plan(forwards, i, fmt.Sprint("forwards ", i))
+				reports, appended = append(reports, r), append(appended, notes)
 				plan(backwards, len(opts)-1-i, "backwards")
 			}
 			for i, r := range reports {
 				if r == nil {
 					continue
 				}
-				if len(r.RewriteNotes) > 1 {
+				if len(appended[i]) > 1 {
 					withNotes++
 				}
-				if last := r.RewriteNotes[len(r.RewriteNotes)-1]; last != fmt.Sprint("forwards ", i) {
-					t.Errorf("%s: the note appended to report %d reads %q: reports share a backing array", name, i, last)
+				if last := appended[i][len(appended[i])-1]; last != fmt.Sprint("forwards ", i) {
+					t.Errorf("%s: the note appended to the notes of report %d reads %q: reports share a backing array", name, i, last)
+				}
+				if got := fmt.Sprintf("%q", r.RewriteNotes()); got != wantNotes[i] {
+					t.Errorf("%s: report %d reads %s after its notes were appended to, want %s: a read shares the report's backing array", name, i, got, wantNotes[i])
 				}
 			}
 			var wg sync.WaitGroup

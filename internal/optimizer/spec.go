@@ -88,7 +88,7 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(p.q); err != nil {
+	if err := spec.Validate(&p.q); err != nil {
 		return nil, err
 	}
 	pc := o.newPlanCtx(p)
@@ -104,10 +104,11 @@ func (o *Optimizer) BuildPlan(q *sqlparser.Query, spec *Spec) (*qgm.Plan, error)
 // root candidate.
 func (pc *planCtx) buildSpecCand(spec *Spec) (int32, error) {
 	if spec.Access != nil {
-		qt := pc.byName[strings.ToUpper(spec.Access.Ref)]
-		if qt == nil {
+		i := pc.quant(strings.ToUpper(spec.Access.Ref))
+		if i < 0 {
 			return 0, fmt.Errorf("optimizer: spec references unknown table %s", spec.Access.Ref)
 		}
+		qt := pc.quants[i]
 		paths := pc.accessPaths(qt)
 		var chosen *accessPath
 		for i := range paths {

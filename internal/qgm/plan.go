@@ -4,7 +4,26 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 )
+
+// instanceNames holds the names of the first 64 table instances, as many as
+// the optimizer plans in one query.
+var instanceNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = "Q" + strconv.Itoa(i+1)
+	}
+	return names
+}()
+
+// InstanceName returns the name of the table instance at position i (from 0)
+// of a query's FROM clause: Q1, Q2, ... — the TABID plans and guidelines use.
+func InstanceName(i int) string {
+	if i < len(instanceNames) {
+		return instanceNames[i]
+	}
+	return "Q" + strconv.Itoa(i+1)
+}
 
 // Plan is a complete query execution plan: a tree of LOLEPOPs rooted at a
 // RETURN operator, plus whole-plan properties.

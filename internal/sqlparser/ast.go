@@ -9,6 +9,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,17 +30,39 @@ func (c ColumnRef) String() string {
 	return quoteIdent(c.Table) + "." + quoteIdent(c.Column)
 }
 
+// appendSQL appends the reference as String renders it.
+func (c ColumnRef) appendSQL(b []byte) []byte {
+	if c.Table != "" {
+		b = append(appendIdent(b, c.Table), '.')
+	}
+	return appendIdent(b, c.Column)
+}
+
 // quoteIdent renders an identifier so that it lexes back to itself: bare when
 // it is a plain identifier other than a keyword, delimited otherwise.
 func quoteIdent(s string) string {
+	if plainIdent(s) {
+		return s
+	}
+	return `"` + s + `"`
+}
+
+// appendIdent appends an identifier as quoteIdent renders it.
+func appendIdent(b []byte, s string) []byte {
+	if plainIdent(s) {
+		return append(b, s...)
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// plainIdent reports whether s lexes back to itself bare: a plain identifier
+// other than a keyword.
+func plainIdent(s string) bool {
 	plain := s != "" && (s[0] < '0' || s[0] > '9')
 	for i := 0; plain && i < len(s); i++ {
 		plain = isIdentPart(rune(s[i]))
 	}
-	if plain && !isKeyword(s) {
-		return s
-	}
-	return `"` + s + `"`
+	return plain && !isKeyword(s)
 }
 
 // TableRef names a table in the FROM clause with an optional alias.
@@ -99,38 +122,81 @@ type Predicate struct {
 // IsJoin reports whether the predicate joins two different table references.
 func (p Predicate) IsJoin() bool { return p.Kind == PredJoin }
 
-// String renders the predicate as SQL. It is built by concatenation, not
-// fmt: the optimizer renders every predicate of every query it plans.
+// String renders the predicate as SQL. It is appended into a buffer on the
+// stack and allocates once, for the string: the optimizer renders the
+// predicates of every plan it returns.
 func (p Predicate) String() string {
-	left, not := p.Left.String(), ""
+	var buf [128]byte
+	return string(p.appendSQL(buf[:0]))
+}
+
+// appendSQL appends the predicate as String renders it.
+func (p Predicate) appendSQL(b []byte) []byte {
+	if p.Kind > PredIsNull {
+		return append(b, "<?>"...)
+	}
+	b = p.Left.appendSQL(b)
+	not := ""
 	if p.Not {
 		not = "NOT "
 	}
 	switch p.Kind {
 	case PredJoin:
-		return left + " = " + p.Right.String()
+		return p.Right.appendSQL(append(b, " = "...))
 	case PredCompare:
-		return left + " " + p.Op + " " + p.Value.SQLLiteral()
+		b = append(append(append(b, ' '), p.Op...), ' ')
+		return p.Value.AppendSQLLiteral(b)
 	case PredBetween:
-		return left + " " + not + "BETWEEN " + p.Lo.SQLLiteral() + " AND " + p.Hi.SQLLiteral()
+		b = append(append(append(b, ' '), not...), "BETWEEN "...)
+		return p.Hi.AppendSQLLiteral(append(p.Lo.AppendSQLLiteral(b), " AND "...))
 	case PredIn:
-		var b strings.Builder
-		b.WriteString(left + " " + not + "IN (")
+		b = append(append(append(b, ' '), not...), "IN ("...)
 		for i, v := range p.Values {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(v.SQLLiteral())
+			b = v.AppendSQLLiteral(b)
 		}
-		b.WriteByte(')')
-		return b.String()
+		return append(b, ')')
 	case PredLike:
-		return left + " " + not + "LIKE " + p.Value.SQLLiteral()
-	case PredIsNull:
-		return left + " IS " + not + "NULL"
-	default:
-		return "<?>"
+		b = append(append(append(b, ' '), not...), "LIKE "...)
+		return p.Value.AppendSQLLiteral(b)
+	default: // PredIsNull
+		return append(append(append(b, " IS "...), not...), "NULL"...)
 	}
+}
+
+// Equal reports whether p and o render the same String, without rendering
+// either: the optimizer's rewrite tier compares predicates this way. A field
+// the kind does not print is not compared (the NOT of a join or comparison,
+// the Op of a join), literals compare as catalog.Value.SameLiteral does, and
+// column references as values, since an identifier holds no double quote (the
+// lexer ends a delimited one at the first) and so renders as no other does.
+func (p Predicate) Equal(o Predicate) bool {
+	if p.Kind > PredIsNull || o.Kind > PredIsNull {
+		return p.Kind > PredIsNull && o.Kind > PredIsNull // both "<?>"
+	}
+	if p.Kind != o.Kind || p.Left != o.Left {
+		return false
+	}
+	switch p.Kind {
+	case PredJoin:
+		return p.Right == o.Right
+	case PredCompare:
+		return p.Op == o.Op && p.Value.SameLiteral(o.Value)
+	}
+	if p.Not != o.Not {
+		return false
+	}
+	switch p.Kind {
+	case PredBetween:
+		return p.Lo.SameLiteral(o.Lo) && p.Hi.SameLiteral(o.Hi)
+	case PredIn:
+		return slices.EqualFunc(p.Values, o.Values, catalog.Value.SameLiteral)
+	case PredLike:
+		return p.Value.SameLiteral(o.Value)
+	}
+	return true // PredIsNull
 }
 
 // Query is the AST of one parsed SELECT statement.
@@ -238,16 +304,21 @@ func writeList[T fmt.Stringer](b *strings.Builder, items []T, sep string) {
 
 // Clone returns a deep copy of the query.
 func (q *Query) Clone() *Query {
-	cp := *q
+	cp := new(Query)
+	q.CloneInto(cp, 0)
+	return cp
+}
+
+// CloneInto deep-copies the query into cp, with room in cp.Where for room more
+// predicates, so that appending them does not regrow it.
+func (q *Query) CloneInto(cp *Query, room int) {
+	*cp = *q
 	cp.Select = append([]ColumnRef(nil), q.Select...)
 	cp.From = append([]TableRef(nil), q.From...)
-	cp.Where = make([]Predicate, len(q.Where))
+	cp.Where = append(make([]Predicate, 0, len(q.Where)+room), q.Where...)
 	for i, p := range q.Where {
-		pc := p
-		pc.Values = append([]catalog.Value(nil), p.Values...)
-		cp.Where[i] = pc
+		cp.Where[i].Values = append([]catalog.Value(nil), p.Values...)
 	}
 	cp.GroupBy = append([]ColumnRef(nil), q.GroupBy...)
 	cp.OrderBy = append([]ColumnRef(nil), q.OrderBy...)
-	return &cp
 }

@@ -35,10 +35,25 @@ var fuzzSeeds = []string{
 	"SELECT \"é\", µ, ª FROM \xc3\xc3",
 	"", "SELECT", "SELECT * FROM", "SELECT * FROM item WHERE i_a < i_b", "SELECT * FROM item WHERE i_x @ 3",
 	"SELECT * FROM t WHERE a = 'unterminated", "SELECT * FROM t WHERE a = 1e999",
+	// Predicates that render alike, or nearly, for the value comparison: zeros
+	// (the lexer reads no sign, so −0 is a parse error), NaN (which SQL cannot
+	// write: it parses as a column), an integer and a float, quoted strings
+	// that differ only in case, a date and a string shaped like one, IN lists,
+	// and NOT.
+	`SELECT a FROM t WHERE a = 0 AND a = 0.0 AND a = 0e0 AND a = 00 AND a = -0.0`,
+	`SELECT a FROM t WHERE a = NaN AND a = 'NaN' AND a = nan AND a = 1e400`,
+	`SELECT a FROM t WHERE a = 1 AND a = 1.0 AND a = 1e0 AND a = 10e-1 AND a = 01 AND t.a = 1`,
+	`SELECT a FROM t WHERE a = 'Music' AND a = 'music' AND a = 'MUSIC' AND a = "Music" AND a = 'Music'`,
+	`SELECT a FROM t WHERE a = '2016-01-02' AND a = '2016-01-02' AND a = '2016-1-2' AND a = '2016-02-30' AND a = '2016-02-30'`,
+	`SELECT a FROM t WHERE a IN (1, 2) AND a IN (1, 2) AND a IN (1.0, 2) AND a IN (2, 1) AND a IN (1) AND a NOT IN (1, 2)`,
+	`SELECT a FROM t WHERE a BETWEEN 1 AND 2 AND a NOT BETWEEN 1 AND 2 AND a LIKE 'x%' AND a NOT LIKE 'x%' AND a IS NULL AND a IS NOT NULL AND a = b AND b = a`,
 }
 
-// FuzzSQLParse: Parse never panics, and whatever it accepts renders through
-// Query.SQL to text that parses again to an equal AST.
+// FuzzSQLParse: Parse never panics, whatever it accepts renders through
+// Query.SQL to text that parses again to an equal AST, and any two of its
+// predicates are Equal exactly when their String renderings are equal — also
+// with the second one's column set to the first's, so that pairs which differ
+// only past the column are common.
 func FuzzSQLParse(f *testing.F) {
 	for _, sql := range fuzzSeeds {
 		f.Add(sql)
@@ -63,5 +78,19 @@ func FuzzSQLParse(f *testing.F) {
 		if !reflect.DeepEqual(q, again) {
 			t.Fatalf("%q renders as %q, which parses to another query:\n%#v\n%#v", sql, rendered, q, again)
 		}
+		for _, a := range q.Where {
+			for _, b := range q.Where {
+				for _, b := range []sqlparser.Predicate{b, withLeft(b, a.Left)} {
+					if got, want := a.Equal(b), a.String() == b.String(); got != want {
+						t.Fatalf("%q: %q Equal %q is %v, their renderings equal: %v", sql, a, b, got, want)
+					}
+				}
+			}
+		}
 	})
+}
+
+func withLeft(p sqlparser.Predicate, left sqlparser.ColumnRef) sqlparser.Predicate {
+	p.Left = left
+	return p
 }

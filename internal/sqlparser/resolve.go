@@ -3,6 +3,8 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"galo/internal/catalog"
 )
@@ -99,12 +101,33 @@ func Resolve(q *Query, schema *catalog.Schema) error {
 	return nil
 }
 
+// LocalTo reports whether p is a local predicate of the FROM reference named
+// refName.
+func (p *Predicate) LocalTo(refName string) bool {
+	return !p.IsJoin() && strings.EqualFold(p.Left.Table, refName)
+}
+
+// ResolvedAs reports whether name is t's name as Resolve writes it into the
+// columns of t: t.Name() upper-cased. It compares rune by rune, without
+// building the upper-cased name.
+func (t TableRef) ResolvedAs(name string) bool {
+	for _, r := range t.Name() {
+		u, size := utf8.DecodeRuneInString(name)
+		// ToUpper writes an invalid byte as U+FFFD, never as itself.
+		if size == 0 || u != unicode.ToUpper(r) || u == utf8.RuneError && size == 1 {
+			return false
+		}
+		name = name[size:]
+	}
+	return name == ""
+}
+
 // PredicatesFor returns the local predicates that apply to the given FROM
 // reference name.
 func PredicatesFor(q *Query, refName string) []Predicate {
 	var out []Predicate
 	for _, p := range q.Where {
-		if !p.IsJoin() && strings.EqualFold(p.Left.Table, refName) {
+		if p.LocalTo(refName) {
 			out = append(out, p)
 		}
 	}
