@@ -29,9 +29,9 @@ func benchConfig() experiments.Config {
 	cfg.Scale = 0.10
 	cfg.TPCDSQueries = 24
 	cfg.ClientQueries = 30
-	cfg.RandomPlans = 6
-	cfg.Runs = 2
-	cfg.Workers = 4
+	cfg.Learning.RandomPlans = 6
+	cfg.Learning.Runs = 2
+	cfg.Learning.Workers = 4
 	return cfg
 }
 

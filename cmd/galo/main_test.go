@@ -1,9 +1,149 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"galo"
 )
+
+// TestFlagSurfaceFrozen builds every command's flag set from the options
+// table and compares each flag's name and printed default with
+// testdata/flags.txt, which was generated from `galo <cmd> -h` before the
+// table existed (see the verify notes for the command). Building all seven
+// sets also catches two entries binding one flag name for one command: the
+// flag package panics on the redefinition.
+func TestFlagSurfaceFrozen(t *testing.T) {
+	var got []string
+	for _, c := range commands {
+		var help bytes.Buffer
+		fs := flags(c.name, new(settings))
+		fs.SetOutput(&help)
+		fs.PrintDefaults()
+		name, def := "", ""
+		emit := func() {
+			if name != "" {
+				got = append(got, strings.TrimSpace(c.name+" "+name+" "+def))
+			}
+		}
+		for _, line := range strings.Split(help.String(), "\n") {
+			if strings.HasPrefix(line, "  -") {
+				emit()
+				name, def = strings.Fields(line)[0], ""
+			} else if i := strings.LastIndex(line, "(default "); i >= 0 {
+				def = strings.ReplaceAll(strings.TrimSuffix(line[i+len("(default "):], ")"), `"`, "")
+			}
+		}
+		emit()
+	}
+	data, err := os.ReadFile("testdata/flags.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestFlagsWriteConfig parses argvs and checks the configuration and the
+// command inputs they produce; the expected values are what each command
+// built from the same flags before the options table. An explicit -shards
+// that disagrees with the -fleet group count is an error naming both, not a
+// silent override.
+func TestFlagsWriteConfig(t *testing.T) {
+	workload := settings{workload: "tpcds", kb: "kb.nt", scale: 0.2, seed: 20190522}
+	always, _ := galo.ParseSyncPolicy("always")
+	serve := galo.DefaultConfig()
+	serve.Shards = 2
+	serve.Exec = galo.ExecOptions{Workers: 4, MemBudgetBytes: 256 << 20}
+	serve.Admission = galo.AdmissionOptions{ProbeBudget: 5, MaxConcurrent: 7}
+	serve.Tenancy = galo.TenancyOptions{Enabled: true, ShareTemplates: true, MaxTenants: 9}
+	serve.Fleet = galo.FleetOptions{
+		Shards:    [][]string{{"http://a:1", "http://b:1"}, {"http://c:2"}},
+		Policy:    galo.FleetPolicy{ProbeTimeout: 3 * time.Second, MaxAttempts: 4, HedgeAfter: 50 * time.Millisecond},
+		Rebalance: galo.RebalanceOptions{Enabled: true, Interval: 2 * time.Second},
+	}
+	serve.DataDir = "data"
+	serve.Sync = always
+	serve.SnapshotEvery = 100
+	serve.Online = galo.DefaultOnlineOptions()
+	serveIn := settings{workload: "joblike", kb: "x.nt", addr: "127.0.0.1:9", scale: 0.1, seed: 7, queries: 3}
+
+	reopt := galo.DefaultConfig()
+	reopt.Shards = 3
+	reopt.Exec = galo.ExecOptions{Workers: 4, MemBudgetBytes: 1 << 30}
+
+	fleetOnly := galo.DefaultConfig()
+	fleetOnly.Shards = 2
+	fleetOnly.Fleet.Shards = [][]string{{"http://a:1"}, {"http://b:2"}}
+	fleetOnlyIn := workload
+	fleetOnlyIn.addr = ":3030"
+
+	noFleet := galo.DefaultConfig()
+	noFleet.Shards = 1
+
+	trace := galo.DefaultConfig()
+	trace.Admission.ProbeBudget = 8
+	traceIn := settings{scale: 0.25, seed: 20190803, profile: "bursty", tenants: 4, arrivals: 128, burstLen: 16, speedup: 10}
+
+	learn := galo.DefaultConfig()
+	learn.Learning.Workload = "tpcds"
+
+	cases := []struct {
+		cmd  string
+		args []string
+		want galo.Config
+		in   settings // the command inputs beside the configuration
+		err  string
+	}{
+		{"serve", []string{
+			"-kb", "x.nt", "-addr", "127.0.0.1:9", "-online", "-shards", "2",
+			"-probe-budget", "5", "-max-inflight", "7",
+			"-tenant-namespaces", "-tenant-share", "-max-tenants", "9",
+			"-fleet", "http://a:1, http://b:1/;http://c:2",
+			"-fleet-probe-timeout", "3s", "-fleet-attempts", "4", "-fleet-hedge", "50ms",
+			"-fleet-rebalance", "-fleet-rebalance-interval", "2s",
+			"-data-dir", "data", "-sync", "always", "-snapshot-every", "100",
+			"-exec-workers", "4", "-exec-mem-budget", "256MB",
+			"-workload", "joblike", "-scale", "0.1", "-seed", "7", "-queries", "3",
+		}, serve, serveIn, ""},
+		// -fleet alone sets the shard count from its groups.
+		{"serve", []string{"-fleet", "http://a:1;http://b:2"}, fleetOnly, fleetOnlyIn, ""},
+		// Without -fleet the fleet knobs configure nothing, and an empty
+		// -fleet or -exec-mem-budget means none.
+		{"serve", []string{"-fleet", "", "-fleet-attempts", "5", "-fleet-rebalance", "-exec-mem-budget", ""},
+			noFleet, fleetOnlyIn, ""},
+		{cmd: "serve", args: []string{"-shards", "4", "-fleet", "http://a:1;http://b:2"},
+			err: "-shards 4 contradicts the 2 shard groups of -fleet"},
+		{cmd: "serve", args: []string{"-fleet", "http://a:1;http://b:2", "-shards", "1"},
+			err: "-shards 1 contradicts the 2 shard groups of -fleet"},
+		{"reopt", []string{"-shards", "3", "-exec-workers", "4", "-exec-mem-budget", "1GB"}, reopt, workload, ""},
+		{"trace", nil, trace, traceIn, ""},
+		{"learn", nil, learn, workload, ""},
+	}
+	for _, c := range cases {
+		s, err := parse(c.cmd, c.args)
+		if c.err != "" || err != nil {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%s %q: err = %v, want %q", c.cmd, c.args, err, c.err)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(s.Config, c.want) {
+			t.Errorf("%s %q: config\n got %+v\nwant %+v", c.cmd, c.args, s.Config, c.want)
+		}
+		in := *s
+		in.Config = galo.Config{}
+		if !reflect.DeepEqual(in, c.in) {
+			t.Errorf("%s %q: inputs\n got %+v\nwant %+v", c.cmd, c.args, in, c.in)
+		}
+	}
+}
 
 func TestParseByteSize(t *testing.T) {
 	cases := []struct {

@@ -47,21 +47,19 @@ type Config struct {
 	// (0 = all: 99 and 116 respectively).
 	TPCDSQueries  int
 	ClientQueries int
-	// LearningOverrides tunes the learning engine for harness runs.
-	RandomPlans       int
-	Runs              int
-	PredicateVariants int
-	Workers           int
-	// ExecWorkers is the exchange-worker count for validated plan executions
-	// (core.Config.Exec.Workers); 0 or 1 runs them serially. Simulated costs
-	// are identical at any worker count, so results don't depend on it.
-	ExecWorkers int
+	// Learning is the learning engine configuration of harness runs; each
+	// experiment sets JoinThreshold, Seed and Workload on a copy.
+	Learning learning.Options
+	// Exec configures validated plan executions; Workers 0 or 1 runs them
+	// serially. Simulated costs are identical at any worker count, so
+	// results don't depend on it.
+	Exec core.ExecOptions
 }
 
 // DefaultConfig returns the laptop-scale configuration used by the
 // benchmarks.
 func DefaultConfig() Config {
-	return Config{
+	cfg := Config{
 		Seed: 20190522,
 		// 10x the pre-streaming-executor default (0.12): concurrent plan
 		// execution no longer materializes every intermediate, so the hazard
@@ -78,24 +76,22 @@ func DefaultConfig() Config {
 			"joblike": 1.0,
 			"trace":   0.8,
 		},
-		TPCDSQueries:      28,
-		ClientQueries:     36,
-		RandomPlans:       6,
-		Runs:              2,
-		PredicateVariants: 1,
-		Workers:           4,
-		ExecWorkers:       4,
+		TPCDSQueries:  28,
+		ClientQueries: 36,
+		Learning:      learning.DefaultOptions(),
+		Exec:          core.ExecOptions{Workers: 4},
 	}
+	cfg.Learning.RandomPlans = 6
+	cfg.Learning.Runs = 2
+	cfg.Learning.PredicateVariants = 1
+	cfg.Learning.Workers = 4
+	cfg.Learning.MaxSubQueriesPerQuery = 16
+	return cfg
 }
 
 func (c Config) learningOptions(workload string, joinThreshold int) learning.Options {
-	opts := learning.DefaultOptions()
+	opts := c.Learning
 	opts.JoinThreshold = joinThreshold
-	opts.RandomPlans = c.RandomPlans
-	opts.Runs = c.Runs
-	opts.PredicateVariants = c.PredicateVariants
-	opts.Workers = c.Workers
-	opts.MaxSubQueriesPerQuery = 16
 	opts.Seed = c.Seed
 	opts.Workload = workload
 	return opts
@@ -217,7 +213,7 @@ func RunExp2(cfg Config) (*Exp2Result, error) {
 	tpcdsSys := core.NewSystem(tpcdsDB, core.Config{
 		Learning: cfg.learningOptions("tpcds", 4),
 		Matching: matching.DefaultOptions(),
-		Exec:     core.ExecOptions{Workers: cfg.ExecWorkers},
+		Exec:     cfg.Exec,
 	})
 	tpcdsQueries := cfg.tpcdsQueries()
 	tpcdsReport, err := tpcdsSys.Learn(tpcdsQueries)
@@ -240,7 +236,7 @@ func RunExp2(cfg Config) (*Exp2Result, error) {
 	clientSys := core.NewSystem(clientDB, core.Config{
 		Learning: cfg.learningOptions("client", 4),
 		Matching: matching.DefaultOptions(),
-		Exec:     core.ExecOptions{Workers: cfg.ExecWorkers},
+		Exec:     cfg.Exec,
 	})
 	clientQueries := cfg.clientQueries()
 	clientReport, err := clientSys.Learn(clientQueries)
@@ -312,7 +308,7 @@ func RunExp3(cfg Config, widths []int) ([]Exp3Row, error) {
 	sys := core.NewSystem(db, core.Config{
 		Learning: cfg.learningOptions("tpcds", 4),
 		Matching: matching.DefaultOptions(),
-		Exec:     core.ExecOptions{Workers: cfg.ExecWorkers},
+		Exec:     cfg.Exec,
 	})
 	// Learn over a handful of queries so the knowledge base is non-trivial.
 	if _, err := sys.Learn([]*sqlparser.Query{tpcds.Fig3Query(), tpcds.Fig4Query(), tpcds.Fig7Query(), tpcds.Fig8Query()}); err != nil {

@@ -14,8 +14,8 @@ func tinyConfig() Config {
 	cfg.Scale = 0.06
 	cfg.TPCDSQueries = 20
 	cfg.ClientQueries = 30
-	cfg.RandomPlans = 6
-	cfg.Workers = 2
+	cfg.Learning.RandomPlans = 6
+	cfg.Learning.Workers = 2
 	return cfg
 }
 

@@ -17,21 +17,6 @@ func shapeKey(t *Template) string {
 	return NormalizeShape(t.Problem.ShapeSignature())
 }
 
-// TemplatesForShape returns the templates whose canonical shape signature
-// equals shape (itself normalized first), sorted by ID.
-func (kb *KB) TemplatesForShape(shape string) []*Template {
-	shape = NormalizeShape(shape)
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	var out []*Template
-	for _, t := range kb.templates {
-		if shapeKey(t) == shape {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // NTriplesForShape serializes exactly the templates of one canonical shape,
 // in the same shard-agnostic N-Triples format as NTriples. It is the "copy"
 // half of the two-epoch migration protocol: the dump loads additively into

@@ -53,6 +53,14 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncInterval, fmt.Errorf("wal: unknown sync policy %q (want always, interval, or never)", s)
 }
 
+// MarshalText and UnmarshalText spell the policy as the -sync flag does.
+func (p SyncPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *SyncPolicy) UnmarshalText(b []byte) (err error) {
+	*p, err = ParseSyncPolicy(string(b))
+	return err
+}
+
 // Options configures the durability layer. Zero values mean defaults.
 type Options struct {
 	// Dir is the data directory; one MANIFEST plus one shard-<i> subdirectory
