@@ -272,7 +272,7 @@ func TestEmitBenchDurabilityJSON(t *testing.T) {
 
 	doc := map[string]any{
 		"benchmark":              "knowledge base durability: WAL publication overhead and boot recovery time",
-		"note":                   "publish_* is the latency of one epoch publication (template Add) at the knowledge base API: mode memory has no data dir; wal-interval appends to the WAL with batched fsync (the default serve policy); wal-always fsyncs every record before the publication returns. The gate: wal-interval p50 stays within 10% of memory. publication_vs_kb_size grows one in-memory 2-shard knowledge base and, at each size, reports the median time of 64 further Adds and the bytes they allocate (TotalAlloc; exact, clock-free). recovery rows time a cold OpenDataDir; records_replayed shows how background snapshot compaction bounds the replay tail as the knowledge base grows. before = this test on commit fbd3d8a (every publication copied its shard's index maps and term dictionary whole), the two test binaries run alternately on the same machine, the middle of three emissions by the 4096-template recovery row (2418 / 2626 / 2810 ms before, 320 / 332 / 342 ms after; the rows of this file are a later emission of the same code, the middle of three again). records_replayed differs between the two because the snapshotter runs in the background: a writer that publishes 15x faster leaves a longer tail behind it. The publications are the same durTemplate every time (equal cardinalities, so a few posting lists hold every template), which is the store's worst case for one list and its best for the dictionary.",
+		"note":                   "publish_* is the latency of one epoch publication (template Add) at the knowledge base API: mode memory has no data dir; wal-interval appends to the WAL with batched fsync (the default serve policy); wal-always fsyncs every record before the publication returns. The gate: wal-interval p50 stays within 10% of memory. publication_vs_kb_size grows one in-memory 2-shard knowledge base and, at each size, reports the median time of 64 further Adds and the bytes they allocate (TotalAlloc; exact, clock-free). recovery rows time a cold OpenDataDir; records_replayed shows how background snapshot compaction bounds the replay tail as the knowledge base grows. before = this test on commit fbd3d8a (every publication copied its shard's index maps and term dictionary whole), the two test binaries run alternately on the same machine, the middle of three emissions by the 4096-template recovery row (2418 / 2626 / 2810 ms before, 320 / 332 / 342 ms after; the rows of this file are a later emission of the same code, the middle of three again). records_replayed differs between the two because the snapshotter runs in the background: a writer that publishes 15x faster leaves a longer tail behind it. The publications are the same durTemplate every time (equal cardinalities, so a few posting lists hold every template), which is the store's worst case for one list and its best for the dictionary. before_pr38 = this test on commit 9884ebf, where POS kept one table per predicate instead of one keyed by object and interned terms were substrings of what they were parsed from: the two test binaries run alternately, five emissions each, the middle one by the 4096-template recovery row (344 / 517 / 527 / 806 / 832 ms before, 385 / 518 / 543 / 732 / 1054 ms after, which is noise on this machine); bytes_per_add fell by some 17.5 KB at every size, the same in every emission. The rows of this file are the middle of three later emissions of the same code.",
 		"env":                    benchEnv(),
 		"publication":            pubRows,
 		"publication_vs_kb_size": sizeRows,
@@ -281,6 +281,11 @@ func TestEmitBenchDurabilityJSON(t *testing.T) {
 			"publication":            durabilityBefore.publication,
 			"publication_vs_kb_size": durabilityBefore.sizes,
 			"recovery":               durabilityBefore.recovery,
+		},
+		"before_pr38": map[string]any{
+			"publication":            durabilityBeforePR38.publication,
+			"publication_vs_kb_size": durabilityBeforePR38.sizes,
+			"recovery":               durabilityBeforePR38.recovery,
 		},
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -293,13 +298,38 @@ func TestEmitBenchDurabilityJSON(t *testing.T) {
 	t.Logf("wrote BENCH_durability.json:\n%s", data)
 }
 
-// durabilityBefore is TestEmitBenchDurabilityJSON on the parent of PR 21 (see
-// the note it is emitted with).
-var durabilityBefore = struct {
+// durabilityRows is one emission's three tables.
+type durabilityRows struct {
 	publication []publicationRow
 	sizes       []publicationSizeRow
 	recovery    []recoveryRow
-}{
+}
+
+// durabilityBeforePR38 is TestEmitBenchDurabilityJSON on the parent of PR 38
+// (see the note it is emitted with).
+var durabilityBeforePR38 = durabilityRows{
+	publication: []publicationRow{
+		{Mode: "memory", Publications: 512, P50Millis: 0.021, P99Millis: 0.157, Fsyncs: 0},
+		{Mode: "wal-interval", Publications: 512, P50Millis: 0.024, P99Millis: 0.284, Fsyncs: 0},
+		{Mode: "wal-always", Publications: 512, P50Millis: 0.065, P99Millis: 0.664, Fsyncs: 512},
+	},
+	sizes: []publicationSizeRow{
+		{Templates: 64, AddMicros: 23.114, BytesPerAdd: 65332},
+		{Templates: 256, AddMicros: 22.103, BytesPerAdd: 70441},
+		{Templates: 1024, AddMicros: 17.226, BytesPerAdd: 82446},
+		{Templates: 4096, AddMicros: 103.335, BytesPerAdd: 144138},
+	},
+	recovery: []recoveryRow{
+		{Templates: 64, RecordsReplayed: 64, RecoveryMillis: 94.655},
+		{Templates: 256, RecordsReplayed: 70, RecoveryMillis: 208.258},
+		{Templates: 1024, RecordsReplayed: 641, RecoveryMillis: 222.817},
+		{Templates: 4096, RecordsReplayed: 764, RecoveryMillis: 527.316},
+	},
+}
+
+// durabilityBefore is TestEmitBenchDurabilityJSON on the parent of PR 21 (see
+// the note it is emitted with).
+var durabilityBefore = durabilityRows{
 	publication: []publicationRow{
 		{Mode: "memory", Publications: 512, P50Millis: 0.558, P99Millis: 4.778, Fsyncs: 0},
 		{Mode: "wal-interval", Publications: 512, P50Millis: 0.59, P99Millis: 4.725, Fsyncs: 4},

@@ -356,12 +356,13 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 	}
 	doc := map[string]any{
 		"benchmark":   "knowledge base probe latency vs KB size (ns)",
-		"note":        "cold = one fragment probe without cache through the prepared path as the matching engine pays it: probe description, its form's compiled query looked up (compiled once, by the first probe of the form), evaluation over dictionary IDs; cold_first = the first probe of its form, which also builds the query and compiles it (the column added by PR 25, so that the cached compile is not mistaken for the whole cost); cold_text = the same probe as text through LocalEndpoint.Select (parse + compile + evaluation), the path remote endpoints' servers take; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, compiled once, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn; one emission of either side spreads by about a quarter around its median on this machine. before = the rows committed before PR 25 (measured on PR 21's tree; nothing on the probe's read path changed until PR 25); before_pr21 = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write); before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a), whose cold column is the text path.",
+		"note":        "cold = one fragment probe without cache through the prepared path as the matching engine pays it: probe description, its form's compiled query looked up (compiled once, by the first probe of the form), evaluation over dictionary IDs; cold_first = the first probe of its form, which also builds the query and compiles it (the column added by PR 25, so that the cached compile is not mistaken for the whole cost); cold_text = the same probe as text through LocalEndpoint.Select (parse + compile + evaluation), the path remote endpoints' servers take; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, compiled once, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn; one emission of either side spreads by about a quarter around its median on this machine. before = the rows committed before PR 25 (measured on PR 21's tree; nothing on the probe's read path changed until PR 25); before_pr21 = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write); before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a), whose cold column is the text path; before_pr38 = this test on commit 9884ebf, where POS kept one table per predicate instead of one keyed by object: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 453 / 11 676 / 11 708 / 11 811 / 12 079 ns before, 11 349 / 11 390 / 11 426 / 11 475 / 11 495 ns after; the rows of this file are the middle of three later emissions of the same code).",
 		"env":         benchEnv(),
 		"rows":        rows,
 		"before":      matchingBeforePR25,
 		"before_pr21": matchingBeforePR21,
 		"before_pr15": matchingBefore,
+		"before_pr38": matchingBeforePR38,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -371,6 +372,14 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_matching.json:\n%s", data)
+}
+
+// matchingBeforePR38 is TestEmitBenchMatchingJSON on the parent of PR 38 (see
+// the note it is emitted with).
+var matchingBeforePR38 = []benchRow{
+	{KBTemplates: 60, KBTriples: 2345, ColdNsPerProbe: 3303.06, ColdFirstNsPerProbe: 11736.965, ColdTextNsPerProbe: 26426.77, RoutinizedNsPerMatchPlan: 1719.502, ManyMatchesBoundedNs: 11844.78, ManyMatchesUnboundedNs: 81195.68},
+	{KBTemplates: 240, KBTriples: 10251, ColdNsPerProbe: 3729.495, ColdFirstNsPerProbe: 14119.795, ColdTextNsPerProbe: 32832.985, RoutinizedNsPerMatchPlan: 1252.7, ManyMatchesBoundedNs: 16387.095, ManyMatchesUnboundedNs: 286649.1},
+	{KBTemplates: 960, KBTriples: 45190, ColdNsPerProbe: 11708.525, ColdFirstNsPerProbe: 20530.92, ColdTextNsPerProbe: 35729.135, RoutinizedNsPerMatchPlan: 1303.336, ManyMatchesBoundedNs: 38765.34, ManyMatchesUnboundedNs: 1275305.18},
 }
 
 // matchingBeforePR25 are the rows BENCH_matching.json held before PR 25 (see

@@ -363,14 +363,15 @@ func (kb *KB) LoadNTriples(text string) error {
 	// Every triple belonging to a reconstructed template is accounted for
 	// by re-rendering it (reconstruct → render is a faithful round trip);
 	// whatever remains in the text is a non-template triple to preserve.
+	// The rendering is also what a new template publishes, unless the
+	// template has to be re-identified.
 	covered := make(map[rdf.Triple]struct{}, scratch.Len())
-	for _, t := range templates {
-		for _, tr := range kb.templateTriples(t) {
-			covered[tr] = struct{}{}
-		}
-	}
 	batches := make([][]rdf.Triple, len(kb.stores))
 	for _, t := range templates {
+		triples := kb.templateTriples(t)
+		for _, tr := range triples {
+			covered[tr] = struct{}{}
+		}
 		sig := t.Signature()
 		if existing, ok := kb.bySignature[sig]; ok {
 			kb.mergeInto(existing, t)
@@ -379,12 +380,13 @@ func (kb *KB) LoadNTriples(text string) error {
 		kb.seq++
 		if t.ID == "" || taken[t.ID] {
 			t.ID = kb.newID(sig)
+			triples = kb.templateTriples(t)
 		}
 		taken[t.ID] = true
 		kb.templates = append(kb.templates, t)
 		kb.bySignature[sig] = t
 		shard := kb.ShardOf(t)
-		batches[shard] = append(batches[shard], kb.templateTriples(t)...)
+		batches[shard] = append(batches[shard], triples...)
 	}
 	for _, tr := range scratch.Match(nil, nil, nil) {
 		if _, ok := covered[tr]; !ok {

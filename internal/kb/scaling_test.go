@@ -94,6 +94,36 @@ func TestPublicationCostIsFlat(t *testing.T) {
 	}
 }
 
+// TestKBMemoryPerTemplate is the clock-free gate on what a knowledge base
+// keeps resident: the live heap bytes per template, after a collection, of a
+// 4-shard knowledge base grown to 1024 templates of experiments.InflateKB's
+// shape (the cold_large_kb benchmark's).
+func TestKBMemoryPerTemplate(t *testing.T) {
+	const size = 1024
+	before := liveHeap()
+	k := NewSharded(4)
+	grow(t, k, rand.New(rand.NewSource(21)), size)
+	perTemplate := (int64(liveHeap()) - int64(before)) / size
+	runtime.KeepAlive(k)
+	t.Logf("%d templates: %d live heap bytes per template", size, perTemplate)
+	// Measured 8 163 bytes, the same run after run; 11 966 while POS kept a
+	// table per predicate and interned terms were substrings of whatever
+	// they were parsed from.
+	const ceiling = 10_600
+	if perTemplate > ceiling {
+		t.Errorf("a knowledge base of %d templates keeps %d bytes per template, ceiling is %d", size, perTemplate, ceiling)
+	}
+}
+
+// liveHeap returns the bytes of heap objects still reachable after a full
+// collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // BenchmarkKBAdd times one Add of a fresh template into a 4-shard knowledge
 // base of the given size (the base is rebuilt off the clock whenever the
 // measured adds have grown it by a tenth).

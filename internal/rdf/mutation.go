@@ -3,6 +3,7 @@ package rdf
 import (
 	"cmp"
 	"slices"
+	"strings"
 )
 
 // mutation builds the next epoch Snapshot from a base snapshot by
@@ -22,7 +23,7 @@ type mutation struct {
 	terms   []Term
 	fresh   map[Term]uint32
 	spo     table[[]predObjs]
-	pos     table[table[run[uint32]]]
+	pos     table[[]predSubs]
 	num     table[run[numEntry]]
 	predN   table[int]
 	n       int
@@ -52,7 +53,9 @@ func (m *mutation) lookup(t Term) (uint32, bool) {
 }
 
 // intern returns the term's dictionary ID, assigning the next dense one on
-// first sight.
+// first sight. A fresh term is kept as a copy of its bytes: t may be a
+// substring of a parsed document, which the dictionary would otherwise keep
+// whole for as long as it keeps the term.
 func (m *mutation) intern(t Term) uint32 {
 	if id, ok := m.lookup(t); ok {
 		return id
@@ -60,6 +63,7 @@ func (m *mutation) intern(t Term) uint32 {
 	if m.fresh == nil {
 		m.fresh = map[Term]uint32{}
 	}
+	t.Value = strings.Clone(t.Value)
 	id := uint32(len(m.terms))
 	m.terms = append(m.terms, t)
 	m.fresh[t] = id
@@ -85,9 +89,13 @@ func (m *mutation) add(t Triple) bool {
 	}
 	m.setEntry(sid, entry)
 
-	byObj, _ := m.pos.slot(m.edit, pid)
-	subs, owned := byObj.slot(m.edit, oid)
-	*subs = subs.insert(sid, cmp.Compare[uint32], owned)
+	preds := m.posEntry(oid)
+	i, found := searchSubs(*preds, pid)
+	if !found {
+		*preds = slices.Insert(*preds, i, predSubs{pred: pid, own: true})
+	}
+	ps := &(*preds)[i]
+	ps.subs, ps.own = ps.subs.insert(sid, cmp.Compare[uint32], ps.own), true
 	if val, ok := bandValue(t.O); ok {
 		band, owned := m.num.slot(m.edit, pid)
 		*band = band.insert(numEntry{val, sid}, compareNum, owned)
@@ -122,9 +130,15 @@ func (m *mutation) remove(t Triple) bool {
 	}
 	m.setEntry(sid, entry)
 
-	byObj, _ := m.pos.slot(m.edit, pid)
-	subs, owned := byObj.slot(m.edit, oid)
-	*subs, _ = subs.remove(sid, cmp.Compare[uint32], owned)
+	preds := m.posEntry(oid)
+	if i, found := searchSubs(*preds, pid); found {
+		ps := &(*preds)[i]
+		ps.subs, _ = ps.subs.remove(sid, cmp.Compare[uint32], ps.own)
+		ps.own = true
+		if len(ps.subs) == 0 {
+			*preds = slices.Delete(*preds, i, i+1)
+		}
+	}
 	if val, ok := bandValue(t.O); ok {
 		band, owned := m.num.slot(m.edit, pid)
 		*band, _ = band.remove(numEntry{val, sid}, compareNum, owned)
@@ -138,6 +152,21 @@ func (m *mutation) setEntry(sid uint32, entry []predObjs) {
 	*v = entry
 }
 
+// posEntry returns the object's POS entry for the batch to write through.
+// The batch's first visit replaces the base's entry by a copy in which every
+// run is marked inherited; an element's run is the batch's own once it has
+// been written.
+func (m *mutation) posEntry(oid uint32) *[]predSubs {
+	entry, again := m.pos.slot(m.edit, oid)
+	if !again {
+		*entry = slices.Clone(*entry)
+		for i := range *entry {
+			(*entry)[i].own = false
+		}
+	}
+	return entry
+}
+
 // count records one triple more (by = +1) or less (-1) under the predicate.
 func (m *mutation) count(pid uint32, by int) {
 	p, _ := m.predN.slot(m.edit, pid)
@@ -149,6 +178,16 @@ func (m *mutation) count(pid uint32, by int) {
 // searchPred returns the place of pred in the subject's predicate-sorted
 // entry, and whether it is there.
 func searchPred(entry []predObjs, pred uint32) (int, bool) {
+	i := 0
+	for i < len(entry) && entry[i].pred < pred {
+		i++
+	}
+	return i, i < len(entry) && entry[i].pred == pred
+}
+
+// searchSubs is searchPred over an object's POS entry. (One generic over
+// both would call a method per element, and be inlined into no probe read.)
+func searchSubs(entry []predSubs, pred uint32) (int, bool) {
 	i := 0
 	for i < len(entry) && entry[i].pred < pred {
 		i++

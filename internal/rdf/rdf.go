@@ -242,66 +242,68 @@ func MergeNTriples(stores []*Store) string {
 // --- N-Triples parsing -------------------------------------------------------
 
 // ParseNTriples parses N-Triples text (as produced by NTriples) into triples.
+// The lines are walked in place, and the terms of the triples are substrings
+// of text (the store copies the ones it interns).
 func ParseNTriples(text string) ([]Triple, error) {
-	var out []Triple
-	for lineNo, line := range strings.Split(text, "\n") {
+	out := make([]Triple, 0, strings.Count(text, "\n")+1)
+	for lineNo := 1; text != ""; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		t, err := parseNTripleLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("rdf: line %d: %w", lineNo+1, err)
+			return nil, fmt.Errorf("rdf: line %d: %w", lineNo, err)
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
+// parseNTripleLine parses one trimmed, non-comment line: three terms and the
+// final dot.
 func parseNTripleLine(line string) (Triple, error) {
-	line = strings.TrimSuffix(strings.TrimSpace(line), ".")
-	line = strings.TrimSpace(line)
-	terms, err := splitTerms(line)
-	if err != nil {
-		return Triple{}, err
-	}
-	if len(terms) != 3 {
-		return Triple{}, fmt.Errorf("expected 3 terms, got %d in %q", len(terms), line)
-	}
-	return Triple{terms[0], terms[1], terms[2]}, nil
-}
-
-func splitTerms(line string) ([]Term, error) {
-	var out []Term
-	i := 0
-	for i < len(line) {
-		switch {
-		case line[i] == ' ' || line[i] == '\t':
+	line = strings.TrimSpace(strings.TrimSuffix(line, "."))
+	var terms [3]Term
+	n := 0
+	for i := 0; i < len(line); {
+		var t Term
+		switch c := line[i]; c {
+		case ' ', '\t':
 			i++
-		case line[i] == '<':
+			continue
+		case '<':
 			end := strings.IndexByte(line[i:], '>')
 			if end < 0 {
-				return nil, fmt.Errorf("unterminated IRI in %q", line)
+				return Triple{}, fmt.Errorf("unterminated IRI in %q", line)
 			}
-			out = append(out, NewIRI(line[i+1:i+end]))
+			t = NewIRI(line[i+1 : i+end])
 			i += end + 1
-		case line[i] == '"':
-			rest := line[i:]
-			val, err := strconv.QuotedPrefix(rest)
+		case '"':
+			val, err := strconv.QuotedPrefix(line[i:])
 			if err != nil {
-				return nil, fmt.Errorf("bad literal in %q: %w", line, err)
+				return Triple{}, fmt.Errorf("bad literal in %q: %w", line, err)
 			}
 			unq, err := strconv.Unquote(val)
 			if err != nil {
-				return nil, err
+				return Triple{}, err
 			}
-			out = append(out, NewLiteral(unq))
+			t = NewLiteral(unq)
 			i += len(val)
 		default:
-			return nil, fmt.Errorf("unexpected character %q in %q", line[i], line)
+			return Triple{}, fmt.Errorf("unexpected character %q in %q", c, line)
 		}
+		if n < len(terms) {
+			terms[n] = t
+		}
+		n++
 	}
-	return out, nil
+	if n != len(terms) {
+		return Triple{}, fmt.Errorf("expected 3 terms, got %d in %q", n, line)
+	}
+	return Triple{terms[0], terms[1], terms[2]}, nil
 }
 
 // LoadNTriples parses and adds the triples to the store as one atomic batch.

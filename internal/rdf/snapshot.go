@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"sort"
 	"strconv"
@@ -27,6 +28,16 @@ type predObjs struct {
 	objs []uint32
 }
 
+// predSubs is one element of an object's POS entry: a predicate that reaches
+// the object and the sorted IDs of the subjects it reaches it from, chunked.
+type predSubs struct {
+	pred uint32
+	// own is set once the batch that copied the entry has written subs:
+	// the run is then on a spine of the batch's own (see run).
+	own  bool
+	subs run[uint32]
+}
+
 // Snapshot is one immutable epoch of a Store. Readers share snapshots
 // without locks: nothing reachable from a snapshot is written after
 // publication (a writer copies the pages and chunks its batch touches, shares
@@ -36,10 +47,14 @@ type Snapshot struct {
 	// spo: subject -> the predicates it carries, ascending, each with its
 	// sorted object IDs.
 	spo table[[]predObjs]
-	// pos: predicate -> object -> sorted subject IDs. There is no third
+	// pos: object -> the predicates reaching it, ascending, each with the
+	// sorted IDs of its subjects. It is spo turned round: one table dense
+	// over the term IDs, so a (predicate, object) pair costs an entry
+	// element and its run, not a slot in a table of the predicate's own.
+	// A per-predicate read scans it (byPredicate). There is no third
 	// rotation: the only pattern OSP would answer, the object-only Match, has
-	// no caller outside tests and gathers from pos.
-	pos table[table[run[uint32]]]
+	// no caller outside tests and reads one pos entry.
+	pos table[[]predSubs]
 	// num: predicate -> (value, subject) entries sorted by (value, subject),
 	// for triples whose object is a numeric literal.
 	num table[run[numEntry]]
@@ -85,20 +100,43 @@ func (g *Snapshot) ObjectIDs(subject, predicate uint32) []uint32 {
 // SubjectIDs returns the subjects carrying (predicate, object), ascending, as
 // the chunks of the posting list.
 func (g *Snapshot) SubjectIDs(predicate, object uint32) [][]uint32 {
-	byObj := g.pos.get(predicate)
-	return byObj.get(object)
+	entry := g.pos.get(object)
+	if i, found := searchSubs(entry, predicate); found {
+		return entry[i].subs
+	}
+	return nil
+}
+
+// byPredicate yields every object the predicate reaches, ascending, with its
+// subjects. pos is keyed by object, so this scans the object table — until
+// the runs yielded account for the predicate's whole triple count.
+func (g *Snapshot) byPredicate(predicate uint32) iter.Seq2[uint32, run[uint32]] {
+	return func(yield func(uint32, run[uint32]) bool) {
+		left := g.predN.get(predicate)
+		for o, entry := range g.pos.all() {
+			if left == 0 {
+				return
+			}
+			if i, found := searchSubs(*entry, predicate); found {
+				subs := (*entry)[i].subs
+				left -= subs.size()
+				if !yield(o, subs) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // PredCount returns the number of triples carrying the predicate.
 func (g *Snapshot) PredCount(predicate uint32) int { return g.predN.get(predicate) }
 
 // PredSubjectIDs returns the distinct subjects carrying the predicate,
-// ascending, in buf's storage.
+// ascending, in buf's storage. It scans the object table (byPredicate).
 func (g *Snapshot) PredSubjectIDs(predicate uint32, buf []uint32) []uint32 {
-	byObj := g.pos.get(predicate)
 	ids := buf[:0]
-	for _, subs := range byObj.all() {
-		for _, chunk := range *subs {
+	for _, subs := range g.byPredicate(predicate) {
+		for _, chunk := range subs {
 			ids = append(ids, chunk...)
 		}
 	}
@@ -196,9 +234,8 @@ func (g *Snapshot) Match(subj, pred, obj *Term) []Triple {
 			}
 		}
 	case pred != nil:
-		byObj := g.pos.get(pid)
-		for o, subs := range byObj.all() {
-			for _, chunk := range *subs {
+		for o, subs := range g.byPredicate(pid) {
+			for _, chunk := range subs {
 				for _, su := range chunk {
 					out = append(out, Triple{g.dict.term(su), *pred, g.dict.term(o)})
 				}
@@ -209,10 +246,10 @@ func (g *Snapshot) Match(subj, pred, obj *Term) []Triple {
 		// subject-then-predicate order an OSP rotation would have kept.
 		type sp struct{ s, p uint32 }
 		var hits []sp
-		for p, byObj := range g.pos.all() {
-			for _, chunk := range byObj.get(oid) {
+		for _, ps := range g.pos.get(oid) {
+			for _, chunk := range ps.subs {
 				for _, su := range chunk {
-					hits = append(hits, sp{su, p})
+					hits = append(hits, sp{su, ps.pred})
 				}
 			}
 		}

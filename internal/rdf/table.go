@@ -16,9 +16,10 @@ import (
 // the next batch's number differs from every stamp there is.
 
 // A leaf holds the values of leafSize consecutive IDs, a node the leaves of
-// nodeSize consecutive leaf ranges. Leaves are the smaller: the per-predicate
-// tables are sparse (a template brings a predicate one to four objects out of
-// some thirty new IDs), so a leaf is mostly copied for one or two writes.
+// nodeSize consecutive leaf ranges. Leaves are the smaller: a template brings
+// some thirty new IDs and writes the SPO entries of its subjects and the POS
+// entries of its objects, but also the entries of shared objects (operator
+// types, tables) scattered over the ID space, each of which copies a leaf.
 const (
 	leafBits = 5
 	leafSize = 1 << leafBits
