@@ -83,27 +83,37 @@ func unbounded(q *sparql.Query) *sparql.Query {
 	return &all
 }
 
-// pinnedSelect is the select fuseki.LocalEndpoint.PinEpoch returns.
-type pinnedSelect = func(*sparql.Prepared, []float64) ([]sparql.Solution, error)
+// coldProber is what a cache miss costs the matching engine against an
+// in-process knowledge base: describe the fragment into a reused slab, find
+// its compiled form by the form's bytes (forms stands in for the engine's form
+// cache, compiling on first sight), run it on the pinned epoch with the
+// probe's parameters, appended to a reused buffer. Nothing is printed or
+// parsed.
+type coldProber struct {
+	forms  map[string]*sparql.Prepared
+	slab   transform.ProbeSlab
+	form   []byte
+	params []float64
+}
 
-// coldProbe is what a cache miss costs the matching engine against an
-// in-process knowledge base: describe the fragment, find its compiled form
-// (forms stands in for the engine's form cache, compiling on first sight),
-// run it with the probe's parameters on the pinned epoch. Nothing is printed
-// or parsed.
-func coldProbe(tb testing.TB, frag *qgm.Node, forms map[string]*sparql.Prepared, sel pinnedSelect) {
-	p, err := transform.NewProbe(frag)
+func newColdProber() *coldProber { return &coldProber{forms: map[string]*sparql.Prepared{}} }
+
+func (c *coldProber) probe(tb testing.TB, frag *qgm.Node, sel sparql.Pinned) {
+	c.slab.Reset()
+	p, err := c.slab.Describe(frag)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pr := forms[p.FormKey()]
+	c.form = p.AppendFormKey(c.form[:0])
+	pr := c.forms[string(c.form)]
 	if pr == nil {
 		if pr, err = sparql.Prepare(p.Query()); err != nil {
 			tb.Fatal(err)
 		}
-		forms[p.FormKey()] = pr
+		c.forms[string(c.form)] = pr
 	}
-	if _, err := sel(pr, p.Params()); err != nil {
+	c.params = p.AppendParams(c.params[:0])
+	if _, err := sel.Select(pr, c.params); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -166,11 +176,11 @@ func BenchmarkKBProbeCold(b *testing.B) {
 		endpoint := fuseki.LocalEndpoint{Store: inflatedKB(b, size).Store()}
 		b.Run(fmt.Sprintf("prepared/templates=%d", size), func(b *testing.B) {
 			sel, _ := endpoint.PinEpoch()
-			forms := map[string]*sparql.Prepared{}
+			prober := newColdProber()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				coldProbe(b, frag, forms, sel)
+				prober.probe(b, frag, sel)
 			}
 		})
 		b.Run(fmt.Sprintf("text/templates=%d", size), func(b *testing.B) {
@@ -212,7 +222,7 @@ func BenchmarkKBProbeColdManyMatches(b *testing.B) {
 				sel, _ := fuseki.LocalEndpoint{Store: saturatedKB(b, size).Store()}.PinEpoch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sel(pr, p.Params()); err != nil {
+					if _, err := sel.Select(pr, p.Params()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -248,7 +258,7 @@ type benchRow struct {
 	KBTemplates int `json:"kb_templates"`
 	KBTriples   int `json:"kb_triples"`
 	// ColdNsPerProbe is a cache miss as the matching engine pays it since
-	// PR 15 (coldProbe: prepared path), of a form compiled before since PR 25;
+	// PR 15 (coldProber: prepared path), of a form compiled before since PR 25;
 	// ColdFirstNsPerProbe is the first probe of its form, which builds and
 	// compiles the query (since PR 25; absent from older rows);
 	// ColdTextNsPerProbe is the text path remote endpoints take (parse +
@@ -314,7 +324,7 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() {
-				if _, err := satSel(pr, sat.Params()); err != nil {
+				if _, err := satSel.Select(pr, sat.Params()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -329,11 +339,14 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		}
 		matchPlan() // fills the fingerprint cache
 
-		forms := map[string]*sparql.Prepared{}
+		prober, first := newColdProber(), newColdProber()
 		var cold, coldFirst, coldText, warm, bounded, unboundedNs []float64
 		for p := 0; p < passes; p++ {
-			cold = append(cold, perRound(coldRounds, func() { coldProbe(t, frag, forms, sel) }))
-			coldFirst = append(coldFirst, perRound(coldRounds, func() { coldProbe(t, frag, map[string]*sparql.Prepared{}, sel) }))
+			cold = append(cold, perRound(coldRounds, func() { prober.probe(t, frag, sel) }))
+			coldFirst = append(coldFirst, perRound(coldRounds, func() {
+				clear(first.forms)
+				first.probe(t, frag, sel)
+			}))
 			coldText = append(coldText, perRound(coldRounds, func() {
 				if _, err := endpoint.Select(queryText); err != nil {
 					t.Fatal(err)
@@ -356,13 +369,14 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 	}
 	doc := map[string]any{
 		"benchmark":   "knowledge base probe latency vs KB size (ns)",
-		"note":        "cold = one fragment probe without cache through the prepared path as the matching engine pays it: probe description, its form's compiled query looked up (compiled once, by the first probe of the form), evaluation over dictionary IDs; cold_first = the first probe of its form, which also builds the query and compiles it (the column added by PR 25, so that the cached compile is not mistaken for the whole cost); cold_text = the same probe as text through LocalEndpoint.Select (parse + compile + evaluation), the path remote endpoints' servers take; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, compiled once, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn; one emission of either side spreads by about a quarter around its median on this machine. before = the rows committed before PR 25 (measured on PR 21's tree; nothing on the probe's read path changed until PR 25); before_pr21 = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write); before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a), whose cold column is the text path; before_pr38 = this test on commit 9884ebf, where POS kept one table per predicate instead of one keyed by object: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 453 / 11 676 / 11 708 / 11 811 / 12 079 ns before, 11 349 / 11 390 / 11 426 / 11 475 / 11 495 ns after; the rows of this file are the middle of three later emissions of the same code).",
+		"note":        "cold = one fragment probe without cache through the prepared path as the matching engine pays it: probe description, its form's compiled query looked up (compiled once, by the first probe of the form), evaluation over dictionary IDs; cold_first = the first probe of its form, which also builds the query and compiles it (the column added by PR 25, so that the cached compile is not mistaken for the whole cost); cold_text = the same probe as text through LocalEndpoint.Select (parse + compile + evaluation), the path remote endpoints' servers take; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, compiled once, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn; one emission of either side spreads by about a quarter around its median on this machine. before = the rows committed before PR 25 (measured on PR 21's tree; nothing on the probe's read path changed until PR 25); before_pr21 = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write); before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a), whose cold column is the text path; before_pr38 = this test on commit 9884ebf, where POS kept one table per predicate instead of one keyed by object: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 453 / 11 676 / 11 708 / 11 811 / 12 079 ns before, 11 349 / 11 390 / 11 426 / 11 475 / 11 495 ns after; the rows of this file are the middle of three later emissions of the same code); before_pr39 = this test on commit 080f050, where every Run allocated its evaluator's scratch and every probe its record, its parameters and its form key: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 331 / 11 364 / 11 435 / 11 590 / 11 597 ns before, 10 569 / 10 706 / 10 777 / 10 941 / 12 219 ns after). What moved is the cold column, most where the evaluation is shortest (60 templates 3 252 -> ~1 710 ns, 960 templates 11 435 -> ~10 780 ns), and routinized a little (~1 120 -> ~1 030 ns at 60 and 960); cold_first, cold_text and many_matches_* did not move beyond this machine's noise. The rows of this file are the middle of three later emissions of the same code.",
 		"env":         benchEnv(),
 		"rows":        rows,
 		"before":      matchingBeforePR25,
 		"before_pr21": matchingBeforePR21,
 		"before_pr15": matchingBefore,
 		"before_pr38": matchingBeforePR38,
+		"before_pr39": matchingBeforePR39,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -372,6 +386,14 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_matching.json:\n%s", data)
+}
+
+// matchingBeforePR39 is TestEmitBenchMatchingJSON on the parent of PR 39 (see
+// the note it is emitted with).
+var matchingBeforePR39 = []benchRow{
+	{KBTemplates: 60, KBTriples: 2345, ColdNsPerProbe: 3252.18, ColdFirstNsPerProbe: 11120.945, ColdTextNsPerProbe: 27213.3, RoutinizedNsPerMatchPlan: 1118.54, ManyMatchesBoundedNs: 11155.85, ManyMatchesUnboundedNs: 70808.1},
+	{KBTemplates: 240, KBTriples: 10251, ColdNsPerProbe: 4109.72, ColdFirstNsPerProbe: 13871.325, ColdTextNsPerProbe: 30313.055, RoutinizedNsPerMatchPlan: 1166.51, ManyMatchesBoundedNs: 17259.61, ManyMatchesUnboundedNs: 331719.76},
+	{KBTemplates: 960, KBTriples: 45190, ColdNsPerProbe: 11434.915, ColdFirstNsPerProbe: 22296.97, ColdTextNsPerProbe: 42896.595, RoutinizedNsPerMatchPlan: 1261.996, ManyMatchesBoundedNs: 37458.18, ManyMatchesUnboundedNs: 1289716.6},
 }
 
 // matchingBeforePR38 is TestEmitBenchMatchingJSON on the parent of PR 38 (see

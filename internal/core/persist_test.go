@@ -390,12 +390,13 @@ func TestSnapshotEveryCountsTripleChanges(t *testing.T) {
 			continue
 		}
 		want++
+		prevSnap := lastSnap
 		lastSnap = version
 		deadline := time.Now().Add(5 * time.Second)
 		for sys.PersistStats().Snapshots < base+want {
 			if time.Now().After(deadline) {
 				t.Fatalf("publication %d took the shard to version %d, %d triple changes past its last snapshot at %d, and no snapshot followed: %+v",
-					i, version, version-lastSnap, lastSnap, sys.PersistStats())
+					i, version, version-prevSnap, prevSnap, sys.PersistStats())
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -406,18 +406,25 @@ func (l LocalEndpoint) Select(queryText string) ([]sparql.Solution, error) {
 	return sparql.Execute(q, l.Store.Snapshot())
 }
 
-// PinEpoch pins the store's current epoch and returns a select that runs
-// prepared queries on it with the parameters given, plus that epoch's version
-// (matching the matching engine's EpochPinner interface). Every probe issued
-// through the returned function sees exactly the pinned epoch, so cache
+// PinEpoch pins the store's current epoch and returns it as a sparql.Pinned,
+// which runs prepared queries on it with the parameters given, plus that
+// epoch's version (matching the matching engine's EpochPinner interface).
+// Every probe issued through it sees exactly the pinned epoch, so cache
 // entries tagged with the returned version can never carry another epoch's
 // solutions — and, being in process, it takes the query compiled: nothing is
-// printed, parsed or compiled per probe.
-func (l LocalEndpoint) PinEpoch() (func(*sparql.Prepared, []float64) ([]sparql.Solution, error), uint64) {
+// printed, parsed or compiled per probe. Pinning allocates nothing.
+func (l LocalEndpoint) PinEpoch() (sparql.Pinned, uint64) {
 	snap := l.Store.Snapshot()
-	return func(pr *sparql.Prepared, params []float64) ([]sparql.Solution, error) {
-		return pr.Run(snap, params)
-	}, snap.Version()
+	return (*pinnedSnapshot)(snap), snap.Version()
+}
+
+// pinnedSnapshot is a snapshot that answers prepared queries; as a pointer it
+// fits in an interface value without an allocation.
+type pinnedSnapshot rdf.Snapshot
+
+// Select runs the prepared query on the snapshot.
+func (p *pinnedSnapshot) Select(pr *sparql.Prepared, params []float64) ([]sparql.Solution, error) {
+	return pr.Run((*rdf.Snapshot)(p), params)
 }
 
 // KBVersion returns the local store's mutation counter (matching the

@@ -161,6 +161,14 @@ func (c *boundedCache[V]) get(key string) (V, bool) {
 	return v, ok
 }
 
+// getBytes is get of the key's bytes, which it makes no string of.
+func (c *boundedCache[V]) getBytes(key []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[string(key)]
+	return v, ok
+}
+
 func (c *boundedCache[V]) put(key string, v V, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -188,17 +196,20 @@ const formCacheSize = 256
 // makes an entry stale.
 type formCache struct{ boundedCache[*sparql.Prepared] }
 
-// prepare returns the probe's compiled form, compiling it on first sight.
+// prepare returns the probe's compiled form, compiling it on first sight. The
+// form is looked up by its bytes, rendered on the stack: only a form met for
+// the first time becomes a string, the cache's key.
 func (c *formCache) prepare(p *transform.Probe) (*sparql.Prepared, error) {
-	form := p.FormKey()
-	if pr, ok := c.get(form); ok {
+	var stack [256]byte
+	form := p.AppendFormKey(stack[:0])
+	if pr, ok := c.getBytes(form); ok {
 		return pr, nil
 	}
 	pr, err := sparql.Prepare(p.Query())
 	if err != nil {
 		return nil, err
 	}
-	c.put(form, pr, formCacheSize)
+	c.put(string(form), pr, formCacheSize)
 	return pr, nil
 }
 

@@ -14,9 +14,13 @@
 // An Engine is safe for concurrent use and is built for the serving path:
 //
 //   - A plan's probes are looked up in the routinization cache inline; the
-//     misses fan out across a bounded worker pool (GOMAXPROCS workers);
+//     misses are evaluated by the calling goroutine and up to
+//     GOMAXPROCS-1 helpers, which claim them from an atomic cursor;
 //     selection over the results is deterministic (largest fragment first,
-//     overlap-claimed fragments skipped).
+//     overlap-claimed fragments skipped). A plan's outcomes, epoch vector,
+//     probe records, parameters and claimed instances come from a pooled
+//     scratch, so a cache-missing probe allocates little beyond its key,
+//     its answers and its cache entry.
 //   - The knowledge base may be sharded (NewSharded): each fragment routes
 //     to the single shard whose templates could match it (Router over the
 //     fragment's shape signature), so a plan's probes touch only the shards

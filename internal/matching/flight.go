@@ -20,7 +20,7 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done    chan struct{}
+	done    sync.WaitGroup // released when sols and err are set
 	sols    []sparql.Solution
 	err     error
 	joiners int // callers that joined it, under the group's mu (tests)
@@ -36,10 +36,11 @@ func (g *flightGroup) do(key flightKey, fn func() ([]sparql.Solution, error)) (s
 	if c, ok := g.calls[key]; ok {
 		c.joiners++
 		g.mu.Unlock()
-		<-c.done
+		c.done.Wait()
 		return c.sols, true, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{}
+	c.done.Add(1)
 	g.calls[key] = c
 	g.mu.Unlock()
 
@@ -55,7 +56,7 @@ func (g *flightGroup) do(key flightKey, fn func() ([]sparql.Solution, error)) (s
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
-		close(c.done)
+		c.done.Done()
 	}()
 	c.sols, c.err = fn()
 	completed = true

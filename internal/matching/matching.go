@@ -3,6 +3,7 @@ package matching
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,11 +39,11 @@ type VersionedEndpoint interface {
 }
 
 // EpochPinner is an Endpoint that can pin one knowledge base epoch: PinEpoch
-// returns a select frozen on the current epoch plus that epoch's version. The
-// engine pins once per plan, so every probe of the plan — and every cache
-// entry and singleflight key those probes produce — belongs to exactly that
-// epoch; the version tag can never disagree with the data actually read, even
-// while learning publishes new epochs mid-plan. The select takes the probe as
+// returns the current epoch, frozen, plus its version. The engine pins once
+// per plan, so every probe of the plan — and every cache entry and
+// singleflight key those probes produce — belongs to exactly that epoch; the
+// version tag can never disagree with the data actually read, even while
+// learning publishes new epochs mid-plan. The pinned epoch takes the probe as
 // its compiled form and its parameters (transform.Probe.FormKey's
 // sparql.Prepared, transform.Probe.Params): an endpoint that can pin an epoch
 // is in this process, so nothing has to be printed, parsed or compiled on the
@@ -51,7 +52,7 @@ type VersionedEndpoint interface {
 // fall back to the conservative KBVersion tagging (an entry tagged with a
 // superseded version is replaced by the next evaluation).
 type EpochPinner interface {
-	PinEpoch() (func(*sparql.Prepared, []float64) ([]sparql.Solution, error), uint64)
+	PinEpoch() (sparql.Pinned, uint64)
 }
 
 // Options configures the matching engine.
@@ -183,33 +184,30 @@ func (e *Engine) CachedProbes() int {
 // how a probe routed to the shard is answered, plus the shard's pinned (or
 // conservatively fetched) epoch.
 type shardConn struct {
-	// prepared runs a compiled probe against the pinned epoch; nil for an
+	// pinned runs a compiled probe against the pinned epoch; nil for an
 	// endpoint that cannot pin one, which is sent text instead.
-	prepared  func(*sparql.Prepared, []float64) ([]sparql.Solution, error)
-	text      func(string) ([]sparql.Solution, error)
+	pinned    sparql.Pinned
+	endpoint  Endpoint
 	version   uint64
 	versionOK bool
 }
 
 // planShards resolves the probe path and version tag per shard, once per
-// plan: a pinned epoch snapshot when the endpoint supports it (EpochPinner),
-// the plain endpoint with conservative version tagging otherwise. The result
-// is the plan's *epoch vector* — every probe of the plan reads from, and tags
-// its cache/singleflight keys with, exactly the epoch its shard had at plan
-// start, independent of the other shards.
-func (e *Engine) planShards() []shardConn {
-	conns := make([]shardConn, len(e.endpoints))
+// plan, into conns: a pinned epoch snapshot when the endpoint supports it
+// (EpochPinner), the plain endpoint with conservative version tagging
+// otherwise. The result is the plan's *epoch vector* — every probe of the
+// plan reads from, and tags its cache/singleflight keys with, exactly the
+// epoch its shard had at plan start, independent of the other shards.
+func (e *Engine) planShards(conns []shardConn) []shardConn {
+	conns = slices.Grow(conns[:0], len(e.endpoints))[:len(e.endpoints)]
 	for i, ep := range e.endpoints {
+		conns[i] = shardConn{endpoint: ep}
 		if p, ok := ep.(EpochPinner); ok {
-			sel, version := p.PinEpoch()
-			conns[i] = shardConn{prepared: sel, version: version, versionOK: true}
-			continue
+			conns[i].pinned, conns[i].version = p.PinEpoch()
+			conns[i].versionOK = true
+		} else if e.cache != nil {
+			conns[i].version, conns[i].versionOK = ep.(VersionedEndpoint).KBVersion()
 		}
-		conn := shardConn{text: ep.Select}
-		if e.cache != nil {
-			conn.version, conn.versionOK = ep.(VersionedEndpoint).KBVersion()
-		}
-		conns[i] = conn
 	}
 	return conns
 }
@@ -236,7 +234,7 @@ type flightKey struct {
 // Tagging a whole plan's probes with the version fetched at plan start is
 // conservative: if the shard changes mid-plan, the entries carry the older
 // version and lose to the next evaluation at the newer one.
-func (e *Engine) cached(shard int, conn shardConn, p *transform.Probe) ([]sparql.Solution, bool) {
+func (e *Engine) cached(shard int, conn *shardConn, p *transform.Probe) ([]sparql.Solution, bool) {
 	if e.cache == nil || !conn.versionOK {
 		return nil, false
 	}
@@ -247,17 +245,17 @@ func (e *Engine) cached(shard int, conn shardConn, p *transform.Probe) ([]sparql
 // (shard, epoch, fingerprint) among concurrent callers, as its compiled form
 // run with its parameters where the shard's epoch is pinned in process and as
 // text anywhere else; the answer is cached for the plans that follow.
-func (e *Engine) evaluate(shard int, conn shardConn, p *transform.Probe) ([]sparql.Solution, error) {
+func (e *Engine) evaluate(shard int, conn *shardConn, p *transform.Probe, params []float64) ([]sparql.Solution, error) {
 	key := probeKey{shard, p.Key()}
 	sols, shared, err := e.flight.do(flightKey{key, conn.version, conn.versionOK}, func() ([]sparql.Solution, error) {
-		if conn.prepared == nil {
-			return conn.text(p.Text())
+		if conn.pinned == nil {
+			return conn.endpoint.Select(p.Text())
 		}
 		pr, err := e.forms.prepare(p)
 		if err != nil {
 			return nil, err
 		}
-		return conn.prepared(pr, p.Params())
+		return conn.pinned.Select(pr, params)
 	})
 	if err != nil {
 		return nil, err
@@ -325,15 +323,52 @@ func (e *Engine) MatchPlan(plan *qgm.Plan) ([]Match, error) {
 	return matches, err
 }
 
-// outcome is what probing one fragment came to. Until a cache miss has been
-// evaluated, probe is set and the outcome is pending.
+// outcome is what probing one fragment came to. A cache miss is pending
+// until it is evaluated: its probe, shard and parameters wait here.
 type outcome struct {
 	m   Match
 	ok  bool
 	err error
 
-	probe *transform.Probe
-	shard int
+	pending bool
+	probe   transform.Probe
+	shard   int
+	params  []float64 // for a pinned shard
+}
+
+// planScratch is what one MatchPlanStats works in, taken from a pool and
+// handed back cleared: the outcomes, the epoch vector, the probes' records
+// and parameters, the misses and the claimed table instances, and the cursor
+// the misses are evaluated from.
+type planScratch struct {
+	e         *Engine
+	fragments []qgm.SubPlan
+	outcomes  []outcome
+	conns     []shardConn
+	slab      transform.ProbeSlab
+	params    []float64
+	misses    []int
+	claimed   []string
+
+	// next is the position in misses the next evaluation claims.
+	next    atomic.Int64
+	helpers sync.WaitGroup
+}
+
+var planScratches = sync.Pool{New: func() any { return new(planScratch) }}
+
+// release hands the scratch back, dropping every pointer into the plan, its
+// answers and its pinned epochs. MatchPlanStats releases it on its normal
+// returns only: after a panic, helpers may still be writing to it.
+func (sc *planScratch) release() {
+	sc.e, sc.fragments = nil, nil
+	clear(sc.outcomes)
+	clear(sc.conns)
+	clear(sc.claimed)
+	sc.slab.Reset()
+	sc.outcomes, sc.conns, sc.claimed = sc.outcomes[:0], sc.conns[:0], sc.claimed[:0]
+	sc.params, sc.misses = sc.params[:0], sc.misses[:0]
+	planScratches.Put(sc)
 }
 
 // MatchPlanStats is MatchPlan plus probe statistics. Each fragment is routed
@@ -341,12 +376,13 @@ type outcome struct {
 // vector of shard epochs up front, so every probe reads a consistent
 // snapshot of its shard no matter what publishes elsewhere mid-plan — and
 // looked up in the routinization cache right here: a hit costs less than
-// handing it to another goroutine would. Only the misses fan out across a
-// bounded worker pool (GOMAXPROCS workers). Selection then runs over the
-// results in deterministic order: fragments are tried from the largest (most
-// context) down to single joins, and fragments overlapping an
-// already-matched fragment are skipped, so each part of the plan is
-// rewritten by at most one template.
+// handing it to another goroutine would. The misses are evaluated by the
+// calling goroutine and, when there are several, by up to GOMAXPROCS-1
+// helpers beside it, each claiming the next miss from a shared cursor.
+// Selection then runs over the results in deterministic order: fragments are
+// tried from the largest (most context) down to single joins, and fragments
+// overlapping an already-matched fragment are skipped, so each part of the
+// plan is rewritten by at most one template.
 func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 	var stats ProbeStats
 	if plan == nil || plan.Root == nil {
@@ -354,51 +390,33 @@ func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 	}
 	fragments := plan.EnumerateSubPlans(e.Opts.MaxJoins)
 	// Largest fragments first.
-	for i, j := 0, len(fragments)-1; i < j; i, j = i+1, j-1 {
-		fragments[i], fragments[j] = fragments[j], fragments[i]
+	slices.Reverse(fragments)
+	sc := planScratches.Get().(*planScratch)
+	sc.e, sc.fragments = e, fragments
+	sc.outcomes = slices.Grow(sc.outcomes, len(fragments))[:len(fragments)]
+	sc.conns = e.planShards(sc.conns)
+	ops := 0
+	for _, frag := range fragments {
+		ops += frag.Ops
 	}
-	outcomes := make([]outcome, len(fragments))
-	conns := e.planShards()
-	var misses []int
+	sc.slab.Grow(ops)
+	sc.params = slices.Grow(sc.params, 2*ops)
 	for i, frag := range fragments {
-		outcomes[i] = e.lookupFragment(frag.Root, conns)
-		if outcomes[i].probe != nil {
-			misses = append(misses, i)
+		sc.outcomes[i] = e.lookupFragment(frag.Root, sc)
+		if sc.outcomes[i].pending {
+			sc.misses = append(sc.misses, i)
 		}
 	}
-	evaluate := func(i int) { outcomes[i] = e.evaluateFragment(fragments[i].Root, conns, outcomes[i]) }
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	if workers <= 1 {
-		for _, i := range misses {
-			evaluate(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					evaluate(i)
-				}
-			}()
-		}
-		for _, i := range misses {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	sc.evaluateMisses()
+
 	var matches []Match
-	claimed := map[string]bool{}
 	for i, frag := range fragments {
-		if outcomes[i].err != nil {
+		o := &sc.outcomes[i]
+		if o.err != nil {
 			if !e.Opts.TolerateProbeErrors {
-				return nil, stats, outcomes[i].err
+				err := o.err
+				sc.release()
+				return nil, stats, err
 			}
 			// Degrade, don't fail: the fragment goes unmatched (no rewrite
 			// from this template shard) and the error is counted.
@@ -408,60 +426,114 @@ func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 			continue
 		}
 		stats.Probes++
-		stats.TotalMillis += outcomes[i].m.MatchMillis
-		if outcomes[i].m.CacheHit {
+		stats.TotalMillis += o.m.MatchMillis
+		if o.m.CacheHit {
 			stats.CacheHits++
 		}
-		if !outcomes[i].ok || overlapsClaimed(frag.Root, claimed) {
+		if !o.ok || overlapsClaimed(frag.Root, sc.claimed) {
 			continue
 		}
-		m := outcomes[i].m
+		m := o.m
 		m.FragmentJoins = frag.Joins
 		matches = append(matches, m)
-		for inst := range frag.Root.TableInstances() {
-			claimed[inst] = true
-		}
+		sc.claimed = claim(sc.claimed, frag.Root)
 	}
+	sc.release()
 	return matches, stats, nil
 }
 
-func overlapsClaimed(frag *qgm.Node, claimed map[string]bool) bool {
-	for inst := range frag.TableInstances() {
-		if claimed[inst] {
-			return true
+// evaluateMisses evaluates the pending outcomes. The calling goroutine takes
+// part, so a plan with a single miss starts no goroutine at all.
+func (sc *planScratch) evaluateMisses() {
+	sc.next.Store(0)
+	if helpers := min(runtime.GOMAXPROCS(0), len(sc.misses)) - 1; helpers > 0 {
+		sc.helpers.Add(helpers)
+		for range helpers {
+			go sc.help()
 		}
 	}
-	return false
+	sc.evaluatePending()
+	sc.helpers.Wait()
 }
 
-// lookupFragment describes the probe of one sub-plan, routes it to the shard
-// of the knowledge base its shape signature can hit, and answers it from the
-// routinization cache when it can; otherwise the outcome is left pending for
-// evaluateFragment, carrying the probe and the time spent so far.
-func (e *Engine) lookupFragment(frag *qgm.Node, conns []shardConn) outcome {
+// help is one helper of evaluateMisses.
+func (sc *planScratch) help() {
+	defer sc.helpers.Done()
+	sc.evaluatePending()
+}
+
+// evaluatePending evaluates misses until the cursor runs past the last.
+func (sc *planScratch) evaluatePending() {
+	for {
+		k := int(sc.next.Add(1)) - 1
+		if k >= len(sc.misses) {
+			return
+		}
+		i := sc.misses[k]
+		sc.outcomes[i] = sc.e.evaluateFragment(sc.fragments[i].Root, sc.conns, &sc.outcomes[i])
+	}
+}
+
+// overlapsClaimed reports whether a table instance of the fragment has been
+// claimed by a fragment matched before it.
+func overlapsClaimed(n *qgm.Node, claimed []string) bool {
+	if n == nil {
+		return false
+	}
+	if n.TableInstance != "" && slices.Contains(claimed, n.TableInstance) {
+		return true
+	}
+	return overlapsClaimed(n.Outer, claimed) || overlapsClaimed(n.Inner, claimed)
+}
+
+// claim appends the fragment's table instances to claimed.
+func claim(claimed []string, n *qgm.Node) []string {
+	if n == nil {
+		return claimed
+	}
+	if n.TableInstance != "" {
+		claimed = append(claimed, n.TableInstance)
+	}
+	return claim(claim(claimed, n.Outer), n.Inner)
+}
+
+// lookupFragment describes the probe of one sub-plan into the plan's slab,
+// routes it to the shard of the knowledge base its shape signature can hit,
+// and answers it from the routinization cache when it can; otherwise the
+// outcome is left pending for evaluateFragment, carrying the probe, its
+// parameters and the time spent so far.
+func (e *Engine) lookupFragment(frag *qgm.Node, sc *planScratch) outcome {
 	start := time.Now()
-	p, err := transform.NewProbe(frag)
+	p, err := sc.slab.Describe(frag)
 	if err != nil {
 		return outcome{err: err}
 	}
 	shard := e.shardFor(frag)
 	e.shardProbes[shard].Add(1)
-	sols, hit := e.cached(shard, conns[shard], p)
-	if !hit {
-		return outcome{m: Match{MatchMillis: millisSince(start)}, probe: p, shard: shard}
+	conn := &sc.conns[shard]
+	sols, hit := e.cached(shard, conn, &p)
+	if hit {
+		return e.pickTemplate(frag, &p, sols, Match{MatchMillis: millisSince(start), CacheHit: true})
 	}
-	return e.pickTemplate(frag, p, sols, Match{MatchMillis: millisSince(start), CacheHit: true})
+	o := outcome{pending: true, probe: p, shard: shard}
+	if conn.pinned != nil {
+		from := len(sc.params)
+		sc.params = p.AppendParams(sc.params)
+		o.params = sc.params[from:len(sc.params):len(sc.params)]
+	}
+	o.m.MatchMillis = millisSince(start)
+	return o
 }
 
 // evaluateFragment finishes a pending outcome: it evaluates the probe against
 // its shard.
-func (e *Engine) evaluateFragment(frag *qgm.Node, conns []shardConn, pending outcome) outcome {
+func (e *Engine) evaluateFragment(frag *qgm.Node, conns []shardConn, pending *outcome) outcome {
 	start := time.Now()
-	sols, err := e.evaluate(pending.shard, conns[pending.shard], pending.probe)
+	sols, err := e.evaluate(pending.shard, &conns[pending.shard], &pending.probe, pending.params)
 	if err != nil {
 		return outcome{err: fmt.Errorf("matching: knowledge base query failed: %w", err)}
 	}
-	return e.pickTemplate(frag, pending.probe, sols, Match{MatchMillis: pending.m.MatchMillis + millisSince(start)})
+	return e.pickTemplate(frag, &pending.probe, sols, Match{MatchMillis: pending.m.MatchMillis + millisSince(start)})
 }
 
 func millisSince(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1000 }

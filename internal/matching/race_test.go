@@ -101,11 +101,11 @@ func probeOnce(eng *Engine) (sols []sparql.Solution, cached bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	conn := eng.planShards()[0]
+	conn := &eng.planShards(nil)[0]
 	if sols, hit := eng.cached(0, conn, p); hit {
 		return sols, true, nil
 	}
-	sols, err = eng.evaluate(0, conn, p)
+	sols, err = eng.evaluate(0, conn, p, p.Params())
 	return sols, false, err
 }
 
@@ -319,10 +319,17 @@ type slowPinner struct {
 	release chan struct{}
 }
 
-func (s slowPinner) PinEpoch() (func(*sparql.Prepared, []float64) ([]sparql.Solution, error), uint64) {
-	sel, version := s.LocalEndpoint.PinEpoch()
-	return func(pr *sparql.Prepared, params []float64) ([]sparql.Solution, error) {
-		<-s.release
-		return sel(pr, params)
-	}, version
+func (s slowPinner) PinEpoch() (sparql.Pinned, uint64) {
+	pinned, version := s.LocalEndpoint.PinEpoch()
+	return slowPinned{pinned, s.release}, version
+}
+
+type slowPinned struct {
+	sparql.Pinned
+	release chan struct{}
+}
+
+func (s slowPinned) Select(pr *sparql.Prepared, params []float64) ([]sparql.Solution, error) {
+	<-s.release
+	return s.Pinned.Select(pr, params)
 }

@@ -2,7 +2,9 @@
 // against the RDF knowledge base: PREFIX declarations, SELECT over basic
 // graph patterns, FILTER expressions with comparisons and the STR() function,
 // and property paths (p+ and p1/p2), compiled once (Prepare) and evaluated
-// over the dictionary IDs of a pinned rdf.Snapshot (Prepared.Run).
+// over the dictionary IDs of a pinned rdf.Snapshot (Prepared.Run). A Run
+// takes its evaluator and scratch from a pool the Prepared holds and clears
+// them on entry, so it allocates its solutions and little else.
 //
 // It replaces Apache Jena's ARQ engine in the paper's architecture. The
 // matching engine's auto-generated queries (Figure 6 of the paper) fall

@@ -84,7 +84,7 @@ WHERE {
 		t.Fatal(err)
 	}
 	bounds := map[string]varBounds{}
-	for slot, b := range pr.bounds(pr.Params()) {
+	for slot, b := range pr.bounds(make([]varBounds, len(pr.vars)), pr.Params()) {
 		bounds[pr.vars[slot]] = b
 	}
 	a := bounds["a"]
@@ -100,7 +100,7 @@ WHERE {
 	}
 	// The bounds are the parameters' values, not the query's: one Prepared
 	// serves every set of constants.
-	other := pr.bounds([]float64{1, 2, 3})
+	other := pr.bounds(make([]varBounds, len(pr.vars)), []float64{1, 2, 3})
 	if a := other[slices.Index(pr.vars, "a")]; *a.lo != 2 || *a.hi != 1 {
 		t.Errorf("bounds[a] under parameters (1, 2, 3) = [%v, %v], want [2, 1]", *a.lo, *a.hi)
 	}

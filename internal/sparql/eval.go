@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"galo/internal/rdf"
 )
@@ -17,15 +18,18 @@ func Execute(q *Query, snap *rdf.Snapshot) ([]Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pr.Run(snap, pr.params)
+	// A Prepared run once has no later Run to hand its scratch to.
+	return pr.newEvaluator().run(snap, pr.params), nil
 }
 
 // Prepared is a query compiled once for any number of evaluations: variables
 // are slots of one binding array, filters are comparisons over slots, and
 // every numeric FILTER constant is a parameter, supplied per Run. It holds no
 // dictionary IDs and nothing of the Query it was built from, so it serves
-// every snapshot of every store, and it is never written after Prepare: one
-// Prepared may Run on many goroutines at once.
+// every snapshot of every store. No field a Run reads is written after
+// Prepare, so one Prepared may Run on many goroutines at once; its pool holds
+// per-Run scratch only — the evaluator and its slices, which a Run takes,
+// clears and hands back, never two Runs at once.
 //
 // Basic graph patterns are evaluated by backtracking joins in greedy
 // selectivity order: at every step the evaluator picks the cheapest remaining
@@ -53,6 +57,8 @@ type Prepared struct {
 	limit   int
 	// params are the numeric FILTER constants of the query prepared.
 	params []float64
+	// scratch holds the evaluators of finished Runs (newEvaluator).
+	scratch sync.Pool
 }
 
 // compiledPattern is a triple pattern over slots: a constant position is a
@@ -326,9 +332,10 @@ func (pr *Prepared) narrow(x Comparison, node compiledExpr, slotOf func(string) 
 // parameter order: Run(snap, Params()) evaluates that query.
 func (pr *Prepared) Params() []float64 { return slices.Clone(pr.params) }
 
-// bounds derives each variable's numeric interval from the parameters.
-func (pr *Prepared) bounds(params []float64) []varBounds {
-	out := make([]varBounds, len(pr.vars))
+// bounds derives each variable's numeric interval from the parameters into
+// out, one entry per variable slot, and returns it.
+func (pr *Prepared) bounds(out []varBounds, params []float64) []varBounds {
+	clear(out)
 	for _, n := range pr.narrows {
 		c, b := &params[n.param], &out[n.slot]
 		if n.lo && (b.lo == nil || *c > *b.lo) {
@@ -347,36 +354,71 @@ func (pr *Prepared) bounds(params []float64) []varBounds {
 // reads hash nothing; a term is rendered only for a projected slot of an
 // emitted solution. Candidates are tried in the order the solutions' LIMIT cut
 // depends on: start subjects in ID order, the objects a step reaches in term
-// order.
+// order. The evaluation's scratch comes from the Prepared's pool, so a Run
+// allocates its solutions and little else.
 func (pr *Prepared) Run(snap *rdf.Snapshot, params []float64) ([]Solution, error) {
 	if len(params) != len(pr.params) {
 		return nil, fmt.Errorf("sparql: %d parameters for a query that takes %d", len(params), len(pr.params))
 	}
+	ev, _ := pr.scratch.Get().(*evaluator)
+	if ev == nil {
+		ev = pr.newEvaluator()
+	}
+	sols := ev.run(snap, params)
+	// Handed back on a normal return only: the evaluator of a Run that
+	// panicked is left to the collector.
+	ev.snap, ev.params, ev.results = nil, nil, nil
+	clear(ev.bounds) // they point into params
+	pr.scratch.Put(ev)
+	return sols, nil
+}
+
+// run clears the evaluator's scratch and evaluates the query.
+func (ev *evaluator) run(snap *rdf.Snapshot, params []float64) []Solution {
 	var results []Solution
-	if pr.project != nil {
+	if ev.project != nil {
 		results = []Solution{}
 	}
-	nv, np, nf := len(pr.vars), len(pr.pats), len(pr.filters)
-	n := nv + len(pr.consts)
-	ev := &evaluator{Prepared: pr, snap: snap, params: params, results: results}
-	ev.vals = make([]uint32, n)
-	flags := make([]bool, n+2*np+nf)
-	ev.bound, flags = flags[:n:n], flags[n:]
-	ev.done, flags = flags[:np:np], flags[np:]
-	ev.costed, ev.applied = flags[:np:np], flags[np:]
-	for c, t := range pr.consts {
+	ev.snap, ev.params, ev.results = snap, params, results
+	clear(ev.vals)
+	clear(ev.flags)
+	clear(ev.cost)
+	ev.trail = ev.trail[:0]
+	nv := len(ev.vars)
+	for c, t := range ev.consts {
 		id, ok := snap.ID(t)
 		if !ok {
-			return results, nil
+			return results
 		}
 		ev.vals[nv+c], ev.bound[nv+c] = id, true
 	}
+	ev.Prepared.bounds(ev.bounds, params)
+	ev.match(0)
+	return ev.results
+}
+
+// newEvaluator allocates the scratch of one Run, sized for the query: one
+// array each for the slot values, the flags and the integers, and a level per
+// pattern.
+func (pr *Prepared) newEvaluator() *evaluator {
+	nv, np, nf := len(pr.vars), len(pr.pats), len(pr.filters)
+	n := nv + len(pr.consts)
+	ev := &evaluator{Prepared: pr, vals: make([]uint32, n), flags: make([]bool, n+2*np+nf)}
+	flags := ev.flags
+	ev.bound, flags = flags[:n:n], flags[n:]
+	ev.done, flags = flags[:np:np], flags[np:]
+	ev.costed, ev.applied = flags[:np:np], flags[np:]
 	ints := make([]int, np+nf)
 	ev.cost, ev.trail = ints[:np:np], ints[np:np]
-	ev.bounds = pr.bounds(params)
+	ev.bounds = make([]varBounds, nv)
 	ev.levels = make([]level, np)
-	ev.match(0)
-	return ev.results, nil
+	return ev
+}
+
+// Pinned answers prepared queries from one pinned knowledge base epoch, the
+// way Run does against a snapshot of it.
+type Pinned interface {
+	Select(pr *Prepared, params []float64) ([]Solution, error)
 }
 
 // evaluator is one Run: the prepared query, the snapshot, and the
@@ -387,7 +429,10 @@ type evaluator struct {
 	params []float64
 	bounds []varBounds // per variable slot
 
-	vals  []uint32 // slot -> bound ID
+	vals []uint32 // slot -> bound ID
+	// flags backs bound, done, costed and applied, so one clear resets all
+	// four.
+	flags []bool
 	bound []bool
 	// done marks the patterns already evaluated on the current backtracking
 	// branch; the evaluator picks the cheapest not-done pattern next.
@@ -404,7 +449,7 @@ type evaluator struct {
 	applied []bool
 	trail   []int
 	// levels holds, per backtracking depth, the scratch its candidate lists
-	// live in.
+	// live in; they keep their capacity from Run to Run.
 	levels  []level
 	results []Solution
 }

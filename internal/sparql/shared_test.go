@@ -13,10 +13,14 @@ import (
 // TestPreparedSharedAcrossGoroutines runs one Prepared from 8 goroutines, each
 // with parameters of its own, on snapshots pinned on either side of
 // publications a writer makes meanwhile; every result must deep-equal a
-// serial Execute of the query with those constants at that snapshot. A
-// Prepared is immutable and every Run keeps its state to itself: -race sees
-// any write that is shared.
+// serial Execute of the query with those constants at that snapshot. Each
+// goroutine cycles through bands that hit, bands that miss and bands wide
+// enough to be cut at the LIMIT, so scratch one Run leaked into the next —
+// the Prepared's pool hands a finished Run's evaluator to the next — would
+// change an answer. A Prepared's fields are never written by a Run and every
+// Run keeps its state to itself: -race sees any write that is shared.
 func TestPreparedSharedAcrossGoroutines(t *testing.T) {
+	const goroutines, rounds, limit = 8, 40, 6
 	store := bandStore(40)
 	text := func(lo, hi int) string {
 		return fmt.Sprintf(`PREFIX p: <http://p/>
@@ -25,7 +29,7 @@ SELECT ?pop ?lo WHERE {
  ?pop p:hasLowerCardinality ?lo .
  FILTER ( ?lo <= %d ) .
  FILTER ( ?lo >= %d ) .
-} LIMIT 6`, hi, lo)
+} LIMIT %d`, hi, lo, limit)
 	}
 	shared, err := Prepare(MustParse(text(0, 0)))
 	if err != nil {
@@ -37,7 +41,6 @@ SELECT ?pop ?lo WHERE {
 		lo, hi int
 		sols   []Solution
 	}
-	const goroutines, rounds = 8, 40
 	runs := make([][]run, goroutines)
 	done := make(chan struct{})
 	var writer sync.WaitGroup
@@ -50,9 +53,11 @@ SELECT ?pop ?lo WHERE {
 				return
 			default:
 			}
+			// Late values lie above the stored ones, where only the bands
+			// cut at the LIMIT reach.
 			pop := rdf.NewIRI(fmt.Sprintf("http://x/late%03d", i))
 			store.AddAll([]rdf.Triple{
-				{S: pop, P: rdf.NewIRI("http://p/hasLowerCardinality"), O: rdf.NewNumericLiteral(float64(i % 400))},
+				{S: pop, P: rdf.NewIRI("http://p/hasLowerCardinality"), O: rdf.NewNumericLiteral(float64(400 + i%400))},
 				{S: pop, P: rdf.NewIRI("http://p/hasPopType"), O: rdf.NewLiteral("HSJOIN")},
 			})
 			if i%3 == 0 {
@@ -61,13 +66,28 @@ SELECT ?pop ?lo WHERE {
 		}
 	}()
 	var readers sync.WaitGroup
+	first := store.Version()
 	for g := 0; g < goroutines; g++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			for r := 0; r < rounds; r++ {
+				// Half way, wait for a publication, so that the runs
+				// span at least two epochs however the goroutines are
+				// scheduled.
+				for r == rounds/2 && store.Version() == first {
+					runtime.Gosched()
+				}
 				lo := (g*37 + r*11) % 300
-				hi := lo + 10*(1+r%5)
+				var hi int
+				switch (g + r) % 3 {
+				case 0: // a band holding one to six stored values
+					hi = lo + 10*(1+r%5)
+				case 1: // a band no value lies in
+					lo, hi = 1000+lo, 1010+lo
+				case 2: // a band holding more values than the LIMIT
+					hi = lo + 10*limit*(2+r%3)
+				}
 				snap := store.Snapshot()
 				// The parameters in the order Prepare numbered the constants:
 				// the upper bound's filter comes first.
@@ -86,8 +106,17 @@ SELECT ?pop ?lo WHERE {
 	writer.Wait()
 
 	versions := map[uint64]bool{}
+	var empty, cut, within int
 	for g := range runs {
 		for _, r := range runs[g] {
+			switch len(r.sols) {
+			case 0:
+				empty++
+			case limit:
+				cut++
+			default:
+				within++
+			}
 			want, err := Execute(MustParse(text(r.lo, r.hi)), r.snap)
 			if err != nil {
 				t.Fatal(err)
@@ -97,6 +126,9 @@ SELECT ?pop ?lo WHERE {
 			}
 			versions[r.snap.Version()] = true
 		}
+	}
+	if empty == 0 || cut == 0 || within == 0 {
+		t.Fatalf("%d empty runs, %d cut at the LIMIT and %d between: each kind must occur", empty, cut, within)
 	}
 	if len(versions) < 2 {
 		t.Fatalf("every run pinned one epoch: nothing was published beside them")

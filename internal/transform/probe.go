@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -53,10 +54,12 @@ const (
 // canonical-symbol abstraction that lets patterns learned on one workload
 // match another. Results are capped at ProbeSolutionLimit.
 //
-// One walk of the fragment (NewProbe) records what the probe depends on;
-// Key, FormKey, Params, Query, Info and Text are renderings of that record,
-// each built only when asked for. The record is a copy: a Probe stays valid
-// when the plan it came from is renumbered or rewritten.
+// One walk of the fragment (NewProbe, or ProbeSlab.Describe for the probes of
+// one plan) records what the probe depends on; Key, FormKey, Params, Query,
+// Info and Text are renderings of that record, each built only when asked
+// for. The record is a copy: a Probe stays valid when the plan it came from
+// is renumbered or rewritten (and, described into a slab, until the slab is
+// reset).
 type Probe struct {
 	nodes []probeNode // pre-order, as qgm.Node.Walk visits them
 	key   string
@@ -77,36 +80,70 @@ type probeNode struct {
 
 // NewProbe describes the probe of the given plan fragment.
 func NewProbe(fragment *qgm.Node) (*Probe, error) {
-	if fragment == nil {
-		return nil, fmt.Errorf("transform: nil fragment")
-	}
-	p := &Probe{nodes: make([]probeNode, 0, fragment.CountOps())}
-	if err := p.add(fragment); err != nil {
+	slab := ProbeSlab{nodes: make([]probeNode, 0, fragment.CountOps())}
+	p, err := slab.Describe(fragment)
+	if err != nil {
 		return nil, err
 	}
+	return &p, nil
+}
+
+// ProbeSlab holds the records of several probes in one array: the probes of
+// one plan, described one after another, share it, so describing them
+// allocates nothing but their keys once the slab has grown. Reset empties it
+// for the next plan, after which the probes described before must not be
+// used.
+type ProbeSlab struct {
+	nodes []probeNode
+}
+
+// Grow makes room for n more operators.
+func (s *ProbeSlab) Grow(n int) { s.nodes = slices.Grow(s.nodes, n) }
+
+// Reset empties the slab, dropping what its records point at.
+func (s *ProbeSlab) Reset() {
+	clear(s.nodes)
+	s.nodes = s.nodes[:0]
+}
+
+// Describe describes the probe of the given plan fragment, its record
+// appended to the slab.
+func (s *ProbeSlab) Describe(fragment *qgm.Node) (Probe, error) {
+	if fragment == nil {
+		return Probe{}, fmt.Errorf("transform: nil fragment")
+	}
+	from := len(s.nodes)
+	if err := s.add(fragment, from); err != nil {
+		s.nodes = s.nodes[:from]
+		return Probe{}, err
+	}
+	// The probe's record is full: capped, so nothing appended after it can
+	// reach it.
+	p := Probe{nodes: s.nodes[from:len(s.nodes):len(s.nodes)]}
 	var stack [256]byte
 	p.key = string(p.appendKey(stack[:0], true))
 	return p, nil
 }
 
-// add appends n's subtree to the record, in pre-order.
-func (p *Probe) add(n *qgm.Node) error {
+// add appends n's subtree to the slab, in pre-order; the input links index
+// the record that starts at from.
+func (s *ProbeSlab) add(n *qgm.Node, from int) error {
 	if math.IsNaN(n.EstCardinality) || math.IsInf(n.EstCardinality, 0) {
 		// The text rendering of such a bound does not parse; refuse it on
 		// every path alike.
 		return fmt.Errorf("transform: operator %d has no finite cardinality estimate", n.ID)
 	}
-	i := len(p.nodes)
-	p.nodes = append(p.nodes, probeNode{op: n.Op, inst: instanceOf(n), id: n.ID, card: n.EstCardinality, outer: -1, inner: -1})
+	i := len(s.nodes)
+	s.nodes = append(s.nodes, probeNode{op: n.Op, inst: instanceOf(n), id: n.ID, card: n.EstCardinality, outer: -1, inner: -1})
 	if n.Outer != nil {
-		p.nodes[i].outer = len(p.nodes)
-		if err := p.add(n.Outer); err != nil {
+		s.nodes[i].outer = len(s.nodes) - from
+		if err := s.add(n.Outer, from); err != nil {
 			return err
 		}
 	}
 	if n.Inner != nil {
-		p.nodes[i].inner = len(p.nodes)
-		if err := p.add(n.Inner); err != nil {
+		s.nodes[i].inner = len(s.nodes) - from
+		if err := s.add(n.Inner, from); err != nil {
 			return err
 		}
 	}
@@ -159,20 +196,26 @@ func (p *Probe) Key() string { return p.key }
 // Query) answers both.
 func (p *Probe) FormKey() string {
 	var stack [256]byte
-	return string(p.appendKey(stack[:0], false))
+	return string(p.AppendFormKey(stack[:0]))
 }
+
+// AppendFormKey appends FormKey's bytes to b: a lookup by form that finds
+// its entry needs no string of its own.
+func (p *Probe) AppendFormKey(b []byte) []byte { return p.appendKey(b, false) }
 
 // Params returns the numeric FILTER constants of the probe's query, in the
 // order sparql.Prepare numbers them: each operator's cardinality as the text
 // carries it, once against the template's lower bound and once against its
 // upper.
-func (p *Probe) Params() []float64 {
-	params := make([]float64, 0, 2*len(p.nodes))
+func (p *Probe) Params() []float64 { return p.AppendParams(make([]float64, 0, 2*len(p.nodes))) }
+
+// AppendParams appends Params to dst.
+func (p *Probe) AppendParams(dst []float64) []float64 {
 	for i := range p.nodes {
 		b := p.nodes[i].bound()
-		params = append(params, b, b)
+		dst = append(dst, b, b)
 	}
-	return params
+	return dst
 }
 
 // bound is the operator's cardinality as the query carries it: the value its
