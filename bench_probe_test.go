@@ -83,37 +83,28 @@ func unbounded(q *sparql.Query) *sparql.Query {
 	return &all
 }
 
-// coldProber is what a cache miss costs the matching engine against an
-// in-process knowledge base: describe the fragment into a reused slab, find
-// its compiled form by the form's bytes (forms stands in for the engine's form
-// cache, compiling on first sight), run it on the pinned epoch with the
-// probe's parameters, appended to a reused buffer. Nothing is printed or
-// parsed.
-type coldProber struct {
-	forms  map[string]*sparql.Prepared
-	slab   transform.ProbeSlab
-	form   []byte
-	params []float64
-}
-
-func newColdProber() *coldProber { return &coldProber{forms: map[string]*sparql.Prepared{}} }
-
-func (c *coldProber) probe(tb testing.TB, frag *qgm.Node, sel sparql.Pinned) {
-	c.slab.Reset()
-	p, err := c.slab.Describe(frag)
+// coldProbe is what a cache miss costs the matching engine against an
+// in-process knowledge base: describe the fragment, find its compiled form
+// (forms stands in for the engine's form cache, compiling on first sight),
+// run it with the probe's parameters on the pinned epoch. Nothing is printed
+// or parsed. Each round allocates its probe record, its form key and its
+// parameters, which the engine reuses from plan to plan: every
+// BENCH_matching.json row's cold column times this same harness work.
+func coldProbe(tb testing.TB, frag *qgm.Node, forms map[string]*sparql.Prepared, sel sparql.Pinned) {
+	p, err := transform.NewProbe(frag)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c.form = p.AppendFormKey(c.form[:0])
-	pr := c.forms[string(c.form)]
+	var stack [256]byte
+	form := string(p.AppendFormKey(stack[:0]))
+	pr := forms[form]
 	if pr == nil {
 		if pr, err = sparql.Prepare(p.Query()); err != nil {
 			tb.Fatal(err)
 		}
-		c.forms[string(c.form)] = pr
+		forms[form] = pr
 	}
-	c.params = p.AppendParams(c.params[:0])
-	if _, err := sel.Select(pr, c.params); err != nil {
+	if _, err := sel.Select(pr, p.AppendParams(make([]float64, 0, 2*frag.CountOps()))); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -176,11 +167,11 @@ func BenchmarkKBProbeCold(b *testing.B) {
 		endpoint := fuseki.LocalEndpoint{Store: inflatedKB(b, size).Store()}
 		b.Run(fmt.Sprintf("prepared/templates=%d", size), func(b *testing.B) {
 			sel, _ := endpoint.PinEpoch()
-			prober := newColdProber()
+			forms := map[string]*sparql.Prepared{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				prober.probe(b, frag, sel)
+				coldProbe(b, frag, forms, sel)
 			}
 		})
 		b.Run(fmt.Sprintf("text/templates=%d", size), func(b *testing.B) {
@@ -222,7 +213,7 @@ func BenchmarkKBProbeColdManyMatches(b *testing.B) {
 				sel, _ := fuseki.LocalEndpoint{Store: saturatedKB(b, size).Store()}.PinEpoch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sel.Select(pr, p.Params()); err != nil {
+					if _, err := sel.Select(pr, p.AppendParams(nil)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -258,7 +249,7 @@ type benchRow struct {
 	KBTemplates int `json:"kb_templates"`
 	KBTriples   int `json:"kb_triples"`
 	// ColdNsPerProbe is a cache miss as the matching engine pays it since
-	// PR 15 (coldProber: prepared path), of a form compiled before since PR 25;
+	// PR 15 (coldProbe: prepared path), of a form compiled before since PR 25;
 	// ColdFirstNsPerProbe is the first probe of its form, which builds and
 	// compiles the query (since PR 25; absent from older rows);
 	// ColdTextNsPerProbe is the text path remote endpoints take (parse +
@@ -324,7 +315,7 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() {
-				if _, err := satSel.Select(pr, sat.Params()); err != nil {
+				if _, err := satSel.Select(pr, sat.AppendParams(nil)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -339,14 +330,11 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 		}
 		matchPlan() // fills the fingerprint cache
 
-		prober, first := newColdProber(), newColdProber()
+		forms := map[string]*sparql.Prepared{}
 		var cold, coldFirst, coldText, warm, bounded, unboundedNs []float64
 		for p := 0; p < passes; p++ {
-			cold = append(cold, perRound(coldRounds, func() { prober.probe(t, frag, sel) }))
-			coldFirst = append(coldFirst, perRound(coldRounds, func() {
-				clear(first.forms)
-				first.probe(t, frag, sel)
-			}))
+			cold = append(cold, perRound(coldRounds, func() { coldProbe(t, frag, forms, sel) }))
+			coldFirst = append(coldFirst, perRound(coldRounds, func() { coldProbe(t, frag, map[string]*sparql.Prepared{}, sel) }))
 			coldText = append(coldText, perRound(coldRounds, func() {
 				if _, err := endpoint.Select(queryText); err != nil {
 					t.Fatal(err)
@@ -369,7 +357,7 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 	}
 	doc := map[string]any{
 		"benchmark":   "knowledge base probe latency vs KB size (ns)",
-		"note":        "cold = one fragment probe without cache through the prepared path as the matching engine pays it: probe description, its form's compiled query looked up (compiled once, by the first probe of the form), evaluation over dictionary IDs; cold_first = the first probe of its form, which also builds the query and compiles it (the column added by PR 25, so that the cached compile is not mistaken for the whole cost); cold_text = the same probe as text through LocalEndpoint.Select (parse + compile + evaluation), the path remote endpoints' servers take; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, compiled once, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn; one emission of either side spreads by about a quarter around its median on this machine. before = the rows committed before PR 25 (measured on PR 21's tree; nothing on the probe's read path changed until PR 25); before_pr21 = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write); before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a), whose cold column is the text path; before_pr38 = this test on commit 9884ebf, where POS kept one table per predicate instead of one keyed by object: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 453 / 11 676 / 11 708 / 11 811 / 12 079 ns before, 11 349 / 11 390 / 11 426 / 11 475 / 11 495 ns after; the rows of this file are the middle of three later emissions of the same code); before_pr39 = this test on commit 080f050, where every Run allocated its evaluator's scratch and every probe its record, its parameters and its form key: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 331 / 11 364 / 11 435 / 11 590 / 11 597 ns before, 10 569 / 10 706 / 10 777 / 10 941 / 12 219 ns after). What moved is the cold column, most where the evaluation is shortest (60 templates 3 252 -> ~1 710 ns, 960 templates 11 435 -> ~10 780 ns), and routinized a little (~1 120 -> ~1 030 ns at 60 and 960); cold_first, cold_text and many_matches_* did not move beyond this machine's noise. The rows of this file are the middle of three later emissions of the same code.",
+		"note":        "cold = one fragment probe without cache through the prepared path as the matching engine pays it: probe description, its form's compiled query looked up (compiled once, by the first probe of the form), evaluation over dictionary IDs; cold_first = the first probe of its form, which also builds the query and compiles it (the column added by PR 25, so that the cached compile is not mistaken for the whole cost); cold_text = the same probe as text through LocalEndpoint.Select (parse + compile + evaluation), the path remote endpoints' servers take; routinized = full MatchPlan through the LRU fingerprint cache; many_matches_* = worst-case probe of a KB where every template matches, compiled once, with (bounded, LIMIT " + fmt.Sprint(transform.ProbeSolutionLimit) + ") and without (unbounded) the matcher's top-k bound. Near-constant columns across rows are the KB-size independence result (Figures 11-12). Every number is the median of 7 timings of 200 rounds (500 routinized, 50 unbounded), the columns measured in turn; one emission of either side spreads by about a quarter around its median on this machine. before = the rows committed before PR 25 (measured on PR 21's tree; nothing on the probe's read path changed until PR 25); before_pr21 = this test on commit fbd3d8a (index of nested maps, whole-map copy-on-write); before_pr15 = the single-timing version of the test on the commit before probes were prepared (49b635a), whose cold column is the text path; before_pr38 = this test on commit 9884ebf, where POS kept one table per predicate instead of one keyed by object: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 453 / 11 676 / 11 708 / 11 811 / 12 079 ns before, 11 349 / 11 390 / 11 426 / 11 475 / 11 495 ns after; the rows of this file are the middle of three later emissions of the same code); before_pr39 = this test on commit 080f050, where every Run allocated its evaluator's scratch: the two test binaries run alternately, five emissions each, the middle one by the 960-template cold column (11 470 / 11 786 / 11 927 / 12 501 / 14 078 ns before, 11 388 / 11 591 / 11 711 / 11 748 / 11 962 ns after). Both sides time the same harness: coldProbe allocates the probe's record, form key and parameters every round, which the matching engine itself no longer does, so the cold column moves by the engine's change alone. Medians of the five emissions: cold 3 078 -> 2 080 ns at 60 templates and 5 231 -> 3 430 ns at 240, most where the evaluation is shortest, 11 927 -> 11 711 ns at 960 (within noise); routinized 1 426 -> 1 159 ns at 60 and 1 345 -> 1 160 ns at 960; cold_first, cold_text and many_matches_bounded within 8 % either way, many_matches_unbounded 6-22 % lower. The rows of this file are the middle of three later emissions of the same code.",
 		"env":         benchEnv(),
 		"rows":        rows,
 		"before":      matchingBeforePR25,
@@ -391,9 +379,9 @@ func TestEmitBenchMatchingJSON(t *testing.T) {
 // matchingBeforePR39 is TestEmitBenchMatchingJSON on the parent of PR 39 (see
 // the note it is emitted with).
 var matchingBeforePR39 = []benchRow{
-	{KBTemplates: 60, KBTriples: 2345, ColdNsPerProbe: 3252.18, ColdFirstNsPerProbe: 11120.945, ColdTextNsPerProbe: 27213.3, RoutinizedNsPerMatchPlan: 1118.54, ManyMatchesBoundedNs: 11155.85, ManyMatchesUnboundedNs: 70808.1},
-	{KBTemplates: 240, KBTriples: 10251, ColdNsPerProbe: 4109.72, ColdFirstNsPerProbe: 13871.325, ColdTextNsPerProbe: 30313.055, RoutinizedNsPerMatchPlan: 1166.51, ManyMatchesBoundedNs: 17259.61, ManyMatchesUnboundedNs: 331719.76},
-	{KBTemplates: 960, KBTriples: 45190, ColdNsPerProbe: 11434.915, ColdFirstNsPerProbe: 22296.97, ColdTextNsPerProbe: 42896.595, RoutinizedNsPerMatchPlan: 1261.996, ManyMatchesBoundedNs: 37458.18, ManyMatchesUnboundedNs: 1289716.6},
+	{KBTemplates: 60, KBTriples: 2345, ColdNsPerProbe: 3901.31, ColdFirstNsPerProbe: 14603.925, ColdTextNsPerProbe: 37020.82, RoutinizedNsPerMatchPlan: 2039.622, ManyMatchesBoundedNs: 12598.51, ManyMatchesUnboundedNs: 94346.22},
+	{KBTemplates: 240, KBTriples: 10251, ColdNsPerProbe: 5789.44, ColdFirstNsPerProbe: 22103.68, ColdTextNsPerProbe: 33609.7, RoutinizedNsPerMatchPlan: 1755.454, ManyMatchesBoundedNs: 19425.46, ManyMatchesUnboundedNs: 414829.32},
+	{KBTemplates: 960, KBTriples: 45190, ColdNsPerProbe: 11927.355, ColdFirstNsPerProbe: 20579.595, ColdTextNsPerProbe: 43199.795, RoutinizedNsPerMatchPlan: 1318.158, ManyMatchesBoundedNs: 38454.925, ManyMatchesUnboundedNs: 1394114.92},
 }
 
 // matchingBeforePR38 is TestEmitBenchMatchingJSON on the parent of PR 38 (see

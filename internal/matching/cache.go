@@ -190,7 +190,7 @@ func (c *boundedCache[V]) put(key string, v V, capacity int) {
 // keeps a stream of never-repeating shapes from growing the cache without end.
 const formCacheSize = 256
 
-// formCache maps a probe form (transform.Probe.FormKey) to its compiled
+// formCache maps a probe form (transform.Probe.AppendFormKey) to its compiled
 // query, so a cold probe of a known form builds no query and compiles
 // nothing. A sparql.Prepared holds no knowledge base IDs, so no publication
 // makes an entry stale.

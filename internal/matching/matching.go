@@ -44,10 +44,10 @@ type VersionedEndpoint interface {
 // singleflight key those probes produce — belongs to exactly that epoch; the
 // version tag can never disagree with the data actually read, even while
 // learning publishes new epochs mid-plan. The pinned epoch takes the probe as
-// its compiled form and its parameters (transform.Probe.FormKey's
-// sparql.Prepared, transform.Probe.Params): an endpoint that can pin an epoch
-// is in this process, so nothing has to be printed, parsed or compiled on the
-// way. In-process endpoints (fuseki.LocalEndpoint) implement this; remote
+// its compiled form and its parameters (the sparql.Prepared of
+// transform.Probe.AppendFormKey's form, transform.Probe.AppendParams): an
+// endpoint that can pin an epoch is in this process, so nothing has to be
+// printed, parsed or compiled on the way. In-process endpoints (fuseki.LocalEndpoint) implement this; remote
 // endpoints cannot, are sent the probe's text through Endpoint.Select, and
 // fall back to the conservative KBVersion tagging (an entry tagged with a
 // superseded version is replaced by the next evaluation).
@@ -430,13 +430,20 @@ func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 		if o.m.CacheHit {
 			stats.CacheHits++
 		}
-		if !o.ok || overlapsClaimed(frag.Root, sc.claimed) {
+		if !o.ok {
+			continue
+		}
+		// A fragment that shares a table instance with one matched before
+		// it is skipped; else it claims its instances.
+		before := len(sc.claimed)
+		sc.claimed = frag.Root.AppendTableInstances(sc.claimed)
+		if claimedBefore(sc.claimed, before) {
+			sc.claimed = sc.claimed[:before]
 			continue
 		}
 		m := o.m
 		m.FragmentJoins = frag.Joins
 		matches = append(matches, m)
-		sc.claimed = claim(sc.claimed, frag.Root)
 	}
 	sc.release()
 	return matches, stats, nil
@@ -474,27 +481,15 @@ func (sc *planScratch) evaluatePending() {
 	}
 }
 
-// overlapsClaimed reports whether a table instance of the fragment has been
-// claimed by a fragment matched before it.
-func overlapsClaimed(n *qgm.Node, claimed []string) bool {
-	if n == nil {
-		return false
+// claimedBefore reports whether an instance of claimed[before:] is among
+// claimed[:before].
+func claimedBefore(claimed []string, before int) bool {
+	for _, inst := range claimed[before:] {
+		if slices.Contains(claimed[:before], inst) {
+			return true
+		}
 	}
-	if n.TableInstance != "" && slices.Contains(claimed, n.TableInstance) {
-		return true
-	}
-	return overlapsClaimed(n.Outer, claimed) || overlapsClaimed(n.Inner, claimed)
-}
-
-// claim appends the fragment's table instances to claimed.
-func claim(claimed []string, n *qgm.Node) []string {
-	if n == nil {
-		return claimed
-	}
-	if n.TableInstance != "" {
-		claimed = append(claimed, n.TableInstance)
-	}
-	return claim(claim(claimed, n.Outer), n.Inner)
+	return false
 }
 
 // lookupFragment describes the probe of one sub-plan into the plan's slab,

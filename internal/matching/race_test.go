@@ -105,7 +105,7 @@ func probeOnce(eng *Engine) (sols []sparql.Solution, cached bool, err error) {
 	if sols, hit := eng.cached(0, conn, p); hit {
 		return sols, true, nil
 	}
-	sols, err = eng.evaluate(0, conn, p, p.Params())
+	sols, err = eng.evaluate(0, conn, p, p.AppendParams(nil))
 	return sols, false, err
 }
 

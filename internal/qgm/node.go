@@ -149,6 +149,17 @@ func (n *Node) TableInstances() map[string]string {
 	return out
 }
 
+// AppendTableInstances appends the subtree's table instances to dst in
+// pre-order.
+func (n *Node) AppendTableInstances(dst []string) []string {
+	n.Walk(func(x *Node) {
+		if x.TableInstance != "" {
+			dst = append(dst, x.TableInstance)
+		}
+	})
+	return dst
+}
+
 // Scans returns the scan nodes of the subtree in pre-order.
 func (n *Node) Scans() []*Node {
 	var out []*Node

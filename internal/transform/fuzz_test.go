@@ -1,6 +1,7 @@
 package transform_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -175,15 +176,15 @@ func FuzzProbe(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := p.Params(), pr.Params(); !slices.Equal(got, want) {
-				t.Fatalf("Params() = %v, the query's constants are %v\n%s", got, want, texts[i])
+			if got, want := p.AppendParams(nil), pr.Params(); !slices.Equal(got, want) {
+				t.Fatalf("AppendParams = %v, the query's constants are %v\n%s", got, want, texts[i])
 			}
 		}
 		pa, pb := probes[0], probes[1]
 		if (pa.Key() == pb.Key()) != (texts[0] == texts[1]) {
 			t.Fatalf("keys equal: %v, texts equal: %v\n%q\n%q\n%s\n%s", pa.Key() == pb.Key(), texts[0] == texts[1], pa.Key(), pb.Key(), texts[0], texts[1])
 		}
-		if pa.FormKey() != pb.FormKey() {
+		if !bytes.Equal(pa.AppendFormKey(nil), pb.AppendFormKey(nil)) {
 			return
 		}
 		qa, qb := pa.Query(), pb.Query()
@@ -194,7 +195,7 @@ func FuzzProbe(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pr.Run(snap, pb.Params())
+		got, err := pr.Run(snap, pb.AppendParams(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

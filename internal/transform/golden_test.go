@@ -44,7 +44,7 @@ func TestGoldenProbes(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return pinned.Select(pr, p.Params())
+				return pinned.Select(pr, p.AppendParams(nil))
 			}},
 			{"1x1 fleet", func(p *transform.Probe) ([]sparql.Solution, error) { return remote.Select(p.Text()) }},
 		}

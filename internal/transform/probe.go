@@ -55,7 +55,7 @@ const (
 // match another. Results are capped at ProbeSolutionLimit.
 //
 // One walk of the fragment (NewProbe, or ProbeSlab.Describe for the probes of
-// one plan) records what the probe depends on; Key, FormKey, Params, Query,
+// one plan) records what the probe depends on; Key, AppendFormKey, AppendParams, Query,
 // Info and Text are renderings of that record, each built only when asked
 // for. The record is a copy: a Probe stays valid when the plan it came from
 // is renumbered or rewritten (and, described into a slab, until the slab is
@@ -190,26 +190,17 @@ func (p *Probe) appendKey(key []byte, cards bool) []byte {
 // cached and in-flight probes deduplicated under.
 func (p *Probe) Key() string { return p.key }
 
-// FormKey returns the probe's form: Key without the cardinalities. Two probes
-// of one form build queries that differ only in their numeric FILTER
-// constants — Params — so one compiled query (sparql.Prepare of either's
-// Query) answers both.
-func (p *Probe) FormKey() string {
-	var stack [256]byte
-	return string(p.AppendFormKey(stack[:0]))
-}
-
-// AppendFormKey appends FormKey's bytes to b: a lookup by form that finds
-// its entry needs no string of its own.
+// AppendFormKey appends the probe's form to b: Key without the
+// cardinalities. Two probes of one form build queries that differ only in
+// their numeric FILTER constants — AppendParams — so one compiled query
+// (sparql.Prepare of either's Query) answers both. A lookup by form that
+// finds its entry needs no string of its own.
 func (p *Probe) AppendFormKey(b []byte) []byte { return p.appendKey(b, false) }
 
-// Params returns the numeric FILTER constants of the probe's query, in the
-// order sparql.Prepare numbers them: each operator's cardinality as the text
-// carries it, once against the template's lower bound and once against its
-// upper.
-func (p *Probe) Params() []float64 { return p.AppendParams(make([]float64, 0, 2*len(p.nodes))) }
-
-// AppendParams appends Params to dst.
+// AppendParams appends the numeric FILTER constants of the probe's query to
+// dst, in the order sparql.Prepare numbers them: each operator's cardinality
+// as the text carries it, once against the template's lower bound and once
+// against its upper.
 func (p *Probe) AppendParams(dst []float64) []float64 {
 	for i := range p.nodes {
 		b := p.nodes[i].bound()
