@@ -655,21 +655,15 @@ func (s *System) LoadKB(path string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.persist
-	s.persist = nil
-	if old != nil {
+	durable := s.persist != nil
+	if durable {
 		// Detach the old stores' commit hooks and finish their log before
-		// the swap; the replacement stores get their own manager below.
-		_ = old.Close()
+		// the swap; the replacement stores get their own manager.
+		_ = s.persist.Close()
+		s.persist = nil
 	}
-	s.kb = fresh
-	s.matcher = nil // the engine (and its cache) points at the old store
-	if old != nil {
-		mgr, err := wal.Start(s.walOptions(), fresh.Stores(), true, nil)
-		if err != nil {
-			return fmt.Errorf("core: rebinding data dir to the loaded KB: %w", err)
-		}
-		s.persist = mgr
+	if err := s.installKB(fresh, durable, true, nil); err != nil {
+		return fmt.Errorf("core: rebinding data dir to the loaded KB: %w", err)
 	}
 	return nil
 }

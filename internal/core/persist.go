@@ -77,11 +77,9 @@ func (s *System) OpenDataDir() (*RecoveryInfo, error) {
 	}
 	if rec == nil {
 		// Fresh directory: start logging the current knowledge base.
-		mgr, err := wal.Start(opts, s.kb.Stores(), true, nil)
-		if err != nil {
+		if err := s.installKB(s.kb, true, true, nil); err != nil {
 			return nil, err
 		}
-		s.persist = mgr
 		info := RecoveryInfo{Epochs: s.kb.Epochs()}
 		s.recovered = info
 		return &info, nil
@@ -103,13 +101,7 @@ func (s *System) OpenDataDir() (*RecoveryInfo, error) {
 		}
 	}
 	if adopted != nil {
-		mgr, err := wal.Start(opts, rec.Stores, false, &rec.Stats)
-		if err != nil {
-			return nil, err
-		}
-		s.kb = adopted
-		s.matcher = nil
-		s.persist = mgr
+		err = s.installKB(adopted, true, false, &rec.Stats)
 	} else {
 		// Shard layout changed: merge the recovered shards shard-agnostically
 		// and re-route every template under the configured count. Fresh epoch
@@ -119,18 +111,37 @@ func (s *System) OpenDataDir() (*RecoveryInfo, error) {
 		if err := fresh.LoadNTriples(rdf.MergeNTriples(rec.Stores)); err != nil {
 			return nil, fmt.Errorf("core: re-routing recovered knowledge base: %w", err)
 		}
-		mgr, err := wal.Start(opts, fresh.Stores(), true, &rec.Stats)
-		if err != nil {
-			return nil, err
-		}
-		s.kb = fresh
-		s.matcher = nil
-		s.persist = mgr
+		err = s.installKB(fresh, true, true, &rec.Stats)
+	}
+	if err != nil {
+		return nil, err
 	}
 	info.Templates = s.kb.Size()
 	info.Epochs = s.kb.Epochs()
 	s.recovered = info
 	return &info, nil
+}
+
+// installKB makes k the knowledge base new work sees and, when it replaces
+// another, drops the matching engine built over that one (in-flight matchers
+// finish against the stores they pinned). When durable it then starts
+// logging k into the data directory: fresh wipes the directory's previous
+// generation first, and replay is what Recover found there (nil when nothing
+// was recovered). A failed start leaves k installed, in memory only. Callers
+// hold s.mu.
+func (s *System) installKB(k *kb.KB, durable, fresh bool, replay *wal.RecoveryStats) error {
+	if k != s.kb {
+		s.kb, s.matcher = k, nil
+	}
+	if !durable {
+		return nil
+	}
+	mgr, err := wal.Start(s.walOptions(), k.Stores(), fresh, replay)
+	if err != nil {
+		return err
+	}
+	s.persist = mgr
+	return nil
 }
 
 // PersistStats returns the durability counters, or nil when no data

@@ -6,8 +6,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -416,4 +418,52 @@ func TestSnapshotEveryCountsTripleChanges(t *testing.T) {
 	if got <= k/every {
 		t.Errorf("%d snapshots over %d publications: SnapshotEvery %d is being counted in publications", got, k, every)
 	}
+}
+
+// TestOldDataDirFormatRefused: OpenDataDir refuses a data directory whose
+// MANIFEST declares an older on-disk format, naming both formats, and leaves
+// every byte of it as it was.
+func TestOldDataDirFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := coreDBForConfig(t)
+	sys := NewSystem(db, durableConfig(dir, 1))
+	if _, err := sys.OpenDataDir(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.KB().Add(syntheticTemplate(0)); err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(`{"format":1,"shards":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := treeBytes(t, dir)
+
+	again := NewSystem(db, durableConfig(dir, 1))
+	defer again.Close()
+	_, err := again.OpenDataDir()
+	if err == nil || !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "format 2") {
+		t.Fatalf("OpenDataDir over a format-1 MANIFEST: %v, want an error naming formats 1 and 2", err)
+	}
+	if after := treeBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refusing the data dir changed it:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// treeBytes maps every file under dir, by path, to its bytes.
+func treeBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

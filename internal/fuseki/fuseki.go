@@ -50,12 +50,6 @@ type Server struct {
 	mux    *http.ServeMux
 }
 
-// NewServer returns a server over a fixed single store; POST /data loads
-// triples into it additively.
-func NewServer(store *rdf.Store) *Server {
-	return NewShardedServer(func() []*rdf.Store { return []*rdf.Store{store} }, store.LoadNTriples)
-}
-
 // NewShardedServer returns a server over a dynamic set of shard stores.
 // load handles POST /data (a knowledge base passes kb.KB.LoadNTriples here,
 // so posted templates are routed to their owning shards; nil rejects loads).
@@ -67,12 +61,8 @@ func NewShardedServer(resolve func() []*rdf.Store, load func(ntriples string) er
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.HandleFunc("/version", func(w http.ResponseWriter, _ *http.Request) {
-		var sum uint64
-		for _, st := range s.stores() {
-			sum += st.Version()
-		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]uint64{"version": sum})
+		_ = json.NewEncoder(w).Encode(map[string]uint64{"version": s.Epoch()})
 	})
 	return s
 }

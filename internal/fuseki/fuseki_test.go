@@ -22,7 +22,7 @@ const typeQuery = `PREFIX pr: <http://galo/qep/property/>
 SELECT ?x WHERE { ?x pr:hasPopType "HSJOIN" . }`
 
 func TestServerAndClientQuery(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testStore()))
+	srv := httptest.NewServer(storeServer(testStore()))
 	defer srv.Close()
 	client := NewClient(srv.URL)
 
@@ -41,7 +41,7 @@ func TestServerAndClientQuery(t *testing.T) {
 
 func TestClientLoadAndDump(t *testing.T) {
 	store := rdf.NewStore()
-	srv := httptest.NewServer(NewServer(store))
+	srv := httptest.NewServer(storeServer(store))
 	defer srv.Close()
 	client := NewClient(srv.URL)
 
@@ -66,7 +66,7 @@ func TestClientLoadAndDump(t *testing.T) {
 }
 
 func TestServerQueryErrors(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testStore()))
+	srv := httptest.NewServer(storeServer(testStore()))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/query")
@@ -105,7 +105,7 @@ func TestServerQueryErrors(t *testing.T) {
 // past the limit is a 413, whatever the bytes are (blanks are a valid,
 // empty N-Triples document and an empty query).
 func TestServerRejectsOversizedBodies(t *testing.T) {
-	srv := NewServer(rdf.NewStore())
+	srv := storeServer(rdf.NewStore())
 	for _, c := range []struct {
 		path, contentType string
 		limit             int
@@ -127,7 +127,7 @@ func TestServerRejectsOversizedBodies(t *testing.T) {
 }
 
 func TestPingAndMethodNotAllowed(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testStore()))
+	srv := httptest.NewServer(storeServer(testStore()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/ping")
 	if err != nil {
@@ -151,7 +151,7 @@ func TestPingAndMethodNotAllowed(t *testing.T) {
 func TestLocalEndpointMatchesRemote(t *testing.T) {
 	store := testStore()
 	local := LocalEndpoint{Store: store}
-	srv := httptest.NewServer(NewServer(store))
+	srv := httptest.NewServer(storeServer(store))
 	defer srv.Close()
 	remote := NewClient(srv.URL)
 
@@ -169,4 +169,10 @@ func TestLocalEndpointMatchesRemote(t *testing.T) {
 	if localSols[0]["x"].Value != remoteSols[0]["x"].Value {
 		t.Errorf("local and remote bindings differ: %v vs %v", localSols[0], remoteSols[0])
 	}
+}
+
+// storeServer returns a server over one fixed store; POST /data loads
+// triples into it additively.
+func storeServer(store *rdf.Store) *Server {
+	return NewShardedServer(func() []*rdf.Store { return []*rdf.Store{store} }, store.LoadNTriples)
 }

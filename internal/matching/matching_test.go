@@ -194,7 +194,7 @@ func TestMatchingThroughFusekiHTTPEndpoint(t *testing.T) {
 	// The knowledge base can be consulted over HTTP exactly as with a local
 	// store.
 	db, knowledge := fixture(t)
-	srv := httptest.NewServer(fuseki.NewServer(knowledge.Store()))
+	srv := httptest.NewServer(fuseki.NewShardedServer(knowledge.Stores, knowledge.LoadNTriples))
 	defer srv.Close()
 	remote := New(db.Catalog, fuseki.NewClient(srv.URL), DefaultOptions())
 	local := newEngine(db, knowledge)

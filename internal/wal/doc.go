@@ -6,18 +6,21 @@
 //
 // # Layout
 //
-// One data directory holds a MANIFEST (JSON: format version and shard
+// One data directory holds a MANIFEST (JSON: format version 2 and shard
 // count) and one subdirectory per shard:
 //
 //	<dir>/MANIFEST
-//	<dir>/shard-0/snap-0000000000000041.nt   epoch snapshot (checksummed N-Triples)
+//	<dir>/shard-0/snap-0000000000000041.rec  epoch snapshot (one framed record)
 //	<dir>/shard-0/wal-0000000000000042.seg   log segment (starting epoch in hex)
 //
-// Segments are framed records: [len u32le][crc32c u32le][payload], the
-// payload being the record's post-publication version plus its effective
-// removed and added triples. Snapshot files carry a "GALOSNAP1 <epoch>
-// <crc32c> <len>" header over an N-Triples payload and are written
-// temp-then-rename, so a crash never leaves a half-visible snapshot.
+// Both file kinds hold framed records: [len u32le][crc32c u32le][payload],
+// the payload a version plus removed and added triples. A segment is a run of
+// them, one per publication (its post-publication version and effective
+// changes). A snapshot is exactly one: version = the epoch it captures,
+// added = every triple of the shard, nothing removed. It is written
+// temp-then-rename, so a crash never leaves a half-visible snapshot, and
+// maxRecordLen (256 MB) bounds it. Any other MANIFEST format (format 1 wrote
+// N-Triples snapshots) is refused rather than misread.
 //
 // # Write path and ordering contract
 //
@@ -50,5 +53,7 @@
 // fsyncs, rotation, and trimming. Snapshot compaction reads the store's
 // lock-free published snapshot, never the store's internals, so it cannot
 // deadlock against writers. The lock order is always store.mu -> segLog.mu;
-// no path acquires them in reverse.
+// no path acquires them in reverse. Compaction is polled: each SyncEvery tick
+// the worker snapshots every shard SnapshotEvery or more triple changes past
+// its last snapshot; the commit hook triggers nothing.
 package wal

@@ -70,13 +70,15 @@ type Options struct {
 	FS FS
 	// Sync is the fsync policy for WAL appends.
 	Sync SyncPolicy
-	// SyncEvery is the background fsync cadence under SyncInterval
-	// (default 100ms).
+	// SyncEvery is the background worker's tick (default 100ms). Each tick
+	// fsyncs buffered appends under SyncInterval and, under every policy,
+	// compacts each shard whose published epoch is at least SnapshotEvery
+	// past its last snapshot.
 	SyncEvery time.Duration
 	// SegmentBytes caps a WAL segment before rotation (default 4 MiB).
 	SegmentBytes int64
-	// SnapshotEvery triggers snapshot compaction after this many effective
-	// triple changes beyond the last snapshot (default 4096).
+	// SnapshotEvery is how many effective triple changes beyond a shard's
+	// last snapshot make the next tick compact it (default 4096).
 	SnapshotEvery uint64
 	// Logf receives recovery warnings and degradation notices
 	// (default log.Printf).
@@ -128,6 +130,11 @@ type Recovery struct {
 
 const manifestName = "MANIFEST"
 
+// manifestFormat versions the data directory's on-disk encoding. Format 1
+// wrote snapshots as checksummed N-Triples; format 2 writes them as framed
+// records. A directory in any other format is refused, never misread.
+const manifestFormat = 2
+
 type manifest struct {
 	Format int `json:"format"`
 	Shards int `json:"shards"`
@@ -158,6 +165,9 @@ func readManifest(fsys FS, dir string) (shards int, ok bool, err error) {
 	if err := json.Unmarshal(data, &mf); err != nil {
 		return 0, false, fmt.Errorf("wal: parsing %s: %v", manifestName, err)
 	}
+	if mf.Format != manifestFormat {
+		return 0, false, fmt.Errorf("wal: %s is format %d, this build reads format %d only", manifestName, mf.Format, manifestFormat)
+	}
 	if mf.Shards <= 0 {
 		return 0, false, fmt.Errorf("wal: %s declares %d shards", manifestName, mf.Shards)
 	}
@@ -165,7 +175,7 @@ func readManifest(fsys FS, dir string) (shards int, ok bool, err error) {
 }
 
 func writeManifest(fsys FS, dir string, shards int) error {
-	data, err := json.Marshal(manifest{Format: 1, Shards: shards})
+	data, err := json.Marshal(manifest{Format: manifestFormat, Shards: shards})
 	if err != nil {
 		return err
 	}
@@ -224,14 +234,14 @@ type managedShard struct {
 	store *rdf.Store
 	log   *segLog
 
-	lastSnapEpoch atomic.Uint64
-	compacting    atomic.Bool // dedupes compaction notifications
+	lastSnapEpoch uint64 // guarded by Manager.compactMu
 }
 
 // Manager runs the durability layer for a set of live shard stores: it
 // appends every publication to the shard's WAL before the in-memory pointer
-// swap, fsyncs per policy, compacts to snapshots in the background, and on
-// any disk error degrades to in-memory serving instead of failing writes.
+// swap, fsyncs per policy, compacts to snapshots on the background worker's
+// tick, and on any disk error degrades to in-memory serving instead of
+// failing writes.
 type Manager struct {
 	opts   Options
 	fs     FS
@@ -246,7 +256,7 @@ type Manager struct {
 	diskErrors  atomic.Uint64
 	replayStats RecoveryStats
 
-	notify    chan *managedShard
+	compactMu sync.Mutex // serializes the worker's compactions with CompactNow
 	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -280,11 +290,10 @@ func Start(opts Options, stores []*rdf.Store, fresh bool, replay *RecoveryStats)
 		return nil, err
 	}
 	m := &Manager{
-		opts:   opts,
-		fs:     fsys,
-		notify: make(chan *managedShard, len(stores)),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		opts: opts,
+		fs:   fsys,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	if replay != nil {
 		m.replayStats = *replay
@@ -300,8 +309,9 @@ func Start(opts Options, stores []*rdf.Store, fresh bool, replay *RecoveryStats)
 		if err := fsys.MkdirAll(sdir); err != nil {
 			return fail(err)
 		}
-		v := store.Version()
-		if err := writeSnapshot(fsys, sdir, v, store.NTriples()); err != nil {
+		snap := store.Snapshot()
+		v := snap.Version()
+		if err := writeSnapshot(fsys, sdir, snap); err != nil {
 			return fail(err)
 		}
 		oldest, err := trimSnapshots(fsys, sdir, snapshotsKept)
@@ -319,8 +329,7 @@ func Start(opts Options, stores []*rdf.Store, fresh bool, replay *RecoveryStats)
 		if err != nil {
 			return fail(err)
 		}
-		sh := &managedShard{m: m, dir: sdir, store: store, log: lg}
-		sh.lastSnapEpoch.Store(v)
+		sh := &managedShard{m: m, dir: sdir, store: store, log: lg, lastSnapEpoch: v}
 		m.shards = append(m.shards, sh)
 		if err := lg.trimTo(oldest); err != nil {
 			return fail(err)
@@ -371,13 +380,6 @@ func (sh *managedShard) onCommit(removed, added []rdf.Triple, version uint64) {
 	if synced {
 		m.fsyncCount.Add(1)
 	}
-	if version-sh.lastSnapEpoch.Load() >= m.opts.SnapshotEvery && sh.compacting.CompareAndSwap(false, true) {
-		select {
-		case m.notify <- sh:
-		default:
-			sh.compacting.Store(false)
-		}
-	}
 }
 
 func (m *Manager) noteDiskError(op string, err error) {
@@ -387,80 +389,65 @@ func (m *Manager) noteDiskError(op string, err error) {
 	}
 }
 
+// worker ticks at SyncEvery: it fsyncs buffered appends under SyncInterval,
+// then compacts the shards that are due. Polling leaves no trigger to lose.
 func (m *Manager) worker() {
 	defer close(m.done)
-	var tickC <-chan time.Time
-	if m.opts.Sync == SyncInterval {
-		t := time.NewTicker(m.opts.SyncEvery)
-		defer t.Stop()
-		tickC = t.C
-	}
+	t := time.NewTicker(m.opts.SyncEvery)
+	defer t.Stop()
 	for {
 		select {
 		case <-m.stop:
 			return
-		case sh := <-m.notify:
-			m.compact(sh)
-		case <-tickC:
-			for _, sh := range m.shards {
-				if m.degraded.Load() {
-					break
-				}
-				synced, err := sh.log.flush()
-				if err != nil {
-					m.noteDiskError("wal fsync", err)
-					break
-				}
-				if synced {
-					m.fsyncCount.Add(1)
-				}
+		case <-t.C:
+			if m.opts.Sync == SyncInterval && !m.degraded.Load() {
+				_ = m.Flush()
 			}
+			m.compactDue(m.opts.SnapshotEvery)
 		}
 	}
 }
 
-// compact snapshots one shard at its current published epoch, then trims
-// snapshot generations and the WAL below the older retained snapshot.
-// Callers must have won sh.compacting.
-func (m *Manager) compact(sh *managedShard) {
-	defer sh.compacting.Store(false)
-	if m.degraded.Load() {
-		return
-	}
-	snap := sh.store.Snapshot()
-	epoch := snap.Version()
-	if epoch <= sh.lastSnapEpoch.Load() {
-		return
-	}
-	if err := writeSnapshot(m.fs, sh.dir, epoch, snap.NTriples()); err != nil {
-		m.noteDiskError("snapshot", err)
-		return
-	}
-	sh.lastSnapEpoch.Store(epoch)
-	m.snapCount.Add(1)
-	if epoch > m.lastSnap.Load() {
-		m.lastSnap.Store(epoch)
-	}
-	oldest, err := trimSnapshots(m.fs, sh.dir, snapshotsKept)
-	if err != nil {
-		m.noteDiskError("snapshot retention", err)
-		return
-	}
-	if err := sh.log.trimTo(oldest); err != nil {
-		m.noteDiskError("wal trim", err)
+// compactDue snapshots every shard whose published epoch is at least every
+// past its last snapshot, then trims that shard's snapshot generations and
+// its WAL below the older retained snapshot.
+func (m *Manager) compactDue(every uint64) {
+	m.compactMu.Lock()
+	defer m.compactMu.Unlock()
+	for _, sh := range m.shards {
+		if m.degraded.Load() {
+			return
+		}
+		snap := sh.store.Snapshot()
+		epoch := snap.Version()
+		if epoch-sh.lastSnapEpoch < every {
+			continue
+		}
+		if err := writeSnapshot(m.fs, sh.dir, snap); err != nil {
+			m.noteDiskError("snapshot", err)
+			return
+		}
+		sh.lastSnapEpoch = epoch
+		m.snapCount.Add(1)
+		if epoch > m.lastSnap.Load() {
+			m.lastSnap.Store(epoch)
+		}
+		oldest, err := trimSnapshots(m.fs, sh.dir, snapshotsKept)
+		if err != nil {
+			m.noteDiskError("snapshot retention", err)
+			return
+		}
+		if err := sh.log.trimTo(oldest); err != nil {
+			m.noteDiskError("wal trim", err)
+			return
+		}
 	}
 }
 
 // CompactNow synchronously snapshots every shard whose published epoch moved
 // past its last snapshot. Tests and graceful shutdown use it; steady-state
 // compaction runs on the background worker.
-func (m *Manager) CompactNow() {
-	for _, sh := range m.shards {
-		if sh.compacting.CompareAndSwap(false, true) {
-			m.compact(sh)
-		}
-	}
-}
+func (m *Manager) CompactNow() { m.compactDue(1) }
 
 // Flush forces an fsync of every shard's buffered appends (the final WAL
 // fsync of a graceful shutdown, and the durability point for SyncInterval).

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -454,4 +455,45 @@ func TestManifestShardCountSurvives(t *testing.T) {
 	if rec.Shards != 3 {
 		t.Errorf("manifest shards = %d, want 3", rec.Shards)
 	}
+}
+
+// TestOldManifestFormatRefused: a data directory whose MANIFEST declares a
+// format other than this build's is refused by name, and Recover reads it
+// without touching a byte.
+func TestOldManifestFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	m, stores := startFresh(t, testOptions(t, dir), 1)
+	stores[0].AddAll([]rdf.Triple{tri(1), tri(2)})
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(`{"format":1,"shards":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	_, err := Recover(testOptions(t, dir))
+	if err == nil || !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "format 2") {
+		t.Fatalf("Recover over a format-1 MANIFEST: %v, want an error naming formats 1 and 2", err)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refusing the directory changed it:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// dirContents maps every file under dir, by relative path, to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[strings.TrimPrefix(path, dir)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"bytes"
 	"fmt"
-	"hash/crc32"
 	"strconv"
 	"strings"
 
@@ -12,10 +10,7 @@ import (
 
 const (
 	snapPrefix = "snap-"
-	snapSuffix = ".nt"
-	// snapMagic versions the snapshot file format; bump it if the header or
-	// payload encoding ever changes.
-	snapMagic = "GALOSNAP1"
+	snapSuffix = ".rec"
 	// snapshotsKept is how many snapshot generations retention preserves: the
 	// newest plus one fallback. The WAL is only trimmed below the OLDER
 	// retained snapshot, so if the newest snapshot fails its checksum at boot
@@ -36,20 +31,22 @@ func parseSnapName(name string) (uint64, bool) {
 	return v, err == nil
 }
 
-// writeSnapshot durably writes one shard's full content at the given epoch:
-// a checksummed header line plus the N-Triples payload, written to a temp
-// file, fsynced, and renamed into place so a crash mid-write never leaves a
-// half-visible snapshot.
-func writeSnapshot(fsys FS, dir string, epoch uint64, ntriples string) error {
-	payload := []byte(ntriples)
-	header := fmt.Sprintf("%s %d %08x %d\n", snapMagic, epoch, crc32.Checksum(payload, castagnoli), len(payload))
-	final := join(dir, snapName(epoch))
+// writeSnapshot durably writes one shard's full content at the snapshot's
+// epoch as a single framed Record — Version the epoch, Added every triple —
+// to a temp file, fsynced, and renamed into place so a crash mid-write never
+// leaves a half-visible snapshot.
+func writeSnapshot(fsys FS, dir string, snap *rdf.Snapshot) error {
+	frame := Record{Version: snap.Version(), Added: snap.Match(nil, nil, nil)}.Encode()
+	if n := len(frame) - recordHeaderLen; n > maxRecordLen {
+		return fmt.Errorf("wal: snapshot at epoch %d is %d bytes, over the %d-byte record limit", snap.Version(), n, maxRecordLen)
+	}
+	final := join(dir, snapName(snap.Version()))
 	tmp := final + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append([]byte(header), payload...)); err != nil {
+	if _, err := f.Write(frame); err != nil {
 		_ = f.Close()
 		return err
 	}
@@ -63,42 +60,21 @@ func writeSnapshot(fsys FS, dir string, epoch uint64, ntriples string) error {
 	return fsys.Rename(tmp, final)
 }
 
-// parseSnapshot validates a snapshot file and returns its epoch and triples.
-// Any defect — bad magic, malformed header, length or checksum mismatch,
-// unparseable payload — is an error; the caller falls back to an older file.
-func parseSnapshot(data []byte) (uint64, []rdf.Triple, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return 0, nil, fmt.Errorf("wal: snapshot missing header line")
-	}
-	fields := strings.Fields(string(data[:nl]))
-	if len(fields) != 4 || fields[0] != snapMagic {
-		return 0, nil, fmt.Errorf("wal: bad snapshot header %q", string(data[:nl]))
-	}
-	epoch, err := strconv.ParseUint(fields[1], 10, 64)
+// parseSnapshot decodes a snapshot file: one framed record that fills the
+// file and removes nothing. Any defect is an error; the caller falls back to
+// an older file.
+func parseSnapshot(data []byte) (Record, error) {
+	rec, n, err := decodeRecord(data)
 	if err != nil {
-		return 0, nil, fmt.Errorf("wal: bad snapshot epoch: %v", err)
+		return Record{}, err
 	}
-	sum, err := strconv.ParseUint(fields[2], 16, 32)
-	if err != nil {
-		return 0, nil, fmt.Errorf("wal: bad snapshot checksum: %v", err)
+	if n != len(data) {
+		return Record{}, fmt.Errorf("wal: %d bytes follow the snapshot record", len(data)-n)
 	}
-	n, err := strconv.Atoi(fields[3])
-	if err != nil || n < 0 {
-		return 0, nil, fmt.Errorf("wal: bad snapshot length %q", fields[3])
+	if len(rec.Removed) != 0 {
+		return Record{}, fmt.Errorf("wal: snapshot record removes %d triples", len(rec.Removed))
 	}
-	payload := data[nl+1:]
-	if len(payload) != n {
-		return 0, nil, fmt.Errorf("wal: snapshot payload is %d bytes, header says %d", len(payload), n)
-	}
-	if crc32.Checksum(payload, castagnoli) != uint32(sum) {
-		return 0, nil, fmt.Errorf("wal: snapshot checksum mismatch")
-	}
-	ts, err := rdf.ParseNTriples(string(payload))
-	if err != nil {
-		return 0, nil, fmt.Errorf("wal: snapshot payload: %v", err)
-	}
-	return epoch, ts, nil
+	return rec, nil
 }
 
 // listSnapshots returns the shard directory's snapshot file names in epoch
@@ -130,14 +106,13 @@ func loadNewestSnapshot(fsys FS, dir string, stats *RecoveryStats, warnf func(st
 	for i := len(snaps) - 1; i >= 0; i-- {
 		name := snaps[i]
 		data, err := fsys.ReadFile(join(dir, name))
-		var epoch uint64
-		var ts []rdf.Triple
+		var rec Record
 		if err == nil {
-			epoch, ts, err = parseSnapshot(data)
+			rec, err = parseSnapshot(data)
 		}
 		if err == nil {
-			if want, _ := parseSnapName(name); want != epoch {
-				err = fmt.Errorf("wal: snapshot %s claims epoch %d", name, epoch)
+			if want, _ := parseSnapName(name); want != rec.Version {
+				err = fmt.Errorf("wal: snapshot %s claims epoch %d", name, rec.Version)
 			}
 		}
 		if err != nil {
@@ -146,7 +121,7 @@ func loadNewestSnapshot(fsys FS, dir string, stats *RecoveryStats, warnf func(st
 			continue
 		}
 		stats.SnapshotsLoaded++
-		return epoch, ts
+		return rec.Version, rec.Added
 	}
 	return 0, nil
 }
