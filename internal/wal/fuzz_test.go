@@ -36,6 +36,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{7, 0, 1, byte(rdf.IRI), 1, 'a', byte(rdf.IRI), 1, 'b', byte(rdf.Literal), 1, 'c'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	f.Add([]byte{})
+	// A segment of two records: decodeRecord reads the first, and
+	// parseSnapshot refuses the bytes that follow it.
+	f.Add(append(records[1].Encode(), records[2].Encode()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeRecord(data)
