@@ -312,14 +312,17 @@ func keyFloat(v Value) float64 {
 	return 0
 }
 
-// keyBits is keyFloat as one word: every NaN folded into one bit pattern, so
-// two numeric values are KeyEqual exactly when their keyBits are equal.
+// keyBits is keyFloat as one word: every NaN folded into keyBitsNaN, so two
+// numeric values are KeyEqual exactly when their keyBits are equal.
 func keyBits(v Value) uint64 {
 	if f := keyFloat(v); f == f {
 		return math.Float64bits(f)
 	}
-	return 0x7ff8000000000001
+	return keyBitsNaN
 }
+
+// keyBitsNaN is the one word every NaN keys by.
+const keyBitsNaN uint64 = 0x7ff8000000000001
 
 // KeyEqual reports whether two values are the same join key: both non-NULL
 // (a NULL key joins nothing, NULL included) and a.Key() == b.Key(), decided

@@ -461,6 +461,20 @@ func TestFleetSurvivesReplicaKillEndToEnd(t *testing.T) {
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d of %d /reopt requests failed across the replica kill, want 0", n, clients*perClient)
 	}
+	// The load alone may never send shard 0 a probe after the kill: half of
+	// these queries probe nothing, the rest one fragment each, identical
+	// probes in flight together collapse into one, and the other clients may
+	// have finished before the killing client's last requests. So two probes
+	// of forms no request has sent go to shard 0 one after the other. Replicas
+	// take probes in turn, so one of the two is sent to the killed replica —
+	// unless an earlier failure there already opened its breaker — and the
+	// gateway must answer both.
+	for i := range 2 {
+		probe := fmt.Sprintf("SELECT ?t ?imp%d WHERE { ?t <http://galo/qep/property/hasImprovement> ?imp%d . }", i, i)
+		if _, err := sys.fleetG.Endpoint(0).Select(probe); err != nil {
+			t.Fatalf("probe %d of shard 0 after the kill: %v", i, err)
+		}
+	}
 	st := sys.fleetG.Stats()
 	if st.Probes == 0 {
 		t.Fatal("no probes reached the fleet")

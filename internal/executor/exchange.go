@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -635,10 +634,17 @@ func (w *segWorker) sortLocal() {
 
 // sortStableBy stable-sorts rows on the key columns — the one comparison the
 // serial sortIter and the exchange workers share, so their orders agree row
-// for row.
+// for row. The sort kernel's pairs come from a pool, not from the request.
 func sortStableBy(rows []tuple, key []colRef) {
-	slices.SortStableFunc(rows, func(a, b tuple) int { return compareRows(a, b, key) })
+	s := sortScratch.Get().(*catalog.SortScratch)
+	catalog.SortStable(rows, len(key),
+		func(t *tuple, c int) *catalog.Value { return key[c].of(*t) },
+		func(a, b tuple) int { return compareRows(a, b, key) }, s)
+	sortScratch.Put(s)
 }
+
+// sortScratch holds the sort kernel's scratch between sorts.
+var sortScratch = sync.Pool{New: func() any { return new(catalog.SortScratch) }}
 
 // groupKeyOf serializes the group-by key columns (shared between workers'
 // local dedupe and the consumer's global dedupe — the key strings must be

@@ -60,6 +60,7 @@ func Analyze(db *Database, table string, opts AnalyzeOptions) error {
 		StaleFactor: 1.0,
 	}
 	values := make([]catalog.Value, 0, len(t.Rows))
+	var scratch catalog.SortScratch
 	for ci, col := range def.Columns {
 		cs := &catalog.ColumnStats{Column: col.Name, RowCount: ts.Cardinality}
 		values = values[:0]
@@ -80,7 +81,7 @@ func Analyze(db *Database, table string, opts AnalyzeOptions) error {
 		if len(t.Rows) > 0 {
 			cs.AvgWidth = int(width / int64(len(t.Rows)))
 		}
-		slices.SortStableFunc(values, catalog.Compare)
+		catalog.SortStable(values, 1, valueKey, catalog.Compare, &scratch)
 		var top frequentList
 		for i := 0; i < len(values); {
 			end := runEnd(values, i)
@@ -123,6 +124,9 @@ func AnalyzeAll(db *Database, opts AnalyzeOptions) error {
 	}
 	return nil
 }
+
+// valueKey reads a statistics value as its own one-column sort key.
+func valueKey(v *catalog.Value, _ int) *catalog.Value { return v }
 
 // runEnd returns the end of the run of equal values that starts at i.
 func runEnd(sorted []catalog.Value, i int) int {

@@ -10,7 +10,6 @@ package storage
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -262,9 +261,10 @@ func (t *Table) KeyWords(col int) []uint64 {
 // under catalog.KeyWordAbove, so the entries of one word are one run a binary
 // search finds. It is false for a column holding a string, which has no
 // vector, and for one holding a NaN: catalog.Compare ties a NaN with
-// everything, so the stable sort may leave it anywhere. idx is the table's
-// current index (Database.Index); the answer is computed on first use and
-// cached beside it until the next Insert.
+// everything, so the sort kernel hands the column to a stable sort under
+// Compare, which may leave it anywhere. idx is the table's current index
+// (Database.Index); the answer is computed on first use and cached beside it
+// until the next Insert.
 func (t *Table) KeyWordOrdered(idx *IndexData) bool {
 	words := t.KeyWords(idx.colPos[0])
 	return buildOnce(t, &t.keyOrdered, idx.Def.Name, func() bool {
@@ -312,9 +312,14 @@ func buildIndex(t *Table, def *catalog.Index) *IndexData {
 		}
 		idx.Entries = append(idx.Entries, IndexEntry{Key: key, RowID: rid})
 	}
-	slices.SortStableFunc(idx.Entries, func(a, b IndexEntry) int { return compareKeys(a.Key, b.Key) })
+	// The sort reads the words from the entries' keys: Table.KeyWords would
+	// re-enter buildOnce, whose lock this build runs under.
+	catalog.SortStable(idx.Entries, len(pos), entryKey, func(a, b IndexEntry) int { return compareKeys(a.Key, b.Key) }, nil)
 	return idx
 }
+
+// entryKey reads column c of an index entry's key.
+func entryKey(e *IndexEntry, c int) *catalog.Value { return &e.Key[c] }
 
 func compareKeys(a, b []catalog.Value) int {
 	n := len(a)
