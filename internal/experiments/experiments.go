@@ -412,12 +412,15 @@ func RunExp4(cfg Config, querySizes, kbSizes []int) ([]Exp4Row, error) {
 
 // InflateKB fills a knowledge base with synthetic problem-pattern templates
 // of realistic shapes (1-3 joins over canonical tables with random method and
-// cardinality bounds) until it holds n templates.
+// cardinality bounds) until it holds n templates, published as one AddAll,
+// which merges a repeated signature as adding one by one would.
 func InflateKB(knowledge *kb.KB, n int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	methods := qgm.JoinMethods()
 	scans := []qgm.OpType{qgm.OpTBSCAN, qgm.OpIXSCAN, qgm.OpFETCH}
-	for knowledge.Size() < n {
+	size, drawn := knowledge.Size(), map[string]bool{}
+	var batch []*kb.Template
+	for size < n {
 		joins := 1 + rng.Intn(3)
 		var node *qgm.Node
 		for i := 0; i <= joins; i++ {
@@ -441,20 +444,22 @@ func InflateKB(knowledge *kb.KB, n int, seed int64) error {
 			bounds[x.ID] = kb.Range{Lo: x.EstCardinality / 2, Hi: x.EstCardinality * 2}
 		})
 		guidelineXML := "<OPTGUIDELINES><HSJOIN><TBSCAN TABID='TABLE_1'/><TBSCAN TABID='TABLE_2'/></HSJOIN></OPTGUIDELINES>"
-		_, err := knowledge.Add(&kb.Template{
+		batch = append(batch, &kb.Template{
 			Problem:        problem,
 			Bounds:         bounds,
 			GuidelineXML:   guidelineXML,
 			Improvement:    0.1 + rng.Float64()*0.5,
 			Structural:     true,
 			SourceWorkload: "synthetic",
-			SourceQuery:    fmt.Sprintf("SYN.%d", knowledge.Size()),
+			SourceQuery:    fmt.Sprintf("SYN.%d", size),
 		})
-		if err != nil {
-			return err
+		if sig := problem.Signature(); !drawn[sig] && knowledge.FindBySignature(sig) == nil {
+			drawn[sig] = true
+			size++
 		}
 	}
-	return nil
+	_, err := knowledge.AddAll(batch)
+	return err
 }
 
 // --- Exp-5 and Exp-6 / Figures 13 and 14: cost and quality vs experts --------

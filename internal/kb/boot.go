@@ -22,9 +22,9 @@ func NewFromStores(stores []*rdf.Store) (*KB, error) {
 	if len(stores) == 0 {
 		return nil, fmt.Errorf("kb: no stores to adopt")
 	}
-	k := &KB{stores: stores, bySignature: map[string]*Template{}}
+	k := &KB{stores: stores, bySignature: map[string]*Template{}, ids: map[string]bool{}}
 	for i, st := range stores {
-		templates, err := reconstructTemplates(st)
+		templates, err := reconstructTemplates(newGraph(st.Match(nil, nil, nil)))
 		if err != nil {
 			return nil, fmt.Errorf("kb: shard %d: %w", i, err)
 		}
@@ -38,6 +38,7 @@ func NewFromStores(stores []*rdf.Store) (*KB, error) {
 			}
 			k.templates = append(k.templates, t)
 			k.bySignature[sig] = t
+			k.ids[t.ID] = true
 		}
 	}
 	// Seed the ID sequence past the adopted population so post-recovery

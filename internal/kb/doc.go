@@ -24,10 +24,10 @@
 // # Concurrency contract
 //
 // A KB is safe for concurrent use. Each shard store publishes immutable
-// epoch snapshots: one Add, merge or rewrite is exactly one atomic snapshot
-// swap on the owning shard, and only on that shard — publications never bump
-// the epoch of an unrelated shard, so caches keyed by (shard, epoch)
-// elsewhere stay valid. Readers that pinned a shard snapshot before a
+// epoch snapshots: one AddAll batch (an Add, a Merge, a load) is exactly
+// one atomic snapshot swap on each owning shard, and only there —
+// publications never bump the epoch of an unrelated shard, so caches keyed
+// by (shard, epoch) elsewhere stay valid. Readers that pinned a shard snapshot before a
 // publication keep evaluating against the previous epoch. The template
 // index (Templates, FindBySignature, Size) is guarded by an internal mutex
 // and may trail or lead the RDF view observed by an unpinned reader; probe

@@ -3,6 +3,8 @@ package kb
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -78,6 +80,7 @@ type KB struct {
 	mu          sync.RWMutex
 	templates   []*Template
 	bySignature map[string]*Template
+	ids         map[string]bool // every template's ID
 	seq         int
 }
 
@@ -94,7 +97,7 @@ func NewSharded(n int) *KB {
 	for i := range stores {
 		stores[i] = rdf.NewStore()
 	}
-	return &KB{stores: stores, bySignature: map[string]*Template{}}
+	return &KB{stores: stores, bySignature: map[string]*Template{}, ids: map[string]bool{}}
 }
 
 // Shards returns the number of knowledge base shards.
@@ -125,9 +128,10 @@ func (kb *KB) Epoch() uint64 {
 	return sum
 }
 
-// Epochs returns the per-shard epoch vector. Every template addition, merge
-// or rewrite publishes exactly one new epoch (one atomic snapshot swap) on
-// the owning shard and leaves every other shard's epoch untouched.
+// Epochs returns the per-shard epoch vector. Every batch of template
+// additions, merges and rewrites publishes exactly one new epoch (one atomic
+// snapshot swap) on each owning shard and leaves every other shard's epoch
+// untouched.
 func (kb *KB) Epochs() []uint64 {
 	out := make([]uint64, len(kb.stores))
 	for i, st := range kb.stores {
@@ -169,38 +173,87 @@ func (kb *KB) FindBySignature(sig string) *Template {
 	return kb.bySignature[sig]
 }
 
-// Add inserts a template. If a template with the same problem signature
-// already exists, the existing template is updated instead: its bounds are
-// widened to cover the new observation and its improvement/guideline are
-// replaced when the new observation is better. It returns true when a new
+// Add inserts a template: AddAll of one. It returns true when a new
 // template was created.
 func (kb *KB) Add(t *Template) (bool, error) {
-	if t == nil || t.Problem == nil {
-		return false, fmt.Errorf("kb: template needs a problem fragment")
-	}
-	if t.GuidelineXML == "" {
-		return false, fmt.Errorf("kb: template needs a guideline")
+	created, err := kb.AddAll([]*Template{t})
+	return created == 1, err
+}
+
+// AddAll inserts templates in order. A template whose problem signature is
+// already known — published or earlier in the batch — widens that template
+// (mergeInto) instead; a new one without an ID, or whose ID is taken, gets
+// one salted with the sequence. The batch is ONE atomic epoch publication
+// per owning shard and none elsewhere. It returns how many templates were
+// created; an invalid template fails the batch before anything changes.
+func (kb *KB) AddAll(ts []*Template) (int, error) {
+	for _, t := range ts {
+		if t == nil || t.Problem == nil {
+			return 0, fmt.Errorf("kb: template needs a problem fragment")
+		}
+		if t.GuidelineXML == "" {
+			return 0, fmt.Errorf("kb: template needs a guideline")
+		}
 	}
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	sig := t.Problem.Signature()
-	if existing, ok := kb.bySignature[sig]; ok {
-		kb.mergeInto(existing, t)
-		return false, nil
+	return kb.publish(ts, nil, nil), nil
+}
+
+// publish is AddAll under kb.mu. cache holds renderings that stay valid until
+// their template is renamed or merged into; strays join shard 0's batch.
+func (kb *KB) publish(ts []*Template, cache map[*Template][]rdf.Triple, strays []rdf.Triple) int {
+	n0 := len(kb.templates)
+	var widened []*Template // published before the batch and merged into
+	for _, t := range ts {
+		sig := t.Problem.Signature()
+		if existing, ok := kb.bySignature[sig]; ok {
+			kb.mergeInto(existing, t)
+			delete(cache, existing)
+			if !slices.Contains(widened, existing) && slices.Contains(kb.templates[:n0], existing) {
+				widened = append(widened, existing)
+			}
+			continue
+		}
+		if t.ID != "" {
+			kb.seq++ // a named template advances the sequence, as a load always has
+		}
+		if t.ID == "" || kb.ids[t.ID] {
+			t.ID = kb.newID(sig)
+			delete(cache, t)
+		}
+		kb.ids[t.ID] = true
+		if t.Bounds == nil {
+			t.Bounds = map[int]Range{}
+		}
+		if t.Joins == 0 {
+			t.Joins = t.Problem.CountJoins()
+		}
+		kb.templates = append(kb.templates, t)
+		kb.bySignature[sig] = t
 	}
-	if t.ID == "" {
-		t.ID = kb.newID(sig)
+	// A reader pins either the old templates or the new ones. A merge never
+	// moves a template: routing is a function of the problem's shape.
+	removals := make([][]rdf.Pattern, len(kb.stores))
+	additions := make([][][]rdf.Triple, len(kb.stores)) // concatenated once
+	for i, t := range append(widened, kb.templates[n0:]...) {
+		shard := kb.ShardOf(t)
+		if i < len(widened) {
+			removals[shard] = append(removals[shard], subjectPatterns(t)...)
+		}
+		triples, ok := cache[t]
+		if !ok {
+			triples = kb.templateTriples(t)
+		}
+		additions[shard] = append(additions[shard], triples)
 	}
-	if t.Bounds == nil {
-		t.Bounds = map[int]Range{}
+	additions[0] = append(additions[0], strays)
+	for i, st := range kb.stores {
+		if batch := slices.Concat(additions[i]...); len(removals[i]) > 0 || len(batch) > 0 {
+			st.Apply(removals[i], batch)
+		}
 	}
-	if t.Joins == 0 {
-		t.Joins = t.Problem.CountJoins()
-	}
-	kb.templates = append(kb.templates, t)
-	kb.bySignature[sig] = t
-	kb.writeTemplate(t)
-	return true, nil
+	return len(kb.templates) - n0
 }
 
 // newID produces an anonymized unique identifier, as Section 3.2 requires to
@@ -237,23 +290,14 @@ func (kb *KB) mergeInto(existing, incoming *Template) {
 		existing.Improvement = incoming.Improvement
 		existing.GuidelineXML = incoming.GuidelineXML
 	}
-	kb.rewriteTemplate(existing)
 }
 
 // --- RDF encoding ------------------------------------------------------------
 
-func (kb *KB) writeTemplate(t *Template) {
-	// Triples are collected and inserted in one batch, so the template
-	// becomes visible to readers as one atomic epoch publication on the
-	// owning shard — a concurrent probe sees either none or all of the
-	// template's triples, and no other shard's epoch moves.
-	kb.stores[kb.ShardOf(t)].AddAll(kb.templateTriples(t))
-}
-
 // templateTriples renders a template's full RDF encoding.
 func (kb *KB) templateTriples(t *Template) []rdf.Triple {
 	tmplIRI := transform.TemplateIRI(t.ID)
-	var batch []rdf.Triple
+	batch := make([]rdf.Triple, 0, 8+16*(t.Joins+1))
 	add := func(s rdf.Term, prop string, o rdf.Term) {
 		batch = append(batch, rdf.Triple{S: s, P: transform.Prop(prop), O: o})
 	}
@@ -298,21 +342,16 @@ func (kb *KB) templateTriples(t *Template) []rdf.Triple {
 	return batch
 }
 
-// rewriteTemplate replaces the template's triples (bounds or guideline may
-// have changed) as ONE atomic epoch publication on the owning shard:
-// removal patterns and the re-rendered triples go through a single
-// store.Apply, so a concurrent reader pins either the old template or the
-// new one, never a half-removed in-between. The shard cannot have changed —
-// merging requires an identical problem signature, and the routing key is a
-// function of the problem's shape.
-func (kb *KB) rewriteTemplate(t *Template) {
+// subjectPatterns matches every triple of a published template: those of
+// its IRI and of each of its operators'.
+func subjectPatterns(t *Template) []rdf.Pattern {
 	tmplIRI := transform.TemplateIRI(t.ID)
-	removals := []rdf.Pattern{{S: &tmplIRI}}
+	patterns := []rdf.Pattern{{S: &tmplIRI}}
 	t.Problem.Walk(func(n *qgm.Node) {
 		subj := transform.KBPopIRI(t.ID, n.ID)
-		removals = append(removals, rdf.Pattern{S: &subj})
+		patterns = append(patterns, rdf.Pattern{S: &subj})
 	})
-	kb.stores[kb.ShardOf(t)].Apply(removals, kb.templateTriples(t))
+	return patterns
 }
 
 func defaultBounds(card float64) Range {
@@ -337,84 +376,61 @@ func (kb *KB) NTriples() string {
 // LoadNTriples merges the templates serialized in text into the knowledge
 // base, reconstructing them (the "KB to QEP mapper" of the paper's
 // architecture) and routing each to its owning shard. Like the Fuseki-style
-// /data load it is additive: templates whose problem signature is already
-// known widen the existing template, new templates are published in ONE
-// batch per owning shard (at most one epoch per shard per load), and the
+// /data load it is additive and goes through AddAll: templates whose problem
+// signature is already known widen the existing template, a template whose ID
+// is taken is renamed, and the load is at most one epoch per shard, so the
 // shards never pass through an emptied state a concurrently pinned probe
-// could observe. Triples that are not part of any template are kept too
-// (in shard 0), so a raw-triple load through the HTTP endpoint round-trips.
+// could observe. Triples that are not part of any template are kept too (in
+// shard 0), so a raw-triple load through the HTTP endpoint round-trips.
 // Serialized dumps carry no shard layout, so a KB saved under one shard
-// count loads under any other.
+// count loads under any other. The text is parsed once and read by subject;
+// a triple is a template's when the rendering of its subject's template holds
+// it (reconstruct → render is a faithful round trip).
 func (kb *KB) LoadNTriples(text string) error {
-	scratch := rdf.NewStore()
-	if err := scratch.LoadNTriples(text); err != nil {
-		return err
-	}
-	templates, err := reconstructTemplates(scratch)
+	ts, err := rdf.ParseNTriples(text)
 	if err != nil {
 		return err
 	}
+	g := newGraph(ts)
+	templates, err := reconstructTemplates(g)
+	if err != nil {
+		return err
+	}
+	cache := make(map[*Template][]rdf.Triple, len(templates))
+	covered := make([]bool, len(ts))
+	for _, t := range templates {
+		cache[t] = kb.templateTriples(t)
+		for _, r := range cache[t] {
+			for _, at := range g.of[r.S] {
+				if ts[at] == r {
+					covered[at] = true
+				}
+			}
+		}
+	}
+	var strays []rdf.Triple
+	for i, tr := range ts {
+		if !covered[i] {
+			strays = append(strays, tr)
+		}
+	}
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	taken := make(map[string]bool, len(kb.templates))
-	for _, t := range kb.templates {
-		taken[t.ID] = true
-	}
-	// Every triple belonging to a reconstructed template is accounted for
-	// by re-rendering it (reconstruct → render is a faithful round trip);
-	// whatever remains in the text is a non-template triple to preserve.
-	// The rendering is also what a new template publishes, unless the
-	// template has to be re-identified.
-	covered := make(map[rdf.Triple]struct{}, scratch.Len())
-	batches := make([][]rdf.Triple, len(kb.stores))
-	for _, t := range templates {
-		triples := kb.templateTriples(t)
-		for _, tr := range triples {
-			covered[tr] = struct{}{}
-		}
-		sig := t.Signature()
-		if existing, ok := kb.bySignature[sig]; ok {
-			kb.mergeInto(existing, t)
-			continue
-		}
-		kb.seq++
-		if t.ID == "" || taken[t.ID] {
-			t.ID = kb.newID(sig)
-			triples = kb.templateTriples(t)
-		}
-		taken[t.ID] = true
-		kb.templates = append(kb.templates, t)
-		kb.bySignature[sig] = t
-		shard := kb.ShardOf(t)
-		batches[shard] = append(batches[shard], triples...)
-	}
-	for _, tr := range scratch.Match(nil, nil, nil) {
-		if _, ok := covered[tr]; !ok {
-			batches[0] = append(batches[0], tr)
-		}
-	}
-	for i, batch := range batches {
-		if len(batch) > 0 {
-			kb.stores[i].AddAll(batch)
-		}
-	}
+	kb.publish(templates, cache, strays)
 	return nil
 }
 
 // Merge copies every template of other into this knowledge base (the paper's
-// unified knowledge base accumulated over multiple workloads).
+// unified knowledge base accumulated over multiple workloads) in one AddAll.
 func (kb *KB) Merge(other *KB) error {
+	var copies []*Template
 	for _, t := range other.Templates() {
 		cp := *t
 		cp.Problem = t.Problem.Clone()
-		cp.Bounds = map[int]Range{}
-		for k, v := range t.Bounds {
-			cp.Bounds[k] = v
-		}
+		cp.Bounds = maps.Clone(t.Bounds)
 		cp.ID = "" // re-identified to avoid collisions
-		if _, err := kb.Add(&cp); err != nil {
-			return err
-		}
+		copies = append(copies, &cp)
 	}
-	return nil
+	_, err := kb.AddAll(copies)
+	return err
 }

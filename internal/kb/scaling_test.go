@@ -168,3 +168,50 @@ func BenchmarkRestoreStore(b *testing.B) {
 		})
 	}
 }
+
+var dumpSink string
+
+// BenchmarkKBNTriples times NTriples of a 4-shard knowledge base of 1024
+// templates and reports the cost per triple.
+func BenchmarkKBNTriples(b *testing.B) {
+	k := NewSharded(4)
+	grow(b, k, rand.New(rand.NewSource(21)), 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dumpSink = k.NTriples()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.Triples()), "ns/triple")
+}
+
+var loadedSink *KB
+
+// BenchmarkKBLoadNTriples times LoadNTriples of that knowledge base's dump
+// into an empty 4-shard knowledge base (kb) beside rdf.Store.LoadNTriples of
+// the same text (store), the parse and insert it cannot do without, and
+// reports the cost per triple of each.
+func BenchmarkKBLoadNTriples(b *testing.B) {
+	src := NewSharded(4)
+	grow(b, src, rand.New(rand.NewSource(21)), 1024)
+	dump, triples := src.NTriples(), src.Triples()
+	b.Run("kb", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			loadedSink = NewSharded(4)
+			if err := loadedSink.LoadNTriples(dump); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(triples), "ns/triple")
+	})
+	b.Run("store", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			restoredSink = rdf.NewStore()
+			if err := restoredSink.LoadNTriples(dump); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(triples), "ns/triple")
+	})
+}

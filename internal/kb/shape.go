@@ -3,9 +3,7 @@ package kb
 import (
 	"fmt"
 
-	"galo/internal/qgm"
 	"galo/internal/rdf"
-	"galo/internal/transform"
 )
 
 // shapeKey returns a template's canonical (BF-stripped) shape signature —
@@ -26,16 +24,15 @@ func (kb *KB) NTriplesForShape(shape string) string {
 	shape = NormalizeShape(shape)
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	scratch := rdf.NewStore()
+	var w rdf.NTriplesWriter
 	for _, t := range kb.templates {
 		if shapeKey(t) == shape {
-			scratch.AddAll(kb.templateTriples(t))
+			for _, tr := range kb.templateTriples(t) {
+				w.Add(tr)
+			}
 		}
 	}
-	if scratch.Len() == 0 {
-		return ""
-	}
-	return scratch.NTriples()
+	return w.String()
 }
 
 // RemoveShape drops every template of one canonical shape — the "drop" half
@@ -58,13 +55,9 @@ func (kb *KB) RemoveShape(shape string) int {
 		}
 		removed++
 		shard := kb.ShardOf(t)
-		tmplIRI := transform.TemplateIRI(t.ID)
-		removals[shard] = append(removals[shard], rdf.Pattern{S: &tmplIRI})
-		t.Problem.Walk(func(n *qgm.Node) {
-			subj := transform.KBPopIRI(t.ID, n.ID)
-			removals[shard] = append(removals[shard], rdf.Pattern{S: &subj})
-		})
+		removals[shard] = append(removals[shard], subjectPatterns(t)...)
 		delete(kb.bySignature, t.Problem.Signature())
+		delete(kb.ids, t.ID)
 	}
 	if removed == 0 {
 		return 0

@@ -239,10 +239,6 @@ func check(g *Snapshot, mod *model, pr probe) error {
 					return fmt.Errorf("ObjectIDs(%v, %v) = %v, model %v", s, p, got, objs)
 				}
 			}
-			first, ok := g.FirstObject(s, p)
-			if ok != (len(objs) > 0) || (ok && first != objs[0]) {
-				return fmt.Errorf("FirstObject(%v, %v) = %v, %v; model %v", s, p, first, ok, objs)
-			}
 			for _, o := range pr.objects {
 				_, present := m.triples[Triple{s, p, o}]
 				if got := g.Match(&s, &p, &o); (len(got) == 1) != present || (present && got[0] != Triple{s, p, o}) {

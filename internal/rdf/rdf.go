@@ -1,8 +1,9 @@
 package rdf
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -205,12 +206,6 @@ func (s *Store) Version() uint64 { return s.Snapshot().Version() }
 // components are wildcards.
 func (s *Store) Match(subj, pred, obj *Term) []Triple { return s.Snapshot().Match(subj, pred, obj) }
 
-// FirstObject returns the first object of (subject, predicate) and whether
-// it exists.
-func (s *Store) FirstObject(subject, predicate Term) (Term, bool) {
-	return s.Snapshot().FirstObject(subject, predicate)
-}
-
 // NTriples serializes the whole store in N-Triples format with a
 // deterministic, lexicographically sorted line order (stable across
 // serialize/parse roundtrips regardless of internal dictionary IDs).
@@ -221,22 +216,62 @@ func (s *Store) NTriples() string { return s.Snapshot().NTriples() }
 // contract of a single store: the output depends only on the union of the
 // triples, not on how they are partitioned.
 func MergeNTriples(stores []*Store) string {
-	if len(stores) == 1 {
-		return stores[0].NTriples()
-	}
-	var lines []string
+	var w NTriplesWriter
 	for _, st := range stores {
-		for _, line := range strings.Split(st.NTriples(), "\n") {
-			if line != "" {
-				lines = append(lines, line)
-			}
-		}
+		w.AddSnapshot(st.Snapshot())
 	}
-	if len(lines) == 0 {
-		return ""
+	return w.String()
+}
+
+// NTriplesWriter renders triples as one N-Triples document, its lines in
+// lexicographic order. Lines are appended to 64 KB chunks, a new one begun
+// where a line may not fit, and only the lines' slices are sorted. The zero
+// value is ready to use.
+type NTriplesWriter struct {
+	buf   []byte   // the chunk being filled
+	lines [][]byte // every line, without its newline
+	size  int
+}
+
+// Add appends the line of one triple.
+func (w *NTriplesWriter) Add(t Triple) {
+	if need := len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + 8; cap(w.buf)-len(w.buf) < need {
+		w.buf = make([]byte, 0, max(64<<10, 2*need))
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
+	start := len(w.buf)
+	w.buf = append(appendTerm(w.buf, t.S), ' ')
+	w.buf = append(appendTerm(w.buf, t.P), ' ')
+	w.buf = append(appendTerm(w.buf, t.O), " ."...)
+	w.lines = append(w.lines, w.buf[start:len(w.buf):len(w.buf)])
+	w.size += len(w.buf) - start + 1
+}
+
+// AddSnapshot appends the line of every triple in g.
+func (w *NTriplesWriter) AddSnapshot(g *Snapshot) {
+	w.lines = slices.Grow(w.lines, g.n)
+	for _, t := range g.Match(nil, nil, nil) {
+		w.Add(t)
+	}
+}
+
+// String returns the document: the lines sorted, each ended by a newline.
+func (w *NTriplesWriter) String() string {
+	slices.SortFunc(w.lines, bytes.Compare)
+	var b strings.Builder
+	b.Grow(w.size)
+	for _, line := range w.lines {
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// appendTerm appends t in N-Triples syntax, as Term.String renders it.
+func appendTerm(b []byte, t Term) []byte {
+	if t.Kind == IRI {
+		return append(append(append(b, '<'), t.Value...), '>')
+	}
+	return strconv.AppendQuote(b, t.Value)
 }
 
 // --- N-Triples parsing -------------------------------------------------------

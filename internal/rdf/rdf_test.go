@@ -58,11 +58,12 @@ func TestObjectsOfAndSubjects(t *testing.T) {
 	if len(objs) != 1 || snap.Term(objs[0]) != popIRI("3") {
 		t.Errorf("ObjectIDs = %v", objs)
 	}
-	if _, ok := s.FirstObject(popIRI("2"), propIRI("hasPopType")); !ok {
-		t.Errorf("FirstObject missing")
+	pop2, pop99, popType := popIRI("2"), popIRI("99"), propIRI("hasPopType")
+	if len(s.Match(&pop2, &popType, nil)) != 1 {
+		t.Errorf("pop type of pop 2 missing")
 	}
-	if _, ok := s.FirstObject(popIRI("99"), propIRI("hasPopType")); ok {
-		t.Errorf("FirstObject on missing subject should report false")
+	if len(s.Match(&pop99, &popType, nil)) != 0 {
+		t.Errorf("a missing subject has a pop type")
 	}
 	typ, _ := snap.ID(propIRI("hasPopType"))
 	if got := len(snap.PredSubjectIDs(typ, nil)); got != 2 {

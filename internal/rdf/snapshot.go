@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"iter"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -273,39 +272,12 @@ func (g *Snapshot) Match(subj, pred, obj *Term) []Triple {
 	return out
 }
 
-// FirstObject returns the first object of (subject, predicate) — in
-// deterministic dictionary-ID order — and whether it exists.
-func (g *Snapshot) FirstObject(subject, predicate Term) (Term, bool) {
-	sid, ok := g.dict.lookup(subject)
-	if !ok {
-		return Term{}, false
-	}
-	pid, ok := g.dict.lookup(predicate)
-	if !ok {
-		return Term{}, false
-	}
-	objs := g.ObjectIDs(sid, pid)
-	if len(objs) == 0 {
-		return Term{}, false
-	}
-	return g.dict.term(objs[0]), true
-}
-
 // NTriples serializes the snapshot in N-Triples format with a deterministic,
 // lexicographically sorted line order.
 func (g *Snapshot) NTriples() string {
-	triples := g.Match(nil, nil, nil)
-	lines := make([]string, len(triples))
-	for i, t := range triples {
-		lines[i] = t.String()
-	}
-	sort.Strings(lines)
-	var b strings.Builder
-	for _, line := range lines {
-		b.WriteString(line)
-		b.WriteString("\n")
-	}
-	return b.String()
+	var w NTriplesWriter
+	w.AddSnapshot(g)
+	return w.String()
 }
 
 // bandValue is numericLiteral without NaN, which no [lo, hi] band holds and

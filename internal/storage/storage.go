@@ -303,8 +303,11 @@ func buildIndex(t *Table, def *catalog.Index) *IndexData {
 	}
 	idx := &IndexData{Def: def, colPos: pos}
 	idx.Entries = make([]IndexEntry, 0, len(t.Rows))
+	// Every key is carved from one slab; the 3-index slice caps each at its
+	// own columns.
+	slab := make([]catalog.Value, len(t.Rows)*len(pos))
 	for rid, row := range t.Rows {
-		key := make([]catalog.Value, len(pos))
+		key := slab[rid*len(pos) : (rid+1)*len(pos) : (rid+1)*len(pos)]
 		for i, p := range pos {
 			if p >= 0 && p < len(row) {
 				key[i] = row[p]
