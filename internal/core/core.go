@@ -367,9 +367,13 @@ func (s *System) Reoptimize(q *sqlparser.Query) (*matching.Result, error) {
 // learning is enabled, the executed plan's actual-vs-estimated cardinality
 // gap is offered to the incremental learner.
 func (s *System) Execute(plan *qgm.Plan, q *sqlparser.Query) (*executor.Result, error) {
+	prep, err := s.exec.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
 	var res *executor.Result
-	_, err := s.admit(plan, q, func(ex *executor.Executor) (stats executor.RunStats, err error) {
-		if res, err = ex.Execute(plan, q); err == nil {
+	_, err = s.admit(plan, q, prep, func(p *executor.Prepared) (stats executor.RunStats, err error) {
+		if res, err = p.Execute(plan); err == nil {
 			stats = res.Stats
 		}
 		return stats, err
@@ -377,12 +381,13 @@ func (s *System) Execute(plan *qgm.Plan, q *sqlparser.Query) (*executor.Result, 
 	return res, err
 }
 
-// admit runs one plan execution under the memory governor, folds its peak
-// residency into the system high-water marks and offers the executed plan to
-// the online learner — the bookkeeping every execution path shares.
-func (s *System) admit(plan *qgm.Plan, q *sqlparser.Query, run func(*executor.Executor) (executor.RunStats, error)) (executor.RunStats, error) {
+// admit runs one plan execution of the prepared query under the memory
+// governor, folds its peak residency into the system high-water marks and
+// offers the executed plan to the online learner — the bookkeeping every
+// execution path shares.
+func (s *System) admit(plan *qgm.Plan, q *sqlparser.Query, prep *executor.Prepared, run func(*executor.Prepared) (executor.RunStats, error)) (executor.RunStats, error) {
 	grant := s.gov.acquire(plan.EstPeakResidencyBytes(), s.exec.Workers)
-	stats, err := run(s.exec.WithWorkers(grant.workers))
+	stats, err := run(prep.WithWorkers(grant.workers))
 	grant.release()
 	if err == nil {
 		raiseMax(&s.peakIntermediateRows, stats.PeakIntermediateRows)
@@ -424,13 +429,17 @@ func verdict(orig, galo executor.RunStats) (applied, rowsDiffer bool) {
 
 // validate runs the original plan and, when the match rewrote it, the
 // re-optimized plan, for their statistics only — no result row is projected
-// or collected — and keeps the rewrite only on verdict's say-so.
+// or collected — and keeps the rewrite only on verdict's say-so. The query is
+// prepared once for both runs.
 func (s *System) validate(res *matching.Result, q *sqlparser.Query) (validation, error) {
-	stats := func(plan *qgm.Plan) (executor.RunStats, error) {
-		return s.admit(plan, q, func(ex *executor.Executor) (executor.RunStats, error) { return ex.Run(plan, q) })
-	}
 	var v validation
-	var err error
+	prep, err := s.exec.Prepare(q)
+	if err != nil {
+		return v, fmt.Errorf("execute: %w", err)
+	}
+	stats := func(plan *qgm.Plan) (executor.RunStats, error) {
+		return s.admit(plan, q, prep, func(p *executor.Prepared) (executor.RunStats, error) { return p.Run(plan) })
+	}
 	if v.orig, err = stats(res.OriginalPlan); err != nil {
 		return v, fmt.Errorf("execute: %w", err)
 	}

@@ -582,10 +582,10 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 		}
 		// The same build side, indexed directly: which index did it get?
 		mem := new(arena)
-		lay := layout{slots: slotList{{ncols: 3, rows: db.Table("RT").Rows, table: db.Table("RT")}}}
+		lay := slotList{{ncols: 3, rows: db.Table("RT").Rows, table: db.Table("RT")}}
 		ids := rowIDs(len(db.Table("RT").Rows))
 		for ncols, exact := range map[int]bool{1: tc.exact, 2: false} {
-			key := lay.refs([]int{0, 1}[:ncols])
+			key := lay.refs([]column{{0, 0}, {0, 1}}[:ncols])
 			b := newHashBuild(mem, key, key, 1)
 			if vector := b.buildWords != nil; vector != (ncols == 1 && tc.exact) {
 				t.Errorf("%s, %d key column(s): key-word vector present = %v", tc.name, ncols, vector)

@@ -136,7 +136,7 @@ type segment struct {
 
 // openParallel tries to open node as an exchange segment. ok=false means the
 // shape does not qualify and the caller should build serial operators.
-func (c *execContext) openParallel(node *qgm.Node) (rowIter, layout, bool, error) {
+func (c *execContext) openParallel(node *qgm.Node) (rowIter, slotList, bool, error) {
 	term, termNode, cur := termNone, (*qgm.Node)(nil), node
 	switch node.Op {
 	case qgm.OpSORT:
@@ -149,7 +149,7 @@ func (c *execContext) openParallel(node *qgm.Node) (rowIter, layout, bool, error
 walk:
 	for {
 		if cur == nil {
-			return nil, layout{}, false, nil
+			return nil, nil, false, nil
 		}
 		switch cur.Op {
 		case qgm.OpFILTER:
@@ -164,33 +164,33 @@ walk:
 		default:
 			// NLJOIN/MSJOIN (and anything else) break the segment; their
 			// subtrees get their own qualification attempts.
-			return nil, layout{}, false, nil
+			return nil, nil, false, nil
 		}
 	}
 	// A bare unordered scan gains nothing from fan-in (and would make plain
 	// result order nondeterministic for free): require a join, a terminal
 	// breaker, or an ordered scan worth preserving in parallel.
 	if nJoins == 0 && term == termNone && cur.OrderedOn == "" {
-		return nil, layout{}, false, nil
+		return nil, nil, false, nil
 	}
 	sc, lay, err := c.resolveScan(cur)
 	if err != nil {
-		return nil, layout{}, false, err
+		return nil, nil, false, err
 	}
 	if sc.hi-sc.lo < exchangeMinRows {
-		return nil, layout{}, false, nil
+		return nil, nil, false, nil
 	}
 
 	lead, lay, err := c.openLead(sc, lay, chain)
 	if err != nil {
-		return nil, layout{}, false, err
+		return nil, nil, false, err
 	}
-	seg := &segment{scan: sc, lead: lead, term: term, termNode: termNode, slots: lay.slots}
+	seg := &segment{scan: sc, lead: lead, term: term, termNode: termNode, slots: lay}
 	switch term {
 	case termSort:
-		seg.sortKey = lay.refs(c.sortKey(termNode, lay.cols))
+		seg.sortKey = c.sortKey(termNode, lay)
 	case termGrpBy:
-		seg.grpKey = lay.refs(c.groupKey(lay.cols))
+		seg.grpKey = lay.refs(c.prep.groupBy)
 	}
 	ex := &exchangeIter{
 		ctx: c, seg: seg,
@@ -210,7 +210,7 @@ walk:
 // in chain) over none of the scan's range. Build sides open, and are drained,
 // serially on the consumer goroutine: an exchange never nests into a build
 // subtree and build insertion order stays deterministic.
-func (c *execContext) openLead(sc *scanSource, lay layout, chain []*qgm.Node) (spine, layout, error) {
+func (c *execContext) openLead(sc *scanSource, lay slotList, chain []*qgm.Node) (spine, slotList, error) {
 	lead := spine{c.scanOver(sc, sc.hi, sc.hi)}
 	for i := len(chain) - 1; i >= 0; i-- {
 		n, child := chain[i], lead.root()
@@ -219,7 +219,7 @@ func (c *execContext) openLead(sc *scanSource, lay layout, chain []*qgm.Node) (s
 		if n.Op == qgm.OpFILTER {
 			op = c.filterOver(n, child)
 		} else if op, lay, err = c.joinOver(n, child, lay, c.openSerial); err != nil {
-			return nil, layout{}, err
+			return nil, nil, err
 		}
 		lead = append(lead, op)
 	}
@@ -228,7 +228,7 @@ func (c *execContext) openLead(sc *scanSource, lay layout, chain []*qgm.Node) (s
 
 // openSerial opens a subtree with the exchange disabled (build sides must
 // drain deterministically).
-func (c *execContext) openSerial(n *qgm.Node) (rowIter, layout, error) {
+func (c *execContext) openSerial(n *qgm.Node) (rowIter, slotList, error) {
 	saved := c.workers
 	c.workers = 1
 	defer func() { c.workers = saved }()
@@ -625,21 +625,20 @@ func (w *segWorker) flush() bool {
 // sortLocal stable-sorts the partition buffer; partition-local stable order
 // plus the stable merge equals the serial global stable sort.
 func (w *segWorker) sortLocal() {
-	keyIdx := w.ex.seg.sortKey
-	if len(keyIdx) == 0 {
-		return
+	if key := w.ex.seg.sortKey; len(key) > 0 {
+		sortStableBy(w.sortBuf, key, func(t tuple) tuple { return t })
 	}
-	sortStableBy(w.sortBuf, keyIdx)
 }
 
-// sortStableBy stable-sorts rows on the key columns — the one comparison the
-// serial sortIter and the exchange workers share, so their orders agree row
-// for row. The sort kernel's pairs come from a pool, not from the request.
-func sortStableBy(rows []tuple, key []colRef) {
+// sortStableBy stable-sorts xs, each standing for the tuple row(x), on the key
+// columns — the one comparison the serial sortIter (over buffer ordinals) and
+// the exchange workers (over tuples) share, so their orders agree row for row.
+// The sort kernel's pairs come from a pool, not from the request.
+func sortStableBy[T any](xs []T, key []colRef, row func(T) tuple) {
 	s := sortScratch.Get().(*catalog.SortScratch)
-	catalog.SortStable(rows, len(key),
-		func(t *tuple, c int) *catalog.Value { return key[c].of(*t) },
-		func(a, b tuple) int { return compareRows(a, b, key) }, s)
+	catalog.SortStable(xs, len(key),
+		func(x *T, c int) *catalog.Value { return key[c].of(row(*x)) },
+		func(a, b T) int { return compareRows(row(a), row(b), key) }, s)
 	sortScratch.Put(s)
 }
 

@@ -40,6 +40,7 @@ package executor
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 
 	"galo/internal/catalog"
@@ -112,21 +113,141 @@ func (e *Executor) WithWorkers(n int) *Executor {
 	return &cp
 }
 
-// Execute runs the plan for the query. The plan's nodes are annotated with
-// actual cardinalities and per-operator simulated milliseconds as a side
-// effect (ActCardinality, ActMillis), and the plan's ActualMillis is set.
+// Execute, Run, RunBounded and Open prepare the query (Prepare) and run the
+// plan through the Prepared method of the same name.
 func (e *Executor) Execute(plan *qgm.Plan, q *sqlparser.Query) (*Result, error) {
-	cur, err := e.Open(plan, q)
+	return prepared(e, q, func(p *Prepared) (*Result, error) { return p.Execute(plan) })
+}
+
+func (e *Executor) Run(plan *qgm.Plan, q *sqlparser.Query) (RunStats, error) {
+	return e.RunBounded(plan, q, 0)
+}
+
+func (e *Executor) RunBounded(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64) (RunStats, error) {
+	return prepared(e, q, func(p *Prepared) (RunStats, error) { return p.RunBounded(plan, budgetMillis) })
+}
+
+func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
+	return prepared(e, q, func(p *Prepared) (*Cursor, error) { return p.Open(plan) })
+}
+
+func prepared[T any](e *Executor, q *sqlparser.Query, run func(*Prepared) (T, error)) (T, error) {
+	p, err := e.Prepare(q)
+	if err != nil {
+		return *new(T), err
+	}
+	return run(p)
+}
+
+// Prepared is a query resolved once for execution over one executor, every
+// column an operator keys on an (instance, column) pair of ordinals. A run
+// binds a plan to it by ordinal — plan instance Qi is FROM entry i-1 — and
+// allocates only its operators. It is never written after Prepare, so any
+// number of goroutines may run plans through one Prepared at once.
+type Prepared struct {
+	exec             *Executor
+	tables           []*catalog.Table // by FROM ordinal: what a scan of the instance must read
+	preds            [][]scanPred     // by FROM ordinal: the local predicates, compiled against the table
+	joins            [][2]column      // the two sides of each equi-join predicate, in WHERE order
+	orderBy, groupBy []column
+	proj             []column // the SELECT list; nil for SELECT *
+	names            []string // the SELECT list as Cursor.Columns names it
+}
+
+// column is one column of the query: its FROM instance and its position in
+// that instance's table, both -1 when the query does not resolve it.
+type column struct{ inst, col int32 }
+
+// Prepare resolves the query against the executor's database once, for any
+// number of runs.
+func (e *Executor) Prepare(q *sqlparser.Query) (*Prepared, error) {
+	work := q.Clone()
+	if err := sqlparser.Resolve(work, e.DB.Catalog.Schema); err != nil {
+		return nil, err
+	}
+	p := &Prepared{exec: e, tables: make([]*catalog.Table, len(work.From)), preds: make([][]scanPred, len(work.From))}
+	preds := make([]scanPred, 0, len(work.Where)) // every instance's, side by side
+	for i, ref := range work.From {
+		p.tables[i] = e.DB.Table(ref.Table).Def
+		start := len(preds)
+		for k := range work.Where {
+			if pr := &work.Where[k]; pr.LocalTo(ref.Name()) {
+				preds = append(preds, compilePred(pr, p.tables[i].ColumnIndex(pr.Left.Column)))
+			}
+		}
+		p.preds[i] = preds[start:len(preds):len(preds)]
+	}
+	// A column belongs to the last FROM entry of its name, as a name map
+	// filled in FROM order would have it.
+	at := func(c sqlparser.ColumnRef) column {
+		for i := len(work.From) - 1; i >= 0; i-- {
+			if work.From[i].ResolvedAs(c.Table) {
+				if k := p.tables[i].ColumnIndex(c.Column); k >= 0 {
+					return column{int32(i), int32(k)}
+				}
+				break
+			}
+		}
+		return column{-1, -1}
+	}
+	all := func(cols []sqlparser.ColumnRef) []column {
+		out := make([]column, len(cols))
+		for i, c := range cols {
+			out[i] = at(c)
+		}
+		return out
+	}
+	p.joins = make([][2]column, 0, work.NumJoins())
+	for _, pr := range work.Where {
+		if pr.IsJoin() {
+			p.joins = append(p.joins, [2]column{at(pr.Left), at(pr.Right)})
+		}
+	}
+	p.orderBy, p.groupBy = all(work.OrderBy), all(work.GroupBy)
+	if !work.Star && len(work.Select) > 0 {
+		p.proj, p.names = all(work.Select), make([]string, len(work.Select))
+		for i, c := range work.Select {
+			p.names[i] = c.String()
+		}
+	}
+	return p, nil
+}
+
+// WithWorkers returns the prepared query over Executor.WithWorkers(n), or p
+// when its executor already has n.
+func (p *Prepared) WithWorkers(n int) *Prepared {
+	if n == p.exec.Workers {
+		return p
+	}
+	cp := *p
+	cp.exec = p.exec.WithWorkers(n)
+	return &cp
+}
+
+// instanceOf returns the FROM ordinal of a plan's table instance (Q1 is 0), or
+// -1 when the query has no such instance.
+func (p *Prepared) instanceOf(name string) int {
+	for i := range p.tables {
+		if qgm.InstanceName(i) == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Execute runs the plan. The plan's nodes are annotated with actual
+// cardinalities and per-operator simulated milliseconds as a side effect
+// (ActCardinality, ActMillis), and the plan's ActualMillis is set.
+func (p *Prepared) Execute(plan *qgm.Plan) (*Result, error) {
+	cur, err := p.Open(plan)
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{Columns: cur.Columns}
-	out.Rows = make([]storage.Row, 0, presizeHint(plan.Root.EstCardinality))
-	for {
-		row, ok := cur.Next()
-		if !ok {
-			break
-		}
+	// Sized to the estimate, capped so a wild overestimate cannot allocate
+	// unbounded memory up front.
+	out.Rows = make([]storage.Row, 0, int(min(max(plan.Root.EstCardinality, 0), 1<<20)))
+	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
 		out.Rows = append(out.Rows, row)
 	}
 	cur.Close()
@@ -137,8 +258,8 @@ func (e *Executor) Execute(plan *qgm.Plan, q *sqlparser.Query) (*Result, error) 
 // Run executes the plan for its runtime statistics (and the plan's actuals)
 // alone: the pipeline is drained without projecting or collecting a single
 // result row — what plan validation and ranking need.
-func (e *Executor) Run(plan *qgm.Plan, q *sqlparser.Query) (RunStats, error) {
-	return e.RunBounded(plan, q, 0)
+func (p *Prepared) Run(plan *qgm.Plan) (RunStats, error) {
+	return p.RunBounded(plan, 0)
 }
 
 // RunBounded is Run under a budget of simulated milliseconds (0 = none): a
@@ -149,15 +270,12 @@ func (e *Executor) Run(plan *qgm.Plan, q *sqlparser.Query) (RunStats, error) {
 // RunStats.Aborted set. A run that is not aborted is the unbounded run, bit
 // for bit. What learning needs of a candidate that can no longer beat its
 // baseline is only that fact.
-func (e *Executor) RunBounded(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64) (RunStats, error) {
-	cur, err := e.open(plan, q, budgetMillis)
+func (p *Prepared) RunBounded(plan *qgm.Plan, budgetMillis float64) (RunStats, error) {
+	cur, err := p.open(plan, budgetMillis)
 	if err != nil {
 		return RunStats{}, err
 	}
-	for {
-		if _, ok := cur.root.Next(); !ok {
-			break
-		}
+	for _, ok := cur.root.Next(); ok; _, ok = cur.root.Next() {
 		cur.rows++
 	}
 	cur.finish()
@@ -173,11 +291,11 @@ type Cursor struct {
 	// Columns names the projected output columns.
 	Columns []string
 
-	ctx      *execContext
+	ctx      execContext
 	plan     *qgm.Plan
 	root     rowIter
 	proj     []colRef // nil means project everything in root order
-	slots    slotList // of the root layout (SELECT * flattening)
+	slots    slotList // of the root (SELECT * flattening)
 	rows     int
 	finished bool
 }
@@ -185,72 +303,60 @@ type Cursor struct {
 // Open validates the plan against the query and returns a streaming cursor
 // over its projected output. The caller must Close the cursor (Next returning
 // false closes it implicitly).
-func (e *Executor) Open(plan *qgm.Plan, q *sqlparser.Query) (*Cursor, error) {
-	return e.open(plan, q, 0)
-}
-
-func (e *Executor) open(plan *qgm.Plan, q *sqlparser.Query, budgetMillis float64) (*Cursor, error) {
-	if plan == nil || plan.Root == nil {
-		return nil, fmt.Errorf("executor: empty plan")
-	}
-	ctx, err := e.newContext(q, budgetMillis)
+func (p *Prepared) Open(plan *qgm.Plan) (*Cursor, error) {
+	cur, err := p.open(plan, 0)
 	if err != nil {
 		return nil, err
 	}
-	work := ctx.query
-	// A plan can be executed many times (and a cursor may stop early, leaving
-	// deep operators unvisited); stale actuals from a previous run must never
-	// survive into this one's estimation-gap reading.
-	plan.ResetActuals()
-	root, lay, err := ctx.open(plan.Root)
-	if err != nil {
-		ctx.releaseArenas()
-		return nil, err
+	if cur.proj != nil {
+		cur.Columns = append([]string(nil), p.names...)
+		return cur, nil
 	}
-	cur := &Cursor{ctx: ctx, plan: plan, root: root, slots: lay.slots}
-	if work.Star || len(work.Select) == 0 {
-		cur.Columns = lay.cols
-	} else {
-		pos := make([]int, 0, len(work.Select))
-		for _, c := range work.Select {
-			inst := ctx.refToInst[strings.ToUpper(c.Table)]
-			p := colPos(lay.cols, inst+"."+c.Column)
-			if p < 0 {
-				root.Close()
-				ctx.releaseArenas()
-				return nil, fmt.Errorf("executor: projected column %s not in plan output", c)
-			}
-			pos = append(pos, p)
-			cur.Columns = append(cur.Columns, c.String())
+	for _, s := range cur.slots {
+		inst := qgm.InstanceName(int(s.inst))
+		for _, col := range s.table.Def.Columns {
+			cur.Columns = append(cur.Columns, inst+"."+col.Name)
 		}
-		cur.proj = lay.refs(pos)
 	}
 	return cur, nil
 }
 
-// newContext resolves the query against the schema and returns the state of
-// one execution of it.
-func (e *Executor) newContext(q *sqlparser.Query, budgetMillis float64) (*execContext, error) {
-	work := q.Clone()
-	if err := sqlparser.Resolve(work, e.DB.Catalog.Schema); err != nil {
+func (p *Prepared) open(plan *qgm.Plan, budgetMillis float64) (*Cursor, error) {
+	if plan == nil || plan.Root == nil {
+		return nil, fmt.Errorf("executor: empty plan")
+	}
+	cur := p.newCursor(plan, budgetMillis)
+	ctx := &cur.ctx
+	// A plan can be executed many times (and a cursor may stop early, leaving
+	// deep operators unvisited); stale actuals from a previous run must never
+	// survive into this one's estimation-gap reading.
+	plan.ResetActuals()
+	root, slots, err := ctx.open(plan.Root)
+	if err != nil {
+		ctx.releaseArenas()
 		return nil, err
 	}
-	ctx := &execContext{
-		exec:      e,
-		query:     work,
-		cost:      e.DB.Catalog.Config.RunCost(),
-		instToRef: map[string]string{},
-		refToInst: map[string]string{},
-		workers:   e.Workers,
-		budget:    budgetMillis,
+	cur.root, cur.slots = root, slots
+	if p.proj != nil {
+		cur.proj = make([]colRef, len(p.proj))
+		for i, c := range p.proj {
+			var ok bool
+			if cur.proj[i], ok = slots.ref(c); !ok {
+				root.Close()
+				ctx.releaseArenas()
+				return nil, fmt.Errorf("executor: projected column %s not in plan output", p.names[i])
+			}
+		}
 	}
-	ctx.mem = ctx.newArena()
-	for i, ref := range work.From {
-		inst := qgm.InstanceName(i)
-		ctx.instToRef[inst] = strings.ToUpper(ref.Name())
-		ctx.refToInst[strings.ToUpper(ref.Name())] = inst
-	}
-	return ctx, nil
+	return cur, nil
+}
+
+// newCursor returns a cursor for one execution of the plan, with its context
+// ready and no operator open.
+func (p *Prepared) newCursor(plan *qgm.Plan, budgetMillis float64) *Cursor {
+	cur := &Cursor{plan: plan, ctx: execContext{prep: p, cost: p.exec.DB.Catalog.Config.RunCost(), workers: p.exec.Workers, budget: budgetMillis}}
+	cur.ctx.mem = &cur.ctx.own
+	return cur
 }
 
 // Next returns the next projected row, or false when the plan is exhausted
@@ -308,13 +414,11 @@ func (c *Cursor) finish() {
 
 // execContext carries the per-execution state.
 type execContext struct {
-	exec      *Executor
-	query     *sqlparser.Query
-	cost      catalog.CostModel // the run-time view every charge goes through
-	stats     RunStats
-	instToRef map[string]string
-	refToInst map[string]string
-	workers   int
+	prep  *Prepared
+	cost  catalog.CostModel // the run-time view every charge goes through
+	stats RunStats
+	// workers is the exchange's worker count, 1 while a build side opens.
+	workers int
 	// budget bounds the simulated milliseconds the run may book (RunBounded);
 	// 0, what every serving path passes, is no bound.
 	budget float64
@@ -322,9 +426,10 @@ type execContext struct {
 	// observe row arrival order (see openOrdered).
 	orderObserved int
 
-	// mem is the arena of the goroutine driving the cursor; arenas lists it
-	// and one per exchange worker, for Cursor.finish to release.
+	// mem is the arena of the goroutine driving the cursor (own); arenas
+	// lists one per exchange worker. Cursor.finish releases them all.
 	mem    *arena
+	own    arena
 	arenas []*arena
 
 	// res is the live intermediate-row accounting (see
@@ -341,6 +446,7 @@ func (c *execContext) newArena() *arena {
 // releaseArenas recycles every intermediate of the execution. The pipeline
 // must be closed: no worker is running and every charge has been computed.
 func (c *execContext) releaseArenas() {
+	c.own.release()
 	for _, m := range c.arenas {
 		m.release()
 	}
@@ -363,70 +469,40 @@ func (c *execContext) charge(node *qgm.Node, millis float64, rows int) {
 	node.ActCardinality = float64(rows)
 }
 
-// colPos finds an instance-qualified column in an operator's output layout.
-// Resolution happens once per operator at Open time, so a linear scan beats
-// building a map.
-func colPos(cols []string, name string) int {
-	name = strings.ToUpper(name)
-	for i, c := range cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// scanColumns returns the output layout of a base-table access.
-func scanColumns(inst string, def *catalog.Table) []string {
-	cols := make([]string, len(def.Columns))
-	for i, col := range def.Columns {
-		cols[i] = inst + "." + col.Name
-	}
-	return cols
-}
-
-// scanPred is one local predicate compiled against its table at scan open:
-// the column position is resolved — and a LIKE pattern fetched from the
-// process-wide compiled-pattern cache — once per scan, not once per row.
+// scanPred is one local predicate of the prepared query compiled against its
+// table once, in Prepare: the column position resolved and a LIKE pattern
+// fetched from the process-wide compiled-pattern cache.
 type scanPred struct {
-	sqlparser.Predicate
+	*sqlparser.Predicate
 	pos int
 	re  *regexp.Regexp
 }
 
-func compilePreds(def *catalog.Table, preds []sqlparser.Predicate) []scanPred {
-	out := make([]scanPred, len(preds))
-	for i, p := range preds {
-		out[i] = scanPred{Predicate: p, pos: def.ColumnIndex(p.Left.Column)}
-		if p.Kind == sqlparser.PredLike {
-			out[i].re = likeCache.get(p.Value.AsString())
-		}
+func compilePred(p *sqlparser.Predicate, pos int) scanPred {
+	sp := scanPred{Predicate: p, pos: pos}
+	if p.Kind == sqlparser.PredLike {
+		sp.re = likeCache.get(p.Value.AsString())
 	}
-	return out
+	return sp
 }
 
 // matchRow applies compiled predicates to a base-table row. It only reads, so
 // the serial scans and the exchange workers share one compiled slice.
 func matchRow(row storage.Row, preds []scanPred) bool {
 	for i := range preds {
-		p := &preds[i]
 		var v catalog.Value
-		if p.pos >= 0 && p.pos < len(row) {
-			v = row[p.pos]
+		if pos := preds[i].pos; pos >= 0 && pos < len(row) {
+			v = row[pos]
 		}
-		if p.Kind == sqlparser.PredLike {
-			if v.IsNull() || (p.re != nil && p.re.MatchString(v.AsString())) == p.Not {
-				return false
-			}
-		} else if !evalPredicate(&p.Predicate, v) {
+		if !preds[i].match(v) {
 			return false
 		}
 	}
 	return true
 }
 
-// evalPredicate evaluates a local predicate against a value.
-func evalPredicate(p *sqlparser.Predicate, v catalog.Value) bool {
+// match evaluates the predicate against a value of its column.
+func (p *scanPred) match(v catalog.Value) bool {
 	switch p.Kind {
 	case sqlparser.PredCompare:
 		if v.IsNull() || p.Value.IsNull() {
@@ -449,46 +525,15 @@ func evalPredicate(p *sqlparser.Predicate, v catalog.Value) bool {
 		}
 		return false
 	case sqlparser.PredBetween:
-		if v.IsNull() {
-			return false
-		}
-		in := catalog.Compare(v, p.Lo) >= 0 && catalog.Compare(v, p.Hi) <= 0
-		if p.Not {
-			return !in
-		}
-		return in
+		return !v.IsNull() && (catalog.Compare(v, p.Lo) >= 0 && catalog.Compare(v, p.Hi) <= 0) != p.Not
 	case sqlparser.PredIn:
-		if v.IsNull() {
-			return false
-		}
-		found := false
-		for _, candidate := range p.Values {
-			if catalog.Equal(v, candidate) {
-				found = true
-				break
-			}
-		}
-		if p.Not {
-			return !found
-		}
-		return found
+		return !v.IsNull() && slices.ContainsFunc(p.Values, func(c catalog.Value) bool { return catalog.Equal(v, c) }) != p.Not
 	case sqlparser.PredLike:
-		if v.IsNull() {
-			return false
-		}
-		ok := likeMatch(p.Value.AsString(), v.AsString())
-		if p.Not {
-			return !ok
-		}
-		return ok
+		return !v.IsNull() && (p.re != nil && p.re.MatchString(v.AsString())) != p.Not
 	case sqlparser.PredIsNull:
-		if p.Not {
-			return !v.IsNull()
-		}
-		return v.IsNull()
-	default:
-		return true
+		return v.IsNull() != p.Not
 	}
+	return true
 }
 
 // compileLike translates a SQL LIKE pattern (% and _ wildcards) into a
@@ -514,13 +559,6 @@ func compileLike(pattern string) *regexp.Regexp {
 	return re
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards (uncached; scans match
-// through the compiled-pattern cache, see compilePreds).
-func likeMatch(pattern, s string) bool {
-	re := compileLike(pattern)
-	return re != nil && re.MatchString(s)
-}
-
 // valuesWidth is the width in bytes the cost model gives a row of values.
 func valuesWidth(row storage.Row) int {
 	w := 0
@@ -532,20 +570,6 @@ func valuesWidth(row storage.Row) int {
 		}
 	}
 	return w
-}
-
-// presizeHint converts an estimated cardinality into a slice/map capacity,
-// capped so a wild overestimate cannot allocate unbounded memory up front.
-const presizeCap = 1 << 20
-
-func presizeHint(est float64) int {
-	if est <= 0 {
-		return 0
-	}
-	if est > presizeCap {
-		return presizeCap
-	}
-	return int(est)
 }
 
 // sortMillis charges a sort of the given size, tracking spill pages and the

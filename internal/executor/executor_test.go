@@ -51,7 +51,7 @@ func referenceRows(t *testing.T, db *storage.Database, q *sqlparser.Query) int {
 		for _, row := range tbl.Rows {
 			match := true
 			for _, p := range preds {
-				if !evalPredicate(&p, storage.Value(tbl.Def, row, p.Left.Column)) {
+				if sp := compilePred(&p, 0); !sp.match(storage.Value(tbl.Def, row, p.Left.Column)) {
 					match = false
 					break
 				}
@@ -312,7 +312,8 @@ func TestPredicateEvaluation(t *testing.T) {
 		{mk("i_x = 5"), catalog.Null(), false},
 	}
 	for i, c := range cases {
-		if got := evalPredicate(&c.pred, c.val); got != c.want {
+		sp := compilePred(&c.pred, 0)
+		if got := sp.match(c.val); got != c.want {
 			t.Errorf("case %d (%s over %v): got %v, want %v", i, c.pred.String(), c.val, got, c.want)
 		}
 	}

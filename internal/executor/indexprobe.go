@@ -76,7 +76,7 @@ func (j *joinIter) indexProbe() *indexProbe {
 	if def == nil {
 		return nil
 	}
-	idx := s.ctx.exec.DB.Index(table.Def.Name, def.Name)
+	idx := s.ctx.prep.exec.DB.Index(table.Def.Name, def.Name)
 	if idx == nil || !table.KeyWordOrdered(idx) {
 		return nil
 	}

@@ -51,17 +51,18 @@ type spineIter interface {
 }
 
 // open builds the iterator pipeline for the subtree rooted at node and
-// returns it with its output layout. All plan validation (unknown tables,
-// missing indexes) and all column resolution — names to tuple references —
-// happens here, before the first row flows.
-func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
+// returns it with its output slots. All plan validation (instances the query
+// lacks, unknown tables, missing indexes) and all column resolution — the
+// query's columns to tuple references — happens here, before the first row
+// flows.
+func (c *execContext) open(node *qgm.Node) (rowIter, slotList, error) {
 	if c.workers > 1 {
 		// Try to run this subtree as a parallel exchange segment; shapes
 		// that don't qualify fall through to the serial operators (whose
 		// children get their own chance to qualify).
 		it, lay, ok, err := c.openParallel(node)
 		if err != nil {
-			return nil, layout{}, err
+			return nil, nil, err
 		}
 		if ok {
 			return it, lay, nil
@@ -79,11 +80,11 @@ func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
 	case qgm.OpSORT, qgm.OpGRPBY:
 		openChild = c.openOrdered
 	default:
-		return nil, layout{}, fmt.Errorf("executor: unsupported operator %s", node.Op)
+		return nil, nil, fmt.Errorf("executor: unsupported operator %s", node.Op)
 	}
 	child, lay, err := openChild(node.Outer)
 	if err != nil {
-		return nil, layout{}, err
+		return nil, nil, err
 	}
 	switch node.Op {
 	case qgm.OpRETURN:
@@ -91,9 +92,9 @@ func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
 	case qgm.OpFILTER:
 		return c.filterOver(node, child), lay, nil
 	case qgm.OpSORT:
-		return &sortIter{ctx: c, node: node, child: child, slots: lay.slots, key: lay.refs(c.sortKey(node, lay.cols))}, lay, nil
+		return &sortIter{ctx: c, node: node, child: child, slots: lay, key: c.sortKey(node, lay)}, lay, nil
 	default:
-		return &groupByIter{ctx: c, node: node, child: child, key: lay.refs(c.groupKey(lay.cols)), seen: map[string]struct{}{}}, lay, nil
+		return &groupByIter{ctx: c, node: node, child: child, key: lay.refs(c.prep.groupBy), seen: map[string]struct{}{}}, lay, nil
 	}
 }
 
@@ -102,44 +103,24 @@ func (c *execContext) open(node *qgm.Node) (rowIter, layout, error) {
 // outer (spill sample), a SORT (ties) or a GRPBY (first-seen rows). Any
 // exchange below it must then deliver in partition order, or rows and
 // per-operator charges would depend on goroutine scheduling.
-func (c *execContext) openOrdered(n *qgm.Node) (rowIter, layout, error) {
+func (c *execContext) openOrdered(n *qgm.Node) (rowIter, slotList, error) {
 	c.orderObserved++
 	defer func() { c.orderObserved-- }()
 	return c.open(n)
 }
 
-// groupKey resolves the positions of the query's GROUP BY columns present in
-// the input.
-func (c *execContext) groupKey(cols []string) []int {
-	idx := make([]int, 0, len(c.query.GroupBy))
-	for _, k := range c.query.GroupBy {
-		inst := c.refToInst[strings.ToUpper(k.Table)]
-		if p := colPos(cols, inst+"."+k.Column); p >= 0 {
-			idx = append(idx, p)
-		}
-	}
-	return idx
-}
-
-// sortKey resolves the column positions a SORT orders by: the query's ORDER
-// BY columns present in the input, overridden by the node's single-column
-// order property when it names a different leading column (a SORT feeding a
-// merge join establishes the merge column's order).
-func (c *execContext) sortKey(node *qgm.Node, cols []string) []int {
-	orderByIdx := make([]int, 0, len(c.query.OrderBy))
-	for _, k := range c.query.OrderBy {
-		inst := c.refToInst[strings.ToUpper(k.Table)]
-		if p := colPos(cols, inst+"."+k.Column); p >= 0 {
-			orderByIdx = append(orderByIdx, p)
-		}
-	}
-	idx := orderByIdx
+// sortKey resolves the columns a SORT orders by: the query's ORDER BY columns
+// present in the input, overridden by the node's single-column order property
+// when it names a different leading column (a SORT feeding a merge join
+// establishes the merge column's order).
+func (c *execContext) sortKey(node *qgm.Node, lay slotList) []colRef {
+	key := lay.refs(c.prep.orderBy)
 	if node.OrderedOn != "" {
-		if p := colPos(cols, node.OrderedOn); p >= 0 && (len(orderByIdx) == 0 || orderByIdx[0] != p) {
-			idx = []int{p}
+		if r, ok := lay.named(node.OrderedOn); ok && (len(key) == 0 || key[0] != r) {
+			key = []colRef{r}
 		}
 	}
-	return idx
+	return key
 }
 
 // --- pass-through operators (RETURN, FILTER) ---------------------------------
@@ -220,46 +201,47 @@ func (s *scanSource) match(id int) bool {
 	return len(s.preds) == 0 || matchRow(s.rows[id], s.preds)
 }
 
-func (c *execContext) resolveScan(node *qgm.Node) (*scanSource, layout, error) {
-	refName := c.instToRef[node.TableInstance]
-	if refName == "" {
-		return nil, layout{}, fmt.Errorf("executor: plan instance %s not present in query", node.TableInstance)
+func (c *execContext) resolveScan(node *qgm.Node) (*scanSource, slotList, error) {
+	inst := c.prep.instanceOf(node.TableInstance)
+	if inst < 0 {
+		return nil, nil, fmt.Errorf("executor: plan instance %s not present in query", node.TableInstance)
 	}
-	table := c.exec.DB.Table(node.Table)
+	table := c.prep.exec.DB.Table(node.Table)
 	if table == nil {
-		return nil, layout{}, fmt.Errorf("executor: unknown table %s", node.Table)
+		return nil, nil, fmt.Errorf("executor: unknown table %s", node.Table)
 	}
-	preds := sqlparser.PredicatesFor(c.query, refName)
+	if def := c.prep.tables[inst]; table.Def != def {
+		return nil, nil, fmt.Errorf("executor: plan instance %s reads %s, the query's reads %s", node.TableInstance, node.Table, def.Name)
+	}
 	rows := table.Rows
 	sc := &scanSource{
-		node: node, slot: slot{ncols: len(table.Def.Columns), rows: rows, table: table},
-		ids: rowIDs(len(rows)), preds: compilePreds(table.Def, preds),
-		tablePages: float64(c.exec.DB.Pages(node.Table)),
+		node: node, slot: slot{inst: int32(inst), ncols: len(table.Def.Columns), rows: rows, table: table},
+		ids: rowIDs(len(rows)), preds: c.prep.preds[inst],
+		tablePages: float64(c.prep.exec.DB.Pages(node.Table)),
 		tableRows:  float64(len(rows)),
 	}
-	lay := layout{cols: scanColumns(node.TableInstance, table.Def), slots: slotList{&sc.slot}}
 	switch node.Op {
 	case qgm.OpTBSCAN:
 		sc.hi = len(rows)
 	case qgm.OpIXSCAN, qgm.OpFETCH:
 		if sc.idxDef = table.Def.IndexByName(node.Index); sc.idxDef == nil {
-			return nil, layout{}, fmt.Errorf("executor: table %s has no index %s", node.Table, node.Index)
+			return nil, nil, fmt.Errorf("executor: table %s has no index %s", node.Table, node.Index)
 		}
-		sc.rowsPerPage = float64(c.exec.DB.RowsPerPage(node.Table))
-		if idx := c.exec.DB.Index(node.Table, sc.idxDef.Name); idx != nil {
+		sc.rowsPerPage = float64(c.prep.exec.DB.RowsPerPage(node.Table))
+		if idx := c.prep.exec.DB.Index(node.Table, sc.idxDef.Name); idx != nil {
 			sc.entries = idx.Entries
-			sc.lo, sc.hi = indexBounds(idx, sc.idxDef.Columns[0], preds)
+			sc.lo, sc.hi = indexBounds(idx, sc.idxDef.Columns[0], sc.preds)
 		}
 	default:
-		return nil, layout{}, fmt.Errorf("executor: unsupported scan %s", node.Op)
+		return nil, nil, fmt.Errorf("executor: unsupported scan %s", node.Op)
 	}
-	return sc, lay, nil
+	return sc, slotList{&sc.slot}, nil
 }
 
-func (c *execContext) openScan(node *qgm.Node) (rowIter, layout, error) {
+func (c *execContext) openScan(node *qgm.Node) (rowIter, slotList, error) {
 	sc, lay, err := c.resolveScan(node)
 	if err != nil {
-		return nil, layout{}, err
+		return nil, nil, err
 	}
 	return c.scanOver(sc, sc.lo, sc.hi), lay, nil
 }
@@ -277,7 +259,7 @@ func (c *execContext) scanOver(sc *scanSource, lo, hi int) spineIter {
 // indexBounds resolves the entry range an index access touches, pushing the
 // first sargable predicate on the index's leading column into the B-tree
 // positioning instead of materializing a candidate row-ID list.
-func indexBounds(idx *storage.IndexData, lead string, preds []sqlparser.Predicate) (start, end int) {
+func indexBounds(idx *storage.IndexData, lead string, preds []scanPred) (start, end int) {
 	for _, p := range preds {
 		if !strings.EqualFold(p.Left.Column, lead) {
 			continue
@@ -413,7 +395,8 @@ func (s *ixscanIter) fold(r spineIter)                          { s.add(&r.(*ixs
 
 // sortIter is a pipeline breaker: the first Next drains the child into a
 // buffer (held in the intermediate accounting), sorts it, and charges the
-// sort; rows then stream out of the buffer.
+// sort; rows then stream out of the buffer. The buffer is the rows' IDs in
+// arena chunks, and what is sorted is a permutation of their ordinals.
 type sortIter struct {
 	ctx   *execContext
 	node  *qgm.Node
@@ -421,7 +404,8 @@ type sortIter struct {
 	slots slotList
 	key   []colRef
 
-	rows      []tuple
+	rows      tupleBuf
+	order     []int32 // the buffered ordinals in output order; nil serves nothing
 	pos       int
 	heldBytes int64
 	sorted    bool
@@ -432,8 +416,8 @@ func (s *sortIter) Next() (tuple, bool) {
 	if !s.sorted {
 		s.buffer()
 	}
-	if s.pos < len(s.rows) {
-		t := s.rows[s.pos]
+	if s.pos < len(s.order) {
+		t := s.rows.at(int(s.order[s.pos]))
 		s.pos++
 		return t, true
 	}
@@ -442,54 +426,51 @@ func (s *sortIter) Next() (tuple, bool) {
 
 func (s *sortIter) buffer() {
 	s.sorted = true
-	s.rows = make([]tuple, 0, presizeHint(s.node.Outer.EstCardinality))
-	for {
-		t, ok := s.child.Next()
-		if !ok {
-			break
-		}
-		s.rows = append(s.rows, t)
+	s.rows = newTupleBuf(s.ctx.mem, len(s.slots))
+	for t, ok := s.child.Next(); ok; t, ok = s.child.Next() {
+		s.rows.add(t)
 	}
 	s.child.Close()
 	if s.ctx.overBudget() {
 		// The input alone cost more than the run may: nothing is sorted,
 		// held or served.
-		s.rows = nil
 		return
 	}
 	// A bounded run books the sort's charge before sorting — the charge needs
 	// only the row count and the row the sort would put first — so a sort that
 	// takes the run over its budget is never performed. An unbounded run
 	// (every serving path) sorts and reads that row off the front.
+	n, row := s.rows.n, func(i int32) tuple { return s.rows.at(int(i)) }
+	s.order = s.ctx.mem.order(n)
 	sortFirst := s.ctx.budget == 0 || len(s.key) == 0
 	if sortFirst && len(s.key) > 0 {
-		sortStableBy(s.rows, s.key)
+		sortStableBy(s.order, s.key, row)
 	}
 	var sample tuple
-	if len(s.rows) > 0 {
-		if sample = s.rows[0]; !sortFirst {
-			sample = firstMin(s.rows, s.key)
+	if n > 0 {
+		if sample = s.rows.at(int(s.order[0])); !sortFirst {
+			sample = s.firstMin()
 		}
 	}
 	width := s.slots.rowWidth(sample)
-	s.ctx.charge(s.node, s.ctx.sortMillis(float64(len(s.rows)), width), len(s.rows))
+	s.ctx.charge(s.node, s.ctx.sortMillis(float64(n), width), n)
 	if !sortFirst {
 		if s.ctx.overBudget() {
-			s.rows = nil
+			s.order = nil
 			return
 		}
-		sortStableBy(s.rows, s.key)
+		sortStableBy(s.order, s.key, row)
 	}
-	s.heldBytes = int64(width) * int64(len(s.rows))
-	s.ctx.hold(len(s.rows), s.heldBytes)
+	s.heldBytes = int64(width) * int64(n)
+	s.ctx.hold(n, s.heldBytes)
 }
 
-// firstMin returns the row a stable sort on key would put first: the first of
-// the smallest.
-func firstMin(rows []tuple, key []colRef) tuple {
-	first := rows[0]
-	for _, t := range rows[1:] {
-		if compareRows(t, first, key) < 0 {
+// firstMin returns the row a stable sort on the key would put first: the first
+// of the smallest.
+func (s *sortIter) firstMin() tuple {
+	first := s.rows.at(0)
+	for i := 1; i < s.rows.n; i++ {
+		if t := s.rows.at(i); compareRows(t, first, s.key) < 0 {
 			first = t
 		}
 	}
@@ -503,8 +484,8 @@ func (s *sortIter) Close() {
 	s.closed = true
 	s.child.Close()
 	if s.sorted {
-		s.ctx.release(len(s.rows), s.heldBytes)
-		s.rows = nil
+		s.ctx.release(len(s.order), s.heldBytes)
+		s.order = nil
 	}
 }
 

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 	"sync"
 
 	"galo/internal/catalog"
@@ -11,23 +10,16 @@ import (
 	"galo/internal/storage"
 )
 
-// joinKey describes the equi-join columns between the outer and inner inputs
-// of a join, as positions into the respective flat column layouts.
-type joinKey struct {
-	outerPos []int
-	innerPos []int
-}
-
 // openJoin builds the streaming join iterator. All join operators compute
 // result rows with a hash-based algorithm for speed; the simulated time is
 // charged according to the operator's own execution characteristics over the
 // row counts actually processed. The inner (build) side is the only buffered
 // input — the outer streams through.
-func (c *execContext) openJoin(node *qgm.Node) (rowIter, layout, error) {
+func (c *execContext) openJoin(node *qgm.Node) (rowIter, slotList, error) {
 	switch node.Op {
 	case qgm.OpHSJOIN, qgm.OpNLJOIN, qgm.OpMSJOIN:
 	default:
-		return nil, layout{}, fmt.Errorf("executor: unsupported join %s", node.Op)
+		return nil, nil, fmt.Errorf("executor: unsupported join %s", node.Op)
 	}
 	openOuter := c.open
 	if node.Op == qgm.OpHSJOIN {
@@ -35,24 +27,23 @@ func (c *execContext) openJoin(node *qgm.Node) (rowIter, layout, error) {
 	}
 	outer, outerLay, err := openOuter(node.Outer)
 	if err != nil {
-		return nil, layout{}, err
+		return nil, nil, err
 	}
 	return c.joinOver(node, outer, outerLay, c.openOrdered)
 }
 
 // joinOver opens the join's inner side and returns the join iterator over an
 // outer already open, which it closes when the inner fails to.
-func (c *execContext) joinOver(node *qgm.Node, outer rowIter, outerLay layout, openInner func(*qgm.Node) (rowIter, layout, error)) (spineIter, layout, error) {
+func (c *execContext) joinOver(node *qgm.Node, outer rowIter, outerLay slotList, openInner func(*qgm.Node) (rowIter, slotList, error)) (spineIter, slotList, error) {
 	inner, innerLay, err := openInner(node.Inner)
 	if err != nil {
 		outer.Close()
-		return nil, layout{}, err
+		return nil, nil, err
 	}
-	key := c.joinKeys(node, outerLay.cols, innerLay.cols)
+	probe, build := c.prep.joinKeys(outerLay, innerLay)
 	return &joinIter{
 		ctx: c, node: node, outer: outer, inner: inner, mem: c.mem,
-		probe: outerLay.refs(key.outerPos), build: innerLay.refs(key.innerPos),
-		outerSlots: outerLay.slots, innerSlots: innerLay.slots,
+		probe: probe, build: build, outerSlots: outerLay, innerSlots: innerLay,
 	}, outerLay.concat(innerLay), nil
 }
 
@@ -528,11 +519,11 @@ func (j *joinIter) fold(r spineIter) {
 // nlProbeMillis is the per-outer-row cost of probing the inner input of a
 // nested-loop join.
 func (c *execContext) nlProbeMillis(innerNode *qgm.Node, matchedPerProbe, innerRows float64) float64 {
-	tablePages := float64(c.exec.DB.Pages(innerNode.Table))
+	tablePages := float64(c.prep.exec.DB.Pages(innerNode.Table))
 	index := innerNode.Op == qgm.OpIXSCAN || innerNode.Op == qgm.OpFETCH
 	cr := 0.5
 	if index && innerNode.Table != "" && innerNode.Index != "" {
-		if def := c.exec.DB.Catalog.Table(innerNode.Table); def != nil {
+		if def := c.prep.exec.DB.Catalog.Table(innerNode.Table); def != nil {
 			if idx := def.IndexByName(innerNode.Index); idx != nil {
 				cr = idx.ClusterRatio
 			}
@@ -543,42 +534,19 @@ func (c *execContext) nlProbeMillis(innerNode *qgm.Node, matchedPerProbe, innerR
 	return millis
 }
 
-// joinKeys finds the equi-join column positions between the two inputs.
-func (c *execContext) joinKeys(node *qgm.Node, outerCols, innerCols []string) joinKey {
-	outerInst := instanceSet(node.Outer)
-	innerInst := instanceSet(node.Inner)
-	var key joinKey
-	for _, p := range c.query.Where {
-		if !p.IsJoin() {
-			continue
-		}
-		li := c.refToInst[strings.ToUpper(p.Left.Table)]
-		ri := c.refToInst[strings.ToUpper(p.Right.Table)]
-		var op, ip int
-		switch {
-		case outerInst[li] && innerInst[ri]:
-			op = colPos(outerCols, li+"."+p.Left.Column)
-			ip = colPos(innerCols, ri+"."+p.Right.Column)
-		case outerInst[ri] && innerInst[li]:
-			op = colPos(outerCols, ri+"."+p.Right.Column)
-			ip = colPos(innerCols, li+"."+p.Left.Column)
-		default:
-			continue
-		}
-		if op >= 0 && ip >= 0 {
-			key.outerPos = append(key.outerPos, op)
-			key.innerPos = append(key.innerPos, ip)
+// joinKeys pairs the query's equi-join columns across a join's inputs, in
+// WHERE order: probe[i] on the outer, build[i] on the inner.
+func (p *Prepared) joinKeys(outer, inner slotList) (probe, build []colRef) {
+	n, keys := len(p.joins), make([]colRef, 2*len(p.joins))
+	probe, build = keys[:0:n], keys[n:n]
+	for _, j := range p.joins {
+		for _, k := range [2][2]column{j, {j[1], j[0]}} {
+			o, inOuter := outer.ref(k[0])
+			if i, inInner := inner.ref(k[1]); inOuter && inInner {
+				probe, build = append(probe, o), append(build, i)
+				break
+			}
 		}
 	}
-	return key
-}
-
-func instanceSet(n *qgm.Node) map[string]bool {
-	set := map[string]bool{}
-	n.Walk(func(x *qgm.Node) {
-		if x.TableInstance != "" {
-			set[x.TableInstance] = true
-		}
-	})
-	return set
+	return probe, build
 }

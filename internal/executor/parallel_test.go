@@ -322,19 +322,19 @@ func TestParallelHashBuildMatchesSerial(t *testing.T) {
 		}
 	}
 	ids := rowIDs(n)
-	lay := layout{slots: slotList{{ncols: 3, rows: rows}}}
-	probeLay := layout{slots: slotList{{ncols: 2, rows: probes}}}
+	lay := slotList{{ncols: 3, rows: rows}}
+	probeLay := slotList{{ncols: 2, rows: probes}}
 	cases := []struct {
 		name string
-		key  joinKey
+		key  []column // the same columns on either side
 	}{
-		{"single-column", joinKey{outerPos: []int{0}, innerPos: []int{0}}},
-		{"multi-column", joinKey{outerPos: []int{0, 1}, innerPos: []int{0, 1}}},
+		{"single-column", []column{{0, 0}}},
+		{"multi-column", []column{{0, 0}, {0, 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(workers int) (*hashBuild, int) {
-				b := newHashBuild(new(arena), probeLay.refs(tc.key.outerPos), lay.refs(tc.key.innerPos), 1)
+				b := newHashBuild(new(arena), probeLay.refs(tc.key), lay.refs(tc.key), 1)
 				for i := range rows {
 					b.add(ids[i : i+1])
 				}

@@ -77,13 +77,13 @@ func TestReplicasFoldToSerialCounts(t *testing.T) {
 						rows++
 					}
 				}
+				prep, err := ex.Prepare(q)
+				if err != nil {
+					t.Fatal(err)
+				}
 				newContext := func() *execContext {
 					plan.ResetActuals()
-					ctx, err := ex.newContext(q, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return ctx
+					return &prep.newCursor(plan, 0).ctx
 				}
 
 				ctx := newContext()

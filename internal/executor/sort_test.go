@@ -53,7 +53,7 @@ func TestSortStableByMatchesStableSort(t *testing.T) {
 		}
 		want := slices.Clone(rows)
 		slices.SortStableFunc(want, func(a, b tuple) int { return compareRows(a, b, key) })
-		sortStableBy(rows, key)
+		sortStableBy(rows, key, func(t tuple) tuple { return t })
 		for i := range want {
 			if !slices.Equal(rows[i], want[i]) {
 				t.Fatalf("trial %d: position %d holds %v, the stable sort puts %v there", trial, i, rows[i], want[i])

@@ -1,16 +1,18 @@
 package executor
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"galo/internal/catalog"
+	"galo/internal/qgm"
 	"galo/internal/storage"
 )
 
 // tuple is the row flowing between streaming operators: one 32-bit row ID per
-// table instance below the operator, in layout order. Which rows a slot's IDs
-// index is the layout's knowledge, resolved into every colRef when the operator
+// table instance below the operator, in slot order. Which rows a slot's IDs
+// index is the slot's knowledge, resolved into every colRef when the operator
 // opens. Scans hand out one-slot tuples that alias the identity vector, joins
 // concatenate the IDs of their inputs, and column values are copied exactly
 // once, in Cursor.Next's projection. A tuple holds no pointer: slabs, build
@@ -18,8 +20,8 @@ import (
 // Tuples and the rows they stand for are read-only.
 type tuple []uint32
 
-// colRef addresses one column of a tuple: resolved from a flat layout
-// position once, when the operator opens.
+// colRef addresses one column of a tuple: resolved once, when the operator
+// opens.
 type colRef struct {
 	src       *slot
 	slot, off int32
@@ -38,45 +40,55 @@ func (r *colRef) keyWords() []uint64 {
 	return r.src.table.KeyWords(int(r.off))
 }
 
-// slot describes one tuple slot: how many of the layout's columns it carries,
+// slot describes one tuple slot: its FROM instance, its table's column count,
 // the rows its IDs index and the table they are the rows of. A scan holds one
-// (in its scanSource); the layouts above it share it.
+// (in its scanSource); the slot lists above it share it.
 type slot struct {
+	inst  int32
 	ncols int
 	rows  []storage.Row
 	table *storage.Table
 }
 
-// slotList is the slots of a layout, in tuple order.
+// slotList is an operator's output shape: the slots of its tuples, in order.
 type slotList []*slot
 
-// layout is an operator's output shape: the flattened instance-qualified
-// column names, and the tuple slots that carry them.
-type layout struct {
-	cols  []string
-	slots slotList
+// concat is the shape of a join's output: outer slots, then inner slots.
+func (l slotList) concat(r slotList) slotList {
+	return append(append(make(slotList, 0, len(l)+len(r)), l...), r...)
 }
 
-// concat is the layout of a join's output: outer slots, then inner slots.
-func (l layout) concat(r layout) layout {
-	return layout{
-		cols:  append(append([]string{}, l.cols...), r.cols...),
-		slots: append(append(slotList{}, l.slots...), r.slots...),
-	}
-}
-
-// refs resolves flat column positions into tuple references.
-func (l layout) refs(pos []int) []colRef {
-	out := make([]colRef, len(pos))
-	for i, p := range pos {
-		s := 0
-		for p >= l.slots[s].ncols {
-			p -= l.slots[s].ncols
-			s++
+// ref resolves a column of the query: false when no slot carries it.
+func (l slotList) ref(c column) (colRef, bool) {
+	for s, src := range l {
+		if src.inst == c.inst && c.col >= 0 {
+			return colRef{src: src, slot: int32(s), off: c.col}, true
 		}
-		out[i] = colRef{src: l.slots[s], slot: int32(s), off: int32(p)}
+	}
+	return colRef{}, false
+}
+
+// refs resolves the columns some slot carries, skipping the rest.
+func (l slotList) refs(cols []column) []colRef {
+	out := make([]colRef, 0, len(cols))
+	for _, c := range cols {
+		if r, ok := l.ref(c); ok {
+			out = append(out, r)
+		}
 	}
 	return out
+}
+
+// named resolves an instance-qualified column name ("Qi.COL", the plan's
+// order property) into a tuple reference.
+func (l slotList) named(name string) (colRef, bool) {
+	inst, col, _ := strings.Cut(strings.ToUpper(name), ".")
+	for _, src := range l {
+		if qgm.InstanceName(int(src.inst)) == inst {
+			return l.ref(column{src.inst, int32(src.table.Def.ColumnIndex(col))})
+		}
+	}
+	return colRef{}, false
 }
 
 // rowWidth estimates a row's width in bytes from a sample tuple, falling back
@@ -126,7 +138,8 @@ func rowIDs(n int) []uint32 {
 
 // arena is where one goroutine's share of an execution keeps its
 // intermediates: the chunks join-output tuples are carved from and build
-// buffers and exchange batches are cut from, and the build indexes. It draws
+// buffers, SORT buffers and exchange batches are cut from, and the build
+// indexes (whose chain arrays also hold SORT permutations). It draws
 // fixed-size chunks from process-wide pools and hands every one of them back
 // in release, so a steady stream of executions allocates next to nothing.
 //
@@ -149,8 +162,9 @@ const (
 // idChunk is 16 KB of row IDs.
 type idChunk [idChunkLen]uint32
 
-// buildIndex is the storage of one hashBuild index (see hashBuild). Its
-// arrays are reused by capacity; until the build fills them they hold — and
+// buildIndex is the storage of one hashBuild index (see hashBuild), or in next
+// alone of one SORT permutation (arena.order). Its arrays are reused by
+// capacity; until the build fills them they hold — and
 // are as long as — whatever the last user left.
 type buildIndex struct {
 	words []uint64 // per ordinal; nullKeyWord marks a NULL key (never linked)
@@ -197,6 +211,20 @@ func (m *arena) index() *buildIndex {
 	ix := indexPool.Get().(*buildIndex)
 	m.indexes = append(m.indexes, ix)
 	return ix
+}
+
+// order draws a permutation of n ordinals, the identity, in the chain array
+// of a build index's storage.
+func (m *arena) order(n int) []int32 {
+	ix := m.index()
+	if cap(ix.next) < n {
+		ix.next = make([]int32, n)
+	}
+	o := ix.next[:n]
+	for i := range o {
+		o[i] = int32(i)
+	}
+	return o
 }
 
 // release hands everything drawn back to the pools.

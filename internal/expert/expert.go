@@ -85,7 +85,11 @@ func (e *Expert) Diagnose(q *sqlparser.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := exec.Execute(baseline, q)
+	prep, err := exec.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	baseRes, err := prep.Execute(baseline)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +107,7 @@ func (e *Expert) Diagnose(q *sqlparser.Query) (*Result, error) {
 		}
 		res.PlansExamined++
 		res.ManualMinutes += e.Opts.AnalysisMinutesPerPlan
-		run, err := exec.Execute(plan, q)
+		run, err := prep.Execute(plan)
 		if err != nil {
 			continue
 		}

@@ -339,6 +339,7 @@ func (e *Engine) learn(queries []*sqlparser.Query, report *Report) (results []*Q
 		}
 	}()
 	opt := optimizer.New(e.DB.Catalog, optimizer.DefaultOptions())
+	exec := executor.New(e.DB)
 	work := make([][]*subQueryWork, len(queries))
 	var baselines, alternatives []*execution
 	for i, q := range queries {
@@ -356,7 +357,7 @@ func (e *Engine) learn(queries []*sqlparser.Query, report *Report) (results []*Q
 				continue
 			}
 			claimed = append(claimed, key)
-			sw := e.planSubQuery(sub, opt, planGen, gen)
+			sw := e.planSubQuery(sub, opt, exec, planGen, gen)
 			work[i] = append(work[i], sw)
 			for _, v := range sw.variants {
 				baselines = append(baselines, &v.base)
@@ -400,7 +401,7 @@ func (e *Engine) learn(queries []*sqlparser.Query, report *Report) (results []*Q
 
 // planSubQuery is the plan phase of one sub-query: vary its predicates, and
 // for every variant take the optimizer's plan and request random alternatives.
-func (e *Engine) planSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
+func (e *Engine) planSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer, exec *executor.Executor,
 	planGen *randplan.Generator, gen *storage.Generator) *subQueryWork {
 
 	start := time.Now()
@@ -411,7 +412,12 @@ func (e *Engine) planSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
 			sw.err = err
 			break
 		}
-		v := &variantWork{base: execution{Plan: basePlan, Query: variant}}
+		prep, err := exec.Prepare(variant)
+		if err != nil {
+			sw.err = err
+			break
+		}
+		v := &variantWork{base: execution{Plan: basePlan, Query: prep}}
 		sw.variants = append(sw.variants, v)
 		sw.funnel.Variants++
 		alts, err := planGen.RandomPlans(variant, e.Opts.RandomPlans)
@@ -421,7 +427,7 @@ func (e *Engine) planSubQuery(sub *sqlparser.Query, opt *optimizer.Optimizer,
 			break
 		}
 		for _, p := range alts {
-			v.alts = append(v.alts, execution{Plan: p, Query: variant})
+			v.alts = append(v.alts, execution{Plan: p, Query: prep})
 		}
 	}
 	sw.wallMillis = millisSince(start)
@@ -437,11 +443,10 @@ func (e *Engine) budget(baselineMillis float64) float64 {
 	return baselineMillis * (1 - e.Opts.MinImprovement) / (1 - tieBand)
 }
 
-// execute runs every execution once, on one pool of Options.Workers. The
-// executor is stateless, so one serves all workers; every execution owns its
-// plan, whose actuals the run annotates.
+// execute runs every execution once, on one pool of Options.Workers. A
+// prepared query is never written, so the workers share each variant's; every
+// execution owns its plan, whose actuals the run annotates.
 func (e *Engine) execute(units []*execution) {
-	exec := executor.New(e.DB)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < min(e.Opts.Workers, len(units)); w++ {
@@ -451,7 +456,7 @@ func (e *Engine) execute(units []*execution) {
 			for i := next.Add(1) - 1; int(i) < len(units); i = next.Add(1) - 1 {
 				x := units[i]
 				start := time.Now()
-				x.Stats, x.Err = exec.RunBounded(x.Plan, x.Query, x.Budget)
+				x.Stats, x.Err = x.Query.RunBounded(x.Plan, x.Budget)
 				x.wallMillis = millisSince(start)
 			}
 		}()

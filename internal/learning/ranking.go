@@ -5,7 +5,6 @@ import (
 
 	"galo/internal/executor"
 	"galo/internal/qgm"
-	"galo/internal/sqlparser"
 )
 
 // execution is one plan's one run — the paper's ranking module, with db2batch
@@ -14,8 +13,10 @@ import (
 // would time the same number: the plan is executed once and ranked on that
 // run, and the repetitions are only billed (see billed).
 type execution struct {
-	Plan  *qgm.Plan
-	Query *sqlparser.Query
+	Plan *qgm.Plan
+	// Query is the variant the plan answers, prepared once for the baseline
+	// and every alternative of it.
+	Query *executor.Prepared
 	// Budget is the simulated time the run was bounded to (0 = unbounded): a
 	// plan booking more is aborted and billed Budget per repetition — what
 	// db2batch under that timeout would have spent.

@@ -1,6 +1,11 @@
 package rdf
 
-import "testing"
+import (
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // FuzzParseNTriples: ParseNTriples never panics, and whatever it accepts
 // loads, dumps (NTriples) and parses again to the same set of triples — the
@@ -53,4 +58,44 @@ func FuzzParseNTriples(f *testing.F) {
 			}
 		}
 	})
+}
+
+// numericSeeds are literals at the edges of what ParseFloat takes after
+// TrimSpace: a guideline document and an IRI, white space around a number,
+// NaN and Inf in their spellings, a leading sign or point, a hexadecimal
+// float, an underscore (which a decimal literal may not hold) and nothing.
+var numericSeeds = []string{
+	"<OPTGUIDELINES><HSJOIN/></OPTGUIDELINES>", "http://galo/kb/pop/t1", " 1e3 ", "\t\n7\r", " 2\u0085",
+	"NaN", "nan", "Inf", "-Infinity", "+inf", "+.5", "-.5e-3", ".", "0x1p-2", "0X1P+2", "1_0", "0x_1p0",
+	"", " ", "e5", "x1", "12abc", "\x002",
+}
+
+// TestNumericLiteralAcceptsWhatParseFloatDoes holds numericLiteral's one-byte
+// rejection to what it stands in front of: a literal is numeric, with the
+// same value, exactly when strconv.ParseFloat accepts it after
+// strings.TrimSpace.
+func TestNumericLiteralAcceptsWhatParseFloatDoes(t *testing.T) {
+	for _, s := range numericSeeds {
+		checkNumericLiteral(t, s)
+	}
+}
+
+// FuzzNumericLiteral is TestNumericLiteralAcceptsWhatParseFloatDoes over
+// generated literals.
+func FuzzNumericLiteral(f *testing.F) {
+	for _, s := range numericSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkNumericLiteral)
+}
+
+func checkNumericLiteral(t *testing.T, s string) {
+	want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	got, ok := numericLiteral(Term{Kind: Literal, Value: s})
+	if ok != (err == nil) || ok && math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("numericLiteral(%q) = %v, %v; ParseFloat after TrimSpace: %v, %v", s, got, ok, want, err)
+	}
+	if _, ok := numericLiteral(Term{Kind: IRI, Value: s}); ok {
+		t.Fatalf("the IRI %q read as a number", s)
+	}
 }

@@ -290,7 +290,7 @@ func bandValue(t Term) (float64, bool) {
 // numericLiteral parses a literal term's numeric value for the secondary
 // index; ok is false for IRIs and non-numeric literals.
 func numericLiteral(t Term) (float64, bool) {
-	if t.Kind != Literal {
+	if t.Kind != Literal || !mayStartFloat(t.Value) {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(t.Value), 64)
@@ -298,4 +298,20 @@ func numericLiteral(t Term) (float64, bool) {
 		return 0, false
 	}
 	return f, true
+}
+
+// mayStartFloat is one byte test that rejects most literals ParseFloat would
+// after TrimSpace — a guideline document, an IRI, a word — without either: a
+// number starts with a digit, a sign, a point, or the I or N of Inf or NaN.
+// Anything that may be white space, ASCII or not, goes on to be trimmed.
+func mayStartFloat(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c|0x20 == 'i', c|0x20 == 'n':
+		return true
+	default:
+		return c <= ' ' || c >= 0x80
+	}
 }

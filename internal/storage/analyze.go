@@ -138,11 +138,12 @@ func runEnd(sorted []catalog.Value, i int) int {
 }
 
 // frequentList keeps the frequentValues most frequent values offered, most
-// frequent first and ties in ascending Value.Key order. A value's key is built
-// only when its count reaches the list.
+// frequent first and ties in ascending Value.Key order. A key is rendered only
+// to break a count tie: the offered value's at its first tie, a kept value's
+// at the first tie it takes part in.
 type frequentList struct {
 	values []catalog.FrequentValue
-	keys   []string
+	keys   []string // values[i].Value.Key(), "" until a tie needs it (no key is "")
 }
 
 func (f *frequentList) offer(v catalog.Value, count int64) {
@@ -150,10 +151,21 @@ func (f *frequentList) offer(v catalog.Value, count int64) {
 	if full && count < f.values[frequentValues-1].Count {
 		return
 	}
-	key := v.Key()
+	var key string
 	i := len(f.values)
-	for i > 0 && (f.values[i-1].Count < count || f.values[i-1].Count == count && f.keys[i-1] > key) {
-		i--
+	for ; i > 0 && f.values[i-1].Count <= count; i-- {
+		if f.values[i-1].Count < count {
+			continue
+		}
+		if key == "" {
+			key = v.Key()
+		}
+		if f.keys[i-1] == "" {
+			f.keys[i-1] = f.values[i-1].Value.Key()
+		}
+		if f.keys[i-1] <= key {
+			break
+		}
 	}
 	if full {
 		if i == frequentValues {

@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"galo/internal/catalog"
@@ -251,6 +254,48 @@ func TestAnalyzeFrequentValueCap(t *testing.T) {
 		}
 		if freq[i].Value.AsInt() != w || freq[i].Count != wantCount {
 			t.Errorf("frequent[%d] = %v x%d, want %d x%d", i, freq[i].Value, freq[i].Count, w, wantCount)
+		}
+	}
+}
+
+// TestFrequentListMatchesReference offers runs of random numbers, strings and
+// NULLs with counts drawn from a few values — so ties are common, at the cut
+// too — and holds the list to the reference order: count descending, then
+// Value.Key ascending, the first frequentValues kept.
+func TestFrequentListMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := range 500 {
+		var offered []catalog.FrequentValue
+		var f frequentList
+		for range r.Intn(40) {
+			var v catalog.Value
+			switch r.Intn(4) {
+			case 0:
+				v = catalog.String(string(rune('a' + r.Intn(26))))
+			case 1:
+				v = catalog.Null()
+			default:
+				v = catalog.Int(int64(r.Intn(1000)))
+			}
+			count := int64(1 + r.Intn(4))
+			offered = append(offered, catalog.FrequentValue{Value: v, Count: count})
+			f.offer(v, count)
+		}
+		want := slices.Clone(offered)
+		slices.SortStableFunc(want, func(a, b catalog.FrequentValue) int {
+			if c := cmp.Compare(b.Count, a.Count); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Value.Key(), b.Value.Key())
+		})
+		want = want[:min(len(want), frequentValues)]
+		if len(f.values) != len(want) {
+			t.Fatalf("trial %d: %d values kept, want %d", trial, len(f.values), len(want))
+		}
+		for i := range want {
+			if f.values[i].Count != want[i].Count || f.values[i].Value.Key() != want[i].Value.Key() {
+				t.Fatalf("trial %d: frequent[%d] = %v x%d, want %v x%d", trial, i, f.values[i].Value, f.values[i].Count, want[i].Value, want[i].Count)
+			}
 		}
 	}
 }
