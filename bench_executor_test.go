@@ -62,15 +62,6 @@ type perRunRow struct {
 	Bytes  uint64  `json:"bytes"`
 }
 
-// perRunBefore is what one Executor.Run of each Figure 8 wide plan allocated
-// at the parent of the commit that added executor.Prepare, where every run
-// cloned and resolved the query, built name layouts and compiled its
-// predicates: measured with perRunOf on a clone of that commit.
-var perRunBefore = map[string]perRunRow{
-	"fig8wide_orig":      {Allocs: 103, Bytes: 9456},
-	"fig8wide_rewritten": {Allocs: 99, Bytes: 9504},
-}
-
 // perRunOf measures one run: allocations averaged over 20 runs after a warm-up
 // (testing.AllocsPerRun), bytes the lowest TotalAlloc growth per run over five
 // windows of four, as the executor package's bytes-per-run ceilings read them.
@@ -97,8 +88,9 @@ func perRunOf(t *testing.T, run func() error) perRunRow {
 // perRunRows measures the two executions of a validated /reopt request on the
 // wide-range Figure 8 query — the plan the stale statistics pick and the hash
 // joins GALO rewrites it to — as Executor.Run (the query prepared anew) and as
-// Prepared.Run (prepared once, as core.validate and learning run it).
-func perRunRows(t *testing.T, db *storage.Database, opt *optimizer.Optimizer) map[string]any {
+// Prepared.Run (prepared once, as core.validate and learning run it). Each
+// row's before is the prepared_run row of the committed file.
+func perRunRows(t *testing.T, db *storage.Database, opt *optimizer.Optimizer, committed map[string]any) map[string]any {
 	t.Helper()
 	fig8 := tpcds.Fig8WideQuery(db)
 	hash := func(outer, inner *optimizer.Spec) *optimizer.Spec { return optimizer.Join(qgm.OpHSJOIN, outer, inner) }
@@ -116,7 +108,10 @@ func perRunRows(t *testing.T, db *storage.Database, opt *optimizer.Optimizer) ma
 	out := map[string]any{}
 	for name, plan := range map[string]*qgm.Plan{"fig8wide_orig": opt.MustOptimize(fig8), "fig8wide_rewritten": rewritten} {
 		out[name] = map[string]any{
-			"before":       perRunBefore[name],
+			"before": perRunRow{
+				Allocs: committedNumber(committed, "per_run", name, "prepared_run", "allocs"),
+				Bytes:  uint64(committedNumber(committed, "per_run", name, "prepared_run", "bytes")),
+			},
 			"executor_run": perRunOf(t, func() error { _, err := ex.Run(plan, fig8); return err }),
 			"prepared_run": perRunOf(t, func() error { _, err := prep.Run(plan); return err }),
 		}
@@ -291,9 +286,9 @@ func TestEmitBenchExecutorJSON(t *testing.T) {
 		"speedup_gate_armed": gateArmed,
 		"env":                benchEnv(),
 		"before_env":         beforeEnv,
-		"note":               "wall_ms is the best of 5 runs; sim_millis is the deterministic simulated cost (identical at every worker count by the cost-parity invariant); peak_rows/peak_bytes is the high-water mark of rows resident in operator state (sort buffers, hash build sides, group sets). materializing_at_parent is not a measurement of this emission: it is what the materializing engine returned and held on the same plans in its last emission, at the parent of the commit that deleted it — counts of the simulated database, deterministic, kept as Go literals beside the emitter (its wall times measured a machine and are not carried over). The emit test fails if the streaming rows or sim_millis differ from those, or if streaming peak_rows exceeds 50% of materializing_at_parent.peak_rows. The parallel section runs the same plans on the exchange operator at 1/2/4 workers: sim_millis must stay bit-identical to serial streaming at every worker count, and the emit fails if 4 workers don't at least halve the serial wall time. That speedup gate only arms when the emitting machine has >= 4 CPUs (speedup_gate_armed; false means the committed speedups were never gated): exchange workers are real goroutines, so on fewer cores the parallel rows measure scheduling overhead, not speedup. before is the wall_ms of the same row in the BENCH_executor.json this emission replaced, emitted where before_env says. per_run is what one run of the wide-range Figure 8 query's two validated plans allocates (fig8wide_orig, the plan the stale statistics pick; fig8wide_rewritten, GALO's hash joins), as counts: allocs per run and the bytes of one warmed run, on the same scale-1.0 data. executor_run is Executor.Run, which prepares the query anew; prepared_run is Prepared.Run over a query prepared once, as plan validation and learning run it; before is Executor.Run at the parent of the change that added executor.Prepare, measured with the same perRunOf on a clone of that commit and kept as Go literals beside the emitter. The committed file was emitted by that change on a 2-CPU machine at -cpu 1; every sim_millis, peak_rows, peak_bytes and rows of the streaming and parallel rows is identical to the replaced file's, and its wall_ms beside before measures the machine as much as the code.",
+		"note":               "wall_ms is the best of 5 runs; sim_millis is the deterministic simulated cost (identical at every worker count by the cost-parity invariant); peak_rows/peak_bytes is the high-water mark of rows resident in operator state (sort buffers, hash build sides, group sets). materializing_at_parent is not a measurement of this emission: it is what the materializing engine returned and held on the same plans in its last emission, at the parent of the commit that deleted it — counts of the simulated database, deterministic, kept as Go literals beside the emitter (its wall times measured a machine and are not carried over). The emit test fails if the streaming rows or sim_millis differ from those, or if streaming peak_rows exceeds 50% of materializing_at_parent.peak_rows. The parallel section runs the same plans on the exchange operator at 1/2/4 workers: sim_millis must stay bit-identical to serial streaming at every worker count, and the emit fails if 4 workers don't at least halve the serial wall time. That speedup gate only arms when the emitting machine has >= 4 CPUs (speedup_gate_armed; false means the committed speedups were never gated): exchange workers are real goroutines, so on fewer cores the parallel rows measure scheduling overhead, not speedup. before is the wall_ms of the same row in the BENCH_executor.json this emission replaced, emitted where before_env says. per_run is what one run of the wide-range Figure 8 query's two validated plans allocates (fig8wide_orig, the plan the stale statistics pick; fig8wide_rewritten, GALO's hash joins), as counts: allocs per run and the bytes of one warmed run, on the same scale-1.0 data. executor_run is Executor.Run, which prepares the query anew; prepared_run is Prepared.Run over a query prepared once, as plan validation and learning run it, and counting its root join where it can; before is the prepared_run row of the BENCH_executor.json this emission replaced. The committed file was emitted on a 2-CPU machine at -cpu 1; every sim_millis, peak_rows, peak_bytes and rows of the streaming and parallel rows is identical to the replaced file's, and its wall_ms beside before measures the machine as much as the code.",
 		"pipelines":          results,
-		"per_run":            perRunRows(t, db, opt),
+		"per_run":            perRunRows(t, db, opt, committed),
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -194,9 +194,10 @@ func runOf(ex *Executor, plan *qgm.Plan, q *sqlparser.Query) func() (RunStats, e
 //
 // The bytes ceilings pin the arena and the prepared query. A warmed
 // Prepared.Run of either Figure 8 wide plan allocates its operators and
-// nothing else — about 3.1 KB, under 4 KB, which is less than half of the
-// 9.2 KB and 9.5 KB an Executor.Run cost while every run re-resolved the
-// query — and an Executor.Run, which prepares too, about 5.3 KB, under 8 KB.
+// nothing else — about 2.8 KB since it counts its root join (3.1 KB before),
+// under 3 KB, which is less than a third of the 9.2 KB and 9.5 KB an
+// Executor.Run cost while every run re-resolved the query — and an
+// Executor.Run, which prepares too, about 4.6 KB (4.9 KB), under 6 KB.
 // With join outputs, build buffers, SORT buffers and index arrays recycled,
 // nothing grows with the rows: the root-feeding segment of
 // BenchmarkExecuteRootSegment at 4 workers, 28 800 rows through the exchange,
@@ -238,8 +239,8 @@ func TestExecuteAllocCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkBytesPerRun(t, c.name+", Prepared.Run", 4<<10, func() (RunStats, error) { return prep.Run(c.plan) })
-		checkBytesPerRun(t, c.name+", Executor.Run", 8<<10, runOf(ex, c.plan, c.q))
+		checkBytesPerRun(t, c.name+", Prepared.Run", 3<<10, func() (RunStats, error) { return prep.Run(c.plan) })
+		checkBytesPerRun(t, c.name+", Executor.Run", 6<<10, runOf(ex, c.plan, c.q))
 	}
 	if pooled {
 		db, q, plan := rootSegmentCase(t)

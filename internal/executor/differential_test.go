@@ -487,7 +487,7 @@ func TestJoinKeyEqualityMatchesMaterialize(t *testing.T) {
 			t.Run(tc.name+"/"+string(method), func(t *testing.T) {
 				q := sqlparser.MustParse(tc.sql)
 				spec := optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT"))
-				stream, _ := assertFrozen(t, db, opt, q, spec)
+				stream, _, _ := assertFrozen(t, db, opt, q, spec)
 				if stream.Rows != want {
 					t.Errorf("join produced %d rows, brute force over KeyEqual says %d", stream.Rows, want)
 				}
@@ -574,7 +574,7 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 		for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
 			t.Run(tc.name+"/"+string(method), func(t *testing.T) {
 				q := sqlparser.MustParse(`SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1`)
-				stream, _ := assertFrozen(t, db, opt, q, optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT")))
+				stream, _, _ := assertFrozen(t, db, opt, q, optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT")))
 				if stream.Rows != want {
 					t.Errorf("join produced %d rows, brute force over KeyEqual says %d", stream.Rows, want)
 				}

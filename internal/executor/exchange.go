@@ -110,7 +110,7 @@ func (s spine) replica(p *partition) spine {
 func (s spine) drainBuilds(c *execContext) bool {
 	for i := len(s) - 1; i > 0; i-- {
 		if j, ok := s[i].(*joinIter); ok {
-			if j.buildInner(nil); c.overBudget() {
+			if j.buildInner(nil, false); c.overBudget() {
 				return false
 			}
 		}

@@ -35,6 +35,11 @@
 // counts both paths keep alike, so rows, actuals and RunStats are unchanged —
 // the peaks too: the drained rows are held in the accounting as the plan's
 // build side either way (indexprobe.go).
+//
+// Run and RunBounded read only counts: a root join under RETURN and FILTERs,
+// keyed on one column with a key-word vector on either side, is counted, not
+// pulled (countRows) — its inputs hand up key row IDs, not tuples — and every
+// charge is booked from the same counts and samples, so nothing moves.
 package executor
 
 import (
@@ -257,7 +262,8 @@ func (p *Prepared) Execute(plan *qgm.Plan) (*Result, error) {
 
 // Run executes the plan for its runtime statistics (and the plan's actuals)
 // alone: the pipeline is drained without projecting or collecting a single
-// result row — what plan validation and ranking need.
+// result row — what plan validation and ranking need — and a root join that
+// can count is counted, its output rows never built (countRows).
 func (p *Prepared) Run(plan *qgm.Plan) (RunStats, error) {
 	return p.RunBounded(plan, 0)
 }
@@ -275,8 +281,12 @@ func (p *Prepared) RunBounded(plan *qgm.Plan, budgetMillis float64) (RunStats, e
 	if err != nil {
 		return RunStats{}, err
 	}
-	for _, ok := cur.root.Next(); ok; _, ok = cur.root.Next() {
-		cur.rows++
+	if n, counted := countRows(cur.root); counted {
+		cur.rows = n
+	} else {
+		for _, ok := cur.root.Next(); ok; _, ok = cur.root.Next() {
+			cur.rows++
+		}
 	}
 	cur.finish()
 	return cur.Stats(), nil

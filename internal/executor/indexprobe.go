@@ -42,42 +42,11 @@ type indexProbe struct {
 var indexAnswered, indexSwitched, indexCounted atomic.Int64
 
 // indexProbe returns the probe of a stored index that can answer the join's
-// probes, or nil when none can: the key is one column with a key-word vector,
-// the inner a fresh serial table or index scan, and the index is in key-word
-// order (storage.Table.KeyWordOrdered) — the scanned index leading with the
-// key, or for a table scan a single-column index on it, whose stable sort
-// lists one key's entries in row order. An exchange's lead never asks: its
-// replicas probe the build concurrently.
+// probes, or nil when none can (keyOrderedIndex). An exchange's lead never
+// asks: its replicas probe the build concurrently.
 func (j *joinIter) indexProbe() *indexProbe {
-	if len(j.build) != 1 {
-		return nil
-	}
-	var s *scanIter
-	switch it := j.inner.(type) {
-	case *tbscanIter:
-		s = &it.scanIter
-	case *ixscanIter:
-		s = &it.scanIter
-	default:
-		return nil
-	}
-	k := &j.build[0]
-	words := k.keyWords()
-	if words == nil || s.pos != s.lo || s.end != s.hi {
-		return nil
-	}
-	table, col := s.table, s.table.Def.Columns[k.off].Name
-	def := s.idxDef
-	if def == nil {
-		def = singleColumnIndex(table.Def, col)
-	} else if def.Columns[0] != col {
-		return nil
-	}
-	if def == nil {
-		return nil
-	}
-	idx := s.ctx.prep.exec.DB.Index(table.Def.Name, def.Name)
-	if idx == nil || !table.KeyWordOrdered(idx) {
+	s, idx := j.keyOrderedIndex()
+	if idx == nil {
 		return nil
 	}
 	lo, hi := s.lo, s.hi // an index scan's entry range
@@ -85,7 +54,47 @@ func (j *joinIter) indexProbe() *indexProbe {
 		lo, hi = 0, idx.Len() // a table scan reads every row
 	}
 	// pos = hi: no run until the first seek.
-	return &indexProbe{scan: j.inner.(spineIter), src: s, entries: idx.Entries, words: words, lo: lo, hi: hi, pos: hi}
+	return &indexProbe{scan: j.inner.(spineIter), src: s, entries: idx.Entries, words: j.build[0].keyWords(), lo: lo, hi: hi, pos: hi}
+}
+
+// keyOrderedIndex returns the join's inner scan and the stored index that can
+// answer its probes, or a nil index when none can: the key is one column with
+// a key-word vector, the inner a fresh serial table or index scan, and the
+// index is in key-word order (storage.Table.KeyWordOrdered) — the scanned
+// index leading with the key, or for a table scan a single-column index on
+// it, whose stable sort lists one key's entries in row order.
+func (j *joinIter) keyOrderedIndex() (*scanIter, *storage.IndexData) {
+	var s *scanIter
+	switch it := j.inner.(type) {
+	case *tbscanIter:
+		s = &it.scanIter
+	case *ixscanIter:
+		s = &it.scanIter
+	default:
+		return nil, nil
+	}
+	if len(j.build) != 1 {
+		return s, nil
+	}
+	k := &j.build[0]
+	if k.keyWords() == nil || s.pos != s.lo || s.end != s.hi {
+		return s, nil
+	}
+	table, col := s.table, s.table.Def.Columns[k.off].Name
+	def := s.idxDef
+	if def == nil {
+		def = singleColumnIndex(table.Def, col)
+	} else if def.Columns[0] != col {
+		return s, nil
+	}
+	if def == nil {
+		return s, nil
+	}
+	idx := s.ctx.prep.exec.DB.Index(table.Def.Name, def.Name)
+	if idx == nil || !table.KeyWordOrdered(idx) {
+		return s, nil
+	}
+	return s, idx
 }
 
 // singleColumnIndex returns an index of the table on the column alone, or nil.

@@ -50,6 +50,51 @@ type spineIter interface {
 	finalize()
 }
 
+// nextID pulls the next tuple of an input for the row ID in one slot: where
+// the input is a join, or a FILTER over one, without building the tuple.
+func nextID(it rowIter, slot int32) (uint32, bool) {
+	switch it := it.(type) {
+	case *joinIter:
+		return it.nextID(slot)
+	case *passIter:
+		if id, ok := nextID(it.child, slot); ok {
+			it.n++
+			return id, true
+		}
+		it.finalize()
+		return 0, false
+	}
+	if t, ok := it.Next(); ok {
+		return t[slot], true
+	}
+	return 0, false
+}
+
+// rootsCounted counts, process-wide, the runs countRows drained (tests).
+var rootsCounted atomic.Int64
+
+// countRows drains a pipeline for its row count alone when its root's chain of
+// RETURN and FILTERs, which only count, ends at a join that can count
+// (joinIter.countable); each operator finalizes, bottom-up, as the drain
+// through Next has it. False leaves the pipeline untouched.
+func countRows(it rowIter) (int, bool) {
+	switch it := it.(type) {
+	case *passIter:
+		n, ok := countRows(it.child)
+		if ok {
+			it.n = n
+			it.finalize()
+		}
+		return n, ok
+	case *joinIter:
+		if it.countable() {
+			rootsCounted.Add(1)
+			return it.count(), true
+		}
+	}
+	return 0, false
+}
+
 // open builds the iterator pipeline for the subtree rooted at node and
 // returns it with its output slots. All plan validation (instances the query
 // lacks, unknown tables, missing indexes) and all column resolution — the

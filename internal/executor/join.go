@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"galo/internal/catalog"
@@ -71,9 +72,11 @@ type joinIter struct {
 	trackEarlyOut bool
 	nProcessed    int
 
-	cur  tuple  // the outer tuple being probed
-	word uint64 // its key word
-	mi   int32  // next matching build ordinal, -1 when cur is spent
+	cur    tuple  // the outer tuple being probed
+	word   uint64 // its key word
+	mi     int32  // next matching build ordinal, -1 when cur is spent
+	hit    int32  // advance's last match: build ordinal, or -1 for index row hitRow
+	hitRow uint32
 
 	outerSample     tuple
 	nOuterRows      int
@@ -82,30 +85,59 @@ type joinIter struct {
 }
 
 func (j *joinIter) Next() (tuple, bool) {
+	if !j.advance() {
+		return nil, false
+	}
+	return j.mem.concat(j.cur, j.matched()), true
+}
+
+// nextID is Next handing up only slot s of the output tuple, unbuilt.
+func (j *joinIter) nextID(s int32) (uint32, bool) {
+	if !j.advance() {
+		return 0, false
+	}
+	if n := int32(len(j.cur)); s >= n {
+		return j.matched()[s-n], true
+	}
+	return j.cur[s], true
+}
+
+// matched returns the inner tuple of the match advance found last.
+func (j *joinIter) matched() tuple {
+	if j.hit >= 0 {
+		return j.hb.rows.at(int(j.hit))
+	}
+	return j.ix.src.ids[j.hitRow : j.hitRow+1 : j.hitRow+1]
+}
+
+// advance finds the next match and counts it: the output tuple is cur‖matched().
+func (j *joinIter) advance() bool {
 	if !j.built {
-		j.buildInner(j.indexProbe())
+		j.buildInner(j.indexProbe(), false)
 		if j.ctx.overBudget() {
 			// The build side alone cost more than the run may: no probe.
 			j.finalize()
-			return nil, false
+			return false
 		}
 	}
 	for {
 		if i := j.mi; i >= 0 {
 			j.mi = j.hb.after(i, j.word, j.cur)
 			j.nOut++
-			return j.mem.concat(j.cur, j.hb.rows.at(int(i))), true
+			j.hit = i
+			return true
 		}
 		if j.ix != nil {
 			if id := j.ix.next(); id >= 0 {
 				j.nOut++
-				return j.mem.concat(j.cur, j.ix.src.ids[id:id+1:id+1]), true
+				j.hit, j.hitRow = -1, uint32(id)
+				return true
 			}
 		}
 		orow, ok := j.outer.Next()
 		if !ok {
 			j.finalize()
-			return nil, false
+			return false
 		}
 		j.nOuterRows++
 		if j.outerSample == nil {
@@ -127,34 +159,91 @@ func (j *joinIter) Next() (tuple, bool) {
 	}
 }
 
+// countable reports whether count can stand in for draining the join: one key
+// column with a key-word vector on either side, so a match is an equal word,
+// and an inner that is drained — one counted from its index is left to Next.
+func (j *joinIter) countable() bool {
+	if len(j.build) != 1 || j.probe[0].keyWords() == nil || j.build[0].keyWords() == nil {
+		return false
+	}
+	s, idx := j.keyOrderedIndex()
+	return idx == nil || len(s.preds) > 0
+}
+
+// count drains the join for the rows it would emit (countRows): the inner as
+// buildInner drains a build and the outer likewise, keeping key words alone,
+// and the output is the pairs of equal words. Every count and sample the join
+// is charged from is the emitting path's.
+func (j *joinIter) count() int {
+	if j.buildInner(nil, true); !j.ctx.overBudget() {
+		b := j.hb
+		j.outerSample, j.nOuterRows = b.fileKeys(j.outer, j.probe[0].slot, b.probeWords)
+		if j.trackEarlyOut { // raiseMax and withinMax, by word
+			for _, w := range b.words[:b.n] {
+				if catalog.KeyWordAbove(w, b.maxWord) {
+					b.maxWord = w
+				}
+			}
+			for _, w := range b.words[b.n:] {
+				if !catalog.KeyWordAbove(w, b.maxWord) {
+					j.nProcessed++
+				}
+			}
+		}
+		j.nOut = b.pairs(b.n)
+	}
+	j.finalize()
+	return j.nOut
+}
+
+// fileKeys drains an input for its rows' key words — words by the row ID in
+// slot, appended to b.words — and returns its first tuple and its row count.
+func (b *hashBuild) fileKeys(it rowIter, slot int32, words []uint64) (first tuple, n int) {
+	first, ok := it.Next()
+	var id uint32
+	if ok {
+		id = first[slot]
+	}
+	for ; ok; id, ok = nextID(it, slot) {
+		b.words = append(b.words, words[id])
+		n++
+	}
+	return first, n
+}
+
 // buildInner drains the inner child and, unless ix answers the probes from the
 // stored index, buffers the rows as the build side and indexes them by join
 // key. An inner ix answers whose scan has no predicate is not drained but
 // counted from the index (indexProbe.count), to the same counts, sample and
-// bound. Either way the inner's rows are held in the intermediate accounting
-// until Close: the peaks count the plan's build side. It runs on the goroutine
-// driving the cursor, in whose arena the build lives (an exchange's lead is
-// built there too, never with ix). For an early-out MSJOIN the same pass
-// records the largest value of the first key column.
-func (j *joinIter) buildInner(ix *indexProbe) {
+// bound. A counting join (count) keeps only the drained rows' key words. Either
+// way the inner's rows are held in the intermediate accounting until Close:
+// the peaks count the plan's build side. It runs on the goroutine driving the
+// cursor, in whose arena the build lives (an exchange's lead is built there
+// too, never with ix). For an early-out MSJOIN the same pass records the
+// largest value of the first key column.
+func (j *joinIter) buildInner(ix *indexProbe, counting bool) {
 	j.built = true
 	j.mi = -1
 	wantMax := j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.probe) > 0
 	b, inner := newHashBuild(j.mem, j.probe, j.build, len(j.innerSlots)), j.inner
 	var sample tuple // the first row: the serial spill-formula sample
-	if ix != nil && len(ix.src.preds) == 0 {
-		sample = ix.count(b, wantMax) // leaves the scan spent: the loop reads nothing
-	}
-	for t, ok := inner.Next(); ok; t, ok = inner.Next() {
-		if b.n == 0 {
-			sample = t
-		}
-		b.n++
-		if wantMax {
-			b.raiseMax(t)
-		}
-		if ix == nil {
-			b.add(t)
+	switch {
+	case ix != nil && len(ix.src.preds) == 0:
+		sample = ix.count(b, wantMax) // leaves the scan spent: nothing to drain
+	case counting: // count bounds the early-out
+		sample, b.n = b.fileKeys(inner, b.build[0].slot, b.buildWords)
+	default:
+		for t, ok := inner.Next(); ok; t, ok = inner.Next() {
+			if b.n == 0 {
+				sample = t
+			}
+			b.n++
+			if wantMax {
+				b.raiseMax(t)
+			}
+			if ix == nil {
+				b.add(t)
+			}
 		}
 	}
 	inner.Close()
@@ -164,7 +253,7 @@ func (j *joinIter) buildInner(ix *indexProbe) {
 	b.width = j.innerSlots.rowWidth(sample)
 	b.heldBytes = int64(b.width) * int64(b.n)
 	switch {
-	case j.ctx.overBudget(): // an over-budget build is never probed
+	case j.ctx.overBudget() || counting: // an over-budget build is never probed
 	case ix != nil && b.n > 0:
 		ix.limit = b.n / (2 * bits.Len(uint(ix.hi-ix.lo+1)))
 		j.ix = ix
@@ -321,10 +410,12 @@ func keyHash(t tuple, refs []colRef) uint64 {
 // and the second multiply's top bits depend on all of it (14 400 consecutive
 // integers, dates or multiples of 1000 in 32 768 buckets: 1.06–1.18 slots
 // walked per successful probe; one multiply alone: up to 1.86).
-func (b *hashBuild) bucket(w uint64) uint64 {
+func (b *hashBuild) bucket(w uint64) uint64 { return mix(w) >> b.shift }
+
+func mix(w uint64) uint64 {
 	const m = 0x9e3779b97f4a7c15
 	w *= m
-	return ((w ^ w>>32) * m) >> b.shift
+	return (w ^ w>>32) * m
 }
 
 // index links the chains over the words filed by add and reports how many
@@ -363,6 +454,46 @@ func (b *hashBuild) index(workers int) int {
 			}
 		}
 	})
+}
+
+// pairs returns how many pairs of equal words words[:n] and words[n:] hold, a
+// NULL pairing with none: an exact join's output count, in any order. The
+// smaller side is tallied in an open-addressing table of four slots a word or
+// more (words appended to words, NULL marking an empty slot; tallies in
+// heads), and the larger side looked up in it.
+func (x *buildIndex) pairs(n int) (total int) {
+	small, large := x.words[:n], x.words[n:]
+	if len(large) < len(small) {
+		small, large = large, small
+	}
+	size, shift, end := 1, uint(64), len(x.words)
+	for size < 4*len(small) {
+		size, shift = size<<1, shift-1
+	}
+	if x.words = slices.Grow(x.words, size)[:end+size]; cap(x.heads) < size {
+		x.heads = make([]int32, size)
+	}
+	table, tally, mask := x.words[end:], x.heads[:size], uint64(size-1)
+	for i := range table {
+		table[i], tally[i] = nullKeyWord, 0
+	}
+	find := func(w uint64) uint64 { // w's slot, or the empty one it would take
+		h := mix(w) >> shift
+		for table[h] != w && table[h] != nullKeyWord {
+			h = (h + 1) & mask
+		}
+		return h
+	}
+	for _, w := range small {
+		if w != nullKeyWord {
+			h := find(w)
+			table[h], tally[h] = w, tally[h]+1
+		}
+	}
+	for _, w := range large {
+		total += int(tally[find(w)]) // an empty slot, NULL's among them, tallies 0
+	}
+	return total
 }
 
 // fanOut runs fn over each range — inline for a single range, one goroutine

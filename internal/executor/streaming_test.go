@@ -14,11 +14,13 @@ import (
 // choice when spec is nil) on the streaming engine and requires the answer
 // testdata/differential.json froze under the test's name: the rows in order,
 // every operator's actuals and all of RunStats, bit for bit. It returns the
-// run's stats and the peak intermediate rows the materializing engine held on
+// run's stats, the peak intermediate rows the materializing engine held on
 // the same plan when the file was frozen, which the streaming engine must not
-// exceed. A case frozen after that engine was deleted records none; its peak
-// is pinned by the frozen RunStats alone.
-func assertFrozen(t *testing.T, db *storage.Database, opt *optimizer.Optimizer, q *sqlparser.Query, spec *optimizer.Spec) (stream RunStats, matPeakRows int64) {
+// exceed, and the index paths the execution took. A case frozen after that
+// engine was deleted records none; its peak is pinned by the frozen RunStats
+// alone. The plan's Run and bounded runs must then book what the execution
+// did (checkCounting).
+func assertFrozen(t *testing.T, db *storage.Database, opt *optimizer.Optimizer, q *sqlparser.Query, spec *optimizer.Spec) (stream RunStats, matPeakRows int64, paths indexPaths) {
 	t.Helper()
 	var plan *qgm.Plan
 	var err error
@@ -27,18 +29,28 @@ func assertFrozen(t *testing.T, db *storage.Database, opt *optimizer.Optimizer, 
 	} else if plan, err = opt.BuildPlan(q, spec); err != nil {
 		t.Fatalf("BuildPlan: %v", err)
 	}
-	res, err := New(db).Execute(plan, q)
+	p, err := New(db).Prepare(q)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	before := loadIndexPaths()
+	res, err := p.Execute(plan)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	want, d := frozenCheck(t, t.Name(), freeze(run{rows: res.Rows, ops: actuals(plan), stats: res.Stats}))
+	paths = loadIndexPaths().sub(before)
+	executed := run{rows: res.Rows, ops: actuals(plan), stats: res.Stats}
+	want, d := frozenCheck(t, t.Name(), freeze(executed))
 	if d != "" {
 		t.Errorf("%s\n%s", qgm.Format(plan), d)
 	}
 	if want.MatPeakRows > 0 && res.Stats.PeakIntermediateRows > want.MatPeakRows {
 		t.Errorf("streaming peak rows %d exceeds the materializing engine's %d", res.Stats.PeakIntermediateRows, want.MatPeakRows)
 	}
-	return res.Stats, want.MatPeakRows
+	if d := checkCounting(p, plan, executed); d != "" {
+		t.Errorf("%s\n%s", qgm.Format(plan), d)
+	}
+	return res.Stats, want.MatPeakRows, paths
 }
 
 // TestStreamingMatchesMaterializingMatrix holds the operator matrix named in
@@ -129,7 +141,7 @@ func TestStreamingBoundsIntermediateRows(t *testing.T) {
 	q := sqlparser.MustParse(`SELECT i_item_desc, ws_quantity FROM web_sales, item
 		WHERE ws_item_sk = i_item_sk ORDER BY i_item_desc`)
 	spec := optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("WEB_SALES"), optimizer.Leaf("ITEM"))
-	stream, matPeak := assertFrozen(t, db, opt, q, spec)
+	stream, matPeak, _ := assertFrozen(t, db, opt, q, spec)
 	if stream.PeakIntermediateRows <= 0 || matPeak <= 0 {
 		t.Fatalf("peak accounting missing: streaming=%d materializing=%d", stream.PeakIntermediateRows, matPeak)
 	}

@@ -162,10 +162,11 @@ const (
 // idChunk is 16 KB of row IDs.
 type idChunk [idChunkLen]uint32
 
-// buildIndex is the storage of one hashBuild index (see hashBuild), or in next
-// alone of one SORT permutation (arena.order). Its arrays are reused by
-// capacity; until the build fills them they hold — and
-// are as long as — whatever the last user left.
+// buildIndex is the storage of one hashBuild index (see hashBuild), in next
+// alone of one SORT permutation (arena.order), or in words and heads of a
+// counting join's key words and tally table (buildIndex.pairs). Its arrays are
+// reused by capacity; until the build fills them they hold — and are as long
+// as — whatever the last user left.
 type buildIndex struct {
 	words []uint64 // per ordinal; nullKeyWord marks a NULL key (never linked)
 	heads []int32  // per bucket (len is a power of two); -1 when empty
