@@ -185,10 +185,10 @@ func BenchmarkExp2TPCDSImprovement(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.TPCDSSummary.Matched), "matched")
-	b.ReportMetric(float64(res.TPCDSSummary.Applied), "rewritten")
-	b.ReportMetric(res.TPCDSSummary.AvgImprovement*100, "%avg-improvement")
-	b.ReportMetric(float64(res.TPCDSTemplates), "templates")
+	b.ReportMetric(float64(res.TPCDS.Summary.Matched), "matched")
+	b.ReportMetric(float64(res.TPCDS.Summary.Applied), "rewritten")
+	b.ReportMetric(res.TPCDS.Summary.AvgImprovement*100, "%avg-improvement")
+	b.ReportMetric(float64(res.TPCDS.Templates), "templates")
 }
 
 // BenchmarkExp2ClientImprovement regenerates Figure 10b and the
@@ -205,9 +205,9 @@ func BenchmarkExp2ClientImprovement(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.ClientSummary.Matched), "matched")
-	b.ReportMetric(float64(res.ClientSummary.Applied), "rewritten")
-	b.ReportMetric(res.ClientSummary.AvgImprovement*100, "%avg-improvement")
+	b.ReportMetric(float64(res.Client.Summary.Matched), "matched")
+	b.ReportMetric(float64(res.Client.Summary.Applied), "rewritten")
+	b.ReportMetric(res.Client.Summary.AvgImprovement*100, "%avg-improvement")
 	b.ReportMetric(float64(res.CrossWorkloadMatches), "cross-workload-reuse")
 }
 

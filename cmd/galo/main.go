@@ -242,46 +242,31 @@ the serve API (default address :3030):
 `)
 }
 
+// load generates the -workload's database from its DefaultGen at -scale and
+// -seed (0 keeps the workload's own seed) and returns its first -queries
+// queries.
 func (s *settings) load() (*galo.Database, []*galo.Query, error) {
-	switch strings.ToLower(s.workload) {
-	case "tpcds":
-		db, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: s.seed, Scale: s.scale, Hazards: true})
-		if err != nil {
-			return nil, nil, err
-		}
+	sc, ok := galo.ScenarioByName(strings.ToLower(s.workload))
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown workload %q (want tpcds, client, ohlc, joblike or trace)", s.workload)
+	}
+	gen := sc.DefaultGen()
+	if s.seed != 0 {
+		gen.Seed = s.seed
+	}
+	gen.Scale = s.scale
+	db, err := sc.Generate(gen)
+	if err != nil {
+		return nil, nil, err
+	}
+	queries := sc.HazardQueries(db, s.queries)
+	if sc.Name() == "tpcds" {
 		// The wide-range Figure 8 variants ride along after the -queries
 		// limit: their date ranges depend on the generated calendar, and they
 		// are the workload's deterministic misestimation hazard.
-		return db, append(limit(galo.TPCDSQueries(), s.queries), galo.Fig8WideVariants(db, 4)...), nil
-	case "client":
-		db, err := galo.GenerateClient(galo.ClientOptions{Seed: s.seed, Scale: s.scale, Hazards: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		return db, limit(galo.ClientQueries(), s.queries), nil
-	default:
-		sc, ok := galo.ScenarioByName(strings.ToLower(s.workload))
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown workload %q (want tpcds, client, ohlc, joblike or trace)", s.workload)
-		}
-		gen := sc.DefaultGen()
-		if s.seed != 0 {
-			gen.Seed = s.seed
-		}
-		gen.Scale = s.scale
-		db, err := sc.Generate(gen)
-		if err != nil {
-			return nil, nil, err
-		}
-		return db, sc.HazardQueries(db, s.queries), nil
+		queries = append(queries, galo.Fig8WideVariants(db, 4)...)
 	}
-}
-
-func limit(qs []*galo.Query, n int) []*galo.Query {
-	if n > 0 && n < len(qs) {
-		return qs[:n]
-	}
-	return qs
+	return db, queries, nil
 }
 
 // serveUntilSignal runs serve until it fails or SIGINT/SIGTERM arrives; then

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"galo"
+	"galo/internal/workload/scenario"
 )
 
 // TestFlagSurfaceFrozen builds every command's flag set from the options
@@ -214,6 +215,27 @@ func TestParseFleetSpec(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("parseFleetSpec(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestSeedZeroIsTheWorkloadDefault: -seed 0 generates every workload from its
+// own DefaultGen seed, as the flag's help text says.
+func TestSeedZeroIsTheWorkloadDefault(t *testing.T) {
+	for _, name := range []string{"tpcds", "client", "ohlc", "joblike", "trace"} {
+		db, _, err := (&settings{workload: name, scale: 0.05}).load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sc, _ := galo.ScenarioByName(name)
+		gen := sc.DefaultGen()
+		gen.Scale = 0.05
+		want, err := sc.Generate(gen)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, fp := scenario.Fingerprint(db), scenario.Fingerprint(want); got != fp {
+			t.Errorf("%s -seed 0: fingerprint %x, DefaultGen gives %x", name, got, fp)
 		}
 	}
 }

@@ -258,12 +258,12 @@ func ClientQueries() []*Query { return client.Queries() }
 
 // --- Workload zoo ------------------------------------------------------------
 
-// Scenario is one adversarial workload of the zoo: a deterministic generator
-// with a built-in estimation hazard, the hazard queries, and the statistical
-// remedy that fixes it (see internal/workload/scenario).
+// Scenario is one workload — TPC-DS, client or a zoo scenario: a
+// deterministic generator with a built-in estimation hazard, its queries, and
+// the statistical remedy that fixes it (see internal/workload/scenario).
 type Scenario = scenario.Scenario
 
-// ScenarioGenOptions controls zoo scenario generation.
+// ScenarioGenOptions controls scenario generation.
 type ScenarioGenOptions = scenario.GenOptions
 
 // TenancyOptions configures per-tenant knowledge base namespaces on the
@@ -274,7 +274,8 @@ type TenancyOptions = core.TenancyOptions
 // trace).
 func Scenarios() []Scenario { return experiments.Scenarios() }
 
-// ScenarioByName looks a zoo scenario up by its registry name.
+// ScenarioByName looks any workload up by its registry name: tpcds, client,
+// ohlc, joblike or trace.
 func ScenarioByName(name string) (Scenario, bool) { return experiments.ScenarioByName(name) }
 
 // ZooResult is one zoo scenario's pre/post-learning estimation quality:

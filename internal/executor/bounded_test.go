@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -122,5 +123,40 @@ func boundedSuite(t *testing.T, name string, db *storage.Database, opt *optimize
 	t.Logf("%s, %d plans: %d of %d runs at half the budget stopped before booking the full cost", name, plans, cutShort, aborted)
 	if cutShort < aborted/4 {
 		t.Errorf("%s: aborting saves nothing: %d of %d runs at half the budget were cut short", name, cutShort, aborted)
+	}
+}
+
+// TestStoppedJoinStaysExhausted: a join whose build side alone takes the run
+// over its budget stops, and every later Next returns false without doing
+// anything — the outer is never pulled, and RunStats and every operator's
+// ActMillis and ActCardinality stay as the stop left them.
+func TestStoppedJoinStaysExhausted(t *testing.T) {
+	_, opt, ex := setup(t)
+	q := sqlparser.MustParse(`SELECT ss_quantity FROM store_sales, date_dim
+		WHERE ss_sold_date_sk = d_date_sk AND d_year >= 1995`)
+	plan, err := opt.BuildPlan(q, optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("STORE_SALES"), optimizer.Leaf("DATE_DIM")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ex.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := p.open(plan, math.SmallestNonzeroFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.finish()
+	if _, ok := cur.root.Next(); ok || !cur.ctx.overBudget() {
+		t.Fatalf("Next = %v over budget %v: the build did not stop the run", ok, cur.ctx.overBudget())
+	}
+	stopped := run{ops: actuals(plan), stats: cur.Stats()}
+	for i := 2; i <= 3; i++ {
+		if _, ok := cur.root.Next(); ok {
+			t.Fatalf("Next #%d after the stop returned a row", i)
+		}
+		if d := sameBits(stopped, run{ops: actuals(plan), stats: cur.Stats()}); d != "" {
+			t.Fatalf("Next #%d after the stop moved the run: %s", i, d)
+		}
 	}
 }

@@ -63,6 +63,7 @@ type joinIter struct {
 	outerSlots, innerSlots slotList
 
 	built bool
+	done  bool // advance has returned false: every later call does too, doing nothing
 	hb    *hashBuild
 	ix    *indexProbe // answers the probes instead of hb until the switch (indexprobe.go)
 
@@ -112,10 +113,14 @@ func (j *joinIter) matched() tuple {
 
 // advance finds the next match and counts it: the output tuple is cur‖matched().
 func (j *joinIter) advance() bool {
+	if j.done {
+		return false
+	}
 	if !j.built {
 		j.buildInner(j.indexProbe(), false)
 		if j.ctx.overBudget() {
 			// The build side alone cost more than the run may: no probe.
+			j.done = true
 			j.finalize()
 			return false
 		}
@@ -136,6 +141,7 @@ func (j *joinIter) advance() bool {
 		}
 		orow, ok := j.outer.Next()
 		if !ok {
+			j.done = true
 			j.finalize()
 			return false
 		}

@@ -26,6 +26,7 @@ import (
 	"galo/internal/storage"
 	"galo/internal/transform"
 	"galo/internal/workload/client"
+	"galo/internal/workload/scenario"
 	"galo/internal/workload/tpcds"
 )
 
@@ -44,7 +45,8 @@ type Config struct {
 	// large fact tables. Missing or non-positive entries fall back to Scale.
 	WorkloadScales map[string]float64
 	// TPCDSQueries / ClientQueries limit how many workload queries are used
-	// (0 = all: 99 and 116 respectively).
+	// (0 = all: 99 and 116 respectively); a zoo scenario uses all its hazard
+	// queries.
 	TPCDSQueries  int
 	ClientQueries int
 	// Learning is the learning engine configuration of harness runs; each
@@ -60,7 +62,7 @@ type Config struct {
 // benchmarks.
 func DefaultConfig() Config {
 	cfg := Config{
-		Seed: 20190522,
+		Seed: defaultSeed,
 		// 10x the pre-streaming-executor default (0.12): concurrent plan
 		// execution no longer materializes every intermediate, so the hazard
 		// experiments can afford the data volumes where the Figure 8 rescue
@@ -89,28 +91,15 @@ func DefaultConfig() Config {
 	return cfg
 }
 
+// defaultSeed is DefaultConfig's Seed: TPC-DS's DefaultGen seed.
+const defaultSeed = 20190522
+
 func (c Config) learningOptions(workload string, joinThreshold int) learning.Options {
 	opts := c.Learning
 	opts.JoinThreshold = joinThreshold
 	opts.Seed = c.Seed
 	opts.Workload = workload
 	return opts
-}
-
-func (c Config) tpcdsQueries() []*sqlparser.Query {
-	qs := tpcds.Queries()
-	if c.TPCDSQueries > 0 && c.TPCDSQueries < len(qs) {
-		qs = qs[:c.TPCDSQueries]
-	}
-	return qs
-}
-
-func (c Config) clientQueries() []*sqlparser.Query {
-	qs := client.Queries()
-	if c.ClientQueries > 0 && c.ClientQueries < len(qs) {
-		qs = qs[:c.ClientQueries]
-	}
-	return qs
 }
 
 // ScaleFor returns the data scale for a workload: its WorkloadScales entry
@@ -122,12 +111,20 @@ func (c Config) ScaleFor(workload string) float64 {
 	return c.Scale
 }
 
-func (c Config) tpcdsDB() (*storage.Database, error) {
-	return tpcds.Generate(tpcds.GenOptions{Seed: c.Seed, Scale: c.ScaleFor("tpcds"), Hazards: true})
-}
-
-func (c Config) clientDB() (*storage.Database, error) {
-	return client.Generate(client.GenOptions{Seed: c.Seed + 1, Scale: c.ScaleFor("client"), Hazards: true})
+// generate builds a workload's database and queries for a harness run: its
+// DefaultGen at ScaleFor, the seed shifted by Seed's distance from the default
+// (TPC-DS at Seed, client at Seed+1, the zoo at its own seeds by default), and
+// the first TPCDSQueries / ClientQueries of its queries.
+func (c Config) generate(sc scenario.Scenario) (*storage.Database, []*sqlparser.Query, error) {
+	gen := sc.DefaultGen()
+	gen.Seed += c.Seed - defaultSeed
+	gen.Scale = c.ScaleFor(sc.Name())
+	db, err := sc.Generate(gen)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: generate: %w", sc.Name(), err)
+	}
+	limit := map[string]int{"tpcds": c.TPCDSQueries, "client": c.ClientQueries}[sc.Name()]
+	return db, sc.HazardQueries(db, limit), nil
 }
 
 // --- Exp-1 / Figure 9: learning scalability ----------------------------------
@@ -152,10 +149,9 @@ func RunExp1(cfg Config, thresholds []int) ([]Exp1Row, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{1, 2, 3, 4}
 	}
-	queries := cfg.tpcdsQueries()
 	var rows []Exp1Row
 	for _, th := range thresholds {
-		db, err := cfg.tpcdsDB()
+		db, queries, err := cfg.generate(tpcds.New())
 		if err != nil {
 			return nil, err
 		}
@@ -180,21 +176,23 @@ func RunExp1(cfg Config, thresholds []int) ([]Exp1Row, error) {
 
 // --- Exp-2 / Figure 10: matching performance improvement ---------------------
 
-// Exp2Result holds the per-query outcomes for both workloads plus the
-// cross-workload reuse count.
+// Exp2Workload is one workload's half of Exp-2: the per-query outcomes, the
+// knowledge base size after learning the workload (before any import), and
+// the learning funnel — when a workload learns nothing, the first stage at
+// zero says why.
+type Exp2Workload struct {
+	Outcomes  []core.QueryOutcome
+	Summary   core.WorkloadSummary
+	Templates int
+	Funnel    learning.Funnel
+
+	sys     *core.System
+	queries []*sqlparser.Query
+}
+
+// Exp2Result holds both workloads' halves plus the cross-workload reuse count.
 type Exp2Result struct {
-	TPCDS         []core.QueryOutcome
-	TPCDSSummary  core.WorkloadSummary
-	Client        []core.QueryOutcome
-	ClientSummary core.WorkloadSummary
-	// TPCDSTemplates and ClientTemplates are the knowledge base sizes after
-	// learning each workload.
-	TPCDSTemplates  int
-	ClientTemplates int
-	// TPCDSFunnel and ClientFunnel are the learning funnels of the two runs:
-	// when a workload learns nothing, the first stage at zero says why.
-	TPCDSFunnel  learning.Funnel
-	ClientFunnel learning.Funnel
+	TPCDS, Client Exp2Workload
 	// CrossWorkloadMatches counts client-workload queries improved by a
 	// rewrite learned on TPC-DS (the 6-out-of-23 result of Exp-2).
 	CrossWorkloadMatches int
@@ -203,57 +201,45 @@ type Exp2Result struct {
 // RunExp2 learns on both workloads and re-optimizes both, reporting Figure
 // 10a, Figure 10b and the cross-workload reuse count.
 func RunExp2(cfg Config) (*Exp2Result, error) {
-	out := &Exp2Result{}
-
 	// TPC-DS: learn then re-optimize (Figure 10a).
-	tpcdsDB, err := cfg.tpcdsDB()
+	tp, err := cfg.exp2Run(tpcds.New(), nil)
 	if err != nil {
 		return nil, err
 	}
-	tpcdsSys := core.NewSystem(tpcdsDB, core.Config{
-		Learning: cfg.learningOptions("tpcds", 4),
-		Matching: matching.DefaultOptions(),
-		Exec:     cfg.Exec,
-	})
-	tpcdsQueries := cfg.tpcdsQueries()
-	tpcdsReport, err := tpcdsSys.Learn(tpcdsQueries)
-	if err != nil {
-		return nil, err
-	}
-	out.TPCDSFunnel = tpcdsReport.Funnel
-	out.TPCDSTemplates = tpcdsSys.KB().Size()
-	out.TPCDS, out.TPCDSSummary, err = tpcdsSys.ReoptimizeWorkload(tpcdsQueries)
-	if err != nil {
-		return nil, err
-	}
-
 	// Client: learn on the client workload, then merge in the TPC-DS
 	// knowledge so cross-workload reuse can be observed (Figure 10b).
-	clientDB, err := cfg.clientDB()
+	cl, err := cfg.exp2Run(client.New(), tp.sys)
 	if err != nil {
 		return nil, err
 	}
-	clientSys := core.NewSystem(clientDB, core.Config{
-		Learning: cfg.learningOptions("client", 4),
+	return &Exp2Result{TPCDS: *tp, Client: *cl, CrossWorkloadMatches: countCrossWorkloadMatches(cl.sys, cl.queries)}, nil
+}
+
+// exp2Run learns on sc's workload and re-optimizes it, after importing
+// teacher's knowledge base when teacher is not nil.
+func (cfg Config) exp2Run(sc scenario.Scenario, teacher *core.System) (*Exp2Workload, error) {
+	db, queries, err := cfg.generate(sc)
+	if err != nil {
+		return nil, err
+	}
+	w := &Exp2Workload{queries: queries}
+	w.sys = core.NewSystem(db, core.Config{
+		Learning: cfg.learningOptions(sc.Name(), 4),
 		Matching: matching.DefaultOptions(),
 		Exec:     cfg.Exec,
 	})
-	clientQueries := cfg.clientQueries()
-	clientReport, err := clientSys.Learn(clientQueries)
+	report, err := w.sys.Learn(queries)
 	if err != nil {
 		return nil, err
 	}
-	out.ClientFunnel = clientReport.Funnel
-	out.ClientTemplates = clientSys.KB().Size()
-	if err := clientSys.ImportKB(tpcdsSys.KB()); err != nil {
-		return nil, err
+	w.Funnel, w.Templates = report.Funnel, w.sys.KB().Size()
+	if teacher != nil {
+		if err := w.sys.ImportKB(teacher.KB()); err != nil {
+			return nil, err
+		}
 	}
-	out.Client, out.ClientSummary, err = clientSys.ReoptimizeWorkload(clientQueries)
-	if err != nil {
-		return nil, err
-	}
-	out.CrossWorkloadMatches = countCrossWorkloadMatches(clientSys, clientQueries)
-	return out, nil
+	w.Outcomes, w.Summary, err = w.sys.ReoptimizeWorkload(queries)
+	return w, err
 }
 
 // countCrossWorkloadMatches re-runs matching for the improved client queries
@@ -301,7 +287,7 @@ func RunExp3(cfg Config, widths []int) ([]Exp3Row, error) {
 	if len(widths) == 0 {
 		widths = []int{2, 4, 8, 15, 24, 32}
 	}
-	db, err := cfg.tpcdsDB()
+	db, _, err := cfg.generate(tpcds.New())
 	if err != nil {
 		return nil, err
 	}
@@ -371,11 +357,10 @@ func RunExp4(cfg Config, querySizes, kbSizes []int) ([]Exp4Row, error) {
 	if len(kbSizes) == 0 {
 		kbSizes = []int{50, 200, 1000}
 	}
-	db, err := cfg.tpcdsDB()
+	db, allQueries, err := cfg.generate(tpcds.New())
 	if err != nil {
 		return nil, err
 	}
-	allQueries := cfg.tpcdsQueries()
 	var rows []Exp4Row
 	for _, kbSize := range kbSizes {
 		knowledge := kb.New()
@@ -480,7 +465,7 @@ type Exp56Row struct {
 // and Exp-6: the simulated experts' diagnosis time and plan quality against
 // GALO's learning engine.
 func RunExp56(cfg Config) ([]Exp56Row, error) {
-	db, err := cfg.tpcdsDB()
+	db, _, err := cfg.generate(tpcds.New())
 	if err != nil {
 		return nil, err
 	}

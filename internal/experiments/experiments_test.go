@@ -48,20 +48,20 @@ func TestRunExp2ImprovesWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunExp2: %v", err)
 	}
-	if res.TPCDSSummary.Queries == 0 || res.ClientSummary.Queries == 0 {
+	if res.TPCDS.Summary.Queries == 0 || res.Client.Summary.Queries == 0 {
 		t.Fatalf("workloads not executed: %+v", res)
 	}
-	if res.TPCDSTemplates == 0 {
+	if res.TPCDS.Templates == 0 {
 		t.Errorf("no templates learned on TPC-DS")
 	}
-	if res.TPCDSSummary.Matched == 0 {
+	if res.TPCDS.Summary.Matched == 0 {
 		t.Errorf("no TPC-DS queries matched for re-optimization")
 	}
-	if res.TPCDSSummary.Applied > 0 && res.TPCDSSummary.AvgImprovement < 0 {
-		t.Errorf("applied rewrites but negative improvement: %+v", res.TPCDSSummary)
+	if res.TPCDS.Summary.Applied > 0 && res.TPCDS.Summary.AvgImprovement < 0 {
+		t.Errorf("applied rewrites but negative improvement: %+v", res.TPCDS.Summary)
 	}
-	if res.TPCDSSummary.TotalGalo > res.TPCDSSummary.TotalOriginal*1.001 {
-		t.Errorf("validated re-optimization must never regress the workload: %+v", res.TPCDSSummary)
+	if res.TPCDS.Summary.TotalGalo > res.TPCDS.Summary.TotalOriginal*1.001 {
+		t.Errorf("validated re-optimization must never regress the workload: %+v", res.TPCDS.Summary)
 	}
 	text := RenderExp2(res)
 	if !strings.Contains(text, "Figure 10a") || !strings.Contains(text, "cross-workload reuse") {

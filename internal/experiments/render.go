@@ -27,16 +27,17 @@ func RenderExp1(rows []Exp1Row) string {
 // RenderExp2 renders Figure 10a/10b and the reuse count as text.
 func RenderExp2(res *Exp2Result) string {
 	var b strings.Builder
-	b.WriteString("Exp-2 / Figure 10a — TPC-DS workload, optimizer with GALO versus without\n")
-	b.WriteString(renderOutcomes(res.TPCDS))
-	fmt.Fprintf(&b, "summary: %d/%d queries matched (%d rewrites kept), avg improvement %.0f%%, templates learned %d\n",
-		res.TPCDSSummary.Matched, res.TPCDSSummary.Queries, res.TPCDSSummary.Applied, res.TPCDSSummary.AvgImprovement*100, res.TPCDSTemplates)
-	fmt.Fprintf(&b, "learning funnel: %s\n\n", res.TPCDSFunnel)
-	b.WriteString("Exp-2 / Figure 10b — client workload, optimizer with GALO versus without\n")
-	b.WriteString(renderOutcomes(res.Client))
-	fmt.Fprintf(&b, "summary: %d/%d queries matched (%d rewrites kept), avg improvement %.0f%%, templates learned %d\n",
-		res.ClientSummary.Matched, res.ClientSummary.Queries, res.ClientSummary.Applied, res.ClientSummary.AvgImprovement*100, res.ClientTemplates)
-	fmt.Fprintf(&b, "learning funnel: %s\n", res.ClientFunnel)
+	figures := []string{"10a — TPC-DS", "10b — client"}
+	for i, w := range []Exp2Workload{res.TPCDS, res.Client} {
+		if i > 0 {
+			b.WriteString("\n")
+		}
+		fmt.Fprintf(&b, "Exp-2 / Figure %s workload, optimizer with GALO versus without\n", figures[i])
+		b.WriteString(renderOutcomes(w.Outcomes))
+		fmt.Fprintf(&b, "summary: %d/%d queries matched (%d rewrites kept), avg improvement %.0f%%, templates learned %d\n",
+			w.Summary.Matched, w.Summary.Queries, w.Summary.Applied, w.Summary.AvgImprovement*100, w.Templates)
+		fmt.Fprintf(&b, "learning funnel: %s\n", w.Funnel)
+	}
 	fmt.Fprintf(&b, "cross-workload reuse: %d client queries improved by a pattern learned on TPC-DS\n",
 		res.CrossWorkloadMatches)
 	return b.String()

@@ -15,6 +15,7 @@ import (
 	"galo/internal/catalog"
 	"galo/internal/storage"
 	"galo/internal/workload/client"
+	"galo/internal/workload/scenario"
 	"galo/internal/workload/tpcds"
 )
 
@@ -33,36 +34,36 @@ type statsCase struct {
 	build func() (*storage.Database, error)
 }
 
+// catalogStatsCases generates every workload through its scenario: TPC-DS and
+// client at two scales and seeds 31 / 32, the zoo at its DefaultGen and scale
+// 0.15, each with and without hazards, before and after Learn.
 func catalogStatsCases() []statsCase {
+	build := func(sc scenario.Scenario, gen scenario.GenOptions, learn bool) func() (*storage.Database, error) {
+		return func() (*storage.Database, error) {
+			db, err := sc.Generate(gen)
+			if err != nil || !learn {
+				return db, err
+			}
+			_, err = sc.Learn(db)
+			return db, err
+		}
+	}
 	var cases []statsCase
-	for _, scale := range []float64{0.08, 0.5} {
-		for _, hazards := range []bool{true, false} {
-			scale, hazards := scale, hazards
-			suffix := fmt.Sprintf("scale_%v/hazards_%v", scale, hazards)
-			cases = append(cases,
-				statsCase{"tpcds/" + suffix, func() (*storage.Database, error) {
-					return tpcds.Generate(tpcds.GenOptions{Seed: 31, Scale: scale, Hazards: hazards})
-				}},
-				statsCase{"client/" + suffix, func() (*storage.Database, error) {
-					return client.Generate(client.GenOptions{Seed: 32, Scale: scale, Hazards: hazards})
-				}})
+	for i, sc := range []scenario.Scenario{tpcds.New(), client.New()} {
+		for _, scale := range []float64{0.08, 0.5} {
+			for _, hazards := range []bool{true, false} {
+				gen := scenario.GenOptions{Seed: int64(31 + i), Scale: scale, Hazards: hazards}
+				name := fmt.Sprintf("%s/scale_%v/hazards_%v", sc.Name(), scale, hazards)
+				cases = append(cases, statsCase{name, build(sc, gen, false)}, statsCase{name + "/learned_true", build(sc, gen, true)})
+			}
 		}
 	}
 	for _, sc := range Scenarios() {
 		for _, hazards := range []bool{true, false} {
 			for _, learn := range []bool{false, true} {
-				sc, hazards, learn := sc, hazards, learn
-				cases = append(cases, statsCase{fmt.Sprintf("%s/hazards_%v/learned_%v", sc.Name(), hazards, learn), func() (*storage.Database, error) {
-					gen := sc.DefaultGen()
-					gen.Scale = 0.15
-					gen.Hazards = hazards
-					db, err := sc.Generate(gen)
-					if err != nil || !learn {
-						return db, err
-					}
-					_, err = sc.Learn(db)
-					return db, err
-				}})
+				gen := sc.DefaultGen()
+				gen.Scale, gen.Hazards = 0.15, hazards
+				cases = append(cases, statsCase{fmt.Sprintf("%s/hazards_%v/learned_%v", sc.Name(), hazards, learn), build(sc, gen, learn)})
 			}
 		}
 	}

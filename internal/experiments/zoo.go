@@ -10,9 +10,11 @@ import (
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
+	"galo/internal/workload/client"
 	"galo/internal/workload/joblike"
 	"galo/internal/workload/ohlc"
 	"galo/internal/workload/scenario"
+	"galo/internal/workload/tpcds"
 	"galo/internal/workload/trace"
 )
 
@@ -23,9 +25,15 @@ func Scenarios() []scenario.Scenario {
 	return []scenario.Scenario{ohlc.New(), joblike.New(), trace.New()}
 }
 
-// ScenarioByName looks a zoo scenario up by its registry name.
+// workloads returns every workload: TPC-DS, client and the zoo.
+func workloads() []scenario.Scenario {
+	return append([]scenario.Scenario{tpcds.New(), client.New()}, Scenarios()...)
+}
+
+// ScenarioByName looks any workload up by its registry name: tpcds, client or
+// a zoo scenario.
 func ScenarioByName(name string) (scenario.Scenario, bool) {
-	for _, sc := range Scenarios() {
+	for _, sc := range workloads() {
 		if sc.Name() == name {
 			return sc, true
 		}
@@ -84,21 +92,18 @@ type ZooResult struct {
 	PostMax    float64
 }
 
-// RunZoo generates every zoo scenario at its per-workload scale
-// (Config.ScaleFor), measures per-scan q-error over the hazard queries under
+// RunZoo generates every zoo scenario as the harness does (Config.generate),
+// measures per-scan q-error over the hazard queries under
 // default statistics, applies the scenario's Learn remedy, and measures
 // again. The pre/post gap is the tier-1 gate: pre p90 > 10 (the hazard
 // fires), post p90 < 2 (the remedy works).
 func RunZoo(cfg Config) ([]ZooResult, error) {
 	var out []ZooResult
 	for _, sc := range Scenarios() {
-		gen := sc.DefaultGen()
-		gen.Scale = cfg.ScaleFor(sc.Name())
-		db, err := sc.Generate(gen)
+		db, queries, err := cfg.generate(sc)
 		if err != nil {
-			return nil, fmt.Errorf("%s: generate: %w", sc.Name(), err)
+			return nil, err
 		}
-		queries := sc.HazardQueries(db, 0)
 		pre, err := ScanQErrors(db, optimizer.DefaultOptions(), queries)
 		if err != nil {
 			return nil, fmt.Errorf("%s: pre-learning: %w", sc.Name(), err)

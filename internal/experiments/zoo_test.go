@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"galo/internal/storage"
+	"galo/internal/workload/client"
 	"galo/internal/workload/scenario"
+	"galo/internal/workload/tpcds"
 )
 
 // zooTestConfig runs the zoo at gate-test scale: small enough for tier-1,
@@ -46,12 +49,13 @@ func TestZooHazardGates(t *testing.T) {
 	}
 }
 
-// TestZooGeneratorsDeterministic extends PR 2's determinism invariant to the
-// zoo: the same options produce byte-identical datasets and query lists on
-// repeated runs (and across -cpu counts — CI runs this test under -cpu 1,4),
-// and different seeds produce different data.
+// TestZooGeneratorsDeterministic holds every workload — TPC-DS, client and the
+// zoo — to the determinism invariant: the same options produce byte-identical
+// datasets and query lists on repeated runs (and across -cpu counts — CI runs
+// this test under -cpu 1,4), different seeds produce different data, and
+// Learn never touches a stored row.
 func TestZooGeneratorsDeterministic(t *testing.T) {
-	for _, sc := range Scenarios() {
+	for _, sc := range workloads() {
 		sc := sc
 		t.Run(sc.Name(), func(t *testing.T) {
 			gen := sc.DefaultGen()
@@ -66,6 +70,12 @@ func TestZooGeneratorsDeterministic(t *testing.T) {
 				qfp := scenario.FingerprintQueries(sc.HazardQueries(db, 0))
 				if run == 0 {
 					dbFP, qFP = fp, qfp
+					if _, err := sc.Learn(db); err != nil {
+						t.Fatal(err)
+					}
+					if fp := scenario.Fingerprint(db); fp != dbFP {
+						t.Errorf("Learn changed the dataset fingerprint %x to %x", dbFP, fp)
+					}
 					continue
 				}
 				if fp != dbFP {
@@ -84,6 +94,34 @@ func TestZooGeneratorsDeterministic(t *testing.T) {
 				t.Errorf("different seed produced identical dataset fingerprint %x", fp)
 			}
 		})
+	}
+}
+
+// TestHarnessSeedRule pins how the harness seeds every workload from
+// Config.Seed: TPC-DS is generated at Seed and client at Seed+1 (what the
+// harness did before the workloads shared one path), at the default seed and
+// at another one.
+func TestHarnessSeedRule(t *testing.T) {
+	for _, seed := range []int64{defaultSeed, 7} {
+		cfg := DefaultConfig()
+		cfg.Seed, cfg.Scale = seed, 0.05
+		for _, want := range []struct {
+			sc       scenario.Scenario
+			generate func(scenario.GenOptions) (*storage.Database, error)
+			seed     int64
+		}{{tpcds.New(), tpcds.Generate, seed}, {client.New(), client.Generate, seed + 1}} {
+			db, _, err := cfg.generate(want.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := want.generate(scenario.GenOptions{Seed: want.seed, Scale: 0.05, Hazards: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, fp := scenario.Fingerprint(db), scenario.Fingerprint(ref); got != fp {
+				t.Errorf("seed %d: the harness's %s fingerprint %x, Generate at seed %d gives %x", seed, want.sc.Name(), got, want.seed, fp)
+			}
+		}
 	}
 }
 

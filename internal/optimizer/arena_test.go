@@ -1,17 +1,12 @@
-package optimizer
+package optimizer_test
 
 import (
-	"math"
 	"testing"
 
+	"galo/internal/optimizer"
 	"galo/internal/sqlparser"
 	"galo/internal/workload/tpcds"
 )
-
-// RaceDetector is set by race_test.go. Under the race detector sync.Pool drops
-// a quarter of what is Put, on purpose, so allocations per call measure the
-// detector.
-var RaceDetector bool
 
 // TestArenaRetentionIsBounded plans TPCDS.Q91 (8 joins) and the same query
 // with a tenth table — which, searched without the greedy bound, holds more
@@ -20,7 +15,7 @@ var RaceDetector bool
 // maxKeptChunks chunks or maxKeptTable table entries, and (the pool permitting)
 // one does come back with chunks to reuse.
 func TestArenaRetentionIsBounded(t *testing.T) {
-	o := New(db(t).Catalog, DefaultOptions())
+	o := optimizer.New(db(t).Catalog, optimizer.DefaultOptions())
 	q91 := tpcds.Queries()[90]
 	wide := sqlparser.MustParse(q91.SQL() + ` AND F1.SS_STORE_SK = S1.S_STORE_SK`)
 	wide.From = append(wide.From, sqlparser.TableRef{Table: "STORE", Alias: "S1"})
@@ -29,14 +24,13 @@ func TestArenaRetentionIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := o.newPlanCtx(p)
-	if _, _, err := pc.dpEnumerate(math.Inf(1)); err != nil {
+	peak, err := optimizer.UnboundedPeakChunks(o, p)
+	if err != nil {
 		t.Fatalf("10-table query: %v", err)
 	}
-	if peak := len(pc.slab); peak <= maxKeptChunks {
-		t.Fatalf("10-table query peaks at %d chunks, no more than the %d an arena keeps: the test needs a wider one", peak, maxKeptChunks)
+	if peak <= optimizer.MaxKeptChunks {
+		t.Fatalf("10-table query peaks at %d chunks, no more than the %d an arena keeps: the test needs a wider one", peak, optimizer.MaxKeptChunks)
 	}
-	pc.release()
 	for _, q := range []*sqlparser.Query{q91, wide} {
 		if _, _, err := o.Optimize(q); err != nil {
 			t.Fatal(err)
@@ -45,17 +39,17 @@ func TestArenaRetentionIsBounded(t *testing.T) {
 
 	kept := 0
 	for i := 0; i < 64; i++ {
-		a := arenaPool.Get().(*planArena)
-		if len(a.slab) > maxKeptChunks || cap(a.table.slots) > maxKeptTable {
+		chunks, entries := optimizer.PooledArena()
+		if chunks > optimizer.MaxKeptChunks || entries > optimizer.MaxKeptTable {
 			t.Errorf("pooled arena holds %d chunks and %d table entries; the caps are %d and %d",
-				len(a.slab), cap(a.table.slots), maxKeptChunks, maxKeptTable)
+				chunks, entries, optimizer.MaxKeptChunks, optimizer.MaxKeptTable)
 		}
-		if len(a.slab) == 0 {
+		if chunks == 0 {
 			break
 		}
 		kept++
 	}
-	if kept == 0 && !RaceDetector {
+	if kept == 0 && !optimizer.RaceDetector {
 		t.Error("the pool handed back no arena with chunks: nothing is recycled")
 	}
 }

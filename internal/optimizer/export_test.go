@@ -7,9 +7,60 @@ import (
 	"slices"
 	"testing"
 
+	"galo/internal/catalog"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 )
+
+// RaceDetector is set by race_test.go. Under the race detector sync.Pool drops
+// a quarter of what is Put, on purpose, so allocations per call measure the
+// detector.
+var RaceDetector bool
+
+// The tests that plan over the TPC-DS workload are external (package
+// optimizer_test): the workload package reaches this one through the scenario
+// contract. What they inspect of the planner's internals is exported below.
+const (
+	DefaultEqSel  = defaultEqSel
+	MaxKeptChunks = maxKeptChunks
+	MaxKeptTable  = maxKeptTable
+)
+
+// PlanCand is the candidate slab's element type.
+type PlanCand = planCand
+
+func (o *Optimizer) PredicateSelectivity(ts *catalog.TableStats, p sqlparser.Predicate) float64 {
+	return o.predicateSelectivity(ts, p)
+}
+
+func (o *Optimizer) LocalSelectivity(table string, preds []*sqlparser.Predicate) float64 {
+	return o.localSelectivity(table, preds)
+}
+
+// InterestingOrders returns p's interesting orders in id order, and the id
+// ordOf finds for each.
+func InterestingOrders(p *Prepared) (names []string, ids []int32) {
+	for _, k := range p.orders {
+		names, ids = append(names, k.String()), append(ids, p.ordOf(k))
+	}
+	return names, ids
+}
+
+// UnboundedPeakChunks searches p's dynamic program without a bound and returns
+// the most slab chunks it held, then releases its arena to the pool.
+func UnboundedPeakChunks(o *Optimizer, p *Prepared) (int, error) {
+	pc := o.newPlanCtx(p)
+	defer pc.release()
+	_, _, err := pc.dpEnumerate(math.Inf(1))
+	return len(pc.slab), err
+}
+
+// PooledArena takes an arena out of the pool, for good, and returns how many
+// chunks and table entries it keeps.
+func PooledArena() (chunks, tableEntries int) {
+	a := arenaPool.Get().(*planArena)
+	return len(a.slab), cap(a.table.slots)
+}
 
 // Rewrite runs the rewrite tier over a resolved query, in place, and returns
 // its notes as a report reads them.

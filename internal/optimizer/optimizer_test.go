@@ -1,4 +1,4 @@
-package optimizer
+package optimizer_test
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 
 	"galo/internal/catalog"
 	"galo/internal/guideline"
+	"galo/internal/optimizer"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
@@ -29,8 +30,8 @@ func db(t *testing.T) *storage.Database {
 	return testDB
 }
 
-func newOpt(t *testing.T) *Optimizer {
-	return New(db(t).Catalog, DefaultOptions())
+func newOpt(t *testing.T) *optimizer.Optimizer {
+	return optimizer.New(db(t).Catalog, optimizer.DefaultOptions())
 }
 
 func TestOptimizeFigure3Query(t *testing.T) {
@@ -147,7 +148,7 @@ func TestGuidelineForcesJoinMethodAndOrder(t *testing.T) {
 			{Op: guideline.ElemTBSCAN, TabID: "Q1"},
 		},
 	}}}
-	constrained := New(db(t).Catalog, Options{JoinEnumDPLimit: 10, EnableBloomFilters: true, Guidelines: doc})
+	constrained := optimizer.New(db(t).Catalog, optimizer.Options{JoinEnumDPLimit: 10, EnableBloomFilters: true, Guidelines: doc})
 	plan, report, err := constrained.Optimize(q)
 	if err != nil {
 		t.Fatalf("Optimize with guideline: %v", err)
@@ -179,7 +180,7 @@ func TestGuidelineReferencingMissingInstanceIsIgnored(t *testing.T) {
 			{Op: guideline.ElemTBSCAN, TabID: "Q8"},
 		},
 	}}}
-	o := New(db(t).Catalog, Options{JoinEnumDPLimit: 10, Guidelines: doc})
+	o := optimizer.New(db(t).Catalog, optimizer.Options{JoinEnumDPLimit: 10, Guidelines: doc})
 	plan, report, err := o.Optimize(q)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
@@ -206,7 +207,7 @@ func TestConflictingGuidelineIsDropped(t *testing.T) {
 		mk(guideline.ElemHSJOIN, "Q1", "Q2"),
 		mk(guideline.ElemMSJOIN, "Q2", "Q1"),
 	}}
-	o := New(db(t).Catalog, Options{JoinEnumDPLimit: 10, Guidelines: doc})
+	o := optimizer.New(db(t).Catalog, optimizer.Options{JoinEnumDPLimit: 10, Guidelines: doc})
 	plan, report, err := o.Optimize(q)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
@@ -229,7 +230,7 @@ func TestGuidelineOnLargeQueryUsesGreedyPath(t *testing.T) {
 			{Op: guideline.ElemTBSCAN, TabID: "Q1"}, // I0 item
 		},
 	}}}
-	o := New(db(t).Catalog, Options{JoinEnumDPLimit: 8, EnableBloomFilters: true, Guidelines: doc})
+	o := optimizer.New(db(t).Catalog, optimizer.Options{JoinEnumDPLimit: 8, EnableBloomFilters: true, Guidelines: doc})
 	plan, report, err := o.Optimize(q)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
@@ -246,9 +247,9 @@ func TestBuildPlanFromSpec(t *testing.T) {
 	o := newOpt(t)
 	q := sqlparser.MustParse(`SELECT i_item_desc FROM web_sales, item, date_dim
 		WHERE ws_item_sk = i_item_sk AND ws_sold_date_sk = d_date_sk AND i_category = 'Books'`)
-	spec := Join(qgm.OpHSJOIN,
-		Join(qgm.OpHSJOIN, Leaf("WEB_SALES"), Leaf("ITEM")),
-		LeafAccess("DATE_DIM", qgm.OpIXSCAN, "D_DATE_SK"))
+	spec := optimizer.Join(qgm.OpHSJOIN,
+		optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("WEB_SALES"), optimizer.Leaf("ITEM")),
+		optimizer.LeafAccess("DATE_DIM", qgm.OpIXSCAN, "D_DATE_SK"))
 	plan, err := o.BuildPlan(q, spec)
 	if err != nil {
 		t.Fatalf("BuildPlan: %v", err)
@@ -277,18 +278,18 @@ func TestBuildPlanSpecValidation(t *testing.T) {
 	o := newOpt(t)
 	q := sqlparser.MustParse(`SELECT i_item_desc FROM web_sales, item WHERE ws_item_sk = i_item_sk`)
 	// Missing table.
-	if _, err := o.BuildPlan(q, Leaf("WEB_SALES")); err == nil {
+	if _, err := o.BuildPlan(q, optimizer.Leaf("WEB_SALES")); err == nil {
 		t.Errorf("spec missing a reference should fail")
 	}
 	// Duplicate table.
-	dup := Join(qgm.OpHSJOIN, Leaf("WEB_SALES"), Leaf("WEB_SALES"))
+	dup := optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("WEB_SALES"), optimizer.Leaf("WEB_SALES"))
 	if _, err := o.BuildPlan(q, dup); err == nil {
 		t.Errorf("spec with duplicate reference should fail")
 	}
 	// NLJOIN with a join (multi-table) inner is invalid.
 	q3 := sqlparser.MustParse(`SELECT i_item_desc FROM web_sales, item, date_dim
 		WHERE ws_item_sk = i_item_sk AND ws_sold_date_sk = d_date_sk`)
-	bad := Join(qgm.OpNLJOIN, Leaf("DATE_DIM"), Join(qgm.OpHSJOIN, Leaf("WEB_SALES"), Leaf("ITEM")))
+	bad := optimizer.Join(qgm.OpNLJOIN, optimizer.Leaf("DATE_DIM"), optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("WEB_SALES"), optimizer.Leaf("ITEM")))
 	if _, err := o.BuildPlan(q3, bad); err == nil {
 		t.Errorf("NLJOIN over a multi-table inner should be rejected")
 	}
@@ -296,7 +297,7 @@ func TestBuildPlanSpecValidation(t *testing.T) {
 		t.Errorf("nil spec should fail")
 	}
 	// Unknown index in access spec.
-	badIdx := Join(qgm.OpHSJOIN, Leaf("WEB_SALES"), LeafAccess("ITEM", qgm.OpIXSCAN, "NO_SUCH_IDX"))
+	badIdx := optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("WEB_SALES"), optimizer.LeafAccess("ITEM", qgm.OpIXSCAN, "NO_SUCH_IDX"))
 	if _, err := o.BuildPlan(q, badIdx); err == nil {
 		t.Errorf("unknown index should fail")
 	}
@@ -310,7 +311,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if err := sqlparser.Resolve(work, o.Cat.Schema); err != nil {
 		t.Fatal(err)
 	}
-	report := &Report{notes: o.rewrite(work, nil), where: work.Where}
+	notes := optimizer.Rewrite(o, work)
 	found := false
 	for _, p := range work.LocalPredicates() {
 		if p.Left.Column == "SS_SOLD_DATE_SK" && p.Kind == sqlparser.PredCompare {
@@ -320,7 +321,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if !found {
 		t.Errorf("transitive predicate not inferred; predicates = %v", work.Where)
 	}
-	if len(report.RewriteNotes()) == 0 {
+	if len(notes) == 0 {
 		t.Errorf("rewrite notes empty")
 	}
 	// Duplicate elimination.
@@ -329,7 +330,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	if err := sqlparser.Resolve(work2, o.Cat.Schema); err != nil {
 		t.Fatal(err)
 	}
-	o.rewrite(work2, nil)
+	optimizer.Rewrite(o, work2)
 	if len(work2.Where) != 1 {
 		t.Errorf("duplicate predicate not removed: %v", work2.Where)
 	}
@@ -350,11 +351,10 @@ func TestInterestingOrdersSortByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for i, k := range p.orders {
-		names = append(names, k.String())
-		if id := p.ordOf(k); id != int32(i+1) {
-			t.Errorf("%s has id %d, want %d", k, id, i+1)
+	names, ids := optimizer.InterestingOrders(p)
+	for i, id := range ids {
+		if id != int32(i+1) {
+			t.Errorf("%s has id %d, want %d", names[i], id, i+1)
 		}
 	}
 	if len(names) != 2*11+1 || !sort.StringsAreSorted(names) {
@@ -365,7 +365,7 @@ func TestInterestingOrdersSortByName(t *testing.T) {
 func TestSelectivityEstimates(t *testing.T) {
 	o := newOpt(t)
 	ts := o.Cat.Stats(tpcds.Item)
-	eq := o.predicateSelectivity(ts, sqlparser.Predicate{
+	eq := o.PredicateSelectivity(ts, sqlparser.Predicate{
 		Kind: sqlparser.PredCompare, Op: "=",
 		Left:  sqlparser.ColumnRef{Table: "ITEM", Column: "I_CATEGORY"},
 		Value: mustVal("Music"),
@@ -373,7 +373,7 @@ func TestSelectivityEstimates(t *testing.T) {
 	if eq <= 0 || eq > 0.5 {
 		t.Errorf("equality selectivity = %v", eq)
 	}
-	rng := o.predicateSelectivity(ts, sqlparser.Predicate{
+	rng := o.PredicateSelectivity(ts, sqlparser.Predicate{
 		Kind: sqlparser.PredCompare, Op: ">",
 		Left:  sqlparser.ColumnRef{Table: "ITEM", Column: "I_CURRENT_PRICE"},
 		Value: mustFloat(150),
@@ -381,7 +381,7 @@ func TestSelectivityEstimates(t *testing.T) {
 	if rng <= 0 || rng >= 1 {
 		t.Errorf("range selectivity = %v", rng)
 	}
-	in := o.predicateSelectivity(ts, sqlparser.Predicate{
+	in := o.PredicateSelectivity(ts, sqlparser.Predicate{
 		Kind:   sqlparser.PredIn,
 		Left:   sqlparser.ColumnRef{Table: "ITEM", Column: "I_CATEGORY"},
 		Values: []catalog.Value{mustVal("Music"), mustVal("Books")},
@@ -390,13 +390,13 @@ func TestSelectivityEstimates(t *testing.T) {
 		t.Errorf("IN selectivity = %v should exceed single equality %v", in, eq)
 	}
 	// Unknown stats fall back to defaults.
-	def := o.predicateSelectivity(nil, sqlparser.Predicate{Kind: sqlparser.PredCompare, Op: "=",
+	def := o.PredicateSelectivity(nil, sqlparser.Predicate{Kind: sqlparser.PredCompare, Op: "=",
 		Left: sqlparser.ColumnRef{Column: "X"}, Value: mustVal("y")})
-	if def != defaultEqSel {
+	if def != optimizer.DefaultEqSel {
 		t.Errorf("default selectivity = %v", def)
 	}
 	// Combined local selectivity multiplies and clamps.
-	sel := o.localSelectivity(tpcds.Item, []*sqlparser.Predicate{
+	sel := o.LocalSelectivity(tpcds.Item, []*sqlparser.Predicate{
 		{Kind: sqlparser.PredCompare, Op: "=", Left: sqlparser.ColumnRef{Table: "ITEM", Column: "I_CATEGORY"}, Value: mustVal("Music")},
 		{Kind: sqlparser.PredCompare, Op: "=", Left: sqlparser.ColumnRef{Table: "ITEM", Column: "I_CLASS"}, Value: mustVal("Music-class-1")},
 	})
@@ -412,7 +412,7 @@ func mustFloat(f float64) catalog.Value { return catalog.Float(f) }
 // collector: a string, slice or pointer field in planCand would make every
 // chunk a scanned allocation and every push a write barrier.
 func TestPlanCandHoldsNoPointers(t *testing.T) {
-	typ := reflect.TypeOf(planCand{})
+	typ := reflect.TypeOf(optimizer.PlanCand{})
 	for i := 0; i < typ.NumField(); i++ {
 		switch f := typ.Field(i); f.Type.Kind() {
 		case reflect.Bool, reflect.Uint8, reflect.Int32, reflect.Uint64, reflect.Float64:

@@ -1,4 +1,4 @@
-package optimizer
+package optimizer_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"galo/internal/catalog"
 	"galo/internal/executor"
+	"galo/internal/optimizer"
 	"galo/internal/qgm"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
@@ -34,7 +35,7 @@ func freshDB(t *testing.T) *storage.Database {
 // min/max interpolation is off by an order of magnitude.
 func TestHistogramEstimatesTrackGroundTruth(t *testing.T) {
 	db := freshDB(t)
-	o := New(db.Catalog, DefaultOptions())
+	o := optimizer.New(db.Catalog, optimizer.DefaultOptions())
 	lo, hi, _ := tpcds.SaleDateRange(db)
 	total := float64(db.RowCount(tpcds.StoreSales))
 
@@ -58,7 +59,7 @@ func TestHistogramEstimatesTrackGroundTruth(t *testing.T) {
 	}
 	for _, c := range cases {
 		truth := countBetween(c.lo, c.hi) / total
-		est := o.predicateSelectivity(ts, sqlparser.Predicate{
+		est := o.PredicateSelectivity(ts, sqlparser.Predicate{
 			Kind: sqlparser.PredBetween,
 			Left: sqlparser.ColumnRef{Table: "STORE_SALES", Column: "SS_SOLD_DATE_SK"},
 			Lo:   catalog.Int(c.lo), Hi: catalog.Int(c.hi),
@@ -84,7 +85,7 @@ func TestHistogramEstimatesTrackGroundTruth(t *testing.T) {
 	itemTS := o.Cat.Stats(tpcds.StoreSales)
 	topCount := db.CountWhereEqual(tpcds.StoreSales, "SS_ITEM_SK", catalog.Int(1))
 	truth := float64(topCount) / total
-	est := o.predicateSelectivity(itemTS, sqlparser.Predicate{
+	est := o.PredicateSelectivity(itemTS, sqlparser.Predicate{
 		Kind: sqlparser.PredCompare, Op: "=",
 		Left:  sqlparser.ColumnRef{Table: "STORE_SALES", Column: "SS_ITEM_SK"},
 		Value: catalog.Int(1),
@@ -99,7 +100,7 @@ func TestHistogramEstimatesTrackGroundTruth(t *testing.T) {
 // the executed rows still come out sorted.
 func TestOrderPropertyEliminatesFinalSort(t *testing.T) {
 	db := freshDB(t)
-	o := New(db.Catalog, DefaultOptions())
+	o := optimizer.New(db.Catalog, optimizer.DefaultOptions())
 	plan := o.MustOptimize(sqlparser.MustParse(`SELECT i_item_sk FROM item ORDER BY i_item_sk`))
 	var sorts, ixscans int
 	plan.Root.Walk(func(n *qgm.Node) {
@@ -138,7 +139,7 @@ func TestOrderPropertyEliminatesFinalSort(t *testing.T) {
 // must still sort by the full ORDER BY key list.
 func TestMultiColumnOrderBySortsAllKeys(t *testing.T) {
 	db := freshDB(t)
-	o := New(db.Catalog, DefaultOptions())
+	o := optimizer.New(db.Catalog, optimizer.DefaultOptions())
 	q := sqlparser.MustParse(`SELECT i_category, i_item_sk FROM item ORDER BY i_category, i_item_sk`)
 	plan := o.MustOptimize(q)
 	res, err := executor.New(db).Execute(plan, q)
@@ -162,7 +163,7 @@ func TestOrderPropertyPropagatesThroughMSJOIN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(hazardDB.Catalog, DefaultOptions())
+	o := optimizer.New(hazardDB.Catalog, optimizer.DefaultOptions())
 	lo, hi := tpcds.WideDateRange(hazardDB)
 	q := sqlparser.MustParse(fmt.Sprintf(`SELECT ss_quantity FROM store_sales, date_dim
 		WHERE ss_sold_date_sk = d_date_sk AND d_date_sk BETWEEN %d AND %d`, lo, hi))

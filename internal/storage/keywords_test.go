@@ -102,12 +102,7 @@ func TestKeyWordsOverShippedSchemas(t *testing.T) {
 	if dbs["tpcds"], err = tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 0.1, Hazards: true}); err != nil {
 		t.Fatal(err)
 	}
-	clientOpts := client.DefaultGenOptions()
-	clientOpts.Scale = 0.1
-	if dbs["client"], err = client.Generate(clientOpts); err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range []scenario.Scenario{joblike.New(), ohlc.New(), trace.New()} {
+	for _, sc := range []scenario.Scenario{client.New(), joblike.New(), ohlc.New(), trace.New()} {
 		opts := sc.DefaultGen()
 		opts.Scale = 0.1
 		if dbs[sc.Name()], err = sc.Generate(opts); err != nil {

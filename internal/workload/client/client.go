@@ -13,6 +13,7 @@ import (
 	"galo/internal/catalog"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
+	"galo/internal/workload/scenario"
 )
 
 // Table names.
@@ -110,17 +111,24 @@ func Schema() *catalog.Schema {
 }
 
 // GenOptions controls data generation.
-type GenOptions struct {
-	Seed    int64
-	Scale   float64
-	Hazards bool
+type GenOptions = scenario.GenOptions
+
+// New returns the client workload as a scenario: Generate's hazards, the 116
+// queries, and a remedy that collects the statistics again, which resets the
+// stale factors, and restores the runtime transfer rate.
+func New() scenario.Scenario {
+	return scenario.Fixed{
+		Key:        "client",
+		HazardText: "stale statistics on OPEN_IN, ENTRY_IDX and TRANSACTION_LOG, and a configured transfer rate 3x the runtime's",
+		Gen:        scenario.GenOptions{Seed: 20190523, Scale: 1.0, Hazards: true},
+		Build:      Generate, Queries: Queries,
+	}
 }
 
-// DefaultGenOptions mirrors the TPC-DS defaults.
-func DefaultGenOptions() GenOptions { return GenOptions{Seed: 20190523, Scale: 1.0, Hazards: true} }
-
-// Generate builds and populates the client database, collects statistics and
-// optionally installs estimation hazards.
+// Generate builds and populates the client database and collects statistics.
+// With Hazards set, the big transactional tables' statistics are marked stale
+// and the configured transfer rate overstates the runtime's 3x, as in the
+// TPC-DS workload.
 func Generate(opts GenOptions) (*storage.Database, error) {
 	if opts.Scale <= 0 {
 		opts.Scale = 1.0
@@ -229,25 +237,15 @@ func Generate(opts GenOptions) (*storage.Database, error) {
 	bigPages := db.Pages(OpenIn) + db.Pages(EntryIdx) + db.Pages(TxLog)
 	cfg.BufferPoolPages = max(32, bigPages/8)
 	cfg.SortHeapPages = max(4, bigPages/40)
-	db.Catalog.Config = cfg
-
 	if opts.Hazards {
-		InstallHazards(db)
+		_ = db.Catalog.SetStaleFactor(OpenIn, 0.10)
+		_ = db.Catalog.SetStaleFactor(EntryIdx, 0.12)
+		_ = db.Catalog.SetStaleFactor(TxLog, 0.25)
+		cfg.RuntimeTransferRate = cfg.TransferRate
+		cfg.TransferRate = cfg.TransferRate * 3.0
 	}
+	db.Catalog.Config = cfg
 	return db, nil
-}
-
-// InstallHazards makes the big transactional tables' statistics stale and
-// overstates the configured transfer rate, as in the TPC-DS workload.
-func InstallHazards(db *storage.Database) {
-	cat := db.Catalog
-	_ = cat.SetStaleFactor(OpenIn, 0.10)
-	_ = cat.SetStaleFactor(EntryIdx, 0.12)
-	_ = cat.SetStaleFactor(TxLog, 0.25)
-	cfg := cat.Config
-	cfg.RuntimeTransferRate = cfg.TransferRate
-	cfg.TransferRate = cfg.TransferRate * 3.0
-	cat.Config = cfg
 }
 
 // Fig1Query reproduces the join shape of the paper's Figure 1: OPEN_IN joined

@@ -164,9 +164,6 @@ func rowCounts(scale float64) (nMovies, nCompanies, nMovieCompanies, nCast, nPer
 // Hazards on, no column-group statistics exist, so the optimizer multiplies
 // the functionally dependent selectivities.
 func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 1.0
-	}
 	nMovies, nCompanies, nMovieCompanies, nCast, nPersons := rowCounts(opts.Scale)
 	cat := catalog.New(Schema())
 	db := storage.NewDatabase(cat)
@@ -286,19 +283,13 @@ func (workload) HazardQueries(db *storage.Database, n int) []*sqlparser.Query {
 		country(6), TierOf(country(6))))
 	// Control: a single-column predicate both configurations estimate well.
 	add(fmt.Sprintf(`SELECT m_title, m_votes FROM movie WHERE m_genre = '%s'`, genre(7)))
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
+	return scenario.First(out, n)
 }
 
 // Learn is the JOB-like remedy: collect column-group statistics over the
 // functionally dependent pairs and turn on the estimator's group lookup.
 func (workload) Learn(db *storage.Database) (optimizer.Options, error) {
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true, ColumnGroups: ColumnGroups()}); err != nil {
-		return optimizer.Options{}, err
-	}
-	o := optimizer.DefaultOptions()
+	o, err := scenario.Reanalyze(db, storage.AnalyzeOptions{Histograms: true, ColumnGroups: ColumnGroups()})
 	o.UseColumnGroups = true
-	return o, nil
+	return o, err
 }

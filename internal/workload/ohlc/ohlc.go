@@ -127,9 +127,6 @@ func rowCounts(scale float64) (nBars, nSymbols, nExchanges int) {
 // the recent-window flood — the snapshot is genuinely stale, exactly the
 // two-wave discipline the tpcds workload uses for Figure 8.
 func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 1.0
-	}
 	nBars, nSymbols, nExchanges := rowCounts(opts.Scale)
 	cat := catalog.New(Schema())
 	db := storage.NewDatabase(cat)
@@ -247,18 +244,12 @@ func (workload) HazardQueries(db *storage.Database, n int) []*sqlparser.Query {
 	mid := int64(CalendarDays-RecentWindowDays) / 2
 	add(fmt.Sprintf(`SELECT b_symbol_sk, b_day, b_close FROM bars
 		WHERE b_day BETWEEN %d AND %d`, mid, mid+RecentWindowDays))
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
+	return scenario.First(out, n)
 }
 
 // Learn is the OHLC remedy: rerun the statistics pass, histograms included,
 // over the full data. No correlation statistics are needed — staleness is the
 // whole hazard.
 func (workload) Learn(db *storage.Database) (optimizer.Options, error) {
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true}); err != nil {
-		return optimizer.Options{}, err
-	}
-	return optimizer.DefaultOptions(), nil
+	return scenario.Reanalyze(db, storage.AnalyzeOptions{Histograms: true})
 }

@@ -5,23 +5,23 @@ import (
 
 	"galo/internal/catalog"
 	"galo/internal/storage"
+	"galo/internal/workload/scenario"
 )
 
-// GenOptions controls data generation.
-type GenOptions struct {
-	// Seed makes generation deterministic.
-	Seed int64
-	// Scale multiplies the default row counts (1.0 ≈ tens of thousands of
-	// fact rows, a laptop-scale stand-in for the paper's 1 GB database).
-	Scale float64
-	// Hazards, when true, installs the estimation hazards the paper's problem
-	// patterns stem from: statistics (including the ANALYZE histograms) are
-	// collected after the historical fact wave but *before* the recent-window
-	// flood — so the optimizer plans over a snapshot that is genuinely stale,
-	// believing the fact tables are ~HistoricalFraction of their true size
-	// and that almost no fact rows carry recent dates — and the configured
-	// transfer rate overstates the true sequential read cost.
-	Hazards bool
+// GenOptions controls data generation. Scale 1.0 is tens of thousands of
+// fact rows, a laptop-scale stand-in for the paper's 1 GB database.
+type GenOptions = scenario.GenOptions
+
+// New returns the TPC-DS workload as a scenario: Generate's hazards, the 99
+// queries, and a remedy that collects the statistics again, histograms
+// included, and restores the runtime transfer rate.
+func New() scenario.Scenario {
+	return scenario.Fixed{
+		Key:        "tpcds",
+		HazardText: "statistics snapshotted before the recent-window flood, and a configured transfer rate 3x the runtime's",
+		Gen:        scenario.GenOptions{Seed: 20190522, Scale: 1.0, Hazards: true},
+		Build:      Generate, Queries: Queries, Analyze: storage.AnalyzeOptions{Histograms: true},
+	}
 }
 
 // HistoricalFraction is the share of each fact table loaded as the
@@ -58,12 +58,15 @@ func rowCounts(scale float64) map[string]int {
 	return out
 }
 
-// Generate builds the database, populates it, collects statistics and — when
-// requested — installs the estimation hazards.
+// Generate builds the database, populates it and collects statistics. With
+// Hazards set it installs the estimation hazards the paper's problem patterns
+// stem from: statistics (including the ANALYZE histograms) are collected
+// after the historical fact wave but *before* the recent-window flood — so
+// the optimizer plans over a snapshot that is genuinely stale, believing the
+// fact tables are ~HistoricalFraction of their true size and that almost no
+// fact rows carry recent dates — and the configured transfer rate overstates
+// the true sequential read cost 3x (the Figure 7 pattern).
 func Generate(opts GenOptions) (*storage.Database, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 1.0
-	}
 	counts := rowCounts(opts.Scale)
 	cat := catalog.New(Schema())
 	db := storage.NewDatabase(cat)
@@ -290,25 +293,12 @@ func Generate(opts GenOptions) (*storage.Database, error) {
 	factPages := db.Pages(StoreSales) + db.Pages(CatalogSales) + db.Pages(WebSales)
 	cfg.BufferPoolPages = max(32, factPages/5)
 	cfg.SortHeapPages = max(4, factPages/40)
-	db.Catalog.Config = cfg
-
 	if opts.Hazards {
-		InstallHazards(db)
+		cfg.RuntimeTransferRate = cfg.TransferRate
+		cfg.TransferRate = cfg.TransferRate * 3.0
 	}
+	db.Catalog.Config = cfg
 	return db, nil
-}
-
-// InstallHazards distorts what the optimizer believes without changing the
-// data: the configured transfer rate overstates the true sequential read
-// cost by 3x (the Figure 7 pattern). Fact-table statistics staleness needs
-// no synthetic distortion any more — Generate collects statistics before the
-// recent-window flood, so the snapshot is genuinely stale.
-func InstallHazards(db *storage.Database) {
-	cat := db.Catalog
-	cfg := cat.Config
-	cfg.RuntimeTransferRate = cfg.TransferRate
-	cfg.TransferRate = cfg.TransferRate * 3.0
-	cat.Config = cfg
 }
 
 // SaleDateRange returns the d_date_sk range [lo, hi] holding the

@@ -132,9 +132,6 @@ func rowCounts(scale float64) (nEvents int) {
 // underestimates every tenant's dominant-type scan by ~DominantShare *
 // len(EventTypes).
 func (workload) Generate(opts scenario.GenOptions) (*storage.Database, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 1.0
-	}
 	nEvents := rowCounts(opts.Scale)
 	cat := catalog.New(Schema())
 	db := storage.NewDatabase(cat)
@@ -233,10 +230,7 @@ func (workload) HazardQueries(db *storage.Database, n int) []*sqlparser.Query {
 	q := sqlparser.MustParse(`SELECT ev_day, ev_bytes FROM events WHERE ev_tenant_sk = 1`)
 	q.Name = "TRACE.C01"
 	out = append(out, q)
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
+	return scenario.First(out, n)
 }
 
 // Learn is the trace remedy: collect the (tenant, type) column group with
@@ -244,10 +238,7 @@ func (workload) HazardQueries(db *storage.Database, n int) []*sqlparser.Query {
 // so every tenant's skewed mix is recorded exactly — and turn on the
 // estimator's group lookup.
 func (workload) Learn(db *storage.Database) (optimizer.Options, error) {
-	if err := storage.AnalyzeAll(db, storage.AnalyzeOptions{Histograms: true, ColumnGroups: ColumnGroups()}); err != nil {
-		return optimizer.Options{}, err
-	}
-	o := optimizer.DefaultOptions()
+	o, err := scenario.Reanalyze(db, storage.AnalyzeOptions{Histograms: true, ColumnGroups: ColumnGroups()})
 	o.UseColumnGroups = true
-	return o, nil
+	return o, err
 }
