@@ -24,6 +24,17 @@ import (
 	"galo/internal/workload/tpcds"
 )
 
+// generate builds the named workload's database through its scenario and
+// returns it with the workload's queries.
+func generate(b *testing.B, name string, opts galo.ScenarioGenOptions) (*galo.Database, []*galo.Query) {
+	sc, _ := galo.ScenarioByName(name)
+	db, err := sc.Generate(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db, sc.HazardQueries(db, 0)
+}
+
 func benchConfig() experiments.Config {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = 0.10
@@ -75,10 +86,7 @@ func sysKBSize(sys *galo.System) float64 { return float64(sys.KB().Size()) }
 // optimizer does not repeat DB2's mistake on this query — so the benchmark
 // measures the speedup the Figure 1 rewrite itself delivers.
 func BenchmarkFig01ClientJoinRewrite(b *testing.B) {
-	db, err := galo.GenerateClient(galo.ClientOptions{Seed: 3, Scale: 0.3, Hazards: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	db, _ := generate(b, "client", galo.ScenarioGenOptions{Seed: 3, Scale: 0.3, Hazards: true})
 	q := client.Fig1Query()
 	opt := optimizer.New(db.Catalog, optimizer.DefaultOptions())
 	problematic, err := opt.BuildPlan(q, optimizer.Join(qgm.OpMSJOIN,
@@ -118,10 +126,7 @@ func BenchmarkFig01ClientJoinRewrite(b *testing.B) {
 // self-join star whose nested-loop / poorly-clustered-index plan GALO
 // rewrites into bloom-filtered hash joins over table scans.
 func BenchmarkFig04BloomFilterPattern(b *testing.B) {
-	db, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 4, Scale: 0.12, Hazards: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	db, _ := generate(b, "tpcds", galo.ScenarioGenOptions{Seed: 4, Scale: 0.12, Hazards: true})
 	benchFigure(b, db, tpcds.Fig4Query(), "tpcds")
 }
 
@@ -129,10 +134,7 @@ func BenchmarkFig04BloomFilterPattern(b *testing.B) {
 // customer_demographics query whose scan costs the optimizer overestimates
 // because of the configured transfer rate.
 func BenchmarkFig07TransferRatePattern(b *testing.B) {
-	db, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 7, Scale: 0.12, Hazards: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	db, _ := generate(b, "tpcds", galo.ScenarioGenOptions{Seed: 7, Scale: 0.12, Hazards: true})
 	benchFigure(b, db, tpcds.Fig7Query(), "tpcds")
 }
 
@@ -140,10 +142,7 @@ func BenchmarkFig07TransferRatePattern(b *testing.B) {
 // join over a date range far wider than the data, repaired by a merge join
 // that stops early.
 func BenchmarkFig08SortPattern(b *testing.B) {
-	db, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 9, Scale: 0.12, Hazards: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	db, _ := generate(b, "tpcds", galo.ScenarioGenOptions{Seed: 9, Scale: 0.12, Hazards: true})
 	benchFigure(b, db, tpcds.Fig8Query(), "tpcds")
 }
 
@@ -320,16 +319,13 @@ func BenchmarkExp6Quality(b *testing.B) {
 func BenchmarkAblationBoundsSlack(b *testing.B) {
 	for _, slack := range []float64{1.5, 4, 16} {
 		b.Run(slackName(slack), func(b *testing.B) {
-			db, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 5, Scale: 0.1, Hazards: true})
-			if err != nil {
-				b.Fatal(err)
-			}
+			db, tpcdsQueries := generate(b, "tpcds", galo.ScenarioGenOptions{Seed: 5, Scale: 0.1, Hazards: true})
 			cfg := galo.DefaultConfig()
 			cfg.Learning.BoundsSlack = slack
 			cfg.Learning.Workers = 4
 			cfg.Learning.Runs = 2
 			sys := galo.NewSystem(db, cfg)
-			workload := galo.TPCDSQueries()[8:24]
+			workload := tpcdsQueries[8:24]
 			if _, err := sys.Learn(workload); err != nil {
 				b.Fatal(err)
 			}

@@ -15,14 +15,15 @@ import (
 
 func main() {
 	// Learn a knowledge base on TPC-DS.
-	tpcdsDB, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 11, Scale: 0.12, Hazards: true})
+	tpcds, _ := galo.ScenarioByName("tpcds")
+	tpcdsDB, err := tpcds.Generate(galo.ScenarioGenOptions{Seed: 11, Scale: 0.12, Hazards: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	tpcdsCfg := galo.DefaultConfig()
 	tpcdsCfg.Learning.Workload = "tpcds"
 	teacher := galo.NewSystem(tpcdsDB, tpcdsCfg)
-	report, err := teacher.Learn(galo.TPCDSQueries()[:30])
+	report, err := teacher.Learn(tpcds.HazardQueries(tpcdsDB, 30))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +31,8 @@ func main() {
 
 	// A different database, a different schema, a different workload — and an
 	// empty knowledge base of its own. Import the TPC-DS knowledge.
-	clientDB, err := galo.GenerateClient(galo.ClientOptions{Seed: 12, Scale: 0.12, Hazards: true})
+	client, _ := galo.ScenarioByName("client")
+	clientDB, err := client.Generate(galo.ScenarioGenOptions{Seed: 12, Scale: 0.12, Hazards: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func main() {
 	fmt.Printf("client system starts with %d imported templates and no learning of its own\n\n", student.KB().Size())
 
 	// Re-optimize the client workload with the borrowed knowledge only.
-	outcomes, summary, err := student.ReoptimizeWorkload(galo.ClientQueries()[:40])
+	outcomes, summary, err := student.ReoptimizeWorkload(client.HazardQueries(clientDB, 40))
 	if err != nil {
 		log.Fatal(err)
 	}

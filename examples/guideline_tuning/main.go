@@ -14,7 +14,8 @@ import (
 )
 
 func main() {
-	db, err := galo.GenerateClient(galo.ClientOptions{Seed: 8, Scale: 0.15, Hazards: true})
+	client, _ := galo.ScenarioByName("client")
+	db, err := client.Generate(galo.ScenarioGenOptions{Seed: 8, Scale: 0.15, Hazards: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func main() {
 	sys := galo.NewSystem(db, cfg)
 
 	// The problem query: Figure 1's MSJOIN between OPEN_IN and ENTRY_IDX.
-	problem := galo.ClientQueries()[7] // CLIENT.Q08
+	problem := client.HazardQueries(db, 8)[7] // CLIENT.Q08
 	fmt.Printf("problem query %s:\n  %s\n\n", problem.Name, problem.SQL())
 
 	plan, err := sys.Optimize(problem)

@@ -15,7 +15,8 @@ func main() {
 	// 1. A populated database with statistics. Hazards=true installs the
 	//    estimation blind spots (stale statistics, mis-configured transfer
 	//    rate) that make the optimizer beatable — the paper's premise.
-	db, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 1, Scale: 0.15, Hazards: true})
+	tpcds, _ := galo.ScenarioByName("tpcds")
+	db, err := tpcds.Generate(galo.ScenarioGenOptions{Seed: 1, Scale: 0.15, Hazards: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func main() {
 	// 3. Offline learning over a few workload queries, including the
 	//    wide-range Figure 8 variants whose stale-histogram misestimate the
 	//    optimizer deterministically falls for.
-	workload := append(galo.TPCDSQueries()[8:20], galo.Fig8WideVariants(db, 2)...)
+	workload := append(tpcds.HazardQueries(db, 20)[8:], galo.Fig8WideVariants(db, 2)...)
 	report, err := sys.Learn(workload)
 	if err != nil {
 		log.Fatal(err)

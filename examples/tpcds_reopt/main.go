@@ -18,7 +18,8 @@ func main() {
 	queries := flag.Int("queries", 40, "number of workload queries (99 = full workload)")
 	flag.Parse()
 
-	db, err := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 7, Scale: *scale, Hazards: true})
+	tpcds, _ := galo.ScenarioByName("tpcds")
+	db, err := tpcds.Generate(galo.ScenarioGenOptions{Seed: 7, Scale: *scale, Hazards: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func main() {
 	cfg.Learning.Workload = "tpcds"
 	sys := galo.NewSystem(db, cfg)
 
-	workload := galo.TPCDSQueries()
+	workload := tpcds.HazardQueries(db, 0)
 	if *queries > 0 && *queries < len(workload) {
 		workload = workload[:*queries]
 	}

@@ -13,9 +13,10 @@
 //
 // A minimal end-to-end use looks like:
 //
-//	db, _ := galo.GenerateTPCDS(galo.TPCDSOptions{Seed: 1, Scale: 0.2, Hazards: true})
+//	tpcds, _ := galo.ScenarioByName("tpcds")
+//	db, _ := tpcds.Generate(galo.ScenarioGenOptions{Seed: 1, Scale: 0.2, Hazards: true})
 //	sys := galo.NewSystem(db, galo.DefaultConfig())
-//	sys.Learn(galo.TPCDSQueries())                 // offline
+//	sys.Learn(tpcds.HazardQueries(db, 0))          // offline
 //	res, _ := sys.Reoptimize(galo.MustParseSQL(`SELECT ...`)) // online
 //
 // Everything runs on the self-contained minidb substrate in internal/ (SQL
@@ -41,7 +42,6 @@ import (
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
 	"galo/internal/wal"
-	"galo/internal/workload/client"
 	"galo/internal/workload/scenario"
 	"galo/internal/workload/tpcds"
 	"galo/internal/workload/trace"
@@ -226,21 +226,6 @@ func RetryAfter(resp *http.Response) (time.Duration, bool) {
 
 // --- Workloads ---------------------------------------------------------------
 
-// TPCDSOptions controls generation of the TPC-DS-like evaluation workload.
-type TPCDSOptions = tpcds.GenOptions
-
-// ClientOptions controls generation of the IBM-client-like evaluation
-// workload.
-type ClientOptions = client.GenOptions
-
-// GenerateTPCDS builds the TPC-DS-like database (schema, data, statistics and
-// — when Hazards is set — the estimation hazards the problem patterns stem
-// from).
-func GenerateTPCDS(opts TPCDSOptions) (*Database, error) { return tpcds.Generate(opts) }
-
-// TPCDSQueries returns the 99-query TPC-DS-like workload.
-func TPCDSQueries() []*Query { return tpcds.Queries() }
-
 // Fig8WideQuery returns the wide-range Figure 8 variant over the generated
 // database: the query whose stale-histogram misestimate deterministically
 // drives the MSJOIN→HSJOIN problem pattern.
@@ -249,14 +234,6 @@ func Fig8WideQuery(db *Database) *Query { return tpcds.Fig8WideQuery(db) }
 // Fig8WideVariants returns n wide-range Figure 8 variants with progressively
 // wider date ranges.
 func Fig8WideVariants(db *Database, n int) []*Query { return tpcds.Fig8WideVariants(db, n) }
-
-// GenerateClient builds the client-like database.
-func GenerateClient(opts ClientOptions) (*Database, error) { return client.Generate(opts) }
-
-// ClientQueries returns the 116-query client-like workload.
-func ClientQueries() []*Query { return client.Queries() }
-
-// --- Workload zoo ------------------------------------------------------------
 
 // Scenario is one workload — TPC-DS, client or a zoo scenario: a
 // deterministic generator with a built-in estimation hazard, its queries, and

@@ -128,22 +128,57 @@ func drainBuildCases(tb testing.TB) (*storage.Database, []execCase) {
 	return db, out
 }
 
-// BenchmarkDrainBuild measures one serial Run of each drainBuildCases plan.
+// countCases are the wide-range Figure 8 plans whose counting runs walk a
+// join (fig8Specs), on the drainBuildCases data: count_index_run, the plan the
+// stale statistics pick, whose NLJOIN root walks the early-out MSJOIN below
+// it through runs of SS_SOLD_DATE_IDX; and count_outer_scan, STORE_SALES
+// scanned into DATE_DIM, whose lower HSJOIN walks its bare TBSCAN outer into
+// the build it switches to — the shape of the slowest validated rewrites.
+func countCases(tb testing.TB, db *storage.Database) []execCase {
+	tb.Helper()
+	opt := optimizer.New(db.Catalog, optimizer.DefaultOptions())
+	fig8 := tpcds.Fig8WideQuery(db)
+	original, _, outerScan := fig8Specs()
+	specs := []*optimizer.Spec{original, outerScan}
+	out := make([]execCase, len(specs))
+	for i, name := range []string{"count_index_run", "count_outer_scan"} {
+		plan, err := opt.BuildPlan(fig8, specs[i])
+		if err != nil {
+			tb.Fatalf("%s: BuildPlan: %v", name, err)
+		}
+		out[i] = execCase{name, fig8, plan}
+	}
+	return out
+}
+
+// BenchmarkDrainBuild measures one serial Run of each drainBuildCases plan
+// through Executor.Run, and of each countCases plan through Prepared.Run, as
+// plan validation runs it.
 func BenchmarkDrainBuild(b *testing.B) {
 	db, cases := drainBuildCases(b)
 	ex := New(db)
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
+	bench := func(name string, run func() (RunStats, error)) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st RunStats
 			var err error
 			for i := 0; i < b.N; i++ {
-				if st, err = ex.Run(c.plan, c.q); err != nil {
+				if st, err = run(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(st.PeakIntermediateRows), "held-rows")
 		})
+	}
+	for _, c := range cases {
+		bench(c.name, runOf(ex, c.plan, c.q))
+	}
+	for _, c := range countCases(b, db) {
+		p, err := ex.Prepare(c.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(c.name, func() (RunStats, error) { return p.Run(c.plan) })
 	}
 }
 

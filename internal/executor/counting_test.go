@@ -11,6 +11,7 @@ import (
 	"galo/internal/randplan"
 	"galo/internal/sqlparser"
 	"galo/internal/storage"
+	"galo/internal/workload/tpcds"
 )
 
 // TestRunCountsWhatExecuteEmits holds the counting root (countRows) to the
@@ -39,11 +40,12 @@ func TestRunCountsWhatExecuteEmits(t *testing.T) {
 }
 
 // countingFloor is, per suite, how many runs per plan must have taken the
-// counting root: a tenth of what the whole tpcds suite counts (2.6 of its 10
-// runs of a plan). The key families join on keys read through the rows — a
-// string, two columns, a column holding one string — which never count, so
-// theirs is a ceiling of none.
-var countingFloor = map[string]float64{"tpcds": 0.25, "key families": 0}
+// counting root, and how many joins per plan those runs must have walked
+// (walk): a tenth of what the whole tpcds suite does (2.6 of its 10 runs of a
+// plan count their root, walking 0.67 joins). The key families join on keys
+// read through the rows — a string, two columns, a column holding one string —
+// which never count, so theirs is a ceiling of none.
+var countingFloor = map[string]struct{ roots, walks float64 }{"tpcds": {0.25, 0.06}, "key families": {}}
 
 // countingSuite draws the plans differentialSuite draws, consuming the
 // generator alike, and checks each as TestRunCountsWhatExecuteEmits says.
@@ -53,7 +55,7 @@ func countingSuite(t *testing.T, name string, db *storage.Database, opt *optimiz
 	gen := randplan.New(opt, seed)
 	ex := New(db)
 	prepared := map[string]*Prepared{}
-	counted := rootsCounted.Load()
+	counted, walked := rootsCounted.Load(), drainsWalked.Load()
 	for n := 0; n < plans; {
 		q, plan, _ := randomCase(t, rng, gen, opt, shapes)
 		if plan == nil {
@@ -86,14 +88,90 @@ func countingSuite(t *testing.T, name string, db *storage.Database, opt *optimiz
 			}
 		}
 	}
-	got := rootsCounted.Load() - counted
-	t.Logf("%s, %d plans: %d runs counted their root", name, plans, got)
+	got, gotWalked := rootsCounted.Load()-counted, drainsWalked.Load()-walked
+	t.Logf("%s, %d plans: %d runs counted their root, walking %d joins", name, plans, got, gotWalked)
 	switch f := countingFloor[name]; {
-	case f == 0 && got > 0:
-		t.Errorf("%s: %d runs counted a root whose key is read through the rows", name, got)
-	case float64(got) < f*float64(plans):
-		t.Errorf("%s: the suite lost coverage: %d runs over %d plans counted their root; the floor is %v per plan", name, got, plans, f)
+	case f.roots == 0 && got+gotWalked > 0:
+		t.Errorf("%s: %d runs counted a root whose key is read through the rows, walking %d joins", name, got, gotWalked)
+	case float64(got) < f.roots*float64(plans):
+		t.Errorf("%s: the suite lost coverage: %d runs over %d plans counted their root; the floor is %v per plan", name, got, plans, f.roots)
+	case float64(gotWalked) < f.walks*float64(plans):
+		t.Errorf("%s: the suite lost coverage: %d joins over %d plans were walked; the floor is %v per plan", name, gotWalked, plans, f.walks)
 	}
+}
+
+// TestRunWalksFig8Plans holds one hand-picked plan of each shape a counting
+// run walks to what Execute books (checkCounting), over the wide-range Figure
+// 8 query, and pins how many joins its Run walks and which index paths it
+// takes:
+//
+//   - the original plan: the NLJOIN root counts, walking the early-out MSJOIN
+//     below it, whose matches are runs of SS_SOLD_DATE_IDX;
+//   - GALO's rewrite: the root HSJOIN walks the HSJOIN below it, whose bare
+//     FETCH outer probes index runs of the STORE_SALES table scan;
+//   - STORE_SALES scanned into DATE_DIM: the inner HSJOIN answers two probes
+//     from D_DATE_SK, switches to a build, and walks its bare TBSCAN outer
+//     into that build.
+func TestRunWalksFig8Plans(t *testing.T) {
+	db, opt, ex := setup(t)
+	fig8 := tpcds.Fig8WideQuery(db)
+	p, err := ex.Prepare(fig8)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	original, rewritten, outerScan := fig8Specs()
+	cases := []struct {
+		name   string
+		spec   *optimizer.Spec
+		walked int64
+		paths  indexPaths
+	}{
+		{"original-index-run", original, 1, indexPaths{1, 0, 1}},
+		{"rewritten", rewritten, 1, indexPaths{1, 0, 1}},
+		{"tbscan-outer-into-build", outerScan, 1, indexPaths{1, 1, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := opt.BuildPlan(fig8, tc.spec)
+			if err != nil {
+				t.Fatalf("BuildPlan: %v", err)
+			}
+			res, err := p.Execute(plan)
+			if err != nil {
+				t.Fatalf("Execute: %v", err)
+			}
+			want := run{ops: actuals(plan), stats: res.Stats}
+			roots, walked, paths := rootsCounted.Load(), drainsWalked.Load(), loadIndexPaths()
+			if _, err := p.Run(plan); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if n := rootsCounted.Load() - roots; n != 1 {
+				t.Errorf("Run counted %d roots, want 1", n)
+			}
+			if n := drainsWalked.Load() - walked; n != tc.walked {
+				t.Errorf("Run walked %d joins, want %d", n, tc.walked)
+			}
+			assertIndexPaths(t, tc.paths, loadIndexPaths().sub(paths))
+			if d := checkCounting(p, plan, want); d != "" {
+				t.Errorf("%s\n%s", qgm.Format(plan), d)
+			}
+		})
+	}
+}
+
+// fig8Specs returns the plans of TestRunWalksFig8Plans, as specs of the
+// wide-range Figure 8 query: the plan the stale statistics pick (an NLJOIN
+// over an early-out MSJOIN), GALO's rewrite (hash joins over a table scan),
+// and STORE_SALES scanned into DATE_DIM below the join with ITEM.
+func fig8Specs() (original, rewritten, outerScan *optimizer.Spec) {
+	hash := func(outer, inner *optimizer.Spec) *optimizer.Spec { return optimizer.Join(qgm.OpHSJOIN, outer, inner) }
+	items := optimizer.LeafAccess("ITEM", qgm.OpFETCH, "I_CATEGORY_IDX")
+	sales := optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, "")
+	dates := optimizer.LeafAccess("DATE_DIM", qgm.OpIXSCAN, "D_DATE_SK")
+	original = optimizer.Join(qgm.OpNLJOIN,
+		optimizer.Join(qgm.OpMSJOIN, dates, optimizer.LeafAccess("STORE_SALES", qgm.OpFETCH, "SS_SOLD_DATE_IDX")),
+		optimizer.LeafAccess("ITEM", qgm.OpFETCH, "I_ITEM_SK_IDX"))
+	return original, hash(hash(items, sales), dates), hash(hash(sales, dates), items)
 }
 
 // checkCounting describes the first way the runs of the plan through p differ

@@ -38,8 +38,11 @@
 //
 // Run and RunBounded read only counts: a root join under RETURN and FILTERs,
 // keyed on one column with a key-word vector on either side, is counted, not
-// pulled (countRows) — its inputs hand up key row IDs, not tuples — and every
-// charge is booked from the same counts and samples, so nothing moves.
+// pulled (countRows). Its inputs are walked for their key words, not pulled
+// row by row (walk): a join below appends the words of a whole hash chain or
+// index run in one loop and steps a bare scan outer by position, a scan its
+// candidates. Every charge is booked from the same counts and samples, in the
+// same order, so nothing moves.
 package executor
 
 import (

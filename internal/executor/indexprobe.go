@@ -64,13 +64,8 @@ func (j *joinIter) indexProbe() *indexProbe {
 // index leading with the key, or for a table scan a single-column index on
 // it, whose stable sort lists one key's entries in row order.
 func (j *joinIter) keyOrderedIndex() (*scanIter, *storage.IndexData) {
-	var s *scanIter
-	switch it := j.inner.(type) {
-	case *tbscanIter:
-		s = &it.scanIter
-	case *ixscanIter:
-		s = &it.scanIter
-	default:
+	s := bareScan(j.inner)
+	if s == nil {
 		return nil, nil
 	}
 	if len(j.build) != 1 {

@@ -50,28 +50,51 @@ type spineIter interface {
 	finalize()
 }
 
-// nextID pulls the next tuple of an input for the row ID in one slot: where
-// the input is a join, or a FILTER over one, without building the tuple.
-func nextID(it rowIter, slot int32) (uint32, bool) {
+// walk is the drain of an input through Next for the row IDs in one slot
+// alone: it appends words[id] to dst for the ID in slot s of every tuple the
+// input has left, and returns dst. A join walks its matches and a bare scan
+// outer in place (joinIter.walk), a scan its candidate positions, and a
+// RETURN or FILTER forwards the walk and counts what it passed; any other
+// input is pulled through Next. Every operator counts, samples and finalizes
+// as its Next would have.
+func walk(it rowIter, s int32, words, dst []uint64) []uint64 {
 	switch it := it.(type) {
 	case *joinIter:
-		return it.nextID(slot)
+		drainsWalked.Add(1)
+		return it.walk(s, words, dst)
 	case *passIter:
-		if id, ok := nextID(it.child, slot); ok {
-			it.n++
-			return id, true
-		}
+		n := len(dst)
+		dst = walk(it.child, s, words, dst)
+		it.n += len(dst) - n
 		it.finalize()
-		return 0, false
+		return dst
 	}
-	if t, ok := it.Next(); ok {
-		return t[slot], true
+	if sc := bareScan(it); sc != nil { // a scan's tuple is its one slot
+		for id := sc.pass(); id >= 0; id = sc.pass() {
+			dst = append(dst, words[id])
+		}
+		return dst
 	}
-	return 0, false
+	for t, ok := it.Next(); ok; t, ok = it.Next() {
+		dst = append(dst, words[t[s]])
+	}
+	return dst
 }
 
-// rootsCounted counts, process-wide, the runs countRows drained (tests).
-var rootsCounted atomic.Int64
+// bareScan returns the scan an input is, or nil when it is none.
+func bareScan(it rowIter) *scanIter {
+	switch it := it.(type) {
+	case *tbscanIter:
+		return &it.scanIter
+	case *ixscanIter:
+		return &it.scanIter
+	}
+	return nil
+}
+
+// rootsCounted counts, process-wide, the runs countRows drained, and
+// drainsWalked the joins those drains walked (tests).
+var rootsCounted, drainsWalked atomic.Int64
 
 // countRows drains a pipeline for its row count alone when its root's chain of
 // RETURN and FILTERs, which only count, ends at a join that can count
@@ -378,6 +401,35 @@ func (s *scanIter) Close() {
 	s.finalize()
 }
 
+// pass returns the row ID at the next candidate position the scan passes, or
+// -1 once the range is read, the scan finalized: a table scan's position is
+// the row, an index scan's an entry of the row.
+func (s *scanIter) pass() int {
+	for s.pos < s.stop || s.stride() {
+		id := s.pos
+		if s.idxDef != nil {
+			id = s.entries[id].RowID
+		}
+		s.pos++
+		s.nScan++
+		if s.match(id) {
+			s.nOut++
+			return id
+		}
+	}
+	s.finalize()
+	return -1
+}
+
+// Next hands on the passed row as a one-slot tuple aliasing the identity
+// vector.
+func (s *scanIter) Next() (tuple, bool) {
+	if id := s.pass(); id >= 0 {
+		return s.ids[id : id+1 : id+1], true
+	}
+	return nil, false
+}
+
 // over is the scan's replica for one partition (see spineIter).
 func (s *scanIter) over(p *partition) scanIter {
 	r := *s
@@ -397,20 +449,6 @@ func (s *scanIter) add(r *scanIter) {
 // identity vector.
 type tbscanIter struct{ scanIter }
 
-func (s *tbscanIter) Next() (tuple, bool) {
-	for s.pos < s.stop || s.stride() {
-		i := s.pos
-		s.pos++
-		s.nScan++
-		if s.match(i) {
-			s.nOut++
-			return s.ids[i : i+1 : i+1], true
-		}
-	}
-	s.finalize()
-	return nil, false
-}
-
 func (s *tbscanIter) replica(_ rowIter, p *partition) spineIter { return &tbscanIter{s.over(p)} }
 func (s *tbscanIter) fold(r spineIter)                          { s.add(&r.(*tbscanIter).scanIter) }
 
@@ -418,20 +456,6 @@ func (s *tbscanIter) fold(r spineIter)                          { s.add(&r.(*tbs
 // come straight from the index's entry range — no row-ID list is ever
 // materialized — and residual predicates filter each row before it leaves.
 type ixscanIter struct{ scanIter }
-
-func (s *ixscanIter) Next() (tuple, bool) {
-	for s.pos < s.stop || s.stride() {
-		id := s.entries[s.pos].RowID
-		s.pos++
-		s.nScan++
-		if s.match(id) {
-			s.nOut++
-			return s.ids[id : id+1 : id+1], true
-		}
-	}
-	s.finalize()
-	return nil, false
-}
 
 func (s *ixscanIter) replica(_ rowIter, p *partition) spineIter { return &ixscanIter{s.over(p)} }
 func (s *ixscanIter) fold(r spineIter)                          { s.add(&r.(*ixscanIter).scanIter) }

@@ -92,17 +92,6 @@ func (j *joinIter) Next() (tuple, bool) {
 	return j.mem.concat(j.cur, j.matched()), true
 }
 
-// nextID is Next handing up only slot s of the output tuple, unbuilt.
-func (j *joinIter) nextID(s int32) (uint32, bool) {
-	if !j.advance() {
-		return 0, false
-	}
-	if n := int32(len(j.cur)); s >= n {
-		return j.matched()[s-n], true
-	}
-	return j.cur[s], true
-}
-
 // matched returns the inner tuple of the match advance found last.
 func (j *joinIter) matched() tuple {
 	if j.hit >= 0 {
@@ -111,19 +100,24 @@ func (j *joinIter) matched() tuple {
 	return j.ix.src.ids[j.hitRow : j.hitRow+1 : j.hitRow+1]
 }
 
-// advance finds the next match and counts it: the output tuple is cur‖matched().
-func (j *joinIter) advance() bool {
-	if j.done {
-		return false
-	}
-	if !j.built {
+// start builds the inner on the join's first call and reports whether the join
+// may have rows left: false once it is done, and finalized.
+func (j *joinIter) start() bool {
+	if !j.done && !j.built {
 		j.buildInner(j.indexProbe(), false)
 		if j.ctx.overBudget() {
 			// The build side alone cost more than the run may: no probe.
 			j.done = true
 			j.finalize()
-			return false
 		}
+	}
+	return !j.done
+}
+
+// advance finds the next match and counts it: the output tuple is cur‖matched().
+func (j *joinIter) advance() bool {
+	if !j.start() {
+		return false
 	}
 	for {
 		if i := j.mi; i >= 0 {
@@ -145,24 +139,124 @@ func (j *joinIter) advance() bool {
 			j.finalize()
 			return false
 		}
-		j.nOuterRows++
-		if j.outerSample == nil {
-			j.outerSample = orow
+		j.take(orow)
+	}
+}
+
+// take makes the outer row the one probed, counting and sampling it: its run
+// is sought in the index until the outer has passed limit rows, where the join
+// switches to a build, and its chain is found in the build after that.
+func (j *joinIter) take(orow tuple) {
+	j.meet(orow)
+	j.cur = orow
+	if j.ix != nil {
+		if j.nOuterRows <= j.ix.limit {
+			j.ix.seek(j.hb.probeWord(orow))
+			return
 		}
-		if j.trackEarlyOut && j.hb.withinMax(orow) {
-			j.nProcessed++
+		j.ix.fill(j.hb, j.ctx.workers)
+		j.ix = nil
+	}
+	j.mi, j.word = j.hb.first(orow)
+}
+
+// meet counts and samples an outer row, as the join does every row its outer
+// passes.
+func (j *joinIter) meet(orow tuple) {
+	j.nOuterRows++
+	if j.outerSample == nil {
+		j.outerSample = orow
+	}
+	if j.trackEarlyOut && j.hb.withinMax(orow) {
+		j.nProcessed++
+	}
+}
+
+// walk is the join's drain through Next for the row IDs in slot s of its
+// output alone (see the package function walk): the matches of each outer
+// row — a hash chain or an index run — are walked in one loop, and a bare
+// scan outer position by position (walkScan), without carving an output
+// tuple or pulling the outer through Next.
+func (j *joinIter) walk(s int32, words, dst []uint64) []uint64 {
+	if !j.start() {
+		return dst
+	}
+	dst = j.walkMatches(s, words, dst) // those of the row a Next left
+	if sc := bareScan(j.outer); sc != nil {
+		dst = j.walkScan(sc, s, words, dst)
+	} else {
+		for orow, ok := j.outer.Next(); ok; orow, ok = j.outer.Next() {
+			j.take(orow)
+			dst = j.walkMatches(s, words, dst)
 		}
-		j.cur = orow
-		if j.ix != nil {
-			if j.nOuterRows <= j.ix.limit {
-				j.ix.seek(j.hb.probeWord(orow))
+	}
+	j.done = true
+	j.finalize()
+	return dst
+}
+
+// walkScan walks the join's bare scan outer. Once the join probes an exact
+// build keyed on a key-word vector, each position passed is looked up by its
+// word alone — probeWords[id], its bucket, the chain's equal words — in one
+// loop; until then, or without such a build, its row is taken and its
+// matches walked. The lookup is what take and walkMatches do for such a
+// build, inlined: their per-row calls (first, probeWord, match, after) are
+// about a third of the walk of a STORE_SALES scan into a DATE_DIM build
+// (BenchmarkDrainBuild/count_outer_scan).
+func (j *joinIter) walkScan(sc *scanIter, s int32, words, dst []uint64) []uint64 {
+	b := j.hb
+	for id := sc.pass(); id >= 0; id = sc.pass() {
+		orow := sc.ids[id : id+1 : id+1]
+		if j.ix != nil || !b.exact || b.probeWords == nil {
+			j.take(orow)
+			dst = j.walkMatches(s, words, dst)
+			continue
+		}
+		j.meet(orow)
+		w := b.probeWords[id]
+		if w == nullKeyWord || b.rows.n == 0 {
+			continue
+		}
+		for i := b.heads[b.bucket(w)]; i >= 0; i = b.next[i] {
+			if b.words[i] != w {
 				continue
 			}
-			j.ix.fill(j.hb, j.ctx.workers)
-			j.ix = nil
+			if s == 0 { // the outer row's one slot
+				dst = append(dst, words[id])
+			} else {
+				dst = append(dst, words[b.rows.at(int(i))[s-1]])
+			}
+			j.nOut++
 		}
-		j.mi, j.word = j.hb.first(orow)
 	}
+	return dst
+}
+
+// walkMatches appends words[id] for the ID in slot s of each output tuple cur
+// has left: the rest of its chain from mi, or of its index run.
+func (j *joinIter) walkMatches(s int32, words, dst []uint64) []uint64 {
+	in := int(s) - len(j.cur) // s in the inner tuple, if not negative
+	for i := j.mi; i >= 0; i = j.hb.after(i, j.word, j.cur) {
+		var id uint32
+		if in < 0 {
+			id = j.cur[s]
+		} else {
+			id = j.hb.rows.at(int(i))[in]
+		}
+		dst = append(dst, words[id])
+		j.nOut++
+	}
+	j.mi = -1
+	if j.ix != nil {
+		for id := j.ix.next(); id >= 0; id = j.ix.next() {
+			if in < 0 {
+				id = int(j.cur[s])
+			}
+			dst = append(dst, words[id])
+			j.nOut++
+		}
+	}
+	return dst
 }
 
 // countable reports whether count can stand in for draining the join: one key
@@ -204,17 +298,15 @@ func (j *joinIter) count() int {
 
 // fileKeys drains an input for its rows' key words — words by the row ID in
 // slot, appended to b.words — and returns its first tuple and its row count.
+// The first tuple is pulled through Next, the rest walked (walk).
 func (b *hashBuild) fileKeys(it rowIter, slot int32, words []uint64) (first tuple, n int) {
 	first, ok := it.Next()
-	var id uint32
-	if ok {
-		id = first[slot]
+	if !ok {
+		return nil, 0
 	}
-	for ; ok; id, ok = nextID(it, slot) {
-		b.words = append(b.words, words[id])
-		n++
-	}
-	return first, n
+	n = len(b.words)
+	b.words = walk(it, slot, words, append(b.words, words[first[slot]]))
+	return first, len(b.words) - n
 }
 
 // buildInner drains the inner child and, unless ix answers the probes from the
