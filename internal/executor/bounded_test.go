@@ -160,3 +160,72 @@ func TestStoppedJoinStaysExhausted(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedParallelMatchesSerial holds a bounded run of a segment under a
+// SORT or a GRPBY to the serial one: the join-sort, threeway-sort and
+// join-groupby plans of TestParallelMatchesSerialAcrossWorkerCounts, run by
+// RunBounded at 0.1, 0.5, 0.9, 1.0 and 1.5 times each plan's cost at workers
+// 0, 4 and 8, book all of RunStats and every operator's ActMillis (as bits) and
+// ActCardinality alike at every worker count — aborted or not — and leave no
+// exchange worker behind.
+func TestBoundedParallelMatchesSerial(t *testing.T) {
+	_, opt, _ := setup(t)
+	join := func(outer, inner string) *optimizer.Spec {
+		return optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf(outer), optimizer.Leaf(inner))
+	}
+	cases := []struct {
+		name, sql string
+		spec      *optimizer.Spec
+	}{
+		{"join-sort", `SELECT i_item_desc, ss_quantity FROM store_sales, item
+			WHERE ss_item_sk = i_item_sk AND ss_quantity > 5 ORDER BY i_item_desc`,
+			join("STORE_SALES", "ITEM")},
+		{"threeway-sort", `SELECT i_item_desc, ss_quantity, d_year FROM store_sales, item, date_dim
+			WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk ORDER BY i_item_desc`,
+			optimizer.Join(qgm.OpHSJOIN, join("STORE_SALES", "ITEM"), optimizer.Leaf("DATE_DIM"))},
+		{"join-groupby", `SELECT i_category FROM store_sales, item
+			WHERE ss_item_sk = i_item_sk GROUP BY i_category`,
+			join("STORE_SALES", "ITEM")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := sqlparser.MustParse(tc.sql)
+			plan, err := opt.BuildPlan(q, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounded := func(workers int, budget float64) run {
+				stats, err := New(testDB).WithWorkers(workers).RunBounded(plan, q, budget)
+				if err != nil {
+					t.Fatalf("RunBounded: %v", err)
+				}
+				if live := ExchangeWorkerCount(); live != 0 {
+					t.Fatalf("workers=%d, budget %v: %d exchange workers outlive the run", workers, budget, live)
+				}
+				return run{ops: actuals(plan), stats: stats}
+			}
+			elapsed := bounded(0, 0).stats.ElapsedMillis
+			aborted := 0
+			for _, f := range []float64{0.1, 0.5, 0.9, 1.0, 1.5} {
+				budget := f * elapsed
+				serial := bounded(0, budget)
+				if serial.stats.Aborted {
+					aborted++
+				}
+				for _, workers := range []int{4, 8} {
+					segments := ExchangeSegmentCount()
+					got := bounded(workers, budget)
+					if ExchangeSegmentCount() == segments {
+						t.Fatalf("workers=%d, budget %v: no exchange ran", workers, budget)
+					}
+					if d := sameBits(serial, got); d != "" {
+						t.Errorf("workers=%d, budget %v of %v: %s", workers, budget, elapsed, d)
+					}
+				}
+			}
+			if aborted != 3 {
+				t.Errorf("%d of 5 budgets aborted the serial run, want the 3 below its cost", aborted)
+			}
+		})
+	}
+}

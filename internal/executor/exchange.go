@@ -1,30 +1,31 @@
 package executor
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"galo/internal/catalog"
 	"galo/internal/qgm"
 	"galo/internal/storage"
 )
 
 // The exchange operator: intra-query parallelism on the rowIter contract.
 //
-// A qualifying pipeline segment — a TBSCAN/IXSCAN/FETCH leaf, the
-// FILTER/HSJOIN spine above it, and an optional terminal SORT or GRPBY — runs
-// as one exchange: the scan's row (or index-entry) range is split into
-// contiguous partitions, one worker goroutine drives each partition through a
-// replica of the spine (probing shared hash builds drained once on the
-// consumer thread), and the consumer merges. Merging preserves the serial row
-// order when it matters: partition-order concatenation reproduces an ordered
-// scan exactly, worker-local sorts plus a stable lowest-partition-first merge
-// reproduce the terminal SORT's sort.SliceStable output exactly, and
-// partition-order global deduplication reproduces the terminal GRPBY's
-// first-seen rows exactly. Segments with neither an order property nor a
-// terminal breaker use unordered fan-in: the row multiset is deterministic,
-// the interleaving is not.
+// A qualifying pipeline segment — a TBSCAN/IXSCAN/FETCH leaf and the
+// FILTER/HSJOIN spine above it — runs as one exchange: the scan's row (or
+// index-entry) range is split into contiguous partitions, one worker goroutine
+// drives each partition through a replica of the spine (probing shared hash
+// builds drained once on the consumer thread), and the consumer fans the
+// workers' output in. Partition-order delivery reproduces the serial row order
+// exactly, the partitions being contiguous; a segment whose row order nothing
+// observes uses unordered fan-in: the row multiset is deterministic, the
+// interleaving is not.
+//
+// A segment right under a SORT or a GRPBY hands that operator partial results.
+// Under a SORT each worker buffers its partition in a tupleBuf of its own and
+// the sortIter takes the runs in place of a drain (sortIter.buffer); under a
+// GRPBY each worker drops the rows whose group its partition has already
+// passed, and the exchange counts them for the groupByIter. The serial
+// operator alone sorts, merges, deduplicates, holds and charges.
 //
 // The exchange is a partitioner and a merger, nothing else: the operators a
 // worker runs are replicas (spineIter) of the serial iterators, which count
@@ -69,12 +70,14 @@ func ExchangeWorkerCount() int64 { return exchangeWorkers.Load() }
 // started process-wide (test and /stats instrumentation).
 func ExchangeSegmentCount() int64 { return exchangeSegments.Load() }
 
+// termKind says which serial operator, if any, takes a segment's partial
+// results.
 type termKind int
 
 const (
-	termNone termKind = iota
-	termSort
-	termGrpBy
+	termNone  termKind = iota
+	termSort           // the workers' runs (exchangeIter.runs)
+	termGrpBy          // the stream, less the rows a worker's partition already grouped
 )
 
 // partition is what tells one replica of a spine from another: the scan's
@@ -125,24 +128,24 @@ func (s spine) fold(r spine) {
 }
 
 type segment struct {
-	scan     *scanSource // the partitioned leaf access
-	lead     spine       // over none of it: owns the builds, takes the folded counts
-	term     termKind
-	termNode *qgm.Node
-	sortKey  []colRef
-	grpKey   []colRef
-	slots    slotList // of the spine's output
+	scan   *scanSource // the partitioned leaf access
+	lead   spine       // over none of it: owns the builds, takes the folded counts
+	term   termKind
+	grpKey []colRef // termGrpBy: the GRPBY's key
+	slots  slotList // of the spine's output
 }
 
-// openParallel tries to open node as an exchange segment. ok=false means the
-// shape does not qualify and the caller should build serial operators.
+// openParallel tries to open node as an exchange segment: node itself, or,
+// when node is a SORT or a GRPBY, the serial operator over a segment below it.
+// ok=false means the shape does not qualify and the caller should build serial
+// operators.
 func (c *execContext) openParallel(node *qgm.Node) (rowIter, slotList, bool, error) {
-	term, termNode, cur := termNone, (*qgm.Node)(nil), node
+	term, cur := termNone, node
 	switch node.Op {
 	case qgm.OpSORT:
-		term, termNode, cur = termSort, node, node.Outer
+		term, cur = termSort, node.Outer
 	case qgm.OpGRPBY:
-		term, termNode, cur = termGrpBy, node, node.Outer
+		term, cur = termGrpBy, node.Outer
 	}
 	var chain []*qgm.Node // top-down spine
 	nJoins := 0
@@ -168,8 +171,8 @@ walk:
 		}
 	}
 	// A bare unordered scan gains nothing from fan-in (and would make plain
-	// result order nondeterministic for free): require a join, a terminal
-	// breaker, or an ordered scan worth preserving in parallel.
+	// result order nondeterministic for free): require a join, a SORT or a
+	// GRPBY above, or an ordered scan worth preserving in parallel.
 	if nJoins == 0 && term == termNone && cur.OrderedOn == "" {
 		return nil, nil, false, nil
 	}
@@ -185,23 +188,25 @@ walk:
 	if err != nil {
 		return nil, nil, false, err
 	}
-	seg := &segment{scan: sc, lead: lead, term: term, termNode: termNode, slots: lay}
-	switch term {
-	case termSort:
-		seg.sortKey = c.sortKey(termNode, lay)
-	case termGrpBy:
-		seg.grpKey = lay.refs(c.prep.groupBy)
-	}
+	seg := &segment{scan: sc, lead: lead, term: term, slots: lay}
 	ex := &exchangeIter{
 		ctx: c, seg: seg,
 		// Partition-order delivery when the serial row order is observable:
-		// an ordered scan, a terminal breaker whose exact output we
-		// reproduce, or an operator above that samples or buffers what
-		// arrives (openOrdered). Everything else is unordered fan-in: in
-		// partition order the workers of later partitions stall on a full
-		// channel while the consumer drains the first
-		// (BenchmarkExecuteRootSegment: slower than serial).
-		ordered: sc.node.OrderedOn != "" || term != termNone || c.orderObserved > 0,
+		// an ordered scan, the GRPBY above (first-seen rows), or an operator
+		// above that samples or buffers what arrives (openOrdered).
+		// Everything else is unordered fan-in: in partition order the workers
+		// of later partitions stall on a full channel while the consumer
+		// drains the first (BenchmarkExecuteRootSegment: slower than serial).
+		// A SORT's runs travel on no channel.
+		ordered: sc.node.OrderedOn != "" || term == termGrpBy || c.orderObserved > 0,
+	}
+	switch term {
+	case termSort:
+		return c.sortOver(node, ex, lay), lay, true, nil
+	case termGrpBy:
+		g := c.groupByOver(node, ex, lay)
+		seg.grpKey = g.groups.key
+		return g, lay, true, nil
 	}
 	return ex, lay, true, nil
 }
@@ -255,22 +260,10 @@ type exchangeIter struct {
 	bi       int
 	part     int // next partition stream to drain (ordered mode)
 
-	// terminal SORT merge state
-	merged        bool
-	bufs          [][]tuple
-	heads         []int
-	sortHeldRows  int
-	sortHeldBytes int64
-
-	// terminal GRPBY state
-	seen         map[string]struct{}
-	keyB         strings.Builder
-	grpOut       int
-	grpHeldBytes int64
-
-	folded     bool
-	grpNIn     int
-	grpCharged bool
+	// dropped is the rows the workers dropped as grouped (termGrpBy), folded
+	// in with their counts.
+	dropped int
+	folded  bool
 
 	finished, closed bool
 }
@@ -280,17 +273,16 @@ type segWorker struct {
 	partition // mem is drawn from by this worker alone; released by the consumer
 	ex        *exchangeIter
 	ops       spine
-	ch        chan []uint32 // ordered mode, except under a terminal SORT
+	ch        chan []uint32 // ordered mode, except under a SORT
 
-	batch     []uint32 // the fan-in batch being filled
-	spare     []uint32 // what is left of the chunk batches are cut from
-	kb        strings.Builder
-	sortBuf   []tuple
-	localSeen map[string]struct{}
+	batch []uint32 // the fan-in batch being filled
+	spare []uint32 // what is left of the chunk batches are cut from
 
-	// Read by the consumer only after wg.Wait (happens-before), as are the
-	// counts inside ops.
-	grpNIn int
+	// Read by the consumer only once the worker has exited (wg.Wait, or the
+	// close of ch), as are the counts inside ops.
+	run     tupleBuf // termSort: the partition's rows
+	groups  groupSet // termGrpBy: the groups the partition has passed
+	dropped int      // termGrpBy: the rows of groups already passed
 }
 
 func (e *exchangeIter) start() {
@@ -310,17 +302,16 @@ func (e *exchangeIter) start() {
 	if !e.ordered {
 		e.fanin = make(chan []uint32, exchangeChanDepth*len(parts))
 	}
-	if e.seg.term == termGrpBy {
-		e.seen = make(map[string]struct{})
-	}
 	for i, p := range parts {
 		w := &segWorker{ex: e, partition: partition{lo: p[0], hi: p[1], cancel: &e.cancelled, mem: e.ctx.newArena()}}
 		w.ops = e.seg.lead.replica(&w.partition)
-		if e.ordered && e.seg.term != termSort {
+		if e.seg.term == termSort {
+			w.run = newTupleBuf(w.mem, width)
+		} else if e.ordered {
 			w.ch = make(chan []uint32, exchangeChanDepth)
 		}
 		if e.seg.term == termGrpBy {
-			w.localSeen = make(map[string]struct{})
+			w.groups = newGroupSet(e.seg.grpKey)
 		}
 		e.workers[i] = w
 	}
@@ -345,45 +336,27 @@ func (e *exchangeIter) Next() (tuple, bool) {
 			return nil, false
 		}
 	}
-	switch e.seg.term {
-	case termSort:
-		if !e.merged {
-			e.collectSorted()
-		}
-		i := e.minHead()
-		if i < 0 {
-			e.finished = true
-			return nil, false
-		}
-		row := e.bufs[i][e.heads[i]]
-		e.heads[i]++
-		return row, true
-	case termGrpBy:
-		for {
-			row, ok := e.nextRaw()
-			if !ok {
-				e.finished = true
-				e.finalizeCharges()
-				return nil, false
-			}
-			k := groupKeyOf(row, e.seg.grpKey, &e.keyB)
-			if _, dup := e.seen[k]; dup {
-				continue
-			}
-			e.seen[k] = struct{}{}
-			e.ctx.hold(1, int64(len(k)))
-			e.grpHeldBytes += int64(len(k))
-			e.grpOut++
-			return row, true
-		}
-	default:
-		row, ok := e.nextRaw()
-		if !ok {
-			e.finished = true
-			e.finalizeCharges()
-		}
-		return row, ok
+	row, ok := e.nextRaw()
+	if !ok {
+		e.finished = true
+		e.finalizeCharges()
 	}
+	return row, ok
+}
+
+// runs starts a segment under a SORT in place of Next, waits for its workers
+// and returns the rows each buffered, in partition order: none when a build
+// side put the run over its budget before any worker started.
+func (e *exchangeIter) runs() []tupleBuf {
+	if e.start(); e.finished {
+		return nil
+	}
+	e.wg.Wait()
+	runs := make([]tupleBuf, len(e.workers))
+	for i, w := range e.workers {
+		runs[i] = w.run
+	}
+	return runs
 }
 
 // nextRaw serves the next merged spine-output row: partition streams drained
@@ -416,73 +389,6 @@ func (e *exchangeIter) nextRaw() (tuple, bool) {
 	}
 }
 
-// collectSorted gathers every worker's locally sorted buffer, charges the
-// whole segment (the serial sortIter charges at buffer time, before any row
-// streams out), and arms the merge.
-func (e *exchangeIter) collectSorted() {
-	e.merged = true
-	e.wg.Wait()
-	e.bufs = make([][]tuple, len(e.workers))
-	for i, w := range e.workers {
-		e.bufs[i] = w.sortBuf
-	}
-	// The serial sort closes its drained child — charging it and releasing its
-	// build sides — before the sort buffer is held. Matching that chronology
-	// keeps the peak-residency accounting identical to serial.
-	e.fold()
-	e.seg.lead.root().Close()
-	if e.ctx.overBudget() {
-		// The segment alone cost more than the run may: no merge.
-		e.bufs = nil
-		return
-	}
-	e.heads = make([]int, len(e.bufs))
-	total := 0
-	for _, b := range e.bufs {
-		total += len(b)
-	}
-	// The serial sort samples its first post-sort row for the width — the
-	// global minimum, which the merge's first pick reproduces exactly.
-	var sample tuple
-	if i := e.minHead(); i >= 0 {
-		sample = e.bufs[i][e.heads[i]]
-	}
-	width := e.seg.slots.rowWidth(sample)
-	e.sortHeldRows = total
-	e.sortHeldBytes = int64(width) * int64(total)
-	e.ctx.hold(total, e.sortHeldBytes)
-	e.ctx.charge(e.seg.termNode, e.ctx.sortMillis(float64(total), width), total)
-}
-
-// minHead returns the partition whose head row is the smallest, or -1 once
-// every partition is drained (ties resolve to the lowest partition — the
-// stable-merge rule).
-func (e *exchangeIter) minHead() int {
-	best := -1
-	for i, b := range e.bufs {
-		if e.heads[i] >= len(b) {
-			continue
-		}
-		if best < 0 || compareRows(b[e.heads[i]], e.bufs[best][e.heads[best]], e.seg.sortKey) < 0 {
-			best = i
-		}
-	}
-	return best
-}
-
-// compareRows orders two rows on the sort key columns. The merge takes a
-// later partition's row only when it is strictly smaller, so an ascending
-// partition sweep keeps the stable (lowest-partition-first) order — exactly a
-// stable sort over the concatenated partitions.
-func compareRows(a, b tuple, key []colRef) int {
-	for i := range key {
-		if cmp := catalog.Compare(*key[i].of(a), *key[i].of(b)); cmp != 0 {
-			return cmp
-		}
-	}
-	return 0
-}
-
 // fold adds the workers' counts to the lead, in partition order: the sample a
 // join keeps is then the serial first row. The workers have exited.
 func (e *exchangeIter) fold() {
@@ -492,23 +398,16 @@ func (e *exchangeIter) fold() {
 	e.folded = true
 	for _, w := range e.workers {
 		e.seg.lead.fold(w.ops)
-		e.grpNIn += w.grpNIn
+		e.dropped += w.dropped
 	}
 }
 
-// finalizeCharges fires at exhaustion of the non-sort paths (the sort path
-// charges in collectSorted): the lead bottom-up — the order a serial pipeline
-// finalizes in as exhaustion travels up it — then the terminal GRPBY,
-// mirroring the serial order where the child pipeline finalizes inside the
-// last groupByIter.Next.
+// finalizeCharges fires at exhaustion: the lead bottom-up, the order a serial
+// pipeline finalizes in as exhaustion travels up it.
 func (e *exchangeIter) finalizeCharges() {
 	e.fold()
 	for _, op := range e.seg.lead {
 		op.finalize()
-	}
-	if e.seg.term == termGrpBy && !e.grpCharged {
-		e.grpCharged = true
-		e.ctx.charge(e.seg.termNode, e.ctx.cost.PerRow(float64(e.grpNIn), catalog.GroupByRowCPU), e.grpOut)
 	}
 }
 
@@ -529,15 +428,6 @@ func (e *exchangeIter) Close() {
 	// Close does, and releases the builds that were.
 	e.fold()
 	e.seg.lead.root().Close()
-	e.finalizeCharges()
-	if e.merged {
-		e.ctx.release(e.sortHeldRows, e.sortHeldBytes)
-		e.bufs = nil
-	}
-	if e.grpHeldBytes > 0 || e.grpOut > 0 {
-		e.ctx.release(e.grpOut, e.grpHeldBytes)
-		e.seen = nil
-	}
 }
 
 // --- worker side -------------------------------------------------------------
@@ -558,37 +448,27 @@ func (w *segWorker) main() {
 		}
 		ok = w.emit(row)
 	}
-	ok = ok && !w.cancel.Load()
-	if w.ex.seg.term == termSort {
-		// The consumer reads sortBuf once every worker has exited.
-		if ok {
-			w.sortLocal()
-		}
-		return
-	}
-	if ok {
+	if ok && !w.cancel.Load() {
 		w.flush()
 	}
-	if w.ex.ordered {
+	if w.ch != nil {
 		close(w.ch)
 	}
 }
 
-// emit hands a spine-output row to the terminal: buffered for the local
-// sort, locally deduplicated for GRPBY (the consumer dedupes globally), or
-// batched straight out.
+// emit hands a spine-output row on: into the partition's run under a SORT,
+// dropped under a GRPBY when the partition has passed its group, batched
+// straight out otherwise.
 func (w *segWorker) emit(row tuple) bool {
 	switch w.ex.seg.term {
 	case termSort:
-		w.sortBuf = append(w.sortBuf, row)
+		w.run.add(row)
 		return true
 	case termGrpBy:
-		w.grpNIn++
-		k := groupKeyOf(row, w.ex.seg.grpKey, &w.kb)
-		if _, dup := w.localSeen[k]; dup {
+		if _, fresh := w.groups.add(row); !fresh {
+			w.dropped++
 			return true
 		}
-		w.localSeen[k] = struct{}{}
 	}
 	if w.batch == nil {
 		n := w.ex.batchIDs
@@ -620,39 +500,4 @@ func (w *segWorker) flush() bool {
 	case <-w.ex.done:
 		return false
 	}
-}
-
-// sortLocal stable-sorts the partition buffer; partition-local stable order
-// plus the stable merge equals the serial global stable sort.
-func (w *segWorker) sortLocal() {
-	if key := w.ex.seg.sortKey; len(key) > 0 {
-		sortStableBy(w.sortBuf, key, func(t tuple) tuple { return t })
-	}
-}
-
-// sortStableBy stable-sorts xs, each standing for the tuple row(x), on the key
-// columns — the one comparison the serial sortIter (over buffer ordinals) and
-// the exchange workers (over tuples) share, so their orders agree row for row.
-// The sort kernel's pairs come from a pool, not from the request.
-func sortStableBy[T any](xs []T, key []colRef, row func(T) tuple) {
-	s := sortScratch.Get().(*catalog.SortScratch)
-	catalog.SortStable(xs, len(key),
-		func(x *T, c int) *catalog.Value { return key[c].of(row(*x)) },
-		func(a, b T) int { return compareRows(row(a), row(b), key) }, s)
-	sortScratch.Put(s)
-}
-
-// sortScratch holds the sort kernel's scratch between sorts.
-var sortScratch = sync.Pool{New: func() any { return new(catalog.SortScratch) }}
-
-// groupKeyOf serializes the group-by key columns (shared between workers'
-// local dedupe and the consumer's global dedupe — the key strings must be
-// identical).
-func groupKeyOf(row tuple, key []colRef, kb *strings.Builder) string {
-	kb.Reset()
-	for i := range key {
-		kb.WriteString(key[i].of(row).Key())
-		kb.WriteByte('|')
-	}
-	return kb.String()
 }

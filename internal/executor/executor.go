@@ -97,11 +97,13 @@ type Result struct {
 type Executor struct {
 	DB *storage.Database
 	// Workers enables intra-query parallelism: qualifying pipeline segments
-	// (a scan plus the FILTER/HSJOIN spine above it, with an optional
-	// terminal SORT or GRPBY) run as an exchange — the scan partitioned
-	// across up to Workers goroutines, merged order-preserving when the
-	// input is ordered or a terminal breaker demands it, unordered fan-in
-	// otherwise. 0 or 1 means serial. Per-operator actuals are aggregated
+	// (a scan plus the FILTER/HSJOIN spine above it) run as an exchange — the
+	// scan partitioned across up to Workers goroutines, merged
+	// order-preserving when the input is ordered or an operator above
+	// observes the order, unordered fan-in otherwise. A SORT or a GRPBY right
+	// above a segment takes its workers' partial results: one buffered run
+	// per partition, or the stream less the rows a partition had already
+	// grouped. 0 or 1 means serial. Per-operator actuals are aggregated
 	// deterministically, so charges are bit-identical at any worker count.
 	Workers int
 }

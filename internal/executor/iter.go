@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"galo/internal/catalog"
@@ -160,9 +161,9 @@ func (c *execContext) open(node *qgm.Node) (rowIter, slotList, error) {
 	case qgm.OpFILTER:
 		return c.filterOver(node, child), lay, nil
 	case qgm.OpSORT:
-		return &sortIter{ctx: c, node: node, child: child, slots: lay, key: c.sortKey(node, lay)}, lay, nil
+		return c.sortOver(node, child, lay), lay, nil
 	default:
-		return &groupByIter{ctx: c, node: node, child: child, key: lay.refs(c.prep.groupBy), seen: map[string]struct{}{}}, lay, nil
+		return c.groupByOver(node, child, lay), lay, nil
 	}
 }
 
@@ -177,18 +178,23 @@ func (c *execContext) openOrdered(n *qgm.Node) (rowIter, slotList, error) {
 	return c.open(n)
 }
 
-// sortKey resolves the columns a SORT orders by: the query's ORDER BY columns
-// present in the input, overridden by the node's single-column order property
-// when it names a different leading column (a SORT feeding a merge join
-// establishes the merge column's order).
-func (c *execContext) sortKey(node *qgm.Node, lay slotList) []colRef {
+// sortOver returns the SORT operator over a child already open. It orders by
+// the query's ORDER BY columns present in the input, overridden by the node's
+// single-column order property when it names a different leading column (a
+// SORT feeding a merge join establishes the merge column's order).
+func (c *execContext) sortOver(node *qgm.Node, child rowIter, lay slotList) *sortIter {
 	key := lay.refs(c.prep.orderBy)
 	if node.OrderedOn != "" {
 		if r, ok := lay.named(node.OrderedOn); ok && (len(key) == 0 || key[0] != r) {
 			key = []colRef{r}
 		}
 	}
-	return key
+	return &sortIter{ctx: c, node: node, child: child, slots: lay, key: key}
+}
+
+// groupByOver returns the GRPBY operator over a child already open.
+func (c *execContext) groupByOver(node *qgm.Node, child rowIter, lay slotList) *groupByIter {
+	return &groupByIter{ctx: c, node: node, child: child, groups: newGroupSet(lay.refs(c.prep.groupBy))}
 }
 
 // --- pass-through operators (RETURN, FILTER) ---------------------------------
@@ -465,7 +471,11 @@ func (s *ixscanIter) fold(r spineIter)                          { s.add(&r.(*ixs
 // sortIter is a pipeline breaker: the first Next drains the child into a
 // buffer (held in the intermediate accounting), sorts it, and charges the
 // sort; rows then stream out of the buffer. The buffer is the rows' IDs in
-// arena chunks, and what is sorted is a permutation of their ordinals.
+// arena chunks, and what is sorted is a permutation of their ordinals. Over an
+// exchange the buffer is the runs its workers filled, one per partition, in
+// place of the drain: the runs are sorted concurrently and merged, the lowest
+// run first on a tie, which is the stable sort of their concatenation — the
+// serial drain.
 type sortIter struct {
 	ctx   *execContext
 	node  *qgm.Node
@@ -473,8 +483,8 @@ type sortIter struct {
 	slots slotList
 	key   []colRef
 
-	rows      tupleBuf
-	order     []int32 // the buffered ordinals in output order; nil serves nothing
+	rows      tupleBuf // every run's chunks, each run from a chunk boundary on
+	order     []int32  // the buffered ordinals in output order; nil serves nothing
 	pos       int
 	heldBytes int64
 	sorted    bool
@@ -495,9 +505,15 @@ func (s *sortIter) Next() (tuple, bool) {
 
 func (s *sortIter) buffer() {
 	s.sorted = true
-	s.rows = newTupleBuf(s.ctx.mem, len(s.slots))
-	for t, ok := s.child.Next(); ok; t, ok = s.child.Next() {
-		s.rows.add(t)
+	var runs []tupleBuf
+	if ex, ok := s.child.(*exchangeIter); ok {
+		runs = ex.runs()
+	} else {
+		run := newTupleBuf(s.ctx.mem, len(s.slots))
+		for t, ok := s.child.Next(); ok; t, ok = s.child.Next() {
+			run.add(t)
+		}
+		runs = []tupleBuf{run}
 	}
 	s.child.Close()
 	if s.ctx.overBudget() {
@@ -509,11 +525,11 @@ func (s *sortIter) buffer() {
 	// only the row count and the row the sort would put first — so a sort that
 	// takes the run over its budget is never performed. An unbounded run
 	// (every serving path) sorts and reads that row off the front.
-	n, row := s.rows.n, func(i int32) tuple { return s.rows.at(int(i)) }
-	s.order = s.ctx.mem.order(n)
+	ends := s.gather(runs)
+	n := len(s.order)
 	sortFirst := s.ctx.budget == 0 || len(s.key) == 0
-	if sortFirst && len(s.key) > 0 {
-		sortStableBy(s.order, s.key, row)
+	if sortFirst {
+		s.sort(ends)
 	}
 	var sample tuple
 	if n > 0 {
@@ -528,18 +544,91 @@ func (s *sortIter) buffer() {
 			s.order = nil
 			return
 		}
-		sortStableBy(s.order, s.key, row)
+		s.sort(ends)
 	}
 	s.heldBytes = int64(width) * int64(n)
 	s.ctx.hold(n, s.heldBytes)
 }
 
+// gather lays the runs end to end: rows is the first with every later run's
+// chunks appended, each run's from a chunk boundary on, and order their
+// ordinals, run after run — the order the serial pipeline drains the rows in.
+// It returns where each run's ordinals end.
+func (s *sortIter) gather(runs []tupleBuf) []int {
+	n := 0
+	for _, r := range runs {
+		n += r.n
+	}
+	s.rows, s.order = runs[0], s.ctx.mem.ints(n)
+	ends := make([]int, len(runs))
+	k := 0
+	for i, r := range runs {
+		base := int32(0)
+		if i > 0 {
+			base = int32(len(s.rows.chunks)) << s.rows.shift
+			s.rows.chunks = append(s.rows.chunks, r.chunks...)
+		}
+		for j := range int32(r.n) {
+			s.order[k] = base + j
+			k++
+		}
+		ends[i] = k
+	}
+	return ends
+}
+
+// sort stable-sorts the ordinals on the key: every run's on a goroutine of
+// its own but the last, which sorts on the caller's, and then the runs
+// merged.
+func (s *sortIter) sort(ends []int) {
+	if len(s.key) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	lo := 0
+	for _, hi := range ends[:len(ends)-1] {
+		wg.Add(1)
+		go func(run []int32) {
+			defer wg.Done()
+			sortStableBy(run, &s.rows, s.key)
+		}(s.order[lo:hi])
+		lo = hi
+	}
+	sortStableBy(s.order[lo:], &s.rows, s.key)
+	wg.Wait()
+	if len(ends) > 1 {
+		s.order = s.merge(ends)
+	}
+}
+
+// merge merges the sorted runs of order, run r ending at ends[r], into a new
+// permutation: the smallest head first and, on a tie, the lowest run's — what
+// a stable sort of the concatenated runs leaves.
+func (s *sortIter) merge(ends []int) []int32 {
+	heads := make([]int, len(ends))
+	for r := 1; r < len(ends); r++ {
+		heads[r] = ends[r-1]
+	}
+	out := s.ctx.mem.ints(len(s.order))
+	for k := range out {
+		best := -1
+		for r, h := range heads {
+			if h < ends[r] && (best < 0 || compareRows(s.rows.at(int(s.order[h])), s.rows.at(int(s.order[heads[best]])), s.key) < 0) {
+				best = r
+			}
+		}
+		out[k] = s.order[heads[best]]
+		heads[best]++
+	}
+	return out
+}
+
 // firstMin returns the row a stable sort on the key would put first: the first
 // of the smallest.
 func (s *sortIter) firstMin() tuple {
-	first := s.rows.at(0)
-	for i := 1; i < s.rows.n; i++ {
-		if t := s.rows.at(i); compareRows(t, first, s.key) < 0 {
+	first := s.rows.at(int(s.order[0]))
+	for _, i := range s.order[1:] {
+		if t := s.rows.at(int(i)); compareRows(t, first, s.key) < 0 {
 			first = t
 		}
 	}
@@ -558,21 +647,44 @@ func (s *sortIter) Close() {
 	}
 }
 
+// sortStableBy stable-sorts the ordinals of rows on the key columns. The sort
+// kernel's pairs come from a pool, not from the request.
+func sortStableBy(order []int32, rows *tupleBuf, key []colRef) {
+	s := sortScratch.Get().(*catalog.SortScratch)
+	catalog.SortStable(order, len(key),
+		func(i *int32, c int) *catalog.Value { return key[c].of(rows.at(int(*i))) },
+		func(a, b int32) int { return compareRows(rows.at(int(a)), rows.at(int(b)), key) }, s)
+	sortScratch.Put(s)
+}
+
+// sortScratch holds the sort kernel's scratch between sorts.
+var sortScratch = sync.Pool{New: func() any { return new(catalog.SortScratch) }}
+
+// compareRows orders two rows on the key columns.
+func compareRows(a, b tuple, key []colRef) int {
+	for i := range key {
+		if cmp := catalog.Compare(*key[i].of(a), *key[i].of(b)); cmp != 0 {
+			return cmp
+		}
+	}
+	return 0
+}
+
 // --- group-by ----------------------------------------------------------------
 
 // groupByIter streams distinct group keys in first-seen order. Only the key
 // set is retained (held in the intermediate accounting) — group rows
-// themselves flow straight through.
+// themselves flow straight through. Over an exchange it reads the
+// partition-ordered stream, less the rows whose group a worker's partition had
+// already passed; it charges for those too (exchangeIter.dropped).
 type groupByIter struct {
-	ctx   *execContext
-	node  *qgm.Node
-	child rowIter
-	key   []colRef
-	seen  map[string]struct{}
+	ctx    *execContext
+	node   *qgm.Node
+	child  rowIter
+	groups groupSet
 
 	nIn, nOut       int
 	heldBytes       int64
-	kb              strings.Builder
 	charged, closed bool
 }
 
@@ -584,15 +696,12 @@ func (g *groupByIter) Next() (tuple, bool) {
 			return nil, false
 		}
 		g.nIn++
-		k := groupKeyOf(t, g.key, &g.kb)
-		if _, dup := g.seen[k]; dup {
-			continue
+		if n, fresh := g.groups.add(t); fresh {
+			g.ctx.hold(1, int64(n))
+			g.heldBytes += int64(n)
+			g.nOut++
+			return t, true
 		}
-		g.seen[k] = struct{}{}
-		g.ctx.hold(1, int64(len(k)))
-		g.heldBytes += int64(len(k))
-		g.nOut++
-		return t, true
 	}
 }
 
@@ -601,7 +710,11 @@ func (g *groupByIter) finalize() {
 		return
 	}
 	g.charged = true
-	g.ctx.charge(g.node, g.ctx.cost.PerRow(float64(g.nIn), catalog.GroupByRowCPU), g.nOut)
+	nIn := g.nIn
+	if ex, ok := g.child.(*exchangeIter); ok {
+		nIn += ex.dropped
+	}
+	g.ctx.charge(g.node, g.ctx.cost.PerRow(float64(nIn), catalog.GroupByRowCPU), g.nOut)
 }
 
 func (g *groupByIter) Close() {
@@ -612,5 +725,33 @@ func (g *groupByIter) Close() {
 	g.child.Close()
 	g.finalize()
 	g.ctx.release(g.nOut, g.heldBytes)
-	g.seen = nil
+	g.groups.seen = nil
+}
+
+// groupSet is the set of groups a GRPBY has passed, each keyed by its key
+// columns' values serialized.
+type groupSet struct {
+	key  []colRef
+	seen map[string]struct{}
+	kb   strings.Builder
+}
+
+func newGroupSet(key []colRef) groupSet {
+	return groupSet{key: key, seen: make(map[string]struct{})}
+}
+
+// add reports whether the row's group is new to the set, and then the length
+// of the key it keeps.
+func (g *groupSet) add(t tuple) (int, bool) {
+	g.kb.Reset()
+	for i := range g.key {
+		g.kb.WriteString(g.key[i].of(t).Key())
+		g.kb.WriteByte('|')
+	}
+	k := g.kb.String()
+	if _, dup := g.seen[k]; dup {
+		return 0, false
+	}
+	g.seen[k] = struct{}{}
+	return len(k), true
 }

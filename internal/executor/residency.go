@@ -13,8 +13,8 @@ import (
 // the peak is the worst simultaneous footprint.
 //
 // All holds and releases of one execution happen on the thread currently
-// driving the cursor (exchange workers buffer locally and account through the
-// merge side), so the tracker needs no synchronization.
+// driving the cursor (exchange workers buffer locally, and the SORT or GRPBY
+// above them holds), so the tracker needs no synchronization.
 type residency struct {
 	curRows, peakRows   int64
 	curBytes, peakBytes int64

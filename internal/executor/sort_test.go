@@ -11,7 +11,8 @@ import (
 )
 
 // TestSortStableByMatchesStableSort holds the executor's SORT, through
-// sortStableBy, to slices.SortStableFunc under compareRows: join-shaped tuples
+// sortStableBy over the ordinals of a tupleBuf, to slices.SortStableFunc under
+// compareRows: join-shaped tuples
 // over two tables, keys of one to three columns drawn from either slot, over
 // columns of integers, floats with −0 and +0, strings, NULLs in each, and a
 // column holding a NaN that the kernel hands to the stable sort.
@@ -51,12 +52,18 @@ func TestSortStableByMatchesStableSort(t *testing.T) {
 			s := r.Intn(2)
 			key[i] = colRef{src: slots[s], slot: int32(s), off: int32(r.Intn(len(gen)))}
 		}
+		buf := newTupleBuf(new(arena), 2)
+		order := make([]int32, len(rows))
+		for i, row := range rows {
+			buf.add(row)
+			order[i] = int32(i)
+		}
 		want := slices.Clone(rows)
 		slices.SortStableFunc(want, func(a, b tuple) int { return compareRows(a, b, key) })
-		sortStableBy(rows, key, func(t tuple) tuple { return t })
+		sortStableBy(order, &buf, key)
 		for i := range want {
-			if !slices.Equal(rows[i], want[i]) {
-				t.Fatalf("trial %d: position %d holds %v, the stable sort puts %v there", trial, i, rows[i], want[i])
+			if got := buf.at(int(order[i])); !slices.Equal(got, want[i]) {
+				t.Fatalf("trial %d: position %d holds %v, the stable sort puts %v there", trial, i, got, want[i])
 			}
 		}
 	}

@@ -163,7 +163,7 @@ const (
 type idChunk [idChunkLen]uint32
 
 // buildIndex is the storage of one hashBuild index (see hashBuild), in next
-// alone of one SORT permutation (arena.order), or in words and heads of a
+// alone of one SORT permutation (arena.ints), or in words and heads of a
 // counting join's key words and tally table (buildIndex.pairs). Its arrays are
 // reused by capacity; until the build fills them they hold — and are as long
 // as — whatever the last user left.
@@ -214,18 +214,14 @@ func (m *arena) index() *buildIndex {
 	return ix
 }
 
-// order draws a permutation of n ordinals, the identity, in the chain array
-// of a build index's storage.
-func (m *arena) order(n int) []int32 {
+// ints draws n int32s, as the last user left them, in the chain array of a
+// build index's storage.
+func (m *arena) ints(n int) []int32 {
 	ix := m.index()
 	if cap(ix.next) < n {
 		ix.next = make([]int32, n)
 	}
-	o := ix.next[:n]
-	for i := range o {
-		o[i] = int32(i)
-	}
-	return o
+	return ix.next[:n]
 }
 
 // release hands everything drawn back to the pools.

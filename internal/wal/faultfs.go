@@ -9,11 +9,11 @@ import (
 var ErrInjected = errors.New("wal: injected fault")
 
 // FaultFS wraps another FS and injects failures on demand: fail the Nth
-// write (counted across all files), deliver short writes, fail fsyncs, or
-// corrupt file contents on read. It drives the fault-injection suite that
-// proves recovery truncates torn records, snapshot loading falls back past
-// corrupt files, and the manager degrades to in-memory mode instead of
-// crashing. Safe for concurrent use.
+// write (counted across all files), deliver short writes, or fail fsyncs. It
+// drives the fault-injection suite that proves recovery truncates torn
+// records and the manager degrades to in-memory mode instead of crashing
+// (corrupt files are written to disk by the tests themselves). Safe for
+// concurrent use.
 type FaultFS struct {
 	Inner FS
 
@@ -24,9 +24,7 @@ type FaultFS struct {
 	// payload (then reports ErrInjected); 0 = off.
 	shortWriteAt int
 	failSync     bool
-	corrupt      func(name string, data []byte) []byte
 	writes       int
-	syncs        int
 }
 
 // NewFaultFS wraps inner (OsFS when nil) with fault injection; all faults
@@ -62,27 +60,11 @@ func (f *FaultFS) FailSyncs(fail bool) {
 	f.failSync = fail
 }
 
-// CorruptReads installs fn to transform every ReadFile result (nil restores
-// clean reads). fn receives the file name and MUST return a new or modified
-// slice; returning data unchanged leaves that file clean.
-func (f *FaultFS) CorruptReads(fn func(name string, data []byte) []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.corrupt = fn
-}
-
 // Writes returns how many writes the FS has seen (successful or failed).
 func (f *FaultFS) Writes() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.writes
-}
-
-// Syncs returns how many Sync calls the FS has seen.
-func (f *FaultFS) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
 }
 
 // faultFile wraps a File with the parent's injection state.
@@ -113,7 +95,6 @@ func (w *faultFile) Write(p []byte) (int, error) {
 
 func (w *faultFile) Sync() error {
 	w.fs.mu.Lock()
-	w.fs.syncs++
 	fail := w.fs.failSync
 	w.fs.mu.Unlock()
 	if fail {
@@ -142,20 +123,8 @@ func (f *FaultFS) Create(name string) (File, error) {
 	return &faultFile{File: file, fs: f}, nil
 }
 
-// ReadFile reads through the inner FS, applying the installed corruption.
-func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	data, err := f.Inner.ReadFile(name)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	corrupt := f.corrupt
-	f.mu.Unlock()
-	if corrupt != nil {
-		data = corrupt(name, data)
-	}
-	return data, nil
-}
+// ReadFile delegates to the inner FS.
+func (f *FaultFS) ReadFile(name string) ([]byte, error) { return f.Inner.ReadFile(name) }
 
 // Rename delegates to the inner FS.
 func (f *FaultFS) Rename(oldname, newname string) error { return f.Inner.Rename(oldname, newname) }

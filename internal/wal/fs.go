@@ -9,8 +9,8 @@ import (
 )
 
 // FS is the filesystem seam the write-ahead log runs over. Production uses
-// OsFS; tests inject FaultFS to exercise torn writes, failed fsyncs and
-// corrupted reads without touching a real disk's failure modes.
+// OsFS; tests inject FaultFS to exercise torn writes, failed writes and
+// failed fsyncs without touching a real disk's failure modes.
 type FS interface {
 	// OpenAppend opens the named file for appending, creating it if needed.
 	OpenAppend(name string) (File, error)
