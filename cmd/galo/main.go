@@ -5,7 +5,7 @@
 // Usage:
 //
 //	galo learn   -workload tpcds|client [-scale 0.2] [-queries N] [-kb kb.nt]
-//	galo reopt   -workload tpcds|client -kb kb.nt [-query "SELECT ..."] [-name TPCDS.Q09] [-exec-workers N]
+//	galo reopt   -workload tpcds|client -kb kb.nt [-query "SELECT ..."] [-name TPCDS.Q09] [-exec-mem-budget 1GB]
 //	galo kb      -kb kb.nt
 //	galo serve   -kb kb.nt [-addr :3030] [-online] [-shards N] [-data-dir DIR] [-fleet "u1,u2;u3,u4"] ...
 //	galo shard   -kb kb.nt -shard I -shards N [-addr 127.0.0.1:3031]
@@ -93,7 +93,6 @@ var options = []struct {
 		fs.IntVar(&s.Shards, "shards", 1, "number of knowledge base shards (templates partition by problem-signature prefix)")
 	}},
 	{"reopt serve", func(fs *flag.FlagSet, s *settings) {
-		fs.IntVar(&s.Exec.Workers, "exec-workers", 0, "exchange workers per query execution; 0 or 1 = serial")
 		fs.Func("exec-mem-budget", "peak-residency budget for concurrent executions, a `size` such as 256MB or 1GB; empty = ungoverned", unlessEmpty(&s.Exec.MemBudgetBytes, parseByteSize))
 	}},
 	{"serve trace", func(fs *flag.FlagSet, s *settings) {

@@ -61,7 +61,7 @@ func TestFlagsWriteConfig(t *testing.T) {
 	always, _ := galo.ParseSyncPolicy("always")
 	serve := galo.DefaultConfig()
 	serve.Shards = 2
-	serve.Exec = galo.ExecOptions{Workers: 4, MemBudgetBytes: 256 << 20}
+	serve.Exec = galo.ExecOptions{MemBudgetBytes: 256 << 20}
 	serve.Admission = galo.AdmissionOptions{ProbeBudget: 5, MaxConcurrent: 7}
 	serve.Tenancy = galo.TenancyOptions{Enabled: true, ShareTemplates: true, MaxTenants: 9}
 	serve.Fleet = galo.FleetOptions{
@@ -77,7 +77,7 @@ func TestFlagsWriteConfig(t *testing.T) {
 
 	reopt := galo.DefaultConfig()
 	reopt.Shards = 3
-	reopt.Exec = galo.ExecOptions{Workers: 4, MemBudgetBytes: 1 << 30}
+	reopt.Exec = galo.ExecOptions{MemBudgetBytes: 1 << 30}
 
 	fleetOnly := galo.DefaultConfig()
 	fleetOnly.Shards = 2
@@ -110,7 +110,7 @@ func TestFlagsWriteConfig(t *testing.T) {
 			"-fleet-probe-timeout", "3s", "-fleet-attempts", "4", "-fleet-hedge", "50ms",
 			"-fleet-rebalance", "-fleet-rebalance-interval", "2s",
 			"-data-dir", "data", "-sync", "always", "-snapshot-every", "100",
-			"-exec-workers", "4", "-exec-mem-budget", "256MB",
+			"-exec-mem-budget", "256MB",
 			"-workload", "joblike", "-scale", "0.1", "-seed", "7", "-queries", "3",
 		}, serve, serveIn, ""},
 		// -fleet alone sets the shard count from its groups.
@@ -123,7 +123,7 @@ func TestFlagsWriteConfig(t *testing.T) {
 			err: "-shards 4 contradicts the 2 shard groups of -fleet"},
 		{cmd: "serve", args: []string{"-fleet", "http://a:1;http://b:2", "-shards", "1"},
 			err: "-shards 1 contradicts the 2 shard groups of -fleet"},
-		{"reopt", []string{"-shards", "3", "-exec-workers", "4", "-exec-mem-budget", "1GB"}, reopt, workload, ""},
+		{"reopt", []string{"-shards", "3", "-exec-mem-budget", "1GB"}, reopt, workload, ""},
 		{"trace", nil, trace, traceIn, ""},
 		{"learn", nil, learn, workload, ""},
 	}

@@ -84,9 +84,9 @@ type ReoptResponse = core.ReoptResponse
 // per-client probe budgets and load shedding when the matcher saturates.
 type AdmissionOptions = core.AdmissionOptions
 
-// ExecOptions configures the system executor: exchange parallelism per
-// execution (Workers) and the peak-residency memory budget the governor
-// admits concurrent executions against (MemBudgetBytes).
+// ExecOptions configures the system executor: the peak-residency memory
+// budget the governor admits concurrent executions against (MemBudgetBytes).
+// Every execution runs serially.
 type ExecOptions = core.ExecOptions
 
 // SyncPolicy selects when Config.DataDir's write-ahead log fsyncs: every

@@ -58,9 +58,9 @@ type Config struct {
 	// WALFS overrides the durability layer's filesystem — the fault
 	// injection seam for tests; nil means the real disk.
 	WALFS wal.FS
-	// Exec configures the system executor: exchange parallelism per execution
-	// and the peak-residency memory budget the governor admits concurrent
-	// executions against. The zero value is serial, ungoverned execution.
+	// Exec configures the system executor: the peak-residency memory budget
+	// the governor admits concurrent executions against. The zero value is
+	// ungoverned execution.
 	Exec ExecOptions
 	// Tenancy configures per-tenant knowledge base namespaces and per-tenant
 	// /stats accounting on the serving API; the zero value keeps the single
@@ -204,13 +204,11 @@ type System struct {
 // with defaults; explicitly set fields are preserved.
 func NewSystem(db *storage.Database, cfg Config) *System {
 	cfg = fillConfig(cfg)
-	exec := executor.New(db)
-	exec.Workers = cfg.Exec.Workers
 	s := &System{
 		DB:     db,
 		kb:     kb.NewSharded(cfg.Shards),
 		Config: cfg,
-		exec:   exec,
+		exec:   executor.New(db),
 		gov:    newExecGovernor(cfg.Exec.MemBudgetBytes),
 	}
 	if cfg.Fleet.Enabled() {
@@ -386,8 +384,8 @@ func (s *System) Execute(plan *qgm.Plan, q *sqlparser.Query) (*executor.Result, 
 // offers the executed plan to the online learner — the bookkeeping every
 // execution path shares.
 func (s *System) admit(plan *qgm.Plan, q *sqlparser.Query, prep *executor.Prepared, run func(*executor.Prepared) (executor.RunStats, error)) (executor.RunStats, error) {
-	grant := s.gov.acquire(plan.EstPeakResidencyBytes(), s.exec.Workers)
-	stats, err := run(prep.WithWorkers(grant.workers))
+	grant := s.gov.acquire(plan.EstPeakResidencyBytes())
+	stats, err := run(prep)
 	grant.release()
 	if err == nil {
 		raiseMax(&s.peakIntermediateRows, stats.PeakIntermediateRows)
@@ -476,15 +474,9 @@ func (s *System) PeakIntermediate() (rows, bytes int64) {
 	return s.peakIntermediateRows.Load(), s.peakIntermediateBytes.Load()
 }
 
-// ExecStats is the /stats snapshot of the parallel executor: configured
-// parallelism, exchange counters and the memory governor's admission state.
+// ExecStats is the /stats snapshot of the executor: the memory governor's
+// admission state and the rewrites validation refused.
 type ExecStats struct {
-	// Workers is the configured exchange worker count (Config.Exec.Workers).
-	Workers int `json:"workers"`
-	// ExchangeSegments counts parallel segments started over the system's
-	// lifetime; ExchangeWorkers is the number of worker goroutines live now.
-	ExchangeSegments int64 `json:"exchange_segments"`
-	ExchangeWorkers  int64 `json:"exchange_workers"`
 	// Governor is the admission state of the residency budget.
 	Governor GovernorStats `json:"governor"`
 	// RewriteRowMismatches counts validated rewrites refused because they
@@ -492,14 +484,10 @@ type ExecStats struct {
 	RewriteRowMismatches int64 `json:"rewrite_row_mismatches"`
 }
 
-// ExecutorStats snapshots the system executor's parallelism counters.
+// ExecutorStats snapshots the system executor's counters.
 func (s *System) ExecutorStats() ExecStats {
 	return ExecStats{
-		Workers:          s.exec.Workers,
-		ExchangeSegments: executor.ExchangeSegmentCount(),
-		ExchangeWorkers:  executor.ExchangeWorkerCount(),
-		Governor:         s.gov.stats(),
-
+		Governor:             s.gov.stats(),
 		RewriteRowMismatches: s.rowMismatches.Load(),
 	}
 }

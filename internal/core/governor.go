@@ -2,18 +2,14 @@ package core
 
 import "sync"
 
-// ExecOptions configures the system executor: intra-query parallelism and the
-// peak-residency memory budget concurrent executions are admitted against.
+// ExecOptions configures the system executor: the peak-residency memory
+// budget concurrent executions are admitted against.
 type ExecOptions struct {
-	// Workers is the exchange worker count per execution (executor.Workers);
-	// 0 or 1 executes serially.
-	Workers int
 	// MemBudgetBytes caps the summed estimated peak intermediate residency
 	// (qgm.Plan.EstPeakResidencyBytes) of concurrently running executions.
 	// An execution that does not fit waits; one whose estimate alone exceeds
-	// the whole budget runs exclusively and degraded to serial (parallel
-	// exchange holds every build side at once — serial is the low-memory
-	// shape). 0 disables the governor.
+	// the whole budget runs alone, degraded, with the whole budget reserved.
+	// 0 disables the governor.
 	MemBudgetBytes int64
 }
 
@@ -36,13 +32,12 @@ type execGovernor struct {
 
 	admitted int64 // executions admitted (including degraded)
 	queued   int64 // executions that had to wait before admission
-	degraded int64 // executions forced serial because est > budget
+	degraded int64 // executions run alone because est > budget
 }
 
 // execGrant is one admitted execution's reservation.
 type execGrant struct {
 	g        *execGovernor
-	workers  int
 	bytes    int64
 	released bool
 }
@@ -64,19 +59,17 @@ func newExecGovernor(budget int64) *execGovernor {
 }
 
 // acquire blocks until the execution fits the budget and returns its grant.
-// workers is the caller's requested parallelism; the grant's workers field is
-// what the execution may actually use (1 when degraded).
-func (g *execGovernor) acquire(est int64, workers int) *execGrant {
+func (g *execGovernor) acquire(est int64) *execGrant {
 	if g == nil || g.budget <= 0 {
-		return &execGrant{workers: workers}
+		return &execGrant{}
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	waited := false
 	if est > g.budget {
-		// Too big to ever fit: run it alone, serially, with the whole budget
-		// reserved — degraded but never starved, since running hits zero
-		// whenever the current admissions finish.
+		// Too big to ever fit: run it alone with the whole budget reserved —
+		// degraded but never starved, since running hits zero whenever the
+		// current admissions finish.
 		g.pendingBig++
 		for g.running > 0 {
 			waited = true
@@ -87,7 +80,7 @@ func (g *execGovernor) acquire(est int64, workers int) *execGrant {
 		g.degraded++
 		g.reserved += g.budget
 		g.running++
-		return &execGrant{g: g, workers: 1, bytes: g.budget}
+		return &execGrant{g: g, bytes: g.budget}
 	}
 	for g.reserved+est > g.budget || g.pendingBig > 0 {
 		waited = true
@@ -96,7 +89,7 @@ func (g *execGovernor) acquire(est int64, workers int) *execGrant {
 	g.noteAdmit(waited)
 	g.reserved += est
 	g.running++
-	return &execGrant{g: g, workers: workers, bytes: est}
+	return &execGrant{g: g, bytes: est}
 }
 
 // noteAdmit updates the admission counters; callers hold g.mu.

@@ -10,16 +10,15 @@ import (
 )
 
 // TestGovernorPassthrough pins the off switch: a zero budget (and a nil
-// governor) admit immediately with the requested parallelism and keep no
-// state.
+// governor) admit immediately, reserve nothing and keep no state.
 func TestGovernorPassthrough(t *testing.T) {
 	for name, g := range map[string]*execGovernor{
 		"nil":         nil,
 		"zero-budget": newExecGovernor(0),
 	} {
-		grant := g.acquire(1<<40, 8)
-		if grant.workers != 8 {
-			t.Errorf("%s: passthrough grant got %d workers, want 8", name, grant.workers)
+		grant := g.acquire(1 << 40)
+		if grant.g != nil || grant.bytes != 0 {
+			t.Errorf("%s: passthrough grant reserved %d bytes", name, grant.bytes)
 		}
 		grant.release()
 		grant.release() // idempotent
@@ -33,13 +32,13 @@ func TestGovernorPassthrough(t *testing.T) {
 // that does not fit the remaining budget waits until the first releases.
 func TestGovernorQueuesUntilRelease(t *testing.T) {
 	g := newExecGovernor(100)
-	first := g.acquire(60, 4)
-	if first.workers != 4 {
-		t.Fatalf("first grant degraded to %d workers", first.workers)
+	first := g.acquire(60)
+	if first.bytes != 60 {
+		t.Fatalf("first grant reserved %d bytes, want its estimate of 60", first.bytes)
 	}
 
 	admitted := make(chan *execGrant)
-	go func() { admitted <- g.acquire(60, 4) }()
+	go func() { admitted <- g.acquire(60) }()
 	select {
 	case <-admitted:
 		t.Fatal("second 60-byte execution admitted while 60/100 reserved")
@@ -51,8 +50,8 @@ func TestGovernorQueuesUntilRelease(t *testing.T) {
 
 	first.release()
 	second := <-admitted
-	if second.workers != 4 {
-		t.Errorf("queued grant degraded to %d workers", second.workers)
+	if second.bytes != 60 {
+		t.Errorf("queued grant reserved %d bytes, want its estimate of 60", second.bytes)
 	}
 	st := g.stats()
 	if st.ReservedBytes != 60 || st.Running != 1 || st.AdmittedTotal != 2 || st.QueuedTotal != 1 {
@@ -65,15 +64,15 @@ func TestGovernorQueuesUntilRelease(t *testing.T) {
 }
 
 // TestGovernorDegradesOversizedPlan pins the degraded path: an estimate larger
-// than the whole budget waits for the system to go idle, then runs alone and
-// serial with the entire budget reserved — and regular admissions hold back
+// than the whole budget waits for the system to go idle, then runs alone with
+// the entire budget reserved — and regular admissions hold back
 // while it waits, so it cannot be starved by a stream of small plans.
 func TestGovernorDegradesOversizedPlan(t *testing.T) {
 	g := newExecGovernor(100)
-	small := g.acquire(40, 4)
+	small := g.acquire(40)
 
 	bigAdmitted := make(chan *execGrant)
-	go func() { bigAdmitted <- g.acquire(1000, 4) }()
+	go func() { bigAdmitted <- g.acquire(1000) }()
 	select {
 	case <-bigAdmitted:
 		t.Fatal("oversized execution admitted while another was running")
@@ -83,7 +82,7 @@ func TestGovernorDegradesOversizedPlan(t *testing.T) {
 	// A small plan that would fit the free budget must still wait behind the
 	// pending big one (anti-starvation).
 	lateAdmitted := make(chan *execGrant)
-	go func() { lateAdmitted <- g.acquire(10, 4) }()
+	go func() { lateAdmitted <- g.acquire(10) }()
 	select {
 	case <-lateAdmitted:
 		t.Fatal("small execution jumped the queue past a pending oversized one")
@@ -92,8 +91,8 @@ func TestGovernorDegradesOversizedPlan(t *testing.T) {
 
 	small.release()
 	big := <-bigAdmitted
-	if big.workers != 1 {
-		t.Errorf("oversized grant got %d workers, want 1 (degraded serial)", big.workers)
+	if big.bytes != 100 {
+		t.Errorf("oversized grant reserved %d bytes, want the whole budget of 100", big.bytes)
 	}
 	st := g.stats()
 	if st.ReservedBytes != 100 || st.DegradedTotal != 1 {
@@ -125,7 +124,7 @@ func TestGovernorConcurrentLoadNoDeadlock(t *testing.T) {
 				if (i+j)%7 == 0 {
 					est = budget * 2 // oversized: exercises the degraded path
 				}
-				grant := g.acquire(est, 4)
+				grant := g.acquire(est)
 				if r := inFlight.Add(grant.bytes); r > budget && grant.bytes != 0 {
 					t.Errorf("reserved bytes exceeded budget: %d > %d", r, budget)
 				}
@@ -149,9 +148,9 @@ func TestGovernorConcurrentLoadNoDeadlock(t *testing.T) {
 }
 
 // TestSystemExecuteUnderTinyBudget pins the end-to-end behaviour: a system
-// with parallel workers and a budget far below any plan's estimate still
-// executes correctly (degraded to serial), with identical rows and simulated
-// cost to an ungoverned serial system.
+// with a budget far below any plan's estimate still executes correctly (every
+// execution degraded: admitted alone), with identical rows and simulated cost
+// to an ungoverned system.
 func TestSystemExecuteUnderTinyBudget(t *testing.T) {
 	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 7, Scale: 0.1})
 	if err != nil {
@@ -169,7 +168,6 @@ func TestSystemExecuteUnderTinyBudget(t *testing.T) {
 	}
 
 	cfg := DefaultConfig()
-	cfg.Exec.Workers = 4
 	cfg.Exec.MemBudgetBytes = 1 // every plan is oversized: always degraded
 	gov := NewSystem(db, cfg)
 	var wg sync.WaitGroup
@@ -205,8 +203,5 @@ func TestSystemExecuteUnderTinyBudget(t *testing.T) {
 	}
 	if st.Governor.Running != 0 || st.Governor.ReservedBytes != 0 {
 		t.Errorf("governor not drained: %+v", st.Governor)
-	}
-	if st.Workers != 4 {
-		t.Errorf("ExecutorStats workers = %d, want 4", st.Workers)
 	}
 }

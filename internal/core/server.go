@@ -598,9 +598,8 @@ type statsResponse struct {
 	} `json:"admission"`
 	// Executor reports the streaming executor's memory profile — the worst
 	// single-execution intermediate-row residency seen on this system — plus
-	// the parallel-execution counters: configured exchange workers, shared
-	// base-table scan passes, live exchange state, and the memory governor's
-	// admission counters (ExecStats).
+	// the memory governor's admission counters and the rewrites validation
+	// refused (ExecStats).
 	Executor struct {
 		PeakIntermediateRows  int64 `json:"peak_intermediate_rows"`
 		PeakIntermediateBytes int64 `json:"peak_intermediate_bytes"`

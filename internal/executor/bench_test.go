@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -234,9 +233,8 @@ func runOf(ex *Executor, plan *qgm.Plan, q *sqlparser.Query) func() (RunStats, e
 // Executor.Run cost while every run re-resolved the query — and an
 // Executor.Run, which prepares too, about 4.6 KB (4.9 KB), under 6 KB.
 // With join outputs, build buffers, SORT buffers and index arrays recycled,
-// nothing grows with the rows: the root-feeding segment of
-// BenchmarkExecuteRootSegment at 4 workers, 28 800 rows through the exchange,
-// stays under 256 KB (2.5 MB before the arena), and the BenchmarkDrainBuild
+// nothing grows with the rows: the plan of BenchmarkExecuteRootSegment, 28 800
+// rows through a root hash join, stays under 256 KB, and the BenchmarkDrainBuild
 // plans under 32 KB with 14 400 rows in a build side: the buffered row IDs,
 // the index arrays and a join-fed build's slabs all come from pooled 16 KB
 // chunks, so one chunk that is not recycled — or one byte allocated per build
@@ -279,9 +277,7 @@ func TestExecuteAllocCeiling(t *testing.T) {
 	}
 	if pooled {
 		db, q, plan := rootSegmentCase(t)
-		ex = New(db)
-		ex.Workers = 4
-		checkBytesPerRun(t, "root segment, 4 workers", 256<<10, runOf(ex, plan, q))
+		checkBytesPerRun(t, "root segment", 256<<10, runOf(New(db), plan, q))
 		db, cases := drainBuildCases(t)
 		for _, c := range cases {
 			checkBytesPerRun(t, "drain build, "+c.name, 32<<10, runOf(New(db), c.plan, c.q))
@@ -301,8 +297,7 @@ func gcPercent() int {
 var raceDetector bool
 
 // rootSegmentCase is the plan of BenchmarkExecuteRootSegment: a table scan
-// big enough to be partitioned under a hash join feeding RETURN, at data scale
-// 1.0.
+// under a hash join feeding RETURN, at data scale 1.0.
 func rootSegmentCase(tb testing.TB) (*storage.Database, *sqlparser.Query, *qgm.Plan) {
 	tb.Helper()
 	db, err := tpcds.Generate(tpcds.GenOptions{Seed: 5, Scale: 1.0, Hazards: true})
@@ -319,28 +314,19 @@ func rootSegmentCase(tb testing.TB) (*storage.Database, *sqlparser.Query, *qgm.P
 	return db, q, plan
 }
 
-// BenchmarkExecuteRootSegment measures the one shape whose wall time depends
-// on how an exchange merges: a partitioned table scan under a hash join
-// feeding RETURN (no terminal SORT or GRPBY to buffer behind), drained with
-// Run at data scale 1.0, serially and on 4 workers. It is why such a segment
-// keeps unordered fan-in: merged in partition order, a later partition's
-// worker runs only exchangeChanDepth batches ahead of the consumer and the
-// segment is slower than serial.
+// BenchmarkExecuteRootSegment measures a table scan under a hash join feeding
+// RETURN (no terminal SORT or GRPBY to buffer behind), drained with Run at data
+// scale 1.0: the root join that a validation run counts.
 func BenchmarkExecuteRootSegment(b *testing.B) {
 	db, q, plan := rootSegmentCase(b)
-	for _, workers := range []int{0, 4} {
-		ex := New(db)
-		ex.Workers = workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var st RunStats
-			var err error
-			for i := 0; i < b.N; i++ {
-				if st, err = ex.Run(plan, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.Rows), "rows")
-		})
+	ex := New(db)
+	b.ReportAllocs()
+	var st RunStats
+	var err error
+	for i := 0; i < b.N; i++ {
+		if st, err = ex.Run(plan, q); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(st.Rows), "rows")
 }

@@ -9,10 +9,7 @@ import (
 // is the cost model's run-time view (catalog.CostModel) evaluated over the
 // row counts the operator actually processed; the counters beside it come out
 // of the same evaluation. Each function has one caller, the operator's own
-// finalize. Under an exchange that is the lead's (see spineIter), over counts
-// folded in from the workers' replicas: integer totals fed through one formula
-// evaluation, in the serial pipeline's charge order, which is what makes
-// per-operator ActMillis bit-identical at any worker count.
+// finalize.
 
 // chargeTBScan charges a table scan for the fraction of the table actually
 // read: the whole table when drained, a proportional slice when a bounded
@@ -49,9 +46,7 @@ type joinActuals struct {
 	innerRows          int
 	// outerWidth / innerWidth are the row widths sampled from the first tuple
 	// that entered each side (slotList.rowWidth; 8 bytes per column when none
-	// did); they size the spill-branch page estimates. An exchange's lead keeps
-	// the sample of the lowest-indexed partition that produced one, which is
-	// exactly the serial first row.
+	// did); they size the spill-branch page estimates.
 	outerWidth, innerWidth int
 	// MSJOIN early-out: how many outer rows a merge join would have read
 	// before passing the largest inner key.

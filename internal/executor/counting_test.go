@@ -16,8 +16,7 @@ import (
 
 // TestRunCountsWhatExecuteEmits holds the counting root (countRows) to the
 // drain it stands in for, over the seeded random plans of
-// TestDifferentialRandomPlans — both suites, the same sequence — serially and
-// at 4 workers:
+// TestDifferentialRandomPlans — both suites, the same sequence:
 //
 //   - Prepared.Run books what Prepared.Execute books: all of RunStats and
 //     every operator's ActMillis (as bits) and ActCardinality;
@@ -41,10 +40,10 @@ func TestRunCountsWhatExecuteEmits(t *testing.T) {
 
 // countingFloor is, per suite, how many runs per plan must have taken the
 // counting root, and how many joins per plan those runs must have walked
-// (walk): a tenth of what the whole tpcds suite does (2.6 of its 10 runs of a
-// plan count their root, walking 0.67 joins). The key families join on keys
-// read through the rows — a string, two columns, a column holding one string —
-// which never count, so theirs is a ceiling of none.
+// (walk): a fifth or so of what the whole tpcds suite does (1.31 of its 5
+// runs of a plan count their root, walking 0.37 joins). The key families join
+// on keys read through the rows — a string, two columns, a column holding one
+// string — which never count, so theirs is a ceiling of none.
 var countingFloor = map[string]struct{ roots, walks float64 }{"tpcds": {0.25, 0.06}, "key families": {}}
 
 // countingSuite draws the plans differentialSuite draws, consuming the
@@ -69,23 +68,18 @@ func countingSuite(t *testing.T, name string, db *storage.Database, opt *optimiz
 			}
 			prepared[q.SQL()] = p
 		}
-		for _, workers := range []int{1, 4} {
-			p := p.WithWorkers(workers)
-			res, err := p.Execute(plan)
-			if err != nil {
-				t.Fatalf("Execute: %v", err)
-			}
-			want := run{ops: actuals(plan), stats: res.Stats}
-			if workers == 1 {
-				if tooMuchWork(want) {
-					break
-				}
-				n++
-				rng.Intn(res.Stats.Rows + 1) // the differential suite's early Close
-			}
-			if d := checkCounting(p, plan, want); d != "" {
-				t.Fatalf("%s plan #%d at %d workers, %s\n%s\n%s", name, n, workers, q.SQL(), qgm.Format(plan), d)
-			}
+		res, err := p.Execute(plan)
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		want := run{ops: actuals(plan), stats: res.Stats}
+		if tooMuchWork(want) {
+			continue
+		}
+		n++
+		rng.Intn(res.Stats.Rows + 1) // the differential suite's early Close
+		if d := checkCounting(p, plan, want); d != "" {
+			t.Fatalf("%s plan #%d, %s\n%s\n%s", name, n, q.SQL(), qgm.Format(plan), d)
 		}
 	}
 	got, gotWalked := rootsCounted.Load()-counted, drainsWalked.Load()-walked

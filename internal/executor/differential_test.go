@@ -114,29 +114,25 @@ func rowHash(row storage.Row) uint64 {
 // TestDifferentialRandomPlans is the generated defence of the executor's
 // invariants: seeded random plans (random join order, join methods and access
 // paths from internal/randplan) over the 1–4-join shapes of tpcds.Queries(),
-// a third of them with ORDER BY and a third with GROUP BY added, each
-// executed serially and on the exchange at 4 workers. The serial run must
+// a third of them with ORDER BY and a third with GROUP BY added. Each run must
 // return exactly what testdata/differential.json froze for the plan — the
 // rows in order, every operator's ActMillis and ActCardinality bit for bit,
 // all of RunStats — and a plan the file does not know fails the suite (a
-// changed generator needs -update). The parallel run must agree with the
-// serial one on every operator's actuals and all of RunStats, peak residency
-// included, on the row multiset and on the ORDER BY key sequence (its
-// unordered fan-in may interleave ties). The reference that needs no second
+// changed generator needs -update). The reference that needs no second
 // engine: every plan of one query text must return the same row multiset and
 // ORDER BY key sequence as the first plan of it the suite met; most query
-// texts recur under several plans. An early Close after a random row must
-// leave no exchange worker running.
+// texts recur under several plans.
 //
 // Every plan then runs again on the executor that just ran it — on the chunks
 // the first run handed back to the arena pools — and a third time while a
 // second cursor over the same plan sits half-drained, holding chunks of its
 // own; the second cursor is drained afterwards. Each must be indistinguishable
 // from the first run: a tuple read after its arena was released, or a chunk
-// two executions both think they own, shows up as a wrong row or charge. The
-// early Close is followed at once by a full run of the previous plan for the
-// same reason. (CI repeats a prefix of the suite under GOGC=1, where a
-// collection between almost every allocation keeps emptying the pools.)
+// two executions both think they own, shows up as a wrong row or charge. An
+// early Close after a random row is followed at once by a full run of the
+// previous plan for the same reason. (CI repeats a prefix of the suite under
+// GOGC=1, where a collection between almost every allocation keeps emptying
+// the pools.)
 //
 // A tenth as many plans again run over keyFamilies: joins whose keys are not
 // read from a key-word vector — string keys, two-column keys, and numeric
@@ -157,13 +153,12 @@ func TestDifferentialRandomPlans(t *testing.T) {
 // differentialSuite runs the given number of random plans over the query
 // shapes through TestDifferentialRandomPlans's comparisons.
 func differentialSuite(t *testing.T, name string, db *storage.Database, opt *optimizer.Optimizer, shapes []*sqlparser.Query, plans int) {
-	serial, parallel := New(db), New(db)
-	parallel.Workers = 4
+	ex := New(db)
 	const seed = 20190122
 	rng := rand.New(rand.NewSource(seed))
 	gen := randplan.New(opt, seed)
 
-	engaged, ordered, grouped := 0, 0, 0
+	ordered, grouped := 0, 0
 	pathsBefore := loadIndexPaths()
 	// The first answer met for each query text, and how many plans were
 	// checked against an earlier, different plan of their query.
@@ -171,14 +166,14 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 	var prev struct {
 		q    *sqlparser.Query
 		plan *qgm.Plan
-		par  run
+		ser  run
 	}
 	for n := 0; n < plans; {
 		q, plan, orderKeys := randomCase(t, rng, gen, opt, shapes)
 		if plan == nil {
 			continue
 		}
-		ser := execute(t, serial, plan, q)
+		ser := execute(t, ex, plan, q)
 		if tooMuchWork(ser) {
 			continue
 		}
@@ -209,64 +204,32 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 			}
 		}
 
-		segments := ExchangeSegmentCount()
-		par := execute(t, parallel, plan, q)
-		if ExchangeSegmentCount() > segments {
-			engaged++
-		}
-		// Serial vs parallel: every operator's actuals and all of RunStats
-		// bit for bit, the row multiset and the ORDER BY key sequence.
-		if len(par.rows) != len(ser.rows) {
-			fail("4 workers: %d rows, serial %d", len(par.rows), len(ser.rows))
-		}
-		for i, op := range par.ops {
-			if op != ser.ops[i] {
-				fail("4 workers: operator %d (ActMillis, ActCardinality) = %v, serial %v", i, op, ser.ops[i])
-			}
-		}
-		if ser.stats != par.stats {
-			fail("aggregate stats: serial %+v, 4 workers %+v", ser.stats, par.stats)
-		}
-		if multiset(par.rows) != a.multiset {
-			fail("4 workers returned a different row multiset")
-		}
-		if orderSequence(par.rows, orderKeys) != a.order {
-			fail("4 workers returned another ORDER BY key sequence")
-		}
-
 		// Recycled chunks: the same executor again, then once more beside a
 		// half-drained second cursor that is finished last.
-		for _, side := range []struct {
-			name    string
-			ex      *Executor
-			first   run
-			inOrder bool
-		}{{"serial", serial, ser, true}, {"4 workers", parallel, par, false}} {
-			if d := diff(side.first, execute(t, side.ex, plan, q), side.inOrder); d != "" {
-				fail("%s, second run on recycled chunks: %s", side.name, d)
+		if d := diff(ser, execute(t, ex, plan, q), true); d != "" {
+			fail("second run on recycled chunks: %s", d)
+		}
+		otherPlan := plan.Clone()
+		other, err := ex.Open(otherPlan, q)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		var head []storage.Row
+		for i := 0; i < len(ser.rows)/2; i++ {
+			row, ok := other.Next()
+			if !ok {
+				fail("second cursor exhausted after %d of %d rows", i, len(ser.rows))
 			}
-			otherPlan := plan.Clone()
-			other, err := side.ex.Open(otherPlan, q)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			var head []storage.Row
-			for i := 0; i < len(ser.rows)/2; i++ {
-				row, ok := other.Next()
-				if !ok {
-					fail("%s: second cursor exhausted after %d of %d rows", side.name, i, len(ser.rows))
-				}
-				head = append(head, row)
-			}
-			if d := diff(side.first, execute(t, side.ex, plan, q), side.inOrder); d != "" {
-				fail("%s, run beside a half-drained cursor: %s", side.name, d)
-			}
-			if d := diff(side.first, drain(other, otherPlan, head), side.inOrder); d != "" {
-				fail("%s, cursor drained after another execution finished: %s", side.name, d)
-			}
+			head = append(head, row)
+		}
+		if d := diff(ser, execute(t, ex, plan, q), true); d != "" {
+			fail("run beside a half-drained cursor: %s", d)
+		}
+		if d := diff(ser, drain(other, otherPlan, head), true); d != "" {
+			fail("cursor drained after another execution finished: %s", d)
 		}
 
-		cur, err := parallel.Open(plan, q)
+		cur, err := ex.Open(plan, q)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -276,25 +239,22 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 			}
 		}
 		cur.Close()
-		if live := ExchangeWorkerCount(); live != 0 {
-			fail("%d exchange workers still running after an early Close", live)
-		}
 		// What the cut-short execution released is reused at once, by a
 		// different plan.
 		if prev.plan != nil {
-			if d := diff(prev.par, execute(t, parallel, prev.plan, prev.q), false); d != "" {
+			if d := diff(prev.ser, execute(t, ex, prev.plan, prev.q), true); d != "" {
 				fail("the previous plan, run right after this one's early Close: %s", d)
 			}
 		}
-		prev.q, prev.plan, prev.par = q, plan, par
+		prev.q, prev.plan, prev.ser = q, plan, ser
 	}
 	paths := loadIndexPaths().sub(pathsBefore)
-	t.Logf("%s, %d plans: %d engaged the exchange, %d ordered, %d grouped, %d checked against another plan of their query; "+
+	t.Logf("%s, %d plans: %d ordered, %d grouped, %d checked against another plan of their query; "+
 		"%d join executions answered from an index, %d of them switched to a build; %d inners counted from an index",
-		name, plans, engaged, ordered, grouped, crossPlan, paths.answered, paths.switched, paths.counted)
-	if engaged < plans/20 || ordered < plans/5 || grouped < plans/5 || crossPlan < plans/10 {
-		t.Errorf("%s: the suite lost coverage: %d of %d plans engaged the exchange, %d ordered, %d grouped, %d checked against another plan",
-			name, engaged, plans, ordered, grouped, crossPlan)
+		name, plans, ordered, grouped, crossPlan, paths.answered, paths.switched, paths.counted)
+	if ordered < plans/5 || grouped < plans/5 || crossPlan < plans/10 {
+		t.Errorf("%s: the suite lost coverage: %d of %d plans ordered, %d grouped, %d checked against another plan",
+			name, plans, ordered, grouped, crossPlan)
 	}
 	if f := indexFloor[name]; float64(paths.answered) < f.answered*float64(plans) || float64(paths.switched) < f.switched*float64(plans) ||
 		float64(paths.counted) < f.counted*float64(plans) {
@@ -305,8 +265,8 @@ func differentialSuite(t *testing.T, name string, db *storage.Database, opt *opt
 
 // indexFloor is, per suite, how many join executions per plan must have been
 // answered from an index, how many of them switched to a build, and how many
-// counted their inner from an index: a tenth of what the whole suite counts
-// (tpcds 6.03, 3.39 and 3.59, key families 0.82, 0.56 and 0.82, every
+// counted their inner from an index: a sixth or so of what the whole suite
+// counts (tpcds 3.82, 2.22 and 2.26, key families 0.60, 0.39 and 0.60, every
 // execution of a plan counted).
 var indexFloor = map[string]struct{ answered, switched, counted float64 }{
 	"tpcds": {0.6, 0.33, 0.35}, "key families": {0.08, 0.05, 0.08},
@@ -384,8 +344,8 @@ func tooMuchWork(ser run) bool {
 }
 
 // keyFamilies is a database, and join shapes over it, whose join keys the
-// executor cannot read from a key-word vector alone: a fact table FT (big
-// enough for the exchange to partition) and dimensions DT and ET, sharing a
+// executor cannot read from a key-word vector alone: a fact table FT and
+// dimensions DT and ET, sharing a
 // string code (x_code), a two-column key (x_a, x_b), a numeric key (x_num) and
 // a numeric column holding one string in the middle of the table (x_mix: no
 // vector, and a build over it stops being exact mid-drain). Every key column

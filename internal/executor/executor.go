@@ -24,7 +24,7 @@
 // testdata/differential.json, generated while the pre-streaming materializing
 // engine still agreed with every entry.
 //
-// A serial join whose inner is a bare table or index scan, keyed on one column
+// A join whose inner is a bare table or index scan, keyed on one column
 // of an index that lists one key's entries in the order the scan drains them,
 // answers its probes from that index instead of building a hash table: the
 // inner is drained through its own iterator all the same, and each outer row
@@ -93,34 +93,15 @@ type Result struct {
 	Stats RunStats
 }
 
-// Executor runs plans against one database.
+// Executor runs plans against one database. Every execution runs serially on
+// the goroutine that drives it; any number of executions may run at once.
 type Executor struct {
 	DB *storage.Database
-	// Workers enables intra-query parallelism: qualifying pipeline segments
-	// (a scan plus the FILTER/HSJOIN spine above it) run as an exchange — the
-	// scan partitioned across up to Workers goroutines, merged
-	// order-preserving when the input is ordered or an operator above
-	// observes the order, unordered fan-in otherwise. A SORT or a GRPBY right
-	// above a segment takes its workers' partial results: one buffered run
-	// per partition, or the stream less the rows a partition had already
-	// grouped. 0 or 1 means serial. Per-operator actuals are aggregated
-	// deterministically, so charges are bit-identical at any worker count.
-	Workers int
 }
 
 // New returns an executor over the database.
 func New(db *storage.Database) *Executor {
 	return &Executor{DB: db}
-}
-
-// WithWorkers returns a view of the executor with a different worker count —
-// a cheap copy sharing the database, so a per-execution admission decision
-// (the core memory governor degrading a too-big plan to serial) does not
-// need a second executor.
-func (e *Executor) WithWorkers(n int) *Executor {
-	cp := *e
-	cp.Workers = n
-	return &cp
 }
 
 // Execute, Run, RunBounded and Open prepare the query (Prepare) and run the
@@ -221,17 +202,6 @@ func (e *Executor) Prepare(q *sqlparser.Query) (*Prepared, error) {
 		}
 	}
 	return p, nil
-}
-
-// WithWorkers returns the prepared query over Executor.WithWorkers(n), or p
-// when its executor already has n.
-func (p *Prepared) WithWorkers(n int) *Prepared {
-	if n == p.exec.Workers {
-		return p
-	}
-	cp := *p
-	cp.exec = p.exec.WithWorkers(n)
-	return &cp
 }
 
 // instanceOf returns the FROM ordinal of a plan's table instance (Q1 is 0), or
@@ -348,7 +318,7 @@ func (p *Prepared) open(plan *qgm.Plan, budgetMillis float64) (*Cursor, error) {
 	plan.ResetActuals()
 	root, slots, err := ctx.open(plan.Root)
 	if err != nil {
-		ctx.releaseArenas()
+		ctx.mem.release()
 		return nil, err
 	}
 	cur.root, cur.slots = root, slots
@@ -358,7 +328,7 @@ func (p *Prepared) open(plan *qgm.Plan, budgetMillis float64) (*Cursor, error) {
 			var ok bool
 			if cur.proj[i], ok = slots.ref(c); !ok {
 				root.Close()
-				ctx.releaseArenas()
+				ctx.mem.release()
 				return nil, fmt.Errorf("executor: projected column %s not in plan output", p.names[i])
 			}
 		}
@@ -369,9 +339,7 @@ func (p *Prepared) open(plan *qgm.Plan, budgetMillis float64) (*Cursor, error) {
 // newCursor returns a cursor for one execution of the plan, with its context
 // ready and no operator open.
 func (p *Prepared) newCursor(plan *qgm.Plan, budgetMillis float64) *Cursor {
-	cur := &Cursor{plan: plan, ctx: execContext{prep: p, cost: p.exec.DB.Catalog.Config.RunCost(), workers: p.exec.Workers, budget: budgetMillis}}
-	cur.ctx.mem = &cur.ctx.own
-	return cur
+	return &Cursor{plan: plan, ctx: execContext{prep: p, cost: p.exec.DB.Catalog.Config.RunCost(), budget: budgetMillis}}
 }
 
 // Next returns the next projected row, or false when the plan is exhausted
@@ -419,7 +387,7 @@ func (c *Cursor) finish() {
 	}
 	c.finished = true
 	c.root.Close()
-	c.ctx.releaseArenas()
+	c.ctx.mem.release()
 	c.ctx.stats.Rows = c.rows
 	c.ctx.stats.PeakIntermediateRows = c.ctx.res.peakRows
 	c.ctx.stats.PeakIntermediateBytes = c.ctx.res.peakBytes
@@ -432,40 +400,17 @@ type execContext struct {
 	prep  *Prepared
 	cost  catalog.CostModel // the run-time view every charge goes through
 	stats RunStats
-	// workers is the exchange's worker count, 1 while a build side opens.
-	workers int
 	// budget bounds the simulated milliseconds the run may book (RunBounded);
 	// 0, what every serving path passes, is no bound.
 	budget float64
-	// orderObserved counts the operators above the subtree being opened that
-	// observe row arrival order (see openOrdered).
-	orderObserved int
 
-	// mem is the arena of the goroutine driving the cursor (own); arenas
-	// lists one per exchange worker. Cursor.finish releases them all.
-	mem    *arena
-	own    arena
-	arenas []*arena
+	// mem is the execution's arena. Cursor.finish releases it once the
+	// pipeline is closed and every charge has been computed.
+	mem arena
 
 	// res is the live intermediate-row accounting (see
 	// RunStats.PeakIntermediateRows), fed through hold/release.
 	res residency
-}
-
-func (c *execContext) newArena() *arena {
-	m := new(arena)
-	c.arenas = append(c.arenas, m)
-	return m
-}
-
-// releaseArenas recycles every intermediate of the execution. The pipeline
-// must be closed: no worker is running and every charge has been computed.
-func (c *execContext) releaseArenas() {
-	c.own.release()
-	for _, m := range c.arenas {
-		m.release()
-	}
-	c.arenas = nil
 }
 
 // overBudget reports whether the charges booked so far already exceed the
@@ -502,7 +447,7 @@ func compilePred(p *sqlparser.Predicate, pos int) scanPred {
 }
 
 // matchRow applies compiled predicates to a base-table row. It only reads, so
-// the serial scans and the exchange workers share one compiled slice.
+// concurrent executions of one Prepared share one compiled slice.
 func matchRow(row storage.Row, preds []scanPred) bool {
 	for i := range preds {
 		var v catalog.Value

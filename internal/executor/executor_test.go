@@ -1,8 +1,10 @@
 package executor
 
 import (
-	"sort"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"galo/internal/catalog"
@@ -359,18 +361,180 @@ func TestSpilledHashJoinSlowerThanBloomFiltered(t *testing.T) {
 	}
 }
 
-// sortRowsBy is a helper used in tests to check result equivalence
-// independent of row order.
-func sortRowsBy(rows []storage.Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		for k := range rows[i] {
-			if k >= len(rows[j]) {
-				return false
-			}
-			if cmp := catalog.Compare(rows[i][k], rows[j][k]); cmp != 0 {
-				return cmp < 0
-			}
+// runPlan executes the spec's plan for the query on a fresh executor and
+// returns the result and the annotated plan.
+func runPlan(t *testing.T, opt *optimizer.Optimizer, q *sqlparser.Query, spec *optimizer.Spec) (*Result, *qgm.Plan) {
+	t.Helper()
+	plan, err := opt.BuildPlan(q, spec)
+	if err != nil {
+		t.Fatalf("BuildPlan: %v", err)
+	}
+	res, err := New(testDB).Execute(plan, q)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	return res, plan
+}
+
+// rowKeys flattens rows into comparable strings.
+func rowKeys(rows []storage.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		s := ""
+		for _, v := range r {
+			s += v.Key() + "|"
 		}
-		return len(rows[i]) < len(rows[j])
-	})
+		out[i] = s
+	}
+	return out
+}
+
+// assertSameExecution requires a run to be indistinguishable from the
+// reference run: the same rows in the same order, bit-identical per-operator
+// actuals, and identical aggregate stats including the summed ElapsedMillis.
+func assertSameExecution(t *testing.T, ref, got *Result, refPlan, gotPlan *qgm.Plan, label string) {
+	t.Helper()
+	if !reflect.DeepEqual(ref.Columns, got.Columns) {
+		t.Fatalf("%s: columns differ: %v vs %v", label, ref.Columns, got.Columns)
+	}
+	rKeys, gKeys := rowKeys(ref.Rows), rowKeys(got.Rows)
+	if len(rKeys) != len(gKeys) {
+		t.Fatalf("%s: row counts differ: reference=%d got=%d", label, len(rKeys), len(gKeys))
+	}
+	for i := range rKeys {
+		if rKeys[i] != gKeys[i] {
+			t.Fatalf("%s: row %d differs:\n  reference: %s\n  got:       %s", label, i, rKeys[i], gKeys[i])
+		}
+	}
+	rOps, gOps := refPlan.Operators(), gotPlan.Operators()
+	if len(rOps) != len(gOps) {
+		t.Fatalf("%s: operator counts differ", label)
+	}
+	for i := range rOps {
+		if rOps[i].Op != gOps[i].Op {
+			t.Fatalf("%s: operator %d differs: %s vs %s", label, i, rOps[i].Op, gOps[i].Op)
+		}
+		if rOps[i].ActMillis != gOps[i].ActMillis {
+			t.Errorf("%s: %s#%d ActMillis reference=%v got=%v",
+				label, rOps[i].Op, rOps[i].ID, rOps[i].ActMillis, gOps[i].ActMillis)
+		}
+		if rOps[i].ActCardinality != gOps[i].ActCardinality {
+			t.Errorf("%s: %s#%d ActCardinality reference=%v got=%v",
+				label, rOps[i].Op, rOps[i].ID, rOps[i].ActCardinality, gOps[i].ActCardinality)
+		}
+	}
+	if ref.Stats != got.Stats {
+		t.Errorf("%s: aggregate stats differ:\n  reference: %+v\n  got:       %+v", label, ref.Stats, got.Stats)
+	}
+	if refPlan.ActualMillis != gotPlan.ActualMillis {
+		t.Errorf("%s: plan ActualMillis reference=%v got=%v", label, refPlan.ActualMillis, gotPlan.ActualMillis)
+	}
+}
+
+// TestConcurrentCursorsShareOneExecutor runs many concurrent executions of
+// the same plan shape (each on its own Plan clone — plans carry per-run
+// actuals) against a single executor; run under -race this is the
+// thread-safety gate for the shared LIKE cache, the arena pools and the build
+// path.
+func TestConcurrentCursorsShareOneExecutor(t *testing.T) {
+	_, opt, _ := setup(t)
+	q := sqlparser.MustParse(`SELECT i_item_desc, ss_quantity FROM store_sales, item
+		WHERE ss_item_sk = i_item_sk AND i_item_desc LIKE '%item%' ORDER BY i_item_desc`)
+	spec := optimizer.Join(qgm.OpHSJOIN, optimizer.Leaf("STORE_SALES"), optimizer.Leaf("ITEM"))
+	base, err := opt.BuildPlan(q, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := runPlan(t, opt, q, spec)
+
+	ex := New(testDB)
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan := base.Clone()
+			res, err := ex.Execute(plan, q)
+			if err != nil {
+				errs <- fmt.Sprintf("Execute: %v", err)
+				return
+			}
+			if len(res.Rows) != len(ref.Rows) {
+				errs <- fmt.Sprintf("rows = %d, want %d", len(res.Rows), len(ref.Rows))
+				return
+			}
+			if res.Stats.ElapsedMillis != ref.Stats.ElapsedMillis {
+				errs <- fmt.Sprintf("elapsed = %v, want %v", res.Stats.ElapsedMillis, ref.Stats.ElapsedMillis)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestConcurrentExecutionsKeepSerialOrder pins that a plan's result and
+// charges are a function of the plan and the data, never of what else is
+// executing: eight concurrent executions on one Executor of a table scan
+// under a hash join feeding RETURN — no SORT, no GRPBY, nothing above that
+// could restore an order — must each be indistinguishable from the lone run:
+// the same rows in the same order, every actual and all of RunStats.
+func TestConcurrentExecutionsKeepSerialOrder(t *testing.T) {
+	_, opt, _ := setup(t)
+	q := sqlparser.MustParse(`SELECT ss_quantity, i_current_price FROM store_sales, item
+		WHERE ss_item_sk = i_item_sk`)
+	spec := optimizer.Join(qgm.OpHSJOIN, optimizer.LeafAccess("STORE_SALES", qgm.OpTBSCAN, ""), optimizer.Leaf("ITEM"))
+	ref, refPlan := runPlan(t, opt, q, spec)
+	ex := New(testDB)
+	const goroutines = 8
+	results, plans, errs := make([]*Result, goroutines), make([]*qgm.Plan, goroutines), make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range results {
+		plans[g] = refPlan.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], errs[g] = ex.Execute(plans[g], q)
+		}()
+	}
+	wg.Wait()
+	for g, res := range results {
+		if errs[g] != nil {
+			t.Fatalf("Execute: %v", errs[g])
+		}
+		assertSameExecution(t, ref, res, refPlan, plans[g], fmt.Sprintf("goroutine %d", g))
+	}
+}
+
+// TestLikeCacheBoundedUnderConcurrency hammers the process-wide LIKE pattern
+// cache from many goroutines with more distinct patterns than its capacity:
+// it must stay bounded, stay correct, and (under -race) stay safe.
+func TestLikeCacheBoundedUnderConcurrency(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				pat := fmt.Sprintf("val%%%d_%d", g, i)
+				re := likeCache.get(pat)
+				if re == nil {
+					t.Errorf("pattern %q failed to compile", pat)
+					return
+				}
+				if !re.MatchString(fmt.Sprintf("valXYZ%d_%d", g, i)) {
+					t.Errorf("pattern %q did not match its own expansion", pat)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := likeCache.size(); n > likeCacheCap {
+		t.Errorf("LIKE cache grew to %d entries, cap is %d", n, likeCacheCap)
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"galo/internal/storage"
 )
 
-// indexProbe answers a serial join's probes from the stored index of its inner
+// indexProbe answers a join's probes from the stored index of its inner
 // instead of a hash build. The inner is a bare base-table access keyed on an
 // index that lists one key's entries in the order the scan drains them, so the
 // matches of an outer row are one run of entries, found by a binary search on
@@ -25,8 +25,7 @@ import (
 // either way: the build it would have made holds the same rows in the same
 // order, and every charge is booked from counts both paths keep alike.
 type indexProbe struct {
-	scan    spineIter // the drained inner: a replica of it re-reads the source
-	src     *scanIter // the same scan
+	src     *scanIter // the drained inner
 	entries []storage.IndexEntry
 	words   []uint64 // the key column's key-word vector, by row ID
 	lo, hi  int      // the entries a probe searches
@@ -42,8 +41,7 @@ type indexProbe struct {
 var indexAnswered, indexSwitched, indexCounted atomic.Int64
 
 // indexProbe returns the probe of a stored index that can answer the join's
-// probes, or nil when none can (keyOrderedIndex). An exchange's lead never
-// asks: its replicas probe the build concurrently.
+// probes, or nil when none can (keyOrderedIndex).
 func (j *joinIter) indexProbe() *indexProbe {
 	s, idx := j.keyOrderedIndex()
 	if idx == nil {
@@ -54,12 +52,12 @@ func (j *joinIter) indexProbe() *indexProbe {
 		lo, hi = 0, idx.Len() // a table scan reads every row
 	}
 	// pos = hi: no run until the first seek.
-	return &indexProbe{scan: j.inner.(spineIter), src: s, entries: idx.Entries, words: j.build[0].keyWords(), lo: lo, hi: hi, pos: hi}
+	return &indexProbe{src: s, entries: idx.Entries, words: j.build[0].keyWords(), lo: lo, hi: hi, pos: hi}
 }
 
 // keyOrderedIndex returns the join's inner scan and the stored index that can
 // answer its probes, or a nil index when none can: the key is one column with
-// a key-word vector, the inner a fresh serial table or index scan, and the
+// a key-word vector, the inner a fresh table or index scan, and the
 // index is in key-word order (storage.Table.KeyWordOrdered) — the scanned
 // index leading with the key, or for a table scan a single-column index on
 // it, whose stable sort lists one key's entries in row order.
@@ -72,7 +70,7 @@ func (j *joinIter) keyOrderedIndex() (*scanIter, *storage.IndexData) {
 		return s, nil
 	}
 	k := &j.build[0]
-	if k.keyWords() == nil || s.pos != s.lo || s.end != s.hi {
+	if k.keyWords() == nil || s.pos != s.lo {
 		return s, nil
 	}
 	table, col := s.table, s.table.Def.Columns[k.off].Name
@@ -136,14 +134,14 @@ func (x *indexProbe) search(w uint64) int {
 func (x *indexProbe) count(b *hashBuild, wantMax bool) (sample tuple) {
 	indexCounted.Add(1)
 	s := x.src
-	if b.n = s.end - s.pos; b.n == 0 {
+	if b.n = s.hi - s.pos; b.n == 0 {
 		return nil
 	}
 	first := s.pos
 	if s.idxDef != nil {
 		first = s.entries[first].RowID
 	}
-	s.pos, s.nScan, s.nOut = s.end, b.n, b.n
+	s.pos, s.nScan, s.nOut = s.hi, b.n, b.n
 	if w := x.words[x.entries[x.hi-1].RowID]; wantMax && w != nullKeyWord {
 		id := x.entries[x.search(w)].RowID
 		b.maxWord, b.maxTuple = w, s.ids[id:id+1:id+1]
@@ -169,13 +167,19 @@ func (x *indexProbe) next() int {
 }
 
 // fill is the switch: it builds b from the scan's candidates, in drain order,
-// and indexes it. A replica of the drained scan re-reads the immutable source;
-// born charged, it books nothing a second time, and the rows are already held.
-func (x *indexProbe) fill(b *hashBuild, workers int) {
+// and indexes it. It re-reads the drained scan's candidates [lo, hi) from the
+// immutable source; the scan is charged already and its rows already held.
+func (x *indexProbe) fill(b *hashBuild) {
 	indexSwitched.Add(1)
-	r := x.scan.replica(nil, &partition{lo: x.src.lo, hi: x.src.hi})
-	for t, ok := r.Next(); ok; t, ok = r.Next() {
-		b.add(t)
+	s := x.src
+	for pos := s.lo; pos < s.hi; pos++ {
+		id := pos
+		if s.idxDef != nil {
+			id = s.entries[pos].RowID
+		}
+		if s.match(id) {
+			b.add(s.ids[id : id+1 : id+1])
+		}
 	}
-	b.index(workers)
+	b.index()
 }

@@ -32,25 +32,6 @@ type rowIter interface {
 	Close()
 }
 
-// spineIter is a streaming operator an exchange segment can run in parallel —
-// a scan, a FILTER, a join. The segment keeps one copy, the lead, which never
-// runs; every worker pulls a replica of it over its partition of the scan. A
-// replica counts rows as the serial operator does and is born charged and
-// closed: it books no charge and never touches the residency accounting, which
-// is unsynchronized and belongs to the goroutine driving the cursor. Once the
-// workers have exited, their counts are folded into the lead, and the lead is
-// finalized and closed as a serial pipeline is.
-type spineIter interface {
-	rowIter
-	// replica copies the operator for one partition, pulling from child (nil
-	// for a scan).
-	replica(child rowIter, p *partition) spineIter
-	// fold adds the counts of one of the operator's replicas.
-	fold(replica spineIter)
-	// finalize charges the operator from its counts, once.
-	finalize()
-}
-
 // walk is the drain of an input through Next for the row IDs in one slot
 // alone: it appends words[id] to dst for the ID in slot s of every tuple the
 // input has left, and returns dst. A join walks its matches and a bare scan
@@ -125,33 +106,18 @@ func countRows(it rowIter) (int, bool) {
 // query's columns to tuple references — happens here, before the first row
 // flows.
 func (c *execContext) open(node *qgm.Node) (rowIter, slotList, error) {
-	if c.workers > 1 {
-		// Try to run this subtree as a parallel exchange segment; shapes
-		// that don't qualify fall through to the serial operators (whose
-		// children get their own chance to qualify).
-		it, lay, ok, err := c.openParallel(node)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			return it, lay, nil
-		}
-	}
 	switch {
 	case node.Op.IsScan():
 		return c.openScan(node)
 	case node.Op.IsJoin():
 		return c.openJoin(node)
 	}
-	openChild := c.open
 	switch node.Op {
-	case qgm.OpRETURN, qgm.OpFILTER:
-	case qgm.OpSORT, qgm.OpGRPBY:
-		openChild = c.openOrdered
+	case qgm.OpRETURN, qgm.OpFILTER, qgm.OpSORT, qgm.OpGRPBY:
 	default:
 		return nil, nil, fmt.Errorf("executor: unsupported operator %s", node.Op)
 	}
-	child, lay, err := openChild(node.Outer)
+	child, lay, err := c.open(node.Outer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,26 +125,15 @@ func (c *execContext) open(node *qgm.Node) (rowIter, slotList, error) {
 	case qgm.OpRETURN:
 		return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.ReturnRowCPU}, lay, nil
 	case qgm.OpFILTER:
-		return c.filterOver(node, child), lay, nil
+		return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.FilterRowCPU}, lay, nil
 	case qgm.OpSORT:
 		return c.sortOver(node, child, lay), lay, nil
 	default:
-		return c.groupByOver(node, child, lay), lay, nil
+		return &groupByIter{ctx: c, node: node, child: child, key: lay.refs(c.prep.groupBy), seen: make(map[string]struct{})}, lay, nil
 	}
 }
 
-// openOrdered opens a subtree whose consumer observes the order rows arrive
-// in — a join's build side (insertion order, spill sample), a hash join's
-// outer (spill sample), a SORT (ties) or a GRPBY (first-seen rows). Any
-// exchange below it must then deliver in partition order, or rows and
-// per-operator charges would depend on goroutine scheduling.
-func (c *execContext) openOrdered(n *qgm.Node) (rowIter, slotList, error) {
-	c.orderObserved++
-	defer func() { c.orderObserved-- }()
-	return c.open(n)
-}
-
-// sortOver returns the SORT operator over a child already open. It orders by
+// sortOver returns the SORT operator over its open child. It orders by
 // the query's ORDER BY columns present in the input, overridden by the node's
 // single-column order property when it names a different leading column (a
 // SORT feeding a merge join establishes the merge column's order).
@@ -190,11 +145,6 @@ func (c *execContext) sortOver(node *qgm.Node, child rowIter, lay slotList) *sor
 		}
 	}
 	return &sortIter{ctx: c, node: node, child: child, slots: lay, key: key}
-}
-
-// groupByOver returns the GRPBY operator over a child already open.
-func (c *execContext) groupByOver(node *qgm.Node, child rowIter, lay slotList) *groupByIter {
-	return &groupByIter{ctx: c, node: node, child: child, groups: newGroupSet(lay.refs(c.prep.groupBy))}
 }
 
 // --- pass-through operators (RETURN, FILTER) ---------------------------------
@@ -209,11 +159,6 @@ type passIter struct {
 	n         int
 	charged   bool
 	closed    bool
-}
-
-// filterOver returns the FILTER operator over a child already open.
-func (c *execContext) filterOver(node *qgm.Node, child rowIter) *passIter {
-	return &passIter{ctx: c, node: node, child: child, cpuFactor: catalog.FilterRowCPU}
 }
 
 func (p *passIter) Next() (tuple, bool) {
@@ -243,18 +188,10 @@ func (p *passIter) Close() {
 	p.finalize()
 }
 
-func (p *passIter) replica(child rowIter, _ *partition) spineIter {
-	r := *p
-	r.child, r.charged, r.closed = child, true, true
-	return &r
-}
-
-func (p *passIter) fold(r spineIter) { p.n += r.(*passIter).n }
-
 // --- scans -------------------------------------------------------------------
 
 // scanSource is a base-table access resolved against the database: what a
-// scan iterator and every replica of it read, none of them writing.
+// scan iterator reads, never writing.
 type scanSource struct {
 	node   *qgm.Node
 	slot            // the table and its rows, pinned at open
@@ -317,17 +254,11 @@ func (c *execContext) openScan(node *qgm.Node) (rowIter, slotList, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.scanOver(sc, sc.lo, sc.hi), lay, nil
-}
-
-// scanOver returns the scan iterator over candidate positions [lo, hi) of a
-// resolved access.
-func (c *execContext) scanOver(sc *scanSource, lo, hi int) spineIter {
-	s := scanIter{ctx: c, scanSource: sc, pos: lo, stop: hi, end: hi}
-	if sc.node.Op == qgm.OpTBSCAN {
-		return &tbscanIter{s}
+	s := scanIter{ctx: c, scanSource: sc, pos: sc.lo}
+	if node.Op == qgm.OpTBSCAN {
+		return &tbscanIter{s}, lay, nil
 	}
-	return &ixscanIter{s}
+	return &ixscanIter{s}, lay, nil
 }
 
 // indexBounds resolves the entry range an index access touches, pushing the
@@ -357,31 +288,14 @@ func indexBounds(idx *storage.IndexData, lead string, preds []scanPred) (start, 
 }
 
 // scanIter is what the two scan iterators share: the candidate positions
-// [pos, end) of the access they stream — the source's whole range on the serial
-// path, one partition of it in an exchange worker — and the counts it is
-// charged from.
+// [pos, hi) of the access they stream, and the counts it is charged from.
 type scanIter struct {
 	ctx *execContext
 	*scanSource
 
-	// The scan loops run to stop, which on the serial path is end. A replica
-	// gets there in strides of 1024 positions, looking between two of them at
-	// cancel, the flag of the exchange whose worker pulls it.
-	pos, stop, end int
-	cancel         *atomic.Bool
-
+	pos             int
 	nScan, nOut     int // candidates read, rows passed on
 	charged, closed bool
-}
-
-// stride moves stop on; false once the range is scanned or the exchange
-// cancelled.
-func (s *scanIter) stride() bool {
-	if s.stop == s.end || s.cancel != nil && s.cancel.Load() {
-		return false
-	}
-	s.stop = min(s.end, s.stop+1024)
-	return true
 }
 
 // finalize charges the scan for the candidates actually read — the whole
@@ -411,7 +325,7 @@ func (s *scanIter) Close() {
 // -1 once the range is read, the scan finalized: a table scan's position is
 // the row, an index scan's an entry of the row.
 func (s *scanIter) pass() int {
-	for s.pos < s.stop || s.stride() {
+	for s.pos < s.hi {
 		id := s.pos
 		if s.idxDef != nil {
 			id = s.entries[id].RowID
@@ -436,46 +350,23 @@ func (s *scanIter) Next() (tuple, bool) {
 	return nil, false
 }
 
-// over is the scan's replica for one partition (see spineIter).
-func (s *scanIter) over(p *partition) scanIter {
-	r := *s
-	r.pos, r.stop, r.end, r.cancel = p.lo, p.lo, p.hi, p.cancel
-	r.charged, r.closed = true, true
-	return r
-}
-
-func (s *scanIter) add(r *scanIter) {
-	s.nScan += r.nScan
-	s.nOut += r.nOut
-}
-
 // tbscanIter streams a table scan over the rows pinned at Open, filtering each
 // row before it leaves the operator (predicate pushdown: non-matching rows
 // never enter the pipeline). Rows travel as one-slot tuples aliasing the
 // identity vector.
 type tbscanIter struct{ scanIter }
 
-func (s *tbscanIter) replica(_ rowIter, p *partition) spineIter { return &tbscanIter{s.over(p)} }
-func (s *tbscanIter) fold(r spineIter)                          { s.add(&r.(*tbscanIter).scanIter) }
-
 // ixscanIter streams an index (or fetch-through-index) access: candidates
 // come straight from the index's entry range — no row-ID list is ever
 // materialized — and residual predicates filter each row before it leaves.
 type ixscanIter struct{ scanIter }
-
-func (s *ixscanIter) replica(_ rowIter, p *partition) spineIter { return &ixscanIter{s.over(p)} }
-func (s *ixscanIter) fold(r spineIter)                          { s.add(&r.(*ixscanIter).scanIter) }
 
 // --- sort --------------------------------------------------------------------
 
 // sortIter is a pipeline breaker: the first Next drains the child into a
 // buffer (held in the intermediate accounting), sorts it, and charges the
 // sort; rows then stream out of the buffer. The buffer is the rows' IDs in
-// arena chunks, and what is sorted is a permutation of their ordinals. Over an
-// exchange the buffer is the runs its workers filled, one per partition, in
-// place of the drain: the runs are sorted concurrently and merged, the lowest
-// run first on a tie, which is the stable sort of their concatenation — the
-// serial drain.
+// arena chunks, and what is sorted is a permutation of their ordinals.
 type sortIter struct {
 	ctx   *execContext
 	node  *qgm.Node
@@ -483,8 +374,8 @@ type sortIter struct {
 	slots slotList
 	key   []colRef
 
-	rows      tupleBuf // every run's chunks, each run from a chunk boundary on
-	order     []int32  // the buffered ordinals in output order; nil serves nothing
+	rows      tupleBuf
+	order     []int32 // the buffered ordinals in output order; nil serves nothing
 	pos       int
 	heldBytes int64
 	sorted    bool
@@ -505,15 +396,9 @@ func (s *sortIter) Next() (tuple, bool) {
 
 func (s *sortIter) buffer() {
 	s.sorted = true
-	var runs []tupleBuf
-	if ex, ok := s.child.(*exchangeIter); ok {
-		runs = ex.runs()
-	} else {
-		run := newTupleBuf(s.ctx.mem, len(s.slots))
-		for t, ok := s.child.Next(); ok; t, ok = s.child.Next() {
-			run.add(t)
-		}
-		runs = []tupleBuf{run}
+	s.rows = newTupleBuf(&s.ctx.mem, len(s.slots))
+	for t, ok := s.child.Next(); ok; t, ok = s.child.Next() {
+		s.rows.add(t)
 	}
 	s.child.Close()
 	if s.ctx.overBudget() {
@@ -525,11 +410,14 @@ func (s *sortIter) buffer() {
 	// only the row count and the row the sort would put first — so a sort that
 	// takes the run over its budget is never performed. An unbounded run
 	// (every serving path) sorts and reads that row off the front.
-	ends := s.gather(runs)
-	n := len(s.order)
+	n := s.rows.n
+	s.order = s.ctx.mem.ints(n)
+	for i := range s.order {
+		s.order[i] = int32(i)
+	}
 	sortFirst := s.ctx.budget == 0 || len(s.key) == 0
 	if sortFirst {
-		s.sort(ends)
+		s.sort()
 	}
 	var sample tuple
 	if n > 0 {
@@ -544,83 +432,17 @@ func (s *sortIter) buffer() {
 			s.order = nil
 			return
 		}
-		s.sort(ends)
+		s.sort()
 	}
 	s.heldBytes = int64(width) * int64(n)
 	s.ctx.hold(n, s.heldBytes)
 }
 
-// gather lays the runs end to end: rows is the first with every later run's
-// chunks appended, each run's from a chunk boundary on, and order their
-// ordinals, run after run — the order the serial pipeline drains the rows in.
-// It returns where each run's ordinals end.
-func (s *sortIter) gather(runs []tupleBuf) []int {
-	n := 0
-	for _, r := range runs {
-		n += r.n
+// sort stable-sorts the ordinals on the key.
+func (s *sortIter) sort() {
+	if len(s.key) > 0 {
+		sortStableBy(s.order, &s.rows, s.key)
 	}
-	s.rows, s.order = runs[0], s.ctx.mem.ints(n)
-	ends := make([]int, len(runs))
-	k := 0
-	for i, r := range runs {
-		base := int32(0)
-		if i > 0 {
-			base = int32(len(s.rows.chunks)) << s.rows.shift
-			s.rows.chunks = append(s.rows.chunks, r.chunks...)
-		}
-		for j := range int32(r.n) {
-			s.order[k] = base + j
-			k++
-		}
-		ends[i] = k
-	}
-	return ends
-}
-
-// sort stable-sorts the ordinals on the key: every run's on a goroutine of
-// its own but the last, which sorts on the caller's, and then the runs
-// merged.
-func (s *sortIter) sort(ends []int) {
-	if len(s.key) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	lo := 0
-	for _, hi := range ends[:len(ends)-1] {
-		wg.Add(1)
-		go func(run []int32) {
-			defer wg.Done()
-			sortStableBy(run, &s.rows, s.key)
-		}(s.order[lo:hi])
-		lo = hi
-	}
-	sortStableBy(s.order[lo:], &s.rows, s.key)
-	wg.Wait()
-	if len(ends) > 1 {
-		s.order = s.merge(ends)
-	}
-}
-
-// merge merges the sorted runs of order, run r ending at ends[r], into a new
-// permutation: the smallest head first and, on a tie, the lowest run's — what
-// a stable sort of the concatenated runs leaves.
-func (s *sortIter) merge(ends []int) []int32 {
-	heads := make([]int, len(ends))
-	for r := 1; r < len(ends); r++ {
-		heads[r] = ends[r-1]
-	}
-	out := s.ctx.mem.ints(len(s.order))
-	for k := range out {
-		best := -1
-		for r, h := range heads {
-			if h < ends[r] && (best < 0 || compareRows(s.rows.at(int(s.order[h])), s.rows.at(int(s.order[heads[best]])), s.key) < 0) {
-				best = r
-			}
-		}
-		out[k] = s.order[heads[best]]
-		heads[best]++
-	}
-	return out
 }
 
 // firstMin returns the row a stable sort on the key would put first: the first
@@ -674,14 +496,16 @@ func compareRows(a, b tuple, key []colRef) int {
 
 // groupByIter streams distinct group keys in first-seen order. Only the key
 // set is retained (held in the intermediate accounting) — group rows
-// themselves flow straight through. Over an exchange it reads the
-// partition-ordered stream, less the rows whose group a worker's partition had
-// already passed; it charges for those too (exchangeIter.dropped).
+// themselves flow straight through.
 type groupByIter struct {
-	ctx    *execContext
-	node   *qgm.Node
-	child  rowIter
-	groups groupSet
+	ctx   *execContext
+	node  *qgm.Node
+	child rowIter
+	key   []colRef
+	// seen is the groups passed, each keyed by its key columns' values
+	// serialized into kb.
+	seen map[string]struct{}
+	kb   strings.Builder
 
 	nIn, nOut       int
 	heldBytes       int64
@@ -696,9 +520,16 @@ func (g *groupByIter) Next() (tuple, bool) {
 			return nil, false
 		}
 		g.nIn++
-		if n, fresh := g.groups.add(t); fresh {
-			g.ctx.hold(1, int64(n))
-			g.heldBytes += int64(n)
+		g.kb.Reset()
+		for i := range g.key {
+			g.kb.WriteString(g.key[i].of(t).Key())
+			g.kb.WriteByte('|')
+		}
+		k := g.kb.String()
+		if _, dup := g.seen[k]; !dup {
+			g.seen[k] = struct{}{}
+			g.ctx.hold(1, int64(len(k)))
+			g.heldBytes += int64(len(k))
 			g.nOut++
 			return t, true
 		}
@@ -710,11 +541,7 @@ func (g *groupByIter) finalize() {
 		return
 	}
 	g.charged = true
-	nIn := g.nIn
-	if ex, ok := g.child.(*exchangeIter); ok {
-		nIn += ex.dropped
-	}
-	g.ctx.charge(g.node, g.ctx.cost.PerRow(float64(nIn), catalog.GroupByRowCPU), g.nOut)
+	g.ctx.charge(g.node, g.ctx.cost.PerRow(float64(g.nIn), catalog.GroupByRowCPU), g.nOut)
 }
 
 func (g *groupByIter) Close() {
@@ -725,33 +552,5 @@ func (g *groupByIter) Close() {
 	g.child.Close()
 	g.finalize()
 	g.ctx.release(g.nOut, g.heldBytes)
-	g.groups.seen = nil
-}
-
-// groupSet is the set of groups a GRPBY has passed, each keyed by its key
-// columns' values serialized.
-type groupSet struct {
-	key  []colRef
-	seen map[string]struct{}
-	kb   strings.Builder
-}
-
-func newGroupSet(key []colRef) groupSet {
-	return groupSet{key: key, seen: make(map[string]struct{})}
-}
-
-// add reports whether the row's group is new to the set, and then the length
-// of the key it keeps.
-func (g *groupSet) add(t tuple) (int, bool) {
-	g.kb.Reset()
-	for i := range g.key {
-		g.kb.WriteString(g.key[i].of(t).Key())
-		g.kb.WriteByte('|')
-	}
-	k := g.kb.String()
-	if _, dup := g.seen[k]; dup {
-		return 0, false
-	}
-	g.seen[k] = struct{}{}
-	return len(k), true
+	g.seen = nil
 }

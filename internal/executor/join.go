@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"galo/internal/catalog"
 	"galo/internal/qgm"
-	"galo/internal/storage"
 )
 
 // openJoin builds the streaming join iterator. All join operators compute
@@ -22,28 +20,18 @@ func (c *execContext) openJoin(node *qgm.Node) (rowIter, slotList, error) {
 	default:
 		return nil, nil, fmt.Errorf("executor: unsupported join %s", node.Op)
 	}
-	openOuter := c.open
-	if node.Op == qgm.OpHSJOIN {
-		openOuter = c.openOrdered
-	}
-	outer, outerLay, err := openOuter(node.Outer)
+	outer, outerLay, err := c.open(node.Outer)
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.joinOver(node, outer, outerLay, c.openOrdered)
-}
-
-// joinOver opens the join's inner side and returns the join iterator over an
-// outer already open, which it closes when the inner fails to.
-func (c *execContext) joinOver(node *qgm.Node, outer rowIter, outerLay slotList, openInner func(*qgm.Node) (rowIter, slotList, error)) (spineIter, slotList, error) {
-	inner, innerLay, err := openInner(node.Inner)
+	inner, innerLay, err := c.open(node.Inner)
 	if err != nil {
 		outer.Close()
 		return nil, nil, err
 	}
 	probe, build := c.prep.joinKeys(outerLay, innerLay)
 	return &joinIter{
-		ctx: c, node: node, outer: outer, inner: inner, mem: c.mem,
+		ctx: c, node: node, outer: outer, inner: inner,
 		probe: probe, build: build, outerSlots: outerLay, innerSlots: innerLay,
 	}, outerLay.concat(innerLay), nil
 }
@@ -57,7 +45,6 @@ type joinIter struct {
 	node         *qgm.Node
 	outer        rowIter
 	inner        rowIter
-	mem          *arena   // where output tuples are carved: that of the goroutine pulling
 	probe, build []colRef // the equi-join key columns on either side
 
 	outerSlots, innerSlots slotList
@@ -89,7 +76,7 @@ func (j *joinIter) Next() (tuple, bool) {
 	if !j.advance() {
 		return nil, false
 	}
-	return j.mem.concat(j.cur, j.matched()), true
+	return j.ctx.mem.concat(j.cur, j.matched()), true
 }
 
 // matched returns the inner tuple of the match advance found last.
@@ -154,7 +141,7 @@ func (j *joinIter) take(orow tuple) {
 			j.ix.seek(j.hb.probeWord(orow))
 			return
 		}
-		j.ix.fill(j.hb, j.ctx.workers)
+		j.ix.fill(j.hb)
 		j.ix = nil
 	}
 	j.mi, j.word = j.hb.first(orow)
@@ -315,16 +302,15 @@ func (b *hashBuild) fileKeys(it rowIter, slot int32, words []uint64) (first tupl
 // counted from the index (indexProbe.count), to the same counts, sample and
 // bound. A counting join (count) keeps only the drained rows' key words. Either
 // way the inner's rows are held in the intermediate accounting until Close:
-// the peaks count the plan's build side. It runs on the goroutine driving the
-// cursor, in whose arena the build lives (an exchange's lead is built there
-// too, never with ix). For an early-out MSJOIN the same pass records the
-// largest value of the first key column.
+// the peaks count the plan's build side. The build lives in the execution's
+// arena. For an early-out MSJOIN the same pass records the largest value of
+// the first key column.
 func (j *joinIter) buildInner(ix *indexProbe, counting bool) {
 	j.built = true
 	j.mi = -1
 	wantMax := j.node.Op == qgm.OpMSJOIN && j.node.EarlyOut && len(j.probe) > 0
-	b, inner := newHashBuild(j.mem, j.probe, j.build, len(j.innerSlots)), j.inner
-	var sample tuple // the first row: the serial spill-formula sample
+	b, inner := newHashBuild(&j.ctx.mem, j.probe, j.build, len(j.innerSlots)), j.inner
+	var sample tuple // the first row: the spill-formula sample
 	switch {
 	case ix != nil && len(ix.src.preds) == 0:
 		sample = ix.count(b, wantMax) // leaves the scan spent: nothing to drain
@@ -357,18 +343,14 @@ func (j *joinIter) buildInner(ix *indexProbe, counting bool) {
 		j.ix = ix
 		indexAnswered.Add(1)
 	default:
-		b.index(j.ctx.workers)
+		b.index()
 	}
 	j.ctx.hold(b.n, b.heldBytes)
 	j.hb, j.trackEarlyOut = b, wantMax && b.n > 0
 }
 
-// parallelBuildMinRows is the smallest build side worth hash-partitioning
-// across workers; below it the fan-out costs more than it saves.
-const parallelBuildMinRows = 4096
-
 // hashBuild is a hash-join build side: the buffered inner tuples plus one
-// chained index over their ordinals, both living in the consumer's arena
+// chained index over their ordinals, both living in the execution's arena
 // until the cursor is finished. heads maps a bucket to the first ordinal in it
 // and next links each ordinal to the following one of its bucket, always
 // ascending — so a probe walks its matches in drain order, the emission order
@@ -516,19 +498,13 @@ func mix(w uint64) uint64 {
 	return (w ^ w>>32) * m
 }
 
-// index links the chains over the words filed by add and reports how many
-// partitions did it. With workers > 1 and a large input bucket ranges are
-// linked concurrently — each worker sweeps the words and links only the
-// buckets it owns, so no two goroutines write the same element. The sweep runs
-// from the last ordinal to the first, pushing onto the bucket head, which
-// leaves every chain ascending: the index is identical at any worker count.
-func (b *hashBuild) index(workers int) int {
+// index links the chains over the words filed by add. The sweep runs from the
+// last ordinal to the first, pushing onto the bucket head, which leaves every
+// chain ascending.
+func (b *hashBuild) index() {
 	n := b.rows.n
 	if len(b.build) == 0 || n == 0 {
-		return 0
-	}
-	if workers < 2 || n < parallelBuildMinRows {
-		workers = 1
+		return
 	}
 	buckets, bits := 1, uint(0)
 	for buckets < 2*n {
@@ -541,17 +517,15 @@ func (b *hashBuild) index(workers int) int {
 		b.heads = make([]int32, buckets)
 	}
 	b.next, b.heads, b.shift = b.next[:n], b.heads[:buckets], 64-bits
-	return fanOut(storage.SplitRange(0, buckets, workers), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b.heads[i] = -1
+	for i := range b.heads {
+		b.heads[i] = -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		if w := b.words[i]; w != nullKeyWord {
+			bkt := b.bucket(w)
+			b.next[i], b.heads[bkt] = b.heads[bkt], int32(i)
 		}
-		for i := n - 1; i >= 0; i-- {
-			w := b.words[i]
-			if bkt := int(b.bucket(w)); w != nullKeyWord && bkt >= lo && bkt < hi {
-				b.next[i], b.heads[bkt] = b.heads[bkt], int32(i)
-			}
-		}
-	})
+	}
 }
 
 // pairs returns how many pairs of equal words words[:n] and words[n:] hold, a
@@ -594,29 +568,9 @@ func (x *buildIndex) pairs(n int) (total int) {
 	return total
 }
 
-// fanOut runs fn over each range — inline for a single range, one goroutine
-// per range otherwise — and returns the number of ranges once all are done.
-func fanOut(parts [][2]int, fn func(lo, hi int)) int {
-	if len(parts) == 1 {
-		fn(parts[0][0], parts[0][1])
-		return 1
-	}
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(p[0], p[1])
-		}()
-	}
-	wg.Wait()
-	return len(parts)
-}
-
 // first returns the ordinal of the first build row (in drain order) joining
 // the probe tuple, or -1, together with the probe's key word; after continues
-// from a returned ordinal. Both only read the build, so every replica of its
-// join probes the same one.
+// from a returned ordinal.
 func (b *hashBuild) first(t tuple) (int32, uint64) {
 	if len(b.probe) == 0 {
 		return b.after(-1, 0, t), 0
@@ -722,26 +676,6 @@ func (j *joinIter) Close() {
 	j.finalize()
 	if j.built {
 		j.hb.release(j.ctx)
-	}
-}
-
-// replica probes the build j owns — drained before any replica is made — and
-// carves its output from the partition's arena.
-func (j *joinIter) replica(child rowIter, p *partition) spineIter {
-	r := *j
-	r.outer, r.inner, r.mem = child, nil, p.mem
-	r.charged, r.closed = true, true
-	return &r
-}
-
-// fold keeps the first sample met: folded in partition order, the serial
-// first outer row.
-func (j *joinIter) fold(r spineIter) {
-	o := r.(*joinIter)
-	j.nOuterRows += o.nOuterRows
-	j.nOut += o.nOut
-	if j.outerSample == nil {
-		j.outerSample = o.outerSample
 	}
 }
 

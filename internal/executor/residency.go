@@ -5,16 +5,14 @@ import (
 	"sync"
 )
 
-// residency is the single high-water implementation of intermediate-row
-// accounting, shared by the serial operators and the exchange operator
+// residency is the high-water accounting of intermediate rows
 // (RunStats.PeakIntermediateRows/Bytes). An operator holds the rows it
 // buffers (sort buffers, hash build sides, group-by key sets) and releases
-// them when its state is dropped;
-// the peak is the worst simultaneous footprint.
+// them when its state is dropped; the peak is the worst simultaneous
+// footprint.
 //
-// All holds and releases of one execution happen on the thread currently
-// driving the cursor (exchange workers buffer locally, and the SORT or GRPBY
-// above them holds), so the tracker needs no synchronization.
+// All holds and releases of one execution happen on the goroutine driving the
+// cursor, so the tracker needs no synchronization.
 type residency struct {
 	curRows, peakRows   int64
 	curBytes, peakBytes int64
@@ -44,8 +42,8 @@ const likeCacheCap = 256
 
 // likePatternCache is the process-wide compiled LIKE pattern cache. It
 // replaced the per-execution map: routinized repeats of the same query were
-// recompiling identical patterns once per execution, and exchange workers
-// need a concurrency-safe path anyway.
+// recompiling identical patterns once per execution, and concurrent
+// executions share it.
 type likePatternCache struct {
 	mu sync.Mutex
 	m  map[string]*regexp.Regexp

@@ -16,7 +16,7 @@ import (
 // opens. Scans hand out one-slot tuples that alias the identity vector, joins
 // concatenate the IDs of their inputs, and column values are copied exactly
 // once, in Cursor.Next's projection. A tuple holds no pointer: slabs, build
-// buffers and exchange batches are plain words the collector never walks.
+// buffers and SORT buffers are plain words the collector never walks.
 // Tuples and the rows they stand for are read-only.
 type tuple []uint32
 
@@ -136,18 +136,15 @@ func rowIDs(n int) []uint32 {
 	return ids
 }
 
-// arena is where one goroutine's share of an execution keeps its
-// intermediates: the chunks join-output tuples are carved from and build
-// buffers, SORT buffers and exchange batches are cut from, and the build
-// indexes (whose chain arrays also hold SORT permutations). It draws
+// arena is where an execution keeps its intermediates: the chunks join-output
+// tuples are carved from and build buffers and SORT buffers are cut from, and
+// the build indexes (whose chain arrays also hold SORT permutations). It draws
 // fixed-size chunks from process-wide pools and hands every one of them back
 // in release, so a steady stream of executions allocates next to nothing.
 //
-// An arena is not safe for concurrent use: the serial pipeline draws from the
-// execContext's own, each exchange worker from one of its own, and only the
-// consumer — in Cursor.finish, once the pipeline is closed and the workers
-// have exited — releases them. Nothing carved from an arena may be read after
-// that.
+// An arena is not safe for concurrent use: each execution draws from its own,
+// and Cursor.finish releases it once the pipeline is closed. Nothing carved
+// from an arena may be read after that.
 type arena struct {
 	slab    []uint32 // the unused tail of the chunk concat carves from
 	chunks  []*idChunk

@@ -52,10 +52,6 @@ type Config struct {
 	// Learning is the learning engine configuration of harness runs; each
 	// experiment sets JoinThreshold, Seed and Workload on a copy.
 	Learning learning.Options
-	// Exec configures validated plan executions; Workers 0 or 1 runs them
-	// serially. Simulated costs are identical at any worker count, so
-	// results don't depend on it.
-	Exec core.ExecOptions
 }
 
 // DefaultConfig returns the laptop-scale configuration used by the
@@ -81,7 +77,6 @@ func DefaultConfig() Config {
 		TPCDSQueries:  28,
 		ClientQueries: 36,
 		Learning:      learning.DefaultOptions(),
-		Exec:          core.ExecOptions{Workers: 4},
 	}
 	cfg.Learning.RandomPlans = 6
 	cfg.Learning.Runs = 2
@@ -226,7 +221,6 @@ func (cfg Config) exp2Run(sc scenario.Scenario, teacher *core.System) (*Exp2Work
 	w.sys = core.NewSystem(db, core.Config{
 		Learning: cfg.learningOptions(sc.Name(), 4),
 		Matching: matching.DefaultOptions(),
-		Exec:     cfg.Exec,
 	})
 	report, err := w.sys.Learn(queries)
 	if err != nil {
@@ -294,7 +288,6 @@ func RunExp3(cfg Config, widths []int) ([]Exp3Row, error) {
 	sys := core.NewSystem(db, core.Config{
 		Learning: cfg.learningOptions("tpcds", 4),
 		Matching: matching.DefaultOptions(),
-		Exec:     cfg.Exec,
 	})
 	// Learn over a handful of queries so the knowledge base is non-trivial.
 	if _, err := sys.Learn([]*sqlparser.Query{tpcds.Fig3Query(), tpcds.Fig4Query(), tpcds.Fig7Query(), tpcds.Fig8Query()}); err != nil {

@@ -1,9 +1,7 @@
 package qgm
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -89,34 +87,4 @@ func appendNode(b []byte, n *Node, depth int) []byte {
 		b = appendNode(b, c, depth+1)
 	}
 	return b
-}
-
-// DiffPlans renders a compact textual diff of the operator structure of two
-// plans: the signature of each plan and the operators that changed type or
-// position.
-func DiffPlans(before, after *Plan) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "before: %s\n", before.Signature())
-	fmt.Fprintf(&b, "after:  %s\n", after.Signature())
-	beforeJoins := joinMethodsByTables(before)
-	afterJoins := joinMethodsByTables(after)
-	for tables, method := range beforeJoins {
-		if am, ok := afterJoins[tables]; ok && am != method {
-			fmt.Fprintf(&b, "join over {%s}: %s -> %s\n", tables, method, am)
-		}
-	}
-	return b.String()
-}
-
-func joinMethodsByTables(p *Plan) map[string]OpType {
-	out := map[string]OpType{}
-	if p == nil || p.Root == nil {
-		return out
-	}
-	p.Root.Walk(func(n *Node) {
-		if n.Op.IsJoin() {
-			out[strings.Join(n.Tables(), ",")] = n.Op
-		}
-	})
-	return out
 }

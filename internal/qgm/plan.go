@@ -184,8 +184,9 @@ func (p *Plan) MaxEstimationGap() float64 {
 // they buffer (join builds hold the inner input, SORT holds its input, GRPBY
 // holds its distinct output). The executor's memory governor admits
 // executions against this estimate. A sum (rather than a max over
-// concurrently-live breakers) is deliberately conservative: with a parallel
-// exchange all build sides are resident at once.
+// concurrently-live breakers) is deliberately conservative: a join holds its
+// build side until the pipeline closes, so the builds of a join chain are
+// resident at once.
 func (p *Plan) EstPeakResidencyBytes() int64 {
 	if p == nil || p.Root == nil {
 		return 0
@@ -316,42 +317,4 @@ func (p *Plan) EnumerateSubPlans(maxJoins int) []SubPlan {
 		return cmp.Compare(b.Root.ID, a.Root.ID)
 	})
 	return out
-}
-
-// ReplaceSubtree substitutes the subtree rooted at the operator with ID
-// targetID by the given replacement, returning false when the target is not
-// found. IDs are re-assigned afterwards.
-func (p *Plan) ReplaceSubtree(targetID int, replacement *Node) bool {
-	if p.Root == nil || replacement == nil {
-		return false
-	}
-	if p.Root.ID == targetID {
-		if replacement.Op != OpRETURN {
-			p.Root = &Node{Op: OpRETURN, Outer: replacement}
-		} else {
-			p.Root = replacement
-		}
-		p.AssignIDs()
-		return true
-	}
-	replaced := false
-	p.Root.Walk(func(n *Node) {
-		if replaced {
-			return
-		}
-		if n.Outer != nil && n.Outer.ID == targetID {
-			n.Outer = replacement
-			replaced = true
-			return
-		}
-		if n.Inner != nil && n.Inner.ID == targetID {
-			n.Inner = replacement
-			replaced = true
-			return
-		}
-	})
-	if replaced {
-		p.AssignIDs()
-	}
-	return replaced
 }

@@ -175,37 +175,6 @@ func TestEnumerateSubPlans(t *testing.T) {
 	}
 }
 
-func TestReplaceSubtree(t *testing.T) {
-	p := threeJoinPlan()
-	// Replace the deepest join (HSJOIN over Q4, Q1) with an NLJOIN variant.
-	deepest := p.EnumerateSubPlans(1)[0].Root
-	replacement := &Node{Op: OpNLJOIN,
-		Outer: &Node{Op: OpTBSCAN, Table: "CUSTOMER_ADDRESS", TableInstance: "Q1", EstCardinality: 50000},
-		Inner: &Node{Op: OpFETCH, Table: "CATALOG_SALES", TableInstance: "Q4", Index: "CS_IDX", EstCardinality: 1.441e6},
-	}
-	if !p.ReplaceSubtree(deepest.ID, replacement) {
-		t.Fatalf("ReplaceSubtree failed")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("plan invalid after replace: %v", err)
-	}
-	if !strings.Contains(p.Signature(), "NLJOIN") {
-		t.Errorf("replacement not present in signature: %s", p.Signature())
-	}
-	if p.ReplaceSubtree(9999, replacement) {
-		t.Errorf("ReplaceSubtree with unknown ID should return false")
-	}
-	// Replacing the root swaps the whole plan.
-	p2 := threeJoinPlan()
-	rootID := p2.Root.ID
-	if !p2.ReplaceSubtree(rootID, replacement.Clone()) {
-		t.Fatalf("root replacement failed")
-	}
-	if p2.Root.Op != OpRETURN {
-		t.Errorf("root after replacement = %s", p2.Root.Op)
-	}
-}
-
 func TestFormatShowsPaperStructure(t *testing.T) {
 	p := figure1aPlan()
 	p.QueryName = "CLIENT.Q08"
@@ -217,16 +186,6 @@ func TestFormatShowsPaperStructure(t *testing.T) {
 	}
 	if Format(nil) != "<empty plan>\n" {
 		t.Errorf("Format(nil) = %q", Format(nil))
-	}
-}
-
-func TestDiffPlansReportsJoinChange(t *testing.T) {
-	d := DiffPlans(figure1aPlan(), figure1bPlan())
-	if !strings.Contains(d, "MSJOIN") || !strings.Contains(d, "HSJOIN") {
-		t.Errorf("DiffPlans output:\n%s", d)
-	}
-	if !strings.Contains(d, "->") {
-		t.Errorf("DiffPlans should mention a join method change:\n%s", d)
 	}
 }
 

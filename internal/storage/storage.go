@@ -377,25 +377,6 @@ func (idx *IndexData) PositionsRange(lo, hi *catalog.Value) (start, end int) {
 // Len returns the number of entries in the index.
 func (idx *IndexData) Len() int { return len(idx.Entries) }
 
-// SplitRange splits the half-open position range [lo, hi) into at most parts
-// contiguous, near-equal, non-empty sub-ranges. The executor's exchange
-// operator partitions scans with it: contiguous sub-ranges concatenated in
-// order reproduce the original scan order exactly.
-func SplitRange(lo, hi, parts int) [][2]int {
-	n := hi - lo
-	if n <= 0 || parts <= 1 {
-		return [][2]int{{lo, hi}}
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	for i := 0; i < parts; i++ {
-		out = append(out, [2]int{lo + i*n/parts, lo + (i+1)*n/parts})
-	}
-	return out
-}
-
 // Value returns the value of the named column in the row of the given table
 // definition, or NULL when absent.
 func Value(def *catalog.Table, row Row, column string) catalog.Value {
@@ -404,26 +385,6 @@ func Value(def *catalog.Table, row Row, column string) catalog.Value {
 		return catalog.Null()
 	}
 	return row[i]
-}
-
-// DistinctCount counts the number of distinct non-null values of a column.
-func (db *Database) DistinctCount(table, column string) int {
-	t := db.lookup(table)
-	if t == nil {
-		return 0
-	}
-	ci := t.Def.ColumnIndex(column)
-	if ci < 0 {
-		return 0
-	}
-	seen := make(map[string]struct{})
-	for _, r := range t.Rows {
-		if r[ci].IsNull() {
-			continue
-		}
-		seen[r[ci].Key()] = struct{}{}
-	}
-	return len(seen)
 }
 
 // CountWhereEqual counts rows where column = v (used by the learning engine's

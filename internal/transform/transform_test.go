@@ -22,29 +22,6 @@ func figure4aFragment() *qgm.Node {
 	return plan.Root.Outer
 }
 
-func TestPlanToRDFContainsPaperTriples(t *testing.T) {
-	frag := figure4aFragment()
-	plan := qgm.NewPlan(frag.Clone())
-	store := PlanToRDF(plan)
-	if store.Len() == 0 {
-		t.Fatal("empty RDF graph")
-	}
-	// Every operator has a type triple.
-	popType := Prop(PropPopType)
-	if got := len(store.Match(nil, &popType, nil)); got != plan.NumOps() {
-		t.Errorf("hasPopType triples = %d, want %d", got, plan.NumOps())
-	}
-	text := store.NTriples()
-	for _, want := range []string{PropEstCardinality, PropOuterInput, PropOutputStream, "CATALOG_SALES"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("RDF graph missing %q", want)
-		}
-	}
-	if PlanToRDF(nil).Len() != 0 {
-		t.Errorf("nil plan should produce an empty graph")
-	}
-}
-
 func TestCanonicalLabelsAndAbstract(t *testing.T) {
 	frag := figure4aFragment()
 	labels := CanonicalLabels(frag)
