@@ -1,11 +1,14 @@
 package executor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"galo/internal/catalog"
 	"galo/internal/optimizer"
 	"galo/internal/qgm"
 	"galo/internal/randplan"
@@ -39,12 +42,18 @@ func TestRunCountsWhatExecuteEmits(t *testing.T) {
 }
 
 // countingFloor is, per suite, how many runs per plan must have taken the
-// counting root, and how many joins per plan those runs must have walked
-// (walk): a fifth or so of what the whole tpcds suite does (1.31 of its 5
-// runs of a plan count their root, walking 0.37 joins). The key families join
-// on keys read through the rows — a string, two columns, a column holding one
-// string — which never count, so theirs is a ceiling of none.
-var countingFloor = map[string]struct{ roots, walks float64 }{"tpcds": {0.25, 0.06}, "key families": {}}
+// counting root, how many joins per plan those runs must have walked (walk),
+// and how many build indexes and pairs tallies per plan the suite's runs must
+// have addressed densely (denseAddressed): a fifth or so of what the whole
+// tpcds suite does (1.31 of its 5 runs of a plan count their root, walking
+// 0.37 joins; 7.7 builds and 0.21 tallies are dense). The key families join on
+// keys read through the rows — a string, two columns, a column holding one
+// string — which never count, so theirs is a ceiling of none for the counted
+// paths; the numeric column some of them probe with such a key is built
+// densely (1.3 per plan).
+var countingFloor = map[string]struct{ roots, walks, builds, tallies float64 }{
+	"tpcds": {0.25, 0.06, 1.5, 0.04}, "key families": {builds: 0.25},
+}
 
 // countingSuite draws the plans differentialSuite draws, consuming the
 // generator alike, and checks each as TestRunCountsWhatExecuteEmits says.
@@ -55,6 +64,7 @@ func countingSuite(t *testing.T, name string, db *storage.Database, opt *optimiz
 	ex := New(db)
 	prepared := map[string]*Prepared{}
 	counted, walked := rootsCounted.Load(), drainsWalked.Load()
+	builds, tallies := denseAddressed.builds.Load(), denseAddressed.tallies.Load()
 	for n := 0; n < plans; {
 		q, plan, _ := randomCase(t, rng, gen, opt, shapes)
 		if plan == nil {
@@ -83,14 +93,20 @@ func countingSuite(t *testing.T, name string, db *storage.Database, opt *optimiz
 		}
 	}
 	got, gotWalked := rootsCounted.Load()-counted, drainsWalked.Load()-walked
-	t.Logf("%s, %d plans: %d runs counted their root, walking %d joins", name, plans, got, gotWalked)
+	builds, tallies = denseAddressed.builds.Load()-builds, denseAddressed.tallies.Load()-tallies
+	t.Logf("%s, %d plans: %d runs counted their root, walking %d joins; %d builds and %d tallies addressed densely",
+		name, plans, got, gotWalked, builds, tallies)
 	switch f := countingFloor[name]; {
-	case f.roots == 0 && got+gotWalked > 0:
-		t.Errorf("%s: %d runs counted a root whose key is read through the rows, walking %d joins", name, got, gotWalked)
+	case f.roots == 0 && got+gotWalked+tallies > 0:
+		t.Errorf("%s: %d runs counted a root whose key is read through the rows, walking %d joins and tallying %d densely",
+			name, got, gotWalked, tallies)
 	case float64(got) < f.roots*float64(plans):
 		t.Errorf("%s: the suite lost coverage: %d runs over %d plans counted their root; the floor is %v per plan", name, got, plans, f.roots)
 	case float64(gotWalked) < f.walks*float64(plans):
 		t.Errorf("%s: the suite lost coverage: %d joins over %d plans were walked; the floor is %v per plan", name, gotWalked, plans, f.walks)
+	case float64(builds) < f.builds*float64(plans) || float64(tallies) < f.tallies*float64(plans):
+		t.Errorf("%s: the suite lost coverage: %d builds and %d tallies over %d plans were addressed densely; the floor is %v and %v per plan",
+			name, builds, tallies, plans, f.builds, f.tallies)
 	}
 }
 
@@ -223,4 +239,69 @@ func sameBits(want, got run) string {
 		}
 	}
 	return ""
+}
+
+// FuzzPairs holds buildIndex.pairs, the count of a counted root join, to a
+// nested loop over the pairs of equal non-NULL words, on both of its tallies:
+// integers of a narrow span, tallied by their offset from the least, and every
+// other key set, tallied in the hashed table. The seeds take both.
+func FuzzPairs(f *testing.F) {
+	raw := func(v float64) []byte { return binary.LittleEndian.AppendUint64([]byte{0xf0}, math.Float64bits(v)) }
+	f.Add([]byte{0x60, 0x61, 0x61, 0x62, 0xc0}, []byte{0x61, 0x62, 0x5f, 0xc2, 0xc3}) // dense, NULL and ±0
+	f.Add([]byte{0xc1, 0xc2, 0xc4, 0xc5, 0x60}, []byte{0xc1, 0xc3, 0xc4, 0xc5, 0xca}) // NaN, ±Inf, 2.5
+	f.Add([]byte{0xc6, 0xc7, 0xc8, 0xc9}, []byte{0xc7, 0xc8, 0xc9, 0xc6, 0xc6})       // 2^53−2 … 2^53+1
+	f.Add([]byte{0xcb, 0x00, 0xc7}, []byte{0xcb, 0xc7, 0x00})                         // ±(2^53−1): too wide
+	f.Add([]byte{0xcc, 0xcd, 0xef, 0x60}, []byte{0xcd, 0xef, 0xef, 0x10})             // sparse
+	f.Add(append(raw(2.5), raw(-3)...), append(raw(-3), 0x5d, 0xf0))                  // any float
+	f.Add([]byte{0xc0, 0xc0}, []byte{0xc0})                                           // NULL alone
+	f.Add([]byte{}, []byte{0x60})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		left, right := pairsWords(a), pairsWords(b)
+		want := 0
+		for _, l := range left {
+			for _, r := range right {
+				if l == r && l != nullKeyWord {
+					want++
+				}
+			}
+		}
+		// heads as a previous user may leave them: the tally must clear them.
+		x := &buildIndex{words: slices.Concat(left, right), heads: []int32{7, 7, 7, 7}}
+		if got := x.pairs(len(left)); got != want {
+			t.Errorf("pairs of %x and %x = %d, a nested loop counts %d", left, right, got, want)
+		}
+	})
+}
+
+// pairsWords decodes key words from bytes, as catalog.Value.KeyWord gives
+// them: a byte below 0xc0 is an integer of −96 to 95; 0xc0 to 0xcb are NULL,
+// NaN, −0, +0, +Inf, −Inf, 2^53−2, 2^53−1, 2^53, 2^53+1, 2.5 and −(2^53−1);
+// 0xcc to 0xef are multiples of 100 003; and a byte above is followed by a
+// float's eight bytes (a short tail is dropped).
+func pairsWords(data []byte) []uint64 {
+	const two53 = int64(1) << 53
+	awkward := []catalog.Value{catalog.Null(), catalog.Float(math.NaN()), catalog.Float(math.Copysign(0, -1)), catalog.Float(0),
+		catalog.Float(math.Inf(1)), catalog.Float(math.Inf(-1)), catalog.Int(two53 - 2), catalog.Int(two53 - 1),
+		catalog.Int(two53), catalog.Int(two53 + 1), catalog.Float(2.5), catalog.Int(1 - two53)}
+	var words []uint64
+	for len(data) > 0 {
+		var v catalog.Value
+		switch c := data[0]; {
+		case c < 0xc0:
+			v = catalog.Int(int64(c) - 0x60)
+		case c < 0xcc:
+			v = awkward[c-0xc0]
+		case c < 0xf0:
+			v = catalog.Int(int64(c-0xcc) * 100003)
+		case len(data) > 8:
+			v = catalog.Float(math.Float64frombits(binary.LittleEndian.Uint64(data[1:])))
+			data = data[8:]
+		default:
+			return words
+		}
+		data = data[1:]
+		w, _ := v.KeyWord()
+		words = append(words, w)
+	}
+	return words
 }

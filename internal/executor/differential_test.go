@@ -500,26 +500,51 @@ func keyTables(t *testing.T, left, right []catalog.Value, indexed ...string) (*s
 	return db, optimizer.New(db.Catalog, optimizer.DefaultOptions())
 }
 
-// TestExactIndexAndItsFallback pins when the build index is exact — a single
-// key column holding no string — and that it pairs the same rows either way:
-// a numeric build probed by numbers, the same build probed by a column that
-// also holds a string (which equals nothing in it), and a build column with
-// one string among its numbers, which must fall back to hash + KeyEqual. Each
-// against brute force over catalog.KeyEqual and its frozen answer.
+// TestExactIndexAndItsFallback pins how the build index addresses a key, and
+// that it pairs the same rows every way. It is exact for a single key column
+// holding no string: a numeric build probed by numbers, and the same build
+// probed by a column that also holds a string (which equals nothing in it); a
+// build column with one string among its numbers must fall back to hash +
+// KeyEqual. An exact key of integers is addressed densely (denseRange): a build
+// around zero with −0 and a NULL, and one up to 2^53−1, probed by 2.5, −0,
+// ±Inf, NaN, NULL, 2^53, 2^53+1 and a key past either end of the span; and a
+// build spanning exactly its bound, whose twin one integer wider stays hashed.
+// Each against brute force over catalog.KeyEqual and its frozen answer, and
+// denseAddressed must show how the build and the counted root's pairs tally
+// were addressed.
 func TestExactIndexAndItsFallback(t *testing.T) {
 	const two53 = int64(1) << 53
 	numeric := append([]catalog.Value{
 		catalog.Int(two53), catalog.Int(two53 + 1), catalog.Float(float64(two53)),
 		catalog.Float(math.Inf(1)), catalog.Float(math.Inf(-1)), catalog.Bool(true), catalog.Int(1),
 	}, awkwardKeys[:len(awkwardKeys)-1]...)
+	negZero := catalog.Float(math.Copysign(0, -1))
+	edges := []catalog.Value{catalog.Float(2.5), negZero, catalog.Float(math.Inf(1)), catalog.Float(math.Inf(-1)),
+		catalog.Float(math.NaN()), catalog.Null(), catalog.Int(two53), catalog.Int(two53 + 1)}
+	ints := func(keys ...int64) []catalog.Value {
+		vs := make([]catalog.Value, len(keys))
+		for i, k := range keys {
+			vs[i] = catalog.Int(k)
+		}
+		return vs
+	}
 	cases := []struct {
-		name        string
-		left, right []catalog.Value
-		exact       bool
+		name                string
+		left, right         []catalog.Value
+		exact, dense, tally bool // the build index exact, dense; the pairs tally dense
 	}{
-		{"numeric build, numeric probes", numeric, numeric, true},
-		{"numeric build, a string among the probes", awkwardKeys, numeric, true},
-		{"one string in the build column", numeric, awkwardKeys, false},
+		{"numeric build, numeric probes", numeric, numeric, true, false, false},
+		{"numeric build, a string among the probes", awkwardKeys, numeric, true, false, false},
+		{"one string in the build column", numeric, awkwardKeys, false, false, false},
+		{"dense build around zero", append(ints(-3, -2, 1, 2, 3), edges...),
+			[]catalog.Value{catalog.Int(-2), negZero, catalog.Null(), catalog.Int(1), catalog.DateFromDays(2), catalog.Float(-1)},
+			true, true, true},
+		{"dense build up to 2^53-1", append(ints(two53-4, two53-1), edges...),
+			[]catalog.Value{catalog.Int(two53 - 3), catalog.Float(float64(two53 - 2)), catalog.Null(), catalog.Int(two53 - 1)},
+			true, true, true},
+		// Four keys: 16 build rows, 32 buckets, a dense span of at most 64.
+		{"build spanning the dense bound", ints(-1, 0, 32, 63, 64), ints(0, 1, 2, 63), true, true, true},
+		{"build one past the dense bound", ints(-1, 0, 32, 63, 64, 65), ints(0, 1, 2, 64), true, false, true},
 	}
 	for _, tc := range cases {
 		db, opt := keyTables(t, tc.left, tc.right)
@@ -534,9 +559,15 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 		for _, method := range []qgm.OpType{qgm.OpHSJOIN, qgm.OpMSJOIN, qgm.OpNLJOIN} {
 			t.Run(tc.name+"/"+string(method), func(t *testing.T) {
 				q := sqlparser.MustParse(`SELECT l_id, r_id FROM lt, rt WHERE l_k1 = r_k1`)
+				builds, tallies := denseAddressed.builds.Load(), denseAddressed.tallies.Load()
 				stream, _, _ := assertFrozen(t, db, opt, q, optimizer.Join(method, optimizer.Leaf("LT"), optimizer.Leaf("RT")))
 				if stream.Rows != want {
 					t.Errorf("join produced %d rows, brute force over KeyEqual says %d", stream.Rows, want)
+				}
+				builds, tallies = denseAddressed.builds.Load()-builds, denseAddressed.tallies.Load()-tallies
+				if (builds > 0) != tc.dense || (tallies > 0) != tc.tally {
+					t.Errorf("%d builds and %d pairs tallies addressed densely; want a dense build %v, a dense tally %v",
+						builds, tallies, tc.dense, tc.tally)
 				}
 			})
 		}
@@ -555,6 +586,9 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 			}
 			if b.exact != exact {
 				t.Errorf("%s, %d key column(s): exact index = %v, want %v", tc.name, ncols, b.exact, exact)
+			}
+			if b.index(); b.dense != (exact && tc.dense) {
+				t.Errorf("%s, %d key column(s): dense index = %v, want %v", tc.name, ncols, b.dense, exact && tc.dense)
 			}
 		}
 		mem.release()

@@ -2,8 +2,10 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"galo/internal/catalog"
 	"galo/internal/qgm"
@@ -201,10 +203,11 @@ func (j *joinIter) walkScan(sc *scanIter, s int32, words, dst []uint64) []uint64
 		}
 		j.meet(orow)
 		w := b.probeWords[id]
-		if w == nullKeyWord || b.rows.n == 0 {
+		h, ok := b.slot(w)
+		if !ok {
 			continue
 		}
-		for i := b.heads[b.bucket(w)]; i >= 0; i = b.next[i] {
+		for i := b.heads[h]; i >= 0; i = b.next[i] {
 			if b.words[i] != w {
 				continue
 			}
@@ -355,7 +358,7 @@ func (j *joinIter) buildInner(ix *indexProbe, counting bool) {
 // and next links each ordinal to the following one of its bucket, always
 // ascending — so a probe walks its matches in drain order, the emission order
 // every charge and golden result depends on. words holds one word per ordinal,
-// filed as the row is drained, and buckets come from a mix of it.
+// filed as the row is drained, and buckets come from a mix of it (slot).
 //
 // When the key is a single column and no string has been drained in it, the
 // index is exact: the word is the key itself (catalog.Value.KeyWord — the
@@ -369,6 +372,10 @@ func (j *joinIter) buildInner(ix *indexProbe, counting bool) {
 // catalog.KeyEqual. Either way nothing is copied, serialized or allocated per
 // key. With no key columns there is no index and every build row matches (a
 // cartesian product).
+//
+// An exact index whose words are integers of a narrow span is dense instead
+// (index): the same heads, next and words, but a bucket is a key's offset from
+// the least, so a chain holds one key alone and no word is mixed.
 type hashBuild struct {
 	probe, build []colRef
 	// The key-word vectors of a single-column key's two columns; nil for a
@@ -392,9 +399,10 @@ type hashBuild struct {
 	maxWord  uint64
 	maxTuple tuple
 
-	exact       bool
-	*buildIndex      // words, heads, next; nil without key columns
-	shift       uint // 64 - log2(len(heads))
+	exact, dense bool
+	*buildIndex        // words, heads, next; nil without key columns
+	shift        uint  // 64 - log2(len(heads)), unless dense
+	base         int64 // the least key when dense: heads[k-base] is key k's chain
 }
 
 func newHashBuild(mem *arena, probe, build []colRef, slots int) *hashBuild {
@@ -483,15 +491,25 @@ func keyHash(t tuple, refs []colRef) uint64 {
 	return h
 }
 
-// bucket mixes a key word into a bucket number. An exact word is the bits of
-// a float: consecutive integers differ only in the exponent and the leading
-// mantissa bits, and dates a thousand apart only a little lower. One multiply
-// spreads those over the word, the fold brings the well-mixed high half down,
-// and the second multiply's top bits depend on all of it (14 400 consecutive
-// integers, dates or multiples of 1000 in 32 768 buckets: 1.06–1.18 slots
-// walked per successful probe; one multiply alone: up to 1.86).
-func (b *hashBuild) bucket(w uint64) uint64 { return mix(w) >> b.shift }
+// slot returns the bucket of the key word w, and false when no build row can
+// hold it: w is NULL, or under dense addressing no integer of the span. A
+// hashed build keeps the top bits of the mixed word; a dense one subtracts the
+// least key (denseSlot), so each integer of the span has a bucket of its own.
+func (b *hashBuild) slot(w uint64) (uint64, bool) {
+	if b.dense { // NULL is a NaN word
+		return denseSlot(w, b.base, len(b.heads))
+	}
+	return mix(w) >> b.shift, w != nullKeyWord
+}
 
+// mix spreads a key word for the hashed buckets and the pairs table. An exact
+// word is the bits of a float: consecutive integers differ only in the
+// exponent and the leading mantissa bits, and dates a thousand apart only a
+// little lower. One multiply spreads those over the word, the fold brings the
+// well-mixed high half down, and the second multiply's top bits depend on all
+// of it (14 400 consecutive integers, dates or multiples of 1000 in 32 768
+// buckets: 1.06–1.18 slots walked per successful probe; one multiply alone: up
+// to 1.86).
 func mix(w uint64) uint64 {
 	const m = 0x9e3779b97f4a7c15
 	w *= m
@@ -500,15 +518,24 @@ func mix(w uint64) uint64 {
 
 // index links the chains over the words filed by add. The sweep runs from the
 // last ordinal to the first, pushing onto the bucket head, which leaves every
-// chain ascending.
+// chain ascending. An exact key whose words are integers spanning at most
+// twice the hash table's buckets is addressed densely: one bucket per integer
+// of the span, so a chain holds one key alone.
 func (b *hashBuild) index() {
-	n := b.rows.n
-	if len(b.build) == 0 || n == 0 {
+	n := b.rows.n // an empty build gets one empty bucket, so slot needs no test
+	if len(b.build) == 0 {
 		return
 	}
 	buckets, bits := 1, uint(0)
 	for buckets < 2*n {
 		buckets, bits = buckets<<1, bits+1
+	}
+	if b.exact {
+		var span int
+		if b.base, span, b.dense = denseRange(b.words[:n], 2*buckets); b.dense {
+			buckets = span
+			denseAddressed.builds.Add(1)
+		}
 	}
 	if cap(b.next) < n {
 		b.next = make([]int32, n)
@@ -521,8 +548,7 @@ func (b *hashBuild) index() {
 		b.heads[i] = -1
 	}
 	for i := n - 1; i >= 0; i-- {
-		if w := b.words[i]; w != nullKeyWord {
-			bkt := b.bucket(w)
+		if bkt, ok := b.slot(b.words[i]); ok {
 			b.next[i], b.heads[bkt] = b.heads[bkt], int32(i)
 		}
 	}
@@ -530,9 +556,11 @@ func (b *hashBuild) index() {
 
 // pairs returns how many pairs of equal words words[:n] and words[n:] hold, a
 // NULL pairing with none: an exact join's output count, in any order. The
-// smaller side is tallied in an open-addressing table of four slots a word or
-// more (words appended to words, NULL marking an empty slot; tallies in
-// heads), and the larger side looked up in it.
+// smaller side is tallied, and the larger side looked up in the tally. Words
+// that are integers spanning at most twice the memory of the hash table are
+// tallied by their offset from the least (denseRange); otherwise the tally is
+// an open-addressing table of four slots a word or more (words appended to
+// words, NULL marking an empty slot; tallies in heads).
 func (x *buildIndex) pairs(n int) (total int) {
 	small, large := x.words[:n], x.words[n:]
 	if len(large) < len(small) {
@@ -541,6 +569,26 @@ func (x *buildIndex) pairs(n int) (total int) {
 	size, shift, end := 1, uint(64), len(x.words)
 	for size < 4*len(small) {
 		size, shift = size<<1, shift-1
+	}
+	// A slot of the table is a word and a tally: three int32s of memory.
+	if base, span, ok := denseRange(small, 6*size); ok {
+		denseAddressed.tallies.Add(1)
+		if cap(x.heads) < span {
+			x.heads = make([]int32, span)
+		}
+		tally := x.heads[:span]
+		clear(tally)
+		for _, w := range small {
+			if k, ok := denseSlot(w, base, span); ok {
+				tally[k]++
+			}
+		}
+		for _, w := range large {
+			if k, ok := denseSlot(w, base, span); ok {
+				total += int(tally[k])
+			}
+		}
+		return total
 	}
 	if x.words = slices.Grow(x.words, size)[:end+size]; cap(x.heads) < size {
 		x.heads = make([]int32, size)
@@ -568,6 +616,45 @@ func (x *buildIndex) pairs(n int) (total int) {
 	return total
 }
 
+// denseAddressed counts, process-wide, the build indexes and the pairs
+// tallies addressed by key offset instead of hashed (tests).
+var denseAddressed struct{ builds, tallies atomic.Int64 }
+
+// denseRange reports whether the key words can be addressed densely: every
+// word but NULL is an integer of magnitude below 2^53, at least one word is
+// one, and the integers span at most limit. It returns the least integer and
+// the span. Key words are canonical (catalog.Value.KeyWord: −0 is +0, NULL and
+// every NaN one pattern each), so one integer has one word and an offset from
+// base stands for exactly one word.
+func denseRange(words []uint64, limit int) (base int64, span int, ok bool) {
+	const two53 = 1 << 53
+	lo, hi := int64(two53), int64(-two53)
+	for _, w := range words {
+		off, in := denseSlot(w, 1-two53, 2*two53-1) // an integer in (−2^53, 2^53)
+		if !in {
+			if w == nullKeyWord {
+				continue
+			}
+			return 0, 0, false
+		}
+		k := int64(off) + 1 - two53
+		if lo, hi = min(lo, k), max(hi, k); hi-lo >= int64(limit) {
+			return 0, 0, false
+		}
+	}
+	return lo, int(hi - lo + 1), hi >= lo
+}
+
+// denseSlot returns the offset from base of the integer whose key word w is,
+// and whether w is one of the span integers base, base+1, ... base+span−1. A
+// fraction, ±Inf, NaN and NULL are none.
+func denseSlot(w uint64, base int64, span int) (uint64, bool) {
+	f := math.Float64frombits(w)
+	k := int64(f)
+	off := uint64(k - base)
+	return off, float64(k) == f && off < uint64(span)
+}
+
 // first returns the ordinal of the first build row (in drain order) joining
 // the probe tuple, or -1, together with the probe's key word; after continues
 // from a returned ordinal.
@@ -581,10 +668,11 @@ func (b *hashBuild) first(t tuple) (int32, uint64) {
 	} else {
 		w = keyHash(t, b.probe)
 	}
-	if w == nullKeyWord || b.rows.n == 0 {
+	h, ok := b.slot(w)
+	if !ok {
 		return -1, w
 	}
-	return b.match(b.heads[b.bucket(w)], w, t), w
+	return b.match(b.heads[h], w, t), w
 }
 
 // probeWord is the probe tuple's key word in an exact index: read from the
