@@ -48,7 +48,7 @@ func learningRowOf(fixture string, reports ...*learning.Report) learningRow {
 		row.ExecutionsAsked += r.Funnel.ExecutionsAsked
 		row.ExecutionsDistinct += r.Funnel.ExecutionsDistinct
 		row.ExecutionsAborted += r.Funnel.ExecutionsAborted
-		row.Alternatives += r.Funnel.Alternatives()
+		row.Alternatives += r.Funnel.PlansGenerated - r.Funnel.Variants // the random alternatives
 		row.SimulatedWorkMillis += r.SimulatedWorkMillis
 		plan, execute, rank = plan+r.PlanMillis, execute+r.ExecuteMillis, rank+r.RankMillis
 	}

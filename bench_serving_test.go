@@ -12,6 +12,7 @@ package galo_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,6 +23,9 @@ import (
 
 	"galo"
 	"galo/internal/experiments"
+	"galo/internal/fleet"
+	"galo/internal/fleet/chaos"
+	"galo/internal/kb"
 	"galo/internal/workload/tpcds"
 )
 
@@ -250,7 +254,7 @@ func measureFleetServing(t *testing.T) (intact, killed fleetServingRow, recovery
 	if err != nil {
 		t.Fatal(err)
 	}
-	harness, err := experiments.NewFleetHarness(string(dump), 2, 2, galo.FleetPolicy{
+	harness, err := newFleetHarness(string(dump), 2, 2, galo.FleetPolicy{
 		ProbeTimeout:    5 * time.Second,
 		MaxAttempts:     4,
 		BackoffBase:     2 * time.Millisecond,
@@ -409,4 +413,83 @@ func TestEmitBenchServingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_serving.json:\n%s", data)
+}
+
+// fleetHarness is an in-process chaos fleet over a knowledge base dump:
+// `shards` shard groups of `replicas` chaos replicas each, every replica a
+// real HTTP server over that shard's slice of the dump. Point Config.Fleet at
+// Options and kill replicas to measure the gateway's fault masking — the
+// serving system under test cannot tell the harness from remote `galo shard`
+// processes.
+type fleetHarness struct {
+	// Options is ready to assign to core.Config.Fleet: the replica URLs are
+	// live as soon as newFleetHarness returns.
+	Options fleet.Options
+
+	replicas [][]*chaos.Replica
+}
+
+// newFleetHarness slices the N-Triples dump across the shard layout and
+// starts every replica. A zero policy takes the fleet defaults.
+func newFleetHarness(ntriples string, shards, replicas int, policy fleet.Policy) (*fleetHarness, error) {
+	h := &fleetHarness{replicas: make([][]*chaos.Replica, shards)}
+	h.Options.Policy = policy
+	for si := 0; si < shards; si++ {
+		slice, err := kb.ShardSlice(ntriples, si, shards)
+		if err != nil {
+			h.Close()
+			return nil, err
+		}
+		knowledge := kb.New()
+		if slice != "" {
+			if err := knowledge.LoadNTriples(slice); err != nil {
+				h.Close()
+				return nil, err
+			}
+		}
+		// Replicas of one shard share the handler: identical contents, the
+		// way fleet replicas loaded from the same dump would serve.
+		handler := fleet.NewShardServer(knowledge)
+		urls := make([]string, replicas)
+		for ri := 0; ri < replicas; ri++ {
+			r := chaos.NewReplica(handler, chaos.NewFaults(int64(si*31+ri+1)))
+			if err := r.Start(); err != nil {
+				h.Close()
+				return nil, err
+			}
+			h.replicas[si] = append(h.replicas[si], r)
+			urls[ri] = r.URL()
+		}
+		h.Options.Shards = append(h.Options.Shards, urls)
+	}
+	return h, nil
+}
+
+// KillRecovery measures the gateway-visible recovery from a replica kill: it
+// kills the replica (listener closed, connections cut) and repeatedly calls
+// probe (a closure issuing one real request through the gateway under test)
+// until it succeeds, returning the elapsed time from the kill to the first
+// successful failover probe. The replica stays down.
+func (h *fleetHarness) KillRecovery(shard, replica int, probe func() error) (time.Duration, error) {
+	h.replicas[shard][replica].Kill()
+	start := time.Now()
+	deadline := start.Add(30 * time.Second)
+	var lastErr error
+	for time.Now().Before(deadline) {
+		if lastErr = probe(); lastErr == nil {
+			return time.Since(start), nil
+		}
+	}
+	return 0, fmt.Errorf("no successful probe within 30s of the kill: %w", lastErr)
+}
+
+// Close kills every replica.
+func (h *fleetHarness) Close() {
+	for _, group := range h.replicas {
+		for _, r := range group {
+			if r != nil {
+				r.Kill()
+			}
+		}
+	}
 }

@@ -41,6 +41,36 @@ func experimentsFor(exp string) (run [7]bool, err error) {
 	return run, nil
 }
 
+// configFor applies the -scale, -seed, -tpcds-queries and -client-queries
+// values to the harness defaults; a zero keeps the default. A negative scale
+// or query count is an error: scenario.First reads any count below one as
+// "every query", and the whole workload at the default scale does not fit in
+// a few gigabytes.
+func configFor(scale float64, seed int64, tpcdsQueries, clientQueries int) (experiments.Config, error) {
+	cfg := experiments.DefaultConfig()
+	switch {
+	case scale < 0:
+		return cfg, fmt.Errorf("-scale %v is negative", scale)
+	case tpcdsQueries < 0:
+		return cfg, fmt.Errorf("-tpcds-queries %d is negative", tpcdsQueries)
+	case clientQueries < 0:
+		return cfg, fmt.Errorf("-client-queries %d is negative", clientQueries)
+	}
+	if scale > 0 {
+		cfg.Scale = scale
+	}
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	if tpcdsQueries != 0 {
+		cfg.TPCDSQueries = tpcdsQueries
+	}
+	if clientQueries != 0 {
+		cfg.ClientQueries = clientQueries
+	}
+	return cfg, nil
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiments to run: all, or digits 1..6 (5 and 6 are one run, Exp-5 with Exp-6)")
 	scale := flag.Float64("scale", 0, "data scale factor (0 = harness default)")
@@ -54,19 +84,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	cfg := experiments.DefaultConfig()
-	if *scale > 0 {
-		cfg.Scale = *scale
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *tpcdsQueries != 0 {
-		cfg.TPCDSQueries = *tpcdsQueries
-	}
-	if *clientQueries != 0 {
-		cfg.ClientQueries = *clientQueries
+	cfg, err := configFor(*scale, *seed, *tpcdsQueries, *clientQueries)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "galo-experiments:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	fail := func(err error) {

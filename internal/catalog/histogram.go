@@ -29,14 +29,6 @@ type Histogram struct {
 	Rows int64
 }
 
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.Buckets)
-}
-
 // numeric reports whether the histogram's domain supports interpolation.
 func (h *Histogram) numeric() bool {
 	switch h.Min.K {

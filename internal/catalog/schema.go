@@ -61,26 +61,8 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// Column returns the named column definition, or nil.
-func (t *Table) Column(name string) *Column {
-	i := t.ColumnIndex(name)
-	if i < 0 {
-		return nil
-	}
-	return &t.Columns[i]
-}
-
 // HasColumn reports whether the table defines the named column.
 func (t *Table) HasColumn(name string) bool { return t.ColumnIndex(name) >= 0 }
-
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
 
 // AddIndex registers an index on the table. Column names are upper-cased;
 // unknown columns are an error.
@@ -101,18 +83,6 @@ func (t *Table) AddIndex(idx Index) error {
 		idx.ClusterRatio = 0.5
 	}
 	t.Indexes = append(t.Indexes, idx)
-	return nil
-}
-
-// IndexOn returns the first index whose leading column is the given column,
-// or nil.
-func (t *Table) IndexOn(column string) *Index {
-	column = strings.ToUpper(column)
-	for i := range t.Indexes {
-		if len(t.Indexes[i].Columns) > 0 && t.Indexes[i].Columns[0] == column {
-			return &t.Indexes[i]
-		}
-	}
 	return nil
 }
 
@@ -157,38 +127,4 @@ func (s *Schema) Tables() []*Table {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// TableNames returns the sorted table names.
-func (s *Schema) TableNames() []string {
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ResolveColumn finds which of the given candidate tables defines the column.
-// It returns the table name, or an error if the column is ambiguous or
-// unknown.
-func (s *Schema) ResolveColumn(column string, candidates []string) (string, error) {
-	column = strings.ToUpper(column)
-	var owner string
-	for _, tn := range candidates {
-		t := s.Table(tn)
-		if t == nil {
-			continue
-		}
-		if t.HasColumn(column) {
-			if owner != "" && owner != t.Name {
-				return "", fmt.Errorf("catalog: column %s is ambiguous between %s and %s", column, owner, t.Name)
-			}
-			owner = t.Name
-		}
-	}
-	if owner == "" {
-		return "", fmt.Errorf("catalog: column %s not found in tables %v", column, candidates)
-	}
-	return owner, nil
 }

@@ -38,12 +38,8 @@ func TestTableColumnLookup(t *testing.T) {
 	if item.ColumnIndex("nope") != -1 {
 		t.Errorf("missing column should return -1")
 	}
-	if c := item.Column("i_current_price"); c == nil || c.Type != KindFloat {
-		t.Errorf("Column(i_current_price) = %+v", c)
-	}
-	names := item.ColumnNames()
-	if len(names) != 3 || names[0] != "I_ITEM_SK" {
-		t.Errorf("ColumnNames = %v", names)
+	if c := item.Columns[item.ColumnIndex("i_current_price")]; c.Name != "I_CURRENT_PRICE" || c.Type != KindFloat {
+		t.Errorf("Columns[ColumnIndex(i_current_price)] = %+v", c)
 	}
 }
 
@@ -55,12 +51,8 @@ func TestSchemaLookupCaseInsensitive(t *testing.T) {
 	if s.Table("missing") != nil {
 		t.Errorf("missing table should be nil")
 	}
-	if got := len(s.Tables()); got != 2 {
-		t.Errorf("Tables() len = %d", got)
-	}
-	names := s.TableNames()
-	if len(names) != 2 || names[0] != "ITEM" || names[1] != "WEB_SALES" {
-		t.Errorf("TableNames = %v", names)
+	if tables := s.Tables(); len(tables) != 2 || tables[0].Name != "ITEM" || tables[1].Name != "WEB_SALES" {
+		t.Errorf("Tables() = %v", tables)
 	}
 }
 
@@ -73,37 +65,14 @@ func TestAddIndexValidation(t *testing.T) {
 	if err := sales.AddIndex(Index{Columns: []string{"ws_item_sk"}}); err != nil {
 		t.Fatalf("AddIndex: %v", err)
 	}
-	idx := sales.IndexOn("WS_ITEM_SK")
+	idx := sales.IndexByName("WEB_SALES_WS_ITEM_SK_IDX")
 	if idx == nil {
-		t.Fatal("IndexOn returned nil")
+		t.Fatal("IndexByName(WEB_SALES_WS_ITEM_SK_IDX) is nil: the default index name was not applied")
 	}
-	if idx.Name == "" || idx.Table != "WEB_SALES" {
+	if idx.Table != "WEB_SALES" || idx.Columns[0] != "WS_ITEM_SK" {
 		t.Errorf("index defaults not applied: %+v", idx)
 	}
 	if idx.ClusterRatio != 0.5 {
 		t.Errorf("default cluster ratio = %v", idx.ClusterRatio)
-	}
-	if sales.IndexByName(idx.Name) == nil {
-		t.Errorf("IndexByName(%q) is nil", idx.Name)
-	}
-	if sales.IndexOn("ws_quantity") != nil {
-		t.Errorf("IndexOn(ws_quantity) should be nil")
-	}
-}
-
-func TestResolveColumn(t *testing.T) {
-	s := testSchema()
-	owner, err := s.ResolveColumn("i_category", []string{"ITEM", "WEB_SALES"})
-	if err != nil || owner != "ITEM" {
-		t.Errorf("ResolveColumn = %q, %v", owner, err)
-	}
-	if _, err := s.ResolveColumn("unknown_col", []string{"ITEM"}); err == nil {
-		t.Errorf("ResolveColumn should fail for unknown column")
-	}
-	// Ambiguity: add a table that shares a column name.
-	dup := NewTable("item2", Column{Name: "i_category", Type: KindString})
-	s.AddTable(dup)
-	if _, err := s.ResolveColumn("i_category", []string{"ITEM", "ITEM2"}); err == nil {
-		t.Errorf("ResolveColumn should report ambiguity")
 	}
 }

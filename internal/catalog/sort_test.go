@@ -40,7 +40,7 @@ func genValue(r *rand.Rand, fam int, offset int64) Value {
 	case famDate:
 		return DateFromDays(int64(18000 + r.Intn(6)))
 	case famBool:
-		return Bool(r.Intn(2) == 0)
+		return Value{K: KindBool, I: int64(1 - r.Intn(2))}
 	case famBeyond53:
 		if r.Intn(3) == 0 {
 			return Float(1 << 53)

@@ -108,52 +108,6 @@ func (t *TableStats) ColumnStats(col string) *ColumnStats {
 	return t.Columns[strings.ToUpper(col)]
 }
 
-// GroupNDV returns the combined NDV recorded for exactly the given set of
-// columns (order-insensitive), or 0 if no group statistic exists.
-func (t *TableStats) GroupNDV(cols []string) int64 {
-	if g := t.Group(cols); g != nil {
-		return g.NDV
-	}
-	return 0
-}
-
-// Group returns the column-group statistic recorded for exactly the given
-// set of columns (order-insensitive), or nil. The returned pointer aliases
-// the stats snapshot; group contents are immutable once installed.
-func (t *TableStats) Group(cols []string) *ColumnGroup {
-	if t == nil {
-		return nil
-	}
-	want := normalizeCols(cols)
-	for i := range t.Groups {
-		if equalCols(normalizeCols(t.Groups[i].Columns), want) {
-			return &t.Groups[i]
-		}
-	}
-	return nil
-}
-
-func normalizeCols(cols []string) []string {
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = strings.ToUpper(c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SystemConfig carries the system-wide parameters of the cost model. In the
 // paper these correspond to DB2 configuration such as the disk transfer rate
 // (Figure 7), buffer pool size and sort heap size.

@@ -71,15 +71,6 @@ func Float(f float64) Value { return Value{K: KindFloat, F: f} }
 // String returns a string value.
 func String(s string) Value { return Value{K: KindString, S: s} }
 
-// Bool returns a boolean value.
-func Bool(b bool) Value {
-	v := Value{K: KindBool}
-	if b {
-		v.I = 1
-	}
-	return v
-}
-
 // Date returns a date value for the given civil date.
 func Date(year int, month time.Month, day int) Value {
 	t := time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
@@ -101,20 +92,6 @@ func ParseDate(s string) (Value, error) {
 
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
-
-// AsBool reports the truthiness of the value (NULL is false).
-func (v Value) AsBool() bool {
-	switch v.K {
-	case KindBool, KindInt, KindDate:
-		return v.I != 0
-	case KindFloat:
-		return v.F != 0
-	case KindString:
-		return v.S != ""
-	default:
-		return false
-	}
-}
 
 // AsFloat converts numeric values to float64; strings parse if possible.
 func (v Value) AsFloat() float64 {

@@ -20,9 +20,6 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if String("abc").AsString() != "abc" {
 		t.Errorf("String roundtrip failed")
 	}
-	if !Bool(true).AsBool() || Bool(false).AsBool() {
-		t.Errorf("Bool roundtrip failed")
-	}
 	d := Date(2016, time.January, 2)
 	if d.AsString() != "2016-01-02" {
 		t.Errorf("Date rendered %q, want 2016-01-02", d.AsString())
@@ -155,7 +152,7 @@ func TestKeyEqualityDefinedOnce(t *testing.T) {
 		{"NULL ≠ 0", Null(), Int(0), false},
 		{"int = float", Int(3), Float(3), true},
 		{"int = date", Int(3), DateFromDays(3), true},
-		{"bool = int", Bool(true), Int(1), true},
+		{"bool = int", Value{K: KindBool, I: 1}, Int(1), true},
 		{"string ≠ number", String("3"), Int(3), false},
 		{"string = string", String("3"), String("3"), true},
 		{"string ≠ string", String("3"), String("3.0"), false},
@@ -198,7 +195,7 @@ func TestKeyWordAgreesWithKeyEqual(t *testing.T) {
 	const two53 = int64(1) << 53
 	values := []Value{
 		Null(), String(""), String("3"), String("3.0"), String("NaN"), String("NULL"),
-		Bool(false), Bool(true),
+		Value{K: KindBool}, Value{K: KindBool, I: 1},
 		Float(0), Float(math.Copysign(0, -1)), Float(3), Float(-3), Float(0.1), Float(math.SmallestNonzeroFloat64),
 		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000abc)), Float(math.Float64frombits(0xfff0000000000001)),
 		// The NULL word itself is a NaN bit pattern: stored as a float it

@@ -156,13 +156,3 @@ func (s *System) PersistStats() *wal.Stats {
 	st := persist.Stats()
 	return &st
 }
-
-// PersistenceDegraded reports whether the durability layer has dropped to
-// in-memory mode after a disk error (serving continues; /healthz says
-// "degraded").
-func (s *System) PersistenceDegraded() bool {
-	s.mu.Lock()
-	persist := s.persist
-	s.mu.Unlock()
-	return persist != nil && persist.Degraded()
-}

@@ -215,7 +215,7 @@ func TestPersistenceDegradesButServes(t *testing.T) {
 	if _, err := sys.KB().Add(syntheticTemplate(0)); err != nil {
 		t.Fatal(err)
 	}
-	if sys.PersistenceDegraded() {
+	if sys.PersistStats().Degraded {
 		t.Fatal("degraded before any fault")
 	}
 
@@ -223,7 +223,7 @@ func TestPersistenceDegradesButServes(t *testing.T) {
 	if _, err := sys.KB().Add(syntheticTemplate(1)); err != nil {
 		t.Fatalf("publication failed under disk fault: %v", err)
 	}
-	if !sys.PersistenceDegraded() {
+	if !sys.PersistStats().Degraded {
 		t.Fatal("disk fault did not degrade persistence")
 	}
 	if _, err := sys.KB().Add(syntheticTemplate(2)); err != nil {

@@ -106,14 +106,6 @@ func (s *System) tenantSlot(client string) *tenantSlot {
 	return slot
 }
 
-// TenantKB returns (creating it if needed) a tenant's knowledge base
-// namespace, or nil when tenancy namespaces are disabled. Operators seed a
-// tenant's templates by merging into it (kb.KB.Merge), the per-tenant
-// analogue of ImportKB.
-func (s *System) TenantKB(client string) *kb.KB {
-	return s.tenantSlot(client).kb
-}
-
 // reoptimizeFor runs the online matching workflow in a client's namespace.
 // With tenancy namespaces off (or for overflow tenants) it is exactly the
 // shared Reoptimize. With namespaces on, the query matches the tenant's own

@@ -174,7 +174,7 @@ func TestTenantNamespaceIsolation(t *testing.T) {
 	srv := httptest.NewServer(sys.APIHandler())
 	defer srv.Close()
 
-	if err := sys.TenantKB("tenant-a").Merge(trained.KB()); err != nil {
+	if err := sys.tenantSlot("tenant-a").kb.Merge(trained.KB()); err != nil {
 		t.Fatal(err)
 	}
 	sql := coreMatchedQuery.SQL()

@@ -516,7 +516,7 @@ func TestExactIndexAndItsFallback(t *testing.T) {
 	const two53 = int64(1) << 53
 	numeric := append([]catalog.Value{
 		catalog.Int(two53), catalog.Int(two53 + 1), catalog.Float(float64(two53)),
-		catalog.Float(math.Inf(1)), catalog.Float(math.Inf(-1)), catalog.Bool(true), catalog.Int(1),
+		catalog.Float(math.Inf(1)), catalog.Float(math.Inf(-1)), {K: catalog.KindBool, I: 1}, catalog.Int(1),
 	}, awkwardKeys[:len(awkwardKeys)-1]...)
 	negZero := catalog.Float(math.Copysign(0, -1))
 	edges := []catalog.Value{catalog.Float(2.5), negZero, catalog.Float(math.Inf(1)), catalog.Float(math.Inf(-1)),

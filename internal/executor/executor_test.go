@@ -48,12 +48,14 @@ func referenceRows(t *testing.T, db *storage.Database, q *sqlparser.Query) int {
 	var parts []map[string]catalog.Value
 	for i, ref := range work.From {
 		tbl := db.Table(ref.Table)
-		preds := sqlparser.PredicatesFor(work, ref.Name())
 		var filtered []map[string]catalog.Value
 		for _, row := range tbl.Rows {
 			match := true
-			for _, p := range preds {
-				if sp := compilePred(&p, 0); !sp.match(storage.Value(tbl.Def, row, p.Left.Column)) {
+			for _, p := range work.Where {
+				if !p.LocalTo(ref.Name()) {
+					continue
+				}
+				if sp := compilePred(&p, 0); !sp.match(row[tbl.Def.ColumnIndex(p.Left.Column)]) {
 					match = false
 					break
 				}
@@ -121,7 +123,10 @@ func joinPredsTouching(q *sqlparser.Query, refName string, idx int) []sqlparser.
 		earlier[strings.ToUpper(q.From[i].Name())] = true
 	}
 	var out []sqlparser.Predicate
-	for _, p := range q.JoinPredicates() {
+	for _, p := range q.Where {
+		if !p.IsJoin() {
+			continue
+		}
 		l, r := strings.ToUpper(p.Left.Table), strings.ToUpper(p.Right.Table)
 		if (l == strings.ToUpper(refName) && earlier[r]) || (r == strings.ToUpper(refName) && earlier[l]) {
 			out = append(out, p)
@@ -246,8 +251,8 @@ func TestActualCardinalitiesAnnotated(t *testing.T) {
 			annotated++
 		}
 	})
-	if annotated < plan.NumOps()/2 {
-		t.Errorf("only %d of %d operators annotated with actuals", annotated, plan.NumOps())
+	if annotated < plan.Root.CountOps()/2 {
+		t.Errorf("only %d of %d operators annotated with actuals", annotated, plan.Root.CountOps())
 	}
 }
 
@@ -534,7 +539,10 @@ func TestLikeCacheBoundedUnderConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := likeCache.size(); n > likeCacheCap {
+	likeCache.mu.Lock()
+	n := len(likeCache.m)
+	likeCache.mu.Unlock()
+	if n > likeCacheCap {
 		t.Errorf("LIKE cache grew to %d entries, cap is %d", n, likeCacheCap)
 	}
 }

@@ -76,10 +76,3 @@ func (lc *likePatternCache) get(pattern string) *regexp.Regexp {
 	lc.mu.Unlock()
 	return re
 }
-
-// size reports the current entry count (tests).
-func (lc *likePatternCache) size() int {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return len(lc.m)
-}

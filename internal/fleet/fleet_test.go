@@ -349,7 +349,7 @@ func TestMigrationNeverMissesAProbe(t *testing.T) {
 	if err := probe(); err != nil {
 		t.Fatalf("post-migration: %v", err)
 	}
-	if got := f.table.Owner(shape, 1); got != target {
+	if got := f.table.Route(shape, 1); got != target {
 		t.Fatalf("owner after migration = %d, want %d", got, target)
 	}
 	if kbs[home].Size() != 0 {

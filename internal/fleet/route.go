@@ -97,18 +97,6 @@ func (t *RouteTable) SetOwner(key string, to int) {
 	t.overrides[key] = override{owner: to, prev: to}
 }
 
-// Owner returns the shard currently owning the shape (dual windows report
-// the migration target).
-func (t *RouteTable) Owner(key string, joins int) int {
-	key = kb.NormalizeShape(key)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if ov, ok := t.overrides[key]; ok {
-		return ov.owner
-	}
-	return kb.RouteShapeN(key, joins, t.n)
-}
-
 // HotShape returns the most-probed tracked shape currently owned by the
 // shard, skipping shapes mid-migration; ok is false when the shard owns no
 // tracked shape.

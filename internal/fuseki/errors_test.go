@@ -31,7 +31,6 @@ func TestClientConnectionRefusedIsOpError(t *testing.T) {
 	}{
 		{"select", func() error { _, err := c.Select(typeQuery); return err }()},
 		{"version", func() error { _, err := c.Version(); return err }()},
-		{"dump", func() error { _, err := c.Dump(); return err }()},
 		{"load", c.Load("")},
 	}
 	for _, ck := range checks {

@@ -359,25 +359,6 @@ func (c *Client) KBVersion() (uint64, bool) {
 	return v, err == nil
 }
 
-// Dump downloads the remote store as N-Triples.
-func (c *Client) Dump() (string, error) {
-	target := c.BaseURL + "/data"
-	resp, err := c.HTTP.Get(target)
-	if err != nil {
-		return "", &OpError{Op: "dump", URL: target, Err: err}
-	}
-	defer resp.Body.Close()
-	c.noteEpoch(resp)
-	if resp.StatusCode != http.StatusOK {
-		return "", statusError("dump", target, resp)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", &OpError{Op: "dump", URL: target, Err: err}
-	}
-	return string(body), nil
-}
-
 // LocalEndpoint adapts an in-process store to the same Select interface the
 // client offers, so callers can swap local and remote knowledge bases.
 type LocalEndpoint struct {

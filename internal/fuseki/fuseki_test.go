@@ -2,6 +2,7 @@ package fuseki
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -52,11 +53,16 @@ func TestClientLoadAndDump(t *testing.T) {
 	if store.Len() != 3 {
 		t.Errorf("store has %d triples after load", store.Len())
 	}
-	dump, err := client.Dump()
+	resp, err := http.Get(srv.URL + "/data")
 	if err != nil {
-		t.Fatalf("Dump: %v", err)
+		t.Fatalf("GET /data: %v", err)
 	}
-	if dump != nt {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("GET /data: %v", err)
+	}
+	if dump := string(body); dump != nt {
 		t.Errorf("dump differs from upload:\n%s\nvs\n%s", dump, nt)
 	}
 	// Loading garbage fails.

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -53,23 +52,6 @@ func (e *Element) IsJoin() bool {
 // IsAccess reports whether the element specifies a table access method.
 func (e *Element) IsAccess() bool {
 	return e.Op == ElemTBSCAN || e.Op == ElemIXSCAN
-}
-
-// TabIDs returns the set of table instances referenced in the subtree,
-// sorted.
-func (e *Element) TabIDs() []string {
-	seen := map[string]struct{}{}
-	e.walk(func(x *Element) {
-		if x.TabID != "" {
-			seen[strings.ToUpper(x.TabID)] = struct{}{}
-		}
-	})
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (e *Element) walk(fn func(*Element)) {
@@ -131,25 +113,6 @@ func (d *Document) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TabIDs returns all table instances referenced anywhere in the document.
-func (d *Document) TabIDs() []string {
-	if d == nil {
-		return nil
-	}
-	seen := map[string]struct{}{}
-	for _, g := range d.Guidelines {
-		for _, id := range g.TabIDs() {
-			seen[id] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- XML ----------------------------------------------------------------------

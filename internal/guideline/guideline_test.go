@@ -1,6 +1,8 @@
 package guideline
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,9 +55,9 @@ func TestFigure5XMLRoundtrip(t *testing.T) {
 	if root.Children[1].Op != ElemIXSCAN || root.Children[1].Index != "D_DATE_SK" || root.Children[1].TabID != "Q3" {
 		t.Errorf("inner access = %+v", root.Children[1])
 	}
-	ids := parsed.Guidelines[0].TabIDs()
+	ids := tabIDs(parsed.Guidelines[0])
 	if len(ids) != 4 || ids[0] != "Q1" || ids[3] != "Q4" {
-		t.Errorf("TabIDs = %v", ids)
+		t.Errorf("table instances = %v", ids)
 	}
 }
 
@@ -197,7 +199,21 @@ func TestMergeDeduplicates(t *testing.T) {
 	if merged.Empty() {
 		t.Errorf("merged document should not be empty")
 	}
-	if len(merged.TabIDs()) != 4 {
-		t.Errorf("merged TabIDs = %v", merged.TabIDs())
+	if ids := tabIDs(merged.Guidelines...); len(ids) != 4 {
+		t.Errorf("merged table instances = %v", ids)
 	}
+}
+
+// tabIDs returns the sorted, de-duplicated table instances the elements'
+// subtrees reference.
+func tabIDs(elems ...*Element) []string {
+	seen := map[string]bool{}
+	for _, e := range elems {
+		e.walk(func(x *Element) {
+			if x.TabID != "" {
+				seen[strings.ToUpper(x.TabID)] = true
+			}
+		})
+	}
+	return slices.Sorted(maps.Keys(seen))
 }

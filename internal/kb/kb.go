@@ -19,9 +19,6 @@ type Range struct {
 	Lo, Hi float64
 }
 
-// Contains reports whether v lies within the range.
-func (r Range) Contains(v float64) bool { return v >= r.Lo && v <= r.Hi }
-
 // Widen extends the range to include v.
 func (r Range) Widen(v float64) Range {
 	if v < r.Lo {

@@ -149,9 +149,6 @@ type Funnel struct {
 	TemplatesMerged int
 }
 
-// Alternatives is the number of random alternative plans generated.
-func (f Funnel) Alternatives() int { return f.PlansGenerated - f.Variants }
-
 func (f *Funnel) add(g Funnel) {
 	f.Variants += g.Variants
 	f.PlansGenerated += g.PlansGenerated

@@ -70,7 +70,7 @@ type Options struct {
 	ProbeCacheSize int
 	// TolerateProbeErrors keeps a plan's matching usable when a shard
 	// endpoint fails even after the transport's own retries: the failed
-	// fragment counts as unmatched (ProbeStats.Errors / Engine.ProbeErrors)
+	// fragment counts as unmatched (ProbeStats.Errors)
 	// instead of failing the whole MatchPlan. Fleet deployments enable it so
 	// a dead shard degrades only that shard's rewrites, never the request.
 	TolerateProbeErrors bool
@@ -103,7 +103,6 @@ type Engine struct {
 	guidelines  guidelineCache
 	flight      flightGroup
 	deduped     atomic.Int64
-	probeErrors atomic.Int64
 	shardProbes []atomic.Int64
 }
 
@@ -273,10 +272,6 @@ func (e *Engine) evaluate(shard int, conn *shardConn, p *transform.Probe, params
 // in-flight identical probe instead of evaluating SPARQL themselves.
 func (e *Engine) DedupedProbes() int64 { return e.deduped.Load() }
 
-// ProbeErrors returns how many probes failed and were tolerated as
-// unmatched since the engine was built (Options.TolerateProbeErrors).
-func (e *Engine) ProbeErrors() int64 { return e.probeErrors.Load() }
-
 // Match is one problem pattern found in a plan.
 type Match struct {
 	// FragmentRootID is the operator ID of the matched sub-plan's root in the
@@ -420,7 +415,6 @@ func (e *Engine) MatchPlanStats(plan *qgm.Plan) ([]Match, ProbeStats, error) {
 			}
 			// Degrade, don't fail: the fragment goes unmatched (no rewrite
 			// from this template shard) and the error is counted.
-			e.probeErrors.Add(1)
 			stats.Probes++
 			stats.Errors++
 			continue

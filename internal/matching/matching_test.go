@@ -8,6 +8,7 @@ import (
 
 	"galo/internal/executor"
 	"galo/internal/fuseki"
+	"galo/internal/guideline"
 	"galo/internal/kb"
 	"galo/internal/learning"
 	"galo/internal/optimizer"
@@ -81,11 +82,16 @@ func TestMatchPlanFindsLearnedPattern(t *testing.T) {
 		}
 		// The rebound guideline references the incoming query's instances,
 		// not canonical labels.
-		for _, id := range m.Guideline.TabIDs() {
-			if strings.HasPrefix(id, "TABLE_") {
-				t.Errorf("guideline TABID not rebound: %s", id)
+		var checkRebound func(e *guideline.Element)
+		checkRebound = func(e *guideline.Element) {
+			if strings.HasPrefix(strings.ToUpper(e.TabID), "TABLE_") {
+				t.Errorf("guideline TABID not rebound: %s", e.TabID)
+			}
+			for _, c := range e.Children {
+				checkRebound(c)
 			}
 		}
+		checkRebound(m.Guideline)
 		if m.MatchMillis < 0 {
 			t.Errorf("negative match time")
 		}

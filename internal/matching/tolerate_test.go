@@ -48,9 +48,6 @@ func TestTolerateProbeErrorsDegradesInsteadOfFailing(t *testing.T) {
 	if stats.Probes < stats.Errors {
 		t.Errorf("stats.Probes = %d < stats.Errors = %d", stats.Probes, stats.Errors)
 	}
-	if got := eng.ProbeErrors(); got == 0 {
-		t.Errorf("engine.ProbeErrors() = 0, want cumulative count")
-	}
 
 	// The whole online workflow still answers: Reoptimize returns the
 	// original plan unrewritten rather than an error.

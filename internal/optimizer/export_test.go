@@ -152,3 +152,31 @@ func renderSearch(o *Optimizer, p *Prepared, root *qgm.Node, err error) string {
 	})
 	return out
 }
+
+// SQL renders the query as planned: resolved, and rewritten by the first tier.
+func (p *Prepared) SQL() string { return p.q.SQL() }
+
+// RewriteNotes describes the tier-1 rewrites that fired, nil for none. The
+// notes are rendered on every call, into a slice the caller owns.
+func (r *Report) RewriteNotes() []string {
+	if len(r.notes) == 0 {
+		return nil
+	}
+	out := make([]string, len(r.notes))
+	for i, n := range r.notes {
+		out[i] = n.render(r.where)
+	}
+	return out
+}
+
+// render writes the note as Report.RewriteNotes reads it.
+func (n rewriteNote) render(where []sqlparser.Predicate) string {
+	switch n.kind {
+	case noteDuplicate:
+		return "removed duplicate predicate " + where[n.pred].String()
+	case noteInferred:
+		return "inferred " + where[n.pred].String() + " from " + where[n.join].String() + " and " + where[n.local].String()
+	default:
+		return "predicate " + where[n.pred].String() + " can never be satisfied"
+	}
+}

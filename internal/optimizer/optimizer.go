@@ -62,19 +62,6 @@ type Report struct {
 	where []sqlparser.Predicate
 }
 
-// RewriteNotes describes the tier-1 rewrites that fired, nil for none. The
-// notes are rendered on every call, into a slice the caller owns.
-func (r *Report) RewriteNotes() []string {
-	if len(r.notes) == 0 {
-		return nil
-	}
-	out := make([]string, len(r.notes))
-	for i, n := range r.notes {
-		out[i] = n.render(r.where)
-	}
-	return out
-}
-
 // Optimizer plans SQL queries against a catalog. It holds no per-query state:
 // any number of goroutines may call Optimize and BuildPlan on one Optimizer.
 type Optimizer struct {
@@ -132,9 +119,6 @@ type Prepared struct {
 	// noteBuf holds the notes of a query with few.
 	noteBuf [4]rewriteNote
 }
-
-// SQL renders the query as planned: resolved, and rewritten by the first tier.
-func (p *Prepared) SQL() string { return p.q.SQL() }
 
 // Optimize plans the query: it resolves column references, applies the
 // query-rewrite tier, then runs cost-based enumeration. The returned plan has
@@ -204,7 +188,7 @@ func (o *Optimizer) MustOptimize(q *sqlparser.Query) *qgm.Plan {
 
 // Quantifiers assigns table instances (Q1..Qn, in FROM order) and derives the
 // per-reference estimates. The quantifiers come from one slab; their local
-// predicates (PredicatesFor's, as pointers into q.Where) and referenced
+// predicates (as pointers into q.Where) and referenced
 // columns are windows of one backing array each, in the order the query lists
 // them.
 func (o *Optimizer) Quantifiers(q *sqlparser.Query) []*Quantifier {
@@ -242,7 +226,7 @@ func (o *Optimizer) Quantifiers(q *sqlparser.Query) []*Quantifier {
 }
 
 // localPredicates points the front of dst at the local predicates of a FROM
-// reference — those PredicatesFor returns, in WHERE order — and returns how
+// reference — the predicates LocalTo it, in WHERE order — and returns how
 // many there are; a nil dst only counts them.
 func localPredicates(dst []*sqlparser.Predicate, q *sqlparser.Query, refName string) int {
 	n := 0

@@ -313,7 +313,7 @@ func TestRewriteInfersTransitivePredicates(t *testing.T) {
 	}
 	notes := optimizer.Rewrite(o, work)
 	found := false
-	for _, p := range work.LocalPredicates() {
+	for _, p := range work.Where {
 		if p.Left.Column == "SS_SOLD_DATE_SK" && p.Kind == sqlparser.PredCompare {
 			found = true
 		}

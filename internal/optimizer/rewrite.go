@@ -137,15 +137,3 @@ const (
 	noteInferred
 	noteNeverSatisfied
 )
-
-// render writes the note as Report.RewriteNotes reads it.
-func (n rewriteNote) render(where []sqlparser.Predicate) string {
-	switch n.kind {
-	case noteDuplicate:
-		return "removed duplicate predicate " + where[n.pred].String()
-	case noteInferred:
-		return "inferred " + where[n.pred].String() + " from " + where[n.join].String() + " and " + where[n.local].String()
-	default:
-		return "predicate " + where[n.pred].String() + " can never be satisfied"
-	}
-}

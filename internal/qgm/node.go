@@ -182,17 +182,6 @@ func (n *Node) Joins() []*Node {
 	return out
 }
 
-// Find returns the first node in the subtree with the given operator ID.
-func (n *Node) Find(id int) *Node {
-	var found *Node
-	n.Walk(func(x *Node) {
-		if found == nil && x.ID == id {
-			found = x
-		}
-	})
-	return found
-}
-
 // Clone deep-copies the subtree.
 func (n *Node) Clone() *Node {
 	if n == nil {

@@ -86,29 +86,12 @@ func (p *Plan) Operators() []*Node {
 	return out
 }
 
-// Find returns the operator with the given ID, or nil.
-func (p *Plan) Find(id int) *Node {
-	if p.Root == nil {
-		return nil
-	}
-	return p.Root.Find(id)
-}
-
 // NumJoins returns the number of join operators in the plan.
 func (p *Plan) NumJoins() int {
 	if p.Root == nil {
 		return 0
 	}
 	return p.Root.CountJoins()
-}
-
-// NumOps returns the number of LOLEPOPs in the plan (the paper's measure of
-// workload complexity).
-func (p *Plan) NumOps() int {
-	if p.Root == nil {
-		return 0
-	}
-	return p.Root.CountOps()
 }
 
 // TableInstances returns the table-instance map of the whole plan.

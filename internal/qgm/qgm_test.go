@@ -39,7 +39,7 @@ func TestNewPlanAddsReturnAndIDs(t *testing.T) {
 		}
 		ids[op.ID] = true
 	}
-	if len(ids) != p.NumOps() {
+	if len(ids) != p.Root.CountOps() {
 		t.Errorf("ID count mismatch")
 	}
 	if err := p.Validate(); err != nil {
@@ -52,8 +52,8 @@ func TestPlanAccessors(t *testing.T) {
 	if p.NumJoins() != 1 {
 		t.Errorf("NumJoins = %d", p.NumJoins())
 	}
-	if p.NumOps() != 5 {
-		t.Errorf("NumOps = %d", p.NumOps())
+	if p.Root.CountOps() != 5 {
+		t.Errorf("CountOps = %d", p.Root.CountOps())
 	}
 	inst := p.TableInstances()
 	if inst["Q1"] != "OPEN_IN" || inst["Q2"] != "ENTRY_IDX" {
@@ -66,12 +66,6 @@ func TestPlanAccessors(t *testing.T) {
 	scans := p.Root.Scans()
 	if len(scans) != 2 {
 		t.Errorf("Scans = %d", len(scans))
-	}
-	if p.Find(join.ID) != join {
-		t.Errorf("Find did not return the join")
-	}
-	if p.Find(999) != nil {
-		t.Errorf("Find(999) should be nil")
 	}
 }
 

@@ -10,7 +10,6 @@ package sqlparser
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"galo/internal/catalog"
@@ -223,22 +222,6 @@ func (q *Query) TableByName(name string) *TableRef {
 	return nil
 }
 
-// JoinPredicates returns the column-to-column equality predicates.
-func (q *Query) JoinPredicates() []Predicate { return q.predicates(true) }
-
-// LocalPredicates returns the non-join predicates.
-func (q *Query) LocalPredicates() []Predicate { return q.predicates(false) }
-
-func (q *Query) predicates(join bool) []Predicate {
-	var out []Predicate
-	for _, p := range q.Where {
-		if p.IsJoin() == join {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // NumJoins returns the number of join predicates (the paper's "join number").
 func (q *Query) NumJoins() int {
 	n := 0
@@ -248,23 +231,6 @@ func (q *Query) NumJoins() int {
 		}
 	}
 	return n
-}
-
-// TableNames returns the referenced table names (not aliases), sorted and
-// de-duplicated.
-func (q *Query) TableNames() []string {
-	seen := map[string]struct{}{}
-	var out []string
-	for _, t := range q.From {
-		key := strings.ToUpper(t.Table)
-		if _, ok := seen[key]; ok {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, key)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SQL renders the query back to SQL text.

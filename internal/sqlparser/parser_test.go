@@ -29,12 +29,12 @@ func TestParseFigure3Query(t *testing.T) {
 	if got := q.NumJoins(); got != 2 {
 		t.Errorf("NumJoins = %d, want 2", got)
 	}
-	if got := len(q.LocalPredicates()); got != 2 {
-		t.Errorf("LocalPredicates = %d, want 2", got)
+	if got := len(q.Where) - q.NumJoins(); got != 2 {
+		t.Errorf("local predicates = %d, want 2", got)
 	}
 	// literal kinds
 	var sawJewelry, sawDate bool
-	for _, p := range q.LocalPredicates() {
+	for _, p := range q.Where {
 		switch {
 		case p.Value.K == catalog.KindString && p.Value.S == "Jewelry":
 			sawJewelry = true
@@ -45,9 +45,8 @@ func TestParseFigure3Query(t *testing.T) {
 	if !sawJewelry || !sawDate {
 		t.Errorf("literal detection failed: jewelry=%v date=%v", sawJewelry, sawDate)
 	}
-	names := q.TableNames()
-	if len(names) != 3 || names[0] != "DATE_DIM" {
-		t.Errorf("TableNames = %v", names)
+	if len(q.From) != 3 || !strings.EqualFold(q.From[2].Table, "DATE_DIM") {
+		t.Errorf("FROM = %v", q.From)
 	}
 }
 
@@ -194,7 +193,13 @@ func TestResolveQualifiesEveryColumn(t *testing.T) {
 		}
 	}
 	// ws_item_sk should resolve to WEB_SALES, i_item_sk to ITEM.
-	jp := q.JoinPredicates()[0]
+	var jp Predicate
+	for _, p := range q.Where {
+		if p.IsJoin() {
+			jp = p
+			break
+		}
+	}
 	tables := map[string]bool{q.TableByName(jp.Left.Table).Table: true, q.TableByName(jp.Right.Table).Table: true}
 	if !tables["WEB_SALES"] || !tables["ITEM"] {
 		t.Errorf("join resolution = %v", tables)
@@ -225,9 +230,14 @@ func TestPredicateHelpers(t *testing.T) {
 	if err := Resolve(q, tpcdsMiniSchema()); err != nil {
 		t.Fatal(err)
 	}
-	itemPreds := PredicatesFor(q, "ITEM")
+	var itemPreds []Predicate
+	for _, p := range q.Where {
+		if p.LocalTo("ITEM") {
+			itemPreds = append(itemPreds, p)
+		}
+	}
 	if len(itemPreds) != 1 || itemPreds[0].Value.S != "Jewelry" {
-		t.Errorf("PredicatesFor(ITEM) = %v", itemPreds)
+		t.Errorf("predicates local to ITEM = %v", itemPreds)
 	}
 	joins := JoinsBetween(q, "WEB_SALES", "ITEM")
 	if len(joins) != 1 {

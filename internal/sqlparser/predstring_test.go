@@ -92,7 +92,7 @@ func TestPredicateEqualMatchesString(t *testing.T) {
 		catalog.Null(), catalog.Int(-1), catalog.Int(1), catalog.Int(0), catalog.Float(-1), catalog.Float(1), catalog.Float(0),
 		catalog.Float(math.Copysign(0, -1)), catalog.Float(math.NaN()), catalog.Float(math.Float64frombits(0x7ff8000000000001)),
 		catalog.Float(math.Inf(1)), catalog.Float(2.5), catalog.String("O'Neil"), catalog.String("o'neil"), catalog.String("1998-03-07"),
-		date, catalog.String("-1"), catalog.Bool(true), {K: catalog.KindBool, I: 2}, catalog.Bool(false),
+		date, catalog.String("-1"), {K: catalog.KindBool, I: 1}, {K: catalog.KindBool, I: 2}, {K: catalog.KindBool},
 		{K: catalog.KindInt, I: 1, F: 3, S: "x"}, {K: catalog.KindString, S: "O'Neil", I: 9},
 	}
 	var preds []Predicate

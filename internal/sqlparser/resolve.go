@@ -122,18 +122,6 @@ func (t TableRef) ResolvedAs(name string) bool {
 	return name == ""
 }
 
-// PredicatesFor returns the local predicates that apply to the given FROM
-// reference name.
-func PredicatesFor(q *Query, refName string) []Predicate {
-	var out []Predicate
-	for _, p := range q.Where {
-		if p.LocalTo(refName) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // JoinsBetween returns the join predicates connecting the two FROM reference
 // names, in either direction.
 func JoinsBetween(q *Query, a, b string) []Predicate {

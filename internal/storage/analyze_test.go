@@ -25,8 +25,8 @@ func TestBuildEquiDepthHistogramUniform(t *testing.T) {
 		values = append(values, catalog.Int(int64(i)))
 	}
 	h := equiDepth(values, 10)
-	if h.NumBuckets() != 10 {
-		t.Fatalf("buckets = %d, want 10", h.NumBuckets())
+	if len(h.Buckets) != 10 {
+		t.Fatalf("buckets = %d, want 10", len(h.Buckets))
 	}
 	if h.Rows != 1000 || h.Min.AsInt() != 1 || h.Max().AsInt() != 1000 {
 		t.Errorf("histogram bounds wrong: rows=%d min=%v max=%v", h.Rows, h.Min, h.Max())
@@ -74,8 +74,8 @@ func TestBuildEquiDepthHistogramConstantAndEmpty(t *testing.T) {
 		values = append(values, catalog.Int(7))
 	}
 	h := equiDepth(values, 8)
-	if h.NumBuckets() != 1 {
-		t.Fatalf("constant column should collapse to one bucket, got %d", h.NumBuckets())
+	if len(h.Buckets) != 1 {
+		t.Fatalf("constant column should collapse to one bucket, got %d", len(h.Buckets))
 	}
 	if h.Buckets[0].NDV != 1 || h.Buckets[0].Count != 64 {
 		t.Errorf("constant bucket = %+v", h.Buckets[0])
@@ -307,12 +307,15 @@ func TestAnalyzeColumnGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := db.Catalog.Stats("ITEM")
-	// Correlated columns: combined NDV is 5, not 5*5.
-	if got := ts.GroupNDV([]string{"I_CATEGORY", "I_CLASS"}); got != 5 {
-		t.Errorf("group NDV = %d, want 5", got)
+	if len(ts.Groups) != 1 || !slices.Equal(ts.Groups[0].Columns, []string{"I_CATEGORY", "I_CLASS"}) {
+		t.Fatalf("groups = %+v, want one over I_CATEGORY, I_CLASS", ts.Groups)
 	}
-	g := ts.Group([]string{"i_class", "i_category"})
-	if g == nil || len(g.Frequent) != 5 {
+	g := &ts.Groups[0]
+	// Correlated columns: combined NDV is 5, not 5*5.
+	if g.NDV != 5 {
+		t.Errorf("group NDV = %d, want 5", g.NDV)
+	}
+	if len(g.Frequent) != 5 {
 		t.Fatalf("group = %+v, want five frequent combinations", g)
 	}
 	if n, ok := g.FrequencyOf([]catalog.Value{catalog.String("Music"), catalog.String("Music-cls")}); !ok || n != 200 {

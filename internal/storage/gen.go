@@ -3,8 +3,6 @@ package storage
 import (
 	"math"
 	"math/rand"
-
-	"galo/internal/catalog"
 )
 
 // Generator produces deterministic synthetic data with controllable skew and
@@ -85,17 +83,6 @@ func (g *Generator) Float(lo, hi float64) float64 {
 
 // Bool returns true with probability p.
 func (g *Generator) Bool(p float64) bool { return g.rng.Float64() < p }
-
-// NullOr returns NULL with probability p, otherwise v.
-func (g *Generator) NullOr(p float64, v catalog.Value) catalog.Value {
-	if g.rng.Float64() < p {
-		return catalog.Null()
-	}
-	return v
-}
-
-// Perm returns a random permutation of [0,n).
-func (g *Generator) Perm(n int) []int { return g.rng.Perm(n) }
 
 // Intn exposes the underlying uniform integer draw in [0,n).
 func (g *Generator) Intn(n int) int {

@@ -283,19 +283,6 @@ func (t *Table) KeyWordOrdered(idx *IndexData) bool {
 	})
 }
 
-// IndexOnColumn returns a built index whose leading column matches, or nil.
-func (db *Database) IndexOnColumn(table, column string) *IndexData {
-	t := db.Table(table)
-	if t == nil {
-		return nil
-	}
-	def := t.Def.IndexOn(column)
-	if def == nil {
-		return nil
-	}
-	return db.Index(table, def.Name)
-}
-
 func buildIndex(t *Table, def *catalog.Index) *IndexData {
 	pos := make([]int, len(def.Columns))
 	for i, c := range def.Columns {
@@ -377,18 +364,8 @@ func (idx *IndexData) PositionsRange(lo, hi *catalog.Value) (start, end int) {
 // Len returns the number of entries in the index.
 func (idx *IndexData) Len() int { return len(idx.Entries) }
 
-// Value returns the value of the named column in the row of the given table
-// definition, or NULL when absent.
-func Value(def *catalog.Table, row Row, column string) catalog.Value {
-	i := def.ColumnIndex(column)
-	if i < 0 || i >= len(row) {
-		return catalog.Null()
-	}
-	return row[i]
-}
-
-// CountWhereEqual counts rows where column = v (used by the learning engine's
-// predicate-range sampler and by tests).
+// CountWhereEqual counts rows where column = v by scanning the table: the
+// reference other packages' tests check estimates and executions against.
 func (db *Database) CountWhereEqual(table, column string, v catalog.Value) int {
 	t := db.lookup(table)
 	if t == nil {

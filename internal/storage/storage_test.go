@@ -75,9 +75,9 @@ func rowIDsOf(entries []IndexEntry) []int {
 
 func TestIndexPositionsEqualMatchesScan(t *testing.T) {
 	db := testDB(t)
-	idx := db.IndexOnColumn("item", "i_item_sk")
+	idx := db.Index("item", "ITEM_I_ITEM_SK_IDX")
 	if idx == nil {
-		t.Fatal("IndexOnColumn returned nil")
+		t.Fatal("Index returned nil")
 	}
 	if idx.Len() != 100 {
 		t.Errorf("index Len = %d", idx.Len())
@@ -99,7 +99,7 @@ func TestIndexPositionsEqualMatchesScan(t *testing.T) {
 
 func TestIndexPositionsRangeMatchesScan(t *testing.T) {
 	db := testDB(t)
-	idx := db.IndexOnColumn("item", "i_item_sk")
+	idx := db.Index("item", "ITEM_I_ITEM_SK_IDX")
 	lo, hi := catalog.Int(10), catalog.Int(20)
 	for _, tc := range []struct {
 		name   string
@@ -120,7 +120,7 @@ func TestIndexPositionsRangeMatchesScan(t *testing.T) {
 
 func TestIndexPositions(t *testing.T) {
 	db := testDB(t)
-	idx := db.IndexOnColumn("item", "i_item_sk")
+	idx := db.Index("item", "ITEM_I_ITEM_SK_IDX")
 
 	// PositionsEqual covers exactly the entries holding the key, as a
 	// contiguous range — the contract the executor's index scans iterate on.
@@ -163,14 +163,14 @@ func TestIndexPositions(t *testing.T) {
 
 func TestIndexRebuiltAfterInsert(t *testing.T) {
 	db := testDB(t)
-	idx := db.IndexOnColumn("item", "i_item_sk")
+	idx := db.Index("item", "ITEM_I_ITEM_SK_IDX")
 	if idx.Len() != 100 {
 		t.Fatalf("initial index len = %d", idx.Len())
 	}
 	if err := db.Insert("item", Row{catalog.Int(101), catalog.String("Music")}); err != nil {
 		t.Fatal(err)
 	}
-	idx = db.IndexOnColumn("item", "i_item_sk")
+	idx = db.Index("item", "ITEM_I_ITEM_SK_IDX")
 	if idx.Len() != 101 {
 		t.Errorf("index not rebuilt after insert: len=%d", idx.Len())
 	}
@@ -200,18 +200,6 @@ func TestDistinctAndCountWhere(t *testing.T) {
 	}
 	if got := db.CountWhereEqual("item", "i_category", catalog.String("Nope")); got != 0 {
 		t.Errorf("CountWhereEqual(miss) = %d", got)
-	}
-}
-
-func TestValueHelper(t *testing.T) {
-	db := testDB(t)
-	def := db.Table("item").Def
-	row := db.Table("item").Rows[0]
-	if Value(def, row, "i_item_sk").AsInt() != 1 {
-		t.Errorf("Value helper returned wrong value")
-	}
-	if !Value(def, row, "nope").IsNull() {
-		t.Errorf("Value of unknown column should be NULL")
 	}
 }
 
@@ -285,15 +273,6 @@ func TestGeneratorChoices(t *testing.T) {
 	if g.WeightedChoice(opts, []float64{0, 0, 0}) == "" {
 		t.Errorf("WeightedChoice with zero weights should fall back to uniform")
 	}
-	nulls := 0
-	for i := 0; i < 1000; i++ {
-		if g.NullOr(0.5, catalog.Int(1)).IsNull() {
-			nulls++
-		}
-	}
-	if nulls < 300 || nulls > 700 {
-		t.Errorf("NullOr(0.5) produced %d nulls out of 1000", nulls)
-	}
 }
 
 // TestIndexAndKeyWordsBuiltOnce is the contention case of the once-only path:
@@ -313,7 +292,7 @@ func TestIndexAndKeyWordsBuiltOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			indexes[g] = db.IndexOnColumn("item", "i_item_sk")
+			indexes[g] = db.Index("item", "ITEM_I_ITEM_SK_IDX")
 			vectors[g] = table.KeyWords(0)
 		}()
 	}
@@ -334,7 +313,7 @@ func TestIndexAndKeyWordsBuiltOnce(t *testing.T) {
 	if err := db.Insert("item", Row{catalog.Null(), catalog.String("Music")}); err != nil {
 		t.Fatal(err)
 	}
-	if idx := db.IndexOnColumn("item", "i_item_sk"); idx == indexes[0] || idx.Len() != 101 {
+	if idx := db.Index("item", "ITEM_I_ITEM_SK_IDX"); idx == indexes[0] || idx.Len() != 101 {
 		t.Errorf("index not rebuilt after Insert: len %d", idx.Len())
 	}
 	words := table.KeyWords(0)

@@ -69,7 +69,7 @@ type Probe struct {
 type probeNode struct {
 	op qgm.OpType
 	// inst is the table instance of a base-table access, "" for every other
-	// operator: it names the operator's variable (VarFor) and asks for the
+	// operator: it names the operator's variable (varName) and asks for the
 	// template's canonical table label.
 	inst string
 	id   int
@@ -229,15 +229,9 @@ func instanceOf(n *qgm.Node) string {
 	return ""
 }
 
-// VarFor returns the SPARQL variable name used for a plan node: result
-// handlers are named after the table instance for base-table accesses and
-// after the operator ID otherwise, as in the paper's Figure 6.
-func VarFor(n *qgm.Node) string {
-	return (&probeNode{inst: instanceOf(n), id: n.ID}).varName()
-}
-
-// appendVar renders the operator's variable name (VarFor of the node it was
-// recorded from).
+// appendVar renders the operator's variable name: result handlers are named
+// after the table instance for base-table accesses and after the operator ID
+// otherwise, as in the paper's Figure 6.
 func (n *probeNode) appendVar(b []byte) []byte {
 	b = append(b, "pop_"...)
 	if n.inst != "" {

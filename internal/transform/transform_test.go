@@ -100,13 +100,14 @@ func TestFragmentMatchQueryParsesAndDescribesFragment(t *testing.T) {
 }
 
 func TestVarForNaming(t *testing.T) {
+	varFor := func(n *qgm.Node) string { return (&probeNode{inst: instanceOf(n), id: n.ID}).varName() }
 	scan := &qgm.Node{Op: qgm.OpIXSCAN, TableInstance: "Q3", ID: 9}
-	if VarFor(scan) != "pop_Q3" {
-		t.Errorf("VarFor(scan) = %q", VarFor(scan))
+	if got := varFor(scan); got != "pop_Q3" {
+		t.Errorf("variable of the scan = %q", got)
 	}
 	join := &qgm.Node{Op: qgm.OpHSJOIN, ID: 2}
-	if VarFor(join) != "pop_2" {
-		t.Errorf("VarFor(join) = %q", VarFor(join))
+	if got := varFor(join); got != "pop_2" {
+		t.Errorf("variable of the join = %q", got)
 	}
 }
 

@@ -256,7 +256,7 @@ type Manager struct {
 	diskErrors  atomic.Uint64
 	replayStats RecoveryStats
 
-	compactMu sync.Mutex // serializes the worker's compactions with CompactNow
+	compactMu sync.Mutex // serializes compactDue passes
 	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -444,11 +444,6 @@ func (m *Manager) compactDue(every uint64) {
 	}
 }
 
-// CompactNow synchronously snapshots every shard whose published epoch moved
-// past its last snapshot. Tests and graceful shutdown use it; steady-state
-// compaction runs on the background worker.
-func (m *Manager) CompactNow() { m.compactDue(1) }
-
 // Flush forces an fsync of every shard's buffered appends (the final WAL
 // fsync of a graceful shutdown, and the durability point for SyncInterval).
 func (m *Manager) Flush() error {
@@ -468,10 +463,6 @@ func (m *Manager) Flush() error {
 	}
 	return first
 }
-
-// Degraded reports whether a disk error has dropped the manager to
-// in-memory-only mode.
-func (m *Manager) Degraded() bool { return m.degraded.Load() }
 
 // Stats is a point-in-time snapshot of durability counters for /stats.
 type Stats struct {

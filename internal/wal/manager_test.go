@@ -101,7 +101,7 @@ func TestSnapshotPlusEmptyWALRestartChain(t *testing.T) {
 	dir := t.TempDir()
 	m, stores := startFresh(t, testOptions(t, dir), 1)
 	stores[0].AddAll([]rdf.Triple{tri(1), tri(2)})
-	m.CompactNow()
+	m.compactDue(1)
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -218,9 +218,9 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	m, stores := startFresh(t, testOptions(t, dir), 1)
 	stores[0].AddAll([]rdf.Triple{tri(1), tri(2)})
-	m.CompactNow() // snapshot generation at epoch 2
+	m.compactDue(1) // snapshot generation at epoch 2
 	stores[0].AddAll([]rdf.Triple{tri(3), tri(4)})
-	m.CompactNow() // snapshot generation at epoch 4
+	m.compactDue(1) // snapshot generation at epoch 4
 	stores[0].Add(tri(5))
 	want := stores[0].NTriples()
 	if err := m.Close(); err != nil {
@@ -266,11 +266,11 @@ func TestSegmentRotationAndTrim(t *testing.T) {
 	if n := len(listFiles(t, sdir, parseSegName)); n < 3 {
 		t.Fatalf("%d segments after 8 appends at 64-byte cap, want rotation", n)
 	}
-	m.CompactNow() // snapshot at 8; older retained snapshot is boot's epoch 0
+	m.compactDue(1) // snapshot at 8; older retained snapshot is boot's epoch 0
 	for i := 9; i <= 16; i++ {
 		stores[0].Add(tri(i))
 	}
-	m.CompactNow() // snapshot at 16; trims the WAL below the snapshot at 8
+	m.compactDue(1) // snapshot at 16; trims the WAL below the snapshot at 8
 	var below, above int
 	for _, name := range listFiles(t, sdir, parseSegName) {
 		if start, _ := parseSegName(name); start <= 8 {
@@ -304,7 +304,7 @@ func TestWriteFailureDegradesNotCrashes(t *testing.T) {
 	stores[0].Add(tri(2)) // append fails -> degraded, publication proceeds
 	stores[0].Add(tri(3)) // degraded mode: no further disk traffic, still serves
 
-	if !m.Degraded() {
+	if !m.Stats().Degraded {
 		t.Fatal("manager not degraded after injected write failure")
 	}
 	st := m.Stats()
@@ -333,7 +333,7 @@ func TestFsyncFailureDegrades(t *testing.T) {
 	m, stores := startFresh(t, opts, 1)
 	ffs.FailSyncs(true)
 	stores[0].Add(tri(1))
-	if !m.Degraded() {
+	if !m.Stats().Degraded {
 		t.Fatal("manager not degraded after injected fsync failure")
 	}
 	ffs.FailSyncs(false)
@@ -350,7 +350,7 @@ func TestShortWriteTornRecordRecovery(t *testing.T) {
 	stores[0].Add(tri(2))
 	ffs.ShortWriteAt(ffs.Writes() + 1)
 	stores[0].Add(tri(3)) // half the frame reaches disk: a torn record
-	if !m.Degraded() {
+	if !m.Stats().Degraded {
 		t.Fatal("short write did not degrade the manager")
 	}
 	_ = m.Close()

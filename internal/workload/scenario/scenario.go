@@ -81,7 +81,7 @@ func (f Fixed) HazardQueries(_ *storage.Database, n int) []*sqlparser.Query {
 	return First(f.Queries(), n)
 }
 
-// First returns the first n of qs, all of them when n is 0.
+// First returns the first n of qs, all of them when n is 0 or less.
 func First(qs []*sqlparser.Query, n int) []*sqlparser.Query {
 	if n > 0 && n < len(qs) {
 		return qs[:n]

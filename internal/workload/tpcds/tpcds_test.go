@@ -31,7 +31,7 @@ func TestSchemaHasAllTables(t *testing.T) {
 		}
 	}
 	// Fact-table date indexes are poorly clustered (Figure 4 precondition).
-	cs := s.Table(CatalogSales).IndexOn("CS_SOLD_DATE_SK")
+	cs := s.Table(CatalogSales).IndexByName("CS_SOLD_DATE_IDX")
 	if cs == nil || cs.ClusterRatio > 0.3 {
 		t.Errorf("catalog_sales date index should be poorly clustered: %+v", cs)
 	}
